@@ -51,11 +51,12 @@ chaos:
 # server-stress runs the serving layer's verification under the race
 # detector: the multi-session chaos matrix (every testdata script ×
 # seeded fault regimes × Workers ∈ {1,2,8}, N concurrent sessions each
-# byte-matching its solo run), the shared-view singleflight race, the
-# typed admission/budget error paths, draining Close, and cross-session
-# reuse determinism. See DESIGN.md "Multi-session serving layer".
+# byte-matching its solo run), the shared-view singleflight race (with
+# aligned and with misaligned scan batches), the typed admission/budget
+# error paths, draining Close, and cross-session reuse determinism. See
+# DESIGN.md "Multi-session serving layer".
 server-stress:
-	$(GO) test -race -run 'TestMultiSessionChaosMatrix|TestSharedViewSingleflight|TestAdmissionOverloadTyped|TestAdmissionQueueTimeoutTyped|TestMemoryBudgetTyped|TestCloseDrainsInFlight|TestCrossSessionReuseDeterminism' .
+	$(GO) test -race -run 'TestMultiSessionChaosMatrix|TestSharedViewSingleflight|TestMisalignedSessionsSharedView|TestAdmissionOverloadTyped|TestAdmissionQueueTimeoutTyped|TestMemoryBudgetTyped|TestCloseDrainsInFlight|TestCrossSessionReuseDeterminism' .
 	$(GO) test -race ./internal/server/
 
 # ingest-chaos runs the streaming-ingestion kill-point matrix under

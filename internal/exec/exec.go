@@ -7,6 +7,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -421,9 +422,9 @@ type applyIter struct {
 	probeViews []*storage.View
 
 	// evalLower is node.Eval lower-cased once at build time, so the
-	// per-row demand/reuse/eval calls hand the runtime a string its
-	// ToLower fast path passes through without allocating.
+	// runtime's accounting and eval calls take it as is.
 	evalLower string
+	readCost  time.Duration // virtual cost of one view-served key
 
 	rowSeq uint64 // serial per-query sequence assigning call identities
 
@@ -434,19 +435,32 @@ type applyIter struct {
 	claimed []string // store-view keys this batch holds claims on
 	staged  int64    // budget bytes reserved for pending view rows
 
-	// Per-batch scratch, reused across batches so the probe, eval and
-	// assemble row loops stay allocation-free in steady state. The
-	// arena backs the owned key copies of unserved rows: it is sized
-	// once per batch, so the slices handed to decisions never move.
+	// Per-batch scratch. Everything is grown to the widest batch seen
+	// and kept, so the probe, eval and assemble loops allocate nothing
+	// in steady state.
 	decisions []rowDecision
 	sinks     []udf.OutcomeSink
-	evalRows  []int
-	keyArena  []types.Datum
-	keyBuf    []types.Datum
-	ekBuf     []byte
-	rowBuf    []types.Datum
-	snaps     []*types.Batch // parallel to probeViews; reset per batch
-	scratch   []evalScratch  // per-worker eval scratch
+	keys      []byte             // the batch's encoded keys, back to back
+	keyOffs   []int              // row r's key is keys[keyOffs[r]:keyOffs[r+1]]
+	demand    []uint64           // udf.DemandHash of each row's key
+	sel       []int              // rows no view has served yet, in row order
+	hits      []storage.ProbeHit // one view's answer to one batch probe
+	snaps     []types.Batch      // per probe view: holder of the snapshot its hits index
+	snapHeld  []bool             // per probe view: rows of this batch index the holder
+	fuzzyIdx  []int              // backs the one-row viewIdx of fuzzy-served rows
+	claimSeen map[string]bool    // dedup set of unservedKeys
+	claimBuf  []string           // backs claimed
+	scratch   []evalScratch      // per-worker eval scratch
+
+	// The assemble phase's gather triples: output row k is input row
+	// inRows[k] joined with row srcRows[k] of srcs[k]. scalarOut holds
+	// the batch's freshly evaluated scalar results so they gather like
+	// any other source.
+	inRows    []int
+	srcs      []*types.Batch
+	srcRows   []int
+	scalarOut *types.Batch
+	rowBuf    []types.Datum // view-staging row
 }
 
 // evalScratch is one worker's private evaluation state: the row
@@ -460,7 +474,10 @@ type evalScratch struct {
 
 func newApplyIter(ctx *Context, node *plan.ReuseApply, in iterator) (*applyIter, error) {
 	a := &applyIter{ctx: ctx, in: in, node: node, seenPending: map[string]bool{},
-		evalLower: strings.ToLower(node.Eval)}
+		evalLower: strings.ToLower(node.Eval), readCost: costs.ScalarViewReadCost}
+	if node.TableUDF {
+		a.readCost = costs.TableViewReadCost
+	}
 	inSchema := node.Input.Schema()
 	for _, kc := range node.KeyCols {
 		idx := inSchema.IndexOf(kc)
@@ -509,6 +526,8 @@ func newApplyIter(ctx *Context, node *plan.ReuseApply, in iterator) (*applyIter,
 			a.probeViews = append(append([]*storage.View(nil), a.sources...), a.store)
 		}
 	}
+	a.snaps = make([]types.Batch, len(a.probeViews))
+	a.snapHeld = make([]bool, len(a.probeViews))
 	return a, nil
 }
 
@@ -530,22 +549,19 @@ func (a *applyIter) viewSchema(in types.Schema) types.Schema {
 const viewFlushRows = 8192
 
 // rowDecision is the apply operator's per-row outcome. The serial
-// probe phase either serves the row from a view — recording the
-// snapshot and row indexes to emit, or materialized rows on the fuzzy
-// and re-probe paths — or queues it for UDF evaluation; the parallel
-// eval phase fills out/outs/err for queued rows; the serial assemble
-// phase merges both in row order.
+// probe phase either serves the row from a view — recording the source
+// batch and the row indexes to emit — or queues it for UDF evaluation;
+// the parallel eval phase fills out/outs/err for queued rows; the
+// serial assemble phase merges both in row order.
 type rowDecision struct {
-	served   bool
-	snap     *types.Batch    // serving view's snapshot (exact-probe path)
-	viewIdx  []int           // rows to emit, indexes into snap (read-only)
-	viewRows [][]types.Datum // materialized rows (fuzzy / re-probe paths)
-	key      []types.Datum   // owned key (evaluated rows; into keyArena)
-	id       uint64          // call identity for fault injection
-	sink     *udf.OutcomeSink
-	out      types.Datum  // scalar UDF result (evaluated rows)
-	outs     *types.Batch // table UDF output rows (evaluated rows)
-	err      error
+	served  bool
+	snap    *types.Batch // batch viewIdx indexes: a view snapshot or a fuzzy index's
+	viewIdx []int        // rows to emit, indexes into snap (read-only)
+	id      uint64       // call identity for fault injection
+	sink    *udf.OutcomeSink
+	out     types.Datum  // scalar UDF result (evaluated rows)
+	outs    *types.Batch // table UDF output rows (evaluated rows)
+	err     error
 }
 
 func (a *applyIter) next() (*types.Batch, error) {
@@ -561,7 +577,7 @@ func (a *applyIter) next() (*types.Batch, error) {
 	}
 	decisions := a.probePhase(b)
 	if a.ctx.Sessions && a.store != nil {
-		a.claimPhase(b, decisions)
+		a.claimPhase(decisions)
 	}
 	a.evalPhase(b, decisions)
 	out, err := a.assemblePhase(b, decisions)
@@ -597,83 +613,57 @@ func (a *applyIter) next() (*types.Batch, error) {
 // key this batch is about to evaluate. Claims are all-or-nothing: if
 // any key is owned by a concurrent session, we wait — holding no
 // claims of our own, so no cycle can form — for that session to
-// publish and release, re-probe the refreshed view, and retry with
+// publish and release, re-probe the refreshed views, and retry with
 // whatever keys are still unserved. Keys that became servable are
 // reused instead of recomputed, which is the no-double-compute
 // invariant of the serving layer.
-func (a *applyIter) claimPhase(b *types.Batch, decisions []rowDecision) {
-	for {
-		keys := a.unservedKeys(decisions)
-		if len(keys) == 0 {
-			return
-		}
+func (a *applyIter) claimPhase(decisions []rowDecision) {
+	for len(a.sel) > 0 {
+		keys := a.unservedKeys()
 		granted, busy := a.store.ClaimKeys(keys)
 		if granted {
 			a.claimed = keys
+			// A holder may have published and released between our
+			// probe and this grant. With the claims held nobody else
+			// can publish these keys, so one more lookup — charged only
+			// for what it serves — settles which rows still need
+			// evaluating.
+			a.account(nil, 0, a.probeViewsSel(decisions))
 			return
 		}
 		<-busy
-		a.reprobe(b, decisions)
+		a.reprobe(decisions)
 	}
 }
 
-// unservedKeys collects the distinct encoded keys of rows still headed
-// for UDF evaluation, in row order.
-func (a *applyIter) unservedKeys(decisions []rowDecision) []string {
-	var keys []string
-	seen := map[string]bool{}
-	for r := range decisions {
-		d := &decisions[r]
-		if d.served {
-			continue
-		}
-		ek := storage.EncodeKey(d.key)
-		if !seen[ek] {
-			seen[ek] = true
-			keys = append(keys, ek)
+// reprobe is the probe phase's batch join again, over the rows still
+// unserved: it serves the ones a concurrent session published while we
+// waited for its claim. Demand was recorded when the batch was first
+// probed; only the new probes and reuses are accounted.
+func (a *applyIter) reprobe(decisions []rowDecision) {
+	probed := len(a.sel)
+	a.account(nil, probed, a.probeViewsSel(decisions))
+}
+
+// unservedKeys collects the distinct encoded keys of the rows still
+// headed for UDF evaluation, in row order. The strings are what the
+// view's claim table keeps, so one per distinct key is the floor.
+func (a *applyIter) unservedKeys() []string {
+	if a.claimSeen == nil {
+		a.claimSeen = map[string]bool{}
+	}
+	clear(a.claimSeen)
+	keys := a.claimBuf[:0]
+	for _, r := range a.sel {
+		ek := a.keys[a.keyOffs[r]:a.keyOffs[r+1]]
+		if !a.claimSeen[string(ek)] {
+			k := string(ek)
+			a.claimSeen[k] = true
+			keys = append(keys, k)
 		}
 	}
+	a.claimBuf = keys
 	return keys
-}
-
-// reprobe re-runs the exact view probe for rows still queued for
-// evaluation, serving the ones a concurrent session published while we
-// waited for its claim.
-func (a *applyIter) reprobe(b *types.Batch, decisions []rowDecision) {
-	readCost := costs.TableViewReadCost
-	if !a.node.TableUDF {
-		readCost = costs.ScalarViewReadCost
-	}
-	snaps := map[*storage.View]*types.Batch{}
-	for r := range decisions {
-		d := &decisions[r]
-		if d.served {
-			continue
-		}
-		a.ctx.Clock.Charge(simclock.CatApply, costs.ProbeCost)
-		for _, view := range a.probeViews {
-			if !view.HasKey(d.key) {
-				continue
-			}
-			a.ctx.Runtime.RecordReuse(a.node.Eval)
-			a.ctx.Clock.Charge(simclock.CatReadView, readCost)
-			s, ok := snaps[view]
-			if !ok {
-				s = view.Scan()
-				snaps[view] = s
-			}
-			nKey := len(a.node.KeyCols)
-			for _, vi := range view.RowsForKey(d.key) {
-				row := b.Row(r)
-				for c := nKey; c < len(view.Schema()); c++ {
-					row = append(row, s.At(vi, c))
-				}
-				d.viewRows = append(d.viewRows, row)
-			}
-			d.served = true
-			break
-		}
-	}
 }
 
 // releaseClaims returns this batch's claimed store-view keys, waking
@@ -707,106 +697,134 @@ func (a *applyIter) chargeStaged() error {
 	return a.flush()
 }
 
-// probePhase runs the reuse arm serially in row order: demand
-// accounting, the view probes, and the fuzzy fallback. Rows no view
-// can serve come back with an owned key copy (backed by the per-batch
-// arena), queued for evaluation. All scratch state — decisions, sinks,
-// key arena, encoded-key buffer, snapshots — is reused across batches,
-// so the steady-state row loop performs no heap allocation.
-// lint:hotpath apply probe loop must not allocate per row
+// probePhase is the reuse arm: the LEFT OUTER JOIN of the input batch
+// with the materialized views (Fig. 4), run batch at a time. It encodes
+// every row's key once, probes each view once for the rows the views
+// before it left unserved, falls back to the fuzzy index, and settles
+// demand, reuse and virtual-clock accounting in one call each. Rows no
+// view can serve stay in a.sel, queued for evaluation with their call
+// identities assigned. The accounting is a set of sums, so it equals
+// what a row-at-a-time probe would have charged.
+// lint:hotpath apply probe loops must not allocate per row
 func (a *applyIter) probePhase(b *types.Batch) []rowDecision {
-	if cap(a.decisions) < b.Len() {
-		a.decisions = make([]rowDecision, b.Len())
-		a.sinks = make([]udf.OutcomeSink, b.Len())
+	n := b.Len()
+	if cap(a.decisions) < n {
+		// Batches of one operator vary in width (an upstream detector
+		// fans each frame out into its objects), so grow geometrically:
+		// a query re-sizes its scratch a couple of times, not once per
+		// wider batch.
+		c := max(n, 2*cap(a.decisions))
+		a.decisions = make([]rowDecision, c)
+		a.sinks = make([]udf.OutcomeSink, c)
+		a.keyOffs = make([]int, c+1)
+		a.demand = make([]uint64, c)
+		a.sel = make([]int, c)
+		a.hits = make([]storage.ProbeHit, 0, c)
+		if len(a.fuzzy) > 0 {
+			a.fuzzyIdx = make([]int, c)
+		}
 	}
-	decisions := a.decisions[:b.Len()]
-	sinks := a.sinks[:b.Len()]
-	for r := range decisions {
+	decisions := a.decisions[:n]
+	a.sel = a.sel[:n]
+	a.keys = a.keys[:0]
+	clear(a.snapHeld)
+	for r := 0; r < n; r++ {
 		decisions[r] = rowDecision{}
-	}
-	if cap(a.keyBuf) < len(a.keyIdx) {
-		a.keyBuf = make([]types.Datum, len(a.keyIdx))
-	}
-	key := a.keyBuf[:len(a.keyIdx)]
-	// The arena is sized for the whole batch up front so the key
-	// slices handed to decisions never move when later rows append.
-	if need := b.Len() * len(a.keyIdx); cap(a.keyArena) < need {
-		a.keyArena = make([]types.Datum, 0, need)
-	}
-	a.keyArena = a.keyArena[:0]
-	if len(a.snaps) < len(a.probeViews) {
-		a.snaps = make([]*types.Batch, len(a.probeViews))
-	}
-	for i := range a.snaps {
-		a.snaps[i] = nil
-	}
-	readCost := costs.TableViewReadCost
-	if !a.node.TableUDF {
-		readCost = costs.ScalarViewReadCost
-	}
-
-	for r := 0; r < b.Len(); r++ {
-		for i, idx := range a.keyIdx {
-			key[i] = b.At(r, idx)
+		a.sel[r] = r
+		a.keyOffs[r] = len(a.keys)
+		a.keys = storage.AppendRowKey(a.keys, b, r, a.keyIdx)
+		a.demand[r] = udf.DemandHash(a.keys[a.keyOffs[r]:])
+		if r == 0 {
+			// Keys of one batch are near-uniform in size: reserve the
+			// rest from the first instead of doubling up to it.
+			a.keys = slices.Grow(a.keys, (n-1)*(len(a.keys)+8))
 		}
-		a.ekBuf = storage.AppendKey(a.ekBuf[:0], key)
-		a.ctx.Runtime.RecordDemandKey(a.evalLower, a.ekBuf)
-		a.ctx.Clock.Charge(simclock.CatApply, costs.ProbeCost)
+	}
+	a.keyOffs[n] = len(a.keys)
 
+	reused := a.probeViewsSel(decisions)
+	if len(a.fuzzy) > 0 {
+		reused += a.serveFuzzy(b, decisions)
+	}
+	a.account(a.demand[:n], n, reused)
+
+	// Call identities are assigned here, at a serial point in input-row
+	// order, so the injected fault schedule is a function of the row's
+	// position in the serial plan — not of which worker reaches it
+	// first.
+	for _, r := range a.sel {
 		d := &decisions[r]
-		for vi, view := range a.probeViews {
-			if !view.HasKeyBytes(a.ekBuf) {
-				continue
-			}
-			a.ctx.Runtime.RecordReuse(a.evalLower)
-			a.ctx.Clock.Charge(simclock.CatReadView, readCost)
-			// Per-batch view snapshots: row indexes from RowsForKeyBytes
-			// stay valid because views are append-only.
-			if a.snaps[vi] == nil {
-				a.snaps[vi] = view.Scan()
-			}
-			d.snap = a.snaps[vi]
-			d.viewIdx = view.RowsForKeyBytes(a.ekBuf)
-			d.served = true
-			break
-		}
-		if !d.served && len(a.fuzzy) > 0 {
-			if rows, ok := a.serveFuzzy(b, r, readCost); ok {
-				d.viewRows = rows
-				d.served = true
-			}
-		}
-		if !d.served {
-			start := len(a.keyArena)
-			a.keyArena = append(a.keyArena, key...)
-			d.key = a.keyArena[start:len(a.keyArena):len(a.keyArena)]
-			// Call identities are assigned here, at a serial point in
-			// input-row order, so the injected fault schedule is a
-			// function of the row's position in the serial plan — not
-			// of which worker reaches it first.
-			d.id = a.rowSeq
-			a.rowSeq++
-			sinks[r].Reset()
-			d.sink = &sinks[r]
-		}
+		d.id = a.rowSeq
+		a.rowSeq++
+		a.sinks[r].Reset()
+		d.sink = &a.sinks[r]
 	}
 	return decisions
 }
 
-// evalPhase runs the conditional-Apply arm for every unserved row
-// across the worker pool. Each row writes only its own decision slot;
-// the Runtime and Clock are concurrency-safe, so no further locking is
-// needed. Breaker admission uses one frozen snapshot per batch,
-// captured here at a serial point, so every row sees the same health
-// decisions the serial engine's batch start would.
-func (a *applyIter) evalPhase(b *types.Batch, decisions []rowDecision) {
-	a.evalRows = a.evalRows[:0]
-	for r := range decisions {
+// probeViewsSel joins the rows in a.sel against the probe views, one
+// batch probe per view: rows a view knows are marked served — with the
+// snapshot and row indexes to emit, taken under the same view lock —
+// and leave a.sel, so the next view sees only what is still missing. It
+// returns the number of rows served.
+// lint:hotpath apply probe loops must not allocate per row
+func (a *applyIter) probeViewsSel(decisions []rowDecision) int {
+	served := 0
+	for vi, view := range a.probeViews {
+		if len(a.sel) == 0 {
+			break
+		}
+		snap := &a.snaps[vi]
+		if a.snapHeld[vi] {
+			// A re-probe: rows an earlier probe of this batch served
+			// still index the holder's snapshot, and the view may have
+			// been evicted and rebuilt since. This answer gets its own.
+			snap = new(types.Batch)
+		}
+		a.hits = view.ProbeBatch(a.keys, a.keyOffs, a.sel, a.hits[:0], snap)
+		if len(a.hits) == 0 {
+			continue
+		}
+		a.snapHeld[vi] = true
+		for i := range a.hits {
+			d := &decisions[a.hits[i].Key]
+			d.served, d.snap, d.viewIdx = true, snap, a.hits[i].Rows
+		}
+		served += len(a.hits)
+		a.compactSel(decisions)
+	}
+	return served
+}
+
+// compactSel drops the served rows from a.sel, keeping row order.
+func (a *applyIter) compactSel(decisions []rowDecision) {
+	w := 0
+	for _, r := range a.sel {
 		if !decisions[r].served {
-			a.evalRows = append(a.evalRows, r)
+			a.sel[w] = r
+			w++
 		}
 	}
-	if len(a.evalRows) == 0 {
+	a.sel = a.sel[:w]
+}
+
+// account settles one probe pass with the runtime and the virtual
+// clock: demanded invocations (by key hash), rows probed, rows served.
+func (a *applyIter) account(demanded []uint64, probed, reused int) {
+	a.ctx.Runtime.RecordBatch(a.evalLower, demanded, reused)
+	a.ctx.Clock.ChargePerTuple(simclock.CatApply, costs.ProbeCost, probed)
+	a.ctx.Clock.ChargePerTuple(simclock.CatReadView, a.readCost, reused)
+}
+
+// evalPhase runs the conditional-Apply arm for every unserved row
+// (a.sel) across the worker pool. Each row writes only its own decision
+// slot; the Runtime and Clock are concurrency-safe, so no further
+// locking is needed. Breaker admission uses one frozen snapshot per
+// batch, captured here at a serial point, so every row sees the same
+// health decisions the serial engine's batch start would.
+func (a *applyIter) evalPhase(b *types.Batch, decisions []rowDecision) {
+	evalRows := a.sel
+	if len(evalRows) == 0 {
 		return
 	}
 	workers := a.ctx.workers()
@@ -814,7 +832,6 @@ func (a *applyIter) evalPhase(b *types.Batch, decisions []rowDecision) {
 		a.scratch = make([]evalScratch, workers)
 	}
 	scratch := a.scratch[:workers]
-	evalRows := a.evalRows
 	hs := a.ctx.dom().HealthSnapshot()
 	runParallel(workers, len(evalRows), func(w, i int) {
 		r := evalRows[i]
@@ -869,7 +886,9 @@ func (a *applyIter) evalRow(b *types.Batch, r int, d *rowDecision, hs *udf.Healt
 // assemblePhase merges served and evaluated rows back into one output
 // batch in input-row order and buffers fresh results for the store
 // view — the order-preserving fan-in that keeps parallel output
-// byte-identical to serial. Errors surface in row order, so the
+// byte-identical to serial. Every output row is described as an (input
+// row, source batch, source row) triple and the batch is then written
+// column-wise by one gather. Errors surface in row order, so the
 // reported failure is the one the serial engine would hit first.
 func (a *applyIter) assemblePhase(b *types.Batch, decisions []rowDecision) (*types.Batch, error) {
 	// Commit the deferred breaker outcomes of every evaluated row in
@@ -878,90 +897,111 @@ func (a *applyIter) assemblePhase(b *types.Batch, decisions []rowDecision) (*typ
 	// breaker's consecutive-failure state after the batch — and
 	// therefore trips, degradation and replans — is identical whether
 	// or not a row failed, and at any concurrency.
-	for r := range decisions {
+	for _, r := range a.sel {
 		a.ctx.dom().CommitOutcomes(decisions[r].sink)
 	}
-	out := a.ctx.getBatch(a.node.Schema())
-	nKey := len(a.node.KeyCols)
+	rows := 0
+	for r := range decisions {
+		switch d := &decisions[r]; {
+		case d.served:
+			rows += len(d.viewIdx)
+		case d.outs != nil:
+			rows += d.outs.Len()
+		default:
+			rows++
+		}
+	}
+	a.inRows = slices.Grow(a.inRows[:0], rows)
+	a.srcs = slices.Grow(a.srcs[:0], rows)
+	a.srcRows = slices.Grow(a.srcRows[:0], rows)
+	if a.scalarOut != nil {
+		a.scalarOut.Reset()
+	}
 	for r := range decisions {
 		d := &decisions[r]
 		if d.served {
-			if d.snap != nil {
-				// Exact-probe path: emit input row + the view's output
-				// columns through the reused row buffer.
-				vw := len(d.snap.Schema())
-				for _, vi := range d.viewIdx {
-					a.rowBuf = b.AppendRowTo(a.rowBuf[:0], r)
-					for c := nKey; c < vw; c++ {
-						a.rowBuf = append(a.rowBuf, d.snap.At(vi, c))
-					}
-					out.MustAppendRow(a.rowBuf...)
-				}
-			} else {
-				for _, row := range d.viewRows {
-					out.MustAppendRow(row...)
-				}
-			}
+			a.emit(r, d.snap, d.viewIdx)
 			continue
 		}
 		if d.err != nil {
-			a.ctx.putBatch(out)
 			return nil, d.err
 		}
 		if a.node.TableUDF {
 			for dr := 0; dr < d.outs.Len(); dr++ {
-				a.rowBuf = b.AppendRowTo(a.rowBuf[:0], r)
-				a.rowBuf = d.outs.AppendRowTo(a.rowBuf, dr)
-				out.MustAppendRow(a.rowBuf...)
+				a.emitRow(r, d.outs, dr)
 			}
 		} else {
-			a.rowBuf = b.AppendRowTo(a.rowBuf[:0], r)
-			a.rowBuf = append(a.rowBuf, d.out)
-			out.MustAppendRow(a.rowBuf...)
+			if a.scalarOut == nil {
+				a.scalarOut = types.NewBatch(a.node.Out)
+			}
+			if err := a.scalarOut.AppendRow(d.out); err != nil {
+				return nil, fmt.Errorf("exec: udf %s: %w", a.node.Eval, err)
+			}
+			a.emitRow(r, a.scalarOut, a.scalarOut.Len()-1)
 		}
-		if err := a.buffer(d); err != nil {
-			a.ctx.putBatch(out)
+		if err := a.buffer(b, r, d); err != nil {
 			return nil, err
 		}
+	}
+	out := a.ctx.getBatch(a.node.Schema())
+	if err := out.AppendGather(b, a.inRows, a.srcs, a.srcRows); err != nil {
+		a.ctx.putBatch(out)
+		return nil, fmt.Errorf("exec: apply %s: %w", a.node.Eval, err)
 	}
 	return out, nil
 }
 
-// buffer queues a freshly computed result for the store view. The key
-// and outputs are copied into the pending batch, so the decision's
-// arena-backed key and the input batch may be recycled afterwards.
+// emit queues one output row per index in rows: input row r joined
+// with that row of src. assemblePhase has reserved the triples.
+func (a *applyIter) emit(r int, src *types.Batch, rows []int) {
+	for _, vi := range rows {
+		a.emitRow(r, src, vi)
+	}
+}
+
+// emitRow queues the single output row (r, src, row).
+func (a *applyIter) emitRow(r int, src *types.Batch, row int) {
+	a.inRows = append(a.inRows, r)
+	a.srcs = append(a.srcs, src)
+	a.srcRows = append(a.srcRows, row)
+}
+
+// buffer queues input row r's freshly computed result for the store
+// view. The key and outputs are copied into the pending batch, so the
+// input batch and the detector output may be recycled afterwards.
 // lint:hotpath view staging must not allocate per already-seen key
-func (a *applyIter) buffer(d *rowDecision) error {
+func (a *applyIter) buffer(b *types.Batch, r int, d *rowDecision) error {
 	if a.store == nil {
 		return nil
 	}
-	a.ekBuf = storage.AppendKey(a.ekBuf[:0], d.key)
-	if a.seenPending[string(a.ekBuf)] {
+	ek := a.keys[a.keyOffs[r]:a.keyOffs[r+1]]
+	if a.seenPending[string(ek)] {
 		return nil
 	}
-	a.seenPending[string(a.ekBuf)] = true
+	a.seenPending[string(ek)] = true
+	a.rowBuf = a.rowBuf[:0]
+	for _, idx := range a.keyIdx {
+		a.rowBuf = append(a.rowBuf, b.At(r, idx)) // lint:coldalloc grows to the key width once
+	}
+	nKey := len(a.rowBuf)
 	if a.node.TableUDF && d.outs.Len() == 0 {
-		a.pendingKeys = append(a.pendingKeys, append([]types.Datum(nil), d.key...))
+		a.pendingKeys = append(a.pendingKeys, slices.Clone(a.rowBuf))
 		return nil
 	}
 	if a.pendingRows == nil {
 		a.pendingRows = a.ctx.getBatch(a.store.Schema())
 	}
 	if a.node.TableUDF {
-		// The key prefix is identical for every detector row, so it is
-		// copied into the row buffer once; the loop rewinds to the
-		// prefix and appends only the detector columns.
-		a.rowBuf = append(a.rowBuf[:0], d.key...)
-		nKey := len(d.key)
-		for r := 0; r < d.outs.Len(); r++ {
-			a.rowBuf = d.outs.AppendRowTo(a.rowBuf[:nKey], r)
+		// The key prefix is identical for every detector row; the loop
+		// rewinds to it and appends only the detector columns.
+		for dr := 0; dr < d.outs.Len(); dr++ {
+			a.rowBuf = d.outs.AppendRowTo(a.rowBuf[:nKey], dr)
 			if err := a.pendingRows.AppendRow(a.rowBuf...); err != nil {
 				return fmt.Errorf("exec: buffer view rows: %w", err)
 			}
 		}
 		return nil
 	}
-	a.rowBuf = append(a.rowBuf[:0], d.key...)
 	a.rowBuf = append(a.rowBuf, d.out)
 	if err := a.pendingRows.AppendRow(a.rowBuf...); err != nil {
 		return fmt.Errorf("exec: buffer view rows: %w", err)

@@ -2,9 +2,7 @@ package exec
 
 import (
 	"math"
-	"time"
 
-	"eva/internal/simclock"
 	"eva/internal/storage"
 	"eva/internal/types"
 	"eva/internal/vision"
@@ -82,38 +80,41 @@ func (f *fuzzyIndex) lookup(frame int64, bbox string) (int, bool) {
 	return best, true
 }
 
-// serveFuzzy attempts the fuzzy fallback for input row r: if a stored
-// result for a nearby bbox on the same frame exists in any source
-// view, return it as this row's output rows. Used only for scalar
-// UDFs; called from the serial probe phase.
-func (a *applyIter) serveFuzzy(b *types.Batch, r int, readCost time.Duration) ([][]types.Datum, bool) {
+// serveFuzzy is the fuzzy fallback for the rows in a.sel that no exact
+// probe served: a row whose bbox lies within tolerance of a stored one
+// on the same frame, in any source view, is served that stored row
+// (from the index's own snapshot) and leaves a.sel. It returns the
+// number of rows served. Used only for scalar UDFs; called from the
+// serial probe phase.
+func (a *applyIter) serveFuzzy(b *types.Batch, decisions []rowDecision) int {
 	idIdx := b.Schema().IndexOf("id")
 	bboxIdx := b.Schema().IndexOf("bbox")
 	if idIdx < 0 || bboxIdx < 0 {
-		return nil, false
+		return 0
 	}
-	frame := b.At(r, idIdx)
-	bbox := b.At(r, bboxIdx)
-	if frame.IsNull() || bbox.IsNull() {
-		return nil, false
-	}
-	for i, fi := range a.fuzzy {
-		rowIdx, ok := fi.lookup(frame.Int(), bbox.Str())
-		if !ok {
+	served := 0
+	for _, r := range a.sel {
+		frame := b.At(r, idIdx)
+		bbox := b.At(r, bboxIdx)
+		if frame.IsNull() || bbox.IsNull() {
 			continue
 		}
-		view := a.sources[i]
-		vb := fi.batch
-		nKey := len(a.node.KeyCols)
-		row := b.Row(r)
-		for c := nKey; c < len(view.Schema()); c++ {
-			row = append(row, vb.At(rowIdx, c))
+		for _, fi := range a.fuzzy {
+			rowIdx, ok := fi.lookup(frame.Int(), bbox.Str())
+			if !ok {
+				continue
+			}
+			a.fuzzyIdx[served] = rowIdx
+			d := &decisions[r]
+			d.served, d.snap, d.viewIdx = true, fi.batch, a.fuzzyIdx[served:served+1:served+1]
+			served++
+			break
 		}
-		a.ctx.Runtime.RecordReuse(a.node.Eval)
-		a.ctx.Clock.Charge(simclock.CatReadView, readCost)
-		return [][]types.Datum{row}, true
 	}
-	return nil, false
+	if served > 0 {
+		a.compactSel(decisions)
+	}
+	return served
 }
 
 // fuzzyKeyPositions locates the id and bbox columns within the key

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -99,15 +100,15 @@ func TestSessionsReprobeServesPublishedRows(t *testing.T) {
 		t.Fatalf("input batch: %v, %v", b, err)
 	}
 	decisions := a.probePhase(b)
-	if keys := a.unservedKeys(decisions); len(keys) != 8 {
+	if keys := a.unservedKeys(); len(keys) != 8 {
 		t.Fatalf("unserved keys = %d, want 8", len(keys))
 	}
 	publishDetRows(t, ctx.Store.View("det_view"), 0, 3)
-	a.reprobe(b, decisions)
+	a.reprobe(decisions)
 	served := 0
 	for r := range decisions {
 		if decisions[r].served {
-			if len(decisions[r].viewRows) == 0 {
+			if len(decisions[r].viewIdx) == 0 {
 				t.Errorf("row %d served with no view rows", r)
 			}
 			served++
@@ -116,7 +117,7 @@ func TestSessionsReprobeServesPublishedRows(t *testing.T) {
 	if served != 3 {
 		t.Errorf("reprobe served %d rows, want 3", served)
 	}
-	if rest := a.unservedKeys(decisions); len(rest) != 5 {
+	if rest := a.unservedKeys(); len(rest) != 5 {
 		t.Errorf("unserved after reprobe = %d, want 5", len(rest))
 	}
 }
@@ -138,7 +139,8 @@ func TestSessionsClaimWaitsForHolder(t *testing.T) {
 		t.Fatalf("input batch: %v, %v", b, err)
 	}
 	decisions := a.probePhase(b)
-	keys := a.unservedKeys(decisions)
+	// A copy: the iterator reuses the returned slice on its next call.
+	keys := slices.Clone(a.unservedKeys())
 	v := ctx.Store.View("det_view")
 	granted, _ := v.ClaimKeys(keys)
 	if !granted {
@@ -150,7 +152,7 @@ func TestSessionsClaimWaitsForHolder(t *testing.T) {
 		v.ReleaseKeys(keys)
 	})
 	defer timer.Stop()
-	a.claimPhase(b, decisions)
+	a.claimPhase(decisions)
 	// Every row is either served from the published rows (the holder
 	// won the race to the claim table) or claimed for evaluation.
 	for r := range decisions {

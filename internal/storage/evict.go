@@ -225,12 +225,12 @@ func (e *Engine) evictCandidates(exclude string) []EvictCandidate {
 	var out []EvictCandidate
 	for _, v := range e.evictSnapshot(exclude) {
 		v.mu.RLock()
-		ok := v.file != nil && !v.dead && (v.batch.Len() > 0 || len(v.processed) > 0)
+		ok := v.file != nil && !v.dead && (v.batch.Len() > 0 || v.index.len() > 0)
 		c := EvictCandidate{
 			Name:      v.name,
 			Footprint: v.footprint,
 			Rows:      v.batch.Len(),
-			Keys:      len(v.processed),
+			Keys:      v.index.len(),
 			LastTouch: v.touch.Load(),
 			Now:       now,
 		}

@@ -149,7 +149,7 @@ func (v *View) adoptHolesLocked() {
 	q := &Quarantine{
 		Ranges:       append([]LostRange(nil), v.holes...),
 		SalvagedRows: v.batch.Len(),
-		SalvagedKeys: len(v.processed),
+		SalvagedKeys: v.index.len(),
 	}
 	for _, r := range q.Ranges {
 		q.LostBytes += r.Hi - r.Lo
@@ -203,8 +203,8 @@ func (v *View) SurvivedIDRanges() (ranges []IDRange, ok bool) {
 	if idPos < 0 {
 		return nil, false
 	}
-	ids := make([]int64, 0, len(v.processed))
-	for k := range v.processed {
+	ids := make([]int64, 0, v.index.len())
+	for k := range v.index.entries {
 		b := []byte(k)
 		var d types.Datum
 		for c := 0; c <= idPos; c++ {
@@ -310,9 +310,9 @@ func (v *View) Verify() (ScrubResult, error) {
 	// knows: the same holes it has already quarantined (or none), every
 	// byte accounted for, and the same index. Known holes are not a new
 	// detection — the pass only re-confirms the standing quarantine.
-	prevRows, prevKeys := v.batch.Len(), len(v.processed)
+	prevRows, prevKeys := v.batch.Len(), v.index.len()
 	unchanged := sameRanges(shadow.holes, v.quar) && int64(valid) == int64(len(data)) &&
-		shadow.batch.Len() == prevRows && len(shadow.processed) == prevKeys
+		shadow.batch.Len() == prevRows && shadow.index.len() == prevKeys
 	if unchanged {
 		res.Clean = v.quar == nil
 		res.Quar = v.quar.clone()
@@ -327,7 +327,7 @@ func (v *View) Verify() (ScrubResult, error) {
 	if dropped := prevRows - shadow.batch.Len(); dropped > 0 {
 		res.RowsDropped = dropped
 	}
-	v.batch, v.rowsByKey, v.processed = shadow.batch, shadow.rowsByKey, shadow.processed
+	v.batch, v.index = shadow.batch, shadow.index
 	v.openTrusted, v.openVerified = 0, shadow.openVerified
 	v.holes = shadow.holes
 	if int64(valid) < int64(len(data)) {
@@ -389,8 +389,7 @@ func (v *View) resetCorruptHeaderLocked(oldLen int64, res *ScrubResult) error {
 	res.FoundCorruption = true
 	res.RowsDropped = v.batch.Len()
 	v.batch = types.NewBatch(v.schema.Clone())
-	v.rowsByKey = map[string][]int{}
-	v.processed = map[string]struct{}{}
+	v.index = newKeyIndex()
 	v.openTrusted, v.openVerified = 0, 0
 	v.holes = []LostRange{{Lo: 0, Hi: oldLen}}
 	if err := v.file.Truncate(0); err != nil {
@@ -516,9 +515,9 @@ func (v *View) Compact() (CompactResult, error) {
 			err = rerr
 		case valid != len(nd) || len(shadow.holes) > 0:
 			err = fmt.Errorf("new generation failed verification")
-		case shadow.batch.Len() != v.batch.Len() || len(shadow.processed) != len(v.processed):
+		case shadow.batch.Len() != v.batch.Len() || shadow.index.len() != v.index.len():
 			err = fmt.Errorf("new generation rebuilt %d rows/%d keys, want %d/%d",
-				shadow.batch.Len(), len(shadow.processed), v.batch.Len(), len(v.processed))
+				shadow.batch.Len(), shadow.index.len(), v.batch.Len(), v.index.len())
 		}
 	}
 	if err != nil {
@@ -582,8 +581,8 @@ func (v *View) encodeCompactLocked() []byte {
 		buf = sealRecord(buf, recRows, n, payload)
 	}
 	var zero []string
-	for k := range v.processed {
-		if len(v.rowsByKey[k]) == 0 {
+	for k, e := range v.index.entries {
+		if e.n == 0 {
 			zero = append(zero, k)
 		}
 	}

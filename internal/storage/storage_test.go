@@ -144,13 +144,13 @@ func TestViewAppendScanLookup(t *testing.T) {
 	if v.Rows() != 3 || v.ProcessedCount() != 3 {
 		t.Errorf("rows=%d processed=%d", v.Rows(), v.ProcessedCount())
 	}
-	if !v.HasKey([]types.Datum{types.NewInt(3)}) {
+	if !hasKey(v, []types.Datum{types.NewInt(3)}) {
 		t.Error("empty-result key should be processed")
 	}
-	if v.HasKey([]types.Datum{types.NewInt(4)}) {
+	if hasKey(v, []types.Datum{types.NewInt(4)}) {
 		t.Error("unprocessed key reported processed")
 	}
-	idxs := v.RowsForKey([]types.Datum{types.NewInt(1)})
+	idxs := rowsForKey(v, []types.Datum{types.NewInt(1)})
 	if len(idxs) != 2 {
 		t.Errorf("rows for key 1 = %v", idxs)
 	}
@@ -206,7 +206,7 @@ func TestViewPersistenceAcrossReopen(t *testing.T) {
 	if v2.Rows() != 1 || v2.ProcessedCount() != 2 {
 		t.Errorf("reopened rows=%d processed=%d", v2.Rows(), v2.ProcessedCount())
 	}
-	if !v2.HasKey([]types.Datum{types.NewInt(8)}) {
+	if !hasKey(v2, []types.Datum{types.NewInt(8)}) {
 		t.Error("processed key lost on reopen")
 	}
 	if got := v2.Scan().At(0, 1).Str(); got != "car" {

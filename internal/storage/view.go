@@ -1,10 +1,12 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -33,15 +35,17 @@ type View struct {
 	keyIdx  []int
 	site    string // fault-injection site name
 
-	mu        sync.RWMutex
-	batch     *types.Batch        // guarded by mu
-	rowsByKey map[string][]int    // guarded by mu
-	processed map[string]struct{} // guarded by mu
-	file      *os.File            // guarded by mu
-	footprint int64               // guarded by mu
-	dead      bool                // guarded by mu; simulated crash hit this view
-	recovered int64               // guarded by mu; torn-tail bytes dropped at open
-	inj       *faults.Injector    // guarded by mu
+	mu    sync.RWMutex
+	batch *types.Batch // guarded by mu
+	// index is the view's one key index: an encoded key is present iff
+	// it was processed, and leads to the indexes (into batch) of its
+	// rows — none for a key whose evaluation produced no rows.
+	index     keyIndex         // guarded by mu
+	file      *os.File         // guarded by mu
+	footprint int64            // guarded by mu
+	dead      bool             // guarded by mu; simulated crash hit this view
+	recovered int64            // guarded by mu; torn-tail bytes dropped at open
+	inj       *faults.Injector // guarded by mu
 	// quar records the byte ranges lost to corruption salvage, pending
 	// symbolic repair and compaction; nil when the log is whole.
 	// guarded by mu.
@@ -202,17 +206,16 @@ func (v *View) writeCleanSidecarLocked() {
 
 func openView(path, name string, schema types.Schema, keyCols []string, inj *faults.Injector, budget *DiskBudget) (*View, error) {
 	v := &View{
-		name:      name,
-		path:      path,
-		schema:    schema.Clone(),
-		keyCols:   append([]string(nil), keyCols...),
-		site:      faults.SiteViewWrite(name),
-		batch:     types.NewBatch(schema.Clone()),
-		rowsByKey: map[string][]int{},
-		processed: map[string]struct{}{},
-		claims:    map[string]chan struct{}{},
-		inj:       inj,
-		budget:    budget,
+		name:    name,
+		path:    path,
+		schema:  schema.Clone(),
+		keyCols: append([]string(nil), keyCols...),
+		site:    faults.SiteViewWrite(name),
+		batch:   types.NewBatch(schema.Clone()),
+		index:   newKeyIndex(),
+		claims:  map[string]chan struct{}{},
+		inj:     inj,
+		budget:  budget,
 	}
 	for _, kc := range keyCols {
 		v.keyIdx = append(v.keyIdx, schema.IndexOf(kc))
@@ -314,8 +317,7 @@ func sealRecord(buf []byte, kind byte, count int, payload []byte) []byte {
 // is published, so it may touch guarded fields without the lock.
 func (v *View) resetReplayState() {
 	v.batch = types.NewBatch(v.schema.Clone()) // lint:nolock pre-publish (openView)
-	v.rowsByKey = map[string][]int{}           // lint:nolock pre-publish (openView)
-	v.processed = map[string]struct{}{}        // lint:nolock pre-publish (openView)
+	v.index = newKeyIndex()                    // lint:nolock pre-publish (openView)
 	v.openTrusted, v.openVerified = 0, 0       // lint:nolock pre-publish (openView)
 	v.holes = nil                              // lint:nolock pre-publish (openView)
 }
@@ -499,6 +501,7 @@ func (v *View) replayRecord(kind byte, count int, payload []byte) error {
 	off := 0
 	switch kind {
 	case recRows:
+		from := v.batch.Len() // lint:nolock replay runs inside openView before the view is published
 		row := make([]types.Datum, len(v.schema))
 		for r := 0; r < count; r++ {
 			for c := range row {
@@ -509,21 +512,22 @@ func (v *View) replayRecord(kind byte, count int, payload []byte) error {
 				row[c] = d
 				off += n
 			}
-			v.appendRowLocked(row)
+			v.batch.MustAppendRow(row...) // lint:nolock replay runs inside openView before the view is published
 		}
+		v.indexRowsLocked(from)
 	case recKeys:
-		key := make([]types.Datum, len(v.keyCols))
 		for r := 0; r < count; r++ {
-			for c := range key {
-				d, n, err := types.DecodeDatum(payload[off:])
+			start := off
+			for range v.keyCols {
+				_, n, err := types.DecodeDatum(payload[off:])
 				if err != nil {
 					return fmt.Errorf("key record: %w", err)
 				}
-				key[c] = d
 				off += n
 			}
-			// lint:nolock replay runs inside openView before the view is published
-			v.processed[encodeKey(key)] = struct{}{}
+			// The datum encoding is fixed-layout, so the bytes just
+			// decoded are the key's canonical AppendKey encoding.
+			v.index.mark(payload[start:off]) // lint:nolock replay runs inside openView before the view is published
 		}
 	default:
 		return fmt.Errorf("unknown record kind %d", kind)
@@ -577,22 +581,9 @@ func (v *View) OpenStats() (trusted, verified int) {
 	return v.openTrusted, v.openVerified
 }
 
-// encodeKey canonically encodes a key tuple for index lookups.
-func encodeKey(key []types.Datum) string {
-	var buf []byte
-	for _, d := range key {
-		buf = d.AppendBinary(buf)
-	}
-	return string(buf)
-}
-
-// EncodeKey exposes the canonical key encoding for callers that build
-// probe tables.
-func EncodeKey(key []types.Datum) string { return encodeKey(key) }
-
-// AppendKey appends the canonical key encoding to buf and returns it —
-// the allocation-free form of EncodeKey for probe loops that reuse a
-// scratch buffer and look up with HasKeyBytes / RowsForKeyBytes.
+// AppendKey appends the canonical encoding of a key tuple to buf and
+// returns it: the form keys take in the view index, for probe loops
+// that reuse a scratch buffer and look up with ProbeBatch.
 func AppendKey(buf []byte, key []types.Datum) []byte {
 	for _, d := range key {
 		buf = d.AppendBinary(buf)
@@ -600,20 +591,38 @@ func AppendKey(buf []byte, key []types.Datum) []byte {
 	return buf
 }
 
-func (v *View) rowKey(b *types.Batch, r int) string {
-	key := make([]types.Datum, len(v.keyIdx))
-	for i, c := range v.keyIdx {
-		key[i] = b.At(r, c)
+// AppendRowKey is AppendKey for the key held in columns keyIdx of row r
+// of b, without materializing the tuple.
+func AppendRowKey(buf []byte, b *types.Batch, r int, keyIdx []int) []byte {
+	for _, c := range keyIdx {
+		buf = b.At(r, c).AppendBinary(buf)
 	}
-	return encodeKey(key)
+	return buf
 }
 
-func (v *View) appendRowLocked(row []types.Datum) {
-	v.batch.MustAppendRow(row...)
-	r := v.batch.Len() - 1
-	key := v.rowKey(v.batch, r)
-	v.rowsByKey[key] = append(v.rowsByKey[key], r)
-	v.processed[key] = struct{}{}
+// indexRowsLocked adds the stored rows [from, Len) to the key index.
+// Consecutive rows sharing a key — a detector's rows for one frame —
+// are indexed as one run, so the index is touched once per key, not
+// once per row, and the key is encoded into scratch, not into a tuple
+// and a string per row. Callers hold mu (or run pre-publish).
+func (v *View) indexRowsLocked(from int) {
+	n := v.batch.Len() - from
+	if n <= 0 {
+		return
+	}
+	var cur, next []byte
+	cur = AppendRowKey(cur, v.batch, from, v.keyIdx)
+	for start, i := 0, 1; i <= n; i++ {
+		if i < n {
+			next = AppendRowKey(next[:0], v.batch, from+i, v.keyIdx)
+			if bytes.Equal(cur, next) {
+				continue
+			}
+		}
+		v.index.addRun(cur, from+start, i-start)
+		cur, next = next, cur
+		start = i
+	}
 }
 
 // Append adds result rows and marks extra keys as processed (for keys
@@ -699,26 +708,20 @@ func (v *View) appendLocked(rows *types.Batch, processedKeys [][]types.Datum, in
 	}
 
 	// Phase 1 (pure): decide which rows and keys are new and encode
-	// the log record. No in-memory state changes yet.
-	var rowBuf []byte
+	// the log record. No in-memory state changes yet, so a row is stored
+	// iff its key was unprocessed when this call began — sibling rows of
+	// a key this very batch introduces all pass.
+	var rowBuf, ek []byte
 	var newRowIdx []int
 	if rows != nil {
-		// A row is stored iff its key was unprocessed when this call
-		// began. newKeys lets sibling rows of a key introduced by this
-		// very batch through, even though the key becomes processed as
-		// soon as the first sibling lands.
-		newKeys := map[string]struct{}{}
 		for r := 0; r < rows.Len(); r++ {
-			key := v.rowKey(rows, r)
-			if _, done := v.processed[key]; done {
-				if _, fresh := newKeys[key]; !fresh {
-					continue
-				}
+			ek = AppendRowKey(ek[:0], rows, r, v.keyIdx)
+			if _, done := v.index.lookup(ek); done {
+				continue
 			}
-			newKeys[key] = struct{}{}
 			newRowIdx = append(newRowIdx, r)
-			for _, d := range rows.Row(r) {
-				rowBuf = d.AppendBinary(rowBuf)
+			for c := range v.schema {
+				rowBuf = rows.At(r, c).AppendBinary(rowBuf)
 			}
 		}
 	}
@@ -726,14 +729,13 @@ func (v *View) appendLocked(rows *types.Batch, processedKeys [][]types.Datum, in
 	var keyBuf []byte
 	var newKeyIdx []int
 	for ki, key := range processedKeys {
-		ek := encodeKey(key)
-		if _, done := v.processed[ek]; done {
+		start := len(keyBuf)
+		keyBuf = AppendKey(keyBuf, key)
+		if _, done := v.index.lookup(keyBuf[start:]); done {
+			keyBuf = keyBuf[:start]
 			continue
 		}
 		newKeyIdx = append(newKeyIdx, ki)
-		for _, d := range key {
-			keyBuf = d.AppendBinary(keyBuf)
-		}
 	}
 
 	var out []byte
@@ -753,11 +755,15 @@ func (v *View) appendLocked(rows *types.Batch, processedKeys [][]types.Datum, in
 	}
 
 	// Phase 3: memory, now that the record is durable.
-	for _, r := range newRowIdx {
-		v.appendRowLocked(rows.Row(r))
+	if len(newRowIdx) > 0 {
+		from := v.batch.Len()
+		if err := v.batch.AppendGather(rows, newRowIdx, nil, nil); err != nil {
+			return 0, fmt.Errorf("storage: view %s: %w", v.name, err)
+		}
+		v.indexRowsLocked(from)
 	}
 	for _, ki := range newKeyIdx {
-		v.processed[encodeKey(processedKeys[ki])] = struct{}{}
+		v.index.mark(AppendKey(ek[:0], processedKeys[ki]))
 	}
 	return len(newRowIdx), nil
 }
@@ -856,42 +862,62 @@ func (v *View) Rows() int {
 func (v *View) ProcessedCount() int {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return len(v.processed)
+	return v.index.len()
 }
 
-// HasKey reports whether the key was processed (even with zero rows).
-func (v *View) HasKey(key []types.Datum) bool {
+// ProbeHit is one processed key found by ProbeBatch: Key is its
+// position in the probed batch, Rows the indexes of its rows in the
+// snapshot returned beside it (read-only; empty for a key processed
+// with no rows).
+type ProbeHit struct {
+	Key  int
+	Rows []int
+}
+
+// ProbeBatch is the probe side of the reuse join. Under one read lock
+// it looks up every key selected by sel — key k is the AppendKey
+// encoding keys[offs[k]:offs[k+1]] — appends a ProbeHit per processed
+// key to hits and, when anything hit, makes snap the snapshot those
+// hits' row indexes refer to (snap is a holder the caller reuses from
+// batch to batch). Index and snapshot are read in one critical section,
+// so every returned index is < snap.Len() however appends, salvage and
+// eviction interleave with the caller.
+// lint:hotpath batch probe loop must not allocate per key
+func (v *View) ProbeBatch(keys []byte, offs []int, sel []int, hits []ProbeHit, snap *types.Batch) []ProbeHit {
+	hits = slices.Grow(hits, len(sel))
+	first := len(hits)
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	_, ok := v.processed[encodeKey(key)]
-	return ok
+	for _, k := range sel {
+		if rows, ok := v.index.lookup(keys[offs[k]:offs[k+1]]); ok {
+			hits = hits[:len(hits)+1]
+			hits[len(hits)-1] = ProbeHit{Key: k, Rows: rows}
+		}
+	}
+	if len(hits) > first {
+		v.batch.SliceInto(snap, 0, v.batch.Len())
+	}
+	return hits
 }
 
-// RowsForKey returns the indexes (into Scan's batch) of the rows with
-// the given key.
-func (v *View) RowsForKey(key []types.Datum) []int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.rowsByKey[encodeKey(key)]
-}
-
-// HasKeyBytes is HasKey over an AppendKey-encoded key. The string
-// conversion in the map index is recognized by the compiler and does
-// not allocate, which is what the executor's probe loop needs.
+// HasKeyBytes reports whether the AppendKey-encoded key was processed
+// (even with zero rows).
 func (v *View) HasKeyBytes(ek []byte) bool {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	_, ok := v.processed[string(ek)]
+	_, ok := v.index.lookup(ek)
 	return ok
 }
 
-// RowsForKeyBytes is RowsForKey over an AppendKey-encoded key. The
-// returned slice is the live index; callers must treat it as read-only
-// (it stays valid because views are append-only).
+// RowsForKeyBytes returns the indexes (into a later Scan's batch) of
+// the rows with the AppendKey-encoded key, read-only. Pairing indexes
+// with a snapshot taken at another time is only safe single-threaded —
+// concurrent readers use ProbeBatch.
 func (v *View) RowsForKeyBytes(ek []byte) []int {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return v.rowsByKey[string(ek)]
+	rows, _ := v.index.lookup(ek)
+	return rows
 }
 
 // ClaimKeys atomically claims every encoded key for evaluation by one

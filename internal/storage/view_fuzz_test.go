@@ -10,12 +10,11 @@ import (
 func fuzzView() *View {
 	schema := viewSchema()
 	v := &View{
-		name:      "fuzz",
-		schema:    schema.Clone(),
-		keyCols:   []string{"id"},
-		batch:     types.NewBatch(schema.Clone()),
-		rowsByKey: map[string][]int{},
-		processed: map[string]struct{}{},
+		name:    "fuzz",
+		schema:  schema.Clone(),
+		keyCols: []string{"id"},
+		batch:   types.NewBatch(schema.Clone()),
+		index:   newKeyIndex(),
 	}
 	v.keyIdx = []int{schema.IndexOf("id")}
 	return v
@@ -62,9 +61,9 @@ func FuzzViewReplay(f *testing.F) {
 		if err != nil || valid2 != valid {
 			t.Fatalf("prefix replay diverged: valid=%d/%d err=%v", valid2, valid, err)
 		}
-		if v1.batch.Len() != v2.batch.Len() || len(v1.processed) != len(v2.processed) {
+		if v1.batch.Len() != v2.batch.Len() || v1.index.len() != v2.index.len() {
 			t.Fatalf("prefix replay state mismatch: rows %d/%d processed %d/%d",
-				v1.batch.Len(), v2.batch.Len(), len(v1.processed), len(v2.processed))
+				v1.batch.Len(), v2.batch.Len(), v1.index.len(), v2.index.len())
 		}
 	})
 }

@@ -65,11 +65,11 @@ func TestViewAppendScanQuick(t *testing.T) {
 			total := 0
 			for k, rows := range modelRows {
 				key := []types.Datum{types.NewInt(k)}
-				if !view.HasKey(key) {
+				if !hasKey(view, key) {
 					t.Logf("key %d missing", k)
 					return false
 				}
-				if got := len(view.RowsForKey(key)); got != rows {
+				if got := len(rowsForKey(view, key)); got != rows {
 					t.Logf("key %d: %d rows, want %d", k, got, rows)
 					return false
 				}

@@ -60,7 +60,7 @@ func TestViewConcurrentAppendScan(t *testing.T) {
 				_ = v.Rows()
 				_ = v.ProcessedCount()
 				_ = v.Footprint()
-				_ = v.HasKey([]types.Datum{types.NewInt(int64(i))})
+				_ = hasKey(v, []types.Datum{types.NewInt(int64(i))})
 			}
 		}()
 	}

@@ -2,6 +2,7 @@ package types
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -183,6 +184,86 @@ func (b *Batch) AppendRowTo(dst []Datum, i int) []Datum {
 	return dst
 }
 
+// AppendGather appends len(leftRows) rows column-wise — the output
+// shape of a join. Output row k is left's row leftRows[k] followed by
+// the trailing len(b.Schema())-len(left.Schema()) columns of right[k]
+// at row rightRows[k]; when left spans b's whole width, right is not
+// consulted and the call is a plain row gather. Rows equal what
+// AppendRow would store for the same concatenated datums, but kinds are
+// checked once per column (per run of rows sharing a right batch)
+// instead of once per datum. On error b is unchanged.
+// lint:hotpath gather copy loops must not allocate per row
+func (b *Batch) AppendGather(left *Batch, leftRows []int, right []*Batch, rightRows []int) error {
+	n, lw := len(leftRows), len(left.cols)
+	rw := len(b.cols) - lw
+	if rw < 0 || (rw > 0 && (len(right) != n || len(rightRows) != n)) {
+		return fmt.Errorf("types: gather %d+%d rows of width %d into batch of width %d",
+			n, len(right), lw, len(b.cols))
+	}
+	base := b.n
+	for c := range b.cols {
+		b.cols[c] = slices.Grow(b.cols[c], n)[:base+n]
+	}
+	if err := b.gather(base, left, leftRows, right, rightRows); err != nil {
+		for c := range b.cols {
+			b.cols[c] = b.cols[c][:base]
+		}
+		return err
+	}
+	b.n = base + n
+	return nil
+}
+
+// gather fills the rows AppendGather reserved from base on.
+func (b *Batch) gather(base int, left *Batch, leftRows []int, right []*Batch, rightRows []int) error {
+	lw := len(left.cols)
+	rw := len(b.cols) - lw
+	for c := 0; c < lw; c++ {
+		if err := b.gatherColumn(c, base, left, c, leftRows); err != nil {
+			return err
+		}
+	}
+	for lo, hi := 0, 0; rw > 0 && lo < len(right); lo = hi {
+		src := right[lo]
+		for hi = lo + 1; hi < len(right) && right[hi] == src; hi++ {
+		}
+		if len(src.cols) < rw {
+			return fmt.Errorf("types: gather %d trailing columns from batch of width %d", rw, len(src.cols))
+		}
+		for c := 0; c < rw; c++ {
+			if err := b.gatherColumn(lw+c, base+lo, src, len(src.cols)-rw+c, rightRows[lo:hi]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// gatherColumn copies src's column sc at rows into b's column c from
+// row `at` on, under AppendRow's kind rule. Every datum in a batch
+// already satisfies its own column's kind, so compatible column kinds
+// settle the check without looking at the rows; only an incompatible
+// pair checks each gathered datum (NULL is accepted anywhere).
+// lint:hotpath gather copy loop must not allocate per row
+func (b *Batch) gatherColumn(c, at int, src *Batch, sc int, rows []int) error {
+	want, have := b.schema[c].Kind, src.schema[sc].Kind
+	dst, col := b.cols[c][at:], src.cols[sc]
+	if want == have || (want.Numeric() && have.Numeric()) {
+		for k, r := range rows {
+			dst[k] = col[r]
+		}
+		return nil
+	}
+	for k, r := range rows {
+		d := col[r]
+		if !d.IsNull() && want != d.Kind() && !(want.Numeric() && d.Kind().Numeric()) {
+			return fmt.Errorf("types: column %q expects %s, got %s", b.schema[c].Name, want, d.Kind())
+		}
+		dst[k] = d
+	}
+	return nil
+}
+
 // Filter returns a new batch containing the rows where keep[i] is true.
 func (b *Batch) Filter(keep []bool) *Batch {
 	out := NewBatch(b.schema)
@@ -219,11 +300,20 @@ func (b *Batch) Project(names []string) (*Batch, error) {
 
 // Slice returns a view of rows [lo, hi), sharing column storage.
 func (b *Batch) Slice(lo, hi int) *Batch {
-	out := &Batch{schema: b.schema, cols: make([][]Datum, len(b.cols)), n: hi - lo}
-	for c := range b.cols {
-		out.cols[c] = b.cols[c][lo:hi]
-	}
+	out := &Batch{}
+	b.SliceInto(out, lo, hi)
 	return out
+}
+
+// SliceInto is Slice writing the view into dst, whose column headers
+// are reused — for a caller that takes a snapshot per batch and keeps
+// one holder for all of them. dst must not be a pooled batch.
+func (b *Batch) SliceInto(dst *Batch, lo, hi int) {
+	dst.schema, dst.n = b.schema, hi-lo
+	dst.cols = slices.Grow(dst.cols[:0], len(b.cols))[:len(b.cols)]
+	for c := range b.cols {
+		dst.cols[c] = b.cols[c][lo:hi]
+	}
 }
 
 // EncodedSize returns the total canonical encoded size of all datums,

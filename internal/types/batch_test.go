@@ -1,6 +1,7 @@
 package types
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -178,5 +179,167 @@ func TestBatchEncodedSizeAndString(t *testing.T) {
 	s := b.String()
 	if !strings.Contains(s, "more") {
 		t.Errorf("String should elide rows: %q", s)
+	}
+}
+
+// gatherOracle is AppendGather spelled with AppendRow: the concatenated
+// row is materialized and appended datum by datum.
+func gatherOracle(dst, left *Batch, leftRows []int, right []*Batch, rightRows []int) error {
+	rw := len(dst.Schema()) - len(left.Schema())
+	for k, lr := range leftRows {
+		row := left.Row(lr)
+		if rw > 0 {
+			r := right[k].Row(rightRows[k])
+			row = append(row, r[len(r)-rw:]...)
+		}
+		if err := dst.AppendRow(row...); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func batchesEqual(a, b *Batch) bool {
+	if a.Len() != b.Len() || !a.Schema().Equal(b.Schema()) {
+		return false
+	}
+	for r := 0; r < a.Len(); r++ {
+		for c := range a.Schema() {
+			x, y := a.At(r, c), b.At(r, c)
+			if x.Kind() != y.Kind() || (!x.IsNull() && Compare(x, y) != 0) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestAppendGatherMatchesAppendRow checks the column-wise gather
+// against the row-wise oracle: random row selections with repeats, two
+// right batches of different widths in alternating runs (only their
+// trailing columns are taken), NULLs in every column, and INTEGER
+// datums flowing into FLOAT columns and back.
+func TestAppendGatherMatchesAppendRow(t *testing.T) {
+	leftSch := MustSchema(Column{"id", KindInt}, Column{"score", KindFloat})
+	wideSch := MustSchema(Column{"id", KindInt}, Column{"label", KindString}, Column{"area", KindFloat})
+	narrowSch := MustSchema(Column{"label", KindString}, Column{"area", KindInt})
+	outSch := leftSch.Concat(MustSchema(Column{"label", KindString}, Column{"area", KindFloat}))
+
+	left := NewBatch(leftSch)
+	wide := NewBatch(wideSch)
+	narrow := NewBatch(narrowSch)
+	for i := 0; i < 9; i++ {
+		id, score := NewInt(int64(i)), NewFloat(float64(i)/2)
+		if i%4 == 1 {
+			score = NewInt(int64(i)) // numeric mixing inside a FLOAT column
+		}
+		if i%5 == 2 {
+			id = Null
+		}
+		left.MustAppendRow(id, score)
+		label := NewString(strings.Repeat("x", i))
+		if i%3 == 0 {
+			label = Null
+		}
+		wide.MustAppendRow(NewInt(int64(100+i)), label, NewFloat(float64(i)))
+		narrow.MustAppendRow(label, NewInt(int64(7*i)))
+	}
+
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 50; trial++ {
+		n := rng.Intn(12)
+		var leftRows, rightRows []int
+		var right []*Batch
+		src := wide
+		for k := 0; k < n; k++ {
+			if rng.Intn(3) == 0 {
+				if src == wide {
+					src = narrow
+				} else {
+					src = wide
+				}
+			}
+			leftRows = append(leftRows, rng.Intn(left.Len()))
+			right = append(right, src)
+			rightRows = append(rightRows, rng.Intn(src.Len()))
+		}
+		got, want := NewBatch(outSch), NewBatch(outSch)
+		// A non-empty destination: the gather appends.
+		got.MustAppendRow(NewInt(-1), NewFloat(-1), NewString("seed"), NewFloat(-1))
+		want.MustAppendRow(NewInt(-1), NewFloat(-1), NewString("seed"), NewFloat(-1))
+		if err := gatherOracle(want, left, leftRows, right, rightRows); err != nil {
+			t.Fatal(err)
+		}
+		if err := got.AppendGather(left, leftRows, right, rightRows); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !batchesEqual(got, want) {
+			t.Fatalf("trial %d: gather\n%s\noracle\n%s", trial, got, want)
+		}
+	}
+
+	// Left spanning the whole width is a plain row gather.
+	got, want := NewBatch(leftSch), NewBatch(leftSch)
+	rows := []int{8, 0, 0, 3}
+	if err := gatherOracle(want, left, rows, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.AppendGather(left, rows, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !batchesEqual(got, want) {
+		t.Fatalf("plain gather\n%s\noracle\n%s", got, want)
+	}
+}
+
+// TestAppendGatherKindMismatch: a source column of an incompatible kind
+// is an error exactly when AppendRow would raise one — NULLs of that
+// column still pass — with the same message, and a failed gather
+// leaves the destination as it was.
+func TestAppendGatherKindMismatch(t *testing.T) {
+	left := NewBatch(MustSchema(Column{"id", KindInt}))
+	left.MustAppendRow(NewInt(1))
+	left.MustAppendRow(NewInt(2))
+	right := NewBatch(MustSchema(Column{"label", KindString}))
+	right.MustAppendRow(Null)
+	right.MustAppendRow(NewString("car"))
+	outSch := MustSchema(Column{"id", KindInt}, Column{"label", KindInt})
+
+	for _, tc := range []struct {
+		name      string
+		rightRows []int
+		wantErr   bool
+	}{
+		{"all NULL", []int{0, 0}, false},
+		{"a TEXT datum", []int{0, 1}, true},
+	} {
+		got, want := NewBatch(outSch), NewBatch(outSch)
+		got.MustAppendRow(NewInt(0), NewInt(0))
+		want.MustAppendRow(NewInt(0), NewInt(0))
+		rights := []*Batch{right, right}
+		wantErr := gatherOracle(want, left, []int{0, 1}, rights, tc.rightRows)
+		gotErr := got.AppendGather(left, []int{0, 1}, rights, tc.rightRows)
+		if (wantErr != nil) != tc.wantErr {
+			t.Fatalf("%s: oracle error = %v", tc.name, wantErr)
+		}
+		if (gotErr != nil) != tc.wantErr || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("%s: gather error %v, oracle %v", tc.name, gotErr, wantErr)
+		}
+		if gotErr != nil {
+			want.Truncate(1) // the oracle stored the rows before the bad one
+		}
+		if !batchesEqual(got, want) {
+			t.Fatalf("%s: gather\n%s\nwant\n%s", tc.name, got, want)
+		}
+	}
+
+	// Shape errors: triples of unequal length, a source too narrow.
+	out := NewBatch(outSch)
+	if err := out.AppendGather(left, []int{0, 1}, []*Batch{right}, []int{0}); err == nil {
+		t.Error("gather with fewer right rows than left rows should error")
+	}
+	wideOut := NewBatch(MustSchema(Column{"id", KindInt}, Column{"a", KindString}, Column{"b", KindString}))
+	if err := wideOut.AppendGather(left, []int{0}, []*Batch{right}, []int{0}); err == nil || wideOut.Len() != 0 {
+		t.Errorf("gather of 2 trailing columns from a 1-column batch: err=%v len=%d", err, wideOut.Len())
 	}
 }

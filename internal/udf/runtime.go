@@ -60,13 +60,13 @@ type Runtime struct {
 	inflight map[xxhash.Key128]chan struct{} // guarded by mu; singleflight per cache key
 	impls    map[string]ScalarFunc           // guarded by mu
 
-	demand    map[string]map[uint64]int // guarded by mu
-	total     map[string]int            // guarded by mu
-	reused    map[string]int            // guarded by mu
-	evals     map[string]int            // guarded by mu
-	failed    map[string]int            // guarded by mu
-	transient map[string]int            // guarded by mu; transient subset of failed
-	retried   map[string]int            // guarded by mu
+	demand    map[string]map[uint64]struct{} // guarded by mu; distinct invocation-key hashes per UDF
+	total     map[string]int                 // guarded by mu
+	reused    map[string]int                 // guarded by mu
+	evals     map[string]int                 // guarded by mu
+	failed    map[string]int                 // guarded by mu
+	transient map[string]int                 // guarded by mu; transient subset of failed
+	retried   map[string]int                 // guarded by mu
 
 	retryMax       int           // guarded by mu; 0 = costs.RetryMaxAttempts
 	breakThreshold int           // guarded by mu; 0 = DefaultBreakerThreshold
@@ -87,7 +87,7 @@ func NewRuntime(cat *catalog.Catalog, clock *simclock.Clock) *Runtime {
 		tableC:    map[xxhash.Key128]*types.Batch{},
 		inflight:  map[xxhash.Key128]chan struct{}{},
 		impls:     map[string]ScalarFunc{},
-		demand:    map[string]map[uint64]int{},
+		demand:    map[string]map[uint64]struct{}{},
 		total:     map[string]int{},
 		reused:    map[string]int{},
 		evals:     map[string]int{},
@@ -115,37 +115,52 @@ func (r *Runtime) RegisterImpl(name string, fn ScalarFunc) {
 }
 
 // RecordDemand notes that the workload needed UDF u on the given
-// invocation key — whether or not it was ultimately reused. The
-// execution engine calls it once per (UDF, input tuple).
+// invocation key — whether or not it was ultimately reused.
 func (r *Runtime) RecordDemand(u string, key string) {
-	r.recordDemand(strings.ToLower(u), xxhash.Sum64([]byte(key), 0))
+	r.RecordBatch(strings.ToLower(u), []uint64{DemandHash([]byte(key))}, 0)
 }
 
-// RecordDemandKey is RecordDemand for allocation-gated probe loops:
-// lower must already be lower-case and key is the raw encoded
-// invocation key, so the steady-state call neither converts nor copies.
+// RecordDemandKey is RecordDemand for one raw encoded invocation key;
+// lower must already be lower-case.
 func (r *Runtime) RecordDemandKey(lower string, key []byte) {
-	r.recordDemand(lower, xxhash.Sum64(key, 0))
+	r.RecordBatch(lower, []uint64{DemandHash(key)}, 0)
 }
 
-func (r *Runtime) recordDemand(u string, h uint64) {
+// DemandHash is the hash under which RecordBatch counts an encoded
+// invocation key as distinct.
+func DemandHash(key []byte) uint64 { return xxhash.Sum64(key, 0) }
+
+// RecordBatch accounts one probe batch of the apply operator in a
+// single critical section: every DemandHash in demanded is one
+// demanded invocation of the UDF (lower must already be lower-case),
+// and reused invocations were served from a materialized view. The
+// counters are sums and a set, so batching them leaves every total
+// exactly what per-invocation calls would produce.
+// lint:hotpath demand accounting loop must not allocate per key
+func (r *Runtime) RecordBatch(lower string, demanded []uint64, reused int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	m, ok := r.demand[u]
-	if !ok {
-		m = map[uint64]int{}
-		r.demand[u] = m
+	if len(demanded) > 0 {
+		m, ok := r.demand[lower]
+		if !ok {
+			m = map[uint64]struct{}{}
+			r.demand[lower] = m
+		}
+		var present struct{}
+		for _, h := range demanded {
+			m[h] = present
+		}
+		r.total[lower] += len(demanded)
 	}
-	m[h]++
-	r.total[u]++
+	if reused > 0 {
+		r.reused[lower] += reused
+	}
 }
 
 // RecordReuse notes that one demanded invocation was served from a
 // materialized view.
 func (r *Runtime) RecordReuse(u string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.reused[strings.ToLower(u)]++
+	r.RecordBatch(strings.ToLower(u), nil, 1)
 }
 
 // CounterSnapshot returns per-UDF stats.
@@ -187,7 +202,7 @@ func (r *Runtime) HitPercentage() float64 {
 // circuit breakers.
 func (r *Runtime) ResetCounters() {
 	r.mu.Lock()
-	r.demand = map[string]map[uint64]int{}
+	r.demand = map[string]map[uint64]struct{}{}
 	r.total = map[string]int{}
 	r.reused = map[string]int{}
 	r.evals = map[string]int{}

@@ -454,3 +454,59 @@ func TestCloseDrainsInFlight(t *testing.T) {
 	}
 	testutil.CheckNoGoroutineLeak(t, before)
 }
+
+// TestMisalignedSessionsSharedView races sessions whose scan batches
+// are offset from each other by 100 frames over one cold view, so a
+// session's flush regularly lands between another session's probes of
+// the same batch. Every probe must pair the row indexes it returns
+// with the view snapshot they refer to: each session's rows must equal
+// the solo run and no invocation may be evaluated twice.
+func TestMisalignedSessionsSharedView(t *testing.T) {
+	queries := []string{
+		`SELECT id, label FROM video CROSS APPLY FasterRCNNResnet50(frame) WHERE id < 4000`,
+		`SELECT id, label FROM video CROSS APPLY FasterRCNNResnet50(frame) WHERE id >= 100 AND id < 4000`,
+	}
+	base := openSystem(t, ModeEVA)
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		res, err := base.NewSession().Exec(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = Format(res.Rows)
+	}
+	wantEval := base.UDFCounters()["fasterrcnnresnet50"].Evaluated
+
+	for iter := 0; iter < 4; iter++ {
+		sys := openSystem(t, ModeEVA)
+		const clients = 4
+		results := make([]string, clients)
+		errs := make([]error, clients)
+		var wg sync.WaitGroup
+		for i := 0; i < clients; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				res, err := sys.NewSession().Exec(queries[i%len(queries)])
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				results[i] = Format(res.Rows)
+			}(i)
+		}
+		wg.Wait()
+		for i := 0; i < clients; i++ {
+			if errs[i] != nil {
+				t.Fatalf("iteration %d client %d: %v", iter, i, errs[i])
+			}
+			if results[i] != want[i%len(queries)] {
+				t.Errorf("iteration %d client %d: rows diverged from the solo run", iter, i)
+			}
+		}
+		if got := sys.UDFCounters()["fasterrcnnresnet50"].Evaluated; got != wantEval {
+			t.Errorf("iteration %d: %d clients evaluated %d invocations, solo runs evaluated %d — double compute",
+				iter, clients, got, wantEval)
+		}
+	}
+}
