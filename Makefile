@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint check bench faults-stress differential chaos server-stress ingest-chaos cover fuzz-smoke alloc pool-safety scrub evict
+.PHONY: build test race lint check bench faults-stress differential chaos server-stress ingest-chaos cover fuzz-smoke alloc pool-safety scrub evict loc
 
 build:
 	$(GO) build ./...
@@ -53,10 +53,11 @@ chaos:
 # seeded fault regimes × Workers ∈ {1,2,8}, N concurrent sessions each
 # byte-matching its solo run), the shared-view singleflight race (with
 # aligned and with misaligned scan batches), the typed admission/budget
-# error paths, draining Close, and cross-session reuse determinism. See
-# DESIGN.md "Multi-session serving layer".
+# error paths, EXPLAIN ANALYZE in a session, draining Close, and
+# cross-session reuse determinism (every testdata script: System.Exec ≡
+# a lone Session). See DESIGN.md "Multi-session serving layer".
 server-stress:
-	$(GO) test -race -run 'TestMultiSessionChaosMatrix|TestSharedViewSingleflight|TestMisalignedSessionsSharedView|TestAdmissionOverloadTyped|TestAdmissionQueueTimeoutTyped|TestMemoryBudgetTyped|TestCloseDrainsInFlight|TestCrossSessionReuseDeterminism' .
+	$(GO) test -race -run 'TestMultiSessionChaosMatrix|TestSharedViewSingleflight|TestMisalignedSessionsSharedView|TestAdmissionOverloadTyped|TestAdmissionQueueTimeoutTyped|TestSessionExplainAnalyze|TestMemoryBudgetTyped|TestCloseDrainsInFlight|TestCrossSessionReuseDeterminism' .
 	$(GO) test -race ./internal/server/
 
 # ingest-chaos runs the streaming-ingestion kill-point matrix under
@@ -114,22 +115,24 @@ alloc:
 # (header, mid-record, tail, clean-sidecar) × Workers ∈ {1,2,8} must
 # scrub, symbolically repair and re-converge to the byte-identical
 # uncorrupted digests; crash kill-points during repair, re-append and
-# compaction commit must leave the view recoverable; plus the storage
+# compaction commit must leave the view recoverable; Session-only
+# statements must drive the background scrubber; plus the storage
 # layer's Verify/Scrubber/salvage/compaction unit suite. See
 # DESIGN.md "Self-healing view storage".
 scrub:
-	$(GO) test -race -run 'TestScrubCorruptionMatrix|TestRepairCrashKillPoints|TestRepairRecomputesInteriorHole|TestBackgroundScrubberHeals' .
+	$(GO) test -race -run 'TestScrubCorruptionMatrix|TestRepairCrashKillPoints|TestRepairRecomputesInteriorHole|TestBackgroundScrubberHeals|TestSessionStatementsDriveScrubber' .
 	$(GO) test -race -run 'TestVerify|TestScrubber|TestSalvage|TestCompact' ./internal/storage/
 
 # evict runs the disk-pressure survival matrix under the race
 # detector: view-building testdata scripts × storage-budget levels ×
 # injected ENOSPC schedules × Workers ∈ {1,2,8} must answer
-# baseline-identical rows with no surviving tombstones; plus the
+# baseline-identical rows with no surviving tombstones; Session-only
+# statements must drive the background evictor; plus the
 # storage layer's budget/eviction/log-retention unit suite (kill-point
 # sweep, evict-retry, tail-log truncation) and the checkpoint
 # retention tests. See DESIGN.md "Disk-pressure survival".
 evict:
-	$(GO) test -race -run TestEvictChaosMatrix .
+	$(GO) test -race -run 'TestEvictChaosMatrix|TestSessionStatementsDriveEvictor' .
 	$(GO) test -race -run 'TestEvict|TestDiskBudget|TestDiskFull|TestReclaim|TestBudgetDenial|TestWatermarkLogRetention|TestOpenTailLog' ./internal/storage/
 	$(GO) test -race -run TestCheckpoint ./internal/ingest/
 
@@ -140,6 +143,24 @@ evict:
 pool-safety:
 	$(GO) test -race ./internal/types/
 	$(GO) test -tags evadebug ./internal/types/ ./internal/exec/ .
+
+# loc prints the "least code" needle (ROADMAP north star): Go lines
+# outside tests, bench/ and the lint fixtures, per package and in
+# total. "code" leaves out blank lines and // comment lines, so a PR
+# that only deletes comments does not move it.
+loc:
+	@printf '%-28s %7s %7s\n' package lines code
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' \
+		! -path './internal/lint/testdata/*' ! -path './.git/*' | sort | \
+	awk '{ pkg = $$0; sub(/^\.\//, "", pkg); \
+		if (!sub(/\/[^\/]*$$/, "", pkg)) pkg = "."; \
+		while ((getline line < $$0) > 0) { \
+			lines[pkg]++; \
+			if (line !~ /^[ \t]*($$|\/\/)/) code[pkg]++ } \
+		close($$0) } \
+	END { for (p in lines) { printf "%-28s %7d %7d\n", p, lines[p], code[p] | "sort"; \
+			tl += lines[p]; tc += code[p] } \
+		close("sort"); printf "%-28s %7d %7d\n", "total", tl, tc }'
 
 # check is the full verification gate: formatting, vet, the evalint
 # suite, a clean build, the test suite under the race detector, the

@@ -28,12 +28,50 @@ import (
 // maps to one regime via chaosRegimes[seed%4], as in TestFaultSweep.
 const chaosSeeds = 24
 
+// statementsDigest executes a script statement by statement through x
+// — a System or a Session, the same statement path either way — and
+// digests everything each statement returns. Unlike the fault-free
+// harness, statements may fail: the error text joins the digest (it
+// must be deterministic too) and execution continues, mirroring an
+// exploratory session that shrugs off a failed query.
+func statementsDigest(t *testing.T, out *strings.Builder, x interface {
+	ExecStmt(parser.Statement) (*Result, error)
+}, src string) {
+	t.Helper()
+	stmts, err := parser.ParseAll(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, stmt := range stmts {
+		res, err := x.ExecStmt(stmt)
+		fmt.Fprintf(out, "== statement %d ==\n", i+1)
+		if err != nil {
+			fmt.Fprintf(out, "error: %v\n", err)
+			continue
+		}
+		if res.Rows != nil && len(res.Rows.Schema()) > 0 {
+			out.WriteString(Format(res.Rows))
+		}
+		writeReportDigest(out, res.Report)
+		fmt.Fprintf(out, "simtime: %d\n", res.SimTime)
+		writeBreakdownDigest(out, res.Breakdown)
+	}
+}
+
+// writeFaultLog appends the injector's canonical event log (nothing
+// for a nil injector).
+func writeFaultLog(out *strings.Builder, inj *faults.Injector) {
+	if inj == nil {
+		return
+	}
+	for _, ev := range inj.EventsSorted() {
+		fmt.Fprintf(out, "fault %+v\n", ev)
+	}
+	fmt.Fprintf(out, "injected: %d\n", inj.Injected())
+}
+
 // runChaosDigest executes a whole script in a fresh system under the
 // given fault regime, returning a digest of everything observable.
-// Unlike the fault-free harness, statements may fail: the error text
-// joins the digest (it must be deterministic too) and execution
-// continues, mirroring an exploratory session that shrugs off a
-// failed query.
 func runChaosDigest(t *testing.T, src string, cfg Config, seed uint64, regime string) string {
 	t.Helper()
 	cfg.Dir = t.TempDir()
@@ -49,25 +87,8 @@ func runChaosDigest(t *testing.T, src string, cfg Config, seed uint64, regime st
 		sys.InjectFaults(inj)
 	}
 
-	stmts, err := parser.ParseAll(src)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var out strings.Builder
-	for i, stmt := range stmts {
-		res, err := sys.ExecStmt(stmt)
-		fmt.Fprintf(&out, "== statement %d ==\n", i+1)
-		if err != nil {
-			fmt.Fprintf(&out, "error: %v\n", err)
-			continue
-		}
-		if res.Rows != nil && len(res.Rows.Schema()) > 0 {
-			out.WriteString(Format(res.Rows))
-		}
-		writeReportDigest(&out, res.Report)
-		fmt.Fprintf(&out, "simtime: %d\n", res.SimTime)
-		writeBreakdownDigest(&out, res.Breakdown)
-	}
+	statementsDigest(t, &out, sys, src)
 	views := sys.ViewRows()
 	names := make([]string, 0, len(views))
 	for n := range views {
@@ -87,12 +108,7 @@ func runChaosDigest(t *testing.T, src string, cfg Config, seed uint64, regime st
 		fmt.Fprintf(&out, "udf %s: %+v\n", n, counters[n])
 	}
 	fmt.Fprintf(&out, "hit%%: %.6f\ntotal simtime: %d\n", sys.HitPercentage(), sys.SimulatedTime())
-	if inj != nil {
-		for _, ev := range inj.EventsSorted() {
-			fmt.Fprintf(&out, "fault %+v\n", ev)
-		}
-		fmt.Fprintf(&out, "injected: %d\n", inj.Injected())
-	}
+	writeFaultLog(&out, inj)
 	return out.String()
 }
 

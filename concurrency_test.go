@@ -202,4 +202,38 @@ func TestCrossSessionReuseDeterminism(t *testing.T) {
 	if hit := sys.HitPercentage(); hit == 0 {
 		t.Error("refinement recorded no reuse at all")
 	}
+
+	// The System is its own root session: for every testdata script,
+	// sys.Exec on a fresh System and a lone client Session on another
+	// must agree on rows, optimizer reports, per-statement virtual time
+	// and the final hit percentage — the shared-view protocol a client
+	// session runs is invisible when nobody shares.
+	for name, src := range chaosScripts(t) {
+		t.Run(name, func(t *testing.T) {
+			root, err := Open(Config{Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer root.Close()
+			var want strings.Builder
+			statementsDigest(t, &want, root, src)
+
+			lone, err := Open(Config{Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lone.Close()
+			var got strings.Builder
+			statementsDigest(t, &got, lone.NewSession(), src)
+			if got.String() != want.String() {
+				t.Errorf("lone session diverged from System.Exec\n%s", digestDiff(want.String(), got.String()))
+			}
+			if g, w := lone.HitPercentage(), root.HitPercentage(); g != w {
+				t.Errorf("hit%% = %v through a session, %v through the System", g, w)
+			}
+			if g, w := lone.SimulatedTime(), root.SimulatedTime(); g != w {
+				t.Errorf("global simtime = %v through a session, %v through the System", g, w)
+			}
+		})
+	}
 }

@@ -38,7 +38,6 @@ import (
 	"eva/internal/faults"
 	"eva/internal/optimizer"
 	"eva/internal/parser"
-	"eva/internal/plan"
 	"eva/internal/server"
 	"eva/internal/simclock"
 	"eva/internal/storage"
@@ -128,9 +127,13 @@ type Config struct {
 	// fault injection and ModeFunCache too: fault decisions are keyed
 	// by call identity rather than draw order, so the injected
 	// schedule — and every downstream retry, breaker trip and
-	// degradation — replays identically at any worker count (runs with
-	// an injector or a deadline do skip pipeline stages, keeping only
-	// the apply worker pool, so aborts cannot charge prefetched work).
+	// degradation — replays identically at any worker count. Pipeline
+	// stages run only where nothing can abandon or reorder the stream:
+	// the System's own statements (its root session) without an
+	// injector, deadline or memory budget. Sessions opened with
+	// NewSession, and any run with one of those three, keep the apply
+	// worker pool but leave the operator tree unstaged, so aborts
+	// cannot charge prefetched work and shared-view claims stay serial.
 	Workers int
 	// MaxConcurrent bounds the number of queries executing at once
 	// across the System and all of its Sessions. 0 disables admission
@@ -230,8 +233,8 @@ type Result struct {
 
 // System is an EVA instance: the public facade over the semantic reuse
 // engine of internal/core. One System serves any number of concurrent
-// Sessions (see NewSession); queries from the System itself and from
-// every Session pass the same admission controller.
+// Sessions (see NewSession); its own Exec methods run in its root
+// session, and every session passes the same admission controller.
 type System struct {
 	cfg     Config
 	tempDir string
@@ -239,6 +242,9 @@ type System struct {
 	eng   *core.Engine
 	store *storage.Engine
 	ctl   *server.Controller // nil when admission control is off
+	// root is the session System.Exec runs in: the engine's own clock,
+	// the runtime's default domain, the engine-wide injector.
+	root *Session
 	// scrubber is the background view-verification loop; nil when
 	// Config.ScrubInterval is 0.
 	scrubber *storage.Scrubber
@@ -311,6 +317,7 @@ func Open(cfg Config) (*System, error) {
 		store: store,
 		rec:   baselines.NewRecycler(),
 	}
+	s.root = &Session{sys: s, clock: eng.Clock, domain: eng.Runtime.DefaultDomain()}
 	if cfg.DiskBudgetBytes > 0 {
 		store.SetBudget(storage.NewDiskBudget(cfg.DiskBudgetBytes))
 	}
@@ -331,7 +338,7 @@ func Open(cfg Config) (*System, error) {
 	}
 	if cfg.ScrubInterval > 0 {
 		// The scrubber runs on the engine's virtual clock: statement
-		// completions nudge it (ExecStmt), it checks whether a full
+		// completions nudge it (Session.ExecStmt), it checks whether a full
 		// cadence has elapsed, and a due pass quiesces statements
 		// (qmu writer) before re-verifying every view.
 		s.scrubber = storage.NewScrubber(storage.ScrubConfig{
@@ -450,126 +457,16 @@ func (s *System) AdmissionStats() AdmissionStats {
 	return s.ctl.Stats()
 }
 
-// Exec parses and executes one EVA-QL statement.
-func (s *System) Exec(sql string) (*Result, error) {
-	stmt, err := parser.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return s.ExecStmt(stmt)
-}
+// Exec parses and executes one EVA-QL statement in the root session.
+func (s *System) Exec(sql string) (*Result, error) { return s.root.Exec(sql) }
 
-// ExecScript executes a semicolon-separated script, returning the last
-// statement's result.
-func (s *System) ExecScript(sql string) (*Result, error) {
-	stmts, err := parser.ParseAll(sql)
-	if err != nil {
-		return nil, err
-	}
-	var last *Result
-	for _, stmt := range stmts {
-		last, err = s.ExecStmt(stmt)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return last, nil
-}
+// ExecScript executes a semicolon-separated script in the root
+// session, returning the last statement's result.
+func (s *System) ExecScript(sql string) (*Result, error) { return s.root.ExecScript(sql) }
 
-// ExecStmt executes one parsed statement. Under admission control
-// (Config.MaxConcurrent) the statement first acquires a concurrency
-// token — possibly shedding with ErrOverloaded or ErrQueueTimeout —
-// and its simulated cost advances the admission clock on completion.
-func (s *System) ExecStmt(stmt parser.Statement) (*Result, error) {
-	s.qmu.RLock()
-	defer s.qmu.RUnlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	g, err := s.ctl.Admit()
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	snap := s.clock().Snapshot()
-	res, err := s.dispatch(stmt)
-	bd := s.clock().Since(snap)
-	g.Release(bd.Total())
-	if s.scrubber != nil {
-		// Virtual time just advanced; let the scrubber check whether a
-		// pass is due (non-blocking — the pass itself waits for qmu,
-		// which this statement still holds for reading, so it can only
-		// start once in-flight statements drain).
-		s.scrubber.Nudge()
-	}
-	if s.evictor != nil {
-		s.evictor.Nudge()
-	}
-	if err != nil {
-		return nil, err
-	}
-	if res == nil {
-		res = &Result{}
-	}
-	res.Breakdown = bd
-	res.SimTime = bd.Total()
-	res.WallTime = time.Since(start)
-	return res, nil
-}
-
-// dispatch routes one parsed statement to its handler. Shared by the
-// System path (global clock) and, for non-SELECT statements, by the
-// Session path.
-func (s *System) dispatch(stmt parser.Statement) (*Result, error) {
-	switch st := stmt.(type) {
-	case *parser.SelectStmt:
-		return s.execSelect(st)
-	case *parser.LoadStmt:
-		return nil, s.LoadVideo(st.Table, st.Dataset)
-	case *parser.CreateUDFStmt:
-		return nil, s.createUDF(st)
-	case *parser.ShowStmt:
-		return s.execShow(st)
-	case *parser.ExplainStmt:
-		return s.execExplain(st)
-	case *parser.DropViewsStmt:
-		return nil, s.DropViews()
-	default:
-		return nil, fmt.Errorf("eva: unsupported statement %T", stmt)
-	}
-}
-
-func (s *System) execSelect(stmt *parser.SelectStmt) (*Result, error) {
-	mode := s.optimizerMode()
-	table := strings.ToLower(stmt.From)
-	if s.cfg.Mode == ModeHashStash {
-		// HashStash: the recycler graph sub-tree-matches the query's
-		// apply operator against previously materialized outputs; the
-		// coverage callback implements its all-or-nothing reuse rule.
-		mode.TableCovered = func(udfName string, lo, hi int64) bool {
-			return s.recCovered(recyclerKey(table, udfName), lo, hi)
-		}
-	}
-	var (
-		out *core.Outcome
-		err error
-	)
-	if s.cfg.MemoryBudget > 0 {
-		out, err = s.eng.ExecuteWith(stmt, mode, core.ExecOpts{
-			Budget: server.NewMemBudget(s.cfg.MemoryBudget),
-		})
-	} else {
-		out, err = s.eng.Execute(stmt, mode)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if s.cfg.Mode == ModeHashStash && out.Report.DetectorEval != "" {
-		// Register the freshly materialized operator output.
-		s.recAdd(recyclerKey(table, out.Report.DetectorEval), out.Report.ScanLo, out.Report.ScanHi)
-	}
-	return &Result{Rows: out.Rows, PlanText: plan.Explain(out.Plan), Report: out.Report}, nil
-}
+// ExecStmt executes one parsed statement in the root session; see
+// Session.ExecStmt.
+func (s *System) ExecStmt(stmt parser.Statement) (*Result, error) { return s.root.ExecStmt(stmt) }
 
 func recyclerKey(table, udfName string) string {
 	return "apply:" + strings.ToLower(udfName) + "@scan:" + table
@@ -593,36 +490,6 @@ func (s *System) recReset() {
 	s.recMu.Lock()
 	defer s.recMu.Unlock()
 	s.rec = baselines.NewRecycler()
-}
-
-// execExplain optimizes without mutating reuse state; with ANALYZE it
-// also executes the plan (normally, with commits) and reports
-// per-operator statistics.
-func (s *System) execExplain(st *parser.ExplainStmt) (*Result, error) {
-	mode := s.optimizerMode()
-	var (
-		text   string
-		report optimizer.Report
-	)
-	if st.Analyze {
-		out, err := s.eng.ExecuteTraced(st.Select, mode)
-		if err != nil {
-			return nil, err
-		}
-		text, report = out.Trace.String(), out.Report
-	} else {
-		optRes, err := s.eng.Plan(st.Select, mode)
-		if err != nil {
-			return nil, err
-		}
-		text, report = plan.Explain(optRes.Plan), optRes.Report
-	}
-	sch := types.MustSchema(types.Column{Name: "plan", Kind: types.KindString})
-	rows := types.NewBatch(sch)
-	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
-		rows.MustAppendRow(types.NewString(line))
-	}
-	return &Result{Rows: rows, PlanText: text, Report: report}, nil
 }
 
 // DropViews discards all materialized UDF results and resets the
@@ -735,6 +602,7 @@ func (s *System) RegisterScalarImpl(name string, fn ScalarFunc) {
 // sweeps and in-module tools use it; see internal/faults.
 func (s *System) InjectFaults(inj *faults.Injector) {
 	s.eng.SetFaults(inj)
+	s.root.InjectFaults(inj)
 }
 
 // EvalScalarUDF evaluates a scalar UDF directly (outside any query),

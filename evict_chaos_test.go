@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"eva/internal/faults"
 )
@@ -184,5 +185,26 @@ func TestEvictChaosMatrix(t *testing.T) {
 	}
 	if injected == 0 {
 		t.Error("ENOSPC schedules injected nothing — the fault rules are vacuous")
+	}
+}
+
+// TestSessionStatementsDriveEvictor: with the disk budget sized so the
+// session's views end above the 90% high-water mark, the background
+// evictor — nudged by Session statements alone — must run and reclaim
+// below it. (Regression: only System.ExecStmt nudged.)
+func TestSessionStatementsDriveEvictor(t *testing.T) {
+	used := sessionOnlySystem(t, Config{DiskBudgetBytes: 1 << 40}).StorageStats().Disk.UsedBytes
+	if used == 0 {
+		t.Fatal("roomy run charged no durable bytes")
+	}
+	// used is 95% of the limit: every append fits (no synchronous
+	// eviction), and the finished session sits above high water.
+	limit := used * 100 / 95
+	sys := sessionOnlySystem(t, Config{DiskBudgetBytes: limit, EvictInterval: time.Millisecond})
+	awaitBackground(t, "background reclaim below high water after session statements", func() bool {
+		return sys.evictor.Stats().Passes >= 1 && sys.StorageStats().Disk.UsedBytes <= limit/10*9
+	})
+	if d := sys.StorageStats().Disk; d.Evictions == 0 {
+		t.Errorf("reclaimed without evicting a view: %+v", d)
 	}
 }

@@ -69,9 +69,9 @@ func New(store *storage.Engine, batchSize int) *Engine {
 	mgr := udf.NewManager()
 	rt := udf.NewRuntime(cat, clock)
 	opt := optimizer.New(cat, mgr, clock)
-	// The runtime's breaker state and observed failure rates drive the
-	// optimizer's graceful degradation (health-filtered Algorithm 2).
-	opt.Health = rt
+	// The root session's breaker state and observed failure rates drive
+	// the optimizer's graceful degradation (health-filtered Algorithm 2).
+	opt.Health = rt.DefaultDomain()
 	return &Engine{
 		Catalog:   cat,
 		Manager:   mgr,
@@ -92,13 +92,6 @@ func (e *Engine) SetFaults(inj *faults.Injector) {
 	e.Store.SetInjector(inj)
 }
 
-// Injector returns the engine-wide fault injector installed by
-// SetFaults (nil when none). The eva layer's repair driver consults it
-// for the view:repair site family.
-func (e *Engine) Injector() *faults.Injector {
-	return e.faults
-}
-
 // Outcome is the result of running one SELECT through the pipeline.
 type Outcome struct {
 	Rows   *types.Batch
@@ -108,57 +101,43 @@ type Outcome struct {
 	Trace *exec.Trace
 }
 
-// Execute runs a SELECT through the full pipeline under the mode.
-func (e *Engine) Execute(stmt *parser.SelectStmt, mode optimizer.Mode) (*Outcome, error) {
-	return e.execute(stmt, mode, false, ExecOpts{})
-}
-
-// ExecuteTraced is Execute with per-operator instrumentation.
-func (e *Engine) ExecuteTraced(stmt *parser.SelectStmt, mode optimizer.Mode) (*Outcome, error) {
-	return e.execute(stmt, mode, true, ExecOpts{})
-}
-
-// ExecOpts carries one session's execution context over the shared
-// engine: its own virtual clock and UDF domain (breaker state, fault
-// schedule), its own fault injector, and its query memory budget. Any
-// nil field falls back to the engine's shared state. Sessions switches
-// on the executor's shared-view protocol (store-view probing, per-key
+// ExecOpts is the session a statement runs in: the virtual clock its
+// costs are charged to, the UDF domain it evaluates and plans through
+// (breaker state, failure rates, UDF fault schedule), the injector its
+// view appends and deadline checks draw from (nil injects nothing) and
+// its query memory budget (nil = unlimited). A nil Clock or Domain
+// names the engine's own — the root session's. Sessions switches on
+// the executor's shared-view protocol (store-view probing, per-key
 // claims, per-batch publication) so concurrent sessions reuse one
-// another's results instead of recomputing them.
+// another's results instead of recomputing them; the root session runs
+// without it and keeps its pipeline stages. Trace collects per-operator
+// statistics into Outcome.Trace.
 type ExecOpts struct {
 	Clock    *simclock.Clock
 	Domain   *udf.Domain
 	Faults   *faults.Injector
 	Budget   *server.MemBudget
 	Sessions bool
+	Trace    bool
 }
 
-// ExecuteWith runs a SELECT with per-session execution options: costs
-// are charged to the session's clock and UDF evaluation goes through
-// the session's domain.
-func (e *Engine) ExecuteWith(stmt *parser.SelectStmt, mode optimizer.Mode, opts ExecOpts) (*Outcome, error) {
-	return e.execute(stmt, mode, false, opts)
-}
-
-func (e *Engine) execute(stmt *parser.SelectStmt, mode optimizer.Mode, traced bool, opts ExecOpts) (*Outcome, error) {
-	clock := opts.Clock
-	if clock == nil {
-		clock = e.Clock
+// Execute runs a SELECT through the full pipeline under the mode, in
+// the session opts describes. With mode.DryRun it stops after the
+// optimization phase: the Outcome carries the plan and report only.
+func (e *Engine) Execute(stmt *parser.SelectStmt, mode optimizer.Mode, opts ExecOpts) (*Outcome, error) {
+	if opts.Clock == nil {
+		opts.Clock = e.Clock
 	}
-	inj := opts.Faults
-	if !opts.Sessions {
-		inj = e.faults
+	if opts.Domain == nil {
+		opts.Domain = e.Runtime.DefaultDomain()
 	}
 	// The optimizer is a small value over shared catalog/manager state;
-	// a session run gets a shallow clone charging the session's clock
-	// and consulting the session's breaker health.
+	// a client session gets a shallow clone charging its clock and
+	// consulting its breaker health.
 	opt := e.Opt
-	if opts.Clock != nil || opts.Domain != nil {
+	if opts.Clock != e.Clock || opts.Domain != e.Runtime.DefaultDomain() {
 		c := *e.Opt
-		c.Clock = clock
-		if opts.Domain != nil {
-			c.Health = opts.Domain
-		}
+		c.Clock, c.Health = opts.Clock, opts.Domain
 		opt = &c
 	}
 	// Replan-on-breaker loop: when a model's circuit breaker trips
@@ -171,18 +150,21 @@ func (e *Engine) execute(stmt *parser.SelectStmt, mode optimizer.Mode, traced bo
 		if err != nil {
 			return nil, err
 		}
+		out := &Outcome{Plan: optRes.Plan, Report: optRes.Report}
+		if mode.DryRun {
+			return out, nil
+		}
 		ctx := &exec.Context{
-			Store: e.Store, Runtime: e.Runtime, Clock: clock,
-			BatchSize: e.batchSize, Faults: inj, Deadline: e.Deadline,
+			Store: e.Store, Runtime: e.Runtime, Clock: opts.Clock,
+			BatchSize: e.batchSize, Faults: opts.Faults, Deadline: e.Deadline,
 			Workers: e.Workers, Pool: e.Pool,
 			Domain: opts.Domain, Budget: opts.Budget, Sessions: opts.Sessions,
 		}
-		var trace *exec.Trace
-		if traced {
-			trace = exec.NewTrace()
-			ctx.Trace = trace
+		if opts.Trace {
+			out.Trace = exec.NewTrace()
+			ctx.Trace = out.Trace
 		}
-		rows, err := exec.Run(ctx, optRes.Plan)
+		out.Rows, err = exec.Run(ctx, optRes.Plan)
 		if err != nil {
 			// ErrModelUnavailable: a breaker tripped, replan degrades
 			// immediately. ErrEvalFailed: the failed run charged the
@@ -194,8 +176,22 @@ func (e *Engine) execute(stmt *parser.SelectStmt, mode optimizer.Mode, traced bo
 			}
 			return nil, err
 		}
-		return &Outcome{Rows: rows, Plan: optRes.Plan, Report: optRes.Report, Trace: trace}, nil
+		return out, nil
 	}
+}
+
+// ExecuteTraced is Execute in the root session with per-operator
+// instrumentation. It and Plan are what bench/ drives the engine
+// through, one phase at a time.
+func (e *Engine) ExecuteTraced(stmt *parser.SelectStmt, mode optimizer.Mode) (*Outcome, error) {
+	return e.Execute(stmt, mode, ExecOpts{Faults: e.faults, Trace: true})
+}
+
+// Plan is Execute's dry run in the root session: the optimization
+// phase only, nothing executed, no aggregated predicate committed.
+func (e *Engine) Plan(stmt *parser.SelectStmt, mode optimizer.Mode) (*Outcome, error) {
+	mode.DryRun = true
+	return e.Execute(stmt, mode, ExecOpts{})
 }
 
 // Recycle returns a result batch to the engine's pool once the caller
@@ -207,13 +203,6 @@ func (e *Engine) Recycle(b *types.Batch) {
 	if e.Pool != nil && b != nil && b.Pooled() {
 		e.Pool.Put(b)
 	}
-}
-
-// Plan runs only the optimization phase, without executing and without
-// committing aggregated predicates (EXPLAIN).
-func (e *Engine) Plan(stmt *parser.SelectStmt, mode optimizer.Mode) (*optimizer.Result, error) {
-	mode.DryRun = true
-	return e.Opt.Optimize(stmt, mode)
 }
 
 // Reset discards all materialized state: views, aggregated predicates,

@@ -40,7 +40,7 @@ const pipelineSQL = `SELECT id, label FROM video CROSS APPLY FasterRCNNResnet50(
 
 func TestEngineExecutePipeline(t *testing.T) {
 	e := newEngine(t)
-	out, err := e.Execute(sel(t, pipelineSQL), optimizer.EVAMode())
+	out, err := e.Execute(sel(t, pipelineSQL), optimizer.EVAMode(), ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestEngineExecutePipeline(t *testing.T) {
 	}
 	// Second execution is served from the views the first materialized.
 	before := e.Runtime.CounterSnapshot()["fasterrcnnresnet50"]
-	out2, err := e.Execute(sel(t, pipelineSQL), optimizer.EVAMode())
+	out2, err := e.Execute(sel(t, pipelineSQL), optimizer.EVAMode(), ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestEngineExecuteTraced(t *testing.T) {
 		t.Errorf("trace = %q", text)
 	}
 	// Untraced execution has no trace.
-	out, err = e.Execute(sel(t, "SELECT id FROM video WHERE id < 5"), optimizer.EVAMode())
+	out, err = e.Execute(sel(t, "SELECT id FROM video WHERE id < 5"), optimizer.EVAMode(), ExecOpts{})
 	if err != nil || out.Trace != nil {
 		t.Errorf("untraced outcome: %v, %v", out.Trace, err)
 	}
@@ -105,7 +105,7 @@ func TestEnginePlanIsDryRun(t *testing.T) {
 
 func TestEngineReset(t *testing.T) {
 	e := newEngine(t)
-	if _, err := e.Execute(sel(t, pipelineSQL), optimizer.EVAMode()); err != nil {
+	if _, err := e.Execute(sel(t, pipelineSQL), optimizer.EVAMode(), ExecOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	if e.Store.TotalViewFootprint() == 0 || e.Clock.Total() == 0 {
@@ -127,7 +127,7 @@ func TestEngineReset(t *testing.T) {
 
 func TestEngineErrorsPropagate(t *testing.T) {
 	e := newEngine(t)
-	if _, err := e.Execute(sel(t, "SELECT id FROM ghost WHERE id < 5"), optimizer.EVAMode()); err == nil {
+	if _, err := e.Execute(sel(t, "SELECT id FROM ghost WHERE id < 5"), optimizer.EVAMode(), ExecOpts{}); err == nil {
 		t.Error("unknown table should error")
 	}
 }

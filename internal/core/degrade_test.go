@@ -27,7 +27,7 @@ func TestDegradeToFallbackModel(t *testing.T) {
 	inj.Rule(faults.SiteUDF(vision.YoloTiny), faults.Rule{Kind: faults.Permanent, Prob: 1})
 	e.SetFaults(inj)
 
-	out, err := e.Execute(sel(t, logicalSQL), optimizer.EVAMode())
+	out, err := e.Execute(sel(t, logicalSQL), optimizer.EVAMode(), ExecOpts{Faults: inj})
 	if err != nil {
 		t.Fatalf("query did not degrade: %v", err)
 	}
@@ -63,7 +63,7 @@ func TestAllModelsDownFailsCleanly(t *testing.T) {
 	inj.Rule(faults.SiteUDFAny, faults.Rule{Kind: faults.Permanent, Prob: 1})
 	e.SetFaults(inj)
 
-	_, err := e.Execute(sel(t, logicalSQL), optimizer.EVAMode())
+	_, err := e.Execute(sel(t, logicalSQL), optimizer.EVAMode(), ExecOpts{Faults: inj})
 	if err == nil {
 		t.Fatal("want error with every model down")
 	}
@@ -89,10 +89,10 @@ func TestBreakerRecoveryRestoresNominalChoice(t *testing.T) {
 	inj.Rule(faults.SiteUDF(vision.YoloTiny),
 		faults.Rule{Kind: faults.Permanent, Prob: 1})
 	e.SetFaults(inj)
-	if _, err := e.Execute(sel(t, logicalSQL), optimizer.EVAMode()); err != nil {
+	if _, err := e.Execute(sel(t, logicalSQL), optimizer.EVAMode(), ExecOpts{Faults: inj}); err != nil {
 		t.Fatalf("degraded run failed: %v", err)
 	}
-	if e.Runtime.ModelHealthy(vision.YoloTiny) {
+	if e.Runtime.DefaultDomain().ModelHealthy(vision.YoloTiny) {
 		t.Fatal("breaker should still be open")
 	}
 	// The detector queries above charged well past the 30 s virtual

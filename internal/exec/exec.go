@@ -35,8 +35,9 @@ type Context struct {
 	// Trace, when set, collects per-operator statistics for this
 	// execution (EXPLAIN ANALYZE). Attach a fresh Trace per Run.
 	Trace *Trace
-	// Faults, when set, is consulted at the executor's fault sites
-	// (currently faults.SiteDeadline); nil injects nothing.
+	// Faults is the running session's injector, consulted at the
+	// executor's fault sites (faults.SiteDeadline) and by every view
+	// append; nil injects nothing.
 	Faults *faults.Injector
 	// Deadline is the virtual-time budget for one Run (0 = unlimited).
 	// The budget starts when Run is called and is checked before every
@@ -48,10 +49,9 @@ type Context struct {
 	// runs the classic serial engine. Results, reports and virtual
 	// clock totals are byte-identical at every setting.
 	Workers int
-	// Domain routes UDF evaluation, fault draws and breaker state
-	// through a session-scoped domain (multi-session serving); nil uses
-	// the Runtime's process-wide default domain — the single-session
-	// behavior every pre-existing caller gets.
+	// Domain is the running session's UDF evaluation domain: UDF
+	// evaluation, UDF fault draws and breaker state all go through it.
+	// Required (the root session's is Runtime.DefaultDomain()).
 	Domain *udf.Domain
 	// Budget is this query's memory budget, charged at the
 	// materialization points (scan batches, sort buffers, view-append
@@ -63,9 +63,8 @@ type Context struct {
 	// operator probes its own store view, claims per-(view, key)
 	// singleflight ownership of the keys it is about to evaluate, and
 	// publishes (flushes) at every batch boundary so concurrent
-	// sessions reuse instead of recompute. View appends draw write
-	// faults from this Context's Faults injector rather than the
-	// engine-wide one.
+	// sessions reuse instead of recompute. Off for the system's root
+	// session, which runs exclusively and keeps its pipeline stages.
 	Sessions bool
 	// Pool, when set, supplies the columnar batches the operators flow
 	// between each other. Operators obtain batches with getBatch and
@@ -87,15 +86,6 @@ func (c *Context) batchSize() int {
 		return c.BatchSize
 	}
 	return DefaultBatchSize
-}
-
-// dom returns the UDF evaluation domain for this execution: the
-// session's own domain when set, else the runtime's default.
-func (c *Context) dom() *udf.Domain {
-	if c.Domain != nil {
-		return c.Domain
-	}
-	return c.Runtime.DefaultDomain()
 }
 
 // getBatch returns an empty batch carrying schema, drawn from the
@@ -257,9 +247,9 @@ func (r *rowResolver) Resolve(name string) (types.Datum, bool) {
 func (r *rowResolver) CallFn(fn string, args []types.Datum) (types.Datum, error) {
 	if r.sink != nil {
 		r.sub++
-		return r.ctx.dom().EvalScalarAt(fn, args, subCallID(r.id, r.sub), r.hs, r.sink)
+		return r.ctx.Domain.EvalScalarAt(fn, args, subCallID(r.id, r.sub), r.hs, r.sink)
 	}
-	return r.ctx.dom().EvalScalar(fn, args)
+	return r.ctx.Domain.EvalScalar(fn, args)
 }
 
 // subCallID derives the identity of the k-th nested scalar call made
@@ -832,7 +822,7 @@ func (a *applyIter) evalPhase(b *types.Batch, decisions []rowDecision) {
 		a.scratch = make([]evalScratch, workers)
 	}
 	scratch := a.scratch[:workers]
-	hs := a.ctx.dom().HealthSnapshot()
+	hs := a.ctx.Domain.HealthSnapshot()
 	runParallel(workers, len(evalRows), func(w, i int) {
 		r := evalRows[i]
 		a.evalRow(b, r, &decisions[r], hs, &scratch[w])
@@ -867,7 +857,7 @@ func (a *applyIter) evalRow(b *types.Batch, r int, d *rowDecision, hs *udf.Healt
 		}
 		// Detector outputs may be shared with the FunCache (the cache
 		// stores the same *Batch), so they are never pooled or recycled.
-		outs, err := a.ctx.dom().EvalDetectorAt(a.evalLower, args[0].Bytes(), d.id, hs, d.sink)
+		outs, err := a.ctx.Domain.EvalDetectorAt(a.evalLower, args[0].Bytes(), d.id, hs, d.sink)
 		if err != nil {
 			d.err = fmt.Errorf("exec: detector %s: %w", a.node.Eval, err)
 			return
@@ -875,7 +865,7 @@ func (a *applyIter) evalRow(b *types.Batch, r int, d *rowDecision, hs *udf.Healt
 		d.outs = outs
 		return
 	}
-	v, err := a.ctx.dom().EvalScalarAt(a.evalLower, args, d.id, hs, d.sink)
+	v, err := a.ctx.Domain.EvalScalarAt(a.evalLower, args, d.id, hs, d.sink)
 	if err != nil {
 		d.err = fmt.Errorf("exec: udf %s: %w", a.node.Eval, err)
 		return
@@ -898,7 +888,7 @@ func (a *applyIter) assemblePhase(b *types.Batch, decisions []rowDecision) (*typ
 	// therefore trips, degradation and replans — is identical whether
 	// or not a row failed, and at any concurrency.
 	for _, r := range a.sel {
-		a.ctx.dom().CommitOutcomes(decisions[r].sink)
+		a.ctx.Domain.CommitOutcomes(decisions[r].sink)
 	}
 	rows := 0
 	for r := range decisions {
@@ -1028,13 +1018,7 @@ func (a *applyIter) flush() error {
 	var n int
 	for attempt := 1; ; attempt++ {
 		var err error
-		if a.ctx.Sessions {
-			// Session mode: write faults come from this session's own
-			// deterministic schedule, not the engine-wide injector.
-			n, err = a.store.AppendWith(rows, keys, a.ctx.Faults)
-		} else {
-			n, err = a.store.Append(rows, keys)
-		}
+		n, err = a.store.AppendWith(rows, keys, a.ctx.Faults)
 		if err == nil {
 			break
 		}

@@ -24,7 +24,8 @@ func testCtx(t *testing.T, ds vision.Dataset) *Context {
 		t.Fatal(err)
 	}
 	clock := &simclock.Clock{}
-	return &Context{Store: store, Runtime: udf.NewRuntime(catalog.New(), clock), Clock: clock, BatchSize: 64}
+	rt := udf.NewRuntime(catalog.New(), clock)
+	return &Context{Store: store, Runtime: rt, Domain: rt.DefaultDomain(), Clock: clock, BatchSize: 64}
 }
 
 func scan(lo, hi int64) *plan.Scan {

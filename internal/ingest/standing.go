@@ -295,7 +295,7 @@ func (q *StandingQuery) increment(lo, hi int64) error {
 // result rows into per-window counts.
 func (q *StandingQuery) runDelta(lo, hi int64) (map[int64]int64, error) {
 	s := q.stream
-	out, err := s.eng.ExecuteWith(q.deltaStmt(lo, hi), optimizer.EVAMode(), core.ExecOpts{
+	out, err := s.eng.Execute(q.deltaStmt(lo, hi), optimizer.EVAMode(), core.ExecOpts{
 		Clock:    q.clock,
 		Domain:   q.domain,
 		Faults:   s.injector(),

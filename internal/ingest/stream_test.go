@@ -93,7 +93,7 @@ func TestStreamStandingQuery(t *testing.T) {
 	// Independent recomputation on the same engine (views are shared,
 	// but counting is over result rows either way).
 	stmt := q.deltaStmt(0, testFrames)
-	out, err := eng.ExecuteWith(stmt, optimizer.EVAMode(), core.ExecOpts{Sessions: true})
+	out, err := eng.Execute(stmt, optimizer.EVAMode(), core.ExecOpts{Sessions: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 // HealthView is the optimizer's window into physical-model health,
-// implemented by udf.Runtime. ModelHealthy gates candidate selection
+// implemented by udf.Domain (each session plans against its own). ModelHealthy gates candidate selection
 // (a model whose circuit breaker is open cannot be the eval target);
 // FailureRate feeds the Eq. 3 cost model so that the expected retry
 // attempts of a flaky model count against it when ranking predicates

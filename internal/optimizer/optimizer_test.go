@@ -45,7 +45,7 @@ func newHarness(t *testing.T, ds vision.Dataset) *harness {
 	return &harness{
 		cat: cat, store: store, mgr: mgr, rt: rt, clock: clock,
 		opt: New(cat, mgr, clock),
-		ctx: &exec.Context{Store: store, Runtime: rt, Clock: clock},
+		ctx: &exec.Context{Store: store, Runtime: rt, Domain: rt.DefaultDomain(), Clock: clock},
 	}
 }
 

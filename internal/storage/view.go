@@ -644,35 +644,30 @@ func (v *View) indexRowsLocked(from int) {
 // then evict cold views), charges virtual-clock backoff, and retries;
 // only a dry ladder surfaces the typed ErrDiskBudget.
 func (v *View) Append(rows *types.Batch, processedKeys [][]types.Datum) (int, error) {
-	return v.appendEvictRetry(rows, processedKeys, nil, true)
+	v.mu.RLock()
+	inj := v.inj
+	v.mu.RUnlock()
+	return v.AppendWith(rows, processedKeys, inj)
 }
 
-// AppendWith is Append consulting the caller's fault injector instead
-// of the view's installed one. Session-scoped execution uses it so a
-// session's write faults are drawn from that session's deterministic
-// schedule, not the system-wide injector (which stays nil-safe for
-// fault-free sessions even when the system has one installed).
+// AppendWith is Append drawing write faults from the caller's injector
+// instead of the view's installed one: every statement appends through
+// it with its session's injector, so a session's write faults follow
+// that session's deterministic schedule (nil injects nothing, even
+// when the system has an injector installed).
+//
+// Locked append attempts hold no view lock between them: a retriable
+// disk-full failure frees space through the engine's reclaim ladder
+// (which must take other views' locks) and retries the same record.
+// The retry redraws injected faults at the same LSN (the injector
+// bumps the per-(site, LSN) occurrence count), so transient disk:full
+// schedules drain exactly like transient write faults. The loop
+// terminates because every retry either freed bytes (finite) or
+// drained a bounded injector rule, with evictRetryMax as the backstop.
 func (v *View) AppendWith(rows *types.Batch, processedKeys [][]types.Datum, inj *faults.Injector) (int, error) {
-	return v.appendEvictRetry(rows, processedKeys, inj, false)
-}
-
-// appendEvictRetry runs locked append attempts, holding no view lock
-// between them: a retriable disk-full failure frees space through the
-// engine's reclaim ladder (which must take other views' locks) and
-// retries the same record. The retry redraws injected faults at the
-// same LSN (the injector bumps the per-(site, LSN) occurrence count),
-// so transient disk:full schedules drain exactly like transient write
-// faults. The loop terminates because every retry either freed bytes
-// (finite) or drained a bounded injector rule, with evictRetryMax as
-// the backstop.
-func (v *View) appendEvictRetry(rows *types.Batch, processedKeys [][]types.Datum, inj *faults.Injector, useViewInj bool) (int, error) {
 	for attempt := 1; ; attempt++ {
 		v.mu.Lock()
-		use := inj
-		if useViewInj {
-			use = v.inj
-		}
-		n, err := v.appendLocked(rows, processedKeys, use)
+		n, err := v.appendLocked(rows, processedKeys, inj)
 		v.mu.Unlock()
 		if err == nil || !IsDiskFull(err) || faults.IsCrash(err) {
 			return n, err

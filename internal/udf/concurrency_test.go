@@ -189,7 +189,7 @@ func TestBreakerConcurrentTrip(t *testing.T) {
 	if got := failures.Load(); got != workers*10 {
 		t.Errorf("failures = %d, want %d (permanent fault)", got, workers*10)
 	}
-	if rt.ModelHealthy(vision.YoloTiny) {
+	if rt.DefaultDomain().ModelHealthy(vision.YoloTiny) {
 		t.Error("breaker still closed after concurrent permanent failures")
 	}
 }

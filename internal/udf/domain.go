@@ -19,9 +19,8 @@ import (
 // Every concurrent session gets its own Domain so that breaker trips,
 // half-open probes, and retry-adjusted planning costs in one session
 // are pure functions of that session's own history — the property the
-// multi-session chaos matrix byte-checks against solo runs. A system
-// without sessions uses the Runtime's default domain, which behaves
-// exactly as the pre-session runtime did.
+// multi-session chaos matrix byte-checks against solo runs. The
+// system's root session evaluates through the Runtime's default domain.
 //
 // Lock ordering: a Domain method never holds d.mu while taking the
 // Runtime's mu — shared policy values are fetched from the Runtime
@@ -53,8 +52,9 @@ func (r *Runtime) NewDomain(clock *simclock.Clock) *Domain {
 	}
 }
 
-// DefaultDomain returns the runtime's built-in domain — the one the
-// legacy Runtime entry points evaluate through.
+// DefaultDomain returns the runtime's built-in domain — the root
+// session's, and the one Runtime.EvalDetector/EvalScalar evaluate
+// through.
 func (r *Runtime) DefaultDomain() *Domain { return r.def }
 
 // Runtime returns the shared runtime this domain evaluates through.

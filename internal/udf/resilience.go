@@ -120,9 +120,6 @@ func (d *Domain) HealthSnapshot() *HealthSnapshot {
 	return hs
 }
 
-// HealthSnapshot captures the default domain's breaker states.
-func (r *Runtime) HealthSnapshot() *HealthSnapshot { return r.def.HealthSnapshot() }
-
 // allow is breakerAllow against the frozen snapshot. Breaker decisions
 // become batch-granular under snapshots: every row of a batch sees the
 // state at the batch's start, at any worker count.
@@ -172,9 +169,6 @@ func (d *Domain) CommitOutcomes(sink *OutcomeSink) {
 	// Keep the capacity: committed sinks are recycled by the executor.
 	sink.outcomes = sink.outcomes[:0]
 }
-
-// CommitOutcomes applies deferred outcomes to the default domain.
-func (r *Runtime) CommitOutcomes(sink *OutcomeSink) { r.def.CommitOutcomes(sink) }
 
 func (r *Runtime) cooldownLocked() time.Duration {
 	if r.breakCooldown > 0 {
@@ -243,9 +237,6 @@ func (d *Domain) ModelHealthy(name string) bool {
 	return now-b.openedAt >= cd
 }
 
-// ModelHealthy reports the default domain's breaker admission.
-func (r *Runtime) ModelHealthy(name string) bool { return r.def.ModelHealthy(name) }
-
 // FailureRate returns the domain's observed per-attempt *transient*
 // failure probability of the model (transient failures over total
 // attempts); the optimizer feeds it to costs.RetryAdjustedCost so
@@ -265,9 +256,6 @@ func (d *Domain) FailureRate(name string) float64 {
 	return float64(d.transient[key]) / float64(d.attempts[key])
 }
 
-// FailureRate reports the default domain's observed failure rate.
-func (r *Runtime) FailureRate(name string) float64 { return r.def.FailureRate(name) }
-
 func (r *Runtime) countFailed(name string, isTransient bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -285,9 +273,9 @@ func (r *Runtime) countRetry(name string) {
 }
 
 // EvalIdentity derives a call identity for fault injection from the
-// invocation's arguments — the fallback used by the legacy entry
-// points (expression-level scalar calls, direct Runtime callers),
-// which have no executor-assigned invocation index. Identical
+// invocation's arguments — the fallback used by expression-level
+// scalar calls and direct Runtime callers, which have no
+// executor-assigned invocation index. Identical
 // arguments yield the same identity, so a FunCache claimant draws the
 // same schedule no matter which row claims the key.
 func EvalIdentity(udfName string, args []types.Datum) uint64 {
@@ -306,7 +294,7 @@ func EvalIdentity(udfName string, args []types.Datum) uint64 {
 // admission check with a frozen batch-level snapshot; sink, when
 // non-nil, defers the breaker outcome for a serial-order commit via
 // CommitOutcomes. The executor's parallel apply path supplies all
-// three; legacy callers pass a zero id (harmless without an injector)
+// three; direct callers pass a zero id (harmless without an injector)
 // and nil for both, keeping the immediate-commit behavior. The
 // runtime's demand/failure counters always commit immediately: they
 // are sums, so scheduling order cannot change their totals.

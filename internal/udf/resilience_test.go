@@ -156,7 +156,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 			t.Fatal("injected permanent fault did not surface")
 		}
 	}
-	if r.ModelHealthy(vision.YoloTiny) {
+	if r.DefaultDomain().ModelHealthy(vision.YoloTiny) {
 		t.Fatal("breaker should be open after consecutive failures")
 	}
 	// While open, evaluations fail fast with ErrModelUnavailable.
@@ -165,19 +165,19 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 		t.Fatalf("open breaker error = %v", err)
 	}
 	// Other models are unaffected.
-	if !r.ModelHealthy(vision.FasterRCNN50) {
+	if !r.DefaultDomain().ModelHealthy(vision.FasterRCNN50) {
 		t.Error("healthy model reported broken")
 	}
 	// Advance the virtual clock past the cooldown: a probe is allowed
 	// and, with the fault rule exhausted, closes the breaker.
 	clock.Charge(simclock.CatOther, DefaultBreakerCooldown)
-	if !r.ModelHealthy(vision.YoloTiny) {
+	if !r.DefaultDomain().ModelHealthy(vision.YoloTiny) {
 		t.Fatal("cooldown elapsed; model should accept a probe")
 	}
 	if _, err := r.EvalDetector(vision.YoloTiny, payload); err != nil {
 		t.Fatalf("probe failed: %v", err)
 	}
-	if !r.ModelHealthy(vision.YoloTiny) {
+	if !r.DefaultDomain().ModelHealthy(vision.YoloTiny) {
 		t.Error("successful probe should close the breaker")
 	}
 }
@@ -194,7 +194,7 @@ func TestBreakerReopensOnFailedProbe(t *testing.T) {
 			t.Fatal("want failure")
 		}
 	}
-	if r.ModelHealthy(vision.YoloTiny) {
+	if r.DefaultDomain().ModelHealthy(vision.YoloTiny) {
 		t.Fatal("breaker should be open")
 	}
 	clock.Charge(simclock.CatOther, 10*time.Second)
@@ -202,7 +202,7 @@ func TestBreakerReopensOnFailedProbe(t *testing.T) {
 	if _, err := r.EvalDetector(vision.YoloTiny, payload); errors.Is(err, ErrModelUnavailable) {
 		t.Fatal("probe should have been allowed through")
 	}
-	if r.ModelHealthy(vision.YoloTiny) {
+	if r.DefaultDomain().ModelHealthy(vision.YoloTiny) {
 		t.Error("failed probe should re-open the breaker")
 	}
 }
@@ -210,7 +210,7 @@ func TestBreakerReopensOnFailedProbe(t *testing.T) {
 func TestFailureRateFeedsCostModel(t *testing.T) {
 	r, _ := newRuntime(t)
 	payload := vision.MediumUADetrac.EncodeFrame(3)
-	if r.FailureRate(vision.FasterRCNN50) != 0 {
+	if r.DefaultDomain().FailureRate(vision.FasterRCNN50) != 0 {
 		t.Fatal("fresh model should report rate 0")
 	}
 	inj := faults.New(1)
@@ -220,7 +220,7 @@ func TestFailureRateFeedsCostModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 1 failed attempt, 1 success → rate 0.5.
-	if got := r.FailureRate(vision.FasterRCNN50); got != 0.5 {
+	if got := r.DefaultDomain().FailureRate(vision.FasterRCNN50); got != 0.5 {
 		t.Errorf("failure rate = %v", got)
 	}
 	base := 100 * time.Millisecond

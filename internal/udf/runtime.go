@@ -73,8 +73,9 @@ type Runtime struct {
 	breakCooldown  time.Duration // guarded by mu; 0 = DefaultBreakerCooldown
 
 	// def is the default evaluation domain: the breaker/injector/clock
-	// scope used by every legacy Runtime entry point. Sessions create
-	// their own domains via NewDomain. Immutable after NewRuntime.
+	// scope of the system's root session and of the direct
+	// Runtime.EvalDetector/EvalScalar entry points. Client sessions
+	// create their own domains via NewDomain. Immutable after NewRuntime.
 	def *Domain
 }
 
@@ -273,7 +274,7 @@ func rawArgsInto(buf []byte, udfName string, args []types.Datum) []byte {
 	return buf
 }
 
-// rawArgs is rawArgsInto with a fresh buffer (legacy identity path).
+// rawArgs is rawArgsInto with a fresh buffer (EvalIdentity's path).
 func rawArgs(udfName string, args []types.Datum) []byte {
 	return rawArgsInto(nil, udfName, args)
 }
@@ -293,7 +294,7 @@ func (d *Domain) funCacheKey(udfName string, args []types.Datum) xxhash.Key128 {
 // returning detection rows in catalog.DetectorSchema. The profiled
 // per-tuple cost is charged unless FunCache serves the call. Fault
 // decisions are keyed by the argument-derived identity; callers with
-// an executor-assigned invocation index use EvalDetectorAt.
+// an executor-assigned invocation index use Domain.EvalDetectorAt.
 func (r *Runtime) EvalDetector(name string, payload []byte) (*types.Batch, error) {
 	return r.def.EvalDetector(name, payload)
 }
@@ -313,11 +314,6 @@ func (d *Domain) EvalDetector(name string, payload []byte) (*types.Batch, error)
 // FunCache enabled the identity is re-derived from the arguments so
 // the injected schedule does not depend on which of several
 // same-argument rows wins the singleflight claim.
-func (r *Runtime) EvalDetectorAt(name string, payload []byte, id uint64, hs *HealthSnapshot, sink *OutcomeSink) (*types.Batch, error) {
-	return r.def.EvalDetectorAt(name, payload, id, hs, sink)
-}
-
-// EvalDetectorAt is the domain-scoped form of Runtime.EvalDetectorAt.
 func (d *Domain) EvalDetectorAt(name string, payload []byte, id uint64, hs *HealthSnapshot, sink *OutcomeSink) (*types.Batch, error) {
 	r := d.r
 	u, err := r.cat.UDF(name)
@@ -376,7 +372,7 @@ func (d *Domain) runDetector(u *catalog.UDF, payload []byte, id uint64, hs *Heal
 
 // EvalScalar runs a scalar UDF over one input tuple's argument values.
 // Fault decisions are keyed by the argument-derived identity; callers
-// with an executor-assigned invocation index use EvalScalarAt.
+// with an executor-assigned invocation index use Domain.EvalScalarAt.
 func (r *Runtime) EvalScalar(name string, args []types.Datum) (types.Datum, error) {
 	return r.def.EvalScalar(name, args)
 }
@@ -396,11 +392,6 @@ func (d *Domain) EvalScalar(name string, args []types.Datum) (types.Datum, error
 // FunCache enabled the identity is re-derived from the arguments so
 // the injected schedule does not depend on which of several
 // same-argument rows wins the singleflight claim.
-func (r *Runtime) EvalScalarAt(name string, args []types.Datum, id uint64, hs *HealthSnapshot, sink *OutcomeSink) (types.Datum, error) {
-	return r.def.EvalScalarAt(name, args, id, hs, sink)
-}
-
-// EvalScalarAt is the domain-scoped form of Runtime.EvalScalarAt.
 func (d *Domain) EvalScalarAt(name string, args []types.Datum, id uint64, hs *HealthSnapshot, sink *OutcomeSink) (types.Datum, error) {
 	r := d.r
 	u, err := r.cat.UDF(name)

@@ -42,7 +42,8 @@ var evictWorkload = []string{
 // EvictCell is one budget level's measurement.
 type EvictCell struct {
 	// Level names the budget sizing: "full", "threequarter", "half", or
-	// "tight" (the floor that still admits the largest single view).
+	// "tight" (the floor that still admits the largest single view). A
+	// level whose budget clamps to the previous level's is not emitted.
 	Level string `json:"level"`
 	// BudgetBytes is the configured limit.
 	BudgetBytes int64 `json:"budget_bytes"`
@@ -185,7 +186,13 @@ func RunEvictBench() (*EvictResult, error) {
 
 	var warmTimes []int64
 	var evictions int64
-	for _, level := range levels {
+	for i, level := range levels {
+		if i > 0 && level.bytes == levels[i-1].bytes {
+			// Clamped to the same budget as the level before it (a
+			// footprint dominated by one view): the cell would repeat
+			// that one byte for byte and measure nothing.
+			continue
+		}
 		cell, err := runEvictCell(level.name, level.bytes, baseCold, baseWarm)
 		if err != nil {
 			return nil, fmt.Errorf("vbench: evict cell %s: %w", level.name, err)

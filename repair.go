@@ -309,7 +309,7 @@ func (s *System) Repair() (RepairReport, error) {
 func (s *System) repairRanges(view string, task repairTask, rec *RepairRecord) string {
 	ranges := lostIDRanges(task.lost)
 	rec.Ranges = len(ranges)
-	inj := s.eng.Injector()
+	inj := s.root.injector()
 	for i, r := range ranges {
 		// The repair site models a failure or kill between ranges: a
 		// transient leaves the task queued for the next Repair call, so
@@ -331,7 +331,7 @@ func (s *System) repairRanges(view string, task repairTask, rec *RepairRecord) s
 		// Repair always runs the full reuse pipeline regardless of the
 		// system mode: the point is to re-materialize the view, which
 		// only EVA-mode planning stores.
-		if _, err := s.eng.Execute(sel, optimizer.EVAMode()); err != nil {
+		if _, err := s.root.run(sel, optimizer.EVAMode(), false); err != nil {
 			return fmt.Errorf("eva: repair %s range [%d,%d]: %w", view, r.Lo, r.Hi, err).Error()
 		}
 	}

@@ -477,3 +477,54 @@ func TestBackgroundScrubberHeals(t *testing.T) {
 		t.Errorf("post-heal views diverged\n%s", digestDiff(wantViews, got))
 	}
 }
+
+// sessionOnlySystem opens a system and runs statements through a
+// client Session only — cold detector evaluations, so every statement
+// advances the virtual clock far past a millisecond cadence and the
+// two detectors leave two views for the evictor to choose between.
+func sessionOnlySystem(t *testing.T, cfg Config) *System {
+	t.Helper()
+	cfg.Dir = t.TempDir()
+	sys, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sys.Close() })
+	if err := sys.LoadVideo("video", "jackson"); err != nil {
+		t.Fatal(err)
+	}
+	sess := sys.NewSession()
+	for _, q := range []string{
+		`SELECT id, label FROM video CROSS APPLY FasterRCNNResnet50(frame) WHERE id < 120`,
+		`SELECT id, label FROM video CROSS APPLY YoloTiny(frame) WHERE id < 120`,
+		`SELECT id FROM video CROSS APPLY FasterRCNNResnet50(frame) WHERE id < 200 AND label = 'car'`,
+	} {
+		if _, err := sess.Exec(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sys
+}
+
+// awaitBackground polls cond: background passes fire asynchronously,
+// after the nudging statement releases the lifecycle lock.
+func awaitBackground(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: never happened", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSessionStatementsDriveScrubber: statements that only ever run
+// through a client Session must advance the background scrubber's
+// cadence like System.Exec does. (Regression: only System.ExecStmt
+// nudged, so a served system never scrubbed.)
+func TestSessionStatementsDriveScrubber(t *testing.T) {
+	sys := sessionOnlySystem(t, Config{ScrubInterval: time.Millisecond})
+	awaitBackground(t, "scrub pass after session statements",
+		func() bool { return sys.ScrubberStats().Passes >= 1 })
+}

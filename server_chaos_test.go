@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"eva/internal/faults"
-	"eva/internal/parser"
+	"eva/internal/simclock"
 	"eva/internal/testutil"
 )
 
@@ -58,32 +58,10 @@ func sessionInjector(seed uint64, k int, regime string) *faults.Injector {
 // canonical fault log.
 func runSessionDigest(t *testing.T, sess *Session, src string, inj *faults.Injector) string {
 	t.Helper()
-	stmts, err := parser.ParseAll(src)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var out strings.Builder
-	for i, stmt := range stmts {
-		res, err := sess.ExecStmt(stmt)
-		fmt.Fprintf(&out, "== statement %d ==\n", i+1)
-		if err != nil {
-			fmt.Fprintf(&out, "error: %v\n", err)
-			continue
-		}
-		if res.Rows != nil && len(res.Rows.Schema()) > 0 {
-			out.WriteString(Format(res.Rows))
-		}
-		writeReportDigest(&out, res.Report)
-		fmt.Fprintf(&out, "simtime: %d\n", res.SimTime)
-		writeBreakdownDigest(&out, res.Breakdown)
-	}
+	statementsDigest(t, &out, sess, src)
 	fmt.Fprintf(&out, "session simtime: %d\n", sess.SimulatedTime())
-	if inj != nil {
-		for _, ev := range inj.EventsSorted() {
-			fmt.Fprintf(&out, "fault %+v\n", ev)
-		}
-		fmt.Fprintf(&out, "injected: %d\n", inj.Injected())
-	}
+	writeFaultLog(&out, inj)
 	return out.String()
 }
 
@@ -306,49 +284,110 @@ func TestAdmissionOverloadTyped(t *testing.T) {
 // TestAdmissionQueueTimeoutTyped: a queued query whose virtual-clock
 // wait budget elapses before a token frees is shed with the typed
 // ErrQueueTimeout when the running query completes and advances the
-// admission clock past its deadline.
+// admission clock past its deadline. The holder releases its grant
+// with its simulated cost whatever kind of statement it is — an
+// EXPLAIN ANALYZE executes in the session too. (Regression: a
+// session's EXPLAIN ANALYZE released with cost 0.)
 func TestAdmissionQueueTimeoutTyped(t *testing.T) {
-	sys, err := Open(Config{
-		Dir: t.TempDir(), MaxConcurrent: 1,
-		AdmissionQueueDepth: 1, QueueTimeout: time.Nanosecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sys.Close() })
-	if err := sys.LoadVideo("video", "jackson"); err != nil {
-		t.Fatal(err)
-	}
-	started, release := blockingUDF(t, sys)
+	for _, holding := range []string{gateQuery, "EXPLAIN ANALYZE " + gateQuery} {
+		sys, err := Open(Config{
+			Dir: t.TempDir(), MaxConcurrent: 1,
+			AdmissionQueueDepth: 1, QueueTimeout: time.Nanosecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sys.Close() })
+		if err := sys.LoadVideo("video", "jackson"); err != nil {
+			t.Fatal(err)
+		}
+		started, release := blockingUDF(t, sys)
 
-	holder := make(chan error, 1)
-	go func() {
-		_, err := sys.NewSession().Exec(gateQuery)
-		holder <- err
-	}()
-	<-started
+		holder := make(chan error, 1)
+		go func() {
+			_, err := sys.NewSession().Exec(holding)
+			holder <- err
+		}()
+		<-started
 
-	queued := make(chan error, 1)
-	go func() {
-		_, err := sys.NewSession().Exec(`SELECT id FROM video WHERE id < 5`)
-		queued <- err
-	}()
-	// Release the token only after the second query is demonstrably
-	// queued; its 1ns virtual budget then expires on the holder's
-	// release, which charges the gated query's simulated cost.
-	for sys.AdmissionStats().Queued == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
+		queued := make(chan error, 1)
+		go func() {
+			_, err := sys.NewSession().Exec(`SELECT id FROM video WHERE id < 5`)
+			queued <- err
+		}()
+		// Release the token only after the second query is demonstrably
+		// queued; its 1ns virtual budget then expires on the holder's
+		// release, which charges the gated query's simulated cost.
+		for sys.AdmissionStats().Queued == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		close(release)
 
-	if err := <-holder; err != nil {
-		t.Fatalf("gated query: %v", err)
+		if err := <-holder; err != nil {
+			t.Fatalf("gated query: %v", err)
+		}
+		if err := <-queued; !errors.Is(err, ErrQueueTimeout) {
+			t.Errorf("holder %.15q: queued exec error = %v, want ErrQueueTimeout", holding, err)
+		}
+		if st := sys.AdmissionStats(); st.ShedTimeout != 1 {
+			t.Errorf("holder %.15q: stats = %+v, want 1 timeout shed", holding, st)
+		}
 	}
-	if err := <-queued; !errors.Is(err, ErrQueueTimeout) {
-		t.Errorf("queued exec error = %v, want ErrQueueTimeout", err)
+}
+
+// TestSessionExplainAnalyze: EXPLAIN ANALYZE executes in the session
+// that issued it, like the SELECT it wraps — charged to the session's
+// clock (and folded into the System's exactly once), evaluated through
+// the session's domain, faulted by the session's schedule and no one
+// else's. (Regression: it fell through to the System's handler, which
+// reported SimTime 0, charged the global clock directly and drew from
+// the engine-wide injector.)
+func TestSessionExplainAnalyze(t *testing.T) {
+	sys := openSystem(t, ModeEVA)
+	sysInj := faults.New(7)
+	sysInj.Rule(faults.SiteUDFAny, faults.Rule{Kind: faults.Transient, Prob: 1})
+	sys.InjectFaults(sysInj)
+	const q = `EXPLAIN ANALYZE SELECT id, label FROM video
+		CROSS APPLY FasterRCNNResnet50(frame) WHERE id < 60`
+
+	quiet, flaky := sys.NewSession(), sys.NewSession()
+	flakyInj := faults.New(11)
+	flakyInj.Rule(faults.SiteUDFAny, faults.Rule{Kind: faults.Transient, Prob: 0.3})
+	flaky.InjectFaults(flakyInj)
+	for _, c := range []struct {
+		name  string
+		sess  *Session
+		retry bool
+	}{{"quiet", quiet, false}, {"flaky", flaky, true}} {
+		if err := sys.DropViews(); err != nil {
+			t.Fatal(err)
+		}
+		sessBefore, sysBefore := c.sess.SimulatedTime(), sys.SimulatedTime()
+		res, err := c.sess.Exec(q)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !strings.Contains(res.PlanText, "rows=") {
+			t.Errorf("%s: no per-operator statistics in %q", c.name, res.PlanText)
+		}
+		if res.SimTime <= 0 {
+			t.Errorf("%s: SimTime = %v", c.name, res.SimTime)
+		}
+		if got := c.sess.SimulatedTime() - sessBefore; got != res.SimTime {
+			t.Errorf("%s: session clock grew %v, SimTime %v", c.name, got, res.SimTime)
+		}
+		if got := sys.SimulatedTime() - sysBefore; got != res.SimTime {
+			t.Errorf("%s: system clock grew %v, SimTime %v", c.name, got, res.SimTime)
+		}
+		if got := res.Breakdown[simclock.CatRetry] > 0; got != c.retry {
+			t.Errorf("%s: retry time %v, want >0 = %v", c.name, res.Breakdown[simclock.CatRetry], c.retry)
+		}
 	}
-	if st := sys.AdmissionStats(); st.ShedTimeout != 1 {
-		t.Errorf("stats = %+v, want 1 timeout shed", st)
+	if n := sysInj.Injected(); n != 0 {
+		t.Errorf("system-level schedule injected %d faults into session statements", n)
+	}
+	if flakyInj.Injected() == 0 {
+		t.Error("session schedule injected nothing")
 	}
 }
 

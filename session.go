@@ -1,31 +1,43 @@
 package eva
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"time"
 
 	"eva/internal/core"
 	"eva/internal/faults"
+	"eva/internal/optimizer"
 	"eva/internal/parser"
 	"eva/internal/plan"
 	"eva/internal/server"
 	"eva/internal/simclock"
+	"eva/internal/types"
 	"eva/internal/udf"
 )
 
-// Session is one client's view of a shared System. Sessions run
-// concurrently against the same catalog, UDF runtime and materialized
-// views; each session carries its own virtual clock, its own circuit
-// breakers and fault schedule (a udf.Domain), and a fresh per-query
-// memory budget. Concurrent sessions share views safely: a key being
-// evaluated by one session is claimed, so another session needing it
-// waits and then reuses the materialized rows instead of recomputing
-// them.
+// Session is the one thing that executes a statement. It carries what
+// is private to one client of a shared System — a virtual clock, a
+// udf.Domain (circuit breakers, failure rates, UDF fault schedule) and
+// a fault injector for view writes and deadline checks — over the
+// catalog, UDF runtime and materialized views every session shares.
+// Each query gets a fresh memory budget, and all sessions pass the
+// System's admission controller.
 //
-// A Session is owned by one client goroutine; its methods serialize
-// against each other but not against other sessions. All sessions
-// pass the System's admission controller.
+// The System itself is a session, its root: the engine's own clock,
+// the runtime's default domain and the engine-wide injector, so
+// System.Exec is Session.Exec on it. Sessions opened with NewSession
+// run the executor's shared-view protocol: a key being evaluated by
+// one session is claimed, so another session needing it waits and then
+// reuses the materialized rows instead of recomputing them. The root
+// session runs without it (DESIGN.md §11 has the measurements): a root
+// statement overlapping a client's may evaluate a key both need twice,
+// which costs time but not correctness — view appends are idempotent
+// per key.
+//
+// A client Session is owned by one goroutine; sessions run concurrently
+// with one another.
 type Session struct {
 	sys    *System
 	clock  *simclock.Clock
@@ -75,29 +87,6 @@ func (sess *Session) Close() error {
 	return nil
 }
 
-// begin gates one statement: session must be open, system must be
-// open, and the admission controller must grant a token. On success
-// the caller holds the system's query read-lock and the grant.
-func (sess *Session) begin() (*server.Grant, error) {
-	sess.mu.Lock()
-	closed := sess.closed
-	sess.mu.Unlock()
-	if closed {
-		return nil, ErrClosed
-	}
-	sess.sys.qmu.RLock()
-	if sess.sys.closed {
-		sess.sys.qmu.RUnlock()
-		return nil, ErrClosed
-	}
-	g, err := sess.sys.ctl.Admit()
-	if err != nil {
-		sess.sys.qmu.RUnlock()
-		return nil, err
-	}
-	return g, nil
-}
-
 // Exec parses and executes one EVA-QL statement in this session.
 func (sess *Session) Exec(sql string) (*Result, error) {
 	stmt, err := parser.Parse(sql)
@@ -124,24 +113,51 @@ func (sess *Session) ExecScript(sql string) (*Result, error) {
 	return last, nil
 }
 
-// ExecStmt executes one parsed statement in this session: admission
-// first (ErrOverloaded / ErrQueueTimeout shed without executing),
-// then execution charged to the session clock, whose per-statement
-// total both feeds the admission clock and is folded into the
+// ExecStmt executes one parsed statement in this session. Both the
+// session and the system must be open; under admission control
+// (Config.MaxConcurrent) the statement first acquires a concurrency
+// token — possibly shedding with ErrOverloaded or ErrQueueTimeout
+// without executing. Execution is charged to the session clock, whose
+// per-statement total feeds the admission clock and is folded into the
 // System's global clock (sums commute, so the global totals are
 // schedule-independent).
 func (sess *Session) ExecStmt(stmt parser.Statement) (*Result, error) {
-	g, err := sess.begin()
+	sess.mu.Lock()
+	closed := sess.closed
+	sess.mu.Unlock()
+	if closed {
+		return nil, ErrClosed
+	}
+	s := sess.sys
+	s.qmu.RLock()
+	defer s.qmu.RUnlock()
+	if s.closed {
+		return nil, ErrClosed
+	}
+	g, err := s.ctl.Admit()
 	if err != nil {
 		return nil, err
 	}
-	defer sess.sys.qmu.RUnlock()
 	start := time.Now()
 	snap := sess.clock.Snapshot()
 	res, err := sess.dispatch(stmt)
 	bd := sess.clock.Since(snap)
 	g.Release(bd.Total())
-	sess.sys.mergeBreakdown(bd)
+	if sess.clock != s.clock() {
+		// The root session charges the global clock directly; merging
+		// its own breakdown back in would count every statement twice.
+		s.mergeBreakdown(bd)
+	}
+	// Virtual time just advanced; let the background loops check
+	// whether a pass is due (non-blocking — the pass itself waits for
+	// qmu, which this statement still holds for reading, so it can only
+	// start once in-flight statements drain).
+	if s.scrubber != nil {
+		s.scrubber.Nudge()
+	}
+	if s.evictor != nil {
+		s.evictor.Nudge()
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -154,14 +170,41 @@ func (sess *Session) ExecStmt(stmt parser.Statement) (*Result, error) {
 	return res, nil
 }
 
-// dispatch routes SELECTs through the session execution path; every
-// other statement kind acts on shared state and reuses the System's
-// handlers.
+// dispatch routes one parsed statement to its handler. Only SELECT and
+// EXPLAIN run in the session; every other kind acts on shared state.
 func (sess *Session) dispatch(stmt parser.Statement) (*Result, error) {
-	if st, ok := stmt.(*parser.SelectStmt); ok {
+	s := sess.sys
+	switch st := stmt.(type) {
+	case *parser.SelectStmt:
 		return sess.execSelect(st)
+	case *parser.LoadStmt:
+		return nil, s.LoadVideo(st.Table, st.Dataset)
+	case *parser.CreateUDFStmt:
+		return nil, s.createUDF(st)
+	case *parser.ShowStmt:
+		return s.execShow(st)
+	case *parser.ExplainStmt:
+		return sess.execExplain(st)
+	case *parser.DropViewsStmt:
+		return nil, s.DropViews()
+	default:
+		return nil, fmt.Errorf("eva: unsupported statement %T", stmt)
 	}
-	return sess.sys.dispatch(stmt)
+}
+
+// run sends one SELECT through the engine in this session — the only
+// entry into core.Engine.Execute. trace collects per-operator
+// statistics; mode.DryRun plans without executing. Every session but
+// the root runs the shared-view protocol.
+func (sess *Session) run(stmt *parser.SelectStmt, mode optimizer.Mode, trace bool) (*core.Outcome, error) {
+	return sess.sys.eng.Execute(stmt, mode, core.ExecOpts{
+		Clock:    sess.clock,
+		Domain:   sess.domain,
+		Faults:   sess.injector(),
+		Budget:   server.NewMemBudget(sess.sys.cfg.MemoryBudget),
+		Sessions: sess != sess.sys.root,
+		Trace:    trace,
+	})
 }
 
 func (sess *Session) execSelect(stmt *parser.SelectStmt) (*Result, error) {
@@ -169,24 +212,44 @@ func (sess *Session) execSelect(stmt *parser.SelectStmt) (*Result, error) {
 	mode := s.optimizerMode()
 	table := strings.ToLower(stmt.From)
 	if s.cfg.Mode == ModeHashStash {
+		// HashStash: the recycler graph sub-tree-matches the query's
+		// apply operator against previously materialized outputs; the
+		// coverage callback implements its all-or-nothing reuse rule.
 		mode.TableCovered = func(udfName string, lo, hi int64) bool {
 			return s.recCovered(recyclerKey(table, udfName), lo, hi)
 		}
 	}
-	out, err := s.eng.ExecuteWith(stmt, mode, core.ExecOpts{
-		Clock:    sess.clock,
-		Domain:   sess.domain,
-		Faults:   sess.injector(),
-		Budget:   server.NewMemBudget(s.cfg.MemoryBudget),
-		Sessions: true,
-	})
+	out, err := sess.run(stmt, mode, false)
 	if err != nil {
 		return nil, err
 	}
 	if s.cfg.Mode == ModeHashStash && out.Report.DetectorEval != "" {
+		// Register the freshly materialized operator output.
 		s.recAdd(recyclerKey(table, out.Report.DetectorEval), out.Report.ScanLo, out.Report.ScanHi)
 	}
 	return &Result{Rows: out.Rows, PlanText: plan.Explain(out.Plan), Report: out.Report}, nil
+}
+
+// execExplain optimizes without mutating reuse state; with ANALYZE it
+// also executes the plan (normally, with commits) and reports
+// per-operator statistics.
+func (sess *Session) execExplain(st *parser.ExplainStmt) (*Result, error) {
+	mode := sess.sys.optimizerMode()
+	mode.DryRun = !st.Analyze
+	out, err := sess.run(st.Select, mode, st.Analyze)
+	if err != nil {
+		return nil, err
+	}
+	text := plan.Explain(out.Plan)
+	if st.Analyze {
+		text = out.Trace.String()
+	}
+	sch := types.MustSchema(types.Column{Name: "plan", Kind: types.KindString})
+	rows := types.NewBatch(sch)
+	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
+		rows.MustAppendRow(types.NewString(line))
+	}
+	return &Result{Rows: rows, PlanText: text, Report: out.Report}, nil
 }
 
 // SimulatedTime returns the session clock's total.
