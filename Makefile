@@ -91,12 +91,15 @@ cover:
 	done
 
 # fuzz-smoke gives the property-based targets a short budget: the
-# Algorithm 1 reducer against its truth-table oracle, the fault
-# injector's site matcher against an independent reference, and the
-# batch-pool lifecycle against a non-pooled oracle (with poisoning on,
-# so use-after-Put aliasing trips immediately).
+# Algorithm 1 reducer against its truth-table oracle, the bound
+# column-at-a-time expression programs against the row-at-a-time
+# reference evaluator (rows, values, error and call sequence), the
+# fault injector's site matcher against an independent reference, and
+# the batch-pool lifecycle against a non-pooled oracle (with poisoning
+# on, so use-after-Put aliasing trips immediately).
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzReduce -fuzztime=5s ./internal/symbolic/
+	$(GO) test -run=^$$ -fuzz=FuzzProgramMatchesEval -fuzztime=5s ./internal/expr/
 	$(GO) test -run=^$$ -fuzz=FuzzSiteMatch -fuzztime=5s ./internal/faults/
 	$(GO) test -run=^$$ -fuzz=FuzzBatchPoolLifecycle -fuzztime=5s ./internal/types/
 

@@ -70,7 +70,14 @@ type UDF struct {
 	// Expensive marks the UDF as a materialization candidate; the
 	// optimizer profiles cost against a threshold (§3.1 step ①).
 	Expensive bool
+
+	key string // Name lower-cased; fixed by RegisterUDF
 }
+
+// Key returns the UDF's canonical name — Name in lower case, the form
+// every per-UDF table (counters, breakers, fault sites) is keyed by —
+// fixed at registration so the evaluation path never folds case.
+func (u *UDF) Key() string { return u.key }
 
 // OutputColumn returns the single output column name of a scalar UDF.
 func (u *UDF) OutputColumn() string {
@@ -149,17 +156,23 @@ func (c *Catalog) RegisterUDF(u *UDF) error {
 	if u.Name == "" {
 		return fmt.Errorf("catalog: UDF with empty name")
 	}
+	u.key = strings.ToLower(u.Name)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.udfs[strings.ToLower(u.Name)] = u
+	c.udfs[u.key] = u
 	return nil
 }
 
-// UDF returns the named UDF definition.
+// UDF returns the named UDF definition. A canonical name (UDF.Key,
+// which is what bound expressions and the apply operator pass on every
+// evaluated row) is found as it is; any other spelling is folded.
 func (c *Catalog) UDF(name string) (*UDF, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	u, ok := c.udfs[strings.ToLower(name)]
+	u, ok := c.udfs[name]
+	if !ok {
+		u, ok = c.udfs[strings.ToLower(name)]
+	}
 	if !ok {
 		return nil, fmt.Errorf("catalog: unknown UDF %q", name)
 	}

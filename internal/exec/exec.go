@@ -180,7 +180,8 @@ func buildNode(ctx *Context, n plan.Node) (iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &filterIter{ctx: ctx, in: ctx.maybeStage(in), node: node}, nil
+		return &filterIter{ctx: ctx, in: ctx.maybeStage(in), node: node,
+			pred: expr.Bind(node.Pred, node.Input.Schema(), nil)}, nil
 	case *plan.ReuseApply:
 		in, err := build(ctx, node.Input)
 		if err != nil {
@@ -192,7 +193,7 @@ func buildNode(ctx *Context, n plan.Node) (iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &projectIter{ctx: ctx, in: in, node: node}, nil
+		return newProjectIter(ctx, node, in), nil
 	case *plan.GroupBy:
 		in, err := build(ctx, node.Input)
 		if err != nil {
@@ -218,38 +219,29 @@ func buildNode(ctx *Context, n plan.Node) (iterator, error) {
 	}
 }
 
-// rowResolver adapts one batch row to expr.Resolver, routing scalar
-// function calls through the UDF runtime (only inexpensive builtins
-// should remain in expressions after optimization). Inside the apply
-// operator's eval phase (sink != nil) nested calls carry a derived
-// call identity and the batch's frozen breaker snapshot, so fault
-// decisions and breaker bookkeeping stay order-independent.
-type rowResolver struct {
-	ctx    *Context
-	schema types.Schema
-	batch  *types.Batch
-	row    int
-
-	id   uint64              // row's call identity (eval phase only)
-	sub  uint64              // nested-call counter within the row
-	sink *udf.OutcomeSink    // non-nil only in the eval phase
-	hs   *udf.HealthSnapshot // batch breaker snapshot (eval phase)
+// CallFn makes the Context the expr.Caller of the filter, project and
+// group-by programs: a scalar function left in an expression (only
+// inexpensive builtins should remain after optimization) evaluates
+// through the session's UDF domain.
+func (c *Context) CallFn(fn string, args []types.Datum) (types.Datum, error) {
+	return c.Domain.EvalScalar(fn, args)
 }
 
-func (r *rowResolver) Resolve(name string) (types.Datum, bool) {
-	i := r.schema.IndexOf(name)
-	if i < 0 {
-		return types.Null, false
-	}
-	return r.batch.At(r.row, i), true
+// rowCaller is the expr.Caller of the apply operator's eval phase:
+// calls nested in a UDF argument carry an identity derived from the
+// row's and the batch's frozen breaker snapshot, so fault decisions
+// and breaker bookkeeping stay order-independent.
+type rowCaller struct {
+	ctx  *Context
+	id   uint64 // row's call identity
+	sub  uint64 // nested-call counter within the row
+	sink *udf.OutcomeSink
+	hs   *udf.HealthSnapshot // batch breaker snapshot
 }
 
-func (r *rowResolver) CallFn(fn string, args []types.Datum) (types.Datum, error) {
-	if r.sink != nil {
-		r.sub++
-		return r.ctx.Domain.EvalScalarAt(fn, args, subCallID(r.id, r.sub), r.hs, r.sink)
-	}
-	return r.ctx.Domain.EvalScalar(fn, args)
+func (r *rowCaller) CallFn(fn string, args []types.Datum) (types.Datum, error) {
+	r.sub++
+	return r.ctx.Domain.EvalScalarAt(fn, args, subCallID(r.id, r.sub), r.hs, r.sink)
 }
 
 // subCallID derives the identity of the k-th nested scalar call made
@@ -346,20 +338,13 @@ type filterIter struct {
 	ctx  *Context
 	in   iterator
 	node *plan.Filter
-
-	// Reused per-batch scratch: the keep bitmap and the row resolver
-	// live across batches so the steady-state loop stays off the heap.
-	keep []bool
-	res  rowResolver
+	pred *expr.Program // node.Pred bound to the input schema
 }
 
-// next evaluates the predicate over one batch. The per-row loop is
-// allocation-gated: the keep bitmap and resolver are reused across
-// batches, and each row only evaluates the predicate against them. A
-// pool-owned input is compacted in place and forwarded (ownership
-// passes through); an unpooled one is filtered into a fresh batch as
-// before.
-// lint:hotpath filter row loop must not allocate per row
+// next evaluates the predicate over one batch, a column at a time, into
+// the selection of rows it holds on. A pool-owned input is compacted in
+// place and forwarded (ownership passes through); an unpooled one may
+// be shared, so its kept rows are gathered into a fresh batch.
 func (f *filterIter) next() (*types.Batch, error) {
 	for {
 		b, err := f.in.next()
@@ -367,30 +352,24 @@ func (f *filterIter) next() (*types.Batch, error) {
 			return nil, err
 		}
 		f.ctx.Clock.ChargePerTuple(simclock.CatOther, costs.RowCost, b.Len())
-		if cap(f.keep) < b.Len() {
-			f.keep = make([]bool, b.Len())
+		sel, err := f.pred.Filter(b, f.ctx)
+		if err != nil {
+			return nil, fmt.Errorf("exec: filter %q: %w", f.node.Pred, err)
 		}
-		keep := f.keep[:b.Len()]
-		f.res = rowResolver{ctx: f.ctx, schema: b.Schema(), batch: b}
-		any := false
-		for r := 0; r < b.Len(); r++ {
-			f.res.row = r
-			ok, err := expr.EvalBool(f.node.Pred, &f.res)
-			if err != nil {
-				return nil, fmt.Errorf("exec: filter %q: %w", f.node.Pred, err)
-			}
-			keep[r] = ok
-			any = any || ok
-		}
-		if !any {
+		if len(sel) == 0 {
 			f.ctx.putBatch(b)
 			continue
 		}
 		if b.Pooled() {
-			b.FilterInPlace(keep)
+			b.CompactSel(sel)
 			return b, nil
 		}
-		return b.Filter(keep), nil
+		out := f.ctx.getBatch(b.Schema())
+		if err := out.AppendGather(b, sel, nil, nil); err != nil {
+			f.ctx.putBatch(out)
+			return nil, fmt.Errorf("exec: filter %q: %w", f.node.Pred, err)
+		}
+		return out, nil
 	}
 }
 
@@ -453,13 +432,16 @@ type applyIter struct {
 	rowBuf    []types.Datum // view-staging row
 }
 
-// evalScratch is one worker's private evaluation state: the row
-// resolver handed to expression evaluation and the argument buffer.
-// runParallel pins each goroutine to one slot, so no locking is needed
-// and the steady-state eval loop allocates nothing.
+// evalScratch is one worker's private evaluation state: the argument
+// expressions bound to the input schema (a program owns scratch, so
+// workers cannot share one), the caller nested calls go through and
+// the argument buffer. runParallel pins each goroutine to one slot, so
+// no locking is needed and the steady-state eval loop allocates
+// nothing.
 type evalScratch struct {
-	res  rowResolver
-	args []types.Datum
+	progs []*expr.Program
+	call  rowCaller
+	args  []types.Datum
 }
 
 func newApplyIter(ctx *Context, node *plan.ReuseApply, in iterator) (*applyIter, error) {
@@ -818,10 +800,18 @@ func (a *applyIter) evalPhase(b *types.Batch, decisions []rowDecision) {
 		return
 	}
 	workers := a.ctx.workers()
-	if cap(a.scratch) < workers {
+	if len(a.scratch) < workers {
 		a.scratch = make([]evalScratch, workers)
+		inSchema := a.node.Input.Schema()
+		for w := range a.scratch {
+			sc := &a.scratch[w]
+			sc.args = make([]types.Datum, len(a.node.Args))
+			for _, argE := range a.node.Args {
+				sc.progs = append(sc.progs, expr.Bind(argE, inSchema, nil))
+			}
+		}
 	}
-	scratch := a.scratch[:workers]
+	scratch := a.scratch
 	hs := a.ctx.Domain.HealthSnapshot()
 	runParallel(workers, len(evalRows), func(w, i int) {
 		r := evalRows[i]
@@ -832,20 +822,19 @@ func (a *applyIter) evalPhase(b *types.Batch, decisions []rowDecision) {
 // evalRow evaluates the UDF for one input row, writing the result (a
 // scalar datum, or a batch of detector rows in a.node.Out's schema)
 // into the decision. Called concurrently for distinct rows; sc is the
-// calling worker's private scratch, so the argument loop reuses the
-// resolver and the argument buffer instead of allocating per row.
+// calling worker's private scratch, so the argument loop reuses its
+// bound programs and argument buffer instead of allocating per row.
+// Arguments stay row-at-a-time — this loop runs inside the parallel
+// eval phase and nested calls carry the row's identity — but through
+// the bound programs: ordinals, no name lookup.
 // lint:hotpath apply argument loop must not allocate per argument
 func (a *applyIter) evalRow(b *types.Batch, r int, d *rowDecision, hs *udf.HealthSnapshot, sc *evalScratch) {
-	sc.res = rowResolver{ctx: a.ctx, schema: b.Schema(), batch: b, row: r,
-		id: d.id, sink: d.sink, hs: hs}
-	if cap(sc.args) < len(a.node.Args) {
-		sc.args = make([]types.Datum, len(a.node.Args))
-	}
-	args := sc.args[:len(a.node.Args)]
-	for i, argE := range a.node.Args {
-		v, err := expr.Eval(argE, &sc.res)
+	sc.call = rowCaller{ctx: a.ctx, id: d.id, sink: d.sink, hs: hs}
+	args := sc.args
+	for i, prog := range sc.progs {
+		v, err := prog.EvalRow(b, r, &sc.call)
 		if err != nil {
-			d.err = fmt.Errorf("exec: apply arg %q: %w", argE, err)
+			d.err = fmt.Errorf("exec: apply arg %q: %w", a.node.Args[i], err)
 			return
 		}
 		args[i] = v
@@ -1044,15 +1033,36 @@ type projectIter struct {
 	in   iterator
 	node *plan.Project
 
-	// Reused per-batch scratch (see filterIter).
-	row []types.Datum
-	res rowResolver
+	items []*expr.Program // node.Items bound to the input schema
+	// rowMajor: some item calls a function, so the items are evaluated
+	// row by row and the invocations keep the row path's order — item
+	// after item within a row, row after row.
+	rowMajor bool
+	cols     [][]types.Datum // per batch: the output columns
+	row      []types.Datum   // rowMajor: the output row
+}
+
+func newProjectIter(ctx *Context, node *plan.Project, in iterator) *projectIter {
+	p := &projectIter{ctx: ctx, in: in, node: node,
+		items: make([]*expr.Program, len(node.Items)),
+		cols:  make([][]types.Datum, len(node.Items))}
+	inSchema := node.Input.Schema()
+	for i, it := range node.Items {
+		p.items[i] = expr.Bind(it.E, inSchema, nil)
+		p.rowMajor = p.rowMajor || p.items[i].HasCalls()
+	}
+	if p.rowMajor {
+		p.row = make([]types.Datum, len(node.Items))
+	}
+	return p
 }
 
 // next projects one batch into a pooled output batch, recycling the
-// input once its values have been copied. The scratch row and resolver
-// are reused across batches; the row loop only writes into them.
-// lint:hotpath project row loop must not allocate per row
+// input once its values have been copied. Each item is evaluated over
+// the whole batch — a bare column reference is the input column itself
+// — and the output is appended a column at a time. The error reported
+// is that of the first failing row, and within it of the first failing
+// item: an item that fails bounds the rows the items after it see.
 func (p *projectIter) next() (*types.Batch, error) {
 	b, err := p.in.next()
 	if err != nil || b == nil {
@@ -1060,25 +1070,47 @@ func (p *projectIter) next() (*types.Batch, error) {
 	}
 	p.ctx.Clock.ChargePerTuple(simclock.CatOther, costs.RowCost, b.Len())
 	out := p.ctx.getBatch(p.node.Schema())
-	if cap(p.row) < len(p.node.Items) {
-		p.row = make([]types.Datum, len(p.node.Items))
-	}
-	row := p.row[:len(p.node.Items)]
-	p.res = rowResolver{ctx: p.ctx, schema: b.Schema(), batch: b}
-	for r := 0; r < b.Len(); r++ {
-		p.res.row = r
-		for i, it := range p.node.Items {
-			v, err := expr.Eval(it.E, &p.res)
-			if err != nil {
-				p.ctx.putBatch(out)
-				return nil, fmt.Errorf("exec: project %q: %w", it.E, err)
+	if p.rowMajor {
+		err = p.projectRows(b, out)
+	} else {
+		rows := b.Len()
+		for i, item := range p.items {
+			vals, failed, ierr := item.Eval(b, rows, p.ctx)
+			if ierr != nil {
+				err = fmt.Errorf("exec: project %q: %w", p.node.Items[i].E, ierr)
+				rows = failed
 			}
-			row[i] = v
+			p.cols[i] = vals
 		}
-		out.MustAppendRow(row...)
+		if err == nil {
+			if err = out.AppendColumns(p.cols, rows); err != nil {
+				err = fmt.Errorf("exec: project: %w", err)
+			}
+		}
+	}
+	if err != nil {
+		p.ctx.putBatch(out)
+		return nil, err
 	}
 	p.ctx.putBatch(b)
 	return out, nil
+}
+
+// projectRows is the row-major projection (see rowMajor).
+func (p *projectIter) projectRows(b, out *types.Batch) error {
+	for r := 0; r < b.Len(); r++ {
+		for i, item := range p.items {
+			v, err := item.EvalRow(b, r, p.ctx)
+			if err != nil {
+				return fmt.Errorf("exec: project %q: %w", p.node.Items[i].E, err)
+			}
+			p.row[i] = v
+		}
+		if err := out.AppendRow(p.row...); err != nil {
+			return fmt.Errorf("exec: project: %w", err)
+		}
+	}
+	return nil
 }
 
 // --- GroupBy ---
@@ -1089,10 +1121,9 @@ type groupIter struct {
 	node *plan.GroupBy
 	done bool
 
-	// Reused scratch: probe key, encoded-key buffer, resolver.
+	// Reused scratch: probe key, encoded-key buffer.
 	key   []types.Datum
 	ekBuf []byte
-	res   rowResolver
 }
 
 type aggState struct {
@@ -1118,6 +1149,21 @@ func (g *groupIter) next() (*types.Batch, error) {
 		}
 	}
 
+	// Aggregate arguments are bound once. They are evaluated a row at a
+	// time, aggregate after aggregate within the row, so calls in them
+	// keep the row path's order.
+	args := make([]*expr.Program, len(g.node.Aggs))
+	for i, agg := range g.node.Aggs {
+		if agg.Arg == nil {
+			continue
+		}
+		args[i] = expr.Bind(agg.Arg, inSchema, nil)
+		kind := agg.InputKind(inSchema)
+		if (agg.Kind == plan.AggSum || agg.Kind == plan.AggAvg) && kind != types.KindNull && !kind.Numeric() {
+			return nil, fmt.Errorf("exec: %s(%s): argument is %s, want a numeric kind", agg.Kind, agg.Arg, kind)
+		}
+	}
+
 	groups := map[string]*aggState{}
 	var order []string
 	if cap(g.key) < len(keyIdx) {
@@ -1133,8 +1179,6 @@ func (g *groupIter) next() (*types.Batch, error) {
 			break
 		}
 		g.ctx.Clock.ChargePerTuple(simclock.CatOther, costs.RowCost, b.Len())
-		g.res = rowResolver{ctx: g.ctx, schema: b.Schema(), batch: b}
-		res := &g.res
 		for r := 0; r < b.Len(); r++ {
 			for i, idx := range keyIdx {
 				key[i] = b.At(r, idx)
@@ -1155,11 +1199,10 @@ func (g *groupIter) next() (*types.Batch, error) {
 				groups[ek] = st
 				order = append(order, ek)
 			}
-			res.row = r
 			for i, agg := range g.node.Aggs {
 				var v types.Datum
 				if agg.Arg != nil {
-					v, err = expr.Eval(agg.Arg, res)
+					v, err = args[i].EvalRow(b, r, g.ctx)
 					if err != nil {
 						return nil, fmt.Errorf("exec: aggregate arg %q: %w", agg.Arg, err)
 					}
@@ -1221,7 +1264,10 @@ func (g *groupIter) next() (*types.Batch, error) {
 				row = append(row, st.max[i])
 			}
 		}
-		out.MustAppendRow(row...)
+		if err := out.AppendRow(row...); err != nil {
+			g.ctx.putBatch(out)
+			return nil, fmt.Errorf("exec: group by: %w", err)
+		}
 	}
 	return out, nil
 }

@@ -102,11 +102,11 @@ func (s *sortIter) next() (*types.Batch, error) {
 	}
 
 	out := s.ctx.getBatch(s.node.Schema())
-	var row []types.Datum
-	for _, r := range order {
-		row = all.AppendRowTo(row[:0], r)
-		out.MustAppendRow(row...)
-	}
+	err := out.AppendGather(all, order, nil, nil)
 	s.ctx.putBatch(all)
+	if err != nil {
+		s.ctx.putBatch(out)
+		return nil, fmt.Errorf("exec: sort: %w", err)
+	}
 	return out, nil
 }

@@ -8,3 +8,19 @@ func Explode(op int) int {
 	}
 	return op
 }
+
+// MustParse is a panic wrapper: fine to declare, not to call from the
+// query path.
+func MustParse(op int) int { return Explode(op) }
+
+type table struct{}
+
+func (table) MustAppend(op int) {}
+
+// Build calls both wrapper shapes where a statement's data decides
+// whether they panic.
+func Build(op int) int {
+	var t table
+	t.MustAppend(op)     // want "MustAppend panics on error"
+	return MustParse(op) // want "MustParse panics on error"
+}

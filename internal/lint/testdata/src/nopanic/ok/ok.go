@@ -22,3 +22,13 @@ func MustPositive(op int) int {
 	}
 	return op
 }
+
+// Static calls the wrapper on a value fixed in the source, and says
+// so; Mustard only shares a prefix with the convention.
+func Static() int {
+	// lint:invariant the argument is a positive literal
+	return MustPositive(3) + Mustard()
+}
+
+// Mustard is not a Must* wrapper.
+func Mustard() int { return 1 }

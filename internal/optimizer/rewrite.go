@@ -249,12 +249,8 @@ func (o *Optimizer) applyDetector(node plan.Node, apply *parser.ApplyClause, gat
 // substituting computed UDF outputs for their call expressions.
 func (o *Optimizer) buildOutput(node plan.Node, stmt *parser.SelectStmt, calls []*scalarCall) (plan.Node, error) {
 	computed := map[string]string{} // canonical call -> output column
-	kinds := map[string]types.Kind{}
 	for _, sc := range calls {
 		computed[sc.call.String()] = sc.def.OutputColumn()
-		if len(sc.def.Outputs) > 0 {
-			kinds[sc.call.String()] = sc.def.Outputs[0].Kind
-		}
 	}
 	rewrite := func(e expr.Expr) expr.Expr {
 		return expr.Rewrite(e, func(n expr.Expr) expr.Expr {
@@ -299,7 +295,11 @@ func (o *Optimizer) buildOutput(node plan.Node, stmt *parser.SelectStmt, calls [
 				if name == "" {
 					name = fmt.Sprintf("%s_%d", strings.ToLower(c.Fn), i)
 				}
-				aggs = append(aggs, plan.Agg{Kind: kind, Arg: arg, Name: name})
+				agg := plan.Agg{Kind: kind, Arg: arg, Name: name}
+				if arg != nil {
+					agg.ArgKind = expr.KindOf(arg, node.Schema(), o.scalarKind)
+				}
+				aggs = append(aggs, agg)
 				outItems = append(outItems, plan.ProjItem{Name: name, E: expr.NewColumn(name)})
 				continue
 			}
@@ -342,13 +342,22 @@ func (o *Optimizer) buildOutput(node plan.Node, stmt *parser.SelectStmt, calls [
 				name = fmt.Sprintf("col_%d", i)
 			}
 		}
-		kind := types.KindNull
-		if k, ok := kinds[it.Expr.String()]; ok {
-			kind = k
-		}
-		items = append(items, plan.ProjItem{Name: name, E: e, Kind: kind})
+		// A rewritten call is by now a column of its apply's output; a
+		// call left in place (an inexpensive UDF) has the kind its
+		// definition declares.
+		items = append(items, plan.ProjItem{Name: name, E: e, Kind: expr.KindOf(e, node.Schema(), o.scalarKind)})
 	}
 	return &plan.Project{Input: node, Items: items}, nil
+}
+
+// scalarKind is the optimizer's expr.FuncKinds: the output kind a
+// scalar UDF's definition declares.
+func (o *Optimizer) scalarKind(fn string) types.Kind {
+	u, err := o.Cat.UDF(fn)
+	if err != nil || u.Kind != catalog.KindScalarUDF || len(u.Outputs) == 0 {
+		return types.KindNull
+	}
+	return u.Outputs[0].Kind
 }
 
 func aggKind(fn string) (plan.AggKind, error) {

@@ -131,8 +131,9 @@ func (a *ReuseApply) Describe() string {
 }
 
 // ProjItem is one projection output column. Kind may be set by the
-// optimizer when it knows the expression's type (e.g. a rewritten UDF
-// output); KindNull means "infer structurally".
+// optimizer when it knows the expression's type (it can see the
+// declared output kind of a called UDF); KindNull means "infer
+// structurally" (expr.Bind's inferred kind).
 type ProjItem struct {
 	Name string
 	E    expr.Expr
@@ -152,17 +153,15 @@ func (p *Project) Schema() types.Schema {
 		for _, it := range p.Items {
 			kind := it.Kind
 			if kind == types.KindNull {
+				kind = expr.KindOf(it.E, p.Input.Schema(), nil)
+			}
+			if kind == types.KindNull {
+				// Nothing declares the kind: a call is taken for TEXT
+				// (the optimizer refines it when it knows the UDF),
+				// anything else for FLOAT.
 				kind = types.KindFloat
-				switch e := it.E.(type) {
-				case *expr.Column:
-					kind = p.Input.Schema().KindOf(e.Name)
-				case *expr.Const:
-					kind = e.Val.Kind()
-				case *expr.Cmp, *expr.Logic, *expr.Not, *expr.IsNull:
-					kind = types.KindBool
-				case *expr.Call:
-					kind = types.KindString // refined by the optimizer when known
-				default: // lint:nonexhaustive Arith and Star items keep the float default
+				if _, ok := it.E.(*expr.Call); ok {
+					kind = types.KindString
 				}
 			}
 			p.sch = append(p.sch, types.Column{Name: it.Name, Kind: kind})
@@ -212,11 +211,24 @@ func (k AggKind) String() string {
 	}
 }
 
-// Agg is one aggregate output.
+// Agg is one aggregate output. ArgKind may be set by the optimizer
+// when it knows the argument's type (it can see the declared output
+// kind of a called UDF); KindNull means "infer structurally".
 type Agg struct {
-	Kind AggKind
-	Arg  expr.Expr // nil for COUNT(*)
-	Name string
+	Kind    AggKind
+	Arg     expr.Expr // nil for COUNT(*)
+	Name    string
+	ArgKind types.Kind
+}
+
+// InputKind returns the declared kind of the aggregate's argument over
+// the input schema in: ArgKind when set, else what the expression's
+// structure declares; KindNull when neither does (and for COUNT(*)).
+func (a Agg) InputKind(in types.Schema) types.Kind {
+	if a.ArgKind != types.KindNull || a.Arg == nil {
+		return a.ArgKind
+	}
+	return expr.KindOf(a.Arg, in, nil)
 }
 
 // GroupBy groups rows by key columns and computes aggregates. With no
@@ -236,9 +248,16 @@ func (g *GroupBy) Schema() types.Schema {
 			g.sch = append(g.sch, types.Column{Name: k, Kind: in.KindOf(k)})
 		}
 		for _, a := range g.Aggs {
-			kind := types.KindFloat
-			if a.Kind == AggCount {
+			kind := types.KindFloat // SUM and AVG
+			switch a.Kind {
+			case AggCount:
 				kind = types.KindInt
+			case AggMin, AggMax:
+				// MIN and MAX return one of their argument's values.
+				if k := a.InputKind(in); k != types.KindNull {
+					kind = k
+				}
+			case AggSum, AggAvg:
 			}
 			g.sch = append(g.sch, types.Column{Name: a.Name, Kind: kind})
 		}

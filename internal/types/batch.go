@@ -56,7 +56,7 @@ func (b *Batch) AppendRow(row ...Datum) error {
 		return fmt.Errorf("types: append row of width %d to batch of width %d", len(row), len(b.schema))
 	}
 	for i, d := range row {
-		if !d.IsNull() && b.schema[i].Kind != d.Kind() && !(b.schema[i].Kind.Numeric() && d.Kind().Numeric()) {
+		if !b.schema[i].Kind.accepts(d.kind) {
 			return fmt.Errorf("types: column %q expects %s, got %s", b.schema[i].Name, b.schema[i].Kind, d.Kind())
 		}
 		b.cols[i] = append(b.cols[i], d)
@@ -137,26 +137,46 @@ func (b *Batch) AppendRange(other *Batch, lo, hi int) error {
 	return nil
 }
 
-// FilterInPlace compacts the batch to the rows where keep[i] is true,
-// reusing the column storage — the pooled-lifecycle counterpart of
-// Filter. The caller must own the batch exclusively.
-func (b *Batch) FilterInPlace(keep []bool) {
-	w := 0
-	for r := 0; r < b.n; r++ {
-		if !keep[r] {
-			continue
-		}
-		if w != r {
-			for c := range b.cols {
-				b.cols[c][w] = b.cols[c][r]
+// AppendColumns appends n rows given a column at a time: cols[c][:n]
+// holds the values of column c — the output shape of a projection.
+// Rows equal what AppendRow would store for the same datums, and kinds
+// are checked under its rule. On error b is unchanged.
+// lint:hotpath column kind-check loop must not allocate per row
+func (b *Batch) AppendColumns(cols [][]Datum, n int) error {
+	if len(cols) != len(b.cols) {
+		return fmt.Errorf("types: append %d columns to batch of width %d", len(cols), len(b.cols))
+	}
+	for c, col := range cols {
+		want := b.schema[c].Kind
+		for i := range col[:n] {
+			if !want.accepts(col[i].kind) {
+				return fmt.Errorf("types: column %q expects %s, got %s", b.schema[c].Name, want, col[i].kind)
 			}
 		}
-		w++
 	}
-	for c := range b.cols {
-		b.cols[c] = b.cols[c][:w]
+	for c, col := range cols {
+		b.cols[c] = append(b.cols[c], col[:n]...) // lint:coldalloc one append per column, not per row
 	}
-	b.n = w
+	b.n += n
+	return nil
+}
+
+// CompactSel compacts the batch to the rows listed in sel — ascending
+// row indexes, as an expression program's Filter returns them — reusing
+// the column storage. It moves a column at a time, so each pass walks
+// one backing slice. The caller must own the batch exclusively.
+// lint:hotpath compaction copy loop must not allocate per row
+func (b *Batch) CompactSel(sel []int) {
+	if len(sel) == b.n {
+		return // ascending and distinct, so every row is kept
+	}
+	for c, col := range b.cols {
+		for w, r := range sel {
+			col[w] = col[r]
+		}
+		b.cols[c] = col[:len(sel)]
+	}
+	b.n = len(sel)
 }
 
 // Truncate keeps only the first n rows, in place — the pooled-
@@ -248,7 +268,7 @@ func (b *Batch) gather(base int, left *Batch, leftRows []int, right []*Batch, ri
 func (b *Batch) gatherColumn(c, at int, src *Batch, sc int, rows []int) error {
 	want, have := b.schema[c].Kind, src.schema[sc].Kind
 	dst, col := b.cols[c][at:], src.cols[sc]
-	if want == have || (want.Numeric() && have.Numeric()) {
+	if want.accepts(have) {
 		for k, r := range rows {
 			dst[k] = col[r]
 		}
@@ -256,32 +276,12 @@ func (b *Batch) gatherColumn(c, at int, src *Batch, sc int, rows []int) error {
 	}
 	for k, r := range rows {
 		d := col[r]
-		if !d.IsNull() && want != d.Kind() && !(want.Numeric() && d.Kind().Numeric()) {
+		if !want.accepts(d.kind) {
 			return fmt.Errorf("types: column %q expects %s, got %s", b.schema[c].Name, want, d.Kind())
 		}
 		dst[k] = d
 	}
 	return nil
-}
-
-// Filter returns a new batch containing the rows where keep[i] is true.
-func (b *Batch) Filter(keep []bool) *Batch {
-	out := NewBatch(b.schema)
-	for c := range b.cols {
-		col := make([]Datum, 0, b.n)
-		for r, k := range keep {
-			if k {
-				col = append(col, b.cols[c][r])
-			}
-		}
-		out.cols[c] = col
-	}
-	for _, k := range keep {
-		if k {
-			out.n++
-		}
-	}
-	return out
 }
 
 // Project returns a new batch with only the named columns, sharing the

@@ -132,7 +132,10 @@ func TestBatchFilterProjectSlice(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		b.MustAppendRow(NewInt(int64(i)), NewString("car"), NewFloat(float64(i)/10))
 	}
-	f := b.Filter([]bool{true, false, true, false})
+	f := NewBatch(b.Schema())
+	if err := f.AppendGather(b, []int{0, 2}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
 	if f.Len() != 2 || f.At(1, 0).Int() != 2 {
 		t.Errorf("filter wrong: %v", f)
 	}
@@ -341,5 +344,47 @@ func TestAppendGatherKindMismatch(t *testing.T) {
 	wideOut := NewBatch(MustSchema(Column{"id", KindInt}, Column{"a", KindString}, Column{"b", KindString}))
 	if err := wideOut.AppendGather(left, []int{0}, []*Batch{right}, []int{0}); err == nil || wideOut.Len() != 0 {
 		t.Errorf("gather of 2 trailing columns from a 1-column batch: err=%v len=%d", err, wideOut.Len())
+	}
+}
+
+func TestAppendColumnsMatchesAppendRow(t *testing.T) {
+	src := NewBatch(testSchema(t))
+	for i := 0; i < 5; i++ {
+		src.MustAppendRow(NewInt(int64(i)), NewString("car"), NewFloat(float64(i)/10))
+	}
+	// id holds a float and area an int (the numeric mix), label a NULL.
+	src.MustAppendRow(NewFloat(5.5), Null, NewInt(1))
+	cols := [][]Datum{src.Col(0), src.Col(1), src.Col(2)}
+
+	got := NewBatch(testSchema(t))
+	got.MustAppendRow(NewInt(-1), NewString("bus"), NewFloat(0))
+	if err := got.AppendColumns(cols, 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.AppendColumns(cols, src.Len()); err != nil {
+		t.Fatal(err)
+	}
+	want := NewBatch(testSchema(t))
+	want.MustAppendRow(NewInt(-1), NewString("bus"), NewFloat(0))
+	for _, n := range []int{4, src.Len()} {
+		for r := 0; r < n; r++ {
+			want.MustAppendRow(src.Row(r)...)
+		}
+	}
+	if got.String() != want.String() || got.Len() != want.Len() {
+		t.Fatalf("AppendColumns:\n%v\nwant\n%v", got, want)
+	}
+
+	// A kind mismatch is AppendRow's error and leaves the batch as it was.
+	bad := [][]Datum{src.Col(0), src.Col(0), src.Col(2)}
+	rowErr := NewBatch(testSchema(t)).AppendRow(src.At(0, 0), src.At(0, 0), src.At(0, 2))
+	if err := got.AppendColumns(bad, 2); err == nil || rowErr == nil || err.Error() != rowErr.Error() {
+		t.Fatalf("kind mismatch: %v, AppendRow says %v", err, rowErr)
+	}
+	if got.Len() != want.Len() || len(got.Col(0)) != want.Len() {
+		t.Fatalf("failed AppendColumns changed the batch: %d rows", got.Len())
+	}
+	if err := got.AppendColumns(cols[:2], 1); err == nil {
+		t.Fatal("width mismatch should error")
 	}
 }

@@ -49,6 +49,13 @@ func (k Kind) String() string {
 // Numeric reports whether values of this kind order as numbers.
 func (k Kind) Numeric() bool { return k == KindInt || k == KindFloat }
 
+// accepts reports whether a column declared as kind k may hold a datum
+// of kind got — the rule every batch append checks: its own kind, any
+// numeric kind in a numeric column, and NULL anywhere.
+func (k Kind) accepts(got Kind) bool {
+	return got == k || got == KindNull || (k.Numeric() && got.Numeric())
+}
+
 // Datum is a single immutable scalar value. The zero value is NULL.
 //
 // Datum is a small value type (no pointers for the numeric kinds) so that
@@ -126,6 +133,24 @@ func (d Datum) Bytes() []byte {
 	d.mustBe(KindBytes)
 	return d.b
 }
+
+// NumericValue returns the value of a numeric datum as Compare orders
+// it — an INTEGER widened to float64 — and whether d is numeric. With
+// StringValue it is the kind guard of the expression kernels: one
+// kind-byte test per datum, through a pointer so the 64-byte value is
+// never copied.
+func (d *Datum) NumericValue() (float64, bool) {
+	switch d.kind {
+	case KindInt:
+		return float64(d.i), true
+	case KindFloat:
+		return d.f, true
+	}
+	return 0, false
+}
+
+// StringValue returns the value of a TEXT datum and whether d is one.
+func (d *Datum) StringValue() (string, bool) { return d.s, d.kind == KindString }
 
 func (d Datum) mustBe(k Kind) {
 	if d.kind != k {

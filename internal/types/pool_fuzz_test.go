@@ -6,7 +6,7 @@ import (
 )
 
 // FuzzBatchPoolLifecycle drives random interleavings of the pooled
-// batch lifecycle — Get, AppendRow, FilterInPlace, Truncate,
+// batch lifecycle — Get, AppendRow, CompactSel, Truncate,
 // AppendRange, Row extraction, Put — against a non-pooled oracle
 // batch. After every operation the pooled batch must match the oracle
 // exactly, and rows copied out of earlier generations must survive
@@ -64,14 +64,17 @@ func FuzzBatchPoolLifecycle(f *testing.F) {
 				cur.MustAppendRow(id, tag)
 				oracle.MustAppendRow(id, tag)
 				check("append")
-			case 1: // filter in place by a deterministic keep mask
+			case 1: // compact in place to a deterministic selection
 				keep := make([]bool, cur.Len())
+				var sel []int
 				for r := range keep {
-					keep[r] = (r+int(ops[i]))%3 != 0
+					if keep[r] = (r+int(ops[i]))%3 != 0; keep[r] {
+						sel = append(sel, r)
+					}
 				}
-				cur.FilterInPlace(keep)
-				oracle = oracle.Filter(keep)
-				check("filter")
+				cur.CompactSel(sel)
+				oracle = keptRows(oracle, keep)
+				check("compact")
 			case 2: // truncate
 				n := 0
 				if i+1 < len(ops) {
@@ -85,7 +88,7 @@ func FuzzBatchPoolLifecycle(f *testing.F) {
 				for r := 0; r < n && r < len(keep); r++ {
 					keep[r] = true
 				}
-				oracle = oracle.Filter(keep)
+				oracle = keptRows(oracle, keep)
 				check("truncate")
 			case 3: // Put + Get: a new generation over recycled storage
 				pool.Put(cur)
@@ -105,7 +108,7 @@ func FuzzBatchPoolLifecycle(f *testing.F) {
 					if err := cur.AppendRange(oracle, lo, hi); err != nil {
 						t.Fatalf("append range: %v", err)
 					}
-					next := oracle.Filter(allTrue(oracle.Len()))
+					next := keptRows(oracle, allTrue(oracle.Len()))
 					if err := next.AppendRange(oracle, lo, hi); err != nil {
 						t.Fatalf("oracle append range: %v", err)
 					}
@@ -124,6 +127,18 @@ func FuzzBatchPoolLifecycle(f *testing.F) {
 			}
 		}
 	})
+}
+
+// keptRows is the oracle's filter: a fresh, unpooled batch holding the
+// rows of b where keep is true, copied row by row.
+func keptRows(b *Batch, keep []bool) *Batch {
+	out := NewBatch(b.Schema())
+	for r, k := range keep {
+		if k {
+			out.MustAppendRow(b.Row(r)...)
+		}
+	}
+	return out
 }
 
 func allTrue(n int) []bool {

@@ -214,19 +214,27 @@ func TestPoolSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestFilterInPlace(t *testing.T) {
+func TestCompactSel(t *testing.T) {
 	b := NewBatch(poolSchema)
 	for i := 0; i < 6; i++ {
-		b.MustAppendRow(NewInt(int64(i)), NewString("x"))
+		b.MustAppendRow(NewInt(int64(i)), NewString(fmt.Sprint("x", i)))
 	}
-	b.FilterInPlace([]bool{true, false, true, false, false, true})
+	b.CompactSel([]int{0, 1, 2, 3, 4, 5}) // every row: a no-op
+	if b.Len() != 6 || b.At(5, 0).Int() != 5 {
+		t.Fatalf("full selection changed the batch: %v", b)
+	}
+	b.CompactSel([]int{0, 2, 5})
 	if b.Len() != 3 {
 		t.Fatalf("len = %d, want 3", b.Len())
 	}
 	for i, want := range []int64{0, 2, 5} {
-		if got := b.At(i, 0).Int(); got != want {
-			t.Fatalf("row %d = %d, want %d", i, got, want)
+		if got := b.At(i, 0).Int(); got != want || b.At(i, 1).Str() != fmt.Sprint("x", want) {
+			t.Fatalf("row %d = %d %s, want %d", i, got, b.At(i, 1), want)
 		}
+	}
+	b.CompactSel(nil)
+	if b.Len() != 0 || len(b.Col(1)) != 0 {
+		t.Fatalf("empty selection left %d rows", b.Len())
 	}
 }
 

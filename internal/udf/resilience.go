@@ -75,7 +75,7 @@ func (r *Runtime) maxAttempts() int {
 // open and its virtual-time cooldown has not elapsed. After the
 // cooldown one probe invocation is let through (half-open).
 func (d *Domain) breakerAllow(u *catalog.UDF) error {
-	key := strings.ToLower(u.Name)
+	key := u.Key()
 	cd := d.r.cooldown()
 	now := d.clock.Total()
 	d.mu.Lock()
@@ -124,7 +124,7 @@ func (d *Domain) HealthSnapshot() *HealthSnapshot {
 // become batch-granular under snapshots: every row of a batch sees the
 // state at the batch's start, at any worker count.
 func (h *HealthSnapshot) allow(u *catalog.UDF) error {
-	openedAt, open := h.open[strings.ToLower(u.Name)]
+	openedAt, open := h.open[u.Key()]
 	if !open || h.now-openedAt >= h.cooldown {
 		return nil // closed, or half-open probe
 	}
@@ -140,12 +140,12 @@ type OutcomeSink struct {
 }
 
 type sunkOutcome struct {
-	name string
-	ok   bool
+	key string // catalog.UDF.Key of the model
+	ok  bool
 }
 
-func (s *OutcomeSink) record(name string, ok bool) {
-	s.outcomes = append(s.outcomes, sunkOutcome{name: name, ok: ok})
+func (s *OutcomeSink) record(key string, ok bool) {
+	s.outcomes = append(s.outcomes, sunkOutcome{key: key, ok: ok})
 }
 
 // Reset clears the sink for reuse, keeping its capacity — executors
@@ -164,7 +164,7 @@ func (d *Domain) CommitOutcomes(sink *OutcomeSink) {
 		return
 	}
 	for _, o := range sink.outcomes {
-		d.noteOutcome(o.name, o.ok)
+		d.noteOutcome(o.key, o.ok)
 	}
 	// Keep the capacity: committed sinks are recycled by the executor.
 	sink.outcomes = sink.outcomes[:0]
@@ -185,9 +185,9 @@ func (r *Runtime) thresholdLocked() int {
 }
 
 // noteOutcome records an invocation-level success or failure for the
-// domain's breaker: consecutive failures trip it, any success closes it.
-func (d *Domain) noteOutcome(name string, ok bool) {
-	key := strings.ToLower(name)
+// domain's breaker of the model with this catalog.UDF.Key: consecutive
+// failures trip it, any success closes it.
+func (d *Domain) noteOutcome(key string, ok bool) {
 	threshold := d.r.threshold()
 	now := d.clock.Total()
 	d.mu.Lock()
@@ -210,9 +210,9 @@ func (d *Domain) noteOutcome(name string, ok bool) {
 }
 
 // noteAttempt records one invocation attempt (and whether it failed
-// transiently) in the domain's failure-rate observations.
-func (d *Domain) noteAttempt(name string, transientFailure bool) {
-	key := strings.ToLower(name)
+// transiently) in the domain's failure-rate observations, by
+// catalog.UDF.Key.
+func (d *Domain) noteAttempt(key string, transientFailure bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.attempts[key]++
@@ -256,20 +256,19 @@ func (d *Domain) FailureRate(name string) float64 {
 	return float64(d.transient[key]) / float64(d.attempts[key])
 }
 
-func (r *Runtime) countFailed(name string, isTransient bool) {
+func (r *Runtime) countFailed(key string, isTransient bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	key := strings.ToLower(name)
 	r.failed[key]++
 	if isTransient {
 		r.transient[key]++
 	}
 }
 
-func (r *Runtime) countRetry(name string) {
+func (r *Runtime) countRetry(key string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.retried[strings.ToLower(name)]++
+	r.retried[key]++
 }
 
 // EvalIdentity derives a call identity for fault injection from the
@@ -307,34 +306,42 @@ func (d *Domain) evalResilient(u *catalog.UDF, id uint64, hs *HealthSnapshot, si
 	} else if err := d.breakerAllow(u); err != nil {
 		return err
 	}
+	// Every per-model table below is keyed by u.Key(), fixed when the
+	// UDF was registered: this path runs once per evaluated row and
+	// folds no case.
+	key := u.Key()
 	commit := func(ok bool) {
 		if sink != nil {
-			sink.record(u.Name, ok)
+			sink.record(key, ok)
 		} else {
-			d.noteOutcome(u.Name, ok)
+			d.noteOutcome(key, ok)
 		}
 	}
 	max := r.maxAttempts()
-	site := faults.SiteUDF(u.Name)
+	inj := d.injector()
+	var site string
+	if inj != nil {
+		site = faults.SiteUDF(key)
+	}
 	for attempt := 1; ; attempt++ {
 		d.clock.Charge(simclock.CatUDF, u.Cost)
 		var err error
-		if ferr := d.injector().CheckEval(site, id, attempt); ferr != nil {
+		if ferr := inj.CheckEval(site, id, attempt); ferr != nil {
 			err = fmt.Errorf("udf: %s: %w", u.Name, ferr)
 		} else {
 			err = eval()
 		}
 		if err == nil {
-			r.countEval(u.Name)
-			d.noteAttempt(u.Name, false)
+			r.countEval(key)
+			d.noteAttempt(key, false)
 			commit(true)
 			return nil
 		}
-		r.countFailed(u.Name, faults.IsTransient(err))
-		d.noteAttempt(u.Name, faults.IsTransient(err))
+		r.countFailed(key, faults.IsTransient(err))
+		d.noteAttempt(key, faults.IsTransient(err))
 		if faults.IsTransient(err) && attempt < max {
 			d.clock.Charge(simclock.CatRetry, costs.RetryBackoff(attempt+1))
-			r.countRetry(u.Name)
+			r.countRetry(key)
 			continue
 		}
 		commit(false)

@@ -433,7 +433,7 @@ func (d *Domain) runScalar(u *catalog.UDF, args []types.Datum, id uint64, hs *He
 			out, err = r.runBuiltin(u, args)
 		default:
 			r.mu.Lock()
-			fn, ok := r.impls[strings.ToLower(u.Name)]
+			fn, ok := r.impls[u.Key()]
 			r.mu.Unlock()
 			if !ok {
 				return fmt.Errorf("udf: no implementation registered for %s (impl %q)", u.Name, u.Impl)
@@ -455,7 +455,7 @@ func (r *Runtime) runBuiltin(u *catalog.UDF, args []types.Datum) (types.Datum, e
 	argErr := func(want string) error {
 		return fmt.Errorf("udf: %s expects (%s), got %d args", u.Name, want, len(args))
 	}
-	switch strings.ToLower(u.Name) {
+	switch u.Key() {
 	case "cartype", "colordet", "license":
 		if len(args) != 2 || args[0].Kind() != types.KindBytes || args[1].Kind() != types.KindString {
 			return types.Null, argErr("frame, bbox")
@@ -464,7 +464,7 @@ func (r *Runtime) runBuiltin(u *catalog.UDF, args []types.Datum) (types.Datum, e
 			v   string
 			err error
 		)
-		switch strings.ToLower(u.Name) {
+		switch u.Key() {
 		case "cartype":
 			v, err = vision.ClassifyType(args[0].Bytes(), args[1].Str())
 		case "colordet":
@@ -573,8 +573,8 @@ func (r *Runtime) claimLocked(key xxhash.Key128) (func(), bool) {
 	}, true
 }
 
-func (r *Runtime) countEval(name string) {
+func (r *Runtime) countEval(key string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.evals[strings.ToLower(name)]++
+	r.evals[key]++
 }

@@ -181,3 +181,59 @@ var errFlaky = &flakyError{}
 type flakyError struct{}
 
 func (*flakyError) Error() string { return "flaky UDF: injected failure" }
+
+// TestComputedItemsAndTypedAggregates pins three statements that used
+// to panic the process — the plan declared TEXT for a scalar call in
+// the SELECT list and FLOAT for every MIN/MAX, and the executor
+// appended through MustAppendRow — plus the typed error for SUM/AVG of
+// a non-numeric argument, at every worker count, against the serial
+// run's rows.
+func TestComputedItemsAndTypedAggregates(t *testing.T) {
+	const from = " FROM video CROSS APPLY FasterRCNNResnet50(frame) WHERE id < 6"
+	queries := []struct {
+		sql   string
+		kinds string // output schema kinds
+	}{
+		{"SELECT id, Area(bbox)" + from, "INTEGER FLOAT"},
+		{"SELECT MIN(label), MAX(id), MIN(Area(bbox)), MAX(area)" + from, "TEXT INTEGER FLOAT FLOAT"},
+		{"SELECT id, MAX(label), COUNT(*), AVG(area)" + from + " GROUP BY id", "INTEGER TEXT INTEGER FLOAT"},
+	}
+	want := make([]string, len(queries))
+	for _, workers := range []int{1, 2, 8} {
+		sys, err := Open(Config{Dir: t.TempDir(), Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.LoadVideo("video", "medium-ua-detrac"); err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range queries {
+			res, err := sys.Exec(q.sql)
+			if err != nil {
+				t.Fatalf("workers=%d %s: %v", workers, q.sql, err)
+			}
+			var kinds []string
+			for _, c := range res.Rows.Schema() {
+				kinds = append(kinds, c.Kind.String())
+			}
+			if got := strings.Join(kinds, " "); got != q.kinds {
+				t.Errorf("workers=%d %s: kinds %s, want %s", workers, q.sql, got, q.kinds)
+			}
+			if res.Rows.Len() == 0 {
+				t.Errorf("workers=%d %s: no rows", workers, q.sql)
+			}
+			if got := Format(res.Rows); want[i] == "" {
+				want[i] = got
+			} else if got != want[i] {
+				t.Errorf("workers=%d %s:\n%s\nserial run:\n%s", workers, q.sql, got, want[i])
+			}
+		}
+		for _, q := range []string{"SELECT SUM(label)" + from, "SELECT id, AVG(bbox)" + from + " GROUP BY id"} {
+			_, err := sys.Exec(q)
+			if err == nil || !strings.Contains(err.Error(), "argument is TEXT, want a numeric kind") {
+				t.Errorf("workers=%d %s: err = %v, want the non-numeric aggregate error", workers, q, err)
+			}
+		}
+		sys.Close()
+	}
+}
