@@ -94,24 +94,32 @@ cover:
 # Algorithm 1 reducer against its truth-table oracle, the bound
 # column-at-a-time expression programs against the row-at-a-time
 # reference evaluator (rows, values, error and call sequence), the
-# fault injector's site matcher against an independent reference, and
-# the batch-pool lifecycle against a non-pooled oracle (with poisoning
-# on, so use-after-Put aliasing trips immediately).
+# fault injector's site matcher against an independent reference, the
+# batch-pool lifecycle against a non-pooled oracle (with poisoning
+# on, so use-after-Put aliasing trips immediately), the fixed-point
+# bbox formatter against fmt's %.4f on arbitrary bit patterns, and the
+# memoising frame decoder against the one-shot decoder on truncated
+# and bit-flipped payloads.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzReduce -fuzztime=5s ./internal/symbolic/
 	$(GO) test -run=^$$ -fuzz=FuzzProgramMatchesEval -fuzztime=5s ./internal/expr/
 	$(GO) test -run=^$$ -fuzz=FuzzSiteMatch -fuzztime=5s ./internal/faults/
 	$(GO) test -run=^$$ -fuzz=FuzzBatchPoolLifecycle -fuzztime=5s ./internal/types/
+	$(GO) test -run=^$$ -fuzz=FuzzFormatBBox -fuzztime=5s ./internal/vision/
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeFrame -fuzztime=5s ./internal/vision/
 
 # alloc is the allocation-regression gate on the pooled hot path
-# (DESIGN.md "Pooled batch lifecycle"): the warm view-served
-# scan→filter→apply pipeline must stay at ~0 allocs/row (measured as a
-# marginal between two scan lengths), and the committed
-# BENCH_alloc.json baseline must satisfy the same gate with all
-# pooled/unpooled matrix digests identical. Runs without -race: the
-# race detector perturbs allocation counts (the test skips itself).
+# (DESIGN.md "Pooled batch lifecycle", "Batch UDF evaluation"): the
+# warm view-served scan→filter→apply pipeline must stay at ~0
+# allocs/row and the evaluate path (no reuse, a detector and a
+# classifier on every row) at one per detector output row — its bbox
+# string — each measured as a marginal between two scan lengths, and
+# the committed BENCH_alloc.json baseline must satisfy the same gates
+# with all pooled/unpooled matrix digests identical. Runs without
+# -race: the race detector perturbs allocation counts (the tests skip
+# themselves).
 alloc:
-	$(GO) test -run 'TestWarmPathAllocsPerRow|TestAllocBaselineCommitted' .
+	$(GO) test -run 'TestWarmPathAllocsPerRow|TestEvalPathAllocsPerRow|TestAllocBaselineCommitted' .
 
 # scrub runs the self-healing view storage matrix under the race
 # detector: every view-building testdata script × corruption sites

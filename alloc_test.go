@@ -107,6 +107,28 @@ func TestWarmPathAllocsPerRow(t *testing.T) {
 	}
 }
 
+// TestEvalPathAllocsPerRow is the live gate on the evaluate path (no
+// reuse: a detector and a classifier run on every row): marginal
+// allocations per detector output row must stay under the threshold the
+// committed eval-path cell is held to — the row's bbox string, and
+// nothing per classifier call.
+func TestEvalPathAllocsPerRow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed by the race detector")
+	}
+	cell, err := vbench.RunEvalPathCell(vbench.DefaultAllocBench())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("evaluate path: %.4f allocs and %.1f bytes per detector output row", cell.AllocsPerRow, cell.BytesPerRow)
+	if cell.AllocsPerRow > vbench.EvalPathAllocGate {
+		t.Errorf("evaluate path allocates %.4f per detector output row, gate %.2f", cell.AllocsPerRow, vbench.EvalPathAllocGate)
+	}
+	if cell.PoolHits == 0 || cell.PoolPuts == 0 {
+		t.Errorf("pool not engaged on the evaluate path: %+v", cell)
+	}
+}
+
 // TestAllocBaselineCommitted pins the committed BENCH_alloc.json: the
 // reuse engine's recorded rate must satisfy the gate, the pool must
 // have been engaged, and the pooled/unpooled × workers matrix must be
@@ -120,14 +142,21 @@ func TestAllocBaselineCommitted(t *testing.T) {
 	if err := json.Unmarshal(data, &res); err != nil {
 		t.Fatal(err)
 	}
-	var evaCell *vbench.AllocCell
+	var evaCell, evalCell *vbench.AllocCell
 	for i := range res.Cells {
-		if res.Cells[i].Mode == "eva-view-served" {
+		switch res.Cells[i].Mode {
+		case "eva-view-served":
 			evaCell = &res.Cells[i]
+		case "eval-path":
+			evalCell = &res.Cells[i]
 		}
 	}
-	if evaCell == nil {
-		t.Fatal("baseline has no eva-view-served cell")
+	if evaCell == nil || evalCell == nil {
+		t.Fatal("baseline lacks the eva-view-served or the eval-path cell")
+	}
+	if evalCell.AllocsPerRow > vbench.EvalPathAllocGate {
+		t.Errorf("committed baseline allocates %.4f per detector output row on the evaluate path, gate %.2f",
+			evalCell.AllocsPerRow, vbench.EvalPathAllocGate)
 	}
 	if evaCell.AllocsPerRow > vbench.WarmAllocGate {
 		t.Errorf("committed baseline allocates %.4f/row, gate %.2f", evaCell.AllocsPerRow, vbench.WarmAllocGate)

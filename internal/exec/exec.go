@@ -21,6 +21,7 @@ import (
 	"eva/internal/storage"
 	"eva/internal/types"
 	"eva/internal/udf"
+	"eva/internal/vision"
 )
 
 // DefaultBatchSize is the number of frames per scan batch.
@@ -408,7 +409,6 @@ type applyIter struct {
 	// and kept, so the probe, eval and assemble loops allocate nothing
 	// in steady state.
 	decisions []rowDecision
-	sinks     []udf.OutcomeSink
 	keys      []byte             // the batch's encoded keys, back to back
 	keyOffs   []int              // row r's key is keys[keyOffs[r]:keyOffs[r+1]]
 	demand    []uint64           // udf.DemandHash of each row's key
@@ -421,27 +421,49 @@ type applyIter struct {
 	claimBuf  []string           // backs claimed
 	scratch   []evalScratch      // per-worker eval scratch
 
+	// The eval phase's batch: calls[i] is the invocation for input row
+	// sel[i], its arguments in argBuf, cut into one chunk per worker. A
+	// scalar UDF's values land in scalarVals[i] and move to scalarOut so
+	// they gather like any other source.
+	calls      []udf.Call
+	argBuf     []types.Datum
+	chunks     []evalChunk
+	scalarVals [1][]types.Datum
+	scalarOut  *types.Batch
+
 	// The assemble phase's gather triples: output row k is input row
-	// inRows[k] joined with row srcRows[k] of srcs[k]. scalarOut holds
-	// the batch's freshly evaluated scalar results so they gather like
-	// any other source.
+	// inRows[k] joined with row srcRows[k] of srcs[k]. The st* triples
+	// are the fresh rows among them, which are also staged for the store
+	// view, behind keyView's key columns of the input batch.
 	inRows    []int
 	srcs      []*types.Batch
 	srcRows   []int
-	scalarOut *types.Batch
-	rowBuf    []types.Datum // view-staging row
+	stInRows  []int
+	stSrcs    []*types.Batch
+	stSrcRows []int
+	keyView   types.Batch
 }
 
 // evalScratch is one worker's private evaluation state: the argument
 // expressions bound to the input schema (a program owns scratch, so
 // workers cannot share one), the caller nested calls go through and
-// the argument buffer. runParallel pins each goroutine to one slot, so
-// no locking is needed and the steady-state eval loop allocates
-// nothing.
+// the frame decoder, whose memo lets the sibling rows of one frame
+// share a decode. runParallel pins each goroutine to one slot, so no
+// locking is needed and the steady-state eval loop allocates nothing.
 type evalScratch struct {
-	progs []*expr.Program
-	call  rowCaller
-	args  []types.Datum
+	progs  []*expr.Program
+	nested bool // an argument calls a function
+	call   rowCaller
+	dec    vision.Decoder
+}
+
+// evalChunk is what one chunk of a batch's evaluation leaves for the
+// assemble phase: the breaker outcomes of its rows, in row order, and —
+// for a table UDF — the pooled batch holding their detection rows,
+// recycled once the output and the view staging have copied them.
+type evalChunk struct {
+	sink udf.OutcomeSink
+	out  *types.Batch
 }
 
 func newApplyIter(ctx *Context, node *plan.ReuseApply, in iterator) (*applyIter, error) {
@@ -523,17 +545,14 @@ const viewFlushRows = 8192
 // rowDecision is the apply operator's per-row outcome. The serial
 // probe phase either serves the row from a view — recording the source
 // batch and the row indexes to emit — or queues it for UDF evaluation;
-// the parallel eval phase fills out/outs/err for queued rows; the
+// the parallel eval phase evaluates the queued rows as udf.Calls; the
 // serial assemble phase merges both in row order.
 type rowDecision struct {
 	served  bool
 	snap    *types.Batch // batch viewIdx indexes: a view snapshot or a fuzzy index's
 	viewIdx []int        // rows to emit, indexes into snap (read-only)
 	id      uint64       // call identity for fault injection
-	sink    *udf.OutcomeSink
-	out     types.Datum  // scalar UDF result (evaluated rows)
-	outs    *types.Batch // table UDF output rows (evaluated rows)
-	err     error
+	err     error        // an argument failed to evaluate
 }
 
 func (a *applyIter) next() (*types.Batch, error) {
@@ -553,6 +572,10 @@ func (a *applyIter) next() (*types.Batch, error) {
 	}
 	a.evalPhase(b, decisions)
 	out, err := a.assemblePhase(b, decisions)
+	for k := range a.chunks {
+		a.ctx.putBatch(a.chunks[k].out)
+		a.chunks[k].out = nil
+	}
 	if err != nil {
 		a.releaseClaims()
 		return nil, err
@@ -687,7 +710,6 @@ func (a *applyIter) probePhase(b *types.Batch) []rowDecision {
 		// wider batch.
 		c := max(n, 2*cap(a.decisions))
 		a.decisions = make([]rowDecision, c)
-		a.sinks = make([]udf.OutcomeSink, c)
 		a.keyOffs = make([]int, c+1)
 		a.demand = make([]uint64, c)
 		a.sel = make([]int, c)
@@ -725,11 +747,8 @@ func (a *applyIter) probePhase(b *types.Batch) []rowDecision {
 	// position in the serial plan — not of which worker reaches it
 	// first.
 	for _, r := range a.sel {
-		d := &decisions[r]
-		d.id = a.rowSeq
+		decisions[r].id = a.rowSeq
 		a.rowSeq++
-		a.sinks[r].Reset()
-		d.sink = &a.sinks[r]
 	}
 	return decisions
 }
@@ -789,14 +808,16 @@ func (a *applyIter) account(demanded []uint64, probed, reused int) {
 }
 
 // evalPhase runs the conditional-Apply arm for every unserved row
-// (a.sel) across the worker pool. Each row writes only its own decision
-// slot; the Runtime and Clock are concurrency-safe, so no further
-// locking is needed. Breaker admission uses one frozen snapshot per
-// batch, captured here at a serial point, so every row sees the same
-// health decisions the serial engine's batch start would.
+// (a.sel): the rows are cut into one contiguous chunk per worker and
+// each chunk is one batch UDF evaluation. A chunk writes only its own
+// calls, values and output batch; the Runtime and Clock are
+// concurrency-safe, so no further locking is needed. Breaker admission
+// uses one frozen snapshot per batch, captured here at a serial point,
+// so every row sees the same health decisions the serial engine's batch
+// start would.
 func (a *applyIter) evalPhase(b *types.Batch, decisions []rowDecision) {
-	evalRows := a.sel
-	if len(evalRows) == 0 {
+	n := len(a.sel)
+	if n == 0 {
 		return
 	}
 	workers := a.ctx.workers()
@@ -805,70 +826,102 @@ func (a *applyIter) evalPhase(b *types.Batch, decisions []rowDecision) {
 		inSchema := a.node.Input.Schema()
 		for w := range a.scratch {
 			sc := &a.scratch[w]
-			sc.args = make([]types.Datum, len(a.node.Args))
 			for _, argE := range a.node.Args {
-				sc.progs = append(sc.progs, expr.Bind(argE, inSchema, nil))
+				prog := expr.Bind(argE, inSchema, nil)
+				sc.progs = append(sc.progs, prog)
+				sc.nested = sc.nested || prog.HasCalls()
 			}
 		}
 	}
+	if cap(a.calls) < n {
+		c := max(n, 2*cap(a.calls))
+		a.calls = make([]udf.Call, c)
+		a.argBuf = make([]types.Datum, c*len(a.node.Args))
+		if !a.node.TableUDF {
+			a.scalarVals[0] = make([]types.Datum, c)
+		}
+	}
+	for i, r := range a.sel {
+		a.calls[i] = udf.Call{ID: decisions[r].id}
+	}
+	chunks := min(workers, n)
+	if len(a.chunks) < workers {
+		a.chunks = make([]evalChunk, workers)
+	}
 	scratch := a.scratch
 	hs := a.ctx.Domain.HealthSnapshot()
-	runParallel(workers, len(evalRows), func(w, i int) {
-		r := evalRows[i]
-		a.evalRow(b, r, &decisions[r], hs, &scratch[w])
+	runParallel(workers, chunks, func(w, k int) {
+		a.evalChunk(b, decisions, &a.chunks[k], k*n/chunks, (k+1)*n/chunks, hs, &scratch[w])
 	})
 }
 
-// evalRow evaluates the UDF for one input row, writing the result (a
-// scalar datum, or a batch of detector rows in a.node.Out's schema)
-// into the decision. Called concurrently for distinct rows; sc is the
-// calling worker's private scratch, so the argument loop reuses its
-// bound programs and argument buffer instead of allocating per row.
-// Arguments stay row-at-a-time — this loop runs inside the parallel
-// eval phase and nested calls carry the row's identity — but through
-// the bound programs: ordinals, no name lookup.
+// evalChunk evaluates calls [lo, hi) — one chunk of the batch — on the
+// calling worker's private scratch: the arguments of every row through
+// the bound programs, then the UDF over the whole chunk. When an
+// argument itself calls a function the chunk goes a row at a time, so
+// that nested and outer invocations alternate as a row-at-a-time
+// evaluation would have them: calls are observable (clock, counters,
+// injected faults, breaker outcomes) and their sequence is the serial
+// plan's.
+func (a *applyIter) evalChunk(b *types.Batch, decisions []rowDecision, ch *evalChunk, lo, hi int, hs *udf.HealthSnapshot, sc *evalScratch) {
+	if a.node.TableUDF {
+		ch.out = a.ctx.getBatch(a.node.Out)
+	}
+	sc.call = rowCaller{ctx: a.ctx, sink: &ch.sink, hs: hs}
+	step := hi - lo
+	if sc.nested {
+		step = 1
+	}
+	for ; lo < hi; lo += step {
+		end := min(lo+step, hi)
+		a.bindArgs(b, decisions, lo, end, sc)
+		if a.node.TableUDF {
+			a.ctx.Domain.EvalTableBatch(a.evalLower, a.calls[lo:end], hs, &ch.sink, &sc.dec, ch.out)
+		} else {
+			a.ctx.Domain.EvalScalarBatch(a.evalLower, a.calls[lo:end], a.scalarVals[0][lo:end], hs, &ch.sink, &sc.dec)
+		}
+	}
+}
+
+// bindArgs evaluates the UDF's arguments for calls [lo, hi) into the
+// batch's argument buffer. A row whose argument fails keeps the error in
+// its decision and its call is skipped.
 // lint:hotpath apply argument loop must not allocate per argument
-func (a *applyIter) evalRow(b *types.Batch, r int, d *rowDecision, hs *udf.HealthSnapshot, sc *evalScratch) {
-	sc.call = rowCaller{ctx: a.ctx, id: d.id, sink: d.sink, hs: hs}
-	args := sc.args
+func (a *applyIter) bindArgs(b *types.Batch, decisions []rowDecision, lo, hi int, sc *evalScratch) {
+	nargs := len(a.node.Args)
+	for i := lo; i < hi; i++ {
+		c, d := &a.calls[i], &decisions[a.sel[i]]
+		c.Args = a.argBuf[i*nargs : (i+1)*nargs : (i+1)*nargs]
+		sc.call.id, sc.call.sub = d.id, 0
+		d.err = a.bindRow(b, a.sel[i], c.Args, sc)
+		c.Skip = d.err != nil
+	}
+}
+
+// bindRow evaluates one row's arguments into args.
+func (a *applyIter) bindRow(b *types.Batch, r int, args []types.Datum, sc *evalScratch) error {
 	for i, prog := range sc.progs {
 		v, err := prog.EvalRow(b, r, &sc.call)
 		if err != nil {
-			d.err = fmt.Errorf("exec: apply arg %q: %w", a.node.Args[i], err)
-			return
+			return fmt.Errorf("exec: apply arg %q: %w", a.node.Args[i], err)
 		}
 		args[i] = v
 	}
-	if a.node.TableUDF {
-		if len(args) != 1 || args[0].Kind() != types.KindBytes {
-			d.err = fmt.Errorf("exec: table UDF %s expects a frame argument", a.node.Eval)
-			return
-		}
-		// Detector outputs may be shared with the FunCache (the cache
-		// stores the same *Batch), so they are never pooled or recycled.
-		outs, err := a.ctx.Domain.EvalDetectorAt(a.evalLower, args[0].Bytes(), d.id, hs, d.sink)
-		if err != nil {
-			d.err = fmt.Errorf("exec: detector %s: %w", a.node.Eval, err)
-			return
-		}
-		d.outs = outs
-		return
+	if a.node.TableUDF && (len(args) != 1 || args[0].Kind() != types.KindBytes) {
+		return fmt.Errorf("exec: table UDF %s expects a frame argument", a.node.Eval)
 	}
-	v, err := a.ctx.Domain.EvalScalarAt(a.evalLower, args, d.id, hs, d.sink)
-	if err != nil {
-		d.err = fmt.Errorf("exec: udf %s: %w", a.node.Eval, err)
-		return
-	}
-	d.out = v
+	return nil
 }
 
 // assemblePhase merges served and evaluated rows back into one output
-// batch in input-row order and buffers fresh results for the store
+// batch in input-row order and stages fresh results for the store
 // view — the order-preserving fan-in that keeps parallel output
 // byte-identical to serial. Every output row is described as an (input
 // row, source batch, source row) triple and the batch is then written
-// column-wise by one gather. Errors surface in row order, so the
-// reported failure is the one the serial engine would hit first.
+// column-wise by one gather; the fresh rows' triples are gathered once
+// more, behind their key columns, into the view-staging batch. Errors
+// surface in row order, so the reported failure is the one the serial
+// engine would hit first.
 func (a *applyIter) assemblePhase(b *types.Batch, decisions []rowDecision) (*types.Batch, error) {
 	// Commit the deferred breaker outcomes of every evaluated row in
 	// input order before surfacing any error: the pool evaluates all
@@ -876,50 +929,80 @@ func (a *applyIter) assemblePhase(b *types.Batch, decisions []rowDecision) (*typ
 	// breaker's consecutive-failure state after the batch — and
 	// therefore trips, degradation and replans — is identical whether
 	// or not a row failed, and at any concurrency.
-	for _, r := range a.sel {
-		a.ctx.Domain.CommitOutcomes(decisions[r].sink)
+	for k := range a.chunks {
+		a.ctx.Domain.CommitOutcomes(&a.chunks[k].sink)
 	}
-	rows := 0
-	for r := range decisions {
-		switch d := &decisions[r]; {
-		case d.served:
-			rows += len(d.viewIdx)
-		case d.outs != nil:
-			rows += d.outs.Len()
-		default:
+	calls := a.calls[:len(a.sel)]
+	rows, failed := 0, len(calls)
+	for i, r := range a.sel {
+		d := &decisions[r]
+		if failed == len(calls) && (d.err != nil || calls[i].Err != nil) {
+			failed = i
+		}
+		if a.node.TableUDF {
+			rows += calls[i].N
+		} else {
 			rows++
+		}
+	}
+	for r := range decisions {
+		if d := &decisions[r]; d.served {
+			rows += len(d.viewIdx)
+		}
+	}
+	if !a.node.TableUDF {
+		// The values ahead of the first failed call become a column of
+		// scalarOut; one of the wrong kind is an error of an earlier row.
+		if a.scalarOut == nil {
+			a.scalarOut = types.NewBatch(a.node.Out)
+		}
+		a.scalarOut.Reset()
+		if err := a.scalarOut.AppendColumns(a.scalarVals[:], failed); err != nil {
+			return nil, fmt.Errorf("exec: udf %s: %w", a.node.Eval, err)
 		}
 	}
 	a.inRows = slices.Grow(a.inRows[:0], rows)
 	a.srcs = slices.Grow(a.srcs[:0], rows)
 	a.srcRows = slices.Grow(a.srcRows[:0], rows)
-	if a.scalarOut != nil {
-		a.scalarOut.Reset()
-	}
+	a.stInRows, a.stSrcs, a.stSrcRows = a.stInRows[:0], a.stSrcs[:0], a.stSrcRows[:0]
+	next := 0 // the call of the next unserved row
 	for r := range decisions {
 		d := &decisions[r]
 		if d.served {
 			a.emit(r, d.snap, d.viewIdx)
 			continue
 		}
-		if d.err != nil {
+		k, c := next, &calls[next]
+		next++
+		switch {
+		case d.err != nil:
 			return nil, d.err
+		case c.Err != nil && a.node.TableUDF:
+			return nil, fmt.Errorf("exec: detector %s: %w", a.node.Eval, c.Err)
+		case c.Err != nil:
+			return nil, fmt.Errorf("exec: udf %s: %w", a.node.Eval, c.Err)
 		}
+		src, start, n := a.scalarOut, k, 1
 		if a.node.TableUDF {
-			for dr := 0; dr < d.outs.Len(); dr++ {
-				a.emitRow(r, d.outs, dr)
-			}
-		} else {
-			if a.scalarOut == nil {
-				a.scalarOut = types.NewBatch(a.node.Out)
-			}
-			if err := a.scalarOut.AppendRow(d.out); err != nil {
-				return nil, fmt.Errorf("exec: udf %s: %w", a.node.Eval, err)
-			}
-			a.emitRow(r, a.scalarOut, a.scalarOut.Len()-1)
+			src, start, n = c.Rows, c.Start, c.N
 		}
-		if err := a.buffer(b, r, d); err != nil {
-			return nil, err
+		first := len(a.inRows)
+		for i := 0; i < n; i++ {
+			a.emitRow(r, src, start+i)
+		}
+		if a.store != nil && a.stageKey(b, r, n) {
+			a.stInRows = append(a.stInRows, a.inRows[first:]...)
+			a.stSrcs = append(a.stSrcs, a.srcs[first:]...)
+			a.stSrcRows = append(a.stSrcRows, a.srcRows[first:]...)
+		}
+	}
+	if len(a.stInRows) > 0 {
+		if a.pendingRows == nil {
+			a.pendingRows = a.ctx.getBatch(a.store.Schema())
+		}
+		b.ProjectInto(&a.keyView, a.keyIdx)
+		if err := a.pendingRows.AppendGather(&a.keyView, a.stInRows, a.stSrcs, a.stSrcRows); err != nil {
+			return nil, fmt.Errorf("exec: buffer view rows: %w", err)
 		}
 	}
 	out := a.ctx.getBatch(a.node.Schema())
@@ -945,47 +1028,26 @@ func (a *applyIter) emitRow(r int, src *types.Batch, row int) {
 	a.srcRows = append(a.srcRows, row)
 }
 
-// buffer queues input row r's freshly computed result for the store
-// view. The key and outputs are copied into the pending batch, so the
-// input batch and the detector output may be recycled afterwards.
+// stageKey reports whether input row r's n freshly computed result rows
+// are to be staged for the store view: not when the query has staged
+// its key already. A key with no rows (a frame with no detections) is
+// queued here, as a processed key, and stages nothing.
 // lint:hotpath view staging must not allocate per already-seen key
-func (a *applyIter) buffer(b *types.Batch, r int, d *rowDecision) error {
-	if a.store == nil {
-		return nil
-	}
+func (a *applyIter) stageKey(b *types.Batch, r, n int) bool {
 	ek := a.keys[a.keyOffs[r]:a.keyOffs[r+1]]
 	if a.seenPending[string(ek)] {
-		return nil
+		return false
 	}
 	a.seenPending[string(ek)] = true
-	a.rowBuf = a.rowBuf[:0]
-	for _, idx := range a.keyIdx {
-		a.rowBuf = append(a.rowBuf, b.At(r, idx)) // lint:coldalloc grows to the key width once
+	if n > 0 {
+		return true
 	}
-	nKey := len(a.rowBuf)
-	if a.node.TableUDF && d.outs.Len() == 0 {
-		a.pendingKeys = append(a.pendingKeys, slices.Clone(a.rowBuf))
-		return nil
+	key := make([]types.Datum, len(a.keyIdx))
+	for i, idx := range a.keyIdx {
+		key[i] = b.At(r, idx)
 	}
-	if a.pendingRows == nil {
-		a.pendingRows = a.ctx.getBatch(a.store.Schema())
-	}
-	if a.node.TableUDF {
-		// The key prefix is identical for every detector row; the loop
-		// rewinds to it and appends only the detector columns.
-		for dr := 0; dr < d.outs.Len(); dr++ {
-			a.rowBuf = d.outs.AppendRowTo(a.rowBuf[:nKey], dr)
-			if err := a.pendingRows.AppendRow(a.rowBuf...); err != nil {
-				return fmt.Errorf("exec: buffer view rows: %w", err)
-			}
-		}
-		return nil
-	}
-	a.rowBuf = append(a.rowBuf, d.out)
-	if err := a.pendingRows.AppendRow(a.rowBuf...); err != nil {
-		return fmt.Errorf("exec: buffer view rows: %w", err)
-	}
-	return nil
+	a.pendingKeys = append(a.pendingKeys, key)
+	return false
 }
 
 func (a *applyIter) flush() error {

@@ -195,15 +195,6 @@ func (b *Batch) Truncate(n int) {
 	b.n = n
 }
 
-// AppendRowTo appends row i's datums to dst and returns it — the
-// scratch-buffer form of Row for allocation-gated loops.
-func (b *Batch) AppendRowTo(dst []Datum, i int) []Datum {
-	for c := range b.cols {
-		dst = append(dst, b.cols[c][i])
-	}
-	return dst
-}
-
 // AppendGather appends len(leftRows) rows column-wise — the output
 // shape of a join. Output row k is left's row leftRows[k] followed by
 // the trailing len(b.Schema())-len(left.Schema()) columns of right[k]
@@ -313,6 +304,20 @@ func (b *Batch) SliceInto(dst *Batch, lo, hi int) {
 	dst.cols = slices.Grow(dst.cols[:0], len(b.cols))[:len(b.cols)]
 	for c := range b.cols {
 		dst.cols[c] = b.cols[c][lo:hi]
+	}
+}
+
+// ProjectInto is Project by column ordinal writing the view into dst,
+// whose schema and column headers are reused — for a caller that takes a
+// key-column view of every batch and keeps one holder for all of them.
+// dst must not be a pooled batch, nor one SliceInto has filled (its
+// schema would then be the source's).
+func (b *Batch) ProjectInto(dst *Batch, cols []int) {
+	dst.n = b.n
+	dst.schema = slices.Grow(dst.schema[:0], len(cols))[:len(cols)]
+	dst.cols = slices.Grow(dst.cols[:0], len(cols))[:len(cols)]
+	for i, c := range cols {
+		dst.schema[i], dst.cols[i] = b.schema[c], b.cols[c]
 	}
 }
 

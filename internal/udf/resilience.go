@@ -9,7 +9,6 @@ import (
 	"eva/internal/catalog"
 	"eva/internal/costs"
 	"eva/internal/faults"
-	"eva/internal/simclock"
 	"eva/internal/types"
 	"eva/internal/xxhash"
 )
@@ -133,8 +132,9 @@ func (h *HealthSnapshot) allow(u *catalog.UDF) error {
 
 // OutcomeSink defers the breaker bookkeeping of invocation outcomes so
 // the executor can commit them in serial row order during its assemble
-// phase. Each sink belongs to a single row (one goroutine); only
-// CommitOutcomes touches shared state.
+// phase. Each sink belongs to one worker's chunk of consecutive rows
+// (one goroutine), which records in row order; only CommitOutcomes
+// touches shared state.
 type OutcomeSink struct {
 	outcomes []sunkOutcome
 }
@@ -149,23 +149,30 @@ func (s *OutcomeSink) record(key string, ok bool) {
 }
 
 // Reset clears the sink for reuse, keeping its capacity — executors
-// recycle per-row sinks across batches to stay off the heap.
+// recycle their sinks across batches to stay off the heap.
 func (s *OutcomeSink) Reset() {
 	s.outcomes = s.outcomes[:0]
 }
 
-// CommitOutcomes applies a row's deferred invocation outcomes to the
-// domain's circuit breakers. The executor calls it row by row in
-// input order, so consecutive-failure counts — and therefore breaker
-// trips, degradation triggers and replans — fire at the same row at
-// every worker count. Nil sinks and empty sinks are no-ops.
+// CommitOutcomes applies a sink's deferred invocation outcomes to the
+// domain's circuit breakers. The executor calls it chunk by chunk in
+// input-row order, so consecutive-failure counts — and therefore
+// breaker trips, degradation triggers and replans — fire at the same
+// row at every worker count. Nil sinks and empty sinks are no-ops.
 func (d *Domain) CommitOutcomes(sink *OutcomeSink) {
-	if sink == nil {
+	if sink == nil || len(sink.outcomes) == 0 {
 		return
 	}
+	// One policy fetch, one clock read and one lock for the whole sink:
+	// commits happen at the executor's serial point, where the clock
+	// stands still.
+	threshold := d.r.threshold()
+	now := d.clock.Total()
+	d.mu.Lock()
 	for _, o := range sink.outcomes {
-		d.noteOutcome(o.key, o.ok)
+		d.noteOutcomeLocked(o.key, o.ok, threshold, now)
 	}
+	d.mu.Unlock()
 	// Keep the capacity: committed sinks are recycled by the executor.
 	sink.outcomes = sink.outcomes[:0]
 }
@@ -192,6 +199,12 @@ func (d *Domain) noteOutcome(key string, ok bool) {
 	now := d.clock.Total()
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.noteOutcomeLocked(key, ok, threshold, now)
+}
+
+// noteOutcomeLocked is noteOutcome with d.mu held and the shared
+// policy and the virtual time already fetched.
+func (d *Domain) noteOutcomeLocked(key string, ok bool, threshold int, now time.Duration) {
 	b := d.breakers[key]
 	if b == nil {
 		b = &breaker{}
@@ -206,18 +219,6 @@ func (d *Domain) noteOutcome(key string, ok bool) {
 	if b.consecutive >= threshold {
 		b.open = true
 		b.openedAt = now
-	}
-}
-
-// noteAttempt records one invocation attempt (and whether it failed
-// transiently) in the domain's failure-rate observations, by
-// catalog.UDF.Key.
-func (d *Domain) noteAttempt(key string, transientFailure bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.attempts[key]++
-	if transientFailure {
-		d.transient[key]++
 	}
 }
 
@@ -279,75 +280,4 @@ func (r *Runtime) countRetry(key string) {
 // same schedule no matter which row claims the key.
 func EvalIdentity(udfName string, args []types.Datum) uint64 {
 	return xxhash.Sum64(rawArgs(udfName, args), 0)
-}
-
-// evalResilient runs one UDF invocation with transient-fault retry and
-// circuit breaking. eval performs a single attempt (and must wrap its
-// own errors with the UDF name). Every attempt — failed or not — is
-// charged the model's profiled cost on the domain's clock; backoff
-// between attempts is charged to the Retry category so resilience
-// shows up in the simulated-time breakdown.
-//
-// id keys the injector's per-invocation fault decisions (see
-// faults.CheckEval). hs, when non-nil, replaces the live breaker
-// admission check with a frozen batch-level snapshot; sink, when
-// non-nil, defers the breaker outcome for a serial-order commit via
-// CommitOutcomes. The executor's parallel apply path supplies all
-// three; direct callers pass a zero id (harmless without an injector)
-// and nil for both, keeping the immediate-commit behavior. The
-// runtime's demand/failure counters always commit immediately: they
-// are sums, so scheduling order cannot change their totals.
-func (d *Domain) evalResilient(u *catalog.UDF, id uint64, hs *HealthSnapshot, sink *OutcomeSink, eval func() error) error {
-	r := d.r
-	if hs != nil {
-		if err := hs.allow(u); err != nil {
-			return err
-		}
-	} else if err := d.breakerAllow(u); err != nil {
-		return err
-	}
-	// Every per-model table below is keyed by u.Key(), fixed when the
-	// UDF was registered: this path runs once per evaluated row and
-	// folds no case.
-	key := u.Key()
-	commit := func(ok bool) {
-		if sink != nil {
-			sink.record(key, ok)
-		} else {
-			d.noteOutcome(key, ok)
-		}
-	}
-	max := r.maxAttempts()
-	inj := d.injector()
-	var site string
-	if inj != nil {
-		site = faults.SiteUDF(key)
-	}
-	for attempt := 1; ; attempt++ {
-		d.clock.Charge(simclock.CatUDF, u.Cost)
-		var err error
-		if ferr := inj.CheckEval(site, id, attempt); ferr != nil {
-			err = fmt.Errorf("udf: %s: %w", u.Name, ferr)
-		} else {
-			err = eval()
-		}
-		if err == nil {
-			r.countEval(key)
-			d.noteAttempt(key, false)
-			commit(true)
-			return nil
-		}
-		r.countFailed(key, faults.IsTransient(err))
-		d.noteAttempt(key, faults.IsTransient(err))
-		if faults.IsTransient(err) && attempt < max {
-			d.clock.Charge(simclock.CatRetry, costs.RetryBackoff(attempt+1))
-			r.countRetry(key)
-			continue
-		}
-		commit(false)
-		if attempt > 1 {
-			return fmt.Errorf("%w: %s after %d attempts: %w", ErrEvalFailed, u.Name, attempt, err)
-		}
-		return fmt.Errorf("%w: %w", ErrEvalFailed, err)
-	}
 }

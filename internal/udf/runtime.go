@@ -1,7 +1,6 @@
 package udf
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"time"
@@ -290,215 +289,6 @@ func (d *Domain) funCacheKey(udfName string, args []types.Datum) xxhash.Key128 {
 	return key
 }
 
-// EvalDetector runs a table UDF (object detector) on one frame,
-// returning detection rows in catalog.DetectorSchema. The profiled
-// per-tuple cost is charged unless FunCache serves the call. Fault
-// decisions are keyed by the argument-derived identity; callers with
-// an executor-assigned invocation index use Domain.EvalDetectorAt.
-func (r *Runtime) EvalDetector(name string, payload []byte) (*types.Batch, error) {
-	return r.def.EvalDetector(name, payload)
-}
-
-// EvalDetector is the domain-scoped form of Runtime.EvalDetector.
-func (d *Domain) EvalDetector(name string, payload []byte) (*types.Batch, error) {
-	var id uint64
-	if d.injector() != nil {
-		id = EvalIdentity(name, []types.Datum{types.NewBytes(payload)})
-	}
-	return d.EvalDetectorAt(name, payload, id, nil, nil)
-}
-
-// EvalDetectorAt is EvalDetector with an explicit call identity for
-// fault injection plus the executor's batch-level breaker snapshot and
-// per-row outcome sink (both optional; see evalResilient). With
-// FunCache enabled the identity is re-derived from the arguments so
-// the injected schedule does not depend on which of several
-// same-argument rows wins the singleflight claim.
-func (d *Domain) EvalDetectorAt(name string, payload []byte, id uint64, hs *HealthSnapshot, sink *OutcomeSink) (*types.Batch, error) {
-	r := d.r
-	u, err := r.cat.UDF(name)
-	if err != nil {
-		return nil, err
-	}
-	if u.Kind != catalog.KindTableUDF {
-		return nil, fmt.Errorf("udf: %s is not a table UDF", name)
-	}
-	args := []types.Datum{types.NewBytes(payload)}
-	if r.isFunCache() {
-		key := d.funCacheKey(u.Name, args)
-		id = key.Hi ^ key.Lo // claimant-independent identity
-		cached, hit, done := claimTable(r, key)
-		if hit {
-			r.RecordReuse(name)
-			return cached, nil
-		}
-		defer done()
-		out, err := d.runDetector(u, payload, id, hs, sink)
-		if err != nil {
-			return nil, err
-		}
-		d.clock.Charge(simclock.CatHash, FunCacheStoreCost)
-		r.mu.Lock()
-		r.tableC[key] = out
-		r.mu.Unlock()
-		return out, nil
-	}
-	return d.runDetector(u, payload, id, hs, sink)
-}
-
-func (d *Domain) runDetector(u *catalog.UDF, payload []byte, id uint64, hs *HealthSnapshot, sink *OutcomeSink) (*types.Batch, error) {
-	var out *types.Batch
-	err := d.evalResilient(u, id, hs, sink, func() error {
-		dets, err := vision.Detect(u.Name, payload)
-		if err != nil {
-			return fmt.Errorf("udf: %s: %w", u.Name, err)
-		}
-		out = types.NewBatchCapacity(catalog.DetectorSchema, len(dets))
-		for _, d := range dets {
-			out.MustAppendRow(
-				types.NewString(d.Label),
-				types.NewString(d.BBox()),
-				types.NewFloat(d.Score),
-				types.NewFloat(d.Area()),
-			)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// EvalScalar runs a scalar UDF over one input tuple's argument values.
-// Fault decisions are keyed by the argument-derived identity; callers
-// with an executor-assigned invocation index use Domain.EvalScalarAt.
-func (r *Runtime) EvalScalar(name string, args []types.Datum) (types.Datum, error) {
-	return r.def.EvalScalar(name, args)
-}
-
-// EvalScalar is the domain-scoped form of Runtime.EvalScalar.
-func (d *Domain) EvalScalar(name string, args []types.Datum) (types.Datum, error) {
-	var id uint64
-	if d.injector() != nil {
-		id = EvalIdentity(name, args)
-	}
-	return d.EvalScalarAt(name, args, id, nil, nil)
-}
-
-// EvalScalarAt is EvalScalar with an explicit call identity for fault
-// injection plus the executor's batch-level breaker snapshot and
-// per-row outcome sink (both optional; see evalResilient). With
-// FunCache enabled the identity is re-derived from the arguments so
-// the injected schedule does not depend on which of several
-// same-argument rows wins the singleflight claim.
-func (d *Domain) EvalScalarAt(name string, args []types.Datum, id uint64, hs *HealthSnapshot, sink *OutcomeSink) (types.Datum, error) {
-	r := d.r
-	u, err := r.cat.UDF(name)
-	if err != nil {
-		return types.Null, err
-	}
-	if u.Kind != catalog.KindScalarUDF {
-		return types.Null, fmt.Errorf("udf: %s is not a scalar UDF", name)
-	}
-	if r.isFunCache() && u.Expensive {
-		key := d.funCacheKey(u.Name, args)
-		id = key.Hi ^ key.Lo // claimant-independent identity
-		cached, hit, done := claimScalar(r, key)
-		if hit {
-			r.RecordReuse(name)
-			return cached, nil
-		}
-		defer done()
-		out, err := d.runScalar(u, args, id, hs, sink)
-		if err != nil {
-			return types.Null, err
-		}
-		d.clock.Charge(simclock.CatHash, FunCacheStoreCost)
-		r.mu.Lock()
-		r.scalarC[key] = out
-		r.mu.Unlock()
-		return out, nil
-	}
-	return d.runScalar(u, args, id, hs, sink)
-}
-
-func (d *Domain) runScalar(u *catalog.UDF, args []types.Datum, id uint64, hs *HealthSnapshot, sink *OutcomeSink) (types.Datum, error) {
-	r := d.r
-	var out types.Datum
-	err := d.evalResilient(u, id, hs, sink, func() error {
-		var err error
-		switch {
-		case strings.HasPrefix(u.Impl, "builtin:"):
-			out, err = r.runBuiltin(u, args)
-		default:
-			r.mu.Lock()
-			fn, ok := r.impls[u.Key()]
-			r.mu.Unlock()
-			if !ok {
-				return fmt.Errorf("udf: no implementation registered for %s (impl %q)", u.Name, u.Impl)
-			}
-			out, err = fn(args)
-			if err != nil {
-				err = fmt.Errorf("udf: %s: %w", u.Name, err)
-			}
-		}
-		return err
-	})
-	if err != nil {
-		return types.Null, err
-	}
-	return out, nil
-}
-
-func (r *Runtime) runBuiltin(u *catalog.UDF, args []types.Datum) (types.Datum, error) {
-	argErr := func(want string) error {
-		return fmt.Errorf("udf: %s expects (%s), got %d args", u.Name, want, len(args))
-	}
-	switch u.Key() {
-	case "cartype", "colordet", "license":
-		if len(args) != 2 || args[0].Kind() != types.KindBytes || args[1].Kind() != types.KindString {
-			return types.Null, argErr("frame, bbox")
-		}
-		var (
-			v   string
-			err error
-		)
-		switch u.Key() {
-		case "cartype":
-			v, err = vision.ClassifyType(args[0].Bytes(), args[1].Str())
-		case "colordet":
-			v, err = vision.ClassifyColor(args[0].Bytes(), args[1].Str())
-		default:
-			v, err = vision.ReadLicense(args[0].Bytes(), args[1].Str())
-		}
-		if err != nil {
-			return types.Null, fmt.Errorf("udf: %s: %w", u.Name, err)
-		}
-		return types.NewString(v), nil
-	case "vehiclefilter":
-		if len(args) != 1 || args[0].Kind() != types.KindBytes {
-			return types.Null, argErr("frame")
-		}
-		ok, err := vision.FilterVehicles(args[0].Bytes())
-		if err != nil {
-			return types.Null, fmt.Errorf("udf: %s: %w", u.Name, err)
-		}
-		return types.NewBool(ok), nil
-	case "area":
-		if len(args) != 1 || args[0].Kind() != types.KindString {
-			return types.Null, argErr("bbox")
-		}
-		_, _, w, h, err := vision.ParseBBox(args[0].Str())
-		if err != nil {
-			return types.Null, fmt.Errorf("udf: area: %w", err)
-		}
-		return types.NewFloat(w * h), nil
-	default:
-		return types.Null, fmt.Errorf("udf: unknown builtin %s", u.Name)
-	}
-}
-
 func (r *Runtime) isFunCache() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -571,10 +361,4 @@ func (r *Runtime) claimLocked(key xxhash.Key128) (func(), bool) {
 		r.mu.Unlock()
 		close(done)
 	}, true
-}
-
-func (r *Runtime) countEval(key string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.evals[key]++
 }

@@ -26,12 +26,15 @@ import (
 	"eva/internal/vision"
 )
 
-// AllocCell is one measured mode (the reuse engine with view-serving,
-// or the FunCache baseline with a warm tuple cache).
+// AllocCell is one measured mode: the reuse engine with view-serving,
+// the FunCache baseline with a warm tuple cache, or the evaluate path
+// (no reuse: every row runs its UDFs).
 type AllocCell struct {
 	Mode string `json:"mode"`
-	// AllocsPerRow is the marginal warm-path allocation rate:
-	// (allocs(long) − allocs(short)) / (longFrames − shortFrames).
+	// AllocsPerRow is the marginal allocation rate:
+	// (allocs(long) − allocs(short)) / (rows(long) − rows(short)). A row
+	// is a scanned frame on the warm paths and a detector output row —
+	// which is also one classifier invocation — on the evaluate path.
 	AllocsPerRow float64 `json:"allocs_per_row"`
 	// BytesPerRow is the marginal heap traffic in bytes per row.
 	BytesPerRow float64 `json:"bytes_per_row"`
@@ -84,6 +87,13 @@ func DefaultAllocBench() AllocBenchConfig {
 // 256-row batch).
 const WarmAllocGate = 0.05
 
+// EvalPathAllocGate is the threshold on the evaluate path's marginal
+// allocation rate per detector output row: the row's bbox string is the
+// one value that has to be made, the classifier call on the row makes
+// none, and the rest is the allowance for per-batch bookkeeping and the
+// result rows.
+const EvalPathAllocGate = 1.1
+
 // allocSetup loads the dataset and registers the cheap deterministic
 // predicate UDF the benchmark filters on.
 func allocSetup(sys *eva.System) error {
@@ -107,6 +117,47 @@ func allocSetup(sys *eva.System) error {
 
 func allocQuery(frames int) string {
 	return fmt.Sprintf(`SELECT id FROM video WHERE id < %d AND AllocNet(frame) = TRUE`, frames)
+}
+
+// allocWorkload is what one cell measures.
+type allocWorkload struct {
+	name  string
+	mode  eva.SystemMode
+	setup func(*eva.System) error
+	query func(frames int) string
+	// rows is how many rows one run of the query over that many frames
+	// puts through the measured path.
+	rows func(sys *eva.System, frames int) (float64, error)
+}
+
+func scannedFrames(_ *eva.System, frames int) (float64, error) { return float64(frames), nil }
+
+func evalPathQuery(frames int) string {
+	return fmt.Sprintf(`SELECT id, bbox FROM video CROSS APPLY FasterRCNNResnet50(frame)
+		WHERE id < %d AND CarType(frame, bbox) = 'Nissan'`, frames)
+}
+
+// evalPath is the evaluate path's workload: a detector and one
+// classifier over a dense video with reuse off, so every frame is
+// decoded, detected and formatted and every detection classified.
+var evalPath = allocWorkload{
+	name: "eval-path",
+	mode: eva.ModeNoReuse,
+	setup: func(sys *eva.System) error {
+		_, err := sys.Exec(`LOAD VIDEO 'short-ua-detrac' INTO video`)
+		return err
+	},
+	query: evalPathQuery,
+	// Every detector output row is one CarType evaluation.
+	rows: func(sys *eva.System, frames int) (float64, error) {
+		before := sys.UDFCounters()["cartype"].Evaluated
+		res, err := sys.Exec(evalPathQuery(frames))
+		if err != nil {
+			return 0, err
+		}
+		sys.Recycle(res.Rows)
+		return float64(sys.UDFCounters()["cartype"].Evaluated - before), nil
+	},
 }
 
 // measureWarm returns the average per-run malloc and byte deltas of
@@ -136,26 +187,30 @@ func measureWarm(sys *eva.System, query string, runs int) (allocs, bytes float64
 		float64(m1.TotalAlloc-m0.TotalAlloc) / float64(runs), nil
 }
 
-// runAllocCell measures one mode end to end in a fresh system.
-func runAllocCell(mode eva.SystemMode, modeName string, cfg AllocBenchConfig) (AllocCell, error) {
-	sys, err := eva.Open(eva.Config{Mode: mode})
+// RunEvalPathCell measures the evaluate path's cell on its own — the
+// live half of the gate (TestEvalPathAllocsPerRow).
+func RunEvalPathCell(cfg AllocBenchConfig) (AllocCell, error) { return runAllocCell(evalPath, cfg) }
+
+// runAllocCell measures one workload end to end in a fresh system.
+func runAllocCell(w allocWorkload, cfg AllocBenchConfig) (AllocCell, error) {
+	sys, err := eva.Open(eva.Config{Mode: w.mode})
 	if err != nil {
 		return AllocCell{}, err
 	}
 	defer sys.Close()
-	if err := allocSetup(sys); err != nil {
+	if err := w.setup(sys); err != nil {
 		return AllocCell{}, err
 	}
-	short, _, err := measureWarm(sys, allocQuery(cfg.ShortFrames), cfg.WarmRuns)
+	short, _, err := measureWarm(sys, w.query(cfg.ShortFrames), cfg.WarmRuns)
 	if err != nil {
 		return AllocCell{}, err
 	}
-	long, longBytes, err := measureWarm(sys, allocQuery(cfg.LongFrames), cfg.WarmRuns)
+	long, longBytes, err := measureWarm(sys, w.query(cfg.LongFrames), cfg.WarmRuns)
 	if err != nil {
 		return AllocCell{}, err
 	}
 	shortBytes := 0.0
-	if short2, b, err := measureWarm(sys, allocQuery(cfg.ShortFrames), cfg.WarmRuns); err == nil {
+	if short2, b, err := measureWarm(sys, w.query(cfg.ShortFrames), cfg.WarmRuns); err == nil {
 		// Re-measure short after long so both queries' capacities are
 		// steady; keep the smaller of the two short samples.
 		if short2 < short {
@@ -165,10 +220,18 @@ func runAllocCell(mode eva.SystemMode, modeName string, cfg AllocBenchConfig) (A
 	} else {
 		return AllocCell{}, err
 	}
-	rows := float64(cfg.LongFrames - cfg.ShortFrames)
+	shortRows, err := w.rows(sys, cfg.ShortFrames)
+	if err != nil {
+		return AllocCell{}, err
+	}
+	longRows, err := w.rows(sys, cfg.LongFrames)
+	if err != nil {
+		return AllocCell{}, err
+	}
+	rows := longRows - shortRows
 	st := sys.PoolStats()
 	return AllocCell{
-		Mode:              modeName,
+		Mode:              w.name,
 		AllocsPerRow:      (long - short) / rows,
 		BytesPerRow:       (longBytes - shortBytes) / rows,
 		AllocsPerRunShort: short,
@@ -219,18 +282,22 @@ func RunAllocBench(cfg AllocBenchConfig) (*AllocResult, error) {
 		LongFrames:  cfg.LongFrames,
 		WarmRuns:    cfg.WarmRuns,
 	}
-	for _, m := range []struct {
-		mode eva.SystemMode
-		name string
-	}{{eva.ModeEVA, "eva-view-served"}, {eva.ModeFunCache, "funcache-warm"}} {
-		cell, err := runAllocCell(m.mode, m.name, cfg)
+	for _, w := range []allocWorkload{
+		{name: "eva-view-served", mode: eva.ModeEVA, setup: allocSetup, query: allocQuery, rows: scannedFrames},
+		{name: "funcache-warm", mode: eva.ModeFunCache, setup: allocSetup, query: allocQuery, rows: scannedFrames},
+		evalPath,
+	} {
+		cell, err := runAllocCell(w, cfg)
 		if err != nil {
-			return nil, fmt.Errorf("vbench: alloc cell %s: %w", m.name, err)
+			return nil, fmt.Errorf("vbench: alloc cell %s: %w", w.name, err)
 		}
 		res.Cells = append(res.Cells, cell)
 	}
 	if got := res.Cells[0].AllocsPerRow; got > WarmAllocGate {
 		return nil, fmt.Errorf("vbench: warm view-served path allocates %.4f/row (gate %.2f)", got, WarmAllocGate)
+	}
+	if got := res.Cells[2].AllocsPerRow; got > EvalPathAllocGate {
+		return nil, fmt.Errorf("vbench: evaluate path allocates %.4f per detector row (gate %.2f)", got, EvalPathAllocGate)
 	}
 	if res.Cells[0].PoolHits == 0 {
 		return nil, fmt.Errorf("vbench: pool recorded no hits — the pooled lifecycle is not engaged")

@@ -1,9 +1,11 @@
 package vision
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Frame payload codec. A payload is the "rendered image" models decode:
@@ -75,38 +77,92 @@ func FrameVirtualBytes(payload []byte) (int, bool) {
 	return w * h * 3, true
 }
 
+// objectMinBytes is the encoded size of an object with an empty plate:
+// three category indexes, the plate length and four float32 coordinates.
+const objectMinBytes = 20
+
 // DecodeFrame parses a payload produced by EncodeFrame.
 func DecodeFrame(payload []byte) (DecodedFrame, error) {
-	var df DecodedFrame
+	var d Decoder
+	df, err := d.decode(payload)
+	for i := range df.Objects {
+		df.Objects[i].Plate = d.plate(i)
+	}
+	return *df, err
+}
+
+// Decoder is the scratch a worker's models decode frames into: it
+// reuses its object storage, and remembers the last payload it decoded —
+// the rows a detector fans one frame out into each carry that frame to
+// the classifiers, so consecutive calls decode it once. The memo
+// compares payload contents, never the slice's address: scan batches
+// are pooled, and a recycled batch puts another frame's bytes at the
+// same address. The zero Decoder is ready.
+type Decoder struct {
+	buf      []byte // copy of the payload df holds, while valid
+	valid    bool
+	df       DecodedFrame
+	plateOff []int // plate i is buf[plateOff[i]:][:buf[plateOff[i]-1]]
+}
+
+// decode parses a payload produced by EncodeFrame. The result belongs
+// to the Decoder and is valid until its next decode; its objects carry
+// no Plate — plate(i) makes the string for the one that is asked for.
+func (d *Decoder) decode(payload []byte) (*DecodedFrame, error) {
+	if d.valid && bytes.Equal(d.buf, payload) {
+		return &d.df, nil
+	}
+	d.valid = false
+	d.buf = append(d.buf[:0], payload...)
+	if err := d.parse(); err != nil {
+		return &d.df, err
+	}
+	d.valid = true
+	return &d.df, nil
+}
+
+// plate returns the license plate of object i of the decoded frame.
+func (d *Decoder) plate(i int) string {
+	off := d.plateOff[i]
+	return string(d.buf[off : off+int(d.buf[off-1])])
+}
+
+// parse fills df from buf.
+func (d *Decoder) parse() error {
+	payload, df := d.buf, &d.df
+	df.Objects, d.plateOff = df.Objects[:0], d.plateOff[:0]
 	if len(payload) < 19 {
-		return df, fmt.Errorf("vision: short payload (%d bytes)", len(payload))
+		return fmt.Errorf("vision: short payload (%d bytes)", len(payload))
 	}
 	if binary.LittleEndian.Uint32(payload) != payloadMagic {
-		return df, fmt.Errorf("vision: bad payload magic")
+		return fmt.Errorf("vision: bad payload magic")
 	}
 	if payload[4] != payloadVersion {
-		return df, fmt.Errorf("vision: unsupported payload version %d", payload[4])
+		return fmt.Errorf("vision: unsupported payload version %d", payload[4])
 	}
 	df.Frame = int64(binary.LittleEndian.Uint64(payload[5:]))
 	df.Width = int(binary.LittleEndian.Uint16(payload[13:]))
 	df.Height = int(binary.LittleEndian.Uint16(payload[15:]))
 	n := int(binary.LittleEndian.Uint16(payload[17:]))
+	// The header's count is untrusted: reserve only what the bytes that
+	// follow could hold, so a corrupt count fails as truncated below
+	// without first allocating for 65 535 objects.
+	df.Objects = slices.Grow(df.Objects, min(n, (len(payload)-19)/objectMinBytes))
 	off := 19
-	df.Objects = make([]Object, 0, n)
 	for i := 0; i < n; i++ {
 		if off+4 > len(payload) {
-			return df, fmt.Errorf("vision: truncated object header at %d", off)
+			return fmt.Errorf("vision: truncated object header at %d", off)
 		}
 		labelIdx, typeIdx, colorIdx := int(payload[off]), int(payload[off+1]), int(payload[off+2])
 		plateLen := int(payload[off+3])
 		off += 4
 		if off+plateLen+16 > len(payload) {
-			return df, fmt.Errorf("vision: truncated object body at %d", off)
+			return fmt.Errorf("vision: truncated object body at %d", off)
 		}
 		if labelIdx >= len(Labels) || typeIdx >= len(VehicleTypes) || colorIdx >= len(Colors) {
-			return df, fmt.Errorf("vision: corrupt object indices at %d", off)
+			return fmt.Errorf("vision: corrupt object indices at %d", off)
 		}
-		plate := string(payload[off : off+plateLen])
+		d.plateOff = append(d.plateOff, off)
 		off += plateLen
 		var coords [4]float64
 		for j := range coords {
@@ -118,11 +174,10 @@ func DecodeFrame(payload []byte) (DecodedFrame, error) {
 			Label: Labels[labelIdx],
 			VType: VehicleTypes[typeIdx],
 			Color: Colors[colorIdx],
-			Plate: plate,
 			X:     coords[0], Y: coords[1], W: coords[2], H: coords[3],
 		})
 	}
-	return df, nil
+	return nil
 }
 
 func indexOf(vals []string, v string) int {

@@ -3,9 +3,11 @@ package vision
 import (
 	"fmt"
 	"math"
-	"strconv"
+	"sort"
 	"strings"
 	"time"
+
+	"eva/internal/types"
 )
 
 // AccuracyLevel orders model accuracy tiers; a query's ACCURACY
@@ -123,9 +125,24 @@ var profiles = map[string]Profile{
 // a materialized view on disk (c_r in §4.2: 1.8 ms).
 const ViewReadCost = 1800 * time.Microsecond
 
-// ProfileFor returns the profile of a physical model.
+// profilesByLower indexes profiles by lower-cased model name, so a
+// lookup by any spelling folds the name once instead of comparing it
+// against every model.
+var profilesByLower = func() map[string]Profile {
+	m := make(map[string]Profile, len(profiles))
+	for name, p := range profiles {
+		m[strings.ToLower(name)] = p
+	}
+	return m
+}()
+
+// ProfileFor returns the profile of a physical model; the name matches
+// in any letter case.
 func ProfileFor(name string) (Profile, error) {
-	p, ok := profiles[canonical(name)]
+	p, ok := profiles[name]
+	if !ok {
+		p, ok = profilesByLower[strings.ToLower(name)]
+	}
 	if !ok {
 		return Profile{}, fmt.Errorf("vision: unknown model %q", name)
 	}
@@ -133,7 +150,8 @@ func ProfileFor(name string) (Profile, error) {
 }
 
 // ProfilesForLogical returns every physical model implementing the
-// logical task, in ascending cost order.
+// logical task, in ascending cost order; models of equal cost are in
+// name order, so the result never depends on map iteration.
 func ProfilesForLogical(logical string) []Profile {
 	var out []Profile
 	for _, p := range profiles {
@@ -141,21 +159,13 @@ func ProfilesForLogical(logical string) []Profile {
 			out = append(out, p)
 		}
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Cost < out[j-1].Cost; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Cost != out[j].Cost {
+			return out[i].Cost < out[j].Cost
 		}
-	}
+		return out[i].Name < out[j].Name
+	})
 	return out
-}
-
-func canonical(name string) string {
-	for n := range profiles {
-		if strings.EqualFold(n, name) {
-			return n
-		}
-	}
-	return name
 }
 
 // Detection is one detector output row.
@@ -173,93 +183,138 @@ func (d Detection) Area() float64 { return d.W * d.H }
 // flows through the bbox column ("x,y,w,h" with 4 decimal places).
 func (d Detection) BBox() string { return FormatBBox(d.X, d.Y, d.W, d.H) }
 
-// FormatBBox renders normalized box coordinates canonically.
-func FormatBBox(x, y, w, h float64) string {
-	return fmt.Sprintf("%.4f,%.4f,%.4f,%.4f", x, y, w, h)
+// Model is a physical model resolved once — its profile and the seed
+// of its deterministic draws — so that evaluating it over a batch of
+// tuples looks nothing up per tuple. Every method takes the caller's
+// Decoder, which is what lets sibling tuples share one frame decode.
+type Model struct {
+	p    Profile
+	seed uint64 // stringSeed(p.Name)
 }
 
-// ParseBBox parses the canonical bbox form.
-func ParseBBox(s string) (x, y, w, h float64, err error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 4 {
-		return 0, 0, 0, 0, fmt.Errorf("vision: bad bbox %q", s)
+// ModelFor resolves a physical model by name.
+func ModelFor(name string) (Model, error) {
+	p, err := ProfileFor(name)
+	if err != nil {
+		return Model{}, err
 	}
-	var vals [4]float64
-	for i, p := range parts {
-		v, perr := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if perr != nil {
-			return 0, 0, 0, 0, fmt.Errorf("vision: bad bbox %q: %v", s, perr)
-		}
-		vals[i] = v
-	}
-	return vals[0], vals[1], vals[2], vals[3], nil
+	return Model{p: p, seed: stringSeed(p.Name)}, nil
 }
 
-// Detect runs an object-detection model over a frame payload. Each
-// ground-truth object is detected iff a deterministic draw clears the
-// model's recall; detected boxes carry small model-specific jitter
-// (different physical models box the same object slightly differently,
-// the premise of the §6 fuzzy-matching extension).
-func Detect(model string, payload []byte) ([]Detection, error) {
-	p, err := ProfileFor(model)
+// detect is the detector's decision on one ground-truth object: it is
+// detected iff a deterministic draw clears the model's recall, and a
+// detected box carries small model-specific jitter (different physical
+// models box the same object slightly differently, the premise of the
+// §6 fuzzy-matching extension).
+func (m Model) detect(seed uint64, frame int64, o *Object) (Detection, bool) {
+	f, id := uint64(frame), uint64(o.ID)
+	if unit(mix(seed, f, id, 0xDE7EC7)) >= m.p.Recall {
+		return Detection{}, false
+	}
+	jx := (unit(mix(seed, f, id, 1)) - 0.5) * 0.004
+	jy := (unit(mix(seed, f, id, 2)) - 0.5) * 0.004
+	return Detection{
+		Label: o.Label,
+		X:     clamp01f(o.X + jx),
+		Y:     clamp01f(o.Y + jy),
+		W:     o.W,
+		H:     o.H,
+		Score: 0.5 + 0.5*unit(mix(seed, f, id, 3)),
+	}, true
+}
+
+// frameForDetect decodes the frame for a detector and returns it with
+// the detector's draw seed.
+func (m Model) frameForDetect(dec *Decoder, payload []byte) (*DecodedFrame, uint64, error) {
+	if m.p.LogicalType != LogicalObjectDetector {
+		return nil, 0, fmt.Errorf("vision: %s is not an object detector", m.p.Name)
+	}
+	df, err := dec.decode(payload)
+	return df, mix(uint64(len(m.p.Name))) ^ m.seed, err
+}
+
+// DetectInto runs the object-detection model over a frame payload and
+// appends one row per detection — label, bbox, score, area, the
+// detector output schema — to out.
+// lint:hotpath detector row loop allocates the bbox string only
+func (m Model) DetectInto(dec *Decoder, payload []byte, out *types.Batch) error {
+	df, seed, err := m.frameForDetect(dec, payload)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if p.LogicalType != LogicalObjectDetector {
-		return nil, fmt.Errorf("vision: %s is not an object detector", model)
-	}
-	df, err := DecodeFrame(payload)
-	if err != nil {
-		return nil, err
-	}
-	seed := mix([]uint64{uint64(len(p.Name))}...) ^ stringSeed(p.Name)
-	var out []Detection
-	for _, o := range df.Objects {
-		draw := unit(mix(seed, uint64(df.Frame), uint64(o.ID), 0xDE7EC7))
-		if draw >= p.Recall {
+	var buf [96]byte
+	for i := range df.Objects {
+		d, ok := m.detect(seed, df.Frame, &df.Objects[i])
+		if !ok {
 			continue
 		}
-		jx := (unit(mix(seed, uint64(df.Frame), uint64(o.ID), 1)) - 0.5) * 0.004
-		jy := (unit(mix(seed, uint64(df.Frame), uint64(o.ID), 2)) - 0.5) * 0.004
-		score := 0.5 + 0.5*unit(mix(seed, uint64(df.Frame), uint64(o.ID), 3))
-		out = append(out, Detection{
-			Label: o.Label,
-			X:     clamp01f(o.X + jx),
-			Y:     clamp01f(o.Y + jy),
-			W:     o.W,
-			H:     o.H,
-			Score: score,
-		})
+		bbox := appendBBox(buf[:0], d.X, d.Y, d.W, d.H)
+		if err := out.AppendRow(types.NewString(d.Label), types.NewString(string(bbox)), // lint:coldalloc the bbox value itself
+			types.NewFloat(d.Score), types.NewFloat(d.Area())); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Detect runs an object-detection model over a frame payload and
+// returns its detections.
+func Detect(model string, payload []byte) ([]Detection, error) {
+	m, err := ModelFor(model)
+	if err != nil {
+		return nil, err
+	}
+	df, seed, err := m.frameForDetect(new(Decoder), payload)
+	if err != nil {
+		return nil, err
+	}
+	var out []Detection
+	for i := range df.Objects {
+		if d, ok := m.detect(seed, df.Frame, &df.Objects[i]); ok {
+			out = append(out, d)
+		}
 	}
 	return out, nil
 }
 
 // matchObject finds the ground-truth object whose center is nearest to
 // the bbox center (fuzzy matching tolerant of detector jitter); it
-// returns false if nothing is within tolerance.
-func matchObject(df DecodedFrame, x, y, w, h float64) (Object, bool) {
+// returns nil if nothing is within tolerance.
+func matchObject(df *DecodedFrame, x, y, w, h float64) *Object {
 	cx, cy := x+w/2, y+h/2
-	best, bestDist := Object{}, math.Inf(1)
-	for _, o := range df.Objects {
+	best, bestDist := -1, math.Inf(1)
+	for i := range df.Objects {
+		o := &df.Objects[i]
 		ox, oy := o.X+o.W/2, o.Y+o.H/2
 		d := math.Hypot(cx-ox, cy-oy)
 		if d < bestDist {
-			best, bestDist = o, d
+			best, bestDist = i, d
 		}
 	}
 	const tolerance = 0.05
-	return best, bestDist <= tolerance
+	if bestDist > tolerance {
+		return nil
+	}
+	return &df.Objects[best]
 }
 
-// classify is the shared classifier head: it decodes the frame, finds
-// the object under the bbox, and returns attr(object) corrupted with
-// probability 1−ClassAcc (deterministically, so results are reusable).
-func classify(model string, payload []byte, bbox string, attr func(Object) string, domain []string) (string, error) {
-	p, err := ProfileFor(model)
-	if err != nil {
-		return "", err
+// Classify is the shared classifier head: it decodes the frame, finds
+// the object under the bbox, and returns the model's attribute of it —
+// vehicle type (CARTYPE in the paper), color (COLORDET) or license
+// plate (LICENSE) — corrupted with probability 1−ClassAcc
+// (deterministically, so results are reusable).
+func (m Model) Classify(dec *Decoder, payload []byte, bbox string) (string, error) {
+	var domain []string
+	switch m.p.LogicalType {
+	case LogicalCarType:
+		domain = VehicleTypes
+	case LogicalColorDet:
+		domain = Colors
+	case LogicalLicense:
+	default:
+		return "", fmt.Errorf("vision: %s is not a classifier", m.p.Name)
 	}
-	df, err := DecodeFrame(payload)
+	df, err := dec.decode(payload)
 	if err != nil {
 		return "", err
 	}
@@ -267,34 +322,27 @@ func classify(model string, payload []byte, bbox string, attr func(Object) strin
 	if err != nil {
 		return "", err
 	}
-	obj, ok := matchObject(df, x, y, w, h)
-	if !ok {
+	obj := matchObject(df, x, y, w, h)
+	if obj == nil {
 		return "unknown", nil
 	}
-	truth := attr(obj)
-	draw := unit(mix(stringSeed(p.Name), uint64(df.Frame), uint64(obj.ID), 0xC1A55))
-	if draw < p.ClassAcc || len(domain) == 0 {
+	var truth string
+	switch m.p.LogicalType {
+	case LogicalCarType:
+		truth = obj.VType
+	case LogicalColorDet:
+		truth = obj.Color
+	default:
+		truth = dec.plate(obj.ID)
+	}
+	draw := unit(mix(m.seed, uint64(df.Frame), uint64(obj.ID), 0xC1A55))
+	if draw < m.p.ClassAcc || len(domain) == 0 {
 		return truth, nil
 	}
 	// Deterministic misclassification: rotate within the domain.
 	idx := indexOf(domain, truth)
-	shift := 1 + int(mix(stringSeed(p.Name), uint64(df.Frame), uint64(obj.ID), 0x0FF)%uint64(len(domain)-1))
+	shift := 1 + int(mix(m.seed, uint64(df.Frame), uint64(obj.ID), 0x0FF)%uint64(len(domain)-1))
 	return domain[(idx+shift)%len(domain)], nil
-}
-
-// ClassifyType runs the vehicle-type classifier (CARTYPE in the paper).
-func ClassifyType(payload []byte, bbox string) (string, error) {
-	return classify(CarTypeModel, payload, bbox, func(o Object) string { return o.VType }, VehicleTypes)
-}
-
-// ClassifyColor runs the vehicle-color classifier (COLORDET).
-func ClassifyColor(payload []byte, bbox string) (string, error) {
-	return classify(ColorDetModel, payload, bbox, func(o Object) string { return o.Color }, Colors)
-}
-
-// ReadLicense runs the license-plate OCR model (LICENSE).
-func ReadLicense(payload []byte, bbox string) (string, error) {
-	return classify(LicenseModel, payload, bbox, func(o Object) string { return o.Plate }, nil)
 }
 
 // filterSkipConfidence is the fraction of truly empty frames the
@@ -311,30 +359,22 @@ const filterSkipConfidence = 0.30
 // confident the frame contains no vehicle. Frames with vehicles always
 // pass (high recall); empty frames are skipped only when the filter's
 // deterministic confidence draw clears filterSkipConfidence.
-func FilterVehicles(payload []byte) (bool, error) {
-	p, err := ProfileFor(VehicleFilter)
+func (m Model) FilterVehicles(dec *Decoder, payload []byte) (bool, error) {
+	if m.p.LogicalType != LogicalFilter {
+		return false, fmt.Errorf("vision: %s is not a frame filter", m.p.Name)
+	}
+	df, err := dec.decode(payload)
 	if err != nil {
 		return false, err
 	}
-	df, err := DecodeFrame(payload)
-	if err != nil {
-		return false, err
-	}
-	has := false
-	for _, o := range df.Objects {
-		if o.Label == "car" || o.Label == "bus" || o.Label == "truck" {
-			has = true
-			break
+	for i := range df.Objects {
+		if l := df.Objects[i].Label; l == "car" || l == "bus" || l == "truck" {
+			return true, nil
 		}
 	}
-	if has {
-		return true, nil
-	}
-	draw := unit(mix(stringSeed(p.Name), uint64(df.Frame), 0xF117E5))
-	if draw < filterSkipConfidence {
-		return false, nil // confidently empty: skip downstream UDFs
-	}
-	return true, nil // uncertain: let the expensive UDFs decide
+	// Confidently empty (skip downstream UDFs) only below the threshold;
+	// otherwise uncertain: let the expensive UDFs decide.
+	return unit(mix(m.seed, uint64(df.Frame), 0xF117E5)) >= filterSkipConfidence, nil
 }
 
 func stringSeed(s string) uint64 {

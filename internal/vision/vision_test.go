@@ -258,20 +258,35 @@ func TestDetectDeterministicAndValidated(t *testing.T) {
 	}
 }
 
+func mustModel(t *testing.T, name string) Model {
+	t.Helper()
+	m, err := ModelFor(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// classify is one classifier call with a Decoder of its own.
+func classify(t *testing.T, model string, payload []byte, bbox string) (string, error) {
+	t.Helper()
+	return mustModel(t, model).Classify(new(Decoder), payload, bbox)
+}
+
 func TestClassifiersMatchGroundTruthMostly(t *testing.T) {
 	correctType, correctColor, total := 0, 0, 0
 	for f := int64(0); f < 400; f++ {
 		payload := MediumUADetrac.EncodeFrame(f)
 		for _, o := range MediumUADetrac.Objects(f) {
 			bbox := FormatBBox(o.X, o.Y, o.W, o.H)
-			vt, err := ClassifyType(payload, bbox)
+			vt, err := classify(t, CarTypeModel, payload, bbox)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if vt == o.VType {
 				correctType++
 			}
-			col, err := ClassifyColor(payload, bbox)
+			col, err := classify(t, ColorDetModel, payload, bbox)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -300,7 +315,7 @@ func TestClassifyTolerantOfJitteredBoxes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, d := range dets {
-			vt, err := ClassifyType(payload, d.BBox())
+			vt, err := classify(t, CarTypeModel, payload, d.BBox())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -325,7 +340,7 @@ func TestClassifyUnknownForFarBBox(t *testing.T) {
 		t.Skip("no suitable frame found")
 	}
 	payload := Jackson.EncodeFrame(frame)
-	got, err := ClassifyType(payload, FormatBBox(0.9, 0.9, 0.05, 0.05))
+	got, err := classify(t, CarTypeModel, payload, FormatBBox(0.9, 0.9, 0.05, 0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +355,7 @@ func TestReadLicenseFindsPlantedPlate(t *testing.T) {
 		for _, o := range MediumUADetrac.Objects(f) {
 			if o.Plate == PlantedPlate {
 				payload := MediumUADetrac.EncodeFrame(f)
-				got, err := ReadLicense(payload, FormatBBox(o.X, o.Y, o.W, o.H))
+				got, err := classify(t, LicenseModel, payload, FormatBBox(o.X, o.Y, o.W, o.H))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -359,7 +374,7 @@ func TestFilterVehicles(t *testing.T) {
 	skippedEmpty, empty := 0, 0
 	for f := int64(0); f < 2000; f++ {
 		payload := Jackson.EncodeFrame(f)
-		got, err := FilterVehicles(payload)
+		got, err := mustModel(t, VehicleFilter).FilterVehicles(new(Decoder), payload)
 		if err != nil {
 			t.Fatal(err)
 		}
