@@ -21,12 +21,17 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 
 # faults-stress exercises the resilience machinery: the 24-seed fault
-# sweep and the crash-recovery kill-point matrix under the race
+# sweep, the statement-level kill-point sweep over every view-log write
+# up to and including the aggregated-predicate snapshots (a failed or
+# killed statement promises nothing: the rerun stores what the
+# uninterrupted run stores and the run after it evaluates nothing) and
+# the storage crash-recovery kill-point matrix under the race
 # detector, then short fuzz smokes over the view-log replay and datum
-# decoders. See DESIGN.md "Failure model & resilience".
+# decoders. See DESIGN.md "Failure model & resilience" and "Durable
+# aggregated predicates".
 faults-stress:
-	$(GO) test -race -run 'TestFaultSweep|TestQueryDeadlineConfig' .
-	$(GO) test -race -run 'TestViewCrashRecovery|TestViewAppendRollback|TestViewChecksum' ./internal/storage/
+	$(GO) test -race -run 'TestFaultSweep|TestQueryDeadlineConfig|TestFailedStatementDoesNotPoisonReuse|TestLimitDoesNotCommit|TestPredicateKillPoints' .
+	$(GO) test -race -run 'TestViewCrashRecovery|TestViewAppendRollback|TestViewChecksum|TestPredicate' ./internal/storage/
 	$(GO) test -run=^$$ -fuzz=FuzzViewReplay -fuzztime=5s ./internal/storage/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeDatum -fuzztime=5s ./internal/types/
 
@@ -34,10 +39,14 @@ faults-stress:
 # detector: every testdata script at Workers ∈ {1,2,8} × BatchSize ∈
 # {1,7,256} must produce byte-identical results, reports and virtual
 # time, and the pooled-batch lifecycle must byte-match unpooled
-# execution at every worker count. See DESIGN.md "Parallel execution"
-# and "Pooled batch lifecycle".
+# execution at every worker count; and a restart must be invisible —
+# every script with a Close + Open between every pair of statements
+# matches the uninterrupted run statement by statement in rows,
+# optimizer report, evaluations and virtual time. See DESIGN.md
+# "Parallel execution", "Pooled batch lifecycle" and "Durable
+# aggregated predicates".
 differential:
-	$(GO) test -race -run 'TestDifferentialMatrix|TestPoolingDifferential' .
+	$(GO) test -race -run 'TestDifferentialMatrix|TestPoolingDifferential|TestReopenDifferential' .
 
 # chaos runs the fault-injected differential matrix under the race
 # detector: every testdata script × 24 seeded fault schedules (four
@@ -97,11 +106,17 @@ cover:
 # fault injector's site matcher against an independent reference, the
 # batch-pool lifecycle against a non-pooled oracle (with poisoning
 # on, so use-after-Put aliasing trips immediately), the fixed-point
-# bbox formatter against fmt's %.4f on arbitrary bit patterns, and the
+# bbox formatter against fmt's %.4f on arbitrary bit patterns, the
 # memoising frame decoder against the one-shot decoder on truncated
-# and bit-flipped payloads.
+# and bit-flipped payloads, and the two halves of a durable aggregated
+# predicate: its codec (decode∘encode is the identity, arbitrary bytes
+# cost bounded memory and at worst an error) and the view-log replay
+# that carries it (torn, flipped, repeated or misplaced snapshot
+# records cost the snapshot, never the open).
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzReduce -fuzztime=5s ./internal/symbolic/
+	$(GO) test -run=^$$ -fuzz=FuzzDNFCodec -fuzztime=5s ./internal/symbolic/
+	$(GO) test -run=^$$ -fuzz=FuzzViewReplay -fuzztime=5s ./internal/storage/
 	$(GO) test -run=^$$ -fuzz=FuzzProgramMatchesEval -fuzztime=5s ./internal/expr/
 	$(GO) test -run=^$$ -fuzz=FuzzSiteMatch -fuzztime=5s ./internal/faults/
 	$(GO) test -run=^$$ -fuzz=FuzzBatchPoolLifecycle -fuzztime=5s ./internal/types/
@@ -126,12 +141,14 @@ alloc:
 # (header, mid-record, tail, clean-sidecar) × Workers ∈ {1,2,8} must
 # scrub, symbolically repair and re-converge to the byte-identical
 # uncorrupted digests; crash kill-points during repair, re-append and
-# compaction commit must leave the view recoverable; Session-only
-# statements must drive the background scrubber; plus the storage
-# layer's Verify/Scrubber/salvage/compaction unit suite. See
-# DESIGN.md "Self-healing view storage".
+# compaction commit must leave the view recoverable; a view reopened
+# with a salvaged hole must shrink the aggregated predicate persisted
+# beside it before it is first served; Session-only statements must
+# drive the background scrubber; plus the storage layer's
+# Verify/Scrubber/salvage/compaction unit suite. See DESIGN.md
+# "Self-healing view storage".
 scrub:
-	$(GO) test -race -run 'TestScrubCorruptionMatrix|TestRepairCrashKillPoints|TestRepairRecomputesInteriorHole|TestBackgroundScrubberHeals|TestSessionStatementsDriveScrubber' .
+	$(GO) test -race -run 'TestScrubCorruptionMatrix|TestRepairCrashKillPoints|TestRepairRecomputesInteriorHole|TestBackgroundScrubberHeals|TestSessionStatementsDriveScrubber|TestQuarantineMeetsLoadedPredicate' .
 	$(GO) test -race -run 'TestVerify|TestScrubber|TestSalvage|TestCompact' ./internal/storage/
 
 # evict runs the disk-pressure survival matrix under the race

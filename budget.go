@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"eva/internal/storage"
-	"eva/internal/symbolic"
 )
 
 // Disk-pressure survival, stage 3 (DESIGN.md §16): this file is the
@@ -75,13 +74,13 @@ func (s *System) benefitRank(c storage.EvictCandidate) float64 {
 }
 
 // viewEvicted is the post-eviction upcall: the view's durable rows are
-// gone, so its aggregated predicate must stop claiming them. Retracting
-// to FALSE keeps the symbolic layer truthful — the next query that
-// needs the view sees a full DIFF residual and re-materializes it
-// through the ordinary optimizer path. Any pending repair task is moot.
+// gone, so its aggregated predicate must stop claiming them. An empty
+// view proves nothing, so the shrink retracts it to FALSE (the durable
+// copy went with the log) — the next query that needs the view sees a
+// full DIFF residual and re-materializes it through the ordinary
+// optimizer path. Any repair task, pending or just queued by the
+// shrink, is moot.
 func (s *System) viewEvicted(name string) {
-	if entry, ok := s.mgr().EntryByView(name); ok && !entry.Agg.IsFalse() {
-		s.mgr().Constrain(entry.Sig, symbolic.False())
-	}
+	s.quarantineDetected(name)
 	s.clearRepair(name)
 }

@@ -318,6 +318,7 @@ func Open(cfg Config) (*System, error) {
 		rec:   baselines.NewRecycler(),
 	}
 	s.root = &Session{sys: s, clock: eng.Clock, domain: eng.Runtime.DefaultDomain()}
+	eng.Manager.OnLost(s.predicateLost)
 	if cfg.DiskBudgetBytes > 0 {
 		store.SetBudget(storage.NewDiskBudget(cfg.DiskBudgetBytes))
 	}

@@ -103,7 +103,7 @@ func TestEvictChaosMatrix(t *testing.T) {
 			t.Fatalf("script %s missing", script)
 		}
 		t.Run(script, func(t *testing.T) {
-			coldOut, warmOut, wantViews := scrubBaseline(t, src)
+			coldOut, warmOut, reopenOut, wantViews := scrubBaseline(t, src)
 			total, largest := measureFootprint(t, src)
 			levels := []struct {
 				name  string
@@ -165,8 +165,8 @@ func TestEvictChaosMatrix(t *testing.T) {
 								t.Fatal(err)
 							}
 							defer sys2.Close()
-							if got := runScriptOut(t, sys2, src); got != coldOut {
-								t.Errorf("reopened output diverged\n%s", digestDiff(coldOut, got))
+							if got := runScriptOut(t, sys2, src); got != reopenOut {
+								t.Errorf("reopened output diverged\n%s", digestDiff(reopenOut, got))
 							}
 							if got := viewContentDigest(sys2); got != wantViews {
 								t.Errorf("reopened view content diverged\n%s", digestDiff(wantViews, got))

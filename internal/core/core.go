@@ -8,11 +8,16 @@
 //	                Algorithm 2 set cover)
 //	           ─▶ ④ rule-based transformation (Fig. 3 / Fig. 4)
 //	           ─▶ execution with view reads, guarded evaluation, stores
+//	           ─▶ ⑤ the plan's claims on aggregated predicates settled:
+//	                committed — durably, in the view logs — where the
+//	                stores completed, withdrawn where they did not
 //
 // Steps ①–④ live in internal/optimizer and internal/udf; execution in
 // internal/exec. The Engine composes them over shared state (catalog,
 // UDFManager, storage, virtual clock) and is what the public eva
-// package drives.
+// package drives. New also makes the view logs the UDFManager's
+// PredicateStore, so an engine opened over a populated directory plans
+// against what the previous process materialized (DESIGN.md §19).
 package core
 
 import (
@@ -66,7 +71,7 @@ type Engine struct {
 func New(store *storage.Engine, batchSize int) *Engine {
 	cat := catalog.New()
 	clock := &simclock.Clock{}
-	mgr := udf.NewManager()
+	mgr := udf.NewManager(viewPredicates{store})
 	rt := udf.NewRuntime(cat, clock)
 	opt := optimizer.New(cat, mgr, clock)
 	// The root session's breaker state and observed failure rates drive
@@ -146,8 +151,15 @@ func (e *Engine) Execute(stmt *parser.SelectStmt, mode optimizer.Mode, opts Exec
 	// remaining models implementing the logical task (graceful
 	// degradation) instead of failing the query.
 	for attempt := 0; ; attempt++ {
-		optRes, err := opt.Optimize(stmt, mode)
+		// The plan's claims on aggregated predicates last one attempt
+		// and are settled when it ends (see settle below).
+		var claims *udf.Claims
+		if !mode.DryRun {
+			claims = e.Manager.Begin()
+		}
+		optRes, err := opt.Optimize(stmt, mode, claims)
 		if err != nil {
+			claims.Abort()
 			return nil, err
 		}
 		out := &Outcome{Plan: optRes.Plan, Report: optRes.Report}
@@ -165,6 +177,13 @@ func (e *Engine) Execute(stmt *parser.SelectStmt, mode optimizer.Mode, opts Exec
 			ctx.Trace = out.Trace
 		}
 		out.Rows, err = exec.Run(ctx, optRes.Plan)
+		// Settle the claims whether or not the statement made it: an
+		// apply that saw its whole input and stored the last of its
+		// results has earned its claim even if an operator above it failed
+		// afterwards; one cut short — by the failure, or by a LIMIT that
+		// stopped pulling — has not, for results it evaluated may never
+		// have been stored.
+		cerr := e.settle(claims, ctx.Stored(), opts)
 		if err != nil {
 			// ErrModelUnavailable: a breaker tripped, replan degrades
 			// immediately. ErrEvalFailed: the failed run charged the
@@ -175,6 +194,10 @@ func (e *Engine) Execute(stmt *parser.SelectStmt, mode optimizer.Mode, opts Exec
 				continue
 			}
 			return nil, err
+		}
+		if cerr != nil {
+			e.Recycle(out.Rows)
+			return nil, cerr
 		}
 		return out, nil
 	}
@@ -188,7 +211,7 @@ func (e *Engine) ExecuteTraced(stmt *parser.SelectStmt, mode optimizer.Mode) (*O
 }
 
 // Plan is Execute's dry run in the root session: the optimization
-// phase only, nothing executed, no aggregated predicate committed.
+// phase only, nothing executed, no aggregated predicate claimed.
 func (e *Engine) Plan(stmt *parser.SelectStmt, mode optimizer.Mode) (*Outcome, error) {
 	mode.DryRun = true
 	return e.Execute(stmt, mode, ExecOpts{})

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"eva/internal/costs"
@@ -80,6 +81,39 @@ type Context struct {
 	noPipeline int // build-time: >0 while under a Limit (no stages)
 	dl         *deadlineState
 	stages     []*stageIter // pipeline stages of the current Run
+
+	storedMu sync.Mutex
+	// stored counts, per store view, the applies of the current Run that
+	// reached end of stream with every result durable. guarded by storedMu
+	// (applies may run in different pipeline stages).
+	stored map[string]int
+}
+
+// noteStored records that an apply storing into view saw its whole
+// input and flushed the last of its results.
+func (c *Context) noteStored(view string) {
+	c.storedMu.Lock()
+	defer c.storedMu.Unlock()
+	if c.stored == nil {
+		c.stored = map[string]int{}
+	}
+	c.stored[view]++
+}
+
+// Stored reports, after Run, how many of the plan's applies into each
+// store view ran to completion: the view holds a result for every row
+// the apply's gate admits, whatever became of the statement afterwards.
+// An apply cut short — an error anywhere below or in it, a LIMIT above
+// it that stopped pulling — is not counted, for results it evaluated may
+// never have been stored.
+func (c *Context) Stored() map[string]int {
+	c.storedMu.Lock()
+	defer c.storedMu.Unlock()
+	out := make(map[string]int, len(c.stored))
+	for view, n := range c.stored {
+		out[view] = n
+	}
+	return out
 }
 
 func (c *Context) batchSize() int {
@@ -113,6 +147,7 @@ func (c *Context) putBatch(b *types.Batch) {
 func Run(ctx *Context, n plan.Node) (*types.Batch, error) {
 	ctx.armDeadline()
 	ctx.stages = nil
+	ctx.stored = nil // lint:nolock no stage of this Run exists yet
 	defer ctx.stopStages()
 	warmSchemas(n)
 	it, err := build(ctx, n)
@@ -404,6 +439,7 @@ type applyIter struct {
 
 	claimed []string // store-view keys this batch holds claims on
 	staged  int64    // budget bytes reserved for pending view rows
+	stored  bool     // end of stream seen and reported to the Context
 
 	// Per-batch scratch. Everything is grown to the widest batch seen
 	// and kept, so the probe, eval and assemble loops allocate nothing
@@ -564,6 +600,10 @@ func (a *applyIter) next() (*types.Batch, error) {
 	if b == nil {
 		err := a.flush()
 		a.releaseClaims()
+		if err == nil && a.store != nil && !a.stored {
+			a.stored = true
+			a.ctx.noteStored(a.node.StoreView)
+		}
 		return nil, err
 	}
 	decisions := a.probePhase(b)

@@ -194,6 +194,7 @@ func DefaultAnalyzers(modPath string) []Analyzer {
 			qp("internal/optimizer/..."),
 			qp("internal/expr/..."),
 			qp("internal/symbolic/..."),
+			qp("internal/storage/..."),
 			qp("internal/lint/testdata/src/nopanic/..."),
 		),
 		NewErrDiscipline(

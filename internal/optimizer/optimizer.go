@@ -74,8 +74,8 @@ type Mode struct {
 	// scalar UDFs keyed by (bbox, id): results materialized for a
 	// different detector's boxes may serve spatially matching boxes.
 	FuzzyBBox bool
-	// DryRun plans without committing aggregated predicates to the
-	// UDFManager (EXPLAIN).
+	// DryRun stops after planning: nothing is executed, no aggregated
+	// predicate is claimed (EXPLAIN).
 	DryRun bool
 	// TableCovered, when set, gates table-UDF reuse HashStash-style:
 	// the callback reports whether previously materialized results
@@ -170,12 +170,16 @@ type scalarCall struct {
 }
 
 // Optimize turns a parsed SELECT into a physical plan under the mode.
-func (o *Optimizer) Optimize(stmt *parser.SelectStmt, mode Mode) (*Result, error) {
+// claims receives the gate of every invocation the plan will store
+// results for — the statement's claims on the aggregated predicates,
+// which its caller commits once the plan has run, or withdraws; nil
+// plans without claiming anything (EXPLAIN).
+func (o *Optimizer) Optimize(stmt *parser.SelectStmt, mode Mode, claims *udf.Claims) (*Result, error) {
 	// The optimizer self-times for diagnostic output only; the virtual
 	// clock is charged a modeled cost below, never this measurement.
 	// lint:wallclock diagnostic self-timing
 	start := time.Now()
-	res, err := o.optimize(stmt, mode)
+	res, err := o.optimize(stmt, mode, claims)
 	elapsed := time.Since(start) // lint:wallclock diagnostic self-timing
 	if o.Clock != nil && res != nil {
 		// The optimizer's own work (symbolic analysis included) is
@@ -197,7 +201,7 @@ func (o *Optimizer) Optimize(stmt *parser.SelectStmt, mode Mode) (*Result, error
 	return res, err
 }
 
-func (o *Optimizer) optimize(stmt *parser.SelectStmt, mode Mode) (*Result, error) {
+func (o *Optimizer) optimize(stmt *parser.SelectStmt, mode Mode, claims *udf.Claims) (*Result, error) {
 	table, err := o.Cat.Table(stmt.From)
 	if err != nil {
 		return nil, fmt.Errorf("optimizer: %w", err)
@@ -383,7 +387,7 @@ func (o *Optimizer) optimize(stmt *parser.SelectStmt, mode Mode) (*Result, error
 	preGate := scanDNF
 	o.rankCalls(preCalls, preGate, stats, mode)
 	for _, sc := range preCalls {
-		node, err = o.applyScalar(node, sc, preGate, mode, &report)
+		node, err = o.applyScalar(node, sc, preGate, mode, claims, &report)
 		if err != nil {
 			return nil, err
 		}
@@ -400,7 +404,7 @@ func (o *Optimizer) optimize(stmt *parser.SelectStmt, mode Mode) (*Result, error
 	// --- Detector (table UDF / CROSS APPLY). ---
 	detGate := preGate
 	if stmt.Apply != nil {
-		node, err = o.applyDetector(node, stmt.Apply, detGate, mode, stats, table, &report)
+		node, err = o.applyDetector(node, stmt.Apply, detGate, mode, stats, table, claims, &report)
 		if err != nil {
 			return nil, err
 		}
@@ -420,7 +424,7 @@ func (o *Optimizer) optimize(stmt *parser.SelectStmt, mode Mode) (*Result, error
 	o.rankCalls(postCalls, detGate, stats, mode)
 	gate := detGate
 	for _, sc := range postCalls {
-		node, err = o.applyScalar(node, sc, gate, mode, &report)
+		node, err = o.applyScalar(node, sc, gate, mode, claims, &report)
 		if err != nil {
 			return nil, err
 		}

@@ -41,7 +41,7 @@ func newHarness(t *testing.T, ds vision.Dataset) *harness {
 	}
 	clock := &simclock.Clock{}
 	rt := udf.NewRuntime(cat, clock)
-	mgr := udf.NewManager()
+	mgr := udf.NewManager(nil)
 	return &harness{
 		cat: cat, store: store, mgr: mgr, rt: rt, clock: clock,
 		opt: New(cat, mgr, clock),
@@ -55,13 +55,17 @@ func (h *harness) run(t *testing.T, sql string, mode Mode) (*types.Batch, *Resul
 	if err != nil {
 		t.Fatalf("parse %q: %v", sql, err)
 	}
-	res, err := h.opt.Optimize(stmt.(*parser.SelectStmt), mode)
+	claims := h.mgr.Begin()
+	res, err := h.opt.Optimize(stmt.(*parser.SelectStmt), mode, claims)
 	if err != nil {
 		t.Fatalf("optimize %q: %v", sql, err)
 	}
 	out, err := exec.Run(h.ctx, res.Plan)
 	if err != nil {
 		t.Fatalf("run %q: %v\nplan:\n%s", sql, err, plan.Explain(res.Plan))
+	}
+	if _, err := claims.Commit(nil); err != nil {
+		t.Fatalf("commit %q: %v", sql, err)
 	}
 	return out, res
 }
@@ -266,7 +270,7 @@ func TestLogicalUDFAlgorithm2(t *testing.T) {
 	// under EVA (reusing high-accuracy results, §4.3) …
 	sql := "SELECT id, label FROM video CROSS APPLY ObjectDetector(frame) ACCURACY 'LOW' WHERE id < 100"
 	stmt, _ := parser.Parse(sql)
-	res, err := h.opt.Optimize(stmt.(*parser.SelectStmt), EVAMode())
+	res, err := h.opt.Optimize(stmt.(*parser.SelectStmt), EVAMode(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +300,7 @@ func TestLogicalUDFAlgorithm2(t *testing.T) {
 	h2 := newHarness(t, vision.MediumUADetrac)
 	h2.run(t, "SELECT id FROM video CROSS APPLY FasterRCNNResnet50(frame) WHERE id < 100", EVAMode())
 	stmt2, _ := parser.Parse(sql)
-	res2, err := h2.opt.Optimize(stmt2.(*parser.SelectStmt), Mode{Reuse: true, ReuseScalarUDFs: true, Ranking: RankMaterializationAware, Logical: LogicalMinCost})
+	res2, err := h2.opt.Optimize(stmt2.(*parser.SelectStmt), Mode{Reuse: true, ReuseScalarUDFs: true, Ranking: RankMaterializationAware, Logical: LogicalMinCost}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +316,7 @@ func TestLogicalAccuracyConstraint(t *testing.T) {
 	h := newHarness(t, vision.MediumUADetrac)
 	sql := "SELECT id FROM video CROSS APPLY ObjectDetector(frame) ACCURACY 'HIGH' WHERE id < 5"
 	stmt, _ := parser.Parse(sql)
-	res, err := h.opt.Optimize(stmt.(*parser.SelectStmt), EVAMode())
+	res, err := h.opt.Optimize(stmt.(*parser.SelectStmt), EVAMode(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +360,7 @@ func TestErrorPaths(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", sql, err)
 		}
-		if _, err := h.opt.Optimize(stmt.(*parser.SelectStmt), EVAMode()); err == nil {
+		if _, err := h.opt.Optimize(stmt.(*parser.SelectStmt), EVAMode(), nil); err == nil {
 			t.Errorf("Optimize(%q) should error", sql)
 		}
 	}

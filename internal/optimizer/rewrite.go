@@ -71,7 +71,7 @@ func (o *Optimizer) rankCalls(calls []*scalarCall, gate symbolic.DNF, stats symb
 // applyScalar rewrites one scalar UDF invocation into a ReuseApply
 // (Fig. 4) and records the symbolic analysis. gate is the predicate
 // associated with the invocation (everything evaluated before it).
-func (o *Optimizer) applyScalar(node plan.Node, sc *scalarCall, gate symbolic.DNF, mode Mode, report *Report) (plan.Node, error) {
+func (o *Optimizer) applyScalar(node plan.Node, sc *scalarCall, gate symbolic.DNF, mode Mode, claims *udf.Claims, report *Report) (plan.Node, error) {
 	enabled := mode.Reuse && mode.ReuseScalarUDFs
 	agg := o.Mgr.AggOf(sc.sig)
 
@@ -101,9 +101,7 @@ func (o *Optimizer) applyScalar(node plan.Node, sc *scalarCall, gate symbolic.DN
 		}
 		if !diff.IsFalse() {
 			storeView = sc.sig.ViewName()
-		}
-		if !mode.DryRun {
-			o.Mgr.Commit(sc.sig, gate)
+			claims.Add(sc.sig, gate)
 		}
 	}
 	fuzzy := false
@@ -134,7 +132,7 @@ func (o *Optimizer) applyScalar(node plan.Node, sc *scalarCall, gate symbolic.DN
 
 // applyDetector binds the CROSS APPLY clause to physical detectors and
 // rewrites it into a ReuseApply, running Algorithm 2 for logical UDFs.
-func (o *Optimizer) applyDetector(node plan.Node, apply *parser.ApplyClause, gate symbolic.DNF, mode Mode, stats symbolic.Stats, table *catalog.Table, report *Report) (plan.Node, error) {
+func (o *Optimizer) applyDetector(node plan.Node, apply *parser.ApplyClause, gate symbolic.DNF, mode Mode, stats symbolic.Stats, table *catalog.Table, claims *udf.Claims, report *Report) (plan.Node, error) {
 	minAcc := vision.AccuracyLow
 	if apply.Accuracy != "" {
 		lvl, err := vision.ParseAccuracy(apply.Accuracy)
@@ -224,8 +222,10 @@ func (o *Optimizer) applyDetector(node plan.Node, apply *parser.ApplyClause, gat
 			Sel:        1,
 			RelDiff:    1,
 		}
-		if !mode.DryRun {
-			o.Mgr.Commit(sig, gate)
+		// The STORE stays in the plan either way (appends skip the keys
+		// the view holds); only a DIFF that is not FALSE can add to p_u.
+		if storeView != "" && !diff.IsFalse() {
+			claims.Add(sig, gate)
 		}
 	}
 

@@ -26,7 +26,9 @@ func seedDetectorView(h *harness, model string, lo, hi int64) {
 	if err != nil {
 		panic(err)
 	}
-	h.mgr.Commit(sig, d)
+	if err := h.mgr.Commit(sig, d); err != nil {
+		panic(err)
+	}
 }
 
 func planLogical(t *testing.T, h *harness, sql string, mode Mode) *Result {
@@ -35,8 +37,7 @@ func planLogical(t *testing.T, h *harness, sql string, mode Mode) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mode.DryRun = true
-	res, err := h.opt.Optimize(stmt.(*parser.SelectStmt), mode)
+	res, err := h.opt.Optimize(stmt.(*parser.SelectStmt), mode, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,7 +123,7 @@ func (e *Engine) CreateView(name string, schema types.Schema, keyCols []string) 
 			return nil, fmt.Errorf("storage: view %q: key column %q not in schema %s", name, kc, schema)
 		}
 	}
-	v, err := openView(filepath.Join(e.root, "views", sanitize(key)+".view"), name, schema, keyCols, e.inj, e.budget)
+	v, err := openView(e.viewPath(key), name, schema, keyCols, e.inj, e.budget)
 	if err != nil {
 		return nil, err
 	}
@@ -131,6 +131,43 @@ func (e *Engine) CreateView(name string, schema types.Schema, keyCols []string) 
 	e.touchView(v)
 	e.views[key] = v
 	return v, nil
+}
+
+// Existing returns the named view if this engine has it open or its log
+// is on disk, opening the log as its header describes it; nil otherwise
+// (including a log too damaged to open without a creator's schema,
+// which CreateView deals with later as it always has). It is how the UDF
+// manager reaches a signature's persisted aggregated predicate before
+// any operator has asked for the view; the replay it pays is the one
+// that operator's CreateView would have paid. It is not an access for
+// eviction recency, but a view opened here starts as recent as the
+// engine's latest access rather than as its coldest.
+func (e *Engine) Existing(name string) *View {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	key := strings.ToLower(name)
+	if v, ok := e.views[key]; ok {
+		return v
+	}
+	path := e.viewPath(key)
+	if _, err := os.Stat(path); err != nil {
+		return nil
+	}
+	if _, err := os.Stat(tombPath(path)); err == nil {
+		return nil // a committed eviction: the leftovers are CreateView's to clear
+	}
+	v, err := openView(path, name, nil, nil, e.inj, e.budget)
+	if err != nil {
+		return nil
+	}
+	v.eng = e
+	v.touch.Store(e.touchSeq.Load())
+	e.views[key] = v
+	return v
+}
+
+func (e *Engine) viewPath(key string) string {
+	return filepath.Join(e.root, "views", sanitize(key)+".view")
 }
 
 // View returns the named view, or nil if it does not exist. The lookup

@@ -338,6 +338,9 @@ func (v *View) evict() (int64, error) {
 	_ = os.Remove(tombPath(v.path))
 
 	v.resetReplayState()
+	// Every row is gone: whatever the manager still claims for this
+	// view predates the loss (cleared by its ShrinkPredicate).
+	v.predStale = true
 	v.quar = nil
 	v.footprint = int64(len(hdr))
 	v.budget.Set(v.path, v.footprint)

@@ -22,6 +22,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -146,6 +147,8 @@ func (v *View) adoptHolesLocked() {
 		v.budget.Drop(quarPath(v.path))
 		return
 	}
+	// Rows are gone that the predicate snapshot may still claim.
+	v.predStale = true
 	q := &Quarantine{
 		Ranges:       append([]LostRange(nil), v.holes...),
 		SalvagedRows: v.batch.Len(),
@@ -328,6 +331,10 @@ func (v *View) Verify() (ScrubResult, error) {
 		res.RowsDropped = dropped
 	}
 	v.batch, v.index = shadow.batch, shadow.index
+	// The scan may have dropped rows without leaving a hole (a torn
+	// tail), so the snapshot it found is stale whatever adoptHolesLocked
+	// decides below.
+	v.pred, v.predStale = shadow.pred, true
 	v.openTrusted, v.openVerified = 0, shadow.openVerified
 	v.holes = shadow.holes
 	if int64(valid) < int64(len(data)) {
@@ -390,6 +397,7 @@ func (v *View) resetCorruptHeaderLocked(oldLen int64, res *ScrubResult) error {
 	res.RowsDropped = v.batch.Len()
 	v.batch = types.NewBatch(v.schema.Clone())
 	v.index = newKeyIndex()
+	v.pred = nil
 	v.openTrusted, v.openVerified = 0, 0
 	v.holes = []LostRange{{Lo: 0, Hi: oldLen}}
 	if err := v.file.Truncate(0); err != nil {
@@ -518,6 +526,8 @@ func (v *View) Compact() (CompactResult, error) {
 		case shadow.batch.Len() != v.batch.Len() || shadow.index.len() != v.index.len():
 			err = fmt.Errorf("new generation rebuilt %d rows/%d keys, want %d/%d",
 				shadow.batch.Len(), shadow.index.len(), v.batch.Len(), v.index.len())
+		case !bytes.Equal(shadow.pred, v.carriedPredLocked()):
+			err = fmt.Errorf("new generation rebuilt a different aggregated predicate")
 		}
 	}
 	if err != nil {
@@ -547,6 +557,7 @@ func (v *View) Compact() (CompactResult, error) {
 	v.file = nf
 	v.footprint = int64(len(buf))
 	v.quar = nil
+	v.pred = v.carriedPredLocked()
 	_ = os.Remove(quarPath(v.path))
 	// Rename-time accounting: the scratch charge becomes the log's, the
 	// healed quarantine manifest is gone, and the refreshed sidecar is
@@ -563,8 +574,12 @@ func (v *View) Compact() (CompactResult, error) {
 
 // encodeCompactLocked serializes the in-memory state as a fresh
 // generation: header, row records in batch order, then the zero-row
-// processed keys in sorted order — fully deterministic, so compacting
-// identical states yields identical bytes. Callers hold mu.
+// processed keys in sorted order, then the aggregated-predicate
+// snapshot, after everything it describes — unless it is stale: the new
+// generation has no holes, so nothing would tell the next open that the
+// snapshot claims lost rows, and dropping it (FALSE) is the safe side.
+// Fully deterministic, so compacting identical states yields identical
+// bytes. Callers hold mu.
 func (v *View) encodeCompactLocked() []byte {
 	buf := v.encodeHeader()
 	for base := 0; base < v.batch.Len(); base += compactChunkRows {
@@ -598,5 +613,17 @@ func (v *View) encodeCompactLocked() []byte {
 		}
 		buf = sealRecord(buf, recKeys, n, payload)
 	}
+	if pred := v.carriedPredLocked(); len(pred) > 0 {
+		buf = sealRecord(buf, recPred, 0, pred)
+	}
 	return buf
+}
+
+// carriedPredLocked is the predicate snapshot a compacted generation
+// keeps: the current one, unless it is stale. Callers hold mu.
+func (v *View) carriedPredLocked() []byte {
+	if v.predStale {
+		return nil
+	}
+	return v.pred
 }

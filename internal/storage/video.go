@@ -16,7 +16,7 @@ const defaultSegmentFrames = 500
 
 // videoSchema mirrors catalog.VideoSchema without importing the
 // catalog (storage sits below it in the dependency order).
-var videoSchema = types.MustSchema(
+var videoSchema = types.MustSchema( // lint:invariant three literal, distinct column names
 	types.Column{Name: "id", Kind: types.KindInt},
 	types.Column{Name: "seconds", Kind: types.KindFloat},
 	types.Column{Name: "frame", Kind: types.KindBytes},
@@ -187,11 +187,13 @@ func (v *Video) writeSegment(idx int, path string) error {
 	}
 	batch := types.NewBatchCapacity(videoSchema, hi-lo)
 	for f := lo; f < hi; f++ {
-		batch.MustAppendRow(
+		if err := batch.AppendRow(
 			types.NewInt(int64(f)),
 			types.NewFloat(float64(f)/framesPerSecond),
 			types.NewBytes(v.ds.EncodeFrame(int64(f))),
-		)
+		); err != nil {
+			return fmt.Errorf("storage: video %s segment %d: %w", v.name, idx, err)
+		}
 	}
 	return writeSegment(path, batch)
 }

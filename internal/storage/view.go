@@ -27,6 +27,13 @@ import (
 // truncates a torn tail (a record cut short by a crash) back to the
 // last complete record. Because appends are idempotent per key, a
 // re-run STORE after recovery converges to the uninterrupted state.
+//
+// The log also carries the description of what it holds: the
+// signature's aggregated predicate p_u, as snapshot records written
+// after the rows they describe (the last one wins). The bytes are the
+// UDF manager's; the view keeps them durable, hands them back at the
+// next open, and guards one invariant — a snapshot never claims rows
+// the log has lost (see predStale).
 type View struct {
 	name    string
 	path    string
@@ -50,6 +57,16 @@ type View struct {
 	// symbolic repair and compaction; nil when the log is whole.
 	// guarded by mu.
 	quar *Quarantine
+	// pred is the last aggregated-predicate snapshot in the log, opaque
+	// here; empty when there is none, which reads as FALSE. guarded by mu.
+	pred []byte
+	// predStale is set whenever the view loses rows — salvaged holes, a
+	// scrub that dropped rows, eviction — because pred may then claim
+	// keys the log no longer holds. While it is set the snapshot is not
+	// extended (AppendPredicate) and not carried into a compacted
+	// generation; the manager clears it by writing what the survived
+	// rows still prove (ShrinkPredicate). guarded by mu.
+	predStale bool
 	// holes accumulates lost ranges during one replay/salvage scan; it
 	// is working state for replay, promoted into quar by the caller.
 	// guarded by mu (pre-publish in openView).
@@ -82,16 +99,19 @@ type View struct {
 //	[kind:1][count:4][payloadLen:4][payload][sum:8]
 //
 // where sum = xxhash64 over the bytes from kind through payload.
-// Record kinds: rows (encoded datum rows) and processed-keys (encoded
-// key tuples). Version 1 (no checksums) is no longer readable; views
-// are rebuilt from UDF evaluation, so an unsupported version is
-// surfaced as an error rather than migrated.
+// Record kinds: rows (encoded datum rows), processed-keys (encoded key
+// tuples) and predicate (count 0; the payload is a snapshot of the
+// aggregated predicate, empty for FALSE; logs written before the kind
+// existed simply have none). Version 1 (no checksums) is no longer
+// readable; views are rebuilt from UDF evaluation, so an unsupported
+// version is surfaced as an error rather than migrated.
 const (
 	viewMagic   = 0x45564156 // "EVAV"
 	viewVersion = 2
 
 	recRows = 1
 	recKeys = 2
+	recPred = 3
 
 	// recHeaderLen is kind + count + payloadLen; recSumLen the
 	// trailing checksum.
@@ -204,21 +224,24 @@ func (v *View) writeCleanSidecarLocked() {
 	}
 }
 
+// openView opens (or creates) the view log at path. A nil schema opens
+// an existing log as whatever its header declares — the manager asking
+// for a persisted predicate before any operator knows the row layout —
+// and fails where a creator's schema would be needed: no log, or an
+// unreadable header.
 func openView(path, name string, schema types.Schema, keyCols []string, inj *faults.Injector, budget *DiskBudget) (*View, error) {
 	v := &View{
-		name:    name,
-		path:    path,
-		schema:  schema.Clone(),
-		keyCols: append([]string(nil), keyCols...),
-		site:    faults.SiteViewWrite(name),
-		batch:   types.NewBatch(schema.Clone()),
-		index:   newKeyIndex(),
-		claims:  map[string]chan struct{}{},
-		inj:     inj,
-		budget:  budget,
+		name:   name,
+		path:   path,
+		site:   faults.SiteViewWrite(name),
+		index:  newKeyIndex(),
+		claims: map[string]chan struct{}{},
+		inj:    inj,
+		budget: budget,
 	}
-	for _, kc := range keyCols {
-		v.keyIdx = append(v.keyIdx, schema.IndexOf(kc))
+	fromHeader := schema == nil
+	if !fromHeader {
+		v.setLayout(schema, keyCols)
 	}
 	// A tombstone marks a committed eviction the process died inside:
 	// whatever artifacts survive describe a view that no longer exists,
@@ -243,7 +266,7 @@ func openView(path, name string, schema types.Schema, keyCols []string, inj *fau
 			v.resetReplayState()
 			valid, rerr = v.replay(data, 0)
 		}
-		if errors.Is(rerr, errHeaderCorrupt) {
+		if errors.Is(rerr, errHeaderCorrupt) && !fromHeader {
 			// The header itself is unreadable, so no record can be
 			// attributed to a schema: the whole generation is lost.
 			// Views are derived data — quarantine everything and start
@@ -285,6 +308,17 @@ func openView(path, name string, schema types.Schema, keyCols []string, inj *fau
 	return v, nil
 }
 
+// setLayout fixes the row layout. It runs inside openView before the
+// view is published.
+func (v *View) setLayout(schema types.Schema, keyCols []string) {
+	v.schema = schema.Clone()
+	v.keyCols = append([]string(nil), keyCols...)
+	for _, kc := range keyCols {
+		v.keyIdx = append(v.keyIdx, schema.IndexOf(kc))
+	}
+	v.batch = types.NewBatch(v.schema.Clone()) // lint:nolock pre-publish (openView)
+}
+
 func (v *View) encodeHeader() []byte {
 	buf := binary.LittleEndian.AppendUint32(nil, viewMagic)
 	buf = append(buf, viewVersion)
@@ -320,6 +354,7 @@ func (v *View) resetReplayState() {
 	v.index = newKeyIndex()                    // lint:nolock pre-publish (openView)
 	v.openTrusted, v.openVerified = 0, 0       // lint:nolock pre-publish (openView)
 	v.holes = nil                              // lint:nolock pre-publish (openView)
+	v.pred = nil                               // lint:nolock pre-publish (openView)
 }
 
 // replay rebuilds in-memory state from the log. It returns the byte
@@ -339,51 +374,25 @@ func (v *View) resetReplayState() {
 // scan. It runs inside openView before the view is published, so it
 // may touch guarded fields without the lock.
 func (v *View) replay(data []byte, trusted int64) (int, error) {
-	if len(data) < 6 || binary.LittleEndian.Uint32(data) != viewMagic {
-		return 0, errHeaderCorrupt
+	schema, keyCols, off, err := parseViewHeader(data)
+	if err != nil {
+		return 0, err
 	}
-	if data[4] != viewVersion {
-		return 0, fmt.Errorf("unsupported view version %d: %w", data[4], errHeaderCorrupt)
-	}
-	off := 5
-	ncols := int(data[off])
-	off++
-	var schema types.Schema
-	for i := 0; i < ncols; i++ {
-		if off+2 > len(data) {
-			return 0, errHeaderCorrupt
+	switch {
+	case v.schema == nil:
+		for _, kc := range keyCols {
+			if !schema.Has(kc) {
+				return 0, errHeaderCorrupt
+			}
 		}
-		kind := types.Kind(data[off])
-		nameLen := int(data[off+1])
-		off += 2
-		if off+nameLen > len(data) {
-			return 0, errHeaderCorrupt
-		}
-		schema = append(schema, types.Column{Name: string(data[off : off+nameLen]), Kind: kind})
-		off += nameLen
-	}
-	if !schema.Equal(v.schema) {
+		v.setLayout(schema, keyCols)
+	case !schema.Equal(v.schema):
 		return 0, fmt.Errorf("schema mismatch: file has %s, want %s", schema, v.schema)
+	case len(keyCols) != len(v.keyCols):
+		// Names are settled by schema equality; only the count can differ.
+		return 0, fmt.Errorf("key count mismatch: file has %d, want %d", len(keyCols), len(v.keyCols))
 	}
-	if off >= len(data) {
-		return 0, errHeaderCorrupt
-	}
-	nkeys := int(data[off])
-	off++
-	if nkeys != len(v.keyCols) {
-		return 0, fmt.Errorf("key count mismatch: file has %d, want %d", nkeys, len(v.keyCols))
-	}
-	for i := 0; i < nkeys; i++ {
-		if off >= len(data) {
-			return 0, errHeaderCorrupt
-		}
-		klen := int(data[off])
-		off++
-		if off+klen > len(data) {
-			return 0, errHeaderCorrupt
-		}
-		off += klen // names validated via schema equality; skip
-	}
+	v.batch.Reserve(countRows(data, off, len(v.schema))) // lint:nolock pre-publish (openView)
 
 	if trusted > 0 && trusted < int64(off) {
 		// The sidecar claims a prefix shorter than the header: stale
@@ -445,6 +454,75 @@ func (v *View) replay(data []byte, trusted int64) (int, error) {
 	return off, nil
 }
 
+// parseViewHeader reads the log header: the row schema, the key column
+// names and the offset of the first record. A header it cannot read is
+// errHeaderCorrupt.
+func parseViewHeader(data []byte) (schema types.Schema, keyCols []string, off int, err error) {
+	if len(data) < 6 || binary.LittleEndian.Uint32(data) != viewMagic {
+		return nil, nil, 0, errHeaderCorrupt
+	}
+	if data[4] != viewVersion {
+		return nil, nil, 0, fmt.Errorf("unsupported view version %d: %w", data[4], errHeaderCorrupt)
+	}
+	// name reads one length-prefixed name at off.
+	name := func() (string, bool) {
+		if off >= len(data) || off+1+int(data[off]) > len(data) {
+			return "", false
+		}
+		s := string(data[off+1 : off+1+int(data[off])])
+		off += 1 + len(s)
+		return s, true
+	}
+	off = 5
+	ncols := int(data[off])
+	off++
+	for i := 0; i < ncols; i++ {
+		if off >= len(data) {
+			return nil, nil, 0, errHeaderCorrupt
+		}
+		kind := types.Kind(data[off])
+		off++
+		n, ok := name()
+		if !ok {
+			return nil, nil, 0, errHeaderCorrupt
+		}
+		schema = append(schema, types.Column{Name: n, Kind: kind})
+	}
+	if off >= len(data) {
+		return nil, nil, 0, errHeaderCorrupt
+	}
+	nkeys := int(data[off])
+	off++
+	for i := 0; i < nkeys; i++ {
+		n, ok := name()
+		if !ok {
+			return nil, nil, 0, errHeaderCorrupt
+		}
+		keyCols = append(keyCols, n)
+	}
+	return schema, keyCols, off, nil
+}
+
+// countRows walks the record headers from off and sums the rows the row
+// records announce, so replay reserves the view's columns once instead
+// of growing them record by record. It is a capacity hint: the walk
+// stops at the first implausible header, and a count is believed only
+// as far as its payload could hold rows of the given width.
+func countRows(data []byte, off, width int) int {
+	rows := 0
+	for {
+		end, ok := recordBounds(data, off)
+		if !ok {
+			return rows
+		}
+		if data[off] == recRows && width > 0 {
+			count := int(binary.LittleEndian.Uint32(data[off+1:]))
+			rows += min(count, (end-off-recHeaderLen-recSumLen)/width)
+		}
+		off = end
+	}
+}
+
 // recordBounds validates the record header at off structurally,
 // returning the offset past the record. ok is false when the record
 // does not fit in data or its header is implausible.
@@ -453,7 +531,7 @@ func recordBounds(data []byte, off int) (end int, ok bool) {
 		return 0, false
 	}
 	kind := data[off]
-	if kind != recRows && kind != recKeys {
+	if kind != recRows && kind != recKeys && kind != recPred {
 		return 0, false
 	}
 	count := int(binary.LittleEndian.Uint32(data[off+1:]))
@@ -501,19 +579,12 @@ func (v *View) replayRecord(kind byte, count int, payload []byte) error {
 	off := 0
 	switch kind {
 	case recRows:
-		from := v.batch.Len() // lint:nolock replay runs inside openView before the view is published
-		row := make([]types.Datum, len(v.schema))
-		for r := 0; r < count; r++ {
-			for c := range row {
-				d, n, err := types.DecodeDatum(payload[off:])
-				if err != nil {
-					return fmt.Errorf("row record: %w", err)
-				}
-				row[c] = d
-				off += n
-			}
-			v.batch.MustAppendRow(row...) // lint:nolock replay runs inside openView before the view is published
+		from := v.batch.Len()                           // lint:nolock replay runs inside openView before the view is published
+		n, err := v.batch.AppendEncoded(payload, count) // lint:nolock replay runs inside openView before the view is published
+		if err != nil {
+			return fmt.Errorf("row record: %w", err)
 		}
+		off = n
 		v.indexRowsLocked(from)
 	case recKeys:
 		for r := 0; r < count; r++ {
@@ -529,6 +600,11 @@ func (v *View) replayRecord(kind byte, count int, payload []byte) error {
 			// decoded are the key's canonical AppendKey encoding.
 			v.index.mark(payload[start:off]) // lint:nolock replay runs inside openView before the view is published
 		}
+	case recPred:
+		// A snapshot: the last one replayed wins. Copied, because payload
+		// aliases the whole log image.
+		v.pred = append([]byte(nil), payload...) // lint:nolock replay runs inside openView before the view is published
+		off = len(payload)
 	default:
 		return fmt.Errorf("unknown record kind %d", kind)
 	}
@@ -669,24 +745,94 @@ func (v *View) AppendWith(rows *types.Batch, processedKeys [][]types.Datum, inj 
 		v.mu.Lock()
 		n, err := v.appendLocked(rows, processedKeys, inj)
 		v.mu.Unlock()
-		if err == nil || !IsDiskFull(err) || faults.IsCrash(err) {
-			return n, err
+		if err == nil {
+			return n, nil
 		}
-		var dfe *DiskFullError
-		errors.As(err, &dfe)
-		if v.eng == nil || attempt >= evictRetryMax {
-			return 0, fmt.Errorf("storage: view %s: %w: %v", v.name, ErrDiskBudget, dfe)
+		if err = v.MakeRoom(err, attempt); err != nil {
+			return 0, err
 		}
-		// Evicting the log being appended would free nothing durable
-		// for this retry, so the ladder excludes it; a budget too small
-		// for even one view therefore ends with a dry ladder and the
-		// typed error, never an evict-ourselves loop.
-		freed := v.eng.Reclaim(dfe.Need, v.name)
-		if freed <= 0 && !faults.IsTransient(err) {
-			return 0, fmt.Errorf("storage: view %s: %w: %v", v.name, ErrDiskBudget, dfe)
-		}
-		v.eng.chargeRetry(attempt)
 	}
+}
+
+// MakeRoom is the step between two attempts at a log write: given the
+// error of attempt number `attempt`, it returns nil when the write
+// failed for want of disk space and is worth repeating — the reclaim
+// ladder freed something, or the shortage was an injected transient —
+// after charging the retry backoff. Any other error comes back as it
+// is, and a ladder run dry as the typed ErrDiskBudget. The caller must
+// hold no view lock.
+func (v *View) MakeRoom(err error, attempt int) error {
+	if !IsDiskFull(err) || faults.IsCrash(err) {
+		return err
+	}
+	var dfe *DiskFullError
+	errors.As(err, &dfe)
+	if v.eng == nil || attempt >= evictRetryMax {
+		return fmt.Errorf("storage: view %s: %w: %v", v.name, ErrDiskBudget, dfe)
+	}
+	// Evicting the log being appended would free nothing durable
+	// for this retry, so the ladder excludes it; a budget too small
+	// for even one view therefore ends with a dry ladder and the
+	// typed error, never an evict-ourselves loop.
+	freed := v.eng.Reclaim(dfe.Need, v.name)
+	if freed <= 0 && !faults.IsTransient(err) {
+		return fmt.Errorf("storage: view %s: %w: %v", v.name, ErrDiskBudget, dfe)
+	}
+	v.eng.chargeRetry(attempt)
+	return nil
+}
+
+// Predicate returns the last aggregated-predicate snapshot the log
+// holds (empty: none, which reads as FALSE) and whether it is stale:
+// the view has lost rows since, so the snapshot may claim keys the log
+// no longer has and must be shrunk to what survived before it is used.
+func (v *View) Predicate() (pred []byte, stale bool) {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	return v.pred, v.predStale
+}
+
+// AppendPredicate makes pred the view's durable aggregated predicate:
+// one attempt at appending a snapshot record, through the same write
+// path as rows — fault sites keyed by LSN, budget admission, rollback of
+// a failed write, a torn tail after a simulated crash — so it must
+// follow the rows it describes. A snapshot equal to the last one writes
+// nothing. While the predicate is stale the record is not written: the
+// manager's copy predates a loss of rows, and persisting it could claim
+// keys the log no longer holds.
+func (v *View) AppendPredicate(pred []byte, inj *faults.Injector) error {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.predStale || bytes.Equal(pred, v.pred) {
+		return nil
+	}
+	return v.writePredLocked(pred, inj)
+}
+
+// ShrinkPredicate is the manager's answer to a loss of rows: pred is
+// what the surviving rows still prove. It clears the stale mark and, if
+// the log holds anything else, appends pred as the new snapshot — one
+// best-effort attempt under the view's own injector: when it fails the
+// mark stays, so the outdated snapshot is neither trusted by a later
+// open (which finds the same holes) nor carried by a compaction.
+func (v *View) ShrinkPredicate(pred []byte) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if !bytes.Equal(pred, v.pred) && v.writePredLocked(pred, v.inj) != nil {
+		return
+	}
+	v.predStale = false
+}
+
+func (v *View) writePredLocked(pred []byte, inj *faults.Injector) error {
+	if v.dead {
+		return fmt.Errorf("storage: view %s: unusable after simulated crash", v.name)
+	}
+	if err := v.writeLocked(sealRecord(nil, recPred, 0, pred), inj); err != nil {
+		return err
+	}
+	v.pred = append([]byte(nil), pred...)
+	return nil
 }
 
 func (v *View) appendLocked(rows *types.Batch, processedKeys [][]types.Datum, inj *faults.Injector) (int, error) {

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"testing"
 
 	"eva/internal/types"
@@ -23,7 +24,11 @@ func fuzzView() *View {
 // FuzzViewReplay throws arbitrary bytes at the view-log replay path.
 // The invariants: replay never panics, never claims a valid prefix
 // longer than the input, and the prefix it accepts replays to the same
-// state when fed back alone (recovery is a fixed point).
+// state — rows, processed keys and the aggregated-predicate snapshot —
+// when fed back alone (recovery is a fixed point). A predicate record
+// is opaque here: whatever its payload, torn, flipped, repeated or out
+// of order, it can cost the snapshot (the previous one, or none, stands)
+// but never the open.
 func FuzzViewReplay(f *testing.F) {
 	// Seed with a well-formed log: header plus one append of each
 	// record kind, and a torn copy of the same.
@@ -43,6 +48,24 @@ func FuzzViewReplay(f *testing.F) {
 	f.Add(log[:len(log)-5])
 	f.Add(log[:len(v.encodeHeader())])
 	f.Add([]byte{})
+	// Logs holding predicate records: in order, torn, bit-flipped in the
+	// payload and in the checksum, duplicated, out of order (a snapshot
+	// ahead of the rows it describes), empty, and undecodable to its
+	// owner (storage cannot tell).
+	rec := len(log)
+	p1 := sealRecord(nil, recPred, 0, []byte{1, 1, 1, 2, 'i', 'd', 0, 1})
+	p2 := sealRecord(nil, recPred, 0, []byte("not a predicate at all"))
+	withPred := append(append([]byte(nil), log...), p1...)
+	f.Add(withPred)
+	f.Add(withPred[:len(withPred)-3])
+	for _, at := range []int{rec + recHeaderLen + 2, len(withPred) - 1, rec} {
+		flipped := append([]byte(nil), withPred...)
+		flipped[at] ^= 0x40
+		f.Add(flipped)
+	}
+	f.Add(append(append([]byte(nil), withPred...), p1...))
+	f.Add(append(append(append([]byte(nil), withPred...), p2...), log[len(v.encodeHeader()):]...))
+	f.Add(append(append(v.encodeHeader(), p2...), sealRecord(nil, recPred, 0, nil)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v1 := fuzzView()
@@ -61,9 +84,9 @@ func FuzzViewReplay(f *testing.F) {
 		if err != nil || valid2 != valid {
 			t.Fatalf("prefix replay diverged: valid=%d/%d err=%v", valid2, valid, err)
 		}
-		if v1.batch.Len() != v2.batch.Len() || v1.index.len() != v2.index.len() {
-			t.Fatalf("prefix replay state mismatch: rows %d/%d processed %d/%d",
-				v1.batch.Len(), v2.batch.Len(), v1.index.len(), v2.index.len())
+		if v1.batch.Len() != v2.batch.Len() || v1.index.len() != v2.index.len() || !bytes.Equal(v1.pred, v2.pred) {
+			t.Fatalf("prefix replay state mismatch: rows %d/%d processed %d/%d predicate %x/%x",
+				v1.batch.Len(), v2.batch.Len(), v1.index.len(), v2.index.len(), v1.pred, v2.pred)
 		}
 	})
 }

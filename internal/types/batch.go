@@ -65,6 +65,40 @@ func (b *Batch) AppendRow(row ...Datum) error {
 	return nil
 }
 
+// Reserve makes room for n more rows without reallocating.
+func (b *Batch) Reserve(n int) {
+	for c := range b.cols {
+		b.cols[c] = slices.Grow(b.cols[c], n)
+	}
+}
+
+// AppendEncoded appends count rows decoded from src, which holds their
+// datums in AppendBinary form, row after row — the payload of a stored
+// row record — and returns the bytes consumed. Datums land in their
+// columns as they are decoded, under AppendRow's kind rule. On error b
+// is unchanged.
+func (b *Batch) AppendEncoded(src []byte, count int) (int, error) {
+	off := 0
+	for r := 0; r < count; r++ {
+		for c := range b.cols {
+			d, n, err := DecodeDatum(src[off:])
+			if err == nil && !b.schema[c].Kind.accepts(d.kind) {
+				err = fmt.Errorf("types: column %q expects %s, got %s", b.schema[c].Name, b.schema[c].Kind, d.Kind())
+			}
+			if err != nil {
+				for c := range b.cols {
+					b.cols[c] = b.cols[c][:b.n]
+				}
+				return 0, err
+			}
+			b.cols[c] = append(b.cols[c], d)
+			off += n
+		}
+	}
+	b.n += count
+	return off, nil
+}
+
 // MustAppendRow is AppendRow that panics on error; for generators whose
 // schemas are statically correct.
 func (b *Batch) MustAppendRow(row ...Datum) {

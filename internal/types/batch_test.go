@@ -388,3 +388,58 @@ func TestAppendColumnsMatchesAppendRow(t *testing.T) {
 		t.Fatal("width mismatch should error")
 	}
 }
+
+// TestAppendEncodedMatchesAppendRow: decoding a stored row record
+// straight into the columns equals decoding each datum and appending the
+// rows one by one, consumes exactly the record, and on any failure — a
+// truncated datum, a kind the column does not accept — leaves the batch
+// as it was.
+func TestAppendEncodedMatchesAppendRow(t *testing.T) {
+	s := testSchema(t)
+	rows := [][]Datum{
+		{NewInt(1), NewString("car"), NewFloat(0.25)},
+		{NewInt(2), Null, NewFloat(0.5)},
+		{NewInt(3), NewString(""), Null},
+	}
+	want := NewBatch(s)
+	var enc []byte
+	for _, r := range rows {
+		want.MustAppendRow(r...)
+		for _, d := range r {
+			enc = d.AppendBinary(enc)
+		}
+	}
+	got := NewBatch(s)
+	got.MustAppendRow(rows[0]...)
+	got.Reserve(len(rows))
+	capBefore := cap(got.Col(0))
+	n, err := got.AppendEncoded(enc, len(rows))
+	if err != nil || n != len(enc) || got.Len() != 1+len(rows) {
+		t.Fatalf("AppendEncoded = %d, %v; %d rows; want %d bytes, %d rows", n, err, got.Len(), len(enc), 1+len(rows))
+	}
+	if cap(got.Col(0)) != capBefore {
+		t.Error("AppendEncoded regrew columns Reserve had sized")
+	}
+	for r := range rows {
+		for c := range s {
+			if !Equal(got.At(1+r, c), want.At(r, c)) || got.At(1+r, c).Kind() != want.At(r, c).Kind() {
+				t.Errorf("row %d col %d = %v, want %v", r, c, got.At(1+r, c), want.At(r, c))
+			}
+		}
+	}
+
+	bad := NewString("id?").AppendBinary(nil)
+	for name, src := range map[string][]byte{
+		"truncated":     enc[:len(enc)-3],
+		"kind mismatch": append(append([]byte(nil), enc[:len(enc)/3]...), bad...),
+	} {
+		if _, err := got.AppendEncoded(src, len(rows)); err == nil {
+			t.Errorf("%s: no error", name)
+		}
+		for c := range s {
+			if got.Len() != 1+len(rows) || len(got.Col(c)) != got.Len() {
+				t.Fatalf("%s: batch changed by a failed append: %d rows, column %d holds %d", name, got.Len(), c, len(got.Col(c)))
+			}
+		}
+	}
+}

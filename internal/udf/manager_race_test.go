@@ -29,7 +29,7 @@ func rangeDNF(t *testing.T, lo, hi int64) symbolic.DNF {
 // tripping the race detector. The snapshot API (Lookup/AggOf/Entries
 // return value copies) must let readers and committers run freely.
 func TestManagerConcurrentCommitAndRead(t *testing.T) {
-	m := NewManager()
+	m := NewManager(nil)
 	sig := NewSignature("", "cartype", []expr.Expr{expr.NewColumn("frame"), expr.NewColumn("bbox")})
 	const workers = 8
 	const rounds = 50
@@ -50,6 +50,9 @@ func TestManagerConcurrentCommitAndRead(t *testing.T) {
 				case 2:
 					a := m.Analyze(sig, q)
 					_ = a.Inter.IsFalse()
+					failed := m.Begin()
+					failed.Add(sig, q)
+					failed.Abort()
 				default:
 					for _, e := range m.Entries() {
 						_ = e.Agg.String()
@@ -72,7 +75,7 @@ func TestManagerConcurrentCommitAndRead(t *testing.T) {
 // retroactively changed by a later Commit — the property the
 // optimizer relies on while planning against a fixed p_u.
 func TestManagerSnapshotIsolation(t *testing.T) {
-	m := NewManager()
+	m := NewManager(nil)
 	sig := NewSignature("", "redness", []expr.Expr{expr.NewColumn("frame")})
 	snap := m.Lookup(sig)
 	if !snap.Agg.IsFalse() {
@@ -88,7 +91,7 @@ func TestManagerSnapshotIsolation(t *testing.T) {
 }
 
 func BenchmarkManagerAggOf(b *testing.B) {
-	m := NewManager()
+	m := NewManager(nil)
 	sig := NewSignature("", "cartype", []expr.Expr{expr.NewColumn("frame"), expr.NewColumn("bbox")})
 	p := expr.NewCmp(expr.OpLt, expr.NewColumn("id"), expr.NewConst(types.NewInt(1000)))
 	d, err := symbolic.FromExpr(p)

@@ -58,7 +58,7 @@ func pred(t *testing.T, s string, lo, hi float64) symbolic.DNF {
 }
 
 func TestManagerLifecycle(t *testing.T) {
-	m := NewManager()
+	m := NewManager(nil)
 	sig := NewSignature("", "det", []expr.Expr{expr.NewColumn("frame")})
 	e := m.Lookup(sig)
 	if !e.Agg.IsFalse() {

@@ -74,7 +74,8 @@ type RepairReport struct {
 }
 
 // repairTask is one pending symbolic repair, registered when a scrub
-// pass (or a reopen) quarantines a view.
+// pass (or the first use of a view that reopened with holes) finds the
+// view's aggregated predicate promising rows it lost.
 type repairTask struct {
 	sig udf.Signature
 	// lost is the DIFF residual: the part of the aggregated predicate
@@ -122,59 +123,31 @@ func (s *System) scrubPassLocked() ScrubReport {
 	return rep
 }
 
-// quarantineDetected shrinks the view's aggregated predicate to what
-// the salvaged rows still prove and queues the DIFF residual for
-// repair. Views whose signature has no predicate state yet (a fresh
-// System reopening corrupt files) need nothing: their aggregated
-// predicate is already FALSE, so normal queries recompute and
-// re-append lazily — appends are idempotent per key.
+// quarantineDetected tells the UDF manager a view lost rows: its
+// aggregated predicate shrinks to what the salvaged rows still prove
+// (udf.Manager.Shrink) and the region given up comes back through
+// predicateLost to be queued for repair. A signature the manager has
+// not seen since this System opened needs nothing here: storage keeps
+// the view's durable predicate marked stale, and the manager goes
+// through the same shrink when it first loads it.
 func (s *System) quarantineDetected(view string) {
-	entry, ok := s.mgr().EntryByView(view)
-	if !ok || entry.Agg.IsFalse() {
-		return
+	if entry, ok := s.mgr().EntryByView(view); ok {
+		s.mgr().Shrink(entry.Sig)
 	}
-	v := s.store.View(view)
-	if v == nil {
-		return
-	}
-	kc := entry.Sig.KeyColumns()
-	idOnly := len(kc) == 1 && kc[0] == "id"
-	// For id-keyed views the survived keys translate exactly into an
-	// id-interval predicate. Other key shapes (scalar UDFs keyed by
-	// bounding box) get the conservative claim — FALSE — because a
-	// surviving id may still have lost sibling keys in another record;
-	// retracting everything keeps the symbolic layer truthful and lets
-	// per-key probing reuse whatever actually survived.
-	survived := symbolic.False()
-	if idOnly {
-		survived = survivedIDDNF(v)
-	}
-	lost := symbolic.Diff(survived, entry.Agg)
-	s.mgr().Constrain(entry.Sig, survived)
-	if lost.IsFalse() {
-		return
-	}
+}
+
+// predicateLost is the manager's OnLost hook: the signature's view lost
+// rows its aggregated predicate had promised — found by a scrub, or at
+// the first load of a predicate persisted beside a log that opened with
+// salvaged holes — and lost is that DIFF residual. It queues the repair.
+func (s *System) predicateLost(sig udf.Signature, lost symbolic.DNF) {
+	kc := sig.KeyColumns()
 	s.repairMu.Lock()
+	defer s.repairMu.Unlock()
 	if s.repairs == nil {
 		s.repairs = map[string]repairTask{}
 	}
-	s.repairs[view] = repairTask{sig: entry.Sig, lost: lost, idOnly: idOnly}
-	s.repairMu.Unlock()
-}
-
-// survivedIDDNF renders the view's surviving processed-key id ranges
-// as a DNF over the "id" term.
-func survivedIDDNF(v *storage.View) symbolic.DNF {
-	ranges, ok := v.SurvivedIDRanges()
-	if !ok || len(ranges) == 0 {
-		return symbolic.False()
-	}
-	ivs := make([]symbolic.Interval, 0, len(ranges))
-	for _, r := range ranges {
-		ivs = append(ivs, symbolic.Interval{Lo: float64(r.Lo), Hi: float64(r.Hi)})
-	}
-	return symbolic.FromConjuncts(symbolic.NewConjunct().
-		WithConstraint("id", symbolic.NumConstraint(symbolic.NewIntervalSet(ivs...))))
+	s.repairs[sig.ViewName()] = repairTask{sig: sig, lost: lost, idOnly: len(kc) == 1 && kc[0] == "id"}
 }
 
 // lostIDRanges enumerates the finite integer id ranges a lost residual
@@ -252,9 +225,9 @@ func (s *System) Repair() (RepairReport, error) {
 	}
 	s.repairMu.Unlock()
 	// Repair every view with a queued task, plus any view carrying a
-	// standing quarantine without one (corruption found at reopen heals
-	// lazily through normal queries — predicate state restarts at FALSE
-	// — but the fragmented log still wants compacting).
+	// standing quarantine without one (nothing its predicate promised
+	// was lost, or it heals lazily through normal queries — but the
+	// fragmented log still wants compacting).
 	nameSet := map[string]struct{}{}
 	for n := range tasks {
 		nameSet[n] = struct{}{}

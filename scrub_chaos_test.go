@@ -162,20 +162,35 @@ func corruptViewsAt(t *testing.T, dir, site string) {
 
 // scrubBaseline runs the script on a pristine system and captures the
 // convergence targets: the cold (first-run) and warm (second-run)
-// statement outputs and the view content digest. They differ only in
-// catalog side effects — a warm LOAD errors on the existing table — so
-// corrupted cells compare warm re-runs against warmOut and fresh
-// reopened systems against coldOut.
-func scrubBaseline(t *testing.T, src string) (coldOut, warmOut, views string) {
+// statement outputs and the view content digest, then closes it and
+// captures what a system reopened over the same directory answers. A
+// restart is invisible to reuse — the aggregated predicates are durable
+// in the view logs — so reopenOut is warmOut except for catalog side
+// effects: a warm LOAD errors on the existing table, a reopened one
+// succeeds. (For a logical UDF that matters: which physical model's
+// view serves a statement depends on the predicates.) Corrupted cells
+// compare warm re-runs against warmOut and fresh reopened systems
+// against reopenOut; coldOut is what a first run answers.
+func scrubBaseline(t *testing.T, src string) (coldOut, warmOut, reopenOut, views string) {
 	t.Helper()
-	sys, err := Open(Config{Dir: t.TempDir(), Workers: 1})
+	dir := t.TempDir()
+	sys, err := Open(Config{Dir: dir, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Close()
 	coldOut = runScriptOut(t, sys, src)
 	warmOut = runScriptOut(t, sys, src)
-	return coldOut, warmOut, viewContentDigest(sys)
+	views = viewContentDigest(sys)
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sys2, err := Open(Config{Dir: dir, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys2.Close()
+	return coldOut, warmOut, runScriptOut(t, sys2, src), views
 }
 
 // TestScrubCorruptionMatrix: every view-building script × corruption
@@ -198,7 +213,7 @@ func TestScrubCorruptionMatrix(t *testing.T) {
 			t.Fatalf("script %s missing", script)
 		}
 		t.Run(script, func(t *testing.T) {
-			coldOut, wantOut, wantViews := scrubBaseline(t, src)
+			_, wantOut, reopenOut, wantViews := scrubBaseline(t, src)
 			for _, site := range scrubSites {
 				for _, w := range workerSet {
 					t.Run(fmt.Sprintf("%s-w%d", site, w), func(t *testing.T) {
@@ -260,9 +275,9 @@ func TestScrubCorruptionMatrix(t *testing.T) {
 							t.Fatal(err)
 						}
 						defer sys2.Close()
-						if got := runScriptOut(t, sys2, src); got != coldOut {
+						if got := runScriptOut(t, sys2, src); got != reopenOut {
 							t.Errorf("reopened output diverged from baseline\n%s",
-								digestDiff(coldOut, got))
+								digestDiff(reopenOut, got))
 						}
 						if got := viewContentDigest(sys2); got != wantViews {
 							t.Errorf("reopened view content diverged\n%s",
@@ -286,7 +301,7 @@ func TestRepairCrashKillPoints(t *testing.T) {
 	if src == "" {
 		t.Fatal("reuse_flow.sql missing")
 	}
-	_, wantOut, wantViews := scrubBaseline(t, src)
+	_, wantOut, _, wantViews := scrubBaseline(t, src)
 	kills := []struct {
 		name string
 		site string
@@ -391,7 +406,7 @@ func TestRepairRecomputesInteriorHole(t *testing.T) {
 	if src == "" {
 		t.Fatal("groupby_agg.sql missing")
 	}
-	_, _, wantViews := scrubBaseline(t, src)
+	_, _, _, wantViews := scrubBaseline(t, src)
 	dir := t.TempDir()
 	sys, err := Open(Config{Dir: dir, Workers: 1})
 	if err != nil {
@@ -442,7 +457,7 @@ func TestBackgroundScrubberHeals(t *testing.T) {
 	if src == "" {
 		t.Fatal("groupby_agg.sql missing")
 	}
-	_, wantOut, wantViews := scrubBaseline(t, src)
+	_, wantOut, _, wantViews := scrubBaseline(t, src)
 	dir := t.TempDir()
 	sys, err := Open(Config{Dir: dir, Workers: 2, ScrubInterval: time.Nanosecond})
 	if err != nil {
