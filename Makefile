@@ -112,11 +112,17 @@ cover:
 # predicate: its codec (decode∘encode is the identity, arbitrary bytes
 # cost bounded memory and at worst an error) and the view-log replay
 # that carries it (torn, flipped, repeated or misplaced snapshot
-# records cost the snapshot, never the open).
+# records cost the snapshot, never the open); and the two
+# last-record-wins replays behind streaming ingest, the watermark log
+# and the standing-query checkpoint log (valid prefix in range, replay
+# of the accepted prefix is a fixed point, a regressing watermark is an
+# error).
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzReduce -fuzztime=5s ./internal/symbolic/
 	$(GO) test -run=^$$ -fuzz=FuzzDNFCodec -fuzztime=5s ./internal/symbolic/
 	$(GO) test -run=^$$ -fuzz=FuzzViewReplay -fuzztime=5s ./internal/storage/
+	$(GO) test -run=^$$ -fuzz=FuzzWatermarkReplay -fuzztime=5s ./internal/storage/
+	$(GO) test -run=^$$ -fuzz=FuzzCheckpointReplay -fuzztime=5s ./internal/ingest/
 	$(GO) test -run=^$$ -fuzz=FuzzProgramMatchesEval -fuzztime=5s ./internal/expr/
 	$(GO) test -run=^$$ -fuzz=FuzzSiteMatch -fuzztime=5s ./internal/faults/
 	$(GO) test -run=^$$ -fuzz=FuzzBatchPoolLifecycle -fuzztime=5s ./internal/types/
@@ -157,11 +163,12 @@ scrub:
 # baseline-identical rows with no surviving tombstones; Session-only
 # statements must drive the background evictor; plus the
 # storage layer's budget/eviction/log-retention unit suite (kill-point
-# sweep, evict-retry, tail-log truncation) and the checkpoint
+# sweep, evict-retry, tail-log truncation, the TailLog write-protocol
+# matrix, scratch-file cleanup at open) and the checkpoint
 # retention tests. See DESIGN.md "Disk-pressure survival".
 evict:
 	$(GO) test -race -run 'TestEvictChaosMatrix|TestSessionStatementsDriveEvictor' .
-	$(GO) test -race -run 'TestEvict|TestDiskBudget|TestDiskFull|TestReclaim|TestBudgetDenial|TestWatermarkLogRetention|TestOpenTailLog' ./internal/storage/
+	$(GO) test -race -run 'TestEvict|TestDiskBudget|TestDiskFull|TestReclaim|TestBudgetDenial|TestWatermarkLogRetention|TestOpenTailLog|TestTailLog|TestOpenRemovesScratch' ./internal/storage/
 	$(GO) test -race -run TestCheckpoint ./internal/ingest/
 
 # pool-safety runs the BatchPool's ownership test suite with poison

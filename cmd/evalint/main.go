@@ -1,7 +1,7 @@
 // Command evalint runs eva's project-specific static analyzers over
 // the module: exhaustive-switch, guarded-by, no-panic,
 // error-discipline, tracked-goroutine, walltime, mapiter, hotalloc,
-// and faultsite (see internal/lint). It is stdlib-only — packages are
+// faultsite and durable (see internal/lint). It is stdlib-only — packages are
 // loaded with go/parser and go/types directly.
 //
 // Usage:

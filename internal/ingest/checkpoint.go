@@ -15,9 +15,7 @@ package ingest
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"os"
 	"sort"
 
 	"eva/internal/faults"
@@ -47,10 +45,6 @@ const (
 	// accumulated the log is folded into header + one record before the
 	// next append.
 	ckptCompactRecords = 8
-
-	// ckptDiskRetries bounds one write's evict-retry loop under disk
-	// pressure, mirroring the storage layer's own bound.
-	ckptDiskRetries = 64
 )
 
 // ckptHeader builds the checkpoint-log header bytes.
@@ -167,30 +161,29 @@ func replayCheckpoints(data []byte) (valid int, st ckptState, recs int, err erro
 	return off, st, recs, nil
 }
 
-// checkpointLog is the durable progress file of one standing query.
-// It is owned by the stream's pump goroutine; no locking.
+// checkpointLog is the durable progress file of one standing query: a
+// storage.TailLog (which owns the file, the write protocol and the disk
+// accounting) plus the record schema — the last durable state and how
+// many records the log holds. It is owned by the stream's pump
+// goroutine; no locking.
 type checkpointLog struct {
-	path      string
-	site      string // faults.SiteIngestCheckpoint(query)
-	file      *os.File
-	foot      int64 // durable bytes
-	dead      bool  // simulated crash hit this handle
-	recovered int64 // torn-tail bytes dropped at open
-	st        ckptState
-	recs      int
-	// store wires in the storage engine for disk accounting and the
-	// reclaim ladder; nil in unit tests (no budget, no eviction).
-	store *storage.Engine
-	// charge is the retry-backoff hook run before each disk-full
-	// evict-retry; nil charges nothing.
-	charge func(attempt int)
+	log  *storage.TailLog
+	st   ckptState
+	recs int
 }
 
 // openCheckpoint opens (or creates) a standing query's checkpoint log,
-// recovering the last durable state and truncating a torn tail.
-func openCheckpoint(path, site string) (*checkpointLog, error) {
-	c := &checkpointLog{path: path, site: site, st: ckptState{windows: map[int64]int64{}}}
-	tl, err := storage.OpenTailLog(path, ckptHeader(), func(data []byte) (int, error) {
+// recovering the last durable state and truncating a torn tail. store
+// supplies the disk budget and the reclaim ladder (nil in unit tests:
+// no budget, no eviction) and charge the retry backoff run before each
+// disk-full retry (nil charges nothing).
+func openCheckpoint(path, site string, store *storage.Engine, charge func(attempt int)) (*checkpointLog, error) {
+	c := &checkpointLog{st: ckptState{windows: map[int64]int64{}}}
+	var budget *storage.DiskBudget
+	if store != nil {
+		budget = store.Budget()
+	}
+	log, err := storage.OpenTailLog(path, "ingest: checkpoint "+path, site, ckptHeader(), budget, func(data []byte) (int, error) {
 		valid, st, recs, rerr := replayCheckpoints(data)
 		if rerr != nil {
 			return 0, rerr
@@ -204,184 +197,48 @@ func openCheckpoint(path, site string) (*checkpointLog, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ingest: checkpoint %s: %w", path, err)
 	}
-	c.file, c.foot, c.recovered = tl.File, tl.Footprint, tl.Recovered
+	log.Attach(store, "", charge, c.fold)
+	c.log = log
 	return c, nil
-}
-
-// attach wires the storage engine (disk budget + reclaim ladder) and
-// the retry-backoff hook in, charging the log's current footprint.
-func (c *checkpointLog) attach(store *storage.Engine, charge func(attempt int)) {
-	c.store, c.charge = store, charge
-	if store != nil {
-		store.Budget().Set(c.path, c.foot)
-	}
-}
-
-// budget returns the disk budget this log charges (nil-safe).
-func (c *checkpointLog) budget() *storage.DiskBudget {
-	if c.store == nil {
-		return nil
-	}
-	return c.store.Budget()
 }
 
 // write durably records st, consulting the injector at the query's
 // checkpoint site keyed by the state's LSN. Transient and permanent
 // faults roll the log back (nothing durable changed, safe to retry);
 // a simulated crash leaves the torn tail for the next open and kills
-// the handle. The in-memory state advances only on success.
+// the handle; disk pressure runs the reclaim ladder between attempts
+// (the pump owns this log and holds no storage locks, so the ladder is
+// safe). The in-memory state advances only on success.
 func (c *checkpointLog) write(st ckptState, inj *faults.Injector) error {
-	for attempt := 1; ; attempt++ {
-		err := c.writeOnce(st, inj)
-		if err == nil || !storage.IsDiskFull(err) || faults.IsCrash(err) {
+	return c.log.Retry(func() error {
+		// Retention tier: fold a long log down before appending more.
+		// Best-effort — a failed fold leaves the old log intact.
+		if c.recs >= ckptCompactRecords {
+			_ = c.fold() // lint:noerrcheck best-effort fold; append still valid on old log
+		}
+		rec := st.encode(make([]byte, 0, ckptRecOverhead+ckptStateFixed+len(st.windows)*ckptWindowSize))
+		if err := c.log.Append(rec, uint64(st.lsn), inj); err != nil {
 			return err
 		}
-		var dfe *storage.DiskFullError
-		errors.As(err, &dfe)
-		if c.store == nil || attempt >= ckptDiskRetries {
-			return fmt.Errorf("ingest: checkpoint %s: %w: %v", c.path, storage.ErrDiskBudget, dfe)
-		}
-		// The pump owns this log and holds no storage locks here, so the
-		// reclaim ladder (which takes engine and view locks) is safe.
-		freed := c.store.Reclaim(dfe.Need, "")
-		if freed <= 0 && !faults.IsTransient(err) {
-			return fmt.Errorf("ingest: checkpoint %s: %w: %v", c.path, storage.ErrDiskBudget, dfe)
-		}
-		if c.charge != nil {
-			c.charge(attempt)
-		}
-	}
-}
-
-// writeOnce is one append attempt; write wraps it in the disk-full
-// evict-retry loop.
-func (c *checkpointLog) writeOnce(st ckptState, inj *faults.Injector) error {
-	if c.dead {
-		return fmt.Errorf("ingest: checkpoint %s: unusable after simulated crash", c.path)
-	}
-	if c.file == nil {
-		return fmt.Errorf("ingest: checkpoint %s: closed", c.path)
-	}
-	// Retention tier: fold a long log down before appending more.
-	// Best-effort — a failed fold leaves the old log intact.
-	if c.recs >= ckptCompactRecords {
-		_ = c.compact() // lint:noerrcheck best-effort fold; append still valid on old log
-	}
-	rec := st.encode(make([]byte, 0, ckptRecOverhead+ckptStateFixed+len(st.windows)*ckptWindowSize))
-
-	allow := len(rec)
-	var injected error
-	dfSite := faults.SiteDiskFull(c.site)
-	if short, ferr := inj.CheckWrite(dfSite, uint64(st.lsn), len(rec)); ferr != nil {
-		allow, injected = short, &storage.DiskFullError{Site: dfSite, Need: int64(len(rec)), Injected: ferr}
-	} else if short, ferr := inj.CheckWrite(c.site, uint64(st.lsn), len(rec)); ferr != nil {
-		allow, injected = short, ferr
-	}
-	admitted := false
-	if injected == nil {
-		if !c.budget().Admit(c.path, int64(len(rec))) {
-			// Over budget: folding the log may free enough locally
-			// without evicting anyone.
-			if c.compact() != nil || !c.budget().Admit(c.path, int64(len(rec))) {
-				return fmt.Errorf("ingest: checkpoint %s: %w", c.path,
-					&storage.DiskFullError{Site: dfSite, Need: int64(len(rec))})
-			}
-		}
-		admitted = true
-	}
-	var wrote int
-	var werr error
-	if allow > 0 {
-		wrote, werr = c.file.Write(rec[:allow])
-	}
-	if injected != nil && faults.IsCrash(injected) {
-		c.dead = true
-		return fmt.Errorf("ingest: checkpoint %s: %w", c.path, injected)
-	}
-	if injected == nil && werr == nil && wrote == len(rec) {
-		c.foot += int64(len(rec))
 		c.st = st.clone()
 		c.recs++
 		return nil
-	}
-	if admitted {
-		c.budget().Refund(c.path, int64(len(rec)))
-	}
-	if terr := c.file.Truncate(c.foot); terr != nil {
-		c.dead = true
-		return fmt.Errorf("ingest: checkpoint %s: rollback after failed write: %v (write error: %v)", c.path, terr, writeCause(injected, werr))
-	}
-	return fmt.Errorf("ingest: checkpoint %s: %w", c.path, writeCause(injected, werr))
+	})
 }
 
-// compact folds the checkpoint log to its minimal form — header plus
-// (once any progress exists) one record of the committed state — via
-// scratch write and rename.
-func (c *checkpointLog) compact() error {
-	if c.file == nil || c.dead || c.foot <= int64(ckptHeaderLen) {
-		return nil
-	}
-	buf := ckptHeader()
-	wroteRec := false
+// fold folds the checkpoint log to its minimal form: header plus (once
+// any progress exists) one record of the committed state.
+func (c *checkpointLog) fold() error {
+	img, recs := ckptHeader(), 0
 	if c.st.lsn > 0 || len(c.st.windows) > 0 {
-		buf = c.st.encode(buf)
-		wroteRec = true
+		img, recs = c.st.encode(img), 1
 	}
-	if int64(len(buf)) >= c.foot {
-		return nil
+	err := c.log.Fold(img)
+	if err == nil {
+		c.recs = recs
 	}
-	tmp := c.path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return err
-	}
-	if err := c.file.Close(); err != nil {
-		_ = os.Remove(tmp) // lint:noerrcheck scratch cleanup on error path
-		c.dead = true
-		return err
-	}
-	if err := os.Rename(tmp, c.path); err != nil {
-		// The old log is still intact on disk; reopen its handle.
-		_ = os.Remove(tmp) // lint:noerrcheck scratch cleanup on error path
-		f, oerr := os.OpenFile(c.path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if oerr != nil {
-			c.dead = true
-			return oerr
-		}
-		c.file = f
-		return err
-	}
-	f, err := os.OpenFile(c.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		c.dead = true
-		return err
-	}
-	c.file = f
-	c.foot = int64(len(buf))
-	c.recs = 0
-	if wroteRec {
-		c.recs = 1
-	}
-	c.budget().Set(c.path, c.foot)
-	return nil
-}
-
-// writeCause picks the primary error of a failed write.
-func writeCause(injected, werr error) error {
-	if injected != nil {
-		return injected
-	}
-	if werr != nil {
-		return werr
-	}
-	return fmt.Errorf("short write")
+	return err
 }
 
 // close releases the file handle. Idempotent.
-func (c *checkpointLog) close() error {
-	if c.file == nil {
-		return nil
-	}
-	err := c.file.Close()
-	c.file = nil
-	return err
-}
+func (c *checkpointLog) close() error { return c.log.Close() }

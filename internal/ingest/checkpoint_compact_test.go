@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"eva/internal/storage"
+	"eva/internal/testutil"
 )
 
 // TestCheckpointRetentionBoundsLog: replay is last-record-wins, so the
@@ -13,8 +14,14 @@ import (
 // checkpoints keeps the file bounded, and reopen still recovers the
 // newest state exactly.
 func TestCheckpointRetentionBoundsLog(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "q.ckpt")
-	c, err := openCheckpoint(path, ckptSite())
+	dir := t.TempDir()
+	store, err := storage.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.SetBudget(storage.NewDiskBudget(0))
+	path := filepath.Join(dir, "q.ckpt")
+	c, err := openCheckpoint(path, ckptSite(), store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,19 +43,20 @@ func TestCheckpointRetentionBoundsLog(t *testing.T) {
 	if fi.Size() > bound {
 		t.Fatalf("checkpoint log grew to %d bytes, retention bound %d", fi.Size(), bound)
 	}
-	if c.foot != fi.Size() {
-		t.Fatalf("in-memory footprint %d != file size %d", c.foot, fi.Size())
+	if c.log.Footprint() != fi.Size() {
+		t.Fatalf("in-memory footprint %d != file size %d", c.log.Footprint(), fi.Size())
 	}
+	testutil.CheckLedger(t, dir, store.Budget().Stats().UsedBytes)
 	if err := c.close(); err != nil {
 		t.Fatal(err)
 	}
 
-	c2, err := openCheckpoint(path, ckptSite())
+	c2, err := openCheckpoint(path, ckptSite(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameState(c2.st, last) || c2.recovered != 0 {
-		t.Fatalf("reopen after folds: state=%+v recovered=%d, want %+v", c2.st, c2.recovered, last)
+	if !sameState(c2.st, last) || c2.log.Recovered() != 0 {
+		t.Fatalf("reopen after folds: state=%+v recovered=%d, want %+v", c2.st, c2.log.Recovered(), last)
 	}
 }
 
@@ -63,7 +71,7 @@ func TestCheckpointBudgetFoldFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "q.ckpt")
-	c, err := openCheckpoint(path, ckptSite())
+	c, err := openCheckpoint(path, ckptSite(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +81,17 @@ func TestCheckpointBudgetFoldFallback(t *testing.T) {
 		}
 	}
 	// Cap the budget so the next record does not fit as-is but does fit
-	// once the five history records fold to one; attach after setting
-	// the budget so the log's footprint is charged against it.
+	// once the five history records fold to one; reopen against the
+	// store after setting the budget so the log's footprint is charged
+	// against it.
 	recLen := int64(len(mkState(48, 0, 6).encode(nil)))
 	store.SetBudget(storage.NewDiskBudget(int64(ckptHeaderLen) + 2*recLen))
-	c.attach(store, nil)
+	if err := c.close(); err != nil {
+		t.Fatal(err)
+	}
+	if c, err = openCheckpoint(path, ckptSite(), store, nil); err != nil {
+		t.Fatal(err)
+	}
 	if err := c.write(mkState(48, 0, 6), nil); err != nil {
 		t.Fatalf("write under tight budget: %v", err)
 	}
@@ -88,14 +102,52 @@ func TestCheckpointBudgetFoldFallback(t *testing.T) {
 	if st.Denials < 1 {
 		t.Fatalf("budget denial not recorded: %+v", st)
 	}
+	testutil.CheckLedger(t, dir, st.UsedBytes)
 	if err := c.close(); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := openCheckpoint(path, ckptSite())
+	c2, err := openCheckpoint(path, ckptSite(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sameState(c2.st, mkState(48, 0, 6)) {
 		t.Fatalf("recovered %+v after fold fallback", c2.st)
 	}
+}
+
+// TestCheckpointOpenRemovesScratch: a fold that died between writing
+// its scratch file and the rename leaves the scratch behind; the next
+// open removes it and recovers the old generation.
+func TestCheckpointOpenRemovesScratch(t *testing.T) {
+	dir := t.TempDir()
+	store, err := storage.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.SetBudget(storage.NewDiskBudget(0))
+	path := filepath.Join(dir, "q.ckpt")
+	c, err := openCheckpoint(path, ckptSite(), store, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.write(mkState(8, 0, 3), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path+".tmp", []byte("half-written"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := openCheckpoint(path, ckptSite(), store, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Error("open left the fold's scratch file behind")
+	}
+	if !sameState(c2.st, mkState(8, 0, 3)) {
+		t.Errorf("recovered %+v", c2.st)
+	}
+	testutil.CheckLedger(t, dir, store.Budget().Stats().UsedBytes)
 }

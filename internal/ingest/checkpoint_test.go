@@ -36,7 +36,7 @@ func sameState(a, b ckptState) bool {
 // last one wins; a second reopen is a fixed point.
 func TestCheckpointRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "q.ckpt")
-	c, err := openCheckpoint(path, ckptSite())
+	c, err := openCheckpoint(path, ckptSite(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,12 +57,12 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2, err := openCheckpoint(path, ckptSite())
+	c2, err := openCheckpoint(path, ckptSite(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameState(c2.st, states[2]) || c2.recs != 3 || c2.recovered != 0 {
-		t.Fatalf("reopen: state=%+v recs=%d recovered=%d", c2.st, c2.recs, c2.recovered)
+	if !sameState(c2.st, states[2]) || c2.recs != 3 || c2.log.Recovered() != 0 {
+		t.Fatalf("reopen: state=%+v recs=%d recovered=%d", c2.st, c2.recs, c2.log.Recovered())
 	}
 }
 
@@ -73,7 +73,7 @@ func TestCheckpointCrashTornTail(t *testing.T) {
 	for short := 0; short <= full; short += 3 {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "q.ckpt")
-		c, err := openCheckpoint(path, ckptSite())
+		c, err := openCheckpoint(path, ckptSite(), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestCheckpointCrashTornTail(t *testing.T) {
 		if !faults.IsCrash(err) {
 			t.Fatalf("short=%d: crash not injected: %v", short, err)
 		}
-		if !c.dead {
+		if !c.log.Dead() {
 			t.Fatalf("short=%d: crashed handle not dead", short)
 		}
 		if err := c.write(mkState(24), nil); err == nil {
@@ -95,7 +95,7 @@ func TestCheckpointCrashTornTail(t *testing.T) {
 		}
 		_ = c.close()
 
-		c2, err := openCheckpoint(path, ckptSite())
+		c2, err := openCheckpoint(path, ckptSite(), nil, nil)
 		if err != nil {
 			t.Fatalf("short=%d: reopen: %v", short, err)
 		}
@@ -109,8 +109,8 @@ func TestCheckpointCrashTornTail(t *testing.T) {
 		if !sameState(c2.st, want) {
 			t.Fatalf("short=%d: recovered %+v, want %+v", short, c2.st, want)
 		}
-		if (c2.recovered > 0) != wantRecovered {
-			t.Fatalf("short=%d: recovered %d torn bytes", short, c2.recovered)
+		if (c2.log.Recovered() > 0) != wantRecovered {
+			t.Fatalf("short=%d: recovered %d torn bytes", short, c2.log.Recovered())
 		}
 		// The healed log keeps accepting writes.
 		if err := c2.write(mkState(24, 0, 9), nil); err != nil {
@@ -124,7 +124,7 @@ func TestCheckpointCrashTornTail(t *testing.T) {
 func TestCheckpointRollback(t *testing.T) {
 	for _, kind := range []faults.Kind{faults.Transient, faults.Permanent} {
 		path := filepath.Join(t.TempDir(), "q.ckpt")
-		c, err := openCheckpoint(path, ckptSite())
+		c, err := openCheckpoint(path, ckptSite(), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,12 +134,12 @@ func TestCheckpointRollback(t *testing.T) {
 		if err := c.write(first, inj); err != nil {
 			t.Fatal(err)
 		}
-		foot := c.foot
+		foot := c.log.Footprint()
 		if err := c.write(mkState(16, 0, 4), inj); err == nil {
 			t.Fatalf("%v fault did not surface", kind)
 		}
-		if c.dead || c.foot != foot || !sameState(c.st, first) {
-			t.Fatalf("%v fault leaked state: dead=%v foot=%d", kind, c.dead, c.foot)
+		if c.log.Dead() || c.log.Footprint() != foot || !sameState(c.st, first) {
+			t.Fatalf("%v fault leaked state: dead=%v foot=%d", kind, c.log.Dead(), c.log.Footprint())
 		}
 		fi, err := os.Stat(path)
 		if err != nil {
@@ -158,7 +158,7 @@ func TestCheckpointRollback(t *testing.T) {
 // errors, not recoverable tears.
 func TestCheckpointBadLog(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "q.ckpt")
-	c, err := openCheckpoint(path, ckptSite())
+	c, err := openCheckpoint(path, ckptSite(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestCheckpointBadLog(t *testing.T) {
 	if err := os.WriteFile(path, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := openCheckpoint(path, ckptSite()); err == nil {
+	if _, err := openCheckpoint(path, ckptSite(), nil, nil); err == nil {
 		t.Fatal("corrupt header accepted")
 	}
 
@@ -185,7 +185,7 @@ func TestCheckpointBadLog(t *testing.T) {
 	if err := os.WriteFile(path, regress, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := openCheckpoint(path, ckptSite()); err == nil {
+	if _, err := openCheckpoint(path, ckptSite(), nil, nil); err == nil {
 		t.Fatal("regressing checkpoint accepted")
 	}
 }

@@ -89,13 +89,12 @@ func (s *Stream) Register(name, sql string, windowFrames, threshold int64, onAle
 	if err != nil {
 		return nil, err
 	}
-	ckpt, err := openCheckpoint(path, faults.SiteIngestCheckpoint(name))
+	ckpt, err := openCheckpoint(path, faults.SiteIngestCheckpoint(name), s.eng.Store, func(attempt int) {
+		s.clock.Charge(simclock.CatRetry, costs.RetryBackoff(attempt))
+	})
 	if err != nil {
 		return nil, err
 	}
-	ckpt.attach(s.eng.Store, func(attempt int) {
-		s.clock.Charge(simclock.CatRetry, costs.RetryBackoff(attempt))
-	})
 	clock := &simclock.Clock{}
 	q := &StandingQuery{
 		name: name, stream: s, stmt: sel,
@@ -198,7 +197,7 @@ func (q *StandingQuery) Deliveries() (delivered, dropped int) {
 
 // RecoveredBytes returns the torn-tail bytes dropped from the
 // checkpoint log when the query was registered (0 for a clean log).
-func (q *StandingQuery) RecoveredBytes() int64 { return q.ckpt.recovered }
+func (q *StandingQuery) RecoveredBytes() int64 { return q.ckpt.log.Recovered() }
 
 // SimulatedTime returns the query's delta-execution virtual time.
 func (q *StandingQuery) SimulatedTime() simclock.Breakdown {

@@ -37,6 +37,10 @@
 //	                       loop) exempts a deliberate cold allocation.
 //	lint:faultsite <why>   (on or above an injector call) sanctions a
 //	                       site name outside the faults.Sites registry.
+//	lint:durable <why>     (on or above a CheckWrite / os.Rename /
+//	                       File.Truncate use in the storage packages)
+//	                       sanctions a durable-write primitive outside
+//	                       logtail.go.
 //
 // Methods whose name ends in "Locked" are exempt from the guarded-by
 // check by convention: their contract is that the caller holds the
@@ -214,6 +218,11 @@ func DefaultAnalyzers(modPath string) []Analyzer {
 		NewMapIter(append([]string{qp("internal/lint/testdata/src/mapiter/...")}, deterministic...)...),
 		NewHotAlloc(),
 		&FaultSite{},
+		NewDurable(
+			qp("internal/storage/..."),
+			qp("internal/ingest/..."),
+			qp("internal/lint/testdata/src/durable/..."),
+		),
 	}
 }
 

@@ -64,7 +64,7 @@ func collectWants(u *Universe) []wantComment {
 // by exactly one diagnostic at its file and line, and no diagnostic
 // may appear without a `want`.
 func TestFixtures(t *testing.T) {
-	for _, tree := range []string{"exhaustive", "guardedby", "nopanic", "errdiscipline", "trackedgoroutine", "walltime", "mapiter", "hotalloc", "faultsite"} {
+	for _, tree := range []string{"exhaustive", "guardedby", "nopanic", "errdiscipline", "trackedgoroutine", "walltime", "mapiter", "hotalloc", "faultsite", "durable"} {
 		t.Run(tree, func(t *testing.T) {
 			u, diags := loadFixture(t, "internal/lint/testdata/src/"+tree+"/...")
 			wants := collectWants(u)
@@ -102,7 +102,7 @@ func TestFixtures(t *testing.T) {
 // zero diagnostics — the suppression hatches, *Locked convention, and
 // wrapped-error patterns must all be accepted.
 func TestOkFixturesClean(t *testing.T) {
-	for _, tree := range []string{"exhaustive", "guardedby", "nopanic", "errdiscipline", "trackedgoroutine", "walltime", "mapiter", "hotalloc", "faultsite"} {
+	for _, tree := range []string{"exhaustive", "guardedby", "nopanic", "errdiscipline", "trackedgoroutine", "walltime", "mapiter", "hotalloc", "faultsite", "durable"} {
 		t.Run(tree, func(t *testing.T) {
 			_, diags := loadFixture(t, "internal/lint/testdata/src/"+tree+"/ok")
 			for _, d := range diags {
@@ -130,6 +130,7 @@ func TestDiagnosticPositions(t *testing.T) {
 		{"mapiter", "mapiter", "mapiter/bad/bad.go:14:2"},
 		{"hotalloc", "hotalloc", "hotalloc/bad/bad.go:19:13"},
 		{"faultsite", "faultsite", "faultsite/bad/bad.go:10:11"},
+		{"durable", "durable", "durable/bad/bad.go:14:15"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.analyzer, func(t *testing.T) {

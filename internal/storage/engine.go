@@ -81,17 +81,33 @@ func (e *Engine) SetInjector(inj *faults.Injector) {
 func (e *Engine) CreateVideo(name string, ds vision.Dataset) (*Video, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	key := strings.ToLower(name)
-	if _, dup := e.videos[key]; dup {
-		return nil, fmt.Errorf("storage: video %q already exists", name)
-	}
-	dir := filepath.Join(e.root, "videos", key)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	key, dir, err := e.videoDirLocked(name)
+	if err != nil {
 		return nil, err
 	}
 	v := &Video{name: name, dir: dir, ds: ds, segFrames: defaultSegmentFrames}
 	e.videos[key] = v
 	return v, nil
+}
+
+// videoDirLocked checks that name is free and returns its registry key
+// and its directory, created if need be and cleared of the scratch
+// files (segment and watermark-log staging) a dead process left
+// between write and rename. Callers hold mu.
+func (e *Engine) videoDirLocked(name string) (key, dir string, err error) {
+	key = strings.ToLower(name)
+	if _, dup := e.videos[key]; dup {
+		return "", "", fmt.Errorf("storage: video %q already exists", name)
+	}
+	dir = filepath.Join(e.root, "videos", key)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", "", err
+	}
+	stale, _ := filepath.Glob(scratchPath(filepath.Join(dir, "*")))
+	for _, p := range stale {
+		_ = os.Remove(p)
+	}
+	return key, dir, nil
 }
 
 // Video returns the named video table.
@@ -127,7 +143,7 @@ func (e *Engine) CreateView(name string, schema types.Schema, keyCols []string) 
 	if err != nil {
 		return nil, err
 	}
-	v.eng = e
+	v.log.Attach(e, name, e.chargeRetry, nil) // lint:nolock pre-publish
 	e.touchView(v)
 	e.views[key] = v
 	return v, nil
@@ -160,7 +176,7 @@ func (e *Engine) Existing(name string) *View {
 	if err != nil {
 		return nil
 	}
-	v.eng = e
+	v.log.Attach(e, name, e.chargeRetry, nil) // lint:nolock pre-publish
 	v.touch.Store(e.touchSeq.Load())
 	e.views[key] = v
 	return v
@@ -255,15 +271,10 @@ func (e *Engine) DropViews() error {
 		if err := v.close(); err != nil {
 			return err
 		}
-		if err := os.Remove(v.path); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-		e.budget.Drop(v.path)
-		for _, side := range []string{cleanPath(v.path), quarPath(v.path), compactPath(v.path), tombPath(v.path)} {
-			if err := os.Remove(side); err != nil && !os.IsNotExist(err) {
+		for _, p := range append(viewSidecars(v.path), v.path, tombPath(v.path)) {
+			if err := removeSidecar(e.budget, p); err != nil {
 				return err
 			}
-			e.budget.Drop(side)
 		}
 		delete(e.views, name)
 	}

@@ -22,10 +22,22 @@ import (
 )
 
 // tombPath returns the eviction-tombstone path for a view log path.
-// The tombstone is presence-based: any file here — even empty or torn
-// — marks the eviction committed, so writing it needs no checksum and
-// no fsync ordering beyond the WriteFile itself.
+// The tombstone is presence-based: any file here — even empty — marks
+// the eviction committed, so it needs no checksum.
 func tombPath(path string) string { return path + ".tomb" }
+
+// viewSidecars lists the files a view keeps beside its log, tombstone
+// aside: they go where the log goes.
+func viewSidecars(path string) []string {
+	return []string{cleanPath(path), quarPath(path), compactPath(path)}
+}
+
+// viewScratch lists the uncommitted files a dead process can leave
+// beside a view log: compaction's next generation and each sidecar's
+// staging file. openView discards them.
+func viewScratch(path string) []string {
+	return []string{compactPath(path), scratchPath(cleanPath(path)), scratchPath(quarPath(path)), scratchPath(tombPath(path))}
+}
 
 // evictRetryMax bounds a single append's evict-retry loop — a backstop
 // against unbounded injector schedules, far above what a real budget
@@ -225,10 +237,10 @@ func (e *Engine) evictCandidates(exclude string) []EvictCandidate {
 	var out []EvictCandidate
 	for _, v := range e.evictSnapshot(exclude) {
 		v.mu.RLock()
-		ok := v.file != nil && !v.dead && (v.batch.Len() > 0 || v.index.len() > 0)
+		ok := v.log.file != nil && !v.log.dead && (v.batch.Len() > 0 || v.index.len() > 0)
 		c := EvictCandidate{
 			Name:      v.name,
-			Footprint: v.footprint,
+			Footprint: v.log.footprint,
 			Rows:      v.batch.Len(),
 			Keys:      v.index.len(),
 			LastTouch: v.touch.Load(),
@@ -277,77 +289,66 @@ func (e *Engine) onEvictHook() func(string) {
 func (v *View) evict() (int64, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if v.file == nil {
-		return 0, fmt.Errorf("storage: view %s: closed", v.name)
-	}
-	if v.dead {
-		return 0, fmt.Errorf("storage: view %s: unusable after simulated crash", v.name)
+	if err := v.log.check(); err != nil {
+		return 0, err
 	}
 	site := faults.SiteViewEvict(v.name)
-	// Kill-points are drawn with attempt = id+1 so scripted At rules
-	// can target one stage: At{1} is pre-tombstone, At{2} post-tombstone,
-	// At{3} post-log-delete, At{4} post-rebirth.
-	// Kill-point 0: before the tombstone. Abort leaves the view whole.
-	if err := v.inj.CheckEval(site, 0, 1); err != nil {
-		if faults.IsCrash(err) {
-			v.dead = true
+	// stage draws one kill-point. They are drawn with attempt = id+1 so
+	// scripted At rules can target one stage: At{1} is pre-tombstone,
+	// At{2} post-tombstone, At{3} post-log-delete, At{4} post-rebirth.
+	// Only before the tombstone does an abort leave the view whole.
+	stage := func(id int) error {
+		err := v.inj.CheckEval(site, uint64(id), id+1)
+		if err == nil {
+			return nil
 		}
-		return 0, fmt.Errorf("storage: view %s: evict: %w", v.name, err)
+		if id > 0 || faults.IsCrash(err) {
+			v.log.dead = true
+		}
+		return fmt.Errorf("storage: view %s: evict: %w", v.name, err)
 	}
-	freedFrom := v.footprint
+	b := v.log.budget
+	if err := stage(0); err != nil {
+		return 0, err
+	}
+	freedFrom := v.log.footprint
 	// Commit point: the tombstone's presence marks the eviction.
-	if err := os.WriteFile(tombPath(v.path), []byte("EVAT"), 0o644); err != nil {
+	if err := writeSidecar(b, tombPath(v.path), []byte("EVAT")); err != nil {
 		return 0, fmt.Errorf("storage: view %s: evict tombstone: %w", v.name, err)
 	}
-	// Kill-point 1: tombstone durable, log still present.
-	if err := v.inj.CheckEval(site, 1, 2); err != nil {
-		v.dead = true
-		return 0, fmt.Errorf("storage: view %s: evict: %w", v.name, err)
+	// Tombstone durable, log still present.
+	if err := stage(1); err != nil {
+		return 0, err
 	}
-	_ = v.file.Close()
-	v.file = nil
+	// The file goes now; the log's footprint and charge stay as they are
+	// until the rebirth below replaces both at once.
+	_ = v.log.Close()
 	_ = os.Remove(v.path)
-	// Kill-point 2: log gone, sidecars still present.
-	if err := v.inj.CheckEval(site, 2, 3); err != nil {
-		v.dead = true
-		return 0, fmt.Errorf("storage: view %s: evict: %w", v.name, err)
+	// Log gone, sidecars still present.
+	if err := stage(2); err != nil {
+		return 0, err
 	}
-	for _, side := range []string{cleanPath(v.path), quarPath(v.path), compactPath(v.path)} {
-		_ = os.Remove(side)
+	for _, side := range viewSidecars(v.path) {
+		_ = removeSidecar(b, side)
 	}
 	// Rebirth: a fresh empty generation keeps the published handle
 	// append-able, so re-materialization needs no re-registration.
-	f, err := os.OpenFile(v.path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		v.dead = true
+	if err := v.log.Reset(v.encodeHeader()); err != nil {
 		return 0, fmt.Errorf("storage: view %s: evict rebirth: %w", v.name, err)
 	}
-	hdr := v.encodeHeader()
-	if _, err := f.Write(hdr); err != nil {
-		_ = f.Close()
-		v.dead = true
-		return 0, fmt.Errorf("storage: view %s: evict rebirth header: %w", v.name, err)
+	// Fresh log written, tombstone not yet cleared — reopen discards the
+	// rebirth and starts over, same end state.
+	if err := stage(3); err != nil {
+		return 0, err
 	}
-	v.file = f
-	// Kill-point 3: fresh log written, tombstone not yet cleared —
-	// reopen discards the rebirth and starts over, same end state.
-	if err := v.inj.CheckEval(site, 3, 4); err != nil {
-		v.dead = true
-		return 0, fmt.Errorf("storage: view %s: evict: %w", v.name, err)
-	}
-	_ = os.Remove(tombPath(v.path))
+	_ = removeSidecar(b, tombPath(v.path))
 
 	v.resetReplayState()
 	// Every row is gone: whatever the manager still claims for this
 	// view predates the loss (cleared by its ShrinkPredicate).
 	v.predStale = true
 	v.quar = nil
-	v.footprint = int64(len(hdr))
-	v.budget.Set(v.path, v.footprint)
-	for _, side := range []string{cleanPath(v.path), quarPath(v.path), compactPath(v.path)} {
-		v.budget.Drop(side)
-	}
-	return freedFrom - v.footprint, nil
+	return freedFrom - v.log.footprint, nil
 }
 
 // clearTombstonedView removes every artifact of a committed eviction
@@ -355,7 +356,7 @@ func (v *View) evict() (int64, error) {
 // and the tombstone itself. Reopen after a mid-eviction crash lands
 // here, so the view restarts from a clean slate instead of a zombie.
 func clearTombstonedView(path string) {
-	for _, p := range []string{path, cleanPath(path), quarPath(path), compactPath(path), tombPath(path)} {
+	for _, p := range append(viewSidecars(path), path, tombPath(path)) {
 		_ = os.Remove(p)
 	}
 }

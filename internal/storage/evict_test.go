@@ -70,6 +70,7 @@ func TestBudgetDenialEvictsColdView(t *testing.T) {
 
 	// The reborn view accepts appends and they persist across reopen.
 	crashAppend(t, a, 0)
+	checkLedger(t, e)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -125,6 +126,7 @@ func TestReclaimCompactsQuarantinedBeforeEvicting(t *testing.T) {
 	if v2.Quarantine() != nil {
 		t.Fatal("compaction left the quarantine standing")
 	}
+	checkLedger(t, e2)
 }
 
 // TestEvictKillPoints drives a crash into every eviction stage and
@@ -277,6 +279,7 @@ func TestReclaimOverHighWater(t *testing.T) {
 	if got := e.Budget().Stats().UsedBytes; got > limit/10*7 {
 		t.Fatalf("used %d after pass, want <= %d", got, limit/10*7)
 	}
+	checkLedger(t, e)
 }
 
 // TestWatermarkLogRetention: the watermark log folds itself once its
@@ -284,7 +287,7 @@ func TestReclaimOverHighWater(t *testing.T) {
 // while the recovered watermark stays exact.
 func TestWatermarkLogRetention(t *testing.T) {
 	dir := t.TempDir()
-	e, _ := Open(dir)
+	e := openLedger(t, dir)
 	v, err := e.OpenLiveVideo("traffic", liveDS())
 	if err != nil {
 		t.Fatal(err)
@@ -302,6 +305,7 @@ func TestWatermarkLogRetention(t *testing.T) {
 	if fi.Size() > bound {
 		t.Fatalf("watermark log grew to %d bytes, retention bound %d", fi.Size(), bound)
 	}
+	checkLedger(t, e)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -63,21 +62,12 @@ func wmRecord(buf []byte, wm int64) []byte {
 func (e *Engine) OpenLiveVideo(name string, ds vision.Dataset) (*Video, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	key := strings.ToLower(name)
-	if _, dup := e.videos[key]; dup {
-		return nil, fmt.Errorf("storage: video %q already exists", name)
-	}
-	dir := filepath.Join(e.root, "videos", key)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	key, dir, err := e.videoDirLocked(name)
+	if err != nil {
 		return nil, err
 	}
-	v := &Video{
-		name: name, dir: dir, ds: ds, segFrames: defaultSegmentFrames,
-		live: true, site: faults.SiteIngestAppend(name),
-		eng: e, budget: e.budget,
-	}
-	path := wmPath(dir)
-	tl, err := OpenTailLog(path, wmHeader(), func(data []byte) (int, error) {
+	v := &Video{name: name, dir: dir, ds: ds, segFrames: defaultSegmentFrames, live: true}
+	v.wal, err = OpenTailLog(wmPath(dir), "storage: live video "+name, faults.SiteIngestAppend(name), wmHeader(), e.budget, func(data []byte) (int, error) { // lint:nolock pre-publish (OpenLiveVideo)
 		valid, wm, rerr := replayWatermarks(data)
 		if rerr != nil {
 			return 0, rerr
@@ -91,8 +81,7 @@ func (e *Engine) OpenLiveVideo(name string, ds vision.Dataset) (*Video, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: live video %s: %w", name, err)
 	}
-	v.wmFile, v.wmFoot, v.wmRecovered = tl.File, tl.Footprint, tl.Recovered
-	e.budget.Set(path, v.wmFoot)
+	v.wal.Attach(e, "", e.chargeRetry, v.foldLocked) // lint:nolock pre-publish (OpenLiveVideo)
 	e.videos[key] = v
 	return v, nil
 }
@@ -130,160 +119,63 @@ func replayWatermarks(data []byte) (valid int, wm int64, err error) {
 // ingest-append site, keyed by the pre-append watermark (the LSN of
 // the first new frame): transient and permanent faults roll the log
 // back (nothing applied, safe to retry); a simulated crash leaves the
-// torn tail on disk and kills the handle, like a view write. It
-// returns the new durable watermark.
-func (v *Video) AppendFrames(n int, inj *faults.Injector) (int64, error) {
-	for attempt := 1; ; attempt++ {
-		wm, err := v.appendFramesOnce(n, inj)
-		if err == nil || !IsDiskFull(err) || faults.IsCrash(err) {
-			return wm, err
-		}
-		var dfe *DiskFullError
-		errors.As(err, &dfe)
-		if v.eng == nil || attempt >= evictRetryMax {
-			return wm, fmt.Errorf("storage: live video %s: %w: %v", v.name, ErrDiskBudget, dfe)
-		}
-		// Run the reclaim ladder with v.mu released: Engine.Close takes
-		// e.mu then video.mu, so calling Reclaim (which takes e.mu) under
-		// video.mu would invert the order.
-		freed := v.eng.Reclaim(dfe.Need, "")
-		if freed <= 0 && !faults.IsTransient(err) {
-			return wm, fmt.Errorf("storage: live video %s: %w: %v", v.name, ErrDiskBudget, dfe)
-		}
-		v.eng.chargeRetry(attempt)
-	}
-}
-
-// appendFramesOnce is one locked append attempt; AppendFrames wraps it
-// in the disk-full evict-retry loop.
-func (v *Video) appendFramesOnce(n int, inj *faults.Injector) (int64, error) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
+// torn tail on disk and kills the handle, like a view write. Disk
+// pressure runs the reclaim ladder between attempts, with v.mu released
+// (TailLog.Retry). It returns the durable watermark.
+func (v *Video) AppendFrames(n int, inj *faults.Injector) (wm int64, err error) {
 	if !v.live {
 		return 0, fmt.Errorf("storage: video %s: not a live table", v.name)
 	}
-	if v.wmDead {
-		return v.wm, fmt.Errorf("storage: live video %s: unusable after simulated crash", v.name)
+	err = v.wal.Retry(func() (err error) { // lint:nolock the pointer is fixed at open
+		v.mu.Lock()
+		defer v.mu.Unlock()
+		err = v.advanceLocked(n, inj)
+		wm = v.wm
+		return err
+	})
+	return wm, err
+}
+
+// advanceLocked is one attempt at moving the watermark n frames on.
+// Callers hold mu.
+func (v *Video) advanceLocked(n int, inj *faults.Injector) error {
+	if err := v.wal.check(); err != nil || n <= 0 {
+		return err
 	}
-	if v.wmFile == nil {
-		return v.wm, fmt.Errorf("storage: live video %s: closed", v.name)
-	}
-	if n <= 0 {
-		return v.wm, nil
-	}
-	newWM := v.wm + int64(n)
-	if newWM > int64(v.ds.Frames) {
-		return v.wm, fmt.Errorf("storage: live video %s: append past capacity (%d + %d > %d)", v.name, v.wm, n, v.ds.Frames)
+	if v.wm+int64(n) > int64(v.ds.Frames) {
+		return fmt.Errorf("storage: live video %s: append past capacity (%d + %d > %d)", v.name, v.wm, n, v.ds.Frames)
 	}
 	// Retention tier: replay is last-record-wins, so fold a long log
 	// into header + one record before appending more. Best-effort — a
 	// failed fold leaves the old log intact and the append proceeds.
-	if v.wmFoot >= int64(wmHeaderLen+wmCompactRecords*wmRecLen) {
-		_ = v.compactWatermarkLocked() // lint:noerrcheck best-effort fold; append still valid on old log
+	if v.wal.footprint >= int64(wmHeaderLen+wmCompactRecords*wmRecLen) {
+		_ = v.foldLocked() // lint:noerrcheck best-effort fold; append still valid on old log
 	}
-	rec := binary.LittleEndian.AppendUint64(make([]byte, 0, wmRecLen), uint64(newWM))
-	rec = binary.LittleEndian.AppendUint64(rec, xxhash.Sum64(rec, 0))
-
-	allow := len(rec)
-	var injected error
-	dfSite := faults.SiteDiskFull(v.site)
-	if short, ferr := inj.CheckWrite(dfSite, uint64(v.wm), len(rec)); ferr != nil {
-		allow, injected = short, &DiskFullError{Site: dfSite, Need: int64(len(rec)), Injected: ferr}
-	} else if short, ferr := inj.CheckWrite(v.site, uint64(v.wm), len(rec)); ferr != nil {
-		allow, injected = short, ferr
-	}
-	admitted := false
-	if injected == nil {
-		if !v.budget.Admit(wmPath(v.dir), int64(len(rec))) {
-			// Over budget: try folding the log first — that may free
-			// enough locally without evicting anyone.
-			if v.compactWatermarkLocked() != nil || !v.budget.Admit(wmPath(v.dir), int64(len(rec))) {
-				return v.wm, fmt.Errorf("storage: live video %s: %w", v.name,
-					&DiskFullError{Site: faults.SiteDiskFull(v.site), Need: int64(len(rec))})
-			}
-		}
-		admitted = true
-	}
-	var wrote int
-	var werr error
-	if allow > 0 {
-		wrote, werr = v.wmFile.Write(rec[:allow])
-	}
-	if injected != nil && faults.IsCrash(injected) {
-		// Simulated kill mid-append: the torn tail stays for the next
-		// open to truncate, and this handle is dead.
-		v.wmDead = true
-		return v.wm, fmt.Errorf("storage: live video %s: %w", v.name, injected)
-	}
-	if injected == nil && werr == nil && wrote == len(rec) {
-		v.wmFoot += int64(len(rec))
-		v.wm = newWM
-		return v.wm, nil
-	}
-	if admitted {
-		v.budget.Refund(wmPath(v.dir), int64(len(rec)))
-	}
-	if terr := v.wmFile.Truncate(v.wmFoot); terr != nil {
-		v.wmDead = true
-		return v.wm, fmt.Errorf("storage: live video %s: rollback after failed write: %v (write error: %v)", v.name, terr, firstErr(injected, werr))
-	}
-	return v.wm, fmt.Errorf("storage: live video %s: %w", v.name, firstErr(injected, werr, fmt.Errorf("short write (%d of %d bytes)", wrote, len(rec))))
-}
-
-// compactWatermarkLocked folds the watermark log to its minimal form —
-// header plus (if any frames are durable) one record — via scratch
-// write and rename. Caller holds v.mu.
-func (v *Video) compactWatermarkLocked() error {
-	if v.wmFile == nil || v.wmDead || v.wmFoot <= int64(wmHeaderLen) {
-		return nil
-	}
-	buf := wmHeader()
-	if v.wm > 0 {
-		buf = wmRecord(buf, v.wm)
-	}
-	if int64(len(buf)) >= v.wmFoot {
-		return nil
-	}
-	path := wmPath(v.dir)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
+	rec := wmRecord(make([]byte, 0, wmRecLen), v.wm+int64(n))
+	if err := v.wal.Append(rec, uint64(v.wm), inj); err != nil {
 		return err
 	}
-	if err := v.wmFile.Close(); err != nil {
-		_ = os.Remove(tmp) // lint:noerrcheck scratch cleanup on error path
-		v.wmDead = true
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		// Old log is still intact on disk; reopen its handle.
-		_ = os.Remove(tmp) // lint:noerrcheck scratch cleanup on error path
-		f, oerr := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if oerr != nil {
-			v.wmDead = true
-			return oerr
-		}
-		v.wmFile = f
-		return err
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		v.wmDead = true
-		return err
-	}
-	v.wmFile = f
-	v.wmFoot = int64(len(buf))
-	v.budget.Set(path, v.wmFoot)
+	v.wm += int64(n)
 	return nil
 }
 
+// foldLocked folds the watermark log to its minimal form: header plus
+// (if any frames are durable) one record. Callers hold mu.
+func (v *Video) foldLocked() error {
+	img := wmHeader()
+	if v.wm > 0 {
+		img = wmRecord(img, v.wm)
+	}
+	return v.wal.Fold(img)
+}
+
 // setBudget installs (or replaces) the disk budget on an already-open
-// live table, charging the current watermark-log footprint.
+// table; a live one charges its watermark log.
 func (v *Video) setBudget(b *DiskBudget) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.budget = b
 	if v.live {
-		b.Set(wmPath(v.dir), v.wmFoot)
+		v.wal.setBudget(b)
 	}
 }
 
@@ -297,21 +189,6 @@ func (v *Video) Watermark() int64 {
 	return v.wm
 }
 
-// WatermarkRecovered returns the torn-tail bytes dropped from the
-// watermark log when the table was reopened (0 for a clean log).
-func (v *Video) WatermarkRecovered() int64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.wmRecovered
-}
-
-// Dead reports whether a simulated crash killed this live handle.
-func (v *Video) Dead() bool {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.wmDead
-}
-
 // Capacity returns the dataset's total frame count — the ceiling the
 // watermark can reach.
 func (v *Video) Capacity() int64 { return int64(v.ds.Frames) }
@@ -320,12 +197,10 @@ func (v *Video) Capacity() int64 { return int64(v.ds.Frames) }
 func (v *Video) closeLive() error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if v.wmFile == nil {
+	if !v.live {
 		return nil
 	}
-	err := v.wmFile.Close()
-	v.wmFile = nil
-	return err
+	return v.wal.Close()
 }
 
 // CheckpointPath returns (creating the directory if needed) the

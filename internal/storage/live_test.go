@@ -66,8 +66,8 @@ func TestLiveVideoWatermark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v2.Watermark() != 15 || v2.WatermarkRecovered() != 0 {
-		t.Fatalf("reopen: wm=%d recovered=%d, want 15/0", v2.Watermark(), v2.WatermarkRecovered())
+	if v2.Watermark() != 15 || v2.wal.recovered != 0 {
+		t.Fatalf("reopen: wm=%d recovered=%d, want 15/0", v2.Watermark(), v2.wal.recovered)
 	}
 	// The log keeps appending across the reopen.
 	if wm, err := v2.AppendFrames(85, nil); err != nil || wm != 100 {
@@ -96,7 +96,7 @@ func TestLiveVideoCrashTornTail(t *testing.T) {
 		if _, err := v.AppendFrames(3, inj); !faults.IsCrash(err) {
 			t.Fatalf("short=%d: crash not injected: %v", short, err)
 		}
-		if !v.Dead() {
+		if !v.wal.dead {
 			t.Fatalf("short=%d: crashed handle not dead", short)
 		}
 		// Dead handle refuses further appends.
@@ -121,8 +121,8 @@ func TestLiveVideoCrashTornTail(t *testing.T) {
 		if v2.Watermark() != wantWM {
 			t.Fatalf("short=%d: recovered wm=%d, want %d", short, v2.Watermark(), wantWM)
 		}
-		if int(v2.WatermarkRecovered()) != wantRec {
-			t.Fatalf("short=%d: recovered %d torn bytes, want %d", short, v2.WatermarkRecovered(), wantRec)
+		if int(v2.wal.recovered) != wantRec {
+			t.Fatalf("short=%d: recovered %d torn bytes, want %d", short, v2.wal.recovered, wantRec)
 		}
 		// Producer re-sends from the recovered watermark: same final
 		// state as an uninterrupted run.
@@ -158,7 +158,7 @@ func TestLiveVideoAppendRollback(t *testing.T) {
 		if _, err := v.AppendFrames(6, inj); err == nil {
 			t.Fatalf("%v fault did not surface", kind)
 		}
-		if v.Dead() {
+		if v.wal.dead {
 			t.Fatalf("%v fault killed the handle", kind)
 		}
 		if v.Watermark() != 4 {
@@ -232,4 +232,37 @@ func mustOpen(t *testing.T, dir string) *Engine {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// FuzzWatermarkReplay throws arbitrary bytes at the watermark-log
+// replay. Invariants: no panic; the valid prefix is in range; replaying
+// just the accepted prefix is a fixed point (what reopening after
+// torn-tail truncation does); and an accepted log extended by a
+// checksum-valid record that moves the watermark backwards is an error,
+// never a recovery.
+func FuzzWatermarkReplay(f *testing.F) {
+	log := appendWMRecord(appendWMRecord(wmHeader(), 3), 10)
+	f.Add(log)
+	f.Add(log[:len(log)-5])
+	f.Add(appendWMRecord(log, 4))
+	f.Add(wmHeader())
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		valid, wm, err := replayWatermarks(data)
+		if err != nil {
+			return
+		}
+		if valid < 0 || valid > len(data) {
+			t.Fatalf("valid prefix %d out of range [0,%d]", valid, len(data))
+		}
+		valid2, wm2, err := replayWatermarks(data[:valid])
+		if err != nil || valid2 != valid || wm2 != wm {
+			t.Fatalf("replay not a fixed point: valid %d/%d wm %d/%d err %v", valid, valid2, wm, wm2, err)
+		}
+		back := appendWMRecord(append([]byte(nil), data[:valid]...), uint64(wm-1))
+		if _, _, err := replayWatermarks(back); err == nil {
+			t.Fatalf("watermark regressing %d -> %d was accepted", wm, wm-1)
+		}
+	})
 }

@@ -27,13 +27,13 @@ func tailReplay(data []byte) (int, error) {
 
 func TestOpenTailLogFresh(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log")
-	tl, err := OpenTailLog(path, []byte("HD"), tailReplay)
+	tl, err := OpenTailLog(path, "test log", "view:write:t", []byte("HD"), nil, tailReplay)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tl.File.Close()
-	if tl.Footprint != 2 || tl.Recovered != 0 {
-		t.Fatalf("fresh log: footprint=%d recovered=%d, want 2, 0", tl.Footprint, tl.Recovered)
+	defer tl.file.Close()
+	if tl.footprint != 2 || tl.recovered != 0 {
+		t.Fatalf("fresh log: footprint=%d recovered=%d, want 2, 0", tl.footprint, tl.recovered)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil || !bytes.Equal(data, []byte("HD")) {
@@ -43,22 +43,22 @@ func TestOpenTailLogFresh(t *testing.T) {
 
 func TestOpenTailLogReopenClean(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log")
-	tl, err := OpenTailLog(path, []byte("HD"), tailReplay)
+	tl, err := OpenTailLog(path, "test log", "view:write:t", []byte("HD"), nil, tailReplay)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tl.File.Write([]byte{0x01, 0xfe, 0x02, 0xfd}); err != nil {
+	if _, err := tl.file.Write([]byte{0x01, 0xfe, 0x02, 0xfd}); err != nil {
 		t.Fatal(err)
 	}
-	tl.File.Close()
+	tl.file.Close()
 
-	tl2, err := OpenTailLog(path, []byte("HD"), tailReplay)
+	tl2, err := OpenTailLog(path, "test log", "view:write:t", []byte("HD"), nil, tailReplay)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tl2.File.Close()
-	if tl2.Footprint != 6 || tl2.Recovered != 0 {
-		t.Fatalf("clean reopen: footprint=%d recovered=%d, want 6, 0", tl2.Footprint, tl2.Recovered)
+	defer tl2.file.Close()
+	if tl2.footprint != 6 || tl2.recovered != 0 {
+		t.Fatalf("clean reopen: footprint=%d recovered=%d, want 6, 0", tl2.footprint, tl2.recovered)
 	}
 	// The header must not be written again onto a non-empty log.
 	data, _ := os.ReadFile(path)
@@ -73,20 +73,20 @@ func TestOpenTailLogTruncatesTornTail(t *testing.T) {
 	if err := os.WriteFile(path, []byte{'H', 'D', 0x01, 0xfe, 0x02}, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	tl, err := OpenTailLog(path, []byte("HD"), tailReplay)
+	tl, err := OpenTailLog(path, "test log", "view:write:t", []byte("HD"), nil, tailReplay)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tl.File.Close()
-	if tl.Footprint != 4 || tl.Recovered != 1 {
-		t.Fatalf("torn reopen: footprint=%d recovered=%d, want 4, 1", tl.Footprint, tl.Recovered)
+	defer tl.file.Close()
+	if tl.footprint != 4 || tl.recovered != 1 {
+		t.Fatalf("torn reopen: footprint=%d recovered=%d, want 4, 1", tl.footprint, tl.recovered)
 	}
 	data, _ := os.ReadFile(path)
 	if !bytes.Equal(data, []byte{'H', 'D', 0x01, 0xfe}) {
 		t.Fatalf("torn tail not truncated: %x", data)
 	}
 	// Appends continue at the truncated boundary.
-	if _, err := tl.File.Write([]byte{0x03, 0xfc}); err != nil {
+	if _, err := tl.file.Write([]byte{0x03, 0xfc}); err != nil {
 		t.Fatal(err)
 	}
 	data, _ = os.ReadFile(path)
@@ -100,7 +100,7 @@ func TestOpenTailLogReplayErrorIsFatal(t *testing.T) {
 	if err := os.WriteFile(path, []byte{'X', 'X'}, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenTailLog(path, []byte("HD"), tailReplay); err == nil {
+	if _, err := OpenTailLog(path, "test log", "view:write:t", []byte("HD"), nil, tailReplay); err == nil {
 		t.Fatal("bad header did not fail the open")
 	}
 }
@@ -110,14 +110,74 @@ func TestOpenTailLogRejectsBogusValidPrefix(t *testing.T) {
 	if err := os.WriteFile(path, []byte{'H', 'D'}, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenTailLog(path, nil, func(data []byte) (int, error) {
+	if _, err := OpenTailLog(path, "test log", "view:write:t", nil, nil, func(data []byte) (int, error) {
 		return len(data) + 1, nil
 	}); err == nil {
 		t.Fatal("out-of-range valid prefix did not fail the open")
 	}
-	if _, err := OpenTailLog(path, nil, func(data []byte) (int, error) {
+	if _, err := OpenTailLog(path, "test log", "view:write:t", nil, nil, func(data []byte) (int, error) {
 		return -1, nil
 	}); err == nil {
 		t.Fatal("negative valid prefix did not fail the open")
 	}
+}
+
+// TestOpenRemovesScratch: a process that died between writing a scratch
+// file and renaming it leaves the scratch behind, uncharged. Every open
+// removes its own — the sidecar and compaction scratch beside a view
+// log, the segment and watermark-log scratch in a video directory — and
+// the ledger stays exact.
+func TestOpenRemovesScratch(t *testing.T) {
+	dir := t.TempDir()
+	e := openLedger(t, dir)
+	v, err := e.CreateView("det", viewSchema(), []string{"id"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashAppend(t, v, 0)
+	live, err := e.OpenLiveVideo("traffic", liveDS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := live.AppendFrames(3, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.CreateVideo("batch", liveDS()); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	batchDir := filepath.Join(dir, "videos", "batch")
+	planted := []string{
+		scratchPath(cleanPath(v.path)),
+		scratchPath(quarPath(v.path)),
+		scratchPath(tombPath(v.path)),
+		compactPath(v.path),
+		scratchPath(wmPath(live.dir)),
+		scratchPath(filepath.Join(live.dir, "seg-000000.bin")),
+		scratchPath(filepath.Join(batchDir, "seg-000003.bin")),
+	}
+	for _, p := range planted {
+		if err := os.WriteFile(p, []byte("half-written"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	e2 := openLedger(t, dir)
+	if _, err := e2.CreateView("det", viewSchema(), []string{"id"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e2.OpenLiveVideo("traffic", liveDS()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e2.CreateVideo("batch", liveDS()); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range planted {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("open left scratch file %s behind", filepath.Base(p))
+		}
+	}
+	checkLedger(t, e2)
 }

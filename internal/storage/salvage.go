@@ -86,11 +86,12 @@ const (
 	quarVersion = 1
 )
 
-// writeQuarManifest persists the quarantine (atomically: tmp +
-// rename). Best-effort, mirroring the clean sidecar.
-func writeQuarManifest(path string, q *Quarantine) {
+// writeQuarManifest persists the quarantine beside the log at path, or
+// removes the manifest when there is nothing quarantined. Best-effort,
+// like the clean sidecar.
+func writeQuarManifest(b *DiskBudget, path string, q *Quarantine) {
 	if q == nil || len(q.Ranges) == 0 {
-		_ = os.Remove(quarPath(path))
+		_ = removeSidecar(b, quarPath(path))
 		return
 	}
 	buf := binary.LittleEndian.AppendUint32(nil, quarMagic)
@@ -101,10 +102,7 @@ func writeQuarManifest(path string, q *Quarantine) {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Hi))
 	}
 	buf = binary.LittleEndian.AppendUint64(buf, xxhash.Sum64(buf, 0))
-	tmp := quarPath(path) + ".tmp"
-	if os.WriteFile(tmp, buf, 0o644) == nil {
-		_ = os.Rename(tmp, quarPath(path))
-	}
+	_ = writeSidecar(b, quarPath(path), buf)
 }
 
 // readQuarManifest loads the persisted quarantine ranges, or nil when
@@ -143,8 +141,7 @@ func readQuarManifest(path string) []LostRange {
 func (v *View) adoptHolesLocked() {
 	if len(v.holes) == 0 {
 		v.quar = nil
-		_ = os.Remove(quarPath(v.path))
-		v.budget.Drop(quarPath(v.path))
+		writeQuarManifest(v.log.budget, v.path, nil)
 		return
 	}
 	// Rows are gone that the predicate snapshot may still claim.
@@ -159,21 +156,17 @@ func (v *View) adoptHolesLocked() {
 	}
 	v.quar = q
 	v.holes = nil
-	writeQuarManifest(v.path, q)
-	// Manifest layout: magic+version+count, 16 bytes per range, and the
-	// trailing checksum. Charged exactly, never denied (best-effort
-	// sidecar, like the clean-prefix one).
-	v.budget.Set(quarPath(v.path), int64(4+1+4+16*len(q.Ranges)+8))
+	writeQuarManifest(v.log.budget, v.path, q)
 }
 
 // trustedBoundLocked is the byte length of the log prefix the clean
 // sidecar may vouch for: the whole verified footprint, or only up to
 // the first quarantined hole. Callers hold mu (or run pre-publish).
 func (v *View) trustedBoundLocked() int64 {
-	if v.quar != nil && len(v.quar.Ranges) > 0 && v.quar.Ranges[0].Lo < v.footprint {
+	if v.quar != nil && len(v.quar.Ranges) > 0 && v.quar.Ranges[0].Lo < v.log.footprint {
 		return v.quar.Ranges[0].Lo
 	}
-	return v.footprint
+	return v.log.footprint
 }
 
 // Quarantine returns a copy of the view's corruption record, or nil
@@ -280,15 +273,12 @@ func (v *View) Verify() (ScrubResult, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	res := ScrubResult{Name: v.name}
-	if v.file == nil {
-		return res, fmt.Errorf("storage: view %s: closed", v.name)
-	}
-	if v.dead {
-		return res, fmt.Errorf("storage: view %s: unusable after simulated crash", v.name)
+	if err := v.log.check(); err != nil {
+		return res, err
 	}
 	if err := v.inj.Check(faults.SiteViewScrub(v.name)); err != nil {
 		if faults.IsCrash(err) {
-			v.dead = true
+			v.log.dead = true
 		}
 		return res, fmt.Errorf("storage: view %s: scrub: %w", v.name, err)
 	}
@@ -337,19 +327,15 @@ func (v *View) Verify() (ScrubResult, error) {
 	v.pred, v.predStale = shadow.pred, true
 	v.openTrusted, v.openVerified = 0, shadow.openVerified
 	v.holes = shadow.holes
-	if int64(valid) < int64(len(data)) {
-		// A torn tail from external truncation or tail corruption:
-		// drop it so the log ends on a record boundary again.
-		if err := v.file.Truncate(int64(valid)); err != nil {
-			v.dead = true
-			return res, fmt.Errorf("storage: view %s: scrub truncate: %w", v.name, err)
-		}
-		res.TornBytes = int64(len(data) - valid)
-		v.recovered += res.TornBytes
+	// A torn tail from external truncation or tail corruption is dropped,
+	// so the log ends on a record boundary again.
+	if err := v.log.truncate(int64(valid)); err != nil {
+		return res, fmt.Errorf("storage: view %s: scrub truncate: %w", v.name, err)
 	}
-	v.footprint = int64(valid)
+	res.TornBytes = int64(len(data) - valid)
+	v.log.recovered += res.TornBytes
 	v.adoptHolesLocked()
-	_ = writeCleanSidecar(v.path, data, v.trustedBoundLocked())
+	v.writeCleanSidecarLocked()
 	res.Quar = v.quar.clone()
 	return res, nil
 }
@@ -400,17 +386,11 @@ func (v *View) resetCorruptHeaderLocked(oldLen int64, res *ScrubResult) error {
 	v.pred = nil
 	v.openTrusted, v.openVerified = 0, 0
 	v.holes = []LostRange{{Lo: 0, Hi: oldLen}}
-	if err := v.file.Truncate(0); err != nil {
-		v.dead = true
+	if err := v.log.Reset(v.encodeHeader()); err != nil {
 		return fmt.Errorf("storage: view %s: scrub reset corrupt header: %w", v.name, err)
 	}
-	_ = os.Remove(cleanPath(v.path))
-	hdr := v.encodeHeader()
-	if _, err := v.file.Write(hdr); err != nil {
-		v.dead = true
-		return fmt.Errorf("storage: view %s: scrub rewrite header: %w", v.name, err)
-	}
-	v.footprint = int64(len(hdr))
+	// The old sidecar described the lost generation.
+	_ = removeSidecar(v.log.budget, cleanPath(v.path))
 	v.adoptHolesLocked()
 	res.Quar = v.quar.clone()
 	return nil
@@ -444,132 +424,108 @@ func (v *View) Compact() (CompactResult, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	res := CompactResult{Name: v.name}
-	if v.file == nil {
-		return res, fmt.Errorf("storage: view %s: closed", v.name)
+	if err := v.log.check(); err != nil {
+		return res, err
 	}
-	if v.dead {
-		return res, fmt.Errorf("storage: view %s: unusable after simulated crash", v.name)
-	}
-	res.BytesBefore = v.footprint
+	res.BytesBefore = v.log.footprint
 	if v.quar != nil {
 		res.RangesCleared = len(v.quar.Ranges)
 	}
-
 	buf := v.encodeCompactLocked()
-	tmp := compactPath(v.path)
-
-	// The compaction site models a kill or failure anywhere in the
-	// rewrite; Crash leaves a partial scratch file behind, exactly
-	// like a killed process would. The disk:full shadow site draws
-	// first — a full disk fails the scratch write before anything
-	// else can. The scratch itself is never budget-gated: compaction
-	// *frees* space, and denying its transient overshoot would wedge
-	// the reclaim ladder's cheapest tier.
-	allow := len(buf)
-	var injected error
-	dfSite := faults.SiteDiskFull(faults.SiteViewCompact(v.name))
-	if short, ferr := v.inj.CheckWrite(dfSite, uint64(v.footprint), len(buf)); ferr != nil {
-		allow, injected = short, &DiskFullError{Site: dfSite, Need: int64(len(buf)), Injected: ferr}
-	} else if short, ferr := v.inj.CheckWrite(faults.SiteViewCompact(v.name), uint64(v.footprint), len(buf)); ferr != nil {
-		allow, injected = short, ferr
-	}
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
+	if err := v.writeGenerationLocked(buf); err != nil {
 		return res, fmt.Errorf("storage: view %s: compact: %w", v.name, err)
 	}
+	// Commit point: swap generations under the view's append handle. The
+	// scratch charge becomes the log's.
+	if err := v.log.swap(compactPath(v.path), int64(len(buf))); err != nil {
+		return res, fmt.Errorf("storage: view %s: compact commit: %w", v.name, err)
+	}
+	v.quar = nil
+	v.pred = v.carriedPredLocked()
+	writeQuarManifest(v.log.budget, v.path, nil)
+	v.writeCleanSidecarLocked()
+	res.BytesAfter = v.log.footprint
+	return res, nil
+}
+
+// writeGenerationLocked stages buf, a whole next generation, in the
+// compaction scratch file: written, fsynced, and re-read so that every
+// checksum verifies against the durable bytes and a shadow replay
+// rebuilds exactly the state the view holds — only such a file may be
+// swapped in. On an error the scratch file is gone again, except after a
+// simulated crash, which leaves the partial file behind exactly as a
+// killed process would (and kills the view). Callers hold mu.
+func (v *View) writeGenerationLocked(buf []byte) error {
+	tmp := compactPath(v.path)
+	// The compaction site models a kill or failure anywhere in the
+	// rewrite, keyed like an append by the log's footprint. The scratch
+	// itself is never budget-gated: compaction *frees* space, and denying
+	// its transient overshoot would wedge the reclaim ladder's cheapest
+	// tier.
+	site := faults.SiteViewCompact(v.name)
+	allow, injected := drawWrite(v.inj, faults.SiteDiskFull(site), site, uint64(v.log.footprint), len(buf))
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
 	var wrote int
-	var werr error
 	if allow > 0 {
-		wrote, werr = f.Write(buf[:allow])
+		wrote, err = f.Write(buf[:allow])
 	}
 	if injected != nil && faults.IsCrash(injected) {
 		_ = f.Close()
-		v.dead = true
-		return res, fmt.Errorf("storage: view %s: compact: %w", v.name, injected)
+		v.log.dead = true
+		return injected
 	}
-	if injected != nil || werr != nil || wrote != len(buf) {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		return res, fmt.Errorf("storage: view %s: compact: %w", v.name,
-			firstErr(injected, werr, fmt.Errorf("short write (%d of %d bytes)", wrote, len(buf))))
-	}
-	// The scratch generation is on disk now: account it until the
-	// rename folds it into the log's own charge (or a failure deletes
-	// it).
-	v.budget.Set(tmp, int64(len(buf)))
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		v.budget.Drop(tmp)
-		return res, fmt.Errorf("storage: view %s: compact fsync: %w", v.name, err)
-	}
-	if err := f.Close(); err != nil {
-		_ = os.Remove(tmp)
-		v.budget.Drop(tmp)
-		return res, fmt.Errorf("storage: view %s: compact close: %w", v.name, err)
-	}
-	// Re-read the durable bytes and verify every checksum before the
-	// old generation is released. The shadow replay also proves the
-	// new generation rebuilds the exact salvaged index.
-	nd, err := os.ReadFile(tmp)
-	if err == nil && len(nd) != len(buf) {
-		err = fmt.Errorf("scratch file is %d bytes, want %d", len(nd), len(buf))
+	if injected != nil {
+		err = injected
+	} else if err == nil && wrote != len(buf) {
+		err = fmt.Errorf("short write (%d of %d bytes)", wrote, len(buf))
 	}
 	if err == nil {
-		shadow := v.shadowLocked()
-		valid, rerr := shadow.replay(nd, 0)
-		switch {
-		case rerr != nil:
-			err = rerr
-		case valid != len(nd) || len(shadow.holes) > 0:
-			err = fmt.Errorf("new generation failed verification")
-		case shadow.batch.Len() != v.batch.Len() || shadow.index.len() != v.index.len():
-			err = fmt.Errorf("new generation rebuilt %d rows/%d keys, want %d/%d",
-				shadow.batch.Len(), shadow.index.len(), v.batch.Len(), v.index.len())
-		case !bytes.Equal(shadow.pred, v.carriedPredLocked()):
-			err = fmt.Errorf("new generation rebuilt a different aggregated predicate")
-		}
+		// The scratch generation is on disk now: account it until the
+		// swap folds it into the log's own charge (or a failure deletes
+		// it).
+		v.log.budget.Set(tmp, int64(len(buf)))
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = v.verifyGenerationLocked(tmp, len(buf))
 	}
 	if err != nil {
-		_ = os.Remove(tmp)
-		v.budget.Drop(tmp)
-		return res, fmt.Errorf("storage: view %s: compact verify: %w", v.name, err)
+		_ = removeSidecar(v.log.budget, tmp)
 	}
+	return err
+}
 
-	// Commit point: swap generations under the view's append handle.
-	if err := v.file.Close(); err != nil {
-		v.file = nil
-		return res, fmt.Errorf("storage: view %s: compact: close old generation: %w", v.name, err)
-	}
-	v.file = nil
-	if err := os.Rename(tmp, v.path); err != nil {
-		// The rename failed; the old generation is still in place.
-		f, rerr := os.OpenFile(v.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if rerr == nil {
-			v.file = f
-		}
-		return res, fmt.Errorf("storage: view %s: compact commit: %w", v.name, err)
-	}
-	nf, err := os.OpenFile(v.path, os.O_WRONLY|os.O_APPEND, 0o644)
+// verifyGenerationLocked re-reads the staged generation and checks it
+// against the view: the right length, every checksum, no holes, the
+// same rows, keys and carried predicate. Callers hold mu.
+func (v *View) verifyGenerationLocked(tmp string, size int) error {
+	nd, err := os.ReadFile(tmp)
 	if err != nil {
-		return res, fmt.Errorf("storage: view %s: compact reopen: %w", v.name, err)
+		return err
 	}
-	v.file = nf
-	v.footprint = int64(len(buf))
-	v.quar = nil
-	v.pred = v.carriedPredLocked()
-	_ = os.Remove(quarPath(v.path))
-	// Rename-time accounting: the scratch charge becomes the log's, the
-	// healed quarantine manifest is gone, and the refreshed sidecar is
-	// re-charged at its fixed size.
-	v.budget.Drop(tmp)
-	v.budget.Set(v.path, v.footprint)
-	v.budget.Drop(quarPath(v.path))
-	if writeCleanSidecar(v.path, buf, v.footprint) == nil {
-		v.budget.Set(cleanPath(v.path), cleanLen)
+	if len(nd) != size {
+		return fmt.Errorf("verify: scratch file is %d bytes, want %d", len(nd), size)
 	}
-	res.BytesAfter = v.footprint
-	return res, nil
+	shadow := v.shadowLocked()
+	valid, err := shadow.replay(nd, 0)
+	switch {
+	case err != nil:
+		return err
+	case valid != len(nd) || len(shadow.holes) > 0:
+		return fmt.Errorf("verify: new generation has a torn tail or holes")
+	case shadow.batch.Len() != v.batch.Len() || shadow.index.len() != v.index.len():
+		return fmt.Errorf("verify: new generation rebuilt %d rows/%d keys, want %d/%d",
+			shadow.batch.Len(), shadow.index.len(), v.batch.Len(), v.index.len())
+	case !bytes.Equal(shadow.pred, v.carriedPredLocked()):
+		return fmt.Errorf("verify: new generation rebuilt a different aggregated predicate")
+	}
+	return nil
 }
 
 // encodeCompactLocked serializes the in-memory state as a fresh

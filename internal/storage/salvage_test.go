@@ -129,7 +129,7 @@ func TestHeaderCorruptionTotalLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e2, _ := Open(dir)
+	e2 := openLedger(t, dir)
 	v2, err := e2.CreateView("det", viewSchema(), []string{"id"})
 	if err != nil {
 		t.Fatalf("header corruption must salvage, not fail: %v", err)
@@ -141,6 +141,7 @@ func TestHeaderCorruptionTotalLoss(t *testing.T) {
 	if q == nil || len(q.Ranges) != 1 || q.Ranges[0].Hi != oldSize {
 		t.Fatalf("quarantine = %+v, want whole old generation [0,%d)", q, oldSize)
 	}
+	checkLedger(t, e2)
 	// The fresh log works: appends land and survive a clean reopen.
 	crashAppend(t, v2, 0)
 	if err := e2.Close(); err != nil {
@@ -161,7 +162,7 @@ func TestHeaderCorruptionTotalLoss(t *testing.T) {
 func TestQuarantineManifestRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.view")
 	q := &Quarantine{Ranges: []LostRange{{Lo: 10, Hi: 42}, {Lo: 100, Hi: 107}}}
-	writeQuarManifest(path, q)
+	writeQuarManifest(nil, path, q)
 	got := readQuarManifest(path)
 	if len(got) != 2 || got[0] != q.Ranges[0] || got[1] != q.Ranges[1] {
 		t.Fatalf("round trip = %+v, want %+v", got, q.Ranges)
@@ -179,7 +180,7 @@ func TestQuarantineManifestRoundTrip(t *testing.T) {
 		t.Errorf("tampered manifest decoded to %+v", got)
 	}
 	// An empty quarantine removes the manifest.
-	writeQuarManifest(path, nil)
+	writeQuarManifest(nil, path, nil)
 	if _, err := os.Stat(quarPath(path)); !os.IsNotExist(err) {
 		t.Error("nil quarantine left a manifest behind")
 	}
@@ -254,7 +255,7 @@ func TestSalvageTornTailAfterHole(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e2, _ := Open(dir)
+	e2 := openLedger(t, dir)
 	v2, err := e2.CreateView("det", viewSchema(), []string{"id"})
 	if err != nil {
 		t.Fatal(err)
@@ -270,6 +271,7 @@ func TestSalvageTornTailAfterHole(t *testing.T) {
 	if v2.RecoveredBytes() == 0 {
 		t.Error("torn tail not truncated")
 	}
+	checkLedger(t, e2)
 }
 
 // TestDropViewsRemovesQuarantineSidecars: DropViews leaves no .quar or
@@ -279,7 +281,7 @@ func TestDropViewsRemovesQuarantineSidecars(t *testing.T) {
 	e, _ := Open(dir)
 	v, _ := e.CreateView("det", viewSchema(), []string{"id"})
 	crashAppend(t, v, 0)
-	writeQuarManifest(v.path, &Quarantine{Ranges: []LostRange{{Lo: 1, Hi: 2}}})
+	writeQuarManifest(nil, v.path, &Quarantine{Ranges: []LostRange{{Lo: 1, Hi: 2}}})
 	if err := os.WriteFile(compactPath(v.path), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +339,7 @@ func TestCompactCrashLeavesOldGeneration(t *testing.T) {
 		t.Fatal("dead view accepted an append")
 	}
 	// ...but the old generation is untouched: reopen converges.
-	e2, _ := Open(dir)
+	e2 := openLedger(t, dir)
 	v2, err := e2.CreateView("det", viewSchema(), []string{"id"})
 	if err != nil {
 		t.Fatal(err)
@@ -353,13 +355,14 @@ func TestCompactCrashLeavesOldGeneration(t *testing.T) {
 	if _, err := v2.Compact(); err != nil {
 		t.Fatalf("retry compact: %v", err)
 	}
+	checkLedger(t, e2)
 }
 
 // TestCompactTransientFaultRetries: a transient compaction fault keeps
 // the old generation and the live handle; the retry succeeds.
 func TestCompactTransientFaultRetries(t *testing.T) {
 	dir := t.TempDir()
-	e, _ := Open(dir)
+	e := openLedger(t, dir)
 	inj := faults.New(3)
 	inj.Rule(faults.SiteViewCompact("det"), faults.Rule{Kind: faults.Transient, At: []int{1}})
 	e.SetInjector(inj)
@@ -376,6 +379,7 @@ func TestCompactTransientFaultRetries(t *testing.T) {
 	if got := snapshotView(v); got.rows != golden.rows {
 		t.Errorf("failed compaction changed state: rows=%d", got.rows)
 	}
+	checkLedger(t, e)
 	res, err := v.Compact()
 	if err != nil {
 		t.Fatalf("retry compact: %v", err)
@@ -388,4 +392,5 @@ func TestCompactTransientFaultRetries(t *testing.T) {
 	if v.Rows() != golden.rows+3 {
 		t.Errorf("append after compact: rows=%d", v.Rows())
 	}
+	checkLedger(t, e)
 }

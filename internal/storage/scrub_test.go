@@ -43,7 +43,7 @@ func TestVerifyDetectsTrustedPrefixBitrot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e2, _ := Open(dir)
+	e2 := openLedger(t, dir)
 	v2, err := e2.CreateView("det", viewSchema(), []string{"id"})
 	if err != nil {
 		t.Fatal(err)
@@ -82,6 +82,7 @@ func TestVerifyDetectsTrustedPrefixBitrot(t *testing.T) {
 	if res2.FoundCorruption {
 		t.Error("second verify re-reported the known hole as fresh corruption")
 	}
+	checkLedger(t, e2)
 	// The re-bounded sidecar stops the next open from trusting past
 	// the hole: it must re-verify and reproduce the same salvage.
 	if err := e2.Close(); err != nil {
@@ -104,7 +105,7 @@ func TestVerifyDetectsTrustedPrefixBitrot(t *testing.T) {
 // clean, re-hashes every record, and leaves state untouched.
 func TestVerifyCleanPass(t *testing.T) {
 	dir := t.TempDir()
-	e, _ := Open(dir)
+	e := openLedger(t, dir)
 	v, _ := e.CreateView("det", viewSchema(), []string{"id"})
 	crashAppend(t, v, 0)
 	crashAppend(t, v, 1)
@@ -122,13 +123,14 @@ func TestVerifyCleanPass(t *testing.T) {
 	if got := snapshotView(v); got.rows != golden.rows || !bytes.Equal(got.data, golden.data) {
 		t.Error("clean verify mutated view state")
 	}
+	checkLedger(t, e)
 }
 
 // TestVerifyHeaderRot: the header rotting under a live view is a total
 // loss; Verify restarts the log in place and the view stays usable.
 func TestVerifyHeaderRot(t *testing.T) {
 	dir := t.TempDir()
-	e, _ := Open(dir)
+	e := openLedger(t, dir)
 	v, _ := e.CreateView("det", viewSchema(), []string{"id"})
 	crashAppend(t, v, 0)
 	data, err := os.ReadFile(v.path)
@@ -149,8 +151,10 @@ func TestVerifyHeaderRot(t *testing.T) {
 	if v.Rows() != 0 {
 		t.Errorf("post-rot rows = %d, want 0", v.Rows())
 	}
+	checkLedger(t, e)
 	// The regenerated log accepts appends and survives reopen.
 	crashAppend(t, v, 1)
+	checkLedger(t, e)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,30 @@ import (
 	"path/filepath"
 	"testing"
 
+	"eva/internal/testutil"
 	"eva/internal/types"
 	"eva/internal/vision"
 )
+
+// openLedger opens an engine whose account-only budget is installed
+// before anything is charged, so checkLedger can hold it to the bytes
+// on disk.
+func openLedger(t *testing.T, dir string) *Engine {
+	t.Helper()
+	e, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetBudget(NewDiskBudget(0))
+	return e
+}
+
+// checkLedger asserts the ledger invariant: the engine's budget charges
+// exactly the bytes of the files under its root.
+func checkLedger(t *testing.T, e *Engine) {
+	t.Helper()
+	testutil.CheckLedger(t, e.Root(), e.Budget().Stats().UsedBytes)
+}
 
 func newEngine(t *testing.T) *Engine {
 	t.Helper()

@@ -35,23 +35,16 @@ type Video struct {
 	segFrames int
 	// live marks a streaming table (see live.go): frames become
 	// visible as the durable watermark advances rather than all at
-	// once. site is its ingest-append fault site.
+	// once.
 	live bool
-	site string
-	// eng points back to the owning engine so a disk-full watermark
-	// append can run the reclaim ladder; nil for videos built directly
-	// in unit tests. Immutable after creation.
-	eng *Engine
 
 	mu    sync.Mutex
 	cache map[int]*types.Batch // guarded by mu; segment index -> decoded batch
-	// Streaming state (live tables only; see live.go).
-	wm          int64       // guarded by mu; durable watermark (frames)
-	wmFile      *os.File    // guarded by mu; watermark-log handle
-	wmFoot      int64       // guarded by mu; watermark-log bytes
-	wmDead      bool        // guarded by mu; simulated crash hit this handle
-	wmRecovered int64       // guarded by mu; torn-tail bytes dropped at open
-	budget      *DiskBudget // guarded by mu; charges the watermark log
+	// Streaming state (live tables only; see live.go): the durable
+	// watermark in frames, and the log that keeps it. The pointer is
+	// fixed at open; what it points to is guarded by mu.
+	wm  int64    // guarded by mu
+	wal *TailLog // guarded by mu
 }
 
 // Name returns the table name.
@@ -215,11 +208,8 @@ func writeSegment(path string, batch *types.Batch) error {
 			buf = batch.At(r, c).AppendBinary(buf)
 		}
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	// Segments are regenerable source data, outside the disk budget.
+	return writeSidecar(nil, path, buf)
 }
 
 func readSegment(path string) (*types.Batch, error) {

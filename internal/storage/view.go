@@ -40,19 +40,18 @@ type View struct {
 	schema  types.Schema
 	keyCols []string
 	keyIdx  []int
-	site    string // fault-injection site name
 
 	mu    sync.RWMutex
 	batch *types.Batch // guarded by mu
 	// index is the view's one key index: an encoded key is present iff
 	// it was processed, and leads to the indexes (into batch) of its
 	// rows — none for a key whose evaluation produced no rows.
-	index     keyIndex         // guarded by mu
-	file      *os.File         // guarded by mu
-	footprint int64            // guarded by mu
-	dead      bool             // guarded by mu; simulated crash hit this view
-	recovered int64            // guarded by mu; torn-tail bytes dropped at open
-	inj       *faults.Injector // guarded by mu
+	index keyIndex // guarded by mu
+	// log owns the file below the record schema: handle, footprint,
+	// dead flag, budget charge and the write protocol (logtail.go). The
+	// pointer is fixed at open; what it points to is guarded by mu.
+	log *TailLog         // guarded by mu
+	inj *faults.Injector // guarded by mu
 	// quar records the byte ranges lost to corruption salvage, pending
 	// symbolic repair and compaction; nil when the log is whole.
 	// guarded by mu.
@@ -84,13 +83,6 @@ type View struct {
 	// read by the eviction ranker (atomic — ordinals come from the
 	// engine's touchSeq, bumped per engine-level lookup, not per row).
 	touch atomic.Uint64
-	// eng points back to the owning engine so a disk-full append can
-	// run the reclaim ladder; nil for views opened directly in unit
-	// tests (no reclaim possible). Immutable after CreateView.
-	eng *Engine
-	// budget is the engine's disk budget charging this view's durable
-	// artifacts; nil when unbudgeted. guarded by mu.
-	budget *DiskBudget
 }
 
 // View file format v2: header (magic, version, schema, key columns)
@@ -170,58 +162,30 @@ func readCleanSidecar(path string, data []byte) int64 {
 	return trusted
 }
 
-// writeCleanSidecar atomically records the verified prefix (tmp +
-// rename, so a crash mid-write leaves either the old sidecar or none —
-// both safe: the fallback is the full verifying scan).
-func writeCleanSidecar(path string, data []byte, trusted int64) error {
-	if trusted < recSumLen || trusted > int64(len(data)) {
-		return nil
-	}
-	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, cleanLen), cleanMagic)
-	buf = append(buf, cleanVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(trusted))
-	buf = append(buf, data[trusted-recSumLen:trusted]...)
-	buf = binary.LittleEndian.AppendUint64(buf, xxhash.Sum64(buf, 0))
-	tmp := cleanPath(path) + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, cleanPath(path))
-}
-
-// writeCleanSidecarLocked refreshes the sidecar from the live file
-// handle's current footprint — bounded at the first quarantined hole,
-// which the next open must re-verify around rather than trust.
-// Best-effort: a failure only costs the next open a full scan. Callers
-// hold mu.
+// writeCleanSidecarLocked refreshes the sidecar to the log's current
+// trusted bound — the whole footprint, or only up to the first
+// quarantined hole, which the next open must re-verify around rather
+// than trust. Best-effort: a failure only costs the next open a full
+// scan. Callers hold mu.
 func (v *View) writeCleanSidecarLocked() {
 	bound := v.trustedBoundLocked()
-	if v.dead || bound < recSumLen {
+	if v.log.dead || bound < recSumLen {
 		return
 	}
-	tail := make([]byte, recSumLen)
 	f, err := os.Open(v.path)
 	if err != nil {
 		return
 	}
 	defer f.Close()
-	if _, err := f.ReadAt(tail, bound-recSumLen); err != nil {
-		return
-	}
 	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, cleanLen), cleanMagic)
 	buf = append(buf, cleanVersion)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(bound))
-	buf = append(buf, tail...)
-	buf = binary.LittleEndian.AppendUint64(buf, xxhash.Sum64(buf, 0))
-	tmp := cleanPath(v.path) + ".tmp"
-	if os.WriteFile(tmp, buf, 0o644) == nil {
-		if os.Rename(tmp, cleanPath(v.path)) == nil {
-			// Sidecars are charged at their exact size but never
-			// budget-denied: they are bounded best-effort artifacts, and
-			// denying one would only cost the next open a full scan.
-			v.budget.Set(cleanPath(v.path), cleanLen)
-		}
+	buf = buf[:len(buf)+recSumLen]
+	if _, err := f.ReadAt(buf[len(buf)-recSumLen:], bound-recSumLen); err != nil {
+		return
 	}
+	buf = binary.LittleEndian.AppendUint64(buf, xxhash.Sum64(buf, 0))
+	_ = writeSidecar(v.log.budget, cleanPath(v.path), buf)
 }
 
 // openView opens (or creates) the view log at path. A nil schema opens
@@ -233,11 +197,9 @@ func openView(path, name string, schema types.Schema, keyCols []string, inj *fau
 	v := &View{
 		name:   name,
 		path:   path,
-		site:   faults.SiteViewWrite(name),
 		index:  newKeyIndex(),
 		claims: map[string]chan struct{}{},
 		inj:    inj,
-		budget: budget,
 	}
 	fromHeader := schema == nil
 	if !fromHeader {
@@ -250,12 +212,14 @@ func openView(path, name string, schema types.Schema, keyCols []string, inj *fau
 	if _, err := os.Stat(tombPath(path)); err == nil {
 		clearTombstonedView(path)
 	}
-	// A crash mid-compaction can leave a partial next generation behind;
-	// it was never committed (the rename is the commit point), so it is
-	// garbage.
-	_ = os.Remove(compactPath(path))
+	// A crash mid-compaction or mid-sidecar-write can leave a scratch
+	// file behind; it was never committed (the rename is the commit
+	// point), so it is garbage.
+	for _, p := range viewScratch(path) {
+		_ = os.Remove(p)
+	}
 	headerLost, replayed := false, false
-	tl, err := OpenTailLog(path, v.encodeHeader(), func(data []byte) (int, error) {
+	log, err := OpenTailLog(path, "storage: view "+name, faults.SiteViewWrite(name), v.encodeHeader(), budget, func(data []byte) (int, error) {
 		replayed = true
 		trusted := readCleanSidecar(path, data)
 		valid, rerr := v.replay(data, trusted)
@@ -290,12 +254,12 @@ func openView(path, name string, schema types.Schema, keyCols []string, inj *fau
 	if err != nil {
 		return nil, fmt.Errorf("storage: view %s: %w", name, err)
 	}
-	v.file, v.footprint = tl.File, tl.Footprint
-	if !headerLost {
+	if headerLost {
 		// Header loss is accounted as a quarantined hole, not as a torn
-		// tail: recovered stays 0 for that path.
-		v.recovered = tl.Recovered
+		// tail.
+		log.recovered = 0
 	}
+	v.log = log          // lint:nolock pre-publish (openView)
 	v.adoptHolesLocked() // lint:nolock pre-publish (openView)
 	if replayed {
 		// Refresh the sidecar to the verified prefix — up to the first
@@ -304,7 +268,6 @@ func openView(path, name string, schema types.Schema, keyCols []string, inj *fau
 		// correctness. A fresh (never-written) log earns no sidecar.
 		v.writeCleanSidecarLocked() // lint:nolock pre-publish (openView)
 	}
-	budget.Set(path, v.footprint)
 	return v, nil
 }
 
@@ -620,14 +583,18 @@ func (v *View) setInjector(inj *faults.Injector) {
 	v.inj = inj
 }
 
-// setBudget installs (or clears) the disk budget, charging the view's
-// current on-disk footprint so late installation still accounts for
-// existing artifacts.
+// setBudget installs (or clears) the disk budget, charging the log and
+// the sidecars already beside it so late installation still accounts
+// for them.
 func (v *View) setBudget(b *DiskBudget) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.budget = b
-	b.Set(v.path, v.footprint)
+	v.log.setBudget(b)
+	for _, side := range viewSidecars(v.path) {
+		if fi, err := os.Stat(side); err == nil {
+			b.Set(side, fi.Size())
+		}
+	}
 }
 
 // Name returns the view name.
@@ -644,7 +611,7 @@ func (v *View) KeyColumns() []string { return v.keyCols }
 func (v *View) RecoveredBytes() int64 {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return v.recovered
+	return v.log.recovered
 }
 
 // OpenStats reports how the last open rebuilt the index: trusted is
@@ -732,54 +699,27 @@ func (v *View) Append(rows *types.Batch, processedKeys [][]types.Datum) (int, er
 // that session's deterministic schedule (nil injects nothing, even
 // when the system has an injector installed).
 //
-// Locked append attempts hold no view lock between them: a retriable
-// disk-full failure frees space through the engine's reclaim ladder
-// (which must take other views' locks) and retries the same record.
-// The retry redraws injected faults at the same LSN (the injector
-// bumps the per-(site, LSN) occurrence count), so transient disk:full
-// schedules drain exactly like transient write faults. The loop
-// terminates because every retry either freed bytes (finite) or
-// drained a bounded injector rule, with evictRetryMax as the backstop.
-func (v *View) AppendWith(rows *types.Batch, processedKeys [][]types.Datum, inj *faults.Injector) (int, error) {
-	for attempt := 1; ; attempt++ {
+// Locked append attempts hold no view lock between them (TailLog.Retry):
+// a retriable disk-full failure frees space through the engine's
+// reclaim ladder, which must take other views' locks, and retries the
+// same record.
+func (v *View) AppendWith(rows *types.Batch, processedKeys [][]types.Datum, inj *faults.Injector) (n int, err error) {
+	err = v.log.Retry(func() (err error) { // lint:nolock the pointer is fixed at open
 		v.mu.Lock()
-		n, err := v.appendLocked(rows, processedKeys, inj)
-		v.mu.Unlock()
-		if err == nil {
-			return n, nil
-		}
-		if err = v.MakeRoom(err, attempt); err != nil {
-			return 0, err
-		}
-	}
+		defer v.mu.Unlock()
+		n, err = v.appendLocked(rows, processedKeys, inj)
+		return err
+	})
+	return n, err
 }
 
-// MakeRoom is the step between two attempts at a log write: given the
-// error of attempt number `attempt`, it returns nil when the write
-// failed for want of disk space and is worth repeating — the reclaim
-// ladder freed something, or the shortage was an injected transient —
-// after charging the retry backoff. Any other error comes back as it
-// is, and a ladder run dry as the typed ErrDiskBudget. The caller must
-// hold no view lock.
+// MakeRoom is TailLog.MakeRoom on the view's log, for a caller that
+// drives its own attempts (the aggregated-predicate commit). The ladder
+// excludes this view: a budget too small for even one view ends with a
+// dry ladder and the typed error, never an evict-ourselves loop. The
+// caller must hold no view lock.
 func (v *View) MakeRoom(err error, attempt int) error {
-	if !IsDiskFull(err) || faults.IsCrash(err) {
-		return err
-	}
-	var dfe *DiskFullError
-	errors.As(err, &dfe)
-	if v.eng == nil || attempt >= evictRetryMax {
-		return fmt.Errorf("storage: view %s: %w: %v", v.name, ErrDiskBudget, dfe)
-	}
-	// Evicting the log being appended would free nothing durable
-	// for this retry, so the ladder excludes it; a budget too small
-	// for even one view therefore ends with a dry ladder and the
-	// typed error, never an evict-ourselves loop.
-	freed := v.eng.Reclaim(dfe.Need, v.name)
-	if freed <= 0 && !faults.IsTransient(err) {
-		return fmt.Errorf("storage: view %s: %w: %v", v.name, ErrDiskBudget, dfe)
-	}
-	v.eng.chargeRetry(attempt)
-	return nil
+	return v.log.MakeRoom(err, attempt) // lint:nolock the pointer is fixed at open
 }
 
 // Predicate returns the last aggregated-predicate snapshot the log
@@ -825,10 +765,7 @@ func (v *View) ShrinkPredicate(pred []byte) {
 }
 
 func (v *View) writePredLocked(pred []byte, inj *faults.Injector) error {
-	if v.dead {
-		return fmt.Errorf("storage: view %s: unusable after simulated crash", v.name)
-	}
-	if err := v.writeLocked(sealRecord(nil, recPred, 0, pred), inj); err != nil {
+	if err := v.log.Append(sealRecord(nil, recPred, 0, pred), uint64(v.log.footprint), inj); err != nil {
 		return err
 	}
 	v.pred = append([]byte(nil), pred...)
@@ -844,8 +781,8 @@ func (v *View) appendLocked(rows *types.Batch, processedKeys [][]types.Datum, in
 			return 0, fmt.Errorf("storage: view %s: key width %d, want %d", v.name, len(key), len(v.keyCols))
 		}
 	}
-	if v.dead {
-		return 0, fmt.Errorf("storage: view %s: unusable after simulated crash", v.name)
+	if v.log.dead {
+		return 0, v.log.check()
 	}
 
 	// Phase 1 (pure): decide which rows and keys are new and encode
@@ -890,8 +827,9 @@ func (v *View) appendLocked(rows *types.Batch, processedKeys [][]types.Datum, in
 		return 0, nil
 	}
 
-	// Phase 2: disk. A failure here leaves memory exactly as it was.
-	if err := v.writeLocked(out, inj); err != nil {
+	// Phase 2: disk. The pre-append footprint is the record's LSN. A
+	// failure here leaves memory exactly as it was.
+	if err := v.log.Append(out, uint64(v.log.footprint), inj); err != nil {
 		return 0, err
 	}
 
@@ -907,79 +845,6 @@ func (v *View) appendLocked(rows *types.Batch, processedKeys [][]types.Datum, in
 		v.index.mark(AppendKey(ek[:0], processedKeys[ki]))
 	}
 	return len(newRowIdx), nil
-}
-
-// writeLocked appends the encoded record to the log, consulting the
-// fault injector. Short or failed writes are rolled back by truncating
-// to the pre-append length; a simulated crash leaves the torn tail on
-// disk and kills the view. A disk-full condition — the budget denying
-// the bytes, or an injected fault at the log's disk:full shadow site —
-// surfaces as a retriable *DiskFullError for the evict-retry loop.
-// Callers must hold mu.
-func (v *View) writeLocked(out []byte, inj *faults.Injector) error {
-	if v.file == nil {
-		return fmt.Errorf("storage: view %s: closed", v.name)
-	}
-	allow := len(out)
-	var injected error
-	// The pre-append footprint is the record's LSN: it keys the
-	// probabilistic fault draw, so a record's fate does not depend on
-	// how many appends other views (or retries of other records) made
-	// first. A rolled-back retry of the same record redraws (the
-	// injector bumps a per-(site, LSN) occurrence counter). The
-	// disk:full shadow site draws first — a full disk fails the write
-	// before the bytes could matter.
-	dfSite := faults.SiteDiskFull(v.site)
-	if short, ferr := inj.CheckWrite(dfSite, uint64(v.footprint), len(out)); ferr != nil {
-		allow, injected = short, &DiskFullError{Site: dfSite, Need: int64(len(out)), Injected: ferr}
-	} else if short, ferr := inj.CheckWrite(v.site, uint64(v.footprint), len(out)); ferr != nil {
-		allow, injected = short, ferr
-	}
-	admitted := false
-	if injected == nil {
-		if !v.budget.Admit(v.path, int64(len(out))) {
-			// Denied before any byte reaches the file: nothing to roll
-			// back, and the retry (after reclaim) redraws nothing.
-			return fmt.Errorf("storage: view %s: %w", v.name, &DiskFullError{Site: dfSite, Need: int64(len(out))})
-		}
-		admitted = true
-	}
-	var wrote int
-	var werr error
-	if allow > 0 {
-		wrote, werr = v.file.Write(out[:allow])
-	}
-	if injected != nil && faults.IsCrash(injected) {
-		// Simulated kill mid-append: whatever reached the file stays
-		// as a torn tail for the next open to recover; this in-process
-		// handle is as dead as the killed process.
-		v.dead = true
-		return fmt.Errorf("storage: view %s: %w", v.name, injected)
-	}
-	if injected == nil && werr == nil && wrote == len(out) {
-		v.footprint += int64(len(out))
-		return nil
-	}
-	if admitted {
-		v.budget.Refund(v.path, int64(len(out)))
-	}
-	// Failed or short write without a crash: roll the file back so
-	// disk and memory stay in lockstep.
-	if terr := v.file.Truncate(v.footprint); terr != nil {
-		v.dead = true
-		return fmt.Errorf("storage: view %s: rollback after failed write: %v (write error: %v)", v.name, terr, firstErr(injected, werr))
-	}
-	return fmt.Errorf("storage: view %s: %w", v.name, firstErr(injected, werr, fmt.Errorf("short write (%d of %d bytes)", wrote, len(out))))
-}
-
-// firstErr returns the first non-nil error.
-func firstErr(errs ...error) error {
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
 }
 
 // Scan returns all stored rows as a read-only snapshot. The snapshot's
@@ -1108,17 +973,16 @@ func (v *View) ReleaseKeys(keys []string) {
 func (v *View) Footprint() int64 {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return v.footprint
+	return v.log.footprint
 }
 
 func (v *View) close() error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if v.file == nil {
+	if v.log.file == nil {
 		return nil
 	}
-	err := v.file.Close()
-	v.file = nil
+	err := v.log.Close()
 	// A clean close refreshes the sidecar so the next open can trust
 	// the whole log. A dead view skips it — a killed process writes
 	// nothing on the way down, and its torn tail must be re-verified.
