@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint check bench faults-stress differential chaos server-stress ingest-chaos cover fuzz-smoke alloc pool-safety scrub evict loc
+.PHONY: build test race lint check bench faults-stress differential chaos server-stress ingest-chaos cover fuzz-smoke alloc pool-safety scrub evict loc unsafe-confined
 
 build:
 	$(GO) build ./...
@@ -136,11 +136,13 @@ fuzz-smoke:
 # classifier on every row) at one per detector output row — its bbox
 # string — each measured as a marginal between two scan lengths, and
 # the committed BENCH_alloc.json baseline must satisfy the same gates
-# with all pooled/unpooled matrix digests identical. Runs without
-# -race: the race detector perturbs allocation counts (the tests skip
-# themselves).
+# with all pooled/unpooled matrix digests identical; and the datum every
+# one of those rows is made of must stay three words (DESIGN.md
+# "Resident view layout"). Runs without -race: the race detector
+# perturbs allocation counts (the tests skip themselves).
 alloc:
 	$(GO) test -run 'TestWarmPathAllocsPerRow|TestEvalPathAllocsPerRow|TestAllocBaselineCommitted' .
+	$(GO) test -run TestDatumLayout ./internal/types/
 
 # scrub runs the self-healing view storage matrix under the race
 # detector: every view-building testdata script × corruption sites
@@ -179,6 +181,16 @@ pool-safety:
 	$(GO) test -race ./internal/types/
 	$(GO) test -tags evadebug ./internal/types/ ./internal/exec/ .
 
+# unsafe-confined fails if any non-test file other than
+# internal/types/datum.go (the 24-byte Datum; DESIGN.md "Resident view
+# layout") or bench/ imports unsafe. That one file is covered by the
+# checkers that exist for it: go vet's unsafeptr pass and, in every
+# -race run of check, the compiler's checkptr instrumentation.
+unsafe-confined:
+	@found=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.git/*' \
+		! -path './internal/types/datum.go' | xargs grep -lE '^[[:space:]]*(import[[:space:]]+)?([A-Za-z_.]+[[:space:]]+)?"unsafe"[[:space:]]*$$'); \
+	if [ -n "$$found" ]; then echo "unsafe imported outside internal/types/datum.go:"; echo "$$found"; exit 1; fi
+
 # loc prints the "least code" needle (ROADMAP north star): Go lines
 # outside tests, bench/ and the lint fixtures, per package and in
 # total. "code" leaves out blank lines and // comment lines, so a PR
@@ -198,7 +210,7 @@ loc:
 		close("sort"); printf "%-28s %7d %7d\n", "total", tl, tc }'
 
 # check is the full verification gate: formatting, vet, the evalint
-# suite, a clean build, the test suite under the race detector, the
+# suite, unsafe confined to one file, a clean build, the test suite under the race detector, the
 # serial-vs-parallel differential matrix, the chaos differential
 # matrix, the multi-session serving-layer stress, the streaming
 # ingest kill-point matrix, the self-healing scrub matrix, the
@@ -210,6 +222,7 @@ check:
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/evalint ./...
+	$(MAKE) unsafe-confined
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(MAKE) differential

@@ -204,7 +204,9 @@ func TestSessionStatementsDriveEvictor(t *testing.T) {
 	awaitBackground(t, "background reclaim below high water after session statements", func() bool {
 		return sys.evictor.Stats().Passes >= 1 && sys.StorageStats().Disk.UsedBytes <= limit/10*9
 	})
-	if d := sys.StorageStats().Disk; d.Evictions == 0 {
-		t.Errorf("reclaimed without evicting a view: %+v", d)
-	}
+	// The ledger shrinks inside the eviction and the counter moves after
+	// it, so the count may trail the bytes by a moment.
+	awaitBackground(t, "the reclaim being counted as a view eviction", func() bool {
+		return sys.StorageStats().Disk.Evictions > 0
+	})
 }

@@ -6,6 +6,8 @@ import (
 
 	"eva/internal/plan"
 	"eva/internal/server"
+	"eva/internal/storage"
+	"eva/internal/udf"
 	"eva/internal/vision"
 )
 
@@ -99,5 +101,77 @@ func TestSortBudgetAborts(t *testing.T) {
 	}
 	if bud.Peak() == 0 {
 		t.Error("funded sort charged nothing to the budget")
+	}
+}
+
+// TestChargeStagedWalksEachRowOnce: the view-staging charge is a running
+// total. Each batch's charge sizes only the rows that batch staged —
+// every staged datum is visited once over the query, not once per
+// later batch — and the total always equals what sizing the whole
+// pending batch would give, so charges and degrade points are the ones
+// a full re-walk would produce.
+func TestChargeStagedWalksEachRowOnce(t *testing.T) {
+	ctx := testCtx(t, vision.MediumUADetrac)
+	ctx.BatchSize = 4
+	ctx.Budget = server.NewMemBudget(1 << 30)
+	it, err := build(ctx, detectorNode(0, 40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := it.(*applyIter)
+	visited, staged, batches := 0, 0, 0
+	for {
+		from := a.stagedRows
+		out, err := a.next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out == nil {
+			break
+		}
+		batches++
+		if a.pendingRows == nil || a.stagedRows != a.pendingRows.Len() {
+			t.Fatalf("batch %d: charged through row %d of the pending batch %v", batches, a.stagedRows, a.pendingRows)
+		}
+		if want := int64(a.pendingRows.EncodedSize()); a.staged != want {
+			t.Fatalf("batch %d: running charge %d, the pending rows encode to %d", batches, a.staged, want)
+		}
+		visited += (a.stagedRows - from) * len(a.pendingRows.Schema())
+		staged = a.pendingRows.Len() * len(a.pendingRows.Schema())
+	}
+	if batches != 10 || staged == 0 || visited != staged {
+		t.Errorf("%d batches visited %d datums to charge for %d staged ones", batches, visited, staged)
+	}
+	if a.staged != 0 || a.stagedRows != 0 {
+		t.Errorf("the final flush left %d bytes over %d rows reserved", a.staged, a.stagedRows)
+	}
+
+	// A budget too small for the staging buffer degrades by flushing, and
+	// the next batch's charge starts from the emptied buffer.
+	ctx = testCtx(t, vision.MediumUADetrac)
+	ctx.BatchSize = 4
+	it, err = build(ctx, detectorNode(0, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a = it.(*applyIter)
+	if _, err := a.next(); err != nil {
+		t.Fatal(err)
+	}
+	a.ctx.Budget = server.NewMemBudget(1)
+	if err := a.chargeStaged(); err != nil || a.pendingRows != nil || a.stagedRows != 0 || a.ctx.Budget.Degrades() != 1 {
+		t.Errorf("a failed charge: err %v, pending %v, charged rows %d, degrades %d; want an early flush",
+			err, a.pendingRows, a.stagedRows, a.ctx.Budget.Degrades())
+	}
+}
+
+// TestKeyHashIsDemandHash: the apply operator hashes a key once and
+// uses the value both as the view index's KeyHash and as the demand
+// set's DemandHash, so the two must be one function.
+func TestKeyHashIsDemandHash(t *testing.T) {
+	for _, key := range [][]byte{nil, {0}, []byte("a longer encoded key, past one xxhash stripe of 32 bytes")} {
+		if storage.KeyHash(key) != udf.DemandHash(key) {
+			t.Errorf("KeyHash(%q) != DemandHash", key)
+		}
 	}
 }

@@ -435,27 +435,25 @@ type applyIter struct {
 
 	pendingRows *types.Batch    // buffered fresh results for the store view
 	pendingKeys [][]types.Datum // buffered processed keys
-	seenPending map[string]bool // keys already buffered this query
+	seenPending storage.KeySet  // keys already buffered this query
 
-	claimed []string // store-view keys this batch holds claims on
-	staged  int64    // budget bytes reserved for pending view rows
-	stored  bool     // end of stream seen and reported to the Context
+	claimed    []string // store-view keys this batch holds claims on
+	staged     int64    // budget bytes reserved for pending view rows
+	stagedRows int      // the pending rows those bytes are the size of
+	stored     bool     // end of stream seen and reported to the Context
 
 	// Per-batch scratch. Everything is grown to the widest batch seen
 	// and kept, so the probe, eval and assemble loops allocate nothing
 	// in steady state.
 	decisions []rowDecision
-	keys      []byte             // the batch's encoded keys, back to back
-	keyOffs   []int              // row r's key is keys[keyOffs[r]:keyOffs[r+1]]
-	demand    []uint64           // udf.DemandHash of each row's key
-	sel       []int              // rows no view has served yet, in row order
-	hits      []storage.ProbeHit // one view's answer to one batch probe
-	snaps     []types.Batch      // per probe view: holder of the snapshot its hits index
-	snapHeld  []bool             // per probe view: rows of this batch index the holder
-	fuzzyIdx  []int              // backs the one-row viewIdx of fuzzy-served rows
-	claimSeen map[string]bool    // dedup set of unservedKeys
-	claimBuf  []string           // backs claimed
-	scratch   []evalScratch      // per-worker eval scratch
+	keys      []byte         // the batch's encoded keys, back to back
+	keyOffs   []int          // row r's key is keys[keyOffs[r]:keyOffs[r+1]]
+	demand    []uint64       // storage.KeyHash (= udf.DemandHash) of each row's key
+	sel       []int          // rows no view has served yet, in row order
+	probed    storage.Probed // the batch's served rows as (chunk, row) pairs; Hits is one probe's answer
+	claimSeen storage.KeySet // dedup set of unservedKeys
+	claimBuf  []string       // backs claimed
+	scratch   []evalScratch  // per-worker eval scratch
 
 	// The eval phase's batch: calls[i] is the invocation for input row
 	// sel[i], its arguments in argBuf, cut into one chunk per worker. A
@@ -503,7 +501,7 @@ type evalChunk struct {
 }
 
 func newApplyIter(ctx *Context, node *plan.ReuseApply, in iterator) (*applyIter, error) {
-	a := &applyIter{ctx: ctx, in: in, node: node, seenPending: map[string]bool{},
+	a := &applyIter{ctx: ctx, in: in, node: node,
 		evalLower: strings.ToLower(node.Eval), readCost: costs.ScalarViewReadCost}
 	if node.TableUDF {
 		a.readCost = costs.TableViewReadCost
@@ -556,8 +554,6 @@ func newApplyIter(ctx *Context, node *plan.ReuseApply, in iterator) (*applyIter,
 			a.probeViews = append(append([]*storage.View(nil), a.sources...), a.store)
 		}
 	}
-	a.snaps = make([]types.Batch, len(a.probeViews))
-	a.snapHeld = make([]bool, len(a.probeViews))
 	return a, nil
 }
 
@@ -579,16 +575,15 @@ func (a *applyIter) viewSchema(in types.Schema) types.Schema {
 const viewFlushRows = 8192
 
 // rowDecision is the apply operator's per-row outcome. The serial
-// probe phase either serves the row from a view — recording the source
-// batch and the row indexes to emit — or queues it for UDF evaluation;
-// the parallel eval phase evaluates the queued rows as udf.Calls; the
-// serial assemble phase merges both in row order.
+// probe phase either serves the row from a view — recording which of
+// the batch's probed (chunk, row) pairs to emit — or queues it for UDF
+// evaluation; the parallel eval phase evaluates the queued rows as
+// udf.Calls; the serial assemble phase merges both in row order.
 type rowDecision struct {
-	served  bool
-	snap    *types.Batch // batch viewIdx indexes: a view snapshot or a fuzzy index's
-	viewIdx []int        // rows to emit, indexes into snap (read-only)
-	id      uint64       // call identity for fault injection
-	err     error        // an argument failed to evaluate
+	served bool
+	lo, hi int    // rows to emit: pairs lo..hi-1 of a.probed
+	id     uint64 // call identity for fault injection
+	err    error  // an argument failed to evaluate
 }
 
 func (a *applyIter) next() (*types.Batch, error) {
@@ -684,17 +679,11 @@ func (a *applyIter) reprobe(decisions []rowDecision) {
 // headed for UDF evaluation, in row order. The strings are what the
 // view's claim table keeps, so one per distinct key is the floor.
 func (a *applyIter) unservedKeys() []string {
-	if a.claimSeen == nil {
-		a.claimSeen = map[string]bool{}
-	}
-	clear(a.claimSeen)
+	a.claimSeen.Reset()
 	keys := a.claimBuf[:0]
 	for _, r := range a.sel {
-		ek := a.keys[a.keyOffs[r]:a.keyOffs[r+1]]
-		if !a.claimSeen[string(ek)] {
-			k := string(ek)
-			a.claimSeen[k] = true
-			keys = append(keys, k)
+		if ek := a.keys[a.keyOffs[r]:a.keyOffs[r+1]]; a.claimSeen.Add(a.demand[r], ek) {
+			keys = append(keys, string(ek))
 		}
 	}
 	a.claimBuf = keys
@@ -712,20 +701,20 @@ func (a *applyIter) releaseClaims() {
 }
 
 // chargeStaged charges the memory budget for the growth of the view-
-// append staging buffer. A failed charge degrades by flushing early —
-// the staged rows hit disk and their reservation is returned — rather
-// than aborting.
+// append staging buffer: the encoded size of the rows this batch
+// staged, the only ones it walks. A failed charge degrades by flushing
+// early — the staged rows hit disk and their reservation is returned —
+// rather than aborting.
 func (a *applyIter) chargeStaged() error {
 	if a.ctx.Budget == nil || a.pendingRows == nil {
 		return nil
 	}
-	sz := int64(a.pendingRows.EncodedSize())
-	delta := sz - a.staged
+	delta := int64(a.pendingRows.EncodedSizeFrom(a.stagedRows))
 	if delta <= 0 {
 		return nil
 	}
 	if a.ctx.Budget.Charge(delta) {
-		a.staged = sz
+		a.staged, a.stagedRows = a.staged+delta, a.pendingRows.Len()
 		return nil
 	}
 	a.ctx.Budget.NoteDegrade()
@@ -753,21 +742,17 @@ func (a *applyIter) probePhase(b *types.Batch) []rowDecision {
 		a.keyOffs = make([]int, c+1)
 		a.demand = make([]uint64, c)
 		a.sel = make([]int, c)
-		a.hits = make([]storage.ProbeHit, 0, c)
-		if len(a.fuzzy) > 0 {
-			a.fuzzyIdx = make([]int, c)
-		}
 	}
 	decisions := a.decisions[:n]
 	a.sel = a.sel[:n]
 	a.keys = a.keys[:0]
-	clear(a.snapHeld)
+	a.probed.Srcs, a.probed.Rows = a.probed.Srcs[:0], a.probed.Rows[:0]
 	for r := 0; r < n; r++ {
 		decisions[r] = rowDecision{}
 		a.sel[r] = r
 		a.keyOffs[r] = len(a.keys)
 		a.keys = storage.AppendRowKey(a.keys, b, r, a.keyIdx)
-		a.demand[r] = udf.DemandHash(a.keys[a.keyOffs[r]:])
+		a.demand[r] = storage.KeyHash(a.keys[a.keyOffs[r]:])
 		if r == 0 {
 			// Keys of one batch are near-uniform in size: reserve the
 			// rest from the first instead of doubling up to it.
@@ -795,33 +780,26 @@ func (a *applyIter) probePhase(b *types.Batch) []rowDecision {
 
 // probeViewsSel joins the rows in a.sel against the probe views, one
 // batch probe per view: rows a view knows are marked served — with the
-// snapshot and row indexes to emit, taken under the same view lock —
-// and leave a.sel, so the next view sees only what is still missing. It
-// returns the number of rows served.
+// stored rows to emit, read under the same view lock — and leave a.sel,
+// so the next view sees only what is still missing. It returns the
+// number of rows served.
 // lint:hotpath apply probe loops must not allocate per row
 func (a *applyIter) probeViewsSel(decisions []rowDecision) int {
 	served := 0
-	for vi, view := range a.probeViews {
+	for _, view := range a.probeViews {
 		if len(a.sel) == 0 {
 			break
 		}
-		snap := &a.snaps[vi]
-		if a.snapHeld[vi] {
-			// A re-probe: rows an earlier probe of this batch served
-			// still index the holder's snapshot, and the view may have
-			// been evicted and rebuilt since. This answer gets its own.
-			snap = new(types.Batch)
-		}
-		a.hits = view.ProbeBatch(a.keys, a.keyOffs, a.sel, a.hits[:0], snap)
-		if len(a.hits) == 0 {
+		a.probed.Hits = a.probed.Hits[:0]
+		view.ProbeBatch(a.keys, a.keyOffs, a.demand, a.sel, &a.probed)
+		if len(a.probed.Hits) == 0 {
 			continue
 		}
-		a.snapHeld[vi] = true
-		for i := range a.hits {
-			d := &decisions[a.hits[i].Key]
-			d.served, d.snap, d.viewIdx = true, snap, a.hits[i].Rows
+		for _, h := range a.probed.Hits {
+			d := &decisions[h.Key]
+			d.served, d.lo, d.hi = true, h.Lo, h.Hi
 		}
-		served += len(a.hits)
+		served += len(a.probed.Hits)
 		a.compactSel(decisions)
 	}
 	return served
@@ -987,7 +965,7 @@ func (a *applyIter) assemblePhase(b *types.Batch, decisions []rowDecision) (*typ
 	}
 	for r := range decisions {
 		if d := &decisions[r]; d.served {
-			rows += len(d.viewIdx)
+			rows += d.hi - d.lo
 		}
 	}
 	if !a.node.TableUDF {
@@ -1009,7 +987,9 @@ func (a *applyIter) assemblePhase(b *types.Batch, decisions []rowDecision) (*typ
 	for r := range decisions {
 		d := &decisions[r]
 		if d.served {
-			a.emit(r, d.snap, d.viewIdx)
+			for i := d.lo; i < d.hi; i++ {
+				a.emitRow(r, a.probed.Srcs[i], a.probed.Rows[i])
+			}
 			continue
 		}
 		k, c := next, &calls[next]
@@ -1053,15 +1033,8 @@ func (a *applyIter) assemblePhase(b *types.Batch, decisions []rowDecision) (*typ
 	return out, nil
 }
 
-// emit queues one output row per index in rows: input row r joined
-// with that row of src. assemblePhase has reserved the triples.
-func (a *applyIter) emit(r int, src *types.Batch, rows []int) {
-	for _, vi := range rows {
-		a.emitRow(r, src, vi)
-	}
-}
-
-// emitRow queues the single output row (r, src, row).
+// emitRow queues the single output row (r, src, row); assemblePhase has
+// reserved the triples.
 func (a *applyIter) emitRow(r int, src *types.Batch, row int) {
 	a.inRows = append(a.inRows, r)
 	a.srcs = append(a.srcs, src)
@@ -1074,11 +1047,9 @@ func (a *applyIter) emitRow(r int, src *types.Batch, row int) {
 // queued here, as a processed key, and stages nothing.
 // lint:hotpath view staging must not allocate per already-seen key
 func (a *applyIter) stageKey(b *types.Batch, r, n int) bool {
-	ek := a.keys[a.keyOffs[r]:a.keyOffs[r+1]]
-	if a.seenPending[string(ek)] {
+	if !a.seenPending.Add(a.demand[r], a.keys[a.keyOffs[r]:a.keyOffs[r+1]]) {
 		return false
 	}
-	a.seenPending[string(ek)] = true
 	if n > 0 {
 		return true
 	}
@@ -1099,7 +1070,7 @@ func (a *applyIter) flush() error {
 	a.pendingRows = nil
 	a.pendingKeys = nil
 	a.ctx.Budget.Release(a.staged)
-	a.staged = 0
+	a.staged, a.stagedRows = 0, 0
 	if rows == nil && len(keys) == 0 {
 		return nil
 	}

@@ -104,9 +104,9 @@ func (a *applyIter) serveFuzzy(b *types.Batch, decisions []rowDecision) int {
 			if !ok {
 				continue
 			}
-			a.fuzzyIdx[served] = rowIdx
 			d := &decisions[r]
-			d.served, d.snap, d.viewIdx = true, fi.batch, a.fuzzyIdx[served:served+1:served+1]
+			d.served, d.lo, d.hi = true, len(a.probed.Rows), len(a.probed.Rows)+1
+			a.probed.Srcs, a.probed.Rows = append(a.probed.Srcs, fi.batch), append(a.probed.Rows, rowIdx)
 			served++
 			break
 		}

@@ -108,7 +108,7 @@ func TestSessionsReprobeServesPublishedRows(t *testing.T) {
 	served := 0
 	for r := range decisions {
 		if decisions[r].served {
-			if len(decisions[r].viewIdx) == 0 {
+			if decisions[r].hi == decisions[r].lo {
 				t.Errorf("row %d served with no view rows", r)
 			}
 			served++

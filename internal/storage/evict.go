@@ -237,11 +237,11 @@ func (e *Engine) evictCandidates(exclude string) []EvictCandidate {
 	var out []EvictCandidate
 	for _, v := range e.evictSnapshot(exclude) {
 		v.mu.RLock()
-		ok := v.log.file != nil && !v.log.dead && (v.batch.Len() > 0 || v.index.len() > 0)
+		ok := v.log.file != nil && !v.log.dead && (v.rows.len() > 0 || v.index.len() > 0)
 		c := EvictCandidate{
 			Name:      v.name,
 			Footprint: v.log.footprint,
-			Rows:      v.batch.Len(),
+			Rows:      v.rows.len(),
 			Keys:      v.index.len(),
 			LastTouch: v.touch.Load(),
 			Now:       now,

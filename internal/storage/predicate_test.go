@@ -314,11 +314,11 @@ func TestBudgetDenialOfPredicateIsDiskFull(t *testing.T) {
 	wantPredicate(t, v, string(pred), false)
 }
 
-// TestReplayReservesColumnsOnce: replay sums the row counts of the
-// record headers and reserves the columns before decoding, so a log of
-// many small records replays without regrowing them — and a count no
-// payload could hold is not believed.
-func TestReplayReservesColumnsOnce(t *testing.T) {
+// TestReplayFillsChunksOnce: a log of many small records replays into
+// column chunks that are allocated once at full length — as many as the
+// rows need, none regrown — and a row count no payload could hold
+// costs an error, not an allocation sized by it.
+func TestReplayFillsChunksOnce(t *testing.T) {
 	dir := t.TempDir()
 	e, v := openDet(t, dir)
 	for i := 0; i < 200; i++ {
@@ -326,28 +326,42 @@ func TestReplayReservesColumnsOnce(t *testing.T) {
 	}
 	rows := v.Rows()
 	e.Close()
+	_, v = openDet(t, dir)
+	if v.Rows() != rows || v.Scan().Len() != rows {
+		t.Fatalf("reopened view has %d rows (Scan: %d), want %d", v.Rows(), v.Scan().Len(), rows)
+	}
+	per := 1 << chunkShift
+	if got, want := len(v.rows.chunks), (rows+per-1)/per; got != want {
+		t.Errorf("%d rows replayed into %d chunks, want %d", rows, got, want)
+	}
+	for i, c := range v.rows.chunks {
+		if c.Len() != per || cap(c.Col(0)) != per {
+			t.Errorf("chunk %d is %d rows long with capacity %d, want %d and %d", i, c.Len(), cap(c.Col(0)), per, per)
+		}
+	}
+
+	// The replayed datums share nothing with the log image: TEXT values
+	// live in per-record arenas, so the image may be dropped or reused.
 	data, err := os.ReadFile(v.path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := countRows(data, headerEnd(t, data), len(viewSchema())); got != rows {
-		t.Errorf("countRows = %d, want the %d rows the log holds", got, rows)
+	s := v.shadowLocked()
+	if _, err := s.replay(data, 0); err != nil {
+		t.Fatal(err)
 	}
-	_, v = openDet(t, dir)
-	// One reservation rounds up to an allocation size class; growing
-	// record by record would have overshot by the growth factor.
-	if got := cap(v.Scan().Col(0)); got < rows || got >= rows*5/4 {
-		t.Errorf("column capacity after replay = %d, want the %d reserved rows (and little more)", got, rows)
+	clear(data)
+	if got, want := snapshotView(s), snapshotView(v); !bytes.Equal(got.data, want.data) || got.rows != want.rows {
+		t.Error("rows replayed from a log image changed when the image was overwritten")
 	}
 
-	hostile := v.encodeHeader()
-	hostile = sealRecord(hostile, recRows, 1<<31-1, bytes.Repeat([]byte{0}, 30))
-	if got := countRows(hostile, len(v.encodeHeader()), 3); got != 10 {
-		t.Errorf("a 30-byte payload announcing 2^31 rows reserved %d, want at most 10", got)
-	}
-	s := v.shadowLocked()
+	hostile := sealRecord(v.encodeHeader(), recRows, 1<<31-1, bytes.Repeat([]byte{0}, 30))
+	s = v.shadowLocked()
 	if _, err := s.replay(hostile, 0); err == nil {
 		t.Error("a row record with fewer rows than announced replayed")
+	}
+	if len(s.rows.chunks) > 1 {
+		t.Errorf("a 30-byte payload announcing 2^31 rows allocated %d chunks", len(s.rows.chunks))
 	}
 }
 
@@ -361,7 +375,7 @@ func TestAppendEncodedKindMismatchIsAnError(t *testing.T) {
 		payload = d.AppendBinary(payload)
 	}
 	log := sealRecord(v.encodeHeader(), recRows, 1, payload)
-	if _, err := v.replay(log, 0); err == nil || v.batch.Len() != 0 {
-		t.Fatalf("kind mismatch: err %v, %d rows kept", err, v.batch.Len())
+	if _, err := v.replay(log, 0); err == nil || v.rows.len() != 0 {
+		t.Fatalf("kind mismatch: err %v, %d rows kept", err, v.rows.len())
 	}
 }

@@ -78,13 +78,15 @@ func (o *probeOracle) append(rowKeys []int64, labels []string, zeroKeys []int64)
 // requires ProbeBatch over a random key selection to agree with the
 // per-key oracle: exactly the processed keys hit, each with its rows in
 // stored order, every index inside the returned snapshot.
-func TestProbeBatchMatchesPerKeyOracle(t *testing.T) {
+func TestProbeBatchMatchesPerKeyOracle(t *testing.T) { probeOracleTrials(t, 12) }
+
+func probeOracleTrials(t *testing.T, trials int) {
 	const domain = 24
 	sch := types.MustSchema(
 		types.Column{Name: "id", Kind: types.KindInt},
 		types.Column{Name: "label", Kind: types.KindString},
 	)
-	for trial := 0; trial < 12; trial++ {
+	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
 		e, err := Open(t.TempDir())
 		if err != nil {
@@ -103,48 +105,44 @@ func TestProbeBatchMatchesPerKeyOracle(t *testing.T) {
 			// Probe the whole domain plus keys never appended, through
 			// a random selection, with a dirty hits prefix to prove the
 			// call appends rather than overwrites.
-			var keys []byte
-			offs := []int{0}
-			for k := int64(0); k < domain+4; k++ {
-				keys = AppendKey(keys, []types.Datum{types.NewInt(k)})
-				offs = append(offs, len(keys))
-			}
+			keys, offs, hashes := encodeIntKeys(domain + 4)
 			var sel []int
 			for k := 0; k < domain+4; k++ {
 				if rng.Intn(4) > 0 {
 					sel = append(sel, k)
 				}
 			}
-			snap := &types.Batch{}
-			hits := v.ProbeBatch(keys, offs, sel, []ProbeHit{{Key: -1}}, snap)
-			if hits[0].Key != -1 {
-				t.Fatalf("trial %d %s: ProbeBatch overwrote the caller's hits", trial, step)
+			// A dirty prefix in all three lists proves the call appends.
+			out := &Probed{Hits: []ProbeHit{{Key: -1}}, Srcs: []*types.Batch{nil}, Rows: []int{-1}}
+			v.ProbeBatch(keys, offs, hashes, sel, out)
+			if out.Hits[0].Key != -1 || out.Srcs[0] != nil || out.Rows[0] != -1 {
+				t.Fatalf("trial %d %s: ProbeBatch overwrote the caller's results", trial, step)
 			}
-			hits = hits[1:]
-			got := map[int][]int{}
-			for _, h := range hits {
-				got[h.Key] = h.Rows
+			got := map[int]ProbeHit{}
+			for _, h := range out.Hits[1:] {
+				got[h.Key] = h
 			}
-			if len(got) != len(hits) {
+			if len(got) != len(out.Hits)-1 {
 				t.Fatalf("trial %d %s: a key hit twice", trial, step)
 			}
 			for _, k := range sel {
 				labels, processed := want[int64(k)]
-				rows, hit := got[k]
+				h, hit := got[k]
 				if hit != processed {
 					t.Fatalf("trial %d %s: key %d hit=%v, oracle processed=%v", trial, step, k, hit, processed)
 				}
-				if len(rows) != len(labels) {
-					t.Fatalf("trial %d %s: key %d has %d rows, oracle %d", trial, step, k, len(rows), len(labels))
+				if h.Hi-h.Lo != len(labels) {
+					t.Fatalf("trial %d %s: key %d has %d rows, oracle %d", trial, step, k, h.Hi-h.Lo, len(labels))
 				}
-				for i, r := range rows {
-					if r >= snap.Len() {
-						t.Fatalf("trial %d %s: key %d row index %d outside snapshot of %d", trial, step, k, r, snap.Len())
-					}
-					if snap.At(r, 0).Int() != int64(k) || snap.At(r, 1).Str() != labels[i] {
+				for i, label := range labels {
+					chunk, r := out.Srcs[h.Lo+i], out.Rows[h.Lo+i]
+					if chunk.At(r, 0).Int() != int64(k) || chunk.At(r, 1).Str() != label {
 						t.Fatalf("trial %d %s: key %d row %d = (%v, %v), oracle label %q",
-							trial, step, k, i, snap.At(r, 0), snap.At(r, 1), labels[i])
+							trial, step, k, i, chunk.At(r, 0), chunk.At(r, 1), label)
 					}
+				}
+				if ids := rowsForKey(v, []types.Datum{types.NewInt(int64(k))}); len(ids) != len(labels) {
+					t.Fatalf("trial %d %s: key %d: RowsForKeyBytes gave %d ids, oracle %d rows", trial, step, k, len(ids), len(labels))
 				}
 				if hit != hasKey(v, []types.Datum{types.NewInt(int64(k))}) {
 					t.Fatalf("trial %d %s: key %d: ProbeBatch and HasKeyBytes disagree", trial, step, k)
@@ -221,10 +219,12 @@ func TestProbeBatchMatchesPerKeyOracle(t *testing.T) {
 }
 
 // TestProbeBatchSnapshotCoversIndexesUnderAppend runs appenders against
-// batch probes: whatever interleaving -race schedules, every row index a
-// probe returns must lie inside the snapshot returned with it and name a
-// row of the probed key.
-func TestProbeBatchSnapshotCoversIndexesUnderAppend(t *testing.T) {
+// batch probes: whatever interleaving -race schedules, every (chunk,
+// row) pair a probe returns must name a row of the probed key, and a
+// key's rows arrive all together or not at all.
+func TestProbeBatchSnapshotCoversIndexesUnderAppend(t *testing.T) { probeUnderAppend(t) }
+
+func probeUnderAppend(t *testing.T) {
 	eng, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -240,12 +240,9 @@ func TestProbeBatchSnapshotCoversIndexesUnderAppend(t *testing.T) {
 	const appenders, probers, keysPer, rowsPerKey = 3, 3, 150, 3
 	total := appenders * keysPer
 
-	var keys []byte
-	offs := []int{0}
+	keys, offs, hashes := encodeIntKeys(total)
 	sel := make([]int, total)
-	for k := 0; k < total; k++ {
-		keys = AppendKey(keys, []types.Datum{types.NewInt(int64(k))})
-		offs = append(offs, len(keys))
+	for k := range sel {
 		sel[k] = k
 	}
 
@@ -273,31 +270,27 @@ func TestProbeBatchSnapshotCoversIndexesUnderAppend(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var hits []ProbeHit
-			snap := &types.Batch{}
+			var out Probed
 			for last := false; !last; {
 				// One more pass after the appenders finish, so the
 				// final state is always probed.
 				last = appending.Load() == 0
-				hits = v.ProbeBatch(keys, offs, sel, hits[:0], snap)
-				for _, h := range hits {
-					if len(h.Rows) != rowsPerKey {
-						t.Errorf("key %d: %d rows, want %d (appends are atomic per key)", h.Key, len(h.Rows), rowsPerKey)
+				out = Probed{Hits: out.Hits[:0], Srcs: out.Srcs[:0], Rows: out.Rows[:0]}
+				v.ProbeBatch(keys, offs, hashes, sel, &out)
+				for _, h := range out.Hits {
+					if h.Hi-h.Lo != rowsPerKey {
+						t.Errorf("key %d: %d rows, want %d (appends are atomic per key)", h.Key, h.Hi-h.Lo, rowsPerKey)
 						return
 					}
-					for _, r := range h.Rows {
-						if r >= snap.Len() {
-							t.Errorf("key %d: row index %d outside snapshot of %d rows", h.Key, r, snap.Len())
-							return
-						}
-						if got := snap.At(r, 0).Int(); got != int64(h.Key) {
-							t.Errorf("key %d: index %d names a row of key %d", h.Key, r, got)
+					for i := h.Lo; i < h.Hi; i++ {
+						if got := out.Srcs[i].At(out.Rows[i], 0).Int(); got != int64(h.Key) {
+							t.Errorf("key %d: pair %d names a row of key %d", h.Key, i, got)
 							return
 						}
 					}
 				}
-				if last && len(hits) != total {
-					t.Errorf("final probe hit %d keys, want %d", len(hits), total)
+				if last && len(out.Hits) != total {
+					t.Errorf("final probe hit %d keys, want %d", len(out.Hits), total)
 				}
 			}
 		}()
@@ -305,39 +298,91 @@ func TestProbeBatchSnapshotCoversIndexesUnderAppend(t *testing.T) {
 	wg.Wait()
 }
 
+// encodeIntKeys returns the keys 0..n-1 of an id-keyed view as
+// ProbeBatch takes them: encodings back to back, offsets, hashes.
+func encodeIntKeys(n int) (keys []byte, offs []int, hashes []uint64) {
+	offs = []int{0}
+	for k := 0; k < n; k++ {
+		keys = AppendKey(keys, []types.Datum{types.NewInt(int64(k))})
+		hashes = append(hashes, KeyHash(keys[offs[k]:]))
+		offs = append(offs, len(keys))
+	}
+	return keys, offs, hashes
+}
+
 // TestKeyIndexRuns pins the entry forms: a run, a run extended by an
 // adjacent one (a key's rows straddling two replayed records, as after
 // compaction's chunking), the switch to an explicit list when a later
-// run is not adjacent, and mark keeping the rows a key already has.
-// Windows handed out earlier must read the same after every change.
+// run is not adjacent, mark keeping the rows a key already has, and a
+// key marked with no rows gaining them. Lists handed out earlier must
+// read the same after every change.
 func TestKeyIndexRuns(t *testing.T) {
-	x := newKeyIndex()
-	a, b := []byte("a"), []byte("b")
-	want := func(ek []byte, rows ...int) {
+	sch := types.MustSchema(types.Column{Name: "k", Kind: types.KindString})
+	rows := &viewRows{keyIdx: []int{0}}
+	var x keyIndex
+	store := func(key string, n int) (first int) {
+		first = rows.len()
+		for i := 0; i < n; i++ {
+			tail, _ := rows.room(sch)
+			tail.MustAppendRow(types.NewString(key))
+		}
+		return first
+	}
+	enc := func(key string) (uint64, []byte) {
+		ek := AppendKey(nil, []types.Datum{types.NewString(key)})
+		return hashKey(ek), ek
+	}
+	addRun := func(key string, n int) {
+		h, ek := enc(key)
+		x.addRun(h, ek, rows, store(key, n), n)
+	}
+	lookup := func(key string) ([]int, bool) {
+		h, ek := enc(key)
+		i, ok := x.find(h, ek, rows)
+		if !ok {
+			return nil, false
+		}
+		first, n, list := x.ids(x.slots[i])
+		return append(idRange(nil, first, n), list...), true
+	}
+	want := func(key string, ids ...int) {
 		t.Helper()
-		got, ok := x.lookup(ek)
-		if !ok || !slices.Equal(got, rows) {
-			t.Fatalf("lookup(%s) = %v, %v; want %v", ek, got, ok, rows)
+		if got, ok := lookup(key); !ok || !slices.Equal(got, ids) {
+			t.Fatalf("lookup(%s) = %v, %v; want %v", key, got, ok, ids)
 		}
 	}
-	x.mark(b)
-	want(b)
-	x.addRun(a, 0, 2)
-	first, _ := x.lookup(a)
-	x.addRun(a, 2, 3)
-	want(a, 0, 1, 2, 3, 4)
-	x.addRun(b, 5, 2)
-	want(b, 5, 6)
-	x.addRun(a, 7, 1)
-	want(a, 0, 1, 2, 3, 4, 7)
-	x.addRun(a, 8, 2)
-	want(a, 0, 1, 2, 3, 4, 7, 8, 9)
-	x.mark(a)
-	want(a, 0, 1, 2, 3, 4, 7, 8, 9)
-	if !slices.Equal(first, []int{0, 1}) {
-		t.Fatalf("window handed out before the key grew now reads %v", first)
+	hb, ekb := enc("b")
+	if !x.mark(hb, ekb, rows) || x.mark(hb, ekb, rows) {
+		t.Fatal("mark of a new key must report true once")
 	}
-	if _, ok := x.lookup([]byte("c")); ok || x.len() != 2 {
+	want("b")
+	addRun("a", 2)
+	addRun("a", 3)
+	want("a", 0, 1, 2, 3, 4)
+	addRun("b", 2)
+	want("b", 5, 6)
+	addRun("a", 1)
+	want("a", 0, 1, 2, 3, 4, 7)
+	_, _, first := x.ids(x.slots[func() int { h, ek := enc("a"); i, _ := x.find(h, ek, rows); return i }()])
+	addRun("a", 2)
+	want("a", 0, 1, 2, 3, 4, 7, 8, 9)
+	if ha, eka := enc("a"); x.mark(ha, eka, rows) {
+		t.Fatal("mark of a key with rows reported it new")
+	}
+	want("a", 0, 1, 2, 3, 4, 7, 8, 9)
+	if !slices.Equal(first, []int{0, 1, 2, 3, 4, 7}) {
+		t.Fatalf("list handed out before the key grew now reads %v", first)
+	}
+	if _, ok := lookup("c"); ok || x.len() != 2 {
 		t.Fatalf("unknown key found, or len = %d", x.len())
 	}
+	// Enough keys to double the table several times: all stay findable.
+	for i := 0; i < 200; i++ {
+		addRun(fmt.Sprint("k", i), 1)
+	}
+	for i := 0; i < 200; i++ {
+		want(fmt.Sprint("k", i), 10+i)
+	}
+	want("a", 0, 1, 2, 3, 4, 7, 8, 9)
+	want("b", 5, 6)
 }

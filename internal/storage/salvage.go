@@ -148,7 +148,7 @@ func (v *View) adoptHolesLocked() {
 	v.predStale = true
 	q := &Quarantine{
 		Ranges:       append([]LostRange(nil), v.holes...),
-		SalvagedRows: v.batch.Len(),
+		SalvagedRows: v.rows.len(),
 		SalvagedKeys: v.index.len(),
 	}
 	for _, r := range q.Ranges {
@@ -200,17 +200,25 @@ func (v *View) SurvivedIDRanges() (ranges []IDRange, ok bool) {
 		return nil, false
 	}
 	ids := make([]int64, 0, v.index.len())
-	for k := range v.index.entries {
-		b := []byte(k)
+	for i := range v.index.slots {
+		e := &v.index.slots[i]
+		if *e == (keyEntry{}) {
+			continue
+		}
 		var d types.Datum
-		for c := 0; c <= idPos; c++ {
-			var n int
-			var err error
-			d, n, err = types.DecodeDatum(b)
-			if err != nil {
-				return nil, false
+		if e.n == 0 {
+			b := v.index.zeroKey(e)
+			for c := 0; c <= idPos; c++ {
+				var w int
+				var err error
+				if d, w, err = types.DecodeDatum(b); err != nil {
+					return nil, false
+				}
+				b = b[w:]
 			}
-			b = b[n:]
+		} else {
+			chunk, r := v.rows.at(v.index.firstRow(e))
+			d = chunk.At(r, v.keyIdx[idPos])
 		}
 		if d.Kind() != types.KindInt {
 			return nil, false
@@ -303,9 +311,9 @@ func (v *View) Verify() (ScrubResult, error) {
 	// knows: the same holes it has already quarantined (or none), every
 	// byte accounted for, and the same index. Known holes are not a new
 	// detection — the pass only re-confirms the standing quarantine.
-	prevRows, prevKeys := v.batch.Len(), v.index.len()
+	prevRows, prevKeys := v.rows.len(), v.index.len()
 	unchanged := sameRanges(shadow.holes, v.quar) && int64(valid) == int64(len(data)) &&
-		shadow.batch.Len() == prevRows && shadow.index.len() == prevKeys
+		shadow.rows.len() == prevRows && shadow.index.len() == prevKeys
 	if unchanged {
 		res.Clean = v.quar == nil
 		res.Quar = v.quar.clone()
@@ -317,10 +325,10 @@ func (v *View) Verify() (ScrubResult, error) {
 	// (appends are disk-before-memory), so the shadow is the live
 	// state minus rows whose records failed the re-hash.
 	res.FoundCorruption = true
-	if dropped := prevRows - shadow.batch.Len(); dropped > 0 {
+	if dropped := prevRows - shadow.rows.len(); dropped > 0 {
 		res.RowsDropped = dropped
 	}
-	v.batch, v.index = shadow.batch, shadow.index
+	v.rows, v.index = shadow.rows, shadow.index
 	// The scan may have dropped rows without leaving a hole (a torn
 	// tail), so the snapshot it found is stale whatever adoptHolesLocked
 	// decides below.
@@ -380,11 +388,8 @@ func (v *View) shadowLocked() *View {
 // against disk). Callers hold mu.
 func (v *View) resetCorruptHeaderLocked(oldLen int64, res *ScrubResult) error {
 	res.FoundCorruption = true
-	res.RowsDropped = v.batch.Len()
-	v.batch = types.NewBatch(v.schema.Clone())
-	v.index = newKeyIndex()
-	v.pred = nil
-	v.openTrusted, v.openVerified = 0, 0
+	res.RowsDropped = v.rows.len()
+	v.resetReplayState()
 	v.holes = []LostRange{{Lo: 0, Hi: oldLen}}
 	if err := v.log.Reset(v.encodeHeader()); err != nil {
 		return fmt.Errorf("storage: view %s: scrub reset corrupt header: %w", v.name, err)
@@ -519,9 +524,9 @@ func (v *View) verifyGenerationLocked(tmp string, size int) error {
 		return err
 	case valid != len(nd) || len(shadow.holes) > 0:
 		return fmt.Errorf("verify: new generation has a torn tail or holes")
-	case shadow.batch.Len() != v.batch.Len() || shadow.index.len() != v.index.len():
+	case shadow.rows.len() != v.rows.len() || shadow.index.len() != v.index.len():
 		return fmt.Errorf("verify: new generation rebuilt %d rows/%d keys, want %d/%d",
-			shadow.batch.Len(), shadow.index.len(), v.batch.Len(), v.index.len())
+			shadow.rows.len(), shadow.index.len(), v.rows.len(), v.index.len())
 	case !bytes.Equal(shadow.pred, v.carriedPredLocked()):
 		return fmt.Errorf("verify: new generation rebuilt a different aggregated predicate")
 	}
@@ -538,23 +543,22 @@ func (v *View) verifyGenerationLocked(tmp string, size int) error {
 // bytes. Callers hold mu.
 func (v *View) encodeCompactLocked() []byte {
 	buf := v.encodeHeader()
-	for base := 0; base < v.batch.Len(); base += compactChunkRows {
-		n := v.batch.Len() - base
-		if n > compactChunkRows {
-			n = compactChunkRows
-		}
-		var payload []byte
-		for r := base; r < base+n; r++ {
-			for _, d := range v.batch.Row(r) {
-				payload = d.AppendBinary(payload)
+	var payload []byte
+	for base, rows := 0, v.rows.len(); base < rows; base += compactChunkRows {
+		n := min(rows-base, compactChunkRows)
+		payload = payload[:0]
+		for id := base; id < base+n; id++ {
+			chunk, r := v.rows.at(id)
+			for c := range v.schema {
+				payload = chunk.Col(c)[r].AppendBinary(payload)
 			}
 		}
 		buf = sealRecord(buf, recRows, n, payload)
 	}
 	var zero []string
-	for k, e := range v.index.entries {
-		if e.n == 0 {
-			zero = append(zero, k)
+	for i := range v.index.slots {
+		if e := &v.index.slots[i]; e.n == 0 && e.first > 0 {
+			zero = append(zero, string(v.index.zeroKey(e)))
 		}
 	}
 	sort.Strings(zero)

@@ -41,12 +41,16 @@ type View struct {
 	keyCols []string
 	keyIdx  []int
 
-	mu    sync.RWMutex
-	batch *types.Batch // guarded by mu
+	mu sync.RWMutex
+	// rows holds the stored rows in fixed-size column chunks; a row's id
+	// is its position in append order.
+	rows viewRows // guarded by mu
 	// index is the view's one key index: an encoded key is present iff
-	// it was processed, and leads to the indexes (into batch) of its
-	// rows — none for a key whose evaluation produced no rows.
+	// it was processed, and leads to the ids of its rows — none for a key
+	// whose evaluation produced no rows.
 	index keyIndex // guarded by mu
+	// ek is the writers' key-encoding scratch. guarded by mu.
+	ek []byte
 	// log owns the file below the record schema: handle, footprint,
 	// dead flag, budget charge and the write protocol (logtail.go). The
 	// pointer is fixed at open; what it points to is guarded by mu.
@@ -197,7 +201,6 @@ func openView(path, name string, schema types.Schema, keyCols []string, inj *fau
 	v := &View{
 		name:   name,
 		path:   path,
-		index:  newKeyIndex(),
 		claims: map[string]chan struct{}{},
 		inj:    inj,
 	}
@@ -279,7 +282,7 @@ func (v *View) setLayout(schema types.Schema, keyCols []string) {
 	for _, kc := range keyCols {
 		v.keyIdx = append(v.keyIdx, schema.IndexOf(kc))
 	}
-	v.batch = types.NewBatch(v.schema.Clone()) // lint:nolock pre-publish (openView)
+	v.rows.keyIdx = v.keyIdx // lint:nolock pre-publish (openView)
 }
 
 func (v *View) encodeHeader() []byte {
@@ -301,23 +304,32 @@ func (v *View) encodeHeader() []byte {
 // sealRecord appends one checksummed record to buf.
 func sealRecord(buf []byte, kind byte, count int, payload []byte) []byte {
 	start := len(buf)
-	buf = append(buf, kind)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(count))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	sum := xxhash.Sum64(buf[start:], 0)
-	return binary.LittleEndian.AppendUint64(buf, sum)
+	return endRecord(append(beginRecord(buf, kind), payload...), start, count)
 }
 
-// resetReplayState discards the in-memory index so a fallback replay
-// can rebuild it from scratch. It runs inside openView before the view
-// is published, so it may touch guarded fields without the lock.
+// beginRecord appends a record header of the given kind for a payload
+// the caller appends in place; endRecord, given where the record began,
+// fills in the count and the payload length and appends the checksum.
+func beginRecord(buf []byte, kind byte) []byte {
+	return append(buf, kind, 0, 0, 0, 0, 0, 0, 0, 0)
+}
+
+func endRecord(buf []byte, start, count int) []byte {
+	binary.LittleEndian.PutUint32(buf[start+1:], uint32(count))
+	binary.LittleEndian.PutUint32(buf[start+5:], uint32(len(buf)-start-recHeaderLen))
+	return binary.LittleEndian.AppendUint64(buf, xxhash.Sum64(buf[start:], 0))
+}
+
+// resetReplayState discards the rows, the index and whatever else a
+// replay builds, so that one can start from scratch. It runs inside
+// openView before the view is published or, from eviction and the
+// scrubber's header reset, with mu held.
 func (v *View) resetReplayState() {
-	v.batch = types.NewBatch(v.schema.Clone()) // lint:nolock pre-publish (openView)
-	v.index = newKeyIndex()                    // lint:nolock pre-publish (openView)
-	v.openTrusted, v.openVerified = 0, 0       // lint:nolock pre-publish (openView)
-	v.holes = nil                              // lint:nolock pre-publish (openView)
-	v.pred = nil                               // lint:nolock pre-publish (openView)
+	v.rows = viewRows{keyIdx: v.keyIdx}  // lint:nolock pre-publish (openView)
+	v.index = keyIndex{}                 // lint:nolock pre-publish (openView)
+	v.openTrusted, v.openVerified = 0, 0 // lint:nolock pre-publish (openView)
+	v.holes = nil                        // lint:nolock pre-publish (openView)
+	v.pred = nil                         // lint:nolock pre-publish (openView)
 }
 
 // replay rebuilds in-memory state from the log. It returns the byte
@@ -355,8 +367,6 @@ func (v *View) replay(data []byte, trusted int64) (int, error) {
 		// Names are settled by schema equality; only the count can differ.
 		return 0, fmt.Errorf("key count mismatch: file has %d, want %d", len(keyCols), len(v.keyCols))
 	}
-	v.batch.Reserve(countRows(data, off, len(v.schema))) // lint:nolock pre-publish (openView)
-
 	if trusted > 0 && trusted < int64(off) {
 		// The sidecar claims a prefix shorter than the header: stale
 		// beyond use.
@@ -466,26 +476,6 @@ func parseViewHeader(data []byte) (schema types.Schema, keyCols []string, off in
 	return schema, keyCols, off, nil
 }
 
-// countRows walks the record headers from off and sums the rows the row
-// records announce, so replay reserves the view's columns once instead
-// of growing them record by record. It is a capacity hint: the walk
-// stops at the first implausible header, and a count is believed only
-// as far as its payload could hold rows of the given width.
-func countRows(data []byte, off, width int) int {
-	rows := 0
-	for {
-		end, ok := recordBounds(data, off)
-		if !ok {
-			return rows
-		}
-		if data[off] == recRows && width > 0 {
-			count := int(binary.LittleEndian.Uint32(data[off+1:]))
-			rows += min(count, (end-off-recHeaderLen-recSumLen)/width)
-		}
-		off = end
-	}
-}
-
 // recordBounds validates the record header at off structurally,
 // returning the offset past the record. ok is false when the record
 // does not fit in data or its header is implausible.
@@ -542,12 +532,18 @@ func (v *View) replayRecord(kind byte, count int, payload []byte) error {
 	off := 0
 	switch kind {
 	case recRows:
-		from := v.batch.Len()                           // lint:nolock replay runs inside openView before the view is published
-		n, err := v.batch.AppendEncoded(payload, count) // lint:nolock replay runs inside openView before the view is published
-		if err != nil {
-			return fmt.Errorf("row record: %w", err)
+		// A record's rows go where the next append's would: into the
+		// tail chunk, and on into fresh ones when it fills.
+		from := v.rows.len() // lint:nolock replay runs inside openView before the view is published
+		for left := count; left > 0; {
+			tail, room := v.rows.room(v.schema) // lint:nolock replay runs inside openView before the view is published
+			k := min(left, room)
+			n, err := tail.AppendEncoded(payload[off:], k)
+			if err != nil {
+				return fmt.Errorf("row record: %w", err)
+			}
+			off, left = off+n, left-k
 		}
-		off = n
 		v.indexRowsLocked(from)
 	case recKeys:
 		for r := 0; r < count; r++ {
@@ -561,7 +557,7 @@ func (v *View) replayRecord(kind byte, count int, payload []byte) error {
 			}
 			// The datum encoding is fixed-layout, so the bytes just
 			// decoded are the key's canonical AppendKey encoding.
-			v.index.mark(payload[start:off]) // lint:nolock replay runs inside openView before the view is published
+			v.index.mark(hashKey(payload[start:off]), payload[start:off], &v.rows) // lint:nolock replay runs inside openView before the view is published
 		}
 	case recPred:
 		// A snapshot: the last one replayed wins. Copied, because payload
@@ -643,28 +639,34 @@ func AppendRowKey(buf []byte, b *types.Batch, r int, keyIdx []int) []byte {
 	return buf
 }
 
-// indexRowsLocked adds the stored rows [from, Len) to the key index.
-// Consecutive rows sharing a key — a detector's rows for one frame —
-// are indexed as one run, so the index is touched once per key, not
-// once per row, and the key is encoded into scratch, not into a tuple
-// and a string per row. Callers hold mu (or run pre-publish).
-func (v *View) indexRowsLocked(from int) {
-	n := v.batch.Len() - from
-	if n <= 0 {
-		return
-	}
-	var cur, next []byte
-	cur = AppendRowKey(cur, v.batch, from, v.keyIdx)
-	for start, i := 0, 1; i <= n; i++ {
-		if i < n {
-			next = AppendRowKey(next[:0], v.batch, from+i, v.keyIdx)
-			if bytes.Equal(cur, next) {
-				continue
-			}
+// rowHasKey reports whether row r of b holds exactly the key ek encodes
+// in columns keyIdx.
+func rowHasKey(b *types.Batch, r int, keyIdx []int, ek []byte) bool {
+	for _, c := range keyIdx {
+		n, ok := b.Col(c)[r].MatchEncoded(ek)
+		if !ok {
+			return false
 		}
-		v.index.addRun(cur, from+start, i-start)
-		cur, next = next, cur
-		start = i
+		ek = ek[n:]
+	}
+	return len(ek) == 0
+}
+
+// indexRowsLocked adds the stored rows [from, len) to the key index.
+// Consecutive rows sharing a key — a detector's rows for one frame —
+// are indexed as one run, so the key is encoded (into scratch) and
+// hashed and the index touched once per key, not once per row. Callers
+// hold mu (or run pre-publish).
+func (v *View) indexRowsLocked(from int) {
+	for n := v.rows.len(); from < n; {
+		chunk, r := v.rows.at(from)
+		v.ek = AppendRowKey(v.ek[:0], chunk, r, v.keyIdx)
+		end := from + 1
+		for end < n && v.rows.hasKey(end, v.ek) {
+			end++
+		}
+		v.index.addRun(hashKey(v.ek), v.ek, &v.rows, from, end-from)
+		from = end
 	}
 }
 
@@ -789,39 +791,55 @@ func (v *View) appendLocked(rows *types.Batch, processedKeys [][]types.Datum, in
 	// the log record. No in-memory state changes yet, so a row is stored
 	// iff its key was unprocessed when this call began — sibling rows of
 	// a key this very batch introduces all pass.
-	var rowBuf, ek []byte
-	var newRowIdx []int
+	// The key is encoded and looked up once per run of consecutive rows
+	// sharing it (a detector's rows for one frame), not once per row. The
+	// records are built in place in one buffer sized for every row being
+	// new, so encoding never regrows it.
+	size, n := 2*(recHeaderLen+recSumLen), 0
 	if rows != nil {
-		for r := 0; r < rows.Len(); r++ {
-			ek = AppendRowKey(ek[:0], rows, r, v.keyIdx)
-			if _, done := v.index.lookup(ek); done {
-				continue
-			}
+		size, n = size+rows.EncodedSize(), rows.Len()
+	}
+	out := beginRecord(make([]byte, 0, size), recRows)
+	newRowIdx := make([]int, 0, n)
+	for r := 0; r < n; {
+		v.ek = AppendRowKey(v.ek[:0], rows, r, v.keyIdx)
+		end := r + 1
+		for end < n && rowHasKey(rows, end, v.keyIdx, v.ek) {
+			end++
+		}
+		if _, done := v.index.find(hashKey(v.ek), v.ek, &v.rows); done {
+			r = end
+			continue
+		}
+		for ; r < end; r++ {
 			newRowIdx = append(newRowIdx, r)
 			for c := range v.schema {
-				rowBuf = rows.At(r, c).AppendBinary(rowBuf)
+				out = rows.Col(c)[r].AppendBinary(out)
 			}
 		}
 	}
+	if len(newRowIdx) > 0 {
+		out = endRecord(out, 0, len(newRowIdx))
+	} else {
+		out = out[:0]
+	}
 
-	var keyBuf []byte
+	keysAt := len(out)
+	out = beginRecord(out, recKeys)
 	var newKeyIdx []int
 	for ki, key := range processedKeys {
-		start := len(keyBuf)
-		keyBuf = AppendKey(keyBuf, key)
-		if _, done := v.index.lookup(keyBuf[start:]); done {
-			keyBuf = keyBuf[:start]
+		start := len(out)
+		out = AppendKey(out, key)
+		if _, done := v.index.find(hashKey(out[start:]), out[start:], &v.rows); done {
+			out = out[:start]
 			continue
 		}
 		newKeyIdx = append(newKeyIdx, ki)
 	}
-
-	var out []byte
-	if len(newRowIdx) > 0 {
-		out = sealRecord(out, recRows, len(newRowIdx), rowBuf)
-	}
 	if len(newKeyIdx) > 0 {
-		out = sealRecord(out, recKeys, len(newKeyIdx), keyBuf)
+		out = endRecord(out, keysAt, len(newKeyIdx))
+	} else {
+		out = out[:keysAt]
 	}
 	if len(out) == 0 {
 		return 0, nil
@@ -834,34 +852,45 @@ func (v *View) appendLocked(rows *types.Batch, processedKeys [][]types.Datum, in
 	}
 
 	// Phase 3: memory, now that the record is durable.
-	if len(newRowIdx) > 0 {
-		from := v.batch.Len()
-		if err := v.batch.AppendGather(rows, newRowIdx, nil, nil); err != nil {
+	// Rows are copied into the tail chunk — storage that already exists —
+	// and on into fresh chunks when it fills.
+	from := v.rows.len()
+	for idx := newRowIdx; len(idx) > 0; {
+		tail, room := v.rows.room(v.schema)
+		k := min(len(idx), room)
+		if err := tail.AppendGather(rows, idx[:k], nil, nil); err != nil {
 			return 0, fmt.Errorf("storage: view %s: %w", v.name, err)
 		}
-		v.indexRowsLocked(from)
+		idx = idx[k:]
 	}
+	v.indexRowsLocked(from)
 	for _, ki := range newKeyIdx {
-		v.index.mark(AppendKey(ek[:0], processedKeys[ki]))
+		v.ek = AppendKey(v.ek[:0], processedKeys[ki])
+		v.index.mark(hashKey(v.ek), v.ek, &v.rows)
 	}
 	return len(newRowIdx), nil
 }
 
-// Scan returns all stored rows as a read-only snapshot. The snapshot's
-// column headers are copied under the lock, so concurrent Appends
-// (which only ever add rows past the snapshot's length) cannot race
-// with readers.
+// Scan returns a copy of all stored rows, in append order: O(rows). The
+// probe path does not come here — it reads the chunks in place
+// (ProbeBatch); this is for the fuzzy index, tests and the benchmark.
 func (v *View) Scan() *types.Batch {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return v.batch.Slice(0, v.batch.Len())
+	n := v.rows.len()
+	out := types.NewBatchCapacity(v.schema, n)
+	for i, chunk := range v.rows.chunks {
+		// The schemas are the view's own on both sides.
+		_ = out.AppendRange(chunk, 0, min(1<<chunkShift, n-i<<chunkShift))
+	}
+	return out
 }
 
 // Rows returns the number of stored result rows.
 func (v *View) Rows() int {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return v.batch.Len()
+	return v.rows.len()
 }
 
 // ProcessedCount returns the number of distinct processed keys.
@@ -871,39 +900,62 @@ func (v *View) ProcessedCount() int {
 	return v.index.len()
 }
 
-// ProbeHit is one processed key found by ProbeBatch: Key is its
-// position in the probed batch, Rows the indexes of its rows in the
-// snapshot returned beside it (read-only; empty for a key processed
-// with no rows).
-type ProbeHit struct {
-	Key  int
+// Probed accumulates what the probes of one input batch found: a hit
+// per processed key, and the stored rows of all of them as (chunk, row)
+// pairs — Srcs[i] is a view chunk, Rows[i] a row of it — ready to be
+// gathered. The chunks are the ones the probe read under the view's
+// lock and stay as they were then whatever appends, salvage and
+// eviction do to the view afterwards. A prober keeps one and truncates
+// it from batch to batch.
+type Probed struct {
+	Hits []ProbeHit
+	Srcs []*types.Batch
 	Rows []int
+	sink int32 // keeps ProbeBatch's slot-touching loads from being optimised away
 }
+
+func (p *Probed) add(chunk *types.Batch, row int) {
+	p.Srcs, p.Rows = append(p.Srcs, chunk), append(p.Rows, row)
+}
+
+// ProbeHit is one processed key found by ProbeBatch: Key is its
+// position in the probed batch, and its rows are pairs Lo..Hi-1 of the
+// Probed it was added to (none for a key processed with no rows).
+type ProbeHit struct{ Key, Lo, Hi int }
 
 // ProbeBatch is the probe side of the reuse join. Under one read lock
 // it looks up every key selected by sel — key k is the AppendKey
-// encoding keys[offs[k]:offs[k+1]] — appends a ProbeHit per processed
-// key to hits and, when anything hit, makes snap the snapshot those
-// hits' row indexes refer to (snap is a holder the caller reuses from
-// batch to batch). Index and snapshot are read in one critical section,
-// so every returned index is < snap.Len() however appends, salvage and
-// eviction interleave with the caller.
+// encoding keys[offs[k]:offs[k+1]] and hashes[k] its KeyHash — and
+// appends to out a ProbeHit per processed key and the rows it has.
 // lint:hotpath batch probe loop must not allocate per key
-func (v *View) ProbeBatch(keys []byte, offs []int, sel []int, hits []ProbeHit, snap *types.Batch) []ProbeHit {
-	hits = slices.Grow(hits, len(sel))
-	first := len(hits)
+func (v *View) ProbeBatch(keys []byte, offs []int, hashes []uint64, sel []int, out *Probed) {
+	out.Hits = slices.Grow(out.Hits, len(sel))
+	from := len(out.Hits)
 	v.mu.RLock()
 	defer v.mu.RUnlock()
+	// The hashes scatter the batch's keys over the table: touch every
+	// home slot first, so that the misses overlap instead of each probe
+	// waiting for its own.
+	out.sink = v.index.touch(hashes, sel)
+	// Find the entries and count their rows, so that the pair lists grow
+	// once per batch at most, then expand them.
+	rows := 0
 	for _, k := range sel {
-		if rows, ok := v.index.lookup(keys[offs[k]:offs[k+1]]); ok {
-			hits = hits[:len(hits)+1]
-			hits[len(hits)-1] = ProbeHit{Key: k, Rows: rows}
+		if i, ok := v.index.find(hashes[k], keys[offs[k]:offs[k+1]], &v.rows); ok {
+			_, n, list := v.index.ids(v.index.slots[i])
+			rows += n + len(list)
+			out.Hits = out.Hits[:len(out.Hits)+1]
+			out.Hits[len(out.Hits)-1] = ProbeHit{Key: k, Lo: i}
 		}
 	}
-	if len(hits) > first {
-		v.batch.SliceInto(snap, 0, v.batch.Len())
+	out.Srcs, out.Rows = slices.Grow(out.Srcs, rows), slices.Grow(out.Rows, rows)
+	for i := from; i < len(out.Hits); i++ {
+		h := &out.Hits[i]
+		first, n, list := v.index.ids(v.index.slots[h.Lo])
+		h.Lo = len(out.Rows)
+		v.rows.gatherTo(out, first, n, list)
+		h.Hi = len(out.Rows)
 	}
-	return hits
 }
 
 // HasKeyBytes reports whether the AppendKey-encoded key was processed
@@ -911,19 +963,21 @@ func (v *View) ProbeBatch(keys []byte, offs []int, sel []int, hits []ProbeHit, s
 func (v *View) HasKeyBytes(ek []byte) bool {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	_, ok := v.index.lookup(ek)
+	_, ok := v.index.find(hashKey(ek), ek, &v.rows)
 	return ok
 }
 
-// RowsForKeyBytes returns the indexes (into a later Scan's batch) of
-// the rows with the AppendKey-encoded key, read-only. Pairing indexes
-// with a snapshot taken at another time is only safe single-threaded —
-// concurrent readers use ProbeBatch.
+// RowsForKeyBytes returns the ids of the rows with the AppendKey-encoded
+// key — their indexes in a Scan taken before the view next loses rows.
 func (v *View) RowsForKeyBytes(ek []byte) []int {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	rows, _ := v.index.lookup(ek)
-	return rows
+	i, ok := v.index.find(hashKey(ek), ek, &v.rows)
+	if !ok {
+		return nil
+	}
+	first, n, list := v.index.ids(v.index.slots[i])
+	return append(idRange(make([]int, 0, n+len(list)), first, n), list...)
 }
 
 // ClaimKeys atomically claims every encoded key for evaluation by one

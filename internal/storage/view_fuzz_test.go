@@ -14,10 +14,9 @@ func fuzzView() *View {
 		name:    "fuzz",
 		schema:  schema.Clone(),
 		keyCols: []string{"id"},
-		batch:   types.NewBatch(schema.Clone()),
-		index:   newKeyIndex(),
+		keyIdx:  []int{schema.IndexOf("id")},
 	}
-	v.keyIdx = []int{schema.IndexOf("id")}
+	v.resetReplayState()
 	return v
 }
 
@@ -84,9 +83,9 @@ func FuzzViewReplay(f *testing.F) {
 		if err != nil || valid2 != valid {
 			t.Fatalf("prefix replay diverged: valid=%d/%d err=%v", valid2, valid, err)
 		}
-		if v1.batch.Len() != v2.batch.Len() || v1.index.len() != v2.index.len() || !bytes.Equal(v1.pred, v2.pred) {
+		if v1.rows.len() != v2.rows.len() || v1.index.len() != v2.index.len() || !bytes.Equal(v1.pred, v2.pred) {
 			t.Fatalf("prefix replay state mismatch: rows %d/%d processed %d/%d predicate %x/%x",
-				v1.batch.Len(), v2.batch.Len(), v1.index.len(), v2.index.len(), v1.pred, v2.pred)
+				v1.rows.len(), v2.rows.len(), v1.index.len(), v2.index.len(), v1.pred, v2.pred)
 		}
 	})
 }

@@ -164,6 +164,11 @@ func (r *codecReader) count(min int) int {
 		r.err = errCodecShort
 		return 0
 	}
+	if n > 1 && r.data[n-1] == 0 {
+		// A padded varint: the encoder writes the shortest form only.
+		r.fail("count %d in a non-minimal encoding", v)
+		return 0
+	}
 	r.data = r.data[n:]
 	if v > uint64(len(r.data)/min) {
 		r.err = errCodecShort

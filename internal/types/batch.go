@@ -30,6 +30,21 @@ func NewBatch(schema Schema) *Batch {
 	return &Batch{schema: schema, cols: cols}
 }
 
+// NewNullBatch returns a batch of n NULL rows whose columns are one
+// allocation, each capped at n: the shape of a materialized view's
+// column chunk, which is allocated once at full length and written in
+// place through its empty prefix (Slice(0, 0) appends into the same
+// storage and can never outgrow it unnoticed — it would reallocate).
+func NewNullBatch(schema Schema, n int) *Batch {
+	b := NewBatch(schema)
+	slab := make([]Datum, len(schema)*n)
+	for i := range b.cols {
+		b.cols[i] = slab[i*n : (i+1)*n : (i+1)*n]
+	}
+	b.n = n
+	return b
+}
+
 // NewBatchCapacity returns an empty batch with per-column capacity hint.
 func NewBatchCapacity(schema Schema, capacity int) *Batch {
 	b := NewBatch(schema)
@@ -65,38 +80,45 @@ func (b *Batch) AppendRow(row ...Datum) error {
 	return nil
 }
 
-// Reserve makes room for n more rows without reallocating.
-func (b *Batch) Reserve(n int) {
-	for c := range b.cols {
-		b.cols[c] = slices.Grow(b.cols[c], n)
-	}
-}
-
 // AppendEncoded appends count rows decoded from src, which holds their
 // datums in AppendBinary form, row after row — the payload of a stored
-// row record — and returns the bytes consumed. Datums land in their
-// columns as they are decoded, under AppendRow's kind rule. On error b
-// is unchanged.
+// row record — and returns the bytes consumed. The rows are measured and
+// checked under AppendRow's kind rule first, so on error b is unchanged;
+// then the bytes they span are converted to a string once and every TEXT
+// datum is cut out of it — one allocation per call, not one per string —
+// and src may be reused as soon as the call returns.
 func (b *Batch) AppendEncoded(src []byte, count int) (int, error) {
-	off := 0
+	end, text := 0, false
 	for r := 0; r < count; r++ {
 		for c := range b.cols {
-			d, n, err := DecodeDatum(src[off:])
-			if err == nil && !b.schema[c].Kind.accepts(d.kind) {
-				err = fmt.Errorf("types: column %q expects %s, got %s", b.schema[c].Name, b.schema[c].Kind, d.Kind())
+			k, n, err := datumSpan(src[end:])
+			if err == nil && !b.schema[c].Kind.accepts(k) {
+				err = fmt.Errorf("types: column %q expects %s, got %s", b.schema[c].Name, b.schema[c].Kind, k)
 			}
 			if err != nil {
-				for c := range b.cols {
-					b.cols[c] = b.cols[c][:b.n]
-				}
 				return 0, err
 			}
-			b.cols[c] = append(b.cols[c], d)
+			text = text || k == KindString
+			end += n
+		}
+	}
+	var arena string
+	if text {
+		arena = string(src[:end])
+	}
+	for off := 0; off < end; {
+		for c := range b.cols {
+			k, n, _ := datumSpan(src[off:end])
+			text := ""
+			if k == KindString {
+				text = arena[off : off+n]
+			}
+			b.cols[c] = append(b.cols[c], decodeSpan(k, src[off:off+n], text))
 			off += n
 		}
 	}
 	b.n += count
-	return off, nil
+	return end, nil
 }
 
 // MustAppendRow is AppendRow that panics on error; for generators whose
@@ -325,27 +347,17 @@ func (b *Batch) Project(names []string) (*Batch, error) {
 
 // Slice returns a view of rows [lo, hi), sharing column storage.
 func (b *Batch) Slice(lo, hi int) *Batch {
-	out := &Batch{}
-	b.SliceInto(out, lo, hi)
-	return out
-}
-
-// SliceInto is Slice writing the view into dst, whose column headers
-// are reused — for a caller that takes a snapshot per batch and keeps
-// one holder for all of them. dst must not be a pooled batch.
-func (b *Batch) SliceInto(dst *Batch, lo, hi int) {
-	dst.schema, dst.n = b.schema, hi-lo
-	dst.cols = slices.Grow(dst.cols[:0], len(b.cols))[:len(b.cols)]
+	out := &Batch{schema: b.schema, cols: make([][]Datum, len(b.cols)), n: hi - lo}
 	for c := range b.cols {
-		dst.cols[c] = b.cols[c][lo:hi]
+		out.cols[c] = b.cols[c][lo:hi]
 	}
+	return out
 }
 
 // ProjectInto is Project by column ordinal writing the view into dst,
 // whose schema and column headers are reused — for a caller that takes a
 // key-column view of every batch and keeps one holder for all of them.
-// dst must not be a pooled batch, nor one SliceInto has filled (its
-// schema would then be the source's).
+// dst must not be a pooled batch.
 func (b *Batch) ProjectInto(dst *Batch, cols []int) {
 	dst.n = b.n
 	dst.schema = slices.Grow(dst.schema[:0], len(cols))[:len(cols)]
@@ -357,11 +369,15 @@ func (b *Batch) ProjectInto(dst *Batch, cols []int) {
 
 // EncodedSize returns the total canonical encoded size of all datums,
 // used for storage-footprint accounting.
-func (b *Batch) EncodedSize() int {
+func (b *Batch) EncodedSize() int { return b.EncodedSizeFrom(0) }
+
+// EncodedSizeFrom is EncodedSize of rows [lo, Len), for a caller that
+// accounts for a batch as it grows.
+func (b *Batch) EncodedSizeFrom(lo int) int {
 	total := 0
 	for _, col := range b.cols {
-		for _, d := range col {
-			total += d.EncodedSize()
+		for i := range col[lo:] {
+			total += col[lo+i].EncodedSize()
 		}
 	}
 	return total

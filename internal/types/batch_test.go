@@ -409,16 +409,28 @@ func TestAppendEncodedMatchesAppendRow(t *testing.T) {
 			enc = d.AppendBinary(enc)
 		}
 	}
-	got := NewBatch(s)
+	got := NewBatchCapacity(s, 1+len(rows))
 	got.MustAppendRow(rows[0]...)
-	got.Reserve(len(rows))
 	capBefore := cap(got.Col(0))
-	n, err := got.AppendEncoded(enc, len(rows))
+	src := append(append([]byte(nil), enc...), "trailing bytes stay"...)
+	var n int
+	var err error
+	if a := testing.AllocsPerRun(10, func() {
+		got.Truncate(1)
+		n, err = got.AppendEncoded(src, len(rows))
+	}); a > 1 && !raceEnabled {
+		t.Errorf("AppendEncoded made %v allocations for a record with two strings, want the one arena", a)
+	}
 	if err != nil || n != len(enc) || got.Len() != 1+len(rows) {
 		t.Fatalf("AppendEncoded = %d, %v; %d rows; want %d bytes, %d rows", n, err, got.Len(), len(enc), 1+len(rows))
 	}
 	if cap(got.Col(0)) != capBefore {
-		t.Error("AppendEncoded regrew columns Reserve had sized")
+		t.Error("AppendEncoded regrew columns that had room")
+	}
+	// The datums share nothing with the record buffer: a replay may
+	// reuse it, and a scribble over it must not show through.
+	for i := range src {
+		src[i] = 0xAA
 	}
 	for r := range rows {
 		for c := range s {

@@ -5,10 +5,14 @@
 package types
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
+	"unsafe"
 )
 
 // Kind enumerates the scalar types supported by EVA-QL.
@@ -58,15 +62,19 @@ func (k Kind) accepts(got Kind) bool {
 
 // Datum is a single immutable scalar value. The zero value is NULL.
 //
-// Datum is a small value type (no pointers for the numeric kinds) so that
-// batches of datums stay cache-friendly; strings and byte slices share
-// their backing storage and must not be mutated after construction.
+// Datum is three words, 24 bytes, one of them a pointer: v holds the
+// INTEGER / BOOLEAN value or the FLOAT's IEEE-754 bits, and for TEXT
+// and BYTES the length of the data p points at (p is nil otherwise).
+// Every column, batch copy, view chunk and GC scan is made of these, so
+// the string and slice headers a datum would otherwise carry side by
+// side are folded into (p, v) — which is why this file, and no other
+// outside bench/, imports unsafe (`make check` enforces it). Strings and
+// byte slices share their backing storage and must not be mutated after
+// construction; a BYTES datum gives its slice back with cap == len.
 type Datum struct {
+	p    unsafe.Pointer
+	v    uint64
 	kind Kind
-	i    int64
-	f    float64
-	s    string
-	b    []byte
 }
 
 // Null is the NULL datum.
@@ -74,24 +82,33 @@ var Null = Datum{}
 
 // NewBool returns a boolean datum.
 func NewBool(v bool) Datum {
-	var i int64
+	var i uint64
 	if v {
 		i = 1
 	}
-	return Datum{kind: KindBool, i: i}
+	return Datum{kind: KindBool, v: i}
 }
 
 // NewInt returns an integer datum.
-func NewInt(v int64) Datum { return Datum{kind: KindInt, i: v} }
+func NewInt(v int64) Datum { return Datum{kind: KindInt, v: uint64(v)} }
 
 // NewFloat returns a float datum.
-func NewFloat(v float64) Datum { return Datum{kind: KindFloat, f: v} }
+func NewFloat(v float64) Datum { return Datum{kind: KindFloat, v: math.Float64bits(v)} }
 
 // NewString returns a string datum.
-func NewString(v string) Datum { return Datum{kind: KindString, s: v} }
+func NewString(v string) Datum {
+	return Datum{kind: KindString, p: unsafe.Pointer(unsafe.StringData(v)), v: uint64(len(v))}
+}
 
 // NewBytes returns a bytes datum. The slice is retained, not copied.
-func NewBytes(v []byte) Datum { return Datum{kind: KindBytes, b: v} }
+func NewBytes(v []byte) Datum {
+	return Datum{kind: KindBytes, p: unsafe.Pointer(unsafe.SliceData(v)), v: uint64(len(v))}
+}
+
+// str and bytes rebuild the TEXT / BYTES value from (p, v); the caller
+// has checked the kind. A nil slice comes back nil, an empty one empty.
+func (d *Datum) str() string   { return unsafe.String((*byte)(d.p), int(d.v)) }
+func (d *Datum) bytes() []byte { return unsafe.Slice((*byte)(d.p), int(d.v)) }
 
 // Kind returns the datum's kind.
 func (d Datum) Kind() Kind { return d.kind }
@@ -102,22 +119,22 @@ func (d Datum) IsNull() bool { return d.kind == KindNull }
 // Bool returns the boolean value. It panics unless Kind is KindBool.
 func (d Datum) Bool() bool {
 	d.mustBe(KindBool)
-	return d.i != 0
+	return d.v != 0
 }
 
 // Int returns the integer value. It panics unless Kind is KindInt.
 func (d Datum) Int() int64 {
 	d.mustBe(KindInt)
-	return d.i
+	return int64(d.v)
 }
 
 // Float returns the float value of a numeric datum (KindInt or KindFloat).
 func (d Datum) Float() float64 {
 	switch d.kind {
 	case KindFloat:
-		return d.f
+		return math.Float64frombits(d.v)
 	case KindInt:
-		return float64(d.i)
+		return float64(int64(d.v))
 	}
 	panic(fmt.Sprintf("types: Float on %s datum", d.kind))
 }
@@ -125,32 +142,37 @@ func (d Datum) Float() float64 {
 // Str returns the string value. It panics unless Kind is KindString.
 func (d Datum) Str() string {
 	d.mustBe(KindString)
-	return d.s
+	return d.str()
 }
 
 // Bytes returns the byte-slice value. It panics unless Kind is KindBytes.
 func (d Datum) Bytes() []byte {
 	d.mustBe(KindBytes)
-	return d.b
+	return d.bytes()
 }
 
 // NumericValue returns the value of a numeric datum as Compare orders
 // it — an INTEGER widened to float64 — and whether d is numeric. With
 // StringValue it is the kind guard of the expression kernels: one
-// kind-byte test per datum, through a pointer so the 64-byte value is
-// never copied.
+// kind-byte test per datum, through a pointer so the value is never
+// copied.
 func (d *Datum) NumericValue() (float64, bool) {
 	switch d.kind {
 	case KindInt:
-		return float64(d.i), true
+		return float64(int64(d.v)), true
 	case KindFloat:
-		return d.f, true
+		return math.Float64frombits(d.v), true
 	}
 	return 0, false
 }
 
 // StringValue returns the value of a TEXT datum and whether d is one.
-func (d *Datum) StringValue() (string, bool) { return d.s, d.kind == KindString }
+func (d *Datum) StringValue() (string, bool) {
+	if d.kind != KindString {
+		return "", false
+	}
+	return d.str(), true
+}
 
 func (d Datum) mustBe(k Kind) {
 	if d.kind != k {
@@ -191,7 +213,7 @@ func Compare(a, b Datum) int {
 		case af > bf:
 			return 1
 		default:
-			return 0
+			return 0 // NaN included, unlike cmp.Compare
 		}
 	}
 	if a.kind != b.kind {
@@ -199,50 +221,13 @@ func Compare(a, b Datum) int {
 	}
 	switch a.kind {
 	case KindBool:
-		switch {
-		case a.i == b.i:
-			return 0
-		case a.i < b.i:
-			return -1
-		default:
-			return 1
-		}
+		return cmp.Compare(int64(a.v), int64(b.v))
 	case KindString:
-		switch {
-		case a.s == b.s:
-			return 0
-		case a.s < b.s:
-			return -1
-		default:
-			return 1
-		}
+		return strings.Compare(a.str(), b.str())
 	case KindBytes:
-		return compareBytes(a.b, b.b)
+		return bytes.Compare(a.bytes(), b.bytes())
 	}
 	panic(fmt.Sprintf("types: comparing %s datums", a.kind))
-}
-
-func compareBytes(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) == len(b):
-		return 0
-	case len(a) < len(b):
-		return -1
-	default:
-		return 1
-	}
 }
 
 // Equal reports value equality. NULL equals only NULL.
@@ -259,18 +244,18 @@ func (d Datum) String() string {
 	case KindNull:
 		return "NULL"
 	case KindBool:
-		if d.i != 0 {
+		if d.v != 0 {
 			return "TRUE"
 		}
 		return "FALSE"
 	case KindInt:
-		return strconv.FormatInt(d.i, 10)
+		return strconv.FormatInt(int64(d.v), 10)
 	case KindFloat:
-		return strconv.FormatFloat(d.f, 'g', -1, 64)
+		return strconv.FormatFloat(math.Float64frombits(d.v), 'g', -1, 64)
 	case KindString:
-		return "'" + d.s + "'"
+		return "'" + d.str() + "'"
 	case KindBytes:
-		return fmt.Sprintf("x'%x'", d.b)
+		return fmt.Sprintf("x'%x'", d.bytes())
 	default:
 		return fmt.Sprintf("Datum(%d)", uint8(d.kind))
 	}
@@ -283,61 +268,88 @@ func (d Datum) AppendBinary(dst []byte) []byte {
 	dst = append(dst, byte(d.kind))
 	switch d.kind {
 	case KindNull:
-	case KindBool, KindInt:
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(d.i))
-	case KindFloat:
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(d.f))
-	case KindString:
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(d.s)))
-		dst = append(dst, d.s...)
-	case KindBytes:
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(d.b)))
-		dst = append(dst, d.b...)
+	case KindBool, KindInt, KindFloat:
+		dst = binary.LittleEndian.AppendUint64(dst, d.v)
+	case KindString, KindBytes:
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(d.v))
+		dst = append(dst, d.bytes()...)
 	}
 	return dst
 }
 
 // DecodeDatum decodes a datum produced by AppendBinary and returns it
-// with the number of bytes consumed.
+// with the number of bytes consumed. The datum shares nothing with src.
 func DecodeDatum(src []byte) (Datum, int, error) {
+	k, n, err := datumSpan(src)
+	if err != nil {
+		return Null, 0, err
+	}
+	return decodeSpan(k, src[:n], ""), n, nil
+}
+
+// datumSpan checks the encoded datum src begins with and returns its
+// kind and length, without building it.
+func datumSpan(src []byte) (Kind, int, error) {
 	if len(src) == 0 {
-		return Null, 0, fmt.Errorf("types: decode datum: empty input")
+		return KindNull, 0, fmt.Errorf("types: decode datum: empty input")
 	}
 	k := Kind(src[0])
-	rest := src[1:]
 	switch k {
 	case KindNull:
-		return Null, 1, nil
-	case KindBool, KindInt:
-		if len(rest) < 8 {
-			return Null, 0, fmt.Errorf("types: decode %s: short input", k)
+		return k, 1, nil
+	case KindBool, KindInt, KindFloat:
+		if len(src) < 9 {
+			return k, 0, fmt.Errorf("types: decode %s: short input", k)
 		}
-		v := int64(binary.LittleEndian.Uint64(rest))
-		return Datum{kind: k, i: v}, 9, nil
-	case KindFloat:
-		if len(rest) < 8 {
-			return Null, 0, fmt.Errorf("types: decode %s: short input", k)
-		}
-		v := math.Float64frombits(binary.LittleEndian.Uint64(rest))
-		return NewFloat(v), 9, nil
+		return k, 9, nil
 	case KindString, KindBytes:
-		if len(rest) < 4 {
-			return Null, 0, fmt.Errorf("types: decode %s: short input", k)
+		if len(src) < 5 {
+			return k, 0, fmt.Errorf("types: decode %s: short input", k)
 		}
-		n := int(binary.LittleEndian.Uint32(rest))
-		if len(rest) < 4+n {
-			return Null, 0, fmt.Errorf("types: decode %s: want %d bytes, have %d", k, n, len(rest)-4)
+		n := int(binary.LittleEndian.Uint32(src[1:]))
+		if len(src) < 5+n {
+			return k, 0, fmt.Errorf("types: decode %s: want %d bytes, have %d", k, n, len(src)-5)
 		}
-		body := rest[4 : 4+n]
-		if k == KindString {
-			return NewString(string(body)), 5 + n, nil
-		}
-		cp := make([]byte, n)
-		copy(cp, body)
-		return NewBytes(cp), 5 + n, nil
+		return k, 5 + n, nil
 	default:
-		return Null, 0, fmt.Errorf("types: decode datum: unknown kind %d", src[0])
+		return k, 0, fmt.Errorf("types: decode datum: unknown kind %d", src[0])
 	}
+}
+
+// decodeSpan builds the datum of kind k that datumSpan measured as src.
+// text, when not empty, is src as a string the caller made once for
+// many datums: a TEXT datum is then cut out of it instead of copied.
+func decodeSpan(k Kind, src []byte, text string) Datum {
+	switch k {
+	case KindBool, KindInt, KindFloat:
+		return Datum{kind: k, v: binary.LittleEndian.Uint64(src[1:])}
+	case KindString:
+		if text == "" {
+			text = string(src)
+		}
+		return NewString(text[5:])
+	case KindBytes:
+		return NewBytes(bytes.Clone(src[5:]))
+	}
+	return Null
+}
+
+// MatchEncoded reports whether src begins with d's AppendBinary
+// encoding, and that encoding's length: equality of a stored datum with
+// an encoded one, as the view's key index defines it, without encoding
+// the one or decoding the other.
+func (d *Datum) MatchEncoded(src []byte) (int, bool) {
+	if len(src) == 0 || src[0] != byte(d.kind) {
+		return 0, false
+	}
+	switch d.kind {
+	case KindBool, KindInt, KindFloat:
+		return 9, len(src) >= 9 && binary.LittleEndian.Uint64(src[1:]) == d.v
+	case KindString, KindBytes:
+		n := 5 + int(d.v)
+		return n, len(src) >= n && binary.LittleEndian.Uint32(src[1:]) == uint32(d.v) && string(src[5:n]) == d.str()
+	}
+	return 1, true
 }
 
 // EncodedSize returns the number of bytes AppendBinary will produce.
@@ -349,10 +361,8 @@ func (d Datum) EncodedSize() int {
 		return 1
 	case KindBool, KindInt, KindFloat:
 		return 9
-	case KindString:
-		return 5 + len(d.s)
-	case KindBytes:
-		return 5 + len(d.b)
+	case KindString, KindBytes:
+		return 5 + int(d.v)
 	default:
 		return 1
 	}

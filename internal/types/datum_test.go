@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestDatumKinds(t *testing.T) {
@@ -200,5 +201,62 @@ func TestKindString(t *testing.T) {
 	}
 	if Kind(99).String() == "" {
 		t.Error("unknown kind should still render")
+	}
+}
+
+// TestDatumLayout pins the resident form: three words, NULL as the zero
+// value, and the corner values of the (pointer, length) pair — the empty
+// string, a nil and an empty-but-non-nil byte slice — surviving both the
+// accessors and the binary encoding.
+func TestDatumLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Datum{}); got > 24 {
+		t.Errorf("Datum is %d bytes, want at most 24", got)
+	}
+	var zero Datum
+	if !zero.IsNull() || zero != Null || zero.String() != "NULL" {
+		t.Errorf("zero Datum = %v, want NULL", zero)
+	}
+	if NewBytes(nil).Bytes() != nil {
+		t.Error("a nil BYTES datum came back non-nil")
+	}
+	if b := NewBytes([]byte{}).Bytes(); b == nil || len(b) != 0 {
+		t.Errorf("an empty BYTES datum came back %v (nil: %v)", b, b == nil)
+	}
+	if b := NewBytes(make([]byte, 2, 8)).Bytes(); len(b) != 2 || cap(b) != 2 {
+		t.Errorf("BYTES datum came back with len %d cap %d, want 2 and 2", len(b), cap(b))
+	}
+	for _, want := range []Datum{NewString(""), NewBytes(nil), NewBytes([]byte{}), NewString("a"), NewBytes([]byte{0})} {
+		enc := want.AppendBinary(nil)
+		got, n, err := DecodeDatum(enc)
+		if err != nil || n != len(enc) || got.Kind() != want.Kind() || !Equal(got, want) {
+			t.Errorf("%v: round trip gave %v, %d of %d bytes, %v", want, got, n, len(enc), err)
+		}
+		if n, ok := got.MatchEncoded(append(enc, 0x55)); !ok || n != len(enc) {
+			t.Errorf("%v: MatchEncoded against its own encoding = %d, %v", want, n, ok)
+		}
+		if _, ok := got.MatchEncoded(enc[:len(enc)-1]); ok {
+			t.Errorf("%v: MatchEncoded accepted a truncated encoding", want)
+		}
+	}
+	if _, ok := (&Datum{kind: KindInt, v: 1}).MatchEncoded(NewFloat(1).AppendBinary(nil)); ok {
+		t.Error("MatchEncoded equated INTEGER 1 with FLOAT 1: equality is of encodings, not of values")
+	}
+	// The poison sentinel still trips every typed accessor (the evadebug
+	// suite relies on it) and still is not NULL.
+	if poisonDatum.IsNull() {
+		t.Error("poisonDatum reads as NULL")
+	}
+	for name, read := range map[string]func(){
+		"Int": func() { poisonDatum.Int() }, "Str": func() { poisonDatum.Str() },
+		"Bytes": func() { poisonDatum.Bytes() }, "Float": func() { poisonDatum.Float() }, "Bool": func() { poisonDatum.Bool() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on the poison datum did not panic", name)
+				}
+			}()
+			read()
+		}()
 	}
 }
