@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint check bench faults-stress differential chaos server-stress ingest-chaos cover fuzz-smoke alloc pool-safety scrub evict loc unsafe-confined
+.PHONY: build test race lint check bench faults-stress differential chaos server-stress ingest-chaos cover fuzz-smoke alloc pool-safety scrub evict loc unsafe-confined baselines
 
 build:
 	$(GO) build ./...
@@ -191,6 +191,20 @@ unsafe-confined:
 		! -path './internal/types/datum.go' | xargs grep -lE '^[[:space:]]*(import[[:space:]]+)?([A-Za-z_.]+[[:space:]]+)?"unsafe"[[:space:]]*$$'); \
 	if [ -n "$$found" ]; then echo "unsafe imported outside internal/types/datum.go:"; echo "$$found"; exit 1; fi
 
+# baselines regenerates the committed BENCH_*.json files that run
+# entirely on the virtual clock — chaos, evict, scrub: the same bytes on
+# any machine — through `vbench -exp NAME -json PATH` and fails unless
+# each is byte-identical to the committed one. The other four (alloc,
+# server, ingest, parallel) carry wall-clock or allocation-count cells;
+# TestAllocBaselineCommitted gates BENCH_alloc.json.
+baselines:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/vbench" ./cmd/vbench && \
+	for x in chaos evict scrub; do \
+		"$$tmp/vbench" -exp $$x -json "$$tmp/$$x.json" >/dev/null && \
+		cmp "$$tmp/$$x.json" BENCH_$$x.json || exit 1; \
+	done; echo "baselines: BENCH_chaos.json BENCH_evict.json BENCH_scrub.json regenerate byte-identical"
+
 # loc prints the "least code" needle (ROADMAP north star): Go lines
 # outside tests, bench/ and the lint fixtures, per package and in
 # total. "code" leaves out blank lines and // comment lines, so a PR
@@ -216,7 +230,8 @@ loc:
 # ingest kill-point matrix, the self-healing scrub matrix, the
 # disk-pressure evict matrix, the coverage floor, the
 # fault-injection stress pass, the allocation
-# gate, the pool-safety suite and the fuzz smokes.
+# gate, the deterministic JSON baselines, the pool-safety suite and the
+# fuzz smokes.
 check:
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
@@ -234,5 +249,6 @@ check:
 	$(MAKE) cover
 	$(MAKE) faults-stress
 	$(MAKE) alloc
+	$(MAKE) baselines
 	$(MAKE) pool-safety
 	$(MAKE) fuzz-smoke

@@ -11,10 +11,10 @@ import (
 	"eva/internal/vision"
 )
 
-func runHighWorkload(b *testing.B, opts vbench.Options) *vbench.RunMetrics {
+func runHighWorkload(b *testing.B, cfg eva.Config) *vbench.RunMetrics {
 	b.Helper()
 	wl := vbench.HighWorkload(scaled(vision.MediumUADetrac))
-	m, err := vbench.RunWorkload(eva.ModeEVA, wl, opts)
+	m, err := vbench.RunWorkload(cfg, wl)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -27,8 +27,8 @@ func runHighWorkload(b *testing.B, opts vbench.Options) *vbench.RunMetrics {
 // keeping the symbolic state small.
 func BenchmarkAblationReduction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		on := runHighWorkload(b, vbench.Options{})
-		off := runHighWorkload(b, vbench.Options{DisableReduction: true})
+		on := runHighWorkload(b, eva.Config{})
+		off := runHighWorkload(b, eva.Config{DisableReduction: true})
 		if i == 0 {
 			atoms := func(m *vbench.RunMetrics) float64 {
 				total := 0
@@ -50,8 +50,8 @@ func BenchmarkAblationReduction(b *testing.B) {
 // workloads (the Fig. 9 aggregate).
 func BenchmarkAblationRanking(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		aware := runHighWorkload(b, vbench.Options{})
-		canon := runHighWorkload(b, vbench.Options{CanonicalRanking: true})
+		aware := runHighWorkload(b, eva.Config{})
+		canon := runHighWorkload(b, eva.Config{CanonicalRanking: true})
 		if i == 0 {
 			b.ReportMetric(canon.SimTotal.Seconds()/aware.SimTotal.Seconds(), "workload-gain-x")
 		}

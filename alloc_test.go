@@ -4,11 +4,12 @@ package eva_test
 // §13): the warm scan→filter→apply pipeline — apply served entirely
 // from a materialized view, batches recycled through the engine's
 // BatchPool — must perform ~zero heap allocations per row. The gate
-// measures a *marginal* rate with testing.AllocsPerRun at two scan
-// lengths, so per-query overhead (parse, optimize, result assembly)
-// cancels and only the per-row cost is asserted. A second test pins
-// the committed BENCH_alloc.json baseline to the same threshold, so a
-// regressed baseline cannot be committed either.
+// runs the benchmark's own cell (internal/vbench/alloc.go): a
+// *marginal* rate between two scan lengths, so per-query overhead
+// (parse, optimize, result assembly) cancels and only the per-row cost
+// is asserted. A second test pins the committed BENCH_alloc.json
+// baseline to the same threshold, so a regressed baseline cannot be
+// committed either.
 
 import (
 	"encoding/json"
@@ -16,70 +17,8 @@ import (
 	"os"
 	"testing"
 
-	"eva"
 	"eva/internal/vbench"
 )
-
-const (
-	allocShortFrames = 512
-	allocLongFrames  = 2048
-)
-
-func allocGateSetup(t *testing.T) *eva.System {
-	t.Helper()
-	sys, err := eva.Open(eva.Config{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sys.Close() })
-	if _, err := sys.Exec(`LOAD VIDEO 'jackson' INTO video`); err != nil {
-		t.Fatal(err)
-	}
-	_, err = sys.Exec(`CREATE UDF AllocNet
-		INPUT  = (frame NDARRAY UINT8(3, ANYDIM, ANYDIM))
-		OUTPUT = (allocnet_out BOOLEAN)
-		IMPL   = 'bench:parity'
-		LOGICAL_TYPE = AllocNet
-		PROPERTIES = ('COST_MS' = '1')`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.RegisterScalarImpl("AllocNet", func(args []eva.Datum) (eva.Datum, error) {
-		return eva.NewBool(len(args[0].Bytes())%2 == 0), nil
-	})
-	return sys
-}
-
-func allocGateQuery(frames int) string {
-	return fmt.Sprintf(`SELECT id FROM video WHERE id < %d AND AllocNet(frame) = TRUE`, frames)
-}
-
-// warmAllocsPerRun returns the average allocations of one warm run of
-// the query, after a cold run has materialized the view and a warm-up
-// run has let pooled capacities reach steady state.
-func warmAllocsPerRun(t *testing.T, sys *eva.System, query string) float64 {
-	t.Helper()
-	for i := 0; i < 2; i++ {
-		res, err := sys.Exec(query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.Recycle(res.Rows)
-	}
-	var runErr error
-	allocs := testing.AllocsPerRun(20, func() {
-		res, err := sys.Exec(query)
-		if err != nil {
-			runErr = err
-			return
-		}
-		sys.Recycle(res.Rows)
-	})
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	return allocs
-}
 
 // TestWarmPathAllocsPerRow is the live gate: marginal allocations per
 // row on the warm view-served path must stay under the same threshold
@@ -88,22 +27,16 @@ func TestWarmPathAllocsPerRow(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
-	sys := allocGateSetup(t)
-	short := warmAllocsPerRun(t, sys, allocGateQuery(allocShortFrames))
-	long := warmAllocsPerRun(t, sys, allocGateQuery(allocLongFrames))
-	// Re-measure short after long so both queries' pooled capacities
-	// are steady; keep the smaller sample.
-	if again := warmAllocsPerRun(t, sys, allocGateQuery(allocShortFrames)); again < short {
-		short = again
+	cell, err := vbench.RunWarmPathCell(vbench.DefaultAllocBench())
+	if err != nil {
+		t.Fatal(err)
 	}
-	perRow := (long - short) / float64(allocLongFrames-allocShortFrames)
-	t.Logf("warm allocs/run: short=%.1f long=%.1f marginal=%.4f/row", short, long, perRow)
-	if perRow > vbench.WarmAllocGate {
-		t.Errorf("warm view-served path allocates %.4f/row, gate %.2f", perRow, vbench.WarmAllocGate)
+	t.Logf("warm allocs/run: short=%.1f long=%.1f marginal=%.4f/row", cell.AllocsPerRunShort, cell.AllocsPerRunLong, cell.AllocsPerRow)
+	if cell.AllocsPerRow > vbench.WarmAllocGate {
+		t.Errorf("warm view-served path allocates %.4f/row, gate %.2f", cell.AllocsPerRow, vbench.WarmAllocGate)
 	}
-	st := sys.PoolStats()
-	if st.Hits == 0 || st.Puts == 0 {
-		t.Errorf("pool not engaged on the warm path: %+v", st)
+	if cell.PoolHits == 0 || cell.PoolPuts == 0 {
+		t.Errorf("pool not engaged on the warm path: %+v", cell)
 	}
 }
 

@@ -65,7 +65,7 @@ func BenchmarkTable2HitPercentage(b *testing.B) {
 		var hits []float64
 		for _, wl := range []vbench.Workload{vbench.LowWorkload(ds), vbench.HighWorkload(ds)} {
 			for _, mode := range []eva.SystemMode{eva.ModeHashStash, eva.ModeFunCache, eva.ModeEVA} {
-				m, err := vbench.RunWorkload(mode, wl, vbench.Options{})
+				m, err := vbench.RunWorkload(eva.Config{Mode: mode}, wl)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -82,7 +82,7 @@ func BenchmarkTable2HitPercentage(b *testing.B) {
 func BenchmarkTable3UDFStatistics(b *testing.B) {
 	ds := scaled(vision.MediumUADetrac)
 	for i := 0; i < b.N; i++ {
-		m, err := vbench.RunWorkload(eva.ModeNoReuse, vbench.HighWorkload(ds), vbench.Options{})
+		m, err := vbench.RunWorkload(eva.Config{Mode: eva.ModeNoReuse}, vbench.HighWorkload(ds))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -112,11 +112,11 @@ func BenchmarkFig5WorkloadSpeedup(b *testing.B) {
 	ds := scaled(vision.MediumUADetrac)
 	wl := vbench.HighWorkload(ds)
 	for i := 0; i < b.N; i++ {
-		nr, err := vbench.RunWorkload(eva.ModeNoReuse, wl, vbench.Options{})
+		nr, err := vbench.RunWorkload(eva.Config{Mode: eva.ModeNoReuse}, wl)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ev, err := vbench.RunWorkload(eva.ModeEVA, wl, vbench.Options{})
+		ev, err := vbench.RunWorkload(eva.Config{Mode: eva.ModeEVA}, wl)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -179,11 +179,11 @@ func BenchmarkFig11VideoContent(b *testing.B) {
 	ds := scaled(vision.Jackson)
 	wl := vbench.HighWorkload(ds)
 	for i := 0; i < b.N; i++ {
-		nr, err := vbench.RunWorkload(eva.ModeNoReuse, wl, vbench.Options{})
+		nr, err := vbench.RunWorkload(eva.Config{Mode: eva.ModeNoReuse}, wl)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ev, err := vbench.RunWorkload(eva.ModeEVA, wl, vbench.Options{})
+		ev, err := vbench.RunWorkload(eva.Config{Mode: eva.ModeEVA}, wl)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func BenchmarkStorageFootprint(b *testing.B) {
 	ds := scaled(vision.MediumUADetrac)
 	wl := vbench.HighWorkload(ds)
 	for i := 0; i < b.N; i++ {
-		m, err := vbench.RunWorkload(eva.ModeEVA, wl, vbench.Options{})
+		m, err := vbench.RunWorkload(eva.Config{Mode: eva.ModeEVA}, wl)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func rangePred(b *testing.B, lo, hi float64) symbolic.DNF {
 // drop near-linearly with workers while the simulated time — asserted
 // inside RunParallelBench — stays byte-identical. The committed
 // baseline lives in BENCH_parallel.json (refresh with
-// `go run ./cmd/vbench -parallel-json BENCH_parallel.json`).
+// `go run ./cmd/vbench -exp parallel -json BENCH_parallel.json`).
 func BenchmarkParallelScanUDF(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

@@ -1,198 +1,92 @@
 // Command vbench regenerates the paper's tables and figures over the
-// synthetic datasets. By default it runs every experiment at full
-// scale (the paper's dataset sizes) and prints each result next to the
-// paper's headline numbers.
+// synthetic datasets, and the engine-extension benchmarks committed as
+// BENCH_*.json. By default it runs every experiment at full scale (the
+// paper's dataset sizes) and prints each result next to the paper's
+// headline numbers.
 //
 // Usage:
 //
 //	vbench [-exp table2|table3|...|all] [-scale 0.1] [-list]
+//	vbench -exp chaos -json BENCH_chaos.json
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"eva/internal/vbench"
 )
 
-func main() {
-	exp := flag.String("exp", "all", "experiment id to run (or 'all')")
-	scale := flag.Float64("scale", 1.0, "dataset scale factor in (0, 1]; 1.0 = paper-sized")
-	list := flag.Bool("list", false, "list experiments and exit")
-	parallelJSON := flag.String("parallel-json", "", "run the parallel scan+UDF benchmark and write its JSON baseline to this path (e.g. BENCH_parallel.json)")
-	chaosJSON := flag.String("chaos-json", "", "run the chaos differential benchmark and write its JSON baseline to this path (e.g. BENCH_chaos.json)")
-	serverJSON := flag.String("server-json", "", "run the multi-session serving-layer load benchmark and write its JSON baseline to this path (e.g. BENCH_server.json)")
-	ingestJSON := flag.String("ingest-json", "", "run the streaming-ingestion benchmark and write its JSON baseline to this path (e.g. BENCH_ingest.json)")
-	allocJSON := flag.String("alloc-json", "", "run the pooled-batch allocation benchmark and write its JSON baseline to this path (e.g. BENCH_alloc.json)")
-	scrubJSON := flag.String("scrub-json", "", "run the view scrub/repair benchmark and write its JSON baseline to this path (e.g. BENCH_scrub.json)")
-	evictJSON := flag.String("evict-json", "", "run the disk-pressure eviction benchmark and write its JSON baseline to this path (e.g. BENCH_evict.json)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// run is main with its inputs and outputs as arguments; it returns the
+// exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("vbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment id to run (or 'all')")
+	scale := fs.Float64("scale", 1.0, "dataset scale factor in (0, 1]; 1.0 = paper-sized")
+	list := fs.Bool("list", false, "list experiments and exit")
+	jsonPath := fs.String("json", "", "also write the selected experiment's data as indented JSON to this path (e.g. -exp chaos -json BENCH_chaos.json)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+
+	exps := vbench.Experiments()
 	if *list {
-		for _, e := range vbench.Experiments() {
-			fmt.Printf("%-8s %s\n", e.ID, e.Title)
+		for _, e := range exps {
+			fmt.Fprintf(stdout, "%-8s %s\n", e.ID, e.Title)
 		}
-		return
+		return 0
 	}
-
-	if *parallelJSON != "" {
-		res, err := vbench.RunParallelBench(vbench.DefaultParallelBench())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		data, err := res.JSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*parallelJSON, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *parallelJSON)
-		return
-	}
-
-	if *chaosJSON != "" {
-		res, err := vbench.RunChaosBench(vbench.DefaultChaosBench())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		data, err := res.JSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*chaosJSON, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *chaosJSON)
-		return
-	}
-
-	if *serverJSON != "" {
-		res, err := vbench.RunServerBench(vbench.DefaultServerBench())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		data, err := res.JSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*serverJSON, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *serverJSON)
-		return
-	}
-
-	if *ingestJSON != "" {
-		res, err := vbench.RunIngestBench(vbench.DefaultIngestBench())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		data, err := res.JSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*ingestJSON, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *ingestJSON)
-		return
-	}
-
-	if *allocJSON != "" {
-		res, err := vbench.RunAllocBench(vbench.DefaultAllocBench())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		data, err := res.JSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*allocJSON, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *allocJSON)
-		return
-	}
-
-	if *scrubJSON != "" {
-		res, err := vbench.RunScrubBench()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		data, err := res.JSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*scrubJSON, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *scrubJSON)
-		return
-	}
-
-	if *evictJSON != "" {
-		res, err := vbench.RunEvictBench()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		data, err := res.JSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*evictJSON, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *evictJSON)
-		return
-	}
-
-	cfg := vbench.ExpConfig{Scale: *scale}
-	var exps []vbench.Experiment
-	if *exp == "all" {
-		exps = vbench.Experiments()
-	} else {
+	if *exp != "all" {
 		e, err := vbench.ExperimentByID(*exp)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
 		exps = []vbench.Experiment{e}
 	}
+	// Refused before anything runs: a paper-sized table takes minutes.
+	if *jsonPath != "" && len(exps) != 1 {
+		return fail(fmt.Errorf("vbench: -json writes one experiment's data; -exp %s selects %d", *exp, len(exps)))
+	}
+	if *jsonPath != "" && exps[0].Baseline == "" {
+		return fail(fmt.Errorf("vbench: experiment %q is text-only: it has no data for -json", *exp))
+	}
 
 	for _, e := range exps {
-		fmt.Printf("=== %s ===\n", e.Title)
-		fmt.Printf("paper: %s\n\n", e.Paper)
+		fmt.Fprintf(stdout, "=== %s ===\n", e.Title)
+		fmt.Fprintf(stdout, "paper: %s\n\n", e.Paper)
 		start := time.Now()
-		out, err := e.Run(cfg)
+		rep, err := e.Run(vbench.ExpConfig{Scale: *scale})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
-			os.Exit(1)
+			return fail(fmt.Errorf("%s: %w", e.ID, err))
 		}
-		fmt.Print(out)
-		fmt.Printf("\n(%s wall)\n\n", time.Since(start).Round(time.Millisecond))
+		fmt.Fprint(stdout, rep.Text)
+		fmt.Fprintf(stdout, "\n(%s wall)\n\n", time.Since(start).Round(time.Millisecond))
+		if *jsonPath == "" {
+			continue
+		}
+		data, err := json.MarshalIndent(rep.Data, "", "  ")
+		if err != nil {
+			return fail(err)
+		}
+		if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stdout, "wrote %s\n", *jsonPath)
 	}
+	return 0
 }

@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 
-	"eva/internal/costs"
 	"eva/internal/faults"
-	"eva/internal/simclock"
 	"eva/internal/storage"
 	"eva/internal/symbolic"
 	"eva/internal/udf"
@@ -84,22 +82,28 @@ func (e *Engine) settle(claims *udf.Claims, stored map[string]int, opts ExecOpts
 		stored[sig.ViewName()]--
 		return stored[sig.ViewName()] < 0
 	})
-	for attempt, full := 1, 1; ; {
-		sig, err := claims.Commit(opts.Faults)
-		if err == nil {
-			return nil
-		}
-		if v := e.Store.Existing(sig.ViewName()); v != nil && storage.IsDiskFull(err) {
-			if err = v.MakeRoom(err, full); err == nil {
-				full++
-				continue
+	// One attempt commits as far as disk space lets it, making room as
+	// often as the reclaim ladder can; a transient write fault is what is
+	// left for the retry loop.
+	var sig udf.Signature
+	full := 1
+	err := faults.Retry(opts.Clock, func() (err error) {
+		for ; ; full++ {
+			if sig, err = claims.Commit(opts.Faults); err == nil {
+				return nil
 			}
-		} else if faults.IsTransient(err) && attempt < costs.RetryMaxAttempts {
-			attempt++
-			opts.Clock.Charge(simclock.CatRetry, costs.RetryBackoff(attempt))
-			continue
+			v := e.Store.Existing(sig.ViewName())
+			if v == nil || !storage.IsDiskFull(err) {
+				return err
+			}
+			if err = v.MakeRoom(err, full); err != nil {
+				return err
+			}
 		}
+	})
+	if err != nil {
 		claims.Abort()
 		return fmt.Errorf("core: commit aggregated predicate of %s: %w", sig.ViewName(), err)
 	}
+	return nil
 }

@@ -1078,16 +1078,11 @@ func (a *applyIter) flush() error {
 	// pre-append state (storage.View.Append is atomic), so retrying the
 	// whole batch is safe; backoff is charged like UDF retries.
 	var n int
-	for attempt := 1; ; attempt++ {
-		var err error
+	err := faults.Retry(a.ctx.Clock, func() (err error) {
 		n, err = a.store.AppendWith(rows, keys, a.ctx.Faults)
-		if err == nil {
-			break
-		}
-		if faults.IsTransient(err) && attempt < costs.RetryMaxAttempts {
-			a.ctx.Clock.Charge(simclock.CatRetry, costs.RetryBackoff(attempt+1))
-			continue
-		}
+		return err // lint:noerrcheck the last attempt's error is wrapped below
+	})
+	if err != nil {
 		return fmt.Errorf("exec: materialize view %s: %w", a.store.Name(), err)
 	}
 	a.ctx.Clock.ChargePerTuple(simclock.CatMaterialize, costs.MatRowCost, n+len(keys))

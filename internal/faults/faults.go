@@ -53,6 +53,8 @@ import (
 	"strings"
 	"sync"
 
+	"eva/internal/costs"
+	"eva/internal/simclock"
 	"eva/internal/xxhash"
 )
 
@@ -118,6 +120,23 @@ func IsTransient(err error) bool {
 func IsCrash(err error) bool {
 	var f *Fault
 	return errors.As(err, &f) && f.Kind == Crash
+}
+
+// Retry runs try until it succeeds, fails with anything but a transient
+// fault, or has run costs.RetryMaxAttempts times, and returns the last
+// run's error. Before each rerun it charges the capped exponential
+// backoff to clock's retry category — virtual time, so the caller never
+// sleeps. try must leave nothing behind when it fails (a rolled-back
+// append, a check that only draws). The disk-full ladder is a different
+// protocol with its own loop: storage.TailLog.Retry.
+func Retry(clock *simclock.Clock, try func() error) error {
+	for attempt := 1; ; attempt++ {
+		err := try()
+		if !IsTransient(err) || attempt >= costs.RetryMaxAttempts {
+			return err
+		}
+		clock.Charge(simclock.CatRetry, costs.RetryBackoff(attempt+1))
+	}
 }
 
 // AsFault extracts the injected fault from an error chain.

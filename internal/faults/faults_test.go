@@ -4,6 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
+
+	"eva/internal/costs"
+	"eva/internal/simclock"
 )
 
 func TestNilInjectorIsInert(t *testing.T) {
@@ -371,5 +375,48 @@ func TestSitesRegistryCoversConstants(t *testing.T) {
 	}
 	if fmt.Sprint(Sites.Prefixes) != fmt.Sprint(wantPrefixes) {
 		t.Errorf("Sites.Prefixes = %v, want %v", Sites.Prefixes, wantPrefixes)
+	}
+}
+
+// TestRetry pins the one transient-retry schedule: reruns only while
+// the error is a transient fault, at most costs.RetryMaxAttempts runs,
+// and the backoff of rerun k charged to the retry category before it.
+func TestRetry(t *testing.T) {
+	transient := fmt.Errorf("write: %w", &Fault{Kind: Transient, Site: "view:write:v"})
+	permanent := &Fault{Kind: Permanent, Site: "view:write:v"}
+	backoff := func(reruns int) time.Duration {
+		var d time.Duration
+		for k := 2; k < 2+reruns; k++ {
+			d += costs.RetryBackoff(k)
+		}
+		return d
+	}
+	for _, tc := range []struct {
+		name     string
+		errs     []error // the error of each run; the last repeats
+		wantRuns int
+		wantErr  error
+	}{
+		{"first run succeeds", []error{nil}, 1, nil},
+		{"absorbed after two faults", []error{transient, transient, nil}, 3, nil},
+		{"budget exhausted", []error{transient}, costs.RetryMaxAttempts, transient},
+		{"permanent is not retried", []error{permanent}, 1, permanent},
+		{"permanent after a transient", []error{transient, permanent}, 2, permanent},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := &simclock.Clock{}
+			runs := 0
+			err := Retry(clock, func() error {
+				e := tc.errs[min(runs, len(tc.errs)-1)]
+				runs++
+				return e
+			})
+			if runs != tc.wantRuns || err != tc.wantErr {
+				t.Errorf("runs = %d, err = %v; want %d, %v", runs, err, tc.wantRuns, tc.wantErr)
+			}
+			if got, want := clock.Total(), backoff(tc.wantRuns-1); got != want {
+				t.Errorf("charged %s, want %s", got, want)
+			}
+		})
 	}
 }

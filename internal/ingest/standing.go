@@ -250,15 +250,7 @@ func (q *StandingQuery) increment(lo, hi int64) error {
 	}
 
 	inj := s.injector()
-	for attempt := 1; ; attempt++ {
-		err := q.ckpt.write(st, inj)
-		if err == nil {
-			break
-		}
-		if faults.IsTransient(err) && attempt < costs.RetryMaxAttempts {
-			s.clock.Charge(simclock.CatRetry, costs.RetryBackoff(attempt+1))
-			continue
-		}
+	if err := faults.Retry(s.clock, func() error { return q.ckpt.write(st, inj) }); err != nil {
 		return err
 	}
 	s.clock.Charge(simclock.CatMaterialize, costs.CheckpointWriteCost)
@@ -343,18 +335,11 @@ func (q *StandingQuery) deltaStmt(lo, hi int64) *parser.SelectStmt {
 // itself is already durable state.
 func (q *StandingQuery) notify(a Alert, inj *faults.Injector) error {
 	s := q.stream
-	for attempt := 1; ; attempt++ {
-		err := inj.Check(q.notifySite)
-		if err == nil {
-			break
-		}
-		if faults.IsTransient(err) && attempt < costs.RetryMaxAttempts {
-			s.clock.Charge(simclock.CatRetry, costs.RetryBackoff(attempt+1))
-			continue
-		}
-		if faults.IsCrash(err) {
-			return fmt.Errorf("ingest: standing query %q notify: %w", q.name, err)
-		}
+	err := faults.Retry(s.clock, func() error { return inj.Check(q.notifySite) })
+	if faults.IsCrash(err) {
+		return fmt.Errorf("ingest: standing query %q notify: %w", q.name, err)
+	}
+	if err != nil {
 		q.mu.Lock()
 		q.dropped++
 		q.mu.Unlock()

@@ -389,18 +389,14 @@ func (s *Stream) snapshotQueries() []*StandingQuery {
 // an interrupted-and-resumed ingestion charges exactly what an
 // uninterrupted one does.
 func (s *Stream) appendFrames(n int) error {
-	for attempt := 1; ; attempt++ {
+	err := faults.Retry(s.clock, func() error {
 		_, err := s.video.AppendFrames(n, s.injector())
-		if err == nil {
-			break
-		}
-		if faults.IsTransient(err) && attempt < costs.RetryMaxAttempts {
-			s.clock.Charge(simclock.CatRetry, costs.RetryBackoff(attempt+1))
-			continue
-		}
-		if faults.IsCrash(err) {
-			return s.markDead(err)
-		}
+		return err
+	})
+	if faults.IsCrash(err) {
+		return s.markDead(err)
+	}
+	if err != nil {
 		return err
 	}
 	s.clock.ChargePerTuple(simclock.CatMaterialize, costs.IngestFrameCost, n)

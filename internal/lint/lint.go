@@ -215,7 +215,10 @@ func DefaultAnalyzers(modPath string) []Analyzer {
 			qp("internal/lint/testdata/src/trackedgoroutine/..."),
 		),
 		NewWallTime(append([]string{qp("internal/lint/testdata/src/walltime/...")}, deterministic...)...),
-		NewMapIter(append([]string{qp("internal/lint/testdata/src/mapiter/...")}, deterministic...)...),
+		// The benchmark harness digests what the engine produced, so its
+		// digests must not depend on map order either; it stays out of
+		// walltime's scope because measuring wall time is its job.
+		NewMapIter(append([]string{qp("internal/lint/testdata/src/mapiter/..."), qp("internal/vbench/...")}, deterministic...)...),
 		NewHotAlloc(),
 		&FaultSite{},
 		NewDurable(

@@ -17,7 +17,6 @@ package vbench
 
 import (
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"strings"
@@ -132,6 +131,10 @@ type allocWorkload struct {
 
 func scannedFrames(_ *eva.System, frames int) (float64, error) { return float64(frames), nil }
 
+// viewServed is the warm reuse path's workload: the predicate UDF's
+// view serves every scanned frame.
+var viewServed = allocWorkload{name: "eva-view-served", mode: eva.ModeEVA, setup: allocSetup, query: allocQuery, rows: scannedFrames}
+
 func evalPathQuery(frames int) string {
 	return fmt.Sprintf(`SELECT id, bbox FROM video CROSS APPLY FasterRCNNResnet50(frame)
 		WHERE id < %d AND CarType(frame, bbox) = 'Nissan'`, frames)
@@ -187,8 +190,10 @@ func measureWarm(sys *eva.System, query string, runs int) (allocs, bytes float64
 		float64(m1.TotalAlloc-m0.TotalAlloc) / float64(runs), nil
 }
 
-// RunEvalPathCell measures the evaluate path's cell on its own — the
-// live half of the gate (TestEvalPathAllocsPerRow).
+// RunWarmPathCell and RunEvalPathCell measure the two gated cells on
+// their own — the live half of the gate (TestWarmPathAllocsPerRow,
+// TestEvalPathAllocsPerRow).
+func RunWarmPathCell(cfg AllocBenchConfig) (AllocCell, error) { return runAllocCell(viewServed, cfg) }
 func RunEvalPathCell(cfg AllocBenchConfig) (AllocCell, error) { return runAllocCell(evalPath, cfg) }
 
 // runAllocCell measures one workload end to end in a fresh system.
@@ -253,21 +258,13 @@ func allocMatrixDigest(pooled bool, workers, frames int) (string, error) {
 	if err := allocSetup(sys); err != nil {
 		return "", err
 	}
-	h := sha256.New()
-	for run := 0; run < 2; run++ { // cold then warm
-		res, err := sys.Exec(allocQuery(frames))
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(h, "run %d rows %d\n%s", run, res.Rows.Len(), eva.Format(res.Rows))
-		fmt.Fprintf(h, "sim %d\n", res.SimTime)
-		sys.Recycle(res.Rows)
+	q := allocQuery(frames)
+	rows, answered := runQueries(sys, []string{q, q}) // cold then warm
+	if answered != 2 {
+		return "", fmt.Errorf("a matrix query failed:\n%s", rows)
 	}
-	for name, rows := range sys.ViewRows() {
-		fmt.Fprintf(h, "view %s %d\n", name, rows)
-	}
-	fmt.Fprintf(h, "hit %.6f total %d\n", sys.HitPercentage(), sys.SimulatedTime())
-	return fmt.Sprintf("%x", h.Sum(nil)), nil
+	state := fmt.Sprintf("hit %.6f total %d\n", sys.HitPercentage(), sys.SimulatedTime())
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(rows+sortedLines("view", sys.ViewRows())+state))), nil
 }
 
 // RunAllocBench measures the warm-path allocation rates, snapshots the
@@ -283,7 +280,7 @@ func RunAllocBench(cfg AllocBenchConfig) (*AllocResult, error) {
 		WarmRuns:    cfg.WarmRuns,
 	}
 	for _, w := range []allocWorkload{
-		{name: "eva-view-served", mode: eva.ModeEVA, setup: allocSetup, query: allocQuery, rows: scannedFrames},
+		viewServed,
 		{name: "funcache-warm", mode: eva.ModeFunCache, setup: allocSetup, query: allocQuery, rows: scannedFrames},
 		evalPath,
 	} {
@@ -320,16 +317,11 @@ func RunAllocBench(cfg AllocBenchConfig) (*AllocResult, error) {
 	return res, nil
 }
 
-// JSON renders the result as indented JSON (BENCH_alloc.json).
-func (r *AllocResult) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
-}
-
 // ExpAlloc is the cmd/vbench experiment wrapper.
-func ExpAlloc(ExpConfig) (string, error) {
+func ExpAlloc(ExpConfig) (Report, error) {
 	res, err := RunAllocBench(DefaultAllocBench())
 	if err != nil {
-		return "", err
+		return Report{}, err
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "warm hot path, marginal over %d extra rows, %d runs per sample\n",
@@ -342,5 +334,5 @@ func ExpAlloc(ExpConfig) (string, error) {
 			c.Mode, c.AllocsPerRow, c.BytesPerRow, c.PoolHits, c.PoolMisses, c.PoolPuts)
 	}
 	fmt.Fprintf(&sb, "matrix: %d cells, all digests identical\n", len(res.Matrix))
-	return sb.String(), nil
+	return Report{Text: sb.String(), Data: res}, nil
 }

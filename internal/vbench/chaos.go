@@ -1,9 +1,7 @@
 package vbench
 
 import (
-	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -102,42 +100,16 @@ func chaosDigest(workers int, regime string, seed uint64) (string, int, int, int
 	chaosRegimeRules(inj, regime, seed)
 	sys.InjectFaults(inj)
 
+	rows, answered := runQueries(sys, chaosWorkload)
 	var out strings.Builder
-	failed := 0
-	for i, q := range chaosWorkload {
-		res, err := sys.Exec(q)
-		fmt.Fprintf(&out, "== query %d ==\n", i+1)
-		if err != nil {
-			failed++
-			fmt.Fprintf(&out, "error: %v\n", err)
-			continue
-		}
-		out.WriteString(eva.Format(res.Rows))
-		fmt.Fprintf(&out, "simtime: %d\n", res.SimTime)
-	}
-	views := sys.ViewRows()
-	names := make([]string, 0, len(views))
-	for n := range views {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(&out, "view %s: %d rows\n", n, views[n])
-	}
-	counters := sys.UDFCounters()
-	cnames := make([]string, 0, len(counters))
-	for n := range counters {
-		cnames = append(cnames, n)
-	}
-	sort.Strings(cnames)
-	for _, n := range cnames {
-		fmt.Fprintf(&out, "udf %s: %+v\n", n, counters[n])
-	}
-	fmt.Fprintf(&out, "hit%%: %.6f\n", sys.HitPercentage())
+	out.WriteString(rows)
+	out.WriteString(sortedLines("view", sys.ViewRows()))
+	out.WriteString(sortedLines("udf", sys.UDFCounters()))
+	fmt.Fprintf(&out, "hit%%: %.6f\nsimtime: %d\n", sys.HitPercentage(), sys.SimulatedTime())
 	for _, ev := range inj.EventsSorted() {
 		fmt.Fprintf(&out, "fault %+v\n", ev)
 	}
-	return out.String(), inj.Injected(), failed, int64(sys.SimulatedTime()), nil
+	return out.String(), inj.Injected(), len(chaosWorkload) - answered, int64(sys.SimulatedTime()), nil
 }
 
 // RunChaosBench replays the workload under every (regime, seed) cell
@@ -184,16 +156,11 @@ func RunChaosBench(cfg ChaosBenchConfig) (*ChaosResult, error) {
 	return res, nil
 }
 
-// JSON renders the result as indented JSON (BENCH_chaos.json).
-func (r *ChaosResult) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
-}
-
 // ExpChaos is the cmd/vbench experiment wrapper.
-func ExpChaos(ExpConfig) (string, error) {
+func ExpChaos(ExpConfig) (Report, error) {
 	res, err := RunChaosBench(DefaultChaosBench())
 	if err != nil {
-		return "", err
+		return Report{}, err
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%d queries × %d fault cells, workers %v — all digests byte-identical to serial\n",
@@ -205,5 +172,5 @@ func ExpChaos(ExpConfig) (string, error) {
 			c.Regime, c.Seed, c.Injected, c.FailedQueries,
 			time.Duration(c.SimNs).Round(time.Millisecond))
 	}
-	return sb.String(), nil
+	return Report{Text: sb.String(), Data: res}, nil
 }

@@ -1,11 +1,9 @@
 package vbench
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -85,26 +83,6 @@ type EvictResult struct {
 	WarmNsP99 int64 `json:"warm_ns_p99"`
 }
 
-// evictRunWorkload executes the workload and returns the output digest
-// (rows or error text per query) plus the number of queries that
-// returned rows. View row counts are deliberately excluded: eviction
-// legitimately empties cold caches without changing any answer.
-func evictRunWorkload(sys *eva.System) (string, int) {
-	var out strings.Builder
-	survived := 0
-	for i, q := range evictWorkload {
-		res, err := sys.Exec(q)
-		fmt.Fprintf(&out, "== query %d ==\n", i+1)
-		if err != nil {
-			fmt.Fprintf(&out, "error: %v\n", err)
-			continue
-		}
-		survived++
-		out.WriteString(eva.Format(res.Rows))
-	}
-	return out.String(), survived
-}
-
 // chargedFootprint sums the budget-charged artifacts under dir and
 // returns the largest single view log.
 func chargedFootprint(dir string) (total, largest int64, err error) {
@@ -152,9 +130,11 @@ func RunEvictBench() (*EvictResult, error) {
 		baseSys.Close()
 		return nil, err
 	}
-	baseCold, _ := evictRunWorkload(baseSys)
+	// The digests are the answers alone, not view row counts: eviction
+	// legitimately empties cold caches without changing any answer.
+	baseCold, _ := runQueries(baseSys, evictWorkload)
 	warmStart := baseSys.SimulatedTime()
-	baseWarm, _ := evictRunWorkload(baseSys)
+	baseWarm, _ := runQueries(baseSys, evictWorkload)
 	res.BaselineWarmNs = int64(baseSys.SimulatedTime() - warmStart)
 	if err := baseSys.Close(); err != nil {
 		return nil, err
@@ -212,16 +192,8 @@ func RunEvictBench() (*EvictResult, error) {
 		return nil, fmt.Errorf("vbench: no budget level forced an eviction — the ladder went unexercised")
 	}
 
-	sorted := append([]int64(nil), warmTimes...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	pct := func(p float64) int64 {
-		if len(sorted) == 0 {
-			return 0
-		}
-		return sorted[int(p*float64(len(sorted)-1))]
-	}
-	res.WarmNsP50 = pct(0.50)
-	res.WarmNsP99 = pct(0.99)
+	res.WarmNsP50 = percentile(warmTimes, 50)
+	res.WarmNsP99 = percentile(warmTimes, 99)
 	return res, nil
 }
 
@@ -240,9 +212,9 @@ func runEvictCell(name string, budget int64, baseCold, baseWarm string) (*EvictC
 	if err := sys.LoadVideo("video", "jackson"); err != nil {
 		return nil, err
 	}
-	cold, coldOK := evictRunWorkload(sys)
+	cold, coldOK := runQueries(sys, evictWorkload)
 	warmStart := sys.SimulatedTime()
-	warm, warmOK := evictRunWorkload(sys)
+	warm, warmOK := runQueries(sys, evictWorkload)
 	cell := &EvictCell{
 		Level:           name,
 		BudgetBytes:     budget,
@@ -259,16 +231,11 @@ func runEvictCell(name string, budget int64, baseCold, baseWarm string) (*EvictC
 	return cell, nil
 }
 
-// JSON renders the result as indented JSON (BENCH_evict.json).
-func (r *EvictResult) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
-}
-
 // ExpEvict is the cmd/vbench experiment wrapper.
-func ExpEvict(ExpConfig) (string, error) {
+func ExpEvict(ExpConfig) (Report, error) {
 	res, err := RunEvictBench()
 	if err != nil {
-		return "", err
+		return Report{}, err
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%d queries × %d budget levels — every cell answered baseline-identical rows\n",
@@ -287,5 +254,5 @@ func ExpEvict(ExpConfig) (string, error) {
 	fmt.Fprintf(&sb, "warm simtime p50 %s, p99 %s\n",
 		time.Duration(res.WarmNsP50).Round(time.Millisecond),
 		time.Duration(res.WarmNsP99).Round(time.Millisecond))
-	return sb.String(), nil
+	return Report{Text: sb.String(), Data: res}, nil
 }

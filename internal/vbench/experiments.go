@@ -34,12 +34,23 @@ func (c ExpConfig) scale(ds vision.Dataset) vision.Dataset {
 	return ds
 }
 
+// Report is what every experiment returns: the table cmd/vbench prints
+// and, for the experiments that have a committed JSON baseline, the
+// value that baseline is the indented encoding of.
+type Report struct {
+	Text string
+	Data any // nil for the text-only paper tables and figures
+}
+
 // Experiment regenerates one table or figure of the paper.
 type Experiment struct {
 	ID    string
 	Title string
 	Paper string // the paper's headline result, for EXPERIMENTS.md
-	Run   func(cfg ExpConfig) (string, error)
+	// Baseline names the committed file Report.Data regenerates
+	// (`vbench -exp ID -json Baseline`); empty when Data is nil.
+	Baseline string
+	Run      func(cfg ExpConfig) (Report, error)
 }
 
 // Experiments lists every reproduced table and figure, in paper order.
@@ -59,13 +70,13 @@ func Experiments() []Experiment {
 		{ID: "fig12", Title: "Fig. 12 — Impact of Video Length", Paper: "speedup does not drop with length; slight increase on LONG (denser frames)", Run: ExpFig12},
 		{ID: "filters", Title: "§5.6 — Complementing Specialized Filters", Paper: "EVA+Filter ≈1.3× over EVA on JACKSON", Run: ExpFilters},
 		{ID: "storage", Title: "§5.2 — Storage Footprint", Paper: "≤0.09% extra storage (1.001× total)", Run: ExpStorage},
-		{ID: "parallel", Title: "Parallel executor — wall-clock speedup (scan+UDF)", Paper: "engine extension (DESIGN.md §10): wall-clock speedup at identical simulated time", Run: ExpParallel},
-		{ID: "chaos", Title: "Chaos differential — fault determinism across worker counts", Paper: "engine extension (DESIGN.md §9–10): fault-injected runs byte-identical at every worker count", Run: ExpChaos},
-		{ID: "server", Title: "Serving layer — open-loop multi-session load", Paper: "engine extension (DESIGN.md §11): admitted/shed counts, virtual queue-wait percentiles, throughput", Run: ExpServer},
-		{ID: "ingest", Title: "Streaming ingestion — throughput, checkpoint lag, recovery", Paper: "engine extension (DESIGN.md §12): frames/s, checkpoint lag percentiles, reopen time vs log length", Run: ExpIngest},
-		{ID: "alloc", Title: "Pooled batches — warm hot-path allocations per row", Paper: "engine extension (DESIGN.md §13): marginal allocs/row ~0 on the warm view-served path, pooled/unpooled digests identical", Run: ExpAlloc},
-		{ID: "scrub", Title: "Self-healing views — salvage, symbolic repair, compaction", Paper: "engine extension (DESIGN.md §15): rows salvaged vs recomputed per corruption site, repair simtime percentiles, compaction amplification", Run: ExpScrub},
-		{ID: "evict", Title: "Disk-pressure survival — storage budgets and benefit-ranked eviction", Paper: "engine extension (DESIGN.md §16): bytes reclaimed per ladder tier, evict-then-recompute simtime, queries survived per budget level", Run: ExpEvict},
+		{ID: "parallel", Title: "Parallel executor — wall-clock speedup (scan+UDF)", Paper: "engine extension (DESIGN.md §10): wall-clock speedup at identical simulated time", Baseline: "BENCH_parallel.json", Run: ExpParallel},
+		{ID: "chaos", Title: "Chaos differential — fault determinism across worker counts", Paper: "engine extension (DESIGN.md §9–10): fault-injected runs byte-identical at every worker count", Baseline: "BENCH_chaos.json", Run: ExpChaos},
+		{ID: "server", Title: "Serving layer — open-loop multi-session load", Paper: "engine extension (DESIGN.md §11): admitted/shed counts, virtual queue-wait percentiles, throughput", Baseline: "BENCH_server.json", Run: ExpServer},
+		{ID: "ingest", Title: "Streaming ingestion — throughput, checkpoint lag, recovery", Paper: "engine extension (DESIGN.md §12): frames/s, checkpoint lag percentiles, reopen time vs log length", Baseline: "BENCH_ingest.json", Run: ExpIngest},
+		{ID: "alloc", Title: "Pooled batches — warm hot-path allocations per row", Paper: "engine extension (DESIGN.md §13): marginal allocs/row ~0 on the warm view-served path, pooled/unpooled digests identical", Baseline: "BENCH_alloc.json", Run: ExpAlloc},
+		{ID: "scrub", Title: "Self-healing views — salvage, symbolic repair, compaction", Paper: "engine extension (DESIGN.md §15): rows salvaged vs recomputed per corruption site, repair simtime percentiles, compaction amplification", Baseline: "BENCH_scrub.json", Run: ExpScrub},
+		{ID: "evict", Title: "Disk-pressure survival — storage budgets and benefit-ranked eviction", Paper: "engine extension (DESIGN.md §16): bytes reclaimed per ladder tier, evict-then-recompute simtime, queries survived per budget level", Baseline: "BENCH_evict.json", Run: ExpEvict},
 	}
 }
 
@@ -82,7 +93,7 @@ func ExperimentByID(id string) (Experiment, error) {
 // --- Table 2 ---
 
 // ExpTable2 reproduces the hit-percentage comparison.
-func ExpTable2(cfg ExpConfig) (string, error) {
+func ExpTable2(cfg ExpConfig) (Report, error) {
 	ds := cfg.scale(vision.MediumUADetrac)
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-14s | %-10s | %-10s | %-10s\n", "Hit %", "HashStash", "FunCache", "EVA")
@@ -90,25 +101,25 @@ func ExpTable2(cfg ExpConfig) (string, error) {
 	for _, wl := range []Workload{LowWorkload(ds), HighWorkload(ds)} {
 		row := []float64{}
 		for _, mode := range []eva.SystemMode{eva.ModeHashStash, eva.ModeFunCache, eva.ModeEVA} {
-			m, err := RunWorkload(mode, wl, Options{})
+			m, err := RunWorkload(eva.Config{Mode: mode}, wl)
 			if err != nil {
-				return "", err
+				return Report{}, err
 			}
 			row = append(row, m.HitPct)
 		}
 		fmt.Fprintf(&sb, "%-14s | %10.2f | %10.2f | %10.2f\n", wl.Name, row[0], row[1], row[2])
 	}
-	return sb.String(), nil
+	return Report{Text: sb.String()}, nil
 }
 
 // --- Table 3 ---
 
 // ExpTable3 reproduces the UDF invocation statistics under No-Reuse.
-func ExpTable3(cfg ExpConfig) (string, error) {
+func ExpTable3(cfg ExpConfig) (Report, error) {
 	ds := cfg.scale(vision.MediumUADetrac)
-	m, err := RunWorkload(eva.ModeNoReuse, HighWorkload(ds), Options{})
+	m, err := RunWorkload(eva.Config{Mode: eva.ModeNoReuse}, HighWorkload(ds))
 	if err != nil {
-		return "", err
+		return Report{}, err
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-22s | %8s | %9s | %9s | %7s\n", "UDF", "C_u (ms)", "#DI", "#TI", "Device")
@@ -130,7 +141,7 @@ func ExpTable3(cfg ExpConfig) (string, error) {
 	}
 	bound := SpeedupBound(m.UDFStats, profileCost)
 	fmt.Fprintf(&sb, "\nEq. 7 workload speedup bound: %.2fx (paper: 4.11x)\n", bound)
-	return sb.String(), nil
+	return Report{Text: sb.String()}, nil
 }
 
 func profileCost(name string) time.Duration {
@@ -145,16 +156,16 @@ func profileCost(name string) time.Duration {
 
 // ExpTable4 reproduces the fine-grained time breakdown of Q8 under
 // No-Reuse and EVA.
-func ExpTable4(cfg ExpConfig) (string, error) {
+func ExpTable4(cfg ExpConfig) (Report, error) {
 	ds := cfg.scale(vision.MediumUADetrac)
 	wl := HighWorkload(ds)
-	nr, err := RunWorkload(eva.ModeNoReuse, wl, Options{})
+	nr, err := RunWorkload(eva.Config{Mode: eva.ModeNoReuse}, wl)
 	if err != nil {
-		return "", err
+		return Report{}, err
 	}
-	ev, err := RunWorkload(eva.ModeEVA, wl, Options{})
+	ev, err := RunWorkload(eva.Config{Mode: eva.ModeEVA}, wl)
 	if err != nil {
-		return "", err
+		return Report{}, err
 	}
 	q8 := len(wl.Queries) - 1
 	var sb strings.Builder
@@ -172,30 +183,30 @@ func ExpTable4(cfg ExpConfig) (string, error) {
 	}
 	row("No-Reuse", nr.Queries[q8].Breakdown)
 	row("EVA", ev.Queries[q8].Breakdown)
-	return sb.String(), nil
+	return Report{Text: sb.String()}, nil
 }
 
 // --- Table 5 ---
 
 // ExpTable5 reports the physical detector statistics.
-func ExpTable5(ExpConfig) (string, error) {
+func ExpTable5(ExpConfig) (Report, error) {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-22s | %8s | %8s | %8s\n", "Model", "C_u (ms)", "boxAP", "Accuracy")
 	sb.WriteString(strings.Repeat("-", 58) + "\n")
 	for _, p := range vision.ProfilesForLogical(vision.LogicalObjectDetector) {
 		fmt.Fprintf(&sb, "%-22s | %8d | %8.1f | %8s\n", p.Name, p.Cost.Milliseconds(), p.BoxAP, p.Accuracy)
 	}
-	return sb.String(), nil
+	return Report{Text: sb.String()}, nil
 }
 
 // --- Fig. 5 ---
 
 // ExpFig5 reproduces the workload-speedup comparison.
-func ExpFig5(cfg ExpConfig) (string, error) {
+func ExpFig5(cfg ExpConfig) (Report, error) {
 	return speedupFigure(cfg.scale(vision.MediumUADetrac))
 }
 
-func speedupFigure(ds vision.Dataset) (string, error) {
+func speedupFigure(ds vision.Dataset) (Report, error) {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-14s | %-9s | %-9s | %-9s | %-9s | %s\n", "Speedup", "No-Reuse", "HashStash", "FunCache", "EVA", "No-Reuse time")
 	sb.WriteString(strings.Repeat("-", 80) + "\n")
@@ -203,9 +214,9 @@ func speedupFigure(ds vision.Dataset) (string, error) {
 		var base *RunMetrics
 		row := make([]float64, 0, 4)
 		for _, mode := range Systems() {
-			m, err := RunWorkload(mode, wl, Options{})
+			m, err := RunWorkload(eva.Config{Mode: mode}, wl)
 			if err != nil {
-				return "", err
+				return Report{}, err
 			}
 			if mode == eva.ModeNoReuse {
 				base = m
@@ -215,18 +226,18 @@ func speedupFigure(ds vision.Dataset) (string, error) {
 		fmt.Fprintf(&sb, "%-14s | %9.2f | %9.2f | %9.2f | %9.2f | %.2f h\n",
 			wl.Name, row[0], row[1], row[2], row[3], base.SimTotal.Hours())
 	}
-	return sb.String(), nil
+	return Report{Text: sb.String()}, nil
 }
 
 // --- Fig. 6 ---
 
 // ExpFig6 reproduces the per-query time breakdown of VBENCH-HIGH under
 // EVA and the overhead-source summary.
-func ExpFig6(cfg ExpConfig) (string, error) {
+func ExpFig6(cfg ExpConfig) (Report, error) {
 	ds := cfg.scale(vision.MediumUADetrac)
-	m, err := RunWorkload(eva.ModeEVA, HighWorkload(ds), Options{})
+	m, err := RunWorkload(eva.Config{Mode: eva.ModeEVA}, HighWorkload(ds))
 	if err != nil {
-		return "", err
+		return Report{}, err
 	}
 	var sb strings.Builder
 	sb.WriteString("(a) per-query time (s): UDF vs reuse (read view + mat + apply) vs other\n")
@@ -242,64 +253,64 @@ func ExpFig6(cfg ExpConfig) (string, error) {
 	for _, cat := range []simclock.Category{simclock.CatMaterialize, simclock.CatOptimize, simclock.CatApply, simclock.CatReadVideo, simclock.CatReadView} {
 		fmt.Fprintf(&sb, "  %-14s %8.2f\n", cat, m.CategoryBreakdown(cat).Seconds())
 	}
-	return sb.String(), nil
+	return Report{Text: sb.String()}, nil
 }
 
 // --- Fig. 11 / Fig. 12 / filters / storage ---
 
 // ExpFig11 reruns the speedup comparison on the JACKSON dataset.
-func ExpFig11(cfg ExpConfig) (string, error) {
+func ExpFig11(cfg ExpConfig) (Report, error) {
 	return speedupFigure(cfg.scale(vision.Jackson))
 }
 
 // ExpFig12 reproduces the video-length sweep.
-func ExpFig12(cfg ExpConfig) (string, error) {
+func ExpFig12(cfg ExpConfig) (Report, error) {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-18s | %-12s | %-14s\n", "Dataset", "EVA speedup", "vehicles/frame")
 	sb.WriteString(strings.Repeat("-", 50) + "\n")
 	for _, base := range []vision.Dataset{vision.ShortUADetrac, vision.MediumUADetrac, vision.LongUADetrac} {
 		ds := cfg.scale(base)
 		wl := HighWorkload(ds)
-		nr, err := RunWorkload(eva.ModeNoReuse, wl, Options{})
+		nr, err := RunWorkload(eva.Config{Mode: eva.ModeNoReuse}, wl)
 		if err != nil {
-			return "", err
+			return Report{}, err
 		}
-		ev, err := RunWorkload(eva.ModeEVA, wl, Options{})
+		ev, err := RunWorkload(eva.Config{Mode: eva.ModeEVA}, wl)
 		if err != nil {
-			return "", err
+			return Report{}, err
 		}
 		fmt.Fprintf(&sb, "%-18s | %12.2f | %14.2f\n", base.Name, ev.Speedup(nr), ds.AvgObjectsPerFrame(2000))
 	}
-	return sb.String(), nil
+	return Report{Text: sb.String()}, nil
 }
 
 // ExpFilters reproduces the specialized-filter experiment (§5.6).
-func ExpFilters(cfg ExpConfig) (string, error) {
+func ExpFilters(cfg ExpConfig) (Report, error) {
 	ds := cfg.scale(vision.Jackson)
 	wl := HighWorkload(ds)
-	plain, err := RunWorkload(eva.ModeEVA, wl, Options{})
+	plain, err := RunWorkload(eva.Config{Mode: eva.ModeEVA}, wl)
 	if err != nil {
-		return "", err
+		return Report{}, err
 	}
-	filtered, err := RunWorkload(eva.ModeEVA, WithFilter(wl), Options{})
+	filtered, err := RunWorkload(eva.Config{Mode: eva.ModeEVA}, WithFilter(wl))
 	if err != nil {
-		return "", err
+		return Report{}, err
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "EVA:        %8.0f s\n", plain.SimTotal.Seconds())
 	fmt.Fprintf(&sb, "EVA+Filter: %8.0f s  (%.2fx)\n", filtered.SimTotal.Seconds(),
 		plain.SimTotal.Seconds()/filtered.SimTotal.Seconds())
-	return sb.String(), nil
+	return Report{Text: sb.String()}, nil
 }
 
 // ExpStorage reproduces the storage-footprint measurement (§5.2).
-func ExpStorage(cfg ExpConfig) (string, error) {
+func ExpStorage(cfg ExpConfig) (Report, error) {
 	ds := cfg.scale(vision.MediumUADetrac)
 	var sb strings.Builder
 	for _, wl := range []Workload{LowWorkload(ds), HighWorkload(ds)} {
-		m, err := RunWorkload(eva.ModeEVA, wl, Options{})
+		m, err := RunWorkload(eva.Config{Mode: eva.ModeEVA}, wl)
 		if err != nil {
-			return "", err
+			return Report{}, err
 		}
 		fmt.Fprintf(&sb, "%-14s views %6.1f MiB, dataset %6.1f GiB, overhead %.4f%% (%.5fx total)\n",
 			wl.Name,
@@ -308,5 +319,5 @@ func ExpStorage(cfg ExpConfig) (string, error) {
 			100*float64(m.ViewBytes)/float64(m.VideoVirtualBytes),
 			1+float64(m.ViewBytes)/float64(m.VideoVirtualBytes))
 	}
-	return sb.String(), nil
+	return Report{Text: sb.String()}, nil
 }

@@ -1,6 +1,9 @@
 package vbench
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -10,11 +13,17 @@ import (
 // smallCfg runs experiments at 1/20 scale for fast tests.
 var smallCfg = ExpConfig{Scale: 0.05}
 
+// text unwraps an experiment's printed table.
+func text(rep Report, err error) (string, error) { return rep.Text, err }
+
 func TestExperimentRegistry(t *testing.T) {
 	exps := Experiments()
 	if len(exps) != 21 {
 		t.Fatalf("experiments = %d, want 21 (every table and figure, plus the parallel, chaos, server, ingest, alloc, scrub and evict extensions)", len(exps))
 	}
+	// The experiments whose Report carries Data: each names the committed
+	// file that Data regenerates, and no other experiment names one.
+	withData := map[string]bool{"parallel": true, "chaos": true, "server": true, "ingest": true, "alloc": true, "scrub": true, "evict": true}
 	seen := map[string]bool{}
 	for _, e := range exps {
 		if e.ID == "" || e.Title == "" || e.Paper == "" || e.Run == nil {
@@ -24,6 +33,20 @@ func TestExperimentRegistry(t *testing.T) {
 			t.Errorf("duplicate experiment id %s", e.ID)
 		}
 		seen[e.ID] = true
+		want := ""
+		if withData[e.ID] {
+			want = "BENCH_" + e.ID + ".json"
+			if _, err := os.Stat(filepath.Join("..", "..", want)); err != nil {
+				t.Errorf("%s: baseline not committed: %v", e.ID, err)
+			}
+		}
+		if e.Baseline != want {
+			t.Errorf("%s: Baseline = %q, want %q", e.ID, e.Baseline, want)
+		}
+		delete(withData, e.ID)
+	}
+	if len(withData) != 0 {
+		t.Errorf("data experiments not registered: %v", withData)
 	}
 	if _, err := ExperimentByID("table2"); err != nil {
 		t.Error(err)
@@ -33,8 +56,44 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 }
 
+// TestReportDataMatchesBaseline runs the experiments that are cheap and
+// deterministic on any machine: Data is present exactly where the
+// registry names a baseline, and encodes to the committed bytes.
+func TestReportDataMatchesBaseline(t *testing.T) {
+	for _, id := range []string{"table5", "chaos", "scrub", "evict"} {
+		e, err := ExperimentByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := e.Run(smallCfg)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if rep.Text == "" {
+			t.Errorf("%s: empty text", id)
+		}
+		if (rep.Data != nil) != (e.Baseline != "") {
+			t.Fatalf("%s: Data = %v with Baseline %q", id, rep.Data, e.Baseline)
+		}
+		if rep.Data == nil {
+			continue
+		}
+		got, err := json.MarshalIndent(rep.Data, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("..", "..", e.Baseline))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got)+"\n" != string(want) {
+			t.Errorf("%s: regenerated data differs from the committed %s", id, e.Baseline)
+		}
+	}
+}
+
 func TestExpTable2SmallScale(t *testing.T) {
-	out, err := ExpTable2(smallCfg)
+	out, err := text(ExpTable2(smallCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +103,7 @@ func TestExpTable2SmallScale(t *testing.T) {
 }
 
 func TestExpTable3And5(t *testing.T) {
-	out, err := ExpTable3(smallCfg)
+	out, err := text(ExpTable3(smallCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +112,7 @@ func TestExpTable3And5(t *testing.T) {
 			t.Errorf("table 3 missing %q:\n%s", want, out)
 		}
 	}
-	out, err = ExpTable5(smallCfg)
+	out, err = text(ExpTable5(smallCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +124,7 @@ func TestExpTable3And5(t *testing.T) {
 }
 
 func TestExpTable4(t *testing.T) {
-	out, err := ExpTable4(smallCfg)
+	out, err := text(ExpTable4(smallCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,14 +134,14 @@ func TestExpTable4(t *testing.T) {
 }
 
 func TestExpFig5AndFig6(t *testing.T) {
-	out, err := ExpFig5(smallCfg)
+	out, err := text(ExpFig5(smallCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "Speedup") {
 		t.Errorf("fig5 output:\n%s", out)
 	}
-	out, err = ExpFig6(smallCfg)
+	out, err = text(ExpFig6(smallCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +181,7 @@ func TestFig7PointsShape(t *testing.T) {
 }
 
 func TestExpFig8Fig9(t *testing.T) {
-	out, err := ExpFig8(smallCfg)
+	out, err := text(ExpFig8(smallCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,21 +209,21 @@ func TestExpFig8Fig9(t *testing.T) {
 }
 
 func TestExpFig10Through12(t *testing.T) {
-	out, err := ExpFig10(smallCfg)
+	out, err := text(ExpFig10(smallCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "MinCost") {
 		t.Errorf("fig10 output:\n%s", out)
 	}
-	out, err = ExpFig11(smallCfg)
+	out, err = text(ExpFig11(smallCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "vbench-high") {
 		t.Errorf("fig11 output:\n%s", out)
 	}
-	out, err = ExpFig12(ExpConfig{Scale: 0.02})
+	out, err = text(ExpFig12(ExpConfig{Scale: 0.02}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,14 +233,14 @@ func TestExpFig10Through12(t *testing.T) {
 }
 
 func TestExpFiltersAndStorage(t *testing.T) {
-	out, err := ExpFilters(smallCfg)
+	out, err := text(ExpFilters(smallCfg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "EVA+Filter") {
 		t.Errorf("filters output:\n%s", out)
 	}
-	out, err = ExpStorage(smallCfg)
+	out, err = text(ExpStorage(smallCfg))
 	if err != nil {
 		t.Fatal(err)
 	}

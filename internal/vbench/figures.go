@@ -32,11 +32,11 @@ type Fig7Point struct {
 // reducer (Algorithm 1) and the opaque-atom Quine–McCluskey `simplify`
 // baseline, counting atomic formulae of the intersection, difference,
 // and union predicates.
-func ExpFig7(cfg ExpConfig) (string, error) {
+func ExpFig7(cfg ExpConfig) (Report, error) {
 	ds := cfg.scale(vision.MediumUADetrac)
 	points, err := Fig7Points(HighWorkload(ds))
 	if err != nil {
-		return "", err
+		return Report{}, err
 	}
 	agg := map[string]*struct {
 		evaMax, simMax   int
@@ -72,12 +72,12 @@ func ExpFig7(cfg ExpConfig) (string, error) {
 		}
 		fmt.Fprintf(&sb, "%-22s | %9d | %9d | %12d | %13d\n", u, a.evaMax, a.evaLast, a.simMax, a.simLast)
 	}
-	return sb.String(), nil
+	return Report{Text: sb.String()}, nil
 }
 
 // Fig7Points computes the raw Fig. 7 series for a workload.
 func Fig7Points(w Workload) ([]Fig7Point, error) {
-	m, err := RunWorkload(eva.ModeEVA, w, Options{})
+	m, err := RunWorkload(eva.Config{Mode: eva.ModeEVA}, w)
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +260,7 @@ func exprFromQM(res symbolic.QMResult, raw expr.Expr, atoms map[string]expr.Expr
 
 // ExpFig8 runs the four VBENCH-HIGH permutations under HashStash and
 // EVA and reports the view-convergence series for the last permutation.
-func ExpFig8(cfg ExpConfig) (string, error) {
+func ExpFig8(cfg ExpConfig) (Report, error) {
 	ds := cfg.scale(vision.MediumUADetrac)
 	base := HighWorkload(ds)
 	var sb strings.Builder
@@ -271,15 +271,15 @@ func ExpFig8(cfg ExpConfig) (string, error) {
 	for i, perm := range Permutations {
 		w, err := Permute(base, perm)
 		if err != nil {
-			return "", err
+			return Report{}, err
 		}
-		hs, err := RunWorkload(eva.ModeHashStash, w, Options{})
+		hs, err := RunWorkload(eva.Config{Mode: eva.ModeHashStash}, w)
 		if err != nil {
-			return "", err
+			return Report{}, err
 		}
-		ev, err := RunWorkload(eva.ModeEVA, w, Options{})
+		ev, err := RunWorkload(eva.Config{Mode: eva.ModeEVA}, w)
 		if err != nil {
-			return "", err
+			return Report{}, err
 		}
 		lastEVA = ev
 		fmt.Fprintf(&sb, "%-6d | %10.0f | %10.0f | %.2fx\n", i+1,
@@ -308,7 +308,7 @@ func ExpFig8(cfg ExpConfig) (string, error) {
 		}
 		sb.WriteString("\n")
 	}
-	return sb.String(), nil
+	return Report{Text: sb.String()}, nil
 }
 
 // --- Fig. 9: materialization-aware predicate reordering ---
@@ -333,11 +333,11 @@ func Fig9Rows(cfg ExpConfig) ([]Fig9Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		canon, err := RunWorkload(eva.ModeEVA, w, Options{CanonicalRanking: true})
+		canon, err := RunWorkload(eva.Config{Mode: eva.ModeEVA, CanonicalRanking: true}, w)
 		if err != nil {
 			return nil, err
 		}
-		aware, err := RunWorkload(eva.ModeEVA, w, Options{})
+		aware, err := RunWorkload(eva.Config{Mode: eva.ModeEVA}, w)
 		if err != nil {
 			return nil, err
 		}
@@ -362,10 +362,10 @@ func Fig9Rows(cfg ExpConfig) ([]Fig9Row, error) {
 }
 
 // ExpFig9 formats the reordering comparison.
-func ExpFig9(cfg ExpConfig) (string, error) {
+func ExpFig9(cfg ExpConfig) (Report, error) {
 	rows, err := Fig9Rows(cfg)
 	if err != nil {
-		return "", err
+		return Report{}, err
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-6s | %-12s | %-12s | %-8s | %s\n", "Query", "Canonical(s)", "Mat-aware(s)", "Speedup", "Same order?")
@@ -373,27 +373,27 @@ func ExpFig9(cfg ExpConfig) (string, error) {
 	for _, r := range rows {
 		fmt.Fprintf(&sb, "%-6s | %12.1f | %12.1f | %7.2fx | %v\n", r.Query, r.Canonical, r.MatAware, r.Speedup, r.SameOrder)
 	}
-	return sb.String(), nil
+	return Report{Text: sb.String()}, nil
 }
 
 // --- Fig. 10: logical UDF reuse ---
 
 // ExpFig10 compares Algorithm 2 against the Min-Cost baselines on the
 // logical workload.
-func ExpFig10(cfg ExpConfig) (string, error) {
+func ExpFig10(cfg ExpConfig) (Report, error) {
 	ds := cfg.scale(vision.MediumUADetrac)
 	wl := LogicalWorkload(ds)
-	noreuse, err := RunWorkload(eva.ModeNoReuse, wl, Options{MinCostLogical: true})
+	noreuse, err := RunWorkload(eva.Config{Mode: eva.ModeNoReuse, MinCostLogical: true}, wl)
 	if err != nil {
-		return "", err
+		return Report{}, err
 	}
-	mincost, err := RunWorkload(eva.ModeEVA, wl, Options{MinCostLogical: true})
+	mincost, err := RunWorkload(eva.Config{Mode: eva.ModeEVA, MinCostLogical: true}, wl)
 	if err != nil {
-		return "", err
+		return Report{}, err
 	}
-	evaRun, err := RunWorkload(eva.ModeEVA, wl, Options{})
+	evaRun, err := RunWorkload(eva.Config{Mode: eva.ModeEVA}, wl)
 	if err != nil {
-		return "", err
+		return Report{}, err
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-14s | %-16s | %-10s | %-8s | %s\n", "Query (s)", "MinCost-NoReuse", "MinCost", "EVA", "EVA vs MinCost")
@@ -408,7 +408,7 @@ func ExpFig10(cfg ExpConfig) (string, error) {
 		}
 		fmt.Fprintf(&sb, "%-14s | %16.1f | %10.1f | %8.1f | %.2fx\n", wl.Queries[i].Label, nr, mc, ev, ratio)
 	}
-	return sb.String(), nil
+	return Report{Text: sb.String()}, nil
 }
 
 func trueDatum() types.Datum { return types.NewBool(true) }

@@ -1,7 +1,6 @@
 package vbench
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"sort"
@@ -215,34 +214,19 @@ func RunIngestBench(cfg IngestBenchConfig) (*IngestResult, error) {
 	if ingestWall > 0 {
 		res.FramesPerSec = float64(cfg.Frames) / ingestWall.Seconds()
 	}
-	sort.Slice(lags, func(a, b int) bool { return lags[a] < lags[b] })
-	res.CkptLagP50Frames = pctInt64(lags, 50)
-	res.CkptLagP99Frames = pctInt64(lags, 99)
+	res.CkptLagP50Frames = percentile(lags, 50)
+	res.CkptLagP99Frames = percentile(lags, 99)
 	if st.Watermark != int64(cfg.Frames) {
 		return nil, fmt.Errorf("vbench: watermark %d != frames %d", st.Watermark, cfg.Frames)
 	}
 	return res, sys.Close()
 }
 
-// pctInt64 reads the p-th percentile of a sorted slice.
-func pctInt64(sorted []int64, p int) int64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := (len(sorted)-1)*p + 50
-	return sorted[idx/100]
-}
-
-// JSON renders the result as indented JSON (BENCH_ingest.json).
-func (r *IngestResult) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
-}
-
 // ExpIngest is the cmd/vbench experiment wrapper.
-func ExpIngest(ExpConfig) (string, error) {
+func ExpIngest(ExpConfig) (Report, error) {
 	res, err := RunIngestBench(DefaultIngestBench())
 	if err != nil {
-		return "", err
+		return Report{}, err
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%d frames in batches of %d, %d standing queries (window %d, cadence %d)\n",
@@ -253,5 +237,5 @@ func ExpIngest(ExpConfig) (string, error) {
 		fmt.Fprintf(&sb, "recovery at %d frames: reopen %.2fms, resumed from lsn %d\n",
 			rp.WatermarkFrames, rp.ReopenWallMs, rp.ResumedLSN)
 	}
-	return sb.String(), nil
+	return Report{Text: sb.String(), Data: res}, nil
 }

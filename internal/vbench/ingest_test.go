@@ -39,7 +39,4 @@ func TestRunIngestBenchSmall(t *testing.T) {
 	if res.FramesPerSec <= 0 {
 		t.Error("no throughput measured")
 	}
-	if _, err := res.JSON(); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -1,7 +1,6 @@
 package vbench
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -174,17 +173,12 @@ func runParallelCell(sys *eva.System, cfg ParallelBenchConfig) (time.Duration, i
 	return best, simNs, nil
 }
 
-// JSON renders the result as indented JSON (BENCH_parallel.json).
-func (r *ParallelResult) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
-}
-
 // ExpParallel is the cmd/vbench experiment wrapper: it runs the
 // benchmark and renders a table plus the JSON baseline.
-func ExpParallel(ExpConfig) (string, error) {
+func ExpParallel(ExpConfig) (Report, error) {
 	res, err := RunParallelBench(DefaultParallelBench())
 	if err != nil {
-		return "", err
+		return Report{}, err
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%d frames × %.1f ms blocking UDF, best of %d (sim time invariant: %s)\n",
@@ -195,5 +189,5 @@ func ExpParallel(ExpConfig) (string, error) {
 		fmt.Fprintf(&sb, "%-8d | %12s | %10d | %7.2fx | %7.2fx\n",
 			c.Workers, time.Duration(c.WallNs).Round(time.Millisecond), c.NsPerOp, c.Speedup, c.ModeledSpeedup)
 	}
-	return sb.String(), nil
+	return Report{Text: sb.String(), Data: res}, nil
 }

@@ -2,6 +2,9 @@ package vbench
 
 import (
 	"fmt"
+	"maps"
+	"slices"
+	"strings"
 	"time"
 
 	"eva"
@@ -27,7 +30,6 @@ type QueryMetrics struct {
 
 // RunMetrics captures a whole workload run.
 type RunMetrics struct {
-	System    eva.SystemMode
 	Workload  string
 	Queries   []QueryMetrics
 	SimTotal  time.Duration
@@ -51,32 +53,11 @@ func (m *RunMetrics) Speedup(base *RunMetrics) float64 {
 	return base.SimTotal.Seconds() / m.SimTotal.Seconds()
 }
 
-// Options tunes a workload run.
-type Options struct {
-	// BatchSize overrides the scan batch size.
-	BatchSize int
-	// CanonicalRanking forces the Eq. 2 ranking (Fig. 9 baseline).
-	CanonicalRanking bool
-	// MinCostLogical forces Min-Cost logical binding (Fig. 10 baseline).
-	MinCostLogical bool
-	// DisableReduction disables Algorithm 1 (ablation).
-	DisableReduction bool
-	// Dir persists storage to the given directory instead of a
-	// temporary one.
-	Dir string
-}
-
-// RunWorkload executes the workload from a clean state under the given
-// system mode and returns its metrics.
-func RunWorkload(mode eva.SystemMode, w Workload, opts Options) (*RunMetrics, error) {
-	sys, err := eva.Open(eva.Config{
-		Dir:              opts.Dir,
-		Mode:             mode,
-		BatchSize:        opts.BatchSize,
-		CanonicalRanking: opts.CanonicalRanking,
-		MinCostLogical:   opts.MinCostLogical,
-		DisableReduction: opts.DisableReduction,
-	})
+// RunWorkload executes the workload from a clean state on a system
+// opened with cfg (cfg.Mode picks the comparison system) and returns its
+// metrics.
+func RunWorkload(cfg eva.Config, w Workload) (*RunMetrics, error) {
+	sys, err := eva.Open(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +66,7 @@ func RunWorkload(mode eva.SystemMode, w Workload, opts Options) (*RunMetrics, er
 		return nil, err
 	}
 
-	out := &RunMetrics{System: mode, Workload: w.Name}
+	out := &RunMetrics{Workload: w.Name}
 	for _, q := range w.Queries {
 		res, err := sys.Exec(q.SQL)
 		if err != nil {
@@ -114,6 +95,48 @@ func RunWorkload(mode eva.SystemMode, w Workload, opts Options) (*RunMetrics, er
 	return out, nil
 }
 
+// runQueries executes the statements in order and returns what a client
+// observes of them — each query's rows, or its error text — as one
+// digest, plus how many answered. Each result batch goes back to the
+// engine's pool once formatted, as a well-behaved client's would.
+func runQueries(sys *eva.System, queries []string) (digest string, answered int) {
+	var out strings.Builder
+	for i, q := range queries {
+		res, err := sys.Exec(q)
+		fmt.Fprintf(&out, "== query %d ==\n", i+1)
+		if err != nil {
+			fmt.Fprintf(&out, "error: %v\n", err)
+			continue
+		}
+		answered++
+		out.WriteString(eva.Format(res.Rows))
+		sys.Recycle(res.Rows)
+	}
+	return out.String(), answered
+}
+
+// sortedLines renders one "kind name: value" line per entry of m in
+// name order: per-view row counts and per-UDF counters enter a digest
+// through here, never in map order.
+func sortedLines[V any](kind string, m map[string]V) string {
+	var out strings.Builder
+	for _, name := range slices.Sorted(maps.Keys(m)) {
+		fmt.Fprintf(&out, "%s %s: %+v\n", kind, name, m[name])
+	}
+	return out.String()
+}
+
+// percentile reads the p-th percentile (0–100) of vals by the
+// lower-rank rule; 0 when there are none.
+func percentile(vals []int64, p int) int64 {
+	if len(vals) == 0 {
+		return 0
+	}
+	sorted := slices.Clone(vals)
+	slices.Sort(sorted)
+	return sorted[(len(sorted)-1)*p/100]
+}
+
 // SpeedupBound computes Eq. 7's upper bound on workload speedup from
 // no-reuse UDF demand statistics: ΣC_u over all invocations divided by
 // ΣC_u over distinct invocations (ignoring the reuse-cost term).
@@ -128,13 +151,6 @@ func SpeedupBound(stats map[string]udf.Stats, costOf func(string) time.Duration)
 		return 1
 	}
 	return all / distinct
-}
-
-// HitBreakdownRow is one Table 2 row.
-type HitBreakdownRow struct {
-	Workload string
-	System   eva.SystemMode
-	HitPct   float64
 }
 
 // Systems lists the comparison systems in the paper's presentation

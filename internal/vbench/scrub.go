@@ -1,7 +1,6 @@
 package vbench
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -120,26 +119,8 @@ func scrubFlip(dir string, frac float64) error {
 // scrubRunWorkload executes the workload and returns its output digest
 // (rows or error text per query, plus sorted view row counts).
 func scrubRunWorkload(sys *eva.System) string {
-	var out strings.Builder
-	for i, q := range scrubWorkload {
-		res, err := sys.Exec(q)
-		fmt.Fprintf(&out, "== query %d ==\n", i+1)
-		if err != nil {
-			fmt.Fprintf(&out, "error: %v\n", err)
-			continue
-		}
-		out.WriteString(eva.Format(res.Rows))
-	}
-	views := sys.ViewRows()
-	names := make([]string, 0, len(views))
-	for n := range views {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(&out, "view %s: %d rows\n", n, views[n])
-	}
-	return out.String()
+	rows, _ := runQueries(sys, scrubWorkload)
+	return rows + sortedLines("view", sys.ViewRows())
 }
 
 func scrubTotalRows(sys *eva.System) int {
@@ -195,17 +176,8 @@ func RunScrubBench() (*ScrubResult, error) {
 		res.Cells = append(res.Cells, *cell)
 	}
 
-	sorted := append([]int64(nil), repairTimes...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	pct := func(p float64) int64 {
-		if len(sorted) == 0 {
-			return 0
-		}
-		idx := int(p * float64(len(sorted)-1))
-		return sorted[idx]
-	}
-	res.RepairNsP50 = pct(0.50)
-	res.RepairNsP99 = pct(0.99)
+	res.RepairNsP50 = percentile(repairTimes, 50)
+	res.RepairNsP99 = percentile(repairTimes, 99)
 	var before, after int64
 	for _, c := range res.Cells {
 		before += c.CompactBytesBefore
@@ -268,16 +240,11 @@ func runScrubCell(dir, site string, frac float64, baseline string) (*ScrubCell, 
 	return cell, nil
 }
 
-// JSON renders the result as indented JSON (BENCH_scrub.json).
-func (r *ScrubResult) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
-}
-
 // ExpScrub is the cmd/vbench experiment wrapper.
-func ExpScrub(ExpConfig) (string, error) {
+func ExpScrub(ExpConfig) (Report, error) {
 	res, err := RunScrubBench()
 	if err != nil {
-		return "", err
+		return Report{}, err
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%d queries × %d corruption sites — every cell healed to the pristine digest\n",
@@ -298,5 +265,5 @@ func ExpScrub(ExpConfig) (string, error) {
 		time.Duration(res.RepairNsP50).Round(time.Millisecond),
 		time.Duration(res.RepairNsP99).Round(time.Millisecond),
 		res.CompactionAmplification)
-	return sb.String(), nil
+	return Report{Text: sb.String(), Data: res}, nil
 }

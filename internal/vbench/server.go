@@ -1,7 +1,6 @@
 package vbench
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -168,16 +167,11 @@ func RunServerBench(cfg ServerBenchConfig) (*ServerResult, error) {
 	return res, nil
 }
 
-// JSON renders the result as indented JSON (BENCH_server.json).
-func (r *ServerResult) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
-}
-
 // ExpServer is the cmd/vbench experiment wrapper.
-func ExpServer(ExpConfig) (string, error) {
+func ExpServer(ExpConfig) (Report, error) {
 	res, err := RunServerBench(DefaultServerBench())
 	if err != nil {
-		return "", err
+		return Report{}, err
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%d sessions × %d queries against %d tokens (queue %d, virtual timeout %s)\n",
@@ -188,5 +182,5 @@ func ExpServer(ExpConfig) (string, error) {
 	fmt.Fprintf(&sb, "virtual queue wait p50 %s, p99 %s\n",
 		time.Duration(res.QueueWaitP50Ns).Round(time.Microsecond),
 		time.Duration(res.QueueWaitP99Ns).Round(time.Microsecond))
-	return sb.String(), nil
+	return Report{Text: sb.String(), Data: res}, nil
 }

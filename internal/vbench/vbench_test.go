@@ -69,11 +69,11 @@ func TestPermute(t *testing.T) {
 
 func TestRunWorkloadEndToEnd(t *testing.T) {
 	w := HighWorkload(tinyUA)
-	noreuse, err := RunWorkload(eva.ModeNoReuse, w, Options{})
+	noreuse, err := RunWorkload(eva.Config{Mode: eva.ModeNoReuse}, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evaRun, err := RunWorkload(eva.ModeEVA, w, Options{})
+	evaRun, err := RunWorkload(eva.Config{Mode: eva.ModeEVA}, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestSystemsOrdering(t *testing.T) {
 	var rows map[eva.SystemMode]int
 	rows = map[eva.SystemMode]int{}
 	for _, mode := range Systems() {
-		m, err := RunWorkload(mode, w, Options{})
+		m, err := RunWorkload(eva.Config{Mode: mode}, w)
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
@@ -166,11 +166,11 @@ func TestLogicalWorkloadRuns(t *testing.T) {
 	if len(w.Queries) != 8 {
 		t.Fatal("logical workload should keep 8 queries")
 	}
-	m, err := RunWorkload(eva.ModeEVA, w, Options{})
+	m, err := RunWorkload(eva.Config{Mode: eva.ModeEVA}, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := RunWorkload(eva.ModeEVA, w, Options{MinCostLogical: true})
+	mc, err := RunWorkload(eva.Config{Mode: eva.ModeEVA, MinCostLogical: true}, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +188,11 @@ func TestWithFilterWorkload(t *testing.T) {
 	if len(filtered.Queries) != len(base.Queries) {
 		t.Fatal("filter variant changed query count")
 	}
-	plain, err := RunWorkload(eva.ModeEVA, base, Options{})
+	plain, err := RunWorkload(eva.Config{Mode: eva.ModeEVA}, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flt, err := RunWorkload(eva.ModeEVA, filtered, Options{})
+	flt, err := RunWorkload(eva.Config{Mode: eva.ModeEVA}, filtered)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestWithFilterWorkload(t *testing.T) {
 
 func TestSpeedupBoundSanity(t *testing.T) {
 	w := HighWorkload(tinyUA)
-	m, err := RunWorkload(eva.ModeNoReuse, w, Options{})
+	m, err := RunWorkload(eva.Config{Mode: eva.ModeNoReuse}, w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -192,10 +192,12 @@ func (sess *Session) dispatch(stmt parser.Statement) (*Result, error) {
 	}
 }
 
-// run sends one SELECT through the engine in this session — the only
-// entry into core.Engine.Execute. trace collects per-operator
-// statistics; mode.DryRun plans without executing. Every session but
-// the root runs the shared-view protocol.
+// run sends one SELECT through the engine in this session — the one
+// entry into core.Engine.Execute for statements. A standing query's
+// delta (ingest.StandingQuery.runDelta) is the other caller and goes
+// around the session: DESIGN.md §12 lists what it skips. trace collects
+// per-operator statistics; mode.DryRun plans without executing. Every
+// session but the root runs the shared-view protocol.
 func (sess *Session) run(stmt *parser.SelectStmt, mode optimizer.Mode, trace bool) (*core.Outcome, error) {
 	return sess.sys.eng.Execute(stmt, mode, core.ExecOpts{
 		Clock:    sess.clock,
