@@ -112,17 +112,15 @@ cover:
 # predicate: its codec (decode∘encode is the identity, arbitrary bytes
 # cost bounded memory and at worst an error) and the view-log replay
 # that carries it (torn, flipped, repeated or misplaced snapshot
-# records cost the snapshot, never the open); and the two
-# last-record-wins replays behind streaming ingest, the watermark log
-# and the standing-query checkpoint log (valid prefix in range, replay
-# of the accepted prefix is a fixed point, a regressing watermark is an
-# error).
+# records cost the snapshot, never the open); and the frame scanner
+# under every durable log (no panic, holes ascending and disjoint inside
+# the valid prefix, every record re-seals to its own bytes, the accepted
+# prefix is a fixed point).
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzReduce -fuzztime=5s ./internal/symbolic/
 	$(GO) test -run=^$$ -fuzz=FuzzDNFCodec -fuzztime=5s ./internal/symbolic/
 	$(GO) test -run=^$$ -fuzz=FuzzViewReplay -fuzztime=5s ./internal/storage/
-	$(GO) test -run=^$$ -fuzz=FuzzWatermarkReplay -fuzztime=5s ./internal/storage/
-	$(GO) test -run=^$$ -fuzz=FuzzCheckpointReplay -fuzztime=5s ./internal/ingest/
+	$(GO) test -run=^$$ -fuzz=FuzzFrameScan -fuzztime=5s ./internal/storage/
 	$(GO) test -run=^$$ -fuzz=FuzzProgramMatchesEval -fuzztime=5s ./internal/expr/
 	$(GO) test -run=^$$ -fuzz=FuzzSiteMatch -fuzztime=5s ./internal/faults/
 	$(GO) test -run=^$$ -fuzz=FuzzBatchPoolLifecycle -fuzztime=5s ./internal/types/

@@ -6,11 +6,11 @@
 // recomputing from frame zero.
 //
 // The failure model matches the view log (DESIGN.md §12): every
-// durable artifact is a checksummed append-only log with torn-tail
-// truncation on reopen, every write consults the deterministic fault
-// injector at a registered site, and a crash at any point followed by
-// reopen + resume replays exactly once from the checkpoint,
-// byte-matching an uninterrupted run.
+// durable artifact is a record log in the frame layout of §20, with
+// torn-tail truncation and salvage on reopen, every write consults the
+// deterministic fault injector at a registered site, and a crash at any
+// point followed by reopen + resume replays exactly once from the
+// checkpoint, byte-matching an uninterrupted run.
 package ingest
 
 import (
@@ -20,25 +20,18 @@ import (
 
 	"eva/internal/faults"
 	"eva/internal/storage"
-	"eva/internal/xxhash"
 )
 
-// Checkpoint log format: header (magic, version), then records of
-// [payloadLen:4][payload][xxhash64 over payload:8]. The payload is the
-// standing query's full progress state — last-processed LSN plus every
-// window count — so replay is last-valid-record-wins: no earlier
-// record needs to survive for correctness, and the log can be
-// truncated at any boundary without losing more than un-checkpointed
-// progress (which the delta executor re-derives).
+// Checkpoint log: a storage.CheckpointLog state log (DESIGN.md §20)
+// whose state is the standing query's full progress — last-processed
+// LSN, window count, then every (window id, count) — so replay is
+// last-valid-record-wins: no earlier record needs to survive for
+// correctness, and the log can be truncated at any boundary without
+// losing more than un-checkpointed progress (which the delta executor
+// re-derives).
 const (
-	ckptMagic   = 0x45564143 // "EVAC"
-	ckptVersion = 1
-
-	ckptHeaderLen   = 5
-	ckptRecOverhead = 12 // payloadLen + checksum
-	ckptMaxPayload  = 1 << 20
-	ckptStateFixed  = 12 // lsn + window count
-	ckptWindowSize  = 16 // window id + count
+	ckptStateFixed = 12 // lsn + window count
+	ckptWindowSize = 16 // window id + count
 
 	// ckptCompactRecords is the checkpoint log's retention tier: replay
 	// is last-valid-record-wins, so once this many records have
@@ -46,12 +39,6 @@ const (
 	// next append.
 	ckptCompactRecords = 8
 )
-
-// ckptHeader builds the checkpoint-log header bytes.
-func ckptHeader() []byte {
-	hdr := binary.LittleEndian.AppendUint32(make([]byte, 0, ckptHeaderLen), ckptMagic)
-	return append(hdr, ckptVersion)
-}
 
 // ckptState is one standing query's durable progress: every frame with
 // id < lsn has been applied to the window counts exactly once. Alerts
@@ -73,12 +60,10 @@ func (st ckptState) clone() ckptState {
 	return out
 }
 
-// encode appends one checkpoint record for st. Windows are encoded in
-// sorted order so the record bytes are a pure function of the state.
-func (st ckptState) encode(buf []byte) []byte {
-	payLen := ckptStateFixed + len(st.windows)*ckptWindowSize
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(payLen))
-	payStart := len(buf)
+// encode returns st's state payload. Windows are encoded in sorted
+// order so the bytes are a pure function of the state.
+func (st ckptState) encode() []byte {
+	buf := make([]byte, 0, ckptStateFixed+len(st.windows)*ckptWindowSize)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.lsn))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st.windows)))
 	ws := make([]int64, 0, len(st.windows))
@@ -91,7 +76,7 @@ func (st ckptState) encode(buf []byte) []byte {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(w))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(st.windows[w]))
 	}
-	return binary.LittleEndian.AppendUint64(buf, xxhash.Sum64(buf[payStart:], 0))
+	return buf
 }
 
 // decodeCkptPayload rebuilds a state from one record payload.
@@ -121,46 +106,6 @@ func decodeCkptPayload(pay []byte) (ckptState, error) {
 	return st, nil
 }
 
-// replayCheckpoints scans a checkpoint log, returning the valid-prefix
-// length, the last durable state, and the number of intact records. An
-// incomplete or checksum-failing tail record is a crash mid-write and
-// stops replay at the last good boundary; a *decoding* failure of a
-// checksum-valid payload is a writer bug and a hard error.
-func replayCheckpoints(data []byte) (valid int, st ckptState, recs int, err error) {
-	if len(data) < ckptHeaderLen || binary.LittleEndian.Uint32(data) != ckptMagic {
-		return 0, st, 0, fmt.Errorf("bad checkpoint header")
-	}
-	if data[4] != ckptVersion {
-		return 0, st, 0, fmt.Errorf("unsupported checkpoint version %d", data[4])
-	}
-	off := ckptHeaderLen
-	for off+ckptRecOverhead <= len(data) {
-		payLen := int(binary.LittleEndian.Uint32(data[off:]))
-		if payLen < 0 || payLen > ckptMaxPayload {
-			return off, st, recs, nil
-		}
-		end := off + 4 + payLen + 8
-		if end > len(data) {
-			return off, st, recs, nil
-		}
-		pay := data[off+4 : off+4+payLen]
-		if xxhash.Sum64(pay, 0) != binary.LittleEndian.Uint64(data[end-8:]) {
-			return off, st, recs, nil
-		}
-		next, derr := decodeCkptPayload(pay)
-		if derr != nil {
-			return 0, st, 0, fmt.Errorf("checkpoint record %d: %w", recs, derr)
-		}
-		if next.lsn < st.lsn {
-			return 0, st, 0, fmt.Errorf("checkpoint lsn regressed %d -> %d", st.lsn, next.lsn)
-		}
-		st = next
-		recs++
-		off = end
-	}
-	return off, st, recs, nil
-}
-
 // checkpointLog is the durable progress file of one standing query: a
 // storage.TailLog (which owns the file, the write protocol and the disk
 // accounting) plus the record schema — the last durable state and how
@@ -173,7 +118,9 @@ type checkpointLog struct {
 }
 
 // openCheckpoint opens (or creates) a standing query's checkpoint log,
-// recovering the last durable state and truncating a torn tail. store
+// recovering the last durable state and truncating a torn tail; a
+// checksum-valid state that does not decode or regresses the LSN is a
+// hard error (bitrot or a writer bug, not a crash signature). store
 // supplies the disk budget and the reclaim ladder (nil in unit tests:
 // no budget, no eviction) and charge the retry backoff run before each
 // disk-full retry (nil charges nothing).
@@ -183,16 +130,17 @@ func openCheckpoint(path, site string, store *storage.Engine, charge func(attemp
 	if store != nil {
 		budget = store.Budget()
 	}
-	log, err := storage.OpenTailLog(path, "ingest: checkpoint "+path, site, ckptHeader(), budget, func(data []byte) (int, error) {
-		valid, st, recs, rerr := replayCheckpoints(data)
-		if rerr != nil {
-			return 0, rerr
+	log, err := storage.OpenStateLog(path, "ingest: checkpoint "+path, site, storage.CheckpointLog, budget, func(state []byte) error {
+		st, err := decodeCkptPayload(state)
+		if err != nil {
+			return fmt.Errorf("checkpoint record: %w", err)
 		}
-		if st.windows == nil {
-			st.windows = map[int64]int64{}
+		if st.lsn < c.st.lsn {
+			return fmt.Errorf("checkpoint lsn regressed %d -> %d", c.st.lsn, st.lsn)
 		}
-		c.st, c.recs = st, recs
-		return valid, nil
+		c.st = st
+		c.recs++
+		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("ingest: checkpoint %s: %w", path, err)
@@ -216,8 +164,7 @@ func (c *checkpointLog) write(st ckptState, inj *faults.Injector) error {
 		if c.recs >= ckptCompactRecords {
 			_ = c.fold() // lint:noerrcheck best-effort fold; append still valid on old log
 		}
-		rec := st.encode(make([]byte, 0, ckptRecOverhead+ckptStateFixed+len(st.windows)*ckptWindowSize))
-		if err := c.log.Append(rec, uint64(st.lsn), inj); err != nil {
+		if err := c.log.AppendState(st.encode(), uint64(st.lsn), inj); err != nil {
 			return err
 		}
 		c.st = st.clone()
@@ -229,11 +176,12 @@ func (c *checkpointLog) write(st ckptState, inj *faults.Injector) error {
 // fold folds the checkpoint log to its minimal form: header plus (once
 // any progress exists) one record of the committed state.
 func (c *checkpointLog) fold() error {
-	img, recs := ckptHeader(), 0
+	var state []byte
+	recs := 0
 	if c.st.lsn > 0 || len(c.st.windows) > 0 {
-		img, recs = c.st.encode(img), 1
+		state, recs = c.st.encode(), 1
 	}
-	err := c.log.Fold(img)
+	err := c.log.FoldState(state)
 	if err == nil {
 		c.recs = recs
 	}

@@ -34,8 +34,9 @@ func TestCheckpointRetentionBoundsLog(t *testing.T) {
 	}
 	// Worst case on disk: the fold trigger fires *before* an append, so
 	// at most ckptCompactRecords records plus the one just appended.
-	recLen := int64(len(last.encode(nil)))
-	bound := int64(ckptHeaderLen) + int64(ckptCompactRecords+1)*recLen
+	rec, header := stateRecord(t, last)
+	recLen := int64(len(rec))
+	bound := int64(len(header)) + int64(ckptCompactRecords+1)*recLen
 	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -84,8 +85,9 @@ func TestCheckpointBudgetFoldFallback(t *testing.T) {
 	// once the five history records fold to one; reopen against the
 	// store after setting the budget so the log's footprint is charged
 	// against it.
-	recLen := int64(len(mkState(48, 0, 6).encode(nil)))
-	store.SetBudget(storage.NewDiskBudget(int64(ckptHeaderLen) + 2*recLen))
+	rec, header := stateRecord(t, mkState(48, 0, 6))
+	recLen := int64(len(rec))
+	store.SetBudget(storage.NewDiskBudget(int64(len(header)) + 2*recLen))
 	if err := c.close(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"bytes"
-	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -20,6 +19,36 @@ func mkState(lsn int64, pairs ...int64) ckptState {
 	return st
 }
 
+// bigState is a state of n windows: a record past a megabyte at 70 000.
+func bigState(lsn int64, n int) ckptState {
+	st := ckptState{lsn: lsn, windows: make(map[int64]int64, n)}
+	for w := 0; w < n; w++ {
+		st.windows[int64(w)] = int64(w%7 + 1)
+	}
+	return st
+}
+
+// stateRecord returns the bytes one write of st appends to a checkpoint
+// log, and the bytes of the log's header, as a fresh log lays them out.
+func stateRecord(t testing.TB, st ckptState) (rec, header []byte) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "rec.ckpt")
+	c, err := openCheckpoint(path, ckptSite(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := c.log.Footprint()
+	if err := c.write(st, nil); err != nil {
+		t.Fatal(err)
+	}
+	_ = c.close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data[hdr:], data[:hdr]
+}
+
 func sameState(a, b ckptState) bool {
 	if a.lsn != b.lsn || len(a.windows) != len(b.windows) {
 		return false
@@ -33,43 +62,53 @@ func sameState(a, b ckptState) bool {
 }
 
 // TestCheckpointRoundTrip: write a sequence of states, reopen, and the
-// last one wins; a second reopen is a fixed point.
+// last one wins — whatever its size: an acknowledged state of 70 000
+// windows (a 1.1 MB record) must not read back as a torn tail.
 func TestCheckpointRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "q.ckpt")
-	c, err := openCheckpoint(path, ckptSite(), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	states := []ckptState{
-		mkState(8, 0, 3),
-		mkState(16, 0, 3, 1, 5),
-		mkState(24, 0, 3, 1, 5, 2, 1),
-	}
-	for _, st := range states {
-		if err := c.write(st, nil); err != nil {
+	for _, tc := range []struct {
+		name   string
+		states []ckptState
+	}{
+		{"small", []ckptState{
+			mkState(8, 0, 3),
+			mkState(16, 0, 3, 1, 5),
+			mkState(24, 0, 3, 1, 5, 2, 1),
+		}},
+		{"big", []ckptState{mkState(8, 0, 3), bigState(32, 70000)}},
+	} {
+		path := filepath.Join(t.TempDir(), "q.ckpt")
+		c, err := openCheckpoint(path, ckptSite(), nil, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if !sameState(c.st, states[2]) {
-		t.Fatalf("in-memory state %+v, want %+v", c.st, states[2])
-	}
-	if err := c.close(); err != nil {
-		t.Fatal(err)
-	}
+		for _, st := range tc.states {
+			if err := c.write(st, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		last := tc.states[len(tc.states)-1]
+		if !sameState(c.st, last) {
+			t.Fatalf("%s: in-memory state lsn=%d windows=%d, want %d/%d", tc.name, c.st.lsn, len(c.st.windows), last.lsn, len(last.windows))
+		}
+		if err := c.close(); err != nil {
+			t.Fatal(err)
+		}
 
-	c2, err := openCheckpoint(path, ckptSite(), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameState(c2.st, states[2]) || c2.recs != 3 || c2.log.Recovered() != 0 {
-		t.Fatalf("reopen: state=%+v recs=%d recovered=%d", c2.st, c2.recs, c2.log.Recovered())
+		c2, err := openCheckpoint(path, ckptSite(), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameState(c2.st, last) || c2.recs != len(tc.states) || c2.log.Recovered() != 0 {
+			t.Fatalf("%s: reopen: lsn=%d windows=%d recs=%d recovered=%d", tc.name, c2.st.lsn, len(c2.st.windows), c2.recs, c2.log.Recovered())
+		}
 	}
 }
 
 // TestCheckpointCrashTornTail kills the write at every torn length;
 // reopen recovers the last durable state and truncates the tail.
 func TestCheckpointCrashTornTail(t *testing.T) {
-	full := len(mkState(16, 0, 3, 1, 5).encode(nil))
+	rec, _ := stateRecord(t, mkState(16, 0, 3, 1, 5))
+	full := len(rec)
 	for short := 0; short <= full; short += 3 {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "q.ckpt")
@@ -155,86 +194,101 @@ func TestCheckpointRollback(t *testing.T) {
 }
 
 // TestCheckpointBadLog: header corruption and LSN regression are hard
-// errors, not recoverable tears.
+// errors, not recoverable tears; a byte flipped inside any record but
+// the last is salvaged around, and the open recovers the last
+// acknowledged state, not the one before the rot.
 func TestCheckpointBadLog(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "q.ckpt")
 	c, err := openCheckpoint(path, ckptSite(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.write(mkState(8, 0, 3), nil); err != nil {
-		t.Fatal(err)
+	states := []ckptState{mkState(8, 0, 3), mkState(16, 0, 3, 1, 2), mkState(24, 0, 3, 1, 2, 2, 9)}
+	ends := []int64{c.log.Footprint()} // record k spans ends[k-1]..ends[k]
+	for _, st := range states {
+		if err := c.write(st, nil); err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, c.log.Footprint())
 	}
 	_ = c.close()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	open := func(log []byte) (*checkpointLog, error) {
+		if err := os.WriteFile(path, log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return openCheckpoint(path, ckptSite(), nil, nil)
+	}
 
 	bad := append([]byte(nil), data...)
 	bad[0] ^= 0xff
-	if err := os.WriteFile(path, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := openCheckpoint(path, ckptSite(), nil, nil); err == nil {
+	if _, err := open(bad); err == nil {
 		t.Fatal("corrupt header accepted")
 	}
 
 	// A checksum-valid record whose LSN regresses.
-	regress := append(append([]byte(nil), data...), mkState(4).encode(nil)...)
-	if err := os.WriteFile(path, regress, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := openCheckpoint(path, ckptSite(), nil, nil); err == nil {
+	rec, _ := stateRecord(t, mkState(4))
+	if _, err := open(append(append([]byte(nil), data...), rec...)); err == nil {
 		t.Fatal("regressing checkpoint accepted")
+	}
+
+	// Mid-log rot: one byte flipped inside record k of n, k < n.
+	for k := 1; k < len(states); k++ {
+		rot := append([]byte(nil), data...)
+		rot[(ends[k-1]+ends[k])/2] ^= 0x40
+		c2, err := open(rot)
+		if err != nil {
+			t.Fatalf("rot in record %d of %d: %v", k, len(states), err)
+		}
+		if !sameState(c2.st, states[len(states)-1]) || c2.log.Recovered() != 0 {
+			t.Fatalf("rot in record %d of %d: recovered lsn %d (%d torn bytes), want %d", k, len(states), c2.st.lsn, c2.log.Recovered(), states[len(states)-1].lsn)
+		}
+		_ = c2.close()
 	}
 }
 
-// FuzzCheckpointReplay throws arbitrary bytes at the checkpoint replay
-// path. Invariants: no panic, the valid prefix is in range, and
-// replaying just the accepted prefix is a fixed point — same state,
-// same record count, all bytes accepted (that is what reopening after
-// torn-tail truncation does).
+// FuzzCheckpointReplay throws arbitrary bytes at the checkpoint log's
+// open, version-1 upgrade included. Invariants: no panic, and a log that
+// opens is a fixed point — reopening it recovers the same state and
+// record count with no torn tail left to drop — whose state re-encodes
+// to a payload that decodes back to itself.
 func FuzzCheckpointReplay(f *testing.F) {
-	log := binaryHeader()
-	log = mkState(8, 0, 3).encode(log)
-	log = mkState(16, 0, 3, 1, 5, 7, 2).encode(log)
+	r1, header := stateRecord(f, mkState(8, 0, 3))
+	r2, _ := stateRecord(f, mkState(16, 0, 3, 1, 5, 7, 2))
+	log := append(append(append([]byte(nil), header...), r1...), r2...)
 	f.Add(log)
 	f.Add(log[:len(log)-5])
-	f.Add(log[:ckptHeaderLen])
+	f.Add(header)
 	f.Add([]byte{})
-
+	if v1, err := os.ReadFile(compatGolden + "/root/checkpoints/cam-q.ckpt"); err == nil {
+		f.Add(v1)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		valid, st, recs, err := replayCheckpoints(data)
+		path := filepath.Join(t.TempDir(), "q.ckpt")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := openCheckpoint(path, ckptSite(), nil, nil)
 		if err != nil {
 			return
 		}
-		if valid < 0 || valid > len(data) {
-			t.Fatalf("valid prefix %d out of range [0,%d]", valid, len(data))
-		}
-		valid2, st2, recs2, err := replayCheckpoints(data[:valid])
+		st, recs := c.st, c.recs
+		_ = c.close()
+		c2, err := openCheckpoint(path, ckptSite(), nil, nil)
 		if err != nil {
-			t.Fatalf("accepted prefix rejected on replay: %v", err)
+			t.Fatalf("opened log rejected on reopen: %v", err)
 		}
-		if valid2 != valid || recs2 != recs || !sameState(st, st2) {
-			t.Fatalf("replay not a fixed point: %d/%d recs %d/%d", valid, valid2, recs, recs2)
+		if c2.recs != recs || c2.log.Recovered() != 0 || !sameState(st, c2.st) {
+			t.Fatalf("reopen not a fixed point: recs %d/%d, %d torn bytes", recs, c2.recs, c2.log.Recovered())
 		}
-		// Round-trip: the recovered state re-encodes to bytes that
-		// decode back to itself.
-		if recs > 0 {
-			rec := st.encode(binaryHeader())
-			_, st3, recs3, err := replayCheckpoints(rec)
-			if err != nil || recs3 != 1 || !sameState(st, st3) {
-				t.Fatalf("state round-trip failed: %v", err)
-			}
+		_ = c2.close()
+		if st2, err := decodeCkptPayload(st.encode()); err != nil || !sameState(st, st2) {
+			t.Fatalf("state round-trip failed: %v", err)
 		}
 	})
-}
-
-// binaryHeader returns a fresh checkpoint-log header.
-func binaryHeader() []byte {
-	hdr := binary.LittleEndian.AppendUint32(nil, ckptMagic)
-	return append(hdr, ckptVersion)
 }
 
 // TestCheckpointEncodeDeterministic: encoding is a pure function of
@@ -242,7 +296,7 @@ func binaryHeader() []byte {
 func TestCheckpointEncodeDeterministic(t *testing.T) {
 	a := mkState(16, 3, 1, 1, 5, 2, 9)
 	b := mkState(16, 2, 9, 3, 1, 1, 5)
-	if !bytes.Equal(a.encode(nil), b.encode(nil)) {
+	if !bytes.Equal(a.encode(), b.encode()) {
 		t.Fatal("equal states encoded differently")
 	}
 }

@@ -14,11 +14,15 @@ import (
 	"eva/internal/vision"
 )
 
-// On-disk compatibility across the tail-log refactor: the golden tree
-// under ../storage/testdata/compat was written by compatScript at the
-// commit before storage.TailLog owned the write path. The same script
-// must still leave byte-identical files, and the golden tree must open
-// to the same state (compatDump, captured at that commit as state.txt).
+// On-disk compatibility: the golden tree under
+// ../storage/testdata/compat/root was written by compatScript at the
+// commit before storage.TailLog owned the write path, when the watermark
+// and checkpoint logs were still version 1. The same script must still
+// leave byte-identical view files, and version-2 watermark and
+// checkpoint logs identical to the goldens beside it (compat/v2, written
+// when those logs became frame record logs). The golden tree must open
+// to the same state (compatDump, captured at that commit as state.txt;
+// the version-1 checkpoint log's upgrade fold leaves it one record).
 
 const compatGolden = "../storage/testdata/compat"
 
@@ -202,15 +206,20 @@ func treeFiles(t *testing.T, root string) map[string][]byte {
 
 func TestOnDiskCompat(t *testing.T) {
 	golden := treeFiles(t, filepath.Join(compatGolden, "root"))
-	if len(golden) == 0 {
+	v2 := treeFiles(t, filepath.Join(compatGolden, "v2"))
+	if len(golden) == 0 || len(v2) == 0 {
 		t.Fatal("no golden tree")
 	}
 
-	// The same script leaves the same bytes.
+	// The same script leaves the same bytes: the v2 goldens where there
+	// are some, the tree's otherwise.
 	root := t.TempDir()
 	compatScript(t, root)
 	got := treeFiles(t, root)
 	for name, want := range golden {
+		if w, ok := v2[name]; ok {
+			want = w
+		}
 		if !bytes.Equal(got[name], want) {
 			t.Errorf("%s: script wrote %d bytes that differ from the %d golden ones", name, len(got[name]), len(want))
 		}

@@ -38,9 +38,10 @@
 //	lint:faultsite <why>   (on or above an injector call) sanctions a
 //	                       site name outside the faults.Sites registry.
 //	lint:durable <why>     (on or above a CheckWrite / os.Rename /
-//	                       File.Truncate use in the storage packages)
-//	                       sanctions a durable-write primitive outside
-//	                       logtail.go.
+//	                       File.Truncate / xxhash.Sum64 use in the
+//	                       storage packages) sanctions a durable-write
+//	                       primitive outside logtail.go, or a hash
+//	                       outside frame.go.
 //
 // Methods whose name ends in "Locked" are exempt from the guarded-by
 // check by convention: their contract is that the caller holds the

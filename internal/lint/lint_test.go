@@ -131,6 +131,7 @@ func TestDiagnosticPositions(t *testing.T) {
 		{"hotalloc", "hotalloc", "hotalloc/bad/bad.go:19:13"},
 		{"faultsite", "faultsite", "faultsite/bad/bad.go:10:11"},
 		{"durable", "durable", "durable/bad/bad.go:14:15"},
+		{"durable", "durable", "durable/bad/checksum.go:11:48"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.analyzer, func(t *testing.T) {

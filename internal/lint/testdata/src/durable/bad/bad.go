@@ -1,6 +1,6 @@
-// Package bad seeds second copies of the durable-write protocol for
-// the durable analyzer tests: a hand-rolled append with its own fault
-// draw and rollback, and a private scratch-and-rename.
+// Package bad seeds second copies of the durable-write protocol for the
+// durable analyzer tests: a hand-rolled append with its own fault draw
+// and rollback, a private scratch-and-rename (and in checksum.go a frame).
 package bad
 
 import (

@@ -1,6 +1,7 @@
 // Package ok demonstrates what the durable analyzer accepts: the
-// primitives inside logtail.go, their use through it from other files,
-// and an annotated exception.
+// write primitives inside logtail.go and the checksum inside frame.go,
+// their use through those files from other files, and annotated
+// exceptions.
 package ok
 
 import (

@@ -301,7 +301,7 @@ func TestWatermarkLogRetention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound := int64(wmHeaderLen + (wmCompactRecords+1)*wmRecLen)
+	bound := int64(preambleLen + (wmCompactRecords+1)*wmRecLen)
 	if fi.Size() > bound {
 		t.Fatalf("watermark log grew to %d bytes, retention bound %d", fi.Size(), bound)
 	}

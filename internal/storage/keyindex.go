@@ -14,7 +14,7 @@ import (
 func KeyHash(ek []byte) uint64 { return hashKey(ek) }
 
 // hashKey is a variable only so that a test can make every key collide.
-var hashKey = func(ek []byte) uint64 { return xxhash.Sum64(ek, 0) }
+var hashKey = func(ek []byte) uint64 { return xxhash.Sum64(ek, 0) } // lint:durable key hash, not a checksum
 
 // chunkShift fixes the rows of one view chunk at 1<<chunkShift: row id
 // r lives at row r&chunkMask() of chunk r>>chunkShift. 1 024 rows keep

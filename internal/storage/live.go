@@ -9,7 +9,6 @@ import (
 
 	"eva/internal/faults"
 	"eva/internal/vision"
-	"eva/internal/xxhash"
 )
 
 // Live video tables are the streaming ingest substrate: frames arrive
@@ -17,48 +16,35 @@ import (
 // Because every frame's content is a deterministic function of the
 // dataset descriptor and the frame id, the only state that needs crash
 // safety is the *watermark* — the count of durably ingested frames —
-// kept in a checksummed append-only log next to the segments, with the
-// same torn-tail truncation discipline as the view log. A crash
-// mid-append leaves the watermark at the last durable record; the
+// kept in a state log next to the segments (OpenStateLog; DESIGN.md §20),
+// with the same torn-tail truncation and salvage as the view log. A
+// crash mid-append leaves the watermark at the last durable record; the
 // producer re-sends from there and the table converges byte-identically
 // to an uninterrupted run.
 //
-// Watermark log format: header (magic, version), then fixed-size
-// records [watermark:8][xxhash64 over the watermark bytes:8].
+// A watermark state is the frame count as 8 little-endian bytes.
 const (
-	wmMagic   = 0x45564157 // "EVAW"
-	wmVersion = 1
-
-	wmHeaderLen = 5
-	wmRecLen    = 16
+	// wmRecLen is one watermark record: the 8-byte state in its frame.
+	wmRecLen = recHeaderLen + 8 + recSumLen
 
 	// wmCompactRecords is the watermark log's retention tier: replay is
-	// last-record-wins, so once this many records have accumulated the
-	// log is folded into header + one record (scratch + rename) before
-	// the next append — bounded history, bounded disk.
+	// last-record-wins, so once this many records' bytes have accumulated
+	// the log is folded into header + one record (scratch + rename)
+	// before the next append — bounded history, bounded disk.
 	wmCompactRecords = 64
 )
 
 // wmPath returns the watermark-log path inside a video directory.
 func wmPath(dir string) string { return filepath.Join(dir, "ingest.wal") }
 
-// wmHeader builds the watermark-log header bytes.
-func wmHeader() []byte {
-	hdr := binary.LittleEndian.AppendUint32(make([]byte, 0, wmHeaderLen), wmMagic)
-	return append(hdr, wmVersion)
-}
-
-// wmRecord appends one checksummed watermark record.
-func wmRecord(buf []byte, wm int64) []byte {
-	start := len(buf)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(wm))
-	return binary.LittleEndian.AppendUint64(buf, xxhash.Sum64(buf[start:], 0))
-}
+// wmState encodes a watermark as its state payload.
+func wmState(wm int64) []byte { return binary.LittleEndian.AppendUint64(nil, uint64(wm)) }
 
 // OpenLiveVideo registers (or reopens) a streaming video table whose
 // frames arrive over time, up to the dataset's capacity. On reopen the
-// durable watermark is recovered from the checksummed log, truncating
-// a torn tail left by a crash mid-append.
+// durable watermark is recovered from its log, truncating a torn tail
+// left by a crash mid-append. A watermark that regresses or passes the
+// capacity is a writer bug and fails the open.
 func (e *Engine) OpenLiveVideo(name string, ds vision.Dataset) (*Video, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -67,16 +53,19 @@ func (e *Engine) OpenLiveVideo(name string, ds vision.Dataset) (*Video, error) {
 		return nil, err
 	}
 	v := &Video{name: name, dir: dir, ds: ds, segFrames: defaultSegmentFrames, live: true}
-	v.wal, err = OpenTailLog(wmPath(dir), "storage: live video "+name, faults.SiteIngestAppend(name), wmHeader(), e.budget, func(data []byte) (int, error) { // lint:nolock pre-publish (OpenLiveVideo)
-		valid, wm, rerr := replayWatermarks(data)
-		if rerr != nil {
-			return 0, rerr
+	v.wal, err = OpenStateLog(wmPath(dir), "storage: live video "+name, faults.SiteIngestAppend(name), wmLog, e.budget, func(state []byte) error { // lint:nolock pre-publish (OpenLiveVideo)
+		if len(state) != 8 {
+			return fmt.Errorf("watermark record of %d bytes", len(state))
 		}
-		if int(wm) > ds.Frames {
-			return 0, fmt.Errorf("watermark %d past capacity %d", wm, ds.Frames)
+		wm := int64(binary.LittleEndian.Uint64(state))
+		switch {
+		case wm < v.wm: // lint:nolock pre-publish (OpenLiveVideo)
+			return fmt.Errorf("watermark regressed %d -> %d", v.wm, wm)
+		case wm > int64(ds.Frames):
+			return fmt.Errorf("watermark %d past capacity %d", wm, ds.Frames)
 		}
 		v.wm = wm // lint:nolock pre-publish (OpenLiveVideo)
-		return valid, nil
+		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("storage: live video %s: %w", name, err)
@@ -84,34 +73,6 @@ func (e *Engine) OpenLiveVideo(name string, ds vision.Dataset) (*Video, error) {
 	v.wal.Attach(e, "", e.chargeRetry, v.foldLocked) // lint:nolock pre-publish (OpenLiveVideo)
 	e.videos[key] = v
 	return v, nil
-}
-
-// replayWatermarks returns the valid-prefix length of a watermark log
-// and the last durable watermark. Like the view log, an incomplete or
-// checksum-failing tail record marks a crash mid-append and stops
-// replay at the last good boundary; a decreasing watermark is a writer
-// bug and a hard error.
-func replayWatermarks(data []byte) (valid int, wm int64, err error) {
-	if len(data) < wmHeaderLen || binary.LittleEndian.Uint32(data) != wmMagic {
-		return 0, 0, fmt.Errorf("bad watermark-log header")
-	}
-	if data[4] != wmVersion {
-		return 0, 0, fmt.Errorf("unsupported watermark-log version %d", data[4])
-	}
-	off := wmHeaderLen
-	for off+wmRecLen <= len(data) {
-		next := int64(binary.LittleEndian.Uint64(data[off:]))
-		sum := binary.LittleEndian.Uint64(data[off+8:])
-		if xxhash.Sum64(data[off:off+8], 0) != sum {
-			return off, wm, nil
-		}
-		if next < wm {
-			return 0, 0, fmt.Errorf("watermark regressed %d -> %d", wm, next)
-		}
-		wm = next
-		off += wmRecLen
-	}
-	return off, wm, nil
 }
 
 // AppendFrames durably advances the watermark by n frames, making them
@@ -148,11 +109,10 @@ func (v *Video) advanceLocked(n int, inj *faults.Injector) error {
 	// Retention tier: replay is last-record-wins, so fold a long log
 	// into header + one record before appending more. Best-effort — a
 	// failed fold leaves the old log intact and the append proceeds.
-	if v.wal.footprint >= int64(wmHeaderLen+wmCompactRecords*wmRecLen) {
+	if v.wal.footprint >= preambleLen+wmCompactRecords*wmRecLen {
 		_ = v.foldLocked() // lint:noerrcheck best-effort fold; append still valid on old log
 	}
-	rec := wmRecord(make([]byte, 0, wmRecLen), v.wm+int64(n))
-	if err := v.wal.Append(rec, uint64(v.wm), inj); err != nil {
+	if err := v.wal.AppendState(wmState(v.wm+int64(n)), uint64(v.wm), inj); err != nil {
 		return err
 	}
 	v.wm += int64(n)
@@ -162,11 +122,11 @@ func (v *Video) advanceLocked(n int, inj *faults.Injector) error {
 // foldLocked folds the watermark log to its minimal form: header plus
 // (if any frames are durable) one record. Callers hold mu.
 func (v *Video) foldLocked() error {
-	img := wmHeader()
+	var state []byte
 	if v.wm > 0 {
-		img = wmRecord(img, v.wm)
+		state = wmState(v.wm)
 	}
-	return v.wal.Fold(img)
+	return v.wal.FoldState(state)
 }
 
 // setBudget installs (or replaces) the disk budget on an already-open

@@ -1,19 +1,19 @@
 package storage
 
 import (
-	"encoding/binary"
+	"bytes"
+	"errors"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"eva/internal/faults"
 	"eva/internal/vision"
-	"eva/internal/xxhash"
 )
 
-// appendWMRecord encodes one checksummed watermark record.
-func appendWMRecord(buf []byte, wm uint64) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, wm)
-	return binary.LittleEndian.AppendUint64(buf, xxhash.Sum64(buf[len(buf)-8:], 0))
+// appendWMRecord appends one watermark record.
+func appendWMRecord(buf []byte, wm int64) []byte {
+	return sealRecord(buf, recState, 0, wmState(wm))
 }
 
 func liveDS() vision.Dataset {
@@ -174,8 +174,11 @@ func TestLiveVideoAppendRollback(t *testing.T) {
 	}
 }
 
-// TestLiveVideoBadLog exercises hard open failures: a corrupted header
-// and a regressing watermark are writer bugs, not recoverable tears.
+// TestLiveVideoBadLog exercises what an open makes of a damaged log: a
+// corrupted header and a regressing or past-capacity watermark are
+// writer bugs, not recoverable tears, while a byte flipped inside any
+// record but the last is salvaged around — the open recovers the last
+// acknowledged watermark, not the one before the rot.
 func TestLiveVideoBadLog(t *testing.T) {
 	dir := t.TempDir()
 	e, _ := Open(dir)
@@ -183,8 +186,11 @@ func TestLiveVideoBadLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.AppendFrames(5, nil); err != nil {
-		t.Fatal(err)
+	const n = 3 // records, watermarks 1, 3, 5
+	for i := 0; i < n; i++ {
+		if _, err := v.AppendFrames(1+min(i, 1), nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
@@ -194,34 +200,84 @@ func TestLiveVideoBadLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	open := func(log []byte) (*Video, error) {
+		if err := os.WriteFile(path, log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return mustOpen(t, dir).OpenLiveVideo("traffic", liveDS())
+	}
 
 	// Header corruption.
 	bad := append([]byte(nil), data...)
 	bad[0] ^= 0xff
-	if err := os.WriteFile(path, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mustOpen(t, dir).OpenLiveVideo("traffic", liveDS()); err == nil {
+	if _, err := open(bad); err == nil {
 		t.Fatal("corrupt header accepted")
 	}
-
 	// A checksum-valid record whose watermark regresses.
-	rec := make([]byte, 0, wmRecLen)
-	rec = appendWMRecord(rec, 2) // below the durable 5
-	if err := os.WriteFile(path, append(append([]byte(nil), data...), rec...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mustOpen(t, dir).OpenLiveVideo("traffic", liveDS()); err == nil {
+	if _, err := open(appendWMRecord(append([]byte(nil), data...), 2)); err == nil {
 		t.Fatal("regressing watermark accepted")
 	}
-
 	// A watermark past the dataset capacity.
-	rec = appendWMRecord(rec[:0], 5000)
-	if err := os.WriteFile(path, append(append([]byte(nil), data...), rec...), 0o644); err != nil {
+	if _, err := open(appendWMRecord(append([]byte(nil), data...), 5000)); err == nil {
+		t.Fatal("past-capacity watermark accepted")
+	}
+	// Mid-log rot: one byte flipped inside record k of n, k < n.
+	for k := 1; k < n; k++ {
+		rot := append([]byte(nil), data...)
+		rot[preambleLen+(k-1)*wmRecLen+recHeaderLen+1] ^= 0x40
+		v2, err := open(rot)
+		if err != nil {
+			t.Fatalf("rot in record %d of %d: %v", k, n, err)
+		}
+		if v2.Watermark() != 5 || v2.wal.Recovered() != 0 {
+			t.Fatalf("rot in record %d of %d: wm=%d recovered=%d, want 5/0", k, n, v2.Watermark(), v2.wal.Recovered())
+		}
+		_ = v2.closeLive()
+	}
+}
+
+// TestWatermarkLogUpgradesV1: a version-1 watermark log (the compat
+// golden's, a torn tail cut into it on top) opens to its last valid
+// watermark and is folded into a version-2 image, which reopens to the
+// same watermark. If that fold cannot commit, the open fails and the v1
+// file is left as it was.
+func TestWatermarkLogUpgradesV1(t *testing.T) {
+	v1, err := os.ReadFile("testdata/compat/root/videos/cam/ingest.wal")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mustOpen(t, dir).OpenLiveVideo("traffic", liveDS()); err == nil {
-		t.Fatal("past-capacity watermark accepted")
+	v1 = append(v1, 1, 2, 3) // a torn v1 record
+	dir := t.TempDir()
+	path := filepath.Join(dir, "videos", "traffic", "ingest.wal")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, fail := range []bool{true, false} {
+		if err := os.WriteFile(path, v1, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if fail {
+			renameFile = func(string, string) error { return errors.New("rename refused") }
+		}
+		v, err := mustOpen(t, dir).OpenLiveVideo("traffic", liveDS())
+		renameFile = os.Rename
+		got, _ := os.ReadFile(path)
+		if fail {
+			if err == nil || !bytes.Equal(got, v1) {
+				t.Fatalf("failed upgrade: err=%v, file changed=%v", err, !bytes.Equal(got, v1))
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := appendWMRecord(beginFile(nil, wmLog), 75); v.Watermark() != 75 || !bytes.Equal(got, want) {
+			t.Fatalf("upgrade: wm=%d file=%x, want 75 and %x", v.Watermark(), got, want)
+		}
+		_ = v.closeLive()
+		if v2, err := mustOpen(t, dir).OpenLiveVideo("traffic", liveDS()); err != nil || v2.Watermark() != 75 {
+			t.Fatalf("reopen after upgrade: err=%v", err)
+		}
 	}
 }
 
@@ -234,34 +290,48 @@ func mustOpen(t *testing.T, dir string) *Engine {
 	return e
 }
 
-// FuzzWatermarkReplay throws arbitrary bytes at the watermark-log
-// replay. Invariants: no panic; the valid prefix is in range; replaying
-// just the accepted prefix is a fixed point (what reopening after
-// torn-tail truncation does); and an accepted log extended by a
-// checksum-valid record that moves the watermark backwards is an error,
-// never a recovery.
+// FuzzWatermarkReplay throws arbitrary bytes at the watermark log's
+// open, version-1 upgrade included. Invariants: no panic; a log that
+// opens reopens to the same watermark with no torn tail left to drop
+// (recovery is a fixed point); and the opened log extended by a
+// checksum-valid record that moves the watermark backwards fails the
+// open, never recovers.
 func FuzzWatermarkReplay(f *testing.F) {
-	log := appendWMRecord(appendWMRecord(wmHeader(), 3), 10)
+	log := appendWMRecord(appendWMRecord(beginFile(nil, wmLog), 3), 10)
 	f.Add(log)
 	f.Add(log[:len(log)-5])
 	f.Add(appendWMRecord(log, 4))
-	f.Add(wmHeader())
+	f.Add(beginFile(nil, wmLog))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		valid, wm, err := replayWatermarks(data)
+		dir := t.TempDir()
+		path := filepath.Join(dir, "videos", "traffic", "ingest.wal")
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		v, err := mustOpen(t, dir).OpenLiveVideo("traffic", liveDS())
 		if err != nil {
 			return
 		}
-		if valid < 0 || valid > len(data) {
-			t.Fatalf("valid prefix %d out of range [0,%d]", valid, len(data))
+		wm := v.Watermark()
+		_ = v.closeLive()
+		v2, err := mustOpen(t, dir).OpenLiveVideo("traffic", liveDS())
+		if err != nil || v2.Watermark() != wm || v2.wal.Recovered() != 0 {
+			t.Fatalf("reopen not a fixed point: wm %d, err %v", wm, err)
 		}
-		valid2, wm2, err := replayWatermarks(data[:valid])
-		if err != nil || valid2 != valid || wm2 != wm {
-			t.Fatalf("replay not a fixed point: valid %d/%d wm %d/%d err %v", valid, valid2, wm, wm2, err)
+		_ = v2.closeLive()
+		opened, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		back := appendWMRecord(append([]byte(nil), data[:valid]...), uint64(wm-1))
-		if _, _, err := replayWatermarks(back); err == nil {
+		if err := os.WriteFile(path, appendWMRecord(opened, wm-1), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mustOpen(t, dir).OpenLiveVideo("traffic", liveDS()); err == nil {
 			t.Fatalf("watermark regressing %d -> %d was accepted", wm, wm-1)
 		}
 	})

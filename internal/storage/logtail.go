@@ -33,6 +33,10 @@ type TailLog struct {
 	charge  func(attempt int)
 	fold    func() error
 
+	// header is written into an empty log; a state log's folded image
+	// starts with it.
+	header []byte
+
 	file      *os.File
 	footprint int64
 	recovered int64
@@ -115,7 +119,7 @@ func drawWrite(inj *faults.Injector, dfSite, site string, lsn uint64, n int) (al
 // every error the log reports later, site is its write fault site, and
 // budget (nil: unbudgeted) is charged the footprint.
 func OpenTailLog(path, label, site string, header []byte, budget *DiskBudget, replay func(data []byte) (valid int, err error)) (*TailLog, error) {
-	l := &TailLog{path: path, label: label, site: site, dfSite: faults.SiteDiskFull(site), budget: budget}
+	l := &TailLog{path: path, label: label, site: site, dfSite: faults.SiteDiskFull(site), header: header, budget: budget}
 	_ = os.Remove(scratchPath(path))
 	var valid int64
 	if data, err := os.ReadFile(path); err == nil {
@@ -317,6 +321,14 @@ func (l *TailLog) Fold(image []byte) error {
 	if l.file == nil || l.dead || int64(len(image)) >= l.footprint {
 		return nil
 	}
+	return l.rewrite(image)
+}
+
+// rewrite is Fold whatever the sizes: image becomes the log's next
+// generation through the scratch file and swap. A state log's version
+// upgrade (OpenStateLog) needs it, because its new image may be the
+// larger.
+func (l *TailLog) rewrite(image []byte) error {
 	scratch := scratchPath(l.path)
 	if err := os.WriteFile(scratch, image, 0o644); err != nil {
 		_ = os.Remove(scratch)

@@ -6,9 +6,10 @@
 // cache partial-miss, not data loss. The pipeline has three stages:
 //
 //  1. Quarantine. Replay salvages the valid prefix and every
-//     checksum-valid suffix around a corrupt record (view.go), records
-//     the lost byte ranges here, and keeps serving salvaged rows. The
-//     quarantine manifest ("<view>.quar") persists the finding.
+//     checksum-valid suffix around a corrupt record (the frame scanner,
+//     frame.go), records the lost byte ranges here, and keeps serving
+//     salvaged rows. The quarantine manifest ("<view>.quar") persists
+//     the finding.
 //  2. Symbolic repair. The survived key ranges constrain the UDF
 //     manager's aggregated predicate, so the optimizer's DIFF residual
 //     re-plans exactly the missing rows; the executor's per-key
@@ -27,17 +28,12 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 
 	"eva/internal/faults"
 	"eva/internal/types"
-	"eva/internal/xxhash"
 )
-
-// errHeaderCorrupt signals that the log's header is unreadable: no
-// record can be attributed to a schema, so the generation is a total
-// loss and the caller salvages by starting a fresh log.
-var errHeaderCorrupt = errors.New("storage: view header corrupt")
 
 // LostRange is one quarantined byte range [Lo, Hi) of a view log whose
 // records failed their checksums and were salvaged around.
@@ -76,16 +72,12 @@ func quarPath(path string) string { return path + ".quar" }
 // path is compaction's commit point, so openView discards leftovers.
 func compactPath(path string) string { return path + ".compact" }
 
-// Quarantine manifest ("<view>.quar"): magic, version, range count,
-// the lost ranges, and a trailing checksum. The manifest is a durable
-// record of a detection — the salvage scan re-derives the same ranges
-// from the log bytes, so a missing or stale manifest costs reporting,
-// never correctness.
-const (
-	quarMagic   = 0x45564151 // "EVAQ"
-	quarVersion = 1
-)
-
+// Quarantine manifest ("<view>.quar", a sealed quarFile): the range
+// count and the lost ranges. The manifest is a durable record of a
+// detection — the salvage scan re-derives the same ranges from the log
+// bytes, so a missing or stale manifest costs reporting, never
+// correctness; nothing in the engine reads it back.
+//
 // writeQuarManifest persists the quarantine beside the log at path, or
 // removes the manifest when there is nothing quarantined. Best-effort,
 // like the clean sidecar.
@@ -94,44 +86,12 @@ func writeQuarManifest(b *DiskBudget, path string, q *Quarantine) {
 		_ = removeSidecar(b, quarPath(path))
 		return
 	}
-	buf := binary.LittleEndian.AppendUint32(nil, quarMagic)
-	buf = append(buf, quarVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(q.Ranges)))
+	buf := binary.LittleEndian.AppendUint32(beginFile(nil, quarFile), uint32(len(q.Ranges)))
 	for _, r := range q.Ranges {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Lo))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Hi))
 	}
-	buf = binary.LittleEndian.AppendUint64(buf, xxhash.Sum64(buf, 0))
-	_ = writeSidecar(b, quarPath(path), buf)
-}
-
-// readQuarManifest loads the persisted quarantine ranges, or nil when
-// there is no usable manifest.
-func readQuarManifest(path string) []LostRange {
-	data, err := os.ReadFile(quarPath(path))
-	if err != nil || len(data) < 4+1+4+8 {
-		return nil
-	}
-	if binary.LittleEndian.Uint32(data) != quarMagic || data[4] != quarVersion {
-		return nil
-	}
-	body, sum := data[:len(data)-8], binary.LittleEndian.Uint64(data[len(data)-8:])
-	if xxhash.Sum64(body, 0) != sum {
-		return nil
-	}
-	n := int(binary.LittleEndian.Uint32(data[5:]))
-	if n < 0 || 9+16*n != len(body) {
-		return nil
-	}
-	out := make([]LostRange, 0, n)
-	for i := 0; i < n; i++ {
-		off := 9 + 16*i
-		out = append(out, LostRange{
-			Lo: int64(binary.LittleEndian.Uint64(data[off:])),
-			Hi: int64(binary.LittleEndian.Uint64(data[off+8:])),
-		})
-	}
-	return out
+	_ = writeSidecar(b, quarPath(path), sealFile(buf))
 }
 
 // adoptHolesLocked promotes the holes found by the last replay into
@@ -355,15 +315,7 @@ func sameRanges(holes []LostRange, q *Quarantine) bool {
 	if q != nil {
 		prev = q.Ranges
 	}
-	if len(holes) != len(prev) {
-		return false
-	}
-	for i, r := range holes {
-		if r != prev[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(holes, prev)
 }
 
 // shadowLocked builds an unpublished replica of the view's immutable
@@ -563,11 +515,8 @@ func (v *View) encodeCompactLocked() []byte {
 	}
 	sort.Strings(zero)
 	for base := 0; base < len(zero); base += compactChunkRows {
-		n := len(zero) - base
-		if n > compactChunkRows {
-			n = compactChunkRows
-		}
-		var payload []byte
+		n := min(len(zero)-base, compactChunkRows)
+		payload = payload[:0]
 		for _, k := range zero[base : base+n] {
 			payload = append(payload, k...)
 		}

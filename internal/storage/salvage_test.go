@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -20,7 +21,7 @@ func corruptRecord(t *testing.T, path string, n int) {
 	}
 	off := headerEnd(t, data)
 	for i := 0; i < n; i++ {
-		end, ok := recordBounds(data, off)
+		end, ok := recordBounds(data, off, viewLog.kinds)
 		if !ok {
 			t.Fatalf("record %d not found for corruption", i)
 		}
@@ -155,6 +156,28 @@ func TestHeaderCorruptionTotalLoss(t *testing.T) {
 	if v3.Rows() != 3 {
 		t.Errorf("fresh generation lost rows: %d", v3.Rows())
 	}
+}
+
+// readQuarManifest loads the persisted quarantine ranges, or nil when
+// there is no usable manifest.
+func readQuarManifest(path string) []LostRange {
+	data, _ := os.ReadFile(quarPath(path))
+	body, ok := openSealed(data, quarFile)
+	if !ok || len(body) < 4 {
+		return nil
+	}
+	n := int(binary.LittleEndian.Uint32(body))
+	if 4+16*n != len(body) {
+		return nil
+	}
+	out := make([]LostRange, 0, n)
+	for off := 4; off < len(body); off += 16 {
+		out = append(out, LostRange{
+			Lo: int64(binary.LittleEndian.Uint64(body[off:])),
+			Hi: int64(binary.LittleEndian.Uint64(body[off+8:])),
+		})
+	}
+	return out
 }
 
 // TestQuarantineManifestRoundTrip: the manifest survives encode/decode
@@ -300,13 +323,13 @@ func TestDropViewsRemovesQuarantineSidecars(t *testing.T) {
 func TestResyncRejectsFalsePositives(t *testing.T) {
 	// A buffer of structurally plausible but checksum-less bytes.
 	junk := bytes.Repeat([]byte{recRows, 1, 0, 0, 0, 4, 0, 0, 0}, 8)
-	if got := resyncRecord(junk, 0); got != -1 {
+	if got := resyncRecord(junk, 0, viewLog.kinds); got != -1 {
 		t.Errorf("resync accepted junk at %d", got)
 	}
 	// A real record embedded mid-buffer is found exactly.
 	rec := sealRecord(nil, recKeys, 0, nil)
 	data := append(append([]byte{0xaa, 0xbb, 0xcc}, rec...), 0xdd)
-	if got := resyncRecord(data, 0); got != 3 {
+	if got := resyncRecord(data, 0, viewLog.kinds); got != 3 {
 		t.Errorf("resync = %d, want 3", got)
 	}
 }

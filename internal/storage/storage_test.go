@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -99,26 +100,74 @@ func TestVideoScanBoundaries(t *testing.T) {
 	}
 }
 
+// TestVideoSegmentPersistence: a segment is written on first scan, and a
+// segment file that fails its frame check or does not decode — garbage,
+// a hostile row count behind a version-1 header or behind a valid seal,
+// a whole version-1 segment, one flipped byte, a cut — is regenerated
+// from the dataset: the scan returns exactly the frames a fresh
+// directory does, and the file is rewritten to the fresh bytes.
 func TestVideoSegmentPersistence(t *testing.T) {
 	dir := t.TempDir()
 	e, _ := Open(dir)
 	v, _ := e.CreateVideo("video", vision.Jackson)
-	if _, err := v.Scan(0, 10); err != nil {
+	fresh, err := v.Scan(0, 10)
+	if err != nil {
 		t.Fatal(err)
 	}
 	segs, _ := filepath.Glob(filepath.Join(dir, "videos", "video", "seg-*.bin"))
 	if len(segs) != 1 {
 		t.Fatalf("segments on disk = %d", len(segs))
 	}
-	// Corrupt the segment; a fresh engine should surface the error.
-	if err := os.WriteFile(segs[0], []byte("garbage"), 0o644); err != nil {
+	good, err := os.ReadFile(segs[0])
+	if err != nil {
 		t.Fatal(err)
 	}
-	e2, _ := Open(dir)
-	v2, _ := e2.CreateVideo("video", vision.Jackson)
-	if _, err := v2.Scan(0, 10); err == nil {
-		t.Error("corrupt segment should error")
+	body, ok := openSealed(good, segFile)
+	if !ok {
+		t.Fatal("fresh segment fails its frame check")
 	}
+	v1 := beginFile(nil, Format{magic: segFile.magic, version: 1})
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)/2] ^= 0x01
+	for name, data := range map[string][]byte{
+		"garbage":              []byte("garbage"),
+		"v1 hostile count":     append(v1, 0xff, 0xff, 0xff, 0xff),
+		"sealed hostile count": sealFile(append(beginFile(nil, segFile), 0xff, 0xff, 0xff, 0xff)),
+		"v1 segment":           append(append([]byte(nil), v1...), body...),
+		"flipped byte":         flipped,
+		"truncated":            good[:len(good)-3],
+	} {
+		if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		e2, _ := Open(dir)
+		v2, _ := e2.CreateVideo("video", vision.Jackson)
+		got, err := v2.Scan(0, 10)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !sameBatch(got, fresh) {
+			t.Errorf("%s: scan differs from a fresh directory's", name)
+		}
+		if disk, _ := os.ReadFile(segs[0]); !bytes.Equal(disk, good) {
+			t.Errorf("%s: segment not regenerated", name)
+		}
+	}
+}
+
+// sameBatch reports whether two batches hold the same rows.
+func sameBatch(a, b *types.Batch) bool {
+	if a.Len() != b.Len() {
+		return false
+	}
+	for r := 0; r < a.Len(); r++ {
+		for c := range a.Schema() {
+			if !bytes.Equal(a.At(r, c).AppendBinary(nil), b.At(r, c).AppendBinary(nil)) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func TestCreateVideoDuplicate(t *testing.T) {

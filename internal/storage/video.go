@@ -76,34 +76,9 @@ func (v *Video) VirtualBytes() int64 {
 
 // Scan returns frames with id in [lo, hi) as one batch.
 func (v *Video) Scan(lo, hi int64) (*types.Batch, error) {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > v.NumFrames() {
-		hi = v.NumFrames()
-	}
-	out := types.NewBatchCapacity(videoSchema, int(hi-lo))
-	if hi <= lo {
-		return out, nil
-	}
-	for seg := int(lo) / v.segFrames; seg <= int(hi-1)/v.segFrames; seg++ {
-		batch, err := v.segment(seg)
-		if err != nil {
-			return nil, err
-		}
-		segLo := int64(seg * v.segFrames)
-		from, to := lo-segLo, hi-segLo
-		if from < 0 {
-			from = 0
-		}
-		if to > int64(batch.Len()) {
-			to = int64(batch.Len())
-		}
-		if to > from {
-			if err := out.AppendBatch(batch.Slice(int(from), int(to))); err != nil {
-				return nil, err
-			}
-		}
+	out := types.NewBatchCapacity(videoSchema, int(max(0, min(hi, v.NumFrames())-max(lo, 0))))
+	if err := v.ScanInto(out, lo, hi); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -114,12 +89,7 @@ func (v *Video) Scan(lo, hi int64) (*types.Batch, error) {
 // scan batch needs (recycling a batch that aliased the cache would let
 // poisoning or reuse corrupt it).
 func (v *Video) ScanInto(out *types.Batch, lo, hi int64) error {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > v.NumFrames() {
-		hi = v.NumFrames()
-	}
+	lo, hi = max(lo, 0), min(hi, v.NumFrames())
 	if hi <= lo {
 		return nil
 	}
@@ -129,13 +99,7 @@ func (v *Video) ScanInto(out *types.Batch, lo, hi int64) error {
 			return err
 		}
 		segLo := int64(seg * v.segFrames)
-		from, to := lo-segLo, hi-segLo
-		if from < 0 {
-			from = 0
-		}
-		if to > int64(batch.Len()) {
-			to = int64(batch.Len())
-		}
+		from, to := max(lo-segLo, 0), min(hi-segLo, int64(batch.Len()))
 		if to > from {
 			if err := out.AppendRange(batch, int(from), int(to)); err != nil {
 				return err
@@ -145,7 +109,11 @@ func (v *Video) ScanInto(out *types.Batch, lo, hi int64) error {
 	return nil
 }
 
-// segment loads (materializing if needed) one segment.
+// segment loads (materializing if needed) one segment. A segment file
+// that fails its frame check — missing, torn, rotted, or written in
+// version 1, which had no checksum — or does not decode is regenerated
+// from the dataset: segments are derived source data, so a bad one
+// costs a rewrite, not a scan error.
 func (v *Video) segment(idx int) (*types.Batch, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -156,25 +124,29 @@ func (v *Video) segment(idx int) (*types.Batch, error) {
 		return b, nil
 	}
 	path := filepath.Join(v.dir, fmt.Sprintf("seg-%06d.bin", idx))
-	if _, err := os.Stat(path); os.IsNotExist(err) {
+	for regenerated := false; ; regenerated = true {
+		data, _ := os.ReadFile(path)
+		if b, ok := readSegment(data); ok {
+			v.cache[idx] = b
+			return b, nil
+		}
+		if regenerated {
+			return nil, fmt.Errorf("storage: video %s segment %d: unreadable after regeneration", v.name, idx)
+		}
 		if err := v.writeSegment(idx, path); err != nil {
 			return nil, err
 		}
 	}
-	b, err := readSegment(path)
-	if err != nil {
-		return nil, fmt.Errorf("storage: video %s segment %d: %w", v.name, idx, err)
-	}
-	v.cache[idx] = b
-	return b, nil
 }
 
+// Segment file (a sealed segFile, DESIGN.md §20): the body is the row
+// count, then the rows of canonically encoded datums.
+
+// writeSegment materializes segment idx from the dataset and writes it
+// to path.
 func (v *Video) writeSegment(idx int, path string) error {
 	lo := idx * v.segFrames
-	hi := lo + v.segFrames
-	if hi > v.ds.Frames {
-		hi = v.ds.Frames
-	}
+	hi := min(lo+v.segFrames, v.ds.Frames)
 	if lo >= hi {
 		return fmt.Errorf("storage: segment %d out of range", idx)
 	}
@@ -188,57 +160,28 @@ func (v *Video) writeSegment(idx int, path string) error {
 			return fmt.Errorf("storage: video %s segment %d: %w", v.name, idx, err)
 		}
 	}
-	return writeSegment(path, batch)
-}
-
-// Segment file format: magic, version, row count, then rows of
-// canonically encoded datums.
-const (
-	segMagic   = 0x45564153 // "EVAS"
-	segVersion = 1
-)
-
-func writeSegment(path string, batch *types.Batch) error {
-	buf := make([]byte, 0, 64+batch.EncodedSize())
-	buf = binary.LittleEndian.AppendUint32(buf, segMagic)
-	buf = append(buf, segVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(batch.Len()))
+	buf := binary.LittleEndian.AppendUint32(beginFile(make([]byte, 0, 64+batch.EncodedSize()), segFile), uint32(batch.Len()))
 	for r := 0; r < batch.Len(); r++ {
-		for c := 0; c < len(batch.Schema()); c++ {
+		for c := range videoSchema {
 			buf = batch.At(r, c).AppendBinary(buf)
 		}
 	}
 	// Segments are regenerable source data, outside the disk budget.
-	return writeSidecar(nil, path, buf)
+	return writeSidecar(nil, path, sealFile(buf))
 }
 
-func readSegment(path string) (*types.Batch, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
+// readSegment rebuilds a segment's frames from its file, or reports
+// false when the file fails its frame check or its body does not decode
+// to exactly its row count. The batch is sized from what the verified
+// body can hold — no encoded row is shorter than one byte per column —
+// never from the count alone.
+func readSegment(data []byte) (*types.Batch, bool) {
+	body, ok := openSealed(data, segFile)
+	if !ok || len(body) < 4 {
+		return nil, false
 	}
-	if len(data) < 9 || binary.LittleEndian.Uint32(data) != segMagic {
-		return nil, fmt.Errorf("bad segment header")
-	}
-	if data[4] != segVersion {
-		return nil, fmt.Errorf("unsupported segment version %d", data[4])
-	}
-	n := int(binary.LittleEndian.Uint32(data[5:]))
-	batch := types.NewBatchCapacity(videoSchema, n)
-	off := 9
-	row := make([]types.Datum, len(videoSchema))
-	for r := 0; r < n; r++ {
-		for c := range row {
-			d, consumed, err := types.DecodeDatum(data[off:])
-			if err != nil {
-				return nil, fmt.Errorf("row %d col %d: %w", r, c, err)
-			}
-			row[c] = d
-			off += consumed
-		}
-		if err := batch.AppendRow(row...); err != nil {
-			return nil, err
-		}
-	}
-	return batch, nil
+	n, rows := int(binary.LittleEndian.Uint32(body)), body[4:]
+	batch := types.NewBatchCapacity(videoSchema, min(n, len(rows)/len(videoSchema)))
+	used, err := batch.AppendEncoded(rows, n)
+	return batch, err == nil && used == len(rows)
 }

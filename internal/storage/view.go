@@ -12,7 +12,6 @@ import (
 
 	"eva/internal/faults"
 	"eva/internal/types"
-	"eva/internal/xxhash"
 )
 
 // View is an append-only materialized view of UDF results. Rows carry
@@ -20,13 +19,13 @@ import (
 // records every *processed key* so that keys whose evaluation produced
 // zero rows (e.g. frames with no detections) are not re-evaluated.
 //
-// The view persists every append to its backing file and rebuilds its
-// in-memory index when reopened. Appends are crash-safe: the log
-// record is built and written to disk *before* any in-memory state
-// changes, every record carries an xxhash64 checksum, and replay
-// truncates a torn tail (a record cut short by a crash) back to the
-// last complete record. Because appends are idempotent per key, a
-// re-run STORE after recovery converges to the uninterrupted state.
+// The view persists every append to its backing file, a record log in
+// the frame layout of DESIGN.md §20, and rebuilds its in-memory index
+// when reopened. Appends are crash-safe: the log record is built and
+// written to disk *before* any in-memory state changes, and the open
+// truncates a torn tail (a record cut short by a crash) back to the last
+// complete record. Because appends are idempotent per key, a re-run
+// STORE after recovery converges to the uninterrupted state.
 //
 // The log also carries the description of what it holds: the
 // signature's aggregated predicate p_u, as snapshot records written
@@ -89,54 +88,30 @@ type View struct {
 	touch atomic.Uint64
 }
 
-// View file format v2: header (magic, version, schema, key columns)
-// followed by self-verifying records:
-//
-//	[kind:1][count:4][payloadLen:4][payload][sum:8]
-//
-// where sum = xxhash64 over the bytes from kind through payload.
-// Record kinds: rows (encoded datum rows), processed-keys (encoded key
-// tuples) and predicate (count 0; the payload is a snapshot of the
-// aggregated predicate, empty for FALSE; logs written before the kind
-// existed simply have none). Version 1 (no checksums) is no longer
-// readable; views are rebuilt from UDF evaluation, so an unsupported
-// version is surfaced as an error rather than migrated.
-const (
-	viewMagic   = 0x45564156 // "EVAV"
-	viewVersion = 2
+// View log payloads (the log is a viewLog record log, DESIGN.md §20):
+// the header body is the row schema and the key column names; a rows
+// record holds count encoded datum rows, a keys record count encoded key
+// tuples, and a predicate record (count 0) a snapshot of the aggregated
+// predicate, empty for FALSE — logs written before the kind existed
+// simply have none. Version 1 (no checksums) is no longer readable;
+// views are rebuilt from UDF evaluation, so an unsupported version is
+// surfaced as an error rather than migrated.
 
-	recRows = 1
-	recKeys = 2
-	recPred = 3
-
-	// recHeaderLen is kind + count + payloadLen; recSumLen the
-	// trailing checksum.
-	recHeaderLen = 9
-	recSumLen    = 8
-)
-
-// Clean sidecar ("<view>.clean"): the verified-prefix fast path. A
-// clean close (and a completed open) records the byte length of the
-// log's verified prefix plus the file's trailing record checksum at
-// that length, all under a sidecar checksum. The next open trusts
-// records entirely inside that prefix — skipping the per-record xxhash
+// Clean sidecar ("<view>.clean", a sealed cleanFile): the
+// verified-prefix fast path. A clean close (and a completed open)
+// records the byte length of the log's verified prefix plus the file's
+// trailing record checksum at that length. The next open trusts records
+// entirely inside that prefix — skipping the per-record xxhash
 // re-verification whose cost grows with log length, not tail length —
 // and fully verifies only the bytes past it. The sidecar binds itself
 // to the file contents via the tail checksum, so a stale or foreign
 // sidecar degrades to the full verifying scan rather than admitting
 // unchecked bytes; likewise any structural inconsistency inside the
 // trusted prefix falls back to a full scan (errTrustedCorrupt).
-const (
-	cleanMagic   = 0x4556414b // "EVAK"
-	cleanVersion = 1
-	// cleanLen is magic + version + trusted length + tail checksum +
-	// sidecar checksum.
-	cleanLen = 4 + 1 + 8 + 8 + 8
-)
-
-// errTrustedCorrupt signals that the sidecar-trusted prefix failed a
-// structural check; the caller re-replays with full verification.
-var errTrustedCorrupt = errors.New("storage: trusted prefix failed structural check")
+//
+// cleanLen is the sidecar's size: preamble, trusted length, tail
+// checksum and seal.
+const cleanLen = preambleLen + 8 + recSumLen + recSumLen
 
 // cleanPath returns the sidecar path for a view log path.
 func cleanPath(path string) string { return path + ".clean" }
@@ -146,21 +121,13 @@ func cleanPath(path string) string { return path + ".clean" }
 // the log contents; the sidecar must match its length and trailing
 // record checksum to be trusted.
 func readCleanSidecar(path string, data []byte) int64 {
-	sc, err := os.ReadFile(cleanPath(path))
-	if err != nil || len(sc) != cleanLen {
+	sc, _ := os.ReadFile(cleanPath(path))
+	body, ok := openSealed(sc, cleanFile)
+	if !ok || len(body) != 8+recSumLen {
 		return 0
 	}
-	if binary.LittleEndian.Uint32(sc) != cleanMagic || sc[4] != cleanVersion {
-		return 0
-	}
-	if xxhash.Sum64(sc[:cleanLen-8], 0) != binary.LittleEndian.Uint64(sc[cleanLen-8:]) {
-		return 0
-	}
-	trusted := int64(binary.LittleEndian.Uint64(sc[5:]))
-	if trusted < recSumLen || trusted > int64(len(data)) {
-		return 0
-	}
-	if binary.LittleEndian.Uint64(data[trusted-recSumLen:]) != binary.LittleEndian.Uint64(sc[13:]) {
+	trusted := int64(binary.LittleEndian.Uint64(body))
+	if trusted < recSumLen || trusted > int64(len(data)) || !bytes.Equal(data[trusted-recSumLen:trusted], body[8:]) {
 		return 0
 	}
 	return trusted
@@ -181,15 +148,12 @@ func (v *View) writeCleanSidecarLocked() {
 		return
 	}
 	defer f.Close()
-	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, cleanLen), cleanMagic)
-	buf = append(buf, cleanVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(bound))
+	buf := binary.LittleEndian.AppendUint64(beginFile(make([]byte, 0, cleanLen), cleanFile), uint64(bound))
 	buf = buf[:len(buf)+recSumLen]
 	if _, err := f.ReadAt(buf[len(buf)-recSumLen:], bound-recSumLen); err != nil {
 		return
 	}
-	buf = binary.LittleEndian.AppendUint64(buf, xxhash.Sum64(buf, 0))
-	_ = writeSidecar(v.log.budget, cleanPath(v.path), buf)
+	_ = writeSidecar(v.log.budget, cleanPath(v.path), sealFile(buf))
 }
 
 // openView opens (or creates) the view log at path. A nil schema opens
@@ -286,8 +250,7 @@ func (v *View) setLayout(schema types.Schema, keyCols []string) {
 }
 
 func (v *View) encodeHeader() []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, viewMagic)
-	buf = append(buf, viewVersion)
+	buf := beginFile(nil, viewLog)
 	buf = append(buf, byte(len(v.schema)))
 	for _, c := range v.schema {
 		buf = append(buf, byte(c.Kind), byte(len(c.Name)))
@@ -299,25 +262,6 @@ func (v *View) encodeHeader() []byte {
 		buf = append(buf, kc...)
 	}
 	return buf
-}
-
-// sealRecord appends one checksummed record to buf.
-func sealRecord(buf []byte, kind byte, count int, payload []byte) []byte {
-	start := len(buf)
-	return endRecord(append(beginRecord(buf, kind), payload...), start, count)
-}
-
-// beginRecord appends a record header of the given kind for a payload
-// the caller appends in place; endRecord, given where the record began,
-// fills in the count and the payload length and appends the checksum.
-func beginRecord(buf []byte, kind byte) []byte {
-	return append(buf, kind, 0, 0, 0, 0, 0, 0, 0, 0)
-}
-
-func endRecord(buf []byte, start, count int) []byte {
-	binary.LittleEndian.PutUint32(buf[start+1:], uint32(count))
-	binary.LittleEndian.PutUint32(buf[start+5:], uint32(len(buf)-start-recHeaderLen))
-	return binary.LittleEndian.AppendUint64(buf, xxhash.Sum64(buf[start:], 0))
 }
 
 // resetReplayState discards the rows, the index and whatever else a
@@ -332,22 +276,16 @@ func (v *View) resetReplayState() {
 	v.pred = nil                         // lint:nolock pre-publish (openView)
 }
 
-// replay rebuilds in-memory state from the log. It returns the byte
-// offset past the last record it accepted. An unreadable header is
-// reported as errHeaderCorrupt (the whole generation is lost — views
-// are derived data, so the caller salvages by starting over). A record
-// failing its structural checks or checksum mid-log is *salvaged
-// around*: replay resynchronizes to the next checksum-valid record
-// boundary, records the skipped bytes in v.holes, and keeps going, so
-// one flipped bit quarantines one record instead of killing the view.
-// Only when no valid record follows — the signature of a crash
-// mid-append — does replay stop at the last good boundary so the
-// caller can truncate the torn tail. Records that end at or before
-// trusted (the sidecar's clean prefix) skip the checksum
-// re-verification; any failure inside that region is reported as
-// errTrustedCorrupt so the caller can fall back to a full verifying
-// scan. It runs inside openView before the view is published, so it
-// may touch guarded fields without the lock.
+// replay rebuilds in-memory state from the log and returns the byte
+// offset past the last record it accepted: the frame scanner's (scanLog)
+// salvage around mid-log rot, with the holes kept in v.holes for the
+// quarantine, and its trusted-prefix skip for records that end at or
+// before trusted (the sidecar's clean prefix), which fails with
+// errTrustedCorrupt for the caller to fall back to a full scan. An
+// unreadable header is errHeaderCorrupt (the whole generation is lost —
+// views are derived data, so the caller salvages by starting over). It
+// runs inside openView before the view is published, so it may touch
+// guarded fields without the lock.
 func (v *View) replay(data []byte, trusted int64) (int, error) {
 	schema, keyCols, off, err := parseViewHeader(data)
 	if err != nil {
@@ -367,75 +305,18 @@ func (v *View) replay(data []byte, trusted int64) (int, error) {
 		// Names are settled by schema equality; only the count can differ.
 		return 0, fmt.Errorf("key count mismatch: file has %d, want %d", len(keyCols), len(v.keyCols))
 	}
-	if trusted > 0 && trusted < int64(off) {
-		// The sidecar claims a prefix shorter than the header: stale
-		// beyond use.
-		return 0, errTrustedCorrupt
-	}
-	for off < len(data) {
-		inTrusted := int64(off) < trusted
-		end, ok := recordBounds(data, off)
-		fastPath := ok && inTrusted && int64(end) <= trusted
-		if ok && !fastPath {
-			// Verified-prefix fast path skips this hash: records
-			// entirely inside the sidecar's clean prefix were verified
-			// by the open that wrote the sidecar. (That skip is also
-			// the fast path's blind spot — bitrot landing inside the
-			// trusted prefix after the sidecar was written passes this
-			// scan; Verify's full re-hash is what catches it.)
-			sum := binary.LittleEndian.Uint64(data[end-recSumLen:])
-			ok = xxhash.Sum64(data[off:end-recSumLen], 0) == sum
-		}
-		if !ok {
-			if inTrusted {
-				return 0, errTrustedCorrupt
-			}
-			// Bad record outside the trusted prefix: try to salvage a
-			// valid suffix. With none, this is a torn tail (crash
-			// mid-append) — stop at the last good boundary so the
-			// caller truncates. With one, the skipped bytes are a
-			// mid-log hole: quarantine them and keep replaying.
-			next := resyncRecord(data, off+1)
-			if next < 0 {
-				return off, nil
-			}
-			v.holes = append(v.holes, LostRange{Lo: int64(off), Hi: int64(next)}) // lint:nolock pre-publish (openView)
-			off = next
-			continue
-		}
-		kind := data[off]
-		count := int(binary.LittleEndian.Uint32(data[off+1:]))
-		if fastPath {
-			v.openTrusted++ // lint:nolock pre-publish (openView)
-		} else {
-			v.openVerified++
-		}
-		payload := data[off+recHeaderLen : end-recSumLen]
-		if err := v.replayRecord(kind, count, payload); err != nil {
-			if inTrusted {
-				// Inside the trusted prefix an undecodable payload
-				// means the sidecar lied (the checksum was skipped):
-				// retry with full verification before giving up.
-				return 0, errTrustedCorrupt
-			}
-			// The checksum matched but the payload is undecodable:
-			// a writer bug or deliberate corruption, not a crash.
-			return 0, err
-		}
-		off = end
-	}
-	return off, nil
+	s, err := scanLog(data, off, trusted, viewLog, v.replayRecord)
+	v.holes = s.holes                                     // lint:nolock pre-publish (openView)
+	v.openTrusted, v.openVerified = s.trusted, s.verified // lint:nolock pre-publish (openView)
+	return s.valid, err
 }
 
 // parseViewHeader reads the log header: the row schema, the key column
 // names and the offset of the first record. A header it cannot read is
 // errHeaderCorrupt.
 func parseViewHeader(data []byte) (schema types.Schema, keyCols []string, off int, err error) {
-	if len(data) < 6 || binary.LittleEndian.Uint32(data) != viewMagic {
-		return nil, nil, 0, errHeaderCorrupt
-	}
-	if data[4] != viewVersion {
-		return nil, nil, 0, fmt.Errorf("unsupported view version %d: %w", data[4], errHeaderCorrupt)
+	if off, err = openLog(data, viewLog); err != nil {
+		return nil, nil, 0, err
 	}
 	// name reads one length-prefixed name at off.
 	name := func() (string, bool) {
@@ -446,7 +327,9 @@ func parseViewHeader(data []byte) (schema types.Schema, keyCols []string, off in
 		off += 1 + len(s)
 		return s, true
 	}
-	off = 5
+	if off >= len(data) {
+		return nil, nil, 0, errHeaderCorrupt
+	}
 	ncols := int(data[off])
 	off++
 	for i := 0; i < ncols; i++ {
@@ -474,57 +357,6 @@ func parseViewHeader(data []byte) (schema types.Schema, keyCols []string, off in
 		keyCols = append(keyCols, n)
 	}
 	return schema, keyCols, off, nil
-}
-
-// recordBounds validates the record header at off structurally,
-// returning the offset past the record. ok is false when the record
-// does not fit in data or its header is implausible.
-func recordBounds(data []byte, off int) (end int, ok bool) {
-	if off+recHeaderLen+recSumLen > len(data) {
-		return 0, false
-	}
-	kind := data[off]
-	if kind != recRows && kind != recKeys && kind != recPred {
-		return 0, false
-	}
-	count := int(binary.LittleEndian.Uint32(data[off+1:]))
-	paylen := int(binary.LittleEndian.Uint32(data[off+5:]))
-	if paylen < 0 || count < 0 {
-		return 0, false
-	}
-	end = off + recHeaderLen + paylen + recSumLen
-	if end < off || end > len(data) {
-		return 0, false
-	}
-	return end, true
-}
-
-// checkRecord validates the record at off structurally and against its
-// checksum, returning the offset past it.
-func checkRecord(data []byte, off int) (end int, sumOK bool) {
-	end, ok := recordBounds(data, off)
-	if !ok {
-		return 0, false
-	}
-	sum := binary.LittleEndian.Uint64(data[end-recSumLen:])
-	if xxhash.Sum64(data[off:end-recSumLen], 0) != sum {
-		return 0, false
-	}
-	return end, true
-}
-
-// resyncRecord scans forward from off for the next byte offset holding
-// a checksum-valid record, or -1 when none exists. A 64-bit checksum
-// over the full candidate record makes a false resynchronization point
-// (random bytes that both parse as a header and hash correctly)
-// vanishingly unlikely.
-func resyncRecord(data []byte, off int) int {
-	for ; off+recHeaderLen+recSumLen <= len(data); off++ {
-		if _, ok := checkRecord(data, off); ok {
-			return off
-		}
-	}
-	return -1
 }
 
 // replayRecord decodes one verified record payload into memory.
