@@ -76,11 +76,14 @@ server-stress:
 # every killed-and-resumed run must byte-match the uninterrupted
 # baseline's standing-query state (exactly-once replay from the
 # checkpoint), and each cell's fault schedule must be identical across
-# worker counts. Also runs the ingest unit suite (checkpoint log fuzz,
-# backpressure ordering, goroutine-leak) under the race detector.
-# See DESIGN.md "Streaming ingestion".
+# worker counts. Also runs, under the race detector, the checks that a
+# standing query's delta is a session statement (Close drains it, it
+# takes an admission token, it is merged into the global clock, it
+# nudges the scrubber, it is planned in the System's mode) and the
+# ingest unit suite (checkpoint log fuzz, backpressure ordering,
+# goroutine-leak). See DESIGN.md "Streaming ingestion".
 ingest-chaos:
-	$(GO) test -race -run TestIngestChaos .
+	$(GO) test -race -run 'TestIngestChaos|TestStreamSession' .
 	$(GO) test -race ./internal/ingest/
 
 # cover enforces a coverage floor on the packages at the heart of the

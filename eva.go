@@ -38,6 +38,7 @@ import (
 	"eva/internal/faults"
 	"eva/internal/optimizer"
 	"eva/internal/parser"
+	"eva/internal/plan"
 	"eva/internal/server"
 	"eva/internal/simclock"
 	"eva/internal/storage"
@@ -229,6 +230,10 @@ type Result struct {
 	SimTime time.Duration
 	// WallTime is the real execution time.
 	WallTime time.Duration
+
+	// plan is a SELECT's physical plan, rendered into PlanText by
+	// Session.ExecStmt.
+	plan plan.Node
 }
 
 // System is an EVA instance: the public facade over the semantic reuse
@@ -242,8 +247,9 @@ type System struct {
 	eng   *core.Engine
 	store *storage.Engine
 	ctl   *server.Controller // nil when admission control is off
-	// root is the session System.Exec runs in: the engine's own clock,
-	// the runtime's default domain, the engine-wide injector.
+	// root is the session System.Exec runs in: the runtime's default
+	// domain, which charges the engine's own clock and holds the
+	// engine-wide injector.
 	root *Session
 	// scrubber is the background view-verification loop; nil when
 	// Config.ScrubInterval is 0.
@@ -272,6 +278,9 @@ type System struct {
 	// streams tracks live ingest streams so Close drains them before
 	// tearing storage down. guarded by smu.
 	streams []*Stream
+	// streamsClosed flips when Close has taken the stream list; a later
+	// OpenStream fails with ErrClosed. guarded by smu.
+	streamsClosed bool
 
 	repairMu sync.Mutex
 	// repairs holds the pending symbolic repair task per quarantined
@@ -307,6 +316,7 @@ func Open(cfg Config) (*System, error) {
 	eng := core.New(store, cfg.BatchSize)
 	eng.Runtime.SetFunCache(cfg.Mode == ModeFunCache)
 	eng.Deadline = cfg.QueryDeadline
+	eng.MemoryBudget = cfg.MemoryBudget
 	eng.Workers = cfg.Workers
 	if !cfg.DisablePooling {
 		eng.Pool = types.NewBatchPool()
@@ -317,7 +327,7 @@ func Open(cfg Config) (*System, error) {
 		store: store,
 		rec:   baselines.NewRecycler(),
 	}
-	s.root = &Session{sys: s, clock: eng.Clock, domain: eng.Runtime.DefaultDomain()}
+	s.root = &Session{sys: s, domain: eng.Runtime.DefaultDomain()}
 	eng.Manager.OnLost(s.predicateLost)
 	if cfg.DiskBudgetBytes > 0 {
 		store.SetBudget(storage.NewDiskBudget(cfg.DiskBudgetBytes))
@@ -378,13 +388,16 @@ func Open(cfg Config) (*System, error) {
 	return s, nil
 }
 
-// Close drains in-flight queries, closes the storage engine, and
-// removes the storage directory when it was temporary. Idempotent and
-// safe to call concurrently with executing statements: statements that
-// began before Close complete normally, statements arriving after fail
-// with ErrClosed.
+// Close drains and closes the System's streams, drains in-flight
+// queries, closes the storage engine, and removes the storage directory
+// when it was temporary. Idempotent and safe to call concurrently with
+// executing statements: statements that began before Close complete
+// normally, statements arriving after fail with ErrClosed.
 func (s *System) Close() error {
 	s.closeOnce.Do(func() {
+		// Streams close while the System is still open: their queued
+		// deltas are statements and run to completion like any other.
+		err := s.closeStreams()
 		s.markClosed()
 		// The scrubber stops after markClosed so an in-flight pass
 		// either finished before the flag flipped or sees closed and
@@ -395,7 +408,6 @@ func (s *System) Close() error {
 		if s.evictor != nil {
 			s.evictor.Close()
 		}
-		err := s.closeStreams()
 		if serr := s.store.Close(); err == nil {
 			err = serr
 		}
@@ -601,10 +613,7 @@ func (s *System) RegisterScalarImpl(name string, fn ScalarFunc) {
 // engine's fault sites — UDF evaluation, view-log writes, and the
 // executor's deadline checks (nil disables injection). Resilience
 // sweeps and in-module tools use it; see internal/faults.
-func (s *System) InjectFaults(inj *faults.Injector) {
-	s.eng.SetFaults(inj)
-	s.root.InjectFaults(inj)
-}
+func (s *System) InjectFaults(inj *faults.Injector) { s.eng.SetFaults(inj) }
 
 // EvalScalarUDF evaluates a scalar UDF directly (outside any query),
 // charging its profiled cost. Custom UDF implementations may use it to

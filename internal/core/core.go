@@ -55,6 +55,9 @@ type Engine struct {
 	// Deadline is the virtual-time budget applied to each query
 	// execution (0 = unlimited).
 	Deadline time.Duration
+	// MemoryBudget caps each query execution's estimated materialized
+	// bytes (0 = unlimited); see server.MemBudget.
+	MemoryBudget int64
 	// Workers is the parallel pipelined executor's worker count
 	// (0 or 1 = serial); see exec.Context.Workers.
 	Workers int
@@ -64,7 +67,6 @@ type Engine struct {
 	Pool *types.BatchPool
 
 	batchSize int
-	faults    *faults.Injector
 }
 
 // New assembles an engine over a storage root.
@@ -92,7 +94,6 @@ func New(store *storage.Engine, batchSize int) *Engine {
 // fault site — UDF evaluation, view writes, and the executor's
 // deadline checks (nil disables injection).
 func (e *Engine) SetFaults(inj *faults.Injector) {
-	e.faults = inj
 	e.Runtime.SetInjector(inj)
 	e.Store.SetInjector(inj)
 }
@@ -106,43 +107,41 @@ type Outcome struct {
 	Trace *exec.Trace
 }
 
-// ExecOpts is the session a statement runs in: the virtual clock its
-// costs are charged to, the UDF domain it evaluates and plans through
-// (breaker state, failure rates, UDF fault schedule), the injector its
-// view appends and deadline checks draw from (nil injects nothing) and
-// its query memory budget (nil = unlimited). A nil Clock or Domain
-// names the engine's own — the root session's. Sessions switches on
-// the executor's shared-view protocol (store-view probing, per-key
-// claims, per-batch publication) so concurrent sessions reuse one
-// another's results instead of recomputing them; the root session runs
-// without it and keeps its pipeline stages. Trace collects per-operator
-// statistics into Outcome.Trace.
+// ExecOpts is the session a statement runs in. Domain is the session
+// itself (nil names the engine's own, Runtime.DefaultDomain — the root
+// session's): the statement is charged to its clock, evaluates and
+// plans through its breaker state and failure rates, and draws UDF
+// evaluations, view appends and deadline checks from its injector.
+// Every other domain is a client session and runs the executor's
+// shared-view protocol (store-view probing, per-key claims, per-batch
+// publication), so concurrent sessions reuse one another's results
+// instead of recomputing them; the root session runs without it and
+// keeps its pipeline stages. Trace collects per-operator statistics
+// into Outcome.Trace.
 type ExecOpts struct {
-	Clock    *simclock.Clock
-	Domain   *udf.Domain
-	Faults   *faults.Injector
-	Budget   *server.MemBudget
-	Sessions bool
-	Trace    bool
+	Domain *udf.Domain
+	Trace  bool
 }
 
 // Execute runs a SELECT through the full pipeline under the mode, in
-// the session opts describes. With mode.DryRun it stops after the
-// optimization phase: the Outcome carries the plan and report only.
+// the session opts describes, with a fresh Engine.MemoryBudget. With
+// mode.DryRun it stops after the optimization phase: the Outcome
+// carries the plan and report only.
 func (e *Engine) Execute(stmt *parser.SelectStmt, mode optimizer.Mode, opts ExecOpts) (*Outcome, error) {
-	if opts.Clock == nil {
-		opts.Clock = e.Clock
+	dom := opts.Domain
+	if dom == nil {
+		dom = e.Runtime.DefaultDomain()
 	}
-	if opts.Domain == nil {
-		opts.Domain = e.Runtime.DefaultDomain()
-	}
+	clock, inj := dom.Clock(), dom.Injector()
+	sessions := dom != e.Runtime.DefaultDomain()
+	budget := server.NewMemBudget(e.MemoryBudget)
 	// The optimizer is a small value over shared catalog/manager state;
 	// a client session gets a shallow clone charging its clock and
 	// consulting its breaker health.
 	opt := e.Opt
-	if opts.Clock != e.Clock || opts.Domain != e.Runtime.DefaultDomain() {
+	if sessions {
 		c := *e.Opt
-		c.Clock, c.Health = opts.Clock, opts.Domain
+		c.Clock, c.Health = clock, dom
 		opt = &c
 	}
 	// Replan-on-breaker loop: when a model's circuit breaker trips
@@ -167,10 +166,10 @@ func (e *Engine) Execute(stmt *parser.SelectStmt, mode optimizer.Mode, opts Exec
 			return out, nil
 		}
 		ctx := &exec.Context{
-			Store: e.Store, Runtime: e.Runtime, Clock: opts.Clock,
-			BatchSize: e.batchSize, Faults: opts.Faults, Deadline: e.Deadline,
+			Store: e.Store, Runtime: e.Runtime, Clock: clock,
+			BatchSize: e.batchSize, Faults: inj, Deadline: e.Deadline,
 			Workers: e.Workers, Pool: e.Pool,
-			Domain: opts.Domain, Budget: opts.Budget, Sessions: opts.Sessions,
+			Domain: dom, Budget: budget, Sessions: sessions,
 		}
 		if opts.Trace {
 			out.Trace = exec.NewTrace()
@@ -183,7 +182,7 @@ func (e *Engine) Execute(stmt *parser.SelectStmt, mode optimizer.Mode, opts Exec
 		// afterwards; one cut short — by the failure, or by a LIMIT that
 		// stopped pulling — has not, for results it evaluated may never
 		// have been stored.
-		cerr := e.settle(claims, ctx.Stored(), opts)
+		cerr := e.settle(claims, ctx.Stored(), clock, inj)
 		if err != nil {
 			// ErrModelUnavailable: a breaker tripped, replan degrades
 			// immediately. ErrEvalFailed: the failed run charged the
@@ -207,7 +206,7 @@ func (e *Engine) Execute(stmt *parser.SelectStmt, mode optimizer.Mode, opts Exec
 // instrumentation. It and Plan are what bench/ drives the engine
 // through, one phase at a time.
 func (e *Engine) ExecuteTraced(stmt *parser.SelectStmt, mode optimizer.Mode) (*Outcome, error) {
-	return e.Execute(stmt, mode, ExecOpts{Faults: e.faults, Trace: true})
+	return e.Execute(stmt, mode, ExecOpts{Trace: true})
 }
 
 // Plan is Execute's dry run in the root session: the optimization

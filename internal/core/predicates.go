@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"eva/internal/faults"
+	"eva/internal/simclock"
 	"eva/internal/storage"
 	"eva/internal/symbolic"
 	"eva/internal/udf"
@@ -77,7 +78,7 @@ func (p viewPredicates) Shrink(sig udf.Signature, pred []byte) {
 // exactly as the STOREs that preceded it were. Every other claim — and,
 // when a snapshot cannot be written at all, whatever is left — is
 // withdrawn: the rows stay in the views, merely unpromised.
-func (e *Engine) settle(claims *udf.Claims, stored map[string]int, opts ExecOpts) error {
+func (e *Engine) settle(claims *udf.Claims, stored map[string]int, clock *simclock.Clock, inj *faults.Injector) error {
 	claims.AbortIf(func(sig udf.Signature) bool {
 		stored[sig.ViewName()]--
 		return stored[sig.ViewName()] < 0
@@ -87,9 +88,9 @@ func (e *Engine) settle(claims *udf.Claims, stored map[string]int, opts ExecOpts
 	// left for the retry loop.
 	var sig udf.Signature
 	full := 1
-	err := faults.Retry(opts.Clock, func() (err error) {
+	err := faults.Retry(clock, func() (err error) {
 		for ; ; full++ {
-			if sig, err = claims.Commit(opts.Faults); err == nil {
+			if sig, err = claims.Commit(inj); err == nil {
 				return nil
 			}
 			v := e.Store.Existing(sig.ViewName())

@@ -6,16 +6,12 @@ import (
 	"strings"
 	"sync"
 
-	"eva/internal/core"
 	"eva/internal/costs"
 	"eva/internal/expr"
 	"eva/internal/faults"
-	"eva/internal/optimizer"
 	"eva/internal/parser"
-	"eva/internal/server"
 	"eva/internal/simclock"
 	"eva/internal/types"
-	"eva/internal/udf"
 )
 
 // Alert is one standing-query notification: the tumbling window
@@ -33,17 +29,17 @@ type Alert struct {
 }
 
 // StandingQuery is one registered SELECT incrementally maintained over
-// a stream. Its mutable progress lives in two places: the durable
-// checkpoint (pump-owned, see checkpointLog) and a mirror snapshot
-// under mu that the public accessors read.
+// a stream. Its deltas run as statements of its own session. Its
+// mutable progress lives in two places: the durable checkpoint
+// (pump-owned, see checkpointLog) and a mirror snapshot under mu that
+// the public accessors read.
 type StandingQuery struct {
 	name       string
 	stream     *Stream
 	stmt       *parser.SelectStmt
 	window     int64 // frames per tumbling window
 	threshold  int64
-	clock      *simclock.Clock // delta-execution charges
-	domain     *udf.Domain
+	sess       Session
 	ckpt       *checkpointLog
 	notifySite string
 	onAlert    func(Alert)
@@ -95,16 +91,14 @@ func (s *Stream) Register(name, sql string, windowFrames, threshold int64, onAle
 	if err != nil {
 		return nil, err
 	}
-	clock := &simclock.Clock{}
 	q := &StandingQuery{
 		name: name, stream: s, stmt: sel,
 		window: windowFrames, threshold: threshold,
-		clock: clock, domain: s.eng.Runtime.NewDomain(clock),
+		sess: s.cfg.NewSession(),
 		ckpt: ckpt, notifySite: faults.SiteIngestNotify(name),
 		onAlert: onAlert, alerted: map[int64]bool{},
 		lsn: ckpt.st.lsn, windows: map[int64]int64{},
 	}
-	q.domain.SetInjector(s.injector())
 	// Rebuild alert state from the recovered counts: exactly-once by
 	// derivation, never re-delivered.
 	for _, w := range sortedWindows(ckpt.st.windows) {
@@ -126,6 +120,9 @@ func (s *Stream) Register(name, sql string, windowFrames, threshold int64, onAle
 			return nil, fmt.Errorf("ingest: standing query %q already registered", name)
 		}
 	}
+	// Under the same lock SetInjector holds, so the query can never be
+	// left on a replaced injector.
+	q.sess.InjectFaults(s.inj)
 	s.queries = append(s.queries, q)
 	return q, nil
 }
@@ -198,11 +195,6 @@ func (q *StandingQuery) Deliveries() (delivered, dropped int) {
 // RecoveredBytes returns the torn-tail bytes dropped from the
 // checkpoint log when the query was registered (0 for a clean log).
 func (q *StandingQuery) RecoveredBytes() int64 { return q.ckpt.log.Recovered() }
-
-// SimulatedTime returns the query's delta-execution virtual time.
-func (q *StandingQuery) SimulatedTime() simclock.Breakdown {
-	return q.clock.Since(simclock.Snapshot{})
-}
 
 // advance runs increments along the cadence grid until the committed
 // LSN reaches target. Pump-owned.
@@ -282,32 +274,28 @@ func (q *StandingQuery) increment(lo, hi int64) error {
 	return nil
 }
 
-// runDelta executes the query over frames [lo, hi) and folds the
-// result rows into per-window counts.
+// runDelta executes the query over frames [lo, hi) as a statement of
+// its session and folds the result rows into per-window counts. A
+// delta the session refuses — shed by admission control, say — fails
+// the increment like any other error: the checkpoint stays put and
+// the next cycle re-runs the delta from it.
 func (q *StandingQuery) runDelta(lo, hi int64) (map[int64]int64, error) {
-	s := q.stream
-	out, err := s.eng.Execute(q.deltaStmt(lo, hi), optimizer.EVAMode(), core.ExecOpts{
-		Clock:    q.clock,
-		Domain:   q.domain,
-		Faults:   s.injector(),
-		Budget:   server.NewMemBudget(s.cfg.MemoryBudget),
-		Sessions: true,
-	})
+	rows, err := q.sess.Select(q.deltaStmt(lo, hi))
 	if err != nil {
 		return nil, fmt.Errorf("ingest: standing query %q delta [%d,%d): %w", q.name, lo, hi, err)
 	}
-	idIdx := out.Rows.Schema().IndexOf("id")
+	idIdx := rows.Schema().IndexOf("id")
 	if idIdx < 0 {
-		return nil, fmt.Errorf("ingest: standing query %q: delta result lost the id column (schema %s)", q.name, out.Rows.Schema())
+		return nil, fmt.Errorf("ingest: standing query %q: delta result lost the id column (schema %s)", q.name, rows.Schema())
 	}
 	counts := map[int64]int64{}
-	for r := 0; r < out.Rows.Len(); r++ {
-		counts[out.Rows.At(r, idIdx).Int()/q.window]++
+	for r := 0; r < rows.Len(); r++ {
+		counts[rows.At(r, idIdx).Int()/q.window]++
 	}
 	// The delta rows are fully folded into counts; hand the batch back
 	// to the engine's pool instead of leaving it for the collector —
 	// standing queries run once per ingest increment, forever.
-	s.eng.Recycle(out.Rows)
+	q.stream.eng.Recycle(rows)
 	return counts, nil
 }
 

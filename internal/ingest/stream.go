@@ -8,9 +8,11 @@ import (
 	"eva/internal/core"
 	"eva/internal/costs"
 	"eva/internal/faults"
+	"eva/internal/parser"
 	"eva/internal/server"
 	"eva/internal/simclock"
 	"eva/internal/storage"
+	"eva/internal/types"
 	"eva/internal/vision"
 )
 
@@ -37,10 +39,26 @@ func (e *deadError) Error() string {
 
 func (e *deadError) Unwrap() []error { return []error{ErrStreamDead, e.cause} }
 
+// Session is what a standing query runs its deltas in: one client
+// session of the system that owns the stream, so a delta is an
+// ordinary statement — admitted, charged to the global clock, excluded
+// by the system's maintenance passes and planned in the system's mode.
+type Session interface {
+	// Select executes one SELECT and returns its rows.
+	Select(*parser.SelectStmt) (*types.Batch, error)
+	// InjectFaults installs the session's fault injector (nil disables
+	// injection).
+	InjectFaults(*faults.Injector)
+}
+
 // Config configures one ingest stream.
 type Config struct {
-	// Engine is the execution substrate standing-query deltas run on.
+	// Engine holds the catalog, storage and batch pool the stream's
+	// live table and checkpoints live in.
 	Engine *core.Engine
+	// NewSession opens the session a newly registered standing query
+	// runs its deltas in.
+	NewSession func() Session
 	// Table is the live video table name.
 	Table string
 	// Dataset bounds the stream: its Frames field is the capacity.
@@ -56,9 +74,6 @@ type Config struct {
 	// standing-query cadence (doubles it) to drain faster — the typed
 	// degrade-before-shed backpressure policy. 0 disables degradation.
 	DegradeHighWater int
-	// MemoryBudget caps each delta execution's materialized bytes
-	// (0 = unlimited).
-	MemoryBudget int64
 }
 
 // Stats is a snapshot of one stream's ingest counters.
@@ -128,8 +143,8 @@ func OpenStream(cfg Config) (*Stream, error) {
 // newStream builds a stream without starting the pump (tests enqueue
 // a deterministic backlog first).
 func newStream(cfg Config) (*Stream, error) {
-	if cfg.Engine == nil {
-		return nil, fmt.Errorf("ingest: config needs an engine")
+	if cfg.Engine == nil || cfg.NewSession == nil {
+		return nil, fmt.Errorf("ingest: config needs an engine and a session factory")
 	}
 	if cfg.Table == "" {
 		return nil, fmt.Errorf("ingest: config needs a table name")
@@ -169,7 +184,7 @@ func (s *Stream) SetInjector(inj *faults.Injector) {
 	defer s.mu.Unlock()
 	s.inj = inj
 	for _, q := range s.queries {
-		q.domain.SetInjector(inj)
+		q.sess.InjectFaults(inj)
 	}
 }
 

@@ -11,9 +11,12 @@ import (
 	"eva/internal/core"
 	"eva/internal/faults"
 	"eva/internal/optimizer"
+	"eva/internal/parser"
 	"eva/internal/simclock"
 	"eva/internal/storage"
 	"eva/internal/testutil"
+	"eva/internal/types"
+	"eva/internal/udf"
 	"eva/internal/vision"
 )
 
@@ -25,6 +28,29 @@ func testDS() vision.Dataset {
 
 const testSQL = `SELECT id, label FROM traffic CROSS APPLY YoloTiny(frame) WHERE label = 'car'`
 
+// engineSession is the Session the unit tests run deltas in: a domain
+// of its own over core.Engine.Execute in EVA mode — what a client
+// session of a default eva.System does, minus admission and the global
+// clock.
+type engineSession struct {
+	eng *core.Engine
+	dom *udf.Domain
+}
+
+func newEngineSession(eng *core.Engine) Session {
+	return &engineSession{eng: eng, dom: eng.Runtime.NewDomain(&simclock.Clock{})}
+}
+
+func (f *engineSession) Select(st *parser.SelectStmt) (*types.Batch, error) {
+	out, err := f.eng.Execute(st, optimizer.EVAMode(), core.ExecOpts{Domain: f.dom})
+	if err != nil {
+		return nil, err
+	}
+	return out.Rows, nil
+}
+
+func (f *engineSession) InjectFaults(inj *faults.Injector) { f.dom.SetInjector(inj) }
+
 // openTestStream builds a stream over a fresh core engine on dir.
 func openTestStream(t *testing.T, dir string, cfg Config) (*core.Engine, *Stream) {
 	t.Helper()
@@ -34,6 +60,7 @@ func openTestStream(t *testing.T, dir string, cfg Config) (*core.Engine, *Stream
 	}
 	eng := core.New(store, 0)
 	cfg.Engine = eng
+	cfg.NewSession = func() Session { return newEngineSession(eng) }
 	cfg.Table = "traffic"
 	cfg.Dataset = testDS()
 	s, err := OpenStream(cfg)
@@ -92,15 +119,14 @@ func TestStreamStandingQuery(t *testing.T) {
 
 	// Independent recomputation on the same engine (views are shared,
 	// but counting is over result rows either way).
-	stmt := q.deltaStmt(0, testFrames)
-	out, err := eng.Execute(stmt, optimizer.EVAMode(), core.ExecOpts{Sessions: true})
+	rows, err := newEngineSession(eng).Select(q.deltaStmt(0, testFrames))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := map[int64]int64{}
-	idIdx := out.Rows.Schema().IndexOf("id")
-	for r := 0; r < out.Rows.Len(); r++ {
-		want[out.Rows.At(r, idIdx).Int()/8]++
+	idIdx := rows.Schema().IndexOf("id")
+	for r := 0; r < rows.Len(); r++ {
+		want[rows.At(r, idIdx).Int()/8]++
 	}
 	got := q.Windows()
 	if len(got) != len(want) {
@@ -177,8 +203,10 @@ func TestStreamBackpressureDegradeBeforeShed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng := core.New(store, 0)
 	s, err := newStream(Config{
-		Engine: core.New(store, 0), Table: "traffic", Dataset: testDS(),
+		Engine: eng, NewSession: func() Session { return newEngineSession(eng) },
+		Table: "traffic", Dataset: testDS(),
 		QueueDepth: 4, DegradeHighWater: 2, CadenceFrames: 4,
 	})
 	if err != nil {

@@ -79,7 +79,7 @@ func (d *Domain) begin(name string, kind catalog.UDFKind, hs *HealthSnapshot, si
 		}
 		return batchEval{}, fmt.Errorf("udf: %s is not a scalar UDF", name)
 	}
-	e := batchEval{d: d, u: u, hs: hs, sink: sink, dec: dec, inj: d.injector()}
+	e := batchEval{d: d, u: u, hs: hs, sink: sink, dec: dec, inj: d.Injector()}
 	if e.inj != nil {
 		e.site = faults.SiteUDF(u.Key())
 	}
@@ -404,7 +404,7 @@ func (r *Runtime) EvalDetector(name string, payload []byte) (*types.Batch, error
 // EvalDetector is the domain-scoped form of Runtime.EvalDetector.
 func (d *Domain) EvalDetector(name string, payload []byte) (*types.Batch, error) {
 	var id uint64
-	if d.injector() != nil {
+	if d.Injector() != nil {
 		id = EvalIdentity(name, []types.Datum{types.NewBytes(payload)})
 	}
 	return d.EvalDetectorAt(name, payload, id, nil, nil)
@@ -430,7 +430,7 @@ func (r *Runtime) EvalScalar(name string, args []types.Datum) (types.Datum, erro
 // EvalScalar is the domain-scoped form of Runtime.EvalScalar.
 func (d *Domain) EvalScalar(name string, args []types.Datum) (types.Datum, error) {
 	var id uint64
-	if d.injector() != nil {
+	if d.Injector() != nil {
 		id = EvalIdentity(name, args)
 	}
 	return d.EvalScalarAt(name, args, id, nil, nil)

@@ -11,7 +11,10 @@ import (
 // Domain scopes the session-local half of UDF evaluation: the virtual
 // clock costs are charged to, the fault injector consulted before each
 // attempt, and the circuit-breaker state with its per-model transient
-// failure-rate observations. The Runtime keeps everything genuinely
+// failure-rate observations. It is the whole of what a session carries
+// into the engine: core.Engine.Execute charges the statement to the
+// domain's clock and draws its view appends and deadline checks from
+// the domain's injector too. The Runtime keeps everything genuinely
 // global — the catalog, the FunCache contents and singleflight claims,
 // registered implementations, and the demand/reuse/eval counters
 // (pure sums, so concurrent sessions cannot perturb their totals).
@@ -60,6 +63,9 @@ func (r *Runtime) DefaultDomain() *Domain { return r.def }
 // Runtime returns the shared runtime this domain evaluates through.
 func (d *Domain) Runtime() *Runtime { return d.r }
 
+// Clock returns the virtual clock this domain charges.
+func (d *Domain) Clock() *simclock.Clock { return d.clock }
+
 // SetInjector installs the fault injector consulted before every model
 // attempt in this domain (nil disables injection).
 func (d *Domain) SetInjector(inj *faults.Injector) {
@@ -68,7 +74,9 @@ func (d *Domain) SetInjector(inj *faults.Injector) {
 	d.inj = inj
 }
 
-func (d *Domain) injector() *faults.Injector {
+// Injector returns the domain's fault injector (nil when injection is
+// off).
+func (d *Domain) Injector() *faults.Injector {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.inj

@@ -282,7 +282,7 @@ func (s *System) Repair() (RepairReport, error) {
 func (s *System) repairRanges(view string, task repairTask, rec *RepairRecord) string {
 	ranges := lostIDRanges(task.lost)
 	rec.Ranges = len(ranges)
-	inj := s.root.injector()
+	inj := s.root.domain.Injector()
 	for i, r := range ranges {
 		// The repair site models a failure or kill between ranges: a
 		// transient leaves the task queued for the next Repair call, so

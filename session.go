@@ -11,41 +11,38 @@ import (
 	"eva/internal/optimizer"
 	"eva/internal/parser"
 	"eva/internal/plan"
-	"eva/internal/server"
 	"eva/internal/simclock"
 	"eva/internal/types"
 	"eva/internal/udf"
 )
 
-// Session is the one thing that executes a statement. It carries what
-// is private to one client of a shared System — a virtual clock, a
-// udf.Domain (circuit breakers, failure rates, UDF fault schedule) and
-// a fault injector for view writes and deadline checks — over the
-// catalog, UDF runtime and materialized views every session shares.
+// Session is the one thing that executes a statement. What is private
+// to one client of a shared System is one udf.Domain — a virtual
+// clock, circuit breakers and failure rates, and the fault injector its
+// UDF evaluations, view writes and deadline checks draw from — over
+// the catalog, UDF runtime and materialized views every session shares.
 // Each query gets a fresh memory budget, and all sessions pass the
-// System's admission controller.
+// System's admission controller. A stream's standing queries are
+// sessions too: each delta is a statement of its query's session.
 //
-// The System itself is a session, its root: the engine's own clock,
-// the runtime's default domain and the engine-wide injector, so
-// System.Exec is Session.Exec on it. Sessions opened with NewSession
-// run the executor's shared-view protocol: a key being evaluated by
-// one session is claimed, so another session needing it waits and then
-// reuses the materialized rows instead of recomputing them. The root
-// session runs without it (DESIGN.md §11 has the measurements): a root
-// statement overlapping a client's may evaluate a key both need twice,
-// which costs time but not correctness — view appends are idempotent
-// per key.
+// The System itself is a session, its root: the runtime's default
+// domain, which charges the engine's own clock and holds the
+// engine-wide injector, so System.Exec is Session.Exec on it. Sessions
+// opened with NewSession run the executor's shared-view protocol: a key
+// being evaluated by one session is claimed, so another session needing
+// it waits and then reuses the materialized rows instead of recomputing
+// them. The root session runs without it (DESIGN.md §11 has the
+// measurements): a root statement overlapping a client's may evaluate a
+// key both need twice, which costs time but not correctness — view
+// appends are idempotent per key.
 //
 // A client Session is owned by one goroutine; sessions run concurrently
 // with one another.
 type Session struct {
 	sys    *System
-	clock  *simclock.Clock
 	domain *udf.Domain
 
 	mu sync.Mutex
-	// inj is this session's deterministic fault injector. guarded by mu.
-	inj *faults.Injector
 	// closed rejects further statements with ErrClosed. guarded by mu.
 	closed bool
 }
@@ -53,30 +50,13 @@ type Session struct {
 // NewSession opens a session over the System. Sessions are cheap:
 // closing one releases no shared state, and any number may be open.
 func (s *System) NewSession() *Session {
-	clock := &simclock.Clock{}
-	return &Session{
-		sys:    s,
-		clock:  clock,
-		domain: s.rt().NewDomain(clock),
-	}
+	return &Session{sys: s, domain: s.rt().NewDomain(&simclock.Clock{})}
 }
 
 // InjectFaults installs this session's deterministic fault injector:
 // its UDF evaluations and view-log writes draw from this schedule
 // (other sessions are unaffected). nil disables injection.
-func (sess *Session) InjectFaults(inj *faults.Injector) {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	sess.inj = inj
-	sess.domain.SetInjector(inj)
-}
-
-// injector returns the session injector under the session lock.
-func (sess *Session) injector() *faults.Injector {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return sess.inj
-}
+func (sess *Session) InjectFaults(inj *faults.Injector) { sess.domain.SetInjector(inj) }
 
 // Close marks the session closed; subsequent statements fail with
 // ErrClosed. It does not affect the System or other sessions.
@@ -122,6 +102,26 @@ func (sess *Session) ExecScript(sql string) (*Result, error) {
 // System's global clock (sums commute, so the global totals are
 // schedule-independent).
 func (sess *Session) ExecStmt(stmt parser.Statement) (*Result, error) {
+	res, err := sess.execStmt(stmt)
+	if err == nil && res.plan != nil {
+		res.PlanText = plan.Explain(res.plan)
+	}
+	return res, err
+}
+
+// Select executes one SELECT as a statement of this session and
+// returns its rows, leaving its plan unrendered; it makes a Session
+// the ingest.Session a standing query runs its deltas in.
+func (sess *Session) Select(stmt *parser.SelectStmt) (*types.Batch, error) {
+	res, err := sess.execStmt(stmt)
+	if err != nil {
+		return nil, err
+	}
+	return res.Rows, nil
+}
+
+// execStmt is ExecStmt without rendering a SELECT's plan text.
+func (sess *Session) execStmt(stmt parser.Statement) (*Result, error) {
 	sess.mu.Lock()
 	closed := sess.closed
 	sess.mu.Unlock()
@@ -139,11 +139,12 @@ func (sess *Session) ExecStmt(stmt parser.Statement) (*Result, error) {
 		return nil, err
 	}
 	start := time.Now()
-	snap := sess.clock.Snapshot()
+	clock := sess.domain.Clock()
+	snap := clock.Snapshot()
 	res, err := sess.dispatch(stmt)
-	bd := sess.clock.Since(snap)
+	bd := clock.Since(snap)
 	g.Release(bd.Total())
-	if sess.clock != s.clock() {
+	if sess != s.root {
 		// The root session charges the global clock directly; merging
 		// its own breakdown back in would count every statement twice.
 		s.mergeBreakdown(bd)
@@ -193,20 +194,11 @@ func (sess *Session) dispatch(stmt parser.Statement) (*Result, error) {
 }
 
 // run sends one SELECT through the engine in this session — the one
-// entry into core.Engine.Execute for statements. A standing query's
-// delta (ingest.StandingQuery.runDelta) is the other caller and goes
-// around the session: DESIGN.md §12 lists what it skips. trace collects
-// per-operator statistics; mode.DryRun plans without executing. Every
-// session but the root runs the shared-view protocol.
+// entry into core.Engine.Execute. trace collects per-operator
+// statistics; mode.DryRun plans without executing. Every session but
+// the root runs the shared-view protocol.
 func (sess *Session) run(stmt *parser.SelectStmt, mode optimizer.Mode, trace bool) (*core.Outcome, error) {
-	return sess.sys.eng.Execute(stmt, mode, core.ExecOpts{
-		Clock:    sess.clock,
-		Domain:   sess.domain,
-		Faults:   sess.injector(),
-		Budget:   server.NewMemBudget(sess.sys.cfg.MemoryBudget),
-		Sessions: sess != sess.sys.root,
-		Trace:    trace,
-	})
+	return sess.sys.eng.Execute(stmt, mode, core.ExecOpts{Domain: sess.domain, Trace: trace})
 }
 
 func (sess *Session) execSelect(stmt *parser.SelectStmt) (*Result, error) {
@@ -229,7 +221,7 @@ func (sess *Session) execSelect(stmt *parser.SelectStmt) (*Result, error) {
 		// Register the freshly materialized operator output.
 		s.recAdd(recyclerKey(table, out.Report.DetectorEval), out.Report.ScanLo, out.Report.ScanHi)
 	}
-	return &Result{Rows: out.Rows, PlanText: plan.Explain(out.Plan), Report: out.Report}, nil
+	return &Result{Rows: out.Rows, Report: out.Report, plan: out.Plan}, nil
 }
 
 // execExplain optimizes without mutating reuse state; with ANALYZE it
@@ -255,7 +247,7 @@ func (sess *Session) execExplain(st *parser.ExplainStmt) (*Result, error) {
 }
 
 // SimulatedTime returns the session clock's total.
-func (sess *Session) SimulatedTime() time.Duration { return sess.clock.Total() }
+func (sess *Session) SimulatedTime() time.Duration { return sess.domain.Clock().Total() }
 
 // mergeBreakdown folds one session statement's charges into the
 // global clock, category by category. Charges are sums, so concurrent

@@ -43,9 +43,6 @@ type StreamConfig struct {
 	// DegradeHighWater is the backlog at which standing-query cadence
 	// degrades (doubles) before any frame is shed. 0 disables.
 	DegradeHighWater int
-	// MemoryBudget caps each delta execution's materialized bytes;
-	// 0 inherits Config.MemoryBudget.
-	MemoryBudget int64
 }
 
 // Stream is a live video table with crash-safe streaming ingestion:
@@ -58,34 +55,33 @@ type Stream struct {
 }
 
 // OpenStream opens (or, on an existing storage directory, recovers) a
-// live table and starts its ingestion pump. The Stream is owned by the
-// System: Close-ing the System drains and closes it.
+// live table and starts its ingestion pump. Each standing query runs
+// its deltas as statements of a Session of its own, so they are
+// admitted, planned in Config.Mode, charged to the System's clock and
+// given Config.MemoryBudget like any statement. The Stream is owned by
+// the System: Close-ing the System drains and closes it.
 func (s *System) OpenStream(cfg StreamConfig) (*Stream, error) {
-	s.qmu.RLock()
-	defer s.qmu.RUnlock()
-	if s.closed {
+	s.smu.Lock()
+	defer s.smu.Unlock()
+	// Close takes the stream list before it flips closed, so this flag
+	// is the one that says no stream may open any more.
+	if s.streamsClosed {
 		return nil, ErrClosed
-	}
-	budget := cfg.MemoryBudget
-	if budget == 0 {
-		budget = s.cfg.MemoryBudget
 	}
 	st, err := ingest.OpenStream(ingest.Config{
 		Engine:           s.eng,
+		NewSession:       func() ingest.Session { return s.NewSession() },
 		Table:            cfg.Table,
 		Dataset:          cfg.Dataset,
 		QueueDepth:       cfg.QueueDepth,
 		CadenceFrames:    cfg.CadenceFrames,
 		DegradeHighWater: cfg.DegradeHighWater,
-		MemoryBudget:     budget,
 	})
 	if err != nil {
 		return nil, err
 	}
 	w := &Stream{st: st}
-	s.smu.Lock()
 	s.streams = append(s.streams, w)
-	s.smu.Unlock()
 	return w, nil
 }
 
@@ -125,14 +121,17 @@ func (st *Stream) Stats() StreamStats { return st.st.Stats() }
 // StandingQueries returns the registered standing queries.
 func (st *Stream) StandingQueries() []*StandingQuery { return st.st.Queries() }
 
-// SimulatedTime returns the ingest-side virtual time breakdown.
+// SimulatedTime returns the ingest-side virtual time breakdown
+// (appends, checkpoints, notifications, retries). Standing-query
+// deltas are statements: their time is in System.SimulatedTime.
 func (st *Stream) SimulatedTime() simclock.Breakdown { return st.st.SimulatedTime() }
 
-// closeStreams drains and closes every stream opened on this System.
+// closeStreams drains and closes every stream opened on this System;
+// no stream opens after it.
 func (s *System) closeStreams() error {
 	s.smu.Lock()
 	streams := s.streams
-	s.streams = nil
+	s.streams, s.streamsClosed = nil, true
 	s.smu.Unlock()
 	var first error
 	for _, st := range streams {
