@@ -38,7 +38,6 @@ import (
 	"eva/internal/faults"
 	"eva/internal/optimizer"
 	"eva/internal/parser"
-	"eva/internal/plan"
 	"eva/internal/server"
 	"eva/internal/simclock"
 	"eva/internal/storage"
@@ -230,10 +229,6 @@ type Result struct {
 	SimTime time.Duration
 	// WallTime is the real execution time.
 	WallTime time.Duration
-
-	// plan is a SELECT's physical plan, rendered into PlanText by
-	// Session.ExecStmt.
-	plan plan.Node
 }
 
 // System is an EVA instance: the public facade over the semantic reuse
@@ -391,8 +386,9 @@ func Open(cfg Config) (*System, error) {
 // Close drains and closes the System's streams, drains in-flight
 // queries, closes the storage engine, and removes the storage directory
 // when it was temporary. Idempotent and safe to call concurrently with
-// executing statements: statements that began before Close complete
-// normally, statements arriving after fail with ErrClosed.
+// executing statements: statements that begin before or while the
+// streams drain complete normally, and once the streams are closed,
+// statements and OpenStream calls fail with ErrClosed.
 func (s *System) Close() error {
 	s.closeOnce.Do(func() {
 		// Streams close while the System is still open: their queued

@@ -102,26 +102,6 @@ func (sess *Session) ExecScript(sql string) (*Result, error) {
 // System's global clock (sums commute, so the global totals are
 // schedule-independent).
 func (sess *Session) ExecStmt(stmt parser.Statement) (*Result, error) {
-	res, err := sess.execStmt(stmt)
-	if err == nil && res.plan != nil {
-		res.PlanText = plan.Explain(res.plan)
-	}
-	return res, err
-}
-
-// Select executes one SELECT as a statement of this session and
-// returns its rows, leaving its plan unrendered; it makes a Session
-// the ingest.Session a standing query runs its deltas in.
-func (sess *Session) Select(stmt *parser.SelectStmt) (*types.Batch, error) {
-	res, err := sess.execStmt(stmt)
-	if err != nil {
-		return nil, err
-	}
-	return res.Rows, nil
-}
-
-// execStmt is ExecStmt without rendering a SELECT's plan text.
-func (sess *Session) execStmt(stmt parser.Statement) (*Result, error) {
 	sess.mu.Lock()
 	closed := sess.closed
 	sess.mu.Unlock()
@@ -169,6 +149,17 @@ func (sess *Session) execStmt(stmt parser.Statement) (*Result, error) {
 	res.SimTime = bd.Total()
 	res.WallTime = time.Since(start)
 	return res, nil
+}
+
+// Select executes one SELECT as a statement of this session and
+// returns its rows; it makes a Session the ingest.Session a standing
+// query runs its deltas in.
+func (sess *Session) Select(stmt *parser.SelectStmt) (*types.Batch, error) {
+	res, err := sess.ExecStmt(stmt)
+	if err != nil {
+		return nil, err
+	}
+	return res.Rows, nil
 }
 
 // dispatch routes one parsed statement to its handler. Only SELECT and
@@ -221,7 +212,7 @@ func (sess *Session) execSelect(stmt *parser.SelectStmt) (*Result, error) {
 		// Register the freshly materialized operator output.
 		s.recAdd(recyclerKey(table, out.Report.DetectorEval), out.Report.ScanLo, out.Report.ScanHi)
 	}
-	return &Result{Rows: out.Rows, Report: out.Report, plan: out.Plan}, nil
+	return &Result{Rows: out.Rows, PlanText: plan.Explain(out.Plan), Report: out.Report}, nil
 }
 
 // execExplain optimizes without mutating reuse state; with ANALYZE it

@@ -61,6 +61,10 @@ type Stream struct {
 // given Config.MemoryBudget like any statement. The Stream is owned by
 // the System: Close-ing the System drains and closes it.
 func (s *System) OpenStream(cfg StreamConfig) (*Stream, error) {
+	// The lifecycle lock keeps table registration out of scrub, evict
+	// and ResetMetrics passes; the pump it starts takes qmu per delta.
+	s.qmu.RLock()
+	defer s.qmu.RUnlock()
 	s.smu.Lock()
 	defer s.smu.Unlock()
 	// Close takes the stream list before it flips closed, so this flag
