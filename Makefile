@@ -147,12 +147,14 @@ alloc:
 
 # scrub runs the self-healing view storage matrix under the race
 # detector: every view-building testdata script × corruption sites
-# (header, mid-record, tail, clean-sidecar) × Workers ∈ {1,2,8} must
-# scrub, symbolically repair and re-converge to the byte-identical
-# uncorrupted digests; crash kill-points during repair, re-append and
+# (header, mid-record, tail, and garbage where older versions kept side
+# files beside a log, which must produce no finding and be gone after
+# the reopen) × Workers ∈ {1,2,8} must scrub, symbolically repair and
+# re-converge to the byte-identical uncorrupted digests; crash
+# kill-points during repair, re-append and
 # compaction commit must leave the view recoverable; a view reopened
 # with a salvaged hole must shrink the aggregated predicate persisted
-# beside it before it is first served; Session-only statements must
+# in its log before it is first served; Session-only statements must
 # drive the background scrubber; plus the storage layer's
 # Verify/Scrubber/salvage/compaction unit suite. See DESIGN.md
 # "Self-healing view storage".
@@ -163,12 +165,13 @@ scrub:
 # evict runs the disk-pressure survival matrix under the race
 # detector: view-building testdata scripts × storage-budget levels ×
 # injected ENOSPC schedules × Workers ∈ {1,2,8} must answer
-# baseline-identical rows with no surviving tombstones; Session-only
+# baseline-identical rows and leave each view one file; Session-only
 # statements must drive the background evictor; plus the
-# storage layer's budget/eviction/log-retention unit suite (kill-point
-# sweep, evict-retry, tail-log truncation, the TailLog write-protocol
-# matrix, scratch-file cleanup at open) and the checkpoint
-# retention tests. See DESIGN.md "Disk-pressure survival".
+# storage layer's budget/eviction/log-retention unit suite (an
+# eviction's two kill-points and failed commit rename, evict-retry,
+# tail-log truncation, the TailLog write-protocol matrix, scratch-file
+# cleanup at open) and the checkpoint retention tests. See DESIGN.md
+# "Disk-pressure survival".
 evict:
 	$(GO) test -race -run 'TestEvictChaosMatrix|TestSessionStatementsDriveEvictor' .
 	$(GO) test -race -run 'TestEvict|TestDiskBudget|TestDiskFull|TestReclaim|TestBudgetDenial|TestWatermarkLogRetention|TestOpenTailLog|TestTailLog|TestOpenRemovesScratch' ./internal/storage/

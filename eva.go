@@ -172,8 +172,8 @@ type Config struct {
 	// queries. 0 disables the scrubber; System.Scrub always works.
 	ScrubInterval time.Duration
 	// DiskBudgetBytes caps the total on-disk bytes of every durable
-	// artifact — view logs and their sidecars, ingest watermark and
-	// checkpoint logs (DESIGN.md §16). When an append does not fit, the
+	// artifact — view logs, ingest watermark and checkpoint logs
+	// (DESIGN.md §16). When an append does not fit, the
 	// engine degrades along the reclaim ladder (compact fragmented
 	// logs, then evict whole cold views, lowest benefit first) and
 	// retries; only when nothing evictable remains does the query fail

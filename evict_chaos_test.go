@@ -3,11 +3,11 @@ package eva
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"eva/internal/faults"
+	"eva/internal/testutil"
 )
 
 // The evict chaos matrix is the executable acceptance test for
@@ -17,15 +17,15 @@ import (
 // unconstrained baseline — no query may fail out-of-space while an
 // evictable view remains, because the evict-retry ladder reclaims and
 // retries behind the scenes — and a reopen of the pressured directory
-// must find no tombstones, no zombies, and converge back to baseline.
+// must find one file per view, no zombies, and converge back to baseline.
 // (View row counts and simtime are deliberately outside the digest:
 // eviction legitimately empties cold caches and charges retry backoff;
 // it must never change what a query returns.)
 
 // measureFootprint runs the script twice in a pristine system and
-// returns the budget-charged bytes (view logs + sidecars — dataset
-// files are not charged) and the largest single view log — the inputs
-// for sizing the budget levels.
+// returns the budget-charged bytes (the view logs — dataset files are
+// not charged) and the largest single view log — the inputs for sizing
+// the budget levels.
 func measureFootprint(t *testing.T, src string) (total, largest int64) {
 	t.Helper()
 	dir := t.TempDir()
@@ -38,39 +38,18 @@ func measureFootprint(t *testing.T, src string) (total, largest int64) {
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}
-	paths, err := filepath.Glob(filepath.Join(dir, "views", "*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range paths {
+	for _, p := range viewLogs(t, dir) {
 		fi, err := os.Stat(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		total += fi.Size()
-		if filepath.Ext(p) == ".view" && fi.Size() > largest {
-			largest = fi.Size()
-		}
+		largest = max(largest, fi.Size())
 	}
 	if total == 0 || largest == 0 {
 		t.Fatalf("script left no durable views to pressure (total=%d largest=%d)", total, largest)
 	}
 	return total, largest
-}
-
-// noTombstones fails if any eviction tombstone survived under dir —
-// a completed eviction clears its tombstone, and reopen clears the
-// rest; one left behind after Close means a half-finished eviction
-// escaped both paths.
-func noTombstones(t *testing.T, dir string) {
-	t.Helper()
-	tombs, err := filepath.Glob(filepath.Join(dir, "views", "*.tomb"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tombs) != 0 {
-		t.Errorf("tombstones survived the run: %v", tombs)
-	}
 }
 
 // TestEvictChaosMatrix: scripts × budget levels × ENOSPC schedules ×
@@ -155,7 +134,7 @@ func TestEvictChaosMatrix(t *testing.T) {
 							if err := sys.Close(); err != nil {
 								t.Fatal(err)
 							}
-							noTombstones(t, dir)
+							testutil.CheckOneFilePerView(t, dir)
 
 							// Reopen unconstrained: no zombies, and one run
 							// re-materializes anything evicted back to the

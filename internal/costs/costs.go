@@ -123,18 +123,6 @@ func AmdahlSpeedup(parallelFrac float64, workers int) float64 {
 	return 1 / ((1 - parallelFrac) + parallelFrac/float64(workers))
 }
 
-// ParallelAdjusted predicts the wall-clock duration of a workload with
-// total serial duration `total`, of which `parallel` is spent in
-// worker-pool-parallelizable UDF evaluation, when run at the given
-// worker count.
-func ParallelAdjusted(total, parallel time.Duration, workers int) time.Duration {
-	if total <= 0 {
-		return 0
-	}
-	frac := float64(parallel) / float64(total)
-	return time.Duration(float64(total) / AmdahlSpeedup(frac, workers))
-}
-
 // RetryAdjustedCost is the Eq. 3 planning cost of one UDF invocation
 // when the model fails transiently with probability p per attempt:
 // the expected number of attempts (truncated geometric series over

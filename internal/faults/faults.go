@@ -501,9 +501,9 @@ const (
 	// rewrite of a fragmented or repaired view log.
 	SiteViewCompactPrefix = "view:compact:"
 	// SiteViewEvictPrefix opens the eviction-site family of
-	// materialized views ("view:evict:<view>"): the tombstone write,
-	// log deletion and fresh-log rebirth that reclaim a cold view's
-	// disk footprint. A Crash rule here simulates dying mid-eviction.
+	// materialized views ("view:evict:<view>"): the kill-points on
+	// either side of the rename that replaces a cold view's log with an
+	// empty one. A Crash rule here simulates dying mid-eviction.
 	SiteViewEvictPrefix = "view:evict:"
 	// SiteDiskFullPrefix opens the out-of-space family
 	// ("disk:full:<write-site>"): every durable write site has a

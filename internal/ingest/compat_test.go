@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"eva/internal/storage"
+	"eva/internal/testutil"
 	"eva/internal/types"
 	"eva/internal/vision"
 )
@@ -17,12 +18,15 @@ import (
 // On-disk compatibility: the golden tree under
 // ../storage/testdata/compat/root was written by compatScript at the
 // commit before storage.TailLog owned the write path, when the watermark
-// and checkpoint logs were still version 1. The same script must still
-// leave byte-identical view files, and version-2 watermark and
-// checkpoint logs identical to the goldens beside it (compat/v2, written
-// when those logs became frame record logs). The golden tree must open
-// to the same state (compatDump, captured at that commit as state.txt;
-// the version-1 checkpoint log's upgrade fold leaves it one record).
+// and checkpoint logs were still version 1 and a view kept side files
+// beside its log (.clean, .quar). The same script must still leave
+// byte-identical view logs and no side files, and version-2 watermark
+// and checkpoint logs identical to the goldens beside it (compat/v2,
+// written when those logs became frame record logs). The golden tree
+// must open to the same state (compatDump, captured at that commit as
+// state.txt; the version-1 checkpoint log's upgrade fold leaves it one
+// record, and its open line counts the records every open now verifies)
+// with the side files gone.
 
 const compatGolden = "../storage/testdata/compat"
 
@@ -97,8 +101,8 @@ func compatClose(t *testing.T, store *storage.Engine, ckpt *checkpointLog) {
 // watermark fold (70 appends, the fold is at 64 records), a checkpoint
 // log past one fold (10 writes, the fold is at 8). Then a byte of det's
 // log rots. Second process: the open salvages around the hole (a
-// quarantine manifest), the predicate is shrunk, and every log takes
-// more appends.
+// quarantine), the predicate is shrunk, and every log takes more
+// appends.
 func compatScript(t *testing.T, root string) {
 	t.Helper()
 	store, det, cls, cam, ckpt := compatOpen(t, root)
@@ -133,11 +137,6 @@ func compatScript(t *testing.T, root string) {
 	if err := os.WriteFile(detPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Without its sidecar the open re-verifies every record and finds
-	// the rot.
-	if err := os.Remove(detPath + ".clean"); err != nil {
-		t.Fatal(err)
-	}
 
 	store, det, cls, cam, ckpt = compatOpen(t, root)
 	if det.Quarantine() == nil {
@@ -156,18 +155,23 @@ func compatScript(t *testing.T, root string) {
 }
 
 // compatDump opens the tree at root and describes everything the open
-// recovered.
+// recovered, and checks that the budget charges exactly the files the
+// open left.
 func compatDump(t *testing.T, root string) string {
 	t.Helper()
 	store, det, cls, cam, ckpt := compatOpen(t, root)
 	defer compatClose(t, store, ckpt)
+	testutil.CheckLedger(t, root, store.Budget().Stats().UsedBytes)
 	var b strings.Builder
 	for _, v := range []*storage.View{det, cls} {
 		fmt.Fprintf(&b, "view %s: rows=%d keys=%d footprint=%d recovered=%d\n",
 			v.Name(), v.Rows(), v.ProcessedCount(), v.Footprint(), v.RecoveredBytes())
-		trusted, verified := v.OpenStats()
+		res, err := v.Verify()
+		if err != nil || res.FoundCorruption {
+			t.Fatalf("view %s: verify after open = %+v, %v", v.Name(), res, err)
+		}
 		pred, stale := v.Predicate()
-		fmt.Fprintf(&b, "  open: trusted=%d verified=%d pred=%q stale=%v\n", trusted, verified, pred, stale)
+		fmt.Fprintf(&b, "  open: records=%d pred=%q stale=%v\n", res.RecordsVerified, pred, stale)
 		if q := v.Quarantine(); q != nil {
 			fmt.Fprintf(&b, "  quarantine: %v lost=%d rows=%d keys=%d\n", q.Ranges, q.LostBytes, q.SalvagedRows, q.SalvagedKeys)
 		}
@@ -212,13 +216,17 @@ func TestOnDiskCompat(t *testing.T) {
 	}
 
 	// The same script leaves the same bytes: the v2 goldens where there
-	// are some, the tree's otherwise.
+	// are some, the tree's otherwise — and none of the tree's side files.
 	root := t.TempDir()
 	compatScript(t, root)
 	got := treeFiles(t, root)
+	testutil.CheckOneFilePerView(t, root)
 	for name, want := range golden {
 		if w, ok := v2[name]; ok {
 			want = w
+		}
+		if strings.HasPrefix(name, "views/") && filepath.Ext(name) != ".view" {
+			continue // a side file the golden tree's writer kept
 		}
 		if !bytes.Equal(got[name], want) {
 			t.Errorf("%s: script wrote %d bytes that differ from the %d golden ones", name, len(got[name]), len(want))
@@ -230,9 +238,12 @@ func TestOnDiskCompat(t *testing.T) {
 		}
 	}
 
-	// The golden tree — with a torn tail cut into cls on top — opens to
-	// the state its writer recovered.
+	// The golden tree — with a torn tail cut into cls and a stray
+	// eviction tombstone beside it on top — opens to the state its writer
+	// recovered, cls with its rows and predicate snapshot, and the open
+	// removes the side files.
 	copyRoot := t.TempDir()
+	golden["views/cls.view.tomb"] = []byte("EVAT")
 	for name, data := range golden {
 		path := filepath.Join(copyRoot, filepath.FromSlash(name))
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -252,4 +263,5 @@ func TestOnDiskCompat(t *testing.T) {
 	if dump := compatDump(t, copyRoot); dump != string(want) {
 		t.Errorf("golden tree opened to\n%s\nwant\n%s", dump, want)
 	}
+	testutil.CheckOneFilePerView(t, copyRoot)
 }

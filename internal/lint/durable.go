@@ -34,7 +34,7 @@ func (a *Durable) Name() string { return "durable" }
 const (
 	protocolHome = "logtail.go"
 	frameHome    = "frame.go"
-	protocolWay  = "durable writes go through storage.TailLog (Append, Fold, Reset) or the sidecar helpers"
+	protocolWay  = "durable writes go through storage.TailLog (Append, Fold, rewrite) or writeFileAtomic"
 	frameWay     = "a durable file is checksummed by the frame codec (sealRecord, sealFile)"
 )
 

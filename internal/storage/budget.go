@@ -4,10 +4,10 @@
 // machinery means dropping one is never data loss, only future
 // recompute cost — so the storage layer can treat a declared disk
 // budget the way the serving layer treats its memory budget:
-// degrade before failing. Every durable artifact (view logs, clean
-// and quarantine sidecars, ingest watermark and checkpoint logs) is
-// charged against one per-engine DiskBudget at append, compaction and
-// rename time; when an append does not fit, the engine reclaims in
+// degrade before failing. Every durable artifact (view logs and their
+// compaction scratch, ingest watermark and checkpoint logs) is charged
+// against one per-engine DiskBudget at append, compaction and rename
+// time; when an append does not fit, the engine reclaims in
 // benefit order (compact fragmented logs, then evict whole cold
 // views) and the append retries, surfacing the typed ErrDiskBudget
 // only once nothing evictable remains.

@@ -169,9 +169,6 @@ func (e *Engine) Existing(name string) *View {
 	if _, err := os.Stat(path); err != nil {
 		return nil
 	}
-	if _, err := os.Stat(tombPath(path)); err == nil {
-		return nil // a committed eviction: the leftovers are CreateView's to clear
-	}
 	v, err := openView(path, name, nil, nil, e.inj, e.budget)
 	if err != nil {
 		return nil
@@ -271,8 +268,8 @@ func (e *Engine) DropViews() error {
 		if err := v.close(); err != nil {
 			return err
 		}
-		for _, p := range append(viewSidecars(v.path), v.path, tombPath(v.path)) {
-			if err := removeSidecar(e.budget, p); err != nil {
+		for _, p := range []string{v.path, compactPath(v.path)} {
+			if err := removeFile(e.budget, p); err != nil {
 				return err
 			}
 		}

@@ -3,41 +3,22 @@
 // space along a degrade ladder — compact fragmented view logs first
 // (they carry quarantined dead ranges), then evict whole cold views,
 // lowest benefit first — and only when the ladder runs dry does an
-// append surface the typed ErrDiskBudget. An evicted view is written
-// as a crash-safe tombstone: its presence alone commits the eviction,
-// so a reopen at any kill-point sees either the intact view or a
-// clean slate, never a half-deleted zombie. The view's aggregated
-// predicate is retracted by the eviction upcall, so the next query
-// simply re-materializes it through the ordinary optimizer path.
+// append surface the typed ErrDiskBudget. An eviction commits by one
+// rename — the view's log is replaced by an empty generation — so a
+// reopen at any kill-point sees either the intact view or an empty one,
+// never a half-deleted zombie. The view's aggregated predicate is
+// retracted by the eviction upcall, so the next query simply
+// re-materializes it through the ordinary optimizer path.
 
 package storage
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 
 	"eva/internal/faults"
 )
-
-// tombPath returns the eviction-tombstone path for a view log path.
-// The tombstone is presence-based: any file here — even empty — marks
-// the eviction committed, so it needs no checksum.
-func tombPath(path string) string { return path + ".tomb" }
-
-// viewSidecars lists the files a view keeps beside its log, tombstone
-// aside: they go where the log goes.
-func viewSidecars(path string) []string {
-	return []string{cleanPath(path), quarPath(path), compactPath(path)}
-}
-
-// viewScratch lists the uncommitted files a dead process can leave
-// beside a view log: compaction's next generation and each sidecar's
-// staging file. openView discards them.
-func viewScratch(path string) []string {
-	return []string{compactPath(path), scratchPath(cleanPath(path)), scratchPath(quarPath(path)), scratchPath(tombPath(path))}
-}
 
 // evictRetryMax bounds a single append's evict-retry loop — a backstop
 // against unbounded injector schedules, far above what a real budget
@@ -272,20 +253,18 @@ func (e *Engine) onEvictHook() func(string) {
 	return e.onEvict
 }
 
-// evict removes the view's durable state behind a crash-safe
-// tombstone and rebirths it as a fresh empty log, returning the bytes
-// freed. The view object stays published and usable — in-flight
-// queries holding the pointer see an empty cache and re-evaluate
-// missing keys through the ordinary per-key probe-or-evaluate path.
+// evict replaces the view's log with an empty generation and returns
+// the bytes freed. The view object stays published and usable —
+// in-flight queries holding the pointer see an empty cache and
+// re-evaluate missing keys through the ordinary per-key
+// probe-or-evaluate path.
 //
-// Crash discipline (the view:evict fault site, one kill-point id per
-// stage): before the tombstone, nothing has happened and the view is
-// intact; from the tombstone on, reopen treats the eviction as
-// committed and clears every leftover, so no kill-point can resurrect
-// a half-deleted view. A non-crash injected fault after the tombstone
-// also kills the in-process handle — disk may already be gone, and a
-// handle whose memory runs ahead of disk would break the
-// disk-never-behind-memory invariant every log here maintains.
+// Crash discipline: the rename inside TailLog.rewrite is the commit
+// point, and the view:evict fault site has one kill-point on each side
+// of it. Before it the view is intact on disk and in memory; a write or
+// rename that fails leaves it so too. After it the log is empty, so any
+// fault there — a crash or not — kills the in-process handle, whose
+// memory would otherwise run ahead of disk.
 func (v *View) evict() (int64, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -293,11 +272,9 @@ func (v *View) evict() (int64, error) {
 		return 0, err
 	}
 	site := faults.SiteViewEvict(v.name)
-	// stage draws one kill-point. They are drawn with attempt = id+1 so
-	// scripted At rules can target one stage: At{1} is pre-tombstone,
-	// At{2} post-tombstone, At{3} post-log-delete, At{4} post-rebirth.
-	// Only before the tombstone does an abort leave the view whole.
-	stage := func(id int) error {
+	// killPoint draws kill-point id with attempt = id+1, so scripted At
+	// rules can target one: At{1} is before the rename, At{2} after it.
+	killPoint := func(id int) error {
 		err := v.inj.CheckEval(site, uint64(id), id+1)
 		if err == nil {
 			return nil
@@ -307,56 +284,20 @@ func (v *View) evict() (int64, error) {
 		}
 		return fmt.Errorf("storage: view %s: evict: %w", v.name, err)
 	}
-	b := v.log.budget
-	if err := stage(0); err != nil {
+	if err := killPoint(0); err != nil {
 		return 0, err
 	}
 	freedFrom := v.log.footprint
-	// Commit point: the tombstone's presence marks the eviction.
-	if err := writeSidecar(b, tombPath(v.path), []byte("EVAT")); err != nil {
-		return 0, fmt.Errorf("storage: view %s: evict tombstone: %w", v.name, err)
+	if err := v.log.rewrite(v.encodeHeader()); err != nil {
+		return 0, fmt.Errorf("storage: view %s: evict: %w", v.name, err)
 	}
-	// Tombstone durable, log still present.
-	if err := stage(1); err != nil {
+	if err := killPoint(1); err != nil {
 		return 0, err
 	}
-	// The file goes now; the log's footprint and charge stay as they are
-	// until the rebirth below replaces both at once.
-	_ = v.log.Close()
-	_ = os.Remove(v.path)
-	// Log gone, sidecars still present.
-	if err := stage(2); err != nil {
-		return 0, err
-	}
-	for _, side := range viewSidecars(v.path) {
-		_ = removeSidecar(b, side)
-	}
-	// Rebirth: a fresh empty generation keeps the published handle
-	// append-able, so re-materialization needs no re-registration.
-	if err := v.log.Reset(v.encodeHeader()); err != nil {
-		return 0, fmt.Errorf("storage: view %s: evict rebirth: %w", v.name, err)
-	}
-	// Fresh log written, tombstone not yet cleared — reopen discards the
-	// rebirth and starts over, same end state.
-	if err := stage(3); err != nil {
-		return 0, err
-	}
-	_ = removeSidecar(b, tombPath(v.path))
-
 	v.resetReplayState()
 	// Every row is gone: whatever the manager still claims for this
 	// view predates the loss (cleared by its ShrinkPredicate).
 	v.predStale = true
 	v.quar = nil
 	return freedFrom - v.log.footprint, nil
-}
-
-// clearTombstonedView removes every artifact of a committed eviction
-// found at open time: the log, its sidecars, any compaction scratch,
-// and the tombstone itself. Reopen after a mid-eviction crash lands
-// here, so the view restarts from a clean slate instead of a zombie.
-func clearTombstonedView(path string) {
-	for _, p := range append(viewSidecars(path), path, tombPath(path)) {
-		_ = os.Remove(p)
-	}
 }

@@ -1,11 +1,14 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"testing"
 
 	"eva/internal/faults"
+	"eva/internal/testutil"
 	"eva/internal/types"
 )
 
@@ -64,9 +67,7 @@ func TestBudgetDenialEvictsColdView(t *testing.T) {
 	if b.Rows() != 6 {
 		t.Fatalf("hot view has %d rows, want 6", b.Rows())
 	}
-	if _, err := os.Stat(tombPath(a.path)); !os.IsNotExist(err) {
-		t.Fatalf("tombstone survived a completed eviction: %v", err)
-	}
+	testutil.CheckOneFilePerView(t, dir)
 
 	// The reborn view accepts appends and they persist across reopen.
 	crashAppend(t, a, 0)
@@ -98,9 +99,6 @@ func TestReclaimCompactsQuarantinedBeforeEvicting(t *testing.T) {
 		t.Fatal(err)
 	}
 	corruptRecord(t, v.path, 2)
-	if err := os.Remove(cleanPath(v.path)); err != nil {
-		t.Fatal(err)
-	}
 
 	e2, _ := Open(dir)
 	v2, err := e2.CreateView("det", viewSchema(), []string{"id"})
@@ -129,18 +127,35 @@ func TestReclaimCompactsQuarantinedBeforeEvicting(t *testing.T) {
 	checkLedger(t, e2)
 }
 
-// TestEvictKillPoints drives a crash into every eviction stage and
-// proves reopen sees either the intact view (pre-tombstone) or a clean
-// slate (post-tombstone) — never a zombie — and that re-running the
-// append script converges back to the golden state.
+// TestEvictKillPoints drives a fault into both eviction kill-points and
+// into the commit itself, and proves reopen sees either the intact view
+// (before the rename, or when the rename fails) or an empty one (after
+// it) — never a zombie — and that re-running the append script
+// converges back to the golden state.
 func TestEvictKillPoints(t *testing.T) {
-	for kp := 1; kp <= 4; kp++ {
-		for _, kind := range []faults.Kind{faults.Crash, faults.Permanent} {
+	type cell struct {
+		name        string
+		kp          int // At{kp} on the view:evict site; 0: none
+		kind        faults.Kind
+		renameFails bool
+		empty       bool // the eviction committed
+	}
+	var cells []cell
+	for _, kind := range []faults.Kind{faults.Crash, faults.Permanent} {
+		cells = append(cells,
+			cell{name: fmt.Sprintf("id0-%v", kind), kp: 1, kind: kind},
+			cell{name: fmt.Sprintf("id1-%v", kind), kp: 2, kind: kind, empty: true})
+	}
+	cells = append(cells, cell{name: "rename-fails", renameFails: true})
+	for _, c := range cells {
+		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
-			e, _ := Open(dir)
-			inj := faults.New(7)
-			inj.Rule(faults.SiteViewEvict("det"), faults.Rule{Kind: kind, At: []int{kp}})
-			e.SetInjector(inj)
+			e := openLedger(t, dir)
+			if c.kp > 0 {
+				inj := faults.New(7)
+				inj.Rule(faults.SiteViewEvict("det"), faults.Rule{Kind: c.kind, At: []int{c.kp}})
+				e.SetInjector(inj)
+			}
 			v, err := e.CreateView("det", viewSchema(), []string{"id"})
 			if err != nil {
 				t.Fatal(err)
@@ -149,48 +164,51 @@ func TestEvictKillPoints(t *testing.T) {
 				crashAppend(t, v, i)
 			}
 			golden := snapshotView(v)
-
-			if freed := e.Reclaim(1<<30, ""); freed != 0 {
-				t.Fatalf("kp=%d kind=%v: interrupted evict reported %d bytes freed", kp, kind, freed)
+			if c.renameFails {
+				renameFile = func(string, string) error { return errors.New("rename refused") }
 			}
-			// From the tombstone on (and on any crash), the fault kills the
-			// handle: disk may already be ahead of memory. A non-crash fault
-			// at kp=1 aborts before anything happened, leaving the view live.
-			if kp > 1 || kind == faults.Crash {
+			freed := e.Reclaim(1<<30, "")
+			renameFile = os.Rename
+			if freed != 0 {
+				t.Fatalf("interrupted evict reported %d bytes freed", freed)
+			}
+			// After the rename (and on any crash) the fault kills the handle:
+			// disk is behind memory. Before it, a non-crash fault or a failed
+			// rename aborts with nothing done, leaving the view live.
+			if c.empty || c.kind == faults.Crash && c.kp > 0 {
 				if _, err := v.Append(nil, [][]types.Datum{{types.NewInt(99)}}); err == nil {
-					t.Fatalf("kp=%d kind=%v: interrupted view accepted an append", kp, kind)
-				}
-			}
-
-			e2, _ := Open(dir)
-			v2, err := e2.CreateView("det", viewSchema(), []string{"id"})
-			if err != nil {
-				t.Fatalf("kp=%d kind=%v: reopen failed: %v", kp, kind, err)
-			}
-			got := snapshotView(v2)
-			if kp == 1 {
-				// Pre-tombstone: nothing happened, the view is whole.
-				if got.rows != golden.rows || got.processed != golden.processed {
-					t.Fatalf("kp=1 kind=%v: view damaged by aborted evict: %+v vs %+v", kind, got, golden)
+					t.Fatal("interrupted view accepted an append")
 				}
 			} else {
-				// Post-tombstone: the eviction committed; reopen must
-				// leave a clean slate.
-				if got.rows != 0 || got.processed != 0 {
-					t.Fatalf("kp=%d kind=%v: zombie view after reopen: rows=%d keys=%d", kp, kind, got.rows, got.processed)
+				if got := snapshotView(v); got.rows != golden.rows || got.processed != golden.processed {
+					t.Fatalf("aborted evict changed the live view: %+v vs %+v", got, golden)
 				}
+				checkLedger(t, e)
 			}
-			if _, err := os.Stat(tombPath(v2.path)); !os.IsNotExist(err) {
-				t.Fatalf("kp=%d kind=%v: tombstone survived reopen", kp, kind)
+			testutil.CheckOneFilePerView(t, dir)
+
+			e2 := openLedger(t, dir)
+			v2, err := e2.CreateView("det", viewSchema(), []string{"id"})
+			if err != nil {
+				t.Fatalf("reopen failed: %v", err)
+			}
+			want := golden
+			if c.empty {
+				want = viewState{}
+			}
+			if got := snapshotView(v2); got.rows != want.rows || got.processed != want.processed || !bytes.Equal(got.data, want.data) {
+				t.Fatalf("reopen: rows=%d keys=%d, want %d/%d", got.rows, got.processed, want.rows, want.processed)
 			}
 			// Idempotent re-materialization converges to golden.
 			for i := 0; i < crashAppends; i++ {
 				crashAppend(t, v2, i)
 			}
-			if final := snapshotView(v2); final.rows != golden.rows || final.processed != golden.processed {
-				t.Fatalf("kp=%d kind=%v: re-run diverged: %+v vs %+v", kp, kind, final, golden)
+			if final := snapshotView(v2); final.rows != golden.rows || final.processed != golden.processed || !bytes.Equal(final.data, golden.data) {
+				t.Fatalf("re-run diverged: %+v vs %+v", final, golden)
 			}
-		}
+			checkLedger(t, e2)
+			testutil.CheckOneFilePerView(t, dir)
+		})
 	}
 }
 

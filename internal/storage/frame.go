@@ -65,21 +65,14 @@ var (
 	// CheckpointLog is the format of a standing query's checkpoint log
 	// (internal/ingest).
 	CheckpointLog = Format{magic: 0x45564143, version: 2, kinds: 1 << recState} // "EVAC"
-	cleanFile     = Format{magic: 0x4556414b, version: 1}                       // "EVAK"
-	quarFile      = Format{magic: 0x45564151, version: 1}                       // "EVAQ"
 	segFile       = Format{magic: 0x45564153, version: 2}                       // "EVAS"
 )
 
-var (
-	// errHeaderCorrupt signals that a log's preamble or header is
-	// unreadable: no record can be attributed to it. For a view the
-	// generation is a total loss and the caller salvages by starting a
-	// fresh log.
-	errHeaderCorrupt = errors.New("storage: log header corrupt")
-	// errTrustedCorrupt signals that the trusted prefix failed a check;
-	// the caller scans again with full verification.
-	errTrustedCorrupt = errors.New("storage: trusted prefix failed structural check")
-)
+// errHeaderCorrupt signals that a log's preamble or header is
+// unreadable: no record can be attributed to it. For a view the
+// generation is a total loss and the caller salvages by starting a
+// fresh log.
+var errHeaderCorrupt = errors.New("storage: log header corrupt")
 
 // beginFile starts a file of format f in buf: its preamble. A log's
 // owner appends its header body and then records (sealRecord); a sealed
@@ -147,10 +140,8 @@ type logScan struct {
 	// holes are the rotted ranges the scan resynchronised past,
 	// ascending and disjoint.
 	holes []LostRange
-	// trusted counts the records accepted inside the trusted prefix
-	// without their checksum, verified those whose checksum was
-	// recomputed.
-	trusted, verified int
+	// records counts the records accepted, each after its checksum.
+	records int
 }
 
 // scanLog reads the records of a log of format f from off, the end of
@@ -160,35 +151,15 @@ type logScan struct {
 // resynchronises to the next checksum-valid record boundary, records the
 // skipped bytes as a hole and goes on, so one flipped bit costs one
 // record. Only when no valid record follows — the signature of a crash
-// mid-append — does the scan stop at the last good boundary.
-//
-// Records that end at or before trusted (a prefix an earlier open
-// verified: the view's clean sidecar) skip the checksum; any failure
-// inside that prefix is errTrustedCorrupt, for the caller to scan again
-// with trusted 0. An error from fn is the owner's — a payload that
-// verified but does not decode, a writer bug or deliberate corruption,
-// not a crash — and ends the scan.
-func scanLog(data []byte, off int, trusted int64, f Format, fn func(kind byte, count int, payload []byte) error) (logScan, error) {
+// mid-append — does the scan stop at the last good boundary. An error
+// from fn is the owner's — a payload that verified but does not decode,
+// a writer bug or deliberate corruption, not a crash — and ends the
+// scan.
+func scanLog(data []byte, off int, f Format, fn func(kind byte, count int, payload []byte) error) (logScan, error) {
 	var s logScan
-	if trusted > 0 && trusted < int64(off) {
-		// A trusted prefix shorter than the header is stale beyond use.
-		return s, errTrustedCorrupt
-	}
 	for off < len(data) {
-		inTrusted := int64(off) < trusted
 		end, ok := recordBounds(data, off, f.kinds)
-		fastPath := ok && inTrusted && int64(end) <= trusted
-		if ok && !fastPath {
-			// The trusted fast path skips this hash. That skip is also its
-			// blind spot — bitrot landing inside the trusted prefix after
-			// it was verified passes this scan; View.Verify's full re-hash
-			// is what catches it.
-			ok = sumOK(data, off, end)
-		}
-		if !ok {
-			if inTrusted {
-				return s, errTrustedCorrupt
-			}
+		if !ok || !sumOK(data, off, end) {
 			// With no valid record after this one it is a torn tail; with
 			// one, the skipped bytes are a mid-log hole.
 			next := resyncRecord(data, off+1, f.kinds)
@@ -199,17 +170,9 @@ func scanLog(data []byte, off int, trusted int64, f Format, fn func(kind byte, c
 			off = next
 			continue
 		}
-		if fastPath {
-			s.trusted++
-		} else {
-			s.verified++
-		}
+		s.records++
 		count := int(binary.LittleEndian.Uint32(data[off+1:]))
 		if err := fn(data[off], count, data[off+recHeaderLen:end-recSumLen]); err != nil {
-			if inTrusted {
-				// The checksum was skipped, so the trusted prefix lied.
-				return s, errTrustedCorrupt
-			}
 			return s, err
 		}
 		off = end
@@ -283,7 +246,7 @@ func OpenStateLog(path, label, site string, f Format, budget *DiskBudget, apply 
 		if err != nil {
 			return 0, err
 		}
-		s, err := scanLog(data, off, 0, f, func(_ byte, _ int, state []byte) error { return apply(state) })
+		s, err := scanLog(data, off, f, func(_ byte, _ int, state []byte) error { return apply(state) })
 		return s.valid, err
 	})
 	if err != nil {

@@ -20,9 +20,9 @@ type scannedRecord struct {
 }
 
 // scanAll scans data from off and collects what the scanner yielded.
-func scanAll(data []byte, off int, trusted int64) ([]scannedRecord, logScan, error) {
+func scanAll(data []byte, off int) ([]scannedRecord, logScan, error) {
 	var recs []scannedRecord
-	s, err := scanLog(data, off, trusted, anyLog, func(kind byte, count int, payload []byte) error {
+	s, err := scanLog(data, off, anyLog, func(kind byte, count int, payload []byte) error {
 		recs = append(recs, scannedRecord{kind, count, payload})
 		return nil
 	})
@@ -35,11 +35,10 @@ func scanAll(data []byte, off int, trusted int64) ([]scannedRecord, logScan, err
 // range; the holes are ascending, disjoint and inside [header, valid);
 // every yielded record re-seals to its own bytes, and the records and
 // holes tile [header, valid) exactly; scanning data[:valid] yields the
-// same records and holes and no torn tail, and so does scanning it with
-// all of it trusted when it has no holes.
+// same records and holes and no torn tail.
 func FuzzFrameScan(f *testing.F) {
-	// Every compat golden: view logs and sidecars, version-1 and
-	// version-2 watermark and checkpoint logs.
+	// Every compat golden: view logs, the side files older versions kept
+	// beside them, version-1 and version-2 watermark and checkpoint logs.
 	_ = filepath.WalkDir("testdata/compat", func(path string, d fs.DirEntry, err error) error {
 		if err == nil && !d.IsDir() && filepath.Ext(path) != ".txt" {
 			if data, err := os.ReadFile(path); err == nil {
@@ -61,7 +60,7 @@ func FuzzFrameScan(f *testing.F) {
 		if _, _, off, err := parseViewHeader(data); err == nil {
 			hdr = off
 		}
-		recs, s, err := scanAll(data, hdr, 0)
+		recs, s, err := scanAll(data, hdr)
 		if err != nil {
 			t.Fatalf("scan failed: %v", err)
 		}
@@ -90,20 +89,18 @@ func FuzzFrameScan(f *testing.F) {
 		if pos != s.valid || len(holes) != 0 {
 			t.Fatalf("records and holes end at %d with %d holes left, valid %d", pos, len(holes), s.valid)
 		}
-		// The accepted prefix is a fixed point, trusted or not.
-		for _, trusted := range []int64{0, int64(s.valid)} {
-			if trusted > 0 && len(s.holes) > 0 {
-				break
-			}
-			recs2, s2, err := scanAll(data[:s.valid], hdr, trusted)
-			if err != nil || s2.valid != s.valid || len(recs2) != len(recs) || len(s2.holes) != len(s.holes) {
-				t.Fatalf("prefix scan (trusted %d) diverged: valid %d/%d records %d/%d holes %d/%d err %v",
-					trusted, s2.valid, s.valid, len(recs2), len(recs), len(s2.holes), len(s.holes), err)
-			}
-			for i := range recs {
-				if recs2[i].kind != recs[i].kind || recs2[i].count != recs[i].count || !bytes.Equal(recs2[i].payload, recs[i].payload) {
-					t.Fatalf("prefix scan (trusted %d) yielded a different record %d", trusted, i)
-				}
+		if s.records != len(recs) {
+			t.Fatalf("scan counted %d records, yielded %d", s.records, len(recs))
+		}
+		// The accepted prefix is a fixed point.
+		recs2, s2, err := scanAll(data[:s.valid], hdr)
+		if err != nil || s2.valid != s.valid || len(recs2) != len(recs) || len(s2.holes) != len(s.holes) {
+			t.Fatalf("prefix scan diverged: valid %d/%d records %d/%d holes %d/%d err %v",
+				s2.valid, s.valid, len(recs2), len(recs), len(s2.holes), len(s.holes), err)
+		}
+		for i := range recs {
+			if recs2[i].kind != recs[i].kind || recs2[i].count != recs[i].count || !bytes.Equal(recs2[i].payload, recs[i].payload) {
+				t.Fatalf("prefix scan yielded a different record %d", i)
 			}
 		}
 	})

@@ -149,10 +149,6 @@ func (v *Video) Watermark() int64 {
 	return v.wm
 }
 
-// Capacity returns the dataset's total frame count — the ceiling the
-// watermark can reach.
-func (v *Video) Capacity() int64 { return int64(v.ds.Frames) }
-
 // closeLive closes the watermark log handle. Idempotent.
 func (v *Video) closeLive() error {
 	v.mu.Lock()

@@ -15,10 +15,10 @@ import (
 // implementation of the write protocol every such log follows
 // (DESIGN.md "Tail log"): open with torn-tail recovery, append with
 // fault draws, budget admission and rollback, reclaim-and-retry under
-// disk pressure, the scratch→rename generation swap, and the restart
-// as an empty generation. What stays with the owner is what only it
-// knows: the record bytes, the replay closure, an optional fold, and
-// the lock. A TailLog has none of its own — every method but MakeRoom
+// disk pressure, and the scratch→rename generation swap behind every
+// rewrite — a fold, an upgrade, a compaction, an eviction. What stays
+// with the owner is what only it knows: the record bytes, the replay
+// closure, an optional fold, and the lock. A TailLog has none of its own — every method but MakeRoom
 // and Retry runs under the owner's lock, and those two must run
 // without it (the reclaim ladder takes other logs' locks).
 type TailLog struct {
@@ -53,12 +53,11 @@ var renameFile = os.Rename
 // leaves it behind, uncharged; every open removes its own.
 func scratchPath(path string) string { return path + ".tmp" }
 
-// writeSidecar atomically replaces the file at path with data (scratch
-// + rename: a crash leaves the old file or none) and charges it at its
-// exact size. Sidecars are bounded best-effort artifacts — never
-// budget-denied, and most callers ignore the error: a missing one
-// costs a full scan or a report, never correctness.
-func writeSidecar(b *DiskBudget, path string, data []byte) error {
+// writeFileAtomic replaces the file at path with data through its
+// scratch file and a rename, so a crash leaves the old file or none.
+// It charges no budget: its one user, the video segment, is regenerable
+// source data.
+func writeFileAtomic(path string, data []byte) error {
 	scratch := scratchPath(path)
 	err := os.WriteFile(scratch, data, 0o644)
 	if err == nil {
@@ -66,15 +65,13 @@ func writeSidecar(b *DiskBudget, path string, data []byte) error {
 	}
 	if err != nil {
 		_ = os.Remove(scratch)
-		return err
 	}
-	b.Set(path, int64(len(data)))
-	return nil
+	return err
 }
 
-// removeSidecar deletes the file at path and releases its charge. A
-// file that is not there is not an error.
-func removeSidecar(b *DiskBudget, path string) error {
+// removeFile deletes the file at path and releases its charge. A file
+// that is not there is not an error.
+func removeFile(b *DiskBudget, path string) error {
 	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
 		return err
 	}
@@ -170,8 +167,9 @@ func (l *TailLog) Attach(eng *Engine, exclude string, charge func(attempt int), 
 }
 
 // setFootprint makes n the durable footprint and the log's charge.
-// With writeSidecar/removeSidecar and Append's admit/refund it is the
-// only writer of the ledger, so Σ file sizes = budget used.
+// With removeFile, Append's admit/refund and the compaction scratch's
+// charge it is the only writer of the ledger, so Σ file sizes = budget
+// used.
 func (l *TailLog) setFootprint(n int64) {
 	l.footprint = n
 	l.budget.Set(l.path, n)
@@ -327,7 +325,8 @@ func (l *TailLog) Fold(image []byte) error {
 // rewrite is Fold whatever the sizes: image becomes the log's next
 // generation through the scratch file and swap. A state log's version
 // upgrade (OpenStateLog) needs it, because its new image may be the
-// larger.
+// larger; so do eviction and the restart after a view's header rotted,
+// whose image is the header alone.
 func (l *TailLog) rewrite(image []byte) error {
 	scratch := scratchPath(l.path)
 	if err := os.WriteFile(scratch, image, 0o644); err != nil {
@@ -351,7 +350,7 @@ func (l *TailLog) swap(scratch string, size int64) error {
 		l.dead = true
 	}
 	if err != nil {
-		_ = removeSidecar(l.budget, scratch)
+		_ = removeFile(l.budget, scratch)
 	}
 	f, oerr := os.OpenFile(l.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if oerr != nil {
@@ -364,26 +363,6 @@ func (l *TailLog) swap(scratch string, size int64) error {
 	}
 	l.budget.Drop(scratch)
 	l.setFootprint(size)
-	return nil
-}
-
-// Reset restarts the log as an empty generation holding only header:
-// eviction's rebirth, and the restart after the header itself rotted.
-// A log that cannot be restarted is dead.
-func (l *TailLog) Reset(header []byte) error {
-	_ = l.Close()
-	f, err := os.OpenFile(l.path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err == nil {
-		if _, err = f.Write(header); err != nil {
-			_ = f.Close()
-		}
-	}
-	if err != nil {
-		l.dead = true
-		return err
-	}
-	l.file = f
-	l.setFootprint(int64(len(header)))
 	return nil
 }
 

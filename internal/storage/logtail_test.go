@@ -124,9 +124,10 @@ func TestOpenTailLogRejectsBogusValidPrefix(t *testing.T) {
 
 // TestOpenRemovesScratch: a process that died between writing a scratch
 // file and renaming it leaves the scratch behind, uncharged. Every open
-// removes its own — the sidecar and compaction scratch beside a view
-// log, the segment and watermark-log scratch in a video directory — and
-// the ledger stays exact.
+// removes its own — the log's and the compaction scratch beside a view
+// log, the staging files of the side files older versions kept there,
+// the segment and watermark-log scratch in a video directory — and the
+// ledger stays exact.
 func TestOpenRemovesScratch(t *testing.T) {
 	dir := t.TempDir()
 	e := openLedger(t, dir)
@@ -150,9 +151,10 @@ func TestOpenRemovesScratch(t *testing.T) {
 	}
 	batchDir := filepath.Join(dir, "videos", "batch")
 	planted := []string{
-		scratchPath(cleanPath(v.path)),
-		scratchPath(quarPath(v.path)),
-		scratchPath(tombPath(v.path)),
+		scratchPath(v.path),
+		scratchPath(v.path + ".clean"),
+		scratchPath(v.path + ".quar"),
+		scratchPath(v.path + ".tomb"),
 		compactPath(v.path),
 		scratchPath(wmPath(live.dir)),
 		scratchPath(filepath.Join(live.dir, "seg-000000.bin")),

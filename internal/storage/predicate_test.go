@@ -124,29 +124,19 @@ func TestExistingOpensFromHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Nothing to open without a creator's schema: a committed eviction
-	// (tombstone) and an unreadable header are CreateView's to deal with,
-	// and the files stay as they are for it.
-	for name, damage := range map[string]func(){
-		"tombstone": func() { os.WriteFile(tombPath(path), []byte("EVAT"), 0o644) },
-		"header": func() {
-			os.Remove(tombPath(path))
-			data, _ := os.ReadFile(path)
-			data[0] ^= 0xff
-			os.WriteFile(path, data, 0o644)
-		},
-	} {
-		damage()
-		before, _ := os.ReadFile(path)
-		e3, _ := Open(dir)
-		if e3.Existing("det") != nil {
-			t.Errorf("%s: Existing opened the view", name)
-		}
-		if after, _ := os.ReadFile(path); !bytes.Equal(before, after) {
-			t.Errorf("%s: Existing modified the log", name)
-		}
-		e3.Close()
+	// Nothing to open without a creator's schema: an unreadable header is
+	// CreateView's to deal with, and the log stays as it is for it.
+	data, _ := os.ReadFile(path)
+	data[0] ^= 0xff
+	os.WriteFile(path, data, 0o644)
+	e3, _ := Open(dir)
+	if e3.Existing("det") != nil {
+		t.Error("Existing opened a log whose header rotted")
 	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(data, after) {
+		t.Error("Existing modified a log whose header rotted")
+	}
+	e3.Close()
 }
 
 // TestPredicateStaleAfterLoss is the storage half of the invariant "a
@@ -168,7 +158,6 @@ func TestPredicateStaleAfterLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	corruptRecord(t, v.path, 2) // rows of append 1
-	os.Remove(cleanPath(v.path))
 
 	e, v = openDet(t, dir)
 	if v.Quarantine() == nil {
@@ -210,7 +199,6 @@ func TestPredicateStaleAfterLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	corruptRecord(t, v.path, 1)
-	os.Remove(cleanPath(v.path))
 	e, v = openDet(t, dir)
 	wantPredicate(t, v, "all four again", true)
 	v.ShrinkPredicate([]byte("what survived"))
@@ -296,7 +284,8 @@ func TestBudgetDenialOfPredicateIsDiskFull(t *testing.T) {
 	}
 	crashAppend(t, cold, 0)
 	crashAppend(t, v, 0)
-	e.SetBudget(NewDiskBudget(e.Budget().Stats().UsedBytes + v.Footprint() + cold.Footprint() + 2*cleanLen + 8))
+	// 66 bytes of headroom: too few for the 64-byte snapshot's record.
+	e.SetBudget(NewDiskBudget(v.Footprint() + cold.Footprint() + 66))
 	pred := bytes.Repeat([]byte("p"), 64)
 	err = v.AppendPredicate(pred, nil)
 	if !IsDiskFull(err) {
@@ -347,7 +336,7 @@ func TestReplayFillsChunksOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := v.shadowLocked()
-	if _, err := s.replay(data, 0); err != nil {
+	if _, err := s.replay(data); err != nil {
 		t.Fatal(err)
 	}
 	clear(data)
@@ -357,7 +346,7 @@ func TestReplayFillsChunksOnce(t *testing.T) {
 
 	hostile := sealRecord(v.encodeHeader(), recRows, 1<<31-1, bytes.Repeat([]byte{0}, 30))
 	s = v.shadowLocked()
-	if _, err := s.replay(hostile, 0); err == nil {
+	if _, err := s.replay(hostile); err == nil {
 		t.Error("a row record with fewer rows than announced replayed")
 	}
 	if len(s.rows.chunks) > 1 {
@@ -375,7 +364,7 @@ func TestAppendEncodedKindMismatchIsAnError(t *testing.T) {
 		payload = d.AppendBinary(payload)
 	}
 	log := sealRecord(v.encodeHeader(), recRows, 1, payload)
-	if _, err := v.replay(log, 0); err == nil || v.rows.len() != 0 {
+	if _, err := v.replay(log); err == nil || v.rows.len() != 0 {
 		t.Fatalf("kind mismatch: err %v, %d rows kept", err, v.rows.len())
 	}
 }

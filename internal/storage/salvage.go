@@ -5,26 +5,25 @@
 // from the source video plus the UDF — so corruption is treated as a
 // cache partial-miss, not data loss. The pipeline has three stages:
 //
-//  1. Quarantine. Replay salvages the valid prefix and every
-//     checksum-valid suffix around a corrupt record (the frame scanner,
-//     frame.go), records the lost byte ranges here, and keeps serving
-//     salvaged rows. The quarantine manifest ("<view>.quar") persists
-//     the finding.
+//  1. Quarantine. Replay, which verifies every record at every open,
+//     salvages the valid prefix and every checksum-valid suffix around a
+//     corrupt record (the frame scanner, frame.go), records the lost
+//     byte ranges here, and keeps serving salvaged rows. The finding is
+//     not persisted: the next open re-derives it from the same bytes.
 //  2. Symbolic repair. The survived key ranges constrain the UDF
 //     manager's aggregated predicate, so the optimizer's DIFF residual
 //     re-plans exactly the missing rows; the executor's per-key
 //     probe-or-evaluate already recomputes any missing key on demand.
 //     (Driven from the eva layer; storage only reports the ranges.)
 //  3. Scrub + compact. Verify re-hashes the whole log from disk —
-//     including inside the clean sidecar's trusted prefix, whose fast
-//     path is blind to bitrot by design — and Compact rewrites a holed
-//     or repaired log into a fresh generation, committed by an atomic
-//     rename only after the new generation's checksums re-verify.
+//     catching bitrot that lands after the open verified it — and
+//     Compact rewrites a holed or repaired log into a fresh generation,
+//     committed by an atomic rename only after the new generation's
+//     checksums re-verify.
 package storage
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -64,50 +63,23 @@ func (q *Quarantine) clone() *Quarantine {
 	return &c
 }
 
-// quarPath returns the quarantine-manifest path for a view log path.
-func quarPath(path string) string { return path + ".quar" }
-
 // compactPath returns the next-generation scratch path for a view log
 // path. A file here is never authoritative: the rename onto the log
 // path is compaction's commit point, so openView discards leftovers.
 func compactPath(path string) string { return path + ".compact" }
 
-// Quarantine manifest ("<view>.quar", a sealed quarFile): the range
-// count and the lost ranges. The manifest is a durable record of a
-// detection — the salvage scan re-derives the same ranges from the log
-// bytes, so a missing or stale manifest costs reporting, never
-// correctness; nothing in the engine reads it back.
-//
-// writeQuarManifest persists the quarantine beside the log at path, or
-// removes the manifest when there is nothing quarantined. Best-effort,
-// like the clean sidecar.
-func writeQuarManifest(b *DiskBudget, path string, q *Quarantine) {
-	if q == nil || len(q.Ranges) == 0 {
-		_ = removeSidecar(b, quarPath(path))
-		return
-	}
-	buf := binary.LittleEndian.AppendUint32(beginFile(nil, quarFile), uint32(len(q.Ranges)))
-	for _, r := range q.Ranges {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Lo))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Hi))
-	}
-	_ = writeSidecar(b, quarPath(path), sealFile(buf))
-}
-
-// adoptHolesLocked promotes the holes found by the last replay into
-// the view's quarantine (or clears it when the scan found none) and
-// persists the manifest. Callers hold mu (or run pre-publish in
-// openView).
-func (v *View) adoptHolesLocked() {
-	if len(v.holes) == 0 {
+// adoptHolesLocked makes holes — what the last replay salvaged around,
+// or a whole lost generation — the view's quarantine (or clears it when
+// there are none). Callers hold mu (or run pre-publish in openView).
+func (v *View) adoptHolesLocked(holes []LostRange) {
+	if len(holes) == 0 {
 		v.quar = nil
-		writeQuarManifest(v.log.budget, v.path, nil)
 		return
 	}
 	// Rows are gone that the predicate snapshot may still claim.
 	v.predStale = true
 	q := &Quarantine{
-		Ranges:       append([]LostRange(nil), v.holes...),
+		Ranges:       append([]LostRange(nil), holes...),
 		SalvagedRows: v.rows.len(),
 		SalvagedKeys: v.index.len(),
 	}
@@ -115,18 +87,6 @@ func (v *View) adoptHolesLocked() {
 		q.LostBytes += r.Hi - r.Lo
 	}
 	v.quar = q
-	v.holes = nil
-	writeQuarManifest(v.log.budget, v.path, q)
-}
-
-// trustedBoundLocked is the byte length of the log prefix the clean
-// sidecar may vouch for: the whole verified footprint, or only up to
-// the first quarantined hole. Callers hold mu (or run pre-publish).
-func (v *View) trustedBoundLocked() int64 {
-	if v.quar != nil && len(v.quar.Ranges) > 0 && v.quar.Ranges[0].Lo < v.log.footprint {
-		return v.quar.Ranges[0].Lo
-	}
-	return v.log.footprint
 }
 
 // Quarantine returns a copy of the view's corruption record, or nil
@@ -207,21 +167,19 @@ type ScrubResult struct {
 	Clean bool
 	// FoundCorruption is true when this pass changed the view's state:
 	// new holes were quarantined, a torn tail was truncated, or rows
-	// the fast path had admitted turned out corrupt.
+	// the view held turned out corrupt.
 	FoundCorruption bool
 	// Quar is the view's quarantine after the pass (nil when whole).
 	Quar *Quarantine
 	// RecordsVerified counts the records whose checksums this pass
-	// recomputed (every surviving record — the scrub ignores the
-	// sidecar's trusted prefix).
+	// recomputed: every surviving record.
 	RecordsVerified int
 	// TornBytes is the size of the torn tail this pass truncated
 	// (external truncation mid-record; 0 normally).
 	TornBytes int64
 	// RowsDropped is how many in-memory rows the pass removed because
-	// their backing record failed its checksum (the clean-sidecar
-	// blind-spot case: rows admitted by the trusted fast path whose
-	// bytes rotted after the sidecar was written).
+	// their backing record failed its checksum: rows the open verified
+	// whose bytes rotted after it.
 	RowsDropped int
 	// Err is the pass's error, if it could not complete (set by
 	// VerifyViews, which aggregates per-view failures).
@@ -229,14 +187,12 @@ type ScrubResult struct {
 }
 
 // Verify is the scrubber's full re-verification of the view log: it
-// re-reads the file and re-hashes every record, deliberately ignoring
-// the clean sidecar — closing the fast path's blind spot, where bitrot
-// inside the trusted prefix is invisible to reopen. On corruption the
-// view's in-memory state is atomically replaced with the salvaged
-// state (corrupt rows are dropped, never served again), the lost
-// ranges are quarantined, and the sidecar is re-bounded so the next
-// open cannot trust the holes. The view stays open and serving
-// throughout; Append/Scan callers simply observe the healed state.
+// re-reads the file and re-hashes every record, catching bitrot that
+// landed after the open verified the log. On corruption the view's
+// in-memory state is atomically replaced with the salvaged state
+// (corrupt rows are dropped, never served again) and the lost ranges
+// are quarantined. The view stays open and serving throughout;
+// Append/Scan callers simply observe the healed state.
 func (v *View) Verify() (ScrubResult, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -258,26 +214,25 @@ func (v *View) Verify() (ScrubResult, error) {
 	// Rebuild into a shadow so a hard replay error leaves the live
 	// state untouched.
 	shadow := v.shadowLocked()
-	valid, rerr := shadow.replay(data, 0)
+	s, rerr := shadow.replay(data)
 	if errors.Is(rerr, errHeaderCorrupt) {
 		return res, v.resetCorruptHeaderLocked(int64(len(data)), &res)
 	}
 	if rerr != nil {
 		return res, fmt.Errorf("storage: view %s: scrub: %w", v.name, rerr)
 	}
-	res.RecordsVerified = shadow.openVerified
+	res.RecordsVerified = s.records
 
 	// Unchanged means the scan found exactly the state the view already
 	// knows: the same holes it has already quarantined (or none), every
 	// byte accounted for, and the same index. Known holes are not a new
 	// detection — the pass only re-confirms the standing quarantine.
 	prevRows, prevKeys := v.rows.len(), v.index.len()
-	unchanged := sameRanges(shadow.holes, v.quar) && int64(valid) == int64(len(data)) &&
+	unchanged := sameRanges(s.holes, v.quar) && s.valid == len(data) &&
 		shadow.rows.len() == prevRows && shadow.index.len() == prevKeys
 	if unchanged {
 		res.Clean = v.quar == nil
 		res.Quar = v.quar.clone()
-		v.writeCleanSidecarLocked()
 		return res, nil
 	}
 
@@ -293,17 +248,14 @@ func (v *View) Verify() (ScrubResult, error) {
 	// tail), so the snapshot it found is stale whatever adoptHolesLocked
 	// decides below.
 	v.pred, v.predStale = shadow.pred, true
-	v.openTrusted, v.openVerified = 0, shadow.openVerified
-	v.holes = shadow.holes
 	// A torn tail from external truncation or tail corruption is dropped,
 	// so the log ends on a record boundary again.
-	if err := v.log.truncate(int64(valid)); err != nil {
+	if err := v.log.truncate(int64(s.valid)); err != nil {
 		return res, fmt.Errorf("storage: view %s: scrub truncate: %w", v.name, err)
 	}
-	res.TornBytes = int64(len(data) - valid)
+	res.TornBytes = int64(len(data) - s.valid)
 	v.log.recovered += res.TornBytes
-	v.adoptHolesLocked()
-	v.writeCleanSidecarLocked()
+	v.adoptHolesLocked(s.holes)
 	res.Quar = v.quar.clone()
 	return res, nil
 }
@@ -335,20 +287,19 @@ func (v *View) shadowLocked() *View {
 
 // resetCorruptHeaderLocked is Verify's total-loss path: the header
 // rotted under a live view, so every record is unattributable. The log
-// restarts empty with the whole old generation quarantined; the
-// in-memory rows are dropped (they can no longer be re-verified
-// against disk). Callers hold mu.
+// restarts as an empty generation (TailLog.rewrite) with the whole old
+// one quarantined; the in-memory rows are dropped (they can no longer be
+// re-verified against disk). A log that cannot be restarted is dead.
+// Callers hold mu.
 func (v *View) resetCorruptHeaderLocked(oldLen int64, res *ScrubResult) error {
 	res.FoundCorruption = true
 	res.RowsDropped = v.rows.len()
 	v.resetReplayState()
-	v.holes = []LostRange{{Lo: 0, Hi: oldLen}}
-	if err := v.log.Reset(v.encodeHeader()); err != nil {
+	if err := v.log.rewrite(v.encodeHeader()); err != nil {
+		v.log.dead = true
 		return fmt.Errorf("storage: view %s: scrub reset corrupt header: %w", v.name, err)
 	}
-	// The old sidecar described the lost generation.
-	_ = removeSidecar(v.log.budget, cleanPath(v.path))
-	v.adoptHolesLocked()
+	v.adoptHolesLocked([]LostRange{{Lo: 0, Hi: oldLen}})
 	res.Quar = v.quar.clone()
 	return nil
 }
@@ -399,8 +350,6 @@ func (v *View) Compact() (CompactResult, error) {
 	}
 	v.quar = nil
 	v.pred = v.carriedPredLocked()
-	writeQuarManifest(v.log.budget, v.path, nil)
-	v.writeCleanSidecarLocked()
 	res.BytesAfter = v.log.footprint
 	return res, nil
 }
@@ -453,7 +402,7 @@ func (v *View) writeGenerationLocked(buf []byte) error {
 		err = v.verifyGenerationLocked(tmp, len(buf))
 	}
 	if err != nil {
-		_ = removeSidecar(v.log.budget, tmp)
+		_ = removeFile(v.log.budget, tmp)
 	}
 	return err
 }
@@ -470,11 +419,11 @@ func (v *View) verifyGenerationLocked(tmp string, size int) error {
 		return fmt.Errorf("verify: scratch file is %d bytes, want %d", len(nd), size)
 	}
 	shadow := v.shadowLocked()
-	valid, err := shadow.replay(nd, 0)
+	s, err := shadow.replay(nd)
 	switch {
 	case err != nil:
 		return err
-	case valid != len(nd) || len(shadow.holes) > 0:
+	case s.valid != len(nd) || len(s.holes) > 0:
 		return fmt.Errorf("verify: new generation has a torn tail or holes")
 	case shadow.rows.len() != v.rows.len() || shadow.index.len() != v.index.len():
 		return fmt.Errorf("verify: new generation rebuilt %d rows/%d keys, want %d/%d",

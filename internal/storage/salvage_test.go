@@ -2,12 +2,12 @@ package storage
 
 import (
 	"bytes"
-	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"eva/internal/faults"
+	"eva/internal/testutil"
 	"eva/internal/types"
 )
 
@@ -65,13 +65,9 @@ func TestSalvageMultipleHoles(t *testing.T) {
 	}
 	// Records: [rows0 keys0 rows1 keys1 rows2 keys2 rows3 keys3].
 	// Corrupt rows3 then rows1 (descending, so the traversal in
-	// corruptRecord never crosses an already-corrupted record); drop
-	// the sidecar so the open re-hashes.
+	// corruptRecord never crosses an already-corrupted record).
 	corruptRecord(t, v.path, 6)
 	corruptRecord(t, v.path, 2)
-	if err := os.Remove(cleanPath(v.path)); err != nil {
-		t.Fatal(err)
-	}
 
 	e2, _ := Open(dir)
 	v2, err := e2.CreateView("det", viewSchema(), []string{"id"})
@@ -158,57 +154,6 @@ func TestHeaderCorruptionTotalLoss(t *testing.T) {
 	}
 }
 
-// readQuarManifest loads the persisted quarantine ranges, or nil when
-// there is no usable manifest.
-func readQuarManifest(path string) []LostRange {
-	data, _ := os.ReadFile(quarPath(path))
-	body, ok := openSealed(data, quarFile)
-	if !ok || len(body) < 4 {
-		return nil
-	}
-	n := int(binary.LittleEndian.Uint32(body))
-	if 4+16*n != len(body) {
-		return nil
-	}
-	out := make([]LostRange, 0, n)
-	for off := 4; off < len(body); off += 16 {
-		out = append(out, LostRange{
-			Lo: int64(binary.LittleEndian.Uint64(body[off:])),
-			Hi: int64(binary.LittleEndian.Uint64(body[off+8:])),
-		})
-	}
-	return out
-}
-
-// TestQuarantineManifestRoundTrip: the manifest survives encode/decode
-// and rejects tampering.
-func TestQuarantineManifestRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "x.view")
-	q := &Quarantine{Ranges: []LostRange{{Lo: 10, Hi: 42}, {Lo: 100, Hi: 107}}}
-	writeQuarManifest(nil, path, q)
-	got := readQuarManifest(path)
-	if len(got) != 2 || got[0] != q.Ranges[0] || got[1] != q.Ranges[1] {
-		t.Fatalf("round trip = %+v, want %+v", got, q.Ranges)
-	}
-	// Tampered manifests are ignored, not trusted.
-	data, err := os.ReadFile(quarPath(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[6] ^= 0xff
-	if err := os.WriteFile(quarPath(path), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got := readQuarManifest(path); got != nil {
-		t.Errorf("tampered manifest decoded to %+v", got)
-	}
-	// An empty quarantine removes the manifest.
-	writeQuarManifest(nil, path, nil)
-	if _, err := os.Stat(quarPath(path)); !os.IsNotExist(err) {
-		t.Error("nil quarantine left a manifest behind")
-	}
-}
-
 // TestSurvivedIDRanges: processed keys merge into closed id ranges;
 // non-integer or id-less key shapes refuse to make a claim.
 func TestSurvivedIDRanges(t *testing.T) {
@@ -270,11 +215,8 @@ func TestSalvageTornTailAfterHole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cut the final record short (torn tail) and drop the sidecar.
+	// Cut the final record short (torn tail).
 	if err := os.WriteFile(v.path, data[:len(data)-5], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(cleanPath(v.path)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -297,25 +239,35 @@ func TestSalvageTornTailAfterHole(t *testing.T) {
 	checkLedger(t, e2)
 }
 
-// TestDropViewsRemovesQuarantineSidecars: DropViews leaves no .quar or
-// .compact debris behind.
+// TestDropViewsRemovesQuarantineSidecars: a quarantined view keeps its
+// quarantine in memory only, and DropViews leaves nothing behind — no
+// log, no compaction debris, no charge.
 func TestDropViewsRemovesQuarantineSidecars(t *testing.T) {
 	dir := t.TempDir()
 	e, _ := Open(dir)
 	v, _ := e.CreateView("det", viewSchema(), []string{"id"})
 	crashAppend(t, v, 0)
-	writeQuarManifest(nil, v.path, &Quarantine{Ranges: []LostRange{{Lo: 1, Hi: 2}}})
+	crashAppend(t, v, 1)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	corruptRecord(t, v.path, 0)
+	e = openLedger(t, dir)
+	v, _ = e.CreateView("det", viewSchema(), []string{"id"})
+	if v.Quarantine() == nil {
+		t.Fatal("corrupted log did not quarantine")
+	}
+	testutil.CheckOneFilePerView(t, dir)
 	if err := os.WriteFile(compactPath(v.path), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.DropViews(); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []string{v.path, cleanPath(v.path), quarPath(v.path), compactPath(v.path)} {
-		if _, err := os.Stat(p); !os.IsNotExist(err) {
-			t.Errorf("DropViews left %s behind", filepath.Base(p))
-		}
+	if left, _ := filepath.Glob(filepath.Join(dir, "views", "*")); len(left) != 0 {
+		t.Errorf("DropViews left %v behind", left)
 	}
+	checkLedger(t, e)
 }
 
 // TestResyncRejectsFalsePositives: resynchronization must land on a

@@ -12,25 +12,12 @@ import (
 	"eva/internal/faults"
 )
 
-// TestVerifyDetectsTrustedPrefixBitrot is the clean-sidecar blind-spot
-// regression: bitrot *inside* the trusted prefix that keeps the record
-// structurally decodable is invisible to the reopen fast path — the
-// view serves the rotten row. Verify's full re-hash must catch it,
-// quarantine the record, drop the bad rows from serving, and re-bound
-// the sidecar so no later open trusts the hole either.
-func TestVerifyDetectsTrustedPrefixBitrot(t *testing.T) {
-	dir := t.TempDir()
-	e, _ := Open(dir)
-	v, _ := e.CreateView("det", viewSchema(), []string{"id"})
-	crashAppend(t, v, 0)
-	crashAppend(t, v, 1)
-	if err := e.Close(); err != nil { // clean close writes the sidecar
-		t.Fatal(err)
-	}
-	// Flip a byte of string payload ("car" → something else) in the
-	// first rows record: the datum still decodes, the checksum is now
-	// wrong, and the sidecar still matches the file tail.
-	data, err := os.ReadFile(v.path)
+// rotPayload flips a byte of string payload ("car" → "cas") in the
+// first rows record of the log at path: the datum still decodes, the
+// record's checksum no longer matches.
+func rotPayload(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,25 +25,56 @@ func TestVerifyDetectsTrustedPrefixBitrot(t *testing.T) {
 	if pos < 0 {
 		t.Fatal("payload byte not found")
 	}
-	data[pos+2] ^= 0x01 // "car" → "cas"
-	if err := os.WriteFile(v.path, data, 0o644); err != nil {
+	data[pos+2] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
 
-	e2 := openLedger(t, dir)
-	v2, err := e2.CreateView("det", viewSchema(), []string{"id"})
+// TestVerifyDetectsTrustedPrefixBitrot: bitrot inside a cleanly closed
+// log — a prefix an earlier open verified — that keeps the record
+// structurally decodable is found by the next open, which verifies
+// every record: the record is quarantined and its rows are never
+// served. Rot that lands after the open is what the scrubber is for:
+// Verify's full re-hash catches it, quarantines the record and drops
+// its rows from serving, and the next open finds the same hole.
+func TestVerifyDetectsTrustedPrefixBitrot(t *testing.T) {
+	dir := t.TempDir()
+	e, _ := Open(dir)
+	v, _ := e.CreateView("det", viewSchema(), []string{"id"})
+	crashAppend(t, v, 0)
+	crashAppend(t, v, 1)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rotPayload(t, v.path)
+	e1 := openLedger(t, dir)
+	v1, err := e1.CreateView("det", viewSchema(), []string{"id"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The blind spot, demonstrated: the fast path trusted every record
-	// and the rotten row is being served.
-	if trusted, _ := v2.OpenStats(); trusted != 4 {
-		t.Fatalf("fast path trusted %d records, want 4 (the blind spot this test pins down)", trusted)
+	if v1.Rows() != 3 {
+		t.Errorf("reopen of a rotten log serves %d rows, want 3 (not the rotten record's)", v1.Rows())
 	}
+	atOpen := v1.Quarantine()
+	if atOpen == nil || len(atOpen.Ranges) != 1 {
+		t.Fatalf("reopen quarantine = %+v, want one range", atOpen)
+	}
+	if res, err := v1.Verify(); err != nil || res.FoundCorruption || res.RecordsVerified != 3 {
+		t.Errorf("verify after the open found the hole = %+v, %v; want it known and 3 records verified", res, err)
+	}
+	checkLedger(t, e1)
+
+	// Rot after the open: the view serves the rows it verified.
+	dir2 := t.TempDir()
+	e2 := openLedger(t, dir2)
+	v2, _ := e2.CreateView("det", viewSchema(), []string{"id"})
+	crashAppend(t, v2, 0)
+	crashAppend(t, v2, 1)
+	rotPayload(t, v2.path)
 	if v2.Rows() != 6 {
 		t.Fatalf("pre-scrub rows = %d, want 6 (including the rotten one)", v2.Rows())
 	}
-
 	res, err := v2.Verify()
 	if err != nil {
 		t.Fatalf("verify: %v", err)
@@ -67,8 +85,8 @@ func TestVerifyDetectsTrustedPrefixBitrot(t *testing.T) {
 	if res.RowsDropped != 3 {
 		t.Errorf("verify dropped %d rows, want 3 (the corrupt record's)", res.RowsDropped)
 	}
-	if res.Quar == nil || len(res.Quar.Ranges) != 1 {
-		t.Fatalf("verify quarantine = %+v, want one range", res.Quar)
+	if res.Quar == nil || len(res.Quar.Ranges) != 1 || res.Quar.Ranges[0] != atOpen.Ranges[0] {
+		t.Fatalf("verify quarantine = %+v, want the open's %+v", res.Quar, atOpen.Ranges)
 	}
 	// The rotten row is no longer served.
 	if v2.Rows() != 3 {
@@ -83,12 +101,10 @@ func TestVerifyDetectsTrustedPrefixBitrot(t *testing.T) {
 		t.Error("second verify re-reported the known hole as fresh corruption")
 	}
 	checkLedger(t, e2)
-	// The re-bounded sidecar stops the next open from trusting past
-	// the hole: it must re-verify and reproduce the same salvage.
 	if err := e2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	e3, _ := Open(dir)
+	e3, _ := Open(dir2)
 	v3, err := e3.CreateView("det", viewSchema(), []string{"id"})
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +117,7 @@ func TestVerifyDetectsTrustedPrefixBitrot(t *testing.T) {
 	}
 }
 
-// TestVerifyCleanPassRefreshesSidecar: verifying an intact log reports
+// TestVerifyCleanPass: verifying an intact log reports
 // clean, re-hashes every record, and leaves state untouched.
 func TestVerifyCleanPass(t *testing.T) {
 	dir := t.TempDir()

@@ -50,9 +50,6 @@ type Video struct {
 // Name returns the table name.
 func (v *Video) Name() string { return v.name }
 
-// Dataset returns the backing dataset descriptor.
-func (v *Video) Dataset() vision.Dataset { return v.ds }
-
 // NumFrames returns the number of visible frames: the full dataset for
 // a batch table, the durable watermark for a live one (scans never
 // read past what has been durably ingested).
@@ -167,7 +164,7 @@ func (v *Video) writeSegment(idx int, path string) error {
 		}
 	}
 	// Segments are regenerable source data, outside the disk budget.
-	return writeSidecar(nil, path, sealFile(buf))
+	return writeFileAtomic(path, sealFile(buf))
 }
 
 // readSegment rebuilds a segment's frames from its file, or reports

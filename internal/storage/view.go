@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -69,15 +68,6 @@ type View struct {
 	// generation; the manager clears it by writing what the survived
 	// rows still prove (ShrinkPredicate). guarded by mu.
 	predStale bool
-	// holes accumulates lost ranges during one replay/salvage scan; it
-	// is working state for replay, promoted into quar by the caller.
-	// guarded by mu (pre-publish in openView).
-	holes []LostRange
-	// openTrusted / openVerified count the records the last open
-	// accepted from the clean-sidecar verified prefix (checksum check
-	// skipped) versus fully verified. guarded by mu.
-	openTrusted  int
-	openVerified int
 	// claims maps an encoded key to the in-flight claim that is
 	// evaluating it (per-(view, key) singleflight across sessions);
 	// the channel closes when the claim is released. guarded by mu.
@@ -97,65 +87,6 @@ type View struct {
 // views are rebuilt from UDF evaluation, so an unsupported version is
 // surfaced as an error rather than migrated.
 
-// Clean sidecar ("<view>.clean", a sealed cleanFile): the
-// verified-prefix fast path. A clean close (and a completed open)
-// records the byte length of the log's verified prefix plus the file's
-// trailing record checksum at that length. The next open trusts records
-// entirely inside that prefix — skipping the per-record xxhash
-// re-verification whose cost grows with log length, not tail length —
-// and fully verifies only the bytes past it. The sidecar binds itself
-// to the file contents via the tail checksum, so a stale or foreign
-// sidecar degrades to the full verifying scan rather than admitting
-// unchecked bytes; likewise any structural inconsistency inside the
-// trusted prefix falls back to a full scan (errTrustedCorrupt).
-//
-// cleanLen is the sidecar's size: preamble, trusted length, tail
-// checksum and seal.
-const cleanLen = preambleLen + 8 + recSumLen + recSumLen
-
-// cleanPath returns the sidecar path for a view log path.
-func cleanPath(path string) string { return path + ".clean" }
-
-// readCleanSidecar returns the trusted prefix length recorded by the
-// last clean close/open, or 0 when there is no usable sidecar. data is
-// the log contents; the sidecar must match its length and trailing
-// record checksum to be trusted.
-func readCleanSidecar(path string, data []byte) int64 {
-	sc, _ := os.ReadFile(cleanPath(path))
-	body, ok := openSealed(sc, cleanFile)
-	if !ok || len(body) != 8+recSumLen {
-		return 0
-	}
-	trusted := int64(binary.LittleEndian.Uint64(body))
-	if trusted < recSumLen || trusted > int64(len(data)) || !bytes.Equal(data[trusted-recSumLen:trusted], body[8:]) {
-		return 0
-	}
-	return trusted
-}
-
-// writeCleanSidecarLocked refreshes the sidecar to the log's current
-// trusted bound — the whole footprint, or only up to the first
-// quarantined hole, which the next open must re-verify around rather
-// than trust. Best-effort: a failure only costs the next open a full
-// scan. Callers hold mu.
-func (v *View) writeCleanSidecarLocked() {
-	bound := v.trustedBoundLocked()
-	if v.log.dead || bound < recSumLen {
-		return
-	}
-	f, err := os.Open(v.path)
-	if err != nil {
-		return
-	}
-	defer f.Close()
-	buf := binary.LittleEndian.AppendUint64(beginFile(make([]byte, 0, cleanLen), cleanFile), uint64(bound))
-	buf = buf[:len(buf)+recSumLen]
-	if _, err := f.ReadAt(buf[len(buf)-recSumLen:], bound-recSumLen); err != nil {
-		return
-	}
-	_ = writeSidecar(v.log.budget, cleanPath(v.path), sealFile(buf))
-}
-
 // openView opens (or creates) the view log at path. A nil schema opens
 // an existing log as whatever its header declares — the manager asking
 // for a persisted predicate before any operator knows the row layout —
@@ -172,31 +103,18 @@ func openView(path, name string, schema types.Schema, keyCols []string, inj *fau
 	if !fromHeader {
 		v.setLayout(schema, keyCols)
 	}
-	// A tombstone marks a committed eviction the process died inside:
-	// whatever artifacts survive describe a view that no longer exists,
-	// so clear them all and start fresh. The tombstone must never
-	// resurrect a half-deleted view.
-	if _, err := os.Stat(tombPath(path)); err == nil {
-		clearTombstonedView(path)
-	}
-	// A crash mid-compaction or mid-sidecar-write can leave a scratch
-	// file behind; it was never committed (the rename is the commit
-	// point), so it is garbage.
-	for _, p := range viewScratch(path) {
+	// Files an interrupted process can leave beside the log: compaction's
+	// uncommitted next generation, and the clean sidecar, quarantine
+	// manifest and eviction tombstone older versions kept, each with its
+	// staging file. The log alone describes the view, so they are garbage.
+	for _, p := range []string{compactPath(path), path + ".clean", path + ".quar", path + ".tomb"} {
 		_ = os.Remove(p)
+		_ = os.Remove(scratchPath(p))
 	}
-	headerLost, replayed := false, false
+	var holes []LostRange
+	headerLost := false
 	log, err := OpenTailLog(path, "storage: view "+name, faults.SiteViewWrite(name), v.encodeHeader(), budget, func(data []byte) (int, error) {
-		replayed = true
-		trusted := readCleanSidecar(path, data)
-		valid, rerr := v.replay(data, trusted)
-		if errors.Is(rerr, errTrustedCorrupt) {
-			// The sidecar promised a clean prefix the file does not
-			// have (external truncation or corruption): fall back to
-			// the full verifying scan over a fresh in-memory state.
-			v.resetReplayState()
-			valid, rerr = v.replay(data, 0)
-		}
+		s, rerr := v.replay(data)
 		if errors.Is(rerr, errHeaderCorrupt) && !fromHeader {
 			// The header itself is unreadable, so no record can be
 			// attributed to a schema: the whole generation is lost.
@@ -204,10 +122,7 @@ func openView(path, name string, schema types.Schema, keyCols []string, inj *fau
 			// a fresh log rather than dying. Returning valid = 0 makes
 			// the shared truncation drop the whole generation.
 			v.resetReplayState()
-			v.holes = []LostRange{{Lo: 0, Hi: int64(len(data))}} // lint:nolock pre-publish (openView)
-			// The old sidecar described the lost generation.
-			_ = os.Remove(cleanPath(path))
-			headerLost = true
+			holes, headerLost = []LostRange{{Lo: 0, Hi: int64(len(data))}}, true
 			return 0, nil
 		}
 		if rerr != nil {
@@ -216,7 +131,8 @@ func openView(path, name string, schema types.Schema, keyCols []string, inj *fau
 		// Mid-log holes before valid stay on disk — they are
 		// quarantined, and truncating them would shift every later
 		// record's LSN; only the torn tail past valid is dropped.
-		return valid, nil
+		holes = s.holes
+		return s.valid, nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("storage: view %s: %w", name, err)
@@ -226,15 +142,8 @@ func openView(path, name string, schema types.Schema, keyCols []string, inj *fau
 		// tail.
 		log.recovered = 0
 	}
-	v.log = log          // lint:nolock pre-publish (openView)
-	v.adoptHolesLocked() // lint:nolock pre-publish (openView)
-	if replayed {
-		// Refresh the sidecar to the verified prefix — up to the first
-		// hole when quarantined — so the *next* open's verification
-		// cost is bounded. Best-effort: failure costs a full scan, not
-		// correctness. A fresh (never-written) log earns no sidecar.
-		v.writeCleanSidecarLocked() // lint:nolock pre-publish (openView)
-	}
+	v.log = log               // lint:nolock pre-publish (openView)
+	v.adoptHolesLocked(holes) // lint:nolock pre-publish (openView)
 	return v, nil
 }
 
@@ -269,46 +178,38 @@ func (v *View) encodeHeader() []byte {
 // openView before the view is published or, from eviction and the
 // scrubber's header reset, with mu held.
 func (v *View) resetReplayState() {
-	v.rows = viewRows{keyIdx: v.keyIdx}  // lint:nolock pre-publish (openView)
-	v.index = keyIndex{}                 // lint:nolock pre-publish (openView)
-	v.openTrusted, v.openVerified = 0, 0 // lint:nolock pre-publish (openView)
-	v.holes = nil                        // lint:nolock pre-publish (openView)
-	v.pred = nil                         // lint:nolock pre-publish (openView)
+	v.rows = viewRows{keyIdx: v.keyIdx} // lint:nolock pre-publish (openView)
+	v.index = keyIndex{}                // lint:nolock pre-publish (openView)
+	v.pred = nil                        // lint:nolock pre-publish (openView)
 }
 
-// replay rebuilds in-memory state from the log and returns the byte
-// offset past the last record it accepted: the frame scanner's (scanLog)
-// salvage around mid-log rot, with the holes kept in v.holes for the
-// quarantine, and its trusted-prefix skip for records that end at or
-// before trusted (the sidecar's clean prefix), which fails with
-// errTrustedCorrupt for the caller to fall back to a full scan. An
-// unreadable header is errHeaderCorrupt (the whole generation is lost —
-// views are derived data, so the caller salvages by starting over). It
-// runs inside openView before the view is published, so it may touch
-// guarded fields without the lock.
-func (v *View) replay(data []byte, trusted int64) (int, error) {
+// replay rebuilds in-memory state from the log, verifying every record,
+// and returns what the frame scanner (scanLog) found: the offset past
+// the last record it accepted and the holes it salvaged around, for the
+// quarantine. An unreadable header is errHeaderCorrupt (the whole
+// generation is lost — views are derived data, so the caller salvages by
+// starting over). It runs inside openView before the view is published,
+// so it may touch guarded fields without the lock.
+func (v *View) replay(data []byte) (logScan, error) {
 	schema, keyCols, off, err := parseViewHeader(data)
 	if err != nil {
-		return 0, err
+		return logScan{}, err
 	}
 	switch {
 	case v.schema == nil:
 		for _, kc := range keyCols {
 			if !schema.Has(kc) {
-				return 0, errHeaderCorrupt
+				return logScan{}, errHeaderCorrupt
 			}
 		}
 		v.setLayout(schema, keyCols)
 	case !schema.Equal(v.schema):
-		return 0, fmt.Errorf("schema mismatch: file has %s, want %s", schema, v.schema)
+		return logScan{}, fmt.Errorf("schema mismatch: file has %s, want %s", schema, v.schema)
 	case len(keyCols) != len(v.keyCols):
 		// Names are settled by schema equality; only the count can differ.
-		return 0, fmt.Errorf("key count mismatch: file has %d, want %d", len(keyCols), len(v.keyCols))
+		return logScan{}, fmt.Errorf("key count mismatch: file has %d, want %d", len(keyCols), len(v.keyCols))
 	}
-	s, err := scanLog(data, off, trusted, viewLog, v.replayRecord)
-	v.holes = s.holes                                     // lint:nolock pre-publish (openView)
-	v.openTrusted, v.openVerified = s.trusted, s.verified // lint:nolock pre-publish (openView)
-	return s.valid, err
+	return scanLog(data, off, viewLog, v.replayRecord)
 }
 
 // parseViewHeader reads the log header: the row schema, the key column
@@ -411,18 +312,12 @@ func (v *View) setInjector(inj *faults.Injector) {
 	v.inj = inj
 }
 
-// setBudget installs (or clears) the disk budget, charging the log and
-// the sidecars already beside it so late installation still accounts
-// for them.
+// setBudget installs (or clears) the disk budget, charging the log so
+// late installation still accounts for it.
 func (v *View) setBudget(b *DiskBudget) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.log.setBudget(b)
-	for _, side := range viewSidecars(v.path) {
-		if fi, err := os.Stat(side); err == nil {
-			b.Set(side, fi.Size())
-		}
-	}
 }
 
 // Name returns the view name.
@@ -440,16 +335,6 @@ func (v *View) RecoveredBytes() int64 {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	return v.log.recovered
-}
-
-// OpenStats reports how the last open rebuilt the index: trusted is
-// the number of records accepted from the clean-sidecar prefix without
-// checksum re-verification, verified the number whose checksums were
-// recomputed. trusted = 0 on a first open or after a fallback scan.
-func (v *View) OpenStats() (trusted, verified int) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.openTrusted, v.openVerified
 }
 
 // AppendKey appends the canonical encoding of a key tuple to buf and
@@ -865,13 +750,5 @@ func (v *View) Footprint() int64 {
 func (v *View) close() error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if v.log.file == nil {
-		return nil
-	}
-	err := v.log.Close()
-	// A clean close refreshes the sidecar so the next open can trust
-	// the whole log. A dead view skips it — a killed process writes
-	// nothing on the way down, and its torn tail must be re-verified.
-	v.writeCleanSidecarLocked()
-	return err
+	return v.log.Close()
 }

@@ -27,6 +27,13 @@ func crashAppend(t *testing.T, v *View, i int) {
 	}
 }
 
+// mkRows builds a one-row batch keyed by id.
+func mkRows(id int64) *types.Batch {
+	rows := types.NewBatch(viewSchema())
+	rows.MustAppendRow(types.NewInt(id), types.NewString("car"), types.NewString("x"))
+	return rows
+}
+
 type viewState struct {
 	rows      int
 	processed int
@@ -230,15 +237,9 @@ func TestViewChecksumDetectsBitrot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip a byte inside the first record's payload. Out-of-band
-	// corruption is outside the crash model the clean sidecar covers,
-	// so drop the sidecar too — with it present the verified-prefix
-	// fast path would (by design) trust the prefix without re-hashing.
+	// Flip a byte inside the first record's payload.
 	data[hdrLen+recHeaderLen+2] ^= 0xff
 	if err := os.WriteFile(v.path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(cleanPath(v.path)); err != nil {
 		t.Fatal(err)
 	}
 	e2, _ := Open(dir)
@@ -269,12 +270,8 @@ func TestViewChecksumDetectsBitrot(t *testing.T) {
 	if v2.RecoveredBytes() != 0 {
 		t.Errorf("mid-log hole misreported as torn tail (%d bytes)", v2.RecoveredBytes())
 	}
-	// The quarantine manifest is durable and the refreshed sidecar is
-	// bounded at the hole, so the *next* open re-verifies the suffix
-	// rather than trusting bytes past the corruption.
-	if got := readQuarManifest(v2.path); len(got) != 1 || got[0] != q.Ranges[0] {
-		t.Errorf("quarantine manifest = %+v, want %+v", got, q.Ranges)
-	}
+	// The quarantine is not written anywhere: the next open re-derives
+	// the same one from the same bytes.
 	e3, _ := Open(dir)
 	v3, err := e3.CreateView("det", viewSchema(), []string{"id"})
 	if err != nil {
@@ -283,7 +280,7 @@ func TestViewChecksumDetectsBitrot(t *testing.T) {
 	if v3.Rows() != 3 || v3.ProcessedCount() != 4 {
 		t.Errorf("re-reopen diverged: rows=%d keys=%d", v3.Rows(), v3.ProcessedCount())
 	}
-	if trusted, _ := v3.OpenStats(); trusted != 0 {
-		t.Errorf("re-reopen trusted %d records past a quarantined hole", trusted)
+	if q3 := v3.Quarantine(); q3 == nil || len(q3.Ranges) != 1 || q3.Ranges[0] != q.Ranges[0] {
+		t.Errorf("re-reopen quarantine = %+v, want %+v", q3, q.Ranges)
 	}
 }

@@ -68,10 +68,11 @@ func FuzzViewReplay(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v1 := fuzzView()
-		valid, err := v1.replay(data, 0)
+		s, err := v1.replay(data)
 		if err != nil {
 			return
 		}
+		valid := s.valid
 		if valid < 0 || valid > len(data) {
 			t.Fatalf("valid prefix %d out of range [0,%d]", valid, len(data))
 		}
@@ -79,9 +80,9 @@ func FuzzViewReplay(f *testing.F) {
 		// reconstruct the identical state — that is what reopening
 		// after truncation does.
 		v2 := fuzzView()
-		valid2, err := v2.replay(data[:valid], 0)
-		if err != nil || valid2 != valid {
-			t.Fatalf("prefix replay diverged: valid=%d/%d err=%v", valid2, valid, err)
+		s2, err := v2.replay(data[:valid])
+		if err != nil || s2.valid != valid {
+			t.Fatalf("prefix replay diverged: valid=%d/%d err=%v", s2.valid, valid, err)
 		}
 		if v1.rows.len() != v2.rows.len() || v1.index.len() != v2.index.len() || !bytes.Equal(v1.pred, v2.pred) {
 			t.Fatalf("prefix replay state mismatch: rows %d/%d processed %d/%d predicate %x/%x",

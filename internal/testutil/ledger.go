@@ -34,3 +34,19 @@ func CheckLedger(t *testing.T, root string, used int64) {
 		t.Errorf("disk ledger charges %d bytes, files under %s hold %d: %v", used, root, sum, files)
 	}
 }
+
+// CheckOneFilePerView fails the test unless every file in the views
+// directory under a storage engine's root is a view log: a view has no
+// other file.
+func CheckOneFilePerView(t *testing.T, root string) {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(root, "views", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if filepath.Ext(f) != ".view" {
+			t.Errorf("%s beside the view logs", filepath.Base(f))
+		}
+	}
+}

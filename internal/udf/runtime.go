@@ -289,20 +289,6 @@ func (d *Domain) funCacheKey(udfName string, args []types.Datum) xxhash.Key128 {
 	return key
 }
 
-func (r *Runtime) isFunCache() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.funCache
-}
-
-// FunCacheEnabled reports whether the FunCache baseline is active.
-// The executor no longer pins itself serial while it is: per-key
-// singleflight (claimFlight) makes the eval/store counts and charged
-// miss costs order-independent, and fault identities are derived from
-// the argument hash so the injected schedule does not depend on which
-// row wins a claim.
-func (r *Runtime) FunCacheEnabled() bool { return r.isFunCache() }
-
 // claimScalar / claimTable implement per-key singleflight for the
 // FunCache: they return (cached, true, nil) on a hit, or (zero, false,
 // done) after claiming the key for evaluation — the caller must store

@@ -83,10 +83,10 @@ type EvictResult struct {
 	WarmNsP99 int64 `json:"warm_ns_p99"`
 }
 
-// chargedFootprint sums the budget-charged artifacts under dir and
-// returns the largest single view log.
+// chargedFootprint sums the budget-charged view logs under dir and
+// returns the largest single one.
 func chargedFootprint(dir string) (total, largest int64, err error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "views", "*"))
+	paths, err := filepath.Glob(filepath.Join(dir, "views", "*.view"))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -96,9 +96,7 @@ func chargedFootprint(dir string) (total, largest int64, err error) {
 			return 0, 0, err
 		}
 		total += fi.Size()
-		if filepath.Ext(p) == ".view" && fi.Size() > largest {
-			largest = fi.Size()
-		}
+		largest = max(largest, fi.Size())
 	}
 	if total == 0 || largest == 0 {
 		return 0, 0, fmt.Errorf("vbench: workload left no durable views under %s", dir)

@@ -19,8 +19,8 @@ import (
 // frames the slowest standing query trails the durable watermark,
 // sampled after every producer batch), and the recovery cost — the
 // wall time to reopen the stream and recover every checkpoint at
-// increasing log lengths, which the clean-sidecar fast path keeps
-// flat rather than linear in history.
+// increasing log lengths, which the checkpoint and watermark logs'
+// folds keep flat rather than linear in history.
 
 // ingestBenchQueries is the standing-query mix: a cheap per-frame
 // count and a detector-backed filter, checkpointing independently.

@@ -87,14 +87,13 @@ type repairTask struct {
 }
 
 // Scrub runs one full verification pass over every materialized view:
-// each log is re-read from disk and every record re-hashed — including
-// inside the clean sidecar's trusted prefix, whose open-time fast path
-// is deliberately blind to bitrot. Corrupt records are quarantined,
-// the affected rows dropped from serving, and a symbolic repair task
-// registered so Repair (or simply the next query) recomputes exactly
-// what was lost. The pass quiesces statement execution: executors hold
-// per-batch view snapshots, so state under a running query never
-// changes out from under it.
+// each log is re-read from disk and every record re-hashed, catching
+// bitrot that landed after the open verified it. Corrupt records are
+// quarantined, the affected rows dropped from serving, and a symbolic
+// repair task registered so Repair (or simply the next query)
+// recomputes exactly what was lost. The pass quiesces statement
+// execution: executors hold per-batch view snapshots, so state under a
+// running query never changes out from under it.
 func (s *System) Scrub() (ScrubReport, error) {
 	s.qmu.Lock()
 	defer s.qmu.Unlock()

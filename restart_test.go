@@ -372,7 +372,6 @@ func TestQuarantineMeetsLoadedPredicate(t *testing.T) {
 			t.Fatalf("%s: %d row records, %d snapshots; want one row record per query and a snapshot", view, len(rows), len(viewRecords(t, data, 3)))
 		}
 		flipByte(t, path, int64(rows[1]+9+4))
-		os.Remove(path + ".clean") // or the open trusts the prefix unread
 	}
 
 	sys = openLoadedAt(t, dir, 1)

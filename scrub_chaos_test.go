@@ -11,6 +11,7 @@ import (
 
 	"eva/internal/faults"
 	"eva/internal/parser"
+	"eva/internal/testutil"
 )
 
 // The scrub chaos matrix is the executable acceptance test for the
@@ -119,6 +120,10 @@ func flipByte(t *testing.T, path string, off int64) {
 // scrubSites enumerates the corruption placements of the matrix.
 var scrubSites = []string{"header", "mid", "tail", "sidecar"}
 
+// sideFiles are the extensions of the files older versions kept beside a
+// view log.
+var sideFiles = []string{".clean", ".quar", ".tomb"}
+
 // corruptViewsAt applies one corruption site to the on-disk logs while
 // the owning System is live.
 func corruptViewsAt(t *testing.T, dir, site string) {
@@ -148,11 +153,15 @@ func corruptViewsAt(t *testing.T, dir, site string) {
 		}
 		flipByte(t, p, fi.Size()-5)
 	case "sidecar":
-		// Garbage clean-sidecars: they must be rejected, never trusted
-		// — and they carry no data, so nothing needs repair.
+		// Garbage where older versions kept side files beside each log (a
+		// clean sidecar, a quarantine manifest, an eviction tombstone):
+		// nothing reads them and they carry no data, so nothing needs
+		// repair — and the next open deletes them.
 		for _, p := range viewLogs(t, dir) {
-			if err := os.WriteFile(p+".clean", []byte("not a sidecar at all"), 0o644); err != nil {
-				t.Fatal(err)
+			for _, ext := range sideFiles {
+				if err := os.WriteFile(p+ext, []byte("not a side file at all"), 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	default:
@@ -231,11 +240,10 @@ func TestScrubCorruptionMatrix(t *testing.T) {
 							t.Fatal(err)
 						}
 						if site == "sidecar" {
-							// The scrub ignores sidecar hints entirely — a
-							// garbage sidecar is not corruption, just a hint
-							// the next open must reject.
+							// The scrub reads the logs alone: a garbage side
+							// file is not corruption.
 							if len(rep.Findings) != 0 {
-								t.Fatalf("sidecar garbage produced findings: %+v", rep.Findings)
+								t.Fatalf("side-file garbage produced findings: %+v", rep.Findings)
 							}
 						} else if len(rep.Findings) == 0 {
 							t.Fatalf("scrub missed %s corruption", site)
@@ -283,6 +291,7 @@ func TestScrubCorruptionMatrix(t *testing.T) {
 							t.Errorf("reopened view content diverged\n%s",
 								digestDiff(wantViews, got))
 						}
+						testutil.CheckOneFilePerView(t, dir)
 					})
 				}
 			}
