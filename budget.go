@@ -28,10 +28,11 @@ type StorageStats struct {
 
 // StorageStats snapshots the disk budget and scrubber counters.
 func (s *System) StorageStats() StorageStats {
-	return StorageStats{
-		Disk:  s.store.Budget().Stats(),
-		Scrub: s.ScrubberStats(),
+	st := StorageStats{Disk: s.store.Budget().Stats()}
+	if s.scrubber != nil {
+		st.Scrub = s.scrubber.Stats()
 	}
+	return st
 }
 
 // benefitRank scores a view's retention benefit as recompute cost ×

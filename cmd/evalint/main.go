@@ -1,8 +1,9 @@
 // Command evalint runs eva's project-specific static analyzers over
 // the module: exhaustive-switch, guarded-by, no-panic,
 // error-discipline, tracked-goroutine, walltime, mapiter, hotalloc,
-// faultsite and durable (see internal/lint). It is stdlib-only — packages are
-// loaded with go/parser and go/types directly.
+// faultsite, durable and unreferenced (see internal/lint). It is
+// stdlib-only — packages are loaded with go/parser and go/types
+// directly.
 //
 // Usage:
 //

@@ -31,8 +31,6 @@ type span struct {
 type Recycler struct {
 	mu     sync.Mutex
 	ranges map[string][]span // guarded by mu
-	// match accounting for introspection and tests
-	hits, misses int // guarded by mu
 }
 
 // NewRecycler returns an empty recycler graph.
@@ -49,13 +47,7 @@ func (r *Recycler) Covered(key string, lo, hi int64) bool {
 	if hi <= lo {
 		return true
 	}
-	covered := coveredLocked(r.ranges[key], lo, hi)
-	if covered {
-		r.hits++
-	} else {
-		r.misses++
-	}
-	return covered
+	return coveredLocked(r.ranges[key], lo, hi)
 }
 
 func coveredLocked(spans []span, lo, hi int64) bool {
@@ -97,18 +89,4 @@ func (r *Recycler) Add(key string, lo, hi int64) {
 		}
 	}
 	r.ranges[key] = merged
-}
-
-// Nodes returns the number of distinct operator subtrees tracked.
-func (r *Recycler) Nodes() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.ranges)
-}
-
-// Stats returns the coverage hit/miss counts.
-func (r *Recycler) Stats() (hits, misses int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.hits, r.misses
 }

@@ -226,15 +226,3 @@ func (e *Engine) Recycle(b *types.Batch) {
 		e.Pool.Put(b)
 	}
 }
-
-// Reset discards all materialized state: views, aggregated predicates,
-// counters, and the clock.
-func (e *Engine) Reset() error {
-	if err := e.Store.DropViews(); err != nil {
-		return err
-	}
-	e.Manager.Reset()
-	e.Runtime.ResetCounters()
-	e.Clock.Reset()
-	return nil
-}

@@ -4,9 +4,11 @@ import (
 	"strings"
 	"testing"
 
+	"eva/internal/expr"
 	"eva/internal/optimizer"
 	"eva/internal/parser"
 	"eva/internal/storage"
+	"eva/internal/udf"
 	"eva/internal/vision"
 )
 
@@ -94,34 +96,25 @@ func TestEnginePlanIsDryRun(t *testing.T) {
 	if res.Plan == nil {
 		t.Fatal("no plan")
 	}
-	// Nothing committed: the manager's entry (created by Lookup during
-	// planning) still has p_u = FALSE.
-	for _, entry := range e.Manager.Entries() {
-		if !entry.Agg.IsFalse() {
-			t.Errorf("Plan committed aggregated predicate for %s: %s", entry.Sig, entry.Agg)
-		}
-	}
+	// Nothing committed: the entry (created during planning) still has
+	// p_u = FALSE.
+	checkNothingClaimed(t, e, "Plan")
 }
 
-func TestEngineReset(t *testing.T) {
-	e := newEngine(t)
-	if _, err := e.Execute(sel(t, pipelineSQL), optimizer.EVAMode(), ExecOpts{}); err != nil {
-		t.Fatal(err)
-	}
-	if e.Store.TotalViewFootprint() == 0 || e.Clock.Total() == 0 {
-		t.Fatal("nothing to reset")
-	}
-	if err := e.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if e.Store.TotalViewFootprint() != 0 {
-		t.Error("views survived reset")
-	}
-	if e.Clock.Total() != 0 || e.Runtime.HitPercentage() != 0 {
-		t.Error("metrics survived reset")
-	}
-	if len(e.Manager.Entries()) != 0 {
-		t.Error("aggregated predicates survived reset")
+// appliedSigs are the invocations pipelineSQL and scalarSQL apply.
+var appliedSigs = []udf.Signature{
+	udf.NewSignature("video", vision.FasterRCNN50, []expr.Expr{expr.NewColumn("frame")}),
+	udf.NewSignature("video", "ColorDet", []expr.Expr{expr.NewColumn("frame"), expr.NewColumn("bbox")}),
+}
+
+// checkNothingClaimed fails unless every applied invocation's p_u is
+// still FALSE.
+func checkNothingClaimed(t *testing.T, e *Engine, what string) {
+	t.Helper()
+	for _, sig := range appliedSigs {
+		if agg := e.Manager.AggOf(sig); !agg.IsFalse() {
+			t.Errorf("%s left %s = %s", what, sig, agg)
+		}
 	}
 }
 
@@ -203,9 +196,14 @@ func TestFailedAttemptWithdrawsItsClaims(t *testing.T) {
 	if _, err := e.Execute(sel(t, scalarSQL), optimizer.EVAMode(), ExecOpts{}); err == nil {
 		t.Fatal("the statement beat a 1ns deadline")
 	}
-	for _, entry := range e.Manager.Entries() {
-		if !entry.Agg.IsFalse() {
-			t.Errorf("failed statement left %s = %s", entry.Sig, entry.Agg)
+	checkNothingClaimed(t, e, "the failed statement")
+	e.Deadline = 0
+	if _, err := e.Execute(sel(t, scalarSQL), optimizer.EVAMode(), ExecOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, sig := range appliedSigs {
+		if e.Manager.AggOf(sig).IsFalse() {
+			t.Errorf("the statement that succeeded claimed nothing for %s", sig)
 		}
 	}
 }

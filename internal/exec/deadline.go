@@ -3,7 +3,6 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"eva/internal/faults"
@@ -14,17 +13,12 @@ import (
 // budget ran out (or a fault at faults.SiteDeadline simulated it).
 var ErrDeadlineExceeded = errors.New("query deadline exceeded")
 
-// ErrCanceled marks a query aborted by Context.Cancel.
-var ErrCanceled = errors.New("query canceled")
-
 // deadlineState is the per-Run cancellation state shared by every
 // iterator of one execution.
 type deadlineState struct {
 	clock    clockReader
 	faults   *faults.Injector
 	deadline time.Duration // absolute virtual time; 0 = none
-	armed    bool          // false while created by a pre-Run Cancel
-	canceled atomic.Bool
 }
 
 // clockReader is the slice of simclock.Clock the guard needs.
@@ -33,14 +27,11 @@ type clockReader interface {
 }
 
 // check returns the abort error, if any. The order matters for
-// determinism: explicit cancellation wins, then injected expiry (which
-// consumes exactly one injector draw per check), then the real budget.
+// determinism: injected expiry (which consumes exactly one injector
+// draw per check) wins over the real budget.
 func (d *deadlineState) check() error {
 	if d == nil {
 		return nil
-	}
-	if d.canceled.Load() {
-		return fmt.Errorf("exec: %w", ErrCanceled)
 	}
 	if ferr := d.faults.Check(faults.SiteDeadline); ferr != nil {
 		return fmt.Errorf("exec: %w: %w", ErrDeadlineExceeded, ferr)
@@ -51,27 +42,12 @@ func (d *deadlineState) check() error {
 	return nil
 }
 
-// Cancel aborts the running (or next) execution on this Context: every
-// iterator's next returns ErrCanceled at its next check. Cancellation
-// is sticky until the next Run.
-func (c *Context) Cancel() {
-	if c.dl == nil {
-		c.dl = &deadlineState{}
-	}
-	c.dl.canceled.Store(true)
-}
-
-// armDeadline installs the per-Run cancellation state. A Cancel issued
-// before Run (on an un-armed state) carries into this Run; a Cancel
-// that aborted a previous Run does not, so each Run starts fresh.
+// armDeadline installs the per-Run deadline state, so each Run's
+// budget starts from the clock's current total.
 func (c *Context) armDeadline() {
-	pre := c.dl != nil && !c.dl.armed && c.dl.canceled.Load()
-	c.dl = &deadlineState{clock: c.Clock, faults: c.Faults, armed: true}
+	c.dl = &deadlineState{clock: c.Clock, faults: c.Faults}
 	if c.Deadline > 0 {
 		c.dl.deadline = c.Clock.Total() + c.Deadline
-	}
-	if pre {
-		c.dl.canceled.Store(true)
 	}
 }
 

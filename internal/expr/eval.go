@@ -19,6 +19,7 @@ type Resolver interface {
 
 // MapResolver is a Resolver backed by a map of column values and an
 // optional function table.
+// lint:testonly the row the expr and symbolic oracle tests evaluate against
 type MapResolver struct {
 	Cols map[string]types.Datum
 	Fns  map[string]func(args []types.Datum) (types.Datum, error)

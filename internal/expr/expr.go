@@ -254,6 +254,7 @@ type Call struct {
 }
 
 // NewCall returns a function-call expression.
+// lint:testonly tests build calls; the parser fills Call literals
 func NewCall(fn string, args ...Expr) *Call { return &Call{Fn: fn, Args: args} }
 
 func (c *Call) String() string {
@@ -277,6 +278,7 @@ func (Star) Children() []Expr { return nil }
 
 // Equal reports structural equality of two expressions, using the
 // canonical rendering (which is injective over the AST by construction).
+// lint:testonly the parser round-trip test's comparison
 func Equal(a, b Expr) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil

@@ -140,6 +140,7 @@ func Retry(clock *simclock.Clock, try func() error) error {
 }
 
 // AsFault extracts the injected fault from an error chain.
+// lint:testonly tests inspect the fault; the engine asks IsTransient/IsCrash
 func AsFault(err error) (*Fault, bool) {
 	var f *Fault
 	if errors.As(err, &f) {
@@ -407,16 +408,6 @@ func (i *Injector) decideLocked(site string, id, occurrence uint64, attempt, at 
 	return nil
 }
 
-// Calls returns how many times the site was consulted.
-func (i *Injector) Calls(site string) int {
-	if i == nil {
-		return 0
-	}
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.calls[site]
-}
-
 // Events returns a copy of the injection log in firing order. Firing
 // order is racy for sites checked concurrently; use EventsSorted when
 // comparing schedules across runs.
@@ -511,6 +502,11 @@ const (
 	// compaction or checkpoint write fail with ENOSPC without also
 	// corrupting it the way the underlying write-site family does.
 	SiteDiskFullPrefix = "disk:full:"
+)
+
+// Wildcard rule patterns matching whole site families.
+// lint:testonly fault schedules name whole families; most are named only by tests
+const (
 	// SiteAny is the wildcard rule pattern matching every site.
 	SiteAny = "*"
 	// SiteUDFAny is the rule pattern matching every model site.
@@ -542,6 +538,7 @@ const (
 // Sites is the central registry of fault-site families. Exact lists
 // standalone sites; Prefixes lists the open families whose members are
 // built by the Site* constructors below.
+// lint:testonly the faultsite analyzer reads the registry from source; RegisteredSite checks it at run time
 var Sites = struct {
 	Exact    []string
 	Prefixes []string
@@ -560,6 +557,7 @@ var Sites = struct {
 // prefix family, or a "*"-pattern that can match at least one
 // registered site. This is the runtime twin of the evalint faultsite
 // analyzer's static check.
+// lint:testonly pinned against the constructors by TestRegisteredSite
 func RegisteredSite(pat string) bool {
 	if pat == SiteAny {
 		return true

@@ -378,7 +378,7 @@ func (s *Stream) cycle(m msg) error {
 	if !m.flush {
 		target = wm - wm%cadence
 	}
-	for _, q := range s.snapshotQueries() {
+	for _, q := range s.Queries() {
 		if err := q.advance(target, cadence); err != nil {
 			if faults.IsCrash(err) {
 				return s.markDead(err)
@@ -387,15 +387,6 @@ func (s *Stream) cycle(m msg) error {
 		}
 	}
 	return nil
-}
-
-// snapshotQueries copies the query list under the stream lock.
-func (s *Stream) snapshotQueries() []*StandingQuery {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*StandingQuery, len(s.queries))
-	copy(out, s.queries)
-	return out
 }
 
 // appendFrames durably advances the watermark, retrying transient

@@ -9,8 +9,8 @@ import (
 )
 
 // FaultSite resolves every site name reaching the fault injector —
-// the string argument of Injector.Rule, Check, CheckEval, CheckWrite
-// and Calls — against the faults.Sites registry. A typo'd site
+// the string argument of Injector.Rule, Check, CheckEval and
+// CheckWrite — against the faults.Sites registry. A typo'd site
 // ("veiw:write:*") matches nothing at runtime and silently stops
 // injecting, which is exactly the failure mode a fault-injection
 // harness cannot be allowed to have.
@@ -38,7 +38,6 @@ func (a *FaultSite) Name() string { return "faultsite" }
 // name or rule pattern.
 var siteMethods = map[string]bool{
 	"Rule": true, "Check": true, "CheckEval": true, "CheckWrite": true,
-	"Calls": true,
 }
 
 // siteRegistry is the exact/prefix site-family registry extracted

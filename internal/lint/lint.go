@@ -42,6 +42,10 @@
 //	                       storage packages) sanctions a durable-write
 //	                       primitive outside logtail.go, or a hash
 //	                       outside frame.go.
+//	lint:testonly <why>    (in a top-level declaration's doc comment
+//	                       or on its line) keeps a declaration of an
+//	                       internal package that only tests reach: an
+//	                       oracle, a digest accessor, a test seam.
 //
 // Methods whose name ends in "Locked" are exempt from the guarded-by
 // check by convention: their contract is that the caller holds the
@@ -92,8 +96,16 @@ type Universe struct {
 	ModulePath string
 	Packages   []*Package // every loaded module package, sorted by path
 
+	loader      *loader // loads further packages on demand (see LoadTree)
 	sealedOnce  bool
 	sealedTypes map[*types.TypeName]*sealedType
+}
+
+// LoadTree loads every package the pattern selects, with Load's
+// pattern rules, sharing the packages already loaded. Packages it adds
+// do not join u.Packages, which stays the set Load itself loaded.
+func (u *Universe) LoadTree(pattern string) ([]*Package, error) {
+	return u.loader.resolve([]string{pattern})
 }
 
 // PackageFor returns the loaded package with the given import path,
@@ -227,6 +239,7 @@ func DefaultAnalyzers(modPath string) []Analyzer {
 			qp("internal/ingest/..."),
 			qp("internal/lint/testdata/src/durable/..."),
 		),
+		&Unreferenced{},
 	}
 }
 

@@ -64,7 +64,7 @@ func collectWants(u *Universe) []wantComment {
 // by exactly one diagnostic at its file and line, and no diagnostic
 // may appear without a `want`.
 func TestFixtures(t *testing.T) {
-	for _, tree := range []string{"exhaustive", "guardedby", "nopanic", "errdiscipline", "trackedgoroutine", "walltime", "mapiter", "hotalloc", "faultsite", "durable"} {
+	for _, tree := range []string{"exhaustive", "guardedby", "nopanic", "errdiscipline", "trackedgoroutine", "walltime", "mapiter", "hotalloc", "faultsite", "durable", "unreferenced"} {
 		t.Run(tree, func(t *testing.T) {
 			u, diags := loadFixture(t, "internal/lint/testdata/src/"+tree+"/...")
 			wants := collectWants(u)
@@ -102,7 +102,7 @@ func TestFixtures(t *testing.T) {
 // zero diagnostics — the suppression hatches, *Locked convention, and
 // wrapped-error patterns must all be accepted.
 func TestOkFixturesClean(t *testing.T) {
-	for _, tree := range []string{"exhaustive", "guardedby", "nopanic", "errdiscipline", "trackedgoroutine", "walltime", "mapiter", "hotalloc", "faultsite", "durable"} {
+	for _, tree := range []string{"exhaustive", "guardedby", "nopanic", "errdiscipline", "trackedgoroutine", "walltime", "mapiter", "hotalloc", "faultsite", "durable", "unreferenced"} {
 		t.Run(tree, func(t *testing.T) {
 			_, diags := loadFixture(t, "internal/lint/testdata/src/"+tree+"/ok")
 			for _, d := range diags {
@@ -132,10 +132,11 @@ func TestDiagnosticPositions(t *testing.T) {
 		{"faultsite", "faultsite", "faultsite/bad/bad.go:10:11"},
 		{"durable", "durable", "durable/bad/bad.go:14:15"},
 		{"durable", "durable", "durable/bad/checksum.go:11:48"},
+		{"unreferenced", "unreferenced", "unreferenced/bad/internal/lib/lib.go:20:6"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.analyzer, func(t *testing.T) {
-			_, diags := loadFixture(t, "internal/lint/testdata/src/"+tc.tree+"/bad")
+			_, diags := loadFixture(t, "internal/lint/testdata/src/"+tc.tree+"/bad/...")
 			for _, d := range diags {
 				got := fmt.Sprintf("%s:%d:%d", filepath.ToSlash(d.Pos.Filename), d.Pos.Line, d.Pos.Column)
 				if d.Analyzer == tc.analyzer && strings.HasSuffix(got, tc.suffix) {
@@ -147,6 +148,53 @@ func TestDiagnosticPositions(t *testing.T) {
 				all = append(all, d.String())
 			}
 			t.Errorf("no %s diagnostic at %s; got:\n%s", tc.analyzer, tc.suffix, strings.Join(all, "\n"))
+		})
+	}
+}
+
+// TestUnreferencedWholeWorld pins every unreferenced diagnostic of the
+// positive fixture at file:line:col, once with the fixture tree loaded
+// whole and once with only the internal package given: the analyzer
+// loads the packages that reference it either way, so the two runs
+// agree, and the negative twin's internal package stays clean alone.
+func TestUnreferencedWholeWorld(t *testing.T) {
+	const lib = "unreferenced/bad/internal/lib/lib.go:"
+	want := []string{
+		lib + "18:6: unreferenced: func lib.Dead is reached",
+		lib + "20:6: unreferenced: func lib.deadLeaf is reached",
+		lib + "38:17: unreferenced: method lib.Square.Perimeter is reached",
+		lib + "47:17: unreferenced: method lib.Batch.grow is reached",
+		lib + "58:6: unreferenced: func lib.Bare carries lint:testonly without a reason",
+		lib + "60:6: unreferenced: type lib.deadType is reached",
+		lib + "62:17: unreferenced: method lib.deadType.m is reached",
+		lib + "64:5: unreferenced: var lib.deadVar is reached",
+		lib + "66:7: unreferenced: const lib.deadConst is reached",
+		lib + "72:2: unreferenced: const lib.low is reached",
+	}
+	for _, tc := range []struct {
+		tree string
+		want []string
+	}{
+		{"unreferenced/...", want},
+		{"unreferenced/bad/internal/lib", want},
+		{"unreferenced/ok/internal/lib", nil},
+	} {
+		t.Run(tc.tree, func(t *testing.T) {
+			_, diags := loadFixture(t, "internal/lint/testdata/src/"+tc.tree)
+			var got []string
+			for _, d := range diags {
+				if d.Analyzer == "unreferenced" {
+					got = append(got, filepath.ToSlash(d.String()))
+				}
+			}
+			if len(got) != len(tc.want) {
+				t.Fatalf("got %d diagnostics, want %d:\n%s", len(got), len(tc.want), strings.Join(got, "\n"))
+			}
+			for i := range got {
+				if !strings.Contains(got[i], "/src/"+tc.want[i]) {
+					t.Errorf("diagnostic %d = %s, want %s…", i, got[i], tc.want[i])
+				}
+			}
 		})
 	}
 }

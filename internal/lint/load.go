@@ -58,6 +58,20 @@ func Load(root string, patterns []string) (*Universe, []*Package, error) {
 	}
 	l.std = importer.ForCompiler(l.fset, "source", nil)
 
+	targets, err := l.resolve(patterns)
+	if err != nil {
+		return nil, nil, err
+	}
+	u := &Universe{Fset: l.fset, ModulePath: modPath, loader: l}
+	for _, p := range l.pkgs {
+		u.Packages = append(u.Packages, p)
+	}
+	sort.Slice(u.Packages, func(i, j int) bool { return u.Packages[i].Path < u.Packages[j].Path })
+	return u, targets, nil
+}
+
+// resolve loads the packages selected by patterns (see Load).
+func (l *loader) resolve(patterns []string) ([]*Package, error) {
 	var dirs []string
 	seen := map[string]bool{}
 	addDir := func(d string) {
@@ -69,47 +83,41 @@ func Load(root string, patterns []string) (*Universe, []*Package, error) {
 	for _, pat := range patterns {
 		switch {
 		case pat == "./..." || pat == "...":
-			ds, err := packageDirs(root, root, false)
+			ds, err := packageDirs(l.root, l.root, false)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			for _, d := range ds {
 				addDir(d)
 			}
 		case strings.HasSuffix(pat, "/..."):
-			base := filepath.Join(root, filepath.FromSlash(strings.TrimSuffix(pat, "/...")))
+			base := filepath.Join(l.root, filepath.FromSlash(strings.TrimSuffix(pat, "/...")))
 			inTestdata := strings.Contains(base, string(filepath.Separator)+"testdata")
-			ds, err := packageDirs(root, base, inTestdata)
+			ds, err := packageDirs(l.root, base, inTestdata)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			for _, d := range ds {
 				addDir(d)
 			}
 		default:
-			addDir(filepath.Join(root, filepath.FromSlash(pat)))
+			addDir(filepath.Join(l.root, filepath.FromSlash(pat)))
 		}
 	}
 
-	var targets []*Package
+	var pkgs []*Package
 	for _, d := range dirs {
 		path, err := l.pathFor(d)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		pkg, err := l.load(path)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		targets = append(targets, pkg)
+		pkgs = append(pkgs, pkg)
 	}
-
-	u := &Universe{Fset: l.fset, ModulePath: modPath}
-	for _, p := range l.pkgs {
-		u.Packages = append(u.Packages, p)
-	}
-	sort.Slice(u.Packages, func(i, j int) bool { return u.Packages[i].Path < u.Packages[j].Path })
-	return u, targets, nil
+	return pkgs, nil
 }
 
 // modulePath reads the module directive from root's go.mod.

@@ -26,7 +26,9 @@ func seedDetectorView(h *harness, model string, lo, hi int64) {
 	if err != nil {
 		panic(err)
 	}
-	if err := h.mgr.Commit(sig, d); err != nil {
+	c := h.mgr.Begin()
+	c.Add(sig, d)
+	if _, err := c.Commit(nil); err != nil {
 		panic(err)
 	}
 }
@@ -194,14 +196,14 @@ func coverCostNames(h *harness, models []string, q symbolic.DNF, stats symbolic.
 	cost := 0.0
 	for _, m := range models {
 		sig := udf.NewSignature("video", m, []expr.Expr{expr.NewColumn("frame")})
-		entry := h.mgr.Lookup(sig)
-		covered := symbolic.Selectivity(symbolic.Inter(entry.Agg, rem), stats)
-		selView := symbolic.Selectivity(entry.Agg, stats)
+		agg := h.mgr.AggOf(sig)
+		covered := symbolic.Selectivity(symbolic.Inter(agg, rem), stats)
+		selView := symbolic.Selectivity(agg, stats)
 		if covered <= 0 {
 			continue
 		}
 		cost += crSec * selView * totalRows
-		rem = symbolic.Diff(entry.Agg, rem)
+		rem = symbolic.Diff(agg, rem)
 	}
 	cost += cheapest * symbolic.Selectivity(rem, stats) * totalRows
 	return cost

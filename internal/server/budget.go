@@ -94,6 +94,7 @@ func (b *MemBudget) Exceeded(at string, n int64) error {
 }
 
 // Peak reports the high-water mark of the estimated footprint. Nil-safe.
+// lint:testonly the budget tests read the accounting
 func (b *MemBudget) Peak() int64 {
 	if b == nil {
 		return 0
@@ -104,6 +105,7 @@ func (b *MemBudget) Peak() int64 {
 }
 
 // Degrades reports how many degradation steps were taken. Nil-safe.
+// lint:testonly the budget tests read the accounting
 func (b *MemBudget) Degrades() int {
 	if b == nil {
 		return 0
@@ -114,6 +116,7 @@ func (b *MemBudget) Degrades() int {
 }
 
 // Limit reports the configured budget, 0 when unlimited. Nil-safe.
+// lint:testonly the budget tests read the accounting
 func (b *MemBudget) Limit() int64 {
 	if b == nil {
 		return 0

@@ -32,6 +32,11 @@ var ErrQueueTimeout = errors.New("server queue wait deadline exceeded")
 // wedge when no in-flight query ever releases its token.
 const wedgeGuard = 30 * time.Second
 
+// waitSamples bounds the queue-wait history Stats takes percentiles
+// over to the most recent admissions, so a long-lived server's memory
+// and Stats cost stay flat.
+const waitSamples = 1024
+
 // Config bounds a Controller. MaxConcurrent is the number of
 // concurrency tokens; QueueDepth the maximum number of queries
 // waiting for one; QueueTimeout the virtual-clock budget a query may
@@ -71,9 +76,11 @@ type Controller struct {
 	admitted     int
 	shedOverload int
 	shedTimeout  int
-	// waits records the virtual queue wait of every admitted query.
-	// guarded by mu.
+	// waits is a ring of the virtual queue waits of the last
+	// waitSamples admitted queries; once it is full, next is the slot the
+	// next wait overwrites. guarded by mu.
 	waits []time.Duration
+	next  int // guarded by mu
 }
 
 // NewController builds an admission controller. MaxConcurrent < 1 is
@@ -94,6 +101,7 @@ func NewController(cfg Config) *Controller {
 
 // SetWedgeGuard replaces the wall-clock backstop timer source. Tests
 // use it to trigger (or disable) the guard deterministically.
+// lint:testonly the controller tests' deterministic timer
 func (c *Controller) SetWedgeGuard(after func(time.Duration) <-chan time.Time) {
 	c.after = after
 }
@@ -151,7 +159,7 @@ func (c *Controller) enqueue() (*Grant, *waiter, error) {
 	if c.inUse < c.cfg.MaxConcurrent {
 		c.inUse++
 		c.admitted++
-		c.waits = append(c.waits, 0)
+		c.noteWaitLocked(0)
 		return &Grant{c: c}, nil, nil
 	}
 	if len(c.waiters) >= c.cfg.QueueDepth {
@@ -219,11 +227,21 @@ func (c *Controller) release(simCost time.Duration) {
 		w := c.waiters[0]
 		c.waiters = c.waiters[1:]
 		c.admitted++
-		c.waits = append(c.waits, c.now-w.enqueued)
+		c.noteWaitLocked(c.now - w.enqueued)
 		w.grant <- &Grant{c: c} // token passes directly to the waiter
 		return
 	}
 	c.inUse--
+}
+
+// noteWaitLocked records one admitted query's queue wait in the ring.
+func (c *Controller) noteWaitLocked(d time.Duration) {
+	if len(c.waits) < waitSamples {
+		c.waits = append(c.waits, d)
+		return
+	}
+	c.waits[c.next] = d
+	c.next = (c.next + 1) % waitSamples
 }
 
 // Stats is a point-in-time snapshot of admission outcomes.
@@ -237,7 +255,8 @@ type Stats struct {
 	QueueWaitP99 time.Duration
 }
 
-// Stats snapshots counters and queue-wait percentiles. Nil-safe.
+// Stats snapshots counters and queue-wait percentiles; the percentiles
+// are over the last 1 024 admitted queries (waitSamples). Nil-safe.
 func (c *Controller) Stats() Stats {
 	if c == nil {
 		return Stats{}

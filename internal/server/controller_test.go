@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"sort"
 	"testing"
 	"time"
 )
@@ -200,6 +201,46 @@ func TestStatsPercentiles(t *testing.T) {
 	}
 	if s.QueueWaitP50 <= 0 || s.QueueWaitP99 < s.QueueWaitP50 {
 		t.Fatalf("percentiles p50=%v p99=%v", s.QueueWaitP50, s.QueueWaitP99)
+	}
+}
+
+// TestStatsWaitsBounded: the wait history is a ring of the last
+// waitSamples admissions, and the percentiles are those of exactly
+// those waits.
+func TestStatsWaitsBounded(t *testing.T) {
+	c := NewController(Config{MaxConcurrent: 1, QueueDepth: 1, QueueTimeout: time.Hour})
+	c.SetWedgeGuard(never)
+	g, err := c.Admit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := []time.Duration{0}
+	for i := 1; i < 3000; i++ {
+		_, w, err := c.enqueue()
+		if err != nil || w == nil {
+			t.Fatalf("admission %d not queued: %v", i, err)
+		}
+		// The waiter queued at the current virtual time, so its wait is
+		// the cost of the query it waited behind. Waits grow, so the
+		// percentiles of the whole history differ from the ring's.
+		cost := time.Duration(i+i*7919%100) * time.Microsecond
+		g.Release(cost)
+		g = <-w.grant
+		all = append(all, cost)
+	}
+	g.Release(0)
+
+	s := c.Stats()
+	c.mu.Lock()
+	held := len(c.waits)
+	c.mu.Unlock()
+	if s.Admitted != 3000 || held != waitSamples {
+		t.Fatalf("admitted %d, ring holds %d samples; want 3000, %d", s.Admitted, held, waitSamples)
+	}
+	last := append([]time.Duration(nil), all[len(all)-waitSamples:]...)
+	sort.Slice(last, func(i, j int) bool { return last[i] < last[j] })
+	if p50, p99 := percentile(last, 50), percentile(last, 99); s.QueueWaitP50 != p50 || s.QueueWaitP99 != p99 {
+		t.Fatalf("percentiles p50=%v p99=%v, want those of the last %d waits: %v, %v", s.QueueWaitP50, s.QueueWaitP99, waitSamples, p50, p99)
 	}
 }
 

@@ -61,9 +61,6 @@ func Open(dir string) (*Engine, error) {
 	return &Engine{root: dir, videos: map[string]*Video{}, views: map[string]*View{}}, nil
 }
 
-// Root returns the engine's directory.
-func (e *Engine) Root() string { return e.root }
-
 // SetInjector installs the fault injector consulted on every view
 // write (nil disables injection). It applies to existing views and to
 // views created later.

@@ -139,9 +139,6 @@ func (v *Video) setBudget(b *DiskBudget) {
 	}
 }
 
-// Live reports whether this is a streaming table.
-func (v *Video) Live() bool { return v.live }
-
 // Watermark returns the durable frame count of a live table.
 func (v *Video) Watermark() int64 {
 	v.mu.Lock()

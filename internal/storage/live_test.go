@@ -30,8 +30,8 @@ func TestLiveVideoWatermark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !v.Live() || v.NumFrames() != 0 {
-		t.Fatalf("fresh live table: live=%v frames=%d", v.Live(), v.NumFrames())
+	if !v.live || v.NumFrames() != 0 {
+		t.Fatalf("fresh live table: live=%v frames=%d", v.live, v.NumFrames())
 	}
 	if _, err := v.AppendFrames(10, nil); err != nil {
 		t.Fatal(err)

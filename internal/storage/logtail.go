@@ -182,16 +182,9 @@ func (l *TailLog) setBudget(b *DiskBudget) {
 	b.Set(l.path, l.footprint)
 }
 
-// Footprint returns the durable size in bytes.
-func (l *TailLog) Footprint() int64 { return l.footprint }
-
 // Recovered returns the torn-tail bytes dropped so far (at open, and by
 // a scrub that found one under a live handle).
 func (l *TailLog) Recovered() int64 { return l.recovered }
-
-// Dead reports whether a simulated crash (or a rollback that could not
-// be completed) killed the handle.
-func (l *TailLog) Dead() bool { return l.dead }
 
 // check reports why the log cannot be written, if it cannot: a
 // simulated crash killed the handle, or it is closed.

@@ -28,7 +28,7 @@ func openLedger(t *testing.T, dir string) *Engine {
 // exactly the bytes of the files under its root.
 func checkLedger(t *testing.T, e *Engine) {
 	t.Helper()
-	testutil.CheckLedger(t, e.Root(), e.Budget().Stats().UsedBytes)
+	testutil.CheckLedger(t, e.root, e.Budget().Stats().UsedBytes)
 }
 
 func newEngine(t *testing.T) *Engine {

@@ -331,6 +331,7 @@ func (v *View) KeyColumns() []string { return v.keyCols }
 
 // RecoveredBytes returns the size of the torn tail dropped when the
 // view was opened (0 for a clean log).
+// lint:testonly crash and salvage tests check the dropped torn tail
 func (v *View) RecoveredBytes() int64 {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
@@ -611,6 +612,7 @@ func (v *View) Rows() int {
 }
 
 // ProcessedCount returns the number of distinct processed keys.
+// lint:testonly view digests and storage tests count the keys
 func (v *View) ProcessedCount() int {
 	v.mu.RLock()
 	defer v.mu.RUnlock()

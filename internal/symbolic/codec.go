@@ -229,6 +229,7 @@ func (r *codecReader) constraint() Constraint {
 // Equal reports whether the predicates are the same formula: the same
 // conjuncts, in the same order, each constraining the same terms
 // identically. Equivalent predicates written differently are not Equal.
+// lint:testonly the codec round-trip tests compare formulas
 func (d DNF) Equal(o DNF) bool {
 	if len(d.conjs) != len(o.conjs) {
 		return false

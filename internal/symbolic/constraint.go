@@ -299,7 +299,9 @@ type Value struct {
 }
 
 // Num returns a numeric sample value.
+// lint:testonly builds the points of the truth-table oracle (oracle_test.go)
 func Num(f float64) Value { return Value{Numeric: true, F: f} }
 
 // Str returns a categorical sample value.
+// lint:testonly builds the points of the truth-table oracle (oracle_test.go)
 func Str(s string) Value { return Value{S: s} }

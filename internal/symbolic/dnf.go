@@ -104,6 +104,7 @@ func (c Conjunct) SubsetOf(o Conjunct) bool {
 }
 
 // Equal reports whether the conjuncts constrain identically.
+// lint:testonly the algebra's property tests compare conjuncts
 func (c Conjunct) Equal(o Conjunct) bool {
 	return c.SubsetOf(o) && o.SubsetOf(c)
 }
@@ -180,6 +181,7 @@ func (d DNF) IsFalse() bool { return len(d.conjs) == 0 }
 
 // IsTrue reports whether the predicate is a tautology (some conjunct
 // has no constraints).
+// lint:testonly the algebra's property tests check tautologies
 func (d DNF) IsTrue() bool {
 	for _, c := range d.conjs {
 		if len(c.cons) == 0 {
@@ -190,6 +192,7 @@ func (d DNF) IsTrue() bool {
 }
 
 // Terms returns the union of term names across conjuncts, sorted.
+// lint:testonly the truth-table oracle enumerates the terms
 func (d DNF) Terms() []string {
 	set := map[string]struct{}{}
 	for _, c := range d.conjs {
@@ -259,6 +262,7 @@ func (d DNF) AtomCount() int {
 }
 
 // Evaluate reports whether the sample point satisfies the predicate.
+// lint:testonly the truth-table oracle (oracle_test.go) and the property tests
 func (d DNF) Evaluate(point map[string]Value) (bool, error) {
 	for _, c := range d.conjs {
 		ok, err := c.Evaluate(point)

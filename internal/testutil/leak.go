@@ -12,6 +12,7 @@ import (
 // back to at most before, failing the test after five seconds.
 // Capture before with runtime.NumGoroutine() ahead of the suspect
 // work; exited goroutines are reaped asynchronously, hence the poll.
+// lint:testonly a helper the tests of several packages share
 func CheckNoGoroutineLeak(t *testing.T, before int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

@@ -11,6 +11,7 @@ import (
 // Budget().Stats().UsedBytes — equals the summed size of every file
 // under the engine's root. Video segments are left out: they are
 // regenerable source data the budget never charges.
+// lint:testonly a helper the tests of several packages share
 func CheckLedger(t *testing.T, root string, used int64) {
 	t.Helper()
 	var sum int64
@@ -38,6 +39,7 @@ func CheckLedger(t *testing.T, root string, used int64) {
 // CheckOneFilePerView fails the test unless every file in the views
 // directory under a storage engine's root is a view log: a view has no
 // other file.
+// lint:testonly a helper the tests of several packages share
 func CheckOneFilePerView(t *testing.T, root string) {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join(root, "views", "*"))

@@ -231,6 +231,7 @@ func Compare(a, b Datum) int {
 }
 
 // Equal reports value equality. NULL equals only NULL.
+// lint:testonly tests compare datums; the engine uses Compare
 func Equal(a, b Datum) bool {
 	if !Comparable(a, b) {
 		return false

@@ -2,7 +2,6 @@ package types
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 )
@@ -21,10 +20,10 @@ import (
 //
 // Use-after-Put is invisible in release builds (the stale reader sees
 // whatever rows the next owner wrote). The poison mode — default under
-// `-tags evadebug`, or enabled via the EVA_POOL_POISON environment
-// variable or SetPoison — scribbles every datum slot with an
-// invalid-kind sentinel on Put, so a stale typed accessor panics
-// immediately instead of silently reading recycled data.
+// `-tags evadebug`, or enabled per pool by SetPoison — scribbles every
+// datum slot with an invalid-kind sentinel on Put, so a stale typed
+// accessor panics immediately instead of silently reading recycled
+// data.
 type BatchPool struct {
 	mu      sync.Mutex
 	classes map[int]*sync.Pool // guarded by mu; schema width → batch class
@@ -54,17 +53,15 @@ func (e *PoolError) Error() string {
 var poisonDatum = Datum{kind: Kind(0x7F)}
 
 // NewBatchPool returns an empty pool. Poison mode starts enabled when
-// built with `-tags evadebug` or when EVA_POOL_POISON is set in the
-// environment.
+// built with `-tags evadebug`.
 func NewBatchPool() *BatchPool {
 	p := &BatchPool{classes: map[int]*sync.Pool{}}
-	if poisonDefault || os.Getenv("EVA_POOL_POISON") != "" {
-		p.poison.Store(true)
-	}
+	p.poison.Store(poisonDefault)
 	return p
 }
 
-// SetPoison toggles use-after-Put poisoning at runtime (tests).
+// SetPoison toggles use-after-Put poisoning at runtime.
+// lint:testonly the pool-safety tests poison one pool without the build tag
 func (p *BatchPool) SetPoison(on bool) { p.poison.Store(on) }
 
 // class returns the sync.Pool for one schema width.

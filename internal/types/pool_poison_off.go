@@ -3,6 +3,5 @@
 package types
 
 // poisonDefault leaves use-after-Put poisoning off in release builds;
-// enable it per-process with EVA_POOL_POISON or per-pool with
-// SetPoison. See BatchPool.
+// enable it per pool with SetPoison. See BatchPool.
 const poisonDefault = false

@@ -50,7 +50,6 @@ type batchEval struct {
 	hs   *HealthSnapshot
 	sink *OutcomeSink
 	dec  *vision.Decoder
-	max  int // attempts per invocation
 	inj  *faults.Injector
 	site string // the UDF's fault site; "" without an injector
 
@@ -86,10 +85,6 @@ func (d *Domain) begin(name string, kind catalog.UDFKind, hs *HealthSnapshot, si
 	table := kind == catalog.KindTableUDF
 	builtin := strings.HasPrefix(u.Impl, "builtin:")
 	r.mu.Lock()
-	e.max = costs.RetryMaxAttempts
-	if r.retryMax > 0 {
-		e.max = r.retryMax
-	}
 	e.funCache = r.funCache && (table || u.Expensive)
 	if !table && !builtin {
 		e.fn = r.impls[u.Key()]
@@ -262,11 +257,10 @@ func (e *batchEval) invoke(c *Call, id uint64, out *types.Batch, res *types.Datu
 			e.commit(true)
 			return nil
 		}
-		isTransient := faults.IsTransient(err)
-		d.r.countFailed(key, isTransient)
-		if isTransient {
+		d.r.countFailed(key)
+		if faults.IsTransient(err) {
 			e.transient++
-			if attempt < e.max {
+			if attempt < costs.RetryMaxAttempts {
 				d.clock.Charge(simclock.CatRetry, costs.RetryBackoff(attempt+1))
 				d.r.countRetry(key)
 				continue
@@ -308,7 +302,7 @@ func (e *batchEval) finish() {
 	if e.evals > 0 {
 		r := e.d.r
 		r.mu.Lock()
-		r.evals[key] += e.evals
+		r.countersLocked(key).evals += e.evals
 		r.mu.Unlock()
 	}
 	if e.attempts > 0 {

@@ -170,7 +170,8 @@ func runBatchWorkload(t *testing.T, w batchWorkload, regime string, seed uint64,
 		// The detectors are never "demanded" here, so CounterSnapshot,
 		// which lists demanded UDFs, would leave them out.
 		r.mu.Lock()
-		tr.Counters["raw:"+key] = Stats{Evaluated: r.evals[key], Failed: r.failed[key], Retried: r.retried[key], Reused: r.reused[key]}
+		c := r.countersLocked(key)
+		tr.Counters["raw:"+key] = Stats{Evaluated: c.evals, Failed: c.failed, Retried: c.retried, Reused: c.reused}
 		r.mu.Unlock()
 	}
 	tr.Clock = clock.Snapshot()

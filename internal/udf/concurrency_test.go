@@ -16,8 +16,8 @@ import (
 )
 
 // Concurrency stress suite for the Runtime (run under -race by `make
-// check`): the parallel executor calls EvalScalar/EvalDetector,
-// RecordDemand and RecordReuse from many goroutines at once, so every
+// check`): the parallel executor calls EvalScalar/EvalDetector and
+// RecordBatch from many goroutines at once, so every
 // counter must stay exact and the FunCache singleflight must evaluate
 // each distinct key exactly once no matter how calls interleave.
 
@@ -68,7 +68,7 @@ func TestFunCacheConcurrentSingleflight(t *testing.T) {
 				for k := 0; k < keys; k++ {
 					// Rotate the key order per worker so misses collide.
 					key := (k + w) % keys
-					rt.RecordDemand("CountEcho", fmt.Sprintf("k%d", key))
+					rt.RecordDemandKey("countecho", []byte(fmt.Sprintf("k%d", key)))
 					v, err := rt.EvalScalar("CountEcho", []types.Datum{types.NewInt(int64(key))})
 					if err != nil {
 						errs[w] = err
@@ -130,7 +130,7 @@ func TestFunCacheConcurrentDetector(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				for f := 0; f < frames; f++ {
 					id := int64((f + w) % frames)
-					rt.RecordDemand(vision.FasterRCNN50, fmt.Sprintf("f%d", id))
+					rt.RecordDemandKey(strings.ToLower(vision.FasterRCNN50), []byte(fmt.Sprintf("f%d", id)))
 					payload := vision.MediumUADetrac.EncodeFrame(id)
 					out, err := rt.EvalDetector(vision.FasterRCNN50, payload)
 					if err != nil {
@@ -207,9 +207,9 @@ func TestCountersConcurrentMixed(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				switch (w + i) % 4 {
 				case 0:
-					rt.RecordDemand("cartype", fmt.Sprintf("k%d", i%10))
+					rt.RecordDemandKey("cartype", []byte(fmt.Sprintf("k%d", i%10)))
 				case 1:
-					rt.RecordReuse("cartype")
+					rt.RecordBatch("cartype", nil, 1)
 				case 2:
 					_ = rt.CounterSnapshot()
 				default:

@@ -2,7 +2,6 @@ package udf
 
 import (
 	"sync"
-	"time"
 
 	"eva/internal/faults"
 	"eva/internal/simclock"
@@ -26,8 +25,7 @@ import (
 // system's root session evaluates through the Runtime's default domain.
 //
 // Lock ordering: a Domain method never holds d.mu while taking the
-// Runtime's mu — shared policy values are fetched from the Runtime
-// before d.mu is acquired.
+// Runtime's mu.
 type Domain struct {
 	r     *Runtime
 	clock *simclock.Clock
@@ -60,9 +58,6 @@ func (r *Runtime) NewDomain(clock *simclock.Clock) *Domain {
 // through.
 func (r *Runtime) DefaultDomain() *Domain { return r.def }
 
-// Runtime returns the shared runtime this domain evaluates through.
-func (d *Domain) Runtime() *Runtime { return d.r }
-
 // Clock returns the virtual clock this domain charges.
 func (d *Domain) Clock() *simclock.Clock { return d.clock }
 
@@ -89,18 +84,4 @@ func (d *Domain) reset() {
 	d.breakers = map[string]*breaker{}
 	d.attempts = map[string]int{}
 	d.transient = map[string]int{}
-}
-
-// cooldown and threshold fetch the shared breaker policy from the
-// Runtime (never called with d.mu held; see the lock-ordering note).
-func (r *Runtime) cooldown() time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.cooldownLocked()
-}
-
-func (r *Runtime) threshold() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.thresholdLocked()
 }

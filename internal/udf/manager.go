@@ -1,7 +1,6 @@
 package udf
 
 import (
-	"sort"
 	"strings"
 	"sync"
 
@@ -122,16 +121,6 @@ func (m *Manager) ensureLocked(sig Signature) *entry {
 
 func (e *entry) snapshot() Entry { return Entry{Sig: e.sig, Agg: e.agg, ViewName: e.view} }
 
-// Lookup returns a snapshot of the entry for a signature, creating it
-// on first sight. The snapshot is a value copy: later commits replace
-// the live entry's predicate but never mutate the snapshot (DNFs are
-// immutable once built).
-func (m *Manager) Lookup(sig Signature) Entry {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ensureLocked(sig).snapshot()
-}
-
 // AggOf returns the signature's aggregated predicate p_u as planning
 // sees it, creating the entry on first sight. This is the race-safe
 // accessor the optimizer uses while concurrent statements claim and
@@ -140,39 +129,6 @@ func (m *Manager) AggOf(sig Signature) symbolic.DNF {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.ensureLocked(sig).agg
-}
-
-// Peek returns a snapshot of the entry if it exists, without creating
-// it.
-func (m *Manager) Peek(sig Signature) (Entry, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.entries[sig.Key()]
-	if !ok {
-		return Entry{}, false
-	}
-	return e.snapshot(), true
-}
-
-// Analysis is the outcome of the symbolic reuse analysis for one UDF
-// invocation: the reduced intersection and difference predicates and
-// the aggregated predicate after the invocation runs.
-type Analysis struct {
-	Inter symbolic.DNF // p∩: tuples servable from the view
-	Diff  symbolic.DNF // p−: tuples the UDF must still evaluate
-	Union symbolic.DNF // p∪: the updated aggregated predicate
-}
-
-// Analyze computes INTER(p_u, q), DIFF(p_u, q) and UNION(p_u, q) for
-// the signature's aggregated predicate and the invocation predicate q
-// (§3.2 challenge I).
-func (m *Manager) Analyze(sig Signature, q symbolic.DNF) Analysis {
-	agg := m.AggOf(sig)
-	return Analysis{
-		Inter: symbolic.Inter(agg, q),
-		Diff:  symbolic.Diff(agg, q),
-		Union: symbolic.Union(agg, q),
-	}
 }
 
 // Claims are one executing statement's claims on aggregated predicates:
@@ -290,19 +246,6 @@ func encodePredicate(p symbolic.DNF) []byte {
 	return p.AppendBinary(nil)
 }
 
-// Commit records that the invocation with predicate q has been
-// materialized: p_u ← UNION(p_u, q). It is a one-claim statement that
-// succeeded; nothing on the planning path calls it.
-func (m *Manager) Commit(sig Signature, q symbolic.DNF) error {
-	c := m.Begin()
-	c.Add(sig, q)
-	if _, err := c.Commit(nil); err != nil {
-		c.Abort()
-		return err
-	}
-	return nil
-}
-
 // Shrink cuts the signature's predicates down to what its view still
 // holds after losing rows — a corrupt record salvaged around, an
 // eviction: p ← INTER(p, survived) for the committed predicate, every
@@ -357,17 +300,4 @@ func (m *Manager) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.entries = map[string]*entry{}
-}
-
-// Entries returns value snapshots of the manager's entries, sorted by
-// signature key so callers never observe map-iteration order.
-func (m *Manager) Entries() []Entry {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Entry, 0, len(m.entries))
-	for _, e := range m.entries {
-		out = append(out, e.snapshot())
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Sig.Key() < out[j].Sig.Key() })
-	return out
 }

@@ -1,7 +1,6 @@
 package udf
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -25,8 +24,8 @@ func rangeDNF(t *testing.T, lo, hi int64) symbolic.DNF {
 
 // TestManagerConcurrentCommitAndRead is the regression test for the
 // aggregated-predicate race: optimizer threads used to read a live
-// *Entry.Agg while Commit replaced it under the manager's lock,
-// tripping the race detector. The snapshot API (Lookup/AggOf/Entries
+// *Entry.Agg while a commit replaced it under the manager's lock,
+// tripping the race detector. The snapshot API (AggOf/EntryByView
 // return value copies) must let readers and committers run freely.
 func TestManagerConcurrentCommitAndRead(t *testing.T) {
 	m := NewManager(nil)
@@ -44,17 +43,16 @@ func TestManagerConcurrentCommitAndRead(t *testing.T) {
 				q := rangeDNF(t, lo, lo+10)
 				switch i % 4 {
 				case 0:
-					m.Commit(sig, q)
+					_ = commit(m, sig, q)
 				case 1:
 					_ = m.AggOf(sig).AtomCount()
 				case 2:
-					a := m.Analyze(sig, q)
-					_ = a.Inter.IsFalse()
+					_ = symbolic.Inter(m.AggOf(sig), q).IsFalse()
 					failed := m.Begin()
 					failed.Add(sig, q)
 					failed.Abort()
 				default:
-					for _, e := range m.Entries() {
+					if e, ok := m.EntryByView(sig.ViewName()); ok {
 						_ = e.Agg.String()
 					}
 				}
@@ -63,7 +61,7 @@ func TestManagerConcurrentCommitAndRead(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := len(m.Entries()); got != 1 {
+	if got := len(m.entries); got != 1 {
 		t.Fatalf("entries = %d, want 1", got)
 	}
 	if m.AggOf(sig).IsFalse() {
@@ -71,17 +69,20 @@ func TestManagerConcurrentCommitAndRead(t *testing.T) {
 	}
 }
 
-// TestManagerSnapshotIsolation checks that a Lookup snapshot is not
-// retroactively changed by a later Commit — the property the
+// TestManagerSnapshotIsolation checks that an EntryByView snapshot is
+// not retroactively changed by a later commit — the property the
 // optimizer relies on while planning against a fixed p_u.
 func TestManagerSnapshotIsolation(t *testing.T) {
 	m := NewManager(nil)
 	sig := NewSignature("", "redness", []expr.Expr{expr.NewColumn("frame")})
-	snap := m.Lookup(sig)
-	if !snap.Agg.IsFalse() {
-		t.Fatalf("fresh entry p_u = %s, want FALSE", snap.Agg)
+	m.AggOf(sig)
+	snap, ok := m.EntryByView(sig.ViewName())
+	if !ok || !snap.Agg.IsFalse() {
+		t.Fatalf("fresh entry p_u = %s (found %v), want FALSE", snap.Agg, ok)
 	}
-	m.Commit(sig, rangeDNF(t, 0, 100))
+	if err := commit(m, sig, rangeDNF(t, 0, 100)); err != nil {
+		t.Fatal(err)
+	}
 	if !snap.Agg.IsFalse() {
 		t.Fatalf("snapshot mutated by Commit: %s", snap.Agg)
 	}
@@ -98,12 +99,13 @@ func BenchmarkManagerAggOf(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m.Commit(sig, d)
+	if err := commit(m, sig, d); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if m.AggOf(sig).IsFalse() {
 			b.Fatal("unexpected FALSE")
 		}
 	}
-	_ = fmt.Sprintf("%v", m.Entries())
 }

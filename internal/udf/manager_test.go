@@ -159,8 +159,8 @@ func TestCommitStopsAtAFailedSnapshot(t *testing.T) {
 	}
 
 	store.failNext = boom
-	if err := m.Commit(first, rangeDNF(t, 500, 600)); err != boom {
-		t.Fatalf("Manager.Commit = %v", err)
+	if err := commit(m, first, rangeDNF(t, 500, 600)); err != boom {
+		t.Fatalf("commit = %v", err)
 	}
 	if holds(m.AggOf(first), 550) {
 		t.Error("a commit that failed and was abandoned still shows in p_u")
@@ -202,7 +202,7 @@ func TestShrinkCutsClaimsInFlight(t *testing.T) {
 	store := newMemStore()
 	m := NewManager(store)
 	sig := detSig()
-	if err := m.Commit(sig, rangeDNF(t, 0, 100)); err != nil {
+	if err := commit(m, sig, rangeDNF(t, 0, 100)); err != nil {
 		t.Fatal(err)
 	}
 	c := m.Begin()
@@ -219,7 +219,7 @@ func TestShrinkCutsClaimsInFlight(t *testing.T) {
 		t.Errorf("the claim committed %s over an evicted view", got)
 	}
 	m.Shrink(NewSignature("video", "never-seen", nil)) // nothing to do, nothing to load
-	if len(m.Entries()) != 1 {
-		t.Errorf("Shrink created an entry: %d", len(m.Entries()))
+	if len(m.entries) != 1 {
+		t.Errorf("Shrink created an entry: %d", len(m.entries))
 	}
 }

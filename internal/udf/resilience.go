@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"eva/internal/catalog"
-	"eva/internal/costs"
 	"eva/internal/faults"
 	"eva/internal/types"
 	"eva/internal/xxhash"
@@ -49,33 +48,11 @@ func (r *Runtime) SetInjector(inj *faults.Injector) {
 	r.def.SetInjector(inj)
 }
 
-// SetRetryPolicy overrides the retry/breaker parameters; zero values
-// keep the defaults (costs.RetryMaxAttempts attempts,
-// DefaultBreakerThreshold trips, DefaultBreakerCooldown). The policy
-// is shared by every domain.
-func (r *Runtime) SetRetryPolicy(maxAttempts, breakerThreshold int, cooldown time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.retryMax = maxAttempts
-	r.breakThreshold = breakerThreshold
-	r.breakCooldown = cooldown
-}
-
-func (r *Runtime) maxAttempts() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.retryMax > 0 {
-		return r.retryMax
-	}
-	return costs.RetryMaxAttempts
-}
-
 // breakerAllow rejects the invocation while the model's breaker is
 // open and its virtual-time cooldown has not elapsed. After the
 // cooldown one probe invocation is let through (half-open).
 func (d *Domain) breakerAllow(u *catalog.UDF) error {
 	key := u.Key()
-	cd := d.r.cooldown()
 	now := d.clock.Total()
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -83,7 +60,7 @@ func (d *Domain) breakerAllow(u *catalog.UDF) error {
 	if b == nil || !b.open {
 		return nil
 	}
-	if now-b.openedAt >= cd {
+	if now-b.openedAt >= DefaultBreakerCooldown {
 		return nil // half-open probe
 	}
 	return fmt.Errorf("udf: %s: %w", u.Name, ErrModelUnavailable)
@@ -96,18 +73,16 @@ func (d *Domain) breakerAllow(u *catalog.UDF) error {
 // the live breakerAllow reads the advancing virtual clock and an open
 // breaker could flip to half-open mid-batch at a worker-dependent row.
 type HealthSnapshot struct {
-	now      time.Duration
-	cooldown time.Duration
-	open     map[string]time.Duration // open breakers → openedAt
+	now  time.Duration
+	open map[string]time.Duration // open breakers → openedAt
 }
 
 // HealthSnapshot captures the domain's breaker states and virtual time.
 func (d *Domain) HealthSnapshot() *HealthSnapshot {
-	cd := d.r.cooldown()
 	now := d.clock.Total()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	hs := &HealthSnapshot{now: now, cooldown: cd}
+	hs := &HealthSnapshot{now: now}
 	for name, b := range d.breakers {
 		if b.open {
 			if hs.open == nil {
@@ -124,7 +99,7 @@ func (d *Domain) HealthSnapshot() *HealthSnapshot {
 // state at the batch's start, at any worker count.
 func (h *HealthSnapshot) allow(u *catalog.UDF) error {
 	openedAt, open := h.open[u.Key()]
-	if !open || h.now-openedAt >= h.cooldown {
+	if !open || h.now-openedAt >= DefaultBreakerCooldown {
 		return nil // closed, or half-open probe
 	}
 	return fmt.Errorf("udf: %s: %w", u.Name, ErrModelUnavailable)
@@ -148,12 +123,6 @@ func (s *OutcomeSink) record(key string, ok bool) {
 	s.outcomes = append(s.outcomes, sunkOutcome{key: key, ok: ok})
 }
 
-// Reset clears the sink for reuse, keeping its capacity — executors
-// recycle their sinks across batches to stay off the heap.
-func (s *OutcomeSink) Reset() {
-	s.outcomes = s.outcomes[:0]
-}
-
 // CommitOutcomes applies a sink's deferred invocation outcomes to the
 // domain's circuit breakers. The executor calls it chunk by chunk in
 // input-row order, so consecutive-failure counts — and therefore
@@ -163,48 +132,31 @@ func (d *Domain) CommitOutcomes(sink *OutcomeSink) {
 	if sink == nil || len(sink.outcomes) == 0 {
 		return
 	}
-	// One policy fetch, one clock read and one lock for the whole sink:
-	// commits happen at the executor's serial point, where the clock
-	// stands still.
-	threshold := d.r.threshold()
+	// One clock read and one lock for the whole sink: commits happen at
+	// the executor's serial point, where the clock stands still.
 	now := d.clock.Total()
 	d.mu.Lock()
 	for _, o := range sink.outcomes {
-		d.noteOutcomeLocked(o.key, o.ok, threshold, now)
+		d.noteOutcomeLocked(o.key, o.ok, now)
 	}
 	d.mu.Unlock()
 	// Keep the capacity: committed sinks are recycled by the executor.
 	sink.outcomes = sink.outcomes[:0]
 }
 
-func (r *Runtime) cooldownLocked() time.Duration {
-	if r.breakCooldown > 0 {
-		return r.breakCooldown
-	}
-	return DefaultBreakerCooldown
-}
-
-func (r *Runtime) thresholdLocked() int {
-	if r.breakThreshold > 0 {
-		return r.breakThreshold
-	}
-	return DefaultBreakerThreshold
-}
-
 // noteOutcome records an invocation-level success or failure for the
 // domain's breaker of the model with this catalog.UDF.Key: consecutive
 // failures trip it, any success closes it.
 func (d *Domain) noteOutcome(key string, ok bool) {
-	threshold := d.r.threshold()
 	now := d.clock.Total()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.noteOutcomeLocked(key, ok, threshold, now)
+	d.noteOutcomeLocked(key, ok, now)
 }
 
-// noteOutcomeLocked is noteOutcome with d.mu held and the shared
-// policy and the virtual time already fetched.
-func (d *Domain) noteOutcomeLocked(key string, ok bool, threshold int, now time.Duration) {
+// noteOutcomeLocked is noteOutcome with d.mu held and the virtual time
+// already read.
+func (d *Domain) noteOutcomeLocked(key string, ok bool, now time.Duration) {
 	b := d.breakers[key]
 	if b == nil {
 		b = &breaker{}
@@ -216,7 +168,7 @@ func (d *Domain) noteOutcomeLocked(key string, ok bool, threshold int, now time.
 		return
 	}
 	b.consecutive++
-	if b.consecutive >= threshold {
+	if b.consecutive >= DefaultBreakerThreshold {
 		b.open = true
 		b.openedAt = now
 	}
@@ -227,7 +179,6 @@ func (d *Domain) noteOutcomeLocked(key string, ok bool, threshold int, now time.
 // allowed). It implements the optimizer's health view for Algorithm
 // 2's degraded re-cover.
 func (d *Domain) ModelHealthy(name string) bool {
-	cd := d.r.cooldown()
 	now := d.clock.Total()
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -235,7 +186,7 @@ func (d *Domain) ModelHealthy(name string) bool {
 	if b == nil || !b.open {
 		return true
 	}
-	return now-b.openedAt >= cd
+	return now-b.openedAt >= DefaultBreakerCooldown
 }
 
 // FailureRate returns the domain's observed per-attempt *transient*
@@ -257,19 +208,16 @@ func (d *Domain) FailureRate(name string) float64 {
 	return float64(d.transient[key]) / float64(d.attempts[key])
 }
 
-func (r *Runtime) countFailed(key string, isTransient bool) {
+func (r *Runtime) countFailed(key string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.failed[key]++
-	if isTransient {
-		r.transient[key]++
-	}
+	r.countersLocked(key).failed++
 }
 
 func (r *Runtime) countRetry(key string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.retried[key]++
+	r.countersLocked(key).retried++
 }
 
 // EvalIdentity derives a call identity for fault injection from the

@@ -98,7 +98,7 @@ func TestRetryPaths(t *testing.T) {
 
 			var lastErr error
 			for i := 0; i < tc.calls; i++ {
-				r.RecordDemand(vision.FasterRCNN50, "42")
+				r.RecordDemandKey(key, []byte("42"))
 				_, lastErr = r.EvalDetector(vision.FasterRCNN50, payload)
 			}
 			if tc.wantErr != (lastErr != nil) {
@@ -184,12 +184,11 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 
 func TestBreakerReopensOnFailedProbe(t *testing.T) {
 	r, clock := newRuntime(t)
-	r.SetRetryPolicy(1, 2, 10*time.Second)
 	payload := vision.MediumUADetrac.EncodeFrame(7)
 	inj := faults.New(1)
 	inj.Rule(faults.SiteUDF(vision.YoloTiny), faults.Rule{Kind: faults.Permanent, Prob: 1})
 	r.SetInjector(inj)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < DefaultBreakerThreshold; i++ {
 		if _, err := r.EvalDetector(vision.YoloTiny, payload); err == nil {
 			t.Fatal("want failure")
 		}
@@ -197,7 +196,7 @@ func TestBreakerReopensOnFailedProbe(t *testing.T) {
 	if r.DefaultDomain().ModelHealthy(vision.YoloTiny) {
 		t.Fatal("breaker should be open")
 	}
-	clock.Charge(simclock.CatOther, 10*time.Second)
+	clock.Charge(simclock.CatOther, DefaultBreakerCooldown)
 	// Probe runs (and fails): breaker re-arms with a fresh cooldown.
 	if _, err := r.EvalDetector(vision.YoloTiny, payload); errors.Is(err, ErrModelUnavailable) {
 		t.Fatal("probe should have been allowed through")

@@ -59,17 +59,7 @@ type Runtime struct {
 	inflight map[xxhash.Key128]chan struct{} // guarded by mu; singleflight per cache key
 	impls    map[string]ScalarFunc           // guarded by mu
 
-	demand    map[string]map[uint64]struct{} // guarded by mu; distinct invocation-key hashes per UDF
-	total     map[string]int                 // guarded by mu
-	reused    map[string]int                 // guarded by mu
-	evals     map[string]int                 // guarded by mu
-	failed    map[string]int                 // guarded by mu
-	transient map[string]int                 // guarded by mu; transient subset of failed
-	retried   map[string]int                 // guarded by mu
-
-	retryMax       int           // guarded by mu; 0 = costs.RetryMaxAttempts
-	breakThreshold int           // guarded by mu; 0 = DefaultBreakerThreshold
-	breakCooldown  time.Duration // guarded by mu; 0 = DefaultBreakerCooldown
+	counters map[string]*udfCounters // guarded by mu; by lower-case UDF name
 
 	// def is the default evaluation domain: the breaker/injector/clock
 	// scope of the system's root session and of the direct
@@ -81,19 +71,13 @@ type Runtime struct {
 // NewRuntime returns a runtime over the catalog, charging the clock.
 func NewRuntime(cat *catalog.Catalog, clock *simclock.Clock) *Runtime {
 	r := &Runtime{
-		cat:       cat,
-		clock:     clock,
-		scalarC:   map[xxhash.Key128]types.Datum{},
-		tableC:    map[xxhash.Key128]*types.Batch{},
-		inflight:  map[xxhash.Key128]chan struct{}{},
-		impls:     map[string]ScalarFunc{},
-		demand:    map[string]map[uint64]struct{}{},
-		total:     map[string]int{},
-		reused:    map[string]int{},
-		evals:     map[string]int{},
-		failed:    map[string]int{},
-		transient: map[string]int{},
-		retried:   map[string]int{},
+		cat:      cat,
+		clock:    clock,
+		scalarC:  map[xxhash.Key128]types.Datum{},
+		tableC:   map[xxhash.Key128]*types.Batch{},
+		inflight: map[xxhash.Key128]chan struct{}{},
+		impls:    map[string]ScalarFunc{},
+		counters: map[string]*udfCounters{},
 	}
 	r.def = r.NewDomain(clock)
 	return r
@@ -114,13 +98,8 @@ func (r *Runtime) RegisterImpl(name string, fn ScalarFunc) {
 	r.impls[strings.ToLower(name)] = fn
 }
 
-// RecordDemand notes that the workload needed UDF u on the given
-// invocation key — whether or not it was ultimately reused.
-func (r *Runtime) RecordDemand(u string, key string) {
-	r.RecordBatch(strings.ToLower(u), []uint64{DemandHash([]byte(key))}, 0)
-}
-
-// RecordDemandKey is RecordDemand for one raw encoded invocation key;
+// RecordDemandKey notes that the workload needed a UDF on one raw
+// encoded invocation key — whether or not it was ultimately reused;
 // lower must already be lower-case.
 func (r *Runtime) RecordDemandKey(lower string, key []byte) {
 	r.RecordBatch(lower, []uint64{DemandHash(key)}, 0)
@@ -140,27 +119,36 @@ func DemandHash(key []byte) uint64 { return xxhash.Sum64(key, 0) }
 func (r *Runtime) RecordBatch(lower string, demanded []uint64, reused int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	c := r.countersLocked(lower)
 	if len(demanded) > 0 {
-		m, ok := r.demand[lower]
-		if !ok {
-			m = map[uint64]struct{}{}
-			r.demand[lower] = m
+		if c.demand == nil {
+			c.demand = map[uint64]struct{}{}
 		}
 		var present struct{}
 		for _, h := range demanded {
-			m[h] = present
+			c.demand[h] = present
 		}
-		r.total[lower] += len(demanded)
+		c.total += len(demanded)
 	}
-	if reused > 0 {
-		r.reused[lower] += reused
-	}
+	c.reused += reused
 }
 
-// RecordReuse notes that one demanded invocation was served from a
-// materialized view.
-func (r *Runtime) RecordReuse(u string) {
-	r.RecordBatch(strings.ToLower(u), nil, 1)
+// udfCounters is one UDF's demand and evaluation accounting. A UDF
+// enters the stats once it has been demanded (demand non-nil).
+type udfCounters struct {
+	demand                 map[uint64]struct{} // distinct invocation-key hashes
+	total, reused          int
+	evals, failed, retried int
+}
+
+// countersLocked returns the UDF's counter record, creating it.
+func (r *Runtime) countersLocked(lower string) *udfCounters {
+	c := r.counters[lower]
+	if c == nil {
+		c = &udfCounters{}
+		r.counters[lower] = c
+	}
+	return c
 }
 
 // CounterSnapshot returns per-UDF stats.
@@ -168,14 +156,16 @@ func (r *Runtime) CounterSnapshot() map[string]Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := map[string]Stats{}
-	for u, m := range r.demand {
-		out[u] = Stats{
-			Distinct:  len(m),
-			Total:     r.total[u],
-			Reused:    r.reused[u],
-			Evaluated: r.evals[u],
-			Failed:    r.failed[u],
-			Retried:   r.retried[u],
+	for u, c := range r.counters {
+		if c.demand != nil {
+			out[u] = Stats{
+				Distinct:  len(c.demand),
+				Total:     c.total,
+				Reused:    c.reused,
+				Evaluated: c.evals,
+				Failed:    c.failed,
+				Retried:   c.retried,
+			}
 		}
 	}
 	return out
@@ -187,9 +177,11 @@ func (r *Runtime) HitPercentage() float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	total, reused := 0, 0
-	for u := range r.demand {
-		total += r.total[u]
-		reused += r.reused[u]
+	for _, c := range r.counters {
+		if c.demand != nil {
+			total += c.total
+			reused += c.reused
+		}
 	}
 	if total == 0 {
 		return 0
@@ -202,13 +194,7 @@ func (r *Runtime) HitPercentage() float64 {
 // circuit breakers.
 func (r *Runtime) ResetCounters() {
 	r.mu.Lock()
-	r.demand = map[string]map[uint64]struct{}{}
-	r.total = map[string]int{}
-	r.reused = map[string]int{}
-	r.evals = map[string]int{}
-	r.failed = map[string]int{}
-	r.transient = map[string]int{}
-	r.retried = map[string]int{}
+	r.counters = map[string]*udfCounters{}
 	r.scalarC = map[xxhash.Key128]types.Datum{}
 	r.tableC = map[xxhash.Key128]*types.Batch{}
 	r.mu.Unlock()

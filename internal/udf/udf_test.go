@@ -60,48 +60,61 @@ func pred(t *testing.T, s string, lo, hi float64) symbolic.DNF {
 func TestManagerLifecycle(t *testing.T) {
 	m := NewManager(nil)
 	sig := NewSignature("", "det", []expr.Expr{expr.NewColumn("frame")})
-	e := m.Lookup(sig)
-	if !e.Agg.IsFalse() {
+	if agg := m.AggOf(sig); !agg.IsFalse() {
 		t.Error("fresh entry should have p_u = FALSE")
 	}
 	q1 := pred(t, "id", 0, 10000)
-	an := m.Analyze(sig, q1)
-	if !an.Inter.IsFalse() {
+	if !symbolic.Inter(m.AggOf(sig), q1).IsFalse() {
 		t.Error("first query: no overlap")
 	}
-	if an.Diff.IsFalse() {
+	if symbolic.Diff(m.AggOf(sig), q1).IsFalse() {
 		t.Error("first query: everything is new work")
 	}
-	m.Commit(sig, q1)
+	if err := commit(m, sig, q1); err != nil {
+		t.Fatal(err)
+	}
 
 	q2 := pred(t, "id", 7500, 12000)
-	an = m.Analyze(sig, q2)
-	if an.Inter.IsFalse() {
+	if symbolic.Inter(m.AggOf(sig), q2).IsFalse() {
 		t.Error("second query should overlap")
 	}
-	if ok, _ := an.Diff.Evaluate(map[string]symbolic.Value{"id": symbolic.Num(11000)}); !ok {
-		t.Errorf("11000 should be in diff: %s", an.Diff)
+	diff := symbolic.Diff(m.AggOf(sig), q2)
+	if ok, _ := diff.Evaluate(map[string]symbolic.Value{"id": symbolic.Num(11000)}); !ok {
+		t.Errorf("11000 should be in diff: %s", diff)
 	}
-	if ok, _ := an.Diff.Evaluate(map[string]symbolic.Value{"id": symbolic.Num(8000)}); ok {
-		t.Errorf("8000 should not be in diff: %s", an.Diff)
+	if ok, _ := diff.Evaluate(map[string]symbolic.Value{"id": symbolic.Num(8000)}); ok {
+		t.Errorf("8000 should not be in diff: %s", diff)
 	}
-	m.Commit(sig, q2)
+	if err := commit(m, sig, q2); err != nil {
+		t.Fatal(err)
+	}
 	// Aggregated predicate reduced to one range.
-	e = m.Lookup(sig)
-	if got := e.Agg.AtomCount(); got != 2 {
-		t.Errorf("p_u atoms = %d (%s), want 2 ([0, 12000))", got, e.Agg)
+	e, ok := m.EntryByView(sig.ViewName())
+	if !ok || e.Agg.AtomCount() != 2 {
+		t.Errorf("p_u atoms = %d (%s), want 2 ([0, 12000))", e.Agg.AtomCount(), e.Agg)
 	}
 
-	if _, ok := m.Peek(NewSignature("", "other", nil)); ok {
-		t.Error("Peek should not create entries")
+	if _, ok := m.EntryByView(NewSignature("", "other", nil).ViewName()); ok {
+		t.Error("EntryByView should not create entries")
 	}
-	if len(m.Entries()) != 1 {
-		t.Errorf("entries = %d", len(m.Entries()))
+	if len(m.entries) != 1 {
+		t.Errorf("entries = %d", len(m.entries))
 	}
 	m.Reset()
-	if len(m.Entries()) != 0 {
+	if len(m.entries) != 0 {
 		t.Error("reset failed")
 	}
+}
+
+// commit runs a one-claim statement that materialized q for sig.
+func commit(m *Manager, sig Signature, q symbolic.DNF) error {
+	c := m.Begin()
+	c.Add(sig, q)
+	if _, err := c.Commit(nil); err != nil {
+		c.Abort()
+		return err
+	}
+	return nil
 }
 
 func newRuntime(t *testing.T) (*Runtime, *simclock.Clock) {
@@ -280,10 +293,10 @@ func TestFunCacheHashCostScalesWithVirtualFrame(t *testing.T) {
 func TestDemandAndHitPercentage(t *testing.T) {
 	r, _ := newRuntime(t)
 	for i := 0; i < 10; i++ {
-		r.RecordDemand("det", fmt.Sprintf("key-%d", i%5))
+		r.RecordDemandKey("det", []byte(fmt.Sprintf("key-%d", i%5)))
 	}
 	for i := 0; i < 4; i++ {
-		r.RecordReuse("det")
+		r.RecordBatch("det", nil, 1)
 	}
 	stats := r.CounterSnapshot()["det"]
 	if stats.Distinct != 5 || stats.Total != 10 || stats.Reused != 4 {
@@ -304,7 +317,7 @@ func TestEvaluatedCounter(t *testing.T) {
 	if _, err := r.EvalDetector(vision.FasterRCNN50, payload); err != nil {
 		t.Fatal(err)
 	}
-	r.RecordDemand(vision.FasterRCNN50, "5")
+	r.RecordDemandKey(canonLower(vision.FasterRCNN50), []byte("5"))
 	stats := r.CounterSnapshot()[canonLower(vision.FasterRCNN50)]
 	if stats.Evaluated != 1 {
 		t.Errorf("evaluated = %d", stats.Evaluated)

@@ -193,7 +193,10 @@ func measureWarm(sys *eva.System, query string, runs int) (allocs, bytes float64
 // RunWarmPathCell and RunEvalPathCell measure the two gated cells on
 // their own — the live half of the gate (TestWarmPathAllocsPerRow,
 // TestEvalPathAllocsPerRow).
+// lint:testonly the live half of make alloc
 func RunWarmPathCell(cfg AllocBenchConfig) (AllocCell, error) { return runAllocCell(viewServed, cfg) }
+
+// lint:testonly the live half of make alloc
 func RunEvalPathCell(cfg AllocBenchConfig) (AllocCell, error) { return runAllocCell(evalPath, cfg) }
 
 // runAllocCell measures one workload end to end in a fresh system.

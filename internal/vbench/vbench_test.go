@@ -20,15 +20,34 @@ func TestWorkloadOverlapStatistics(t *testing.T) {
 	// (Q1–Q4 refine one region) sits around 0.8; the paper's "50%
 	// average overlap of frames read" uses an unspecified metric, so we
 	// assert the high/low contrast rather than an exact value.
-	if got := AvgConsecutiveOverlap(high); got < 0.5 || got > 0.9 {
+	if got := avgConsecutiveOverlap(high); got < 0.5 || got > 0.9 {
 		t.Errorf("high overlap = %v, want within [0.5, 0.9]", got)
 	}
-	if got := AvgConsecutiveOverlap(low); got < 0.01 || got > 0.10 {
+	if got := avgConsecutiveOverlap(low); got < 0.01 || got > 0.10 {
 		t.Errorf("low overlap = %v, want ≈ 0.045", got)
 	}
 	if len(high.Queries) != 8 || len(low.Queries) != 8 {
 		t.Error("each query set has 8 queries (§5.1)")
 	}
+}
+
+// avgConsecutiveOverlap returns the mean fraction of frames shared by
+// subsequent query pairs — the workload-characterizing statistic of
+// §5.1 (≈4.5% for LOW, ≈50% for HIGH).
+func avgConsecutiveOverlap(w Workload) float64 {
+	if len(w.Queries) < 2 {
+		return 0
+	}
+	total := 0.0
+	for i := 1; i < len(w.Queries); i++ {
+		a, b := w.Queries[i-1], w.Queries[i]
+		inter := float64(max(min(a.Hi, b.Hi)-max(a.Lo, b.Lo), 0))
+		union := float64(max(a.Hi, b.Hi) - min(a.Lo, b.Lo))
+		if union > 0 {
+			total += inter / union
+		}
+	}
+	return total / float64(len(w.Queries)-1)
 }
 
 func TestWorkloadScalesWithLength(t *testing.T) {

@@ -156,41 +156,3 @@ var Permutations = [][]int{
 	{3, 0, 6, 2, 7, 4, 1, 5},
 	{2, 5, 0, 7, 1, 6, 3, 4},
 }
-
-// AvgConsecutiveOverlap returns the mean fraction of frames shared by
-// subsequent query pairs — the workload-characterizing statistic of
-// §5.1 (≈4.5% for LOW, ≈50% for HIGH).
-func AvgConsecutiveOverlap(w Workload) float64 {
-	if len(w.Queries) < 2 {
-		return 0
-	}
-	total := 0.0
-	for i := 1; i < len(w.Queries); i++ {
-		a, b := w.Queries[i-1], w.Queries[i]
-		lo := max64(a.Lo, b.Lo)
-		hi := min64(a.Hi, b.Hi)
-		inter := float64(0)
-		if hi > lo {
-			inter = float64(hi - lo)
-		}
-		union := float64(max64(a.Hi, b.Hi) - min64(a.Lo, b.Lo))
-		if union > 0 {
-			total += inter / union
-		}
-	}
-	return total / float64(len(w.Queries)-1)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}

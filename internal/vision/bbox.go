@@ -12,6 +12,7 @@ import (
 // textual form that flows through the bbox column: "x,y,w,h" with four
 // decimal places, byte for byte what fmt.Sprintf("%.4f,%.4f,%.4f,%.4f")
 // prints.
+// lint:testonly tests build bbox keys; the engine appends with appendBBox
 func FormatBBox(x, y, w, h float64) string {
 	var buf [96]byte
 	return string(appendBBox(buf[:0], x, y, w, h))

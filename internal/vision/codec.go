@@ -82,6 +82,7 @@ func FrameVirtualBytes(payload []byte) (int, bool) {
 const objectMinBytes = 20
 
 // DecodeFrame parses a payload produced by EncodeFrame.
+// lint:testonly the one-shot oracle of FuzzDecodeFrame and a test reader
 func DecodeFrame(payload []byte) (DecodedFrame, error) {
 	var d Decoder
 	df, err := d.decode(payload)

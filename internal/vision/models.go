@@ -121,10 +121,6 @@ var profiles = map[string]Profile{
 	},
 }
 
-// ViewReadCost is the profiled per-tuple cost of reading a tuple from
-// a materialized view on disk (c_r in §4.2: 1.8 ms).
-const ViewReadCost = 1800 * time.Microsecond
-
 // profilesByLower indexes profiles by lower-cased model name, so a
 // lookup by any spelling folds the name once instead of comparing it
 // against every model.
@@ -181,6 +177,7 @@ func (d Detection) Area() float64 { return d.W * d.H }
 
 // BBox renders the bounding box in the canonical textual form that
 // flows through the bbox column ("x,y,w,h" with 4 decimal places).
+// lint:testonly tests render a detection's bbox
 func (d Detection) BBox() string { return FormatBBox(d.X, d.Y, d.W, d.H) }
 
 // Model is a physical model resolved once — its profile and the seed
@@ -259,6 +256,7 @@ func (m Model) DetectInto(dec *Decoder, payload []byte, out *types.Batch) error 
 
 // Detect runs an object-detection model over a frame payload and
 // returns its detections.
+// lint:testonly tests run a model without the UDF runtime
 func Detect(model string, payload []byte) ([]Detection, error) {
 	m, err := ModelFor(model)
 	if err != nil {

@@ -339,12 +339,3 @@ func (s *System) ViewQuarantine(view string) *Quarantine {
 	}
 	return v.Quarantine()
 }
-
-// ScrubberStats snapshots the background scrubber's counters (zero
-// when Config.ScrubInterval is 0).
-func (s *System) ScrubberStats() ScrubberStats {
-	if s.scrubber == nil {
-		return ScrubberStats{}
-	}
-	return s.scrubber.Stats()
-}

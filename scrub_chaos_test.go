@@ -477,20 +477,19 @@ func TestBackgroundScrubberHeals(t *testing.T) {
 	corruptViewsAt(t, dir, "mid")
 	// Any statement completion nudges the scrubber; the virtual clock
 	// has long passed the 1ns cadence, so a pass fires asynchronously.
-	warm := runScriptOut(t, sys, src)
+	runScriptOut(t, sys, src)
 	deadline := time.Now().Add(10 * time.Second)
 	for len(sys.PendingRepairs()) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("background scrubber never quarantined the corruption (stats %+v)",
-				sys.ScrubberStats())
+				sys.StorageStats().Scrub)
 		}
 		time.Sleep(time.Millisecond)
-		warm = runScriptOut(t, sys, src)
+		runScriptOut(t, sys, src)
 	}
-	if st := sys.ScrubberStats(); st.Passes == 0 {
+	if st := sys.StorageStats().Scrub; st.Passes == 0 {
 		t.Fatalf("repairs pending but no scrub pass counted: %+v", st)
 	}
-	_ = warm
 	if _, err := sys.Repair(); err != nil {
 		t.Fatal(err)
 	}
@@ -550,5 +549,5 @@ func awaitBackground(t *testing.T, what string, cond func() bool) {
 func TestSessionStatementsDriveScrubber(t *testing.T) {
 	sys := sessionOnlySystem(t, Config{ScrubInterval: time.Millisecond})
 	awaitBackground(t, "scrub pass after session statements",
-		func() bool { return sys.ScrubberStats().Passes >= 1 })
+		func() bool { return sys.StorageStats().Scrub.Passes >= 1 })
 }

@@ -197,7 +197,7 @@ func TestStreamSessionPolicies(t *testing.T) {
 				t.Fatal(err)
 			}
 			awaitBackground(t, "scrub pass after standing-query deltas",
-				func() bool { return sys.ScrubberStats().Passes >= 1 })
+				func() bool { return sys.StorageStats().Scrub.Passes >= 1 })
 		}},
 	}
 	for _, tc := range cases {
