@@ -44,9 +44,13 @@ faults-stress:
 # matches the uninterrupted run statement by statement in rows,
 # optimizer report, evaluations and virtual time. See DESIGN.md
 # "Parallel execution", "Pooled batch lifecycle" and "Durable
-# aggregated predicates".
+# aggregated predicates". The generated sessions (eleven seeded
+# exploratory sessions of 8 queries, one of 30) must be worker-invariant, answer the same
+# in EVA, FunCache and no-reuse mode and in reverse order, and match
+# through a lone Session. Every root matrix shares one harness,
+# matrix_test.go (DESIGN.md "Invariance matrices").
 differential:
-	$(GO) test -race -run 'TestDifferentialMatrix|TestPoolingDifferential|TestReopenDifferential' .
+	$(GO) test -race -run 'TestDifferentialMatrix|TestPoolingDifferential|TestReopenDifferential|TestGeneratedSessions' .
 
 # chaos runs the fault-injected differential matrix under the race
 # detector: every testdata script × 24 seeded fault schedules (four

@@ -21,7 +21,7 @@ func TestConcurrentQueriesStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
-	sys := openSystem(t, ModeEVA)
+	sys := openLoaded(t, Config{})
 
 	// Warm up one detector range so reuse paths (INTER plans) are hit
 	// alongside first-run paths (DIFF plans) below.
@@ -111,7 +111,7 @@ func TestConcurrentQueriesStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := openSystem(t, ModeNoReuse)
+	fresh := openLoaded(t, Config{Mode: ModeNoReuse})
 	want, err := fresh.Exec(`SELECT COUNT(*) AS n FROM video CROSS APPLY FasterRCNNResnet50(frame) WHERE id < 60`)
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestConcurrentMetricsReads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
-	sys := openSystem(t, ModeEVA)
+	sys := openLoaded(t, Config{})
 
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
@@ -167,7 +167,7 @@ func TestCrossSessionReuseDeterminism(t *testing.T) {
 	populate := `SELECT id, label FROM video CROSS APPLY FasterRCNNResnet50(frame) WHERE id < 60`
 	refine := `SELECT id FROM video CROSS APPLY FasterRCNNResnet50(frame) WHERE id < 40 AND label = 'car'`
 
-	base := openSystem(t, ModeEVA)
+	base := openLoaded(t, Config{})
 	if _, err := base.Exec(populate); err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestCrossSessionReuseDeterminism(t *testing.T) {
 	}
 	wantHit := base.HitPercentage()
 
-	sys := openSystem(t, ModeEVA)
+	sys := openLoaded(t, Config{})
 	a, b := sys.NewSession(), sys.NewSession()
 	if _, err := a.Exec(populate); err != nil {
 		t.Fatal(err)
@@ -208,32 +208,16 @@ func TestCrossSessionReuseDeterminism(t *testing.T) {
 	// must agree on rows, optimizer reports, per-statement virtual time
 	// and the final hit percentage — the shared-view protocol a client
 	// session runs is invisible when nobody shares.
-	for name, src := range chaosScripts(t) {
-		t.Run(name, func(t *testing.T) {
-			root, err := Open(Config{Dir: t.TempDir()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer root.Close()
-			var want strings.Builder
-			statementsDigest(t, &want, root, src)
-
-			lone, err := Open(Config{Dir: t.TempDir()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer lone.Close()
-			var got strings.Builder
-			statementsDigest(t, &got, lone.NewSession(), src)
-			if got.String() != want.String() {
-				t.Errorf("lone session diverged from System.Exec\n%s", digestDiff(want.String(), got.String()))
-			}
-			if g, w := lone.HitPercentage(), root.HitPercentage(); g != w {
-				t.Errorf("hit%% = %v through a session, %v through the System", g, w)
-			}
-			if g, w := lone.SimulatedTime(), root.SimulatedTime(); g != w {
-				t.Errorf("global simtime = %v through a session, %v through the System", g, w)
-			}
-		})
-	}
+	eachScript(t, func(t *testing.T, sc script) {
+		root, lone := openAt(t, Config{}), openAt(t, Config{})
+		want, _ := runStatements(t, root, sc.src, everything)
+		got, _ := runStatements(t, lone.NewSession(), sc.src, everything)
+		same(t, "lone session against System.Exec", want, got)
+		if g, w := lone.HitPercentage(), root.HitPercentage(); g != w {
+			t.Errorf("hit%% = %v through a session, %v through the System", g, w)
+		}
+		if g, w := lone.SimulatedTime(), root.SimulatedTime(); g != w {
+			t.Errorf("global simtime = %v through a session, %v through the System", g, w)
+		}
+	})
 }

@@ -2,148 +2,27 @@ package eva
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"testing"
-
-	"eva/internal/parser"
-	"eva/internal/simclock"
 )
 
-// The differential serial-vs-parallel harness: every testdata script
-// runs under the {Workers} × {BatchSize} matrix, and every parallel
-// cell must produce a byte-identical execution digest — result rows,
-// plans, optimizer reports, per-category virtual-time breakdowns,
-// materialized view contents, and reuse counters — to the serial
-// (Workers=1) baseline at the same batch size. This is the engine's
-// determinism contract (DESIGN.md §10) made executable: parallelism
-// may only change wall-clock time, never anything observable.
-
-var (
-	diffWorkers    = []int{1, 2, 8}
-	diffBatchSizes = []int{1, 7, 256}
-)
-
-// runScriptDigest executes a whole script in a fresh system and
-// returns an exhaustive textual digest of everything a client could
-// observe.
-func runScriptDigest(t *testing.T, src string, workers, batchSize int) string {
-	return runScriptDigestCfg(t, src, Config{Workers: workers, BatchSize: batchSize})
-}
-
-// runScriptDigestCfg is runScriptDigest with full Config control (the
-// pooling differential flips DisablePooling; Dir is always overridden
-// with a fresh temp dir).
-func runScriptDigestCfg(t *testing.T, src string, cfg Config) string {
-	t.Helper()
-	cfg.Dir = t.TempDir()
-	sys, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-
-	stmts, err := parser.ParseAll(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out strings.Builder
-	for i, stmt := range stmts {
-		res, err := sys.ExecStmt(stmt)
-		if err != nil {
-			t.Fatalf("statement %d: %v", i+1, err)
-		}
-		fmt.Fprintf(&out, "== statement %d ==\n", i+1)
-		if res.Rows != nil && len(res.Rows.Schema()) > 0 {
-			out.WriteString(Format(res.Rows))
-		}
-		if res.PlanText != "" {
-			out.WriteString(res.PlanText)
-		}
-		writeReportDigest(&out, res.Report)
-		fmt.Fprintf(&out, "simtime: %d\n", res.SimTime)
-		writeBreakdownDigest(&out, res.Breakdown)
-	}
-	// Post-script state: materialized views, demand/reuse counters.
-	views := sys.ViewRows()
-	names := make([]string, 0, len(views))
-	for n := range views {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(&out, "view %s: %d rows\n", n, views[n])
-	}
-	counters := sys.UDFCounters()
-	cnames := make([]string, 0, len(counters))
-	for n := range counters {
-		cnames = append(cnames, n)
-	}
-	sort.Strings(cnames)
-	for _, n := range cnames {
-		fmt.Fprintf(&out, "udf %s: %+v\n", n, counters[n])
-	}
-	fmt.Fprintf(&out, "hit%%: %.6f\ntotal simtime: %d\n", sys.HitPercentage(), sys.SimulatedTime())
-	return out.String()
-}
-
-// writeReportDigest covers every Report field except OptimizeTime,
-// which is measured wall time (like Result.WallTime) and so differs
-// between any two runs, serial or not.
-func writeReportDigest(out *strings.Builder, r OptimizerReport) {
-	fmt.Fprintf(out, "report: scan=[%d,%d) pre=%v order=%v eval=%q sources=%v degraded=%v\n",
-		r.ScanLo, r.ScanHi, r.PreOrder, r.Order, r.DetectorEval, r.DetectorSources, r.Degraded)
-	keys := make([]string, 0, len(r.Preds))
-	for k := range r.Preds {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(out, "  pred %s: %+v\n", k, r.Preds[k])
-	}
-}
-
-func writeBreakdownDigest(out *strings.Builder, b Breakdown) {
-	cats := make([]simclock.Category, 0, len(b))
-	for c := range b {
-		cats = append(cats, c)
-	}
-	sort.Slice(cats, func(i, j int) bool { return cats[i] < cats[j] })
-	for _, c := range cats {
-		fmt.Fprintf(out, "  %s: %d\n", c, b[c])
-	}
-}
+// The differential serial-vs-parallel matrix: every testdata script runs
+// under the {Workers} × {BatchSize} matrix, and every parallel cell must
+// produce a byte-identical digest — result rows, optimizer reports,
+// per-category virtual-time breakdowns, materialized view row counts and
+// reuse counters — to the serial (Workers=1) baseline at the same batch
+// size. This is the engine's determinism contract (DESIGN.md §10) made
+// executable: parallelism may only change wall-clock time, never
+// anything observable.
 
 // TestDifferentialMatrix asserts the determinism contract over every
 // testdata script and every matrix cell.
 func TestDifferentialMatrix(t *testing.T) {
-	scripts, err := filepath.Glob(filepath.Join("testdata", "scripts", "*.sql"))
-	if err != nil || len(scripts) == 0 {
-		t.Fatalf("no scripts found: %v", err)
-	}
-	for _, script := range scripts {
-		src, err := os.ReadFile(script)
-		if err != nil {
-			t.Fatal(err)
+	eachScript(t, func(t *testing.T, sc script) {
+		for _, bs := range []int{1, 7, 256} {
+			matrix(t, sc.run(schedule{}), Config{Workers: 1, BatchSize: bs},
+				atWorkers(Config{BatchSize: bs}, fmt.Sprintf("workers%%d-batch%d", bs), 2, 8))
 		}
-		t.Run(filepath.Base(script), func(t *testing.T) {
-			for _, bs := range diffBatchSizes {
-				baseline := runScriptDigest(t, string(src), 1, bs)
-				for _, w := range diffWorkers[1:] {
-					w := w
-					t.Run(fmt.Sprintf("workers%d-batch%d", w, bs), func(t *testing.T) {
-						got := runScriptDigest(t, string(src), w, bs)
-						if got != baseline {
-							t.Errorf("digest diverged from serial baseline (batch %d)\n%s",
-								bs, digestDiff(baseline, got))
-						}
-					})
-				}
-			}
-		})
-	}
+	})
 }
 
 // TestPoolingDifferential asserts the pooled-batch lifecycle is
@@ -153,44 +32,16 @@ func TestDifferentialMatrix(t *testing.T) {
 // virtual-clock totals. Recycling may only change allocation traffic,
 // never anything a client can see.
 func TestPoolingDifferential(t *testing.T) {
-	scripts, err := filepath.Glob(filepath.Join("testdata", "scripts", "*.sql"))
-	if err != nil || len(scripts) == 0 {
-		t.Fatalf("no scripts found: %v", err)
-	}
-	for _, script := range scripts {
-		src, err := os.ReadFile(script)
-		if err != nil {
-			t.Fatal(err)
+	eachScript(t, func(t *testing.T, sc script) {
+		for _, bs := range []int{7, 256} {
+			matrix(t, sc.run(schedule{}), Config{Workers: 1, BatchSize: bs, DisablePooling: true},
+				atWorkers(Config{BatchSize: bs}, fmt.Sprintf("pooled-workers%%d-batch%d", bs), 1, 2, 8))
 		}
-		t.Run(filepath.Base(script), func(t *testing.T) {
-			for _, bs := range []int{7, 256} {
-				baseline := runScriptDigestCfg(t, string(src),
-					Config{Workers: 1, BatchSize: bs, DisablePooling: true})
-				for _, w := range diffWorkers {
-					w := w
-					t.Run(fmt.Sprintf("pooled-workers%d-batch%d", w, bs), func(t *testing.T) {
-						got := runScriptDigestCfg(t, string(src),
-							Config{Workers: w, BatchSize: bs})
-						if got != baseline {
-							t.Errorf("pooled digest diverged from unpooled serial (batch %d)\n%s",
-								bs, digestDiff(baseline, got))
-						}
-					})
-				}
-			}
-		})
-	}
+	})
 }
 
-// digestDiff points at the first diverging line to keep failures
-// readable; the digests run to hundreds of lines.
-func digestDiff(want, got string) string {
-	wl := strings.Split(want, "\n")
-	gl := strings.Split(got, "\n")
-	for i := 0; i < len(wl) && i < len(gl); i++ {
-		if wl[i] != gl[i] {
-			return fmt.Sprintf("line %d:\n  serial:   %q\n  parallel: %q", i+1, wl[i], gl[i])
-		}
-	}
-	return fmt.Sprintf("length differs: serial %d lines, parallel %d lines", len(wl), len(gl))
+// run is the matrix runner of the script under sched: a fresh System
+// per Config, digested by runScript.
+func (sc script) run(sched schedule) func(*testing.T, Config) string {
+	return func(t *testing.T, cfg Config) string { return runScript(t, cfg, sc.src, sched) }
 }

@@ -23,27 +23,6 @@ var sweepWorkload = []string{
 	`SELECT id FROM video CROSS APPLY ObjectDetector(frame) WHERE id >= 60 AND id < 180`,
 }
 
-// chaosRegimes are the four fault regimes the sweep and the chaos
-// differential matrix replay; installRegime maps a (regime, seed) pair
-// to the injector rules both harnesses share.
-var chaosRegimes = []string{"transient", "permanent", "crash", "deadline"}
-
-func installRegime(inj *faults.Injector, regime string, seed uint64) {
-	switch regime {
-	case "transient":
-		inj.Rule(faults.SiteUDFAny, faults.Rule{Kind: faults.Transient, Prob: 0.08})
-		inj.Rule(faults.SiteViewWriteAny, faults.Rule{Kind: faults.Transient, Prob: 0.05})
-	case "permanent":
-		inj.Rule(faults.SiteUDF(vision.YoloTiny), faults.Rule{Kind: faults.Permanent, Prob: 1})
-	case "crash":
-		inj.Rule(faults.SiteViewWriteAny, faults.Rule{
-			Kind: faults.Crash, Prob: 0.2, ShortWrite: int(seed * 13 % 97),
-		})
-	case "deadline":
-		inj.Rule(faults.SiteDeadline, faults.Rule{Kind: faults.Permanent, At: []int{10}})
-	}
-}
-
 // runSweepWorkload executes the workload, returning per-query row
 // counts (-1 for a failed query) and errors.
 func runSweepWorkload(t *testing.T, sys *System) ([]int, []error) {
@@ -74,7 +53,7 @@ func runSweepWorkload(t *testing.T, sys *System) ([]int, []error) {
 //
 // Nothing may panic anywhere in the sweep.
 func TestFaultSweep(t *testing.T) {
-	base := openSystem(t, ModeEVA)
+	base := openLoaded(t, Config{})
 	baseRows, baseErrs := runSweepWorkload(t, base)
 	for i, err := range baseErrs {
 		if err != nil {
@@ -90,22 +69,15 @@ func TestFaultSweep(t *testing.T) {
 	// TestChaosDifferentialMatrix checks the byte-level version of this
 	// claim over the testdata scripts.
 	const seeds = 24
-	injectedTotal := 0
+	injected := injections{}
 	for _, workers := range []int{1, 8} {
 		for seed := uint64(1); seed <= seeds; seed++ {
-			regime := chaosRegimes[seed%4]
-			t.Run(fmt.Sprintf("workers%d/%s-seed%d", workers, regime, seed), func(t *testing.T) {
+			s := seeded(seed)
+			regime := s.regime
+			t.Run(fmt.Sprintf("workers%d/%s", workers, s.name()), func(t *testing.T) {
 				dir := t.TempDir()
-				sys, err := Open(Config{Dir: dir, Mode: ModeEVA, Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer sys.Close()
-				if err := sys.LoadVideo("video", "jackson"); err != nil {
-					t.Fatal(err)
-				}
-				inj := faults.New(seed)
-				installRegime(inj, regime, seed)
+				sys := openLoaded(t, Config{Dir: dir, Workers: workers})
+				inj := s.injector()
 				sys.InjectFaults(inj)
 
 				rows, errs := runSweepWorkload(t, sys)
@@ -182,13 +154,11 @@ func TestFaultSweep(t *testing.T) {
 						t.Errorf("deadline fault killed %d queries, want exactly 1", hits)
 					}
 				}
-				injectedTotal += inj.Injected()
+				injected[regime] += inj.Injected()
 			})
 		}
 	}
-	if injectedTotal == 0 {
-		t.Fatal("sweep injected no faults — schedules are vacuous")
-	}
+	injected.requireEach(t)
 }
 
 // TestQueryDeadlineConfig drives Config.QueryDeadline through the

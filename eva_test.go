@@ -8,19 +8,6 @@ import (
 	"eva/internal/simclock"
 )
 
-func openSystem(t *testing.T, mode SystemMode) *System {
-	t.Helper()
-	sys, err := Open(Config{Dir: t.TempDir(), Mode: mode})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sys.Close() })
-	if err := sys.LoadVideo("video", "jackson"); err != nil {
-		t.Fatal(err)
-	}
-	return sys
-}
-
 func TestOpenDefaultsAndTempDir(t *testing.T) {
 	sys, err := Open(Config{})
 	if err != nil {
@@ -35,7 +22,7 @@ func TestOpenDefaultsAndTempDir(t *testing.T) {
 }
 
 func TestLoadAndSelect(t *testing.T) {
-	sys := openSystem(t, ModeEVA)
+	sys := openLoaded(t, Config{})
 	res, err := sys.Exec("SELECT id, seconds FROM video WHERE id < 5")
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +57,7 @@ func TestExecScriptAndLoadStatement(t *testing.T) {
 }
 
 func TestReuseAcrossQueries(t *testing.T) {
-	sys := openSystem(t, ModeEVA)
+	sys := openLoaded(t, Config{})
 	q := `SELECT id, label FROM video CROSS APPLY FasterRCNNResnet50(frame) WHERE id < 400`
 	first, err := sys.Exec(q)
 	if err != nil {
@@ -106,7 +93,7 @@ func TestModesDiffer(t *testing.T) {
 	}
 	results := map[SystemMode]outcome{}
 	for _, mode := range []SystemMode{ModeNoReuse, ModeHashStash, ModeFunCache, ModeEVA} {
-		sys := openSystem(t, mode)
+		sys := openLoaded(t, Config{Mode: mode})
 		if _, err := sys.Exec(q); err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
@@ -134,7 +121,7 @@ func TestModesDiffer(t *testing.T) {
 }
 
 func TestCreateUDFAndCustomImpl(t *testing.T) {
-	sys := openSystem(t, ModeEVA)
+	sys := openLoaded(t, Config{})
 	_, err := sys.Exec(`CREATE UDF GrayNissan
 		INPUT = (frame BYTES, bbox TEXT)
 		OUTPUT = (graynissan_out BOOLEAN)
@@ -176,7 +163,7 @@ func TestCreateUDFAndCustomImpl(t *testing.T) {
 }
 
 func TestShowStatements(t *testing.T) {
-	sys := openSystem(t, ModeEVA)
+	sys := openLoaded(t, Config{})
 	res, err := sys.Exec("SHOW TABLES")
 	if err != nil || res.Rows.Len() != 1 {
 		t.Errorf("SHOW TABLES: %v, %v", res, err)
@@ -194,7 +181,7 @@ func TestShowStatements(t *testing.T) {
 }
 
 func TestErrorSurfaces(t *testing.T) {
-	sys := openSystem(t, ModeEVA)
+	sys := openLoaded(t, Config{})
 	for _, sql := range []string{
 		"SELECT bogus syntax here",
 		"SELECT id FROM missing WHERE id < 5",
@@ -210,7 +197,7 @@ func TestErrorSurfaces(t *testing.T) {
 }
 
 func TestResetMetrics(t *testing.T) {
-	sys := openSystem(t, ModeEVA)
+	sys := openLoaded(t, Config{})
 	if _, err := sys.Exec("SELECT id FROM video WHERE id < 10"); err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +211,7 @@ func TestResetMetrics(t *testing.T) {
 }
 
 func TestDatasetVirtualBytesAndHelpers(t *testing.T) {
-	sys := openSystem(t, ModeEVA)
+	sys := openLoaded(t, Config{})
 	n, err := sys.DatasetVirtualBytes("video")
 	if err != nil || n != int64(14000)*600*400*3 {
 		t.Errorf("virtual bytes = %d, %v", n, err)
@@ -242,7 +229,7 @@ func TestDatasetVirtualBytesAndHelpers(t *testing.T) {
 }
 
 func TestRecyclerGraphAllOrNothing(t *testing.T) {
-	sys := openSystem(t, ModeHashStash)
+	sys := openLoaded(t, Config{Mode: ModeHashStash})
 	if _, err := sys.Exec("SELECT id FROM video CROSS APPLY FasterRCNNResnet50(frame) WHERE id < 50"); err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +255,7 @@ func TestRecyclerGraphAllOrNothing(t *testing.T) {
 }
 
 func TestSimulatedBreakdownAccumulates(t *testing.T) {
-	sys := openSystem(t, ModeEVA)
+	sys := openLoaded(t, Config{})
 	if _, err := sys.Exec("SELECT id FROM video CROSS APPLY FasterRCNNResnet50(frame) WHERE id < 30"); err != nil {
 		t.Fatal(err)
 	}

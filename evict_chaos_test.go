@@ -2,7 +2,6 @@ package eva
 
 import (
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
@@ -21,36 +20,6 @@ import (
 // (View row counts and simtime are deliberately outside the digest:
 // eviction legitimately empties cold caches and charges retry backoff;
 // it must never change what a query returns.)
-
-// measureFootprint runs the script twice in a pristine system and
-// returns the budget-charged bytes (the view logs — dataset files are
-// not charged) and the largest single view log — the inputs for sizing
-// the budget levels.
-func measureFootprint(t *testing.T, src string) (total, largest int64) {
-	t.Helper()
-	dir := t.TempDir()
-	sys, err := Open(Config{Dir: dir, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runScriptOut(t, sys, src)
-	runScriptOut(t, sys, src)
-	if err := sys.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range viewLogs(t, dir) {
-		fi, err := os.Stat(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += fi.Size()
-		largest = max(largest, fi.Size())
-	}
-	if total == 0 || largest == 0 {
-		t.Fatalf("script left no durable views to pressure (total=%d largest=%d)", total, largest)
-	}
-	return total, largest
-}
 
 // TestEvictChaosMatrix: scripts × budget levels × ENOSPC schedules ×
 // Workers {1,2,8}. "roomy" holds everything (eviction never needed),
@@ -75,87 +44,53 @@ func TestEvictChaosMatrix(t *testing.T) {
 		{"enospc-short", &faults.Rule{Kind: faults.Transient, At: []int{2, 4}, ShortWrite: 7}},
 	}
 	var evictions, denials, injected int64
-	srcs := chaosScripts(t)
-	for _, script := range scrubScripts {
-		src := srcs[script]
-		if src == "" {
-			t.Fatalf("script %s missing", script)
+	eachScript(t, func(t *testing.T, sc script) {
+		b := runUntroubled(t, sc.src)
+		levels := []struct {
+			name  string
+			bytes int64
+		}{
+			{"roomy", b.viewBytes * 2},
+			{"snug", b.viewBytes + 512},
+			// Tight must always admit the largest single view plus an
+			// append's worth of slack — below that, ErrDiskBudget is
+			// legitimate. For single-dominant-view scripts this ends up
+			// above the charged total (nothing to deny); multi-view
+			// scripts land below it and force the full reclaim ladder.
+			{"tight", b.largestViewBytes + b.largestViewBytes/2 + 512},
 		}
-		t.Run(script, func(t *testing.T) {
-			coldOut, warmOut, reopenOut, wantViews := scrubBaseline(t, src)
-			total, largest := measureFootprint(t, src)
-			levels := []struct {
-				name  string
-				bytes int64
-			}{
-				{"roomy", total * 2},
-				{"snug", total + 512},
-				// Tight must always admit the largest single view plus an
-				// append's worth of slack — below that, ErrDiskBudget is
-				// legitimate. For single-dominant-view scripts this ends up
-				// above the charged total (nothing to deny); multi-view
-				// scripts land below it and force the full reclaim ladder.
-				{"tight", largest + largest/2 + 512},
-			}
-			for _, level := range levels {
-				for _, sched := range schedules {
-					for _, w := range workerSet {
-						t.Run(fmt.Sprintf("%s-%s-w%d", level.name, sched.name, w), func(t *testing.T) {
-							dir := t.TempDir()
-							sys, err := Open(Config{Dir: dir, Workers: w, DiskBudgetBytes: level.bytes})
-							if err != nil {
-								t.Fatal(err)
-							}
-							defer sys.Close()
-							var inj *faults.Injector
-							if sched.rule != nil {
-								inj = faults.New(0xD15C)
-								inj.Rule(faults.SiteDiskFullAny, *sched.rule)
-								sys.InjectFaults(inj)
-							}
-
-							if got := runScriptOut(t, sys, src); got != coldOut {
-								t.Errorf("cold output diverged under disk pressure\n%s",
-									digestDiff(coldOut, got))
-							}
-							if got := runScriptOut(t, sys, src); got != warmOut {
-								t.Errorf("warm output diverged under disk pressure\n%s",
-									digestDiff(warmOut, got))
-							}
-							st := sys.StorageStats()
-							if st.Disk.LimitBytes != level.bytes {
-								t.Errorf("budget limit %d, configured %d", st.Disk.LimitBytes, level.bytes)
-							}
-							evictions += st.Disk.Evictions
-							denials += st.Disk.Denials
-							if inj != nil {
-								injected += int64(inj.Injected())
-							}
-							if err := sys.Close(); err != nil {
-								t.Fatal(err)
-							}
-							testutil.CheckOneFilePerView(t, dir)
-
-							// Reopen unconstrained: no zombies, and one run
-							// re-materializes anything evicted back to the
-							// pristine baseline — content included.
-							sys2, err := Open(Config{Dir: dir, Workers: w})
-							if err != nil {
-								t.Fatal(err)
-							}
-							defer sys2.Close()
-							if got := runScriptOut(t, sys2, src); got != reopenOut {
-								t.Errorf("reopened output diverged\n%s", digestDiff(reopenOut, got))
-							}
-							if got := viewContentDigest(sys2); got != wantViews {
-								t.Errorf("reopened view content diverged\n%s", digestDiff(wantViews, got))
-							}
-						})
-					}
+		for _, level := range levels {
+			for _, sched := range schedules {
+				for _, w := range workerSet {
+					t.Run(fmt.Sprintf("%s-%s-w%d", level.name, sched.name, w), func(t *testing.T) {
+						dir := t.TempDir()
+						sys := openAt(t, Config{Dir: dir, Workers: w, DiskBudgetBytes: level.bytes})
+						var inj *faults.Injector
+						if sched.rule != nil {
+							inj = faults.New(0xD15C)
+							inj.Rule(faults.SiteDiskFullAny, *sched.rule)
+							sys.InjectFaults(inj)
+						}
+						same(t, "cold answers under disk pressure", b.cold, answersOf(t, sys, sc.src))
+						same(t, "warm answers under disk pressure", b.warm, answersOf(t, sys, sc.src))
+						st := sys.StorageStats()
+						if st.Disk.LimitBytes != level.bytes {
+							t.Errorf("budget limit %d, configured %d", st.Disk.LimitBytes, level.bytes)
+						}
+						evictions += st.Disk.Evictions
+						denials += st.Disk.Denials
+						injected += int64(inj.Injected())
+						closeOK(t, sys)
+						testutil.CheckOneFilePerView(t, dir)
+						// Reopen unconstrained: no zombies, and one run
+						// re-materializes anything evicted back to the
+						// pristine baseline — content included.
+						b.checkReopened(t, dir, w)
+					})
 				}
 			}
-		})
-	}
+		}
+	}, viewScripts...)
 	if evictions == 0 {
 		t.Error("no cell evicted a view — the tight budget level is vacuous")
 	}

@@ -2,9 +2,8 @@ package eva
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -56,21 +55,17 @@ type standingScript struct {
 // query's SQL, terminated by a semicolon.
 func loadStandingScripts(t *testing.T) []standingScript {
 	t.Helper()
-	paths, err := filepath.Glob(filepath.Join("testdata", "standing", "*.sq"))
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no standing scripts: %v", err)
-	}
-	sort.Strings(paths)
 	var scripts []standingScript
-	for _, path := range paths {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc := standingScript{
-			name: strings.TrimSuffix(filepath.Base(path), ".sq"),
-		}
+	for _, file := range loadScripts(t, standingScripts) {
+		sc := standingScript{name: strings.TrimSuffix(file.name, ".sq")}
 		ds := Dataset{Width: 320, Height: 240}
+		num := func(s string) int {
+			n, err := strconv.Atoi(strings.TrimSpace(s))
+			if err != nil {
+				t.Fatalf("%s: bad number %q", file.name, s)
+			}
+			return n
+		}
 		var cur *standingSpec
 		var sql strings.Builder
 		flush := func() {
@@ -81,7 +76,7 @@ func loadStandingScripts(t *testing.T) []standingScript {
 				sql.Reset()
 			}
 		}
-		for _, line := range strings.Split(string(data), "\n") {
+		for _, line := range strings.Split(file.src, "\n") {
 			trimmed := strings.TrimSpace(line)
 			if rest, ok := strings.CutPrefix(trimmed, "--"); ok {
 				key, val, found := strings.Cut(strings.TrimSpace(rest), ":")
@@ -91,27 +86,24 @@ func loadStandingScripts(t *testing.T) []standingScript {
 				val = strings.TrimSpace(val)
 				switch strings.TrimSpace(key) {
 				case "frames":
-					sc.frames = atoiT(t, path, val)
+					sc.frames = num(val)
 				case "window":
-					sc.window = int64(atoiT(t, path, val))
+					sc.window = int64(num(val))
 				case "cadence":
-					sc.cadence = int64(atoiT(t, path, val))
+					sc.cadence = int64(num(val))
 				case "batch":
-					sc.batch = atoiT(t, path, val)
+					sc.batch = num(val)
 				case "density":
-					ds.Density = float64(atoiT(t, path, val))
+					ds.Density = float64(num(val))
 				case "dataset-seed":
-					ds.Seed = uint64(atoiT(t, path, val))
+					ds.Seed = uint64(num(val))
 				case "query":
 					flush()
 					name, thr, found := strings.Cut(val, " threshold=")
 					if !found {
-						t.Fatalf("%s: bad query directive %q", path, val)
+						t.Fatalf("%s: bad query directive %q", file.name, val)
 					}
-					cur = &standingSpec{
-						name:      strings.TrimSpace(name),
-						threshold: int64(atoiT(t, path, thr)),
-					}
+					cur = &standingSpec{name: strings.TrimSpace(name), threshold: int64(num(thr))}
 				}
 				continue
 			}
@@ -122,7 +114,7 @@ func loadStandingScripts(t *testing.T) []standingScript {
 		}
 		flush()
 		if sc.frames == 0 || sc.window == 0 || sc.batch == 0 || len(sc.queries) == 0 {
-			t.Fatalf("%s: incomplete script: %+v", path, sc)
+			t.Fatalf("%s: incomplete script: %+v", file.name, sc)
 		}
 		ds.Name = sc.name
 		ds.Frames = sc.frames
@@ -130,15 +122,6 @@ func loadStandingScripts(t *testing.T) []standingScript {
 		scripts = append(scripts, sc)
 	}
 	return scripts
-}
-
-func atoiT(t *testing.T, path, s string) int {
-	t.Helper()
-	n, err := strconv.Atoi(strings.TrimSpace(s))
-	if err != nil {
-		t.Fatalf("%s: bad number %q", path, s)
-	}
-	return n
 }
 
 // openScriptStream opens a System on dir and attaches the script's
@@ -186,39 +169,25 @@ func ingestAll(stream *Stream, sc standingScript) error {
 	return stream.Drain()
 }
 
-// ingestStateDigest renders everything a resumed run must reproduce:
-// per standing query (sorted by name) the checkpoint LSN, the sorted
-// window counts and the alert set. Virtual-clock totals and delivery
-// counters are deliberately excluded — a killed-and-resumed run pays
-// for retries and re-executed deltas and may have delivered alerts
-// before dying, but must converge to the same analytical state.
-func ingestStateDigest(stream *Stream) string {
+// standingDigest renders everything a resumed run must reproduce: per
+// standing query (sorted by name) the checkpoint LSN, the sorted window
+// counts and the alert set. Virtual-clock totals and delivery counters
+// are deliberately excluded — a killed-and-resumed run pays for retries
+// and re-executed deltas and may have delivered alerts before dying,
+// but must converge to the same analytical state.
+func standingDigest(stream *Stream) string {
 	queries := stream.StandingQueries()
-	sort.Slice(queries, func(a, b int) bool { return queries[a].Name() < queries[b].Name() })
+	slices.SortFunc(queries, func(a, b *StandingQuery) int { return strings.Compare(a.Name(), b.Name()) })
 	var out strings.Builder
 	for _, q := range queries {
 		fmt.Fprintf(&out, "query %s: lsn=%d\n", q.Name(), q.LastLSN())
 		wins := q.Windows()
-		keys := make([]int64, 0, len(wins))
-		for w := range wins { // lint:unordered sorted below
-			keys = append(keys, w)
-		}
-		sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-		for _, w := range keys {
+		for _, w := range slices.Sorted(maps.Keys(wins)) {
 			fmt.Fprintf(&out, "  window %d: %d\n", w, wins[w])
 		}
 		for _, a := range q.Alerts() {
 			fmt.Fprintf(&out, "  alert %+v\n", a)
 		}
-	}
-	return out.String()
-}
-
-// faultEventsDigest renders the canonical injected-fault event log.
-func faultEventsDigest(inj *faults.Injector) string {
-	var out strings.Builder
-	for _, ev := range inj.EventsSorted() {
-		fmt.Fprintf(&out, "fault %s kind=%v call=%d id=%d\n", ev.Site, ev.Kind, ev.Call, ev.ID)
 	}
 	return out.String()
 }
@@ -242,59 +211,53 @@ func killRule(sc standingScript, seed int) (site string, rule faults.Rule) {
 
 // runIngestBaseline runs the script uninterrupted and returns the
 // final-state digest.
-func runIngestBaseline(t *testing.T, sc standingScript, workers int) string {
+func runIngestBaseline(t *testing.T, sc standingScript) string {
 	t.Helper()
-	sys, stream := openScriptStream(t, sc, t.TempDir(), workers)
+	sys, stream := openScriptStream(t, sc, t.TempDir(), 1)
 	defer sys.Close()
 	if err := ingestAll(stream, sc); err != nil {
 		t.Fatalf("baseline ingest: %v", err)
 	}
-	state := ingestStateDigest(stream)
-	if err := sys.Close(); err != nil {
-		t.Fatalf("baseline close: %v", err)
-	}
+	state := standingDigest(stream)
+	closeOK(t, sys)
 	return state
 }
 
-// runIngestKillResume runs one chaos cell: ingest under the seed's
-// kill rule until the stream dies (or finishes, for ordinals past the
-// run's horizon), close, reopen the same directory, re-register and
-// resume. It returns the resumed final-state digest, the fault-event
-// digest of the killed phase, and the injection count.
-func runIngestKillResume(t *testing.T, sc standingScript, workers, seed int) (state, events string, injected int) {
-	t.Helper()
-	dir := t.TempDir()
+// killResume is the matrix runner of one chaos cell: ingest under the
+// seed's kill rule until the stream dies (or finishes, for ordinals
+// past the run's horizon), close, reopen the same directory,
+// re-register and resume. The resumed state must match the
+// uninterrupted baseline's; the digest is that state, the killed
+// phase's fault log and both phases' virtual time, which must all be
+// worker-invariant even though the resumed run's clock legitimately
+// differs from the baseline's (it re-executes the in-flight increment
+// and pays retry backoff).
+func killResume(sc standingScript, seed int, baseline string) func(*testing.T, Config) string {
+	return func(t *testing.T, cfg Config) string {
+		t.Helper()
+		dir := t.TempDir()
+		sys, stream := openScriptStream(t, sc, dir, cfg.Workers)
+		inj := faults.New(uint64(seed))
+		inj.Rule(killRule(sc, seed))
+		stream.InjectFaults(inj)
+		if err := ingestAll(stream, sc); err != nil && !faults.IsCrash(err) {
+			t.Fatalf("killed phase: unexpected error: %v", err)
+		}
+		killed := stream.SimulatedTime()
+		sys.Close() // a dead stream may surface its crash again; discard
 
-	sys, stream := openScriptStream(t, sc, dir, workers)
-	inj := faults.New(uint64(seed))
-	site, rule := killRule(sc, seed)
-	inj.Rule(site, rule)
-	stream.InjectFaults(inj)
-	if err := ingestAll(stream, sc); err != nil && !faults.IsCrash(err) {
-		t.Fatalf("killed phase: unexpected error: %v", err)
+		sys, stream = openScriptStream(t, sc, dir, cfg.Workers)
+		defer sys.Close()
+		if err := ingestAll(stream, sc); err != nil {
+			t.Fatalf("resume ingest: %v", err)
+		}
+		resumed := stream.SimulatedTime()
+		state := standingDigest(stream)
+		closeOK(t, sys)
+		same(t, fmt.Sprintf("seed=%d workers=%d resumed state against the uninterrupted run", seed, cfg.Workers), baseline, state)
+		return state + faultsDigest(inj) + fmt.Sprintf("simtime killed: %d [%s]\nsimtime resumed: %d [%s]\n",
+			killed.Total(), killed, resumed.Total(), resumed)
 	}
-	injected = inj.Injected()
-	killedSim := stream.SimulatedTime()
-	sys.Close() // a dead stream may surface its crash again; discard
-
-	sys2, stream2 := openScriptStream(t, sc, dir, workers)
-	defer sys2.Close()
-	if err := ingestAll(stream2, sc); err != nil {
-		t.Fatalf("resume ingest: %v", err)
-	}
-	resumedSim := stream2.SimulatedTime()
-	// The fault schedule and both phases' virtual-clock totals must be
-	// worker-invariant, even though the resumed run's clock legitimately
-	// differs from the uninterrupted baseline's (it re-executes the
-	// in-flight increment and pays retry backoff).
-	events = faultEventsDigest(inj) +
-		fmt.Sprintf("simtime killed: %d [%s]\nsimtime resumed: %d [%s]\n",
-			killedSim.Total(), killedSim, resumedSim.Total(), resumedSim)
-	state = ingestStateDigest(stream2)
-	if err := sys2.Close(); err != nil {
-		t.Fatalf("resume close: %v", err)
-	}
-	return state, events, injected
 }
 
 // TestIngestChaos is the kill-point × seed × Workers matrix. Every
@@ -305,33 +268,16 @@ func TestIngestChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos matrix is slow")
 	}
-	total := 0
+	injected := 0
 	for _, sc := range loadStandingScripts(t) {
-		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			baseline := runIngestBaseline(t, sc, 1)
+			baseline := runIngestBaseline(t, sc)
 			for seed := 0; seed < ingestChaosSeeds; seed++ {
-				var refState, refEvents string
-				for i, workers := range []int{1, 2, 8} {
-					state, events, injected := runIngestKillResume(t, sc, workers, seed)
-					total += injected
-					if state != baseline {
-						t.Fatalf("seed=%d workers=%d: resumed state diverged from baseline\n-- resumed --\n%s-- baseline --\n%s",
-							seed, workers, state, baseline)
-					}
-					if i == 0 {
-						refState, refEvents = state, events
-						continue
-					}
-					if state != refState || events != refEvents {
-						t.Fatalf("seed=%d workers=%d: cell diverged from workers=1\n-- events --\n%s-- ref events --\n%s",
-							seed, workers, events, refEvents)
-					}
-				}
+				injected += faultsIn(matrix(t, killResume(sc, seed, baseline), Config{Workers: 1}, atWorkers(Config{}, "", 2, 8)))
 			}
 		})
 	}
-	if !t.Failed() && total == 0 {
-		t.Fatal("chaos matrix never injected a fault")
+	if injected == 0 {
+		t.Error("chaos matrix never injected a fault")
 	}
 }

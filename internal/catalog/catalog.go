@@ -5,7 +5,9 @@
 package catalog
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -201,17 +203,9 @@ func (c *Catalog) UDFsForLogical(logical string, min vision.AccuracyLevel) []*UD
 			out = append(out, u)
 		}
 	}
-	less := func(a, b *UDF) bool {
-		if a.Cost != b.Cost {
-			return a.Cost < b.Cost
-		}
-		return a.Name < b.Name
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && less(out[j], out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.SortFunc(out, func(a, b *UDF) int {
+		return cmp.Or(cmp.Compare(a.Cost, b.Cost), strings.Compare(a.Name, b.Name))
+	})
 	return out
 }
 

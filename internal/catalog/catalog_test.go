@@ -176,6 +176,23 @@ func TestBuildStatsSelectivities(t *testing.T) {
 	}
 }
 
+// TestSelCategoricalIsDeterministic: the frequencies of a value set sum
+// in one order every time. 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 differ in
+// the last bit, which summing in map order turned into run-to-run
+// differences in Eq. 3 costs and Eq. 4 ranks. (Regression: a 30-query
+// generated session reported a different DIFF selectivity on a rerun.)
+func TestSelCategoricalIsDeterministic(t *testing.T) {
+	a, b, c := 0.1, 0.2, 0.3
+	stats := NewStats(symbolic.UniformStats{})
+	stats.SetCategorical("colordet", map[string]float64{"a": a, "b": b, "c": c})
+	want := a + b + c
+	for range 64 {
+		if got := stats.SelCategorical("colordet", symbolic.NewCatSet("c", "b", "a")); got != want {
+			t.Fatalf("sel = %v, want %v summed in value order", got, want)
+		}
+	}
+}
+
 func TestStatsIntegrationWithSymbolicSelectivity(t *testing.T) {
 	stats := BuildStats(vision.MediumUADetrac)
 	// sel(id < 10000 ∧ label = 'car') ≈ (10000/14000) × 0.85 ≈ 0.607.

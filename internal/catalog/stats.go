@@ -133,8 +133,11 @@ func (s *Stats) SelCategorical(term string, cat symbolic.CatSet) float64 {
 	if !ok {
 		return s.fall.SelCategorical(term, cat)
 	}
+	// Summed in value order: float addition is not associative, and map
+	// order would make the estimate — and every plan decision it feeds —
+	// differ in its last bits from run to run.
 	inSum := 0.0
-	for v := range cat.Vals {
+	for _, v := range cat.Sorted() {
 		inSum += freqs[v]
 	}
 	if cat.Negated {

@@ -55,6 +55,7 @@ import (
 
 	"eva/internal/costs"
 	"eva/internal/simclock"
+	"eva/internal/vision"
 	"eva/internal/xxhash"
 )
 
@@ -214,6 +215,39 @@ type Injector struct {
 // from seed and the identities of the calls made against it.
 func New(seed uint64) *Injector {
 	return &Injector{seed: seed}
+}
+
+// Regimes names the canned schedules NewRegime builds, one per way an
+// injected fault can end: absorbed by retry, degraded around, crashed
+// through, or timed out.
+var Regimes = []string{"transient", "permanent", "crash", "deadline"}
+
+// NewRegime returns New(seed) carrying the rules of one of Regimes:
+//   - transient: 8 % of UDF evaluations and 5 % of view writes fail and
+//     retry;
+//   - permanent: every YoloTiny evaluation fails for good, so a logical
+//     detector degrades to another model;
+//   - crash: 20 % of view writes crash, torn at a seed-derived length;
+//   - deadline: the tenth deadline check expires.
+//
+// A name outside Regimes panics: a typo must not become a schedule that
+// injects nothing.
+func NewRegime(regime string, seed uint64) *Injector {
+	inj := New(seed)
+	switch regime {
+	case "transient":
+		inj.Rule(SiteUDFAny, Rule{Kind: Transient, Prob: 0.08})
+		inj.Rule(SiteViewWriteAny, Rule{Kind: Transient, Prob: 0.05})
+	case "permanent":
+		inj.Rule(SiteUDF(vision.YoloTiny), Rule{Kind: Permanent, Prob: 1})
+	case "crash":
+		inj.Rule(SiteViewWriteAny, Rule{Kind: Crash, Prob: 0.2, ShortWrite: int(seed * 13 % 97)})
+	case "deadline":
+		inj.Rule(SiteDeadline, Rule{Kind: Permanent, At: []int{10}})
+	default:
+		panic(fmt.Sprintf("faults: unknown regime %q (want one of %v)", regime, Regimes))
+	}
+	return inj
 }
 
 // Rule attaches a rule to a site. A site ending in "*" matches every

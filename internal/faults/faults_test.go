@@ -420,3 +420,19 @@ func TestRetry(t *testing.T) {
 		})
 	}
 }
+
+// TestNewRegime: every named regime carries rules, and an unknown name
+// panics instead of silently building a schedule that injects nothing.
+func TestNewRegime(t *testing.T) {
+	for _, regime := range Regimes {
+		if inj := NewRegime(regime, 1); len(inj.rules) == 0 {
+			t.Errorf("regime %q has no rules", regime)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewRegime accepted an unknown regime")
+		}
+	}()
+	NewRegime("transeint", 1)
+}

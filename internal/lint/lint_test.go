@@ -128,6 +128,8 @@ func TestDiagnosticPositions(t *testing.T) {
 		{"trackedgoroutine", "tracked-goroutine", "trackedgoroutine/bad/bad.go:7:2"},
 		{"walltime", "walltime", "walltime/bad/bad.go:12:11"},
 		{"mapiter", "mapiter", "mapiter/bad/bad.go:14:2"},
+		{"mapiter", "mapiter", "mapiter/bad/bad.go:48:2"},
+		{"mapiter", "mapiter", "mapiter/bad/bad.go:57:2"},
 		{"hotalloc", "hotalloc", "hotalloc/bad/bad.go:19:13"},
 		{"faultsite", "faultsite", "faultsite/bad/bad.go:10:11"},
 		{"durable", "durable", "durable/bad/bad.go:14:15"},

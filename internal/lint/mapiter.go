@@ -10,7 +10,8 @@ import (
 // MapIter flags `range` over a map when the loop body has
 // order-sensitive effects: Go randomizes map iteration order, so an
 // append to an outer slice, a channel send, a hash/digest write, a
-// view-log append or an output write performed per element produces a
+// view-log append, an output write or a floating-point sum (float
+// arithmetic is not associative) performed per element produces a
 // different observable on every run. That breaks the byte-identical
 // digest contract of the differential/chaos matrices.
 //
@@ -113,6 +114,10 @@ func (a *MapIter) orderSensitive(pkg *Package, fnBody *ast.BlockStmt, rng *ast.R
 		case *ast.SendStmt:
 			effect = "a channel send"
 		case *ast.AssignStmt:
+			if name := floatAccumulator(pkg, rng, st); name != "" {
+				effect = fmt.Sprintf("floating-point accumulation into %q", name)
+				return false
+			}
 			for i, rhs := range st.Rhs {
 				call, ok := ast.Unparen(rhs).(*ast.CallExpr)
 				if !ok {
@@ -145,6 +150,55 @@ func (a *MapIter) orderSensitive(pkg *Package, fnBody *ast.BlockStmt, rng *ast.R
 		return true
 	})
 	return effect
+}
+
+// floatAccumulator reports the variable an arithmetic compound
+// assignment (+=, -=, *=, /=), or its spelled-out form `x = x + y`,
+// accumulates into when it is a floating-point variable declared outside
+// the loop ("" otherwise): floating-point arithmetic is not associative,
+// so the result depends on the order the elements arrive in.
+func floatAccumulator(pkg *Package, rng *ast.RangeStmt, st *ast.AssignStmt) string {
+	switch st.Tok {
+	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+	case token.ASSIGN:
+		if len(st.Lhs) != 1 || len(st.Rhs) != 1 || !arithOf(types.ExprString(st.Lhs[0]), st.Rhs[0]) {
+			return ""
+		}
+	default:
+		return ""
+	}
+	t := pkg.Info.Types[st.Lhs[0]].Type
+	if t == nil {
+		return ""
+	}
+	if b, ok := t.Underlying().(*types.Basic); !ok || b.Info()&(types.IsFloat|types.IsComplex) == 0 {
+		return ""
+	}
+	obj := exprObject(pkg, st.Lhs[0])
+	if obj == nil || declaredWithin(obj, rng) {
+		return ""
+	}
+	return obj.Name()
+}
+
+// arithOf reports whether e is a + - * / expression with the expression
+// spelled lhs among its operands, at any depth of such expressions.
+func arithOf(lhs string, e ast.Expr) bool {
+	bin, ok := ast.Unparen(e).(*ast.BinaryExpr)
+	if !ok {
+		return false
+	}
+	switch bin.Op {
+	case token.ADD, token.SUB, token.MUL, token.QUO:
+	default:
+		return false
+	}
+	for _, op := range []ast.Expr{bin.X, bin.Y} {
+		if types.ExprString(ast.Unparen(op)) == lhs || arithOf(lhs, op) {
+			return true
+		}
+	}
+	return false
 }
 
 // sinkCall reports the display name of an order-sensitive sink call

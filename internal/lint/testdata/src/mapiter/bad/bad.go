@@ -40,3 +40,22 @@ func Render(m map[string]bool) string {
 	}
 	return sb.String()
 }
+
+// Mass sums float weights in iteration order: float addition is not
+// associative, so the total's last bits change from run to run.
+func Mass(m map[string]float64) float64 {
+	total := 0.0
+	for _, w := range m { // want "order leaks through floating-point accumulation into"
+		total += w
+	}
+	return total
+}
+
+// Drift is Mass with the sum spelled out, which rounds the same way.
+func Drift(m map[string]float64) float64 {
+	total := 0.0
+	for _, w := range m { // want "order leaks through floating-point accumulation into"
+		total = total*0.5 + w
+	}
+	return total
+}

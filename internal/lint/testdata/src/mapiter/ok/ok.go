@@ -28,6 +28,40 @@ func Total(m map[string]int) int {
 	return n
 }
 
+// Mass sums float weights in key order, so every run adds them in the
+// same order.
+func Mass(m map[string]float64) float64 {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	total := 0.0
+	for _, k := range keys {
+		total += m[k]
+	}
+	return total
+}
+
+// Scale multiplies each weight in place; no float outlives an
+// iteration.
+func Scale(m map[string]float64, f float64) {
+	for k, w := range m {
+		w *= f
+		w = w + f
+		m[k] = w
+	}
+}
+
+// Last keeps one weight, overwritten, never accumulated.
+func Last(m map[string]float64, f float64) float64 {
+	last := 0.0
+	for _, w := range m {
+		last = w * f
+	}
+	return last
+}
+
 // Invert writes into a map keyed by the element, which is
 // order-insensitive.
 func Invert(m map[string]int) map[int]string {

@@ -66,7 +66,7 @@ func (d DNF) AppendBinary(buf []byte) []byte {
 				kind = codecNotIn
 			}
 			buf = append(buf, kind)
-			vals := con.Cat.sorted()
+			vals := con.Cat.Sorted()
 			buf = binary.AppendUvarint(buf, uint64(len(vals)))
 			for _, v := range vals {
 				buf = appendString(buf, v)

@@ -137,7 +137,8 @@ func (c CatSet) AtomCount() int {
 	return len(c.Vals)
 }
 
-func (c CatSet) sorted() []string {
+// Sorted returns the set's values in increasing order.
+func (c CatSet) Sorted() []string {
 	out := make([]string, 0, len(c.Vals))
 	for v := range c.Vals {
 		out = append(out, v)
@@ -158,7 +159,7 @@ func (c CatSet) String() string {
 	if c.Negated {
 		op = "∉"
 	}
-	return op + " {" + strings.Join(c.sorted(), ", ") + "}"
+	return op + " {" + strings.Join(c.Sorted(), ", ") + "}"
 }
 
 // Constraint is the per-term building block of a conjunctive predicate:

@@ -30,24 +30,6 @@ var chaosWorkload = []string{
 	`SELECT id FROM video CROSS APPLY ObjectDetector(frame) WHERE id >= 60 AND id < 180`,
 }
 
-// chaosRegimeRules installs one regime's fault rules, matching the
-// fault-sweep and chaos-matrix tests.
-func chaosRegimeRules(inj *faults.Injector, regime string, seed uint64) {
-	switch regime {
-	case "transient":
-		inj.Rule(faults.SiteUDFAny, faults.Rule{Kind: faults.Transient, Prob: 0.08})
-		inj.Rule(faults.SiteViewWriteAny, faults.Rule{Kind: faults.Transient, Prob: 0.05})
-	case "permanent":
-		inj.Rule(faults.SiteUDF(vision.YoloTiny), faults.Rule{Kind: faults.Permanent, Prob: 1})
-	case "crash":
-		inj.Rule(faults.SiteViewWriteAny, faults.Rule{
-			Kind: faults.Crash, Prob: 0.2, ShortWrite: int(seed * 13 % 97),
-		})
-	case "deadline":
-		inj.Rule(faults.SiteDeadline, faults.Rule{Kind: faults.Permanent, At: []int{10}})
-	}
-}
-
 // ChaosCell is one (regime, seed) measurement across worker counts.
 type ChaosCell struct {
 	Regime string `json:"regime"`
@@ -96,8 +78,7 @@ func chaosDigest(workers int, regime string, seed uint64) (string, int, int, int
 	if err := sys.LoadVideo("video", "jackson"); err != nil {
 		return "", 0, 0, 0, err
 	}
-	inj := faults.New(seed)
-	chaosRegimeRules(inj, regime, seed)
+	inj := faults.NewRegime(regime, seed)
 	sys.InjectFaults(inj)
 
 	rows, answered := runQueries(sys, chaosWorkload)
@@ -123,7 +104,7 @@ func RunChaosBench(cfg ChaosBenchConfig) (*ChaosResult, error) {
 		Queries:   len(chaosWorkload),
 		Workers:   cfg.Workers,
 	}
-	for _, regime := range []string{"transient", "permanent", "crash", "deadline"} {
+	for _, regime := range faults.Regimes {
 		for s := 0; s < cfg.SeedsPerRegime; s++ {
 			// Seeds follow the fault sweep's regime mapping
 			// (regime = seed mod 4: transient 0, permanent 1,

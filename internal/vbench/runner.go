@@ -142,7 +142,8 @@ func percentile(vals []int64, p int) int64 {
 // ΣC_u over distinct invocations (ignoring the reuse-cost term).
 func SpeedupBound(stats map[string]udf.Stats, costOf func(string) time.Duration) float64 {
 	var all, distinct float64
-	for name, st := range stats {
+	for _, name := range slices.Sorted(maps.Keys(stats)) {
+		st := stats[name]
 		c := costOf(name).Seconds()
 		all += c * float64(st.Total)
 		distinct += c * float64(st.Distinct)

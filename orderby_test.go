@@ -3,7 +3,7 @@ package eva
 import "testing"
 
 func TestOrderByEndToEnd(t *testing.T) {
-	sys := openSystem(t, ModeEVA)
+	sys := openLoaded(t, Config{})
 	res, err := sys.Exec(`SELECT id, area FROM video CROSS APPLY FasterRCNNResnet50(frame)
 		WHERE id < 400 AND label = 'car' ORDER BY area DESC, id ASC LIMIT 5`)
 	if err != nil {

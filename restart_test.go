@@ -36,19 +36,6 @@ func evaluatedTotal(sys *System) (n int) {
 	return n
 }
 
-func openLoadedAt(t *testing.T, dir string, workers int) *System {
-	t.Helper()
-	sys, err := Open(Config{Dir: dir, Mode: ModeEVA, Workers: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sys.Close() })
-	if err := sys.LoadVideo("video", "jackson"); err != nil {
-		t.Fatal(err)
-	}
-	return sys
-}
-
 // TestFailedStatementDoesNotPoisonReuse: a statement that fails must
 // leave the aggregated predicates where they were. Committed at plan
 // time (as they once were), its gates made DIFF FALSE for every rerun,
@@ -71,7 +58,7 @@ func TestFailedStatementDoesNotPoisonReuse(t *testing.T) {
 		{"view-write-crash", faults.SiteViewWrite(colorDetView), faults.Rule{Kind: faults.Crash, At: []int{1}, Limit: 1, ShortWrite: 11}, false, true},
 	}
 	for _, workers := range []int{1, 8} {
-		healthy := openLoadedAt(t, t.TempDir(), workers)
+		healthy := openLoaded(t, Config{Workers: workers})
 		if _, err := healthy.Exec(poisonQuery); err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +69,7 @@ func TestFailedStatementDoesNotPoisonReuse(t *testing.T) {
 		for _, f := range failures {
 			t.Run(fmt.Sprintf("%s-w%d", f.name, workers), func(t *testing.T) {
 				dir := t.TempDir()
-				sys := openLoadedAt(t, dir, workers)
+				sys := openLoaded(t, Config{Dir: dir, Workers: workers})
 				inj := faults.New(7)
 				inj.Rule(f.site, f.rule)
 				var err error
@@ -102,7 +89,7 @@ func TestFailedStatementDoesNotPoisonReuse(t *testing.T) {
 					if err := sys.Close(); err != nil {
 						t.Fatal(err)
 					}
-					sys = openLoadedAt(t, dir, workers)
+					sys = openLoaded(t, Config{Dir: dir, Workers: workers})
 				}
 				if _, err := sys.Exec(poisonQuery); err != nil {
 					t.Fatalf("rerun after the failure: %v", err)
@@ -127,11 +114,11 @@ func TestFailedStatementDoesNotPoisonReuse(t *testing.T) {
 // statement must promise nothing, or the unlimited query after it would
 // skip the STORE of exactly those results.
 func TestLimitDoesNotCommit(t *testing.T) {
-	sys := openLoadedAt(t, t.TempDir(), 1)
+	sys := openLoaded(t, Config{Workers: 1})
 	if _, err := sys.Exec(poisonQuery + " LIMIT 1"); err != nil {
 		t.Fatal(err)
 	}
-	healthy := openLoadedAt(t, t.TempDir(), 1)
+	healthy := openLoaded(t, Config{Workers: 1})
 	for _, s := range []*System{sys, healthy} {
 		if _, err := s.Exec(poisonQuery); err != nil {
 			t.Fatal(err)
@@ -154,12 +141,8 @@ func statementDigest(t *testing.T, sys *System, stmt parser.Statement) string {
 		t.Fatalf("%T: %v", stmt, err)
 	}
 	var out strings.Builder
-	if res.Rows != nil && len(res.Rows.Schema()) > 0 {
-		out.WriteString(Format(res.Rows))
-	}
-	writeReportDigest(&out, res.Report)
-	fmt.Fprintf(&out, "evaluated: %d\nsimtime: %d\n", evaluatedTotal(sys)-before, res.SimTime)
-	writeBreakdownDigest(&out, res.Breakdown)
+	writeResult(&out, res, everything)
+	fmt.Fprintf(&out, "evaluated: %d\n", evaluatedTotal(sys)-before)
 	return out.String()
 }
 
@@ -170,30 +153,18 @@ func statementDigest(t *testing.T, sys *System, stmt parser.Statement) string {
 // must agree on rows, Report.Preds, DetectorSources — Algorithm 2 sees
 // the other models' views again — evaluations and virtual time.
 func TestReopenDifferential(t *testing.T) {
-	scripts, err := filepath.Glob(filepath.Join("testdata", "scripts", "*.sql"))
-	if err != nil || len(scripts) == 0 {
-		t.Fatalf("no scripts found: %v", err)
-	}
-	workerSet := diffWorkers
+	workerSet := []int{1, 2, 8}
 	if testing.Short() {
 		workerSet = []int{2}
 	}
-	for _, script := range scripts {
-		src, err := os.ReadFile(script)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stmts, err := parser.ParseAll(string(src))
+	for _, sc := range loadScripts(t, queryScripts) {
+		stmts, err := parser.ParseAll(sc.src)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range workerSet {
-			t.Run(fmt.Sprintf("%s-w%d", filepath.Base(script), w), func(t *testing.T) {
-				whole, err := Open(Config{Dir: t.TempDir(), Workers: w})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer whole.Close()
+			t.Run(fmt.Sprintf("%s-w%d", sc.name, w), func(t *testing.T) {
+				whole := openAt(t, Config{Workers: w})
 				dir := t.TempDir()
 				var loads []parser.Statement
 				for i, stmt := range stmts {
@@ -202,22 +173,14 @@ func TestReopenDifferential(t *testing.T) {
 						loads = append(loads, stmt)
 						continue
 					}
-					sys, err := Open(Config{Dir: dir, Workers: w})
-					if err != nil {
-						t.Fatal(err)
-					}
+					sys := openAt(t, Config{Dir: dir, Workers: w})
 					for _, load := range loads {
 						if _, err := sys.ExecStmt(load); err != nil {
 							t.Fatal(err)
 						}
 					}
-					got := statementDigest(t, sys, stmt)
-					if err := sys.Close(); err != nil {
-						t.Fatal(err)
-					}
-					if got != want {
-						t.Errorf("statement %d differs after a restart\n%s", i+1, digestDiff(want, got))
-					}
+					same(t, fmt.Sprintf("statement %d after a restart", i+1), want, statementDigest(t, sys, stmt))
+					closeOK(t, sys)
 				}
 			})
 		}
@@ -233,7 +196,7 @@ func TestReopenDifferential(t *testing.T) {
 // uninterrupted run's contents, and running it once more evaluates
 // nothing — every result the rerun computed was kept.
 func TestPredicateKillPoints(t *testing.T) {
-	healthy := openLoadedAt(t, t.TempDir(), 1)
+	healthy := openLoaded(t, Config{Workers: 1})
 	if _, err := healthy.Exec(poisonQuery); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +206,7 @@ func TestPredicateKillPoints(t *testing.T) {
 		for _, torn := range []int{0, 3, 11, 40} {
 			for ordinal := 1; ; ordinal++ {
 				dir := t.TempDir()
-				sys := openLoadedAt(t, dir, workers)
+				sys := openLoaded(t, Config{Dir: dir, Workers: workers})
 				inj := faults.New(uint64(ordinal))
 				inj.Rule(faults.SiteViewWriteAny, faults.Rule{Kind: faults.Crash, At: []int{ordinal}, Limit: 1, ShortWrite: torn})
 				sys.InjectFaults(inj)
@@ -264,13 +227,11 @@ func TestPredicateKillPoints(t *testing.T) {
 					t.Fatal(err)
 				}
 				cell := fmt.Sprintf("w%d write %d torn at %d", workers, ordinal, torn)
-				sys = openLoadedAt(t, dir, workers)
+				sys = openLoaded(t, Config{Dir: dir, Workers: workers})
 				if _, err := sys.Exec(poisonQuery); err != nil {
 					t.Fatalf("%s: rerun: %v", cell, err)
 				}
-				if got := viewContentDigest(sys); got != want {
-					t.Errorf("%s: views after the rerun differ from the uninterrupted run\n%s", cell, digestDiff(want, got))
-				}
+				same(t, cell+": views after the rerun against the uninterrupted run", want, viewContentDigest(sys))
 				before := evaluatedTotal(sys)
 				if _, err := sys.Exec(poisonQuery); err != nil {
 					t.Fatalf("%s: second rerun: %v", cell, err)
@@ -339,20 +300,17 @@ func TestQuarantineMeetsLoadedPredicate(t *testing.T) {
 		}
 		return out
 	}
-	noReuse, err := Open(Config{Dir: t.TempDir(), Mode: ModeNoReuse})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer noReuse.Close()
+	noReuse := openAt(t, Config{Mode: ModeNoReuse})
 	if err := noReuse.LoadVideo("video", "jackson"); err != nil {
 		t.Fatal(err)
 	}
 	want := session(noReuse)
 
 	dir := t.TempDir()
-	sys := openLoadedAt(t, dir, 1)
-	if got := session(sys); got != want {
-		t.Fatalf("reuse is visible before any corruption\n%s", digestDiff(want, got))
+	sys := openLoaded(t, Config{Dir: dir, Workers: 1})
+	same(t, "rows before any corruption against no-reuse", want, session(sys))
+	if t.Failed() {
+		t.FailNow()
 	}
 	pristine := viewContentDigest(sys)
 	if err := sys.Close(); err != nil {
@@ -374,13 +332,11 @@ func TestQuarantineMeetsLoadedPredicate(t *testing.T) {
 		flipByte(t, path, int64(rows[1]+9+4))
 	}
 
-	sys = openLoadedAt(t, dir, 1)
+	sys = openLoaded(t, Config{Dir: dir, Workers: 1})
 	if p := sys.PendingRepairs(); len(p) != 0 {
 		t.Fatalf("repairs pending before any signature was seen: %v", p)
 	}
-	if got := session(sys); got != want {
-		t.Errorf("rows differ from no-reuse after reopening corrupt views\n%s", digestDiff(want, got))
-	}
+	same(t, "rows after reopening corrupt views against no-reuse", want, session(sys))
 	if p := strings.Join(sys.PendingRepairs(), " "); !strings.Contains(p, detView) || !strings.Contains(p, typeView) {
 		t.Errorf("pending repairs = %q, want both views queued at their predicate's first load", p)
 	}
@@ -391,9 +347,7 @@ func TestQuarantineMeetsLoadedPredicate(t *testing.T) {
 	if evals["cartype"].Evaluated == 0 {
 		t.Error("no classifier invocation was recomputed")
 	}
-	if got := viewContentDigest(sys); got != pristine {
-		t.Errorf("lost keys were not all stored again\n%s", digestDiff(pristine, got))
-	}
+	same(t, "view content once the lost keys are stored again", pristine, viewContentDigest(sys))
 	if _, err := sys.Repair(); err != nil {
 		t.Fatal(err)
 	}
@@ -406,10 +360,8 @@ func TestQuarantineMeetsLoadedPredicate(t *testing.T) {
 
 	// The shrunken and re-committed predicates are what the next process
 	// loads: everything is served, nothing evaluated.
-	sys = openLoadedAt(t, dir, 1)
-	if got := session(sys); got != want {
-		t.Errorf("rows differ from no-reuse after the repair and a restart\n%s", digestDiff(want, got))
-	}
+	sys = openLoaded(t, Config{Dir: dir, Workers: 1})
+	same(t, "rows after the repair and a restart against no-reuse", want, session(sys))
 	for name, st := range sys.UDFCounters() {
 		if st.Evaluated != 0 {
 			t.Errorf("%s evaluated %d invocations after the repair and a restart", name, st.Evaluated)

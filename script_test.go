@@ -18,55 +18,37 @@ var updateGolden = flag.Bool("update", false, "rewrite golden script outputs")
 // the checked-in golden file. The synthetic world and virtual clock
 // are fully deterministic, so outputs are byte-stable across machines.
 func TestGoldenScripts(t *testing.T) {
-	scripts, err := filepath.Glob(filepath.Join("testdata", "scripts", "*.sql"))
-	if err != nil || len(scripts) == 0 {
-		t.Fatalf("no scripts found: %v", err)
-	}
-	for _, script := range scripts {
-		script := script
-		t.Run(filepath.Base(script), func(t *testing.T) {
-			src, err := os.ReadFile(script)
+	eachScript(t, func(t *testing.T, sc script) {
+		sys := openAt(t, Config{})
+		stmts, err := parser.ParseAll(sc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		for i, stmt := range stmts {
+			res, err := sys.ExecStmt(stmt)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("statement %d: %v", i+1, err)
 			}
-			sys, err := Open(Config{Dir: t.TempDir()})
-			if err != nil {
-				t.Fatal(err)
+			if res.Rows == nil || len(res.Rows.Schema()) == 0 {
+				continue
 			}
-			defer sys.Close()
+			fmt.Fprintf(&out, "-- statement %d (simulated %s)\n", i+1, res.SimTime.Round(1e6))
+			out.WriteString(Format(res.Rows))
+			out.WriteByte('\n')
+		}
 
-			stmts, err := parser.ParseAll(string(src))
-			if err != nil {
+		golden := filepath.Join("testdata", "scripts", strings.TrimSuffix(sc.name, ".sql")+".golden")
+		if *updateGolden {
+			if err := os.WriteFile(golden, []byte(out.String()), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			var out strings.Builder
-			for i, stmt := range stmts {
-				res, err := sys.ExecStmt(stmt)
-				if err != nil {
-					t.Fatalf("statement %d: %v", i+1, err)
-				}
-				if res.Rows == nil || len(res.Rows.Schema()) == 0 {
-					continue
-				}
-				fmt.Fprintf(&out, "-- statement %d (simulated %s)\n", i+1, res.SimTime.Round(1e6))
-				out.WriteString(Format(res.Rows))
-				out.WriteByte('\n')
-			}
-
-			golden := strings.TrimSuffix(script, ".sql") + ".golden"
-			if *updateGolden {
-				if err := os.WriteFile(golden, []byte(out.String()), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatalf("missing golden file (run with -update): %v", err)
-			}
-			if out.String() != string(want) {
-				t.Errorf("output diverged from %s\n--- got ---\n%s\n--- want ---\n%s", golden, out.String(), want)
-			}
-		})
-	}
+			return
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("missing golden file (run with -update): %v", err)
+		}
+		same(t, "output against "+golden, string(want), out.String())
+	})
 }

@@ -3,15 +3,11 @@ package eva
 import (
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"eva/internal/faults"
-	"eva/internal/parser"
-	"eva/internal/testutil"
 )
 
 // The scrub chaos matrix is the executable acceptance test for the
@@ -21,68 +17,6 @@ import (
 // symbolic repair, and one warm re-run — to a digest byte-identical to
 // a never-corrupted baseline, and a fresh System reopening the healed
 // directory must serve the same state.
-
-// scrubScripts is the subset of testdata scripts that materialize
-// views (basic_select builds none, so there is nothing to corrupt).
-var scrubScripts = []string{"reuse_flow.sql", "logical_udf.sql", "groupby_agg.sql"}
-
-// runScriptOut executes the script and returns the per-statement row
-// output (errors included — they must be deterministic too). Report,
-// timing and counter noise is deliberately excluded: post-repair runs
-// legitimately differ in reuse accounting, but never in results.
-func runScriptOut(t *testing.T, sys *System, src string) string {
-	t.Helper()
-	stmts, err := parser.ParseAll(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out strings.Builder
-	for i, stmt := range stmts {
-		res, err := sys.ExecStmt(stmt)
-		fmt.Fprintf(&out, "== statement %d ==\n", i+1)
-		if err != nil {
-			fmt.Fprintf(&out, "error: %v\n", err)
-			continue
-		}
-		if res.Rows != nil && len(res.Rows.Schema()) > 0 {
-			out.WriteString(Format(res.Rows))
-		}
-	}
-	return out.String()
-}
-
-// viewContentDigest captures every open view's logical content: row
-// and processed-key counts plus the formatted rows in sorted order.
-// Log order is excluded on purpose — repair re-appends lost rows at
-// the tail and compaction rewrites the log, so physical order may
-// differ from the baseline while content must not.
-func viewContentDigest(sys *System) string {
-	names := sys.store.Views()
-	sort.Strings(names)
-	var out strings.Builder
-	for _, n := range names {
-		v := sys.store.View(n)
-		if v == nil {
-			continue
-		}
-		lines := strings.Split(strings.TrimRight(Format(v.Scan()), "\n"), "\n")
-		sort.Strings(lines)
-		fmt.Fprintf(&out, "view %s: rows=%d processed=%d\n%s\n",
-			n, v.Rows(), v.ProcessedCount(), strings.Join(lines, "\n"))
-	}
-	return out.String()
-}
-
-// viewLogs returns the on-disk view log paths under dir, sorted.
-func viewLogs(t *testing.T, dir string) []string {
-	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(dir, "views", "*.view"))
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no view logs under %s: %v", dir, err)
-	}
-	sort.Strings(paths)
-	return paths
-}
 
 // largestViewLog returns the biggest view log — guaranteed to hold
 // records past the header, so mid/tail flips land inside record data.
@@ -169,37 +103,44 @@ func corruptViewsAt(t *testing.T, dir, site string) {
 	}
 }
 
-// scrubBaseline runs the script on a pristine system and captures the
-// convergence targets: the cold (first-run) and warm (second-run)
-// statement outputs and the view content digest, then closes it and
-// captures what a system reopened over the same directory answers. A
-// restart is invisible to reuse — the aggregated predicates are durable
-// in the view logs — so reopenOut is warmOut except for catalog side
-// effects: a warm LOAD errors on the existing table, a reopened one
-// succeeds. (For a logical UDF that matters: which physical model's
-// view serves a statement depends on the predicates.) Corrupted cells
-// compare warm re-runs against warmOut and fresh reopened systems
-// against reopenOut; coldOut is what a first run answers.
-func scrubBaseline(t *testing.T, src string) (coldOut, warmOut, reopenOut, views string) {
+// scrub runs a scrub pass, failing the test if it fails.
+func scrub(t *testing.T, sys *System) ScrubReport {
 	t.Helper()
-	dir := t.TempDir()
-	sys, err := Open(Config{Dir: dir, Workers: 1})
+	rep, err := sys.Scrub()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Close()
-	coldOut = runScriptOut(t, sys, src)
-	warmOut = runScriptOut(t, sys, src)
-	views = viewContentDigest(sys)
-	if err := sys.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sys2, err := Open(Config{Dir: dir, Workers: 1})
+	return rep
+}
+
+// repair runs the queued repairs, failing the test if that fails.
+func repair(t *testing.T, sys *System) RepairReport {
+	t.Helper()
+	rep, err := sys.Repair()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys2.Close()
-	return coldOut, warmOut, runScriptOut(t, sys2, src), views
+	return rep
+}
+
+// checkHealed runs the script once more on sys and requires the
+// untroubled warm run's answers and view content.
+func (b untroubled) checkHealed(t *testing.T, what string, sys *System) {
+	t.Helper()
+	same(t, what+" answers", b.warm, answersOf(t, sys, b.src))
+	same(t, what+" view content", b.views, viewContentDigest(sys))
+}
+
+// checkNoResidue requires a healed system to scrub clean with no repair
+// pending.
+func checkNoResidue(t *testing.T, sys *System) {
+	t.Helper()
+	if rep := scrub(t, sys); len(rep.Findings) != 0 || rep.Quarantined != 0 {
+		t.Errorf("residue after repair: %+v", rep)
+	}
+	if p := sys.PendingRepairs(); len(p) != 0 {
+		t.Errorf("repairs still pending: %v", p)
+	}
 }
 
 // TestScrubCorruptionMatrix: every view-building script × corruption
@@ -215,88 +156,34 @@ func TestScrubCorruptionMatrix(t *testing.T) {
 	if testing.Short() {
 		workerSet = []int{2}
 	}
-	srcs := chaosScripts(t)
-	for _, script := range scrubScripts {
-		src := srcs[script]
-		if src == "" {
-			t.Fatalf("script %s missing", script)
-		}
-		t.Run(script, func(t *testing.T) {
-			_, wantOut, reopenOut, wantViews := scrubBaseline(t, src)
-			for _, site := range scrubSites {
-				for _, w := range workerSet {
-					t.Run(fmt.Sprintf("%s-w%d", site, w), func(t *testing.T) {
-						dir := t.TempDir()
-						sys, err := Open(Config{Dir: dir, Workers: w})
-						if err != nil {
-							t.Fatal(err)
+	eachScript(t, func(t *testing.T, sc script) {
+		b := runUntroubled(t, sc.src)
+		for _, site := range scrubSites {
+			for _, w := range workerSet {
+				t.Run(fmt.Sprintf("%s-w%d", site, w), func(t *testing.T) {
+					dir := t.TempDir()
+					sys := openAt(t, Config{Dir: dir, Workers: w})
+					answersOf(t, sys, sc.src)
+					corruptViewsAt(t, dir, site)
+					rep := scrub(t, sys)
+					if site == "sidecar" {
+						// The scrub reads the logs alone: a garbage side
+						// file is not corruption.
+						if len(rep.Findings) != 0 {
+							t.Fatalf("side-file garbage produced findings: %+v", rep.Findings)
 						}
-						defer sys.Close()
-						runScriptOut(t, sys, src)
-						corruptViewsAt(t, dir, site)
-
-						rep, err := sys.Scrub()
-						if err != nil {
-							t.Fatal(err)
-						}
-						if site == "sidecar" {
-							// The scrub reads the logs alone: a garbage side
-							// file is not corruption.
-							if len(rep.Findings) != 0 {
-								t.Fatalf("side-file garbage produced findings: %+v", rep.Findings)
-							}
-						} else if len(rep.Findings) == 0 {
-							t.Fatalf("scrub missed %s corruption", site)
-						}
-
-						if _, err := sys.Repair(); err != nil {
-							t.Fatal(err)
-						}
-						if got := runScriptOut(t, sys, src); got != wantOut {
-							t.Errorf("post-repair output diverged from baseline\n%s",
-								digestDiff(wantOut, got))
-						}
-						if got := viewContentDigest(sys); got != wantViews {
-							t.Errorf("post-repair view content diverged\n%s",
-								digestDiff(wantViews, got))
-						}
-						// The healed system carries no residue: a second
-						// scrub is clean and no repairs are pending.
-						rep2, err := sys.Scrub()
-						if err != nil {
-							t.Fatal(err)
-						}
-						if len(rep2.Findings) != 0 || rep2.Quarantined != 0 {
-							t.Errorf("residue after repair: %+v", rep2)
-						}
-						if p := sys.PendingRepairs(); len(p) != 0 {
-							t.Errorf("repairs still pending: %v", p)
-						}
-						if err := sys.Close(); err != nil {
-							t.Fatal(err)
-						}
-
-						// Durability: a fresh System over the healed
-						// directory serves the same content.
-						sys2, err := Open(Config{Dir: dir, Workers: w})
-						if err != nil {
-							t.Fatal(err)
-						}
-						defer sys2.Close()
-						if got := runScriptOut(t, sys2, src); got != reopenOut {
-							t.Errorf("reopened output diverged from baseline\n%s",
-								digestDiff(reopenOut, got))
-						}
-						if got := viewContentDigest(sys2); got != wantViews {
-							t.Errorf("reopened view content diverged\n%s",
-								digestDiff(wantViews, got))
-						}
-						testutil.CheckOneFilePerView(t, dir)
-					})
-				}
+					} else if len(rep.Findings) == 0 {
+						t.Fatalf("scrub missed %s corruption", site)
+					}
+					repair(t, sys)
+					b.checkHealed(t, "post-repair", sys)
+					checkNoResidue(t, sys)
+					closeOK(t, sys)
+					b.checkReopened(t, dir, w)
+				})
 			}
-		})
-	}
+		}
+	}, viewScripts...)
 }
 
 // TestRepairCrashKillPoints: a crash at each stage of the repair
@@ -306,11 +193,7 @@ func TestScrubCorruptionMatrix(t *testing.T) {
 // stays authoritative, repair is idempotent, and a retry (in-process
 // or after a full restart) converges to the pristine baseline.
 func TestRepairCrashKillPoints(t *testing.T) {
-	src := chaosScripts(t)["reuse_flow.sql"]
-	if src == "" {
-		t.Fatal("reuse_flow.sql missing")
-	}
-	_, wantOut, _, wantViews := scrubBaseline(t, src)
+	b := runUntroubled(t, scriptSrc(t, "reuse_flow.sql"))
 	kills := []struct {
 		name string
 		site string
@@ -323,24 +206,15 @@ func TestRepairCrashKillPoints(t *testing.T) {
 	for _, kp := range kills {
 		t.Run(kp.name, func(t *testing.T) {
 			dir := t.TempDir()
-			sys, err := Open(Config{Dir: dir, Workers: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			runScriptOut(t, sys, src)
+			sys := openAt(t, Config{Dir: dir, Workers: 2})
+			answersOf(t, sys, b.src)
 			corruptViewsAt(t, dir, "mid")
 			inj := faults.New(1)
 			inj.Rule(kp.site, kp.rule)
 			sys.InjectFaults(inj)
-			if _, err := sys.Scrub(); err != nil {
-				t.Fatal(err)
-			}
-			rep, err := sys.Repair()
-			if err != nil {
-				t.Fatal(err)
-			}
+			scrub(t, sys)
 			crashed := false
-			for _, r := range rep.Records {
+			for _, r := range repair(t, sys).Records {
 				if r.Err != "" {
 					crashed = true
 					if !strings.Contains(r.Err, "crash") {
@@ -360,48 +234,20 @@ func TestRepairCrashKillPoints(t *testing.T) {
 					t.Fatal("crashed repair dropped its task")
 				}
 				sys.InjectFaults(faults.New(0))
-				if _, err := sys.Repair(); err != nil {
-					t.Fatal(err)
-				}
-				if got := runScriptOut(t, sys, src); got != wantOut {
-					t.Errorf("in-process retry output diverged\n%s", digestDiff(wantOut, got))
-				}
-				if got := viewContentDigest(sys); got != wantViews {
-					t.Errorf("in-process retry views diverged\n%s", digestDiff(wantViews, got))
-				}
+				repair(t, sys)
+				b.checkHealed(t, "in-process retry", sys)
 			}
-			if err := sys.Close(); err != nil {
-				t.Fatal(err)
-			}
+			closeOK(t, sys)
 
 			// Restart over the crashed directory: the old generation (or
 			// salvaged log) is authoritative, orphan scratch files are
 			// discarded, and scrub + repair + one warm run converge.
-			sys2, err := Open(Config{Dir: dir, Workers: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sys2.Close()
-			runScriptOut(t, sys2, src)
-			if _, err := sys2.Scrub(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sys2.Repair(); err != nil {
-				t.Fatal(err)
-			}
-			if got := runScriptOut(t, sys2, src); got != wantOut {
-				t.Errorf("post-restart output diverged\n%s", digestDiff(wantOut, got))
-			}
-			if got := viewContentDigest(sys2); got != wantViews {
-				t.Errorf("post-restart views diverged\n%s", digestDiff(wantViews, got))
-			}
-			rep2, err := sys2.Scrub()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(rep2.Findings) != 0 || rep2.Quarantined != 0 {
-				t.Errorf("residue after restart recovery: %+v", rep2)
-			}
+			sys = openAt(t, Config{Dir: dir, Workers: 2})
+			answersOf(t, sys, b.src)
+			scrub(t, sys)
+			repair(t, sys)
+			b.checkHealed(t, "post-restart", sys)
+			checkNoResidue(t, sys)
 		})
 	}
 }
@@ -411,35 +257,19 @@ func TestRepairCrashKillPoints(t *testing.T) {
 // residual bounds the hole, the synthesized range query recomputes
 // exactly the lost keys, and no user query needs to run again.
 func TestRepairRecomputesInteriorHole(t *testing.T) {
-	src := chaosScripts(t)["groupby_agg.sql"]
-	if src == "" {
-		t.Fatal("groupby_agg.sql missing")
-	}
-	_, _, _, wantViews := scrubBaseline(t, src)
+	b := runUntroubled(t, scriptSrc(t, "groupby_agg.sql"))
 	dir := t.TempDir()
-	sys, err := Open(Config{Dir: dir, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	runScriptOut(t, sys, src)
+	sys := openAt(t, Config{Dir: dir, Workers: 1})
+	answersOf(t, sys, b.src)
 	corruptViewsAt(t, dir, "mid")
-	rep, err := sys.Scrub()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Findings) == 0 {
+	if rep := scrub(t, sys); len(rep.Findings) == 0 {
 		t.Fatal("scrub missed the interior corruption")
 	}
 	if p := sys.PendingRepairs(); len(p) == 0 {
 		t.Fatal("no symbolic repair was registered")
 	}
-	rrep, err := sys.Repair()
-	if err != nil {
-		t.Fatal(err)
-	}
 	repaired := 0
-	for _, r := range rrep.Records {
+	for _, r := range repair(t, sys).Records {
 		if r.Err != "" {
 			t.Errorf("repair %s failed: %s", r.View, r.Err)
 		}
@@ -453,31 +283,21 @@ func TestRepairRecomputesInteriorHole(t *testing.T) {
 	if repaired == 0 {
 		t.Error("no view regained rows from the synthesized range queries")
 	}
-	if got := viewContentDigest(sys); got != wantViews {
-		t.Errorf("repair-only healing diverged from baseline\n%s", digestDiff(wantViews, got))
-	}
+	same(t, "repair-only healing view content", b.views, viewContentDigest(sys))
 }
 
 // TestBackgroundScrubberHeals: with ScrubInterval set, corruption is
 // found by the background scrubber off the virtual clock — no explicit
 // Scrub call — and queued for repair.
 func TestBackgroundScrubberHeals(t *testing.T) {
-	src := chaosScripts(t)["groupby_agg.sql"]
-	if src == "" {
-		t.Fatal("groupby_agg.sql missing")
-	}
-	_, wantOut, _, wantViews := scrubBaseline(t, src)
+	b := runUntroubled(t, scriptSrc(t, "groupby_agg.sql"))
 	dir := t.TempDir()
-	sys, err := Open(Config{Dir: dir, Workers: 2, ScrubInterval: time.Nanosecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	runScriptOut(t, sys, src)
+	sys := openAt(t, Config{Dir: dir, Workers: 2, ScrubInterval: time.Nanosecond})
+	answersOf(t, sys, b.src)
 	corruptViewsAt(t, dir, "mid")
 	// Any statement completion nudges the scrubber; the virtual clock
 	// has long passed the 1ns cadence, so a pass fires asynchronously.
-	runScriptOut(t, sys, src)
+	answersOf(t, sys, b.src)
 	deadline := time.Now().Add(10 * time.Second)
 	for len(sys.PendingRepairs()) == 0 {
 		if time.Now().After(deadline) {
@@ -485,20 +305,13 @@ func TestBackgroundScrubberHeals(t *testing.T) {
 				sys.StorageStats().Scrub)
 		}
 		time.Sleep(time.Millisecond)
-		runScriptOut(t, sys, src)
+		answersOf(t, sys, b.src)
 	}
 	if st := sys.StorageStats().Scrub; st.Passes == 0 {
 		t.Fatalf("repairs pending but no scrub pass counted: %+v", st)
 	}
-	if _, err := sys.Repair(); err != nil {
-		t.Fatal(err)
-	}
-	if got := runScriptOut(t, sys, src); got != wantOut {
-		t.Errorf("post-heal output diverged\n%s", digestDiff(wantOut, got))
-	}
-	if got := viewContentDigest(sys); got != wantViews {
-		t.Errorf("post-heal views diverged\n%s", digestDiff(wantViews, got))
-	}
+	repair(t, sys)
+	b.checkHealed(t, "post-heal", sys)
 }
 
 // sessionOnlySystem opens a system and runs statements through a
@@ -507,15 +320,7 @@ func TestBackgroundScrubberHeals(t *testing.T) {
 // two detectors leave two views for the evictor to choose between.
 func sessionOnlySystem(t *testing.T, cfg Config) *System {
 	t.Helper()
-	cfg.Dir = t.TempDir()
-	sys, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sys.Close() })
-	if err := sys.LoadVideo("video", "jackson"); err != nil {
-		t.Fatal(err)
-	}
+	sys := openLoaded(t, cfg)
 	sess := sys.NewSession()
 	for _, q := range []string{
 		`SELECT id, label FROM video CROSS APPLY FasterRCNNResnet50(frame) WHERE id < 120`,

@@ -25,11 +25,6 @@ import (
 // union of the solo runs' materialized rows: nothing lost, nothing
 // computed twice.
 
-// serverChaosSeeds is the number of seeded schedules per script; each
-// seed maps to a regime via chaosRegimes[seed%4], as in the
-// single-client chaos matrix.
-const serverChaosSeeds = 8
-
 // serverChaosSessions is how many concurrent sessions each matrix cell
 // runs. Sessions use disjoint tables (video_s0, video_s1, ...), so
 // table-qualified UDF signatures keep their views disjoint and every
@@ -38,125 +33,70 @@ const serverChaosSessions = 3
 
 var sessionTableRe = regexp.MustCompile(`\bvideo\b`)
 
-// sessionScript rewrites a testdata script to address session k's
-// private table.
-func sessionScript(src string, k int) string {
-	return sessionTableRe.ReplaceAllString(src, fmt.Sprintf("video_s%d", k))
-}
-
-// sessionInjector builds session k's deterministic fault schedule for
-// one matrix cell.
-func sessionInjector(seed uint64, k int, regime string) *faults.Injector {
-	s := seed + uint64(k)*31
-	inj := faults.New(s)
-	installRegime(inj, regime, s)
-	return inj
-}
-
-// runSessionDigest executes a script through one Session and digests
-// everything the session can observe, including its injector's
-// canonical fault log.
-func runSessionDigest(t *testing.T, sess *Session, src string, inj *faults.Injector) string {
-	t.Helper()
-	var out strings.Builder
-	statementsDigest(t, &out, sess, src)
-	fmt.Fprintf(&out, "session simtime: %d\n", sess.SimulatedTime())
-	writeFaultLog(&out, inj)
-	return out.String()
-}
-
-// runSoloSession runs session k's rewritten script alone on a fresh
-// System, returning its digest and the views it materialized.
-func runSoloSession(t *testing.T, src string, cfg Config, seed uint64, regime string, k int) (string, map[string]int) {
-	t.Helper()
-	cfg.Dir = t.TempDir()
-	sys, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
+// runSession runs the script as session k of sys: on its private table,
+// under its own schedule (the cell's, reseeded per session), digesting
+// every statement in full, the session's virtual time and its fault log.
+func runSession(t *testing.T, sys *System, src string, sched schedule, k int) string {
 	sess := sys.NewSession()
-	inj := sessionInjector(seed, k, regime)
+	inj := schedule{sched.regime, sched.seed + uint64(k)*31}.injector()
 	sess.InjectFaults(inj)
-	digest := runSessionDigest(t, sess, sessionScript(src, k), inj)
-	return digest, sys.ViewRows()
+	out, _ := runStatements(t, sess, sessionTableRe.ReplaceAllString(src, fmt.Sprintf("video_s%d", k)), everything)
+	return out + fmt.Sprintf("session simtime: %d\n", sess.SimulatedTime()) + faultsDigest(inj)
 }
 
-// TestMultiSessionChaosMatrix: every script × seeded fault schedules ×
+// TestMultiSessionChaosMatrix: every script × 8 seeded fault schedules ×
 // Workers {1, 2, 8}, with serverChaosSessions concurrent sessions per
-// cell. Each session's digest must byte-match its solo run at
-// Workers=1 (proving both session isolation and worker-count
-// invariance at once), and the shared store must hold exactly the
-// union of the solo runs' view rows.
+// cell. Each session's digest must byte-match its solo run at Workers=1
+// on a fresh System (proving both session isolation and worker-count
+// invariance at once), and the shared store must hold exactly the union
+// of the solo runs' view rows.
 func TestMultiSessionChaosMatrix(t *testing.T) {
-	seeds := serverChaosSeeds
+	seeds := uint64(8)
 	if testing.Short() {
 		seeds = 2
 	}
-	injected := 0
-	for name, src := range chaosScripts(t) {
-		t.Run(name, func(t *testing.T) {
-			for seed := uint64(1); seed <= uint64(seeds); seed++ {
-				regime := chaosRegimes[seed%4]
-				t.Run(fmt.Sprintf("%s-seed%d", regime, seed), func(t *testing.T) {
-					solo := make([]string, serverChaosSessions)
-					wantViews := map[string]int{}
-					for k := range solo {
-						digest, views := runSoloSession(t, src, Config{Workers: 1}, seed, regime, k)
-						solo[k] = digest
-						injected += strings.Count(digest, "\nfault ")
-						for v, n := range views {
-							if _, dup := wantViews[v]; dup {
-								t.Fatalf("session %d view %s collides with another session's", k, v)
-							}
-							wantViews[v] = n
+	injected := injections{}
+	eachScript(t, func(t *testing.T, sc script) {
+		for seed := uint64(1); seed <= seeds; seed++ {
+			s := seeded(seed)
+			t.Run(s.name(), func(t *testing.T) {
+				solo := make([]string, serverChaosSessions)
+				wantViews := map[string]int{}
+				for k := range solo {
+					sys := openAt(t, Config{Workers: 1})
+					solo[k] = runSession(t, sys, sc.src, s, k)
+					injected[s.regime] += faultsIn(solo[k])
+					for v, n := range sys.ViewRows() {
+						if _, dup := wantViews[v]; dup {
+							t.Fatalf("session %d view %s collides with another session's", k, v)
 						}
+						wantViews[v] = n
 					}
-					for _, w := range []int{1, 2, 8} {
-						sys, err := Open(Config{Dir: t.TempDir(), Workers: w})
-						if err != nil {
-							t.Fatal(err)
-						}
-						digests := make([]string, serverChaosSessions)
-						var wg sync.WaitGroup
-						for k := 0; k < serverChaosSessions; k++ {
-							wg.Add(1)
-							go func(k int) {
-								defer wg.Done()
-								sess := sys.NewSession()
-								inj := sessionInjector(seed, k, regime)
-								sess.InjectFaults(inj)
-								digests[k] = runSessionDigest(t, sess, sessionScript(src, k), inj)
-							}(k)
-						}
-						wg.Wait()
-						for k, got := range digests {
-							if got != solo[k] {
-								t.Errorf("workers=%d session %d digest diverged from its solo run\n%s",
-									w, k, digestDiff(solo[k], got))
-							}
-						}
-						gotViews := sys.ViewRows()
-						for v, n := range wantViews {
-							if gotViews[v] != n {
-								t.Errorf("workers=%d view %s has %d rows, solo union says %d",
-									w, v, gotViews[v], n)
-							}
-						}
-						for v := range gotViews {
-							if _, ok := wantViews[v]; !ok {
-								t.Errorf("workers=%d unexpected view %s materialized", w, v)
-							}
-						}
-						sys.Close()
+					sys.Close()
+				}
+				for _, w := range []int{1, 2, 8} {
+					sys := openAt(t, Config{Workers: w})
+					digests := make([]string, serverChaosSessions)
+					var wg sync.WaitGroup
+					for k := range digests {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							digests[k] = runSession(t, sys, sc.src, s, k)
+						}()
 					}
-				})
-			}
-		})
-	}
-	if injected == 0 {
-		t.Error("multi-session chaos matrix injected no faults — schedules are vacuous")
-	}
+					wg.Wait()
+					for k, got := range digests {
+						same(t, fmt.Sprintf("workers=%d session %d against its solo run", w, k), solo[k], got)
+					}
+					same(t, fmt.Sprintf("workers=%d views against the solo runs' union", w),
+						sortedLines("view", wantViews), sortedLines("view", sys.ViewRows()))
+					sys.Close()
+				}
+			})
+		}
+	})
+	injected.requireEach(t)
 }
 
 // TestSharedViewSingleflight: several sessions race the same cold
@@ -168,7 +108,7 @@ func TestSharedViewSingleflight(t *testing.T) {
 	const q = `SELECT id, label FROM video CROSS APPLY FasterRCNNResnet50(frame) WHERE id < 60`
 
 	// Solo baseline: evaluation count and result of one cold run.
-	base := openSystem(t, ModeEVA)
+	base := openLoaded(t, Config{})
 	bres, err := base.NewSession().Exec(q)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +119,7 @@ func TestSharedViewSingleflight(t *testing.T) {
 		t.Fatal("baseline evaluated nothing")
 	}
 
-	sys := openSystem(t, ModeEVA)
+	sys := openLoaded(t, Config{})
 	const clients = 4
 	results := make([]string, clients)
 	errs := make([]error, clients)
@@ -250,14 +190,7 @@ const gateQuery = `SELECT id FROM video CROSS APPLY FasterRCNNResnet50(frame)
 // typed ErrOverloaded — nothing executes, and the stats record the
 // shed.
 func TestAdmissionOverloadTyped(t *testing.T) {
-	sys, err := Open(Config{Dir: t.TempDir(), MaxConcurrent: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sys.Close() })
-	if err := sys.LoadVideo("video", "jackson"); err != nil {
-		t.Fatal(err)
-	}
+	sys := openLoaded(t, Config{MaxConcurrent: 1})
 	started, release := blockingUDF(t, sys)
 
 	done := make(chan error, 1)
@@ -290,17 +223,7 @@ func TestAdmissionOverloadTyped(t *testing.T) {
 // session's EXPLAIN ANALYZE released with cost 0.)
 func TestAdmissionQueueTimeoutTyped(t *testing.T) {
 	for _, holding := range []string{gateQuery, "EXPLAIN ANALYZE " + gateQuery} {
-		sys, err := Open(Config{
-			Dir: t.TempDir(), MaxConcurrent: 1,
-			AdmissionQueueDepth: 1, QueueTimeout: time.Nanosecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { sys.Close() })
-		if err := sys.LoadVideo("video", "jackson"); err != nil {
-			t.Fatal(err)
-		}
+		sys := openLoaded(t, Config{MaxConcurrent: 1, AdmissionQueueDepth: 1, QueueTimeout: time.Nanosecond})
 		started, release := blockingUDF(t, sys)
 
 		holder := make(chan error, 1)
@@ -343,7 +266,7 @@ func TestAdmissionQueueTimeoutTyped(t *testing.T) {
 // reported SimTime 0, charged the global clock directly and drew from
 // the engine-wide injector.)
 func TestSessionExplainAnalyze(t *testing.T) {
-	sys := openSystem(t, ModeEVA)
+	sys := openLoaded(t, Config{})
 	sysInj := faults.New(7)
 	sysInj.Rule(faults.SiteUDFAny, faults.Rule{Kind: faults.Transient, Prob: 1})
 	sys.InjectFaults(sysInj)
@@ -398,20 +321,13 @@ func TestSessionExplainAnalyze(t *testing.T) {
 func TestMemoryBudgetTyped(t *testing.T) {
 	const q = `SELECT id, seconds FROM video WHERE id < 200`
 
-	free := openSystem(t, ModeEVA)
+	free := openLoaded(t, Config{})
 	want, err := free.Exec(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	tiny, err := Open(Config{Dir: t.TempDir(), MemoryBudget: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { tiny.Close() })
-	if err := tiny.LoadVideo("video", "jackson"); err != nil {
-		t.Fatal(err)
-	}
+	tiny := openLoaded(t, Config{MemoryBudget: 1})
 	if _, err := tiny.Exec(q); !errors.Is(err, ErrMemoryBudget) {
 		t.Errorf("System exec error = %v, want ErrMemoryBudget", err)
 	}
@@ -422,14 +338,7 @@ func TestMemoryBudgetTyped(t *testing.T) {
 	// 1 MiB forces scan batches to shrink well below the default width
 	// for frame columns but sits far above the 16-row floor: the query
 	// degrades and completes bit-identically.
-	small, err := Open(Config{Dir: t.TempDir(), MemoryBudget: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { small.Close() })
-	if err := small.LoadVideo("video", "jackson"); err != nil {
-		t.Fatal(err)
-	}
+	small := openLoaded(t, Config{MemoryBudget: 1 << 20})
 	res, err := small.NewSession().Exec(q)
 	if err != nil {
 		t.Fatalf("workable budget aborted: %v", err)
@@ -444,13 +353,7 @@ func TestMemoryBudgetTyped(t *testing.T) {
 // from Sessions with ErrClosed, and leave no goroutines behind.
 func TestCloseDrainsInFlight(t *testing.T) {
 	before := runtime.NumGoroutine()
-	sys, err := Open(Config{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.LoadVideo("video", "jackson"); err != nil {
-		t.Fatal(err)
-	}
+	sys := openLoaded(t, Config{})
 	started, release := blockingUDF(t, sys)
 
 	inflight := make(chan error, 1)
@@ -505,7 +408,7 @@ func TestMisalignedSessionsSharedView(t *testing.T) {
 		`SELECT id, label FROM video CROSS APPLY FasterRCNNResnet50(frame) WHERE id < 4000`,
 		`SELECT id, label FROM video CROSS APPLY FasterRCNNResnet50(frame) WHERE id >= 100 AND id < 4000`,
 	}
-	base := openSystem(t, ModeEVA)
+	base := openLoaded(t, Config{})
 	want := make([]string, len(queries))
 	for i, q := range queries {
 		res, err := base.NewSession().Exec(q)
@@ -517,7 +420,7 @@ func TestMisalignedSessionsSharedView(t *testing.T) {
 	wantEval := base.UDFCounters()["fasterrcnnresnet50"].Evaluated
 
 	for iter := 0; iter < 4; iter++ {
-		sys := openSystem(t, ModeEVA)
+		sys := openLoaded(t, Config{})
 		const clients = 4
 		results := make([]string, clients)
 		errs := make([]error, clients)

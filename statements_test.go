@@ -7,7 +7,7 @@ import (
 )
 
 func TestExplainDoesNotExecuteOrCommit(t *testing.T) {
-	sys := openSystem(t, ModeEVA)
+	sys := openLoaded(t, Config{})
 	res, err := sys.Exec(`EXPLAIN SELECT id FROM video CROSS APPLY FasterRCNNResnet50(frame)
 		WHERE id < 50 AND label = 'car' AND CarType(frame, bbox) = 'Nissan'`)
 	if err != nil {
@@ -36,7 +36,7 @@ func TestExplainDoesNotExecuteOrCommit(t *testing.T) {
 }
 
 func TestExplainAnalyzeReportsOperatorStats(t *testing.T) {
-	sys := openSystem(t, ModeEVA)
+	sys := openLoaded(t, Config{})
 	res, err := sys.Exec(`EXPLAIN ANALYZE SELECT id, label FROM video
 		CROSS APPLY FasterRCNNResnet50(frame) WHERE id < 30 AND label = 'car'`)
 	if err != nil {
@@ -56,7 +56,7 @@ func TestExplainAnalyzeReportsOperatorStats(t *testing.T) {
 }
 
 func TestDropViewsResetsReuse(t *testing.T) {
-	sys := openSystem(t, ModeEVA)
+	sys := openLoaded(t, Config{})
 	q := "SELECT id FROM video CROSS APPLY FasterRCNNResnet50(frame) WHERE id < 40"
 	if _, err := sys.Exec(q); err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestDropViewsResetsReuse(t *testing.T) {
 }
 
 func TestConcurrentQueries(t *testing.T) {
-	sys := openSystem(t, ModeEVA)
+	sys := openLoaded(t, Config{})
 	// Warm a shared view so concurrent readers hit it.
 	if _, err := sys.Exec("SELECT id FROM video CROSS APPLY FasterRCNNResnet50(frame) WHERE id < 200"); err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestConcurrentQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := openSystem(t, ModeNoReuse)
+	fresh := openLoaded(t, Config{Mode: ModeNoReuse})
 	want, err := fresh.Exec("SELECT id FROM video CROSS APPLY FasterRCNNResnet50(frame) WHERE id < 270 AND label = 'car'")
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func itoa(v int) string {
 // and verifies the system recovers: the error surfaces, and a repaired
 // re-run neither duplicates rows nor reuses poisoned results.
 func TestUDFFailureLeavesConsistentState(t *testing.T) {
-	sys := openSystem(t, ModeEVA)
+	sys := openLoaded(t, Config{})
 	if _, err := sys.Exec(`CREATE UDF Flaky
 		INPUT = (frame BYTES, bbox TEXT) OUTPUT = (flaky_out BOOLEAN)
 		IMPL = 'test' PROPERTIES = ('COST_MS' = '3')`); err != nil {

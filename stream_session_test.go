@@ -30,11 +30,7 @@ const (
 // standing query; the System is closed when the test ends.
 func openSessionStream(t *testing.T, dir string, mode SystemMode) (*System, *Stream) {
 	t.Helper()
-	sys, err := Open(Config{Dir: dir, Mode: mode, MaxConcurrent: 1, ScrubInterval: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sys.Close() })
+	sys := openAt(t, Config{Dir: dir, Mode: mode, MaxConcurrent: 1, ScrubInterval: time.Millisecond})
 	stream, err := sys.OpenStream(StreamConfig{Table: "traffic", Dataset: sessionStreamDS, CadenceFrames: sessionStreamCadence})
 	if err != nil {
 		t.Fatal(err)
@@ -58,11 +54,7 @@ func ingestSessionStream(stream *Stream) error {
 // virtual time they charge.
 func handDeltaTime(t *testing.T) time.Duration {
 	t.Helper()
-	sys, err := Open(Config{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
+	sys := openAt(t, Config{})
 	if err := sys.LoadDataset("traffic", sessionStreamDS); err != nil {
 		t.Fatal(err)
 	}
@@ -92,12 +84,10 @@ func TestStreamSessionModes(t *testing.T) {
 			if err := ingestSessionStream(stream); err != nil {
 				t.Fatal(err)
 			}
-			got := ingestStateDigest(stream)
 			if ref == "" {
-				ref = got
-			} else if got != ref {
-				t.Errorf("standing-query state differs from %s mode:\n%s\nvs\n%s", ModeEVA, got, ref)
+				ref = standingDigest(stream)
 			}
+			same(t, "standing-query state against EVA mode's", ref, standingDigest(stream))
 			if rows := sys.ViewRows(); (len(rows) > 0) != tc.views {
 				t.Errorf("views = %v, want materialised views: %v", rows, tc.views)
 			}
@@ -114,7 +104,7 @@ func TestStreamSessionPolicies(t *testing.T) {
 	if err := ingestSessionStream(stream); err != nil {
 		t.Fatal(err)
 	}
-	ref := ingestStateDigest(stream)
+	ref := standingDigest(stream)
 	if got, want := sys.AdmissionStats().Admitted, stream.Stats().Increments; int64(got) != want {
 		t.Fatalf("admitted %d statements, want one per increment (%d)", got, want)
 	}
@@ -168,9 +158,7 @@ func TestStreamSessionPolicies(t *testing.T) {
 			if err := stream.Drain(); err != nil {
 				t.Fatal(err)
 			}
-			if got := ingestStateDigest(stream); got != ref {
-				t.Errorf("state after the shed deltas re-ran:\n%s\nvs unloaded\n%s", got, ref)
-			}
+			same(t, "state after the shed deltas re-ran against the unloaded run's", ref, standingDigest(stream))
 			// Every delta was admitted or shed; the two client statements
 			// (CREATE UDF and the gated SELECT) were admitted besides.
 			st := sys.AdmissionStats()
