@@ -82,8 +82,9 @@ server-stress:
 # checkpoint), and each cell's fault schedule must be identical across
 # worker counts. Also runs, under the race detector, the checks that a
 # standing query's delta is a session statement (Close drains it, it
-# takes an admission token, it is merged into the global clock, it
-# nudges the scrubber, it is planned in the System's mode) and the
+# takes an admission token, it is merged into the global clock, its
+# boundary runs the scrub pass its virtual time makes due, it is
+# planned in the System's mode) and the
 # ingest unit suite (checkpoint log fuzz, backpressure ordering,
 # goroutine-leak). See DESIGN.md "Streaming ingestion".
 ingest-chaos:
@@ -159,19 +160,20 @@ alloc:
 # compaction commit must leave the view recoverable; a view reopened
 # with a salvaged hole must shrink the aggregated predicate persisted
 # in its log before it is first served; Session-only statements must
-# drive the background scrubber; plus the storage layer's
-# Verify/Scrubber/salvage/compaction unit suite. See DESIGN.md
-# "Self-healing view storage".
+# run the scrub passes their virtual time makes due, and a boundary
+# that would wait for a running statement degrades the pass instead;
+# plus the storage layer's Verify/cadence/salvage/compaction unit
+# suite. See DESIGN.md "Self-healing view storage".
 scrub:
-	$(GO) test -race -run 'TestScrubCorruptionMatrix|TestRepairCrashKillPoints|TestRepairRecomputesInteriorHole|TestBackgroundScrubberHeals|TestSessionStatementsDriveScrubber|TestQuarantineMeetsLoadedPredicate' .
+	$(GO) test -race -run 'TestScrubCorruptionMatrix|TestRepairCrashKillPoints|TestRepairRecomputesInteriorHole|TestBackgroundScrubberHeals|TestSessionStatementsDriveScrubber|TestScrubDegradesAtBoundary|TestQuarantineMeetsLoadedPredicate' .
 	$(GO) test -race -run 'TestVerify|TestScrubber|TestSalvage|TestCompact' ./internal/storage/
 
 # evict runs the disk-pressure survival matrix under the race
 # detector: view-building testdata scripts × storage-budget levels ×
 # injected ENOSPC schedules × Workers ∈ {1,2,8} must answer
 # baseline-identical rows and leave each view one file; Session-only
-# statements must drive the background evictor; plus the
-# storage layer's budget/eviction/log-retention unit suite (an
+# statements must run the eviction passes their virtual time makes due;
+# plus the storage layer's budget/eviction/log-retention unit suite (an
 # eviction's two kill-points and failed commit rename, evict-retry,
 # tail-log truncation, the TailLog write-protocol matrix, scratch-file
 # cleanup at open) and the checkpoint retention tests. See DESIGN.md

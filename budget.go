@@ -16,23 +16,21 @@ import (
 type DiskStats = storage.DiskStats
 
 // StorageStats bundles the durable-storage health counters: the disk
-// budget's accounting plus the background scrubber's activity.
+// budget's accounting plus the scrub cadence's activity.
 type StorageStats struct {
 	// Disk is the budget snapshot (zero when Config.DiskBudgetBytes is
 	// 0 and no artifacts have been charged).
 	Disk DiskStats
-	// Scrub is the background scrubber snapshot (zero when
+	// Scrub counts the scrub cadence's passes and degrades (zero when
 	// Config.ScrubInterval is 0).
 	Scrub ScrubberStats
 }
 
-// StorageStats snapshots the disk budget and scrubber counters.
+// StorageStats snapshots the disk budget and scrub cadence counters.
 func (s *System) StorageStats() StorageStats {
-	st := StorageStats{Disk: s.store.Budget().Stats()}
-	if s.scrubber != nil {
-		st.Scrub = s.scrubber.Stats()
-	}
-	return st
+	s.maintMu.Lock()
+	defer s.maintMu.Unlock()
+	return StorageStats{Disk: s.store.Budget().Stats(), Scrub: s.scrub.ScrubStats}
 }
 
 // benefitRank scores a view's retention benefit as recompute cost ×

@@ -162,14 +162,15 @@ type Config struct {
 	// byte-identical either way; the knob exists for the differential
 	// suite and for allocation-profiling comparisons.
 	DisablePooling bool
-	// ScrubInterval enables the background view scrubber (DESIGN.md
-	// §15) with this *virtual-time* cadence: whenever at least this
-	// much simulated time has elapsed since the last pass, the next
-	// statement completion triggers a full checksum re-verification of
+	// ScrubInterval enables periodic view scrubbing (DESIGN.md §15)
+	// with this *virtual-time* cadence: whenever at least this much
+	// simulated time has elapsed since the last pass, the next
+	// statement completion runs a full checksum re-verification of
 	// every materialized view (quarantining corrupt records for
-	// symbolic repair). Under admission-control saturation the cadence
-	// degrades (doubles, bounded at 8×) instead of competing with
-	// queries. 0 disables the scrubber; System.Scrub always works.
+	// symbolic repair) before it returns. While another admitted
+	// statement is still running the cadence degrades (doubles,
+	// bounded at 8×) instead of waiting for it. 0 disables scrubbing;
+	// System.Scrub always works.
 	ScrubInterval time.Duration
 	// DiskBudgetBytes caps the total on-disk bytes of every durable
 	// artifact — view logs, ingest watermark and checkpoint logs
@@ -181,11 +182,12 @@ type Config struct {
 	// through the ordinary optimizer path on the next query that needs
 	// them. 0 means unlimited (usage still tracked; see StorageStats).
 	DiskBudgetBytes int64
-	// EvictInterval enables the background evictor with this
-	// *virtual-time* cadence: whenever the disk budget sits above its
-	// high-water mark (90%), the next due pass reclaims down to 70%,
-	// smoothing disk pressure out of the append hot path. 0 disables
-	// background eviction; the synchronous evict-retry path still runs.
+	// EvictInterval enables periodic high-water eviction with this
+	// *virtual-time* cadence, due and degraded like ScrubInterval:
+	// whenever the disk budget sits above its high-water mark (90%),
+	// the next due pass reclaims down to 70%, smoothing disk pressure
+	// out of the append hot path. 0 disables periodic eviction; the
+	// synchronous evict-retry path still runs.
 	EvictInterval time.Duration
 }
 
@@ -246,12 +248,14 @@ type System struct {
 	// domain, which charges the engine's own clock and holds the
 	// engine-wide injector.
 	root *Session
-	// scrubber is the background view-verification loop; nil when
-	// Config.ScrubInterval is 0.
-	scrubber *storage.Scrubber
-	// evictor is the background disk-pressure reclaim loop; nil when
-	// Config.EvictInterval is 0.
-	evictor *storage.Scrubber
+	// maintMu orders the statement epilogue's due checks (maintain).
+	maintMu sync.Mutex
+	// scrub is the view-verification cadence (Config.ScrubInterval).
+	// guarded by maintMu.
+	scrub storage.Cadence
+	// evict is the high-water reclaim cadence (Config.EvictInterval).
+	// guarded by maintMu.
+	evict storage.Cadence
 
 	// qmu is the lifecycle lock: every executing statement holds it
 	// for reading, Close takes it for writing to drain in-flight
@@ -342,44 +346,10 @@ func Open(cfg Config) (*System, error) {
 			QueueTimeout:  cfg.QueueTimeout,
 		})
 	}
-	if cfg.ScrubInterval > 0 {
-		// The scrubber runs on the engine's virtual clock: statement
-		// completions nudge it (Session.ExecStmt), it checks whether a full
-		// cadence has elapsed, and a due pass quiesces statements
-		// (qmu writer) before re-verifying every view.
-		s.scrubber = storage.NewScrubber(storage.ScrubConfig{
-			Interval: cfg.ScrubInterval,
-			Now:      s.clock().Total,
-			Busy:     s.ctl.Busy,
-			Pass: func() {
-				s.qmu.Lock()
-				defer s.qmu.Unlock()
-				if s.closed {
-					return
-				}
-				s.scrubPassLocked()
-			},
-		})
-	}
-	if cfg.EvictInterval > 0 {
-		// The background evictor reuses the scrubber chassis: virtual
-		// cadence, statement-completion nudges, busy-aware degradation.
-		// Its pass quiesces statements so an eviction never races an
-		// executing query's view snapshot.
-		s.evictor = storage.NewScrubber(storage.ScrubConfig{
-			Interval: cfg.EvictInterval,
-			Now:      s.clock().Total,
-			Busy:     s.ctl.Busy,
-			Pass: func() {
-				s.qmu.Lock()
-				defer s.qmu.Unlock()
-				if s.closed {
-					return
-				}
-				s.store.ReclaimOverHighWater()
-			},
-		})
-	}
+	// Both cadences anchor their first deadline here, at Open; the
+	// statement epilogue (maintain) runs their passes.
+	s.scrub = storage.NewCadence(cfg.ScrubInterval, s.clock().Total())
+	s.evict = storage.NewCadence(cfg.EvictInterval, s.clock().Total())
 	return s, nil
 }
 
@@ -395,15 +365,6 @@ func (s *System) Close() error {
 		// deltas are statements and run to completion like any other.
 		err := s.closeStreams()
 		s.markClosed()
-		// The scrubber stops after markClosed so an in-flight pass
-		// either finished before the flag flipped or sees closed and
-		// returns; its goroutine is joined before storage goes away.
-		if s.scrubber != nil {
-			s.scrubber.Close()
-		}
-		if s.evictor != nil {
-			s.evictor.Close()
-		}
 		if serr := s.store.Close(); err == nil {
 			err = serr
 		}

@@ -103,11 +103,16 @@ func TestEvictChaosMatrix(t *testing.T) {
 }
 
 // TestSessionStatementsDriveEvictor: with the disk budget sized so the
-// session's views end above the 90% high-water mark, the background
-// evictor — nudged by Session statements alone — must run and reclaim
-// below it. (Regression: only System.ExecStmt nudged.)
+// session's views end above the 90% high-water mark, the evict cadence
+// — advanced by Session statements alone — must run and reclaim below
+// it. Each of the three statements makes a pass due; only the third
+// ends above high water, and its pass evicts the lower-benefit YoloTiny
+// view, which brings usage under the 70% target. (Regression: only
+// System.ExecStmt nudged.)
 func TestSessionStatementsDriveEvictor(t *testing.T) {
-	used := sessionOnlySystem(t, Config{DiskBudgetBytes: 1 << 40}).StorageStats().Disk.UsedBytes
+	const yolo = "udf_video_yolotiny_frame"
+	roomy := sessionOnlySystem(t, Config{DiskBudgetBytes: 1 << 40})
+	used := roomy.StorageStats().Disk.UsedBytes
 	if used == 0 {
 		t.Fatal("roomy run charged no durable bytes")
 	}
@@ -115,12 +120,18 @@ func TestSessionStatementsDriveEvictor(t *testing.T) {
 	// eviction), and the finished session sits above high water.
 	limit := used * 100 / 95
 	sys := sessionOnlySystem(t, Config{DiskBudgetBytes: limit, EvictInterval: time.Millisecond})
-	awaitBackground(t, "background reclaim below high water after session statements", func() bool {
-		return sys.evictor.Stats().Passes >= 1 && sys.StorageStats().Disk.UsedBytes <= limit/10*9
-	})
-	// The ledger shrinks inside the eviction and the counter moves after
-	// it, so the count may trail the bytes by a moment.
-	awaitBackground(t, "the reclaim being counted as a view eviction", func() bool {
-		return sys.StorageStats().Disk.Evictions > 0
-	})
+	sys.maintMu.Lock()
+	ev := sys.evict.ScrubStats
+	sys.maintMu.Unlock()
+	if ev != (ScrubberStats{Passes: 3}) {
+		t.Errorf("evict cadence after three session statements = %+v, want 3 passes", ev)
+	}
+	st := sys.StorageStats().Disk
+	if st.Evictions != 1 || sys.ViewRows()[yolo] != 0 {
+		t.Fatalf("evictions = %d, %s rows = %d: want the one YoloTiny view evicted", st.Evictions, yolo, sys.ViewRows()[yolo])
+	}
+	want := used - roomy.store.View(yolo).Footprint() + sys.store.View(yolo).Footprint()
+	if st.UsedBytes != want || st.UsedBytes > limit/10*7 {
+		t.Errorf("used bytes after the reclaim = %d, want %d (at most 70%% of %d)", st.UsedBytes, want, limit)
+	}
 }

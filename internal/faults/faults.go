@@ -514,8 +514,8 @@ const (
 	// downstream notification of a completed alert window.
 	SiteIngestNotifyPrefix = "ingest:notify:"
 	// SiteViewScrubPrefix opens the scrub-pass-site family of
-	// materialized views ("view:scrub:<view>"): the background
-	// scrubber's full checksum re-verification of a view log.
+	// materialized views ("view:scrub:<view>"): a scrub pass's full
+	// checksum re-verification of a view log.
 	SiteViewScrubPrefix = "view:scrub:"
 	// SiteViewRepairPrefix opens the repair-site family of materialized
 	// views ("view:repair:<view>"): the symbolic recomputation of a

@@ -106,17 +106,18 @@ func (c *Controller) SetWedgeGuard(after func(time.Duration) <-chan time.Time) {
 	c.after = after
 }
 
-// Busy reports whether every concurrency token is in use — the
-// saturation signal background maintenance (the view scrubber) checks
-// so it degrades its cadence instead of competing with admitted
-// queries. A nil controller is never busy.
+// Busy reports whether any admitted query holds a concurrency token.
+// The statement epilogue checks it once its own statement has released
+// its token: a due scrub or evict pass quiesces every statement, so
+// while another one runs the pass degrades its cadence instead of
+// waiting for it. A nil controller is never busy.
 func (c *Controller) Busy() bool {
 	if c == nil {
 		return false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.inUse >= c.cfg.MaxConcurrent
+	return c.inUse > 0
 }
 
 // Grant is one admitted query's concurrency token. Release it exactly

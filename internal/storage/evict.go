@@ -176,7 +176,7 @@ func (e *Engine) Reclaim(need int64, exclude string) int64 {
 	return freed
 }
 
-// ReclaimOverHighWater is the background evictor's pass: when the
+// ReclaimOverHighWater is the periodic eviction pass: when the
 // budget sits above 90% full it reclaims down to 70%, smoothing disk
 // pressure out of the append hot path. No-op when unbudgeted or under
 // the high-water mark.

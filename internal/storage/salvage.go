@@ -186,7 +186,7 @@ type ScrubResult struct {
 	Err string
 }
 
-// Verify is the scrubber's full re-verification of the view log: it
+// Verify is a scrub pass's full re-verification of the view log: it
 // re-reads the file and re-hashes every record, catching bitrot that
 // landed after the open verified the log. On corruption the view's
 // in-memory state is atomically replaced with the salvaged state

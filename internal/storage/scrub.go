@@ -2,10 +2,7 @@ package storage
 
 import (
 	"sort"
-	"sync"
 	"time"
-
-	"eva/internal/server"
 )
 
 // VerifyViews runs one full scrub pass: every open view is re-read
@@ -33,143 +30,53 @@ func (e *Engine) VerifyViews() []ScrubResult {
 	return out
 }
 
-// ScrubConfig configures the background scrubber. All time is virtual:
-// Now is the system's virtual clock and Interval a virtual-time
-// cadence, so scrub scheduling is deterministic and replayable like
-// everything else in the engine (no wall clock anywhere).
-type ScrubConfig struct {
-	// Interval is the base virtual-time cadence between passes.
-	Interval time.Duration
-	// Now reads the virtual clock.
-	Now func() time.Duration
-	// Busy reports whether the serving layer is saturated; a due pass
-	// observed busy degrades (cadence doubles, bounded) instead of
-	// stealing cycles from queries — degrade-before-shed, scrubs are
-	// never dropped outright.
-	Busy func() bool
-	// Pass runs one scrub pass. The caller owns locking: the eva layer
-	// passes a closure that quiesces statement execution, verifies
-	// every view, and hands detections to symbolic repair.
-	Pass func()
-}
-
-// ScrubStats counts a scrubber's lifetime activity.
+// ScrubStats counts a maintenance cadence's lifetime due checks.
 type ScrubStats struct {
-	// Passes is the number of completed scrub passes.
+	// Passes is the number of due checks that ran a pass.
 	Passes int
 	// Degraded counts due passes deferred because the system was busy.
 	Degraded int
-	// CompactBytesFreed totals the log bytes reclaimed by compactions
-	// run on the scrub/repair pipeline's behalf (see AddFreed).
-	CompactBytesFreed int64
 }
 
-// maxDegradeFactor bounds how far a busy system can stretch the scrub
-// cadence: at most 8× the base interval, so scrubbing degrades under
+// maxDegradeFactor bounds how far a busy system can stretch a
+// cadence: at most 8× the base interval, so maintenance degrades under
 // load but is never starved forever.
 const maxDegradeFactor = 8
 
-// Scrubber drives periodic view verification off the virtual clock.
-// It owns one tracked goroutine (server.Group — shutdown can prove it
-// exited) that sleeps on a channel, not a timer: the virtual clock
-// only advances when queries run, so the scrubber is woken by Nudge
-// after each statement, checks whether a pass is due, and otherwise
-// parks. An idle system neither scrubs nor spins.
-type Scrubber struct {
-	cfg  ScrubConfig
-	g    server.Group
-	wake chan struct{}
-	quit chan struct{}
-
-	statMu sync.Mutex
-	stats  ScrubStats
+// Cadence decides when a periodic maintenance pass (the view scrub,
+// the high-water eviction) is due on the virtual clock. It is a pure
+// value: the owner asks Due at each statement boundary and runs the
+// pass itself, so how many passes run is a function of the statement
+// sequence alone. A cadence with a non-positive interval is never due.
+type Cadence struct {
+	base, cur, next time.Duration
+	ScrubStats
 }
 
-// NewScrubber starts the background scrubber. cfg.Interval must be
-// positive and Now/Pass non-nil; Busy may be nil (never busy).
-func NewScrubber(cfg ScrubConfig) *Scrubber {
-	if cfg.Busy == nil {
-		cfg.Busy = func() bool { return false }
+// NewCadence returns a cadence of the given base interval whose first
+// deadline is anchored at now.
+func NewCadence(interval, now time.Duration) Cadence {
+	return Cadence{base: interval, cur: interval, next: now + interval}
+}
+
+// Due reports whether a pass should run now. Before the deadline a
+// check is free. A due check while busy degrades before it sheds: the
+// interval doubles (up to 8× base) and the pass is deferred, never
+// dropped. Otherwise the interval resets to base and the pass is due.
+func (c *Cadence) Due(now time.Duration, busy bool) bool {
+	if c.base <= 0 || now < c.next {
+		return false
 	}
-	s := &Scrubber{
-		cfg:  cfg,
-		wake: make(chan struct{}, 1),
-		quit: make(chan struct{}),
-	}
-	// Anchor the first deadline before the goroutine starts so the
-	// cadence is measured from construction, not from whenever the
-	// scheduler first runs the loop.
-	next := cfg.Now() + cfg.Interval
-	s.g.Go(func() { s.loop(next) })
-	return s
-}
-
-// Nudge signals the scrubber that virtual time may have advanced
-// (e.g. a statement just finished). Non-blocking and cheap; redundant
-// nudges coalesce in the 1-slot channel.
-func (s *Scrubber) Nudge() {
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
-}
-
-// Stats returns a snapshot of the scrubber's activity counters.
-func (s *Scrubber) Stats() ScrubStats {
-	s.statMu.Lock()
-	defer s.statMu.Unlock()
-	return s.stats
-}
-
-// AddFreed credits n bytes reclaimed by a compaction run on the
-// scrub/repair pipeline's behalf (System.Repair compacts healed logs;
-// the eva layer reports the CompactResult delta here). Nil-safe so
-// callers need not special-case a disabled scrubber.
-func (s *Scrubber) AddFreed(n int64) {
-	if s == nil || n <= 0 {
-		return
-	}
-	s.statMu.Lock()
-	defer s.statMu.Unlock()
-	s.stats.CompactBytesFreed += n
-}
-
-// Close stops the scrubber and waits for its goroutine to exit.
-// Idempotent-unsafe: call exactly once (the owning System's Close
-// already runs under a once).
-func (s *Scrubber) Close() {
-	close(s.quit)
-	s.g.Wait()
-}
-
-func (s *Scrubber) loop(next time.Duration) {
-	interval := s.cfg.Interval
-	for {
-		select {
-		case <-s.quit:
-			return
-		case <-s.wake:
+	if busy {
+		if c.cur < maxDegradeFactor*c.base {
+			c.cur *= 2
 		}
-		if s.cfg.Now() < next {
-			continue
-		}
-		if s.cfg.Busy() {
-			// Degrade before shedding: back the cadence off (bounded)
-			// and try again; the pass is deferred, never dropped.
-			if interval < maxDegradeFactor*s.cfg.Interval {
-				interval *= 2
-			}
-			next = s.cfg.Now() + interval
-			s.statMu.Lock()
-			s.stats.Degraded++
-			s.statMu.Unlock()
-			continue
-		}
-		interval = s.cfg.Interval
-		s.cfg.Pass()
-		next = s.cfg.Now() + interval
-		s.statMu.Lock()
-		s.stats.Passes++
-		s.statMu.Unlock()
+		c.next = now + c.cur
+		c.Degraded++
+		return false
 	}
+	c.cur = c.base
+	c.next = now + c.cur
+	c.Passes++
+	return true
 }

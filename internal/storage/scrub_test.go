@@ -3,9 +3,7 @@ package storage
 import (
 	"bytes"
 	"os"
-	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -249,170 +247,63 @@ func TestVerifyViewsAggregates(t *testing.T) {
 	}
 }
 
-// virtualClock is a test stand-in for the engine's simulated clock.
-type virtualClock struct {
-	mu  sync.Mutex
-	now time.Duration
-}
-
-func (c *virtualClock) Now() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *virtualClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.now += d
-	c.mu.Unlock()
-}
-
-// waitStats polls the scrubber until cond holds or the deadline hits —
-// the scrubber goroutine consumes nudges asynchronously.
-func waitStats(t *testing.T, s *Scrubber, cond func(ScrubStats) bool) ScrubStats {
+// checkDue asks c whether a pass is due at now and fails unless the
+// answer and the counters afterwards are the ones given.
+func checkDue(t *testing.T, c *Cadence, now time.Duration, busy, due bool, want ScrubStats) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := s.Stats()
-		if cond(st) {
-			return st
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("scrubber stats stuck at %+v", st)
-		}
-		time.Sleep(time.Millisecond)
+	if got := c.Due(now, busy); got != due {
+		t.Fatalf("Due(%v, busy=%v) = %v, want %v", now, busy, got, due)
+	}
+	if c.ScrubStats != want {
+		t.Fatalf("after Due(%v, busy=%v): %+v, want %+v", now, busy, c.ScrubStats, want)
 	}
 }
 
 // TestScrubberCadence: passes fire only when the virtual-time interval
-// has elapsed; nudges before the deadline are free.
+// has elapsed; checks before the deadline are free.
 func TestScrubberCadence(t *testing.T) {
-	clk := &virtualClock{}
-	var mu sync.Mutex
-	passes := 0
-	s := NewScrubber(ScrubConfig{
-		Interval: 100 * time.Millisecond,
-		Now:      clk.Now,
-		Pass: func() {
-			mu.Lock()
-			passes++
-			mu.Unlock()
-		},
-	})
-	defer s.Close()
-
-	// Not due yet: nudges do nothing.
-	clk.Advance(50 * time.Millisecond)
-	s.Nudge()
-	s.Nudge()
-	time.Sleep(10 * time.Millisecond)
-	if st := s.Stats(); st.Passes != 0 {
-		t.Fatalf("premature pass: %+v", st)
-	}
-	// Crossing the interval triggers exactly one pass per cadence.
-	clk.Advance(60 * time.Millisecond)
-	s.Nudge()
-	waitStats(t, s, func(st ScrubStats) bool { return st.Passes == 1 })
-	s.Nudge() // still inside the next interval
-	time.Sleep(10 * time.Millisecond)
-	if st := s.Stats(); st.Passes != 1 {
-		t.Fatalf("extra pass inside interval: %+v", st)
-	}
-	clk.Advance(110 * time.Millisecond)
-	s.Nudge()
-	waitStats(t, s, func(st ScrubStats) bool { return st.Passes == 2 })
-	mu.Lock()
-	defer mu.Unlock()
-	if passes != 2 {
-		t.Fatalf("pass closure ran %d times, want 2", passes)
-	}
+	ms := time.Millisecond
+	c := NewCadence(100*ms, 0)
+	// Not due yet: checks do nothing.
+	checkDue(t, &c, 50*ms, false, false, ScrubStats{})
+	checkDue(t, &c, 50*ms, false, false, ScrubStats{})
+	// Crossing the interval makes exactly one pass due per cadence.
+	checkDue(t, &c, 110*ms, false, true, ScrubStats{Passes: 1})
+	checkDue(t, &c, 110*ms, false, false, ScrubStats{Passes: 1}) // inside the next interval
+	checkDue(t, &c, 220*ms, false, true, ScrubStats{Passes: 2})
+	// A non-positive interval is never due.
+	off := NewCadence(0, 0)
+	checkDue(t, &off, time.Hour, false, false, ScrubStats{})
 }
 
 // TestScrubberDegradeBeforeShed: a due pass under saturation defers
 // with a doubled (bounded) cadence instead of running — and the
-// deferred pass still runs once the system goes quiet.
+// deferred pass still runs once the system goes quiet, resetting the
+// cadence to its base interval.
 func TestScrubberDegradeBeforeShed(t *testing.T) {
-	clk := &virtualClock{}
-	var mu sync.Mutex
-	busy := true
-	s := NewScrubber(ScrubConfig{
-		Interval: 100 * time.Millisecond,
-		Now:      clk.Now,
-		Busy: func() bool {
-			mu.Lock()
-			defer mu.Unlock()
-			return busy
-		},
-		Pass: func() {},
-	})
-	defer s.Close()
-
-	clk.Advance(150 * time.Millisecond)
-	s.Nudge()
-	st := waitStats(t, s, func(st ScrubStats) bool { return st.Degraded == 1 })
-	if st.Passes != 0 {
-		t.Fatalf("busy system still scrubbed: %+v", st)
-	}
+	ms := time.Millisecond
+	c := NewCadence(100*ms, 0)
+	checkDue(t, &c, 150*ms, true, false, ScrubStats{Degraded: 1})
 	// The degraded cadence doubled to 200ms: +150ms is not yet due.
-	clk.Advance(150 * time.Millisecond)
-	s.Nudge()
-	time.Sleep(10 * time.Millisecond)
-	if st := s.Stats(); st.Degraded != 1 || st.Passes != 0 {
-		t.Fatalf("degraded cadence not doubled: %+v", st)
-	}
+	checkDue(t, &c, 300*ms, true, false, ScrubStats{Degraded: 1})
 	// Quiet again: the overdue pass runs and the cadence resets.
-	mu.Lock()
-	busy = false
-	mu.Unlock()
-	clk.Advance(100 * time.Millisecond)
-	s.Nudge()
-	waitStats(t, s, func(st ScrubStats) bool { return st.Passes == 1 })
+	checkDue(t, &c, 400*ms, false, true, ScrubStats{Passes: 1, Degraded: 1})
+	checkDue(t, &c, 499*ms, false, false, ScrubStats{Passes: 1, Degraded: 1})
+	checkDue(t, &c, 500*ms, false, true, ScrubStats{Passes: 2, Degraded: 1})
 }
 
 // TestScrubberDegradeCapped: repeated saturation cannot stretch the
 // cadence past 8× the base interval.
 func TestScrubberDegradeCapped(t *testing.T) {
-	clk := &virtualClock{}
-	s := NewScrubber(ScrubConfig{
-		Interval: 10 * time.Millisecond,
-		Now:      clk.Now,
-		Busy:     func() bool { return true },
-		Pass:     func() {},
-	})
-	defer s.Close()
+	ms := time.Millisecond
+	c := NewCadence(10*ms, 0)
+	now := time.Duration(0)
 	for i := 1; i <= 6; i++ {
-		clk.Advance(200 * time.Millisecond) // always overdue, whatever the cadence
-		s.Nudge()
-		waitStats(t, s, func(st ScrubStats) bool { return st.Degraded == i })
+		now += 200 * ms // always overdue, whatever the cadence
+		checkDue(t, &c, now, true, false, ScrubStats{Degraded: i})
 	}
 	// After the cap (8× = 80ms) an 80ms advance is still enough to be
 	// due again — if the cadence kept doubling it would not be.
-	clk.Advance(80 * time.Millisecond)
-	s.Nudge()
-	waitStats(t, s, func(st ScrubStats) bool { return st.Degraded == 7 })
-}
-
-// TestScrubberCloseJoins: Close waits for the scrubber goroutine; no
-// leak survives.
-func TestScrubberCloseJoins(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for i := 0; i < 10; i++ {
-		clk := &virtualClock{}
-		s := NewScrubber(ScrubConfig{
-			Interval: time.Millisecond,
-			Now:      clk.Now,
-			Pass:     func() {},
-		})
-		clk.Advance(time.Hour)
-		s.Nudge()
-		s.Close()
-	}
-	// Nudging a closed scrubber must not panic or block.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Errorf("goroutines leaked: %d > %d", n, before)
-	}
+	checkDue(t, &c, now+79*ms, true, false, ScrubStats{Degraded: 6})
+	checkDue(t, &c, now+80*ms, true, false, ScrubStats{Degraded: 7})
 }

@@ -176,7 +176,7 @@ func (v *View) encodeHeader() []byte {
 // resetReplayState discards the rows, the index and whatever else a
 // replay builds, so that one can start from scratch. It runs inside
 // openView before the view is published or, from eviction and the
-// scrubber's header reset, with mu held.
+// scrub pass's header reset, with mu held.
 func (v *View) resetReplayState() {
 	v.rows = viewRows{keyIdx: v.keyIdx} // lint:nolock pre-publish (openView)
 	v.index = keyIndex{}                // lint:nolock pre-publish (openView)

@@ -18,8 +18,8 @@ import (
 // (stage 1, internal/storage); this file turns a quarantine into a
 // *symbolic repair* — the survived keys shrink the UDF's aggregated
 // predicate, so the optimizer's DIFF residual re-plans exactly the
-// lost tuples — and drives the background scrubber that finds silent
-// corruption before a query does.
+// lost tuples — and runs the periodic scrub pass (System.maintain) that
+// finds silent corruption before a query does.
 
 // Re-exported storage types for inspecting self-healing state.
 type (
@@ -28,7 +28,7 @@ type (
 	Quarantine = storage.Quarantine
 	// ScrubFinding is one view's result from a scrub pass.
 	ScrubFinding = storage.ScrubResult
-	// ScrubberStats counts background scrub passes and degradations.
+	// ScrubberStats counts periodic scrub passes and degradations.
 	ScrubberStats = storage.ScrubStats
 )
 
@@ -265,7 +265,6 @@ func (s *System) Repair() (RepairReport, error) {
 				rec.Compacted = true
 				rec.CompactBytesBefore = cres.BytesBefore
 				rec.CompactBytesAfter = cres.BytesAfter
-				s.scrubber.AddFreed(cres.BytesBefore - cres.BytesAfter)
 				s.clearRepair(name)
 			}
 		}

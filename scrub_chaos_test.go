@@ -287,28 +287,23 @@ func TestRepairRecomputesInteriorHole(t *testing.T) {
 }
 
 // TestBackgroundScrubberHeals: with ScrubInterval set, corruption is
-// found by the background scrubber off the virtual clock — no explicit
-// Scrub call — and queued for repair.
+// found by the periodic scrub pass off the virtual clock — no explicit
+// Scrub call — and queued for repair by the time the statement whose
+// boundary made the pass due returns.
 func TestBackgroundScrubberHeals(t *testing.T) {
 	b := runUntroubled(t, scriptSrc(t, "groupby_agg.sql"))
 	dir := t.TempDir()
 	sys := openAt(t, Config{Dir: dir, Workers: 2, ScrubInterval: time.Nanosecond})
 	answersOf(t, sys, b.src)
 	corruptViewsAt(t, dir, "mid")
-	// Any statement completion nudges the scrubber; the virtual clock
-	// has long passed the 1ns cadence, so a pass fires asynchronously.
 	answersOf(t, sys, b.src)
-	deadline := time.Now().Add(10 * time.Second)
-	for len(sys.PendingRepairs()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("background scrubber never quarantined the corruption (stats %+v)",
-				sys.StorageStats().Scrub)
-		}
-		time.Sleep(time.Millisecond)
-		answersOf(t, sys, b.src)
+	// One pass per SELECT boundary (a LOAD charges no virtual time, so
+	// it never crosses even a 1ns cadence); the second finds the rot.
+	if st := sys.StorageStats().Scrub; st != (ScrubberStats{Passes: 2}) {
+		t.Errorf("scrub cadence = %+v, want one pass per SELECT", st)
 	}
-	if st := sys.StorageStats().Scrub; st.Passes == 0 {
-		t.Fatalf("repairs pending but no scrub pass counted: %+v", st)
+	if len(sys.PendingRepairs()) == 0 {
+		t.Fatal("the scrub pass did not queue the corruption for repair")
 	}
 	repair(t, sys)
 	b.checkHealed(t, "post-heal", sys)
@@ -334,25 +329,44 @@ func sessionOnlySystem(t *testing.T, cfg Config) *System {
 	return sys
 }
 
-// awaitBackground polls cond: background passes fire asynchronously,
-// after the nudging statement releases the lifecycle lock.
-func awaitBackground(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("%s: never happened", what)
-		}
-		time.Sleep(time.Millisecond)
+// TestSessionStatementsDriveScrubber: statements that only ever run
+// through a client Session must advance the scrub cadence like
+// System.Exec does. Each of sessionOnlySystem's three statements
+// advances the virtual clock past the 1ms interval, so each boundary
+// runs one pass. (Regression: only System.ExecStmt nudged, so a served
+// system never scrubbed.)
+func TestSessionStatementsDriveScrubber(t *testing.T) {
+	sys := sessionOnlySystem(t, Config{ScrubInterval: time.Millisecond})
+	if st := sys.StorageStats().Scrub; st != (ScrubberStats{Passes: 3}) {
+		t.Fatalf("scrub cadence after three session statements = %+v, want 3 passes", st)
 	}
 }
 
-// TestSessionStatementsDriveScrubber: statements that only ever run
-// through a client Session must advance the background scrubber's
-// cadence like System.Exec does. (Regression: only System.ExecStmt
-// nudged, so a served system never scrubbed.)
-func TestSessionStatementsDriveScrubber(t *testing.T) {
-	sys := sessionOnlySystem(t, Config{ScrubInterval: time.Millisecond})
-	awaitBackground(t, "scrub pass after session statements",
-		func() bool { return sys.StorageStats().Scrub.Passes >= 1 })
+// TestScrubDegradesAtBoundary: the degrade is decided at the statement
+// boundary. A client statement parked in a blocking UDF holds one of
+// two tokens, so the root statement that makes a pass due defers it
+// rather than wait for the client; the client's own boundary then runs
+// the deferred pass.
+func TestScrubDegradesAtBoundary(t *testing.T) {
+	sys := openLoaded(t, Config{MaxConcurrent: 2, ScrubInterval: time.Millisecond})
+	started, release := blockingUDF(t, sys)
+	done := make(chan error, 1)
+	go func() {
+		_, err := sys.NewSession().Exec(gateQuery)
+		done <- err
+	}()
+	<-started
+	if _, err := sys.Exec(`SELECT id, label FROM video CROSS APPLY YoloTiny(frame) WHERE id < 20`); err != nil {
+		t.Fatal(err)
+	}
+	if st := sys.StorageStats().Scrub; st != (ScrubberStats{Degraded: 1}) {
+		t.Errorf("scrub cadence after the root statement = %+v, want one degrade", st)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if st := sys.StorageStats().Scrub; st != (ScrubberStats{Passes: 1, Degraded: 1}) {
+		t.Errorf("scrub cadence after the client statement = %+v, want the deferred pass", st)
+	}
 }

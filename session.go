@@ -100,7 +100,8 @@ func (sess *Session) ExecScript(sql string) (*Result, error) {
 // without executing. Execution is charged to the session clock, whose
 // per-statement total feeds the admission clock and is folded into the
 // System's global clock (sums commute, so the global totals are
-// schedule-independent).
+// schedule-independent). A statement that ran, failed or not, ends in
+// the maintenance epilogue (maintain).
 func (sess *Session) ExecStmt(stmt parser.Statement) (*Result, error) {
 	sess.mu.Lock()
 	closed := sess.closed
@@ -110,12 +111,13 @@ func (sess *Session) ExecStmt(stmt parser.Statement) (*Result, error) {
 	}
 	s := sess.sys
 	s.qmu.RLock()
-	defer s.qmu.RUnlock()
 	if s.closed {
+		s.qmu.RUnlock()
 		return nil, ErrClosed
 	}
 	g, err := s.ctl.Admit()
 	if err != nil {
+		s.qmu.RUnlock()
 		return nil, err
 	}
 	start := time.Now()
@@ -129,26 +131,50 @@ func (sess *Session) ExecStmt(stmt parser.Statement) (*Result, error) {
 		// its own breakdown back in would count every statement twice.
 		s.mergeBreakdown(bd)
 	}
-	// Virtual time just advanced; let the background loops check
-	// whether a pass is due (non-blocking — the pass itself waits for
-	// qmu, which this statement still holds for reading, so it can only
-	// start once in-flight statements drain).
-	if s.scrubber != nil {
-		s.scrubber.Nudge()
-	}
-	if s.evictor != nil {
-		s.evictor.Nudge()
-	}
+	s.qmu.RUnlock()
 	if err != nil {
-		return nil, err
+		res = nil
+	} else {
+		if res == nil {
+			res = &Result{}
+		}
+		res.Breakdown = bd
+		res.SimTime = bd.Total()
+		res.WallTime = time.Since(start)
 	}
-	if res == nil {
-		res = &Result{}
+	s.maintain()
+	return res, err
+}
+
+// maintain is the statement epilogue: virtual time just advanced, so
+// it asks the scrub and evict cadences whether a pass is due and runs
+// the due passes here, on the statement's goroutine, after its result
+// is complete. A pass quiesces statements (qmu writer), so while
+// another admitted statement is running the cadences degrade instead
+// of waiting for it (server.Controller.Busy).
+func (s *System) maintain() {
+	if s.cfg.ScrubInterval <= 0 && s.cfg.EvictInterval <= 0 {
+		return
 	}
-	res.Breakdown = bd
-	res.SimTime = bd.Total()
-	res.WallTime = time.Since(start)
-	return res, nil
+	s.maintMu.Lock()
+	now, busy := s.clock().Total(), s.ctl.Busy()
+	scrub := s.scrub.Due(now, busy)
+	evict := s.evict.Due(now, busy)
+	s.maintMu.Unlock()
+	if !scrub && !evict {
+		return
+	}
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
+	if s.closed {
+		return
+	}
+	if scrub {
+		s.scrubPassLocked()
+	}
+	if evict {
+		s.store.ReclaimOverHighWater()
+	}
 }
 
 // Select executes one SELECT as a statement of this session and

@@ -184,8 +184,12 @@ func TestStreamSessionPolicies(t *testing.T) {
 			if err := ingestSessionStream(stream); err != nil {
 				t.Fatal(err)
 			}
-			awaitBackground(t, "scrub pass after standing-query deltas",
-				func() bool { return sys.StorageStats().Scrub.Passes >= 1 })
+			// Every delta advances the clock past the 1ms cadence, so
+			// each delta's boundary runs one pass.
+			want := ScrubberStats{Passes: int(stream.Stats().Increments)}
+			if st := sys.StorageStats().Scrub; st != want || want.Passes == 0 {
+				t.Errorf("scrub cadence after the deltas = %+v, want %+v", st, want)
+			}
 		}},
 	}
 	for _, tc := range cases {
