@@ -123,12 +123,16 @@ cover:
 # records cost the snapshot, never the open); and the frame scanner
 # under every durable log (no panic, holes ascending and disjoint inside
 # the valid prefix, every record re-seals to its own bytes, the accepted
-# prefix is a fixed point).
+# prefix is a fixed point); and the ordered probe against the key index
+# (the same hits, (chunk, row) pairs and hashes after appends from
+# interleaved writers, replay, eviction, compaction and salvage, on
+# chunks of a few rows).
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzReduce -fuzztime=5s ./internal/symbolic/
 	$(GO) test -run=^$$ -fuzz=FuzzDNFCodec -fuzztime=5s ./internal/symbolic/
 	$(GO) test -run=^$$ -fuzz=FuzzViewReplay -fuzztime=5s ./internal/storage/
 	$(GO) test -run=^$$ -fuzz=FuzzFrameScan -fuzztime=5s ./internal/storage/
+	$(GO) test -run=^$$ -fuzz=FuzzMergeMatchesProbe -fuzztime=5s ./internal/storage/
 	$(GO) test -run=^$$ -fuzz=FuzzProgramMatchesEval -fuzztime=5s ./internal/expr/
 	$(GO) test -run=^$$ -fuzz=FuzzSiteMatch -fuzztime=5s ./internal/faults/
 	$(GO) test -run=^$$ -fuzz=FuzzBatchPoolLifecycle -fuzztime=5s ./internal/types/

@@ -2,11 +2,13 @@ package exec
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"eva/internal/plan"
 	"eva/internal/server"
 	"eva/internal/storage"
+	"eva/internal/types"
 	"eva/internal/udf"
 	"eva/internal/vision"
 )
@@ -165,13 +167,69 @@ func TestChargeStagedWalksEachRowOnce(t *testing.T) {
 	}
 }
 
-// TestKeyHashIsDemandHash: the apply operator hashes a key once and
-// uses the value both as the view index's KeyHash and as the demand
-// set's DemandHash, so the two must be one function.
+// TestKeyHashIsDemandHash: a row a view serves is demanded by the key
+// hash the view filed for it, and a row no view serves by the hash of its
+// encoded key, so every stored row's hash must be the DemandHash of its
+// encoded key — after the append that stored it and after a replay
+// rebuilt it, for a detector's view (id) and a classifier's (bbox, id).
 func TestKeyHashIsDemandHash(t *testing.T) {
-	for _, key := range [][]byte{nil, {0}, []byte("a longer encoded key, past one xxhash stripe of 32 bytes")} {
-		if storage.KeyHash(key) != udf.DemandHash(key) {
-			t.Errorf("KeyHash(%q) != DemandHash", key)
+	schema := types.Schema{{Name: "id", Kind: types.KindInt}, {Name: "label", Kind: types.KindString}, {Name: "bbox", Kind: types.KindString}}
+	views := []struct {
+		name string
+		key  []string
+	}{{"det", []string{"id"}}, {"cls", []string{"bbox", "id"}}}
+	dir := t.TempDir()
+	check := func(step string) {
+		t.Helper()
+		eng, err := storage.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		for _, vw := range views {
+			v, err := eng.CreateView(vw.name, schema, vw.key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.Rows() == 0 {
+				rows := types.NewBatch(schema)
+				for id := int64(0); id < 40; id++ {
+					for j := int64(0); j < id%3; j++ {
+						// A detector's bbox text: with the id, a key past
+						// one 32-byte xxhash stripe, as stored keys are.
+						bbox := fmt.Sprintf("%.2f,%.2f,%.2f,%.2f", 123.45+float64(id), 67.89+float64(j), 234.56+float64(id), 178.9+float64(j))
+						rows.MustAppendRow(types.NewInt(id), types.NewString("car"), types.NewString(bbox))
+					}
+				}
+				var zero [][]types.Datum // a frame without detections, for the detector
+				if len(vw.key) == 1 {
+					zero = append(zero, []types.Datum{types.NewInt(40)})
+				}
+				if _, err := v.Append(rows, zero); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var keyIdx []int
+			for _, kc := range vw.key {
+				keyIdx = append(keyIdx, schema.IndexOf(kc))
+			}
+			scan, hashes := v.Scan(), v.KeyHashes()
+			if scan.Len() == 0 || len(hashes) != scan.Len() {
+				t.Fatalf("%s %s: %d rows, %d hashes", step, vw.name, scan.Len(), len(hashes))
+			}
+			longest := 0
+			for r, h := range hashes {
+				key := storage.AppendRowKey(nil, scan, r, keyIdx)
+				longest = max(longest, len(key))
+				if want := udf.DemandHash(key); h != want {
+					t.Errorf("%s %s: row %d filed hash %x, DemandHash of its key %x", step, vw.name, r, h, want)
+				}
+			}
+			if len(vw.key) == 2 && longest <= 32 {
+				t.Fatalf("%s: longest key %d bytes, want keys past one 32-byte stripe", vw.name, longest)
+			}
 		}
 	}
+	check("after append")
+	check("after replay")
 }

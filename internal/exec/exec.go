@@ -434,7 +434,8 @@ type applyIter struct {
 	rowSeq uint64 // serial per-query sequence assigning call identities
 
 	pendingRows *types.Batch    // buffered fresh results for the store view
-	pendingKeys [][]types.Datum // buffered processed keys
+	pendingKeys [][]types.Datum // buffered processed keys, cut from keyArena
+	keyArena    []types.Datum   // backs pendingKeys; reused from flush to flush
 	seenPending storage.KeySet  // keys already buffered this query
 
 	claimed    []string // store-view keys this batch holds claims on
@@ -446,9 +447,11 @@ type applyIter struct {
 	// and kept, so the probe, eval and assemble loops allocate nothing
 	// in steady state.
 	decisions []rowDecision
-	keys      []byte         // the batch's encoded keys, back to back
-	keyOffs   []int          // row r's key is keys[keyOffs[r]:keyOffs[r+1]]
-	demand    []uint64       // storage.KeyHash (= udf.DemandHash) of each row's key
+	// pk is the batch's probe keys: Hashes[r] is the view key hash (=
+	// udf.DemandHash) of row r's key — the stored one for a row a view
+	// served by the ordered merge — and the rows no view serves are
+	// encoded (pk.Key).
+	pk        storage.ProbeKeys
 	sel       []int          // rows no view has served yet, in row order
 	probed    storage.Probed // the batch's served rows as (chunk, row) pairs; Hits is one probe's answer
 	claimSeen storage.KeySet // dedup set of unservedKeys
@@ -682,7 +685,7 @@ func (a *applyIter) unservedKeys() []string {
 	a.claimSeen.Reset()
 	keys := a.claimBuf[:0]
 	for _, r := range a.sel {
-		if ek := a.keys[a.keyOffs[r]:a.keyOffs[r+1]]; a.claimSeen.Add(a.demand[r], ek) {
+		if ek := a.pk.Key(r); a.claimSeen.Add(a.pk.Hashes[r], ek) {
 			keys = append(keys, string(ek))
 		}
 	}
@@ -722,13 +725,15 @@ func (a *applyIter) chargeStaged() error {
 }
 
 // probePhase is the reuse arm: the LEFT OUTER JOIN of the input batch
-// with the materialized views (Fig. 4), run batch at a time. It encodes
-// every row's key once, probes each view once for the rows the views
-// before it left unserved, falls back to the fuzzy index, and settles
-// demand, reuse and virtual-clock accounting in one call each. Rows no
-// view can serve stay in a.sel, queued for evaluation with their call
-// identities assigned. The accounting is a set of sums, so it equals
-// what a row-at-a-time probe would have charged.
+// with the materialized views (Fig. 4), run batch at a time. It probes
+// each view once for the rows the views before it left unserved — an
+// ordered merge when the batch's ids never decrease, which reads no key
+// bytes (storage.View.Probe) — encodes the keys of the rows left, falls
+// back to the fuzzy index, and settles demand, reuse and virtual-clock
+// accounting in one call each. Rows no view can serve stay in a.sel,
+// queued for evaluation with their call identities assigned. The
+// accounting is a set of sums, so it equals what a row-at-a-time probe
+// would have charged.
 // lint:hotpath apply probe loops must not allocate per row
 func (a *applyIter) probePhase(b *types.Batch) []rowDecision {
 	n := b.Len()
@@ -739,33 +744,25 @@ func (a *applyIter) probePhase(b *types.Batch) []rowDecision {
 		// wider batch.
 		c := max(n, 2*cap(a.decisions))
 		a.decisions = make([]rowDecision, c)
-		a.keyOffs = make([]int, c+1)
-		a.demand = make([]uint64, c)
 		a.sel = make([]int, c)
 	}
 	decisions := a.decisions[:n]
 	a.sel = a.sel[:n]
-	a.keys = a.keys[:0]
 	a.probed.Srcs, a.probed.Rows = a.probed.Srcs[:0], a.probed.Rows[:0]
 	for r := 0; r < n; r++ {
 		decisions[r] = rowDecision{}
 		a.sel[r] = r
-		a.keyOffs[r] = len(a.keys)
-		a.keys = storage.AppendRowKey(a.keys, b, r, a.keyIdx)
-		a.demand[r] = storage.KeyHash(a.keys[a.keyOffs[r]:])
-		if r == 0 {
-			// Keys of one batch are near-uniform in size: reserve the
-			// rest from the first instead of doubling up to it.
-			a.keys = slices.Grow(a.keys, (n-1)*(len(a.keys)+8))
-		}
 	}
-	a.keyOffs[n] = len(a.keys)
+	a.pk.Reset(b, a.keyIdx)
 
 	reused := a.probeViewsSel(decisions)
+	// Claims, staging and zero-row keys need the bytes of the keys left;
+	// a row the fuzzy index serves is demanded by its hash too.
+	a.pk.Encode(a.sel)
 	if len(a.fuzzy) > 0 {
 		reused += a.serveFuzzy(b, decisions)
 	}
-	a.account(a.demand[:n], n, reused)
+	a.account(a.pk.Hashes, n, reused)
 
 	// Call identities are assigned here, at a serial point in input-row
 	// order, so the injected fault schedule is a function of the row's
@@ -791,7 +788,7 @@ func (a *applyIter) probeViewsSel(decisions []rowDecision) int {
 			break
 		}
 		a.probed.Hits = a.probed.Hits[:0]
-		view.ProbeBatch(a.keys, a.keyOffs, a.demand, a.sel, &a.probed)
+		view.Probe(&a.pk, a.sel, &a.probed)
 		if len(a.probed.Hits) == 0 {
 			continue
 		}
@@ -1044,16 +1041,19 @@ func (a *applyIter) emitRow(r int, src *types.Batch, row int) {
 // stageKey reports whether input row r's n freshly computed result rows
 // are to be staged for the store view: not when the query has staged
 // its key already. A key with no rows (a frame with no detections) is
-// queued here, as a processed key, and stages nothing.
+// queued here, as a processed key cut from the flush's key arena, and
+// stages nothing.
 // lint:hotpath view staging must not allocate per already-seen key
 func (a *applyIter) stageKey(b *types.Batch, r, n int) bool {
-	if !a.seenPending.Add(a.demand[r], a.keys[a.keyOffs[r]:a.keyOffs[r+1]]) {
+	if !a.seenPending.Add(a.pk.Hashes[r], a.pk.Key(r)) {
 		return false
 	}
 	if n > 0 {
 		return true
 	}
-	key := make([]types.Datum, len(a.keyIdx))
+	at, end := len(a.keyArena), len(a.keyArena)+len(a.keyIdx)
+	a.keyArena = slices.Grow(a.keyArena, len(a.keyIdx))[:end]
+	key := a.keyArena[at:end:end]
 	for i, idx := range a.keyIdx {
 		key[i] = b.At(r, idx)
 	}
@@ -1068,7 +1068,10 @@ func (a *applyIter) flush() error {
 	rows := a.pendingRows
 	keys := a.pendingKeys
 	a.pendingRows = nil
-	a.pendingKeys = nil
+	// The view encodes the keys it keeps (storage.View.Append) and nothing
+	// stages keys while this flush runs, so the list and the arena behind
+	// it are refilled from the start by the next one.
+	a.pendingKeys, a.keyArena = keys[:0], a.keyArena[:0]
 	a.ctx.Budget.Release(a.staged)
 	a.staged, a.stagedRows = 0, 0
 	if rows == nil && len(keys) == 0 {

@@ -17,20 +17,17 @@ func forceLayout(t *testing.T, shift int, hash func([]byte) uint64) {
 	t.Cleanup(func() { chunkShift, hashKey = oldShift, oldHash })
 }
 
-// probeIDs probes v for the integer ids and returns, per id, the labels
-// of its rows in stored order (nil and false for an unprocessed id).
+// probeIDs probes v for the integer ids — through Probe, checked
+// against the key index (probeBoth) — and returns, per id, the labels of
+// its rows in stored order (nil and false for an unprocessed id).
 func probeIDs(t *testing.T, v *View, ids ...int64) (labels [][]string, found []bool) {
 	t.Helper()
-	var keys []byte
-	offs, sel := []int{0}, []int{}
-	var hashes []uint64
-	for i, id := range ids {
-		keys = AppendKey(keys, []types.Datum{types.NewInt(id)})
-		hashes = append(hashes, KeyHash(keys[offs[i]:]))
-		offs, sel = append(offs, len(keys)), append(sel, i)
+	sel := make([]int, len(ids))
+	for i := range sel {
+		sel[i] = i
 	}
 	var out Probed
-	v.ProbeBatch(keys, offs, hashes, sel, &out)
+	probeBoth(t, v, idKeys(ids...), sel, &out)
 	labels, found = make([][]string, len(ids)), make([]bool, len(ids))
 	for _, h := range out.Hits {
 		found[h.Key] = true

@@ -2,18 +2,19 @@ package storage
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"eva/internal/types"
 	"eva/internal/xxhash"
 )
 
-// KeyHash is the hash a view's key index files an AppendKey-encoded key
-// under. A prober computes it once per key and hands it to ProbeBatch
-// (the apply operator's demand accounting counts distinct keys by the
-// same value — udf.DemandHash), so no lookup hashes a key again.
-func KeyHash(ek []byte) uint64 { return hashKey(ek) }
-
-// hashKey is a variable only so that a test can make every key collide.
+// hashKey is the hash a view's key index files an AppendKey-encoded key
+// under, and the one each stored row keeps. A prober computes it once per
+// key it encodes (ProbeKeys.Encode), and the ordered probe hands back the
+// stored one for a key it serves; the apply operator's demand accounting
+// counts distinct keys by the same value (udf.DemandHash), so no key is
+// hashed twice. It is a variable only so that a test can make every key
+// collide.
 var hashKey = func(ek []byte) uint64 { return xxhash.Sum64(ek, 0) } // lint:durable key hash, not a checksum
 
 // chunkShift fixes the rows of one view chunk at 1<<chunkShift: row id
@@ -31,11 +32,21 @@ func chunkMask() int { return 1<<chunkShift - 1 }
 // made, so a reader that copied the list under the view's lock may keep
 // reading the rows that existed then while a writer fills later ones;
 // tail is the writer's own header over the last chunk's storage — its
-// length is the chunk's fill, and readers never see it.
+// length is the chunk's fill, and readers never see it. hashes and order
+// are filed as rows are indexed, under the same lock.
 type viewRows struct {
 	chunks []*types.Batch
 	tail   *types.Batch
 	keyIdx []int
+	// hashes[c][r] is the hashKey of the key of row r of chunk c: the
+	// ordered probe hands it back for a row it serves, so that no served
+	// key is encoded or hashed.
+	hashes [][]uint64
+	// cont[c] has bit r set when row r of chunk c holds the key of the row
+	// before it: a key's rows are a row whose bit is clear and the set
+	// bits that follow it, which the ordered probe counts a word at a time.
+	cont  [][]uint64
+	order idOrder
 }
 
 // len returns the number of stored rows.
@@ -52,6 +63,12 @@ func (s *viewRows) room(schema types.Schema) (*types.Batch, int) {
 	if s.tail == nil || s.tail.Len() == 1<<chunkShift {
 		chunk := types.NewNullBatch(schema, 1<<chunkShift)
 		s.chunks = append(s.chunks, chunk)
+		s.hashes = append(s.hashes, make([]uint64, 1<<chunkShift))
+		s.cont = append(s.cont, make([]uint64, (1<<chunkShift+63)/64))
+		if s.order.col >= 0 {
+			s.order.ids = append(s.order.ids, make([]int64, 1<<chunkShift))
+			s.order.zones = append(s.order.zones, emptyZone)
+		}
 		s.tail = chunk.Slice(0, 0)
 	}
 	return s.tail, 1<<chunkShift - s.tail.Len()
@@ -69,10 +86,17 @@ func (s *viewRows) hasKey(id int, ek []byte) bool {
 }
 
 // gatherTo appends the rows first..first+n-1 and then those of list to
-// out as (chunk, row) pairs.
+// out as (chunk, row) pairs, a chunk's stretch of the range at a time.
 func (s *viewRows) gatherTo(out *Probed, first, n int, list []int) {
-	for id := first; id < first+n; id++ {
-		out.add(s.at(id))
+	for id, end := first, first+n; id < end; {
+		chunk, r := s.at(id)
+		k := min(end-id, 1<<chunkShift-r)
+		at := len(out.Rows)
+		out.Srcs, out.Rows = slices.Grow(out.Srcs, k)[:at+k], slices.Grow(out.Rows, k)[:at+k]
+		for j := range k {
+			out.Srcs[at+j], out.Rows[at+j] = chunk, r+j
+		}
+		id += k
 	}
 	for _, id := range list {
 		out.add(s.at(id))
@@ -80,7 +104,7 @@ func (s *viewRows) gatherTo(out *Probed, first, n int, list []int) {
 }
 
 // keyIndex is a view's one key index: an open-addressed table, probed
-// linearly, of the processed keys. An entry carries the key's KeyHash
+// linearly, of the processed keys. An entry carries the key's hashKey
 // and where its rows are, not the key: a probe that meets its hash
 // verifies the candidate against the stored row's key columns (or, for
 // a key processed with no rows — a frame without detections — against
@@ -227,7 +251,7 @@ func idRange(ids []int, first, n int) []int {
 	return ids
 }
 
-// KeySet is a set of AppendKey-encoded keys filed under their KeyHash —
+// KeySet is a set of AppendKey-encoded keys filed under their key hash —
 // a key index without rows — for callers that track keys beside a view
 // and have the hash at hand: no key is hashed again or kept as a string
 // of its own. The zero KeySet is empty.

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"eva/internal/types"
+	"eva/internal/udf"
 )
 
 // hasKey and rowsForKey are the per-key lookups the tests use as the
@@ -75,7 +76,7 @@ func (o *probeOracle) append(rowKeys []int64, labels []string, zeroKeys []int64)
 // append sequences — duplicate keys inside one append, interleaved
 // siblings, zero-row processed keys — then a salvaged mid-log hole,
 // re-appends, an eviction and more appends, and after every step
-// requires ProbeBatch over a random key selection to agree with the
+// requires Probe over a random key selection to agree with the
 // per-key oracle: exactly the processed keys hit, each with its rows in
 // stored order, every index inside the returned snapshot.
 func TestProbeBatchMatchesPerKeyOracle(t *testing.T) { probeOracleTrials(t, 12) }
@@ -105,7 +106,7 @@ func probeOracleTrials(t *testing.T, trials int) {
 			// Probe the whole domain plus keys never appended, through
 			// a random selection, with a dirty hits prefix to prove the
 			// call appends rather than overwrites.
-			keys, offs, hashes := encodeIntKeys(domain + 4)
+			pk := idKeys(intRange(domain + 4)...)
 			var sel []int
 			for k := 0; k < domain+4; k++ {
 				if rng.Intn(4) > 0 {
@@ -114,9 +115,9 @@ func probeOracleTrials(t *testing.T, trials int) {
 			}
 			// A dirty prefix in all three lists proves the call appends.
 			out := &Probed{Hits: []ProbeHit{{Key: -1}}, Srcs: []*types.Batch{nil}, Rows: []int{-1}}
-			v.ProbeBatch(keys, offs, hashes, sel, out)
+			probeBoth(t, v, pk, sel, out)
 			if out.Hits[0].Key != -1 || out.Srcs[0] != nil || out.Rows[0] != -1 {
-				t.Fatalf("trial %d %s: ProbeBatch overwrote the caller's results", trial, step)
+				t.Fatalf("trial %d %s: Probe overwrote the caller's results", trial, step)
 			}
 			got := map[int]ProbeHit{}
 			for _, h := range out.Hits[1:] {
@@ -145,7 +146,7 @@ func probeOracleTrials(t *testing.T, trials int) {
 					t.Fatalf("trial %d %s: key %d: RowsForKeyBytes gave %d ids, oracle %d rows", trial, step, k, len(ids), len(labels))
 				}
 				if hit != hasKey(v, []types.Datum{types.NewInt(int64(k))}) {
-					t.Fatalf("trial %d %s: key %d: ProbeBatch and HasKeyBytes disagree", trial, step, k)
+					t.Fatalf("trial %d %s: key %d: Probe and HasKeyBytes disagree", trial, step, k)
 				}
 			}
 			if v.ProcessedCount() != len(want) {
@@ -240,7 +241,7 @@ func probeUnderAppend(t *testing.T) {
 	const appenders, probers, keysPer, rowsPerKey = 3, 3, 150, 3
 	total := appenders * keysPer
 
-	keys, offs, hashes := encodeIntKeys(total)
+	keys := idKeys(intRange(total)...).batch
 	sel := make([]int, total)
 	for k := range sel {
 		sel[k] = k
@@ -271,12 +272,14 @@ func probeUnderAppend(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var out Probed
+			var pk ProbeKeys
 			for last := false; !last; {
 				// One more pass after the appenders finish, so the
 				// final state is always probed.
 				last = appending.Load() == 0
 				out = Probed{Hits: out.Hits[:0], Srcs: out.Srcs[:0], Rows: out.Rows[:0]}
-				v.ProbeBatch(keys, offs, hashes, sel, &out)
+				pk.Reset(keys, []int{0})
+				v.Probe(&pk, sel, &out)
 				for _, h := range out.Hits {
 					if h.Hi-h.Lo != rowsPerKey {
 						t.Errorf("key %d: %d rows, want %d (appends are atomic per key)", h.Key, h.Hi-h.Lo, rowsPerKey)
@@ -298,16 +301,68 @@ func probeUnderAppend(t *testing.T) {
 	wg.Wait()
 }
 
-// encodeIntKeys returns the keys 0..n-1 of an id-keyed view as
-// ProbeBatch takes them: encodings back to back, offsets, hashes.
-func encodeIntKeys(n int) (keys []byte, offs []int, hashes []uint64) {
-	offs = []int{0}
-	for k := 0; k < n; k++ {
-		keys = AppendKey(keys, []types.Datum{types.NewInt(int64(k))})
-		hashes = append(hashes, KeyHash(keys[offs[k]:]))
-		offs = append(offs, len(keys))
+// intRange returns the ids 0..n-1.
+func intRange(n int) []int64 {
+	ids := make([]int64, n)
+	for i := range ids {
+		ids[i] = int64(i)
 	}
-	return keys, offs, hashes
+	return ids
+}
+
+// idKeys returns the probe keys of an id-keyed view for the ids, one row
+// each.
+func idKeys(ids ...int64) *ProbeKeys {
+	b := types.NewBatch(types.Schema{{Name: "id", Kind: types.KindInt}})
+	for _, id := range ids {
+		b.MustAppendRow(types.NewInt(id))
+	}
+	var pk ProbeKeys
+	pk.Reset(b, []int{0})
+	return &pk
+}
+
+// probeIndex is Probe through the key index, whatever the keys' order.
+func (v *View) probeIndex(pk *ProbeKeys, sel []int, out *Probed) {
+	pk.Encode(sel)
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	v.indexProbeLocked(pk, sel, out)
+}
+
+// probeBoth is Probe, checked against the key index: it probes v for the
+// rows sel of pk's batch into out, then again through probeIndex with
+// fresh keys, and fails unless both found the same keys, the same (chunk,
+// row) pairs in the same order and, for each key found, the hashKey of
+// its encoding. It reports whether Probe took the ordered merge.
+func probeBoth(t testing.TB, v *View, pk *ProbeKeys, sel []int, out *Probed) (merged bool) {
+	t.Helper()
+	v.mu.RLock()
+	merged = v.mergeableLocked(pk)
+	v.mu.RUnlock()
+	hits, pairs := len(out.Hits), len(out.Rows)
+	v.Probe(pk, sel, out)
+	var ref ProbeKeys
+	ref.Reset(pk.batch, pk.keyIdx)
+	var want Probed
+	v.probeIndex(&ref, sel, &want)
+	got := out.Hits[hits:]
+	if len(got) != len(want.Hits) {
+		t.Fatalf("probe (merged %v) hit %d keys, the key index %d", merged, len(got), len(want.Hits))
+	}
+	for i, h := range got {
+		w := want.Hits[i]
+		if h.Key != w.Key || h.Lo-pairs != w.Lo || h.Hi-pairs != w.Hi {
+			t.Fatalf("probe (merged %v) hit %d = %+v (pairs from %d), the key index %+v", merged, i, h, pairs, w)
+		}
+		if pk.Hashes[h.Key] != ref.Hashes[h.Key] {
+			t.Fatalf("probe (merged %v) key %d: hash %x, its encoding's %x", merged, h.Key, pk.Hashes[h.Key], ref.Hashes[h.Key])
+		}
+	}
+	if !slices.Equal(out.Srcs[pairs:], want.Srcs) || !slices.Equal(out.Rows[pairs:], want.Rows) {
+		t.Fatalf("probe (merged %v) pairs %v, the key index %v", merged, out.Rows[pairs:], want.Rows)
+	}
+	return merged
 }
 
 // TestKeyIndexRuns pins the entry forms: a run, a run extended by an
@@ -385,4 +440,22 @@ func TestKeyIndexRuns(t *testing.T) {
 	}
 	want("a", 0, 1, 2, 3, 4, 7, 8, 9)
 	want("b", 5, 6)
+}
+
+// TestHashKeyIsDemandHash: the key index files each key under hashKey,
+// the probe hands that value back for a served row, and the apply
+// operator demands the row by it, so hashKey must be udf.DemandHash — on
+// the empty key, a one-byte key, and keys past one 32-byte xxhash stripe
+// such as a stored (bbox, id) key.
+func TestHashKeyIsDemandHash(t *testing.T) {
+	keys := [][]byte{
+		nil, {0},
+		[]byte("a longer encoded key, past one xxhash stripe of 32 bytes"),
+		AppendKey(nil, []types.Datum{types.NewString("123.45,67.89,234.56,178.90"), types.NewInt(1 << 40)}),
+	}
+	for _, key := range keys {
+		if hashKey(key) != udf.DemandHash(key) {
+			t.Errorf("hashKey(%q) != DemandHash", key)
+		}
+	}
 }

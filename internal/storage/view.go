@@ -155,7 +155,12 @@ func (v *View) setLayout(schema types.Schema, keyCols []string) {
 	for _, kc := range keyCols {
 		v.keyIdx = append(v.keyIdx, schema.IndexOf(kc))
 	}
-	v.rows.keyIdx = v.keyIdx // lint:nolock pre-publish (openView)
+	v.rows = v.emptyRows() // lint:nolock pre-publish (openView)
+}
+
+// emptyRows returns the resident rows of a view that holds none.
+func (v *View) emptyRows() viewRows {
+	return viewRows{keyIdx: v.keyIdx, order: newIDOrder(v.schema, v.keyIdx)}
 }
 
 func (v *View) encodeHeader() []byte {
@@ -178,9 +183,9 @@ func (v *View) encodeHeader() []byte {
 // openView before the view is published or, from eviction and the
 // scrub pass's header reset, with mu held.
 func (v *View) resetReplayState() {
-	v.rows = viewRows{keyIdx: v.keyIdx} // lint:nolock pre-publish (openView)
-	v.index = keyIndex{}                // lint:nolock pre-publish (openView)
-	v.pred = nil                        // lint:nolock pre-publish (openView)
+	v.rows = v.emptyRows() // lint:nolock pre-publish (openView)
+	v.index = keyIndex{}   // lint:nolock pre-publish (openView)
+	v.pred = nil           // lint:nolock pre-publish (openView)
 }
 
 // replay rebuilds in-memory state from the log, verifying every record,
@@ -209,7 +214,9 @@ func (v *View) replay(data []byte) (logScan, error) {
 		// Names are settled by schema equality; only the count can differ.
 		return logScan{}, fmt.Errorf("key count mismatch: file has %d, want %d", len(keyCols), len(v.keyCols))
 	}
-	return scanLog(data, off, viewLog, v.replayRecord)
+	s, err := scanLog(data, off, viewLog, v.replayRecord)
+	v.rows.order.settle() // lint:nolock replay runs inside openView before the view is published
+	return s, err
 }
 
 // parseViewHeader reads the log header: the row schema, the key column
@@ -290,7 +297,7 @@ func (v *View) replayRecord(kind byte, count int, payload []byte) error {
 			}
 			// The datum encoding is fixed-layout, so the bytes just
 			// decoded are the key's canonical AppendKey encoding.
-			v.index.mark(hashKey(payload[start:off]), payload[start:off], &v.rows) // lint:nolock replay runs inside openView before the view is published
+			v.markLocked(payload[start:off])
 		}
 	case recPred:
 		// A snapshot: the last one replayed wins. Copied, because payload
@@ -340,7 +347,7 @@ func (v *View) RecoveredBytes() int64 {
 
 // AppendKey appends the canonical encoding of a key tuple to buf and
 // returns it: the form keys take in the view index, for probe loops
-// that reuse a scratch buffer and look up with ProbeBatch.
+// that reuse a scratch buffer and look up with HasKeyBytes.
 func AppendKey(buf []byte, key []types.Datum) []byte {
 	for _, d := range key {
 		buf = d.AppendBinary(buf)
@@ -370,11 +377,11 @@ func rowHasKey(b *types.Batch, r int, keyIdx []int, ek []byte) bool {
 	return len(ek) == 0
 }
 
-// indexRowsLocked adds the stored rows [from, len) to the key index.
-// Consecutive rows sharing a key — a detector's rows for one frame —
-// are indexed as one run, so the key is encoded (into scratch) and
-// hashed and the index touched once per key, not once per row. Callers
-// hold mu (or run pre-publish).
+// indexRowsLocked adds the stored rows [from, len) to the key index and
+// files their hashes and ids (viewRows.file). Consecutive rows sharing a
+// key — a detector's rows for one frame — are indexed as one run, so the
+// key is encoded (into scratch) and hashed and the index touched once per
+// key, not once per row. Callers hold mu (or run pre-publish).
 func (v *View) indexRowsLocked(from int) {
 	for n := v.rows.len(); from < n; {
 		chunk, r := v.rows.at(from)
@@ -383,8 +390,21 @@ func (v *View) indexRowsLocked(from int) {
 		for end < n && v.rows.hasKey(end, v.ek) {
 			end++
 		}
-		v.index.addRun(hashKey(v.ek), v.ek, &v.rows, from, end-from)
+		h := hashKey(v.ek)
+		v.index.addRun(h, v.ek, &v.rows, from, end-from)
+		v.rows.file(from, end, h, from > 0 && v.rows.hasKey(from-1, v.ek))
 		from = end
+	}
+}
+
+// markLocked records the encoded key ek as processed, keeping any rows it
+// has; a key new to the index has none, and is noted for the ordered
+// probe. The caller settles the order once its marks are done. Callers
+// hold mu (or run pre-publish).
+func (v *View) markLocked(ek []byte) {
+	h := hashKey(ek)
+	if v.index.mark(h, ek, &v.rows) {
+		v.rows.order.noteZero(ek, h)
 	}
 }
 
@@ -584,14 +604,15 @@ func (v *View) appendLocked(rows *types.Batch, processedKeys [][]types.Datum, in
 	v.indexRowsLocked(from)
 	for _, ki := range newKeyIdx {
 		v.ek = AppendKey(v.ek[:0], processedKeys[ki])
-		v.index.mark(hashKey(v.ek), v.ek, &v.rows)
+		v.markLocked(v.ek)
 	}
+	v.rows.order.settle()
 	return len(newRowIdx), nil
 }
 
 // Scan returns a copy of all stored rows, in append order: O(rows). The
 // probe path does not come here — it reads the chunks in place
-// (ProbeBatch); this is for the fuzzy index, tests and the benchmark.
+// (Probe); this is for the fuzzy index, tests and the benchmark.
 func (v *View) Scan() *types.Batch {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
@@ -609,6 +630,18 @@ func (v *View) Rows() int {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	return v.rows.len()
+}
+
+// KeyHashes returns the KeyHash filed for each stored row, in row order.
+// lint:testonly tests check the filed hashes against the rows' keys
+func (v *View) KeyHashes() []uint64 {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	out := make([]uint64, v.rows.len())
+	for r := range out {
+		out[r] = v.rows.hashes[r>>chunkShift][r&chunkMask()]
+	}
+	return out
 }
 
 // ProcessedCount returns the number of distinct processed keys.
@@ -630,37 +663,60 @@ type Probed struct {
 	Hits []ProbeHit
 	Srcs []*types.Batch
 	Rows []int
-	sink int32 // keeps ProbeBatch's slot-touching loads from being optimised away
+	sink int32 // keeps the key index's slot-touching loads from being optimised away
 }
 
 func (p *Probed) add(chunk *types.Batch, row int) {
 	p.Srcs, p.Rows = append(p.Srcs, chunk), append(p.Rows, row)
 }
 
-// ProbeHit is one processed key found by ProbeBatch: Key is its
-// position in the probed batch, and its rows are pairs Lo..Hi-1 of the
-// Probed it was added to (none for a key processed with no rows).
+// ProbeHit is one processed key found by Probe: Key is its row in the
+// probed batch, and its rows are pairs Lo..Hi-1 of the Probed it was
+// added to (none for a key processed with no rows).
 type ProbeHit struct{ Key, Lo, Hi int }
 
-// ProbeBatch is the probe side of the reuse join. Under one read lock
-// it looks up every key selected by sel — key k is the AppendKey
-// encoding keys[offs[k]:offs[k+1]] and hashes[k] its KeyHash — and
-// appends to out a ProbeHit per processed key and the rows it has.
-// lint:hotpath batch probe loop must not allocate per key
-func (v *View) ProbeBatch(keys []byte, offs []int, hashes []uint64, sel []int, out *Probed) {
-	out.Hits = slices.Grow(out.Hits, len(sel))
-	from := len(out.Hits)
+// Probe is the probe side of the reuse join. Under one read lock it looks
+// up the key of every row of pk's batch that sel selects (ascending) and
+// appends to out a ProbeHit per processed key and the rows it has. When
+// the batch's ids never decrease and the view is keyed on id
+// (mergeableLocked), the lookup is an ordered merge with the view's runs
+// (mergeLocked), which leaves each served key's hash in pk.Hashes; any
+// other batch or view is looked up in the key index by the keys' bytes
+// and hashes, which pk encodes outside the lock first. Both find the same
+// hits and pairs in the same order.
+func (v *View) Probe(pk *ProbeKeys, sel []int, out *Probed) {
+	if pk.ordered {
+		v.mu.RLock()
+		merged := v.mergeableLocked(pk)
+		if merged {
+			v.mergeLocked(pk, sel, out)
+		}
+		v.mu.RUnlock()
+		if merged {
+			return
+		}
+	}
+	pk.Encode(sel)
 	v.mu.RLock()
 	defer v.mu.RUnlock()
+	v.indexProbeLocked(pk, sel, out)
+}
+
+// indexProbeLocked is Probe through the key index; the keys of sel are
+// encoded. Callers hold mu for reading.
+// lint:hotpath batch probe loop must not allocate per key
+func (v *View) indexProbeLocked(pk *ProbeKeys, sel []int, out *Probed) {
+	out.Hits = slices.Grow(out.Hits, len(sel))
+	from := len(out.Hits)
 	// The hashes scatter the batch's keys over the table: touch every
 	// home slot first, so that the misses overlap instead of each probe
 	// waiting for its own.
-	out.sink = v.index.touch(hashes, sel)
+	out.sink = v.index.touch(pk.Hashes, sel)
 	// Find the entries and count their rows, so that the pair lists grow
 	// once per batch at most, then expand them.
 	rows := 0
 	for _, k := range sel {
-		if i, ok := v.index.find(hashes[k], keys[offs[k]:offs[k+1]], &v.rows); ok {
+		if i, ok := v.index.find(pk.Hashes[k], pk.Key(k), &v.rows); ok {
 			_, n, list := v.index.ids(v.index.slots[i])
 			rows += n + len(list)
 			out.Hits = out.Hits[:len(out.Hits)+1]

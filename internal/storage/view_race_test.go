@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"eva/internal/types"
@@ -102,4 +104,126 @@ func TestEngineConcurrentViewRegistry(t *testing.T) {
 	if got := len(eng.Views()); got != 3 {
 		t.Fatalf("views = %d, want 3", got)
 	}
+}
+
+// TestOrderedProbeUnderMaintenance runs ordered probes against a view
+// keyed on id while an appender adds frames in ascending order (rows and
+// zero-row keys), another adds zero-row keys behind it, and a third
+// goroutine rots a record and has Verify salvage around it, compacts and
+// evicts — every structure the merge reads is rebuilt, swapped or reset
+// under it. Whatever -race schedules, each key a probe finds must come
+// with the rows of its id only, all of them, and with the hashKey of its
+// encoding.
+func TestOrderedProbeUnderMaintenance(t *testing.T) {
+	forceLayout(t, 3, hashKey)
+	dir := t.TempDir()
+	eng, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	schema := types.Schema{{Name: "id", Kind: types.KindInt}, {Name: "label", Kind: types.KindString}}
+	v, err := eng.CreateView("ordered_race", schema, []string{"id"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const frames, rowsPer = 600, 3
+	var wg sync.WaitGroup
+	var stop atomic.Bool
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		defer stop.Store(true)
+		for id := int64(0); id < frames; id += 2 {
+			rows := types.NewBatch(schema)
+			var zero [][]types.Datum
+			if id%6 == 0 {
+				zero = append(zero, []types.Datum{types.NewInt(id)})
+			} else {
+				for r := 0; r < rowsPer; r++ {
+					rows.MustAppendRow(types.NewInt(id), types.NewString("car"))
+				}
+			}
+			if _, err := v.Append(rows, zero); err != nil {
+				t.Errorf("append: %v", err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; !stop.Load(); i++ {
+			if _, err := v.Append(nil, [][]types.Datum{{types.NewInt(int64(2*i + 1))}}); err != nil {
+				t.Errorf("append zero-row key: %v", err)
+				return
+			}
+		}
+	}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; !stop.Load(); i++ {
+			switch i % 4 {
+			case 0:
+				v.mu.Lock()
+				if data, err := os.ReadFile(v.path); err == nil && len(data) > headerEnd(t, data) {
+					data[headerEnd(t, data)] ^= 0xff
+					_ = os.WriteFile(v.path, data, 0o644)
+				}
+				v.mu.Unlock()
+				if _, err := v.Verify(); err != nil {
+					t.Errorf("verify: %v", err)
+				}
+			case 1:
+				if _, err := v.Compact(); err != nil {
+					t.Errorf("compact: %v", err)
+				}
+			case 3:
+				if _, err := v.evict(); err != nil {
+					t.Errorf("evict: %v", err)
+				}
+			}
+		}
+	}()
+	for p := 0; p < 2; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			ids := make([]int64, 0, frames)
+			for id := int64(p); id < frames; id += 1 + int64(p) {
+				ids = append(ids, id, id)
+			}
+			keys := idKeys(ids...).batch
+			sel := make([]int, len(ids))
+			for i := range sel {
+				sel[i] = i
+			}
+			var pk ProbeKeys
+			var out Probed
+			for last := false; !last; {
+				last = stop.Load()
+				pk.Reset(keys, []int{0})
+				out = Probed{Hits: out.Hits[:0], Srcs: out.Srcs[:0], Rows: out.Rows[:0]}
+				v.Probe(&pk, sel, &out)
+				for _, h := range out.Hits {
+					id := ids[h.Key]
+					if n := h.Hi - h.Lo; n != 0 && n != rowsPer {
+						t.Errorf("id %d: %d rows, want 0 or %d", id, n, rowsPer)
+						return
+					}
+					for i := h.Lo; i < h.Hi; i++ {
+						if got := out.Srcs[i].At(out.Rows[i], 0).Int(); got != id {
+							t.Errorf("id %d was served a row of id %d", id, got)
+							return
+						}
+					}
+					if want := hashKey(AppendKey(nil, []types.Datum{types.NewInt(id)})); pk.Hashes[h.Key] != want {
+						t.Errorf("id %d: hash %x, want %x", id, pk.Hashes[h.Key], want)
+						return
+					}
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
 }

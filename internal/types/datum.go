@@ -176,8 +176,16 @@ func (d *Datum) StringValue() (string, bool) {
 
 func (d Datum) mustBe(k Kind) {
 	if d.kind != k {
-		panic(fmt.Sprintf("types: %s datum accessed as %s", d.kind, k))
+		kindPanic(d.kind, k)
 	}
+}
+
+// kindPanic is mustBe's failure, out of line so that the accessors stay
+// small enough to inline.
+//
+//go:noinline
+func kindPanic(got, want Kind) {
+	panic(fmt.Sprintf("types: %s datum accessed as %s", got, want))
 }
 
 // Comparable reports whether two datums can be compared with Compare.
@@ -351,6 +359,21 @@ func (d *Datum) MatchEncoded(src []byte) (int, bool) {
 		return n, len(src) >= n && binary.LittleEndian.Uint32(src[1:]) == uint32(d.v) && string(src[5:n]) == d.str()
 	}
 	return 1, true
+}
+
+// Identical reports whether a and b have the same AppendBinary encoding
+// — the equality the view's key index defines — without encoding
+// either: same kind and same bits, so unlike Compare an int never equals
+// a float and -0 never equals +0.
+func Identical(a, b *Datum) bool {
+	if a.kind != b.kind || a.v != b.v {
+		return false
+	}
+	switch a.kind {
+	case KindString, KindBytes:
+		return a.str() == b.str()
+	}
+	return true
 }
 
 // EncodedSize returns the number of bytes AppendBinary will produce.

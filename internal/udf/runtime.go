@@ -120,25 +120,91 @@ func (r *Runtime) RecordBatch(lower string, demanded []uint64, reused int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c := r.countersLocked(lower)
-	if len(demanded) > 0 {
-		if c.demand == nil {
-			c.demand = map[uint64]struct{}{}
-		}
-		var present struct{}
-		for _, h := range demanded {
-			c.demand[h] = present
-		}
-		c.total += len(demanded)
+	c.demand.touch(demanded)
+	for _, h := range demanded {
+		c.demand.add(h)
 	}
+	c.total += len(demanded)
 	c.reused += reused
 }
 
 // udfCounters is one UDF's demand and evaluation accounting. A UDF
-// enters the stats once it has been demanded (demand non-nil).
+// enters the stats once it has been demanded (demand non-empty).
 type udfCounters struct {
-	demand                 map[uint64]struct{} // distinct invocation-key hashes
+	demand                 demandSet // distinct invocation-key hashes
 	total, reused          int
 	evals, failed, retried int
+}
+
+// demandSet is a set of demand hashes: an open-addressed table of the
+// hashes themselves, probed linearly from their low bits and doubled at
+// three quarters full. 0 marks an empty slot, so the hash 0 is kept
+// beside the table. Only the hashes are kept — #DI counts keys by their
+// DemandHash — never the key bytes.
+type demandSet struct {
+	slots []uint64 // power-of-two length
+	used  int      // non-zero hashes in slots
+	zero  bool     // the hash 0 is in the set
+	sink  uint64   // keeps touch's loads from being optimised away
+}
+
+// touch reads the home slot of every hash first: the loads do not depend
+// on one another, so their cache misses overlap, and the adds that follow
+// find the slots resident.
+func (s *demandSet) touch(hashes []uint64) {
+	if len(s.slots) == 0 {
+		return
+	}
+	mask := len(s.slots) - 1
+	for _, h := range hashes {
+		s.sink |= s.slots[int(h)&mask]
+	}
+}
+
+// len returns the number of distinct hashes added.
+func (s *demandSet) len() int {
+	if s.zero {
+		return s.used + 1
+	}
+	return s.used
+}
+
+// add adds h to the set.
+func (s *demandSet) add(h uint64) {
+	if h == 0 {
+		s.zero = true
+		return
+	}
+	i := s.find(h)
+	if s.slots != nil && s.slots[i] == h {
+		return
+	}
+	if 4*(s.used+1) > 3*len(s.slots) {
+		old := s.slots
+		s.slots = make([]uint64, max(16, 2*len(old)))
+		for _, o := range old {
+			if o != 0 {
+				s.slots[s.find(o)] = o
+			}
+		}
+		i = s.find(h)
+	}
+	s.slots[i] = h
+	s.used++
+}
+
+// find returns the slot holding the non-zero hash h, or the empty slot
+// where it would go (0 for an empty table).
+func (s *demandSet) find(h uint64) int {
+	if len(s.slots) == 0 {
+		return 0
+	}
+	mask := len(s.slots) - 1
+	i := int(h) & mask
+	for s.slots[i] != h && s.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	return i
 }
 
 // countersLocked returns the UDF's counter record, creating it.
@@ -157,9 +223,9 @@ func (r *Runtime) CounterSnapshot() map[string]Stats {
 	defer r.mu.Unlock()
 	out := map[string]Stats{}
 	for u, c := range r.counters {
-		if c.demand != nil {
+		if c.demand.len() > 0 {
 			out[u] = Stats{
-				Distinct:  len(c.demand),
+				Distinct:  c.demand.len(),
 				Total:     c.total,
 				Reused:    c.reused,
 				Evaluated: c.evals,
@@ -178,7 +244,7 @@ func (r *Runtime) HitPercentage() float64 {
 	defer r.mu.Unlock()
 	total, reused := 0, 0
 	for _, c := range r.counters {
-		if c.demand != nil {
+		if c.demand.len() > 0 {
 			total += c.total
 			reused += c.reused
 		}

@@ -335,3 +335,55 @@ func canonLower(s string) string {
 	}
 	return string(out)
 }
+
+// TestDemandSetMatchesMap holds the demand set to a map oracle: random
+// hashes with repeats through several doublings, the hash 0 (the empty
+// slot's value, kept beside the table), and hashes that share their low
+// bits and so collide in any table; #DI is the oracle's size after every
+// add. It also checks that a batch that only reuses — no demand yet —
+// does not bring a UDF into CounterSnapshot, and that its first demand
+// does.
+func TestDemandSetMatchesMap(t *testing.T) {
+	var s demandSet
+	oracle := map[uint64]struct{}{}
+	add := func(h uint64) {
+		t.Helper()
+		s.add(h)
+		oracle[h] = struct{}{}
+		if s.len() != len(oracle) {
+			t.Fatalf("after adding %#x: %d distinct, oracle %d", h, s.len(), len(oracle))
+		}
+	}
+	rng := uint64(88172645463325252)
+	for i := 0; i < 3000; i++ {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		add(rng % 2048 * 0x9E3779B97F4A7C15)
+		if i%500 == 0 {
+			add(0)
+		}
+	}
+	for i := uint64(0); i < 200; i++ {
+		add(i << 40)
+		add((i % 7) << 40)
+	}
+	for h := range oracle {
+		if h != 0 && s.slots[s.find(h)] != h {
+			t.Fatalf("%#x added but not found", h)
+		}
+	}
+	if !s.zero || s.slots[s.find(1)] == 1 {
+		t.Fatal("hash 0 lost, or a hash never added found")
+	}
+
+	r, _ := newRuntime(t)
+	r.RecordBatch("det", nil, 3)
+	if _, ok := r.CounterSnapshot()["det"]; ok || r.HitPercentage() != 0 {
+		t.Fatal("a UDF with reuses but no demand entered the stats")
+	}
+	r.RecordBatch("det", []uint64{0, 0, 7}, 1)
+	if st := r.CounterSnapshot()["det"]; st.Distinct != 2 || st.Total != 3 || st.Reused != 4 {
+		t.Fatalf("stats after the first demand = %+v, want 2 distinct of 3, 4 reused", st)
+	}
+}
