@@ -81,6 +81,7 @@ type Context struct {
 	noPipeline int // build-time: >0 while under a Limit (no stages)
 	dl         *deadlineState
 	stages     []*stageIter // pipeline stages of the current Run
+	applies    []*applyIter // apply operators of the current Run
 
 	storedMu sync.Mutex
 	// stored counts, per store view, the applies of the current Run that
@@ -146,9 +147,18 @@ func (c *Context) putBatch(b *types.Batch) {
 // Run executes the plan to completion and returns all result rows.
 func Run(ctx *Context, n plan.Node) (*types.Batch, error) {
 	ctx.armDeadline()
-	ctx.stages = nil
+	ctx.stages, ctx.applies = nil, nil
 	ctx.stored = nil // lint:nolock no stage of this Run exists yet
-	defer ctx.stopStages()
+	defer func() {
+		ctx.stopStages()
+		// An apply cut short — by an error anywhere in the plan or a
+		// LIMIT above it — keeps the view rows it staged; nothing will
+		// store them now, so they go back to the pool.
+		for _, a := range ctx.applies {
+			a.abort()
+		}
+		ctx.applies = nil
+	}()
 	warmSchemas(n)
 	it, err := build(ctx, n)
 	if err != nil {
@@ -161,15 +171,18 @@ func Run(ctx *Context, n plan.Node) (*types.Batch, error) {
 	for {
 		b, err := it.next()
 		if err != nil {
+			ctx.putBatch(out)
 			return nil, err
 		}
 		if b == nil {
 			return out, nil
 		}
-		if err := out.AppendBatch(b); err != nil {
+		err = out.AppendBatch(b)
+		ctx.putBatch(b)
+		if err != nil {
+			ctx.putBatch(out)
 			return nil, fmt.Errorf("exec: collect results: %w", err)
 		}
-		ctx.putBatch(b)
 	}
 }
 
@@ -370,6 +383,8 @@ func (s *scanIter) next() (*types.Batch, error) {
 
 // --- Filter ---
 
+// filterIter is a selection over a scan. A selection over an apply is
+// folded into it (plan.Fuse) and runs in its wherePhase.
 type filterIter struct {
 	ctx  *Context
 	in   iterator
@@ -390,6 +405,7 @@ func (f *filterIter) next() (*types.Batch, error) {
 		f.ctx.Clock.ChargePerTuple(simclock.CatOther, costs.RowCost, b.Len())
 		sel, err := f.pred.Filter(b, f.ctx)
 		if err != nil {
+			f.ctx.putBatch(b)
 			return nil, fmt.Errorf("exec: filter %q: %w", f.node.Pred, err)
 		}
 		if len(sel) == 0 {
@@ -401,7 +417,7 @@ func (f *filterIter) next() (*types.Batch, error) {
 			return b, nil
 		}
 		out := f.ctx.getBatch(b.Schema())
-		if err := out.AppendGather(b, sel, nil, nil); err != nil {
+		if err := out.AppendGather(b, nil, sel, nil, nil, nil); err != nil {
 			f.ctx.putBatch(out)
 			return nil, fmt.Errorf("exec: filter %q: %w", f.node.Pred, err)
 		}
@@ -471,14 +487,26 @@ type applyIter struct {
 	// The assemble phase's gather triples: output row k is input row
 	// inRows[k] joined with row srcRows[k] of srcs[k]. The st* triples
 	// are the fresh rows among them, which are also staged for the store
-	// view, behind keyView's key columns of the input batch.
+	// view, behind the key columns of the input batch.
 	inRows    []int
 	srcs      []*types.Batch
 	srcRows   []int
 	stInRows  []int
 	stSrcs    []*types.Batch
 	stSrcRows []int
-	keyView   types.Batch
+
+	// The gathers' column lists (AppendGather): an output row carries
+	// input columns passIdx and Out columns emitIdx, a staged view row
+	// the key columns and every Out column (outIdx). Out columns are
+	// trailing-column ordinals, for a view's rows lead with their key.
+	passIdx, emitIdx, outIdx []int
+
+	// The folded selections (node.Where), each bound to whereSch: the
+	// columns they read, input columns whereIn then Out columns
+	// whereOut, gathered per batch into a pooled scratch batch.
+	where             []*expr.Program
+	whereSch          types.Schema
+	whereIn, whereOut []int
 }
 
 // evalScratch is one worker's private evaluation state: the argument
@@ -544,6 +572,8 @@ func newApplyIter(ctx *Context, node *plan.ReuseApply, in iterator) (*applyIter,
 			}
 		}
 	}
+	a.bindColumns(inSchema)
+	ctx.applies = append(ctx.applies, a)
 	a.probeViews = a.sources
 	if ctx.Sessions && a.store != nil {
 		inSources := false
@@ -558,6 +588,73 @@ func newApplyIter(ctx *Context, node *plan.ReuseApply, in iterator) (*applyIter,
 		}
 	}
 	return a, nil
+}
+
+// bindColumns resolves the column lists of the operator's gathers, one
+// backing array for all of them — so an empty list is not nil, which
+// AppendGather reads as every column — and binds the Where predicates
+// to the columns they read, in input ⊕ Out order.
+func (a *applyIter) bindColumns(in types.Schema) {
+	node, rw := a.node, len(a.node.Out)
+	cols := make([]int, 0, 2*len(in)+3*rw)
+	cut := func(from int) []int { return cols[from:len(cols):len(cols)] }
+	for i, c := range in {
+		if node.Passes(c.Name) {
+			cols = append(cols, i)
+		}
+	}
+	a.passIdx = cut(0)
+	at := len(cols)
+	for j, c := range node.Out {
+		if node.Emits(c.Name) {
+			cols = append(cols, j-rw)
+		}
+	}
+	a.emitIdx = cut(at)
+	at = len(cols)
+	for j := range node.Out {
+		cols = append(cols, j-rw)
+	}
+	a.outIdx = cut(at)
+	if len(node.Where) == 0 {
+		return
+	}
+	// The predicates name columns of input ⊕ Out as Concat names them;
+	// the ones they read are compacted in place into whereSch.
+	full, w, nin := in.Concat(node.Out), 0, 0
+	at = len(cols)
+	for i, c := range full {
+		if !reads(node.Where, c.Name) {
+			continue
+		}
+		full[w] = c
+		w++
+		if i < len(in) {
+			cols = append(cols, i)
+			nin++
+		} else {
+			cols = append(cols, i-len(in)-rw)
+		}
+	}
+	a.whereIn, a.whereOut = cols[at:at+nin:at+nin], cut(at+nin)
+	a.whereSch = full[:w]
+	a.where = make([]*expr.Program, len(node.Where))
+	for i, pred := range node.Where {
+		a.where[i] = expr.Bind(pred, a.whereSch, nil)
+	}
+}
+
+// reads reports whether any of the predicates reads the named column.
+func reads(preds []expr.Expr, col string) bool {
+	found := false
+	for _, p := range preds {
+		expr.Walk(p, func(e expr.Expr) {
+			if c, ok := e.(*expr.Column); ok && strings.EqualFold(c.Name, col) {
+				found = true
+			}
+		})
+	}
+	return found
 }
 
 // viewSchema is the stored row layout: key columns then output columns.
@@ -590,36 +687,58 @@ type rowDecision struct {
 }
 
 func (a *applyIter) next() (*types.Batch, error) {
-	b, err := a.in.next()
-	if err != nil {
-		a.releaseClaims()
-		return nil, err
-	}
-	if b == nil {
-		err := a.flush()
-		a.releaseClaims()
-		if err == nil && a.store != nil && !a.stored {
-			a.stored = true
-			a.ctx.noteStored(a.node.StoreView)
+	for {
+		b, err := a.in.next()
+		if err != nil {
+			a.releaseClaims()
+			return nil, err
 		}
-		return nil, err
+		if b == nil {
+			err := a.flush()
+			a.releaseClaims()
+			if err == nil && a.store != nil && !a.stored {
+				a.stored = true
+				a.ctx.noteStored(a.node.StoreView)
+			}
+			return nil, err
+		}
+		out, err := a.step(b)
+		// Everything the output, the pending view rows and the claims
+		// need has been copied out of the input batch; recycle it.
+		a.ctx.putBatch(b)
+		if err != nil {
+			a.releaseClaims()
+			return nil, err
+		}
+		if out != nil {
+			return out, nil
+		}
+		// The Where kept no row: like the Filter it stands for, the
+		// operator passes no empty batch on.
 	}
+}
+
+// step runs the operator's phases over one input batch and returns
+// the output batch — nil when the Where keeps no row. The Where and the
+// output gather run after the batch's view rows are staged and, when
+// due, published: where the Filter they stand for ran.
+func (a *applyIter) step(b *types.Batch) (*types.Batch, error) {
 	decisions := a.probePhase(b)
 	if a.ctx.Sessions && a.store != nil {
 		a.claimPhase(decisions)
 	}
 	a.evalPhase(b, decisions)
-	out, err := a.assemblePhase(b, decisions)
-	for k := range a.chunks {
-		a.ctx.putBatch(a.chunks[k].out)
-		a.chunks[k].out = nil
-	}
-	if err != nil {
-		a.releaseClaims()
+	// The chunks' detection rows are sources of the output gather.
+	defer func() {
+		for k := range a.chunks {
+			a.ctx.putBatch(a.chunks[k].out)
+			a.chunks[k].out = nil
+		}
+	}()
+	if err := a.assemblePhase(b, decisions); err != nil {
 		return nil, err
 	}
 	if err := a.chargeStaged(); err != nil {
-		a.releaseClaims()
 		return nil, err
 	}
 	if a.ctx.Sessions && a.store != nil {
@@ -627,7 +746,6 @@ func (a *applyIter) next() (*types.Batch, error) {
 		// back: a session blocked on one of them re-probes and finds
 		// the rows it was waiting for already materialized.
 		if err := a.flush(); err != nil {
-			a.releaseClaims()
 			return nil, err
 		}
 		a.releaseClaims()
@@ -636,9 +754,17 @@ func (a *applyIter) next() (*types.Batch, error) {
 			return nil, err
 		}
 	}
-	// Everything the output, the pending view rows and the claims need
-	// has been copied out of the input batch; recycle it.
-	a.ctx.putBatch(b)
+	if err := a.wherePhase(b); err != nil {
+		return nil, err
+	}
+	if len(a.where) > 0 && len(a.inRows) == 0 {
+		return nil, nil
+	}
+	out := a.ctx.getBatch(a.node.Schema())
+	if err := out.AppendGather(b, a.passIdx, a.inRows, a.srcs, a.emitIdx, a.srcRows); err != nil {
+		a.ctx.putBatch(out)
+		return nil, fmt.Errorf("exec: apply %s: %w", a.node.Eval, err)
+	}
 	return out, nil
 }
 
@@ -691,6 +817,16 @@ func (a *applyIter) unservedKeys() []string {
 	}
 	a.claimBuf = keys
 	return keys
+}
+
+// abort ends the operator's part in a statement that stopped before
+// its end of stream — Run's epilogue calls it: it hands back its claims
+// and recycles the view rows it staged but never flushed, which
+// nothing will store now.
+func (a *applyIter) abort() {
+	a.releaseClaims()
+	a.ctx.putBatch(a.pendingRows)
+	a.pendingRows = nil
 }
 
 // releaseClaims returns this batch's claimed store-view keys, waking
@@ -928,16 +1064,17 @@ func (a *applyIter) bindRow(b *types.Batch, r int, args []types.Datum, sc *evalS
 	return nil
 }
 
-// assemblePhase merges served and evaluated rows back into one output
-// batch in input-row order and stages fresh results for the store
-// view — the order-preserving fan-in that keeps parallel output
-// byte-identical to serial. Every output row is described as an (input
-// row, source batch, source row) triple and the batch is then written
-// column-wise by one gather; the fresh rows' triples are gathered once
-// more, behind their key columns, into the view-staging batch. Errors
+// assemblePhase merges served and evaluated rows back into input-row
+// order and stages fresh results for the store view — the
+// order-preserving fan-in that keeps parallel output byte-identical to
+// serial. Every output row is described as an (input row, source batch,
+// source row) triple; the fresh rows' triples are gathered at once,
+// behind their key columns, into the view-staging batch, and all of
+// them are left for the wherePhase and the output gather of step, which
+// copy only the columns they read (late materialization). Errors
 // surface in row order, so the reported failure is the one the serial
 // engine would hit first.
-func (a *applyIter) assemblePhase(b *types.Batch, decisions []rowDecision) (*types.Batch, error) {
+func (a *applyIter) assemblePhase(b *types.Batch, decisions []rowDecision) error {
 	// Commit the deferred breaker outcomes of every evaluated row in
 	// input order before surfacing any error: the pool evaluates all
 	// rows of the batch at every worker count (including 1), so the
@@ -973,7 +1110,7 @@ func (a *applyIter) assemblePhase(b *types.Batch, decisions []rowDecision) (*typ
 		}
 		a.scalarOut.Reset()
 		if err := a.scalarOut.AppendColumns(a.scalarVals[:], failed); err != nil {
-			return nil, fmt.Errorf("exec: udf %s: %w", a.node.Eval, err)
+			return fmt.Errorf("exec: udf %s: %w", a.node.Eval, err)
 		}
 	}
 	a.inRows = slices.Grow(a.inRows[:0], rows)
@@ -993,11 +1130,11 @@ func (a *applyIter) assemblePhase(b *types.Batch, decisions []rowDecision) (*typ
 		next++
 		switch {
 		case d.err != nil:
-			return nil, d.err
+			return d.err
 		case c.Err != nil && a.node.TableUDF:
-			return nil, fmt.Errorf("exec: detector %s: %w", a.node.Eval, c.Err)
+			return fmt.Errorf("exec: detector %s: %w", a.node.Eval, c.Err)
 		case c.Err != nil:
-			return nil, fmt.Errorf("exec: udf %s: %w", a.node.Eval, c.Err)
+			return fmt.Errorf("exec: udf %s: %w", a.node.Eval, c.Err)
 		}
 		src, start, n := a.scalarOut, k, 1
 		if a.node.TableUDF {
@@ -1017,17 +1154,51 @@ func (a *applyIter) assemblePhase(b *types.Batch, decisions []rowDecision) (*typ
 		if a.pendingRows == nil {
 			a.pendingRows = a.ctx.getBatch(a.store.Schema())
 		}
-		b.ProjectInto(&a.keyView, a.keyIdx)
-		if err := a.pendingRows.AppendGather(&a.keyView, a.stInRows, a.stSrcs, a.stSrcRows); err != nil {
-			return nil, fmt.Errorf("exec: buffer view rows: %w", err)
+		if err := a.pendingRows.AppendGather(b, a.keyIdx, a.stInRows, a.stSrcs, a.outIdx, a.stSrcRows); err != nil {
+			return fmt.Errorf("exec: buffer view rows: %w", err)
 		}
 	}
-	out := a.ctx.getBatch(a.node.Schema())
-	if err := out.AppendGather(b, a.inRows, a.srcs, a.srcRows); err != nil {
-		a.ctx.putBatch(out)
-		return nil, fmt.Errorf("exec: apply %s: %w", a.node.Eval, err)
+	return nil
+}
+
+// wherePhase runs the folded selections over the batch's output rows
+// before any of them is materialized: it gathers only the columns they
+// read into a pooled scratch batch and cuts the gather triples down to
+// the rows every selection keeps. Each selection is charged and
+// reports errors as the Filter it stands for did, and sees only the
+// rows the ones before it kept.
+func (a *applyIter) wherePhase(b *types.Batch) error {
+	if len(a.where) == 0 || len(a.inRows) == 0 {
+		return nil
 	}
-	return out, nil
+	w := a.ctx.getBatch(a.whereSch)
+	defer a.ctx.putBatch(w)
+	if err := w.AppendGather(b, a.whereIn, a.inRows, a.srcs, a.whereOut, a.srcRows); err != nil {
+		return fmt.Errorf("exec: apply %s: %w", a.node.Eval, err)
+	}
+	for i, pred := range a.where {
+		a.ctx.Clock.ChargePerTuple(simclock.CatOther, costs.RowCost, w.Len())
+		sel, err := pred.Filter(w, a.ctx)
+		if err != nil {
+			return fmt.Errorf("exec: filter %q: %w", a.node.Where[i], err)
+		}
+		a.keepRows(sel)
+		if len(sel) == 0 {
+			return nil
+		}
+		if i+1 < len(a.where) {
+			w.CompactSel(sel)
+		}
+	}
+	return nil
+}
+
+// keepRows cuts the gather triples down to the ascending rows sel.
+func (a *applyIter) keepRows(sel []int) {
+	for k, r := range sel {
+		a.inRows[k], a.srcs[k], a.srcRows[k] = a.inRows[r], a.srcs[r], a.srcRows[r]
+	}
+	a.inRows, a.srcs, a.srcRows = a.inRows[:len(sel)], a.srcs[:len(sel)], a.srcRows[:len(sel)]
 }
 
 // emitRow queues the single output row (r, src, row); assemblePhase has
@@ -1085,15 +1256,13 @@ func (a *applyIter) flush() error {
 		n, err = a.store.AppendWith(rows, keys, a.ctx.Faults)
 		return err // lint:noerrcheck the last attempt's error is wrapped below
 	})
+	// The view copied every stored row into its own batch, or stored
+	// none; either way the staging buffer can go back to the pool.
+	a.ctx.putBatch(rows)
 	if err != nil {
 		return fmt.Errorf("exec: materialize view %s: %w", a.store.Name(), err)
 	}
 	a.ctx.Clock.ChargePerTuple(simclock.CatMaterialize, costs.MatRowCost, n+len(keys))
-	// The view copied every stored row into its own batch; the staging
-	// buffer can go back to the pool.
-	if rows != nil {
-		a.ctx.putBatch(rows)
-	}
 	return nil
 }
 
@@ -1159,11 +1328,11 @@ func (p *projectIter) next() (*types.Batch, error) {
 			}
 		}
 	}
+	p.ctx.putBatch(b)
 	if err != nil {
 		p.ctx.putBatch(out)
 		return nil, err
 	}
-	p.ctx.putBatch(b)
 	return out, nil
 }
 

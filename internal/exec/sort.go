@@ -102,7 +102,7 @@ func (s *sortIter) next() (*types.Batch, error) {
 	}
 
 	out := s.ctx.getBatch(s.node.Schema())
-	err := out.AppendGather(all, order, nil, nil)
+	err := out.AppendGather(all, nil, order, nil, nil, nil)
 	s.ctx.putBatch(all)
 	if err != nil {
 		s.ctx.putBatch(out)

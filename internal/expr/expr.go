@@ -311,14 +311,34 @@ func CombineConjuncts(es []Expr) Expr {
 	return out
 }
 
-// Walk visits e and every sub-expression in pre-order.
+// Walk visits e and every sub-expression in pre-order, in Children
+// order. It reads the children off each node rather than calling
+// Children, which builds a slice per node: the planner walks every
+// predicate of every statement.
 func Walk(e Expr, visit func(Expr)) {
 	if e == nil {
 		return
 	}
 	visit(e)
-	for _, c := range e.Children() {
-		Walk(c, visit)
+	switch n := e.(type) {
+	case *Cmp:
+		Walk(n.L, visit)
+		Walk(n.R, visit)
+	case *Logic:
+		Walk(n.L, visit)
+		Walk(n.R, visit)
+	case *Arith:
+		Walk(n.L, visit)
+		Walk(n.R, visit)
+	case *Not:
+		Walk(n.E, visit)
+	case *IsNull:
+		Walk(n.E, visit)
+	case *Call:
+		for _, arg := range n.Args {
+			Walk(arg, visit)
+		}
+	case *Column, *Const, Star, *Star:
 	}
 }
 

@@ -459,7 +459,9 @@ func (o *Optimizer) optimize(stmt *parser.SelectStmt, mode Mode, claims *udf.Cla
 	if stmt.Limit >= 0 {
 		node = &plan.Limit{Input: node, N: stmt.Limit}
 	}
-	return &Result{Plan: node, Report: report}, nil
+	// Each selection now moves into the apply below it, and each apply
+	// carries only the columns read above it (late materialization).
+	return &Result{Plan: plan.Fuse(node), Report: report}, nil
 }
 
 // resolveScalarPhysical maps a logical scalar UDF reference to the

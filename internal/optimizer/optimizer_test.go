@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -397,5 +398,57 @@ func TestFig7AtomCountsGrowForBaseline(t *testing.T) {
 	}
 	if maxUnion == 0 || maxUnion > 12 {
 		t.Errorf("union atoms after reduction = %d, want small and positive", maxUnion)
+	}
+}
+
+// TestPlanFusesSelectionsIntoApplies: the optimizer leaves no Filter
+// directly on an apply — each selection is folded into the apply below
+// it — and narrows each apply to the columns read above it. On VBENCH
+// Q2 and Q3 the detector carries id and frame in and bbox out (label
+// and area are read only by its Where), a classifier below another one
+// carries id, frame and bbox, and the last carries id and bbox.
+func TestPlanFusesSelectionsIntoApplies(t *testing.T) {
+	h := newHarness(t, vision.MediumUADetrac)
+	const sel = "SELECT id, bbox FROM video CROSS APPLY FasterRCNNResnet50(frame) WHERE id < 3000 AND "
+	type carried struct{ pass, emit string }
+	for _, tc := range []struct {
+		name, sql string
+		applies   []carried // bottom-up
+	}{
+		{"Q2", sel + "label = 'car' AND CarType(frame, bbox) = 'Nissan'",
+			[]carried{{"[id frame]", "[bbox]"}, {"[id bbox]", "[]"}}},
+		{"Q3", sel + "area > 0.25 AND label = 'car' AND CarType(frame, bbox) = 'Nissan' AND ColorDet(frame, bbox) = 'Gray'",
+			[]carried{{"[id frame]", "[bbox]"}, {"[id frame bbox]", "[]"}, {"[id bbox]", "[]"}}},
+	} {
+		stmt, err := parser.Parse(tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := h.opt.Optimize(stmt.(*parser.SelectStmt), EVAMode(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []carried
+		var walk func(plan.Node)
+		walk = func(n plan.Node) {
+			for _, c := range n.Children() {
+				walk(c)
+			}
+			switch node := n.(type) {
+			case *plan.Filter:
+				if _, ok := node.Input.(*plan.ReuseApply); ok {
+					t.Errorf("%s: a Filter sits on an apply:\n%s", tc.name, plan.Explain(res.Plan))
+				}
+			case *plan.ReuseApply:
+				if len(node.Where) == 0 {
+					t.Errorf("%s: apply %s has no Where", tc.name, node.Eval)
+				}
+				got = append(got, carried{fmt.Sprint(node.Pass), fmt.Sprint(node.Emit)})
+			}
+		}
+		walk(res.Plan)
+		if fmt.Sprint(got) != fmt.Sprint(tc.applies) {
+			t.Errorf("%s: carried columns %v, want %v\n%s", tc.name, got, tc.applies, plan.Explain(res.Plan))
+		}
 	}
 }

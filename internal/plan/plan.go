@@ -69,7 +69,8 @@ type ApplySource struct {
 // has processed the row's key serves the results (the LEFT OUTER JOIN
 // arm of Fig. 4). Missing keys are evaluated with the Eval UDF (the
 // conditional Apply arm) and, when StoreView is set, appended to that
-// view (the STORE arm).
+// view (the STORE arm). The rows that satisfy Where are passed on,
+// carrying the Pass and Emit columns only (late materialization).
 type ReuseApply struct {
 	Input Node
 	// Args are the UDF argument expressions over the input schema.
@@ -85,7 +86,7 @@ type ReuseApply struct {
 	// TableUDF selects CROSS APPLY semantics (one input row expands to
 	// N output rows); otherwise the UDF is scalar (exactly one value).
 	TableUDF bool
-	// Out lists the columns the operator appends to the input schema.
+	// Out lists the columns the UDF produces.
 	Out types.Schema
 	// KeyCols are the invocation key columns (from the UDF signature).
 	KeyCols []string
@@ -96,38 +97,131 @@ type ReuseApply struct {
 	// object are close but not identical; fuzzy matching lets
 	// dependent UDF results transfer across detectors.
 	FuzzyBBox bool
+	// Where are the selections folded into the operator (Fuse), in the
+	// order the Filters they replace ran: each keeps the rows of the
+	// one before it that satisfy it. They read input ⊕ Out, carried or
+	// not.
+	Where []expr.Expr
+	// Pass names the input columns the operator carries and Emit the
+	// Out columns; nil carries all of them. Fuse sets both to what the
+	// operators above read.
+	Pass []string
+	Emit []string
 
 	sch types.Schema
 }
 
-// Schema implements Node; the output schema is input ⊕ Out.
+// Schema implements Node: the carried input columns, then the carried
+// Out columns, each in schema order. An Out column whose name an input
+// column already has is suffixed "_r" (types.Schema.Concat); Fuse
+// carries every input column such a suffix depends on, so narrowing
+// never renames a column.
 func (a *ReuseApply) Schema() types.Schema {
 	if a.sch == nil {
-		a.sch = a.Input.Schema().Concat(a.Out)
+		in := a.Input.Schema()
+		sch := make(types.Schema, 0, len(in)+len(a.Out))
+		for _, c := range in {
+			if a.Passes(c.Name) {
+				sch = append(sch, c)
+			}
+		}
+		pass := len(sch)
+		for _, c := range a.Out {
+			name := c.Name
+			for in.Has(name) || sch[pass:].Has(name) {
+				name += "_r"
+			}
+			sch = append(sch, types.Column{Name: name, Kind: c.Kind})
+		}
+		// Every Out column is named before the ones not carried are
+		// dropped, as Concat would name them.
+		w := pass
+		for j, c := range a.Out {
+			if a.Emits(c.Name) {
+				sch[w] = sch[pass+j]
+				w++
+			}
+		}
+		a.sch = sch[:w]
 	}
 	return a.sch
 }
 
+// Passes reports whether the operator carries the input column col.
+func (a *ReuseApply) Passes(col string) bool { return carries(a.Pass, col) }
+
+// Emits reports whether the operator carries the Out column col.
+func (a *ReuseApply) Emits(col string) bool { return carries(a.Emit, col) }
+
+// carries reports whether a carried-column list (nil = every column)
+// names col.
+func carries(list []string, col string) bool {
+	if list == nil {
+		return true
+	}
+	for _, name := range list {
+		if strings.EqualFold(name, col) {
+			return true
+		}
+	}
+	return false
+}
+
 func (a *ReuseApply) Children() []Node { return []Node{a.Input} }
 
+// Describe renders the operator with its folded selections and the
+// columns it carries. Every statement renders its plan, so it writes
+// into one builder instead of formatting pieces.
 func (a *ReuseApply) Describe() string {
-	kind := "ScalarApply"
+	var sb strings.Builder
+	sb.Grow(160)
 	if a.TableUDF {
-		kind = "CrossApply"
+		sb.WriteString("CrossApply(")
+	} else {
+		sb.WriteString("ScalarApply(")
 	}
-	var srcs []string
-	for _, s := range a.Sources {
-		srcs = append(srcs, s.ViewName)
+	sb.WriteString(a.Eval)
+	if len(a.Sources) == 0 {
+		sb.WriteString(", no-reuse")
+	} else {
+		sb.WriteString(", views=[")
+		for i, s := range a.Sources {
+			if i > 0 {
+				sb.WriteByte(',')
+			}
+			sb.WriteString(s.ViewName)
+		}
+		sb.WriteByte(']')
 	}
-	reuse := "no-reuse"
-	if len(srcs) > 0 {
-		reuse = "views=[" + strings.Join(srcs, ",") + "]"
-	}
-	store := ""
 	if a.StoreView != "" {
-		store = " store=" + a.StoreView
+		sb.WriteString(" store=")
+		sb.WriteString(a.StoreView)
 	}
-	return fmt.Sprintf("%s(%s, %s%s, key=%v)", kind, a.Eval, reuse, store, a.KeyCols)
+	sb.WriteString(", key=[")
+	for i, k := range a.KeyCols {
+		if i > 0 {
+			sb.WriteByte(' ')
+		}
+		sb.WriteString(k)
+	}
+	sb.WriteByte(']')
+	for i, w := range a.Where {
+		if i == 0 {
+			sb.WriteString(", where=")
+		} else {
+			sb.WriteString("; ")
+		}
+		sb.WriteString(w.String())
+	}
+	sb.WriteString(", cols=[")
+	for i, c := range a.Schema() {
+		if i > 0 {
+			sb.WriteByte(' ')
+		}
+		sb.WriteString(c.Name)
+	}
+	sb.WriteString("])")
+	return sb.String()
 }
 
 // ProjItem is one projection output column. Kind may be set by the

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -34,14 +35,63 @@ func TestReuseApplySchemaConcat(t *testing.T) {
 	if &a.Schema()[0] != &sch[0] {
 		t.Error("schema should be memoized")
 	}
-	if !strings.Contains(a.Describe(), "CrossApply(FasterRCNNResnet50, no-reuse") {
-		t.Errorf("describe = %q", a.Describe())
+	if d, want := a.Describe(), "CrossApply(FasterRCNNResnet50, no-reuse, key=[id], cols=[id frame label bbox])"; d != want {
+		t.Errorf("describe = %q, want %q", d, want)
 	}
-	a.Sources = []ApplySource{{UDF: "x", ViewName: "v1"}}
+	a.Sources = []ApplySource{{UDF: "x", ViewName: "v1"}, {UDF: "y", ViewName: "v2"}}
 	a.StoreView = "v1"
 	a.TableUDF = false
-	if d := a.Describe(); !strings.Contains(d, "ScalarApply") || !strings.Contains(d, "views=[v1]") || !strings.Contains(d, "store=v1") {
-		t.Errorf("describe = %q", d)
+	if d, want := a.Describe(), "ScalarApply(FasterRCNNResnet50, views=[v1,v2] store=v1, key=[id], cols=[id frame label bbox])"; d != want {
+		t.Errorf("describe = %q, want %q", d, want)
+	}
+}
+
+// TestReuseApplyCarriedColumns: Pass and Emit narrow the schema to the
+// listed columns in schema order (nil carries all, empty none); the
+// Where and the carried columns show in Describe.
+func TestReuseApplyCarriedColumns(t *testing.T) {
+	out := types.MustSchema(
+		types.Column{Name: "label", Kind: types.KindString},
+		types.Column{Name: "bbox", Kind: types.KindString},
+	)
+	for _, tc := range []struct {
+		pass, emit []string
+		cols       string
+	}{
+		{nil, nil, "[id frame label bbox]"},
+		{[]string{"ID"}, nil, "[id label bbox]"},
+		{nil, []string{"bbox"}, "[id frame bbox]"},
+		{[]string{"frame", "id"}, []string{"bbox", "label"}, "[id frame label bbox]"},
+		{[]string{}, []string{"bbox"}, "[bbox]"},
+		{[]string{}, []string{}, "[]"},
+	} {
+		a := &ReuseApply{Input: scanNode(), Eval: "D", TableUDF: true, Out: out, KeyCols: []string{"id"}, Pass: tc.pass, Emit: tc.emit}
+		if got := fmt.Sprint(a.Schema().Names()); got != tc.cols {
+			t.Errorf("Pass %v Emit %v: schema %s, want %s", tc.pass, tc.emit, got, tc.cols)
+		}
+	}
+	a := &ReuseApply{Input: scanNode(), Eval: "D", TableUDF: true, Out: out, KeyCols: []string{"id"},
+		Where: []expr.Expr{
+			expr.NewCmp(expr.OpEq, expr.NewColumn("label"), expr.NewConst(types.NewString("car"))),
+			expr.NewCmp(expr.OpGt, expr.NewColumn("id"), expr.NewConst(types.NewInt(3))),
+		},
+		Pass: []string{"id"}, Emit: []string{"bbox"}}
+	if d, want := a.Describe(), "CrossApply(D, no-reuse, key=[id], where=label = 'car'; id > 3, cols=[id bbox])"; d != want {
+		t.Errorf("describe = %q, want %q", d, want)
+	}
+}
+
+// TestReuseApplyNamesOutLikeConcat: an Out column whose name the input
+// has is suffixed as types.Schema.Concat would, whatever is carried.
+func TestReuseApplyNamesOutLikeConcat(t *testing.T) {
+	out := types.MustSchema(types.Column{Name: "frame", Kind: types.KindString}, types.Column{Name: "frame_r", Kind: types.KindInt})
+	full := scanNode().Schema().Concat(out)
+	for _, emit := range [][]string{nil, {"frame_r"}} {
+		a := &ReuseApply{Input: scanNode(), Eval: "D", Out: out, Pass: []string{"id"}, Emit: emit}
+		sch := a.Schema()
+		if got, want := sch[len(sch)-1], full[len(full)-1]; got != want {
+			t.Errorf("Emit %v: last column %v, want %v as in %s", emit, got, want, full)
+		}
 	}
 }
 

@@ -596,7 +596,7 @@ func (v *View) appendLocked(rows *types.Batch, processedKeys [][]types.Datum, in
 	for idx := newRowIdx; len(idx) > 0; {
 		tail, room := v.rows.room(v.schema)
 		k := min(len(idx), room)
-		if err := tail.AppendGather(rows, idx[:k], nil, nil); err != nil {
+		if err := tail.AppendGather(rows, nil, idx[:k], nil, nil, nil); err != nil {
 			return 0, fmt.Errorf("storage: view %s: %w", v.name, err)
 		}
 		idx = idx[k:]

@@ -251,27 +251,40 @@ func (b *Batch) Truncate(n int) {
 	b.n = n
 }
 
-// AppendGather appends len(leftRows) rows column-wise — the output
-// shape of a join. Output row k is left's row leftRows[k] followed by
-// the trailing len(b.Schema())-len(left.Schema()) columns of right[k]
-// at row rightRows[k]; when left spans b's whole width, right is not
-// consulted and the call is a plain row gather. Rows equal what
-// AppendRow would store for the same concatenated datums, but kinds are
-// checked once per column (per run of rows sharing a right batch)
-// instead of once per datum. On error b is unchanged.
+// AppendGather appends len(leftRows) rows column-wise, taking only the
+// listed columns — the output shape of a join that carries a subset of
+// its inputs. Output row k is columns leftCols of left's row leftRows[k]
+// followed by columns rightCols of right[k] at row rightRows[k]; nil
+// leftCols takes every column of left, in order. rightCols are
+// trailing-column ordinals, counted from the end of each right batch
+// (-1 is its last column): the right batches of one gather share only
+// their trailing columns, for a view's rows lead with their key and a
+// UDF's output does not. With no rightCols, right is not consulted and
+// the call is a plain row gather. b must be exactly as wide as the
+// columns taken. Rows equal what AppendRow would store for the same
+// datums, but kinds are checked once per column (per run of rows
+// sharing a right batch) instead of once per datum. On error b is
+// unchanged.
 // lint:hotpath gather copy loops must not allocate per row
-func (b *Batch) AppendGather(left *Batch, leftRows []int, right []*Batch, rightRows []int) error {
-	n, lw := len(leftRows), len(left.cols)
-	rw := len(b.cols) - lw
-	if rw < 0 || (rw > 0 && (len(right) != n || len(rightRows) != n)) {
-		return fmt.Errorf("types: gather %d+%d rows of width %d into batch of width %d",
-			n, len(right), lw, len(b.cols))
+func (b *Batch) AppendGather(left *Batch, leftCols, leftRows []int, right []*Batch, rightCols, rightRows []int) error {
+	n, lw := len(leftRows), len(leftCols)
+	if leftCols == nil {
+		lw = len(left.cols)
+	}
+	if lw+len(rightCols) != len(b.cols) || (len(rightCols) > 0 && (len(right) != n || len(rightRows) != n)) {
+		return fmt.Errorf("types: gather %d+%d columns of %d+%d rows into batch of width %d",
+			lw, len(rightCols), n, len(right), len(b.cols))
+	}
+	for _, c := range leftCols {
+		if c < 0 || c >= len(left.cols) {
+			return fmt.Errorf("types: gather column %d of batch of width %d", c, len(left.cols))
+		}
 	}
 	base := b.n
 	for c := range b.cols {
 		b.cols[c] = slices.Grow(b.cols[c], n)[:base+n]
 	}
-	if err := b.gather(base, left, leftRows, right, rightRows); err != nil {
+	if err := b.gather(base, left, leftCols, leftRows, right, rightCols, rightRows); err != nil {
 		for c := range b.cols {
 			b.cols[c] = b.cols[c][:base]
 		}
@@ -282,23 +295,36 @@ func (b *Batch) AppendGather(left *Batch, leftRows []int, right []*Batch, rightR
 }
 
 // gather fills the rows AppendGather reserved from base on.
-func (b *Batch) gather(base int, left *Batch, leftRows []int, right []*Batch, rightRows []int) error {
-	lw := len(left.cols)
-	rw := len(b.cols) - lw
+func (b *Batch) gather(base int, left *Batch, leftCols, leftRows []int, right []*Batch, rightCols, rightRows []int) error {
+	lw := len(b.cols) - len(rightCols)
 	for c := 0; c < lw; c++ {
-		if err := b.gatherColumn(c, base, left, c, leftRows); err != nil {
+		sc := c
+		if leftCols != nil {
+			sc = leftCols[c]
+		}
+		if err := b.gatherColumn(c, base, left, sc, leftRows); err != nil {
 			return err
 		}
 	}
-	for lo, hi := 0, 0; rw > 0 && lo < len(right); lo = hi {
+	if len(rightCols) == 0 {
+		return nil
+	}
+	deepest := 0 // the most negative trailing ordinal
+	for _, c := range rightCols {
+		if c >= 0 {
+			return fmt.Errorf("types: gather trailing column %d (want a negative ordinal)", c)
+		}
+		deepest = min(deepest, c)
+	}
+	for lo, hi := 0, 0; lo < len(right); lo = hi {
 		src := right[lo]
 		for hi = lo + 1; hi < len(right) && right[hi] == src; hi++ {
 		}
-		if len(src.cols) < rw {
-			return fmt.Errorf("types: gather %d trailing columns from batch of width %d", rw, len(src.cols))
+		if len(src.cols) < -deepest {
+			return fmt.Errorf("types: gather trailing column %d of batch of width %d", deepest, len(src.cols))
 		}
-		for c := 0; c < rw; c++ {
-			if err := b.gatherColumn(lw+c, base+lo, src, len(src.cols)-rw+c, rightRows[lo:hi]); err != nil {
+		for j, c := range rightCols {
+			if err := b.gatherColumn(lw+j, base+lo, src, len(src.cols)+c, rightRows[lo:hi]); err != nil {
 				return err
 			}
 		}
@@ -352,19 +378,6 @@ func (b *Batch) Slice(lo, hi int) *Batch {
 		out.cols[c] = b.cols[c][lo:hi]
 	}
 	return out
-}
-
-// ProjectInto is Project by column ordinal writing the view into dst,
-// whose schema and column headers are reused — for a caller that takes a
-// key-column view of every batch and keeps one holder for all of them.
-// dst must not be a pooled batch.
-func (b *Batch) ProjectInto(dst *Batch, cols []int) {
-	dst.n = b.n
-	dst.schema = slices.Grow(dst.schema[:0], len(cols))[:len(cols)]
-	dst.cols = slices.Grow(dst.cols[:0], len(cols))[:len(cols)]
-	for i, c := range cols {
-		dst.schema[i], dst.cols[i] = b.schema[c], b.cols[c]
-	}
 }
 
 // EncodedSize returns the total canonical encoded size of all datums,

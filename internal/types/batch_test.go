@@ -133,7 +133,7 @@ func TestBatchFilterProjectSlice(t *testing.T) {
 		b.MustAppendRow(NewInt(int64(i)), NewString("car"), NewFloat(float64(i)/10))
 	}
 	f := NewBatch(b.Schema())
-	if err := f.AppendGather(b, []int{0, 2}, nil, nil); err != nil {
+	if err := f.AppendGather(b, nil, []int{0, 2}, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if f.Len() != 2 || f.At(1, 0).Int() != 2 {
@@ -185,21 +185,37 @@ func TestBatchEncodedSizeAndString(t *testing.T) {
 	}
 }
 
-// gatherOracle is AppendGather spelled with AppendRow: the concatenated
-// row is materialized and appended datum by datum.
-func gatherOracle(dst, left *Batch, leftRows []int, right []*Batch, rightRows []int) error {
-	rw := len(dst.Schema()) - len(left.Schema())
+// gatherOracle is AppendGather spelled with AppendRow: the row of the
+// taken columns is materialized and appended datum by datum.
+func gatherOracle(dst, left *Batch, leftCols, leftRows []int, right []*Batch, rightCols, rightRows []int) error {
+	if leftCols == nil {
+		leftCols = make([]int, len(left.Schema()))
+		for c := range leftCols {
+			leftCols[c] = c
+		}
+	}
 	for k, lr := range leftRows {
-		row := left.Row(lr)
-		if rw > 0 {
-			r := right[k].Row(rightRows[k])
-			row = append(row, r[len(r)-rw:]...)
+		var row []Datum
+		for _, c := range leftCols {
+			row = append(row, left.At(lr, c))
+		}
+		for _, c := range rightCols {
+			row = append(row, right[k].At(rightRows[k], len(right[k].Schema())+c))
 		}
 		if err := dst.AppendRow(row...); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// trailing lists the trailing-column ordinals of the last n columns.
+func trailing(n int) []int {
+	cols := make([]int, n)
+	for j := range cols {
+		cols[j] = j - n
+	}
+	return cols
 }
 
 func batchesEqual(a, b *Batch) bool {
@@ -270,10 +286,10 @@ func TestAppendGatherMatchesAppendRow(t *testing.T) {
 		// A non-empty destination: the gather appends.
 		got.MustAppendRow(NewInt(-1), NewFloat(-1), NewString("seed"), NewFloat(-1))
 		want.MustAppendRow(NewInt(-1), NewFloat(-1), NewString("seed"), NewFloat(-1))
-		if err := gatherOracle(want, left, leftRows, right, rightRows); err != nil {
+		if err := gatherOracle(want, left, nil, leftRows, right, trailing(2), rightRows); err != nil {
 			t.Fatal(err)
 		}
-		if err := got.AppendGather(left, leftRows, right, rightRows); err != nil {
+		if err := got.AppendGather(left, nil, leftRows, right, trailing(2), rightRows); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if !batchesEqual(got, want) {
@@ -284,10 +300,10 @@ func TestAppendGatherMatchesAppendRow(t *testing.T) {
 	// Left spanning the whole width is a plain row gather.
 	got, want := NewBatch(leftSch), NewBatch(leftSch)
 	rows := []int{8, 0, 0, 3}
-	if err := gatherOracle(want, left, rows, nil, nil); err != nil {
+	if err := gatherOracle(want, left, nil, rows, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := got.AppendGather(left, rows, nil, nil); err != nil {
+	if err := got.AppendGather(left, nil, rows, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !batchesEqual(got, want) {
@@ -320,8 +336,8 @@ func TestAppendGatherKindMismatch(t *testing.T) {
 		got.MustAppendRow(NewInt(0), NewInt(0))
 		want.MustAppendRow(NewInt(0), NewInt(0))
 		rights := []*Batch{right, right}
-		wantErr := gatherOracle(want, left, []int{0, 1}, rights, tc.rightRows)
-		gotErr := got.AppendGather(left, []int{0, 1}, rights, tc.rightRows)
+		wantErr := gatherOracle(want, left, nil, []int{0, 1}, rights, []int{-1}, tc.rightRows)
+		gotErr := got.AppendGather(left, nil, []int{0, 1}, rights, []int{-1}, tc.rightRows)
 		if (wantErr != nil) != tc.wantErr {
 			t.Fatalf("%s: oracle error = %v", tc.name, wantErr)
 		}
@@ -336,14 +352,114 @@ func TestAppendGatherKindMismatch(t *testing.T) {
 		}
 	}
 
-	// Shape errors: triples of unequal length, a source too narrow.
+	// Shape errors: triples of unequal length, a source too narrow, a
+	// column list as wide as the destination is not, a left column out
+	// of range, a non-negative trailing ordinal.
 	out := NewBatch(outSch)
-	if err := out.AppendGather(left, []int{0, 1}, []*Batch{right}, []int{0}); err == nil {
+	if err := out.AppendGather(left, nil, []int{0, 1}, []*Batch{right}, []int{-1}, []int{0}); err == nil {
 		t.Error("gather with fewer right rows than left rows should error")
 	}
 	wideOut := NewBatch(MustSchema(Column{"id", KindInt}, Column{"a", KindString}, Column{"b", KindString}))
-	if err := wideOut.AppendGather(left, []int{0}, []*Batch{right}, []int{0}); err == nil || wideOut.Len() != 0 {
+	if err := wideOut.AppendGather(left, nil, []int{0}, []*Batch{right}, []int{-2, -1}, []int{0}); err == nil || wideOut.Len() != 0 {
 		t.Errorf("gather of 2 trailing columns from a 1-column batch: err=%v len=%d", err, wideOut.Len())
+	}
+	if err := out.AppendGather(left, nil, []int{0}, nil, nil, nil); err == nil {
+		t.Error("gather of 1 column into a batch of width 2 should error")
+	}
+	if err := out.AppendGather(left, []int{1}, []int{0}, []*Batch{right}, []int{-1}, []int{0}); err == nil {
+		t.Error("gather of left column 1 from a 1-column batch should error")
+	}
+	if err := out.AppendGather(left, nil, []int{0}, []*Batch{right}, []int{0}, []int{0}); err == nil || out.Len() != 0 {
+		t.Errorf("gather of trailing ordinal 0: err=%v len=%d", err, out.Len())
+	}
+}
+
+// TestAppendGatherColumnLists checks the column-list gather against the
+// row-wise oracle: random subsets of the left and of the right columns
+// in random order, empty lists on either side (with no right column the
+// right batches are not consulted), runs of rows alternating between
+// right batches whose leading columns differ, and a kind error part way
+// through, which leaves the destination as it was.
+func TestAppendGatherColumnLists(t *testing.T) {
+	leftSch := MustSchema(Column{"id", KindInt}, Column{"frame", KindBytes}, Column{"score", KindFloat})
+	viewSch := MustSchema(Column{"id", KindInt}, Column{"label", KindString}, Column{"area", KindFloat})
+	outSch := MustSchema(Column{"label", KindString}, Column{"area", KindFloat})
+	left, view, udfOut := NewBatch(leftSch), NewBatch(viewSch), NewBatch(outSch)
+	for i := 0; i < 6; i++ {
+		left.MustAppendRow(NewInt(int64(i)), NewBytes([]byte{byte(i)}), NewFloat(float64(i)/4))
+		view.MustAppendRow(NewInt(int64(i)), NewString(strings.Repeat("v", i)), NewFloat(float64(i)))
+		udfOut.MustAppendRow(NewString(strings.Repeat("u", i)), NewInt(int64(10*i)))
+	}
+	all := leftSch.Concat(outSch)
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		leftCols := rng.Perm(len(leftSch))[:rng.Intn(len(leftSch)+1)]
+		var rightCols []int
+		for _, j := range rng.Perm(len(outSch))[:rng.Intn(len(outSch)+1)] {
+			rightCols = append(rightCols, j-len(outSch))
+		}
+		var sch Schema
+		for _, c := range leftCols {
+			sch = append(sch, all[c])
+		}
+		for _, c := range rightCols {
+			sch = append(sch, all[len(all)+c])
+		}
+		n := rng.Intn(10)
+		var leftRows, rightRows []int
+		var right []*Batch
+		src := view
+		for k := 0; k < n; k++ {
+			if rng.Intn(3) == 0 {
+				if src == view {
+					src = udfOut
+				} else {
+					src = view
+				}
+			}
+			leftRows = append(leftRows, rng.Intn(left.Len()))
+			right = append(right, src)
+			rightRows = append(rightRows, rng.Intn(src.Len()))
+		}
+		if len(rightCols) == 0 {
+			right, rightRows = nil, nil // not consulted
+		}
+		got, want := NewBatch(sch), NewBatch(sch)
+		if err := gatherOracle(want, left, leftCols, leftRows, right, rightCols, rightRows); err != nil {
+			t.Fatal(err)
+		}
+		if err := got.AppendGather(left, leftCols, leftRows, right, rightCols, rightRows); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !batchesEqual(got, want) || got.Len() != n {
+			t.Fatalf("trial %d: left %v right %v: gather\n%s\noracle\n%s", trial, leftCols, rightCols, got, want)
+		}
+	}
+
+	// The key columns of an input batch behind every Out column: the
+	// view-staging gather.
+	stage := NewBatch(MustSchema(Column{"id", KindInt}, Column{"label", KindString}, Column{"area", KindFloat}))
+	if err := stage.AppendGather(left, []int{0}, []int{4, 1}, []*Batch{udfOut, view}, trailing(2), []int{2, 5}); err != nil {
+		t.Fatal(err)
+	}
+	if stage.At(0, 0).Int() != 4 || stage.At(0, 1).Str() != "uu" || stage.At(1, 0).Int() != 1 || stage.At(1, 2).Float() != 5 {
+		t.Fatalf("staging gather = %v", stage)
+	}
+
+	// No column at all: rows without columns.
+	empty := NewBatch(nil)
+	if err := empty.AppendGather(left, []int{}, []int{0, 3, 5}, nil, nil, nil); err != nil || empty.Len() != 3 {
+		t.Fatalf("zero-column gather: err=%v len=%d", err, empty.Len())
+	}
+
+	// A kind error in a later right run leaves b unchanged.
+	intOut := NewBatch(MustSchema(Column{"id", KindInt}, Column{"label", KindInt}))
+	intOut.MustAppendRow(NewInt(-1), NewInt(-1))
+	nulls := NewBatch(outSch)
+	nulls.MustAppendRow(Null, NewFloat(0))
+	err := intOut.AppendGather(left, []int{0}, []int{0, 1, 2}, []*Batch{nulls, nulls, view}, []int{-2}, []int{0, 0, 3})
+	if err == nil || intOut.Len() != 1 || len(intOut.Col(0)) != 1 || len(intOut.Col(1)) != 1 || intOut.At(0, 1).Int() != -1 {
+		t.Fatalf("kind error: err=%v batch %v", err, intOut)
 	}
 }
 

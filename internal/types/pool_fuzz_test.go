@@ -7,7 +7,7 @@ import (
 
 // FuzzBatchPoolLifecycle drives random interleavings of the pooled
 // batch lifecycle — Get, AppendRow, CompactSel, Truncate,
-// AppendRange, Row extraction, Put — against a non-pooled oracle
+// AppendRange, AppendGather, Row extraction, Put — against a non-pooled oracle
 // batch. After every operation the pooled batch must match the oracle
 // exactly, and rows copied out of earlier generations must survive
 // later generations untouched: with poisoning enabled, any operation
@@ -18,6 +18,7 @@ func FuzzBatchPoolLifecycle(f *testing.F) {
 	f.Add([]byte{0, 0, 4, 3, 0, 4, 3})
 	f.Add([]byte{0, 1, 0, 2, 9, 0, 3, 0, 1, 0})
 	f.Add([]byte{0, 0, 0, 0, 5, 2, 1, 3, 4, 0, 3})
+	f.Add([]byte{0, 0, 0, 6, 4, 3, 0, 6, 13, 1, 6})
 
 	schema := MustSchema(
 		Column{Name: "id", Kind: KindInt},
@@ -57,7 +58,7 @@ func FuzzBatchPoolLifecycle(f *testing.F) {
 		}
 
 		for i := 0; i < len(ops); i++ {
-			switch ops[i] % 6 {
+			switch ops[i] % 7 {
 			case 0: // append one row to both
 				seq++
 				id, tag := NewInt(seq), NewString(fmt.Sprintf("t%d", seq))
@@ -115,6 +116,26 @@ func FuzzBatchPoolLifecycle(f *testing.F) {
 					oracle = next
 					check("appendrange")
 				}
+			case 6: // gather rows of a pooled copy column by column, then recycle the copy
+				src := pool.Get(schema)
+				var rows []int
+				var srcs []*Batch
+				for r := oracle.Len() - 1; r >= 0; r-- {
+					src.MustAppendRow(oracle.Row(oracle.Len() - 1 - r)...)
+					if (r+int(ops[i]))%2 == 0 {
+						rows, srcs = append(rows, r), append(srcs, src)
+					}
+				}
+				if err := cur.AppendGather(src, []int{0}, rows, srcs, []int{-1}, rows); err != nil {
+					t.Fatalf("gather: %v", err)
+				}
+				next := keptRows(oracle, allTrue(oracle.Len()))
+				for _, r := range rows {
+					next.MustAppendRow(oracle.Row(r)...)
+				}
+				oracle = next
+				pool.Put(src)
+				check("gather")
 			}
 		}
 

@@ -273,24 +273,3 @@ func TestAppendRange(t *testing.T) {
 		t.Fatal("schema-mismatched AppendRange did not error")
 	}
 }
-
-func TestProjectInto(t *testing.T) {
-	b := NewBatch(poolSchema)
-	b.MustAppendRow(NewInt(42), NewString("v"))
-	b.MustAppendRow(NewInt(43), NewString("w"))
-	var view Batch
-	for pass := 0; pass < 2; pass++ { // the holder is reused
-		b.ProjectInto(&view, []int{1})
-		if view.Len() != 2 || len(view.Schema()) != 1 || view.Schema()[0].Name != poolSchema[1].Name || view.At(1, 0).Str() != "w" {
-			t.Fatalf("ProjectInto = %v", &view)
-		}
-	}
-	// The view is a gather's left side: its column, then b's trailing one.
-	out := NewBatch(MustSchema(Column{Name: "k", Kind: KindString}, Column{Name: "v", Kind: KindString}))
-	if err := out.AppendGather(&view, []int{1, 0}, []*Batch{b, b}, []int{0, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if out.At(0, 0).Str() != "w" || out.At(0, 1).Str() != "v" || out.At(1, 0).Str() != "v" || out.At(1, 1).Str() != "w" {
-		t.Fatalf("gather over a projected view = %v", out)
-	}
-}

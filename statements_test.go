@@ -35,6 +35,41 @@ func TestExplainDoesNotExecuteOrCommit(t *testing.T) {
 	}
 }
 
+// TestExplainShowsFoldedSelections: on a two-classifier query (VBENCH
+// Q3's shape) every apply shows the selections folded into it and the
+// columns it carries, and no Filter sits between the applies.
+func TestExplainShowsFoldedSelections(t *testing.T) {
+	sys := openLoaded(t, Config{})
+	res, err := sys.Exec(`EXPLAIN SELECT id, bbox FROM video CROSS APPLY FasterRCNNResnet50(frame)
+		WHERE id < 50 AND area > 0.25 AND label = 'car' AND CarType(frame, bbox) = 'Nissan' AND ColorDet(frame, bbox) = 'Gray'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(res.PlanText), "\n")
+	var applies []string
+	for i, line := range lines {
+		line = strings.TrimSpace(line)
+		if strings.Contains(line, "Apply(") {
+			applies = append(applies, line)
+		}
+		if strings.HasPrefix(line, "Filter(") && !strings.HasPrefix(strings.TrimSpace(lines[i+1]), "Scan(") {
+			t.Errorf("a Filter above something other than the scan: %q", line)
+		}
+	}
+	if len(applies) != 3 {
+		t.Fatalf("want 3 applies:\n%s", res.PlanText)
+	}
+	for i, want := range []string{
+		"where=cartype_out = 'Nissan', cols=[id bbox])",
+		"where=colordet_out = 'Gray', cols=[id frame bbox])",
+		"where=(area > 0.25 AND label = 'car'), cols=[id frame bbox])",
+	} {
+		if !strings.HasSuffix(applies[i], want) {
+			t.Errorf("apply %d = %q, want suffix %q", i, applies[i], want)
+		}
+	}
+}
+
 func TestExplainAnalyzeReportsOperatorStats(t *testing.T) {
 	sys := openLoaded(t, Config{})
 	res, err := sys.Exec(`EXPLAIN ANALYZE SELECT id, label FROM video
