@@ -123,10 +123,11 @@ cover:
 # records cost the snapshot, never the open); and the frame scanner
 # under every durable log (no panic, holes ascending and disjoint inside
 # the valid prefix, every record re-seals to its own bytes, the accepted
-# prefix is a fixed point); and the ordered probe against the key index
-# (the same hits, (chunk, row) pairs and hashes after appends from
-# interleaved writers, replay, eviction, compaction and salvage, on
-# chunks of a few rows).
+# prefix is a fixed point); and the view probe against a naive oracle, a
+# map from encoded key to processed flag and row ids (exactly its hits,
+# (chunk, row) pairs and hashes after appends from interleaved writers
+# past the fold bound, zero-row keys of (id) and (bbox, id) views,
+# replay, eviction, compaction and salvage, on chunks of a few rows).
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzReduce -fuzztime=5s ./internal/symbolic/
 	$(GO) test -run=^$$ -fuzz=FuzzDNFCodec -fuzztime=5s ./internal/symbolic/

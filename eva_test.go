@@ -1,6 +1,7 @@
 package eva
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -159,6 +160,61 @@ func TestCreateUDFAndCustomImpl(t *testing.T) {
 	}
 	if calls != before {
 		t.Errorf("monolithic UDF re-evaluated %d times on identical query", calls-before)
+	}
+}
+
+// TestFramelessUDFKeyedOnID: a UDF called without a frame argument is
+// keyed per frame too — its view's key columns include id, as every
+// view's must — it answers as no-reuse mode does, and a second run of the
+// same query evaluates nothing.
+func TestFramelessUDFKeyedOnID(t *testing.T) {
+	const q = `SELECT id, label, Boxy(bbox) FROM video CROSS APPLY FasterRCNNResnet50(frame)
+		WHERE id < 120 AND Boxy(bbox) = 'odd'`
+	var answers [2]string
+	for i, mode := range []SystemMode{ModeNoReuse, ModeEVA} {
+		sys := openLoaded(t, Config{Mode: mode})
+		if _, err := sys.Exec(`CREATE UDF Boxy INPUT = (bbox TEXT) OUTPUT = (boxy_out TEXT)
+			IMPL = 'test' PROPERTIES = ('COST_MS' = '1')`); err != nil {
+			t.Fatal(err)
+		}
+		calls := 0
+		sys.RegisterScalarImpl("Boxy", func(args []Datum) (Datum, error) {
+			calls++
+			return NewString([]string{"even", "odd"}[len(args[0].Str())%2]), nil
+		})
+		res, err := sys.Exec(q)
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		answers[i] = Format(res.Rows)
+		if calls == 0 || res.Rows.Len() == 0 {
+			t.Fatalf("%s: %d calls, %d rows; the query exercises nothing", mode, calls, res.Rows.Len())
+		}
+		if mode != ModeEVA {
+			continue
+		}
+		before := calls
+		if res, err = sys.Exec(q); err != nil || Format(res.Rows) != answers[i] {
+			t.Fatalf("second run: %v, answers changed: %v", err, Format(res.Rows) != answers[i])
+		}
+		if calls != before {
+			t.Errorf("second run evaluated Boxy %d times", calls-before)
+		}
+		views := 0
+		for _, name := range sys.store.Views() {
+			if v := sys.store.View(name); strings.Contains(name, "boxy") {
+				views++
+				if !slices.Contains(v.KeyColumns(), "id") {
+					t.Errorf("view %s is keyed on %v", name, v.KeyColumns())
+				}
+			}
+		}
+		if views != 1 {
+			t.Errorf("%d views of Boxy, want 1", views)
+		}
+	}
+	if answers[0] != answers[1] {
+		t.Errorf("EVA answered\n%s\nno-reuse\n%s", answers[1], answers[0])
 	}
 }
 

@@ -41,8 +41,8 @@ func (p viewPredicates) Survived(sig udf.Signature) symbolic.DNF {
 	if v == nil || len(kc) != 1 || kc[0] != "id" {
 		return symbolic.False()
 	}
-	ranges, ok := v.SurvivedIDRanges()
-	if !ok || len(ranges) == 0 {
+	ranges := v.SurvivedIDRanges()
+	if len(ranges) == 0 {
 		return symbolic.False()
 	}
 	ivs := make([]symbolic.Interval, 0, len(ranges))

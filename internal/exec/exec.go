@@ -452,7 +452,7 @@ type applyIter struct {
 	pendingRows *types.Batch    // buffered fresh results for the store view
 	pendingKeys [][]types.Datum // buffered processed keys, cut from keyArena
 	keyArena    []types.Datum   // backs pendingKeys; reused from flush to flush
-	seenPending storage.KeySet  // keys already buffered this query
+	seenPending storage.IDKeys  // keys of the current id already buffered this query
 
 	claimed    []string // store-view keys this batch holds claims on
 	staged     int64    // budget bytes reserved for pending view rows
@@ -465,12 +465,12 @@ type applyIter struct {
 	decisions []rowDecision
 	// pk is the batch's probe keys: Hashes[r] is the view key hash (=
 	// udf.DemandHash) of row r's key — the stored one for a row a view
-	// served by the ordered merge — and the rows no view serves are
+	// served — and the rows no view serves are
 	// encoded (pk.Key).
 	pk        storage.ProbeKeys
 	sel       []int          // rows no view has served yet, in row order
 	probed    storage.Probed // the batch's served rows as (chunk, row) pairs; Hits is one probe's answer
-	claimSeen storage.KeySet // dedup set of unservedKeys
+	claimSeen storage.IDKeys // dedup set of unservedKeys
 	claimBuf  []string       // backs claimed
 	scratch   []evalScratch  // per-worker eval scratch
 
@@ -723,7 +723,10 @@ func (a *applyIter) next() (*types.Batch, error) {
 // output gather run after the batch's view rows are staged and, when
 // due, published: where the Filter they stand for ran.
 func (a *applyIter) step(b *types.Batch) (*types.Batch, error) {
-	decisions := a.probePhase(b)
+	decisions, err := a.probePhase(b)
+	if err != nil {
+		return nil, fmt.Errorf("exec: apply %s: %w", a.node.Eval, err)
+	}
 	if a.ctx.Sessions && a.store != nil {
 		a.claimPhase(decisions)
 	}
@@ -811,8 +814,8 @@ func (a *applyIter) unservedKeys() []string {
 	a.claimSeen.Reset()
 	keys := a.claimBuf[:0]
 	for _, r := range a.sel {
-		if ek := a.pk.Key(r); a.claimSeen.Add(a.pk.Hashes[r], ek) {
-			keys = append(keys, string(ek))
+		if _, added := a.claimSeen.Add(&a.pk, r); added {
+			keys = append(keys, string(a.pk.Key(r)))
 		}
 	}
 	a.claimBuf = keys
@@ -863,15 +866,15 @@ func (a *applyIter) chargeStaged() error {
 // probePhase is the reuse arm: the LEFT OUTER JOIN of the input batch
 // with the materialized views (Fig. 4), run batch at a time. It probes
 // each view once for the rows the views before it left unserved — an
-// ordered merge when the batch's ids never decrease, which reads no key
-// bytes (storage.View.Probe) — encodes the keys of the rows left, falls
+// ordered merge of the batch's ids, which never decrease, that reads no
+// key bytes (storage.View.Probe) — encodes the keys of the rows left, falls
 // back to the fuzzy index, and settles demand, reuse and virtual-clock
 // accounting in one call each. Rows no view can serve stay in a.sel,
 // queued for evaluation with their call identities assigned. The
 // accounting is a set of sums, so it equals what a row-at-a-time probe
 // would have charged.
 // lint:hotpath apply probe loops must not allocate per row
-func (a *applyIter) probePhase(b *types.Batch) []rowDecision {
+func (a *applyIter) probePhase(b *types.Batch) ([]rowDecision, error) {
 	n := b.Len()
 	if cap(a.decisions) < n {
 		// Batches of one operator vary in width (an upstream detector
@@ -889,8 +892,9 @@ func (a *applyIter) probePhase(b *types.Batch) []rowDecision {
 		decisions[r] = rowDecision{}
 		a.sel[r] = r
 	}
-	a.pk.Reset(b, a.keyIdx)
-
+	if err := a.pk.Reset(b, a.keyIdx); err != nil {
+		return nil, fmt.Errorf("probe keys: %w", err)
+	}
 	reused := a.probeViewsSel(decisions)
 	// Claims, staging and zero-row keys need the bytes of the keys left;
 	// a row the fuzzy index serves is demanded by its hash too.
@@ -908,7 +912,7 @@ func (a *applyIter) probePhase(b *types.Batch) []rowDecision {
 		decisions[r].id = a.rowSeq
 		a.rowSeq++
 	}
-	return decisions
+	return decisions, nil
 }
 
 // probeViewsSel joins the rows in a.sel against the probe views, one
@@ -924,7 +928,8 @@ func (a *applyIter) probeViewsSel(decisions []rowDecision) int {
 			break
 		}
 		a.probed.Hits = a.probed.Hits[:0]
-		view.Probe(&a.pk, a.sel, &a.probed)
+		// lint:noerrcheck Probe fails only on a batch Reset refused, and probePhase returns that
+		_ = view.Probe(&a.pk, a.sel, &a.probed)
 		if len(a.probed.Hits) == 0 {
 			continue
 		}
@@ -1216,7 +1221,7 @@ func (a *applyIter) emitRow(r int, src *types.Batch, row int) {
 // stages nothing.
 // lint:hotpath view staging must not allocate per already-seen key
 func (a *applyIter) stageKey(b *types.Batch, r, n int) bool {
-	if !a.seenPending.Add(a.pk.Hashes[r], a.pk.Key(r)) {
+	if _, added := a.seenPending.Add(&a.pk, r); !added {
 		return false
 	}
 	if n > 0 {

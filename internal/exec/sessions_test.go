@@ -99,7 +99,10 @@ func TestSessionsReprobeServesPublishedRows(t *testing.T) {
 	if err != nil || b == nil || b.Len() != 8 {
 		t.Fatalf("input batch: %v, %v", b, err)
 	}
-	decisions := a.probePhase(b)
+	decisions, err := a.probePhase(b)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if keys := a.unservedKeys(); len(keys) != 8 {
 		t.Fatalf("unserved keys = %d, want 8", len(keys))
 	}
@@ -138,7 +141,10 @@ func TestSessionsClaimWaitsForHolder(t *testing.T) {
 	if err != nil || b == nil {
 		t.Fatalf("input batch: %v, %v", b, err)
 	}
-	decisions := a.probePhase(b)
+	decisions, err := a.probePhase(b)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// A copy: the iterator reuses the returned slice on its next call.
 	keys := slices.Clone(a.unservedKeys())
 	v := ctx.Store.View("det_view")

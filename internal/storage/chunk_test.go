@@ -17,9 +17,9 @@ func forceLayout(t *testing.T, shift int, hash func([]byte) uint64) {
 	t.Cleanup(func() { chunkShift, hashKey = oldShift, oldHash })
 }
 
-// probeIDs probes v for the integer ids — through Probe, checked
-// against the key index (probeBoth) — and returns, per id, the labels of
-// its rows in stored order (nil and false for an unprocessed id).
+// probeIDs probes v for the integer ids, ascending, and returns, per id,
+// the labels of its rows in stored order (nil and false for an
+// unprocessed id).
 func probeIDs(t *testing.T, v *View, ids ...int64) (labels [][]string, found []bool) {
 	t.Helper()
 	sel := make([]int, len(ids))
@@ -27,7 +27,9 @@ func probeIDs(t *testing.T, v *View, ids ...int64) (labels [][]string, found []b
 		sel[i] = i
 	}
 	var out Probed
-	probeBoth(t, v, idKeys(ids...), sel, &out)
+	if err := v.Probe(idKeys(ids...), sel, &out); err != nil {
+		t.Fatal(err)
+	}
 	labels, found = make([][]string, len(ids)), make([]bool, len(ids))
 	for _, h := range out.Hits {
 		found[h.Key] = true
@@ -101,12 +103,12 @@ func TestViewChunkBoundaries(t *testing.T) {
 	probeUnderAppend(t)
 }
 
-// TestKeyIndexCollisions files every key under one hash, so every probe
-// walks the whole collision chain and verification alone tells keys
-// apart: keys with rows, a key with none and an absent key are each
-// answered for themselves; then the probe oracle — random appends, a
-// scrubbed hole, an eviction and the rebuilds that follow — runs on the
-// same degenerate hash.
+// TestKeyIndexCollisions files every key under one hash, so the key
+// columns alone tell keys apart — in the probe, and in the per-id dedup
+// of a stored batch (IDKeys): keys with rows, a key with none and an
+// absent key are each answered for themselves; then the probe oracle —
+// random appends, a scrubbed hole, an eviction and the rebuilds that
+// follow — runs on the same degenerate hash.
 func TestKeyIndexCollisions(t *testing.T) {
 	forceLayout(t, chunkShift, func([]byte) uint64 { return 0 })
 	_, v := openDet(t, t.TempDir())

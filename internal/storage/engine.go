@@ -119,7 +119,8 @@ func (e *Engine) Video(name string) (*Video, error) {
 }
 
 // CreateView creates (or returns the existing) materialized view with
-// the given row schema and key columns.
+// the given row schema and key columns, one of which must be the INTEGER
+// column "id": every view is keyed on the frame (viewRows).
 func (e *Engine) CreateView(name string, schema types.Schema, keyCols []string) (*View, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -3,72 +3,92 @@ package storage
 import (
 	"cmp"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
 	"math/bits"
 	"slices"
 
 	"eva/internal/types"
+	"eva/internal/xxhash"
 )
 
-// maxMergeRuns bounds the runs a view may have for the ordered probe to
-// serve it: a key the run tried first does not hold visits every other
-// run's cursor, so a view that interleaved writers have cut into many
-// runs is probed through its key index instead. The bound is the
-// crossover BenchmarkOrderedProbeRuns measures: up to four runs the
-// merge is faster than the index in most layouts, from eight on it is
-// slower in all.
-const maxMergeRuns = 4
+// hashKey is the hash of an AppendKey-encoded key that each stored row
+// keeps. A prober computes it once per key it encodes (ProbeKeys.Encode),
+// and the probe hands back the stored one for a key it serves; the apply
+// operator's demand accounting counts distinct keys by the same value
+// (udf.DemandHash), so no key is hashed twice. It is a variable only so
+// that a test can make every key collide.
+var hashKey = func(ek []byte) uint64 { return xxhash.Sum64(ek, 0) } // lint:durable key hash, not a checksum
 
-// idOrder is what the ordered probe (mergeLocked) reads of a view keyed
-// on id — one of its key columns is the INTEGER column "id", the frame,
-// as in every view the planner makes: the runs of non-decreasing ids the
-// rows form, each chunk's zone, and the ids processed with zero rows. It
-// is filed where rows are indexed and zero-row keys marked, under the
-// view's lock, and is reset and swapped with the rows it describes.
-type idOrder struct {
+// chunkShift fixes the rows of one view chunk at 1<<chunkShift: row id
+// r lives at row r&chunkMask() of chunk r>>chunkShift. 1 024 rows keep
+// a sparse dataset's 1 400-row view from paying for thousands of empty
+// ones. It is a constant of the layout, not a setting — a variable only
+// so that a test can put chunk boundaries inside a handful of rows.
+var chunkShift = 10
+
+func chunkMask() int { return 1<<chunkShift - 1 }
+
+// foldRuns bounds the runs a view keeps in memory (viewRows.fold): a
+// probe key visits the cursor of every run that does not hold it, and
+// BenchmarkOrderedProbeRuns finds the merge's cost per key flat up to
+// four runs. Like chunkShift it is a constant of the layout, not a
+// setting.
+const foldRuns = 4
+
+// errIDOrder is the internal error of a batch that breaks the order every
+// probe and store batch arrives in: the scan under each reuse join emits
+// ascending ids, and nothing between reorders them.
+var errIDOrder = errors.New("storage: internal error: key ids decrease")
+
+// viewRows is a view's resident rows and the order the reuse join reads
+// them in. Every view is keyed on the INTEGER column "id", the frame
+// (Engine.CreateView checks it), and every batch of rows it stores has
+// non-decreasing ids (ProbeKeys.Reset checks it), so its keys form runs
+// of non-decreasing ids — one per storing statement — and each key's
+// rows are one range of rows.
+//
+// The rows live in fixed-size column chunks, each allocated once at full
+// length and never regrown or re-zeroed. chunks holds the full-length
+// headers, which no one mutates after they are made, so a reader that
+// copied the list under the view's lock may keep reading the rows that
+// existed then while a writer fills later ones; tail is the writer's own
+// header over the last chunk's storage — its length is the chunk's fill,
+// and readers never see it. Everything else is filed as rows are stored
+// (file), under the same lock, and is reset and swapped with the rows.
+type viewRows struct {
+	chunks []*types.Batch
+	tail   *types.Batch
 	pos    int   // position of "id" among the key columns
-	col    int   // view column of "id"; -1 when the view is not keyed on id
+	idCol  int   // view column of "id"
 	rest   []int // view columns of the other key columns, in key order
-	idOnly bool  // the id is the whole key
-	// off is set once a stored id is not an integer (a NULL), or a key of
-	// more than the id is processed with zero rows: the ordered probe's
-	// premises no longer hold, and the view is probed through the key
-	// index until its rows are reset.
-	off   bool
-	ids   [][]int64 // ids[c][r]: the id of row r of chunk c, read without a Datum
-	zones []zone    // zones[c]: the least and the greatest id of chunk c's rows
-	// runs[i] is the first row of run i, a maximal range of rows with
-	// non-decreasing ids; run i ends where run i+1 starts, the last one at
-	// the row count. One storing statement is one run, across flushes.
-	runs []int
-	last int64 // id of the last stored row
-	// zeroIDs holds the ids processed with no rows when the id is the
-	// whole key, and zeroHashes[i] the hashKey of zeroIDs[i]'s key;
-	// zeroIDs[:sorted] is sorted, and settle merges the rest in.
-	zeroIDs    []int64
-	zeroHashes []uint64
-	sorted     int
+	// cont[c] has bit r set when row r of chunk c holds the key of the row
+	// before it: a key's rows are a row whose bit is clear and the set
+	// bits that follow it, which the probe counts a word at a time.
+	cont [][]uint64
+	// runs are the keys with rows, as lists sorted by id. The last is the
+	// open run, where keys go while their ids do not fall.
+	runs  [][]viewKey
+	filed int // rows filed: replay decodes rows before it files them
+	zero  zeroKeys
 }
 
-// zone is a chunk's id range; emptyZone is that of a chunk with no rows.
-type zone struct{ min, max int64 }
-
-var emptyZone = zone{min: math.MaxInt64, max: math.MinInt64}
-
-// zeroKey is a zero-row id with its hash, as settle sorts them.
-type zeroKey struct {
+// viewKey is one processed key as a view lists it: its id, its hashKey —
+// the probe hands it back for a key it serves, so that no served key is
+// encoded or hashed — and its first row or, for a key processed with no
+// rows, where zeroKeys.arena holds its encoding.
+type viewKey struct {
 	id   int64
 	hash uint64
+	at   int32
 }
 
-// newIDOrder returns the empty order of a view with the layout given.
-func newIDOrder(schema types.Schema, keyIdx []int) idOrder {
-	o := idOrder{pos: idKeyPos(schema, keyIdx), col: -1, idOnly: len(keyIdx) == 1}
-	if o.pos >= 0 {
-		o.col = keyIdx[o.pos]
-		o.rest = slices.Delete(slices.Clone(keyIdx), o.pos, o.pos+1)
-	}
-	return o
+// newViewRows returns the empty rows of a view keyed on id with the
+// layout given.
+func newViewRows(schema types.Schema, keyIdx []int) viewRows {
+	pos := idKeyPos(schema, keyIdx)
+	return viewRows{pos: pos, idCol: keyIdx[pos], rest: slices.Delete(slices.Clone(keyIdx), pos, pos+1)}
 }
 
 // idKeyPos returns the position among the key columns keyIdx of schema of
@@ -82,109 +102,170 @@ func idKeyPos(schema types.Schema, keyIdx []int) int {
 	return -1
 }
 
-// file records, for rows from..to-1, which hold one key — the key of row
-// from-1 too when cont is set — its hash, which rows continue it and, for
-// the ordered probe, its id: the runs and the zones of the chunks the
-// rows fill.
+// len returns the number of stored rows.
+func (s *viewRows) len() int {
+	if s.tail == nil {
+		return 0
+	}
+	return (len(s.chunks)-1)<<chunkShift + s.tail.Len()
+}
+
+// processed returns the number of processed keys.
+func (s *viewRows) processed() int {
+	n := len(s.zero.keys)
+	for _, ru := range s.runs {
+		n += len(ru)
+	}
+	return n
+}
+
+// idOnly reports whether the id is the whole key.
+func (s *viewRows) idOnly() bool { return len(s.rest) == 0 }
+
+// room returns the tail to append to and the rows it still takes,
+// starting a chunk when the last one is full.
+func (s *viewRows) room(schema types.Schema) (*types.Batch, int) {
+	if s.tail == nil || s.tail.Len() == 1<<chunkShift {
+		chunk := types.NewNullBatch(schema, 1<<chunkShift)
+		s.chunks = append(s.chunks, chunk)
+		s.cont = append(s.cont, make([]uint64, (1<<chunkShift+63)/64))
+		s.tail = chunk.Slice(0, 0)
+	}
+	return s.tail, 1<<chunkShift - s.tail.Len()
+}
+
+// at returns the chunk and the row of it that hold stored row id.
+func (s *viewRows) at(id int) (*types.Batch, int) {
+	return s.chunks[id>>chunkShift], id & chunkMask()
+}
+
+// gatherTo appends the rows first..first+n-1 to out as (chunk, row)
+// pairs, a chunk's stretch of the range at a time.
+func (s *viewRows) gatherTo(out *Probed, first, n int) {
+	for id, end := first, first+n; id < end; {
+		chunk, r := s.at(id)
+		k := min(end-id, 1<<chunkShift-r)
+		at := len(out.Rows)
+		out.Srcs, out.Rows = slices.Grow(out.Srcs, k)[:at+k], slices.Grow(out.Rows, k)[:at+k]
+		for j := range k {
+			out.Srcs[at+j], out.Rows[at+j] = chunk, r+j
+		}
+		id += k
+	}
+}
+
+// file records rows from..to-1, stored together, as the rows of one key
+// whose hashKey is h — further rows of the key of row from-1 when cont is
+// set: their cont bits and, for a new key, its place in the open run, or
+// in a run of its own when its id is below the last key's.
 func (s *viewRows) file(from, to int, h uint64, cont bool) {
-	o := &s.order
-	ordered := o.col >= 0 && !o.off
-	var id int64
-	if ordered {
-		chunk, r := s.at(from)
-		if d := chunk.At(r, o.col); d.Kind() == types.KindInt {
-			id = d.Int()
-		} else {
-			o.off, ordered = true, false
-		}
-	}
 	for r := from; r < to; r++ {
-		c, i := r>>chunkShift, r&chunkMask()
-		s.hashes[c][i] = h
-		if r > from || cont {
-			s.cont[c][i>>6] |= 1 << (i & 63)
-		}
-		if ordered {
-			o.ids[c][i] = id
-			z := &o.zones[c]
-			z.min, z.max = min(z.min, id), max(z.max, id)
+		if i := r & chunkMask(); r > from || cont {
+			s.cont[r>>chunkShift][i>>6] |= 1 << (i & 63)
 		}
 	}
-	if ordered {
-		if len(o.runs) == 0 || id < o.last {
-			o.runs = append(o.runs, from)
-		}
-		o.last = id
-	}
-}
-
-// noteZero records the encoded key ek, new to the index with no rows.
-// settle must follow before the next probe.
-func (o *idOrder) noteZero(ek []byte, h uint64) {
-	switch {
-	case o.col < 0 || o.off:
-	case !o.idOnly || len(ek) != 9 || ek[0] != byte(types.KindInt):
-		o.off = true
-	default:
-		o.zeroIDs = append(o.zeroIDs, int64(binary.LittleEndian.Uint64(ek[1:])))
-		o.zeroHashes = append(o.zeroHashes, h)
-	}
-}
-
-// settle sorts the zero-row ids noted since the last settle into the
-// sorted ones: nothing moves when they ascend past them — one flush of
-// ascending frames — and one backward merge places them otherwise.
-func (o *idOrder) settle() {
-	n := o.sorted
-	ids := o.zeroIDs[n:]
-	o.sorted = len(o.zeroIDs)
-	if len(ids) == 0 || slices.IsSorted(ids) && (n == 0 || o.zeroIDs[n-1] < ids[0]) {
+	if s.filed = to; cont {
 		return
 	}
-	add := make([]zeroKey, len(ids))
-	for i, id := range ids {
-		add[i] = zeroKey{id: id, hash: o.zeroHashes[n+i]}
+	chunk, r := s.at(from)
+	key := viewKey{id: chunk.Col(s.idCol)[r].Int(), hash: h, at: int32(from)}
+	if n := len(s.runs) - 1; n >= 0 && key.id >= s.runs[n][len(s.runs[n])-1].id {
+		s.runs[n] = append(s.runs[n], key)
+		return
 	}
-	slices.SortFunc(add, func(a, b zeroKey) int { return cmp.Compare(a.id, b.id) })
-	i, j := n-1, len(add)-1
-	for w := len(o.zeroIDs) - 1; j >= 0; w-- {
-		if i >= 0 && o.zeroIDs[i] > add[j].id {
-			o.zeroIDs[w], o.zeroHashes[w], i = o.zeroIDs[i], o.zeroHashes[i], i-1
-		} else {
-			o.zeroIDs[w], o.zeroHashes[w], j = add[j].id, add[j].hash, j-1
-		}
+	s.runs = append(s.runs, []viewKey{key})
+	s.fold()
+}
+
+// fold keeps the runs at foldRuns or fewer: once a new run passes the
+// bound, the smaller half of the closed runs — two at least — become one
+// run sorted by id, tiered as a log-structured merge-tree's runs are
+// (O'Neil et al., 1996), so a key is folded again only when runs of its
+// size have gathered. No row moves and no log byte changes: a run lists
+// the first row of each of its keys, and a key's rows stay one range.
+// The open run is never folded.
+// lint:hotpath run fold loop must not allocate per key
+func (s *viewRows) fold() {
+	if len(s.runs) <= foldRuns {
+		return
+	}
+	closed := s.runs[:len(s.runs)-1]
+	slices.SortStableFunc(closed, func(a, b []viewKey) int { return cmp.Compare(len(a), len(b)) })
+	k, n := max(2, len(closed)/2), 0
+	for _, ru := range closed[:k] {
+		n += len(ru)
+	}
+	folded, w := make([]viewKey, n), 0
+	for _, ru := range closed[:k] {
+		w += copy(folded[w:], ru)
+	}
+	slices.SortFunc(folded, func(a, b viewKey) int { return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.at, b.at)) })
+	closed[0] = folded
+	s.runs = append(s.runs[:1], s.runs[k:]...)
+}
+
+// zeroKeys is a view's keys processed with no rows — frames without
+// detections — sorted by id once settled. arena holds each key's encoding
+// behind its uvarint length.
+type zeroKeys struct {
+	keys  []viewKey
+	arena []byte
+}
+
+// add records the key ek of id id, hashed h. settle must follow before
+// the next probe.
+func (z *zeroKeys) add(id int64, h uint64, ek []byte) {
+	z.keys = append(z.keys, viewKey{id: id, hash: h, at: int32(len(z.arena))})
+	z.arena = append(binary.AppendUvarint(z.arena, uint64(len(ek))), ek...)
+}
+
+// key returns the encoding of key k.
+func (z *zeroKeys) key(k *viewKey) []byte {
+	n, w := binary.Uvarint(z.arena[k.at:])
+	return z.arena[int(k.at)+w:][:n]
+}
+
+// settle sorts the keys by id again after add: appends of ascending
+// frames leave them sorted, and the sort is stable.
+func (z *zeroKeys) settle() {
+	byID := func(a, b viewKey) int { return cmp.Compare(a.id, b.id) }
+	if !slices.IsSortedFunc(z.keys, byID) {
+		slices.SortStableFunc(z.keys, byID)
 	}
 }
 
-// ProbeKeys is one input batch's keys as the probes of the reuse join
-// read them: the batch's key columns, which the ordered probe compares
-// in place, and the AppendKey encodings and key hashes of the rows that
-// need them — those a probe takes the key index for, and those no view
-// serves, whose bytes claims, staging and zero-row keys use. A prober
-// keeps one and resets it per batch.
+// ProbeKeys is one batch's keys as the view reads them: the batch's key
+// columns, which the probe compares in place, and the AppendKey encodings
+// and key hashes of the rows that need them — those no view serves, whose
+// bytes claims, staging and zero-row keys use. A prober keeps one and
+// resets it per batch; the batches it is reset with must carry
+// non-decreasing integer ids, each batch's first no lower than the
+// previous batch's last.
 type ProbeKeys struct {
 	// Hashes[r] is the key hash of row r's key once the row is encoded or
 	// a probe has served it: the row's demand hash (udf.DemandHash).
 	Hashes  []uint64
 	batch   *types.Batch
 	keyIdx  []int
-	idPos   int             // position of "id" among the key columns, or -1
+	idPos   int             // position of "id" among the key columns
 	rest    [][]types.Datum // the other key columns, in key order
-	ordered bool            // the ids are integers, non-decreasing down the batch
 	encoded bool
 	keys    []byte
 	spans   []keySpan // spans[r] is where keys holds row r's key
-	cursors []cursor  // the ordered probe's, one per run of the view
+	cursors []cursor  // the probe's, one per run of the view
+	started bool      // a batch was reset before
+	last    int64     // the id of the last row of the batches so far
+	err     error     // what Reset found wrong with the batch
 }
 
 type keySpan struct{ lo, hi int }
 
 // Reset makes the rows of b, keyed by its columns keyIdx in the view's
-// key order, the keys to probe, none of them encoded yet. One pass checks
-// whether the key column "id" holds integers that never decrease down the
-// batch, which lets a view keyed on id serve the batch's probes by an
-// ordered merge.
-func (p *ProbeKeys) Reset(b *types.Batch, keyIdx []int) {
+// key order, the keys to probe, none of them encoded yet. It checks the
+// invariant every probe rests on: the key column "id" holds integers
+// that never decrease, within the batch and from the previous one on.
+// A batch that breaks it is an error, which Probe returns too.
+func (p *ProbeKeys) Reset(b *types.Batch, keyIdx []int) error {
 	n := b.Len()
 	if cap(p.Hashes) < n {
 		// Batches of one operator vary in width (an upstream detector
@@ -193,25 +274,35 @@ func (p *ProbeKeys) Reset(b *types.Batch, keyIdx []int) {
 		p.Hashes, p.spans = make([]uint64, c), make([]keySpan, c)
 	}
 	p.Hashes, p.spans = p.Hashes[:n], p.spans[:n]
-	p.batch, p.keyIdx, p.encoded, p.keys = b, keyIdx, false, p.keys[:0]
+	p.batch, p.keyIdx, p.encoded, p.keys, p.err = b, keyIdx, false, p.keys[:0], nil
 	p.idPos = idKeyPos(b.Schema(), keyIdx)
-	p.ordered = p.idPos >= 0
 	p.rest = p.rest[:0]
 	for j, c := range keyIdx {
 		if j != p.idPos {
 			p.rest = append(p.rest, b.Col(c))
 		}
 	}
-	if p.ordered {
-		ids := b.Col(keyIdx[p.idPos])[:n]
-		for r := range ids {
-			if ids[r].Kind() != types.KindInt || r > 0 && ids[r].Int() < ids[r-1].Int() {
-				p.ordered = false
-				break
-			}
-		}
+	if p.idPos < 0 {
+		p.err = fmt.Errorf("storage: internal error: keys %v of %s have no INTEGER id", keyIdx, b.Schema())
+		return p.err
 	}
+	for _, d := range b.Col(keyIdx[p.idPos])[:n] {
+		if d.Kind() != types.KindInt {
+			p.err = fmt.Errorf("storage: key id %s is not an integer", d)
+			return p.err
+		}
+		x := d.Int()
+		if p.started && x < p.last {
+			p.err = fmt.Errorf("%w: %d after %d", errIDOrder, x, p.last)
+			return p.err
+		}
+		p.started, p.last = true, x
+	}
+	return nil
 }
+
+// id returns the id of row r.
+func (p *ProbeKeys) id(r int) int64 { return p.batch.Col(p.keyIdx[p.idPos])[r].Int() }
 
 // Encode encodes and hashes the keys of the rows of sel. A batch is
 // encoded once: sel must be within the rows its first Encode was given,
@@ -241,70 +332,75 @@ func (p *ProbeKeys) Key(r int) []byte {
 	return p.keys[s.lo:s.hi]
 }
 
-// mergeableLocked reports whether the ordered probe may serve pk's batch
-// from this view: both keyed on id, in the same key position, the batch's
-// ids non-decreasing, every key's rows one range of rows, and few enough
-// runs. Callers hold mu.
-func (v *View) mergeableLocked(pk *ProbeKeys) bool {
-	o := &v.rows.order
-	return pk.ordered && o.col >= 0 && o.pos == pk.idPos && !o.off &&
-		len(o.runs) <= maxMergeRuns && len(v.index.scattered) == 0
+// IDKeys is the set of keys met so far for one id. A caller that meets
+// keys in non-decreasing id order — the rows of every probe and store
+// batch (ProbeKeys) — dedups them by it exactly while clearing it when
+// the id advances, so it holds one frame's keys at most and, once grown,
+// allocates nothing. The zero IDKeys is empty.
+type IDKeys struct {
+	id     int64
+	hashes []uint64
+	ends   []int // key i is keys[ends[i-1]:ends[i]]
+	keys   []byte
 }
 
-// mergeLocked is the ordered probe: the reuse join as a merge of the
-// batch's non-decreasing ids with the view's runs, reading neither key
-// bytes nor the key index (merger.find). A key the runs do not hold is
-// looked up, for an id-alone key, in the zero-row ids by a cursor of its
-// own. It appends exactly the hits and (chunk, row) pairs the key index
-// would, and leaves each served key's filed hash in pk.Hashes. Callers
-// hold mu for reading, with mergeableLocked true.
-// lint:hotpath ordered probe loop must not allocate per key
-func (v *View) mergeLocked(pk *ProbeKeys, sel []int, out *Probed) {
-	s, o := &v.rows, &v.rows.order
-	pk.cursors = slices.Grow(pk.cursors[:0], len(o.runs))[:len(o.runs)]
-	for i, first := range o.runs {
-		pk.cursors[i] = cursor{at: first}
+// Add adds the key of row r of pk, which must be encoded, and returns its
+// index among the keys of its id and whether it is new.
+// lint:hotpath per-id key dedup must not allocate per key
+func (s *IDKeys) Add(pk *ProbeKeys, r int) (int, bool) {
+	if id := pk.id(r); id != s.id || len(s.hashes) == 0 {
+		s.Reset()
+		s.id = id
 	}
-	m := merger{s: s, pk: pk, runs: o.runs, cur: pk.cursors, nrows: s.len(), lastX: math.MinInt64}
-	ids := pk.batch.Col(pk.keyIdx[pk.idPos])
-	out.Hits = slices.Grow(out.Hits, len(sel))
-	from, rows, z := len(out.Hits), 0, 0
+	h, ek, lo := pk.Hashes[r], pk.Key(r), 0
+	for i, kh := range s.hashes {
+		if kh == h && string(s.keys[lo:s.ends[i]]) == string(ek) {
+			return i, false
+		}
+		lo = s.ends[i]
+	}
+	s.hashes, s.keys = append(s.hashes, h), append(s.keys, ek...)
+	s.ends = append(s.ends, len(s.keys))
+	return len(s.hashes) - 1, true
+}
+
+// Reset empties the set, keeping its storage.
+func (s *IDKeys) Reset() { s.hashes, s.ends, s.keys = s.hashes[:0], s.ends[:0], s.keys[:0] }
+
+// find is the reuse join's lookup: a merge of the ids of pk's rows sel,
+// which never decrease, with the view's runs and its zero-row keys,
+// reading neither key bytes nor hashes (merger.find). It appends to hits
+// a ProbeHit per processed key, Lo..Hi the ordinals of its rows, and
+// leaves the key's hash in pk.Hashes. Callers hold the view's lock.
+// lint:hotpath ordered probe loop must not allocate per key
+func (s *viewRows) find(pk *ProbeKeys, sel []int, hits []ProbeHit) []ProbeHit {
+	pk.cursors = slices.Grow(pk.cursors[:0], len(s.runs))[:len(s.runs)]
+	clear(pk.cursors)
+	m := merger{s: s, pk: pk, cur: pk.cursors, lastX: math.MinInt64}
+	ids, nrows := pk.batch.Col(pk.keyIdx[pk.idPos]), s.len()
+	hits = slices.Grow(hits, len(sel))
 	for _, k := range sel {
-		x := ids[k].Int()
-		first, n := m.find(k, x)
-		switch {
-		case n > 0:
-			pk.Hashes[k] = s.hashes[first>>chunkShift][first&chunkMask()]
-		case o.idOnly:
-			if z = gallopIDs(o.zeroIDs, z, len(o.zeroIDs), x); z == len(o.zeroIDs) || o.zeroIDs[z] != x {
-				continue
-			}
-			pk.Hashes[k] = o.zeroHashes[z]
-		default:
+		x, first, n := ids[k].Int(), 0, 0
+		key := m.find(k, x)
+		if key != nil {
+			first = int(key.at)
+			n = s.keyRows(first, nrows)
+		} else if key = m.zero(k, x); key == nil {
 			continue
 		}
-		out.Hits = out.Hits[:len(out.Hits)+1]
-		out.Hits[len(out.Hits)-1] = ProbeHit{Key: k, Lo: first, Hi: first + n}
-		rows += n
+		pk.Hashes[k] = key.hash
+		hits = hits[:len(hits)+1]
+		hits[len(hits)-1] = ProbeHit{Key: k, Lo: first, Hi: first + n}
 	}
-	out.Srcs, out.Rows = slices.Grow(out.Srcs, rows), slices.Grow(out.Rows, rows)
-	for i := from; i < len(out.Hits); i++ {
-		h := &out.Hits[i]
-		first, n := h.Lo, h.Hi-h.Lo
-		h.Lo = len(out.Rows)
-		s.gatherTo(out, first, n, nil)
-		h.Hi = len(out.Rows)
-	}
+	return hits
 }
 
-// merger is the ordered probe's state over one batch: a cursor per run,
-// and which run to try first.
+// merger is the probe's state over one batch: a cursor per run, which run
+// to try first, and where the zero-row keys stand.
 type merger struct {
-	s     *viewRows
-	pk    *ProbeKeys
-	runs  []int
-	cur   []cursor // cur[i] is run i's
-	nrows int
+	s   *viewRows
+	pk  *ProbeKeys
+	cur []cursor // cur[i] is run i's
 	// The runs of a view often cover the same frames — statements with
 	// different filters storing different objects of them — so a key is
 	// looked for first in pref: the run of the last key found, or, for a
@@ -313,56 +409,55 @@ type merger struct {
 	lastX      int64
 	pref, head int
 	seen       bool // a key of id lastX was found
+	z          int  // the first zero-row key whose id is not below lastX
 }
 
-// find returns the rows of probe key k, of id x: the first row and the
-// number of rows, n == 0 when no run holds the key. In each run, pref
-// first, the cursor jumps past the rows of the run's last match once the
-// ids pass it and moves on through the zone map and a galloping search
-// (viewRows.seek); the keys of id x are then tried from the run's last
-// match on — a frame's objects are probed in the order they were stored,
-// past any the probe's filter dropped — and only when no run has the
-// key there, once more before it.
+// find returns the key of probe key k, of id x, in the runs, or nil. In
+// each run, pref first, the cursor jumps past the run's last match once
+// the ids pass it and gallops on; the keys of id x are then tried from the
+// run's last match on — a frame's objects are probed in the order they
+// were stored, past any the probe's filter dropped — and only when no run
+// has the key there, once more before it.
 // lint:hotpath ordered probe loop must not allocate per key
-func (m *merger) find(k int, x int64) (first, n int) {
+func (m *merger) find(k int, x int64) *viewKey {
 	s := m.s
 	if x != m.lastX {
 		m.lastX, m.pref, m.seen = x, m.head, false
 	}
-	for t := range m.runs {
+	for t := range s.runs {
 		i := m.run(t)
-		end, cur := m.end(i), &m.cur[i]
+		ru, cur := s.runs[i], &m.cur[i]
 		if cur.done > cur.at && cur.doneID < x {
 			cur.at = cur.done
 		}
-		c := s.seek(cur.at, end, x)
+		c := gallop(ru, cur.at, x)
 		cur.at = c
 		switch {
-		case c == end || s.id(c) != x:
-		case s.order.idOnly:
-			return m.hit(i, c, s.keyRows(c, end))
+		case c == len(ru) || ru[c].id != x:
+		case s.idOnly():
+			return m.hit(i, c)
 		default:
-			if first, n = s.scan(max(c, cur.done), end, end, x, m.pk, k); n > 0 {
-				return m.hit(i, first, n)
+			if p := m.scan(ru, max(c, cur.done), len(ru), x, k); p >= 0 {
+				return m.hit(i, p)
 			}
 		}
 	}
-	if s.order.idOnly {
-		return 0, 0
+	if s.idOnly() {
+		return nil
 	}
-	for t := range m.runs {
+	for t := range s.runs {
 		if i := m.run(t); m.cur[i].done > m.cur[i].at {
-			if first, n = s.scan(m.cur[i].at, m.cur[i].done, m.end(i), x, m.pk, k); n > 0 {
-				return m.hit(i, first, n)
+			if p := m.scan(s.runs[i], m.cur[i].at, m.cur[i].done, x, k); p >= 0 {
+				return m.hit(i, p)
 			}
 		}
 	}
-	return 0, 0
+	return nil
 }
 
-// cursor is where the ordered probe stands in one run: at is never past
-// the run's first row whose id is not below the current key's. The run's
-// last match ended at done, and rows at..done-1 all hold the id doneID.
+// cursor is where the probe stands in one run: at is never past the run's
+// first key whose id is not below the current key's. The run's last match
+// ended at done, and keys at..done-1 all have the id doneID.
 type cursor struct {
 	at, done int
 	doneID   int64
@@ -379,67 +474,38 @@ func (m *merger) run(t int) int {
 	return t
 }
 
-// end returns the row where run i ends.
-func (m *merger) end(i int) int {
-	if i+1 < len(m.runs) {
-		return m.runs[i+1]
-	}
-	return m.nrows
-}
-
-// hit records that run i holds the current key at rows first..first+n-1,
-// and returns them.
-func (m *merger) hit(i, first, n int) (int, int) {
-	m.cur[i].done, m.cur[i].doneID, m.pref = first+n, m.lastX, i
+// hit records that key p of run i is the current key, and returns it.
+func (m *merger) hit(i, p int) *viewKey {
+	m.cur[i].done, m.cur[i].doneID, m.pref = p+1, m.lastX, i
 	if !m.seen {
 		m.head, m.seen = i, true
 	}
-	return first, n
+	return &m.s.runs[i][p]
 }
 
-// id returns the id of stored row r.
-func (s *viewRows) id(r int) int64 { return s.order.ids[r>>chunkShift][r&chunkMask()] }
-
-// seek returns the first row of c..end-1, a stretch of one run, whose id
-// is not below x, or end: chunks whose zone lies below x are skipped
-// whole, and the row is found by galloping inside the first one that
-// does not.
-func (s *viewRows) seek(c, end int, x int64) int {
-	for c < end {
-		ci := c >> chunkShift
-		base := ci << chunkShift
-		stop := min(base+1<<chunkShift, end)
-		switch z := s.order.zones[ci]; {
-		case z.min >= x:
-			return c
-		case z.max >= x:
-			if j := gallopIDs(s.order.ids[ci], c-base, stop-base, x); j < stop-base {
-				return base + j
-			}
-		}
-		c = stop
-	}
-	return end
-}
-
-// scan returns the first key of id x from row r — the first row of a key
-// — on, before stop, that is probe key k, and the number of its rows
-// (n == 0: none), which end by end. It compares the first row of each key
-// and ends at the first row of another id.
-// lint:hotpath ordered probe loop must not allocate per row
-func (s *viewRows) scan(r, stop, end int, x int64, pk *ProbeKeys, k int) (first, n int) {
-	for ; r < stop && s.id(r) == x; r++ {
-		if !s.continues(r) && s.restMatches(r, pk, k) {
-			return r, s.keyRows(r, end)
+// scan returns the first of keys p..stop-1 of ru that is of id x and probe
+// key k, or -1; it ends at the first key of another id.
+// lint:hotpath ordered probe loop must not allocate per key
+func (m *merger) scan(ru []viewKey, p, stop int, x int64, k int) int {
+	for ; p < stop && ru[p].id == x; p++ {
+		if m.s.restMatches(int(ru[p].at), m.pk, k) {
+			return p
 		}
 	}
-	return 0, 0
+	return -1
 }
 
-// continues reports whether stored row r holds the key of the row before.
-func (s *viewRows) continues(r int) bool {
-	i := r & chunkMask()
-	return s.cont[r>>chunkShift][i>>6]>>(i&63)&1 != 0
+// zero returns the zero-row key that is probe key k, of id x, or nil.
+// lint:hotpath ordered probe loop must not allocate per key
+func (m *merger) zero(k int, x int64) *viewKey {
+	z := &m.s.zero
+	m.z = gallop(z.keys, m.z, x)
+	for i := m.z; i < len(z.keys) && z.keys[i].id == x; i++ {
+		if m.s.idOnly() || rowHasKey(m.pk.batch, k, m.pk.keyIdx, z.key(&z.keys[i])) {
+			return &z.keys[i]
+		}
+	}
+	return nil
 }
 
 // keyRows returns the number of rows, from r up to end at most, that
@@ -464,7 +530,7 @@ func (s *viewRows) keyRows(r, end int) int {
 // column but the id, under the encoding's equality.
 func (s *viewRows) restMatches(r int, pk *ProbeKeys, k int) bool {
 	chunk, row := s.at(r)
-	for j, c := range s.order.rest {
+	for j, c := range s.rest {
 		if !types.Identical(&chunk.Col(c)[row], &pk.rest[j][k]) {
 			return false
 		}
@@ -472,24 +538,125 @@ func (s *viewRows) restMatches(r int, pk *ProbeKeys, k int) bool {
 	return true
 }
 
-// gallopIDs returns the least i in lo..hi-1 with ids[i] >= x, or hi;
-// ids[lo:hi] is non-decreasing. The step doubles from lo until it passes
-// x, then the last step is bisected, so a key near the cursor — the next
-// frame — costs a probe or two.
-func gallopIDs(ids []int64, lo, hi int, x int64) int {
-	if lo >= hi || ids[lo] >= x {
+// gallop returns the first of keys[lo:] whose id is not below x, or
+// len(keys); keys is sorted by id. The step doubles from lo until it
+// passes x, then the last step is bisected, so a key near the cursor —
+// the next frame — costs a probe or two.
+func gallop(keys []viewKey, lo int, x int64) int {
+	hi := len(keys)
+	if lo >= hi || keys[lo].id >= x {
 		return lo
 	}
 	step := 1
-	for lo+step < hi && ids[lo+step] < x {
+	for lo+step < hi && keys[lo+step].id < x {
 		lo, step = lo+step, 2*step
 	}
 	for hi = min(lo+step, hi); lo+1 < hi; {
-		if m := int(uint(lo+hi) >> 1); ids[m] < x {
+		if m := int(uint(lo+hi) >> 1); keys[m].id < x {
 			lo = m
 		} else {
 			hi = m
 		}
 	}
 	return hi
+}
+
+// staging is what one stored batch adds to a view (View.stageLocked):
+// rows lists the batch's rows to store in the order they are stored, and
+// key i's rows start at rows[starts[i]] — the first key's continue the
+// last stored row's when cont is set; pk holds their encodings and
+// hashes. The rest is stageLocked's scratch, kept for the next batch.
+type staging struct {
+	pk       ProbeKeys
+	rows     []int
+	starts   []int
+	cont     bool
+	lo, hi   []int
+	key, ord []int
+	hits     []ProbeHit
+	seen     IDKeys
+}
+
+// stageLocked sets st to what src adds to the view: src holds rows, or
+// bare keys, keyed by its columns keyIdx in the view's key order, with
+// non-decreasing ids. Keys the view has processed are dropped by the
+// same merge a probe runs (find), and each key left keeps all its rows,
+// in src order, as one range — also when they come apart in src, as two
+// objects of one frame with the same box would. With cont, rows of the
+// key of the last stored row that lead src continue it: replay meets them
+// where a record boundary cut a key's rows. Callers hold mu (or run
+// pre-publish).
+func (v *View) stageLocked(src *types.Batch, keyIdx []int, cont bool, st *staging) error {
+	pk := &st.pk
+	pk.started = false
+	if err := pk.Reset(src, keyIdx); err != nil {
+		return err
+	}
+	// The first row of each stretch of rows sharing a key, and the row
+	// past it.
+	lo, hi := st.lo[:0], st.hi[:0]
+	for r := range src.Len() {
+		if r > 0 && sameKey(src, keyIdx, r-1, r) {
+			hi[len(hi)-1] = r + 1
+			continue
+		}
+		lo, hi = append(lo, r), append(hi, r+1)
+	}
+	st.lo, st.hi = lo, hi
+	// Keys already processed go, but for rows that continue the key filed
+	// last.
+	hits, w := v.rows.find(pk, lo, st.hits[:0]), 0
+	st.hits = hits
+	st.cont = cont && len(hits) > 0 && hits[0].Key == 0 && hits[0].Hi > hits[0].Lo && hits[0].Hi == v.rows.filed
+	for i, h := 0, 0; i < len(lo); i++ {
+		hit := h < len(hits) && hits[h].Key == lo[i]
+		if hit {
+			h++
+		}
+		if hit && (i > 0 || !st.cont) {
+			continue
+		}
+		lo[w], hi[w] = lo[i], hi[i]
+		w++
+	}
+	lo, hi = lo[:w], hi[:w]
+	pk.Encode(lo)
+	// A key met again under one id joins its first stretch: the stretches
+	// are stored by id, then by their key's first stretch among the id's —
+	// key[i] is g + j for the j-th key of the id whose first stretch is g.
+	key, ord, g, again := slices.Grow(st.key[:0], len(lo))[:len(lo)], slices.Grow(st.ord[:0], len(lo))[:len(lo)], 0, false
+	st.key, st.ord = key, ord
+	st.seen.Reset()
+	for i, r := range lo {
+		j, added := st.seen.Add(pk, r)
+		if j == 0 && added {
+			g = i
+		}
+		ord[i], key[i], again = i, g+j, again || !added
+	}
+	if again {
+		slices.SortStableFunc(ord, func(a, b int) int { return cmp.Compare(key[a], key[b]) })
+	}
+	st.rows, st.starts = st.rows[:0], st.starts[:0]
+	for x, i := range ord {
+		if x == 0 || key[i] != key[ord[x-1]] {
+			st.starts = append(st.starts, len(st.rows))
+		}
+		for r := lo[i]; r < hi[i]; r++ {
+			st.rows = append(st.rows, r)
+		}
+	}
+	return nil
+}
+
+// sameKey reports whether rows a and b of src hold the same key in
+// columns keyIdx.
+func sameKey(src *types.Batch, keyIdx []int, a, b int) bool {
+	for _, c := range keyIdx {
+		col := src.Col(c)
+		if !types.Identical(&col[a], &col[b]) {
+			return false
+		}
+	}
+	return true
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"slices"
@@ -12,7 +13,8 @@ import (
 
 // mergeFuzz is one FuzzMergeMatchesProbe run: an engine with two views
 // keyed on id — a detector's (id alone) and a classifier's (bbox, id), the
-// order the planner gives a scalar UDF's key — driven by the fuzz input.
+// order the planner gives a scalar UDF's key — driven by the fuzz input,
+// each beside its naive model (keyOracle).
 type mergeFuzz struct {
 	t      *testing.T
 	data   []byte
@@ -20,9 +22,11 @@ type mergeFuzz struct {
 	e      *Engine
 	det    *View
 	cls    *View
-	next   [3]int64 // each interleaved writer's next id
+	oracle [2]keyOracle // det's and cls's
+	next   [3]int64     // each interleaved writer's next id
 	serial int
-	merged [2]int // probes of det and of cls the ordered merge answered
+	folded [2]int // checks that found det and cls with a folded run
+	zeros  int    // checks that found cls with a zero-row key
 }
 
 var (
@@ -61,27 +65,36 @@ func (m *mergeFuzz) open() {
 	}
 }
 
+// clsKey returns the AppendKey encoding of a classifier key.
+func clsKey(box string, id int64) string {
+	return string(AppendKey(nil, []types.Datum{types.NewString(box), types.NewInt(id)}))
+}
+
 // appendFrom appends a few frames to both views, from id on: each frame
 // has no rows (a processed key), or one to three rows whose boxes may
 // repeat — a key's rows then come apart inside one append.
 func (m *mergeFuzz) appendFrom(id int64, frames int) int64 {
 	det, cls := types.NewBatch(fuzzDetSchema), types.NewBatch(fuzzClsSchema)
 	var detZero, clsZero [][]types.Datum
+	var detRows, clsRows, labels, detZeroKeys, clsZeroKeys []string
 	for f := 0; f < frames; f++ {
 		rows := m.byte() % 4
 		if rows == 0 {
 			detZero = append(detZero, []types.Datum{types.NewInt(id)})
-			if m.byte()%16 == 0 {
-				// A key of more than the id processed with no rows: the
-				// classifier view falls back to its key index for good.
+			detZeroKeys = append(detZeroKeys, idKey(id))
+			if m.byte()%4 == 0 {
+				// A key of more than the id processed with no rows.
 				clsZero = append(clsZero, []types.Datum{types.NewString("z"), types.NewInt(id)})
+				clsZeroKeys = append(clsZeroKeys, clsKey("z", id))
 			}
 		}
 		for r := 0; r < rows; r++ {
 			m.serial++
-			label := types.NewString(fmt.Sprint("r", m.serial))
-			det.MustAppendRow(types.NewInt(id), label)
-			cls.MustAppendRow(types.NewString(fuzzBoxes[m.byte()%len(fuzzBoxes)]), types.NewInt(id), label)
+			label := fmt.Sprint("r", m.serial)
+			box := fuzzBoxes[m.byte()%len(fuzzBoxes)]
+			det.MustAppendRow(types.NewInt(id), types.NewString(label))
+			cls.MustAppendRow(types.NewString(box), types.NewInt(id), types.NewString(label))
+			detRows, clsRows, labels = append(detRows, idKey(id)), append(clsRows, clsKey(box, id)), append(labels, label)
 		}
 		id += 1 + int64(m.byte()%3/2)
 	}
@@ -91,11 +104,16 @@ func (m *mergeFuzz) appendFrom(id int64, frames int) int64 {
 	if _, err := m.cls.Append(cls, clsZero); err != nil {
 		m.t.Fatal(err)
 	}
+	m.oracle[0].append(detRows, labels, detZeroKeys)
+	m.oracle[1].append(clsRows, labels, clsZeroKeys)
 	return id
 }
 
-// salvage flips one record of the view's log and has Verify drop it.
-func (m *mergeFuzz) salvage(v *View) {
+// salvage flips one record of view i's log and has Verify drop it. The
+// records before the first hole an earlier salvage left are the first of
+// the oracle's too; one of them is flipped.
+func (m *mergeFuzz) salvage(i int) {
+	v := []*View{m.det, m.cls}[i]
 	data, err := os.ReadFile(v.path)
 	if err != nil {
 		m.t.Fatal(err)
@@ -108,17 +126,23 @@ func (m *mergeFuzz) salvage(v *View) {
 		}
 		off = end
 	}
+	if records > len(m.oracle[i].records) {
+		m.t.Fatalf("view %s holds %d records, its oracle %d", v.name, records, len(m.oracle[i].records))
+	}
 	if records == 0 {
 		return
 	}
-	corruptRecord(m.t, v.path, m.byte()%records)
+	lost := m.byte() % records
+	corruptRecord(m.t, v.path, lost)
 	if _, err := v.Verify(); err != nil {
 		m.t.Fatal(err)
 	}
+	o := &m.oracle[i]
+	o.records = append(o.records[:lost:lost], o.records[lost+1:]...)
 }
 
 // check probes both views with a batch of non-decreasing ids drawn from
-// the input, duplicates included, through probeBoth.
+// the input, duplicates included, and holds them to their oracles.
 func (m *mergeFuzz) check() {
 	n := 1 + m.byte()%24
 	ids := make([]int64, n)
@@ -132,26 +156,46 @@ func (m *mergeFuzz) check() {
 			sel = append(sel, i)
 		}
 	}
-	var out Probed
-	if probeBoth(m.t, m.det, idKeys(ids...), sel, &out) {
-		m.merged[0]++
-	}
+	checkProbe(m.t, m.det, m.oracle[0].fold(), idKeys(ids...), sel, &Probed{})
 	cls := types.NewBatch(types.Schema{{Name: "id", Kind: types.KindInt}, {Name: "bbox", Kind: types.KindString}})
 	for _, id := range ids {
-		cls.MustAppendRow(types.NewInt(id), types.NewString(fuzzBoxes[m.byte()%len(fuzzBoxes)]))
+		box := "z"
+		if b := m.byte() % 4; b < len(fuzzBoxes) {
+			box = fuzzBoxes[b]
+		}
+		cls.MustAppendRow(types.NewInt(id), types.NewString(box))
 	}
 	var pk ProbeKeys
-	pk.Reset(cls, []int{1, 0})
-	if probeBoth(m.t, m.cls, &pk, sel, &Probed{}) {
-		m.merged[1]++
+	if err := pk.Reset(cls, []int{1, 0}); err != nil {
+		m.t.Fatal(err)
+	}
+	checkProbe(m.t, m.cls, m.oracle[1].fold(), &pk, sel, &Probed{})
+	for i, v := range []*View{m.det, m.cls} {
+		if want := len(m.oracle[i].fold()); v.ProcessedCount() != want {
+			m.t.Fatalf("view %s: ProcessedCount %d, oracle %d", v.name, v.ProcessedCount(), want)
+		}
+		if len(v.rows.runs) > foldRuns {
+			m.t.Fatalf("view %s keeps %d runs, past the bound %d", v.name, len(v.rows.runs), foldRuns)
+		}
+		// A folded run lists keys of rows that interleaved writers stored
+		// out of id order.
+		if slices.ContainsFunc(v.rows.runs, func(keys []viewKey) bool {
+			return !slices.IsSortedFunc(keys, func(a, b viewKey) int { return cmp.Compare(a.at, b.at) })
+		}) {
+			m.folded[i]++
+		}
+	}
+	if len(m.cls.rows.zero.keys) > 0 {
+		m.zeros++
 	}
 }
 
 // run drives the views through the input's operations, checking after
 // each: appends from three interleaved writers (each writer's frames
-// ascend, so the views hold a few runs), an append from an earlier id
-// (a run of its own), a reopen (replay), an eviction (the log's rewrite
-// to an empty generation), a compaction and a salvaged record.
+// ascend, so the views hold several runs, and fold past foldRuns), an
+// append from an earlier id (a run of its own), a reopen (replay), an
+// eviction (the log's rewrite to an empty generation), a compaction and
+// a salvaged record.
 func (m *mergeFuzz) run() {
 	m.open()
 	for w := range m.next {
@@ -170,17 +214,19 @@ func (m *mergeFuzz) run() {
 			}
 			m.open()
 		case c == 12:
-			for _, v := range []*View{m.det, m.cls} {
+			for i, v := range []*View{m.det, m.cls} {
 				if _, err := v.evict(); err != nil {
 					m.t.Fatal(err)
 				}
+				m.oracle[i].records = nil
 			}
 		case c == 13:
 			if _, err := m.det.Compact(); err != nil {
 				m.t.Fatal(err)
 			}
+			m.oracle[0].compact()
 		default:
-			m.salvage([]*View{m.det, m.cls}[c%2])
+			m.salvage(c % 2)
 		}
 		m.check()
 	}
@@ -189,11 +235,11 @@ func (m *mergeFuzz) run() {
 	}
 }
 
-// FuzzMergeMatchesProbe holds the ordered probe to the key index: after
-// every append, replay, eviction rewrite, compaction and salvage of two
-// views keyed on id, on chunks of two to eight rows, a probe of sorted
-// ids must find the same keys, the same (chunk, row) pairs in the same
-// order and the same hashes through the merge as through the index.
+// FuzzMergeMatchesProbe holds the probe to a naive oracle: after every
+// append, replay, eviction rewrite, compaction and salvage of two views
+// keyed on id, on chunks of two to eight rows, a probe of sorted ids must
+// find exactly the keys the oracle holds processed, each with the (chunk,
+// row) pairs of its rows in order and the hash of its encoding.
 func FuzzMergeMatchesProbe(f *testing.F) {
 	for _, seed := range mergeSeeds {
 		f.Add(seed)
@@ -208,51 +254,60 @@ func FuzzMergeMatchesProbe(f *testing.F) {
 	})
 }
 
-// mergeSeeds start the fuzzer from logs of a few ascending runs, where
-// the merge answers: appends by each writer, an out-of-order append, a
-// reopen, a compaction and a salvage.
+// mergeSeeds start the fuzzer from logs of several ascending runs:
+// appends by each writer, out-of-order appends, a reopen, a compaction
+// and a salvage. The last has the writers take turns, last first, until
+// both views fold, with zero-row keys of both shapes in every turn.
 var mergeSeeds = [][]byte{
 	{1, 0, 5, 1, 2, 3, 0, 1, 2, 3, 1, 2, 3, 0, 2, 0, 5, 1, 2, 7, 40, 41, 42, 100, 120, 1, 4, 2, 2, 2, 1, 2, 3, 9, 3, 9, 11, 8, 5, 6, 7, 40, 44, 13, 6, 1, 41, 60},
 	{2, 4, 6, 3, 1, 3, 2, 1, 0, 0, 3, 3, 3, 3, 3, 3, 7, 20, 30, 40, 50, 60, 70, 80, 9, 10, 3, 1, 1, 2, 1, 3, 4, 0, 1, 2, 3, 14, 1, 6, 5, 6, 7, 8, 15, 1, 12, 5, 1, 2, 3, 4},
 	{0, 1, 6, 1, 0, 2, 0, 3, 0, 1, 0, 2, 0, 3, 0, 23, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 2, 6, 1, 2, 1, 2, 1, 2, 11, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9},
+	{1, 2, 1, 0, 0, 0, 2, 0, 1, 0, 3, 80, 81, 81, 0, 1, 1, 1, 1, 0, 1, 3, 2, 1, 1, 0, 0, 0, 2, 0, 1, 0, 3, 40, 41, 41, 80, 1, 1, 1, 1, 0, 1, 3, 2, 0, 1, 0, 0, 0, 2, 0, 1, 0, 3, 0, 1, 1, 40, 1, 1, 1, 1, 0, 1, 3, 2, 2, 1, 0, 0, 0, 2, 0, 1, 0, 3, 82, 83, 83, 2, 1, 1, 1, 1, 0, 1, 3, 2, 1, 1, 0, 0, 0, 2, 0, 1, 0, 3, 42, 43, 43, 82, 1, 1, 1, 1, 0, 1, 3, 2, 0, 1, 0, 0, 0, 2, 0, 1, 0, 3, 2, 3, 3, 42, 1, 1, 1, 1, 0, 1, 3, 2, 2, 1, 0, 0, 0, 2, 0, 1, 0, 3, 84, 85, 85, 4, 1, 1, 1, 1, 0, 1, 3, 2, 1, 1, 0, 0, 0, 2, 0, 1, 0, 3, 44, 45, 45, 84, 1, 1, 1, 1, 0, 1, 3, 2, 0, 1, 0, 0, 0, 2, 0, 1, 0, 3, 4, 5, 5, 44, 1, 1, 1, 1, 0, 1, 3, 2, 2, 1, 0, 0, 0, 2, 0, 1, 0, 3, 86, 87, 87, 6, 1, 1, 1, 1, 0, 1, 3, 2, 1, 1, 0, 0, 0, 2, 0, 1, 0, 3, 46, 47, 47, 86, 1, 1, 1, 1, 0, 1, 3, 2, 0, 1, 0, 0, 0, 2, 0, 1, 0, 3, 6, 7, 7, 46, 1, 1, 1, 1, 0, 1, 3, 2, 11, 3, 1, 2, 41, 81, 1, 1, 1, 1, 3, 0, 1, 2, 13, 3, 0, 3, 42, 83, 1, 1, 1, 1, 0, 3, 1, 2, 14, 3, 3, 2, 5, 44, 85, 1, 1, 1, 1, 1, 0, 3, 2, 15, 1, 3, 4, 6, 46, 86, 1, 1, 1, 1, 0, 1, 3, 3},
 }
 
 // TestMergeSeedsTakeTheMerge keeps the seed corpus meaningful: run as
-// plain tests, the seeds must have the ordered merge answer probes of
-// both views, not only the key index.
+// plain tests, the seeds must fold the runs of both views and leave the
+// classifier's view zero-row keys of more than the id.
 func TestMergeSeedsTakeTheMerge(t *testing.T) {
-	var merged [2]int
+	var folded [2]int
+	zeros := 0
 	for _, seed := range mergeSeeds {
 		forceLayout(t, 1+int(seed[0])%3, hashKey)
 		m := &mergeFuzz{t: t, data: seed[1:], dir: t.TempDir()}
 		m.run()
-		merged[0], merged[1] = merged[0]+m.merged[0], merged[1]+m.merged[1]
+		folded[0], folded[1], zeros = folded[0]+m.folded[0], folded[1]+m.folded[1], zeros+m.zeros
 	}
-	if merged[0] == 0 || merged[1] == 0 {
-		t.Fatalf("the ordered merge answered %d detector and %d classifier probes of the seeds; want some of each", merged[0], merged[1])
+	if folded[0] == 0 || folded[1] == 0 || zeros == 0 {
+		t.Fatalf("the seeds folded det at %d and cls at %d checks, and left cls zero-row keys at %d; want some of each", folded[0], folded[1], zeros)
 	}
 }
 
-// TestSettleMergesZeroIDs: zero-row ids noted in any order — ascending
+// TestSettleMergesZeroIDs: zero-row keys added in any order — ascending
 // past the sorted ones, interleaved with them, a replay's whole unsorted
-// list — settle into one sorted list that keeps every hash with its id.
+// list — settle into one list sorted by id that keeps every hash and
+// encoding with its key.
 func TestSettleMergesZeroIDs(t *testing.T) {
-	var o idOrder
-	o.idOnly = true
-	want := map[int64]uint64{}
+	var z zeroKeys
+	type entry struct {
+		hash uint64
+		key  string
+	}
+	want := map[int64]entry{}
 	note := func(ids ...int64) {
 		for _, id := range ids {
-			ek := AppendKey(nil, []types.Datum{types.NewInt(id)})
-			o.noteZero(ek, uint64(id)*7+1)
-			want[id] = uint64(id)*7 + 1
+			ek := clsKey(fmt.Sprint("box", id), id)
+			z.add(id, uint64(id)*7+1, []byte(ek))
+			want[id] = entry{uint64(id)*7 + 1, ek}
 		}
-		o.settle()
-		if !slices.IsSorted(o.zeroIDs) || len(o.zeroIDs) != len(want) || len(o.zeroHashes) != len(want) || o.sorted != len(o.zeroIDs) {
-			t.Fatalf("zero ids %v after noting %v", o.zeroIDs, ids)
+		z.settle()
+		byID := func(a, b viewKey) int { return cmp.Compare(a.id, b.id) }
+		if !slices.IsSortedFunc(z.keys, byID) || len(z.keys) != len(want) {
+			t.Fatalf("zero keys %v after noting %v", z.keys, ids)
 		}
-		for i, id := range o.zeroIDs {
-			if want[id] != o.zeroHashes[i] {
-				t.Fatalf("id %d kept hash %d, want %d", id, o.zeroHashes[i], want[id])
+		for _, k := range z.keys {
+			w := want[k.id]
+			if got := string(z.key(&k)); w.hash != k.hash || w.key != got {
+				t.Fatalf("id %d kept hash %d and key %q, want %d and %q", k.id, k.hash, got, w.hash, w.key)
 			}
 		}
 	}
@@ -261,41 +316,36 @@ func TestSettleMergesZeroIDs(t *testing.T) {
 	note(11, 30, 13, -5)
 	note(50, 40, 45, 0, 15)
 	note(16, 17)
-	if o.off {
-		t.Fatal("integer ids turned the ordered probe off")
-	}
-	o.noteZero(AppendKey(nil, []types.Datum{types.Null}), 0)
-	if !o.off {
-		t.Fatal("a NULL id left the ordered probe on")
-	}
 }
 
 // TestGallopFindsFirstNotBelow checks the galloping search against a
 // linear scan over every start and target of a list with repeats.
 func TestGallopFindsFirstNotBelow(t *testing.T) {
-	ids := []int64{1, 1, 2, 4, 4, 4, 7, 9, 9, 12, 13, 13, 13, 13, 20}
-	for lo := 0; lo <= len(ids); lo++ {
+	var keys []viewKey
+	for _, id := range []int64{1, 1, 2, 4, 4, 4, 7, 9, 9, 12, 13, 13, 13, 13, 20} {
+		keys = append(keys, viewKey{id: id})
+	}
+	for lo := 0; lo <= len(keys); lo++ {
 		for x := int64(0); x <= 21; x++ {
 			want := lo
-			for want < len(ids) && ids[want] < x {
+			for want < len(keys) && keys[want].id < x {
 				want++
 			}
-			if got := gallopIDs(ids, lo, len(ids), x); got != want {
-				t.Fatalf("gallopIDs(from %d, %d) = %d, want %d", lo, x, got, want)
+			if got := gallop(keys, lo, x); got != want {
+				t.Fatalf("gallop(from %d, %d) = %d, want %d", lo, x, got, want)
 			}
 		}
 	}
 }
 
-// BenchmarkOrderedProbeRuns measures, per probed key, the ordered merge
-// against the key index on a view cut into 1 to 64 runs, the ground for
-// maxMergeRuns. The view holds every even frame of 0..8191 with two
-// objects each; a probe is a batch of 1 024 ascending frames, two keys a
-// frame, half of them not stored. "blocks" stores the frames as runs of
-// consecutive frames appended in falling order, as writers flushing in
-// turn leave them; "strided" stores run i as every frame ≡ i (mod runs),
-// the worst case for the run tried first. key "id" is a detector's view,
-// "bbox,id" a classifier's.
+// BenchmarkOrderedProbeRuns measures the probe per key on a view stored
+// as 1 to 64 runs, which it folds to foldRuns at most. The view holds
+// every even frame of 0..8191 with two objects each; a probe is a batch of
+// 1 024 ascending frames, two keys a frame, half of them not stored.
+// "blocks" stores the frames as runs of consecutive frames appended in
+// falling order, as writers flushing in turn leave them; "strided" stores
+// run i as every frame ≡ i (mod runs), the worst case for the run tried
+// first. key "id" is a detector's view, "bbox,id" a classifier's.
 func BenchmarkOrderedProbeRuns(b *testing.B) {
 	const frames, batch = 8192, 1024
 	box := func(id int64, j int) types.Datum {
@@ -326,10 +376,9 @@ func BenchmarkOrderedProbeRuns(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				if got := len(v.rows.order.runs); got != runs {
-					b.Fatalf("%d runs stored, want %d", got, runs)
+				if got := len(v.rows.runs); got != min(runs, foldRuns) {
+					b.Fatalf("%d runs kept, want %d", got, min(runs, foldRuns))
 				}
-				var keyIdx []int
 				probes := make([]*types.Batch, frames/batch)
 				for p := range probes {
 					probes[p] = types.NewBatch(types.Schema{{Name: "id", Kind: types.KindInt}, {Name: "bbox", Kind: types.KindString}})
@@ -339,7 +388,7 @@ func BenchmarkOrderedProbeRuns(b *testing.B) {
 						}
 					}
 				}
-				keyIdx = []int{0}
+				keyIdx := []int{0}
 				if len(key) == 2 {
 					keyIdx = []int{1, 0}
 				}
@@ -347,26 +396,22 @@ func BenchmarkOrderedProbeRuns(b *testing.B) {
 				for i := range sel {
 					sel[i] = i
 				}
-				var pk ProbeKeys
 				var out Probed
-				for _, path := range []string{"merge", "index"} {
-					b.Run(fmt.Sprintf("key=%s/%s/runs=%d/%s", strings.Join(key, ","), layout, runs, path), func(b *testing.B) {
-						for range b.N {
-							for _, probe := range probes {
-								pk.Reset(probe, keyIdx)
-								out.Hits, out.Srcs, out.Rows = out.Hits[:0], out.Srcs[:0], out.Rows[:0]
-								if path == "index" {
-									v.probeIndex(&pk, sel, &out)
-									continue
-								}
-								v.mu.RLock()
-								v.mergeLocked(&pk, sel, &out)
-								v.mu.RUnlock()
+				b.Run(fmt.Sprintf("key=%s/%s/runs=%d", strings.Join(key, ","), layout, runs), func(b *testing.B) {
+					for range b.N {
+						var pk ProbeKeys
+						for _, probe := range probes {
+							if err := pk.Reset(probe, keyIdx); err != nil {
+								b.Fatal(err)
+							}
+							out.Hits, out.Srcs, out.Rows = out.Hits[:0], out.Srcs[:0], out.Rows[:0]
+							if err := v.Probe(&pk, sel, &out); err != nil {
+								b.Fatal(err)
 							}
 						}
-						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frames*2), "ns/key")
-					})
-				}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frames*2), "ns/key")
+				})
 				if err := e.Close(); err != nil {
 					b.Fatal(err)
 				}

@@ -18,31 +18,58 @@ func hasKey(v *View, key []types.Datum) bool { return v.HasKeyBytes(AppendKey(ni
 
 func rowsForKey(v *View, key []types.Datum) []int { return v.RowsForKeyBytes(AppendKey(nil, key)) }
 
-// probeOracle is the reference model of one view for the batch-probe
-// property test: the log as a list of records, folded per key. A rows
-// record holds (key, label) pairs in stored order; a keys record marks
-// keys processed. Dropping a record models salvage.
-type probeOracle struct {
+// keyOracle is the naive model of one view the probe tests hold Probe
+// to: the log as a list of records, folded into a map from encoded key to
+// whether the key was processed and the ids — ordinals in stored order —
+// and labels of its rows. Dropping a record models salvage.
+type keyOracle struct {
 	records []oracleRecord
 }
 
 type oracleRecord struct {
-	keys   []int64
+	keys   []string // AppendKey encodings: a row's key, or a processed key
 	labels []string // nil for a processed-keys record
 }
 
-// fold returns each processed key's row labels in stored order.
-func (o *probeOracle) fold() map[int64][]string {
-	state := map[int64][]string{}
+// oracleKey is one processed key of the folded state.
+type oracleKey struct {
+	ids    []int
+	labels []string
+}
+
+// fold returns the state the records build: a rows record stores the
+// rows of the keys no earlier record processed, each key's rows together
+// where it first appears; a keys record marks its keys processed.
+func (o *keyOracle) fold() map[string]*oracleKey {
+	state, n := map[string]*oracleKey{}, 0
 	for _, rec := range o.records {
-		for i, k := range rec.keys {
-			if rec.labels == nil {
-				if _, ok := state[k]; !ok {
-					state[k] = nil
+		if rec.labels == nil {
+			for _, k := range rec.keys {
+				if state[k] == nil {
+					state[k] = &oracleKey{}
 				}
+			}
+			continue
+		}
+		fresh := map[string]*oracleKey{}
+		var order []string
+		for i, k := range rec.keys {
+			if state[k] != nil {
 				continue
 			}
-			state[k] = append(state[k], rec.labels[i])
+			if fresh[k] == nil {
+				fresh[k] = &oracleKey{}
+				order = append(order, k)
+			}
+			fresh[k].labels = append(fresh[k].labels, rec.labels[i])
+		}
+		for _, k := range order {
+			e := fresh[k]
+			for range e.labels {
+				e.ids = append(e.ids, n)
+				n++
+			}
+			state[k] = e
 		}
 	}
 	return state
@@ -50,17 +77,17 @@ func (o *probeOracle) fold() map[int64][]string {
 
 // append mirrors View.Append: rows and keys already processed when the
 // call began are skipped; the rest land as one rows and one keys record.
-func (o *probeOracle) append(rowKeys []int64, labels []string, zeroKeys []int64) {
+func (o *keyOracle) append(rowKeys, labels, zeroKeys []string) {
 	before := o.fold()
 	var rows, keys oracleRecord
 	for i, k := range rowKeys {
-		if _, done := before[k]; !done {
+		if before[k] == nil {
 			rows.keys = append(rows.keys, k)
 			rows.labels = append(rows.labels, labels[i])
 		}
 	}
 	for _, k := range zeroKeys {
-		if _, done := before[k]; !done {
+		if before[k] == nil && !slices.Contains(keys.keys, k) {
 			keys.keys = append(keys.keys, k)
 		}
 	}
@@ -71,6 +98,79 @@ func (o *probeOracle) append(rowKeys []int64, labels []string, zeroKeys []int64)
 		o.records = append(o.records, keys)
 	}
 }
+
+// compact mirrors View.Compact: the state as rows records of
+// compactChunkRows rows in stored order, then the zero-row keys sorted.
+func (o *keyOracle) compact() {
+	state := o.fold()
+	var rows oracleRecord
+	var zero []string
+	for k, e := range state {
+		if len(e.ids) == 0 {
+			zero = append(zero, k)
+		}
+		for i, id := range e.ids {
+			for len(rows.keys) <= id {
+				rows.keys, rows.labels = append(rows.keys, ""), append(rows.labels, "")
+			}
+			rows.keys[id], rows.labels[id] = k, e.labels[i]
+		}
+	}
+	slices.Sort(zero)
+	o.records = nil
+	for lo := 0; lo < len(rows.keys); lo += compactChunkRows {
+		hi := min(lo+compactChunkRows, len(rows.keys))
+		o.records = append(o.records, oracleRecord{keys: rows.keys[lo:hi], labels: rows.labels[lo:hi]})
+	}
+	for lo := 0; lo < len(zero); lo += compactChunkRows {
+		o.records = append(o.records, oracleRecord{keys: zero[lo:min(lo+compactChunkRows, len(zero))]})
+	}
+}
+
+// checkProbe probes v for the rows sel of pk's batch into out, and fails
+// unless exactly the keys want holds processed were found, each once, with
+// the (chunk, row) pairs of its rows' ids in order, their labels, and the
+// hashKey of its encoding.
+func checkProbe(t testing.TB, v *View, want map[string]*oracleKey, pk *ProbeKeys, sel []int, out *Probed) {
+	t.Helper()
+	hits, pairs := len(out.Hits), len(out.Rows)
+	if err := v.Probe(pk, sel, out); err != nil {
+		t.Fatal(err)
+	}
+	got := map[int]ProbeHit{}
+	for _, h := range out.Hits[hits:] {
+		if _, dup := got[h.Key]; dup {
+			t.Fatalf("key row %d hit twice", h.Key)
+		}
+		got[h.Key] = h
+	}
+	label := v.schema.IndexOf("label")
+	for _, k := range sel {
+		ek := AppendRowKey(nil, pk.batch, k, pk.keyIdx)
+		e, h := want[string(ek)], got[k]
+		if _, hit := got[k]; hit != (e != nil) {
+			t.Fatalf("key %x hit=%v, oracle processed=%v", ek, hit, e != nil)
+		}
+		if e == nil {
+			continue
+		}
+		if h.Lo < pairs || h.Hi-h.Lo != len(e.ids) {
+			t.Fatalf("key %x: pairs %d..%d, oracle %d rows", ek, h.Lo, h.Hi, len(e.ids))
+		}
+		for i, id := range e.ids {
+			chunk, r := v.rows.at(id)
+			if out.Srcs[h.Lo+i] != chunk || out.Rows[h.Lo+i] != r || chunk.At(r, label).Str() != e.labels[i] {
+				t.Fatalf("key %x row %d: pair (%p, %d), oracle row %d labelled %q", ek, i, out.Srcs[h.Lo+i], out.Rows[h.Lo+i], id, e.labels[i])
+			}
+		}
+		if pk.Hashes[k] != hashKey(ek) {
+			t.Fatalf("key %x: hash %x, its encoding's %x", ek, pk.Hashes[k], hashKey(ek))
+		}
+	}
+}
+
+// idKey returns the AppendKey encoding of an id-keyed view's key.
+func idKey(id int64) string { return string(AppendKey(nil, []types.Datum{types.NewInt(id)})) }
 
 // TestProbeBatchMatchesPerKeyOracle drives one view through random
 // append sequences — duplicate keys inside one append, interleaved
@@ -97,7 +197,7 @@ func probeOracleTrials(t *testing.T, trials int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle := &probeOracle{}
+		oracle := &keyOracle{}
 		serial := 0
 
 		check := func(step string) {
@@ -115,38 +215,17 @@ func probeOracleTrials(t *testing.T, trials int) {
 			}
 			// A dirty prefix in all three lists proves the call appends.
 			out := &Probed{Hits: []ProbeHit{{Key: -1}}, Srcs: []*types.Batch{nil}, Rows: []int{-1}}
-			probeBoth(t, v, pk, sel, out)
+			checkProbe(t, v, want, pk, sel, out)
 			if out.Hits[0].Key != -1 || out.Srcs[0] != nil || out.Rows[0] != -1 {
 				t.Fatalf("trial %d %s: Probe overwrote the caller's results", trial, step)
 			}
-			got := map[int]ProbeHit{}
-			for _, h := range out.Hits[1:] {
-				got[h.Key] = h
-			}
-			if len(got) != len(out.Hits)-1 {
-				t.Fatalf("trial %d %s: a key hit twice", trial, step)
-			}
 			for _, k := range sel {
-				labels, processed := want[int64(k)]
-				h, hit := got[k]
-				if hit != processed {
-					t.Fatalf("trial %d %s: key %d hit=%v, oracle processed=%v", trial, step, k, hit, processed)
+				e := want[idKey(int64(k))]
+				if ids := rowsForKey(v, []types.Datum{types.NewInt(int64(k))}); e != nil && !slices.Equal(ids, e.ids) {
+					t.Fatalf("trial %d %s: key %d: RowsForKeyBytes gave %v, oracle %v", trial, step, k, ids, e.ids)
 				}
-				if h.Hi-h.Lo != len(labels) {
-					t.Fatalf("trial %d %s: key %d has %d rows, oracle %d", trial, step, k, h.Hi-h.Lo, len(labels))
-				}
-				for i, label := range labels {
-					chunk, r := out.Srcs[h.Lo+i], out.Rows[h.Lo+i]
-					if chunk.At(r, 0).Int() != int64(k) || chunk.At(r, 1).Str() != label {
-						t.Fatalf("trial %d %s: key %d row %d = (%v, %v), oracle label %q",
-							trial, step, k, i, chunk.At(r, 0), chunk.At(r, 1), label)
-					}
-				}
-				if ids := rowsForKey(v, []types.Datum{types.NewInt(int64(k))}); len(ids) != len(labels) {
-					t.Fatalf("trial %d %s: key %d: RowsForKeyBytes gave %d ids, oracle %d rows", trial, step, k, len(ids), len(labels))
-				}
-				if hit != hasKey(v, []types.Datum{types.NewInt(int64(k))}) {
-					t.Fatalf("trial %d %s: key %d: Probe and HasKeyBytes disagree", trial, step, k)
+				if hasKey(v, []types.Datum{types.NewInt(int64(k))}) != (e != nil) {
+					t.Fatalf("trial %d %s: key %d: HasKeyBytes and the oracle disagree", trial, step, k)
 				}
 			}
 			if v.ProcessedCount() != len(want) {
@@ -156,27 +235,32 @@ func probeOracleTrials(t *testing.T, trials int) {
 
 		randomAppend := func() {
 			n := rng.Intn(7)
-			rows := types.NewBatch(sch)
-			var rowKeys []int64
-			var labels []string
+			var ids []int64
 			for i := 0; i < n; i++ {
-				// A small window makes duplicates and interleaved
-				// siblings (k, k+1, k) common inside one append.
+				// A small window makes keys with several rows, and keys
+				// stored before, common inside one append.
 				k := int64(rng.Intn(domain))
 				if i > 0 && rng.Intn(2) == 0 {
-					k = rowKeys[rng.Intn(len(rowKeys))]
+					k = ids[rng.Intn(len(ids))]
 				}
+				ids = append(ids, k)
+			}
+			// A stored batch arrives in id order.
+			slices.Sort(ids)
+			rows := types.NewBatch(sch)
+			var rowKeys, labels []string
+			for _, k := range ids {
 				serial++
 				label := fmt.Sprintf("r%d", serial)
 				rows.MustAppendRow(types.NewInt(k), types.NewString(label))
-				rowKeys = append(rowKeys, k)
+				rowKeys = append(rowKeys, idKey(k))
 				labels = append(labels, label)
 			}
-			var zero []int64
+			var zero []string
 			var zeroKeys [][]types.Datum
 			for i := rng.Intn(3); i > 0; i-- {
 				k := int64(rng.Intn(domain))
-				zero = append(zero, k)
+				zero = append(zero, idKey(k))
 				zeroKeys = append(zeroKeys, []types.Datum{types.NewInt(k)})
 			}
 			if _, err := v.Append(rows, zeroKeys); err != nil {
@@ -272,14 +356,17 @@ func probeUnderAppend(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var out Probed
-			var pk ProbeKeys
 			for last := false; !last; {
 				// One more pass after the appenders finish, so the
 				// final state is always probed.
 				last = appending.Load() == 0
 				out = Probed{Hits: out.Hits[:0], Srcs: out.Srcs[:0], Rows: out.Rows[:0]}
+				var pk ProbeKeys
 				pk.Reset(keys, []int{0})
-				v.Probe(&pk, sel, &out)
+				if err := v.Probe(&pk, sel, &out); err != nil {
+					t.Error(err)
+					return
+				}
 				for _, h := range out.Hits {
 					if h.Hi-h.Lo != rowsPerKey {
 						t.Errorf("key %d: %d rows, want %d (appends are atomic per key)", h.Key, h.Hi-h.Lo, rowsPerKey)
@@ -322,127 +409,7 @@ func idKeys(ids ...int64) *ProbeKeys {
 	return &pk
 }
 
-// probeIndex is Probe through the key index, whatever the keys' order.
-func (v *View) probeIndex(pk *ProbeKeys, sel []int, out *Probed) {
-	pk.Encode(sel)
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	v.indexProbeLocked(pk, sel, out)
-}
-
-// probeBoth is Probe, checked against the key index: it probes v for the
-// rows sel of pk's batch into out, then again through probeIndex with
-// fresh keys, and fails unless both found the same keys, the same (chunk,
-// row) pairs in the same order and, for each key found, the hashKey of
-// its encoding. It reports whether Probe took the ordered merge.
-func probeBoth(t testing.TB, v *View, pk *ProbeKeys, sel []int, out *Probed) (merged bool) {
-	t.Helper()
-	v.mu.RLock()
-	merged = v.mergeableLocked(pk)
-	v.mu.RUnlock()
-	hits, pairs := len(out.Hits), len(out.Rows)
-	v.Probe(pk, sel, out)
-	var ref ProbeKeys
-	ref.Reset(pk.batch, pk.keyIdx)
-	var want Probed
-	v.probeIndex(&ref, sel, &want)
-	got := out.Hits[hits:]
-	if len(got) != len(want.Hits) {
-		t.Fatalf("probe (merged %v) hit %d keys, the key index %d", merged, len(got), len(want.Hits))
-	}
-	for i, h := range got {
-		w := want.Hits[i]
-		if h.Key != w.Key || h.Lo-pairs != w.Lo || h.Hi-pairs != w.Hi {
-			t.Fatalf("probe (merged %v) hit %d = %+v (pairs from %d), the key index %+v", merged, i, h, pairs, w)
-		}
-		if pk.Hashes[h.Key] != ref.Hashes[h.Key] {
-			t.Fatalf("probe (merged %v) key %d: hash %x, its encoding's %x", merged, h.Key, pk.Hashes[h.Key], ref.Hashes[h.Key])
-		}
-	}
-	if !slices.Equal(out.Srcs[pairs:], want.Srcs) || !slices.Equal(out.Rows[pairs:], want.Rows) {
-		t.Fatalf("probe (merged %v) pairs %v, the key index %v", merged, out.Rows[pairs:], want.Rows)
-	}
-	return merged
-}
-
-// TestKeyIndexRuns pins the entry forms: a run, a run extended by an
-// adjacent one (a key's rows straddling two replayed records, as after
-// compaction's chunking), the switch to an explicit list when a later
-// run is not adjacent, mark keeping the rows a key already has, and a
-// key marked with no rows gaining them. Lists handed out earlier must
-// read the same after every change.
-func TestKeyIndexRuns(t *testing.T) {
-	sch := types.MustSchema(types.Column{Name: "k", Kind: types.KindString})
-	rows := &viewRows{keyIdx: []int{0}}
-	var x keyIndex
-	store := func(key string, n int) (first int) {
-		first = rows.len()
-		for i := 0; i < n; i++ {
-			tail, _ := rows.room(sch)
-			tail.MustAppendRow(types.NewString(key))
-		}
-		return first
-	}
-	enc := func(key string) (uint64, []byte) {
-		ek := AppendKey(nil, []types.Datum{types.NewString(key)})
-		return hashKey(ek), ek
-	}
-	addRun := func(key string, n int) {
-		h, ek := enc(key)
-		x.addRun(h, ek, rows, store(key, n), n)
-	}
-	lookup := func(key string) ([]int, bool) {
-		h, ek := enc(key)
-		i, ok := x.find(h, ek, rows)
-		if !ok {
-			return nil, false
-		}
-		first, n, list := x.ids(x.slots[i])
-		return append(idRange(nil, first, n), list...), true
-	}
-	want := func(key string, ids ...int) {
-		t.Helper()
-		if got, ok := lookup(key); !ok || !slices.Equal(got, ids) {
-			t.Fatalf("lookup(%s) = %v, %v; want %v", key, got, ok, ids)
-		}
-	}
-	hb, ekb := enc("b")
-	if !x.mark(hb, ekb, rows) || x.mark(hb, ekb, rows) {
-		t.Fatal("mark of a new key must report true once")
-	}
-	want("b")
-	addRun("a", 2)
-	addRun("a", 3)
-	want("a", 0, 1, 2, 3, 4)
-	addRun("b", 2)
-	want("b", 5, 6)
-	addRun("a", 1)
-	want("a", 0, 1, 2, 3, 4, 7)
-	_, _, first := x.ids(x.slots[func() int { h, ek := enc("a"); i, _ := x.find(h, ek, rows); return i }()])
-	addRun("a", 2)
-	want("a", 0, 1, 2, 3, 4, 7, 8, 9)
-	if ha, eka := enc("a"); x.mark(ha, eka, rows) {
-		t.Fatal("mark of a key with rows reported it new")
-	}
-	want("a", 0, 1, 2, 3, 4, 7, 8, 9)
-	if !slices.Equal(first, []int{0, 1, 2, 3, 4, 7}) {
-		t.Fatalf("list handed out before the key grew now reads %v", first)
-	}
-	if _, ok := lookup("c"); ok || x.len() != 2 {
-		t.Fatalf("unknown key found, or len = %d", x.len())
-	}
-	// Enough keys to double the table several times: all stay findable.
-	for i := 0; i < 200; i++ {
-		addRun(fmt.Sprint("k", i), 1)
-	}
-	for i := 0; i < 200; i++ {
-		want(fmt.Sprint("k", i), 10+i)
-	}
-	want("a", 0, 1, 2, 3, 4, 7, 8, 9)
-	want("b", 5, 6)
-}
-
-// TestHashKeyIsDemandHash: the key index files each key under hashKey,
+// TestHashKeyIsDemandHash: a view files each row's key under hashKey,
 // the probe hands that value back for a served row, and the apply
 // operator demands the row by it, so hashKey must be udf.DemandHash — on
 // the empty key, a one-byte key, and keys past one 32-byte xxhash stripe

@@ -31,7 +31,6 @@ import (
 	"sort"
 
 	"eva/internal/faults"
-	"eva/internal/types"
 )
 
 // LostRange is one quarantined byte range [Lo, Hi) of a view log whose
@@ -81,7 +80,7 @@ func (v *View) adoptHolesLocked(holes []LostRange) {
 	q := &Quarantine{
 		Ranges:       append([]LostRange(nil), holes...),
 		SalvagedRows: v.rows.len(),
-		SalvagedKeys: v.index.len(),
+		SalvagedKeys: v.rows.processed(),
 	}
 	for _, r := range q.Ranges {
 		q.LostBytes += r.Hi - r.Lo
@@ -102,60 +101,28 @@ type IDRange struct {
 	Lo, Hi int64
 }
 
-// SurvivedIDRanges returns the merged closed ranges of the "id" key
-// column values present in the processed-key set — the survival
-// predicate corruption salvage can still vouch for. ok is false when
-// the view has no integer "id" key column (no id-granular survival
-// claim can be made; callers should retract coverage entirely).
-func (v *View) SurvivedIDRanges() (ranges []IDRange, ok bool) {
+// SurvivedIDRanges returns the merged closed ranges of the ids of the
+// processed keys — the survival predicate corruption salvage can still
+// vouch for: the ids of the rows' keys and of the zero-row keys.
+func (v *View) SurvivedIDRanges() []IDRange {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	idPos := -1
-	for i, kc := range v.keyCols {
-		if kc == "id" {
-			idPos = i
+	var ids []int64
+	for _, keys := range append([][]viewKey{v.rows.zero.keys}, v.rows.runs...) {
+		for _, k := range keys {
+			ids = append(ids, k.id)
 		}
 	}
-	if idPos < 0 {
-		return nil, false
-	}
-	ids := make([]int64, 0, v.index.len())
-	for i := range v.index.slots {
-		e := &v.index.slots[i]
-		if *e == (keyEntry{}) {
-			continue
-		}
-		var d types.Datum
-		if e.n == 0 {
-			b := v.index.zeroKey(e)
-			for c := 0; c <= idPos; c++ {
-				var w int
-				var err error
-				if d, w, err = types.DecodeDatum(b); err != nil {
-					return nil, false
-				}
-				b = b[w:]
-			}
-		} else {
-			chunk, r := v.rows.at(v.index.firstRow(e))
-			d = chunk.At(r, v.keyIdx[idPos])
-		}
-		if d.Kind() != types.KindInt {
-			return nil, false
-		}
-		ids = append(ids, d.Int())
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	var ranges []IDRange
 	for _, id := range ids {
 		if n := len(ranges); n > 0 && id <= ranges[n-1].Hi+1 {
-			if id > ranges[n-1].Hi {
-				ranges[n-1].Hi = id
-			}
+			ranges[n-1].Hi = max(ranges[n-1].Hi, id)
 			continue
 		}
 		ranges = append(ranges, IDRange{Lo: id, Hi: id})
 	}
-	return ranges, true
+	return ranges
 }
 
 // ScrubResult reports one Verify pass over a view.
@@ -227,9 +194,9 @@ func (v *View) Verify() (ScrubResult, error) {
 	// knows: the same holes it has already quarantined (or none), every
 	// byte accounted for, and the same index. Known holes are not a new
 	// detection — the pass only re-confirms the standing quarantine.
-	prevRows, prevKeys := v.rows.len(), v.index.len()
+	prevRows, prevKeys := v.rows.len(), v.rows.processed()
 	unchanged := sameRanges(s.holes, v.quar) && s.valid == len(data) &&
-		shadow.rows.len() == prevRows && shadow.index.len() == prevKeys
+		shadow.rows.len() == prevRows && shadow.rows.processed() == prevKeys
 	if unchanged {
 		res.Clean = v.quar == nil
 		res.Quar = v.quar.clone()
@@ -243,7 +210,7 @@ func (v *View) Verify() (ScrubResult, error) {
 	if dropped := prevRows - shadow.rows.len(); dropped > 0 {
 		res.RowsDropped = dropped
 	}
-	v.rows, v.index = shadow.rows, shadow.index
+	v.rows = shadow.rows
 	// The scan may have dropped rows without leaving a hole (a torn
 	// tail), so the snapshot it found is stale whatever adoptHolesLocked
 	// decides below.
@@ -275,11 +242,13 @@ func sameRanges(holes []LostRange, q *Quarantine) bool {
 // Callers hold mu.
 func (v *View) shadowLocked() *View {
 	s := &View{
-		name:    v.name,
-		path:    v.path,
-		schema:  v.schema,
-		keyCols: v.keyCols,
-		keyIdx:  v.keyIdx,
+		name:      v.name,
+		path:      v.path,
+		schema:    v.schema,
+		keyCols:   v.keyCols,
+		keyIdx:    v.keyIdx,
+		keySchema: v.keySchema,
+		keyOwn:    v.keyOwn,
 	}
 	s.resetReplayState()
 	return s
@@ -425,9 +394,9 @@ func (v *View) verifyGenerationLocked(tmp string, size int) error {
 		return err
 	case s.valid != len(nd) || len(s.holes) > 0:
 		return fmt.Errorf("verify: new generation has a torn tail or holes")
-	case shadow.rows.len() != v.rows.len() || shadow.index.len() != v.index.len():
+	case shadow.rows.len() != v.rows.len() || shadow.rows.processed() != v.rows.processed():
 		return fmt.Errorf("verify: new generation rebuilt %d rows/%d keys, want %d/%d",
-			shadow.rows.len(), shadow.index.len(), v.rows.len(), v.index.len())
+			shadow.rows.len(), shadow.rows.processed(), v.rows.len(), v.rows.processed())
 	case !bytes.Equal(shadow.pred, v.carriedPredLocked()):
 		return fmt.Errorf("verify: new generation rebuilt a different aggregated predicate")
 	}
@@ -456,11 +425,10 @@ func (v *View) encodeCompactLocked() []byte {
 		}
 		buf = sealRecord(buf, recRows, n, payload)
 	}
-	var zero []string
-	for i := range v.index.slots {
-		if e := &v.index.slots[i]; e.n == 0 && e.first > 0 {
-			zero = append(zero, string(v.index.zeroKey(e)))
-		}
+	z := &v.rows.zero
+	zero := make([]string, len(z.keys))
+	for i := range z.keys {
+		zero[i] = string(z.key(&z.keys[i]))
 	}
 	sort.Strings(zero)
 	for base := 0; base < len(zero); base += compactChunkRows {

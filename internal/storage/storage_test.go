@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -309,6 +310,81 @@ func TestViewSchemaValidation(t *testing.T) {
 	// Different schema conflicts.
 	if _, err := e.CreateView("det", types.MustSchema(types.Column{Name: "z", Kind: types.KindInt}), []string{"z"}); err == nil {
 		t.Error("schema conflict should error")
+	}
+}
+
+// TestViewsAreKeyedOnID: a view whose key columns hold no INTEGER "id"
+// cannot be created — not a view keyed by box alone, nor one whose "id"
+// is text — and a view keyed on (bbox, id) can.
+func TestViewsAreKeyedOnID(t *testing.T) {
+	e := newEngine(t)
+	sch := types.MustSchema(
+		types.Column{Name: "bbox", Kind: types.KindString},
+		types.Column{Name: "id", Kind: types.KindInt},
+		types.Column{Name: "out", Kind: types.KindString},
+	)
+	if _, err := e.CreateView("scalar", sch, []string{"bbox"}); err == nil {
+		t.Error("a view keyed by bbox alone was created")
+	}
+	textID := types.MustSchema(types.Column{Name: "id", Kind: types.KindString}, types.Column{Name: "out", Kind: types.KindString})
+	if _, err := e.CreateView("text", textID, []string{"id"}); err == nil {
+		t.Error("a view keyed on a TEXT id was created")
+	}
+	if _, err := e.CreateView("scalar", sch, []string{"bbox", "id"}); err != nil {
+		t.Errorf("a view keyed on (bbox, id): %v", err)
+	}
+}
+
+// TestAppendRejectsNullID: a row or a processed key whose id is NULL is
+// an error, and the view stays as it was.
+func TestAppendRejectsNullID(t *testing.T) {
+	e := newEngine(t)
+	v, _ := e.CreateView("det", viewSchema(), []string{"id"})
+	rows := types.NewBatch(viewSchema())
+	rows.MustAppendRow(types.NewInt(1), types.NewString("car"), types.NewString("x"))
+	rows.MustAppendRow(types.Null, types.NewString("car"), types.NewString("y"))
+	if _, err := v.Append(rows, nil); err == nil {
+		t.Error("a row with a NULL id was appended")
+	}
+	if _, err := v.Append(nil, [][]types.Datum{{types.Null}}); err == nil {
+		t.Error("a NULL processed key was appended")
+	}
+	if v.Rows() != 0 || v.ProcessedCount() != 0 || v.Footprint() != int64(len(v.encodeHeader())) {
+		t.Errorf("a refused append left %d rows, %d keys, %d log bytes", v.Rows(), v.ProcessedCount(), v.Footprint())
+	}
+}
+
+// TestDecreasingIDsAreAnInternalError: a stored batch and a probe batch
+// arrive with non-decreasing ids; a batch whose ids fall — inside it, or
+// below the previous probe batch's last — is errIDOrder, from Append,
+// from ProbeKeys.Reset and from Probe, and the view stays as it was.
+func TestDecreasingIDsAreAnInternalError(t *testing.T) {
+	e := newEngine(t)
+	v, _ := e.CreateView("det", viewSchema(), []string{"id"})
+	rows := types.NewBatch(viewSchema())
+	for _, id := range []int64{1, 3, 2} {
+		rows.MustAppendRow(types.NewInt(id), types.NewString("car"), types.NewString("x"))
+	}
+	if _, err := v.Append(rows, nil); !errors.Is(err, errIDOrder) {
+		t.Errorf("append of ids 1, 3, 2: %v, want %v", err, errIDOrder)
+	}
+	if v.Rows() != 0 || v.Footprint() != int64(len(v.encodeHeader())) {
+		t.Errorf("a refused append left %d rows and %d log bytes", v.Rows(), v.Footprint())
+	}
+	var out Probed
+	pk := idKeys(4, 2)
+	if err := v.Probe(pk, []int{0, 1}, &out); !errors.Is(err, errIDOrder) {
+		t.Errorf("probe of ids 4, 2: %v, want %v", err, errIDOrder)
+	}
+	pk = idKeys(5, 9)
+	if err := v.Probe(pk, []int{0, 1}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if err := pk.Reset(idKeys(8).batch, []int{0}); !errors.Is(err, errIDOrder) {
+		t.Errorf("a batch from id 8 after one up to 9: %v, want %v", err, errIDOrder)
+	}
+	if err := v.Probe(pk, []int{0}, &out); !errors.Is(err, errIDOrder) {
+		t.Errorf("probe of the refused batch: %v, want %v", err, errIDOrder)
 	}
 }
 

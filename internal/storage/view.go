@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
@@ -14,13 +15,14 @@ import (
 )
 
 // View is an append-only materialized view of UDF results. Rows carry
-// the key columns plus the UDF's output columns; separately, the view
-// records every *processed key* so that keys whose evaluation produced
-// zero rows (e.g. frames with no detections) are not re-evaluated.
+// the key columns — the frame id among them — plus the UDF's output
+// columns; separately, the view records every *processed key* so that
+// keys whose evaluation produced zero rows (e.g. frames with no
+// detections) are not re-evaluated.
 //
 // The view persists every append to its backing file, a record log in
-// the frame layout of DESIGN.md §20, and rebuilds its in-memory index
-// when reopened. Appends are crash-safe: the log record is built and
+// the frame layout of DESIGN.md §20, and rebuilds its rows when
+// reopened. Appends are crash-safe: the log record is built and
 // written to disk *before* any in-memory state changes, and the open
 // truncates a torn tail (a record cut short by a crash) back to the last
 // complete record. Because appends are idempotent per key, a re-run
@@ -38,17 +40,18 @@ type View struct {
 	schema  types.Schema
 	keyCols []string
 	keyIdx  []int
+	// keySchema is the key columns', and keyOwn their positions in it:
+	// the layout of a batch of bare keys (keyBatch).
+	keySchema types.Schema
+	keyOwn    []int
 
 	mu sync.RWMutex
-	// rows holds the stored rows in fixed-size column chunks; a row's id
-	// is its position in append order.
+	// rows holds the stored rows in fixed-size column chunks, a row's id
+	// its position in append order, and the processed keys: a key is
+	// processed iff it has rows or is among the zero-row keys.
 	rows viewRows // guarded by mu
-	// index is the view's one key index: an encoded key is present iff
-	// it was processed, and leads to the ids of its rows — none for a key
-	// whose evaluation produced no rows.
-	index keyIndex // guarded by mu
-	// ek is the writers' key-encoding scratch. guarded by mu.
-	ek []byte
+	// stage is replay's staging scratch, dropped when replay ends.
+	stage *staging
 	// log owns the file below the record schema: handle, footprint,
 	// dead flag, budget charge and the write protocol (logtail.go). The
 	// pointer is fixed at open; what it points to is guarded by mu.
@@ -101,7 +104,9 @@ func openView(path, name string, schema types.Schema, keyCols []string, inj *fau
 	}
 	fromHeader := schema == nil
 	if !fromHeader {
-		v.setLayout(schema, keyCols)
+		if err := v.setLayout(schema, keyCols); err != nil {
+			return nil, fmt.Errorf("storage: view %s: %w", name, err)
+		}
 	}
 	// Files an interrupted process can leave beside the log: compaction's
 	// uncommitted next generation, and the clean sidecar, quarantine
@@ -147,20 +152,21 @@ func openView(path, name string, schema types.Schema, keyCols []string, inj *fau
 	return v, nil
 }
 
-// setLayout fixes the row layout. It runs inside openView before the
-// view is published.
-func (v *View) setLayout(schema types.Schema, keyCols []string) {
-	v.schema = schema.Clone()
-	v.keyCols = append([]string(nil), keyCols...)
-	for _, kc := range keyCols {
+// setLayout fixes the row layout, which must key the view on the INTEGER
+// column "id" (viewRows). It runs inside openView before the view is
+// published.
+func (v *View) setLayout(schema types.Schema, keyCols []string) error {
+	for i, kc := range keyCols {
 		v.keyIdx = append(v.keyIdx, schema.IndexOf(kc))
+		v.keySchema = append(v.keySchema, schema[v.keyIdx[i]])
+		v.keyOwn = append(v.keyOwn, i)
 	}
-	v.rows = v.emptyRows() // lint:nolock pre-publish (openView)
-}
-
-// emptyRows returns the resident rows of a view that holds none.
-func (v *View) emptyRows() viewRows {
-	return viewRows{keyIdx: v.keyIdx, order: newIDOrder(v.schema, v.keyIdx)}
+	if idKeyPos(schema, v.keyIdx) < 0 {
+		return fmt.Errorf("keys %v have no INTEGER id column", keyCols)
+	}
+	v.schema, v.keyCols = schema.Clone(), slices.Clone(keyCols)
+	v.rows = newViewRows(v.schema, v.keyIdx) // lint:nolock pre-publish (openView)
+	return nil
 }
 
 func (v *View) encodeHeader() []byte {
@@ -178,14 +184,13 @@ func (v *View) encodeHeader() []byte {
 	return buf
 }
 
-// resetReplayState discards the rows, the index and whatever else a
-// replay builds, so that one can start from scratch. It runs inside
-// openView before the view is published or, from eviction and the
-// scrub pass's header reset, with mu held.
+// resetReplayState discards the rows and whatever else a replay builds,
+// so that one can start from scratch. It runs inside openView before the
+// view is published or, from eviction and the scrub pass's header reset,
+// with mu held.
 func (v *View) resetReplayState() {
-	v.rows = v.emptyRows() // lint:nolock pre-publish (openView)
-	v.index = keyIndex{}   // lint:nolock pre-publish (openView)
-	v.pred = nil           // lint:nolock pre-publish (openView)
+	v.rows = newViewRows(v.schema, v.keyIdx) // lint:nolock pre-publish (openView)
+	v.pred = nil                             // lint:nolock pre-publish (openView)
 }
 
 // replay rebuilds in-memory state from the log, verifying every record,
@@ -207,15 +212,18 @@ func (v *View) replay(data []byte) (logScan, error) {
 				return logScan{}, errHeaderCorrupt
 			}
 		}
-		v.setLayout(schema, keyCols)
+		if err := v.setLayout(schema, keyCols); err != nil {
+			return logScan{}, err
+		}
 	case !schema.Equal(v.schema):
 		return logScan{}, fmt.Errorf("schema mismatch: file has %s, want %s", schema, v.schema)
 	case len(keyCols) != len(v.keyCols):
 		// Names are settled by schema equality; only the count can differ.
 		return logScan{}, fmt.Errorf("key count mismatch: file has %d, want %d", len(keyCols), len(v.keyCols))
 	}
+	v.stage = &staging{}
 	s, err := scanLog(data, off, viewLog, v.replayRecord)
-	v.rows.order.settle() // lint:nolock replay runs inside openView before the view is published
+	v.stage = nil
 	return s, err
 }
 
@@ -274,31 +282,28 @@ func (v *View) replayRecord(kind byte, count int, payload []byte) error {
 	case recRows:
 		// A record's rows go where the next append's would: into the
 		// tail chunk, and on into fresh ones when it fills.
-		from := v.rows.len() // lint:nolock replay runs inside openView before the view is published
 		for left := count; left > 0; {
 			tail, room := v.rows.room(v.schema) // lint:nolock replay runs inside openView before the view is published
-			k := min(left, room)
+			k, at := min(left, room), tail.Len()
 			n, err := tail.AppendEncoded(payload[off:], k)
+			if err == nil {
+				err = v.fileDecodedLocked(tail, at)
+			}
 			if err != nil {
 				return fmt.Errorf("row record: %w", err)
 			}
 			off, left = off+n, left-k
 		}
-		v.indexRowsLocked(from)
 	case recKeys:
-		for r := 0; r < count; r++ {
-			start := off
-			for range v.keyCols {
-				_, n, err := types.DecodeDatum(payload[off:])
-				if err != nil {
-					return fmt.Errorf("key record: %w", err)
-				}
-				off += n
-			}
-			// The datum encoding is fixed-layout, so the bytes just
-			// decoded are the key's canonical AppendKey encoding.
-			v.markLocked(payload[start:off])
+		kb := types.NewBatch(v.keySchema)
+		n, err := kb.AppendEncoded(payload, count)
+		if err == nil {
+			err = v.markLocked(kb)
 		}
+		if err != nil {
+			return fmt.Errorf("key record: %w", err)
+		}
+		off = n
 	case recPred:
 		// A snapshot: the last one replayed wins. Copied, because payload
 		// aliases the whole log image.
@@ -377,35 +382,105 @@ func rowHasKey(b *types.Batch, r int, keyIdx []int, ek []byte) bool {
 	return len(ek) == 0
 }
 
-// indexRowsLocked adds the stored rows [from, len) to the key index and
-// files their hashes and ids (viewRows.file). Consecutive rows sharing a
-// key — a detector's rows for one frame — are indexed as one run, so the
-// key is encoded (into scratch) and hashed and the index touched once per
-// key, not once per row. Callers hold mu (or run pre-publish).
-func (v *View) indexRowsLocked(from int) {
-	for n := v.rows.len(); from < n; {
-		chunk, r := v.rows.at(from)
-		v.ek = AppendRowKey(v.ek[:0], chunk, r, v.keyIdx)
-		end := from + 1
-		for end < n && v.rows.hasKey(end, v.ek) {
-			end++
+// sortKeys returns kb, a batch of keys, with its rows sorted by id: a
+// processed-keys list is a set, and a compacted log lists it in byte
+// order. An id that is no integer sorts first, for the staging that
+// follows to refuse.
+func (v *View) sortKeys(kb *types.Batch) *types.Batch {
+	ids := kb.Col(v.rows.pos) // lint:nolock the layout is fixed at open
+	byID := func(a, b int) int {
+		if ids[a].Kind() != types.KindInt || ids[b].Kind() != types.KindInt {
+			return cmp.Compare(ids[a].Kind(), ids[b].Kind())
 		}
-		h := hashKey(v.ek)
-		v.index.addRun(h, v.ek, &v.rows, from, end-from)
-		v.rows.file(from, end, h, from > 0 && v.rows.hasKey(from-1, v.ek))
-		from = end
+		return cmp.Compare(ids[a].Int(), ids[b].Int())
+	}
+	perm := make([]int, kb.Len())
+	for i := range perm {
+		perm[i] = i
+	}
+	slices.SortStableFunc(perm, byID)
+	sorted := types.NewBatchCapacity(v.keySchema, len(perm))
+	_ = sorted.AppendGather(kb, nil, perm, nil, nil, nil) // the schemas are the same
+	return sorted
+}
+
+// fileDecodedLocked files rows at.. of the tail chunk, which replay has
+// just decoded, as the appends that wrote them filed them: a run of
+// non-decreasing ids at a time — a compacted record holds several —
+// staged in place against the rows before it. Rows that lead a run with
+// the last filed key continue it: a record boundary cut its rows. A run
+// that staging would not keep as it lies — a key processed before, or
+// one whose rows come apart, which no append writes — is stored as
+// staging orders it, through a copy. Callers run pre-publish.
+func (v *View) fileDecodedLocked(tail *types.Batch, at int) error {
+	st, base := v.stage, v.rows.len()-tail.Len()
+	for a := at; a < tail.Len(); {
+		ids, b := tail.Col(v.rows.idCol), a+1
+		for b < tail.Len() && !(ids[b].Kind() == types.KindInt && ids[b-1].Kind() == types.KindInt && ids[b].Int() < ids[b-1].Int()) {
+			b++
+		}
+		if err := v.stageLocked(tail.Slice(a, b), v.keyIdx, true, st); err != nil {
+			return err
+		}
+		if len(st.rows) != b-a || !slices.IsSorted(st.rows) {
+			// Put the run back in staging's order, then the rows after
+			// it; the schemas are the view's own, so no copy can fail.
+			rest := types.NewBatch(v.schema)
+			_ = rest.AppendRange(tail, a, tail.Len())
+			tail.Truncate(a)
+			_ = tail.AppendGather(rest, nil, st.rows, nil, nil, nil)
+			_ = tail.AppendRange(rest, b-a, rest.Len())
+			b = a + len(st.rows)
+		}
+		v.fileStagedLocked(base+a, st)
+		a = b
+	}
+	return nil
+}
+
+// fileStagedLocked files the rows st stages, stored from row from on.
+// Callers hold mu (or run pre-publish).
+func (v *View) fileStagedLocked(from int, st *staging) {
+	for i, at := range st.starts {
+		end := len(st.rows)
+		if i+1 < len(st.starts) {
+			end = st.starts[i+1]
+		}
+		v.rows.file(from+at, from+end, st.pk.Hashes[st.rows[at]], i == 0 && st.cont)
 	}
 }
 
-// markLocked records the encoded key ek as processed, keeping any rows it
-// has; a key new to the index has none, and is noted for the ordered
-// probe. The caller settles the order once its marks are done. Callers
-// hold mu (or run pre-publish).
-func (v *View) markLocked(ek []byte) {
-	h := hashKey(ek)
-	if v.index.mark(h, ek, &v.rows) {
-		v.rows.order.noteZero(ek, h)
+// storeLocked copies the rows of src that st stages into the tail chunk
+// — storage that already exists — and on into fresh chunks when it fills,
+// and files them. Callers hold mu (or run pre-publish).
+func (v *View) storeLocked(src *types.Batch, st *staging) {
+	from := v.rows.len()
+	for idx := st.rows; len(idx) > 0; {
+		tail, room := v.rows.room(v.schema)
+		k := min(len(idx), room)
+		// The schemas are the view's own on both sides.
+		_ = tail.AppendGather(src, nil, idx[:k], nil, nil, nil)
+		idx = idx[k:]
 	}
+	v.fileStagedLocked(from, st)
+}
+
+// markLocked records the keys of kb, a batch of keys, as processed with
+// no rows, all but those processed already. Callers hold mu (or run
+// pre-publish).
+func (v *View) markLocked(kb *types.Batch) error {
+	kb = v.sortKeys(kb)
+	st := &staging{}
+	if err := v.stageLocked(kb, v.keyOwn, false, st); err != nil {
+		return err
+	}
+	z := &v.rows.zero
+	for _, at := range st.starts {
+		r := st.rows[at]
+		z.add(st.pk.id(r), st.pk.Hashes[r], st.pk.Key(r))
+	}
+	z.settle()
+	return nil
 }
 
 // Append adds result rows and marks extra keys as processed (for keys
@@ -516,66 +591,52 @@ func (v *View) appendLocked(rows *types.Batch, processedKeys [][]types.Datum, in
 	if rows != nil && !rows.Schema().Equal(v.schema) {
 		return 0, fmt.Errorf("storage: view %s: append schema %s, want %s", v.name, rows.Schema(), v.schema)
 	}
-	for _, key := range processedKeys {
-		if len(key) != len(v.keyCols) {
-			return 0, fmt.Errorf("storage: view %s: key width %d, want %d", v.name, len(key), len(v.keyCols))
-		}
-	}
 	if v.log.dead {
 		return 0, v.log.check()
 	}
 
-	// Phase 1 (pure): decide which rows and keys are new and encode
-	// the log record. No in-memory state changes yet, so a row is stored
-	// iff its key was unprocessed when this call began — sibling rows of
-	// a key this very batch introduces all pass.
-	// The key is encoded and looked up once per run of consecutive rows
-	// sharing it (a detector's rows for one frame), not once per row. The
-	// records are built in place in one buffer sized for every row being
-	// new, so encoding never regrows it.
-	size, n := 2*(recHeaderLen+recSumLen), 0
-	if rows != nil {
-		size, n = size+rows.EncodedSize(), rows.Len()
+	// Phase 1 (pure): decide which rows and keys are new and encode the
+	// log record. No in-memory state changes yet, so a row is stored iff
+	// its key was unprocessed when this call began — sibling rows of a
+	// key this very batch introduces all pass. The records are built in
+	// place in one buffer sized for every row being new, so encoding
+	// never regrows it.
+	if rows == nil {
+		rows = types.NewBatch(v.schema)
 	}
-	out := beginRecord(make([]byte, 0, size), recRows)
-	newRowIdx := make([]int, 0, n)
-	for r := 0; r < n; {
-		v.ek = AppendRowKey(v.ek[:0], rows, r, v.keyIdx)
-		end := r + 1
-		for end < n && rowHasKey(rows, end, v.keyIdx, v.ek) {
-			end++
-		}
-		if _, done := v.index.find(hashKey(v.ek), v.ek, &v.rows); done {
-			r = end
-			continue
-		}
-		for ; r < end; r++ {
-			newRowIdx = append(newRowIdx, r)
-			for c := range v.schema {
-				out = rows.Col(c)[r].AppendBinary(out)
-			}
+	keys := types.NewBatchCapacity(v.keySchema, len(processedKeys))
+	for _, key := range processedKeys {
+		if err := keys.AppendRow(key...); err != nil {
+			return 0, fmt.Errorf("storage: view %s: key: %w", v.name, err)
 		}
 	}
-	if len(newRowIdx) > 0 {
-		out = endRecord(out, 0, len(newRowIdx))
+	keys = v.sortKeys(keys)
+	rs, ks := &staging{}, &staging{}
+	err := v.stageLocked(rows, v.keyIdx, false, rs)
+	if err == nil {
+		err = v.stageLocked(keys, v.keyOwn, false, ks)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("storage: view %s: %w", v.name, err)
+	}
+	out := beginRecord(make([]byte, 0, 2*(recHeaderLen+recSumLen)+rows.EncodedSize()), recRows)
+	for _, r := range rs.rows {
+		for c := range v.schema {
+			out = rows.Col(c)[r].AppendBinary(out)
+		}
+	}
+	if len(rs.rows) > 0 {
+		out = endRecord(out, 0, len(rs.rows))
 	} else {
 		out = out[:0]
 	}
-
 	keysAt := len(out)
 	out = beginRecord(out, recKeys)
-	var newKeyIdx []int
-	for ki, key := range processedKeys {
-		start := len(out)
-		out = AppendKey(out, key)
-		if _, done := v.index.find(hashKey(out[start:]), out[start:], &v.rows); done {
-			out = out[:start]
-			continue
-		}
-		newKeyIdx = append(newKeyIdx, ki)
+	for _, at := range ks.starts {
+		out = append(out, ks.pk.Key(ks.rows[at])...)
 	}
-	if len(newKeyIdx) > 0 {
-		out = endRecord(out, keysAt, len(newKeyIdx))
+	if len(ks.starts) > 0 {
+		out = endRecord(out, keysAt, len(ks.starts))
 	} else {
 		out = out[:keysAt]
 	}
@@ -589,25 +650,13 @@ func (v *View) appendLocked(rows *types.Batch, processedKeys [][]types.Datum, in
 		return 0, err
 	}
 
-	// Phase 3: memory, now that the record is durable.
-	// Rows are copied into the tail chunk — storage that already exists —
-	// and on into fresh chunks when it fills.
-	from := v.rows.len()
-	for idx := newRowIdx; len(idx) > 0; {
-		tail, room := v.rows.room(v.schema)
-		k := min(len(idx), room)
-		if err := tail.AppendGather(rows, nil, idx[:k], nil, nil, nil); err != nil {
-			return 0, fmt.Errorf("storage: view %s: %w", v.name, err)
-		}
-		idx = idx[k:]
+	// Phase 3: memory, now that the record is durable — what replay will
+	// rebuild from it.
+	v.storeLocked(rows, rs)
+	if err := v.markLocked(keys); err != nil {
+		return 0, fmt.Errorf("storage: view %s: %w", v.name, err)
 	}
-	v.indexRowsLocked(from)
-	for _, ki := range newKeyIdx {
-		v.ek = AppendKey(v.ek[:0], processedKeys[ki])
-		v.markLocked(v.ek)
-	}
-	v.rows.order.settle()
-	return len(newRowIdx), nil
+	return len(rs.rows), nil
 }
 
 // Scan returns a copy of all stored rows, in append order: O(rows). The
@@ -638,8 +687,12 @@ func (v *View) KeyHashes() []uint64 {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	out := make([]uint64, v.rows.len())
-	for r := range out {
-		out[r] = v.rows.hashes[r>>chunkShift][r&chunkMask()]
+	for _, keys := range v.rows.runs {
+		for _, k := range keys {
+			for r, n := int(k.at), v.rows.keyRows(int(k.at), len(out)); n > 0; r, n = r+1, n-1 {
+				out[r] = k.hash
+			}
+		}
 	}
 	return out
 }
@@ -649,7 +702,7 @@ func (v *View) KeyHashes() []uint64 {
 func (v *View) ProcessedCount() int {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return v.index.len()
+	return v.rows.processed()
 }
 
 // Probed accumulates what the probes of one input batch found: a hit
@@ -663,11 +716,6 @@ type Probed struct {
 	Hits []ProbeHit
 	Srcs []*types.Batch
 	Rows []int
-	sink int32 // keeps the key index's slot-touching loads from being optimised away
-}
-
-func (p *Probed) add(chunk *types.Batch, row int) {
-	p.Srcs, p.Rows = append(p.Srcs, chunk), append(p.Rows, row)
 }
 
 // ProbeHit is one processed key found by Probe: Key is its row in the
@@ -676,83 +724,59 @@ func (p *Probed) add(chunk *types.Batch, row int) {
 type ProbeHit struct{ Key, Lo, Hi int }
 
 // Probe is the probe side of the reuse join. Under one read lock it looks
-// up the key of every row of pk's batch that sel selects (ascending) and
-// appends to out a ProbeHit per processed key and the rows it has. When
-// the batch's ids never decrease and the view is keyed on id
-// (mergeableLocked), the lookup is an ordered merge with the view's runs
-// (mergeLocked), which leaves each served key's hash in pk.Hashes; any
-// other batch or view is looked up in the key index by the keys' bytes
-// and hashes, which pk encodes outside the lock first. Both find the same
-// hits and pairs in the same order.
-func (v *View) Probe(pk *ProbeKeys, sel []int, out *Probed) {
-	if pk.ordered {
-		v.mu.RLock()
-		merged := v.mergeableLocked(pk)
-		if merged {
-			v.mergeLocked(pk, sel, out)
-		}
-		v.mu.RUnlock()
-		if merged {
-			return
-		}
+// up the key of every row of pk's batch that sel selects (ascending) —
+// an ordered merge of the batch's ids with the view's runs, which reads
+// no key bytes (viewRows.find) — and appends to out a ProbeHit per
+// processed key and the rows it has, leaving each found key's hash in
+// pk.Hashes. A batch that Reset refused is an error here too.
+func (v *View) Probe(pk *ProbeKeys, sel []int, out *Probed) error {
+	if pk.err != nil {
+		return pk.err
 	}
-	pk.Encode(sel)
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	v.indexProbeLocked(pk, sel, out)
-}
-
-// indexProbeLocked is Probe through the key index; the keys of sel are
-// encoded. Callers hold mu for reading.
-// lint:hotpath batch probe loop must not allocate per key
-func (v *View) indexProbeLocked(pk *ProbeKeys, sel []int, out *Probed) {
-	out.Hits = slices.Grow(out.Hits, len(sel))
 	from := len(out.Hits)
-	// The hashes scatter the batch's keys over the table: touch every
-	// home slot first, so that the misses overlap instead of each probe
-	// waiting for its own.
-	out.sink = v.index.touch(pk.Hashes, sel)
-	// Find the entries and count their rows, so that the pair lists grow
-	// once per batch at most, then expand them.
+	out.Hits = v.rows.find(pk, sel, out.Hits)
 	rows := 0
-	for _, k := range sel {
-		if i, ok := v.index.find(pk.Hashes[k], pk.Key(k), &v.rows); ok {
-			_, n, list := v.index.ids(v.index.slots[i])
-			rows += n + len(list)
-			out.Hits = out.Hits[:len(out.Hits)+1]
-			out.Hits[len(out.Hits)-1] = ProbeHit{Key: k, Lo: i}
-		}
+	for _, h := range out.Hits[from:] {
+		rows += h.Hi - h.Lo
 	}
 	out.Srcs, out.Rows = slices.Grow(out.Srcs, rows), slices.Grow(out.Rows, rows)
 	for i := from; i < len(out.Hits); i++ {
 		h := &out.Hits[i]
-		first, n, list := v.index.ids(v.index.slots[h.Lo])
+		first, n := h.Lo, h.Hi-h.Lo
 		h.Lo = len(out.Rows)
-		v.rows.gatherTo(out, first, n, list)
+		v.rows.gatherTo(out, first, n)
 		h.Hi = len(out.Rows)
 	}
+	return nil
 }
 
 // HasKeyBytes reports whether the AppendKey-encoded key was processed
 // (even with zero rows).
-func (v *View) HasKeyBytes(ek []byte) bool {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	_, ok := v.index.find(hashKey(ek), ek, &v.rows)
-	return ok
-}
+func (v *View) HasKeyBytes(ek []byte) bool { return v.RowsForKeyBytes(ek) != nil }
 
 // RowsForKeyBytes returns the ids of the rows with the AppendKey-encoded
-// key — their indexes in a Scan taken before the view next loses rows.
+// key — their indexes in a Scan taken before the view next loses rows —
+// and nil when the key was not processed. It is Probe for a batch of one
+// key, decoded from ek.
 func (v *View) RowsForKeyBytes(ek []byte) []int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	i, ok := v.index.find(hashKey(ek), ek, &v.rows)
-	if !ok {
+	kb := types.NewBatch(v.keySchema)
+	var pk ProbeKeys
+	if n, err := kb.AppendEncoded(ek, 1); err != nil || n != len(ek) || pk.Reset(kb, v.keyOwn) != nil {
 		return nil
 	}
-	first, n, list := v.index.ids(v.index.slots[i])
-	return append(idRange(make([]int, 0, n+len(list)), first, n), list...)
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	hits := v.rows.find(&pk, []int{0}, nil)
+	if len(hits) == 0 {
+		return nil
+	}
+	ids := make([]int, 0, hits[0].Hi-hits[0].Lo)
+	for id := hits[0].Lo; id < hits[0].Hi; id++ {
+		ids = append(ids, id)
+	}
+	return ids
 }
 
 // ClaimKeys atomically claims every encoded key for evaluation by one

@@ -9,14 +9,8 @@ import (
 
 // fuzzView returns a fresh unpublished view skeleton for replay.
 func fuzzView() *View {
-	schema := viewSchema()
-	v := &View{
-		name:    "fuzz",
-		schema:  schema.Clone(),
-		keyCols: []string{"id"},
-		keyIdx:  []int{schema.IndexOf("id")},
-	}
-	v.resetReplayState()
+	v := &View{name: "fuzz"}
+	v.setLayout(viewSchema(), []string{"id"})
 	return v
 }
 
@@ -84,9 +78,9 @@ func FuzzViewReplay(f *testing.F) {
 		if err != nil || s2.valid != valid {
 			t.Fatalf("prefix replay diverged: valid=%d/%d err=%v", s2.valid, valid, err)
 		}
-		if v1.rows.len() != v2.rows.len() || v1.index.len() != v2.index.len() || !bytes.Equal(v1.pred, v2.pred) {
+		if v1.rows.len() != v2.rows.len() || v1.rows.processed() != v2.rows.processed() || !bytes.Equal(v1.pred, v2.pred) {
 			t.Fatalf("prefix replay state mismatch: rows %d/%d processed %d/%d predicate %x/%x",
-				v1.rows.len(), v2.rows.len(), v1.index.len(), v2.index.len(), v1.pred, v2.pred)
+				v1.rows.len(), v2.rows.len(), v1.rows.processed(), v2.rows.processed(), v1.pred, v2.pred)
 		}
 	})
 }

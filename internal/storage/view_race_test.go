@@ -108,10 +108,11 @@ func TestEngineConcurrentViewRegistry(t *testing.T) {
 
 // TestOrderedProbeUnderMaintenance runs ordered probes against a view
 // keyed on id while an appender adds frames in ascending order (rows and
-// zero-row keys), another adds zero-row keys behind it, and a third
-// goroutine rots a record and has Verify salvage around it, compacts and
-// evicts — every structure the merge reads is rebuilt, swapped or reset
-// under it. Whatever -race schedules, each key a probe finds must come
+// zero-row keys), a second adds rows of later frames in falling order —
+// each append a run of its own, so the runs pass foldRuns and fold — a third
+// adds zero-row keys behind them, and a fourth goroutine rots a record
+// and has Verify salvage around it, compacts and evicts: every structure
+// the merge reads is rebuilt, folded, swapped or reset under it. Whatever -race schedules, each key a probe finds must come
 // with the rows of its id only, all of them, and with the hashKey of its
 // encoding.
 func TestOrderedProbeUnderMaintenance(t *testing.T) {
@@ -130,7 +131,7 @@ func TestOrderedProbeUnderMaintenance(t *testing.T) {
 	const frames, rowsPer = 600, 3
 	var wg sync.WaitGroup
 	var stop atomic.Bool
-	wg.Add(2)
+	wg.Add(3)
 	go func() {
 		defer wg.Done()
 		defer stop.Store(true)
@@ -145,6 +146,19 @@ func TestOrderedProbeUnderMaintenance(t *testing.T) {
 				}
 			}
 			if _, err := v.Append(rows, zero); err != nil {
+				t.Errorf("append: %v", err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for id := int64(2*frames - 2); !stop.Load() && id >= frames; id -= 2 {
+			rows := types.NewBatch(schema)
+			for r := 0; r < rowsPer; r++ {
+				rows.MustAppendRow(types.NewInt(id), types.NewString("bus"))
+			}
+			if _, err := v.Append(rows, nil); err != nil {
 				t.Errorf("append: %v", err)
 				return
 			}
@@ -190,7 +204,7 @@ func TestOrderedProbeUnderMaintenance(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			ids := make([]int64, 0, frames)
-			for id := int64(p); id < frames; id += 1 + int64(p) {
+			for id := int64(p); id < 2*frames; id += 1 + int64(p) {
 				ids = append(ids, id, id)
 			}
 			keys := idKeys(ids...).batch
@@ -198,13 +212,16 @@ func TestOrderedProbeUnderMaintenance(t *testing.T) {
 			for i := range sel {
 				sel[i] = i
 			}
-			var pk ProbeKeys
 			var out Probed
 			for last := false; !last; {
 				last = stop.Load()
+				var pk ProbeKeys
 				pk.Reset(keys, []int{0})
 				out = Probed{Hits: out.Hits[:0], Srcs: out.Srcs[:0], Rows: out.Rows[:0]}
-				v.Probe(&pk, sel, &out)
+				if err := v.Probe(&pk, sel, &out); err != nil {
+					t.Error(err)
+					return
+				}
 				for _, h := range out.Hits {
 					id := ids[h.Key]
 					if n := h.Hi - h.Lo; n != 0 && n != rowsPer {

@@ -286,16 +286,6 @@ func (d Datum) AppendBinary(dst []byte) []byte {
 	return dst
 }
 
-// DecodeDatum decodes a datum produced by AppendBinary and returns it
-// with the number of bytes consumed. The datum shares nothing with src.
-func DecodeDatum(src []byte) (Datum, int, error) {
-	k, n, err := datumSpan(src)
-	if err != nil {
-		return Null, 0, err
-	}
-	return decodeSpan(k, src[:n], ""), n, nil
-}
-
 // datumSpan checks the encoded datum src begins with and returns its
 // kind and length, without building it.
 func datumSpan(src []byte) (Kind, int, error) {
@@ -345,7 +335,7 @@ func decodeSpan(k Kind, src []byte, text string) Datum {
 
 // MatchEncoded reports whether src begins with d's AppendBinary
 // encoding, and that encoding's length: equality of a stored datum with
-// an encoded one, as the view's key index defines it, without encoding
+// an encoded one, as a view's keys define it, without encoding
 // the one or decoding the other.
 func (d *Datum) MatchEncoded(src []byte) (int, bool) {
 	if len(src) == 0 || src[0] != byte(d.kind) {
@@ -362,7 +352,7 @@ func (d *Datum) MatchEncoded(src []byte) (int, bool) {
 }
 
 // Identical reports whether a and b have the same AppendBinary encoding
-// — the equality the view's key index defines — without encoding
+// — the equality a view's keys are told apart by — without encoding
 // either: same kind and same bits, so unlike Compare an int never equals
 // a float and -0 never equals +0.
 func Identical(a, b *Datum) bool {

@@ -24,7 +24,7 @@ func FuzzDecodeDatum(f *testing.F) {
 	f.Add([]byte{0xff, 0x00})
 
 	f.Fuzz(func(t *testing.T, src []byte) {
-		d, n, err := DecodeDatum(src)
+		d, n, err := decodeDatum(src)
 		if err != nil {
 			return
 		}

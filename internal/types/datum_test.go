@@ -144,7 +144,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 	off := 0
 	for i, want := range datums {
-		got, n, err := DecodeDatum(buf[off:])
+		got, n, err := decodeDatum(buf[off:])
 		if err != nil {
 			t.Fatalf("decode datum %d: %v", i, err)
 		}
@@ -168,7 +168,7 @@ func TestBinaryRoundTripQuick(t *testing.T) {
 				continue // NaN != NaN by design
 			}
 			enc := d.AppendBinary(nil)
-			got, n, err := DecodeDatum(enc)
+			got, n, err := decodeDatum(enc)
 			if err != nil || n != len(enc) || !Equal(got, d) {
 				return false
 			}
@@ -189,7 +189,7 @@ func TestDecodeErrors(t *testing.T) {
 		{200}, // unknown kind
 	}
 	for i, c := range cases {
-		if _, _, err := DecodeDatum(c); err == nil {
+		if _, _, err := decodeDatum(c); err == nil {
 			t.Errorf("case %d: expected decode error", i)
 		}
 	}
@@ -227,7 +227,7 @@ func TestDatumLayout(t *testing.T) {
 	}
 	for _, want := range []Datum{NewString(""), NewBytes(nil), NewBytes([]byte{}), NewString("a"), NewBytes([]byte{0})} {
 		enc := want.AppendBinary(nil)
-		got, n, err := DecodeDatum(enc)
+		got, n, err := decodeDatum(enc)
 		if err != nil || n != len(enc) || got.Kind() != want.Kind() || !Equal(got, want) {
 			t.Errorf("%v: round trip gave %v, %d of %d bytes, %v", want, got, n, len(enc), err)
 		}
@@ -259,4 +259,15 @@ func TestDatumLayout(t *testing.T) {
 			read()
 		}()
 	}
+}
+
+// decodeDatum decodes one datum produced by AppendBinary the way
+// Batch.AppendEncoded does, and returns it with the number of bytes
+// consumed.
+func decodeDatum(src []byte) (Datum, int, error) {
+	k, n, err := datumSpan(src)
+	if err != nil {
+		return Null, 0, err
+	}
+	return decodeSpan(k, src[:n], ""), n, nil
 }

@@ -66,9 +66,11 @@ func (s Signature) String() string { return s.Key() }
 
 // KeyColumns maps the signature's inputs to the view key columns that
 // identify one invocation: the frame payload column is identified by
-// the frame id, every other input column keys as itself. A detector
-// invoked as f(frame) keys by [id]; CarType(frame, bbox) keys by
-// [id, bbox].
+// the frame id, every other input column keys as itself, and the frame
+// id is a key column of every view (storage.Engine.CreateView), so a
+// call without a frame argument is keyed per frame too. Inputs are
+// sorted, so a detector invoked as f(frame) keys by [id],
+// CarType(frame, bbox) by [bbox, id] and Area(bbox) by [bbox, id].
 func (s Signature) KeyColumns() []string {
 	out := make([]string, 0, len(s.Inputs))
 	seen := map[string]struct{}{}
@@ -83,8 +85,8 @@ func (s Signature) KeyColumns() []string {
 		seen[col] = struct{}{}
 		out = append(out, col)
 	}
-	if len(out) == 0 {
-		return []string{"id"}
+	if _, keyed := seen["id"]; !keyed {
+		out = append(out, "id")
 	}
 	return out
 }
