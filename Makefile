@@ -108,7 +108,12 @@ cover:
 	done
 
 # fuzz-smoke gives the property-based targets a short budget: the
-# Algorithm 1 reducer against its truth-table oracle, the bound
+# Algorithm 1 reducer against its truth-table oracle, the symbolic
+# algebra's merge walks against the definitions they replaced (interval
+# intersection ≡ the normalized pairwise intersections, complement ≡ the
+# normalized gaps, every categorical set operation ≡ a map model, on
+# points, touching open and closed endpoints, ±Inf, and empty, full and
+# negated sets), the bound
 # column-at-a-time expression programs against the row-at-a-time
 # reference evaluator (rows, values, error and call sequence), the
 # fault injector's site matcher against an independent reference, the
@@ -131,6 +136,7 @@ cover:
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzReduce -fuzztime=5s ./internal/symbolic/
 	$(GO) test -run=^$$ -fuzz=FuzzDNFCodec -fuzztime=5s ./internal/symbolic/
+	$(GO) test -run=^$$ -fuzz=FuzzMergeWalks -fuzztime=5s ./internal/symbolic/
 	$(GO) test -run=^$$ -fuzz=FuzzViewReplay -fuzztime=5s ./internal/storage/
 	$(GO) test -run=^$$ -fuzz=FuzzFrameScan -fuzztime=5s ./internal/storage/
 	$(GO) test -run=^$$ -fuzz=FuzzMergeMatchesProbe -fuzztime=5s ./internal/storage/
@@ -149,10 +155,12 @@ fuzz-smoke:
 # the committed BENCH_alloc.json baseline must satisfy the same gates
 # with all pooled/unpooled matrix digests identical; and the datum every
 # one of those rows is made of must stay three words (DESIGN.md
-# "Resident view layout"). Runs without -race: the race detector
+# "Resident view layout"); and planning any VBENCH-HIGH query on a warm
+# system (EXPLAIN: parse, symbolic analysis, costing) must stay under
+# its allocation bound. Runs without -race: the race detector
 # perturbs allocation counts (the tests skip themselves).
 alloc:
-	$(GO) test -run 'TestWarmPathAllocsPerRow|TestEvalPathAllocsPerRow|TestAllocBaselineCommitted' .
+	$(GO) test -run 'TestWarmPathAllocsPerRow|TestEvalPathAllocsPerRow|TestAllocBaselineCommitted|TestPlanningAllocs' .
 	$(GO) test -run TestDatumLayout ./internal/types/
 
 # scrub runs the self-healing view storage matrix under the race

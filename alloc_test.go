@@ -9,7 +9,8 @@ package eva_test
 // (parse, optimize, result assembly) cancels and only the per-row cost
 // is asserted. A second test pins the committed BENCH_alloc.json
 // baseline to the same threshold, so a regressed baseline cannot be
-// committed either.
+// committed either. A third gate bounds what planning a query
+// allocates.
 
 import (
 	"encoding/json"
@@ -17,7 +18,9 @@ import (
 	"os"
 	"testing"
 
+	"eva"
 	"eva/internal/vbench"
+	"eva/internal/vision"
 )
 
 // TestWarmPathAllocsPerRow is the live gate: marginal allocations per
@@ -59,6 +62,51 @@ func TestEvalPathAllocsPerRow(t *testing.T) {
 	}
 	if cell.PoolHits == 0 || cell.PoolPuts == 0 {
 		t.Errorf("pool not engaged on the evaluate path: %+v", cell)
+	}
+}
+
+// planningAllocGate bounds the allocations of one EXPLAIN — lex, parse,
+// symbolic INTER/DIFF/UNION with Algorithm 1's reduction, costing and
+// plan building, no execution — of any VBENCH-HIGH query on a warm
+// 600-frame system. With the symbolic algebra's sorted-slice
+// representation the costliest query (Q3) takes about 850; with the
+// map-based one it took about 2 200 (about 1 300 on average).
+const planningAllocGate = 1000
+
+// TestPlanningAllocs is the gate on planning: once VBENCH-HIGH has run
+// and its views are materialized, EXPLAIN of each of its queries must
+// allocate fewer than planningAllocGate objects.
+func TestPlanningAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed by the race detector")
+	}
+	ds := vision.MediumUADetrac
+	ds.Frames = 600
+	sys, err := eva.Open(eva.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if err := sys.LoadDataset("video", ds); err != nil {
+		t.Fatal(err)
+	}
+	wl := vbench.HighWorkload(ds)
+	for _, q := range wl.Queries {
+		if _, err := sys.Exec(q.SQL); err != nil {
+			t.Fatalf("%s: %v", q.Label, err)
+		}
+	}
+	for _, q := range wl.Queries {
+		stmt := "EXPLAIN " + q.SQL
+		var err error
+		n := testing.AllocsPerRun(5, func() { _, err = sys.Exec(stmt) })
+		if err != nil {
+			t.Fatalf("%s: %v", q.Label, err)
+		}
+		t.Logf("%s: %.0f allocs to plan", q.Label, n)
+		if n >= planningAllocGate {
+			t.Errorf("planning %s allocates %.0f objects, gate %d", q.Label, n, planningAllocGate)
+		}
 	}
 }
 

@@ -222,6 +222,7 @@ func BenchmarkSymbolicInterDiffUnion(b *testing.B) {
 	_ = sys
 	p1 := rangePred(b, 0, 10000)
 	p2 := rangePred(b, 7500, 12000)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		symbolic.Inter(p1, p2)

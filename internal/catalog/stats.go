@@ -133,11 +133,11 @@ func (s *Stats) SelCategorical(term string, cat symbolic.CatSet) float64 {
 	if !ok {
 		return s.fall.SelCategorical(term, cat)
 	}
-	// Summed in value order: float addition is not associative, and map
-	// order would make the estimate — and every plan decision it feeds —
-	// differ in its last bits from run to run.
+	// Summed in value order (the order of Vals): float addition is not
+	// associative, and any other order would make the estimate — and
+	// every plan decision it feeds — differ in its last bits.
 	inSum := 0.0
-	for _, v := range cat.Sorted() {
+	for _, v := range cat.Vals {
 		inSum += freqs[v]
 	}
 	if cat.Negated {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // The canonical binary form of a DNF, the payload of the view log's
@@ -39,11 +40,10 @@ func (d DNF) AppendBinary(buf []byte) []byte {
 	buf = append(buf, codecVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(d.conjs)))
 	for _, c := range d.conjs {
-		terms := c.Terms()
-		buf = binary.AppendUvarint(buf, uint64(len(terms)))
-		for _, t := range terms {
-			buf = appendString(buf, t)
-			con := c.cons[t]
+		buf = binary.AppendUvarint(buf, uint64(len(c.terms)))
+		for _, t := range c.terms {
+			buf = appendString(buf, t.Name)
+			con := t.Con
 			if con.Numeric {
 				buf = append(buf, codecNumeric)
 				buf = binary.AppendUvarint(buf, uint64(len(con.Ivs.ivs)))
@@ -66,9 +66,8 @@ func (d DNF) AppendBinary(buf []byte) []byte {
 				kind = codecNotIn
 			}
 			buf = append(buf, kind)
-			vals := con.Cat.Sorted()
-			buf = binary.AppendUvarint(buf, uint64(len(vals)))
-			for _, v := range vals {
+			buf = binary.AppendUvarint(buf, uint64(len(con.Cat.Vals)))
+			for _, v := range con.Cat.Vals {
 				buf = appendString(buf, v)
 			}
 		}
@@ -96,7 +95,7 @@ func DecodeDNF(data []byte) (DNF, error) {
 	// sized by it: a conjunct, term, interval or value takes at least one.
 	d := DNF{}
 	for n := r.count(1); n > 0 && r.err == nil; n-- {
-		c := NewConjunct()
+		var c Conjunct
 		prev := ""
 		for k, nt := 0, r.count(3); k < nt && r.err == nil; k++ {
 			term := r.string()
@@ -108,7 +107,7 @@ func DecodeDNF(data []byte) (DNF, error) {
 			if r.err == nil && (con.Full() || con.Empty()) {
 				r.fail("constraint on %q is not in normal form", term)
 			}
-			c.cons[term] = con
+			c.terms = append(c.terms, Term{term, con})
 		}
 		d.conjs = append(d.conjs, c)
 	}
@@ -207,7 +206,7 @@ func (r *codecReader) constraint() Constraint {
 		return NumConstraint(IntervalSet{ivs: ivs})
 	case codecIn, codecNotIn:
 		n := r.count(1)
-		cat := CatSet{Negated: kind == codecNotIn, Vals: make(map[string]struct{}, n)}
+		cat := CatSet{Negated: kind == codecNotIn, Vals: make([]string, 0, n)}
 		prev := ""
 		for k := 0; k < n && r.err == nil; k++ {
 			v := r.string()
@@ -215,7 +214,7 @@ func (r *codecReader) constraint() Constraint {
 				r.fail("values out of order")
 			}
 			prev = v
-			cat.Vals[v] = struct{}{}
+			cat.Vals = append(cat.Vals, v)
 		}
 		return CatConstraint(cat)
 	default:
@@ -231,19 +230,9 @@ func (r *codecReader) constraint() Constraint {
 // identically. Equivalent predicates written differently are not Equal.
 // lint:testonly the codec round-trip tests compare formulas
 func (d DNF) Equal(o DNF) bool {
-	if len(d.conjs) != len(o.conjs) {
-		return false
-	}
-	for i, c := range d.conjs {
-		oc := o.conjs[i]
-		if len(c.cons) != len(oc.cons) {
-			return false
-		}
-		for t, con := range c.cons {
-			if ocon, ok := oc.cons[t]; !ok || !con.Equal(ocon) {
-				return false
-			}
-		}
-	}
-	return true
+	return slices.EqualFunc(d.conjs, o.conjs, func(c, oc Conjunct) bool {
+		return slices.EqualFunc(c.terms, oc.terms, func(t, ot Term) bool {
+			return t.Name == ot.Name && t.Con.Equal(ot.Con)
+		})
+	})
 }

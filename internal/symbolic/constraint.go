@@ -2,7 +2,7 @@ package symbolic
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -11,20 +11,22 @@ import (
 // Because the domain is treated as unbounded, a negated set is never
 // empty and an allowed set is never full.
 //
+// Vals is sorted and distinct, and nothing writes it after the set is
+// built, so Complement shares it. Every two-set operation is one merge
+// walk of the two lists.
+//
 // The algebra is closed: unions, intersections, and complements of
 // CatSets are CatSets, so per-dimension reduction is always exact.
 type CatSet struct {
 	Negated bool
-	Vals    map[string]struct{}
+	Vals    []string
 }
 
 // NewCatSet returns "value ∈ vals".
 func NewCatSet(vals ...string) CatSet {
-	m := make(map[string]struct{}, len(vals))
-	for _, v := range vals {
-		m[v] = struct{}{}
-	}
-	return CatSet{Vals: m}
+	s := slices.Clone(vals)
+	slices.Sort(s)
+	return CatSet{Vals: slices.Compact(s)}
 }
 
 // NewCatSetNot returns "value ∉ vals".
@@ -35,7 +37,7 @@ func NewCatSetNot(vals ...string) CatSet {
 }
 
 // FullCatSet matches every value.
-func FullCatSet() CatSet { return CatSet{Negated: true, Vals: map[string]struct{}{}} }
+func FullCatSet() CatSet { return CatSet{Negated: true} }
 
 // Empty reports whether the constraint matches no value.
 func (c CatSet) Empty() bool { return !c.Negated && len(c.Vals) == 0 }
@@ -45,107 +47,63 @@ func (c CatSet) Full() bool { return c.Negated && len(c.Vals) == 0 }
 
 // Contains reports whether v satisfies the constraint.
 func (c CatSet) Contains(v string) bool {
-	_, in := c.Vals[v]
+	_, in := slices.BinarySearch(c.Vals, v)
 	return in != c.Negated
 }
 
-func setOps(a, b map[string]struct{}) (inter, aMinusB, bMinusA, union map[string]struct{}) {
-	inter = map[string]struct{}{}
-	aMinusB = map[string]struct{}{}
-	bMinusA = map[string]struct{}{}
-	union = map[string]struct{}{}
-	for v := range a {
-		union[v] = struct{}{}
-		if _, ok := b[v]; ok {
-			inter[v] = struct{}{}
-		} else {
-			aMinusB[v] = struct{}{}
+// combine returns {v : op(v satisfies c, v satisfies o)}, op being ∧
+// when and is set and ∨ otherwise. A value in neither list satisfies
+// each set exactly when it is negated, so the result is negated when op
+// holds of the two flags, and lists the values where op disagrees.
+func (c CatSet) combine(o CatSet, and bool) CatSet {
+	op := func(p, q bool) bool {
+		if and {
+			return p && q
 		}
+		return p || q
 	}
-	for v := range b {
-		union[v] = struct{}{}
-		if _, ok := a[v]; !ok {
-			bMinusA[v] = struct{}{}
+	out := CatSet{Negated: op(c.Negated, o.Negated)}
+	zip(c.Vals, o.Vals, valueOf, func(x, y *string) bool {
+		if op((x != nil) != c.Negated, (y != nil) != o.Negated) != out.Negated {
+			if x == nil {
+				x = y
+			}
+			out.Vals = append(out.Vals, *x)
 		}
-	}
-	return
+		return true
+	})
+	return out
 }
 
 // Intersect returns a ∧ b.
-func (c CatSet) Intersect(o CatSet) CatSet {
-	inter, aMinusB, bMinusA, union := setOps(c.Vals, o.Vals)
-	switch {
-	case !c.Negated && !o.Negated:
-		return CatSet{Vals: inter}
-	case !c.Negated && o.Negated:
-		return CatSet{Vals: aMinusB}
-	case c.Negated && !o.Negated:
-		return CatSet{Vals: bMinusA}
-	default:
-		return CatSet{Negated: true, Vals: union}
-	}
-}
+func (c CatSet) Intersect(o CatSet) CatSet { return c.combine(o, true) }
 
 // Union returns a ∨ b.
-func (c CatSet) Union(o CatSet) CatSet {
-	inter, aMinusB, bMinusA, union := setOps(c.Vals, o.Vals)
-	switch {
-	case !c.Negated && !o.Negated:
-		return CatSet{Vals: union}
-	case !c.Negated && o.Negated:
-		// v∈A ∨ v∉B  ⇔  v ∉ (B \ A)
-		return CatSet{Negated: true, Vals: bMinusA}
-	case c.Negated && !o.Negated:
-		return CatSet{Negated: true, Vals: aMinusB}
-	default:
-		return CatSet{Negated: true, Vals: inter}
-	}
-}
+func (c CatSet) Union(o CatSet) CatSet { return c.combine(o, false) }
 
-// Complement returns ¬c.
-func (c CatSet) Complement() CatSet {
-	vals := make(map[string]struct{}, len(c.Vals))
-	for v := range c.Vals {
-		vals[v] = struct{}{}
-	}
-	return CatSet{Negated: !c.Negated, Vals: vals}
-}
+// Complement returns ¬c; it shares c's values.
+func (c CatSet) Complement() CatSet { return CatSet{Negated: !c.Negated, Vals: c.Vals} }
 
 // SubsetOf reports whether every value satisfying c also satisfies o.
 func (c CatSet) SubsetOf(o CatSet) bool {
-	return c.Intersect(o.Complement()).Empty()
+	if c.Negated && !o.Negated {
+		return false // a value in neither list satisfies c and not o
+	}
+	sub := true
+	zip(c.Vals, o.Vals, valueOf, func(x, y *string) bool {
+		sub = (x != nil) == c.Negated || (y != nil) != o.Negated
+		return sub
+	})
+	return sub
 }
 
 // Equal reports constraint equality.
 func (c CatSet) Equal(o CatSet) bool {
-	if c.Negated != o.Negated || len(c.Vals) != len(o.Vals) {
-		return false
-	}
-	for v := range c.Vals {
-		if _, ok := o.Vals[v]; !ok {
-			return false
-		}
-	}
-	return true
+	return c.Negated == o.Negated && slices.Equal(c.Vals, o.Vals)
 }
 
 // AtomCount counts atomic =/!= formulas needed to express the set.
-func (c CatSet) AtomCount() int {
-	if c.Full() {
-		return 0
-	}
-	return len(c.Vals)
-}
-
-// Sorted returns the set's values in increasing order.
-func (c CatSet) Sorted() []string {
-	out := make([]string, 0, len(c.Vals))
-	for v := range c.Vals {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
+func (c CatSet) AtomCount() int { return len(c.Vals) }
 
 // String renders the constraint.
 func (c CatSet) String() string {
@@ -159,7 +117,7 @@ func (c CatSet) String() string {
 	if c.Negated {
 		op = "∉"
 	}
-	return op + " {" + strings.Join(c.Sorted(), ", ") + "}"
+	return op + " {" + strings.Join(c.Vals, ", ") + "}"
 }
 
 // Constraint is the per-term building block of a conjunctive predicate:

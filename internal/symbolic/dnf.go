@@ -3,91 +3,140 @@ package symbolic
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"eva/internal/expr"
 	"eva/internal/types"
 )
 
+// Term is one constrained term of a conjunct.
+type Term struct {
+	Name string
+	Con  Constraint
+}
+
 // Conjunct is a conjunction of per-term constraints: a product region.
-// A term absent from the map is unconstrained. The empty conjunct is
-// the always-true predicate.
+// Its terms are sorted by name, hold no full constraint, and are never
+// written once the conjunct is built, so conjuncts share them freely. A
+// term absent from the list is unconstrained. The empty conjunct is the
+// always-true predicate.
 type Conjunct struct {
-	cons map[string]Constraint
+	terms []Term
 }
 
 // NewConjunct returns the always-true conjunct.
-func NewConjunct() Conjunct { return Conjunct{cons: map[string]Constraint{}} }
+func NewConjunct() Conjunct { return Conjunct{} }
+
+// zip walks two name-sorted lists in step and calls f once per name
+// either holds, passing nil for the side that lacks it; f returning
+// false stops the walk. It is the one merge walk of the algebra: over
+// two conjuncts' terms (nil is an unconstrained term) and over two
+// categorical sets' values (nil is a value the list leaves out).
+func zip[E any](a, b []E, key func(*E) string, f func(x, y *E) bool) {
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		var x, y *E
+		switch {
+		case j == len(b) || i < len(a) && key(&a[i]) < key(&b[j]):
+			x = &a[i]
+			i++
+		case i == len(a) || key(&b[j]) < key(&a[i]):
+			y = &b[j]
+			j++
+		default:
+			x, y = &a[i], &b[j]
+			i++
+			j++
+		}
+		if !f(x, y) {
+			return
+		}
+	}
+}
+
+func nameOf(t *Term) string    { return t.Name }
+func valueOf(s *string) string { return *s }
 
 // WithConstraint returns a copy of the conjunct with term ∧= c.
 func (c Conjunct) WithConstraint(term string, con Constraint) Conjunct {
-	out := c.clone()
-	if existing, ok := out.cons[term]; ok {
-		con = existing.Intersect(con)
-	}
 	if con.Full() {
-		delete(out.cons, term)
-	} else {
-		out.cons[term] = con
+		return c
 	}
-	return out
+	return c.Intersect(Conjunct{terms: []Term{{term, con}}})
 }
 
-func (c Conjunct) clone() Conjunct {
-	out := Conjunct{cons: make(map[string]Constraint, len(c.cons))}
-	for k, v := range c.cons {
-		out.cons[k] = v
+// with returns a copy of c whose constraint on name is con, or which
+// leaves name unconstrained when con is full.
+func (c Conjunct) with(name string, con Constraint) Conjunct {
+	i, found := slices.BinarySearchFunc(c.terms, name, func(t Term, n string) int {
+		return strings.Compare(t.Name, n)
+	})
+	out := make([]Term, 0, len(c.terms)+1)
+	out = append(out, c.terms[:i]...)
+	if !con.Full() {
+		out = append(out, Term{name, con})
 	}
-	return out
+	if found {
+		i++
+	}
+	return Conjunct{terms: append(out, c.terms[i:]...)}
 }
 
-// Terms returns the constrained term names in sorted order.
-func (c Conjunct) Terms() []string {
-	out := make([]string, 0, len(c.cons))
-	for t := range c.cons {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Constraint returns the constraint on term; (full, false) if absent.
+// Constraint returns the constraint on term; (zero, false) if absent.
 func (c Conjunct) Constraint(term string) (Constraint, bool) {
-	con, ok := c.cons[term]
-	return con, ok
-}
-
-// get returns the constraint on term, substituting a full constraint of
-// the same kind as ref when absent.
-func (c Conjunct) get(term string, ref Constraint) Constraint {
-	if con, ok := c.cons[term]; ok {
-		return con
+	for _, t := range c.terms {
+		if t.Name == term {
+			return t.Con, true
+		}
 	}
-	return fullLike(ref)
+	return Constraint{}, false
 }
 
 // Empty reports whether the conjunct is unsatisfiable.
 func (c Conjunct) Empty() bool {
-	for _, con := range c.cons {
-		if con.Empty() {
+	for _, t := range c.terms {
+		if t.Con.Empty() {
 			return true
 		}
 	}
 	return false
 }
 
-// Intersect returns the conjunction of two conjuncts.
+// Intersect returns the conjunction of two conjuncts; with TRUE it
+// returns the other operand, sharing its terms.
 func (c Conjunct) Intersect(o Conjunct) Conjunct {
-	out := c.clone()
-	for t, con := range o.cons {
-		if existing, ok := out.cons[t]; ok {
-			out.cons[t] = existing.Intersect(con)
-		} else {
-			out.cons[t] = con
-		}
+	switch {
+	case len(c.terms) == 0:
+		return o
+	case len(o.terms) == 0:
+		return c
 	}
-	return out
+	out := make([]Term, 0, len(c.terms)+len(o.terms))
+	zip(c.terms, o.terms, nameOf, func(x, y *Term) bool {
+		switch {
+		case y == nil:
+			out = append(out, *x)
+		case x == nil:
+			out = append(out, *y)
+		default:
+			out = append(out, Term{x.Name, x.Con.Intersect(y.Con)})
+		}
+		return true
+	})
+	return Conjunct{terms: out}
+}
+
+// subset reports x ⊆ y for the two sides of a zip over terms, nil
+// being the unconstrained term.
+func subset(x, y *Term) bool {
+	switch {
+	case y == nil:
+		return true
+	case x == nil:
+		return y.Con.Full()
+	}
+	return x.Con.SubsetOf(y.Con)
 }
 
 // SubsetOf reports whether every point satisfying c satisfies o.
@@ -95,12 +144,12 @@ func (c Conjunct) SubsetOf(o Conjunct) bool {
 	if c.Empty() {
 		return true
 	}
-	for t, ocon := range o.cons {
-		if !c.get(t, ocon).SubsetOf(ocon) {
-			return false
-		}
-	}
-	return true
+	sub := true
+	zip(c.terms, o.terms, nameOf, func(x, y *Term) bool {
+		sub = subset(x, y)
+		return sub
+	})
+	return sub
 }
 
 // Equal reports whether the conjuncts constrain identically.
@@ -112,22 +161,22 @@ func (c Conjunct) Equal(o Conjunct) bool {
 // AtomCount counts the atomic formulas in the conjunct.
 func (c Conjunct) AtomCount() int {
 	n := 0
-	for _, con := range c.cons {
-		n += con.AtomCount()
+	for _, t := range c.terms {
+		n += t.Con.AtomCount()
 	}
 	return n
 }
 
 // Evaluate reports whether the sample point satisfies the conjunct.
 func (c Conjunct) Evaluate(point map[string]Value) (bool, error) {
-	for t, con := range c.cons {
-		v, ok := point[t]
+	for _, t := range c.terms {
+		v, ok := point[t.Name]
 		if !ok {
-			return false, fmt.Errorf("symbolic: no sample value for term %q", t)
+			return false, fmt.Errorf("symbolic: no sample value for term %q", t.Name)
 		}
-		in, err := con.containsValue(v)
+		in, err := t.Con.containsValue(v)
 		if err != nil {
-			return false, fmt.Errorf("term %q: %w", t, err)
+			return false, fmt.Errorf("term %q: %w", t.Name, err)
 		}
 		if !in {
 			return false, nil
@@ -138,13 +187,12 @@ func (c Conjunct) Evaluate(point map[string]Value) (bool, error) {
 
 // String renders the conjunct.
 func (c Conjunct) String() string {
-	if len(c.cons) == 0 {
+	if len(c.terms) == 0 {
 		return "TRUE"
 	}
-	terms := c.Terms()
-	parts := make([]string, len(terms))
-	for i, t := range terms {
-		parts[i] = t + " " + c.cons[t].String()
+	parts := make([]string, len(c.terms))
+	for i, t := range c.terms {
+		parts[i] = t.Name + " " + t.Con.String()
 	}
 	return strings.Join(parts, " ∧ ")
 }
@@ -184,7 +232,7 @@ func (d DNF) IsFalse() bool { return len(d.conjs) == 0 }
 // lint:testonly the algebra's property tests check tautologies
 func (d DNF) IsTrue() bool {
 	for _, c := range d.conjs {
-		if len(c.cons) == 0 {
+		if len(c.terms) == 0 {
 			return true
 		}
 	}
@@ -194,18 +242,14 @@ func (d DNF) IsTrue() bool {
 // Terms returns the union of term names across conjuncts, sorted.
 // lint:testonly the truth-table oracle enumerates the terms
 func (d DNF) Terms() []string {
-	set := map[string]struct{}{}
+	var out []string
 	for _, c := range d.conjs {
-		for t := range c.cons {
-			set[t] = struct{}{}
+		for _, t := range c.terms {
+			out = append(out, t.Name)
 		}
 	}
-	out := make([]string, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Or returns d ∨ o (unreduced).
@@ -235,16 +279,15 @@ func (d DNF) Not() DNF {
 	out := True()
 	for _, c := range d.conjs {
 		var comp DNF
-		if len(c.cons) == 0 {
+		if len(c.terms) == 0 {
 			return False() // ¬TRUE
 		}
-		for _, t := range c.Terms() {
-			con := c.cons[t]
-			neg := con.Complement()
+		for _, t := range c.terms {
+			neg := t.Con.Complement()
 			if neg.Empty() {
 				continue
 			}
-			comp.conjs = append(comp.conjs, NewConjunct().WithConstraint(t, neg))
+			comp.conjs = append(comp.conjs, NewConjunct().WithConstraint(t.Name, neg))
 		}
 		out = out.And(comp)
 	}
@@ -318,11 +361,11 @@ func FromExpr(e expr.Expr) (DNF, error) {
 func (d DNF) checkTypes() error {
 	kinds := map[string]bool{} // term -> numeric?
 	for _, c := range d.conjs {
-		for t, con := range c.cons {
-			if prev, seen := kinds[t]; seen && prev != con.Numeric {
-				return fmt.Errorf("symbolic: term %q used both numerically and categorically", t)
+		for _, t := range c.terms {
+			if prev, seen := kinds[t.Name]; seen && prev != t.Con.Numeric {
+				return fmt.Errorf("symbolic: term %q used both numerically and categorically", t.Name)
 			}
-			kinds[t] = con.Numeric
+			kinds[t.Name] = t.Con.Numeric
 		}
 	}
 	return nil

@@ -32,8 +32,8 @@ func TestFromExprSimple(t *testing.T) {
 		t.Fatalf("conjuncts = %d", len(d.Conjuncts()))
 	}
 	c := d.Conjuncts()[0]
-	if got := c.Terms(); len(got) != 2 || got[0] != "id" || got[1] != "label" {
-		t.Errorf("terms = %v", got)
+	if got, want := c.String(), "id (5, +Inf) ∧ label ∈ {car}"; got != want {
+		t.Errorf("conjunct = %s, want %s", got, want)
 	}
 	ok, err := d.Evaluate(map[string]Value{"id": Num(6), "label": Str("car")})
 	if err != nil || !ok {

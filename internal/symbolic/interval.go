@@ -143,7 +143,7 @@ func NewIntervalSet(ivs ...Interval) IntervalSet {
 }
 
 // FullIntervalSet covers all reals.
-func FullIntervalSet() IntervalSet { return NewIntervalSet(FullInterval) }
+func FullIntervalSet() IntervalSet { return IntervalSet{ivs: []Interval{FullInterval}} }
 
 // Empty reports whether the set contains no points.
 func (s IntervalSet) Empty() bool { return len(s.ivs) == 0 }
@@ -174,24 +174,32 @@ func (s IntervalSet) Union(o IntervalSet) IntervalSet {
 	return NewIntervalSet(all...)
 }
 
-// Intersect returns the intersection of two sets.
+// Intersect returns the intersection of two sets. One walk of the two
+// ascending lists, advancing past whichever interval ends first (on a
+// tied end either: what follows it on each side starts past the tie),
+// meets every overlapping pair in order; the pieces come out disjoint
+// and non-adjacent (a point missing from either set separates any two),
+// so they are already normalized.
 func (s IntervalSet) Intersect(o IntervalSet) IntervalSet {
 	var out []Interval
-	for _, a := range s.ivs {
-		for _, b := range o.ivs {
-			if c := a.intersect(b); !c.Empty() {
-				out = append(out, c)
-			}
+	for i, j := 0, 0; i < len(s.ivs) && j < len(o.ivs); {
+		a, b := s.ivs[i], o.ivs[j]
+		if c := a.intersect(b); !c.Empty() {
+			out = append(out, c)
+		}
+		if a.Hi < b.Hi {
+			i++
+		} else {
+			j++
 		}
 	}
-	return NewIntervalSet(out...)
+	return IntervalSet{ivs: out}
 }
 
-// Complement returns the complement of the set over the reals.
+// Complement returns the complement of the set over the reals: the
+// gaps before, between and after its intervals, which come out
+// ascending and separated by them, so already normalized.
 func (s IntervalSet) Complement() IntervalSet {
-	if s.Empty() {
-		return FullIntervalSet()
-	}
 	var out []Interval
 	lo, loOpen := math.Inf(-1), true
 	for _, iv := range s.ivs {
@@ -205,7 +213,7 @@ func (s IntervalSet) Complement() IntervalSet {
 	if !last.Empty() {
 		out = append(out, last)
 	}
-	return NewIntervalSet(out...)
+	return IntervalSet{ivs: out}
 }
 
 // Minus returns s \ o.

@@ -1,7 +1,5 @@
 package symbolic
 
-import "sort"
-
 // This file implements Algorithm 1 of the paper: predicate reduction.
 // A DNF's conjuncts are first reduced independently (which our
 // representation does by construction — per-term constraints are always
@@ -85,91 +83,72 @@ const (
 // that one conjunct is a subset of the other in every *other* dimension,
 // then reduces the union along the remaining dimension.
 func reduceUnionConjunctives(c1, c2 Conjunct) (a, b Conjunct, act reduceAction) {
-	dims := unionTerms(c1, c2)
-
-	// Classify each dimension.
+	// Classify each dimension of the union in one walk; a dimension
+	// differs when neither side is a subset of the other.
 	var (
-		diffDims     []string // dimensions where constraints differ
-		c1SubAll     = true   // c1 ⊆ c2 on every dim
-		c2SubAll     = true
-		c1SubExcept  = 0 // count of dims where c1 ⊄ c2
-		c2SubExcept  = 0
-		c1NotSubDim  string
-		c2NotSubDim  string
-		typeConflict bool
+		diffs, c1Out, c2Out      int // dims that differ; where c1 ⊄ c2; where c2 ⊄ c1
+		diff1, diff2             *Term
+		c1NotSubDim, c2NotSubDim string
+		typeConflict             bool
 	)
-	for _, t := range dims {
-		ref1, ok1 := c1.cons[t]
-		ref2, ok2 := c2.cons[t]
-		var a1, a2 Constraint
-		switch {
-		case ok1 && ok2:
-			if ref1.typeMismatch(ref2) {
-				typeConflict = true
-			}
-			a1, a2 = ref1, ref2
-		case ok1:
-			a1, a2 = ref1, fullLike(ref1)
-		default:
-			a1, a2 = fullLike(ref2), ref2
+	zip(c1.terms, c2.terms, nameOf, func(x, y *Term) bool {
+		if x != nil && y != nil && x.Con.typeMismatch(y.Con) {
+			typeConflict = true
+			return false
 		}
-		if typeConflict {
-			return c1, c2, actNone
+		t := x
+		if t == nil {
+			t = y
 		}
-		if !a1.Equal(a2) {
-			diffDims = append(diffDims, t)
+		sub12, sub21 := subset(x, y), subset(y, x)
+		if !sub12 || !sub21 {
+			diffs++
+			diff1, diff2 = x, y
 		}
-		if !a1.SubsetOf(a2) {
-			c1SubAll = false
-			c1SubExcept++
-			c1NotSubDim = t
+		if !sub12 {
+			c1Out++
+			c1NotSubDim = t.Name
 		}
-		if !a2.SubsetOf(a1) {
-			c2SubAll = false
-			c2SubExcept++
-			c2NotSubDim = t
+		if !sub21 {
+			c2Out++
+			c2NotSubDim = t.Name
 		}
+		return true
+	})
+	if typeConflict {
+		return c1, c2, actNone
 	}
 
 	// Case (i): full containment — drop the contained conjunct.
-	if c1SubAll {
+	if c1Out == 0 {
 		return c2, c1, actMerged
 	}
-	if c2SubAll {
+	if c2Out == 0 {
 		return c1, c2, actMerged
 	}
 
 	// Case (ii): equal in all dims but one — union the differing dim.
-	if len(diffDims) == 1 {
-		t := diffDims[0]
-		ref := c1.cons[t]
-		if _, ok := c1.cons[t]; !ok {
-			ref = c2.cons[t]
-		}
-		u, err := c1.get(t, ref).Union(c2.get(t, ref))
+	// Both conjuncts constrain it: an unconstrained side would contain
+	// the other there, and case (i) would have taken the pair.
+	if diffs == 1 {
+		u, err := diff1.Con.Union(diff2.Con)
 		if err != nil {
 			// Mixed-kind constraints on one term: leave the pair
 			// unreduced. Reduction is an optimization, so skipping a
-			// step preserves semantics. (The typeConflict pre-check
-			// above makes this unreachable in practice.)
+			// step preserves semantics. (The typeConflict check above
+			// makes this unreachable in practice.)
 			return c1, c2, actNone
 		}
-		merged := c1.clone()
-		if u.Full() {
-			delete(merged.cons, t)
-		} else {
-			merged.cons[t] = u
-		}
-		return merged, c2, actMerged
+		return c1.with(diff1.Name, u), c2, actMerged
 	}
 
 	// Case (iii): c2 ⊆ c1 in all dims except exactly one — make the
 	// conjuncts disjoint by removing c1's overlap from c2 along that
 	// dimension (and symmetrically). Only worthwhile if they overlap.
-	if c2SubExcept == 1 {
+	if c2Out == 1 {
 		return carveOverlap(c1, c2, c2NotSubDim)
 	}
-	if c1SubExcept == 1 {
+	if c1Out == 1 {
 		b2, a2, act := carveOverlap(c2, c1, c1NotSubDim)
 		return a2, b2, act
 	}
@@ -180,14 +159,11 @@ func reduceUnionConjunctives(c1, c2 Conjunct) (a, b Conjunct, act reduceAction) 
 // except dim; shrink small's dim-constraint by subtracting big's, which
 // preserves the union while making the pair disjoint.
 func carveOverlap(big, small Conjunct, dim string) (a, b Conjunct, act reduceAction) {
-	ref, ok := big.cons[dim]
+	// small ⊄ big along dim, so big constrains it.
+	bigDim, _ := big.Constraint(dim)
+	smallDim, ok := small.Constraint(dim)
 	if !ok {
-		ref = small.cons[dim]
-	}
-	bigDim := big.get(dim, ref)
-	smallDim := small.get(dim, ref)
-	if bigDim.typeMismatch(smallDim) {
-		return big, small, actNone
+		smallDim = fullLike(bigDim)
 	}
 	inter := smallDim.Intersect(bigDim)
 	if inter.Empty() {
@@ -205,26 +181,7 @@ func carveOverlap(big, small Conjunct, dim string) (a, b Conjunct, act reduceAct
 	if !carved.Empty() && carved.AtomCount() > smallDim.AtomCount() {
 		return big, small, actNone
 	}
-	out := small.clone()
-	out.cons[dim] = carved
-	return big, out, actRewrote
-}
-
-func unionTerms(c1, c2 Conjunct) []string {
-	set := map[string]struct{}{}
-	for t := range c1.cons {
-		set[t] = struct{}{}
-	}
-	for t := range c2.cons {
-		set[t] = struct{}{}
-	}
-	out := make([]string, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	// Deterministic order for reproducible reductions.
-	sort.Strings(out)
-	return out
+	return big, small.with(dim, carved), actRewrote
 }
 
 // Inter returns the reduced intersection predicate INTER(p1, p2) = p1 ∧ p2:

@@ -49,13 +49,12 @@ func Selectivity(d DNF, stats Stats) float64 {
 
 func conjunctSelectivity(c Conjunct, stats Stats) float64 {
 	sel := 1.0
-	for _, t := range c.Terms() {
-		con := c.cons[t]
+	for _, t := range c.terms {
 		var s float64
-		if con.Numeric {
-			s = stats.SelNumeric(t, con.Ivs)
+		if t.Con.Numeric {
+			s = stats.SelNumeric(t.Name, t.Con.Ivs)
 		} else {
-			s = stats.SelCategorical(t, con.Cat)
+			s = stats.SelCategorical(t.Name, t.Con.Cat)
 		}
 		sel *= clamp01(s)
 	}
