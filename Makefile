@@ -36,8 +36,9 @@ faults-stress:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeDatum -fuzztime=5s ./internal/types/
 
 # differential runs the serial-vs-parallel harness under the race
-# detector: every testdata script at Workers ∈ {1,2,8} × BatchSize ∈
-# {1,7,256} must produce byte-identical results, reports and virtual
+# detector: every testdata script at Workers ∈ {0,1,2,8} (0 is the
+# default, GOMAXPROCS workers) × BatchSize ∈ {1,7,256} must produce
+# byte-identical results, reports and virtual
 # time, and the pooled-batch lifecycle must byte-match unpooled
 # execution at every worker count; and a restart must be invisible —
 # every script with a Close + Open between every pair of statements

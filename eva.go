@@ -63,7 +63,8 @@ type (
 	OptimizerReport = optimizer.Report
 	// PredInfo is the per-UDF symbolic analysis in an OptimizerReport.
 	PredInfo = optimizer.PredInfo
-	// ScalarFunc implements a custom scalar UDF in Go.
+	// ScalarFunc implements a custom scalar UDF in Go; it must be safe
+	// for concurrent use (see RegisterScalarImpl).
 	ScalarFunc = udf.ScalarFunc
 	// Dataset describes a synthetic video dataset.
 	Dataset = vision.Dataset
@@ -118,21 +119,26 @@ type Config struct {
 	// a query whose virtual-clock charges exceed the budget aborts
 	// with ErrDeadlineExceeded. Zero means unlimited.
 	QueryDeadline time.Duration
-	// Workers enables the parallel pipelined executor: scan, filter
-	// and apply stages run concurrently behind bounded channels, and
-	// UDF invocations within a batch evaluate across a worker pool of
-	// this size. 0 or 1 runs the classic serial engine. Results,
-	// optimizer reports and simulated-time totals are byte-identical
-	// at every setting; only wall-clock time changes. This holds under
-	// fault injection and ModeFunCache too: fault decisions are keyed
-	// by call identity rather than draw order, so the injected
-	// schedule — and every downstream retry, breaker trip and
-	// degradation — replays identically at any worker count. Pipeline
-	// stages run only where nothing can abandon or reorder the stream:
-	// the System's own statements (its root session) without an
-	// injector, deadline or memory budget. Sessions opened with
-	// NewSession, and any run with one of those three, keep the apply
-	// worker pool but leave the operator tree unstaged, so aborts
+	// Workers sizes the parallel pipelined executor: UDF invocations
+	// within a batch evaluate across a worker pool of this size, and
+	// the output of each conditional Apply runs in a pipeline stage of
+	// its own once it hands over a scan batch of rows. 0, the default,
+	// uses runtime.GOMAXPROCS(0) workers; 1 runs the classic serial
+	// engine; a negative value is refused by Open. Registered Go UDFs
+	// (RegisterScalarImpl) are therefore called from several goroutines
+	// at once. The default was measured end to end only at GOMAXPROCS
+	// 2; whether it pays on more cores is unverified. Results, optimizer
+	// reports and simulated-time totals are byte-identical at every
+	// setting; only wall-clock time changes. This holds under fault
+	// injection and ModeFunCache too: fault decisions are keyed by call
+	// identity rather than draw order, so the injected schedule — and
+	// every downstream retry, breaker trip and degradation — replays
+	// identically at any worker count. Pipeline stages run only where
+	// nothing can abandon or reorder the stream: the System's own
+	// statements (its root session) without an injector, deadline or
+	// memory budget, outside a LIMIT and EXPLAIN ANALYZE. Sessions
+	// opened with NewSession, and any run with one of those, keep the
+	// apply worker pool but leave the operator tree unstaged, so aborts
 	// cannot charge prefetched work and shared-view claims stay serial.
 	Workers int
 	// MaxConcurrent bounds the number of queries executing at once
@@ -296,6 +302,9 @@ func (s *System) clock() *simclock.Clock { return s.eng.Clock }
 
 // Open creates a System.
 func Open(cfg Config) (*System, error) {
+	if cfg.Workers < 0 {
+		return nil, fmt.Errorf("eva: Workers %d is negative (0 uses every core, 1 runs serially)", cfg.Workers)
+	}
 	if cfg.Mode == "" {
 		cfg.Mode = ModeEVA
 	}
@@ -562,6 +571,9 @@ func (s *System) execShow(st *parser.ShowStmt) (*Result, error) {
 }
 
 // RegisterScalarImpl installs a Go implementation for a CREATE'd UDF.
+// The executor evaluates a batch's calls across Config.Workers
+// goroutines, so fn may run concurrently with itself and must be safe
+// for concurrent use.
 func (s *System) RegisterScalarImpl(name string, fn ScalarFunc) {
 	s.rt().RegisterImpl(name, fn)
 }
@@ -574,7 +586,7 @@ func (s *System) InjectFaults(inj *faults.Injector) { s.eng.SetFaults(inj) }
 
 // EvalScalarUDF evaluates a scalar UDF directly (outside any query),
 // charging its profiled cost. Custom UDF implementations may use it to
-// compose builtin models.
+// compose builtin models; it is safe for concurrent use.
 func (s *System) EvalScalarUDF(name string, args []Datum) (Datum, error) {
 	return s.rt().EvalScalar(name, args)
 }

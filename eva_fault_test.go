@@ -53,7 +53,7 @@ func runSweepWorkload(t *testing.T, sys *System) ([]int, []error) {
 //
 // Nothing may panic anywhere in the sweep.
 func TestFaultSweep(t *testing.T) {
-	base := openLoaded(t, Config{})
+	base := openLoaded(t, Config{Workers: 1})
 	baseRows, baseErrs := runSweepWorkload(t, base)
 	for i, err := range baseErrs {
 		if err != nil {

@@ -3,11 +3,21 @@ package eva
 import (
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"eva/internal/simclock"
 )
+
+// TestOpenRejectsNegativeWorkers: 0 uses every core and 1 runs
+// serially; a negative worker count is a configuration error.
+func TestOpenRejectsNegativeWorkers(t *testing.T) {
+	if sys, err := Open(Config{Workers: -1}); err == nil {
+		sys.Close()
+		t.Fatal("Open accepted Workers -1")
+	}
+}
 
 func TestOpenDefaultsAndTempDir(t *testing.T) {
 	sys, err := Open(Config{})
@@ -140,12 +150,11 @@ func TestCreateUDFAndCustomImpl(t *testing.T) {
 		IMPL = 'examples/monolithic.go' PROPERTIES = ('COST_MS' = '11')`); err != nil {
 		t.Fatal(err)
 	}
-	calls := 0
+	var calls atomic.Int64 // the worker pool calls the impl concurrently
 	sys.RegisterScalarImpl("GrayNissan", func(args []Datum) (Datum, error) {
-		calls++
+		calls.Add(1)
 		return Datum{}, nil
 	})
-	_ = calls
 	res, err := sys.Exec(`SELECT id FROM video CROSS APPLY FasterRCNNResnet50(frame)
 		WHERE id < 200 AND GrayNissan(frame, bbox) = TRUE`)
 	if err != nil {
@@ -153,13 +162,13 @@ func TestCreateUDFAndCustomImpl(t *testing.T) {
 	}
 	_ = res
 	// The monolithic UDF's results are themselves reusable.
-	before := calls
+	before := calls.Load()
 	if _, err := sys.Exec(`SELECT id FROM video CROSS APPLY FasterRCNNResnet50(frame)
 		WHERE id < 200 AND GrayNissan(frame, bbox) = TRUE`); err != nil {
 		t.Fatal(err)
 	}
-	if calls != before {
-		t.Errorf("monolithic UDF re-evaluated %d times on identical query", calls-before)
+	if n := calls.Load(); n != before {
+		t.Errorf("monolithic UDF re-evaluated %d times on identical query", n-before)
 	}
 }
 
@@ -177,9 +186,9 @@ func TestFramelessUDFKeyedOnID(t *testing.T) {
 			IMPL = 'test' PROPERTIES = ('COST_MS' = '1')`); err != nil {
 			t.Fatal(err)
 		}
-		calls := 0
+		var calls atomic.Int64 // the worker pool calls the impl concurrently
 		sys.RegisterScalarImpl("Boxy", func(args []Datum) (Datum, error) {
-			calls++
+			calls.Add(1)
 			return NewString([]string{"even", "odd"}[len(args[0].Str())%2]), nil
 		})
 		res, err := sys.Exec(q)
@@ -187,18 +196,18 @@ func TestFramelessUDFKeyedOnID(t *testing.T) {
 			t.Fatalf("%s: %v", mode, err)
 		}
 		answers[i] = Format(res.Rows)
-		if calls == 0 || res.Rows.Len() == 0 {
-			t.Fatalf("%s: %d calls, %d rows; the query exercises nothing", mode, calls, res.Rows.Len())
+		if calls.Load() == 0 || res.Rows.Len() == 0 {
+			t.Fatalf("%s: %d calls, %d rows; the query exercises nothing", mode, calls.Load(), res.Rows.Len())
 		}
 		if mode != ModeEVA {
 			continue
 		}
-		before := calls
+		before := calls.Load()
 		if res, err = sys.Exec(q); err != nil || Format(res.Rows) != answers[i] {
 			t.Fatalf("second run: %v, answers changed: %v", err, Format(res.Rows) != answers[i])
 		}
-		if calls != before {
-			t.Errorf("second run evaluated Boxy %d times", calls-before)
+		if n := calls.Load(); n != before {
+			t.Errorf("second run evaluated Boxy %d times", n-before)
 		}
 		views := 0
 		for _, name := range sys.store.Views() {

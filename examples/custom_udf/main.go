@@ -26,7 +26,9 @@ func main() {
 	}
 
 	// Define the monolithic UDF per Listing 2 and register its Go
-	// implementation (composing the two builtin classifiers).
+	// implementation (composing the two builtin classifiers). The
+	// executor calls it from several workers at once: it keeps no state
+	// of its own, and EvalScalarUDF is safe for concurrent use.
 	_, err = sys.Exec(`CREATE UDF GrayNissan
 		INPUT  = (frame NDARRAY UINT8(3, ANYDIM, ANYDIM), bbox TEXT)
 		OUTPUT = (graynissan_out BOOLEAN)

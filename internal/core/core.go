@@ -58,8 +58,9 @@ type Engine struct {
 	// MemoryBudget caps each query execution's estimated materialized
 	// bytes (0 = unlimited); see server.MemBudget.
 	MemoryBudget int64
-	// Workers is the parallel pipelined executor's worker count
-	// (0 or 1 = serial); see exec.Context.Workers.
+	// Workers is the parallel pipelined executor's worker count, passed
+	// through as exec.Context.Workers, which defines what 0 (the
+	// default) and 1 mean.
 	Workers int
 	// Pool recycles columnar batches across queries (nil = every
 	// operator allocates fresh batches); see exec.Context.Pool and

@@ -45,11 +45,12 @@ type Context struct {
 	// The budget starts when Run is called and is checked before every
 	// operator's next, so an expired query stops within one batch.
 	Deadline time.Duration
-	// Workers enables the parallel pipelined engine: UDF invocations
-	// fan out across a bounded pool of this size and operator stages
-	// are decoupled behind bounded channels (see parallel.go). 0 or 1
-	// runs the classic serial engine. Results, reports and virtual
-	// clock totals are byte-identical at every setting.
+	// Workers sizes the parallel pipelined engine: UDF invocations
+	// fan out across a bounded pool of this size and each conditional
+	// Apply's output is decoupled from its consumer behind a bounded
+	// channel (see parallel.go). 0 means runtime.GOMAXPROCS(0); 1 runs
+	// the classic serial engine. Results, reports and virtual clock
+	// totals are byte-identical at every setting.
 	Workers int
 	// Domain is the running session's UDF evaluation domain: UDF
 	// evaluation, UDF fault draws and breaker state all go through it.
@@ -80,7 +81,7 @@ type Context struct {
 	traceDepth int
 	noPipeline int // build-time: >0 while under a Limit (no stages)
 	dl         *deadlineState
-	stages     []*stageIter // pipeline stages of the current Run
+	stages     []*stageIter // pipeline stages of the current (or last) Run
 	applies    []*applyIter // apply operators of the current Run
 
 	storedMu sync.Mutex
@@ -229,14 +230,14 @@ func buildNode(ctx *Context, n plan.Node) (iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &filterIter{ctx: ctx, in: ctx.maybeStage(in), node: node,
+		return &filterIter{ctx: ctx, in: ctx.maybeStage(in, node.Input), node: node,
 			pred: expr.Bind(node.Pred, node.Input.Schema(), nil)}, nil
 	case *plan.ReuseApply:
 		in, err := build(ctx, node.Input)
 		if err != nil {
 			return nil, err
 		}
-		return newApplyIter(ctx, node, ctx.maybeStage(in))
+		return newApplyIter(ctx, node, ctx.maybeStage(in, node.Input))
 	case *plan.Project:
 		in, err := build(ctx, node.Input)
 		if err != nil {
@@ -248,13 +249,13 @@ func buildNode(ctx *Context, n plan.Node) (iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &groupIter{ctx: ctx, in: ctx.maybeStage(in), node: node}, nil
+		return &groupIter{ctx: ctx, in: ctx.maybeStage(in, node.Input), node: node}, nil
 	case *plan.Sort:
 		in, err := build(ctx, node.Input)
 		if err != nil {
 			return nil, err
 		}
-		return &sortIter{ctx: ctx, in: ctx.maybeStage(in), node: node}, nil
+		return &sortIter{ctx: ctx, in: ctx.maybeStage(in, node.Input), node: node}, nil
 	case *plan.Limit:
 		ctx.noPipeline++
 		in, err := build(ctx, node.Input)
@@ -356,25 +357,30 @@ func (s *scanIter) next() (*types.Batch, error) {
 			s.ctx.putBatch(b)
 			return nil, fmt.Errorf("exec: scan %s: %w", s.video.Name(), err)
 		}
-		sz := int64(b.EncodedSize())
-		if !s.ctx.Budget.Charge(sz) {
-			// Degrade: halve the batch width and rescan before giving
-			// up. The decision depends only on encoded data sizes, so
-			// it is identical on every run of the same query.
-			if s.width > minScanBatch {
-				s.width /= 2
-				if s.width < minScanBatch {
-					s.width = minScanBatch
+		// Sizing walks every datum, frame payloads included: only a
+		// budget needs it.
+		if s.ctx.Budget != nil {
+			sz := int64(b.EncodedSize())
+			if !s.ctx.Budget.Charge(sz) {
+				// Degrade: halve the batch width and rescan before
+				// giving up. The decision depends only on encoded data
+				// sizes, so it is identical on every run of the same
+				// query.
+				if s.width > minScanBatch {
+					s.width /= 2
+					if s.width < minScanBatch {
+						s.width = minScanBatch
+					}
+					s.ctx.Budget.NoteDegrade()
+					b.Reset()
+					continue
 				}
-				s.ctx.Budget.NoteDegrade()
-				b.Reset()
-				continue
+				s.ctx.putBatch(b)
+				return nil, fmt.Errorf("exec: scan %s: %w", s.video.Name(),
+					s.ctx.Budget.Exceeded("scan batch", sz))
 			}
-			s.ctx.putBatch(b)
-			return nil, fmt.Errorf("exec: scan %s: %w", s.video.Name(),
-				s.ctx.Budget.Exceeded("scan batch", sz))
+			s.held = sz
 		}
-		s.held = sz
 		s.pos = end
 		s.ctx.Clock.ChargePerTuple(simclock.CatReadVideo, costs.ReadVideoCost, b.Len())
 		return b, nil

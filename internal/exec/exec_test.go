@@ -25,7 +25,9 @@ func testCtx(t *testing.T, ds vision.Dataset) *Context {
 	}
 	clock := &simclock.Clock{}
 	rt := udf.NewRuntime(catalog.New(), clock)
-	return &Context{Store: store, Runtime: rt, Domain: rt.DefaultDomain(), Clock: clock, BatchSize: 64}
+	// Workers 1: the serial engine, the reference every parallel test
+	// compares against; a test that wants the default sets 0 itself.
+	return &Context{Store: store, Runtime: rt, Domain: rt.DefaultDomain(), Clock: clock, BatchSize: 64, Workers: 1}
 }
 
 func scan(lo, hi int64) *plan.Scan {

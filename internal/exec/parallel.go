@@ -1,13 +1,19 @@
 package exec
 
-// Parallel pipelined execution (DESIGN.md §10). With Context.Workers
-// above one, the executor runs in two cooperating modes:
+// Parallel pipelined execution (DESIGN.md §10). With more than one
+// worker (Context.Workers; 0, the default, is runtime.GOMAXPROCS), the
+// executor runs in two cooperating modes:
 //
-//   - pipeline stages: the inputs of Filter, ReuseApply, GroupBy and
-//     Sort are decoupled behind bounded channels, so a scan can decode
-//     the next batch while the filter above it evaluates predicates and
-//     the apply above that runs UDFs (the Volcano tree becomes a short
-//     pipeline of single-producer stages);
+//   - pipeline stages: the output of a conditional Apply is decoupled
+//     from the operator that consumes it behind a bounded channel, so
+//     the Apply below evaluates its next batch while the one above
+//     works on the last (the Volcano tree becomes a short pipeline of
+//     single-producer stages). A stage sits only on an Apply's output
+//     — a Scan or Filter is cheap next to whatever consumes it, so a
+//     stage over one overlaps nothing and costs a handoff per batch —
+//     and it starts its producer only once the Apply hands over a batch
+//     at least one scan batch wide; until then the consumer pulls
+//     inline;
 //   - parallel apply: within one batch, the conditional-Apply operator
 //     evaluates the UDF invocations its probe phase could not serve
 //     from a view across a bounded worker pool, then merges results in
@@ -24,10 +30,11 @@ package exec
 // never reads; nor under fault injection or a query deadline, whose
 // aborts could do the same), and the worker pool evaluates exactly the
 // rows the serial engine would. Sums of charges commute, so scheduling
-// order cannot change any total. The one exception is a failing query:
-// the pool may have evaluated (and charged for) rows past the first
-// error before the abort propagates; the query's results are discarded
-// either way.
+// order cannot change any total; when a stage starts depends only on
+// the data, and nothing observable depends on it. The one exception is
+// a failing query: the pool may have evaluated (and charged for) rows
+// past the first error before the abort propagates; the query's
+// results are discarded either way.
 //
 // The contract extends to fault-injected runs: fault decisions are
 // pure functions of (seed, site, call identity) rather than draws from
@@ -39,6 +46,7 @@ package exec
 // triggers are identical at every worker count.
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -53,17 +61,18 @@ import (
 const DefaultPipelineDepth = 2
 
 // workers returns the effective evaluation concurrency for this
-// execution: Context.Workers, floored at 1. Fault injection and the
-// FunCache baseline no longer pin execution serial — fault decisions
-// are keyed by call identity instead of draw order (internal/faults),
-// and FunCache's singleflight makes its eval/store accounting
-// order-independent — though fault-injected and deadline-bounded runs
-// do forgo pipeline *stages* (see maybeStage).
+// execution: Context.Workers, or runtime.GOMAXPROCS when it is 0,
+// floored at 1. It is the only place the default is decided.
+// Fault injection and the FunCache baseline do not pin execution
+// serial — fault decisions are keyed by call identity instead of draw
+// order (internal/faults), and FunCache's singleflight makes its
+// eval/store accounting order-independent — though fault-injected and
+// deadline-bounded runs do forgo pipeline *stages* (see maybeStage).
 func (c *Context) workers() int {
-	if c.Workers <= 1 {
-		return 1
+	if c.Workers == 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	return c.Workers
+	return max(c.Workers, 1)
 }
 
 // warmSchemas populates every plan node's lazily memoized schema
@@ -84,49 +93,86 @@ type stageMsg struct {
 	err error
 }
 
-// stageIter decouples a producer subtree from its consumer: a
-// goroutine pulls batches from the input and buffers up to
+// stageIter decouples an Apply's output from its consumer. It starts
+// inline: the consumer pulls from the input itself. The first time the
+// input hands over a batch at least one scan batch wide, it starts a
+// producer goroutine that pulls batches and buffers up to
 // DefaultPipelineDepth of them, preserving batch order (single
 // producer, single FIFO channel). The producer stops at end of stream,
 // at the first error, or when halted by stopStages.
 type stageIter struct {
+	ctx  *Context
+	in   iterator
+	done bool // consumer side: end of stream or an error delivered
+	live bool // consumer side: the producer runs; read from out
+
 	out    chan stageMsg
 	stop   chan struct{}
 	exited chan struct{}
-	once   sync.Once
-	done   bool
+
+	mu      sync.Mutex
+	started bool // guarded by mu
+	halted  bool // guarded by mu
 }
 
-// startStage launches a pipeline stage over in and registers it on the
-// Context for end-of-Run cleanup.
-func (c *Context) startStage(in iterator) *stageIter {
-	s := &stageIter{
+// newStage builds a pipeline stage over in and registers it on the
+// Context for end-of-Run cleanup. Its producer starts later, if ever.
+func (c *Context) newStage(in iterator) *stageIter {
+	s := &stageIter{ctx: c, in: in,
 		out:    make(chan stageMsg, DefaultPipelineDepth),
 		stop:   make(chan struct{}),
 		exited: make(chan struct{}),
 	}
 	c.stages = append(c.stages, s)
-	go func() {
-		defer close(s.exited)
-		defer close(s.out)
-		for {
-			b, err := in.next()
-			select {
-			case s.out <- stageMsg{b: b, err: err}:
-			case <-s.stop:
-				return
-			}
-			if b == nil || err != nil {
-				return
-			}
-		}
-	}()
 	return s
+}
+
+// start launches the producer unless stopStages got there first, and
+// reports whether it did.
+func (s *stageIter) start() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.halted {
+		return false
+	}
+	s.started = true
+	go s.produce()
+	return true
+}
+
+// produce is the producer goroutine. A batch it holds when halted goes
+// back to the pool; stopStages recycles what it buffered.
+func (s *stageIter) produce() {
+	defer close(s.exited)
+	defer close(s.out)
+	for {
+		b, err := s.in.next()
+		select {
+		case s.out <- stageMsg{b: b, err: err}:
+		case <-s.stop:
+			if b != nil {
+				s.ctx.putBatch(b)
+			}
+			return
+		}
+		if b == nil || err != nil {
+			return
+		}
+	}
 }
 
 func (s *stageIter) next() (*types.Batch, error) {
 	if s.done {
 		return nil, nil
+	}
+	if !s.live {
+		b, err := s.in.next()
+		if b == nil || err != nil {
+			s.done = true
+		} else if b.Len() >= s.ctx.batchSize() {
+			s.live = s.start()
+		}
+		return b, err
 	}
 	m, ok := <-s.out
 	if !ok {
@@ -141,36 +187,59 @@ func (s *stageIter) next() (*types.Batch, error) {
 	return m.b, m.err
 }
 
-// halt tells the producer to stop pulling; buffered batches are
-// discarded. Idempotent.
-func (s *stageIter) halt() { s.once.Do(func() { close(s.stop) }) }
-
-// maybeStage wraps in with a pipeline stage when parallel execution is
-// enabled and nothing could abandon the stream early: a prefetching
-// producer under a Limit, an injected fault, or a query deadline would
-// charge the virtual clock for batches the serial engine never pulls
-// (the serial engine stops at the first error; a stage producer races
-// ahead of it), breaking worker-count invariance of the simulated
-// totals. Fault-injected and deadline-bounded runs therefore keep the
-// parallel apply worker pool but run the operator tree unstaged, as do
-// memory-budgeted runs (a prefetching producer would charge the budget
-// for batches the serial engine has not admitted yet, making degrade
-// decisions depend on scheduling) and multi-session runs (claim
-// acquisition and per-batch publication are serial protocol points).
-func (c *Context) maybeStage(in iterator) iterator {
-	if c.workers() <= 1 || c.noPipeline > 0 || c.Faults != nil || c.Deadline > 0 ||
-		c.Budget != nil || c.Sessions {
-		return in
+// halt tells the producer to stop pulling, or keeps it from starting
+// and closes the channels it would have. Idempotent.
+func (s *stageIter) halt() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.halted {
+		return
 	}
-	return c.startStage(in)
+	s.halted = true
+	close(s.stop)
+	if !s.started {
+		close(s.out)
+		close(s.exited)
+	}
 }
 
-// stopStages halts every pipeline stage of the current Run and waits
-// for the producers to exit, so no goroutine outlives the query and no
-// clock charge lands after Run returns. Halting is deadlock-free
-// bottom-up: a producer blocked on a full channel observes stop, and a
-// producer blocked pulling from a nested stage is released when that
-// stage's producer exits and closes its channel.
+// maybeStage puts a pipeline stage over in, the built input node, when
+// node is a conditional Apply, parallel execution is enabled and
+// nothing could abandon the stream early. The decision reads the plan
+// node, not the iterator, which the deadline guard or the tracer may
+// wrap. A prefetching producer under a Limit, an injected fault, or a
+// query deadline would charge the virtual clock for batches the serial
+// engine never pulls (the serial engine stops at the first error; a
+// stage producer races ahead of it), breaking worker-count invariance
+// of the simulated totals. Fault-injected and deadline-bounded runs
+// therefore keep the parallel apply worker pool but run the operator
+// tree unstaged, as do memory-budgeted runs (a prefetching producer
+// would charge the budget for batches the serial engine has not
+// admitted yet, making degrade decisions depend on scheduling) and
+// multi-session runs (claim acquisition and per-batch publication are
+// serial protocol points). Traced runs build no stage either: a trace
+// reports each operator's wall including its inputs', and readers take
+// an operator's own time as its wall less its children's, which a
+// producer running beside its consumer would make negative.
+func (c *Context) maybeStage(in iterator, node plan.Node) iterator {
+	if _, apply := node.(*plan.ReuseApply); !apply {
+		return in
+	}
+	if c.workers() <= 1 || c.noPipeline > 0 || c.Faults != nil || c.Deadline > 0 ||
+		c.Budget != nil || c.Sessions || c.Trace != nil {
+		return in
+	}
+	return c.newStage(in)
+}
+
+// stopStages halts every pipeline stage of the current Run, waits for
+// the producers to exit and returns every batch they buffered to the
+// pool, so no goroutine outlives the query, no clock charge lands after
+// Run returns and a failed Run leaks no batch. The stages stay listed
+// until the next Run. Halting is deadlock-free bottom-up: a producer
+// blocked on a full channel observes stop, and a producer blocked
+// pulling from a nested stage is released when that stage's producer
+// exits and closes its channel.
 func (c *Context) stopStages() {
 	for _, s := range c.stages {
 		s.halt()
@@ -178,7 +247,13 @@ func (c *Context) stopStages() {
 	for _, s := range c.stages {
 		<-s.exited
 	}
-	c.stages = nil
+	for _, s := range c.stages {
+		for m := range s.out {
+			if m.b != nil {
+				c.putBatch(m.b)
+			}
+		}
+	}
 }
 
 // runParallel invokes fn(worker, i) for every i in [0, n), spreading
@@ -187,8 +262,13 @@ func (c *Context) stopStages() {
 // needs no locking of its own; the worker argument (0-based, stable
 // per goroutine) lets callers hand each goroutine private scratch
 // space, which is how the apply operator's eval loop stays off the
-// heap. With one worker it degenerates to an inline loop — the serial
-// engine's exact code path, always worker 0.
+// heap. The calling goroutine is worker 0 and claims indexes like the
+// helpers it starts, and it waits for the calls made, not for the
+// helpers: a helper the scheduler starts late finds nothing left and
+// costs the caller nothing. (On a 2-vCPU VM, waking a helper took
+// about 30 µs; a sparse video's scalar UDF batches evaluate in 8.) With
+// one worker it degenerates to an inline loop — the serial engine's
+// exact code path, always worker 0.
 func runParallel(workers, n int, fn func(worker, i int)) {
 	if workers > n {
 		workers = n
@@ -200,19 +280,21 @@ func runParallel(workers, n int, fn func(worker, i int)) {
 		return
 	}
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(w, i)
+	var calls sync.WaitGroup
+	calls.Add(n)
+	work := func(w int) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
 			}
-		}(w)
+			fn(w, i)
+			calls.Done()
+		}
 	}
-	wg.Wait()
+	for w := 1; w < workers; w++ {
+		go work(w)
+	}
+	work(0)
+	calls.Wait()
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -99,13 +100,19 @@ func TestParallelTraceCollectsStats(t *testing.T) {
 	}
 }
 
-// TestWorkersUnpinned: with call-identity-keyed fault injection and
-// singleflight FunCache accounting, workers() honors the knob in every
-// mode — no configuration pins execution serial anymore.
+// TestWorkersUnpinned: 0, the default, is every core the process may
+// use; with call-identity-keyed fault injection and singleflight
+// FunCache accounting, workers() honors the knob in every mode — no
+// configuration pins execution serial anymore.
 func TestWorkersUnpinned(t *testing.T) {
 	ctx := testCtx(t, vision.Jackson)
+	ctx.Workers = 0
+	if got, want := ctx.workers(), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("default workers() = %d, want GOMAXPROCS %d", got, want)
+	}
+	ctx.Workers = 1
 	if got := ctx.workers(); got != 1 {
-		t.Errorf("default workers() = %d", got)
+		t.Errorf("workers() at 1 = %d, want the serial engine", got)
 	}
 	ctx.Workers = 8
 	if got := ctx.workers(); got != 8 {
@@ -122,63 +129,135 @@ func TestWorkersUnpinned(t *testing.T) {
 	}
 }
 
+// applyOverApply is Scan → Filter → Apply → Apply: the detector over
+// the frames in [lo, hi), then CarType over every row it finds.
+func applyOverApply(lo, hi int64) *plan.ReuseApply {
+	det := &plan.ReuseApply{
+		Input: &plan.Filter{
+			Input: scan(0, hi),
+			Pred:  expr.NewCmp(expr.OpGe, colx("id"), intc(lo)),
+		},
+		Args:      []expr.Expr{colx("frame")},
+		Sources:   []plan.ApplySource{{UDF: vision.FasterRCNN50, ViewName: "det_view"}},
+		Eval:      vision.FasterRCNN50,
+		StoreView: "det_view",
+		TableUDF:  true,
+		Out:       catalog.DetectorSchema,
+		KeyCols:   []string{"id"},
+	}
+	return carTypeApply(det, "ct_view", false)
+}
+
+// started reports whether the stage's producer ever ran.
+func started(s *stageIter) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.started
+}
+
+// TestStagePlacement: at 2 workers, Scan → Filter → Apply → Apply gets
+// exactly one pipeline stage, on the lower Apply's output, and it
+// starts when that Apply first hands over a batch at least one scan
+// batch wide. Until then — and for good on a sparse video, whose
+// detector batches are all narrow — the upper Apply pulls inline.
+func TestStagePlacement(t *testing.T) {
+	const width = 8
+	for _, tc := range []struct {
+		name string
+		ds   vision.Dataset
+	}{{"wide", mixed}, {"narrow", vision.Jackson}} {
+		t.Run(tc.name, func(t *testing.T) {
+			node := applyOverApply(5, 200)
+			// The detector's output widths, run alone and serially.
+			serial := testCtx(t, tc.ds)
+			serial.BatchSize, serial.Workers = width, 1
+			det, err := build(serial, node.Input)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var widths []int
+			for {
+				b, err := det.next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if b == nil {
+					break
+				}
+				widths = append(widths, b.Len())
+			}
+			firstWide := slices.IndexFunc(widths, func(n int) bool { return n >= width })
+			switch {
+			case tc.name == "wide" && firstWide < 1:
+				t.Fatalf("detector widths %v: want narrow batches before a wide one", widths)
+			case tc.name == "narrow" && firstWide >= 0:
+				t.Fatalf("detector widths %v: want only narrow batches", widths)
+			}
+
+			ctx := testCtx(t, tc.ds)
+			ctx.BatchSize, ctx.Workers = width, 2
+			it, err := build(ctx, node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ctx.stopStages()
+			if len(ctx.stages) != 1 {
+				t.Fatalf("%d stages built, want 1", len(ctx.stages))
+			}
+			st := ctx.stages[0]
+			if a, ok := st.in.(*applyIter); !ok || a.node != node.Input {
+				t.Fatalf("the stage sits on %T, want the detector's output", st.in)
+			}
+			for k := range widths {
+				b, err := it.next()
+				if err != nil || b == nil {
+					t.Fatalf("batch %d: %v, %v", k, b, err)
+				}
+				if want := firstWide >= 0 && k >= firstWide; started(st) != want {
+					t.Fatalf("after batch %d of widths %v: stage started %v, want %v", k, widths, started(st), want)
+				}
+			}
+			if b, err := it.next(); b != nil || err != nil {
+				t.Fatalf("past the last batch: %v, %v", b, err)
+			}
+		})
+	}
+}
+
 // TestAbortableRunsDisablePipeline: fault-injected and
 // deadline-bounded runs keep the parallel apply pool but must not
 // build pipeline stages — a prefetching producer would charge the
 // virtual clock for batches an aborting serial run never pulls.
 func TestAbortableRunsDisablePipeline(t *testing.T) {
-	pred := expr.NewCmp(expr.OpLt, colx("id"), intc(30))
-	fplan := func() plan.Node { return &plan.Filter{Input: scan(0, 100), Pred: pred} }
-
-	ctx := testCtx(t, vision.Jackson)
-	ctx.Workers = 8
-	ctx.Faults = faults.New(1) // no rules: inert, but present
-	if out, err := Run(ctx, fplan()); err != nil || out.Len() != 30 {
-		t.Fatalf("faulted run: rows = %v, %v", out, err)
-	}
-	if len(ctx.stages) != 0 {
-		t.Errorf("%d pipeline stages built under fault injection, want 0", len(ctx.stages))
-	}
-
-	ctx2 := testCtx(t, vision.Jackson)
-	ctx2.Workers = 8
-	ctx2.Deadline = time.Hour
-	if out, err := Run(ctx2, fplan()); err != nil || out.Len() != 30 {
-		t.Fatalf("deadlined run: rows = %v, %v", out, err)
-	}
-	if len(ctx2.stages) != 0 {
-		t.Errorf("%d pipeline stages built under a deadline, want 0", len(ctx2.stages))
-	}
-
-	// Memory-budgeted runs: a prefetching producer would charge the
-	// budget for batches the serial engine has not admitted yet.
-	ctx3 := testCtx(t, vision.Jackson)
-	ctx3.Workers = 8
-	ctx3.Budget = server.NewMemBudget(1 << 30)
-	if out, err := Run(ctx3, fplan()); err != nil || out.Len() != 30 {
-		t.Fatalf("budgeted run: rows = %v, %v", out, err)
-	}
-	if len(ctx3.stages) != 0 {
-		t.Errorf("%d pipeline stages built under a memory budget, want 0", len(ctx3.stages))
-	}
-
-	// Multi-session runs: claim acquisition and per-batch publication
-	// are serial protocol points.
-	ctx4 := testCtx(t, vision.Jackson)
-	ctx4.Workers = 8
-	ctx4.Sessions = true
-	if out, err := Run(ctx4, fplan()); err != nil || out.Len() != 30 {
-		t.Fatalf("session run: rows = %v, %v", out, err)
-	}
-	if len(ctx4.stages) != 0 {
-		t.Errorf("%d pipeline stages built in session mode, want 0", len(ctx4.stages))
-	}
-
-	// Sanity: without faults or deadline the same plan does stage.
-	ctx5 := testCtx(t, vision.Jackson)
-	ctx5.Workers = 8
-	if _, err := Run(ctx5, fplan()); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		set  func(*Context)
+	}{
+		{"fault injection", func(c *Context) { c.Faults = faults.New(1) }}, // no rules: inert, but present
+		{"a deadline", func(c *Context) { c.Deadline = time.Hour }},
+		// A prefetching producer would charge the budget for batches
+		// the serial engine has not admitted yet.
+		{"a memory budget", func(c *Context) { c.Budget = server.NewMemBudget(1 << 30) }},
+		// Claim acquisition and per-batch publication are serial
+		// protocol points.
+		{"session mode", func(c *Context) { c.Sessions = true }},
+		// Not abortable, but a trace's operator walls must nest.
+		{"a trace", func(c *Context) { c.Trace = NewTrace() }},
+		{"nothing", func(*Context) {}},
+	} {
+		ctx := testCtx(t, mixed)
+		ctx.Workers, ctx.BatchSize = 8, 8
+		tc.set(ctx)
+		if out, err := Run(ctx, applyOverApply(0, 30)); err != nil || out.Len() == 0 {
+			t.Fatalf("run under %s: rows = %v, %v", tc.name, out, err)
+		}
+		want := 0
+		if tc.name == "nothing" {
+			want = 1 // sanity: the same plan does stage
+		}
+		if len(ctx.stages) != want {
+			t.Errorf("%d pipeline stages built under %s, want %d", len(ctx.stages), tc.name, want)
+		}
 	}
 }
 
@@ -227,11 +306,10 @@ func TestNoGoroutineLeakOnAbort(t *testing.T) {
 // producers would charge the clock for batches the query never asked
 // for. The plan still runs correctly with the knob set.
 func TestLimitDisablesPipeline(t *testing.T) {
-	ctx := testCtx(t, vision.Jackson)
+	ctx := testCtx(t, mixed)
 	ctx.Workers = 8
 	ctx.BatchSize = 8
-	pred := expr.NewCmp(expr.OpGe, colx("id"), intc(0))
-	n := &plan.Limit{Input: &plan.Filter{Input: scan(0, 1000), Pred: pred}, N: 20}
+	n := &plan.Limit{Input: applyOverApply(0, 200), N: 20}
 	out, err := Run(ctx, n)
 	if err != nil || out.Len() != 20 {
 		t.Fatalf("limit rows = %d, %v", out.Len(), err)
@@ -260,30 +338,32 @@ func TestParallelErrorPropagation(t *testing.T) {
 }
 
 // TestStageEarlyHalt: stopping stages while the producer still has
-// batches queued (consumer abandons the stream) must not leak or hang.
+// batches queued (consumer abandons the stream) must not leak or hang,
+// and must return every batch the producer drew to the pool.
 func TestStageEarlyHalt(t *testing.T) {
 	ctx := testCtx(t, vision.Jackson)
 	ctx.Workers = 2
 	ctx.BatchSize = 4
+	ctx.Pool = types.NewBatchPool()
 	in, err := build(ctx, scan(0, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := ctx.maybeStage(in)
-	si, ok := st.(*stageIter)
-	if !ok {
-		t.Fatalf("maybeStage returned %T, want *stageIter", st)
-	}
+	si := ctx.newStage(in)
 	b, err := si.next()
 	if err != nil || b == nil {
 		t.Fatalf("first staged batch: %v, %v", b, err)
 	}
+	if !started(si) {
+		t.Fatal("a scan-width batch did not start the producer")
+	}
+	ctx.putBatch(b)
 	// Abandon the stream mid-way; teardown must return promptly.
 	ctx.stopStages()
 	// halt is idempotent.
 	si.halt()
-	if got := len(ctx.stages); got != 0 {
-		t.Errorf("stages after stop = %d", got)
+	if st := ctx.Pool.Stats(); st.Hits+st.Misses != st.Puts {
+		t.Errorf("pool after an abandoned stage: %+v (want Hits+Misses == Puts)", st)
 	}
 }
 

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -177,36 +178,46 @@ func firstDiff(got, want string) string {
 	return fmt.Sprintf("lengths %d and %d lines", len(g), len(w))
 }
 
-// TestFailedRunRecyclesEveryBatch: a pooled serial Run that fails part
-// way through its input returns every batch it drew to the pool — the
-// scan batches in flight, the Where scratch, the detector's output
-// chunks, the view rows staged but never stored, and the collector.
+// TestFailedRunRecyclesEveryBatch: a pooled Run that fails part way
+// through its input returns every batch it drew to the pool — the scan
+// batches in flight, the Where scratch, the detector's output chunks,
+// the view rows staged but never stored, the collector, and at 2
+// workers what a halted pipeline stage buffered or held.
 func TestFailedRunRecyclesEveryBatch(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		node plan.Node
-		udf  bool // inject permanent CarType faults
+		name   string
+		node   plan.Node
+		udf    bool // inject permanent CarType faults
+		staged bool // at 2 workers, a pipeline stage starts
 	}{
-		{"folded selection", plan.Fuse(detThenCarType(0, 120, divByZeroAt(70))), false},
-		{"selection over a scan", &plan.Filter{Input: scan(0, 120), Pred: divByZeroAt(70)}, false},
-		{"udf fault", plan.Fuse(detThenCarType(0, 120, areaOver(0.05))), true},
+		{"folded selection", plan.Fuse(detThenCarType(0, 120, divByZeroAt(70))), false, true},
+		{"selection over a scan", &plan.Filter{Input: scan(0, 120), Pred: divByZeroAt(70)}, false, false},
+		{"udf fault", plan.Fuse(detThenCarType(0, 120, areaOver(0.05))), true, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ctx := testCtx(t, mixed)
-			ctx.BatchSize = 8
-			ctx.Pool = types.NewBatchPool()
-			if tc.udf {
-				inj := faults.New(5)
-				inj.Rule(faults.SiteUDF("CarType"), faults.Rule{Kind: faults.Permanent, Prob: 0.02})
-				ctx.Faults = inj
-				ctx.Runtime.SetInjector(inj)
-			}
-			if _, err := Run(ctx, tc.node); err == nil {
-				t.Fatal("the statement did not fail")
-			}
-			st := ctx.Pool.Stats()
-			if st.Hits+st.Misses != st.Puts || st.Puts < 8 {
-				t.Errorf("pool after a failed run: %+v (want Hits+Misses == Puts, several batches)", st)
+			for _, workers := range []int{1, 2} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					ctx := testCtx(t, mixed)
+					ctx.BatchSize, ctx.Workers = 8, workers
+					ctx.Pool = types.NewBatchPool()
+					if tc.udf {
+						inj := faults.New(5)
+						inj.Rule(faults.SiteUDF("CarType"), faults.Rule{Kind: faults.Permanent, Prob: 0.02})
+						ctx.Faults = inj
+						ctx.Runtime.SetInjector(inj)
+					}
+					if _, err := Run(ctx, tc.node); err == nil {
+						t.Fatal("the statement did not fail")
+					}
+					ran := slices.ContainsFunc(ctx.stages, started)
+					if want := tc.staged && workers > 1; ran != want {
+						t.Fatalf("a stage started: %v, want %v", ran, want)
+					}
+					st := ctx.Pool.Stats()
+					if st.Hits+st.Misses != st.Puts || st.Puts < 8 {
+						t.Errorf("pool after a failed run: %+v (want Hits+Misses == Puts, several batches)", st)
+					}
+				})
 			}
 		})
 	}

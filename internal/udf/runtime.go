@@ -13,7 +13,9 @@ import (
 )
 
 // ScalarFunc is a Go implementation for a scalar UDF registered via
-// CREATE UDF (the Go analogue of Listing 2's IMPL path).
+// CREATE UDF (the Go analogue of Listing 2's IMPL path). The apply
+// operator's worker pool calls it from several goroutines at once, so
+// it must be safe for concurrent use.
 type ScalarFunc func(args []types.Datum) (types.Datum, error)
 
 // Stats summarizes a UDF's activity over a workload: the quantities

@@ -7,7 +7,6 @@
 package udf
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -53,6 +52,7 @@ func NewSignature(table, name string, args []expr.Expr) Signature {
 
 // Key returns the canonical string form used as a map key and as the
 // materialized view name, qualified by the source table when set.
+// ViewName spells the same format; a change here must be mirrored there.
 func (s Signature) Key() string {
 	base := s.Name + "[" + strings.Join(s.Inputs, ",") + "]"
 	if s.Table == "" {
@@ -91,7 +91,47 @@ func (s Signature) KeyColumns() []string {
 	return out
 }
 
-// ViewName returns the storage name of the signature's view.
+// ViewName returns the storage name of the signature's view: "udf_"
+// and the Key, with '.', '[' and ',' written as '_' and ']' dropped.
+// It mirrors Key's format part by part rather than rewriting Key's
+// string, so a change to Key must be mirrored here.
+// The optimizer names several views per query, so the name is written
+// in one allocation.
 func (s Signature) ViewName() string {
-	return fmt.Sprintf("udf_%s", strings.NewReplacer("[", "_", "]", "", ",", "_", ".", "_").Replace(s.Key()))
+	n := len("udf_") + len(s.Name) + 1 + max(len(s.Inputs)-1, 0)
+	if s.Table != "" {
+		n += len(s.Table) + 1
+	}
+	for _, in := range s.Inputs {
+		n += len(in)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString("udf_")
+	if s.Table != "" {
+		writeViewName(&b, s.Table)
+		b.WriteByte('_')
+	}
+	writeViewName(&b, s.Name)
+	b.WriteByte('_')
+	for i, in := range s.Inputs {
+		if i > 0 {
+			b.WriteByte('_')
+		}
+		writeViewName(&b, in)
+	}
+	return b.String()
+}
+
+// writeViewName writes part of a signature key as ViewName spells it.
+func writeViewName(b *strings.Builder, part string) {
+	for i := 0; i < len(part); i++ {
+		switch c := part[i]; c {
+		case '.', '[', ',':
+			b.WriteByte('_')
+		case ']':
+		default:
+			b.WriteByte(c)
+		}
+	}
 }

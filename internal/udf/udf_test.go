@@ -2,6 +2,7 @@ package udf
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +13,29 @@ import (
 	"eva/internal/types"
 	"eva/internal/vision"
 )
+
+// TestViewNameSpelling: ViewName is "udf_" and the Key with '.', '['
+// and ',' written as '_' and ']' dropped — the names every view log on
+// disk carries — and it is written in one allocation.
+func TestViewNameSpelling(t *testing.T) {
+	spell := strings.NewReplacer("[", "_", "]", "", ",", "_", ".", "_")
+	for _, sig := range []Signature{
+		NewSignature("video", "FasterRCNNResnet50", []expr.Expr{expr.NewColumn("frame")}),
+		NewSignature("video", "CarType", []expr.Expr{expr.NewColumn("frame"), expr.NewColumn("bbox")}),
+		NewSignature("", "f", []expr.Expr{expr.NewCall("g", expr.NewColumn("x"))}),
+		NewSignature("", "Area", nil),
+		NewSignature("video", "f", nil),
+		NewSignature("", "f", []expr.Expr{expr.NewColumn("x"), expr.NewColumn("y"), expr.NewColumn("z")}),
+		{Table: "a.b", Name: "n[m]", Inputs: []string{"p,q", ""}},
+	} {
+		if got, want := sig.ViewName(), "udf_"+spell.Replace(sig.Key()); got != want {
+			t.Errorf("%s: ViewName = %q, want %q", sig.Key(), got, want)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = sig.ViewName() }); n > 1 {
+			t.Errorf("%s: ViewName allocates %v times, want at most 1", sig.Key(), n)
+		}
+	}
+}
 
 func TestSignatureNormalization(t *testing.T) {
 	a := NewSignature("", "CarType", []expr.Expr{expr.NewColumn("frame"), expr.NewColumn("bbox")})

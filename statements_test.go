@@ -3,6 +3,7 @@ package eva
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -180,11 +181,11 @@ func TestUDFFailureLeavesConsistentState(t *testing.T) {
 		IMPL = 'test' PROPERTIES = ('COST_MS' = '3')`); err != nil {
 		t.Fatal(err)
 	}
-	calls := 0
+	// The worker pool calls the impl concurrently: count atomically.
+	var calls atomic.Int64
 	fail := true
 	sys.RegisterScalarImpl("Flaky", func(args []Datum) (Datum, error) {
-		calls++
-		if fail && calls > 5 {
+		if calls.Add(1) > 5 && fail {
 			return Datum{}, errFlaky
 		}
 		return NewBool(true), nil
