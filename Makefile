@@ -218,15 +218,16 @@ unsafe-confined:
 # baselines regenerates the committed BENCH_*.json files that run
 # entirely on the virtual clock — chaos, evict, scrub: the same bytes on
 # any machine — through `vbench -exp NAME -json PATH` and fails unless
-# each is byte-identical to the committed one. The other four (alloc,
+# each is byte-identical to the committed one, printing the unified
+# diff from the committed file to the regenerated one when it is not. The other four (alloc,
 # server, ingest, parallel) carry wall-clock or allocation-count cells;
 # TestAllocBaselineCommitted gates BENCH_alloc.json.
 baselines:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o "$$tmp/vbench" ./cmd/vbench && \
 	for x in chaos evict scrub; do \
-		"$$tmp/vbench" -exp $$x -json "$$tmp/$$x.json" >/dev/null && \
-		cmp "$$tmp/$$x.json" BENCH_$$x.json || exit 1; \
+		"$$tmp/vbench" -exp $$x -json "$$tmp/$$x.json" >/dev/null || exit 1; \
+		cmp "$$tmp/$$x.json" BENCH_$$x.json || { diff -U6 BENCH_$$x.json "$$tmp/$$x.json"; exit 1; }; \
 	done; echo "baselines: BENCH_chaos.json BENCH_evict.json BENCH_scrub.json regenerate byte-identical"
 
 # loc prints the "least code" needle (ROADMAP north star): Go lines

@@ -493,13 +493,13 @@ func (s *System) LoadVideo(table, dataset string) error {
 
 // LoadDataset registers an arbitrary dataset descriptor as a table.
 func (s *System) LoadDataset(table string, ds vision.Dataset) error {
-	if _, err := s.cat().RegisterVideo(table, ds); err != nil {
-		return err
-	}
+	// The catalog learns the table only once storage holds it, so a
+	// failed load leaves nothing half-registered.
 	if _, err := s.store.CreateVideo(table, ds); err != nil {
 		return err
 	}
-	return nil
+	_, err := s.cat().RegisterVideo(table, ds)
+	return err
 }
 
 // createUDF registers a UDF from a CREATE UDF statement (Listing 2).

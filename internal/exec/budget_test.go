@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"testing"
 
+	"eva/internal/costs"
+	"eva/internal/expr"
 	"eva/internal/plan"
 	"eva/internal/server"
+	"eva/internal/simclock"
 	"eva/internal/storage"
 	"eva/internal/types"
 	"eva/internal/udf"
@@ -73,6 +76,34 @@ func TestScanBudgetDegradesBeforeAbort(t *testing.T) {
 	ctx2.Budget = server.NewMemBudget(1)
 	if _, err := Run(ctx2, scan(0, 200)); !errors.Is(err, server.ErrMemoryBudget) {
 		t.Errorf("floor-width breach error = %v, want ErrMemoryBudget", err)
+	}
+}
+
+// TestScanWhereUnderBudget: a selective scan degrades as a plain one
+// does, and selects after the batch is admitted: it keeps the same
+// rows, and charges RowCost once for every row it read, however many
+// times a batch was rescanned narrower.
+func TestScanWhereUnderBudget(t *testing.T) {
+	_, maxBatch := measureScan(t, 200)
+	ctx := testCtx(t, vision.Jackson)
+	bud := server.NewMemBudget(maxBatch - 1)
+	ctx.Budget = bud
+	where := expr.NewAnd(expr.NewCmp(expr.OpGe, colx("id"), intc(50)), expr.NewCmp(expr.OpLt, colx("id"), intc(150)))
+	out, err := Run(ctx, scanWhere(0, 200, where))
+	if err != nil {
+		t.Fatalf("degraded selective scan failed: %v", err)
+	}
+	if bud.Degrades() == 0 {
+		t.Error("budget one byte under a full batch recorded no degradation")
+	}
+	if out.Len() != 100 || out.At(0, 0).Int() != 50 || out.At(99, 0).Int() != 149 {
+		t.Errorf("rows = %d, want ids 50..149", out.Len())
+	}
+	if got := ctx.Clock.Snapshot()[simclock.CatOther]; got != 200*costs.RowCost {
+		t.Errorf("selection charge %v, want RowCost for each of 200 frames", got)
+	}
+	if bud.Peak() > bud.Limit() {
+		t.Errorf("peak %d exceeded limit %d", bud.Peak(), bud.Limit())
 	}
 }
 

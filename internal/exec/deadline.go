@@ -43,8 +43,14 @@ func (d *deadlineState) check() error {
 }
 
 // armDeadline installs the per-Run deadline state, so each Run's
-// budget starts from the clock's current total.
+// budget starts from the clock's current total. A Run with neither a
+// budget nor an injector has nothing to check and gets none: its
+// operators are built unguarded.
 func (c *Context) armDeadline() {
+	c.dl = nil
+	if c.Deadline <= 0 && c.Faults == nil {
+		return
+	}
 	c.dl = &deadlineState{clock: c.Clock, faults: c.Faults}
 	if c.Deadline > 0 {
 		c.dl.deadline = c.Clock.Total() + c.Deadline
@@ -52,10 +58,10 @@ func (c *Context) armDeadline() {
 }
 
 // guardIter wraps an iterator so that every next call first checks the
-// deadline state. Installed by build around every operator, it bounds
-// the virtual time a runaway query can consume to one batch beyond its
-// budget — including inside the pipeline-breaking operators, whose
-// inputs are themselves guarded.
+// deadline state. Installed by build around every operator of a Run
+// with deadline state, it bounds the virtual time a runaway query can
+// consume to one batch beyond its budget — including inside the
+// pipeline-breaking operators, whose inputs are themselves guarded.
 type guardIter struct {
 	dl *deadlineState
 	in iterator

@@ -61,12 +61,22 @@ func TestDeadlineInsidePipelineBreaker(t *testing.T) {
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("err = %v", err)
 	}
-	// Same through a draining filter that rejects every row.
-	ctx2 := testCtx(t, vision.Jackson)
-	ctx2.Deadline = 200 * costs.ReadVideoCost
-	pred := expr.NewCmp(expr.OpEq, colx("id"), intc(-1))
-	if _, err := Run(ctx2, &plan.Filter{Input: scan(0, 10000), Pred: pred}); !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("filter drain err = %v", err)
+}
+
+// TestSelectiveScanStopsAtDeadline: a scan whose Where rejects every
+// row passes no batch on, so no guard runs between its reads; its own
+// loop checks the deadline before each, and the run aborts within one
+// batch of the budget instead of draining the table.
+func TestSelectiveScanStopsAtDeadline(t *testing.T) {
+	ctx := testCtx(t, vision.Jackson)
+	ctx.Deadline = 200 * costs.ReadVideoCost
+	none := expr.NewCmp(expr.OpEq, colx("id"), intc(-1))
+	if _, err := Run(ctx, scanWhere(0, 10000, none)); !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("err = %v, want deadline exceeded", err)
+	}
+	batch := time.Duration(ctx.BatchSize) * (costs.ReadVideoCost + costs.RowCost)
+	if total := ctx.Clock.Total(); total >= ctx.Deadline+batch {
+		t.Errorf("ran %v on a %v budget, more than one batch (%v) past it", total, ctx.Deadline, batch)
 	}
 }
 

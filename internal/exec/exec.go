@@ -72,7 +72,7 @@ type Context struct {
 	// Pool, when set, supplies the columnar batches the operators flow
 	// between each other. Operators obtain batches with getBatch and
 	// recycle their inputs with putBatch once the data has been copied
-	// onward, so a steady-state scan→filter→apply pipeline performs no
+	// onward, so a steady-state selective scan→apply pipeline performs no
 	// per-row heap allocation (see DESIGN.md §13 for the ownership
 	// rules). nil runs every operator on freshly allocated batches —
 	// results are byte-identical either way.
@@ -198,7 +198,7 @@ func build(ctx *Context, n plan.Node) (iterator, error) {
 		return nil, err
 	}
 	if ctx.dl == nil {
-		return it, nil
+		return it, nil // no deadline and no injector: nothing to check
 	}
 	// Every operator's next first checks the shared deadline state, so
 	// cancellation and deadline expiry propagate within one batch even
@@ -225,13 +225,6 @@ func buildNode(ctx *Context, n plan.Node) (iterator, error) {
 	switch node := n.(type) {
 	case *plan.Scan:
 		return newScanIter(ctx, node)
-	case *plan.Filter:
-		in, err := build(ctx, node.Input)
-		if err != nil {
-			return nil, err
-		}
-		return &filterIter{ctx: ctx, in: ctx.maybeStage(in, node.Input), node: node,
-			pred: expr.Bind(node.Pred, node.Input.Schema(), nil)}, nil
 	case *plan.ReuseApply:
 		in, err := build(ctx, node.Input)
 		if err != nil {
@@ -269,8 +262,8 @@ func buildNode(ctx *Context, n plan.Node) (iterator, error) {
 	}
 }
 
-// CallFn makes the Context the expr.Caller of the filter, project and
-// group-by programs: a scalar function left in an expression (only
+// CallFn makes the Context the expr.Caller of the selection, project
+// and group-by programs: a scalar function left in an expression (only
 // inexpensive builtins should remain after optimization) evaluates
 // through the session's UDF domain.
 func (c *Context) CallFn(fn string, args []types.Datum) (types.Datum, error) {
@@ -308,11 +301,13 @@ const minScanBatch = 16
 
 type scanIter struct {
 	ctx   *Context
+	node  *plan.Scan
 	video *storage.Video
 	pos   int64
 	hi    int64
-	width int   // current batch size; shrunk by budget degradation
-	held  int64 // budget bytes reserved for the batch in flight
+	width int           // current batch size; shrunk by budget degradation
+	held  int64         // budget bytes reserved for the batch in flight
+	where *expr.Program // node.Where bound to the table; nil keeps every row
 }
 
 func newScanIter(ctx *Context, node *plan.Scan) (*scanIter, error) {
@@ -328,22 +323,58 @@ func newScanIter(ctx *Context, node *plan.Scan) (*scanIter, error) {
 	if lo < 0 {
 		lo = 0
 	}
-	return &scanIter{ctx: ctx, video: v, pos: lo, hi: hi, width: ctx.batchSize()}, nil
+	s := &scanIter{ctx: ctx, node: node, video: v, pos: lo, hi: hi, width: ctx.batchSize()}
+	if node.Where != nil {
+		s.where = expr.Bind(node.Where, node.Sch, nil)
+	}
+	return s, nil
 }
 
-// next produces the next scan batch, degrading the batch width under
-// memory pressure. The batch comes from the context pool and its
-// ownership transfers downstream with the return; ScanInto copies rows
+// next produces the next scan batch with the rows Where keeps. The
+// scan owns the batch it reads, pooled or not, so the selection
+// compacts it in place, and ownership transfers downstream with the
+// return. A batch the selection empties is not passed on; the next read
+// then follows without an operator's guard in between, so the loop
+// checks the deadline state itself, and a selective scan still stops
+// within one batch of its deadline.
+func (s *scanIter) next() (*types.Batch, error) {
+	for emptied := false; ; emptied = true {
+		// The previous batch has flowed downstream or been dropped; its
+		// reservation stands in for "one batch resident" and is
+		// returned before the next read.
+		s.ctx.Budget.Release(s.held)
+		s.held = 0
+		if emptied {
+			if err := s.ctx.dl.check(); err != nil {
+				return nil, err
+			}
+		}
+		b, err := s.read()
+		if err != nil || b == nil || s.where == nil {
+			return b, err
+		}
+		s.ctx.Clock.ChargePerTuple(simclock.CatOther, costs.RowCost, b.Len())
+		sel, err := s.where.Filter(b, s.ctx)
+		if err != nil {
+			s.ctx.putBatch(b)
+			return nil, fmt.Errorf("exec: filter %q: %w", s.node.Where, err)
+		}
+		if len(sel) > 0 {
+			b.CompactSel(sel)
+			return b, nil
+		}
+		s.ctx.putBatch(b)
+	}
+}
+
+// read scans the next batch, degrading the batch width under memory
+// pressure. The batch comes from the context pool; ScanInto copies rows
 // out of the segment cache, so recycling the batch later cannot touch
 // cached storage. Allocation here is batch-granular: the row loop is
 // gated so the pooled-batch refactor cannot regress to per-row heap
 // traffic.
 // lint:hotpath scan inner loop must not allocate per row
-func (s *scanIter) next() (*types.Batch, error) {
-	// The previous batch has flowed downstream; its reservation stands
-	// in for "one batch resident" and is returned before the next scan.
-	s.ctx.Budget.Release(s.held)
-	s.held = 0
+func (s *scanIter) read() (*types.Batch, error) {
 	if s.pos >= s.hi {
 		return nil, nil
 	}
@@ -384,50 +415,6 @@ func (s *scanIter) next() (*types.Batch, error) {
 		s.pos = end
 		s.ctx.Clock.ChargePerTuple(simclock.CatReadVideo, costs.ReadVideoCost, b.Len())
 		return b, nil
-	}
-}
-
-// --- Filter ---
-
-// filterIter is a selection over a scan. A selection over an apply is
-// folded into it (plan.Fuse) and runs in its wherePhase.
-type filterIter struct {
-	ctx  *Context
-	in   iterator
-	node *plan.Filter
-	pred *expr.Program // node.Pred bound to the input schema
-}
-
-// next evaluates the predicate over one batch, a column at a time, into
-// the selection of rows it holds on. A pool-owned input is compacted in
-// place and forwarded (ownership passes through); an unpooled one may
-// be shared, so its kept rows are gathered into a fresh batch.
-func (f *filterIter) next() (*types.Batch, error) {
-	for {
-		b, err := f.in.next()
-		if err != nil || b == nil {
-			return nil, err
-		}
-		f.ctx.Clock.ChargePerTuple(simclock.CatOther, costs.RowCost, b.Len())
-		sel, err := f.pred.Filter(b, f.ctx)
-		if err != nil {
-			f.ctx.putBatch(b)
-			return nil, fmt.Errorf("exec: filter %q: %w", f.node.Pred, err)
-		}
-		if len(sel) == 0 {
-			f.ctx.putBatch(b)
-			continue
-		}
-		if b.Pooled() {
-			b.CompactSel(sel)
-			return b, nil
-		}
-		out := f.ctx.getBatch(b.Schema())
-		if err := out.AppendGather(b, nil, sel, nil, nil, nil); err != nil {
-			f.ctx.putBatch(out)
-			return nil, fmt.Errorf("exec: filter %q: %w", f.node.Pred, err)
-		}
-		return out, nil
 	}
 }
 
@@ -507,7 +494,7 @@ type applyIter struct {
 	// trailing-column ordinals, for a view's rows lead with their key.
 	passIdx, emitIdx, outIdx []int
 
-	// The folded selections (node.Where), each bound to whereSch: the
+	// The selections (node.Where), each bound to whereSch: the
 	// columns they read, input columns whereIn then Out columns
 	// whereOut, gathered per batch into a pooled scratch batch.
 	where             []*expr.Program
@@ -719,15 +706,15 @@ func (a *applyIter) next() (*types.Batch, error) {
 		if out != nil {
 			return out, nil
 		}
-		// The Where kept no row: like the Filter it stands for, the
-		// operator passes no empty batch on.
+		// The Where kept no row: like a selective scan, the operator
+		// passes no empty batch on.
 	}
 }
 
 // step runs the operator's phases over one input batch and returns
 // the output batch — nil when the Where keeps no row. The Where and the
 // output gather run after the batch's view rows are staged and, when
-// due, published: where the Filter they stand for ran.
+// due, published, so a selection never changes what is stored.
 func (a *applyIter) step(b *types.Batch) (*types.Batch, error) {
 	decisions, err := a.probePhase(b)
 	if err != nil {
@@ -1172,11 +1159,11 @@ func (a *applyIter) assemblePhase(b *types.Batch, decisions []rowDecision) error
 	return nil
 }
 
-// wherePhase runs the folded selections over the batch's output rows
-// before any of them is materialized: it gathers only the columns they
-// read into a pooled scratch batch and cuts the gather triples down to
-// the rows every selection keeps. Each selection is charged and
-// reports errors as the Filter it stands for did, and sees only the
+// wherePhase runs the selections over the batch's output rows before
+// any of them is materialized: it gathers only the columns they read
+// into a pooled scratch batch and cuts the gather triples down to the
+// rows every selection keeps. Each selection is charged RowCost a row
+// it sees, reports errors as a scan's Where does, and sees only the
 // rows the ones before it kept.
 func (a *applyIter) wherePhase(b *types.Batch) error {
 	if len(a.where) == 0 || len(a.inRows) == 0 {

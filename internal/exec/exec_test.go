@@ -1,11 +1,15 @@
 package exec
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"eva/internal/catalog"
+	"eva/internal/costs"
 	"eva/internal/expr"
+	"eva/internal/faults"
 	"eva/internal/plan"
 	"eva/internal/simclock"
 	"eva/internal/storage"
@@ -34,6 +38,13 @@ func scan(lo, hi int64) *plan.Scan {
 	return &plan.Scan{Table: "video", Sch: catalog.VideoSchema, Lo: lo, Hi: hi}
 }
 
+// scanWhere is scan(lo, hi) keeping the frames that satisfy where.
+func scanWhere(lo, hi int64, where expr.Expr) *plan.Scan {
+	s := scan(lo, hi)
+	s.Where = where
+	return s
+}
+
 func intc(v int64) expr.Expr     { return expr.NewConst(types.NewInt(v)) }
 func strc(v string) expr.Expr    { return expr.NewConst(types.NewString(v)) }
 func colx(name string) expr.Expr { return expr.NewColumn(name) }
@@ -60,18 +71,110 @@ func TestScanChargesAndBounds(t *testing.T) {
 func TestFilterAndErrors(t *testing.T) {
 	ctx := testCtx(t, vision.Jackson)
 	pred := expr.NewCmp(expr.OpGe, colx("id"), intc(5))
-	out, err := Run(ctx, &plan.Filter{Input: scan(0, 10), Pred: pred})
+	out, err := Run(ctx, scanWhere(0, 10, pred))
 	if err != nil || out.Len() != 5 {
 		t.Fatalf("filter rows = %d, %v", out.Len(), err)
 	}
 	// Predicate with unknown column errors.
 	bad := expr.NewCmp(expr.OpEq, colx("ghost"), intc(1))
-	if _, err := Run(ctx, &plan.Filter{Input: scan(0, 10), Pred: bad}); err == nil {
-		t.Error("unknown column should error")
+	if _, err := Run(ctx, scanWhere(0, 10, bad)); err == nil || !strings.HasPrefix(err.Error(), `exec: filter "ghost = 1": `) {
+		t.Errorf("unknown column: err = %v", err)
 	}
 	// Unknown table errors.
-	if _, err := Run(ctx, &plan.Filter{Input: &plan.Scan{Table: "nope", Sch: catalog.VideoSchema, Hi: -1}, Pred: pred}); err == nil {
+	if _, err := Run(ctx, &plan.Scan{Table: "nope", Sch: catalog.VideoSchema, Hi: -1, Where: pred}); err == nil {
 		t.Error("unknown table should error")
+	}
+}
+
+// TestScanWhereDropsEmptiedBatches: a scan passes on only the batches
+// its Where leaves rows in, compacted in place, pooled or not, and
+// charges RowCost for every row it read, kept or not.
+func TestScanWhereDropsEmptiedBatches(t *testing.T) {
+	for _, pooled := range []bool{false, true} {
+		ctx := testCtx(t, vision.Jackson)
+		ctx.BatchSize = 8
+		if pooled {
+			ctx.Pool = types.NewBatchPool()
+		}
+		// Only the sixth of eight batches holds frames the Where keeps.
+		where := expr.NewAnd(expr.NewCmp(expr.OpGe, colx("id"), intc(42)), expr.NewCmp(expr.OpLt, colx("id"), intc(46)))
+		it, err := build(ctx, scanWhere(0, 64, where))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []int64
+		batches := 0
+		for {
+			b, err := it.next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				break
+			}
+			if b.Len() == 0 {
+				t.Fatalf("pooled=%v: an empty batch was passed on", pooled)
+			}
+			batches++
+			for r := 0; r < b.Len(); r++ {
+				got = append(got, b.At(r, 0).Int())
+			}
+			ctx.putBatch(b)
+		}
+		if batches != 1 || fmt.Sprint(got) != "[42 43 44 45]" {
+			t.Errorf("pooled=%v: %d batches with ids %v, want one with [42 43 44 45]", pooled, batches, got)
+		}
+		clock := ctx.Clock.Snapshot()
+		if clock[simclock.CatOther] != 64*costs.RowCost || clock[simclock.CatReadVideo] != 64*costs.ReadVideoCost {
+			t.Errorf("pooled=%v: clock %v, want RowCost and ReadVideoCost for each of 64 frames", pooled, clock)
+		}
+	}
+}
+
+// TestGuardsOnlyWhenChecked: a Run with neither a deadline nor an
+// injector builds its operators bare — Scan → Apply → Apply → Project
+// is four iterators — and one with either wraps every operator in a
+// deadline guard.
+func TestGuardsOnlyWhenChecked(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		set    func(*Context)
+		guards int
+	}{
+		{"neither", func(*Context) {}, 0},
+		{"a deadline", func(c *Context) { c.Deadline = time.Hour }, 4},
+		{"an injector", func(c *Context) { c.Faults = faults.New(1) }, 4},
+	} {
+		ctx := testCtx(t, mixed)
+		tc.set(ctx)
+		ctx.armDeadline()
+		node := &plan.Project{Input: applyOverApply(0, 40), Items: []plan.ProjItem{{Name: "id", E: colx("id"), Kind: types.KindInt}}}
+		it, err := build(ctx, node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ops, guards int
+		for it != nil {
+			switch x := it.(type) {
+			case *guardIter:
+				guards++
+				it = x.in
+			case *projectIter:
+				ops++
+				it = x.in
+			case *applyIter:
+				ops++
+				it = x.in
+			case *scanIter:
+				ops++
+				it = nil
+			default:
+				t.Fatalf("%s: unexpected iterator %T", tc.name, it)
+			}
+		}
+		if ops != 4 || guards != tc.guards {
+			t.Errorf("%s: %d operators and %d guards, want 4 and %d", tc.name, ops, guards, tc.guards)
+		}
 	}
 }
 

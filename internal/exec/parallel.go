@@ -9,11 +9,11 @@ package exec
 //     the Apply below evaluates its next batch while the one above
 //     works on the last (the Volcano tree becomes a short pipeline of
 //     single-producer stages). A stage sits only on an Apply's output
-//     — a Scan or Filter is cheap next to whatever consumes it, so a
-//     stage over one overlaps nothing and costs a handoff per batch —
-//     and it starts its producer only once the Apply hands over a batch
-//     at least one scan batch wide; until then the consumer pulls
-//     inline;
+//     — a Scan, its selection included, is cheap next to whatever
+//     consumes it, so a stage over one overlaps nothing and costs a
+//     handoff per batch — and it starts its producer only once the
+//     Apply hands over a batch at least one scan batch wide; until then
+//     the consumer pulls inline;
 //   - parallel apply: within one batch, the conditional-Apply operator
 //     evaluates the UDF invocations its probe phase could not serve
 //     from a view across a bounded worker pool, then merges results in

@@ -18,14 +18,11 @@ import (
 	"eva/internal/vision"
 )
 
-// applyPlan is the canonical scan → filter → apply pipeline the
+// applyPlan is the canonical selective scan → apply pipeline the
 // parallel engine targets: detect on every frame with id < hi.
 func applyPlan(hi int64) plan.Node {
 	return &plan.ReuseApply{
-		Input: &plan.Filter{
-			Input: scan(0, -1),
-			Pred:  expr.NewCmp(expr.OpLt, colx("id"), intc(hi)),
-		},
+		Input:     scanWhere(0, -1, expr.NewCmp(expr.OpLt, colx("id"), intc(hi))),
 		Args:      []expr.Expr{colx("frame")},
 		Sources:   []plan.ApplySource{{UDF: vision.FasterRCNN50, ViewName: "det_view"}},
 		Eval:      vision.FasterRCNN50,
@@ -81,7 +78,8 @@ func TestParallelTraceCollectsStats(t *testing.T) {
 	ctx.Workers = 4
 	ctx.Trace = NewTrace()
 	pred := expr.NewCmp(expr.OpLt, colx("id"), intc(50))
-	out, err := Run(ctx, &plan.Filter{Input: scan(0, 200), Pred: pred})
+	n := &plan.Project{Input: scanWhere(0, 200, pred), Items: []plan.ProjItem{{Name: "id", E: colx("id"), Kind: types.KindInt}}}
+	out, err := Run(ctx, n)
 	if err != nil || out.Len() != 50 {
 		t.Fatalf("rows = %d, %v", out.Len(), err)
 	}
@@ -92,8 +90,8 @@ func TestParallelTraceCollectsStats(t *testing.T) {
 	if stats[0].Depth != 0 || stats[1].Depth != 1 {
 		t.Errorf("pre-order depths = %d, %d", stats[0].Depth, stats[1].Depth)
 	}
-	if stats[0].Rows != 50 || stats[0].Batches == 0 {
-		t.Errorf("filter stat = %+v", stats[0])
+	if stats[1].Rows != 50 || stats[1].Batches == 0 {
+		t.Errorf("scan stat = %+v, want the 50 rows its Where keeps", stats[1])
 	}
 	if s := ctx.Trace.String(); !strings.Contains(s, "rows=50") {
 		t.Errorf("trace string = %q", s)
@@ -129,14 +127,12 @@ func TestWorkersUnpinned(t *testing.T) {
 	}
 }
 
-// applyOverApply is Scan → Filter → Apply → Apply: the detector over
-// the frames in [lo, hi), then CarType over every row it finds.
+// applyOverApply is Scan → Apply → Apply: the detector over the frames
+// in [lo, hi), the scan selecting the lower bound, then CarType over
+// every row it finds.
 func applyOverApply(lo, hi int64) *plan.ReuseApply {
 	det := &plan.ReuseApply{
-		Input: &plan.Filter{
-			Input: scan(0, hi),
-			Pred:  expr.NewCmp(expr.OpGe, colx("id"), intc(lo)),
-		},
+		Input:     scanWhere(0, hi, expr.NewCmp(expr.OpGe, colx("id"), intc(lo))),
 		Args:      []expr.Expr{colx("frame")},
 		Sources:   []plan.ApplySource{{UDF: vision.FasterRCNN50, ViewName: "det_view"}},
 		Eval:      vision.FasterRCNN50,
@@ -293,7 +289,7 @@ func TestNoGoroutineLeakOnAbort(t *testing.T) {
 	ctx3.Workers = 8
 	ctx3.BatchSize = 4
 	bad := expr.NewCmp(expr.OpEq, colx("ghost"), intc(1))
-	if _, err := Run(ctx3, &plan.Filter{Input: scan(0, 100), Pred: bad}); err == nil {
+	if _, err := Run(ctx3, scanWhere(0, 100, bad)); err == nil {
 		t.Fatal("unknown column should error")
 	}
 
@@ -326,12 +322,12 @@ func TestParallelErrorPropagation(t *testing.T) {
 	ctx.Workers = 8
 	ctx.BatchSize = 4
 	bad := expr.NewCmp(expr.OpEq, colx("ghost"), intc(1))
-	if _, err := Run(ctx, &plan.Filter{Input: scan(0, 100), Pred: bad}); err == nil {
+	if _, err := Run(ctx, scanWhere(0, 100, bad)); err == nil {
 		t.Fatal("unknown column should error through the pipeline")
 	}
 	// The context must be reusable after a failed parallel run.
 	good := expr.NewCmp(expr.OpLt, colx("id"), intc(5))
-	out, err := Run(ctx, &plan.Filter{Input: scan(0, 100), Pred: good})
+	out, err := Run(ctx, scanWhere(0, 100, good))
 	if err != nil || out.Len() != 5 {
 		t.Fatalf("rerun after failure: rows = %d, %v", out.Len(), err)
 	}

@@ -92,6 +92,8 @@ func TestWrongPlanKindFailsTheStatement(t *testing.T) {
 	}
 }
 
+// TestFilterCompactsPooledAndCopiesShared: a scan's Where compacts the
+// batch the scan owns in place, pooled or not.
 func TestFilterCompactsPooledAndCopiesShared(t *testing.T) {
 	pred := expr.NewOr(
 		expr.NewCmp(expr.OpLt, colx("id"), intc(3)),
@@ -102,7 +104,7 @@ func TestFilterCompactsPooledAndCopiesShared(t *testing.T) {
 			ctx.Pool = types.NewBatchPool()
 		}
 		ctx.BatchSize = 8
-		out, err := Run(ctx, &plan.Filter{Input: scan(0, 20), Pred: pred})
+		out, err := Run(ctx, scanWhere(0, 20, pred))
 		if err != nil || out.Len() != 6 {
 			t.Fatalf("pooled=%v: %d rows, %v", pooled, out.Len(), err)
 		}

@@ -155,11 +155,14 @@ func newStream(cfg Config) (*Stream, error) {
 	if cfg.CadenceFrames <= 0 {
 		cfg.CadenceFrames = 8
 	}
-	if _, err := cfg.Engine.Catalog.RegisterVideo(cfg.Table, cfg.Dataset); err != nil {
-		return nil, err
-	}
+	// Storage refuses a name it holds and an open that fails leaves
+	// nothing behind, so the catalog learns the table only once it has
+	// storage: a failed open can be retried.
 	video, err := cfg.Engine.Store.OpenLiveVideo(cfg.Table, cfg.Dataset)
 	if err != nil {
+		return nil, err
+	}
+	if _, err := cfg.Engine.Catalog.RegisterVideo(cfg.Table, cfg.Dataset); err != nil {
 		return nil, err
 	}
 	s := &Stream{

@@ -292,10 +292,8 @@ func (o *Optimizer) optimize(stmt *parser.SelectStmt, mode Mode, claims *udf.Cla
 	lo, hi := idRange(scanDNF, table.RowCount())
 	report.ScanLo, report.ScanHi = lo, hi
 
-	var node plan.Node = &plan.Scan{Table: table.Name, Sch: table.Schema, Lo: lo, Hi: hi}
-	if residual := expr.CombineConjuncts(scanPreds); residual != nil {
-		node = &plan.Filter{Input: node, Pred: residual}
-	}
+	var node plan.Node = &plan.Scan{Table: table.Name, Sch: table.Schema, Lo: lo, Hi: hi,
+		Where: expr.CombineConjuncts(scanPreds)}
 
 	// --- Build scalar call descriptors. ---
 	// Iterate in sorted key order: callByKey is a map, and letting its
@@ -346,16 +344,16 @@ func (o *Optimizer) optimize(stmt *parser.SelectStmt, mode Mode, claims *udf.Cla
 		}
 	}
 
-	// Pending UDF-based conjuncts become Filters as soon as every
-	// expensive call they reference has been computed (Fig. 3's chain
-	// interleaves Applies and selections).
+	// Pending UDF-based conjuncts become selections of the first apply
+	// after which every expensive call they reference has been computed
+	// (Fig. 3's chain interleaves Applies and selections).
 	var pending []expr.Expr
 	seenConj := map[string]struct{}{}
 	predKeys := make([]string, 0, len(callPreds))
 	for key := range callPreds {
 		predKeys = append(predKeys, key)
 	}
-	// Filter emission order shapes the physical plan (and with it the
+	// Selection order shapes the physical plan (and with it the
 	// per-operator virtual-clock charges), so it must not inherit map
 	// iteration order.
 	sort.Strings(predKeys)
@@ -369,7 +367,10 @@ func (o *Optimizer) optimize(stmt *parser.SelectStmt, mode Mode, claims *udf.Cla
 		}
 	}
 	computed := map[string]string{}
-	emitFilters := func(node plan.Node) plan.Node {
+	// emitSelections appends to the apply's Where every pending
+	// conjunct it made computable, so the apply drops the rows they
+	// reject before it copies them (late materialization).
+	emitSelections := func(a *plan.ReuseApply) {
 		var remaining []expr.Expr
 		for _, c := range pending {
 			rw := rewriteComputed(c, computed)
@@ -377,22 +378,19 @@ func (o *Optimizer) optimize(stmt *parser.SelectStmt, mode Mode, claims *udf.Cla
 				remaining = append(remaining, c)
 				continue
 			}
-			node = &plan.Filter{Input: node, Pred: rw}
+			a.Where = append(a.Where, rw)
 		}
 		pending = remaining
-		return node
 	}
 
 	// --- Pre-detector scalar UDFs (specialized filters, §5.6). ---
 	preGate := scanDNF
 	o.rankCalls(preCalls, preGate, stats, mode)
 	for _, sc := range preCalls {
-		node, err = o.applyScalar(node, sc, preGate, mode, claims, &report)
-		if err != nil {
-			return nil, err
-		}
+		a := o.applyScalar(node, sc, preGate, mode, claims, &report)
 		computed[sc.call.String()] = sc.def.OutputColumn()
-		node = emitFilters(node)
+		emitSelections(a)
+		node = a
 		ownDNF, err := symbolic.FromExpr(expr.CombineConjuncts(sc.ownPreds))
 		if err != nil {
 			return nil, fmt.Errorf("optimizer: %s predicate: %w", sc.def.Name, err)
@@ -404,13 +402,14 @@ func (o *Optimizer) optimize(stmt *parser.SelectStmt, mode Mode, claims *udf.Cla
 	// --- Detector (table UDF / CROSS APPLY). ---
 	detGate := preGate
 	if stmt.Apply != nil {
-		node, err = o.applyDetector(node, stmt.Apply, detGate, mode, stats, table, claims, &report)
+		a, err := o.applyDetector(node, stmt.Apply, detGate, mode, stats, table, claims, &report)
 		if err != nil {
 			return nil, err
 		}
 		if p := expr.CombineConjuncts(detPreds); p != nil {
-			node = &plan.Filter{Input: node, Pred: p}
+			a.Where = append(a.Where, p)
 		}
+		node = a
 		detDNF, err := symbolic.FromExpr(expr.CombineConjuncts(detPreds))
 		if err != nil {
 			return nil, fmt.Errorf("optimizer: detector predicate: %w", err)
@@ -424,12 +423,10 @@ func (o *Optimizer) optimize(stmt *parser.SelectStmt, mode Mode, claims *udf.Cla
 	o.rankCalls(postCalls, detGate, stats, mode)
 	gate := detGate
 	for _, sc := range postCalls {
-		node, err = o.applyScalar(node, sc, gate, mode, claims, &report)
-		if err != nil {
-			return nil, err
-		}
+		a := o.applyScalar(node, sc, gate, mode, claims, &report)
 		computed[sc.call.String()] = sc.def.OutputColumn()
-		node = emitFilters(node)
+		emitSelections(a)
+		node = a
 		ownDNF, err := symbolic.FromExpr(expr.CombineConjuncts(sc.ownPreds))
 		if err != nil {
 			return nil, fmt.Errorf("optimizer: %s predicate: %w", sc.def.Name, err)
@@ -459,8 +456,8 @@ func (o *Optimizer) optimize(stmt *parser.SelectStmt, mode Mode, claims *udf.Cla
 	if stmt.Limit >= 0 {
 		node = &plan.Limit{Input: node, N: stmt.Limit}
 	}
-	// Each selection now moves into the apply below it, and each apply
-	// carries only the columns read above it (late materialization).
+	// Each apply carries only the columns read above it (late
+	// materialization).
 	return &Result{Plan: plan.Fuse(node), Report: report}, nil
 }
 

@@ -401,9 +401,9 @@ func TestFig7AtomCountsGrowForBaseline(t *testing.T) {
 	}
 }
 
-// TestPlanFusesSelectionsIntoApplies: the optimizer leaves no Filter
-// directly on an apply — each selection is folded into the apply below
-// it — and narrows each apply to the columns read above it. On VBENCH
+// TestPlanFusesSelectionsIntoApplies: the optimizer gives each apply
+// the selections it makes computable as its Where and narrows each
+// apply to the columns read above it. On VBENCH
 // Q2 and Q3 the detector carries id and frame in and bbox out (label
 // and area are read only by its Where), a classifier below another one
 // carries id, frame and bbox, and the last carries id and bbox.
@@ -434,12 +434,7 @@ func TestPlanFusesSelectionsIntoApplies(t *testing.T) {
 			for _, c := range n.Children() {
 				walk(c)
 			}
-			switch node := n.(type) {
-			case *plan.Filter:
-				if _, ok := node.Input.(*plan.ReuseApply); ok {
-					t.Errorf("%s: a Filter sits on an apply:\n%s", tc.name, plan.Explain(res.Plan))
-				}
-			case *plan.ReuseApply:
+			if node, ok := n.(*plan.ReuseApply); ok {
 				if len(node.Where) == 0 {
 					t.Errorf("%s: apply %s has no Where", tc.name, node.Eval)
 				}
@@ -449,6 +444,34 @@ func TestPlanFusesSelectionsIntoApplies(t *testing.T) {
 		walk(res.Plan)
 		if fmt.Sprint(got) != fmt.Sprint(tc.applies) {
 			t.Errorf("%s: carried columns %v, want %v\n%s", tc.name, got, tc.applies, plan.Explain(res.Plan))
+		}
+	}
+}
+
+// TestSelectionsLandInWhereInOrder: the scan's conjuncts become its
+// Where, the detector's its Where, and the conjuncts on a classifier's
+// output the classifier's Where, in the order the query wrote them.
+func TestSelectionsLandInWhereInOrder(t *testing.T) {
+	h := newHarness(t, vision.MediumUADetrac)
+	stmt, err := parser.Parse(`SELECT id, bbox FROM video CROSS APPLY FasterRCNNResnet50(frame)
+		WHERE id < 100 AND id != 7 AND label = 'car' AND CarType(frame, bbox) != 'Nissan' AND area > 0.05 AND CarType(frame, bbox) != 'Toyota'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := h.opt.Optimize(stmt.(*parser.SelectStmt), EVAMode(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := plan.Explain(res.Plan)
+	lines := strings.Split(strings.TrimSpace(got), "\n")
+	for i, want := range []struct{ op, selections string }{
+		{"Project(", "AS bbox)"},
+		{"ScalarApply(CarType,", "where=cartype_out != 'Nissan'; cartype_out != 'Toyota', cols=[id bbox])"},
+		{"CrossApply(FasterRCNNResnet50,", "where=(label = 'car' AND area > 0.05), cols=[id frame bbox])"},
+		{"Scan(video,", "where=(id < 100 AND id != 7))"},
+	} {
+		if i >= len(lines) || !strings.HasPrefix(strings.TrimSpace(lines[i]), want.op) || !strings.HasSuffix(lines[i], want.selections) {
+			t.Errorf("line %d: want %s…%s\n%s", i, want.op, want.selections, got)
 		}
 	}
 }

@@ -71,7 +71,7 @@ func (o *Optimizer) rankCalls(calls []*scalarCall, gate symbolic.DNF, stats symb
 // applyScalar rewrites one scalar UDF invocation into a ReuseApply
 // (Fig. 4) and records the symbolic analysis. gate is the predicate
 // associated with the invocation (everything evaluated before it).
-func (o *Optimizer) applyScalar(node plan.Node, sc *scalarCall, gate symbolic.DNF, mode Mode, claims *udf.Claims, report *Report) (plan.Node, error) {
+func (o *Optimizer) applyScalar(node plan.Node, sc *scalarCall, gate symbolic.DNF, mode Mode, claims *udf.Claims, report *Report) *plan.ReuseApply {
 	enabled := mode.Reuse && mode.ReuseScalarUDFs
 	agg := o.Mgr.AggOf(sc.sig)
 
@@ -127,12 +127,12 @@ func (o *Optimizer) applyScalar(node plan.Node, sc *scalarCall, gate symbolic.DN
 		Out:       sc.def.Outputs,
 		KeyCols:   sc.sig.KeyColumns(),
 		FuzzyBBox: fuzzy,
-	}, nil
+	}
 }
 
 // applyDetector binds the CROSS APPLY clause to physical detectors and
 // rewrites it into a ReuseApply, running Algorithm 2 for logical UDFs.
-func (o *Optimizer) applyDetector(node plan.Node, apply *parser.ApplyClause, gate symbolic.DNF, mode Mode, stats symbolic.Stats, table *catalog.Table, claims *udf.Claims, report *Report) (plan.Node, error) {
+func (o *Optimizer) applyDetector(node plan.Node, apply *parser.ApplyClause, gate symbolic.DNF, mode Mode, stats symbolic.Stats, table *catalog.Table, claims *udf.Claims, report *Report) (*plan.ReuseApply, error) {
 	minAcc := vision.AccuracyLow
 	if apply.Accuracy != "" {
 		lvl, err := vision.ParseAccuracy(apply.Accuracy)

@@ -9,47 +9,18 @@ import (
 
 // Fuse finishes an optimized plan for late materialization (Abadi et
 // al., "Materialization Strategies in a Column-Oriented DBMS", ICDE
-// 2007). It folds every Filter that sits directly on a ReuseApply into
-// the apply's Where, so the apply selects its rows before it copies
-// them, and then narrows every ReuseApply to the input (Pass) and
-// output (Emit) columns something above it reads: the projection,
-// Where and filter predicates, sort and group keys, and later applies'
-// arguments, key columns and carried columns. Nodes are updated in
-// place; Fuse returns the new root. It runs once, on a plan whose
-// applies carry every column.
+// 2007): it narrows every ReuseApply to the input (Pass) and output
+// (Emit) columns something above it reads — the projection, Where
+// predicates, sort and group keys, and later applies' arguments, key
+// columns and carried columns. Nodes are updated in place; Fuse returns
+// the root. It runs once, on a plan whose applies carry every column.
 func Fuse(root Node) Node {
-	root = fold(root)
 	need := make([]bool, len(root.Schema()))
 	for i := range need {
 		need[i] = true // the result: every column of the root
 	}
 	narrow(root, need)
 	return root
-}
-
-// fold folds the Filters directly above each ReuseApply of the subtree
-// into its Where, bottom-up, so a stack of Filters keeps its order.
-func fold(n Node) Node {
-	switch node := n.(type) {
-	case *Scan:
-	case *Filter:
-		node.Input = fold(node.Input)
-		if a, ok := node.Input.(*ReuseApply); ok {
-			a.Where = append(a.Where, node.Pred)
-			return a
-		}
-	case *ReuseApply:
-		node.Input = fold(node.Input)
-	case *Project:
-		node.Input = fold(node.Input)
-	case *GroupBy:
-		node.Input = fold(node.Input)
-	case *Sort:
-		node.Input = fold(node.Input)
-	case *Limit:
-		node.Input = fold(node.Input)
-	}
-	return n
 }
 
 // narrow sets the carried columns of every ReuseApply in the subtree
@@ -59,9 +30,6 @@ func fold(n Node) Node {
 func narrow(n Node, need []bool) {
 	switch node := n.(type) {
 	case *Scan:
-	case *Filter:
-		markExpr(need, node.Schema(), node.Pred)
-		narrow(node.Input, need)
 	case *ReuseApply:
 		in := node.Input.Schema()
 		node.Pass, node.Emit = carried(need, in, node.Out)

@@ -19,27 +19,6 @@ func cmp(col string, v int64) expr.Expr {
 	return expr.NewCmp(expr.OpGt, expr.NewColumn(col), expr.NewConst(types.NewInt(v)))
 }
 
-// TestFuseFoldsFilterStacks: every Filter directly on an apply becomes
-// part of its Where, lowest first; a Filter over a scan stays.
-func TestFuseFoldsFilterStacks(t *testing.T) {
-	det := &ReuseApply{Input: &Filter{Input: scanNode(), Pred: cmp("id", 1)}, Args: []expr.Expr{expr.NewColumn("frame")},
-		Eval: "D", TableUDF: true, Out: detOut, KeyCols: []string{"id"}}
-	root := Fuse(&Limit{N: 3, Input: &Project{
-		Input: &Filter{Input: &Filter{Input: det, Pred: cmp("score", 2)}, Pred: cmp("id", 3)},
-		Items: []ProjItem{{Name: "b", E: expr.NewColumn("bbox")}},
-	}})
-	got := Explain(root)
-	want := `Limit(3)
-  Project(bbox AS b)
-    CrossApply(D, no-reuse, key=[id], where=score > 2; id > 3, cols=[bbox])
-      Filter(id > 1)
-        Scan(video, id ∈ [0, 100))
-`
-	if got != want {
-		t.Fatalf("Fuse =\n%s\nwant\n%s", got, want)
-	}
-}
-
 // TestFuseCarriesWhatIsReadAbove: an apply carries the columns of the
 // projection, of group and sort keys and aggregate arguments, and the
 // arguments, key columns and carried columns of the applies above it —
@@ -47,10 +26,12 @@ func TestFuseFoldsFilterStacks(t *testing.T) {
 func TestFuseCarriesWhatIsReadAbove(t *testing.T) {
 	det := &ReuseApply{Input: scanNode(), Args: []expr.Expr{expr.NewColumn("frame")},
 		Eval: "D", TableUDF: true, Out: detOut, KeyCols: []string{"id"}}
-	cls := &ReuseApply{Input: &Filter{Input: det, Pred: cmp("label", 0)}, Args: []expr.Expr{expr.NewColumn("frame"), expr.NewColumn("bbox")},
-		Eval: "C", Out: types.MustSchema(types.Column{Name: "kind", Kind: types.KindString}), KeyCols: []string{"bbox", "id"}}
+	det.Where = []expr.Expr{cmp("label", 0)}
+	cls := &ReuseApply{Input: det, Args: []expr.Expr{expr.NewColumn("frame"), expr.NewColumn("bbox")},
+		Eval: "C", Out: types.MustSchema(types.Column{Name: "kind", Kind: types.KindString}), KeyCols: []string{"bbox", "id"},
+		Where: []expr.Expr{cmp("kind", 0)}}
 	root := Fuse(&Sort{Keys: []SortKey{{Col: "kind"}}, Input: &GroupBy{
-		Input: &Filter{Input: cls, Pred: cmp("kind", 0)},
+		Input: cls,
 		Keys:  []string{"kind"},
 		Aggs:  []Agg{{Kind: AggAvg, Arg: expr.NewColumn("score"), Name: "s"}, {Kind: AggCount, Name: "n"}},
 	}})

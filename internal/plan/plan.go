@@ -19,9 +19,10 @@ import (
 
 // Node is a physical plan operator.
 //
-// The implementations form a sealed set (*Scan, *Filter, *ReuseApply,
-// *Project, *GroupBy, *Sort, *Limit); switches over Node must handle
-// every variant.
+// The implementations form a sealed set (*Scan, *ReuseApply, *Project,
+// *GroupBy, *Sort, *Limit); switches over Node must handle every
+// variant. A selection is not an operator of its own: it runs inside
+// the operator that makes its rows, a Scan's Where or a ReuseApply's.
 //
 // lint:exhaustive
 type Node interface {
@@ -31,30 +32,26 @@ type Node interface {
 	Describe() string
 }
 
-// Scan reads frames with id in [Lo, Hi) from a video table. The
-// optimizer pushes id-range predicates into the bounds.
+// Scan reads frames with id in [Lo, Hi) from a video table and keeps
+// those that satisfy Where. The optimizer pushes id-range predicates
+// into the bounds and leaves every conjunct over the table's columns
+// in Where.
 type Scan struct {
 	Table string
 	Sch   types.Schema
 	Lo    int64
-	Hi    int64 // exclusive; -1 means "to the end"
+	Hi    int64     // exclusive; -1 means "to the end"
+	Where expr.Expr // nil keeps every frame
 }
 
 func (s *Scan) Schema() types.Schema { return s.Sch }
 func (s *Scan) Children() []Node     { return nil }
 func (s *Scan) Describe() string {
-	return fmt.Sprintf("Scan(%s, id ∈ [%d, %d))", s.Table, s.Lo, s.Hi)
+	if s.Where == nil {
+		return fmt.Sprintf("Scan(%s, id ∈ [%d, %d))", s.Table, s.Lo, s.Hi)
+	}
+	return fmt.Sprintf("Scan(%s, id ∈ [%d, %d), where=%s)", s.Table, s.Lo, s.Hi, s.Where)
 }
-
-// Filter keeps rows satisfying the predicate.
-type Filter struct {
-	Input Node
-	Pred  expr.Expr
-}
-
-func (f *Filter) Schema() types.Schema { return f.Input.Schema() }
-func (f *Filter) Children() []Node     { return []Node{f.Input} }
-func (f *Filter) Describe() string     { return fmt.Sprintf("Filter(%s)", f.Pred) }
 
 // ApplySource is one materialized view a ReuseApply consults, tagged
 // with the physical UDF that produced it (logical UDF reuse may select
@@ -97,10 +94,9 @@ type ReuseApply struct {
 	// object are close but not identical; fuzzy matching lets
 	// dependent UDF results transfer across detectors.
 	FuzzyBBox bool
-	// Where are the selections folded into the operator (Fuse), in the
-	// order the Filters they replace ran: each keeps the rows of the
-	// one before it that satisfy it. They read input ⊕ Out, carried or
-	// not.
+	// Where are the selections the optimizer runs in the operator, in
+	// the order it planned them: each keeps the rows of the one before
+	// it that satisfy it. They read input ⊕ Out, carried or not.
 	Where []expr.Expr
 	// Pass names the input columns the operator carries and Emit the
 	// Out columns; nil carries all of them. Fuse sets both to what the
@@ -169,7 +165,7 @@ func carries(list []string, col string) bool {
 
 func (a *ReuseApply) Children() []Node { return []Node{a.Input} }
 
-// Describe renders the operator with its folded selections and the
+// Describe renders the operator with its selections and the
 // columns it carries. Every statement renders its plan, so it writes
 // into one builder instead of formatting pieces.
 func (a *ReuseApply) Describe() string {

@@ -143,26 +143,21 @@ func TestAggKindNames(t *testing.T) {
 }
 
 func TestExplainTree(t *testing.T) {
-	tree := &Limit{N: 5, Input: &Filter{
-		Pred:  expr.NewCmp(expr.OpGt, expr.NewColumn("id"), expr.NewConst(types.NewInt(3))),
-		Input: scanNode(),
-	}}
-	out := Explain(tree)
+	sc := scanNode()
+	sc.Where = expr.NewCmp(expr.OpGt, expr.NewColumn("id"), expr.NewConst(types.NewInt(3)))
+	out := Explain(&Limit{N: 5, Input: sc})
 	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 {
+	if len(lines) != 2 {
 		t.Fatalf("explain lines = %d:\n%s", len(lines), out)
 	}
 	if !strings.HasPrefix(lines[0], "Limit(5)") {
 		t.Errorf("line 0 = %q", lines[0])
 	}
-	if !strings.HasPrefix(lines[1], "  Filter(") {
+	if lines[1] != "  Scan(video, id ∈ [0, 100), where=id > 3)" {
 		t.Errorf("line 1 = %q", lines[1])
 	}
-	if !strings.HasPrefix(lines[2], "    Scan(video") {
-		t.Errorf("line 2 = %q", lines[2])
-	}
-	if (&Filter{Input: scanNode()}).Schema().IndexOf("id") != 0 {
-		t.Error("filter schema should pass through")
+	if scanNode().Describe() != "Scan(video, id ∈ [0, 100))" {
+		t.Errorf("a scan without Where = %q", scanNode().Describe())
 	}
 	if (&Limit{Input: scanNode()}).Schema().IndexOf("frame") != 1 {
 		t.Error("limit schema should pass through")

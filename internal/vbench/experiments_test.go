@@ -2,6 +2,7 @@ package vbench
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -87,9 +88,33 @@ func TestReportDataMatchesBaseline(t *testing.T) {
 			t.Fatal(err)
 		}
 		if string(got)+"\n" != string(want) {
-			t.Errorf("%s: regenerated data differs from the committed %s", id, e.Baseline)
+			t.Errorf("%s: regenerated data differs from the committed %s\n%s", id, e.Baseline,
+				differingLines(string(want), string(got)+"\n", 6))
 		}
 	}
+}
+
+// differingLines renders the first max lines on which committed and
+// regenerated differ, each with its line number and both versions.
+func differingLines(committed, regenerated string, max int) string {
+	c, r := strings.Split(committed, "\n"), strings.Split(regenerated, "\n")
+	var sb strings.Builder
+	for i := 0; i < len(c) || i < len(r); i++ {
+		var cl, rl string
+		if i < len(c) {
+			cl = c[i]
+		}
+		if i < len(r) {
+			rl = r[i]
+		}
+		if i >= len(c) || i >= len(r) || cl != rl {
+			fmt.Fprintf(&sb, "line %d:\n  committed   %s\n  regenerated %s\n", i+1, cl, rl)
+			if max--; max == 0 {
+				break
+			}
+		}
+	}
+	return sb.String()
 }
 
 func TestExpTable2SmallScale(t *testing.T) {

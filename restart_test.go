@@ -53,7 +53,10 @@ func TestFailedStatementDoesNotPoisonReuse(t *testing.T) {
 		session bool
 		reopen  bool // a simulated crash kills the view's handle, as it would the process
 	}{
-		{"deadline", faults.SiteDeadline, faults.Rule{Kind: faults.Permanent, At: []int{10}, Limit: 1}, false, false},
+		// The eighth deadline check is the scan's before its second
+		// batch: the first batch is evaluated and staged, the view not
+		// yet stored.
+		{"deadline", faults.SiteDeadline, faults.Rule{Kind: faults.Permanent, At: []int{8}, Limit: 1}, false, false},
 		{"permanent-udf", faults.SiteUDF("ColorDet"), faults.Rule{Kind: faults.Permanent, Prob: 1}, true, false},
 		{"view-write-crash", faults.SiteViewWrite(colorDetView), faults.Rule{Kind: faults.Crash, At: []int{1}, Limit: 1, ShortWrite: 11}, false, true},
 	}

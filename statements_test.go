@@ -37,8 +37,9 @@ func TestExplainDoesNotExecuteOrCommit(t *testing.T) {
 }
 
 // TestExplainShowsFoldedSelections: on a two-classifier query (VBENCH
-// Q3's shape) every apply shows the selections folded into it and the
-// columns it carries, and no Filter sits between the applies.
+// Q3's shape) the scan and every apply show the selections they run
+// and each apply the columns it carries; no selection is an operator
+// of its own.
 func TestExplainShowsFoldedSelections(t *testing.T) {
 	sys := openLoaded(t, Config{})
 	res, err := sys.Exec(`EXPLAIN SELECT id, bbox FROM video CROSS APPLY FasterRCNNResnet50(frame)
@@ -48,14 +49,17 @@ func TestExplainShowsFoldedSelections(t *testing.T) {
 	}
 	lines := strings.Split(strings.TrimSpace(res.PlanText), "\n")
 	var applies []string
-	for i, line := range lines {
+	for _, line := range lines {
 		line = strings.TrimSpace(line)
 		if strings.Contains(line, "Apply(") {
 			applies = append(applies, line)
 		}
-		if strings.HasPrefix(line, "Filter(") && !strings.HasPrefix(strings.TrimSpace(lines[i+1]), "Scan(") {
-			t.Errorf("a Filter above something other than the scan: %q", line)
+		if strings.HasPrefix(line, "Filter(") {
+			t.Errorf("a selection as an operator of its own: %q", line)
 		}
+	}
+	if scan := strings.TrimSpace(lines[len(lines)-1]); scan != "Scan(video, id ∈ [0, 50), where=id < 50)" {
+		t.Errorf("scan = %q, want its Where", scan)
 	}
 	if len(applies) != 3 {
 		t.Fatalf("want 3 applies:\n%s", res.PlanText)

@@ -3,6 +3,7 @@ package eva
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -198,5 +199,49 @@ func TestStreamSessionPolicies(t *testing.T) {
 			sys, stream := openSessionStream(t, dir, ModeEVA)
 			tc.check(t, dir, sys, stream)
 		})
+	}
+}
+
+// TestFailedOpenStreamCanBeRetried: an open that storage refuses leaves
+// no table behind in the catalog either. A live table holding 80
+// durable frames cannot reopen at a capacity of 50; the retry at 100
+// opens it, with the 80 frames.
+func TestFailedOpenStreamCanBeRetried(t *testing.T) {
+	dir := t.TempDir()
+	ds := Dataset{Name: "live-retry", Frames: 100, Width: 320, Height: 240, Density: 2, Seed: 0x5EED}
+	sys := openAt(t, Config{Dir: dir})
+	stream, err := sys.OpenStream(StreamConfig{Table: "live", Dataset: ds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stream.Ingest(80); err != nil {
+		t.Fatal(err)
+	}
+	if err := stream.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	sys = openAt(t, Config{Dir: dir})
+	small := ds
+	small.Frames = 50
+	if _, err := sys.OpenStream(StreamConfig{Table: "live", Dataset: small}); err == nil || !strings.Contains(err.Error(), "watermark 80 past capacity 50") {
+		t.Fatalf("open at capacity 50: err = %v, want the watermark past capacity", err)
+	}
+	stream, err = sys.OpenStream(StreamConfig{Table: "live", Dataset: ds})
+	if err != nil {
+		t.Fatalf("retry at capacity 100: %v", err)
+	}
+	if wm := stream.Stats().Watermark; wm != 80 {
+		t.Errorf("reopened watermark %d, want 80", wm)
+	}
+	res, err := sys.Exec(`SELECT COUNT(*) FROM live`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Rows.At(0, 0).Int(); got != 80 {
+		t.Errorf("the reopened table scans %d frames, want 80", got)
 	}
 }
