@@ -133,7 +133,10 @@ cover:
 # map from encoded key to processed flag and row ids (exactly its hits,
 # (chunk, row) pairs and hashes after appends from interleaved writers
 # past the fold bound, zero-row keys of (id) and (bbox, id) views,
-# replay, eviction, compaction and salvage, on chunks of a few rows).
+# replay, eviction, compaction and salvage, on chunks of a few rows; and
+# dense batches of the (id) view, through the covered step when it holds
+# every id — folded runs and zero-row keys among them — and the merge
+# when one is missing).
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzReduce -fuzztime=5s ./internal/symbolic/
 	$(GO) test -run=^$$ -fuzz=FuzzDNFCodec -fuzztime=5s ./internal/symbolic/
@@ -158,10 +161,12 @@ fuzz-smoke:
 # one of those rows is made of must stay three words (DESIGN.md
 # "Resident view layout"); and planning any VBENCH-HIGH query on a warm
 # system (EXPLAIN: parse, symbolic analysis, costing) must stay under
-# its allocation bound. Runs without -race: the race detector
+# its allocation bound; and the covered probe step of a detector's view
+# plus the id-interval demand record of the batch it serves must
+# allocate nothing per batch. Runs without -race: the race detector
 # perturbs allocation counts (the tests skip themselves).
 alloc:
-	$(GO) test -run 'TestWarmPathAllocsPerRow|TestEvalPathAllocsPerRow|TestAllocBaselineCommitted|TestPlanningAllocs' .
+	$(GO) test -run 'TestWarmPathAllocsPerRow|TestEvalPathAllocsPerRow|TestAllocBaselineCommitted|TestPlanningAllocs|TestCoveredProbeAllocs' .
 	$(GO) test -run TestDatumLayout ./internal/types/
 
 # scrub runs the self-healing view storage matrix under the race

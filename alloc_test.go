@@ -10,7 +10,8 @@ package eva_test
 // is asserted. A second test pins the committed BENCH_alloc.json
 // baseline to the same threshold, so a regressed baseline cannot be
 // committed either. A third gate bounds what planning a query
-// allocates.
+// allocates, and a fourth what the covered probe step and its demand
+// record allocate per batch.
 
 import (
 	"encoding/json"
@@ -19,9 +20,97 @@ import (
 	"testing"
 
 	"eva"
+	"eva/internal/catalog"
+	"eva/internal/simclock"
+	"eva/internal/storage"
+	"eva/internal/types"
+	"eva/internal/udf"
 	"eva/internal/vbench"
 	"eva/internal/vision"
 )
+
+// TestCoveredProbeAllocs: once a prober's scratch has grown, the covered
+// step of View.Probe and the demand record of the batch it served —
+// one id interval — allocate nothing per batch. The view is a
+// detector's over 4 096 frames of the sparse dataset's shape: one frame
+// in ten has two objects, the rest none; the batches are the scan's, 256
+// consecutive frames each.
+func TestCoveredProbeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed by the race detector")
+	}
+	const frames, width = 4096, 256
+	store, err := storage.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	schema := types.Schema{{Name: "id", Kind: types.KindInt}, {Name: "label", Kind: types.KindString}}
+	v, err := store.CreateView("det", schema, []string{"id"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := types.NewBatch(schema)
+	var zero [][]types.Datum
+	for id := int64(0); id < frames; id++ {
+		if id%10 != 0 {
+			zero = append(zero, []types.Datum{types.NewInt(id)})
+			continue
+		}
+		for range 2 {
+			if err := rows.AppendRow(types.NewInt(id), types.NewString("car")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := v.Append(rows, zero); err != nil {
+		t.Fatal(err)
+	}
+	var batches []*types.Batch
+	for lo := int64(0); lo < frames; lo += width {
+		b := types.NewBatch(schema[:1])
+		for id := lo; id < lo+width; id++ {
+			if err := b.AppendRow(types.NewInt(id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		batches = append(batches, b)
+	}
+	sel := make([]int, width)
+	for i := range sel {
+		sel[i] = i
+	}
+	rt := udf.NewRuntime(catalog.New(), &simclock.Clock{})
+	var pk storage.ProbeKeys
+	var out storage.Probed
+	spans, keyIdx := make([]udf.IDSpan, 1), []int{0}
+	next, failed := 0, ""
+	allocs := testing.AllocsPerRun(len(batches)-1, func() {
+		b := batches[next]
+		next++
+		out.Hits, out.Srcs, out.Rows = out.Hits[:0], out.Srcs[:0], out.Rows[:0]
+		if err := pk.Reset(b, keyIdx); err != nil {
+			failed = err.Error()
+			return
+		}
+		if err := v.Probe(&pk, sel, &out); err != nil || !out.Covered || len(out.Hits) != width/10+1 && len(out.Hits) != width/10 {
+			failed = fmt.Sprintf("batch %d: covered %v, %d hits, %v", next-1, out.Covered, len(out.Hits), err)
+			return
+		}
+		lo, hi, _ := pk.Dense()
+		spans[0] = udf.IDSpan{Lo: lo, Hi: hi}
+		rt.RecordIDs("fasterrcnnresnet50", spans, width, width)
+	})
+	if failed != "" {
+		t.Fatal(failed)
+	}
+	if allocs != 0 {
+		t.Errorf("covered probe + demand record: %.1f allocs per batch, want 0", allocs)
+	}
+	if st := rt.CounterSnapshot()["fasterrcnnresnet50"]; st.Distinct != frames || st.Total != frames {
+		t.Errorf("demand after every batch: %+v, want %d distinct of %d", st, frames, frames)
+	}
+}
 
 // TestWarmPathAllocsPerRow is the live gate: marginal allocations per
 // row on the warm view-served path must stay under the same threshold

@@ -307,7 +307,7 @@ type scanIter struct {
 	hi    int64
 	width int           // current batch size; shrunk by budget degradation
 	held  int64         // budget bytes reserved for the batch in flight
-	where *expr.Program // node.Where bound to the table; nil keeps every row
+	where *expr.Program // node.Where less what the id range enforces, bound to the table; nil keeps every row
 }
 
 func newScanIter(ctx *Context, node *plan.Scan) (*scanIter, error) {
@@ -324,10 +324,88 @@ func newScanIter(ctx *Context, node *plan.Scan) (*scanIter, error) {
 		lo = 0
 	}
 	s := &scanIter{ctx: ctx, node: node, video: v, pos: lo, hi: hi, width: ctx.batchSize()}
-	if node.Where != nil {
-		s.where = expr.Bind(node.Where, node.Sch, nil)
+	if where := unenforced(node.Where, node.Sch, lo, hi); where != nil {
+		s.where = expr.Bind(where, node.Sch, nil)
 	}
 	return s, nil
+}
+
+// unenforced returns where without the conjuncts that the scan's range
+// of ids [lo, hi) enforces already, nil when it enforces them all. A
+// conjunct id <op> constant, either way round, with op one of = < <= >
+// >=, holds on a convex set of integers, so it holds on every id of the
+// range when it holds on both ends — which is checked by evaluating it
+// there, not taken from the range the optimizer derived.
+func unenforced(where expr.Expr, sch types.Schema, lo, hi int64) expr.Expr {
+	if where == nil || lo >= hi || sch.KindOf("id") != types.KindInt {
+		return where
+	}
+	return withoutBounds(where, &idRow{lo: lo, hi: hi - 1})
+}
+
+// withoutBounds is unenforced over the conjuncts of e, which it rebuilds
+// only where it drops one.
+func withoutBounds(e expr.Expr, ends *idRow) expr.Expr {
+	if l, ok := e.(*expr.Logic); ok && l.Op == expr.OpAnd {
+		left, right := withoutBounds(l.L, ends), withoutBounds(l.R, ends)
+		switch {
+		case left == l.L && right == l.R:
+			return e
+		case left == nil:
+			return right
+		case right == nil:
+			return left
+		}
+		return expr.NewAnd(left, right)
+	}
+	if isIDBound(e) && ends.holds(e) {
+		return nil
+	}
+	return e
+}
+
+// isIDBound reports whether e compares the column id with a constant by
+// one of = < <= > >=.
+func isIDBound(e expr.Expr) bool {
+	c, ok := e.(*expr.Cmp)
+	if !ok || c.Op == expr.OpNe {
+		return false
+	}
+	col, ok := c.L.(*expr.Column)
+	_, isConst := c.R.(*expr.Const)
+	if !ok {
+		col, ok = c.R.(*expr.Column)
+		_, isConst = c.L.(*expr.Const)
+	}
+	return ok && isConst && strings.EqualFold(col.Name, "id")
+}
+
+// idRow is the two ends of a scan's id range, as rows that hold only the
+// id, for the row evaluator.
+type idRow struct {
+	lo, hi int64
+	at     int64 // the end being evaluated
+}
+
+// holds reports whether e holds on both ends.
+func (r *idRow) holds(e expr.Expr) bool {
+	for _, x := range [2]int64{r.lo, r.hi} {
+		r.at = x
+		if ok, err := expr.EvalBool(e, r); err != nil || !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// Resolve implements expr.Resolver.
+func (r *idRow) Resolve(name string) (types.Datum, bool) {
+	return types.NewInt(r.at), strings.EqualFold(name, "id")
+}
+
+// CallFn implements expr.Resolver; an id bound calls nothing.
+func (r *idRow) CallFn(fn string, _ []types.Datum) (types.Datum, error) {
+	return types.Null, fmt.Errorf("exec: %s called in an id bound", fn)
 }
 
 // next produces the next scan batch with the rows Where keeps. The
@@ -350,10 +428,15 @@ func (s *scanIter) next() (*types.Batch, error) {
 			}
 		}
 		b, err := s.read()
-		if err != nil || b == nil || s.where == nil {
+		if err != nil || b == nil || s.node.Where == nil {
 			return b, err
 		}
+		// The selection is charged as planned, conjuncts the range
+		// enforces included.
 		s.ctx.Clock.ChargePerTuple(simclock.CatOther, costs.RowCost, b.Len())
+		if s.where == nil {
+			return b, nil
+		}
 		sel, err := s.where.Filter(b, s.ctx)
 		if err != nil {
 			s.ctx.putBatch(b)
@@ -463,6 +546,8 @@ type applyIter struct {
 	pk        storage.ProbeKeys
 	sel       []int          // rows no view has served yet, in row order
 	probed    storage.Probed // the batch's served rows as (chunk, row) pairs; Hits is one probe's answer
+	spans     []udf.IDSpan   // the batch's ids, when the key is the id alone
+	span      [1]udf.IDSpan  // a dense batch's ids
 	claimSeen storage.IDKeys // dedup set of unservedKeys
 	claimBuf  []string       // backs claimed
 	scratch   []evalScratch  // per-worker eval scratch
@@ -895,7 +980,7 @@ func (a *applyIter) probePhase(b *types.Batch) ([]rowDecision, error) {
 	if len(a.fuzzy) > 0 {
 		reused += a.serveFuzzy(b, decisions)
 	}
-	a.account(a.pk.Hashes, n, reused)
+	a.account(b, n, reused)
 
 	// Call identities are assigned here, at a serial point in input-row
 	// order, so the injected fault schedule is a function of the row's
@@ -911,8 +996,9 @@ func (a *applyIter) probePhase(b *types.Batch) ([]rowDecision, error) {
 // probeViewsSel joins the rows in a.sel against the probe views, one
 // batch probe per view: rows a view knows are marked served — with the
 // stored rows to emit, read under the same view lock — and leave a.sel,
-// so the next view sees only what is still missing. It returns the
-// number of rows served.
+// so the next view sees only what is still missing. A view that covered
+// the batch served every row in a.sel, a row without a hit with no rows.
+// It returns the number of rows served.
 // lint:hotpath apply probe loops must not allocate per row
 func (a *applyIter) probeViewsSel(decisions []rowDecision) int {
 	served := 0
@@ -923,17 +1009,42 @@ func (a *applyIter) probeViewsSel(decisions []rowDecision) int {
 		a.probed.Hits = a.probed.Hits[:0]
 		// lint:noerrcheck Probe fails only on a batch Reset refused, and probePhase returns that
 		_ = view.Probe(&a.pk, a.sel, &a.probed)
-		if len(a.probed.Hits) == 0 {
-			continue
-		}
 		for _, h := range a.probed.Hits {
 			d := &decisions[h.Key]
 			d.served, d.lo, d.hi = true, h.Lo, h.Hi
 		}
-		served += len(a.probed.Hits)
-		a.compactSel(decisions)
+		switch {
+		case a.probed.Covered:
+			for _, r := range a.sel {
+				decisions[r].served = true
+			}
+			served += len(a.sel)
+			a.sel = a.sel[:0]
+		case len(a.probed.Hits) > 0:
+			served += len(a.probed.Hits)
+			a.compactSel(decisions)
+		}
 	}
 	return served
+}
+
+// idSpans returns the ids of b, an id-keyed batch, as ascending closed
+// intervals of consecutive ids.
+func (a *applyIter) idSpans(b *types.Batch) []udf.IDSpan {
+	if lo, hi, ok := a.pk.Dense(); ok {
+		a.span[0] = udf.IDSpan{Lo: lo, Hi: hi}
+		return a.span[:]
+	}
+	spans := a.spans[:0]
+	for _, d := range b.Col(a.keyIdx[0])[:b.Len()] {
+		if k, x := len(spans), d.Int(); k > 0 && (x == spans[k-1].Hi || x == spans[k-1].Hi+1) {
+			spans[k-1].Hi = x
+		} else {
+			spans = append(spans, udf.IDSpan{Lo: x, Hi: x})
+		}
+	}
+	a.spans = spans
+	return spans
 }
 
 // compactSel drops the served rows from a.sel, keeping row order.
@@ -949,9 +1060,19 @@ func (a *applyIter) compactSel(decisions []rowDecision) {
 }
 
 // account settles one probe pass with the runtime and the virtual
-// clock: demanded invocations (by key hash), rows probed, rows served.
-func (a *applyIter) account(demanded []uint64, probed, reused int) {
-	a.ctx.Runtime.RecordBatch(a.evalLower, demanded, reused)
+// clock: rows probed, rows served and, for the first pass over batch b
+// (nil on a re-probe), its rows' demanded invocations. A key that is the
+// id alone is demanded by its id, served or not — a covered batch leaves
+// no hashes — as b's runs of consecutive ids; any other key by its hash.
+func (a *applyIter) account(b *types.Batch, probed, reused int) {
+	switch {
+	case b == nil:
+		a.ctx.Runtime.RecordBatch(a.evalLower, nil, reused)
+	case len(a.keyIdx) == 1:
+		a.ctx.Runtime.RecordIDs(a.evalLower, a.idSpans(b), probed, reused)
+	default:
+		a.ctx.Runtime.RecordBatch(a.evalLower, a.pk.Hashes, reused)
+	}
 	a.ctx.Clock.ChargePerTuple(simclock.CatApply, costs.ProbeCost, probed)
 	a.ctx.Clock.ChargePerTuple(simclock.CatReadView, a.readCost, reused)
 }

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -308,6 +310,49 @@ func TestReuseApplyStoresAndServesAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestCoveredStepKeepsSourcePrecedence is the shape of the chaos
+// workload's last query: a logical detector over frames 60..179 whose
+// first source view (YoloTiny's) holds the frames below 120 and whose
+// second (FasterRCNNResnet50's) holds them all. The first scan batch,
+// 60..123, is dense and the second view covers it, but the first view
+// serves most of it, and those rows must stay the first view's: the
+// covered step is only taken by the view that gets the whole batch.
+func TestCoveredStepKeepsSourcePrecedence(t *testing.T) {
+	ctx := testCtx(t, vision.MediumUADetrac)
+	det := func(lo, hi int64, eval string, sources ...string) *plan.ReuseApply {
+		a := &plan.ReuseApply{Input: scan(lo, hi), Args: []expr.Expr{colx("frame")}, Eval: eval,
+			TableUDF: true, Out: catalog.DetectorSchema, KeyCols: []string{"id"}}
+		for _, v := range sources {
+			a.Sources = append(a.Sources, plan.ApplySource{UDF: eval, ViewName: v})
+		}
+		return a
+	}
+	run := func(n plan.Node) []string {
+		t.Helper()
+		out, err := Run(ctx, &plan.Project{Input: n, Items: idBBoxScore})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]string, out.Len())
+		for r := range rows {
+			rows[r] = fmt.Sprint(out.Row(r))
+		}
+		return rows
+	}
+	yolo, frcnn := det(0, 120, vision.YoloTiny), det(0, 260, vision.FasterRCNN50)
+	yolo.StoreView, frcnn.StoreView = "yolo_view", "frcnn_view"
+	run(yolo)
+	run(frcnn)
+	first := run(det(60, 120, vision.YoloTiny, "yolo_view"))
+	if slices.Equal(first, run(det(60, 120, vision.FasterRCNN50, "frcnn_view"))) {
+		t.Fatal("the two views answer frames 60..119 alike; the test needs them to differ")
+	}
+	want := append(first, run(det(120, 180, vision.FasterRCNN50, "frcnn_view"))...)
+	if got := run(det(60, 180, vision.FasterRCNN50, "yolo_view", "frcnn_view")); !slices.Equal(got, want) {
+		t.Errorf("frames 60..179 from both views:\n%s\nwant the first view's rows below 120:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
 func TestReuseApplyScalar(t *testing.T) {
 	ctx := testCtx(t, vision.MediumUADetrac)
 	det := &plan.ReuseApply{
@@ -403,3 +448,83 @@ type unknownNode struct{}
 func (unknownNode) Schema() types.Schema  { return nil }
 func (unknownNode) Children() []plan.Node { return nil }
 func (unknownNode) Describe() string      { return "unknown" }
+
+// TestScanDropsEnforcedIDBounds holds the scan's selection to a
+// row-at-a-time evaluation of its whole Where: random conjunctions of id
+// comparisons — either way round, every operator, integer, fractional,
+// NULL and text constants, some OR'd together — over random id ranges
+// must keep the same frames, fail alike, and charge RowCost for every
+// frame read, whatever conjuncts the range let the scan drop; and the
+// trials must drop some and keep some.
+func TestScanDropsEnforcedIDBounds(t *testing.T) {
+	ctx := testCtx(t, vision.Jackson)
+	rng := rand.New(rand.NewSource(44))
+	ops := []expr.CmpOp{expr.OpEq, expr.OpNe, expr.OpLt, expr.OpLe, expr.OpGt, expr.OpGe}
+	dropped, kept := 0, 0
+	for trial := 0; trial < 400; trial++ {
+		lo := int64(rng.Intn(100))
+		hi := lo + int64(rng.Intn(40))
+		atom := func() expr.Expr {
+			x := lo - 3 + int64(rng.Intn(int(hi-lo)+6))
+			var c expr.Expr
+			switch rng.Intn(8) {
+			case 0:
+				c = expr.NewConst(types.NewFloat(float64(x) + 0.5))
+			case 1:
+				c = expr.NewConst(types.Null)
+			case 2:
+				c = strc(fmt.Sprint(x))
+			default:
+				c = intc(x)
+			}
+			op := ops[rng.Intn(len(ops))]
+			if rng.Intn(2) == 0 {
+				return expr.NewCmp(op, colx("id"), c)
+			}
+			return expr.NewCmp(op, c, colx("id"))
+		}
+		var conj []expr.Expr
+		for range 1 + rng.Intn(3) {
+			if e := atom(); rng.Intn(4) == 0 {
+				conj = append(conj, expr.NewOr(e, atom()))
+			} else {
+				conj = append(conj, e)
+			}
+		}
+		where := expr.CombineConjuncts(conj)
+		var want []int64
+		var wantErr error
+		for id := lo; id < hi && wantErr == nil; id++ {
+			ok, err := expr.EvalBool(where, expr.MapResolver{Cols: map[string]types.Datum{"id": types.NewInt(id)}})
+			if wantErr = err; ok {
+				want = append(want, id)
+			}
+		}
+		if got := unenforced(where, catalog.VideoSchema, lo, hi); got == nil || len(expr.SplitConjuncts(got)) < len(conj) {
+			dropped++
+		} else {
+			kept++
+		}
+		before := ctx.Clock.Snapshot()[simclock.CatOther]
+		out, err := Run(ctx, scanWhere(lo, hi, where))
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("%s over [%d, %d): error %v, row at a time %v", where, lo, hi, err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		var got []int64
+		for r := 0; r < out.Len(); r++ {
+			got = append(got, out.At(r, 0).Int())
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s over [%d, %d): ids %v, row at a time %v", where, lo, hi, got, want)
+		}
+		if charged := ctx.Clock.Snapshot()[simclock.CatOther] - before; charged != time.Duration(hi-lo)*costs.RowCost {
+			t.Fatalf("%s over [%d, %d): charged %v for %d frames", where, lo, hi, charged, hi-lo)
+		}
+	}
+	if dropped == 0 || kept == 0 {
+		t.Fatalf("%d Wheres lost a conjunct to the range and %d lost none; want some of each", dropped, kept)
+	}
+}

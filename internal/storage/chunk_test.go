@@ -31,6 +31,10 @@ func probeIDs(t *testing.T, v *View, ids ...int64) (labels [][]string, found []b
 		t.Fatal(err)
 	}
 	labels, found = make([][]string, len(ids)), make([]bool, len(ids))
+	for i := range found {
+		// A covered probe found every key, and hits the ones with rows.
+		found[i] = out.Covered
+	}
 	for _, h := range out.Hits {
 		found[h.Key] = true
 		for i := h.Lo; i < h.Hi; i++ {

@@ -72,6 +72,12 @@ type viewRows struct {
 	runs  [][]viewKey
 	filed int // rows filed: replay decodes rows before it files them
 	zero  zeroKeys
+	// An id-only view lists each id at most once among its runs and its
+	// zero-row keys, which the covered step counts on (covered). noteID
+	// checks it as keys are filed: top is the highest id listed, and
+	// twice is set if an id was ever listed again.
+	top   int64
+	twice bool
 }
 
 // viewKey is one processed key as a view lists it: its id, its hashKey —
@@ -88,7 +94,7 @@ type viewKey struct {
 // layout given.
 func newViewRows(schema types.Schema, keyIdx []int) viewRows {
 	pos := idKeyPos(schema, keyIdx)
-	return viewRows{pos: pos, idCol: keyIdx[pos], rest: slices.Delete(slices.Clone(keyIdx), pos, pos+1)}
+	return viewRows{pos: pos, idCol: keyIdx[pos], rest: slices.Delete(slices.Clone(keyIdx), pos, pos+1), top: math.MinInt64}
 }
 
 // idKeyPos returns the position among the key columns keyIdx of schema of
@@ -169,6 +175,7 @@ func (s *viewRows) file(from, to int, h uint64, cont bool) {
 	}
 	chunk, r := s.at(from)
 	key := viewKey{id: chunk.Col(s.idCol)[r].Int(), hash: h, at: int32(from)}
+	s.noteID(key.id, len(s.zero.keys))
 	if n := len(s.runs) - 1; n >= 0 && key.id >= s.runs[n][len(s.runs[n])-1].id {
 		s.runs[n] = append(s.runs[n], key)
 		return
@@ -202,6 +209,34 @@ func (s *viewRows) fold() {
 	slices.SortFunc(folded, func(a, b viewKey) int { return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.at, b.at)) })
 	closed[0] = folded
 	s.runs = append(s.runs[:1], s.runs[k:]...)
+}
+
+// noteID checks, for an id-only view, that a key of id x about to be
+// listed is the first of its id: staging drops every processed key, so
+// none should be listed again, and if one is, twice turns the covered
+// step off for good. Keys above every id listed pass at once — appends of
+// ascending frames file only those — and any other is looked up in the
+// runs and the first settled zero-row keys, which are sorted, and against
+// the last zero-row key after them: a batch's keys arrive in id order.
+func (s *viewRows) noteID(x int64, settled int) {
+	switch {
+	case !s.idOnly():
+	case x > s.top:
+		s.top = x
+	case s.listed(x, settled):
+		s.twice = true
+	}
+}
+
+// listed reports whether a key of id x is in a run, among the first
+// settled zero-row keys or the last zero-row key.
+func (s *viewRows) listed(x int64, settled int) bool {
+	has := func(keys []viewKey) bool { c := gallop(keys, 0, x); return c < len(keys) && keys[c].id == x }
+	z := s.zero.keys
+	if slices.ContainsFunc(s.runs, has) || has(z[:settled]) {
+		return true
+	}
+	return len(z) > settled && z[len(z)-1].id == x
 }
 
 // zeroKeys is a view's keys processed with no rows — frames without
@@ -255,6 +290,7 @@ type ProbeKeys struct {
 	cursors []cursor  // the probe's, one per run of the view
 	started bool      // a batch was reset before
 	last    int64     // the id of the last row of the batches so far
+	dense   bool      // the batch's ids are consecutive and distinct
 	err     error     // what Reset found wrong with the batch
 }
 
@@ -264,7 +300,9 @@ type keySpan struct{ lo, hi int }
 // key order, the keys to probe, none of them encoded yet. It checks the
 // invariant every probe rests on: the key column "id" holds integers
 // that never decrease, within the batch and from the previous one on.
-// A batch that breaks it is an error, which Probe returns too.
+// A batch that breaks it is an error, which Probe returns too. It also
+// notes whether the ids are consecutive and distinct — a scan batch's
+// are — which lets a probe of the whole batch take the covered step.
 func (p *ProbeKeys) Reset(b *types.Batch, keyIdx []int) error {
 	n := b.Len()
 	if cap(p.Hashes) < n {
@@ -286,7 +324,8 @@ func (p *ProbeKeys) Reset(b *types.Batch, keyIdx []int) error {
 		p.err = fmt.Errorf("storage: internal error: keys %v of %s have no INTEGER id", keyIdx, b.Schema())
 		return p.err
 	}
-	for _, d := range b.Col(keyIdx[p.idPos])[:n] {
+	p.dense = n > 0
+	for r, d := range b.Col(keyIdx[p.idPos])[:n] {
 		if d.Kind() != types.KindInt {
 			p.err = fmt.Errorf("storage: key id %s is not an integer", d)
 			return p.err
@@ -296,9 +335,19 @@ func (p *ProbeKeys) Reset(b *types.Batch, keyIdx []int) error {
 			p.err = fmt.Errorf("%w: %d after %d", errIDOrder, x, p.last)
 			return p.err
 		}
+		p.dense = p.dense && (r == 0 || x == p.last+1)
 		p.started, p.last = true, x
 	}
 	return nil
+}
+
+// Dense reports whether the batch's ids are consecutive and distinct, and
+// then its first and last.
+func (p *ProbeKeys) Dense() (first, last int64, ok bool) {
+	if !p.dense || p.err != nil {
+		return 0, 0, false
+	}
+	return p.id(0), p.last, true
 }
 
 // id returns the id of row r.
@@ -391,6 +440,61 @@ func (s *viewRows) find(pk *ProbeKeys, sel []int, hits []ProbeHit) []ProbeHit {
 		pk.Hashes[k] = key.hash
 		hits = hits[:len(hits)+1]
 		hits[len(hits)-1] = ProbeHit{Key: k, Lo: first, Hi: first + n}
+	}
+	return hits
+}
+
+// covered reports whether the view holds every key of pk's batch, whose
+// ids must be consecutive and distinct: an id-only view lists each id at
+// most once (noteID), so it holds them all when it lists as many keys with
+// ids in [x0, xn] as the batch has rows — counted with two gallops per run
+// and two on the zero-row keys. It leaves the keys each run holds in that
+// range in pk.cursors, at..done-1. Callers hold the view's lock.
+func (s *viewRows) covered(pk *ProbeKeys) bool {
+	if !pk.dense || !s.idOnly() || s.twice {
+		return false
+	}
+	n := pk.batch.Len()
+	x0, xn := pk.id(0), pk.id(n-1)
+	pk.cursors = slices.Grow(pk.cursors[:0], len(s.runs))[:len(s.runs)]
+	for i, ru := range s.runs {
+		lo := gallop(ru, 0, x0)
+		pk.cursors[i] = cursor{at: lo, done: above(ru, lo, xn)}
+		n -= pk.cursors[i].done - lo
+	}
+	lo := gallop(s.zero.keys, 0, x0)
+	return n == above(s.zero.keys, lo, xn)-lo
+}
+
+// serve appends to hits a ProbeHit per key with rows of pk's batch, which
+// covered found the view holding, in id order: a merge of the runs' keys
+// covered left in pk.cursors that tries the run of the previous key first
+// — where a run holds consecutive frames, it holds the next — and takes
+// the least id among the runs when that one does not. A key processed
+// with no rows gets no hit. Callers hold the view's lock.
+// lint:hotpath covered probe loop must not allocate per key
+func (s *viewRows) serve(pk *ProbeKeys, hits []ProbeHit) []ProbeHit {
+	cur, left := pk.cursors, 0
+	for _, c := range cur {
+		left += c.done - c.at
+	}
+	hits = slices.Grow(hits, left)
+	x0, nrows := pk.id(0), s.len()
+	for pref, want := 0, x0; left > 0; left-- {
+		i := pref
+		if c := cur[i]; c.at == c.done || s.runs[i][c.at].id != want {
+			i = -1
+			for j, c := range cur {
+				if c.at < c.done && (i < 0 || s.runs[j][c.at].id < s.runs[i][cur[i].at].id) {
+					i = j
+				}
+			}
+		}
+		key := &s.runs[i][cur[i].at]
+		cur[i].at++
+		pref, want = i, key.id+1
+		first := int(key.at)
+		hits = append(hits, ProbeHit{Key: int(key.id - x0), Lo: first, Hi: first + s.keyRows(first, nrows)})
 	}
 	return hits
 }
@@ -559,6 +663,15 @@ func gallop(keys []viewKey, lo int, x int64) int {
 		}
 	}
 	return hi
+}
+
+// above returns the first of keys[lo:] whose id is above x, or len(keys);
+// keys is sorted by id.
+func above(keys []viewKey, lo int, x int64) int {
+	if x == math.MaxInt64 {
+		return len(keys)
+	}
+	return gallop(keys, lo, x+1)
 }
 
 // staging is what one stored batch adds to a view (View.stageLocked):

@@ -27,6 +27,9 @@ type mergeFuzz struct {
 	serial int
 	folded [2]int // checks that found det and cls with a folded run
 	zeros  int    // checks that found cls with a zero-row key
+	// Dense probes of det: covered ones, covered ones of a view with a
+	// folded run, and ones that missed an id and took the merge.
+	covered, coveredFolded, merged int
 }
 
 var (
@@ -157,6 +160,19 @@ func (m *mergeFuzz) check() {
 		}
 	}
 	checkProbe(m.t, m.det, m.oracle[0].fold(), idKeys(ids...), sel, &Probed{})
+	// A dense batch of det from the first id on, as wide, whole: the
+	// covered step when det holds every id of it, the merge when one is
+	// missing. It reads no input, so the seeds drive the views as before.
+	dense := idKeys(idWindow(ids[0], ids[0]+int64(n))...)
+	switch {
+	case !checkProbe(m.t, m.det, m.oracle[0].fold(), dense, allRows(dense.batch.Len()), &Probed{}):
+		m.merged++
+	case slices.ContainsFunc(m.det.rows.runs, unsortedRun):
+		m.coveredFolded++
+		fallthrough
+	default:
+		m.covered++
+	}
 	cls := types.NewBatch(types.Schema{{Name: "id", Kind: types.KindInt}, {Name: "bbox", Kind: types.KindString}})
 	for _, id := range ids {
 		box := "z"
@@ -177,17 +193,22 @@ func (m *mergeFuzz) check() {
 		if len(v.rows.runs) > foldRuns {
 			m.t.Fatalf("view %s keeps %d runs, past the bound %d", v.name, len(v.rows.runs), foldRuns)
 		}
-		// A folded run lists keys of rows that interleaved writers stored
-		// out of id order.
-		if slices.ContainsFunc(v.rows.runs, func(keys []viewKey) bool {
-			return !slices.IsSortedFunc(keys, func(a, b viewKey) int { return cmp.Compare(a.at, b.at) })
-		}) {
+		if slices.ContainsFunc(v.rows.runs, unsortedRun) {
 			m.folded[i]++
+		}
+		if v.rows.twice {
+			m.t.Fatalf("view %s listed an id twice", v.name)
 		}
 	}
 	if len(m.cls.rows.zero.keys) > 0 {
 		m.zeros++
 	}
+}
+
+// unsortedRun reports whether a run lists its keys out of row order: a
+// folded run, whose keys interleaved writers stored out of id order.
+func unsortedRun(keys []viewKey) bool {
+	return !slices.IsSortedFunc(keys, func(a, b viewKey) int { return cmp.Compare(a.at, b.at) })
 }
 
 // run drives the views through the input's operations, checking after
@@ -239,7 +260,9 @@ func (m *mergeFuzz) run() {
 // append, replay, eviction rewrite, compaction and salvage of two views
 // keyed on id, on chunks of two to eight rows, a probe of sorted ids must
 // find exactly the keys the oracle holds processed, each with the (chunk,
-// row) pairs of its rows in order and the hash of its encoding.
+// row) pairs of its rows in order and the hash of its encoding; and a
+// dense batch of the detector's view, through the covered step or the
+// merge, exactly the same keys (checkProbe).
 func FuzzMergeMatchesProbe(f *testing.F) {
 	for _, seed := range mergeSeeds {
 		f.Add(seed)
@@ -266,19 +289,25 @@ var mergeSeeds = [][]byte{
 }
 
 // TestMergeSeedsTakeTheMerge keeps the seed corpus meaningful: run as
-// plain tests, the seeds must fold the runs of both views and leave the
-// classifier's view zero-row keys of more than the id.
+// plain tests, the seeds must fold the runs of both views, leave the
+// classifier's view zero-row keys of more than the id, and probe the
+// detector's view with dense batches it covers — with a folded run among
+// its runs too — and dense batches missing an id, which take the merge.
 func TestMergeSeedsTakeTheMerge(t *testing.T) {
 	var folded [2]int
-	zeros := 0
+	zeros, covered, coveredFolded, merged := 0, 0, 0, 0
 	for _, seed := range mergeSeeds {
 		forceLayout(t, 1+int(seed[0])%3, hashKey)
 		m := &mergeFuzz{t: t, data: seed[1:], dir: t.TempDir()}
 		m.run()
 		folded[0], folded[1], zeros = folded[0]+m.folded[0], folded[1]+m.folded[1], zeros+m.zeros
+		covered, coveredFolded, merged = covered+m.covered, coveredFolded+m.coveredFolded, merged+m.merged
 	}
 	if folded[0] == 0 || folded[1] == 0 || zeros == 0 {
 		t.Fatalf("the seeds folded det at %d and cls at %d checks, and left cls zero-row keys at %d; want some of each", folded[0], folded[1], zeros)
+	}
+	if covered == 0 || coveredFolded == 0 || merged == 0 {
+		t.Fatalf("dense probes of det: %d covered, %d of them with a folded run, %d merged; want some of each", covered, coveredFolded, merged)
 	}
 }
 
@@ -417,5 +446,58 @@ func BenchmarkOrderedProbeRuns(b *testing.B) {
 				}
 			}
 		}
+	}
+}
+
+// TestNoteIDFindsAnIDListedTwice: filing keys checks that an id-only view
+// lists each id once. Ascending keys pass without a lookup; a key of an
+// id listed already — in a run, among the zero-row keys or as the last
+// zero-row key of the batch being added — turns the covered step off,
+// and a dense batch then takes the merge. A (bbox, id) view lists an id
+// once per key and is not checked.
+func TestNoteIDFindsAnIDListedTwice(t *testing.T) {
+	e, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	v, err := e.CreateView("det", fuzzDetSchema, []string{"id"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := types.NewBatch(fuzzDetSchema)
+	for _, id := range []int64{2, 3, 5} {
+		rows.MustAppendRow(types.NewInt(id), types.NewString("car"))
+	}
+	if _, err := v.Append(rows, [][]types.Datum{{types.NewInt(4)}, {types.NewInt(7)}}); err != nil {
+		t.Fatal(err)
+	}
+	s := &v.rows
+	if s.twice || s.top != 7 {
+		t.Fatalf("after ascending appends: twice %v, top %d", s.twice, s.top)
+	}
+	settled := len(s.zero.keys)
+	for _, id := range []int64{1, 6, 8} {
+		if s.noteID(id, settled); s.twice {
+			t.Fatalf("id %d, listed nowhere, was found listed", id)
+		}
+	}
+	// As markLocked adds a batch's zero-row keys: checked, then added.
+	s.noteID(9, settled)
+	s.zero.keys = append(s.zero.keys, viewKey{id: 9})
+	for _, id := range []int64{3, 4, 9} {
+		s.twice = false
+		if s.noteID(id, settled); !s.twice {
+			t.Fatalf("id %d, listed already, was not found", id)
+		}
+	}
+	s.zero.keys = s.zero.keys[:settled]
+	if out := (Probed{}); v.Probe(idKeys(2, 3, 4, 5), allRows(4), &out) != nil || out.Covered || len(out.Hits) != 4 {
+		t.Fatalf("a view that listed an id twice: covered %v, %d hits; want the merge's 4", out.Covered, len(out.Hits))
+	}
+	cls := newViewRows(fuzzClsSchema, []int{0, 1})
+	cls.noteID(5, 0)
+	if cls.noteID(5, 0); cls.twice {
+		t.Fatal("a (bbox, id) view was checked for ids listed twice")
 	}
 }

@@ -130,28 +130,43 @@ func (o *keyOracle) compact() {
 // checkProbe probes v for the rows sel of pk's batch into out, and fails
 // unless exactly the keys want holds processed were found, each once, with
 // the (chunk, row) pairs of its rows' ids in order, their labels, and the
-// hashKey of its encoding.
-func checkProbe(t testing.TB, v *View, want map[string]*oracleKey, pk *ProbeKeys, sel []int, out *Probed) {
+// hashKey of its encoding. A probe that took the covered step must have
+// been given the whole batch and found every key processed; it hits
+// exactly the keys with rows, in row order, and leaves no hashes. It
+// returns whether the probe took the step.
+func checkProbe(t testing.TB, v *View, want map[string]*oracleKey, pk *ProbeKeys, sel []int, out *Probed) bool {
 	t.Helper()
 	hits, pairs := len(out.Hits), len(out.Rows)
 	if err := v.Probe(pk, sel, out); err != nil {
 		t.Fatal(err)
 	}
 	got := map[int]ProbeHit{}
-	for _, h := range out.Hits[hits:] {
+	for i, h := range out.Hits[hits:] {
 		if _, dup := got[h.Key]; dup {
 			t.Fatalf("key row %d hit twice", h.Key)
 		}
+		if out.Covered && i > 0 && h.Key <= out.Hits[hits+i-1].Key {
+			t.Fatalf("covered probe hit key row %d after %d", h.Key, out.Hits[hits+i-1].Key)
+		}
 		got[h.Key] = h
+	}
+	if out.Covered && len(sel) != pk.batch.Len() {
+		t.Fatalf("covered probe of %d of the batch's %d rows", len(sel), pk.batch.Len())
 	}
 	label := v.schema.IndexOf("label")
 	for _, k := range sel {
 		ek := AppendRowKey(nil, pk.batch, k, pk.keyIdx)
 		e, h := want[string(ek)], got[k]
-		if _, hit := got[k]; hit != (e != nil) {
+		_, hit := got[k]
+		switch {
+		case out.Covered && e == nil:
+			t.Fatalf("key %x: covered probe, oracle processed=false", ek)
+		case out.Covered && hit != (len(e.ids) > 0):
+			t.Fatalf("key %x hit=%v in a covered probe, oracle rows %d", ek, hit, len(e.ids))
+		case !out.Covered && hit != (e != nil):
 			t.Fatalf("key %x hit=%v, oracle processed=%v", ek, hit, e != nil)
 		}
-		if e == nil {
+		if !hit {
 			continue
 		}
 		if h.Lo < pairs || h.Hi-h.Lo != len(e.ids) {
@@ -163,10 +178,11 @@ func checkProbe(t testing.TB, v *View, want map[string]*oracleKey, pk *ProbeKeys
 				t.Fatalf("key %x row %d: pair (%p, %d), oracle row %d labelled %q", ek, i, out.Srcs[h.Lo+i], out.Rows[h.Lo+i], id, e.labels[i])
 			}
 		}
-		if pk.Hashes[k] != hashKey(ek) {
+		if !out.Covered && pk.Hashes[k] != hashKey(ek) {
 			t.Fatalf("key %x: hash %x, its encoding's %x", ek, pk.Hashes[k], hashKey(ek))
 		}
 	}
+	return out.Covered
 }
 
 // idKey returns the AppendKey encoding of an id-keyed view's key.
@@ -178,7 +194,9 @@ func idKey(id int64) string { return string(AppendKey(nil, []types.Datum{types.N
 // re-appends, an eviction and more appends, and after every step
 // requires Probe over a random key selection to agree with the
 // per-key oracle: exactly the processed keys hit, each with its rows in
-// stored order, every index inside the returned snapshot.
+// stored order, every index inside the returned snapshot. A dense batch
+// — a window of consecutive ids, all selected — must agree too, and the
+// trials must see it both covered and, with an id of it missing, merged.
 func TestProbeBatchMatchesPerKeyOracle(t *testing.T) { probeOracleTrials(t, 12) }
 
 func probeOracleTrials(t *testing.T, trials int) {
@@ -187,6 +205,12 @@ func probeOracleTrials(t *testing.T, trials int) {
 		types.Column{Name: "id", Kind: types.KindInt},
 		types.Column{Name: "label", Kind: types.KindString},
 	)
+	var covered, merged int
+	defer func() {
+		if !t.Failed() && (covered == 0 || merged == 0) {
+			t.Errorf("dense batches: %d covered, %d merged; want some of each", covered, merged)
+		}
+	}()
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
 		e, err := Open(t.TempDir())
@@ -218,6 +242,13 @@ func probeOracleTrials(t *testing.T, trials int) {
 			checkProbe(t, v, want, pk, sel, out)
 			if out.Hits[0].Key != -1 || out.Srcs[0] != nil || out.Rows[0] != -1 {
 				t.Fatalf("trial %d %s: Probe overwrote the caller's results", trial, step)
+			}
+			lo := int64(rng.Intn(domain))
+			dense := idKeys(idWindow(lo, lo+1+int64(rng.Intn(6)))...)
+			if checkProbe(t, v, want, dense, allRows(dense.batch.Len()), out) {
+				covered++
+			} else {
+				merged++
 			}
 			for _, k := range sel {
 				e := want[idKey(int64(k))]
@@ -395,6 +426,24 @@ func intRange(n int) []int64 {
 		ids[i] = int64(i)
 	}
 	return ids
+}
+
+// idWindow returns the ids lo..hi-1.
+func idWindow(lo, hi int64) []int64 {
+	ids := intRange(int(hi - lo))
+	for i := range ids {
+		ids[i] += lo
+	}
+	return ids
+}
+
+// allRows returns the rows 0..n-1: the whole of a batch as a selection.
+func allRows(n int) []int {
+	sel := make([]int, n)
+	for i := range sel {
+		sel[i] = i
+	}
+	return sel
 }
 
 // idKeys returns the probe keys of an id-keyed view for the ids, one row

@@ -475,8 +475,10 @@ func (v *View) markLocked(kb *types.Batch) error {
 		return err
 	}
 	z := &v.rows.zero
+	settled := len(z.keys)
 	for _, at := range st.starts {
 		r := st.rows[at]
+		v.rows.noteID(st.pk.id(r), settled)
 		z.add(st.pk.id(r), st.pk.Hashes[r], st.pk.Key(r))
 	}
 	z.settle()
@@ -712,10 +714,16 @@ func (v *View) ProcessedCount() int {
 // lock and stay as they were then whatever appends, salvage and
 // eviction do to the view afterwards. A prober keeps one and truncates
 // it from batch to batch.
+//
+// Covered reports that the last Probe took the covered step: the view
+// held every key it was given, and that probe's hits are the keys with
+// rows only — a key without a hit was processed with none — and it left
+// no hashes in the ProbeKeys.
 type Probed struct {
-	Hits []ProbeHit
-	Srcs []*types.Batch
-	Rows []int
+	Hits    []ProbeHit
+	Srcs    []*types.Batch
+	Rows    []int
+	Covered bool
 }
 
 // ProbeHit is one processed key found by Probe: Key is its row in the
@@ -729,6 +737,14 @@ type ProbeHit struct{ Key, Lo, Hi int }
 // no key bytes (viewRows.find) — and appends to out a ProbeHit per
 // processed key and the rows it has, leaving each found key's hash in
 // pk.Hashes. A batch that Reset refused is an error here too.
+//
+// Its first step is the covered one: when sel is the whole batch, its ids
+// are consecutive and distinct, and an id-only view holds every one of
+// them (viewRows.covered), the join has no gaps on the view's side and is
+// a range copy — a hit per key with rows, in id order (viewRows.serve),
+// and out.Covered set. sel must be the whole batch, for the step serves
+// every row of it: a prober that has had rows served by an earlier view
+// passes only the rest, and the merge serves those.
 func (v *View) Probe(pk *ProbeKeys, sel []int, out *Probed) error {
 	if pk.err != nil {
 		return pk.err
@@ -736,7 +752,11 @@ func (v *View) Probe(pk *ProbeKeys, sel []int, out *Probed) error {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	from := len(out.Hits)
-	out.Hits = v.rows.find(pk, sel, out.Hits)
+	if out.Covered = len(sel) == pk.batch.Len() && v.rows.covered(pk); out.Covered {
+		out.Hits = v.rows.serve(pk, out.Hits)
+	} else {
+		out.Hits = v.rows.find(pk, sel, out.Hits)
+	}
 	rows := 0
 	for _, h := range out.Hits[from:] {
 		rows += h.Hi - h.Lo

@@ -2,6 +2,7 @@ package udf
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -409,5 +410,62 @@ func TestDemandSetMatchesMap(t *testing.T) {
 	r.RecordBatch("det", []uint64{0, 0, 7}, 1)
 	if st := r.CounterSnapshot()["det"]; st.Distinct != 2 || st.Total != 3 || st.Reused != 4 {
 		t.Fatalf("stats after the first demand = %+v, want 2 distinct of 3, 4 reused", st)
+	}
+}
+
+// TestIDIntervalsMatchHashCount holds the id intervals to what counting
+// the same demand by hash gives: random batches of non-decreasing ids —
+// dense ones, as a covered probe records them, and ones with repeats and
+// gaps, recorded as their runs of consecutive ids — overlapping earlier
+// batches, touching them and repeating them, for a UDF that is also
+// demanded on a composite key. #DI, #TI and the reuse count must equal a
+// runtime fed the DemandHash of every key, and the intervals must stay
+// sorted, disjoint and apart.
+func TestIDIntervalsMatchHashCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for trial := 0; trial < 20; trial++ {
+		got, _ := newRuntime(t)
+		want, _ := newRuntime(t)
+		for b := 0; b < 40; b++ {
+			if rng.Intn(5) == 0 {
+				// The same UDF on a (bbox, id) key.
+				id := rng.Int63n(300)
+				key := types.NewInt(id).AppendBinary(types.NewString(fmt.Sprint("box", id%3)).AppendBinary(nil))
+				got.RecordBatch("det", []uint64{DemandHash(key)}, 1)
+				want.RecordBatch("det", []uint64{DemandHash(key)}, 1)
+				continue
+			}
+			lo, n := rng.Int63n(300)-20, 1+rng.Intn(40)
+			ids, dense := make([]int64, n), rng.Intn(2) == 0
+			for i := range ids {
+				ids[i] = lo + int64(i)
+				if i > 0 && !dense {
+					// Repeats and gaps: a detector's objects, a filter's holes.
+					ids[i] = ids[i-1] + int64(rng.Intn(3))
+				}
+			}
+			var spans []IDSpan
+			var hashes []uint64
+			for _, id := range ids {
+				if k := len(spans); k > 0 && id <= spans[k-1].Hi+1 {
+					spans[k-1].Hi = id
+				} else {
+					spans = append(spans, IDSpan{id, id})
+				}
+				hashes = append(hashes, DemandHash(types.NewInt(id).AppendBinary(nil)))
+			}
+			reused := rng.Intn(n + 1)
+			got.RecordIDs("det", spans, n, reused)
+			want.RecordBatch("det", hashes, reused)
+			if g, w := got.CounterSnapshot()["det"], want.CounterSnapshot()["det"]; g != w {
+				t.Fatalf("trial %d batch %d (ids %v): stats %+v, by hash %+v", trial, b, ids, g, w)
+			}
+			set := &got.counters["det"].ids
+			for i := 1; i < len(set.spans); i++ {
+				if set.spans[i].Lo <= set.spans[i-1].Hi+1 {
+					t.Fatalf("trial %d: intervals %v touch or overlap", trial, set.spans)
+				}
+			}
+		}
 	}
 }

@@ -348,6 +348,44 @@ func TestMemoryBudgetTyped(t *testing.T) {
 	}
 }
 
+// TestCloseAfterPanickingStatement: a statement whose UDF implementation
+// panics, on the serial engine so that the panic reaches the caller,
+// hands back the statement lock and its admission token on the way out —
+// a second statement is admitted under one token, and Close returns
+// within five seconds instead of waiting forever.
+func TestCloseAfterPanickingStatement(t *testing.T) {
+	sys := openLoaded(t, Config{Workers: 1, MaxConcurrent: 1})
+	if _, err := sys.Exec(`CREATE UDF Gate
+		INPUT = (frame BYTES, bbox TEXT) OUTPUT = (gate_out BOOLEAN)
+		IMPL = 'test' PROPERTIES = ('COST_MS' = '3')`); err != nil {
+		t.Fatal(err)
+	}
+	sys.RegisterScalarImpl("Gate", func([]Datum) (Datum, error) { panic("gate implementation failed") })
+	for _, exec := range []func(string) (*Result, error){sys.Exec, sys.NewSession().Exec} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("the statement did not panic")
+				}
+			}()
+			_, _ = exec(gateQuery)
+		}()
+	}
+	if _, err := sys.NewSession().Exec(`SELECT id FROM video WHERE id < 5`); err != nil {
+		t.Errorf("a statement after the panics: %v", err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- sys.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close still waits 5 s after a statement panicked")
+	}
+}
+
 // TestCloseDrainsInFlight: Close must wait for in-flight statements,
 // succeed idempotently, reject later statements from the System and
 // from Sessions with ErrClosed, and leave no goroutines behind.

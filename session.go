@@ -123,15 +123,23 @@ func (sess *Session) ExecStmt(stmt parser.Statement) (*Result, error) {
 	start := time.Now()
 	clock := sess.domain.Clock()
 	snap := clock.Snapshot()
-	res, err := sess.dispatch(stmt)
-	bd := clock.Since(snap)
-	g.Release(bd.Total())
-	if sess != s.root {
-		// The root session charges the global clock directly; merging
-		// its own breakdown back in would count every statement twice.
-		s.mergeBreakdown(bd)
-	}
-	s.qmu.RUnlock()
+	var bd simclock.Breakdown
+	res, err := func() (*Result, error) {
+		// The token and the lock go back on every way out, a panicking
+		// UDF implementation's too: Close waits for the lock.
+		defer func() {
+			bd = clock.Since(snap)
+			g.Release(bd.Total())
+			if sess != s.root {
+				// The root session charges the global clock directly;
+				// merging its own breakdown back in would count every
+				// statement twice.
+				s.mergeBreakdown(bd)
+			}
+			s.qmu.RUnlock()
+		}()
+		return sess.dispatch(stmt)
+	}()
 	if err != nil {
 		res = nil
 	} else {
