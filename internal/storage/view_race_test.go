@@ -113,8 +113,8 @@ func TestEngineConcurrentViewRegistry(t *testing.T) {
 // adds zero-row keys behind them, and a fourth goroutine rots a record
 // and has Verify salvage around it, compacts and evicts: every structure
 // the merge reads is rebuilt, folded, swapped or reset under it. Whatever -race schedules, each key a probe finds must come
-// with the rows of its id only, all of them, and with the hashKey of its
-// encoding.
+// with the rows of its id only, all of them, and — unless the covered
+// step served it — with the hashKey of its encoding.
 func TestOrderedProbeUnderMaintenance(t *testing.T) {
 	forceLayout(t, 3, hashKey)
 	dir := t.TempDir()
@@ -199,44 +199,53 @@ func TestOrderedProbeUnderMaintenance(t *testing.T) {
 			}
 		}
 	}()
-	for p := 0; p < 2; p++ {
+	// Two probers send every id, or every other, twice — no batch is
+	// dense — and a third sends each id once, two to a batch: an even id
+	// the first appender stores and an odd one the third marks, which the
+	// covered step serves whenever no eviction came between them.
+	for p := 0; p < 3; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			ids := make([]int64, 0, frames)
-			for id := int64(p); id < 2*frames; id += 1 + int64(p) {
-				ids = append(ids, id, id)
-			}
-			keys := idKeys(ids...).batch
-			sel := make([]int, len(ids))
-			for i := range sel {
-				sel[i] = i
+			var windows [][]int64
+			if p < 2 {
+				var ids []int64
+				for id := int64(p); id < 2*frames; id += 1 + int64(p) {
+					ids = append(ids, id, id)
+				}
+				windows = append(windows, ids)
+			} else {
+				for lo := int64(0); lo < 2*frames; lo += 2 {
+					windows = append(windows, idWindow(lo, lo+2))
+				}
 			}
 			var out Probed
 			for last := false; !last; {
 				last = stop.Load()
 				var pk ProbeKeys
-				pk.Reset(keys, []int{0})
-				out = Probed{Hits: out.Hits[:0], Srcs: out.Srcs[:0], Rows: out.Rows[:0]}
-				if err := v.Probe(&pk, sel, &out); err != nil {
-					t.Error(err)
-					return
-				}
-				for _, h := range out.Hits {
-					id := ids[h.Key]
-					if n := h.Hi - h.Lo; n != 0 && n != rowsPer {
-						t.Errorf("id %d: %d rows, want 0 or %d", id, n, rowsPer)
+				for _, ids := range windows {
+					pk.Reset(idKeys(ids...).batch, []int{0})
+					out = Probed{Hits: out.Hits[:0], Srcs: out.Srcs[:0], Rows: out.Rows[:0]}
+					if err := v.Probe(&pk, allRows(len(ids)), &out); err != nil {
+						t.Error(err)
 						return
 					}
-					for i := h.Lo; i < h.Hi; i++ {
-						if got := out.Srcs[i].At(out.Rows[i], 0).Int(); got != id {
-							t.Errorf("id %d was served a row of id %d", id, got)
+					for _, h := range out.Hits {
+						id := ids[h.Key]
+						if n := h.Hi - h.Lo; n != 0 && n != rowsPer || n == 0 && out.Covered {
+							t.Errorf("id %d: %d rows, covered %v; want 0 or %d, and %d when covered", id, n, out.Covered, rowsPer, rowsPer)
 							return
 						}
-					}
-					if want := hashKey(AppendKey(nil, []types.Datum{types.NewInt(id)})); pk.Hashes[h.Key] != want {
-						t.Errorf("id %d: hash %x, want %x", id, pk.Hashes[h.Key], want)
-						return
+						for i := h.Lo; i < h.Hi; i++ {
+							if got := out.Srcs[i].At(out.Rows[i], 0).Int(); got != id {
+								t.Errorf("id %d was served a row of id %d", id, got)
+								return
+							}
+						}
+						if want := hashKey(AppendKey(nil, []types.Datum{types.NewInt(id)})); !out.Covered && pk.Hashes[h.Key] != want {
+							t.Errorf("id %d: hash %x, want %x", id, pk.Hashes[h.Key], want)
+							return
+						}
 					}
 				}
 			}
