@@ -28,12 +28,13 @@ bench:
 # the storage crash-recovery kill-point matrix under the race
 # detector, then short fuzz smokes over the view-log replay and datum
 # decoders. See DESIGN.md "Failure model & resilience" and "Durable
-# aggregated predicates".
+# aggregated predicates". The fuzz smokes bound input minimisation as
+# fuzz-smoke does.
 faults-stress:
 	$(GO) test -race -run 'TestFaultSweep|TestQueryDeadlineConfig|TestFailedStatementDoesNotPoisonReuse|TestLimitDoesNotCommit|TestPredicateKillPoints' .
 	$(GO) test -race -run 'TestViewCrashRecovery|TestViewAppendRollback|TestViewChecksum|TestPredicate' ./internal/storage/
-	$(GO) test -run=^$$ -fuzz=FuzzViewReplay -fuzztime=5s ./internal/storage/
-	$(GO) test -run=^$$ -fuzz=FuzzDecodeDatum -fuzztime=5s ./internal/types/
+	$(GO) test -run=^$$ -fuzz=FuzzViewReplay -fuzztime=5s -fuzzminimizetime=3s ./internal/storage/
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeDatum -fuzztime=5s -fuzzminimizetime=3s ./internal/types/
 
 # differential runs the serial-vs-parallel harness under the race
 # detector: every testdata script at Workers ∈ {0,1,2,8} (0 is the
@@ -137,18 +138,24 @@ cover:
 # dense batches of the (id) view, through the covered step when it holds
 # every id — folded runs and zero-row keys among them — and the merge
 # when one is missing).
+#
+# Every -fuzz line bounds input minimisation with -fuzzminimizetime: by
+# default the engine may spend up to a minute shrinking each new
+# interesting input, and while it does the exec count stands still, which
+# reads as a hung target (FuzzMergeMatchesProbe's stood still from 9 s
+# on in a 40 s run). Three seconds keeps a smoke run fuzzing.
 fuzz-smoke:
-	$(GO) test -run=^$$ -fuzz=FuzzReduce -fuzztime=5s ./internal/symbolic/
-	$(GO) test -run=^$$ -fuzz=FuzzDNFCodec -fuzztime=5s ./internal/symbolic/
-	$(GO) test -run=^$$ -fuzz=FuzzMergeWalks -fuzztime=5s ./internal/symbolic/
-	$(GO) test -run=^$$ -fuzz=FuzzViewReplay -fuzztime=5s ./internal/storage/
-	$(GO) test -run=^$$ -fuzz=FuzzFrameScan -fuzztime=5s ./internal/storage/
-	$(GO) test -run=^$$ -fuzz=FuzzMergeMatchesProbe -fuzztime=5s ./internal/storage/
-	$(GO) test -run=^$$ -fuzz=FuzzProgramMatchesEval -fuzztime=5s ./internal/expr/
-	$(GO) test -run=^$$ -fuzz=FuzzSiteMatch -fuzztime=5s ./internal/faults/
-	$(GO) test -run=^$$ -fuzz=FuzzBatchPoolLifecycle -fuzztime=5s ./internal/types/
-	$(GO) test -run=^$$ -fuzz=FuzzFormatBBox -fuzztime=5s ./internal/vision/
-	$(GO) test -run=^$$ -fuzz=FuzzDecodeFrame -fuzztime=5s ./internal/vision/
+	$(GO) test -run=^$$ -fuzz=FuzzReduce -fuzztime=5s -fuzzminimizetime=3s ./internal/symbolic/
+	$(GO) test -run=^$$ -fuzz=FuzzDNFCodec -fuzztime=5s -fuzzminimizetime=3s ./internal/symbolic/
+	$(GO) test -run=^$$ -fuzz=FuzzMergeWalks -fuzztime=5s -fuzzminimizetime=3s ./internal/symbolic/
+	$(GO) test -run=^$$ -fuzz=FuzzViewReplay -fuzztime=5s -fuzzminimizetime=3s ./internal/storage/
+	$(GO) test -run=^$$ -fuzz=FuzzFrameScan -fuzztime=5s -fuzzminimizetime=3s ./internal/storage/
+	$(GO) test -run=^$$ -fuzz=FuzzMergeMatchesProbe -fuzztime=5s -fuzzminimizetime=3s ./internal/storage/
+	$(GO) test -run=^$$ -fuzz=FuzzProgramMatchesEval -fuzztime=5s -fuzzminimizetime=3s ./internal/expr/
+	$(GO) test -run=^$$ -fuzz=FuzzSiteMatch -fuzztime=5s -fuzzminimizetime=3s ./internal/faults/
+	$(GO) test -run=^$$ -fuzz=FuzzBatchPoolLifecycle -fuzztime=5s -fuzzminimizetime=3s ./internal/types/
+	$(GO) test -run=^$$ -fuzz=FuzzFormatBBox -fuzztime=5s -fuzzminimizetime=3s ./internal/vision/
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeFrame -fuzztime=5s -fuzzminimizetime=3s ./internal/vision/
 
 # alloc is the allocation-regression gate on the pooled hot path
 # (DESIGN.md "Pooled batch lifecycle", "Batch UDF evaluation"): the
@@ -163,10 +170,13 @@ fuzz-smoke:
 # system (EXPLAIN: parse, symbolic analysis, costing) must stay under
 # its allocation bound; and the covered probe step of a detector's view
 # plus the id-interval demand record of the batch it serves must
-# allocate nothing per batch. Runs without -race: the race detector
-# perturbs allocation counts (the tests skip themselves).
+# allocate nothing per batch; and running a VBENCH-HIGH query again on a
+# warm system must stay under its byte bound, its operators' scratch
+# drawn from the statements before it (DESIGN.md "Pooled batch
+# lifecycle"). Runs without -race: the race detector perturbs
+# allocation counts (the tests skip themselves).
 alloc:
-	$(GO) test -run 'TestWarmPathAllocsPerRow|TestEvalPathAllocsPerRow|TestAllocBaselineCommitted|TestPlanningAllocs|TestCoveredProbeAllocs' .
+	$(GO) test -run 'TestWarmPathAllocsPerRow|TestEvalPathAllocsPerRow|TestAllocBaselineCommitted|TestPlanningAllocs|TestCoveredProbeAllocs|TestWarmStatementScratch' .
 	$(GO) test -run TestDatumLayout ./internal/types/
 
 # scrub runs the self-healing view storage matrix under the race
@@ -205,10 +215,14 @@ evict:
 # pool-safety runs the BatchPool's ownership test suite with poison
 # mode compiled in (-tags evadebug): typed double-Put panics, poisoned
 # use-after-Put reads, the 8-goroutine stress under the race detector,
-# and the whole engine suite with every recycled batch poisoned.
+# and the whole engine suite with every recycled batch poisoned; and the
+# statement-scratch hand-off between two sessions and the root — failed
+# and LIMIT-cut statements among them — under the race detector with
+# poisoning on (DESIGN.md "Pooled batch lifecycle").
 pool-safety:
 	$(GO) test -race ./internal/types/
 	$(GO) test -tags evadebug ./internal/types/ ./internal/exec/ .
+	$(GO) test -race -tags evadebug -run 'TestStatementScratchAcrossSessions|TestRunHandsBackClearedScratch' . ./internal/exec/
 
 # unsafe-confined fails if any non-test file other than
 # internal/types/datum.go (the 24-byte Datum; DESIGN.md "Resident view

@@ -10,13 +10,16 @@ package eva_test
 // is asserted. A second test pins the committed BENCH_alloc.json
 // baseline to the same threshold, so a regressed baseline cannot be
 // committed either. A third gate bounds what planning a query
-// allocates, and a fourth what the covered probe step and its demand
-// record allocate per batch.
+// allocates, a fourth what the covered probe step and its demand
+// record allocate per batch, and a fifth what a warm statement
+// allocates, its operators' scratch drawn from the statements before it.
 
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
+	"runtime"
 	"testing"
 
 	"eva"
@@ -88,7 +91,7 @@ func TestCoveredProbeAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(len(batches)-1, func() {
 		b := batches[next]
 		next++
-		out.Hits, out.Srcs, out.Rows = out.Hits[:0], out.Srcs[:0], out.Rows[:0]
+		out.Hits, out.In, out.Srcs, out.Rows = out.Hits[:0], out.In[:0], out.Srcs[:0], out.Rows[:0]
 		if err := pk.Reset(b, keyIdx); err != nil {
 			failed = err.Error()
 			return
@@ -195,6 +198,62 @@ func TestPlanningAllocs(t *testing.T) {
 		t.Logf("%s: %.0f allocs to plan", q.Label, n)
 		if n >= planningAllocGate {
 			t.Errorf("planning %s allocates %.0f objects, gate %d", q.Label, n, planningAllocGate)
+		}
+	}
+}
+
+// warmStatementByteGate bounds the bytes the warmest run of a VBENCH-HIGH
+// query allocates on a warm 600-frame system, views materialized. The
+// apply operators' per-batch scratch — decisions, selections, probe
+// keys, probed rows, gather triples and the bound programs' selection
+// vectors — outlives the statement (DESIGN.md §13), so a warm statement
+// grows none of it: the queries allocate 20 to 120 KiB a run, where
+// growing that scratch again took 270 to 470 KiB.
+const warmStatementByteGate = 160 << 10
+
+// TestWarmStatementScratch is the gate on statement scratch: once
+// VBENCH-HIGH has run and its views are materialized, running each of its
+// queries again must allocate fewer bytes than warmStatementByteGate.
+// Each query runs three times and the least of the three counts, so that
+// a collection which empties the scratch pool between two runs — a
+// sync.Pool's right — cannot fail the gate.
+func TestWarmStatementScratch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed by the race detector")
+	}
+	ds := vision.MediumUADetrac
+	ds.Frames = 600
+	sys, err := eva.Open(eva.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if err := sys.LoadDataset("video", ds); err != nil {
+		t.Fatal(err)
+	}
+	wl := vbench.HighWorkload(ds)
+	for _, q := range wl.Queries {
+		if _, err := sys.Exec(q.SQL); err != nil {
+			t.Fatalf("%s: %v", q.Label, err)
+		}
+	}
+	var ms runtime.MemStats
+	for _, q := range wl.Queries {
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			res, err := sys.Exec(q.SQL)
+			runtime.ReadMemStats(&ms)
+			if err != nil {
+				t.Fatalf("%s: %v", q.Label, err)
+			}
+			sys.Recycle(res.Rows)
+			least = min(least, ms.TotalAlloc-before)
+		}
+		t.Logf("%s: %d KiB a warm run", q.Label, least>>10)
+		if least >= warmStatementByteGate {
+			t.Errorf("a warm run of %s allocates %d KiB, gate %d KiB", q.Label, least>>10, warmStatementByteGate>>10)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"eva/internal/catalog"
 	"eva/internal/types"
+	"eva/internal/vision"
 )
 
 // TestConcurrentQueriesStress drives the full stack from several
@@ -220,4 +221,71 @@ func TestCrossSessionReuseDeterminism(t *testing.T) {
 			t.Errorf("global simtime = %v through a session, %v through the System", g, w)
 		}
 	})
+}
+
+// TestStatementScratchAcrossSessions runs statements from two sessions
+// and the root at once on a warm system, so that the operators' scratch, which
+// outlives a statement (DESIGN.md §13), is taken and handed back on
+// different goroutines, also by a statement that failed after its
+// applies ran and by one a LIMIT cut short. Every statement must answer
+// as it did alone; under -race, and with poisoned batches in the
+// evadebug build, a scratch two statements shared, or one that kept a
+// batch it had returned, shows.
+func TestStatementScratchAcrossSessions(t *testing.T) {
+	stmts := []string{
+		`SELECT id, label, bbox FROM video CROSS APPLY FasterRCNNResnet50(frame) WHERE id < 600 AND label = 'car'`,
+		`SELECT id, bbox FROM video CROSS APPLY FasterRCNNResnet50(frame) WHERE id < 500 AND label = 'car' AND CarType(frame, bbox) = 'Nissan'`,
+		`SELECT id / 0 FROM video CROSS APPLY FasterRCNNResnet50(frame) WHERE id < 400`,
+		`SELECT id, label FROM video CROSS APPLY FasterRCNNResnet50(frame) WHERE id < 800 LIMIT 5`,
+		`SELECT id, label FROM video CROSS APPLY FasterRCNNResnet50(frame) WHERE id >= 200 AND id < 700 AND label != 'car'`,
+	}
+	ds := vision.MediumUADetrac
+	ds.Frames = 800
+	sys := openAt(t, Config{})
+	if err := sys.LoadDataset("video", ds); err != nil {
+		t.Fatal(err)
+	}
+	type client interface {
+		Exec(string) (*Result, error)
+	}
+	answer := func(ex client, q string) string {
+		res, err := ex.Exec(q)
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		return Format(res.Rows)
+	}
+	// The first pass stores what the statements evaluate; the second,
+	// served from views, is what every later run must match.
+	want := make([]string, len(stmts))
+	for pass := 0; pass < 2; pass++ {
+		for i, q := range stmts {
+			want[i] = answer(sys, q)
+		}
+	}
+	if !strings.HasPrefix(want[2], "error: ") {
+		t.Fatalf("%s succeeded; want a failed statement", stmts[2])
+	}
+	if strings.HasPrefix(want[3], "error: ") || strings.Count(want[3], "\n") < 5 {
+		t.Fatalf("%s: %s; want five rows", stmts[3], want[3])
+	}
+	// Two client sessions and the System's root session, whose
+	// statements run pipeline stages, which Run stops before it hands
+	// the scratch back.
+	clients := []client{sys.NewSession(), sys.NewSession(), sys}
+	var wg sync.WaitGroup
+	for s, sess := range clients {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < 4*len(stmts); i++ {
+				k := (i + 2*s) % len(stmts)
+				if got := answer(sess, stmts[k]); got != want[k] {
+					t.Errorf("session %d, run %d of %s:\n%s\nwant\n%s", s, i, stmts[k], got, want[k])
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
 }

@@ -7,6 +7,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -83,6 +84,7 @@ type Context struct {
 	dl         *deadlineState
 	stages     []*stageIter // pipeline stages of the current (or last) Run
 	applies    []*applyIter // apply operators of the current Run
+	scratch    *stmtScratch // the operators' scratch, from scratchPool
 
 	storedMu sync.Mutex
 	// stored counts, per store view, the applies of the current Run that
@@ -159,6 +161,8 @@ func Run(ctx *Context, n plan.Node) (*types.Batch, error) {
 			a.abort()
 		}
 		ctx.applies = nil
+		// No operator runs now: their scratch serves the next statement.
+		ctx.releaseScratch()
 	}()
 	warmSchemas(n)
 	it, err := build(ctx, n)
@@ -325,7 +329,7 @@ func newScanIter(ctx *Context, node *plan.Scan) (*scanIter, error) {
 	}
 	s := &scanIter{ctx: ctx, node: node, video: v, pos: lo, hi: hi, width: ctx.batchSize()}
 	if where := unenforced(node.Where, node.Sch, lo, hi); where != nil {
-		s.where = expr.Bind(where, node.Sch, nil)
+		s.where = ctx.lend(expr.Bind(where, node.Sch, nil))
 	}
 	return s, nil
 }
@@ -535,18 +539,9 @@ type applyIter struct {
 	stagedRows int      // the pending rows those bytes are the size of
 	stored     bool     // end of stream seen and reported to the Context
 
-	// Per-batch scratch. Everything is grown to the widest batch seen
-	// and kept, so the probe, eval and assemble loops allocate nothing
-	// in steady state.
-	decisions []rowDecision
-	// pk is the batch's probe keys: Hashes[r] is the view key hash (=
-	// udf.DemandHash) of row r's key — the stored one for a row a view
-	// served — and the rows no view serves are
-	// encoded (pk.Key).
-	pk        storage.ProbeKeys
-	sel       []int          // rows no view has served yet, in row order
-	probed    storage.Probed // the batch's served rows as (chunk, row) pairs; Hits is one probe's answer
-	spans     []udf.IDSpan   // the batch's ids, when the key is the id alone
+	// The per-batch scratch of the probe and assemble phases, drawn
+	// from the statement's (Context.nextApplyScratch).
+	*applyScratch
 	span      [1]udf.IDSpan  // a dense batch's ids
 	claimSeen storage.IDKeys // dedup set of unservedKeys
 	claimBuf  []string       // backs claimed
@@ -561,17 +556,6 @@ type applyIter struct {
 	chunks     []evalChunk
 	scalarVals [1][]types.Datum
 	scalarOut  *types.Batch
-
-	// The assemble phase's gather triples: output row k is input row
-	// inRows[k] joined with row srcRows[k] of srcs[k]. The st* triples
-	// are the fresh rows among them, which are also staged for the store
-	// view, behind the key columns of the input batch.
-	inRows    []int
-	srcs      []*types.Batch
-	srcRows   []int
-	stInRows  []int
-	stSrcs    []*types.Batch
-	stSrcRows []int
 
 	// The gathers' column lists (AppendGather): an output row carries
 	// input columns passIdx and Out columns emitIdx, a staged view row
@@ -610,7 +594,7 @@ type evalChunk struct {
 }
 
 func newApplyIter(ctx *Context, node *plan.ReuseApply, in iterator) (*applyIter, error) {
-	a := &applyIter{ctx: ctx, in: in, node: node,
+	a := &applyIter{ctx: ctx, in: in, node: node, applyScratch: ctx.nextApplyScratch(),
 		evalLower: strings.ToLower(node.Eval), readCost: costs.ScalarViewReadCost}
 	if node.TableUDF {
 		a.readCost = costs.TableViewReadCost
@@ -718,7 +702,7 @@ func (a *applyIter) bindColumns(in types.Schema) {
 	a.whereSch = full[:w]
 	a.where = make([]*expr.Program, len(node.Where))
 	for i, pred := range node.Where {
-		a.where[i] = expr.Bind(pred, a.whereSch, nil)
+		a.where[i] = a.ctx.lend(expr.Bind(pred, a.whereSch, nil))
 	}
 }
 
@@ -753,13 +737,12 @@ func (a *applyIter) viewSchema(in types.Schema) types.Schema {
 const viewFlushRows = 8192
 
 // rowDecision is the apply operator's per-row outcome. The serial
-// probe phase either serves the row from a view — recording which of
-// the batch's probed (chunk, row) pairs to emit — or queues it for UDF
-// evaluation; the parallel eval phase evaluates the queued rows as
-// udf.Calls; the serial assemble phase merges both in row order.
+// probe phase either serves the row from a view — the probe writes its
+// gather triples — or queues it for UDF evaluation; the parallel eval
+// phase evaluates the queued rows as udf.Calls; the serial assemble
+// phase merges both in row order.
 type rowDecision struct {
 	served bool
-	lo, hi int    // rows to emit: pairs lo..hi-1 of a.probed
 	id     uint64 // call identity for fault injection
 	err    error  // an argument failed to evaluate
 }
@@ -965,7 +948,8 @@ func (a *applyIter) probePhase(b *types.Batch) ([]rowDecision, error) {
 	}
 	decisions := a.decisions[:n]
 	a.sel = a.sel[:n]
-	a.probed.Srcs, a.probed.Rows = a.probed.Srcs[:0], a.probed.Rows[:0]
+	p := &a.probed
+	p.In, p.Srcs, p.Rows, a.passes = p.In[:0], p.Srcs[:0], p.Rows[:0], a.passes[:0]
 	for r := 0; r < n; r++ {
 		decisions[r] = rowDecision{}
 		a.sel[r] = r
@@ -994,10 +978,11 @@ func (a *applyIter) probePhase(b *types.Batch) ([]rowDecision, error) {
 }
 
 // probeViewsSel joins the rows in a.sel against the probe views, one
-// batch probe per view: rows a view knows are marked served — with the
-// stored rows to emit, read under the same view lock — and leave a.sel,
-// so the next view sees only what is still missing. A view that covered
-// the batch served every row in a.sel, a row without a hit with no rows.
+// batch probe per view: rows a view knows are marked served — the probe
+// writes the gather triples of the stored rows to emit, read under the
+// same view lock, as a segment of a.probed — and leave a.sel, so the
+// next view sees only what is still missing. A view that covered the
+// batch served every row in a.sel, a row without a hit with no rows.
 // It returns the number of rows served.
 // lint:hotpath apply probe loops must not allocate per row
 func (a *applyIter) probeViewsSel(decisions []rowDecision) int {
@@ -1009,9 +994,9 @@ func (a *applyIter) probeViewsSel(decisions []rowDecision) int {
 		a.probed.Hits = a.probed.Hits[:0]
 		// lint:noerrcheck Probe fails only on a batch Reset refused, and probePhase returns that
 		_ = view.Probe(&a.pk, a.sel, &a.probed)
+		a.endSegment()
 		for _, h := range a.probed.Hits {
-			d := &decisions[h.Key]
-			d.served, d.lo, d.hi = true, h.Lo, h.Hi
+			decisions[h.Key].served = true
 		}
 		switch {
 		case a.probed.Covered:
@@ -1045,6 +1030,15 @@ func (a *applyIter) idSpans(b *types.Batch) []udf.IDSpan {
 	}
 	a.spans = spans
 	return spans
+}
+
+// endSegment closes the segment of a.probed the last pass wrote, unless
+// it wrote none.
+func (a *applyIter) endSegment() {
+	end := len(a.probed.In)
+	if k := len(a.passes); k == 0 && end > 0 || k > 0 && end > a.passes[k-1] {
+		a.passes = append(a.passes, end)
+	}
 }
 
 // compactSel drops the served rows from a.sel, keeping row order.
@@ -1187,12 +1181,14 @@ func (a *applyIter) bindRow(b *types.Batch, r int, args []types.Datum, sc *evalS
 // order and stages fresh results for the store view — the
 // order-preserving fan-in that keeps parallel output byte-identical to
 // serial. Every output row is described as an (input row, source batch,
-// source row) triple; the fresh rows' triples are gathered at once,
-// behind their key columns, into the view-staging batch, and all of
-// them are left for the wherePhase and the output gather of step, which
-// copy only the columns they read (late materialization). Errors
-// surface in row order, so the reported failure is the one the serial
-// engine would hit first.
+// source row) triple: the probes wrote the served rows' (probeViewsSel),
+// this phase writes the evaluated rows' behind them, and the segments,
+// each ascending in input row, are merged (mergeTriples). The fresh
+// rows' triples are gathered at once, behind their key columns, into the
+// view-staging batch, and all of them are left for the wherePhase and
+// the output gather of step, which copy only the columns they read (late
+// materialization). Errors surface in row order, so the reported failure
+// is the one the serial engine would hit first.
 func (a *applyIter) assemblePhase(b *types.Batch, decisions []rowDecision) error {
 	// Commit the deferred breaker outcomes of every evaluated row in
 	// input order before surfacing any error: the pool evaluates all
@@ -1216,12 +1212,7 @@ func (a *applyIter) assemblePhase(b *types.Batch, decisions []rowDecision) error
 			rows++
 		}
 	}
-	for r := range decisions {
-		if d := &decisions[r]; d.served {
-			rows += d.hi - d.lo
-		}
-	}
-	if !a.node.TableUDF {
+	if !a.node.TableUDF && len(calls) > 0 {
 		// The values ahead of the first failed call become a column of
 		// scalarOut; one of the wrong kind is an error of an earlier row.
 		if a.scalarOut == nil {
@@ -1232,21 +1223,11 @@ func (a *applyIter) assemblePhase(b *types.Batch, decisions []rowDecision) error
 			return fmt.Errorf("exec: udf %s: %w", a.node.Eval, err)
 		}
 	}
-	a.inRows = slices.Grow(a.inRows[:0], rows)
-	a.srcs = slices.Grow(a.srcs[:0], rows)
-	a.srcRows = slices.Grow(a.srcRows[:0], rows)
+	p := &a.probed
+	p.In, p.Srcs, p.Rows = slices.Grow(p.In, rows), slices.Grow(p.Srcs, rows), slices.Grow(p.Rows, rows)
 	a.stInRows, a.stSrcs, a.stSrcRows = a.stInRows[:0], a.stSrcs[:0], a.stSrcRows[:0]
-	next := 0 // the call of the next unserved row
-	for r := range decisions {
-		d := &decisions[r]
-		if d.served {
-			for i := d.lo; i < d.hi; i++ {
-				a.emitRow(r, a.probed.Srcs[i], a.probed.Rows[i])
-			}
-			continue
-		}
-		k, c := next, &calls[next]
-		next++
+	for k, r := range a.sel {
+		d, c := &decisions[r], &calls[k]
 		switch {
 		case d.err != nil:
 			return d.err
@@ -1259,16 +1240,18 @@ func (a *applyIter) assemblePhase(b *types.Batch, decisions []rowDecision) error
 		if a.node.TableUDF {
 			src, start, n = c.Rows, c.Start, c.N
 		}
-		first := len(a.inRows)
-		for i := 0; i < n; i++ {
-			a.emitRow(r, src, start+i)
+		first := len(p.In)
+		for i := range n {
+			p.In, p.Srcs, p.Rows = append(p.In, r), append(p.Srcs, src), append(p.Rows, start+i)
 		}
 		if a.store != nil && a.stageKey(b, r, n) {
-			a.stInRows = append(a.stInRows, a.inRows[first:]...)
-			a.stSrcs = append(a.stSrcs, a.srcs[first:]...)
-			a.stSrcRows = append(a.stSrcRows, a.srcRows[first:]...)
+			a.stInRows = append(a.stInRows, p.In[first:]...)
+			a.stSrcs = append(a.stSrcs, p.Srcs[first:]...)
+			a.stSrcRows = append(a.stSrcRows, p.Rows[first:]...)
 		}
 	}
+	a.endSegment()
+	a.mergeTriples()
 	if len(a.stInRows) > 0 {
 		if a.pendingRows == nil {
 			a.pendingRows = a.ctx.getBatch(a.store.Schema())
@@ -1278,6 +1261,50 @@ func (a *applyIter) assemblePhase(b *types.Batch, decisions []rowDecision) error
 		}
 	}
 	return nil
+}
+
+// mergeTriples makes the segments of a.probed the gather triples, in
+// input-row order. No two segments hold one input row, so the merge
+// copies runs: the segment whose next row is least, up to the next row
+// of any other. A batch with one segment — one probe pass served it
+// whole, or no view served any of it — is in order as it stands, and its
+// lists are swapped with the triples' rather than copied.
+// lint:hotpath triple merge must not allocate per row
+func (a *applyIter) mergeTriples() {
+	p := &a.probed
+	if len(a.passes) <= 1 {
+		a.inRows, p.In = p.In, a.inRows[:0]
+		a.srcs, p.Srcs = p.Srcs, a.srcs[:0]
+		a.srcRows, p.Rows = p.Rows, a.srcRows[:0]
+		return
+	}
+	n := len(p.In)
+	a.inRows, a.srcs, a.srcRows = slices.Grow(a.inRows[:0], n), slices.Grow(a.srcs[:0], n), slices.Grow(a.srcRows[:0], n)
+	cur := append(a.cur[:0], 0)
+	cur = append(cur, a.passes[:len(a.passes)-1]...)
+	a.cur = cur
+	for len(a.inRows) < n {
+		best, limit := -1, math.MaxInt
+		for i, c := range cur {
+			switch {
+			case c == a.passes[i]:
+			case best < 0:
+				best = i
+			case p.In[c] < p.In[cur[best]]:
+				limit, best = p.In[cur[best]], i
+			default:
+				limit = min(limit, p.In[c])
+			}
+		}
+		from, to := cur[best], cur[best]
+		for to < a.passes[best] && p.In[to] < limit {
+			to++
+		}
+		a.inRows = append(a.inRows, p.In[from:to]...)
+		a.srcs = append(a.srcs, p.Srcs[from:to]...)
+		a.srcRows = append(a.srcRows, p.Rows[from:to]...)
+		cur[best] = to
+	}
 }
 
 // wherePhase runs the selections over the batch's output rows before
@@ -1318,14 +1345,6 @@ func (a *applyIter) keepRows(sel []int) {
 		a.inRows[k], a.srcs[k], a.srcRows[k] = a.inRows[r], a.srcs[r], a.srcRows[r]
 	}
 	a.inRows, a.srcs, a.srcRows = a.inRows[:len(sel)], a.srcs[:len(sel)], a.srcRows[:len(sel)]
-}
-
-// emitRow queues the single output row (r, src, row); assemblePhase has
-// reserved the triples.
-func (a *applyIter) emitRow(r int, src *types.Batch, row int) {
-	a.inRows = append(a.inRows, r)
-	a.srcs = append(a.srcs, src)
-	a.srcRows = append(a.srcRows, row)
 }
 
 // stageKey reports whether input row r's n freshly computed result rows
@@ -1407,7 +1426,7 @@ func newProjectIter(ctx *Context, node *plan.Project, in iterator) *projectIter 
 		cols:  make([][]types.Datum, len(node.Items))}
 	inSchema := node.Input.Schema()
 	for i, it := range node.Items {
-		p.items[i] = expr.Bind(it.E, inSchema, nil)
+		p.items[i] = ctx.lend(expr.Bind(it.E, inSchema, nil))
 		p.rowMajor = p.rowMajor || p.items[i].HasCalls()
 	}
 	if p.rowMajor {

@@ -353,6 +353,44 @@ func TestCoveredStepKeepsSourcePrecedence(t *testing.T) {
 	}
 }
 
+// TestServedAndEvaluatedRowsMergeInRowOrder: a view that holds every
+// third frame serves those rows of each batch and the rest are
+// evaluated, so the probe's triples and the evaluated rows' interleave;
+// merged by input row they must give the rows, in order, of a run that
+// evaluates every frame.
+func TestServedAndEvaluatedRowsMergeInRowOrder(t *testing.T) {
+	det := func(in plan.Node, views bool) plan.Node {
+		a := &plan.ReuseApply{Input: in, Args: []expr.Expr{colx("frame")}, Eval: vision.FasterRCNN50,
+			TableUDF: true, Out: catalog.DetectorSchema, KeyCols: []string{"id"}}
+		if views {
+			a.Sources, a.StoreView = []plan.ApplySource{{UDF: vision.FasterRCNN50, ViewName: "det_view"}}, "det_view"
+		}
+		return &plan.Project{Input: a, Items: idBBoxScore}
+	}
+	rows := func(ctx *Context, n plan.Node) []string {
+		t.Helper()
+		out, err := Run(ctx, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]string, out.Len())
+		for r := range rows {
+			rows[r] = fmt.Sprint(out.Row(r))
+		}
+		return rows
+	}
+	ctx := testCtx(t, vision.MediumUADetrac)
+	thirds := expr.NewCmp(expr.OpEq, expr.NewArith(expr.OpMod, colx("id"), intc(3)), intc(0))
+	rows(ctx, det(scanWhere(0, 90, thirds), true))
+	got := rows(ctx, det(scan(0, 90), true))
+	if st := ctx.Runtime.CounterSnapshot()[strings.ToLower(vision.FasterRCNN50)]; st.Reused != 30 || st.Evaluated != 90 {
+		t.Fatalf("stats %+v: want 30 frames served and 60 more evaluated", st)
+	}
+	if want := rows(testCtx(t, vision.MediumUADetrac), det(scan(0, 90), false)); !slices.Equal(got, want) {
+		t.Errorf("served and evaluated rows:\n%s\nwant every frame evaluated:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
 func TestReuseApplyScalar(t *testing.T) {
 	ctx := testCtx(t, vision.MediumUADetrac)
 	det := &plan.ReuseApply{

@@ -83,7 +83,8 @@ func (f *fuzzyIndex) lookup(frame int64, bbox string) (int, bool) {
 // serveFuzzy is the fuzzy fallback for the rows in a.sel that no exact
 // probe served: a row whose bbox lies within tolerance of a stored one
 // on the same frame, in any source view, is served that stored row
-// (from the index's own snapshot) and leaves a.sel. It returns the
+// (from the index's own snapshot), written as a segment of a.probed like
+// a probe's, and leaves a.sel. It returns the
 // number of rows served. Used only for scalar UDFs; called from the
 // serial probe phase.
 func (a *applyIter) serveFuzzy(b *types.Batch, decisions []rowDecision) int {
@@ -104,14 +105,15 @@ func (a *applyIter) serveFuzzy(b *types.Batch, decisions []rowDecision) int {
 			if !ok {
 				continue
 			}
-			d := &decisions[r]
-			d.served, d.lo, d.hi = true, len(a.probed.Rows), len(a.probed.Rows)+1
-			a.probed.Srcs, a.probed.Rows = append(a.probed.Srcs, fi.batch), append(a.probed.Rows, rowIdx)
+			p := &a.probed
+			decisions[r].served = true
+			p.In, p.Srcs, p.Rows = append(p.In, r), append(p.Srcs, fi.batch), append(p.Rows, rowIdx)
 			served++
 			break
 		}
 	}
 	if served > 0 {
+		a.endSegment()
 		a.compactSel(decisions)
 	}
 	return served

@@ -108,13 +108,19 @@ func TestSessionsReprobeServesPublishedRows(t *testing.T) {
 	}
 	publishDetRows(t, ctx.Store.View("det_view"), 0, 3)
 	a.reprobe(decisions)
+	viewRows := map[int]int{}
+	for _, r := range a.probed.In {
+		viewRows[r]++
+	}
 	served := 0
 	for r := range decisions {
 		if decisions[r].served {
-			if decisions[r].hi == decisions[r].lo {
+			if viewRows[r] == 0 {
 				t.Errorf("row %d served with no view rows", r)
 			}
 			served++
+		} else if viewRows[r] > 0 {
+			t.Errorf("row %d not served, with %d view rows", r, viewRows[r])
 		}
 	}
 	if served != 3 {

@@ -167,6 +167,15 @@ func (p *Program) Eval(b *types.Batch, rows int, c Caller) ([]types.Datum, int, 
 	return vals, 0, nil
 }
 
+// SwapSel makes sel the storage of the program's selection vector and
+// returns the storage it had, so an operator can lend a program scratch
+// that outlives the program and take it back, grown, when done.
+func (p *Program) SwapSel(sel []int) []int {
+	old := p.sel
+	p.sel = sel
+	return old
+}
+
 // rows returns the selection of rows [0, n): every row undecided.
 func (p *Program) rows(n int) []int {
 	if cap(p.sel) < n {
@@ -379,13 +388,31 @@ func (p *Program) cmpNumConst(n *node, l []types.Datum, k float64, sel []int) []
 	return sel[:w]
 }
 
+// strOrder is order3 for strings, or — eq set, for = and != — one
+// equality test, a length check and then one memory compare, whose
+// "unequal" is reported as less: both operators' masks treat less and
+// greater alike.
+func strOrder(eq bool, a, b string) uint8 {
+	switch {
+	case !eq:
+		return order3(a, b)
+	case a == b:
+		return bitEqual
+	}
+	return bitLess
+}
+
+// eqOnly reports whether the comparison n is = or !=, which equality
+// alone decides.
+func (n *node) eqOnly() bool { return n.mask == bitEqual || n.mask == bitLess|bitGreater }
+
 // lint:hotpath comparison kernels must not allocate per row
 func (p *Program) cmpStrConst(n *node, l []types.Datum, k string, sel []int) []int {
-	w := 0
+	w, eq := 0, n.eqOnly()
 	for _, r := range sel {
 		var bit uint8
 		if v, ok := l[r].StringValue(); ok {
-			bit = order3(v, k)
+			bit = strOrder(eq, v, k)
 		} else if bit, ok = p.cmpSlow(n, &l[r], &n.r.val, r); !ok {
 			return sel[:w]
 		}
@@ -418,12 +445,12 @@ func (p *Program) cmpNum(n *node, l, rv []types.Datum, sel []int) []int {
 
 // lint:hotpath comparison kernels must not allocate per row
 func (p *Program) cmpStr(n *node, l, rv []types.Datum, sel []int) []int {
-	w := 0
+	w, eq := 0, n.eqOnly()
 	for _, r := range sel {
 		var bit uint8
 		a, aok := l[r].StringValue()
 		if c, ok := rv[r].StringValue(); ok && aok {
-			bit = order3(a, c)
+			bit = strOrder(eq, a, c)
 		} else if bit, ok = p.cmpSlow(n, &l[r], &rv[r], r); !ok {
 			return sel[:w]
 		}

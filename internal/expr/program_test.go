@@ -243,6 +243,15 @@ func FuzzProgramMatchesEval(f *testing.F) {
 	f.Add(int64(2022), uint8(4), uint8(0))
 	f.Add(int64(-3), uint8(1), uint8(1))
 	f.Add(int64(77), uint8(5), uint8(200))
+	// The equality kernels: s = 'car' and s != '' over rows of "car",
+	// "bus" and "van" — equal-length unequal strings — and NULLs; t = s
+	// and t != s, column against column; and i != 'car', a non-string
+	// left operand.
+	f.Add(int64(146), uint8(0), uint8(40))
+	f.Add(int64(1429), uint8(0), uint8(40))
+	f.Add(int64(1199), uint8(0), uint8(40))
+	f.Add(int64(1086), uint8(0), uint8(40))
+	f.Add(int64(301), uint8(0), uint8(40))
 	f.Fuzz(func(t *testing.T, seed int64, depth, rows uint8) {
 		r := rand.New(rand.NewSource(seed))
 		e := randPred(r, int(depth%6))
@@ -266,6 +275,34 @@ func TestProgramMatchesEvalSeeds(t *testing.T) {
 		p := Bind(e, fuzzSchema, nil)
 		for _, n := range []int{0, 1 + int(seed%23), 3} {
 			checkProgram(t, r, e, p, randBatch(r, n))
+		}
+	}
+}
+
+// TestStringEqualityKernel checks = and !=, which one string equality
+// test decides, against the row evaluator on the strings that tell an
+// equality test from an ordering: equal-length unequal words, a prefix,
+// the empty string and NULL, against a constant and column against
+// column, both ways round, and next to <= and >, which still order.
+func TestStringEqualityKernel(t *testing.T) {
+	words := []types.Datum{types.NewString("car"), types.NewString("bus"), types.NewString("ca"),
+		types.NewString(""), types.NewString("cars"), types.Null}
+	b := types.NewBatch(fuzzSchema)
+	for _, s := range words {
+		for _, u := range words {
+			b.MustAppendRow(types.NewInt(1), types.NewInt(2), types.NewFloat(0), s, u, types.NewBool(true))
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	for _, op := range []CmpOp{OpEq, OpNe, OpLe, OpGt} {
+		for _, e := range []Expr{
+			NewCmp(op, NewColumn("s"), NewConst(types.NewString("car"))),
+			NewCmp(op, NewColumn("s"), NewConst(types.NewString(""))),
+			NewCmp(op, NewConst(types.NewString("bus")), NewColumn("t")),
+			NewCmp(op, NewColumn("s"), NewColumn("t")),
+			NewCmp(op, NewColumn("i"), NewConst(types.NewString("car"))),
+		} {
+			checkProgram(t, r, e, Bind(e, fuzzSchema, nil), b)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"slices"
 	"testing"
+	"unsafe"
 
 	"eva/internal/types"
 )
@@ -134,4 +135,39 @@ func TestKeyIndexCollisions(t *testing.T) {
 		t.Errorf("ProcessedCount = %d, want 40", v.ProcessedCount())
 	}
 	probeOracleTrials(t, 6)
+}
+
+// TestViewKeyLayout: a key's row count fills the padding after its first
+// row, so a listed key stays three words.
+func TestViewKeyLayout(t *testing.T) {
+	if n := unsafe.Sizeof(viewKey{}); n != 24 {
+		t.Fatalf("viewKey is %d bytes, want 24", n)
+	}
+}
+
+// TestProbeKeysDrop: a ProbeKeys dropped between statements keeps no
+// batch or column alive and checks the id order of the next batch it is
+// reset with afresh, while the storage it grew stays.
+func TestProbeKeysDrop(t *testing.T) {
+	keys := types.Schema{{Name: "id", Kind: types.KindInt}, {Name: "bbox", Kind: types.KindString}}
+	b := types.NewBatch(keys)
+	for id := int64(10); id < 20; id++ {
+		b.MustAppendRow(types.NewInt(id), types.NewString("0.1,0.1,0.2,0.2"))
+	}
+	var pk ProbeKeys
+	if err := pk.Reset(b, []int{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	pk.Drop()
+	if pk.batch != nil || pk.keyIdx != nil || len(pk.rest) != 0 || slices.ContainsFunc(pk.rest[:cap(pk.rest)], func(c []types.Datum) bool { return c != nil }) {
+		t.Fatal("a dropped ProbeKeys still holds its batch or a column of it")
+	}
+	if cap(pk.Hashes) < b.Len() {
+		t.Fatalf("Drop released the hashes' storage: cap %d", cap(pk.Hashes))
+	}
+	lower := types.NewBatch(keys)
+	lower.MustAppendRow(types.NewInt(1), types.NewString("0.1,0.1,0.2,0.2"))
+	if err := pk.Reset(lower, []int{0, 1}); err != nil {
+		t.Fatalf("the first batch after Drop: %v", err)
+	}
 }

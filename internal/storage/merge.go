@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 
 	"eva/internal/types"
@@ -63,10 +62,6 @@ type viewRows struct {
 	pos    int   // position of "id" among the key columns
 	idCol  int   // view column of "id"
 	rest   []int // view columns of the other key columns, in key order
-	// cont[c] has bit r set when row r of chunk c holds the key of the row
-	// before it: a key's rows are a row whose bit is clear and the set
-	// bits that follow it, which the probe counts a word at a time.
-	cont [][]uint64
 	// runs are the keys with rows, as lists sorted by id. The last is the
 	// open run, where keys go while their ids do not fall.
 	runs  [][]viewKey
@@ -82,12 +77,16 @@ type viewRows struct {
 
 // viewKey is one processed key as a view lists it: its id, its hashKey —
 // the probe hands it back for a key it serves, so that no served key is
-// encoded or hashed — and its first row or, for a key processed with no
-// rows, where zeroKeys.arena holds its encoding.
+// encoded or hashed; an id-only view files none, for a key that is the id
+// alone is demanded by its id — its first row and the number of its rows
+// or, for a key processed with no rows, where zeroKeys.arena holds its
+// encoding and no rows. The count fills the padding after at: a key is
+// 24 bytes either way.
 type viewKey struct {
 	id   int64
 	hash uint64
 	at   int32
+	n    int32
 }
 
 // newViewRows returns the empty rows of a view keyed on id with the
@@ -134,7 +133,6 @@ func (s *viewRows) room(schema types.Schema) (*types.Batch, int) {
 	if s.tail == nil || s.tail.Len() == 1<<chunkShift {
 		chunk := types.NewNullBatch(schema, 1<<chunkShift)
 		s.chunks = append(s.chunks, chunk)
-		s.cont = append(s.cont, make([]uint64, (1<<chunkShift+63)/64))
 		s.tail = chunk.Slice(0, 0)
 	}
 	return s.tail, 1<<chunkShift - s.tail.Len()
@@ -145,36 +143,40 @@ func (s *viewRows) at(id int) (*types.Batch, int) {
 	return s.chunks[id>>chunkShift], id & chunkMask()
 }
 
-// gatherTo appends the rows first..first+n-1 to out as (chunk, row)
-// pairs, a chunk's stretch of the range at a time.
-func (s *viewRows) gatherTo(out *Probed, first, n int) {
-	for id, end := first, first+n; id < end; {
-		chunk, r := s.at(id)
-		k := min(end-id, 1<<chunkShift-r)
-		at := len(out.Rows)
-		out.Srcs, out.Rows = slices.Grow(out.Srcs, k)[:at+k], slices.Grow(out.Rows, k)[:at+k]
-		for j := range k {
-			out.Srcs[at+j], out.Rows[at+j] = chunk, r+j
+// gatherTo appends the rows first..first+n-1, the rows of the key of
+// probed row in, to out as (in, chunk, row) triples, a chunk's stretch of
+// the range at a time. out has room for them.
+// lint:hotpath probe triple loop must not allocate per row
+func (s *viewRows) gatherTo(out *Probed, in, first, n int) {
+	at := len(out.Rows)
+	out.In, out.Srcs, out.Rows = out.In[:at+n], out.Srcs[:at+n], out.Rows[:at+n]
+	ins, srcs, rows := out.In[at:], out.Srcs[at:], out.Rows[at:]
+	for j := 0; j < n; {
+		chunk, r := s.at(first + j)
+		k := min(n-j, 1<<chunkShift-r)
+		for i := range k {
+			ins[j+i], srcs[j+i], rows[j+i] = in, chunk, r+i
 		}
-		id += k
+		j += k
 	}
 }
 
 // file records rows from..to-1, stored together, as the rows of one key
 // whose hashKey is h — further rows of the key of row from-1 when cont is
-// set: their cont bits and, for a new key, its place in the open run, or
-// in a run of its own when its id is below the last key's.
+// set, which is the last key of the last run, and adds to its count. A new
+// key takes its place in the open run, or a run of its own when its id is
+// below the last key's.
 func (s *viewRows) file(from, to int, h uint64, cont bool) {
-	for r := from; r < to; r++ {
-		if i := r & chunkMask(); r > from || cont {
-			s.cont[r>>chunkShift][i>>6] |= 1 << (i & 63)
-		}
-	}
 	if s.filed = to; cont {
+		ru := s.runs[len(s.runs)-1]
+		ru[len(ru)-1].n += int32(to - from)
 		return
 	}
 	chunk, r := s.at(from)
-	key := viewKey{id: chunk.Col(s.idCol)[r].Int(), hash: h, at: int32(from)}
+	key := viewKey{id: chunk.Col(s.idCol)[r].Int(), at: int32(from), n: int32(to - from)}
+	if !s.idOnly() {
+		key.hash = h
+	}
 	s.noteID(key.id, len(s.zero.keys))
 	if n := len(s.runs) - 1; n >= 0 && key.id >= s.runs[n][len(s.runs[n])-1].id {
 		s.runs[n] = append(s.runs[n], key)
@@ -247,8 +249,8 @@ type zeroKeys struct {
 	arena []byte
 }
 
-// add records the key ek of id id, hashed h. settle must follow before
-// the next probe.
+// add records the key ek of id id, hashed h (0 in an id-only view, which
+// files no hashes). settle must follow before the next probe.
 func (z *zeroKeys) add(id int64, h uint64, ek []byte) {
 	z.keys = append(z.keys, viewKey{id: id, hash: h, at: int32(len(z.arena))})
 	z.arena = append(binary.AppendUvarint(z.arena, uint64(len(ek))), ek...)
@@ -278,7 +280,8 @@ func (z *zeroKeys) settle() {
 // previous batch's last.
 type ProbeKeys struct {
 	// Hashes[r] is the key hash of row r's key once the row is encoded or
-	// a probe has served it: the row's demand hash (udf.DemandHash).
+	// a probe of a view keyed on more than the id has served it: the row's
+	// demand hash (udf.DemandHash).
 	Hashes  []uint64
 	batch   *types.Batch
 	keyIdx  []int
@@ -339,6 +342,15 @@ func (p *ProbeKeys) Reset(b *types.Batch, keyIdx []int) error {
 		p.started, p.last = true, x
 	}
 	return nil
+}
+
+// Drop lets go of the last batch reset with and its key columns, keeping
+// the storage grown for it, so a ProbeKeys kept idle keeps no batch alive.
+// The next batch is the first again: Reset checks no order against the
+// ones before.
+func (p *ProbeKeys) Drop() {
+	clear(p.rest[:cap(p.rest)])
+	p.batch, p.keyIdx, p.rest, p.started, p.err = nil, nil, p.rest[:0], false, nil
 }
 
 // Dense reports whether the batch's ids are consecutive and distinct, and
@@ -419,27 +431,29 @@ func (s *IDKeys) Reset() { s.hashes, s.ends, s.keys = s.hashes[:0], s.ends[:0], 
 // find is the reuse join's lookup: a merge of the ids of pk's rows sel,
 // which never decrease, with the view's runs and its zero-row keys,
 // reading neither key bytes nor hashes (merger.find). It appends to hits
-// a ProbeHit per processed key, Lo..Hi the ordinals of its rows, and
-// leaves the key's hash in pk.Hashes. Callers hold the view's lock.
+// a ProbeHit per processed key, Lo..Hi the ordinals of its rows, and —
+// a view keyed on more than the id — leaves the key's hash in pk.Hashes.
+// Callers hold the view's lock.
 // lint:hotpath ordered probe loop must not allocate per key
 func (s *viewRows) find(pk *ProbeKeys, sel []int, hits []ProbeHit) []ProbeHit {
 	pk.cursors = slices.Grow(pk.cursors[:0], len(s.runs))[:len(s.runs)]
 	clear(pk.cursors)
 	m := merger{s: s, pk: pk, cur: pk.cursors, lastX: math.MinInt64}
-	ids, nrows := pk.batch.Col(pk.keyIdx[pk.idPos]), s.len()
+	ids, hashed := pk.batch.Col(pk.keyIdx[pk.idPos]), !s.idOnly()
 	hits = slices.Grow(hits, len(sel))
 	for _, k := range sel {
-		x, first, n := ids[k].Int(), 0, 0
+		x, first := ids[k].Int(), 0
 		key := m.find(k, x)
 		if key != nil {
 			first = int(key.at)
-			n = s.keyRows(first, nrows)
 		} else if key = m.zero(k, x); key == nil {
 			continue
 		}
-		pk.Hashes[k] = key.hash
+		if hashed {
+			pk.Hashes[k] = key.hash
+		}
 		hits = hits[:len(hits)+1]
-		hits[len(hits)-1] = ProbeHit{Key: k, Lo: first, Hi: first + n}
+		hits[len(hits)-1] = ProbeHit{Key: k, Lo: first, Hi: first + int(key.n)}
 	}
 	return hits
 }
@@ -479,7 +493,7 @@ func (s *viewRows) serve(pk *ProbeKeys, hits []ProbeHit) []ProbeHit {
 		left += c.done - c.at
 	}
 	hits = slices.Grow(hits, left)
-	x0, nrows := pk.id(0), s.len()
+	x0 := pk.id(0)
 	for pref, want := 0, x0; left > 0; left-- {
 		i := pref
 		if c := cur[i]; c.at == c.done || s.runs[i][c.at].id != want {
@@ -493,8 +507,7 @@ func (s *viewRows) serve(pk *ProbeKeys, hits []ProbeHit) []ProbeHit {
 		key := &s.runs[i][cur[i].at]
 		cur[i].at++
 		pref, want = i, key.id+1
-		first := int(key.at)
-		hits = append(hits, ProbeHit{Key: int(key.id - x0), Lo: first, Hi: first + s.keyRows(first, nrows)})
+		hits = append(hits, ProbeHit{Key: int(key.id - x0), Lo: int(key.at), Hi: int(key.at + key.n)})
 	}
 	return hits
 }
@@ -610,24 +623,6 @@ func (m *merger) zero(k int, x int64) *viewKey {
 		}
 	}
 	return nil
-}
-
-// keyRows returns the number of rows, from r up to end at most, that
-// hold the key of row r, the first of its key's rows: r and the rows
-// after it whose cont bit is set, counted a word at a time.
-func (s *viewRows) keyRows(r, end int) int {
-	n := 1
-	for r+n < end {
-		c, i := (r+n)>>chunkShift, (r+n)&chunkMask()
-		set := bits.TrailingZeros64(^(s.cont[c][i>>6] >> (i & 63)))
-		left := min(64-i&63, 1<<chunkShift-i) // bits to the end of the word or chunk
-		if set < left {
-			n += set
-			break
-		}
-		n += left
-	}
-	return min(n, end-r)
 }
 
 // restMatches reports whether stored row r holds probe key k in every key

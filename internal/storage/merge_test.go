@@ -433,7 +433,7 @@ func BenchmarkOrderedProbeRuns(b *testing.B) {
 							if err := pk.Reset(probe, keyIdx); err != nil {
 								b.Fatal(err)
 							}
-							out.Hits, out.Srcs, out.Rows = out.Hits[:0], out.Srcs[:0], out.Rows[:0]
+							out.Hits, out.In, out.Srcs, out.Rows = out.Hits[:0], out.In[:0], out.Srcs[:0], out.Rows[:0]
 							if err := v.Probe(&pk, sel, &out); err != nil {
 								b.Fatal(err)
 							}

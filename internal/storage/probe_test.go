@@ -129,8 +129,9 @@ func (o *keyOracle) compact() {
 
 // checkProbe probes v for the rows sel of pk's batch into out, and fails
 // unless exactly the keys want holds processed were found, each once, with
-// the (chunk, row) pairs of its rows' ids in order, their labels, and the
-// hashKey of its encoding. A probe that took the covered step must have
+// the (input row, chunk, row) triples of its rows' ids in order, their
+// labels, and — a view keyed on more than the id — the hashKey of its
+// encoding. A probe that took the covered step must have
 // been given the whole batch and found every key processed; it hits
 // exactly the keys with rows, in row order, and leaves no hashes. It
 // returns whether the probe took the step.
@@ -174,11 +175,11 @@ func checkProbe(t testing.TB, v *View, want map[string]*oracleKey, pk *ProbeKeys
 		}
 		for i, id := range e.ids {
 			chunk, r := v.rows.at(id)
-			if out.Srcs[h.Lo+i] != chunk || out.Rows[h.Lo+i] != r || chunk.At(r, label).Str() != e.labels[i] {
-				t.Fatalf("key %x row %d: pair (%p, %d), oracle row %d labelled %q", ek, i, out.Srcs[h.Lo+i], out.Rows[h.Lo+i], id, e.labels[i])
+			if out.In[h.Lo+i] != k || out.Srcs[h.Lo+i] != chunk || out.Rows[h.Lo+i] != r || chunk.At(r, label).Str() != e.labels[i] {
+				t.Fatalf("key %x row %d: triple (%d, %p, %d), oracle (%d, row %d) labelled %q", ek, i, out.In[h.Lo+i], out.Srcs[h.Lo+i], out.Rows[h.Lo+i], k, id, e.labels[i])
 			}
 		}
-		if !out.Covered && pk.Hashes[k] != hashKey(ek) {
+		if !out.Covered && !v.rows.idOnly() && pk.Hashes[k] != hashKey(ek) {
 			t.Fatalf("key %x: hash %x, its encoding's %x", ek, pk.Hashes[k], hashKey(ek))
 		}
 	}
@@ -237,10 +238,10 @@ func probeOracleTrials(t *testing.T, trials int) {
 					sel = append(sel, k)
 				}
 			}
-			// A dirty prefix in all three lists proves the call appends.
-			out := &Probed{Hits: []ProbeHit{{Key: -1}}, Srcs: []*types.Batch{nil}, Rows: []int{-1}}
+			// A dirty prefix in all four lists proves the call appends.
+			out := &Probed{Hits: []ProbeHit{{Key: -1}}, In: []int{-1}, Srcs: []*types.Batch{nil}, Rows: []int{-1}}
 			checkProbe(t, v, want, pk, sel, out)
-			if out.Hits[0].Key != -1 || out.Srcs[0] != nil || out.Rows[0] != -1 {
+			if out.Hits[0].Key != -1 || out.In[0] != -1 || out.Srcs[0] != nil || out.Rows[0] != -1 {
 				t.Fatalf("trial %d %s: Probe overwrote the caller's results", trial, step)
 			}
 			lo := int64(rng.Intn(domain))

@@ -478,8 +478,12 @@ func (v *View) markLocked(kb *types.Batch) error {
 	settled := len(z.keys)
 	for _, at := range st.starts {
 		r := st.rows[at]
+		h := st.pk.Hashes[r]
+		if v.rows.idOnly() {
+			h = 0
+		}
 		v.rows.noteID(st.pk.id(r), settled)
-		z.add(st.pk.id(r), st.pk.Hashes[r], st.pk.Key(r))
+		z.add(st.pk.id(r), h, st.pk.Key(r))
 	}
 	z.settle()
 	return nil
@@ -683,7 +687,8 @@ func (v *View) Rows() int {
 	return v.rows.len()
 }
 
-// KeyHashes returns the KeyHash filed for each stored row, in row order.
+// KeyHashes returns the KeyHash filed for each stored row, in row order:
+// 0 throughout an id-only view, which files none.
 // lint:testonly tests check the filed hashes against the rows' keys
 func (v *View) KeyHashes() []uint64 {
 	v.mu.RLock()
@@ -691,8 +696,8 @@ func (v *View) KeyHashes() []uint64 {
 	out := make([]uint64, v.rows.len())
 	for _, keys := range v.rows.runs {
 		for _, k := range keys {
-			for r, n := int(k.at), v.rows.keyRows(int(k.at), len(out)); n > 0; r, n = r+1, n-1 {
-				out[r] = k.hash
+			for r := range k.n {
+				out[int(k.at+r)] = k.hash
 			}
 		}
 	}
@@ -708,12 +713,13 @@ func (v *View) ProcessedCount() int {
 }
 
 // Probed accumulates what the probes of one input batch found: a hit
-// per processed key, and the stored rows of all of them as (chunk, row)
-// pairs — Srcs[i] is a view chunk, Rows[i] a row of it — ready to be
-// gathered. The chunks are the ones the probe read under the view's
-// lock and stay as they were then whatever appends, salvage and
-// eviction do to the view afterwards. A prober keeps one and truncates
-// it from batch to batch.
+// per processed key, and the stored rows of all of them as gather
+// triples — In[i] is the probed batch's row, Srcs[i] a view chunk and
+// Rows[i] a row of it — ready to be gathered. One probe writes its
+// triples in ascending In order. The chunks are the ones the probe read
+// under the view's lock and stay as they were then whatever appends,
+// salvage and eviction do to the view afterwards. A prober keeps one and
+// truncates it from batch to batch.
 //
 // Covered reports that the last Probe took the covered step: the view
 // held every key it was given, and that probe's hits are the keys with
@@ -721,13 +727,14 @@ func (v *View) ProcessedCount() int {
 // no hashes in the ProbeKeys.
 type Probed struct {
 	Hits    []ProbeHit
+	In      []int
 	Srcs    []*types.Batch
 	Rows    []int
 	Covered bool
 }
 
 // ProbeHit is one processed key found by Probe: Key is its row in the
-// probed batch, and its rows are pairs Lo..Hi-1 of the Probed it was
+// probed batch, and its rows are triples Lo..Hi-1 of the Probed it was
 // added to (none for a key processed with no rows).
 type ProbeHit struct{ Key, Lo, Hi int }
 
@@ -735,8 +742,9 @@ type ProbeHit struct{ Key, Lo, Hi int }
 // up the key of every row of pk's batch that sel selects (ascending) —
 // an ordered merge of the batch's ids with the view's runs, which reads
 // no key bytes (viewRows.find) — and appends to out a ProbeHit per
-// processed key and the rows it has, leaving each found key's hash in
-// pk.Hashes. A batch that Reset refused is an error here too.
+// processed key and a triple per row it has, leaving each found key's
+// hash in pk.Hashes when the view is keyed on more than the id. A batch
+// that Reset refused is an error here too.
 //
 // Its first step is the covered one: when sel is the whole batch, its ids
 // are consecutive and distinct, and an id-only view holds every one of
@@ -761,12 +769,12 @@ func (v *View) Probe(pk *ProbeKeys, sel []int, out *Probed) error {
 	for _, h := range out.Hits[from:] {
 		rows += h.Hi - h.Lo
 	}
-	out.Srcs, out.Rows = slices.Grow(out.Srcs, rows), slices.Grow(out.Rows, rows)
+	out.In, out.Srcs, out.Rows = slices.Grow(out.In, rows), slices.Grow(out.Srcs, rows), slices.Grow(out.Rows, rows)
 	for i := from; i < len(out.Hits); i++ {
 		h := &out.Hits[i]
 		first, n := h.Lo, h.Hi-h.Lo
 		h.Lo = len(out.Rows)
-		v.rows.gatherTo(out, first, n)
+		v.rows.gatherTo(out, h.Key, first, n)
 		h.Hi = len(out.Rows)
 	}
 	return nil

@@ -113,8 +113,8 @@ func TestEngineConcurrentViewRegistry(t *testing.T) {
 // adds zero-row keys behind them, and a fourth goroutine rots a record
 // and has Verify salvage around it, compacts and evicts: every structure
 // the merge reads is rebuilt, folded, swapped or reset under it. Whatever -race schedules, each key a probe finds must come
-// with the rows of its id only, all of them, and — unless the covered
-// step served it — with the hashKey of its encoding.
+// with the rows of its id only, all of them, each triple naming the
+// probed row it serves.
 func TestOrderedProbeUnderMaintenance(t *testing.T) {
 	forceLayout(t, 3, hashKey)
 	dir := t.TempDir()
@@ -225,7 +225,7 @@ func TestOrderedProbeUnderMaintenance(t *testing.T) {
 				var pk ProbeKeys
 				for _, ids := range windows {
 					pk.Reset(idKeys(ids...).batch, []int{0})
-					out = Probed{Hits: out.Hits[:0], Srcs: out.Srcs[:0], Rows: out.Rows[:0]}
+					out = Probed{Hits: out.Hits[:0], In: out.In[:0], Srcs: out.Srcs[:0], Rows: out.Rows[:0]}
 					if err := v.Probe(&pk, allRows(len(ids)), &out); err != nil {
 						t.Error(err)
 						return
@@ -237,14 +237,10 @@ func TestOrderedProbeUnderMaintenance(t *testing.T) {
 							return
 						}
 						for i := h.Lo; i < h.Hi; i++ {
-							if got := out.Srcs[i].At(out.Rows[i], 0).Int(); got != id {
-								t.Errorf("id %d was served a row of id %d", id, got)
+							if got := out.Srcs[i].At(out.Rows[i], 0).Int(); got != id || out.In[i] != h.Key {
+								t.Errorf("id %d was served a row of id %d for probed row %d", id, got, out.In[i])
 								return
 							}
-						}
-						if want := hashKey(AppendKey(nil, []types.Datum{types.NewInt(id)})); !out.Covered && pk.Hashes[h.Key] != want {
-							t.Errorf("id %d: hash %x, want %x", id, pk.Hashes[h.Key], want)
-							return
 						}
 					}
 				}
