@@ -234,20 +234,17 @@ unsafe-confined:
 		! -path './internal/types/datum.go' | xargs grep -lE '^[[:space:]]*(import[[:space:]]+)?([A-Za-z_.]+[[:space:]]+)?"unsafe"[[:space:]]*$$'); \
 	if [ -n "$$found" ]; then echo "unsafe imported outside internal/types/datum.go:"; echo "$$found"; exit 1; fi
 
-# baselines regenerates the committed BENCH_*.json files that run
-# entirely on the virtual clock — chaos, evict, scrub: the same bytes on
-# any machine — through `vbench -exp NAME -json PATH` and fails unless
-# each is byte-identical to the committed one, printing the unified
-# diff from the committed file to the regenerated one when it is not. The other four (alloc,
-# server, ingest, parallel) carry wall-clock or allocation-count cells;
-# TestAllocBaselineCommitted gates BENCH_alloc.json.
+# baselines checks the committed BENCH_*.json files that run entirely
+# on the virtual clock — chaos, evict, scrub: the same bytes on any
+# machine. The root package's TestCommittedBaselines rebuilds each from
+# its matrix (workloads in testdata/baselines) and fails on the first
+# line that differs from the committed file; after an intended change,
+# `go test -run TestCommittedBaselines . -update` rewrites them. The
+# other four (alloc, server, ingest, parallel) carry wall-clock or
+# allocation-count cells and are written by `vbench -exp NAME -json
+# PATH`; TestAllocBaselineCommitted gates BENCH_alloc.json.
 baselines:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) build -o "$$tmp/vbench" ./cmd/vbench && \
-	for x in chaos evict scrub; do \
-		"$$tmp/vbench" -exp $$x -json "$$tmp/$$x.json" >/dev/null || exit 1; \
-		cmp "$$tmp/$$x.json" BENCH_$$x.json || { diff -U6 BENCH_$$x.json "$$tmp/$$x.json"; exit 1; }; \
-	done; echo "baselines: BENCH_chaos.json BENCH_evict.json BENCH_scrub.json regenerate byte-identical"
+	$(GO) test -run TestCommittedBaselines .
 
 # loc prints the "least code" needle (ROADMAP north star): Go lines
 # outside tests, bench/ and the lint fixtures, per package and in

@@ -1,13 +1,17 @@
 // Command vbench regenerates the paper's tables and figures over the
-// synthetic datasets, and the engine-extension benchmarks committed as
-// BENCH_*.json. By default it runs every experiment at full scale (the
-// paper's dataset sizes) and prints each result next to the paper's
-// headline numbers.
+// synthetic datasets, and the engine-extension benchmarks whose cells
+// are measured wall-clock time or allocation counts (BENCH_parallel.json,
+// BENCH_server.json, BENCH_ingest.json, BENCH_alloc.json). The baselines
+// that run on the virtual clock alone (BENCH_chaos.json,
+// BENCH_evict.json, BENCH_scrub.json) are regenerated by the root
+// package's TestCommittedBaselines instead. By default it runs every
+// experiment at full scale (the paper's dataset sizes) and prints each
+// result next to the paper's headline numbers.
 //
 // Usage:
 //
 //	vbench [-exp table2|table3|...|all] [-scale 0.1] [-list]
-//	vbench -exp chaos -json BENCH_chaos.json
+//	vbench -exp server -json BENCH_server.json
 package main
 
 import (
@@ -32,7 +36,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	exp := fs.String("exp", "all", "experiment id to run (or 'all')")
 	scale := fs.Float64("scale", 1.0, "dataset scale factor in (0, 1]; 1.0 = paper-sized")
 	list := fs.Bool("list", false, "list experiments and exit")
-	jsonPath := fs.String("json", "", "also write the selected experiment's data as indented JSON to this path (e.g. -exp chaos -json BENCH_chaos.json)")
+	jsonPath := fs.String("json", "", "also write the selected experiment's data as indented JSON to this path (e.g. -exp server -json BENCH_server.json)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -59,6 +63,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		exps = []vbench.Experiment{e}
 	}
 	// Refused before anything runs: a paper-sized table takes minutes.
+	if !(*scale > 0 && *scale <= 1) {
+		return fail(fmt.Errorf("vbench: -scale %v is outside (0, 1]", *scale))
+	}
 	if *jsonPath != "" && len(exps) != 1 {
 		return fail(fmt.Errorf("vbench: -json writes one experiment's data; -exp %s selects %d", *exp, len(exps)))
 	}

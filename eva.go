@@ -98,7 +98,8 @@ type Config struct {
 	// Dir is the storage directory; empty means a fresh temporary
 	// directory removed on Close.
 	Dir string
-	// Mode selects the reuse strategy; default ModeEVA.
+	// Mode selects the reuse strategy; default ModeEVA. Open refuses any
+	// other value than the four modes.
 	Mode SystemMode
 	// BatchSize overrides the scan batch size (frames).
 	BatchSize int
@@ -305,8 +306,12 @@ func Open(cfg Config) (*System, error) {
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("eva: Workers %d is negative (0 uses every core, 1 runs serially)", cfg.Workers)
 	}
-	if cfg.Mode == "" {
+	switch cfg.Mode {
+	case "":
 		cfg.Mode = ModeEVA
+	case ModeEVA, ModeNoReuse, ModeHashStash, ModeFunCache:
+	default:
+		return nil, fmt.Errorf("eva: unknown Mode %q (want %s, %s, %s or %s)", cfg.Mode, ModeEVA, ModeNoReuse, ModeHashStash, ModeFunCache)
 	}
 	dir := cfg.Dir
 	temp := ""
@@ -405,8 +410,6 @@ func (s *System) optimizerMode() optimizer.Mode {
 		m = optimizer.Mode{Reuse: true, ReuseScalarUDFs: false, Ranking: optimizer.RankCanonical, Logical: optimizer.LogicalMinCost}
 	case ModeFunCache, ModeNoReuse:
 		m = optimizer.NoReuseMode()
-	default:
-		m = optimizer.EVAMode()
 	}
 	m.DisableReduction = s.cfg.DisableReduction
 	m.FuzzyBBox = s.cfg.FuzzyReuse

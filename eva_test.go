@@ -19,6 +19,19 @@ func TestOpenRejectsNegativeWorkers(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsUnknownMode: a misspelt mode is a configuration error,
+// not a silent run in EVA mode.
+func TestOpenRejectsUnknownMode(t *testing.T) {
+	sys, err := Open(Config{Mode: "funcahce"})
+	if err == nil {
+		sys.Close()
+		t.Fatal("Open accepted Mode funcahce")
+	}
+	if !strings.Contains(err.Error(), `unknown Mode "funcahce"`) {
+		t.Errorf("error %q does not name the mode", err)
+	}
+}
+
 func TestOpenDefaultsAndTempDir(t *testing.T) {
 	sys, err := Open(Config{})
 	if err != nil {

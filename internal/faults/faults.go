@@ -213,6 +213,7 @@ type Injector struct {
 
 // New returns an injector whose probabilistic decisions derive only
 // from seed and the identities of the calls made against it.
+// lint:testonly only the fault matrices and unit tests build injectors
 func New(seed uint64) *Injector {
 	return &Injector{seed: seed}
 }
@@ -220,6 +221,7 @@ func New(seed uint64) *Injector {
 // Regimes names the canned schedules NewRegime builds, one per way an
 // injected fault can end: absorbed by retry, degraded around, crashed
 // through, or timed out.
+// lint:testonly the chaos matrices and committed baselines cycle it
 var Regimes = []string{"transient", "permanent", "crash", "deadline"}
 
 // NewRegime returns New(seed) carrying the rules of one of Regimes:
@@ -232,6 +234,7 @@ var Regimes = []string{"transient", "permanent", "crash", "deadline"}
 //
 // A name outside Regimes panics: a typo must not become a schedule that
 // injects nothing.
+// lint:testonly the chaos matrices and committed baselines build their schedules
 func NewRegime(regime string, seed uint64) *Injector {
 	inj := New(seed)
 	switch regime {
@@ -252,6 +255,7 @@ func NewRegime(regime string, seed uint64) *Injector {
 
 // Rule attaches a rule to a site. A site ending in "*" matches every
 // site that starts with the prefix before the star.
+// lint:testonly only the fault matrices and unit tests build injectors
 func (i *Injector) Rule(site string, r Rule) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
@@ -445,6 +449,7 @@ func (i *Injector) decideLocked(site string, id, occurrence uint64, attempt, at 
 // Events returns a copy of the injection log in firing order. Firing
 // order is racy for sites checked concurrently; use EventsSorted when
 // comparing schedules across runs.
+// lint:testonly tests read the injection log
 func (i *Injector) Events() []Event {
 	if i == nil {
 		return nil
@@ -458,6 +463,7 @@ func (i *Injector) Events() []Event {
 // by site, identity, call and kind — which is identical across runs of
 // the same (seed, workload) at any concurrency, even though arrival
 // order is not. Differential harnesses compare this form.
+// lint:testonly the fault matrices digest the injection log
 func (i *Injector) EventsSorted() []Event {
 	evs := i.Events()
 	sort.Slice(evs, func(a, b int) bool {
@@ -476,6 +482,7 @@ func (i *Injector) EventsSorted() []Event {
 }
 
 // Injected returns the total number of injections so far.
+// lint:testonly the fault matrices count injections
 func (i *Injector) Injected() int {
 	if i == nil {
 		return 0

@@ -71,12 +71,9 @@ func Experiments() []Experiment {
 		{ID: "filters", Title: "§5.6 — Complementing Specialized Filters", Paper: "EVA+Filter ≈1.3× over EVA on JACKSON", Run: ExpFilters},
 		{ID: "storage", Title: "§5.2 — Storage Footprint", Paper: "≤0.09% extra storage (1.001× total)", Run: ExpStorage},
 		{ID: "parallel", Title: "Parallel executor — wall-clock speedup (scan+UDF)", Paper: "engine extension (DESIGN.md §10): wall-clock speedup at identical simulated time", Baseline: "BENCH_parallel.json", Run: ExpParallel},
-		{ID: "chaos", Title: "Chaos differential — fault determinism across worker counts", Paper: "engine extension (DESIGN.md §9–10): fault-injected runs byte-identical at every worker count", Baseline: "BENCH_chaos.json", Run: ExpChaos},
 		{ID: "server", Title: "Serving layer — open-loop multi-session load", Paper: "engine extension (DESIGN.md §11): admitted/shed counts, virtual queue-wait percentiles, throughput", Baseline: "BENCH_server.json", Run: ExpServer},
 		{ID: "ingest", Title: "Streaming ingestion — throughput, checkpoint lag, recovery", Paper: "engine extension (DESIGN.md §12): frames/s, checkpoint lag percentiles, reopen time vs log length", Baseline: "BENCH_ingest.json", Run: ExpIngest},
 		{ID: "alloc", Title: "Pooled batches — warm hot-path allocations per row", Paper: "engine extension (DESIGN.md §13): marginal allocs/row ~0 on the warm view-served path, pooled/unpooled digests identical", Baseline: "BENCH_alloc.json", Run: ExpAlloc},
-		{ID: "scrub", Title: "Self-healing views — salvage, symbolic repair, compaction", Paper: "engine extension (DESIGN.md §15): rows salvaged vs recomputed per corruption site, repair simtime percentiles, compaction amplification", Baseline: "BENCH_scrub.json", Run: ExpScrub},
-		{ID: "evict", Title: "Disk-pressure survival — storage budgets and benefit-ranked eviction", Paper: "engine extension (DESIGN.md §16): bytes reclaimed per ladder tier, evict-then-recompute simtime, queries survived per budget level", Baseline: "BENCH_evict.json", Run: ExpEvict},
 	}
 }
 

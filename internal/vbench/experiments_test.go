@@ -1,8 +1,6 @@
 package vbench
 
 import (
-	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,12 +17,12 @@ func text(rep Report, err error) (string, error) { return rep.Text, err }
 
 func TestExperimentRegistry(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != 21 {
-		t.Fatalf("experiments = %d, want 21 (every table and figure, plus the parallel, chaos, server, ingest, alloc, scrub and evict extensions)", len(exps))
+	if len(exps) != 18 {
+		t.Fatalf("experiments = %d, want 18 (every table and figure, plus the parallel, server, ingest and alloc extensions)", len(exps))
 	}
 	// The experiments whose Report carries Data: each names the committed
 	// file that Data regenerates, and no other experiment names one.
-	withData := map[string]bool{"parallel": true, "chaos": true, "server": true, "ingest": true, "alloc": true, "scrub": true, "evict": true}
+	withData := map[string]bool{"parallel": true, "server": true, "ingest": true, "alloc": true}
 	seen := map[string]bool{}
 	for _, e := range exps {
 		if e.ID == "" || e.Title == "" || e.Paper == "" || e.Run == nil {
@@ -57,11 +55,13 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 }
 
-// TestReportDataMatchesBaseline runs the experiments that are cheap and
-// deterministic on any machine: Data is present exactly where the
-// registry names a baseline, and encodes to the committed bytes.
+// TestReportDataMatchesBaseline runs the experiments that are cheap on
+// any machine: Data is present exactly where the registry names a
+// baseline. (The data experiments' cells are measured wall time, so no
+// run reproduces the committed bytes; TestRunWritesJSON checks the
+// file's encoding.)
 func TestReportDataMatchesBaseline(t *testing.T) {
-	for _, id := range []string{"table5", "chaos", "scrub", "evict"} {
+	for _, id := range []string{"table5", "server"} {
 		e, err := ExperimentByID(id)
 		if err != nil {
 			t.Fatal(err)
@@ -76,45 +76,7 @@ func TestReportDataMatchesBaseline(t *testing.T) {
 		if (rep.Data != nil) != (e.Baseline != "") {
 			t.Fatalf("%s: Data = %v with Baseline %q", id, rep.Data, e.Baseline)
 		}
-		if rep.Data == nil {
-			continue
-		}
-		got, err := json.MarshalIndent(rep.Data, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := os.ReadFile(filepath.Join("..", "..", e.Baseline))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got)+"\n" != string(want) {
-			t.Errorf("%s: regenerated data differs from the committed %s\n%s", id, e.Baseline,
-				differingLines(string(want), string(got)+"\n", 6))
-		}
 	}
-}
-
-// differingLines renders the first max lines on which committed and
-// regenerated differ, each with its line number and both versions.
-func differingLines(committed, regenerated string, max int) string {
-	c, r := strings.Split(committed, "\n"), strings.Split(regenerated, "\n")
-	var sb strings.Builder
-	for i := 0; i < len(c) || i < len(r); i++ {
-		var cl, rl string
-		if i < len(c) {
-			cl = c[i]
-		}
-		if i < len(r) {
-			rl = r[i]
-		}
-		if i >= len(c) || i >= len(r) || cl != rl {
-			fmt.Fprintf(&sb, "line %d:\n  committed   %s\n  regenerated %s\n", i+1, cl, rl)
-			if max--; max == 0 {
-				break
-			}
-		}
-	}
-	return sb.String()
 }
 
 func TestExpTable2SmallScale(t *testing.T) {

@@ -392,14 +392,7 @@ func runUntroubled(t *testing.T, src string) untroubled {
 	b := untroubled{src: src, cold: answersOf(t, sys, src), warm: answersOf(t, sys, src)}
 	b.views = viewContentDigest(sys)
 	closeOK(t, sys)
-	for _, p := range viewLogs(t, dir) {
-		fi, err := os.Stat(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.viewBytes += fi.Size()
-		b.largestViewBytes = max(b.largestViewBytes, fi.Size())
-	}
+	b.viewBytes, b.largestViewBytes = viewLogBytes(t, dir)
 	b.reopened = answersOf(t, openAt(t, Config{Dir: dir, Workers: 1}), src)
 	return b
 }
@@ -423,4 +416,19 @@ func viewLogs(t *testing.T, dir string) []string {
 		t.Fatalf("no view logs under %s: %v", dir, err)
 	}
 	return paths
+}
+
+// viewLogBytes is the bytes of the view logs under dir: in all, and the
+// largest log's.
+func viewLogBytes(t *testing.T, dir string) (total, largest int64) {
+	t.Helper()
+	for _, p := range viewLogs(t, dir) {
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += fi.Size()
+		largest = max(largest, fi.Size())
+	}
+	return total, largest
 }
