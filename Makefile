@@ -49,10 +49,14 @@ faults-stress:
 # aggregated predicates". The generated sessions (eleven seeded
 # exploratory sessions of 8 queries, one of 30) must be worker-invariant, answer the same
 # in EVA, FunCache and no-reuse mode and in reverse order, and match
-# through a lone Session. Every root matrix shares one harness,
-# matrix_test.go (DESIGN.md "Invariance matrices").
+# through a lone Session. A NoREC oracle checks where selections are
+# placed: each generated query without aggregate or LIMIT, its id
+# window written in every comparison shape, keeps as many rows as the
+# unfiltered form has rows on which its predicate is TRUE. Every root
+# matrix shares one harness, matrix_test.go (DESIGN.md "Invariance
+# matrices").
 differential:
-	$(GO) test -race -run 'TestDifferentialMatrix|TestPoolingDifferential|TestReopenDifferential|TestGeneratedSessions' .
+	$(GO) test -race -run 'TestDifferentialMatrix|TestPoolingDifferential|TestReopenDifferential|TestGeneratedSessions|TestSelectionPlacementNoREC' .
 
 # chaos runs the fault-injected differential matrix under the race
 # detector: every testdata script × 24 seeded fault schedules (four

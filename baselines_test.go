@@ -118,7 +118,7 @@ func chaosBaseline(t *testing.T, src string) any {
 			run := func(t *testing.T, cfg Config) string {
 				sys := openLoaded(t, cfg)
 				inj := sched.injector()
-				sys.InjectFaults(inj)
+				sys.injectFaults(inj)
 				out, failed := runStatements(t, sys, src, everything)
 				if cfg.Workers == 1 {
 					c.Injected, c.FailedQueries, c.SimNs = inj.Injected(), failed, int64(sys.SimulatedTime())

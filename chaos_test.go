@@ -86,7 +86,7 @@ func TestFunCacheFaultSmoke(t *testing.T) {
 		s := seeded(seed)
 		t.Run(s.regime, func(t *testing.T) {
 			sys := openAt(t, Config{Mode: ModeFunCache, Workers: 8})
-			sys.InjectFaults(s.injector())
+			sys.injectFaults(s.injector())
 			out, _ := runStatements(t, sys, src, answers)
 			for _, line := range strings.Split(out, "\n") {
 				msg, failed := strings.CutPrefix(line, "error: ")

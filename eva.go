@@ -581,11 +581,11 @@ func (s *System) RegisterScalarImpl(name string, fn ScalarFunc) {
 	s.rt().RegisterImpl(name, fn)
 }
 
-// InjectFaults installs a deterministic fault injector across the
+// injectFaults installs a deterministic fault injector across the
 // engine's fault sites — UDF evaluation, view-log writes, and the
-// executor's deadline checks (nil disables injection). Resilience
-// sweeps and in-module tools use it; see internal/faults.
-func (s *System) InjectFaults(inj *faults.Injector) { s.eng.SetFaults(inj) }
+// executor's deadline checks (nil disables injection). The resilience
+// tests use it; see internal/faults.
+func (s *System) injectFaults(inj *faults.Injector) { s.eng.SetFaults(inj) }
 
 // EvalScalarUDF evaluates a scalar UDF directly (outside any query),
 // charging its profiled cost. Custom UDF implementations may use it to

@@ -78,7 +78,7 @@ func TestFaultSweep(t *testing.T) {
 				dir := t.TempDir()
 				sys := openLoaded(t, Config{Dir: dir, Workers: workers})
 				inj := s.injector()
-				sys.InjectFaults(inj)
+				sys.injectFaults(inj)
 
 				rows, errs := runSweepWorkload(t, sys)
 

@@ -62,6 +62,29 @@ func TestLoadAndSelect(t *testing.T) {
 	}
 }
 
+// TestOpenIDBoundAtZero: an open lower bound at 0 starts the scan at
+// frame 1, as every other open integral bound starts past its constant,
+// so id > 0 reads and charges exactly what id >= 1 does.
+func TestOpenIDBoundAtZero(t *testing.T) {
+	run := func(where string) *Result {
+		res, err := openLoaded(t, Config{}).Exec("SELECT id FROM video WHERE " + where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	open, closed := run("id > 0 AND id < 10"), run("id >= 1 AND id < 10")
+	if open.Report.ScanLo != 1 || open.Report.ScanHi != 10 {
+		t.Errorf("id > 0 AND id < 10 scans [%d, %d), want [1, 10)", open.Report.ScanLo, open.Report.ScanHi)
+	}
+	if open.Rows.Len() != 9 || closed.Rows.Len() != 9 {
+		t.Errorf("rows = %d and %d, want 9", open.Rows.Len(), closed.Rows.Len())
+	}
+	if open.SimTime != closed.SimTime {
+		t.Errorf("id > 0 charges %v, id >= 1 charges %v", open.SimTime, closed.SimTime)
+	}
+}
+
 func TestExecScriptAndLoadStatement(t *testing.T) {
 	sys, err := Open(Config{Dir: t.TempDir()})
 	if err != nil {

@@ -69,7 +69,7 @@ func TestEvictChaosMatrix(t *testing.T) {
 						if sched.rule != nil {
 							inj = faults.New(0xD15C)
 							inj.Rule(faults.SiteDiskFullAny, *sched.rule)
-							sys.InjectFaults(inj)
+							sys.injectFaults(inj)
 						}
 						same(t, "cold answers under disk pressure", b.cold, answersOf(t, sys, sc.src))
 						same(t, "warm answers under disk pressure", b.warm, answersOf(t, sys, sc.src))

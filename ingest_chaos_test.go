@@ -239,7 +239,7 @@ func killResume(sc standingScript, seed int, baseline string) func(*testing.T, C
 		sys, stream := openScriptStream(t, sc, dir, cfg.Workers)
 		inj := faults.New(uint64(seed))
 		inj.Rule(killRule(sc, seed))
-		stream.InjectFaults(inj)
+		stream.injectFaults(inj)
 		if err := ingestAll(stream, sc); err != nil && !faults.IsCrash(err) {
 			t.Fatalf("killed phase: unexpected error: %v", err)
 		}

@@ -41,16 +41,12 @@ func (p viewPredicates) Survived(sig udf.Signature) symbolic.DNF {
 	if v == nil || len(kc) != 1 || kc[0] != "id" {
 		return symbolic.False()
 	}
-	ranges := v.SurvivedIDRanges()
-	if len(ranges) == 0 {
-		return symbolic.False()
+	survived := v.SurvivedIDRanges()
+	ranges := make([]symbolic.IDRange, len(survived))
+	for i, r := range survived {
+		ranges[i] = symbolic.IDRange(r)
 	}
-	ivs := make([]symbolic.Interval, 0, len(ranges))
-	for _, r := range ranges {
-		ivs = append(ivs, symbolic.Interval{Lo: float64(r.Lo), Hi: float64(r.Hi)})
-	}
-	return symbolic.FromConjuncts(symbolic.NewConjunct().
-		WithConstraint("id", symbolic.NumConstraint(symbolic.NewIntervalSet(ivs...))))
+	return symbolic.FromIDRanges(ranges)
 }
 
 func (p viewPredicates) Append(sig udf.Signature, pred []byte, inj *faults.Injector) error {

@@ -344,12 +344,19 @@ func unenforced(where expr.Expr, sch types.Schema, lo, hi int64) expr.Expr {
 	if where == nil || lo >= hi || sch.KindOf("id") != types.KindInt {
 		return where
 	}
-	return withoutBounds(where, &idRow{lo: lo, hi: hi - 1})
+	ends := types.NewBatch(idSchema)
+	if ends.AppendRow(types.NewInt(lo)) != nil || ends.AppendRow(types.NewInt(hi-1)) != nil {
+		return where
+	}
+	return withoutBounds(where, ends)
 }
+
+// idSchema is the schema of a scan range's two ends.
+var idSchema = types.Schema{{Name: "id", Kind: types.KindInt}}
 
 // withoutBounds is unenforced over the conjuncts of e, which it rebuilds
 // only where it drops one.
-func withoutBounds(e expr.Expr, ends *idRow) expr.Expr {
+func withoutBounds(e expr.Expr, ends *types.Batch) expr.Expr {
 	if l, ok := e.(*expr.Logic); ok && l.Op == expr.OpAnd {
 		left, right := withoutBounds(l.L, ends), withoutBounds(l.R, ends)
 		switch {
@@ -362,8 +369,11 @@ func withoutBounds(e expr.Expr, ends *idRow) expr.Expr {
 		}
 		return expr.NewAnd(left, right)
 	}
-	if isIDBound(e) && ends.holds(e) {
-		return nil
+	if isIDBound(e) {
+		// A bound calls nothing, so its program needs no Caller.
+		if kept, err := expr.Bind(e, idSchema, nil).Filter(ends, nil); err == nil && len(kept) == ends.Len() {
+			return nil
+		}
 	}
 	return e
 }
@@ -382,34 +392,6 @@ func isIDBound(e expr.Expr) bool {
 		_, isConst = c.L.(*expr.Const)
 	}
 	return ok && isConst && strings.EqualFold(col.Name, "id")
-}
-
-// idRow is the two ends of a scan's id range, as rows that hold only the
-// id, for the row evaluator.
-type idRow struct {
-	lo, hi int64
-	at     int64 // the end being evaluated
-}
-
-// holds reports whether e holds on both ends.
-func (r *idRow) holds(e expr.Expr) bool {
-	for _, x := range [2]int64{r.lo, r.hi} {
-		r.at = x
-		if ok, err := expr.EvalBool(e, r); err != nil || !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// Resolve implements expr.Resolver.
-func (r *idRow) Resolve(name string) (types.Datum, bool) {
-	return types.NewInt(r.at), strings.EqualFold(name, "id")
-}
-
-// CallFn implements expr.Resolver; an id bound calls nothing.
-func (r *idRow) CallFn(fn string, _ []types.Datum) (types.Datum, error) {
-	return types.Null, fmt.Errorf("exec: %s called in an id bound", fn)
 }
 
 // next produces the next scan batch with the rows Where keeps. The

@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // FindModuleRoot walks upward from dir until it finds a go.mod.
@@ -50,19 +51,17 @@ func Load(root string, patterns []string) (*Universe, []*Package, error) {
 		return nil, nil, err
 	}
 	l := &loader{
-		fset:    token.NewFileSet(),
 		root:    root,
 		modPath: modPath,
 		pkgs:    map[string]*Package{},
 		loading: map[string]bool{},
 	}
-	l.std = importer.ForCompiler(l.fset, "source", nil)
 
 	targets, err := l.resolve(patterns)
 	if err != nil {
 		return nil, nil, err
 	}
-	u := &Universe{Fset: l.fset, ModulePath: modPath, loader: l}
+	u := &Universe{Fset: fset, ModulePath: modPath, loader: l}
 	for _, p := range l.pkgs {
 		u.Packages = append(u.Packages, p)
 	}
@@ -205,11 +204,20 @@ func buildTagSatisfied(f *ast.File) bool {
 	return true
 }
 
+// fset positions every file a Load parses, in this process, and the
+// standard library's: std, the source importer, type-checks a standard
+// package from source the first time any Load imports it and keeps it,
+// so a later Load in the same process (a test suite makes dozens)
+// checks only the module's own packages.
+var (
+	fset  = token.NewFileSet()
+	stdMu sync.Mutex
+	std   = importer.ForCompiler(fset, "source", nil) // guarded by stdMu
+)
+
 type loader struct {
-	fset    *token.FileSet
 	root    string
 	modPath string
-	std     types.Importer
 	pkgs    map[string]*Package
 	loading map[string]bool
 }
@@ -262,7 +270,7 @@ func (l *loader) load(path string) (*Package, error) {
 	}
 	var files []*ast.File
 	for _, n := range names {
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, n), nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, filepath.Join(dir, n), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("lint: %w", err)
 		}
@@ -283,7 +291,7 @@ func (l *loader) load(path string) (*Package, error) {
 		Implicits:  map[ast.Node]types.Object{},
 	}
 	conf := types.Config{Importer: importerFunc(l.importPkg)}
-	tpkg, err := conf.Check(path, l.fset, files, info)
+	tpkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("lint: typecheck %s: %w", path, err)
 	}
@@ -305,7 +313,9 @@ func (l *loader) importPkg(path string) (*types.Package, error) {
 		}
 		return p.Types, nil
 	}
-	return l.std.Import(path)
+	stdMu.Lock()
+	defer stdMu.Unlock()
+	return std.Import(path)
 }
 
 type importerFunc func(string) (*types.Package, error)

@@ -162,8 +162,9 @@ type scalarCall struct {
 	call     *expr.Call
 	def      *catalog.UDF
 	sig      udf.Signature
-	ownPreds []expr.Expr // conjuncts referencing this call
-	pre      bool        // can run before the detector
+	ownPreds []expr.Expr  // conjuncts referencing this call
+	own      symbolic.DNF // ownPreds as a predicate, built once
+	ownErr   error        // ownPreds are outside the algebra; own is TRUE
 	sel      float64
 	relDiff  float64
 	rank     float64
@@ -219,25 +220,24 @@ func (o *Optimizer) optimize(stmt *parser.SelectStmt, mode Mode, claims *udf.Cla
 	callPreds := map[string][]expr.Expr{} // canonical call -> conjuncts
 	callByKey := map[string]*expr.Call{}
 
-	classify := func(c expr.Expr) error {
-		calls := expr.CollectCalls(c)
+	for _, c := range conjuncts {
 		var expensive []*expr.Call
-		for _, call := range calls {
-			u, err := o.Cat.UDF(call.Fn)
+		for _, call := range expr.CollectCalls(c) {
+			ok, err := o.expensive(call)
 			if err != nil {
-				return fmt.Errorf("optimizer: %w", err)
+				return nil, err
 			}
-			if u.Expensive && u.Kind == catalog.KindScalarUDF {
+			if ok {
 				expensive = append(expensive, call)
 			}
 		}
+		for _, call := range expensive {
+			key := call.String()
+			callPreds[key] = append(callPreds[key], c)
+			callByKey[key] = call
+		}
 		if len(expensive) > 0 {
-			for _, call := range expensive {
-				key := call.String()
-				callPreds[key] = append(callPreds[key], c)
-				callByKey[key] = call
-			}
-			return nil
+			continue
 		}
 		// Column-only (or cheap-call) conjunct: before or after detector?
 		usesDet := false
@@ -251,12 +251,6 @@ func (o *Optimizer) optimize(stmt *parser.SelectStmt, mode Mode, claims *udf.Cla
 		} else {
 			scanPreds = append(scanPreds, c)
 		}
-		return nil
-	}
-	for _, c := range conjuncts {
-		if err := classify(c); err != nil {
-			return nil, err
-		}
 	}
 
 	// Expensive calls in the projection (no own predicate) must also be
@@ -266,19 +260,12 @@ func (o *Optimizer) optimize(stmt *parser.SelectStmt, mode Mode, claims *udf.Cla
 			continue
 		}
 		for _, call := range expr.CollectCalls(item.Expr) {
-			u, err := o.Cat.UDF(call.Fn)
-			if err != nil {
-				if isAggregate(call.Fn) {
-					continue
-				}
-				return nil, fmt.Errorf("optimizer: %w", err)
+			ok, err := o.expensive(call)
+			if err != nil && !isAggregate(call.Fn) {
+				return nil, err
 			}
-			if u.Expensive && u.Kind == catalog.KindScalarUDF {
-				key := call.String()
-				if _, seen := callByKey[key]; !seen {
-					callByKey[key] = call
-					callPreds[key] = nil
-				}
+			if key := call.String(); ok && callByKey[key] == nil {
+				callByKey[key] = call
 			}
 		}
 	}
@@ -289,13 +276,14 @@ func (o *Optimizer) optimize(stmt *parser.SelectStmt, mode Mode, claims *udf.Cla
 		return nil, fmt.Errorf("optimizer: scan predicate: %w", err)
 	}
 	scanDNF = mode.reduce(scanDNF)
-	lo, hi := idRange(scanDNF, table.RowCount())
+	lo, hi := scanDNF.IDHull(table.RowCount())
 	report.ScanLo, report.ScanHi = lo, hi
 
 	var node plan.Node = &plan.Scan{Table: table.Name, Sch: table.Schema, Lo: lo, Hi: hi,
 		Where: expr.CombineConjuncts(scanPreds)}
 
-	// --- Build scalar call descriptors. ---
+	// --- Build scalar call descriptors, split into the groups that run
+	// before and after the detector. ---
 	// Iterate in sorted key order: callByKey is a map, and letting its
 	// iteration order pick the Apply stacking order makes plans (and
 	// simulated time) nondeterministic run to run.
@@ -304,7 +292,7 @@ func (o *Optimizer) optimize(stmt *parser.SelectStmt, mode Mode, claims *udf.Cla
 		callKeys = append(callKeys, key)
 	}
 	sort.Strings(callKeys)
-	var calls []*scalarCall
+	var preCalls, postCalls []*scalarCall
 	for _, key := range callKeys {
 		call := callByKey[key]
 		def, err := o.Cat.UDF(call.Fn)
@@ -316,28 +304,27 @@ func (o *Optimizer) optimize(stmt *parser.SelectStmt, mode Mode, claims *udf.Cla
 			return nil, err
 		}
 		sc := &scalarCall{call: call, def: def, ownPreds: callPreds[key], sig: udf.NewSignature(table.Name, def.Name, call.Args)}
-		sc.pre = true
+		// An own predicate the algebra cannot analyze ranks as
+		// non-selective; its chain fails when it reaches the call.
+		if sc.own, sc.ownErr = symbolic.FromExpr(expr.CombineConjuncts(sc.ownPreds)); sc.ownErr != nil {
+			sc.own = symbolic.True()
+		}
+		pre := true
 		for _, arg := range call.Args {
 			for _, col := range expr.CollectColumns(arg) {
 				if !table.Schema.Has(col) {
-					sc.pre = false
+					pre = false
 				}
 			}
 		}
 		for _, c := range sc.ownPreds {
 			for _, col := range expr.CollectColumns(c) {
 				if !table.Schema.Has(col) && detSchema.Has(col) {
-					sc.pre = false
+					pre = false
 				}
 			}
 		}
-		calls = append(calls, sc)
-	}
-
-	// --- Split into pre-detector and post-detector groups. ---
-	var preCalls, postCalls []*scalarCall
-	for _, sc := range calls {
-		if sc.pre {
+		if pre {
 			preCalls = append(preCalls, sc)
 		} else {
 			postCalls = append(postCalls, sc)
@@ -367,42 +354,46 @@ func (o *Optimizer) optimize(stmt *parser.SelectStmt, mode Mode, claims *udf.Cla
 		}
 	}
 	computed := map[string]string{}
-	// emitSelections appends to the apply's Where every pending
-	// conjunct it made computable, so the apply drops the rows they
-	// reject before it copies them (late materialization).
-	emitSelections := func(a *plan.ReuseApply) {
-		var remaining []expr.Expr
-		for _, c := range pending {
-			rw := rewriteComputed(c, computed)
-			if o.hasExpensiveScalarCall(rw) {
-				remaining = append(remaining, c)
-				continue
+	// chain stacks the Fig. 3 Apply chain of calls on node in rank
+	// order, each gated by the predicate of everything evaluated before
+	// it, and returns the calls' names in that order and the gate past
+	// the last. Each apply's Where takes every pending conjunct it made
+	// computable, so the apply drops the rows they reject before it
+	// copies them (late materialization).
+	chain := func(calls []*scalarCall, gate symbolic.DNF) ([]string, symbolic.DNF, error) {
+		o.rankCalls(calls, gate, stats, mode)
+		var names []string
+		for _, sc := range calls {
+			a := o.applyScalar(node, sc, gate, mode, claims, &report)
+			computed[sc.call.String()] = sc.def.OutputColumn()
+			var remaining []expr.Expr
+			for _, c := range pending {
+				if rw := rewriteComputed(c, computed); o.computable(rw) {
+					a.Where = append(a.Where, rw)
+				} else {
+					remaining = append(remaining, c)
+				}
 			}
-			a.Where = append(a.Where, rw)
+			pending = remaining
+			node = a
+			if sc.ownErr != nil {
+				return nil, gate, fmt.Errorf("optimizer: %s predicate: %w", sc.def.Name, sc.ownErr)
+			}
+			gate = mode.reduce(gate.And(sc.own))
+			names = append(names, sc.def.Name)
 		}
-		pending = remaining
+		return names, gate, nil
 	}
 
 	// --- Pre-detector scalar UDFs (specialized filters, §5.6). ---
-	preGate := scanDNF
-	o.rankCalls(preCalls, preGate, stats, mode)
-	for _, sc := range preCalls {
-		a := o.applyScalar(node, sc, preGate, mode, claims, &report)
-		computed[sc.call.String()] = sc.def.OutputColumn()
-		emitSelections(a)
-		node = a
-		ownDNF, err := symbolic.FromExpr(expr.CombineConjuncts(sc.ownPreds))
-		if err != nil {
-			return nil, fmt.Errorf("optimizer: %s predicate: %w", sc.def.Name, err)
-		}
-		preGate = mode.reduce(preGate.And(ownDNF))
-		report.PreOrder = append(report.PreOrder, sc.def.Name)
+	var gate symbolic.DNF
+	if report.PreOrder, gate, err = chain(preCalls, scanDNF); err != nil {
+		return nil, err
 	}
 
 	// --- Detector (table UDF / CROSS APPLY). ---
-	detGate := preGate
 	if stmt.Apply != nil {
-		a, err := o.applyDetector(node, stmt.Apply, detGate, mode, stats, table, claims, &report)
+		a, err := o.applyDetector(node, stmt.Apply, gate, mode, stats, table, claims, &report)
 		if err != nil {
 			return nil, err
 		}
@@ -414,32 +405,21 @@ func (o *Optimizer) optimize(stmt *parser.SelectStmt, mode Mode, claims *udf.Cla
 		if err != nil {
 			return nil, fmt.Errorf("optimizer: detector predicate: %w", err)
 		}
-		detGate = mode.reduce(detGate.And(detDNF))
+		gate = mode.reduce(gate.And(detDNF))
 	} else if len(detPreds) > 0 {
 		return nil, fmt.Errorf("optimizer: predicate references detector columns but the query has no CROSS APPLY")
 	}
 
-	// --- Post-detector scalar UDFs: the Fig. 3 Apply chain in rank order. ---
-	o.rankCalls(postCalls, detGate, stats, mode)
-	gate := detGate
-	for _, sc := range postCalls {
-		a := o.applyScalar(node, sc, gate, mode, claims, &report)
-		computed[sc.call.String()] = sc.def.OutputColumn()
-		emitSelections(a)
-		node = a
-		ownDNF, err := symbolic.FromExpr(expr.CombineConjuncts(sc.ownPreds))
-		if err != nil {
-			return nil, fmt.Errorf("optimizer: %s predicate: %w", sc.def.Name, err)
-		}
-		gate = mode.reduce(gate.And(ownDNF))
-		report.Order = append(report.Order, sc.def.Name)
+	// --- Post-detector scalar UDFs in rank order. ---
+	if report.Order, _, err = chain(postCalls, gate); err != nil {
+		return nil, err
 	}
 	if len(pending) > 0 {
 		return nil, fmt.Errorf("optimizer: %d UDF predicates left unscheduled", len(pending))
 	}
 
 	// --- Projection / aggregation / ordering / limit. ---
-	node, err = o.buildOutput(node, stmt, calls)
+	node, err = o.buildOutput(node, stmt, computed)
 	if err != nil {
 		return nil, err
 	}
@@ -494,60 +474,4 @@ func isAggregate(fn string) bool {
 		return true
 	}
 	return false
-}
-
-// idRange extracts the hull of the id constraint for scan pushdown.
-func idRange(d symbolic.DNF, frames int64) (int64, int64) {
-	lo, hi := int64(0), frames
-	if d.IsFalse() {
-		return 0, 0
-	}
-	found := false
-	curLo, curHi := float64(frames), float64(0)
-	loOpen, hiOpen := false, false
-	for _, c := range d.Conjuncts() {
-		con, ok := c.Constraint("id")
-		if !ok || !con.Numeric {
-			return 0, frames // some disjunct leaves id unconstrained
-		}
-		ivs := con.Ivs.Intervals()
-		if len(ivs) == 0 {
-			continue
-		}
-		found = true
-		first, last := ivs[0], ivs[len(ivs)-1]
-		if first.Lo < curLo || (first.Lo == curLo && loOpen && !first.LoOpen) {
-			curLo, loOpen = first.Lo, first.LoOpen
-		}
-		if last.Hi > curHi || (last.Hi == curHi && hiOpen && !last.HiOpen) {
-			curHi, hiOpen = last.Hi, last.HiOpen
-		}
-	}
-	if !found {
-		return lo, hi
-	}
-	if curLo > 0 {
-		lo = int64(curLo)
-		if float64(lo) < curLo || (loOpen && float64(lo) == curLo) {
-			lo++ // fractional, or open integer bound (id > 100 starts at 101)
-		}
-	}
-	if curHi < float64(frames) {
-		// Closed or fractional bound includes the floor frame; an open
-		// integral bound (id < 160) excludes it.
-		hi = int64(curHi)
-		if !(hiOpen && float64(hi) == curHi) {
-			hi++
-		}
-		if hi > frames {
-			hi = frames
-		}
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
 }

@@ -22,16 +22,7 @@ import (
 // Theorem 4.1.
 func (o *Optimizer) rankCalls(calls []*scalarCall, gate symbolic.DNF, stats symbolic.Stats, mode Mode) {
 	for _, sc := range calls {
-		own, err := symbolic.FromExpr(expr.CombineConjuncts(sc.ownPreds))
-		if err != nil {
-			// Unanalyzable own-predicates: assume non-selective.
-			own = symbolic.True()
-		}
-		s := symbolic.Selectivity(own, stats)
-		if len(sc.ownPreds) == 0 {
-			s = 1
-		}
-		sc.sel = s
+		sc.sel = symbolic.Selectivity(sc.own, stats)
 
 		relDiff := 1.0
 		if mode.Reuse && mode.ReuseScalarUDFs {
@@ -57,9 +48,9 @@ func (o *Optimizer) rankCalls(calls []*scalarCall, gate symbolic.DNF, stats symb
 		cr := costs.ScalarViewReadCost.Seconds()
 		switch mode.Ranking {
 		case RankMaterializationAware:
-			sc.rank = (s - 1) / (relDiff*ce + cr) // Eq. 4
+			sc.rank = (sc.sel - 1) / (relDiff*ce + cr) // Eq. 4
 		default:
-			sc.rank = (s - 1) / ce // Eq. 2
+			sc.rank = (sc.sel - 1) / ce // Eq. 2
 		}
 		if math.IsNaN(sc.rank) {
 			sc.rank = 0
@@ -73,22 +64,7 @@ func (o *Optimizer) rankCalls(calls []*scalarCall, gate symbolic.DNF, stats symb
 // associated with the invocation (everything evaluated before it).
 func (o *Optimizer) applyScalar(node plan.Node, sc *scalarCall, gate symbolic.DNF, mode Mode, claims *udf.Claims, report *Report) *plan.ReuseApply {
 	enabled := mode.Reuse && mode.ReuseScalarUDFs
-	agg := o.Mgr.AggOf(sc.sig)
-
-	inter := mode.inter(agg, gate)
-	diff := mode.diff(agg, gate)
-	union := mode.union(agg, gate)
-	info := PredInfo{
-		Signature:  sc.sig.Key(),
-		Query:      gate.String(),
-		InterAtoms: inter.AtomCount(),
-		DiffAtoms:  diff.AtomCount(),
-		UnionAtoms: union.AtomCount(),
-		Sel:        sc.sel,
-		RelDiff:    sc.relDiff,
-		Rank:       sc.rank,
-	}
-	report.Preds[sc.sig.Key()] = info
+	inter, diff := o.analyze(sc.sig, gate, mode, PredInfo{Sel: sc.sel, RelDiff: sc.relDiff, Rank: sc.rank}, report)
 
 	var sources []plan.ApplySource
 	storeView := ""
@@ -128,6 +104,19 @@ func (o *Optimizer) applyScalar(node plan.Node, sc *scalarCall, gate symbolic.DN
 		KeyCols:   sc.sig.KeyColumns(),
 		FuzzyBBox: fuzzy,
 	}
+}
+
+// analyze derives INTER, DIFF and UNION of the signature's aggregated
+// predicate p_u with the invocation's predicate gate (§4.1) and records
+// info, completed with their atom counts, as the invocation's PredInfo.
+// INTER and DIFF decide the Fig. 4 rewrite.
+func (o *Optimizer) analyze(sig udf.Signature, gate symbolic.DNF, mode Mode, info PredInfo, report *Report) (inter, diff symbolic.DNF) {
+	agg := o.Mgr.AggOf(sig)
+	inter, diff = mode.inter(agg, gate), mode.diff(agg, gate)
+	info.Signature, info.Query = sig.Key(), gate.String()
+	info.InterAtoms, info.DiffAtoms, info.UnionAtoms = inter.AtomCount(), diff.AtomCount(), mode.union(agg, gate).AtomCount()
+	report.Preds[sig.Key()] = info
+	return inter, diff
 }
 
 // applyDetector binds the CROSS APPLY clause to physical detectors and
@@ -209,19 +198,7 @@ func (o *Optimizer) applyDetector(node plan.Node, apply *parser.ApplyClause, gat
 				sources = nil
 			}
 		}
-		agg := o.Mgr.AggOf(sig)
-		inter := mode.inter(agg, gate)
-		diff := mode.diff(agg, gate)
-		union := mode.union(agg, gate)
-		report.Preds[sig.Key()] = PredInfo{
-			Signature:  sig.Key(),
-			Query:      gate.String(),
-			InterAtoms: inter.AtomCount(),
-			DiffAtoms:  diff.AtomCount(),
-			UnionAtoms: union.AtomCount(),
-			Sel:        1,
-			RelDiff:    1,
-		}
+		_, diff := o.analyze(sig, gate, mode, PredInfo{Sel: 1, RelDiff: 1}, report)
 		// The STORE stays in the plan either way (appends skip the keys
 		// the view holds); only a DIFF that is not FALSE can add to p_u.
 		if storeView != "" && !diff.IsFalse() {
@@ -247,21 +224,7 @@ func (o *Optimizer) applyDetector(node plan.Node, apply *parser.ApplyClause, gat
 
 // buildOutput assembles the projection / aggregation tail of the plan,
 // substituting computed UDF outputs for their call expressions.
-func (o *Optimizer) buildOutput(node plan.Node, stmt *parser.SelectStmt, calls []*scalarCall) (plan.Node, error) {
-	computed := map[string]string{} // canonical call -> output column
-	for _, sc := range calls {
-		computed[sc.call.String()] = sc.def.OutputColumn()
-	}
-	rewrite := func(e expr.Expr) expr.Expr {
-		return expr.Rewrite(e, func(n expr.Expr) expr.Expr {
-			if c, ok := n.(*expr.Call); ok {
-				if col, ok := computed[c.String()]; ok {
-					return expr.NewColumn(col)
-				}
-			}
-			return n
-		})
-	}
+func (o *Optimizer) buildOutput(node plan.Node, stmt *parser.SelectStmt, computed map[string]string) (plan.Node, error) {
 
 	hasAgg := len(stmt.GroupBy) > 0
 	for _, it := range stmt.Items {
@@ -289,7 +252,7 @@ func (o *Optimizer) buildOutput(node plan.Node, stmt *parser.SelectStmt, calls [
 				var arg expr.Expr
 				if len(c.Args) == 1 {
 					if _, star := c.Args[0].(expr.Star); !star {
-						arg = rewrite(c.Args[0])
+						arg = rewriteComputed(c.Args[0], computed)
 					}
 				}
 				if name == "" {
@@ -333,7 +296,7 @@ func (o *Optimizer) buildOutput(node plan.Node, stmt *parser.SelectStmt, calls [
 			}
 			continue
 		}
-		e := rewrite(it.Expr)
+		e := rewriteComputed(it.Expr, computed)
 		name := it.Alias
 		if name == "" {
 			if c, ok := e.(*expr.Column); ok {

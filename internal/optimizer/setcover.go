@@ -1,6 +1,8 @@
 package optimizer
 
 import (
+	"fmt"
+
 	"eva/internal/catalog"
 	"eva/internal/costs"
 	"eva/internal/expr"
@@ -89,17 +91,24 @@ func rewriteComputed(e expr.Expr, computed map[string]string) expr.Expr {
 	})
 }
 
-// hasExpensiveScalarCall reports whether the expression still contains
-// an expensive scalar UDF invocation.
-func (o *Optimizer) hasExpensiveScalarCall(e expr.Expr) bool {
+// expensive reports whether call invokes an expensive scalar UDF, which
+// only an Apply evaluates; it fails for a function the catalog does not
+// know.
+func (o *Optimizer) expensive(call *expr.Call) (bool, error) {
+	u, err := o.Cat.UDF(call.Fn)
+	if err != nil {
+		return false, fmt.Errorf("optimizer: %w", err)
+	}
+	return u.Expensive && u.Kind == catalog.KindScalarUDF, nil
+}
+
+// computable reports whether e calls no expensive scalar UDF, so a
+// selection can evaluate it.
+func (o *Optimizer) computable(e expr.Expr) bool {
 	for _, call := range expr.CollectCalls(e) {
-		u, err := o.Cat.UDF(call.Fn)
-		if err != nil {
-			continue
-		}
-		if u.Expensive && u.Kind == catalog.KindScalarUDF {
-			return true
+		if ok, err := o.expensive(call); err == nil && ok {
+			return false
 		}
 	}
-	return false
+	return true
 }

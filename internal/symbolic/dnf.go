@@ -222,6 +222,7 @@ func FromConjuncts(conjs ...Conjunct) DNF {
 }
 
 // Conjuncts returns the component conjuncts (read-only).
+// lint:testonly the algebra's tests inspect a predicate's shape
 func (d DNF) Conjuncts() []Conjunct { return d.conjs }
 
 // IsFalse reports whether the predicate is unsatisfiable.

@@ -292,7 +292,7 @@ func runScript(t *testing.T, cfg Config, src string, sched schedule) string {
 	defer sys.Close()
 	inj := sched.injector()
 	if inj != nil {
-		sys.InjectFaults(inj)
+		sys.injectFaults(inj)
 	}
 	out, failed := runStatements(t, sys, src, everything)
 	if inj == nil && failed > 0 {

@@ -2,7 +2,6 @@ package eva
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"eva/internal/faults"
@@ -149,58 +148,6 @@ func (s *System) predicateLost(sig udf.Signature, lost symbolic.DNF) {
 	s.repairs[sig.ViewName()] = repairTask{sig: sig, lost: lost, idOnly: len(kc) == 1 && kc[0] == "id"}
 }
 
-// lostIDRanges enumerates the finite integer id ranges a lost residual
-// covers. Frame ids are 0-based, so a residual unbounded below — the
-// shape every `id < N` aggregate leaves after a total loss — is
-// enumerable from 0; conjuncts unbounded *above* cannot be enumerated
-// and heal lazily through normal queries instead.
-func lostIDRanges(lost symbolic.DNF) []storage.IDRange {
-	var out []storage.IDRange
-	for _, c := range lost.Conjuncts() {
-		con, ok := c.Constraint("id")
-		if !ok || !con.Numeric {
-			continue
-		}
-		for _, iv := range con.Ivs.Intervals() {
-			lo, hi := iv.Lo, iv.Hi
-			loOpen := iv.LoOpen
-			if math.IsInf(lo, -1) {
-				// Clamping to the first frame makes the bound closed:
-				// id 0 itself is part of the residual.
-				lo, loOpen = 0, false
-			}
-			if math.IsInf(hi, 0) {
-				continue
-			}
-			l := int64(math.Ceil(lo))
-			if loOpen && lo == math.Trunc(lo) {
-				l++
-			}
-			h := int64(math.Floor(hi))
-			if iv.HiOpen && hi == math.Trunc(hi) {
-				h--
-			}
-			if l > h {
-				continue
-			}
-			out = append(out, storage.IDRange{Lo: l, Hi: h})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Lo < out[j].Lo })
-	// Merge overlaps so a residual split across conjuncts repairs once.
-	merged := out[:0]
-	for _, r := range out {
-		if n := len(merged); n > 0 && r.Lo <= merged[n-1].Hi+1 {
-			if r.Hi > merged[n-1].Hi {
-				merged[n-1].Hi = r.Hi
-			}
-			continue
-		}
-		merged = append(merged, r)
-	}
-	return merged
-}
-
 // Repair recomputes every quarantined view's lost rows through the
 // normal reuse machinery and compacts the healed log into a fresh
 // generation. For views keyed by frame id, each lost range becomes a
@@ -274,11 +221,14 @@ func (s *System) Repair() (RepairReport, error) {
 	return rep, nil
 }
 
-// repairRanges recomputes each lost id range with a synthesized query.
-// Returns the first failure ("" on success); the task stays queued on
-// failure so Repair retries.
+// repairRanges recomputes each lost id range with a synthesized query:
+// the residual's ids bounded above, merged so a residual split across
+// conjuncts repairs once. What it leaves unbounded above cannot be
+// enumerated and heals lazily through normal queries. Returns the first
+// failure ("" on success); the task stays queued on failure so Repair
+// retries.
 func (s *System) repairRanges(view string, task repairTask, rec *RepairRecord) string {
-	ranges := lostIDRanges(task.lost)
+	ranges, _ := task.lost.IDRanges()
 	rec.Ranges = len(ranges)
 	inj := s.root.domain.Injector()
 	for i, r := range ranges {

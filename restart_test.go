@@ -81,9 +81,9 @@ func TestFailedStatementDoesNotPoisonReuse(t *testing.T) {
 					failing.InjectFaults(inj)
 					_, err = failing.Exec(poisonQuery)
 				} else {
-					sys.InjectFaults(inj)
+					sys.injectFaults(inj)
 					_, err = sys.Exec(poisonQuery)
-					sys.InjectFaults(nil)
+					sys.injectFaults(nil)
 				}
 				if err == nil {
 					t.Fatal("the faulted statement succeeded; the schedule is vacuous")
@@ -212,7 +212,7 @@ func TestPredicateKillPoints(t *testing.T) {
 				sys := openLoaded(t, Config{Dir: dir, Workers: workers})
 				inj := faults.New(uint64(ordinal))
 				inj.Rule(faults.SiteViewWriteAny, faults.Rule{Kind: faults.Crash, At: []int{ordinal}, Limit: 1, ShortWrite: torn})
-				sys.InjectFaults(inj)
+				sys.injectFaults(inj)
 				_, err := sys.Exec(poisonQuery)
 				if inj.Injected() == 0 {
 					if err != nil {

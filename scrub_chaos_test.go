@@ -211,7 +211,7 @@ func TestRepairCrashKillPoints(t *testing.T) {
 			corruptViewsAt(t, dir, "mid")
 			inj := faults.New(1)
 			inj.Rule(kp.site, kp.rule)
-			sys.InjectFaults(inj)
+			sys.injectFaults(inj)
 			scrub(t, sys)
 			crashed := false
 			for _, r := range repair(t, sys).Records {
@@ -233,7 +233,7 @@ func TestRepairCrashKillPoints(t *testing.T) {
 				if p := sys.PendingRepairs(); len(p) == 0 {
 					t.Fatal("crashed repair dropped its task")
 				}
-				sys.InjectFaults(faults.New(0))
+				sys.injectFaults(faults.New(0))
 				repair(t, sys)
 				b.checkHealed(t, "in-process retry", sys)
 			}

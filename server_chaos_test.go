@@ -269,7 +269,7 @@ func TestSessionExplainAnalyze(t *testing.T) {
 	sys := openLoaded(t, Config{})
 	sysInj := faults.New(7)
 	sysInj.Rule(faults.SiteUDFAny, faults.Rule{Kind: faults.Transient, Prob: 1})
-	sys.InjectFaults(sysInj)
+	sys.injectFaults(sysInj)
 	const q = `EXPLAIN ANALYZE SELECT id, label FROM video
 		CROSS APPLY FasterRCNNResnet50(frame) WHERE id < 60`
 

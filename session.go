@@ -55,7 +55,10 @@ func (s *System) NewSession() *Session {
 
 // InjectFaults installs this session's deterministic fault injector:
 // its UDF evaluations and view-log writes draw from this schedule
-// (other sessions are unaffected). nil disables injection.
+// (other sessions are unaffected). nil disables injection. It is a test
+// seam: only code inside this module can build an injector, and it is
+// exported because a standing query's stream (internal/ingest) installs
+// its schedule in the query's session through it.
 func (sess *Session) InjectFaults(inj *faults.Injector) { sess.domain.SetInjector(inj) }
 
 // Close marks the session closed; subsequent statements fail with

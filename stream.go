@@ -115,9 +115,10 @@ func (st *Stream) RegisterStandingQuery(name, sql string, windowFrames, threshol
 	return st.st.Register(name, sql, windowFrames, threshold, onAlert)
 }
 
-// InjectFaults installs the stream's deterministic fault injector
-// (appends, checkpoints, notifications, and standing-query deltas).
-func (st *Stream) InjectFaults(inj *faults.Injector) { st.st.SetInjector(inj) }
+// injectFaults installs the stream's deterministic fault injector
+// (appends, checkpoints, notifications, and standing-query deltas). The
+// resilience tests use it.
+func (st *Stream) injectFaults(inj *faults.Injector) { st.st.SetInjector(inj) }
 
 // Stats snapshots the stream's ingest counters.
 func (st *Stream) Stats() StreamStats { return st.st.Stats() }
