@@ -74,10 +74,18 @@ chaos:
 # aligned and with misaligned scan batches), the typed admission/budget
 # error paths, EXPLAIN ANALYZE in a session, draining Close, and
 # cross-session reuse determinism (every testdata script: System.Exec ≡
-# a lone Session). See DESIGN.md "Multi-session serving layer".
+# a lone Session). A reopened system's first touches: sessions and the
+# root statement reaching the same views at once replay each view log
+# once and answer as their solo runs, Close waits for a view being
+# opened, a query over open views does not wait for another statement's
+# replay, and the UDF manager and the storage engine open outside their
+# locks. See DESIGN.md "Multi-session serving layer" and "Durable
+# aggregated predicates".
 server-stress:
-	$(GO) test -race -run 'TestMultiSessionChaosMatrix|TestSharedViewSingleflight|TestMisalignedSessionsSharedView|TestAdmissionOverloadTyped|TestAdmissionQueueTimeoutTyped|TestSessionExplainAnalyze|TestMemoryBudgetTyped|TestCloseDrainsInFlight|TestCrossSessionReuseDeterminism' .
+	$(GO) test -race -run 'TestMultiSessionChaosMatrix|TestSharedViewSingleflight|TestMisalignedSessionsSharedView|TestAdmissionOverloadTyped|TestAdmissionQueueTimeoutTyped|TestSessionExplainAnalyze|TestMemoryBudgetTyped|TestCloseDrainsInFlight|TestCrossSessionReuseDeterminism|TestConcurrentFirstTouchReplaysOnce|TestPlanningDoesNotWaitForAReplay' .
 	$(GO) test -race ./internal/server/
+	$(GO) test -race -run 'TestConcurrentOpensShareOneReplay|TestCloseWaitsForOpenInFlight' ./internal/storage/
+	$(GO) test -race -run 'TestLoadRunsOutsideTheLock|TestManagerConcurrent' ./internal/udf/
 
 # ingest-chaos runs the streaming-ingestion kill-point matrix under
 # the race detector: every standing-query script under

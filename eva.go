@@ -330,7 +330,7 @@ func Open(cfg Config) (*System, error) {
 	eng.Runtime.SetFunCache(cfg.Mode == ModeFunCache)
 	eng.Deadline = cfg.QueryDeadline
 	eng.MemoryBudget = cfg.MemoryBudget
-	eng.Workers = cfg.Workers
+	eng.Opt.Workers = cfg.Workers
 	if !cfg.DisablePooling {
 		eng.Pool = types.NewBatchPool()
 	}

@@ -58,10 +58,6 @@ type Engine struct {
 	// MemoryBudget caps each query execution's estimated materialized
 	// bytes (0 = unlimited); see server.MemBudget.
 	MemoryBudget int64
-	// Workers is the parallel pipelined executor's worker count, passed
-	// through as exec.Context.Workers, which defines what 0 (the
-	// default) and 1 mean.
-	Workers int
 	// Pool recycles columnar batches across queries (nil = every
 	// operator allocates fresh batches); see exec.Context.Pool and
 	// DESIGN.md §13.
@@ -169,7 +165,7 @@ func (e *Engine) Execute(stmt *parser.SelectStmt, mode optimizer.Mode, opts Exec
 		ctx := &exec.Context{
 			Store: e.Store, Runtime: e.Runtime, Clock: clock,
 			BatchSize: e.batchSize, Faults: inj, Deadline: e.Deadline,
-			Workers: e.Workers, Pool: e.Pool,
+			Workers: e.Opt.Workers, Pool: e.Pool,
 			Domain: dom, Budget: budget, Sessions: sessions,
 		}
 		if opts.Trace {

@@ -46,12 +46,12 @@ package exec
 // triggers are identical at every worker count.
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"eva/internal/plan"
 	"eva/internal/types"
+	"eva/internal/udf"
 )
 
 // DefaultPipelineDepth is the number of in-flight batches buffered at
@@ -62,18 +62,13 @@ const DefaultPipelineDepth = 2
 
 // workers returns the effective evaluation concurrency for this
 // execution: Context.Workers, or runtime.GOMAXPROCS when it is 0,
-// floored at 1. It is the only place the default is decided.
+// floored at 1 (udf.Workers, the only place the default is decided).
 // Fault injection and the FunCache baseline do not pin execution
 // serial — fault decisions are keyed by call identity instead of draw
 // order (internal/faults), and FunCache's singleflight makes its
 // eval/store accounting order-independent — though fault-injected and
 // deadline-bounded runs do forgo pipeline *stages* (see maybeStage).
-func (c *Context) workers() int {
-	if c.Workers == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return max(c.Workers, 1)
-}
+func (c *Context) workers() int { return udf.Workers(c.Workers) }
 
 // warmSchemas populates every plan node's lazily memoized schema
 // bottom-up before any pipeline goroutine starts. The memoization in

@@ -137,6 +137,11 @@ type Optimizer struct {
 	// state and feeds observed failure rates into the Eq. 3 cost model
 	// (nil = every model healthy, costs unadjusted).
 	Health HealthView
+	// Workers is Config.Workers, read as udf.Workers reads it: the most
+	// views a statement's planning opens at once (udf.Manager.Load), and
+	// the executor's worker count, which core passes on as
+	// exec.Context.Workers.
+	Workers int
 }
 
 // New returns an optimizer over the catalog and UDF manager.
@@ -385,6 +390,28 @@ func (o *Optimizer) optimize(stmt *parser.SelectStmt, mode Mode, claims *udf.Cla
 		return names, gate, nil
 	}
 
+	// --- Aggregated predicates: every signature planning reads p_u of,
+	// handed to the manager in one call, so that the views not open yet
+	// open side by side before the first is read. A binding error is
+	// returned where the detector is planned, after the pre-detector
+	// chain's. ---
+	var det detector
+	var detErr error
+	var sigBuf [8]udf.Signature
+	sigs := sigBuf[:0]
+	for _, sc := range preCalls {
+		sigs = append(sigs, sc.sig)
+	}
+	if stmt.Apply != nil {
+		if det, detErr = o.bindDetector(stmt.Apply, mode, table, &report); detErr == nil {
+			sigs = det.appendSigs(sigs, mode)
+		}
+	}
+	for _, sc := range postCalls {
+		sigs = append(sigs, sc.sig)
+	}
+	o.Mgr.Load(sigs, o.Workers)
+
 	// --- Pre-detector scalar UDFs (specialized filters, §5.6). ---
 	var gate symbolic.DNF
 	if report.PreOrder, gate, err = chain(preCalls, scanDNF); err != nil {
@@ -393,10 +420,10 @@ func (o *Optimizer) optimize(stmt *parser.SelectStmt, mode Mode, claims *udf.Cla
 
 	// --- Detector (table UDF / CROSS APPLY). ---
 	if stmt.Apply != nil {
-		a, err := o.applyDetector(node, stmt.Apply, gate, mode, stats, table, claims, &report)
-		if err != nil {
-			return nil, err
+		if detErr != nil {
+			return nil, detErr
 		}
+		a := o.applyDetector(node, &det, gate, mode, stats, claims, &report)
 		if p := expr.CombineConjuncts(detPreds); p != nil {
 			a.Where = append(a.Where, p)
 		}

@@ -119,62 +119,93 @@ func (o *Optimizer) analyze(sig udf.Signature, gate symbolic.DNF, mode Mode, inf
 	return inter, diff
 }
 
-// applyDetector binds the CROSS APPLY clause to physical detectors and
-// rewrites it into a ReuseApply, running Algorithm 2 for logical UDFs.
-func (o *Optimizer) applyDetector(node plan.Node, apply *parser.ApplyClause, gate symbolic.DNF, mode Mode, stats symbolic.Stats, table *catalog.Table, claims *udf.Claims, report *Report) (*plan.ReuseApply, error) {
+// detector is the CROSS APPLY clause bound to physical models: the
+// model that evaluates and its signature, the view sources known before
+// Algorithm 2 runs, and — when it runs — its candidates with their
+// signatures (none otherwise).
+type detector struct {
+	apply    *parser.ApplyClause
+	eval     *catalog.UDF
+	sig      udf.Signature
+	sources  []plan.ApplySource
+	cands    []*catalog.UDF
+	candSigs []udf.Signature
+}
+
+// appendSigs appends to sigs the signatures whose aggregated predicates
+// planning the detector reads: Algorithm 2's candidates or the evaluating
+// model's — none without reuse.
+func (d *detector) appendSigs(sigs []udf.Signature, mode Mode) []udf.Signature {
+	switch {
+	case !mode.Reuse:
+		return sigs
+	case len(d.cands) > 0:
+		return append(sigs, d.candSigs...)
+	}
+	return append(sigs, d.sig)
+}
+
+// bindDetector binds the CROSS APPLY clause to the physical model that
+// evaluates it and, for a logical UDF under Algorithm 2, the candidate
+// models whose views may serve it.
+func (o *Optimizer) bindDetector(apply *parser.ApplyClause, mode Mode, table *catalog.Table, report *Report) (detector, error) {
 	minAcc := vision.AccuracyLow
 	if apply.Accuracy != "" {
 		lvl, err := vision.ParseAccuracy(apply.Accuracy)
 		if err != nil {
-			return nil, fmt.Errorf("optimizer: %s: %w", apply.Fn, err)
+			return detector{}, fmt.Errorf("optimizer: %s: %w", apply.Fn, err)
 		}
 		minAcc = lvl
 	}
-
-	var evalUDF *catalog.UDF
-	var sources []plan.ApplySource
-	logical := !o.Cat.HasUDF(apply.Fn)
-
-	if !logical {
+	d := detector{apply: apply}
+	if o.Cat.HasUDF(apply.Fn) {
 		def, err := o.Cat.UDF(apply.Fn)
 		if err != nil {
-			return nil, fmt.Errorf("optimizer: %w", err)
+			return detector{}, fmt.Errorf("optimizer: %w", err)
 		}
 		if def.Kind != catalog.KindTableUDF {
-			return nil, fmt.Errorf("optimizer: %s is not a table UDF (CROSS APPLY requires one)", apply.Fn)
+			return detector{}, fmt.Errorf("optimizer: %s is not a table UDF (CROSS APPLY requires one)", apply.Fn)
 		}
-		evalUDF = def
+		d.eval = def
+		d.sig = udf.NewSignature(table.Name, def.Name, apply.Args)
 		if mode.Reuse {
-			sig := udf.NewSignature(table.Name, def.Name, apply.Args)
-			sources = append(sources, plan.ApplySource{UDF: def.Name, ViewName: sig.ViewName()})
+			d.sources = append(d.sources, plan.ApplySource{UDF: def.Name, ViewName: d.sig.ViewName()})
 		}
-	} else {
-		cands := o.Cat.UDFsForLogical(apply.Fn, minAcc)
-		if len(cands) == 0 {
-			return nil, fmt.Errorf("optimizer: no physical UDF implements %s with accuracy ≥ %s", apply.Fn, minAcc)
-		}
-		// Graceful degradation: the eval target must be healthy (its
-		// breaker closed) and cheapest by retry-adjusted cost; view
-		// sources below are deliberately not filtered, since reading a
-		// broken model's materialized results is safe.
-		cheapest := o.pickEval(apply.Fn, cands, report)
-		if cheapest == nil {
-			return nil, fmt.Errorf("optimizer: every physical UDF implementing %s is unavailable (circuit breakers open)", apply.Fn)
-		}
-		switch {
-		case mode.Logical == LogicalMinCostNoReuse || !mode.Reuse:
-			evalUDF = cheapest
-		case mode.Logical == LogicalMinCost:
-			evalUDF = cheapest
-			sig := udf.NewSignature(table.Name, cheapest.Name, apply.Args)
-			sources = append(sources, plan.ApplySource{UDF: cheapest.Name, ViewName: sig.ViewName()})
-		default: // LogicalEVA: Algorithm 2
-			evalUDF = cheapest
-			sources = o.selectPhysicalUDFs(table.Name, cheapest, cands, apply.Args, gate, stats, mode)
+		return d, nil
+	}
+	cands := o.Cat.UDFsForLogical(apply.Fn, minAcc)
+	if len(cands) == 0 {
+		return detector{}, fmt.Errorf("optimizer: no physical UDF implements %s with accuracy ≥ %s", apply.Fn, minAcc)
+	}
+	// Graceful degradation: the eval target must be healthy (its
+	// breaker closed) and cheapest by retry-adjusted cost; view
+	// sources below are deliberately not filtered, since reading a
+	// broken model's materialized results is safe.
+	d.eval = o.pickEval(apply.Fn, cands, report)
+	if d.eval == nil {
+		return detector{}, fmt.Errorf("optimizer: every physical UDF implementing %s is unavailable (circuit breakers open)", apply.Fn)
+	}
+	d.sig = udf.NewSignature(table.Name, d.eval.Name, apply.Args)
+	switch {
+	case mode.Logical == LogicalMinCostNoReuse || !mode.Reuse:
+	case mode.Logical == LogicalMinCost:
+		d.sources = append(d.sources, plan.ApplySource{UDF: d.eval.Name, ViewName: d.sig.ViewName()})
+	default: // LogicalEVA: Algorithm 2
+		d.cands = cands
+		for _, def := range cands {
+			d.candSigs = append(d.candSigs, udf.NewSignature(table.Name, def.Name, apply.Args))
 		}
 	}
+	return d, nil
+}
 
-	sig := udf.NewSignature(table.Name, evalUDF.Name, apply.Args)
+// applyDetector rewrites the bound CROSS APPLY clause into a ReuseApply,
+// running Algorithm 2 for a logical UDF.
+func (o *Optimizer) applyDetector(node plan.Node, d *detector, gate symbolic.DNF, mode Mode, stats symbolic.Stats, claims *udf.Claims, report *Report) *plan.ReuseApply {
+	sources, evalUDF, sig := d.sources, d.eval, d.sig
+	if len(d.cands) > 0 {
+		sources = o.selectPhysicalUDFs(evalUDF, d.cands, d.candSigs, gate, stats, mode)
+	}
 	storeView := ""
 	if mode.Reuse {
 		storeView = sig.ViewName()
@@ -212,14 +243,14 @@ func (o *Optimizer) applyDetector(node plan.Node, apply *parser.ApplyClause, gat
 	}
 	return &plan.ReuseApply{
 		Input:     node,
-		Args:      apply.Args,
+		Args:      d.apply.Args,
 		Sources:   sources,
 		Eval:      evalUDF.Name,
 		StoreView: storeView,
 		TableUDF:  true,
 		Out:       catalog.DetectorSchema,
 		KeyCols:   sig.KeyColumns(),
-	}, nil
+	}
 }
 
 // buildOutput assembles the projection / aggregation tail of the plan,

@@ -19,16 +19,16 @@ import (
 // symbolically by the selectivity of INTER(p_x, q); and the weight is
 // the cost of reading the view. Views are picked while their cost per
 // uncovered tuple beats evaluating the cheapest physical UDF.
-func (o *Optimizer) selectPhysicalUDFs(table string, eval *catalog.UDF, cands []*catalog.UDF, args []expr.Expr, q symbolic.DNF, stats symbolic.Stats, mode Mode) []plan.ApplySource {
+// sigs[i] is the signature of cands[i].
+func (o *Optimizer) selectPhysicalUDFs(eval *catalog.UDF, cands []*catalog.UDF, sigs []udf.Signature, q symbolic.DNF, stats symbolic.Stats, mode Mode) []plan.ApplySource {
 	type cand struct {
 		def *catalog.UDF
 		sig udf.Signature
 		agg symbolic.DNF
 	}
 	var xs []cand
-	for _, def := range cands {
-		sig := udf.NewSignature(table, def.Name, args)
-		xs = append(xs, cand{def: def, sig: sig, agg: o.Mgr.AggOf(sig)})
+	for i, def := range cands {
+		xs = append(xs, cand{def: def, sig: sigs[i], agg: o.Mgr.AggOf(sigs[i])})
 	}
 	// The alternative to reading a view is evaluating the chosen model:
 	// its per-tuple cost (line 3), retry-adjusted so a flaky evaluator

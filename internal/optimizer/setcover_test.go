@@ -130,7 +130,11 @@ func TestGreedyMatchesExhaustiveOnSmallInstances(t *testing.T) {
 		}
 		q := rangeDNF(t, sc.qLo, sc.qHi)
 		cands := h.cat.UDFsForLogical("ObjectDetector", vision.AccuracyLow)
-		greedySources := h.opt.selectPhysicalUDFs("video", cands[0], cands, []expr.Expr{expr.NewColumn("frame")}, q, stats, EVAMode())
+		var sigs []udf.Signature
+		for _, def := range cands {
+			sigs = append(sigs, udf.NewSignature("video", def.Name, []expr.Expr{expr.NewColumn("frame")}))
+		}
+		greedySources := h.opt.selectPhysicalUDFs(cands[0], cands, sigs, q, stats, EVAMode())
 
 		greedyCost := coverCost(h, greedySources, q, stats)
 		bestCost := math.Inf(1)

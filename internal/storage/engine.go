@@ -35,6 +35,12 @@ type Engine struct {
 	views  map[string]*View  // guarded by mu
 	inj    *faults.Injector  // guarded by mu
 	budget *DiskBudget       // guarded by mu; nil = unbudgeted
+	// opening holds the view logs being opened, by registry key: each
+	// open replays its log outside mu, and its channel closes once the
+	// view is published or the open failed (openShared). guarded by mu.
+	opening map[string]chan struct{}
+	// opened counts the view logs opened, each open one replay.
+	opened atomic.Int64
 	// ranker scores eviction candidates (nil = LRU); onEvict runs after
 	// each whole-view eviction with no storage locks held; retryCharge
 	// charges virtual-clock backoff before a disk-full retry. All three
@@ -44,8 +50,9 @@ type Engine struct {
 	retryCharge func(attempt int)
 
 	// evictMu serializes reclaim ladders so concurrent disk-full
-	// appends do not race to evict the same views. Never held together
-	// with mu or any view lock.
+	// appends do not race to evict the same views. It is taken first,
+	// never while mu or a view lock is held (DESIGN.md §11 "Lock
+	// order").
 	evictMu sync.Mutex
 	// touchSeq hands out the access ordinals behind eviction recency.
 	touchSeq atomic.Uint64
@@ -58,7 +65,7 @@ func Open(dir string) (*Engine, error) {
 			return nil, fmt.Errorf("storage: open %s: %w", dir, err)
 		}
 	}
-	return &Engine{root: dir, videos: map[string]*Video{}, views: map[string]*View{}}, nil
+	return &Engine{root: dir, videos: map[string]*Video{}, views: map[string]*View{}, opening: map[string]chan struct{}{}}, nil
 }
 
 // SetInjector installs the fault injector consulted on every view
@@ -122,28 +129,21 @@ func (e *Engine) Video(name string) (*Video, error) {
 // the given row schema and key columns, one of which must be the INTEGER
 // column "id": every view is keyed on the frame (viewRows).
 func (e *Engine) CreateView(name string, schema types.Schema, keyCols []string) (*View, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	key := strings.ToLower(name)
-	if v, ok := e.views[key]; ok {
-		if !v.schema.Equal(schema) {
-			return nil, fmt.Errorf("storage: view %q exists with schema %s (want %s)", name, v.schema, schema)
+	v, err := e.openShared(name, func(path string, inj *faults.Injector, budget *DiskBudget) (*View, error) {
+		for _, kc := range keyCols {
+			if !schema.Has(kc) {
+				return nil, fmt.Errorf("storage: view %q: key column %q not in schema %s", name, kc, schema)
+			}
 		}
-		e.touchView(v)
-		return v, nil
-	}
-	for _, kc := range keyCols {
-		if !schema.Has(kc) {
-			return nil, fmt.Errorf("storage: view %q: key column %q not in schema %s", name, kc, schema)
-		}
-	}
-	v, err := openView(e.viewPath(key), name, schema, keyCols, e.inj, e.budget)
+		return openView(path, name, schema, keyCols, inj, budget)
+	})
 	if err != nil {
 		return nil, err
 	}
-	v.log.Attach(e, name, e.chargeRetry, nil) // lint:nolock pre-publish
+	if !v.schema.Equal(schema) {
+		return nil, fmt.Errorf("storage: view %q exists with schema %s (want %s)", name, v.schema, schema)
+	}
 	e.touchView(v)
-	e.views[key] = v
 	return v, nil
 }
 
@@ -157,25 +157,92 @@ func (e *Engine) CreateView(name string, schema types.Schema, keyCols []string) 
 // eviction recency, but a view opened here starts as recent as the
 // engine's latest access rather than as its coldest.
 func (e *Engine) Existing(name string) *View {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	key := strings.ToLower(name)
-	if v, ok := e.views[key]; ok {
-		return v
-	}
-	path := e.viewPath(key)
-	if _, err := os.Stat(path); err != nil {
-		return nil
-	}
-	v, err := openView(path, name, nil, nil, e.inj, e.budget)
-	if err != nil {
-		return nil
-	}
-	v.log.Attach(e, name, e.chargeRetry, nil) // lint:nolock pre-publish
-	v.touch.Store(e.touchSeq.Load())
-	e.views[key] = v
+	v, _ := e.openShared(name, func(path string, inj *faults.Injector, budget *DiskBudget) (*View, error) {
+		if _, err := os.Stat(path); err != nil {
+			return nil, err
+		}
+		v, err := openView(path, name, nil, nil, inj, budget)
+		if err == nil {
+			v.touch.Store(e.touchSeq.Load())
+		}
+		return v, err
+	})
 	return v
 }
+
+// openShared returns the named view, published already or opened now by
+// open: the log's replay runs outside mu, so a statement opening a view
+// stops no other from reaching the views that are open. One open of a
+// name runs at a time — a caller that finds one in flight waits for it
+// and looks again, so two callers share one replay, and a caller whose
+// open needs a schema the other lacked (CreateView after an Existing
+// that could not read the header) opens the log itself. Close and
+// DropViews wait for the opens in flight (settleOpensLocked).
+func (e *Engine) openShared(name string, open func(path string, inj *faults.Injector, budget *DiskBudget) (*View, error)) (*View, error) {
+	key := strings.ToLower(name)
+	e.mu.Lock()
+	v, done := e.views[key], e.opening[key]
+	for v == nil && done != nil {
+		e.mu.Unlock()
+		<-done
+		e.mu.Lock()
+		v, done = e.views[key], e.opening[key]
+	}
+	if v == nil {
+		done = make(chan struct{})
+		e.opening[key] = done
+	}
+	inj, budget := e.inj, e.budget
+	e.mu.Unlock()
+	if v != nil {
+		return v, nil
+	}
+
+	v, err := open(e.viewPath(key), inj, budget)
+
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	delete(e.opening, key)
+	close(done)
+	if err != nil {
+		return nil, err
+	}
+	e.opened.Add(1)
+	// The injector and the budget may have been replaced while the log
+	// replayed; the view takes the engine's current ones, as SetInjector
+	// and SetBudget give every published view.
+	if e.inj != inj {
+		v.inj = e.inj // lint:nolock pre-publish
+	}
+	if e.budget != budget {
+		v.log.setBudget(e.budget) // lint:nolock pre-publish
+	}
+	v.log.Attach(e, name, e.chargeRetry, nil) // lint:nolock pre-publish
+	e.views[key] = v
+	return v, nil
+}
+
+// settleOpensLocked waits, with mu released, until no view log is being
+// opened. Callers hold mu, and hold it again on return.
+func (e *Engine) settleOpensLocked() {
+	for len(e.opening) > 0 {
+		waits := make([]chan struct{}, 0, len(e.opening))
+		// lint:unordered every open is waited for; the order is moot
+		for _, done := range e.opening {
+			waits = append(waits, done)
+		}
+		e.mu.Unlock()
+		for _, done := range waits {
+			<-done
+		}
+		e.mu.Lock()
+	}
+}
+
+// ViewOpens returns the number of view logs this engine has opened or
+// created: one replay of each.
+// lint:testonly tests check that concurrent first touches share a replay
+func (e *Engine) ViewOpens() int64 { return e.opened.Load() }
 
 func (e *Engine) viewPath(key string) string {
 	return filepath.Join(e.root, "views", sanitize(key)+".view")
@@ -238,11 +305,13 @@ func (e *Engine) ViewRowCounts() map[string]int {
 	return out
 }
 
-// Close closes every view's backing file. Idempotent: closing a
-// closed engine (or re-closing views) is a no-op.
+// Close closes every view's backing file, once the opens in flight have
+// published theirs. Idempotent: closing a closed engine (or re-closing
+// views) is a no-op.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.settleOpensLocked()
 	var first error
 	for _, v := range e.views {
 		if err := v.close(); err != nil && first == nil {
@@ -262,6 +331,7 @@ func (e *Engine) Close() error {
 func (e *Engine) DropViews() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.settleOpensLocked()
 	for name, v := range e.views {
 		if err := v.close(); err != nil {
 			return err

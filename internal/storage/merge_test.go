@@ -3,6 +3,7 @@ package storage
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -25,8 +26,10 @@ type mergeFuzz struct {
 	oracle [2]keyOracle // det's and cls's
 	next   [3]int64     // each interleaved writer's next id
 	serial int
-	folded [2]int // checks that found det and cls with a folded run
-	zeros  int    // checks that found cls with a zero-row key
+	// compacted is set once det is compacted, until the next reopen.
+	compacted bool
+	folded    [2]int // checks that found det and cls with a folded run
+	zeros     int    // checks that found cls with a zero-row key
 	// Dense probes of det: covered ones, covered ones of a view with a
 	// folded run, and ones that missed an id and took the merge.
 	covered, coveredFolded, merged int
@@ -230,10 +233,7 @@ func (m *mergeFuzz) run() {
 		case c < 11:
 			m.appendFrom(int64(m.byte()%160), 1+m.byte()%4)
 		case c == 11:
-			if err := m.e.Close(); err != nil {
-				m.t.Fatal(err)
-			}
-			m.open()
+			m.reopen()
 		case c == 12:
 			for i, v := range []*View{m.det, m.cls} {
 				if _, err := v.evict(); err != nil {
@@ -246,14 +246,80 @@ func (m *mergeFuzz) run() {
 				m.t.Fatal(err)
 			}
 			m.oracle[0].compact()
+			m.compacted = true
 		default:
 			m.salvage(c % 2)
 		}
 		m.check()
 	}
+	m.reopen()
 	if err := m.e.Close(); err != nil {
 		m.t.Fatal(err)
 	}
+}
+
+// reopen closes the engine and opens it again, and holds the replayed
+// views to the live ones they were (replayState).
+func (m *mergeFuzz) reopen() {
+	live := []string{replayState(m.det, m.compacted), replayState(m.cls, false)}
+	if err := m.e.Close(); err != nil {
+		m.t.Fatal(err)
+	}
+	m.open()
+	for i, v := range []*View{m.det, m.cls} {
+		if got := replayState(v, i == 0 && m.compacted); got != live[i] {
+			m.t.Fatalf("view %s replays to\n%s\nlive it was\n%s", v.name, got, live[i])
+		}
+	}
+	m.compacted = false
+}
+
+// replayState renders what a replay rebuilds of a view, for a live view
+// and its replay to be compared: the rows, the keys its runs list (run
+// by run; flattened in id order once the view was compacted, for a
+// compacted log lists its keys in another order), the zero-row keys with
+// their hashes and encodings, top, twice and the predicate snapshot. top
+// must be the highest id listed.
+func replayState(v *View, compacted bool) string {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	var b strings.Builder
+	s := &v.rows
+	high := int64(math.MinInt64)
+	runs := s.runs
+	if compacted {
+		var all []viewKey
+		for _, ru := range runs {
+			all = append(all, ru...)
+		}
+		slices.SortFunc(all, func(a, b viewKey) int { return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.at, b.at)) })
+		runs = [][]viewKey{all}
+	}
+	for _, ru := range runs {
+		fmt.Fprintf(&b, "run:")
+		for _, k := range ru {
+			fmt.Fprintf(&b, " %d#%x@%d+%d", k.id, k.hash, k.at, k.n)
+			high = max(high, k.id)
+		}
+		b.WriteString("\n")
+	}
+	for i := range s.zero.keys {
+		k := &s.zero.keys[i]
+		fmt.Fprintf(&b, "zero: %d#%x %x\n", k.id, k.hash, s.zero.key(k))
+		high = max(high, k.id)
+	}
+	if s.top != high {
+		fmt.Fprintf(&b, "top %d, but the highest id listed is %d\n", s.top, high)
+	}
+	fmt.Fprintf(&b, "twice %v filed %d pred %x\n", s.twice, s.filed, v.pred)
+	for r := range s.len() {
+		chunk, row := s.at(r)
+		for c := range v.schema {
+			fmt.Fprintf(&b, "%s ", chunk.Col(c)[row])
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
 }
 
 // FuzzMergeMatchesProbe holds the probe to a naive oracle: after every
@@ -262,7 +328,9 @@ func (m *mergeFuzz) run() {
 // find exactly the keys the oracle holds processed, each with the (chunk,
 // row) pairs of its rows in order and the hash of its encoding; and a
 // dense batch of the detector's view, through the covered step or the
-// merge, exactly the same keys (checkProbe).
+// merge, exactly the same keys (checkProbe). Replay must rebuild what
+// the live views held: at every reopen, and after the last operation,
+// the reopened views must equal the live ones (replayState).
 func FuzzMergeMatchesProbe(f *testing.F) {
 	for _, seed := range mergeSeeds {
 		f.Add(seed)
@@ -499,5 +567,106 @@ func TestNoteIDFindsAnIDListedTwice(t *testing.T) {
 	cls.noteID(5, 0)
 	if cls.noteID(5, 0); cls.twice {
 		t.Fatal("a (bbox, id) view was checked for ids listed twice")
+	}
+}
+
+// TestReplayDedupsARecordWrittenTwice: an append that was retried after
+// its write had landed leaves its records in the log twice. Replay must
+// file them once — the copy's first id is not above the view's top, so
+// staging merges it against what the first filed and drops every key —
+// and rebuild exactly what the live views held, for both views, with
+// rows and zero-row keys, the copy last in the log or followed by more
+// appends.
+func TestReplayDedupsARecordWrittenTwice(t *testing.T) {
+	forceLayout(t, 2, hashKey)
+	for _, more := range []bool{false, true} {
+		t.Run(fmt.Sprintf("more=%v", more), func(t *testing.T) {
+			input := []byte{2, 0, 1, 1, 0, 0, 3, 1, 2, 0, 1, 0, 0, 2, 1, 0, 1, 2, 2, 0}
+			m := &mergeFuzz{t: t, dir: t.TempDir()}
+			m.open()
+			m.data = slices.Repeat(input, 4)
+			views := []*View{m.det, m.cls}
+			next := m.appendFrom(0, 6)
+			var from, to [2]int64
+			for i, v := range views {
+				from[i] = v.Footprint()
+			}
+			next = m.appendFrom(next, 6)
+			for i, v := range views {
+				to[i] = v.Footprint()
+			}
+			if more {
+				m.appendFrom(next, 4)
+			}
+			live := []string{replayState(m.det, false), replayState(m.cls, false)}
+			if err := m.e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range views {
+				data, err := os.ReadFile(v.path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				twice := slices.Concat(data[:to[i]], data[from[i]:to[i]], data[to[i]:])
+				if err := os.WriteFile(v.path, twice, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m.open()
+			for i, v := range []*View{m.det, m.cls} {
+				if got := replayState(v, false); got != live[i] {
+					t.Fatalf("view %s with a record written twice replays to\n%s\nlive it was\n%s", v.name, got, live[i])
+				}
+			}
+			m.check()
+			if err := m.e.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestReplayJoinsAKeyCompactionCut: a compacted generation cuts its rows
+// into records of compactChunkRows, which may cut a key's rows. Replay
+// must join them again — into one key, as the live view held them — in
+// both views, also when a chunk boundary falls inside the cut key.
+func TestReplayJoinsAKeyCompactionCut(t *testing.T) {
+	forceLayout(t, 3, hashKey)
+	m := &mergeFuzz{t: t, dir: t.TempDir()}
+	m.open()
+	det, cls := types.NewBatch(fuzzDetSchema), types.NewBatch(fuzzClsSchema)
+	for id := int64(0); id < 100; id++ {
+		for r := range 6 {
+			label := types.NewString(fmt.Sprint("r", id, "-", r))
+			det.MustAppendRow(types.NewInt(id), label)
+			cls.MustAppendRow(types.NewString("a"), types.NewInt(id), label)
+		}
+	}
+	for _, a := range []struct {
+		v    *View
+		rows *types.Batch
+	}{{m.det, det}, {m.cls, cls}} {
+		if _, err := a.v.Append(a.rows, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.v.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if k := m.det.rows.runs[0][compactChunkRows/6]; k.at >= compactChunkRows || k.at+k.n <= compactChunkRows {
+		t.Fatalf("key %d holds rows %d..%d: the compaction cuts no key", k.id, k.at, k.at+k.n)
+	}
+	live := []string{replayState(m.det, true), replayState(m.cls, true)}
+	if err := m.e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m.open()
+	for i, v := range []*View{m.det, m.cls} {
+		if got := replayState(v, true); got != live[i] {
+			t.Fatalf("view %s replays its compacted log to\n%s\nlive it was\n%s", v.name, got, live[i])
+		}
+	}
+	if err := m.e.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -281,19 +281,28 @@ func (v *View) replayRecord(kind byte, count int, payload []byte) error {
 	switch kind {
 	case recRows:
 		// A record's rows go where the next append's would: into the
-		// tail chunk, and on into fresh ones when it fills.
+		// tail chunk, and on into fresh ones when it fills. A chunk
+		// boundary may cut a key's rows, and so may a compacted
+		// generation's record boundary, after every compactChunkRows
+		// rows; nothing else does — an append never adds to a key — so a
+		// record's first rows continue the key filed last only after a
+		// record of that many rows whose last was filed (a copy of an
+		// appended record, which a retried append can leave, is merged
+		// away instead).
+		join := v.stage.join
 		for left := count; left > 0; {
 			tail, room := v.rows.room(v.schema) // lint:nolock replay runs inside openView before the view is published
 			k, at := min(left, room), tail.Len()
 			n, err := tail.AppendEncoded(payload[off:], k)
 			if err == nil {
-				err = v.fileDecodedLocked(tail, at)
+				join, err = v.fileDecodedLocked(tail, at, join)
 			}
 			if err != nil {
 				return fmt.Errorf("row record: %w", err)
 			}
 			off, left = off+n, left-k
 		}
+		v.stage.join = join && count == compactChunkRows
 	case recKeys:
 		kb := types.NewBatch(v.keySchema)
 		n, err := kb.AppendEncoded(payload, count)
@@ -311,6 +320,9 @@ func (v *View) replayRecord(kind byte, count int, payload []byte) error {
 		off = len(payload)
 	default:
 		return fmt.Errorf("unknown record kind %d", kind)
+	}
+	if kind != recRows {
+		v.stage.join = false
 	}
 	if off != len(payload) {
 		return fmt.Errorf("record kind %d: %d trailing payload bytes", kind, len(payload)-off)
@@ -407,21 +419,23 @@ func (v *View) sortKeys(kb *types.Batch) *types.Batch {
 // fileDecodedLocked files rows at.. of the tail chunk, which replay has
 // just decoded, as the appends that wrote them filed them: a run of
 // non-decreasing ids at a time — a compacted record holds several —
-// staged in place against the rows before it. Rows that lead a run with
-// the last filed key continue it: a record boundary cut its rows. A run
-// that staging would not keep as it lies — a key processed before, or
-// one whose rows come apart, which no append writes — is stored as
-// staging orders it, through a copy. Callers run pre-publish.
-func (v *View) fileDecodedLocked(tail *types.Batch, at int) error {
-	st, base := v.stage, v.rows.len()-tail.Len()
+// staged in place against the rows before it. With join, rows that lead
+// them with the last filed key continue it: a boundary cut its rows. A
+// run that staging would not keep as it lies — a key processed before,
+// or one whose rows come apart, which no append writes — is stored as
+// staging orders it, through a copy. It reports whether the last row
+// decoded was filed. Callers run pre-publish.
+func (v *View) fileDecodedLocked(tail *types.Batch, at int, join bool) (bool, error) {
+	st, base, last := v.stage, v.rows.len()-tail.Len(), join
 	for a := at; a < tail.Len(); {
 		ids, b := tail.Col(v.rows.idCol), a+1
 		for b < tail.Len() && !(ids[b].Kind() == types.KindInt && ids[b-1].Kind() == types.KindInt && ids[b].Int() < ids[b-1].Int()) {
 			b++
 		}
-		if err := v.stageLocked(tail.Slice(a, b), v.keyIdx, true, st); err != nil {
-			return err
+		if err := v.stageLocked(tail.Slice(a, b), false, join && a == at, st); err != nil {
+			return false, err
 		}
+		last = st.last
 		if len(st.rows) != b-a || !slices.IsSorted(st.rows) {
 			// Put the run back in staging's order, then the rows after
 			// it; the schemas are the view's own, so no copy can fail.
@@ -435,7 +449,7 @@ func (v *View) fileDecodedLocked(tail *types.Batch, at int) error {
 		v.fileStagedLocked(base+a, st)
 		a = b
 	}
-	return nil
+	return last, nil
 }
 
 // fileStagedLocked files the rows st stages, stored from row from on.
@@ -471,7 +485,7 @@ func (v *View) storeLocked(src *types.Batch, st *staging) {
 func (v *View) markLocked(kb *types.Batch) error {
 	kb = v.sortKeys(kb)
 	st := &staging{}
-	if err := v.stageLocked(kb, v.keyOwn, false, st); err != nil {
+	if err := v.stageLocked(kb, true, false, st); err != nil {
 		return err
 	}
 	z := &v.rows.zero
@@ -618,9 +632,9 @@ func (v *View) appendLocked(rows *types.Batch, processedKeys [][]types.Datum, in
 	}
 	keys = v.sortKeys(keys)
 	rs, ks := &staging{}, &staging{}
-	err := v.stageLocked(rows, v.keyIdx, false, rs)
+	err := v.stageLocked(rows, false, false, rs)
 	if err == nil {
-		err = v.stageLocked(keys, v.keyOwn, false, ks)
+		err = v.stageLocked(keys, true, false, ks)
 	}
 	if err != nil {
 		return 0, fmt.Errorf("storage: view %s: %w", v.name, err)

@@ -1,8 +1,10 @@
 package udf
 
 import (
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"eva/internal/faults"
 	"eva/internal/symbolic"
@@ -71,6 +73,11 @@ type flight struct {
 // PredicateStore the committed predicates outlive the process: an entry
 // is loaded from its view's log the first time its signature is seen,
 // and every change to what it promises is written back.
+//
+// A load opens the view when it is not open yet, which replays its log,
+// so it runs outside mu: an entry being loaded has an in-flight handle
+// (loading) that other callers wait on, and is visible in entries only
+// once it has loaded. No replay runs under mu.
 type Manager struct {
 	store PredicateStore // nil: predicates live and die with the process
 	// onLost, when set, is told each time a signature's predicate had to
@@ -79,56 +86,163 @@ type Manager struct {
 	onLost func(sig Signature, lost symbolic.DNF)
 
 	mu      sync.Mutex
-	entries map[string]*entry // guarded by mu
+	entries map[string]*entry // guarded by mu; the loaded entries
+	// loads are the entries being loaded, by key. guarded by mu.
+	loads map[string]*loading
+	// gen counts Resets: a load begun before one installs nothing.
+	// guarded by mu.
+	gen uint64
+}
+
+// loading is the in-flight handle of one entry being loaded: done closes
+// once the entry is visible or a Reset dropped it, and shrink records a
+// ShrinkView that came while it loaded — the view may have lost rows
+// after the load read its snapshot — which the load then applies.
+type loading struct {
+	sig    Signature
+	key    string
+	gen    uint64
+	done   chan struct{}
+	shrink bool
 }
 
 // NewManager returns an empty manager over the store (nil keeps
 // predicates in memory only).
 func NewManager(store PredicateStore) *Manager {
-	return &Manager{store: store, entries: map[string]*entry{}}
+	return &Manager{store: store, entries: map[string]*entry{}, loads: map[string]*loading{}}
 }
 
 // OnLost installs the hook told about regions a predicate gave up
 // because its view lost rows. Install it before the manager is used.
 func (m *Manager) OnLost(f func(sig Signature, lost symbolic.DNF)) { m.onLost = f }
 
-// ensureLocked returns the live entry for a signature. On first sight
-// it is created from the view's persisted snapshot — FALSE (§4.1) when
-// there is none or it cannot be decoded, and cut down to what the view
-// still holds when the store calls it stale. Callers must hold mu; the
-// returned pointer must not escape the critical section.
-func (m *Manager) ensureLocked(sig Signature) *entry {
-	key := sig.Key()
-	e, ok := m.entries[key]
-	if ok {
-		return e
+// Workers is the parallelism a statement's Workers setting asks for:
+// runtime.GOMAXPROCS when it is 0, floored at 1. It is the only place
+// the default is decided — for the executor's evaluation workers
+// (exec.Context) and for the views Load opens at once.
+func Workers(n int) int {
+	if n == 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	e = &entry{sig: sig, view: sig.ViewName(), committed: symbolic.False(), agg: symbolic.False()}
-	m.entries[key] = e
+	return max(n, 1)
+}
+
+// lockEntry locks mu and returns the live entry for a signature, loaded
+// on first sight (load) or waited for while another caller loads it.
+// The caller unlocks mu; the returned pointer must not escape the
+// critical section.
+func (m *Manager) lockEntry(sig Signature) *entry {
+	var buf [96]byte
+	key := sig.appendKey(buf[:0])
+	m.mu.Lock()
+	for {
+		if e, ok := m.entries[string(key)]; ok {
+			return e
+		}
+		l, busy := m.loads[string(key)]
+		if !busy {
+			l = m.beginLocked(sig, string(key))
+		}
+		m.mu.Unlock()
+		if busy {
+			<-l.done
+		} else {
+			m.load(l)
+		}
+		m.mu.Lock()
+	}
+}
+
+// beginLocked registers the in-flight handle of a load of key. Callers
+// hold mu.
+func (m *Manager) beginLocked(sig Signature, key string) *loading {
+	l := &loading{sig: sig, key: key, gen: m.gen, done: make(chan struct{})}
+	m.loads[key] = l
+	return l
+}
+
+// load creates the entry l stands for from the view's persisted
+// snapshot — FALSE (§4.1) when there is none or it cannot be decoded —
+// outside mu, and makes it visible, cut down to what the view still
+// holds when the store calls it stale or a ShrinkView came meanwhile.
+func (m *Manager) load(l *loading) {
+	sig := l.sig
+	e := &entry{sig: sig, view: sig.ViewName(), committed: symbolic.False(), agg: symbolic.False()}
+	stale := false
 	if m.store != nil {
-		pred, stale := m.store.Load(sig)
+		var pred []byte
+		pred, stale = m.store.Load(sig)
 		if len(pred) > 0 {
 			if d, err := symbolic.DecodeDNF(pred); err == nil {
 				e.committed, e.agg = d, d
 			}
 		}
-		if stale {
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if l.gen == m.gen {
+		m.entries[l.key] = e
+		if stale || l.shrink {
 			m.shrinkLocked(e)
 		}
 	}
-	return e
+	delete(m.loads, l.key)
+	close(l.done)
+}
+
+// Load makes the entries of sigs visible, as AggOf would one at a time,
+// and returns once they are: the planner hands it every signature a
+// statement will ask about before it asks, so that the views behind the
+// ones not seen yet open side by side. It loads them outside mu, at most
+// Workers(workers) at once — the calling goroutine among them — and with
+// one worker one at a time, in the order given. A signature loaded
+// already, or being loaded by another caller (whose load AggOf then
+// waits for), costs one map lookup: a statement whose entries are all
+// loaded starts no goroutine and allocates nothing.
+func (m *Manager) Load(sigs []Signature, workers int) {
+	var todo []*loading
+	m.mu.Lock()
+	for i := range sigs {
+		var buf [96]byte
+		key := sigs[i].appendKey(buf[:0])
+		_, loaded := m.entries[string(key)]
+		if _, busy := m.loads[string(key)]; !loaded && !busy {
+			todo = append(todo, m.beginLocked(sigs[i], string(key)))
+		}
+	}
+	m.mu.Unlock()
+	if len(todo) == 0 {
+		return
+	}
+	workers = min(Workers(workers), len(todo))
+	var next atomic.Int64
+	work := func() {
+		for i := next.Add(1) - 1; i < int64(len(todo)); i = next.Add(1) - 1 {
+			m.load(todo[i])
+		}
+	}
+	var wg sync.WaitGroup
+	for range workers - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 func (e *entry) snapshot() Entry { return Entry{Sig: e.sig, Agg: e.agg, ViewName: e.view} }
 
 // AggOf returns the signature's aggregated predicate p_u as planning
-// sees it, creating the entry on first sight. This is the race-safe
+// sees it, loading the entry on first sight. This is the race-safe
 // accessor the optimizer uses while concurrent statements claim and
 // commit.
 func (m *Manager) AggOf(sig Signature) symbolic.DNF {
-	m.mu.Lock()
+	e := m.lockEntry(sig)
 	defer m.mu.Unlock()
-	return m.ensureLocked(sig).agg
+	return e.agg
 }
 
 // Claims are one executing statement's claims on aggregated predicates:
@@ -155,9 +269,8 @@ func (c *Claims) Add(sig Signature, gate symbolic.DNF) {
 	if c == nil {
 		return
 	}
-	c.m.mu.Lock()
+	e := c.m.lockEntry(sig)
 	defer c.m.mu.Unlock()
-	e := c.m.ensureLocked(sig)
 	f := &flight{e: e, gate: gate}
 	e.flights = append(e.flights, f)
 	e.agg = symbolic.Union(e.agg, gate)
@@ -246,19 +359,32 @@ func encodePredicate(p symbolic.DNF) []byte {
 	return p.AppendBinary(nil)
 }
 
-// Shrink cuts the signature's predicates down to what its view still
-// holds after losing rows — a corrupt record salvaged around, an
-// eviction: p ← INTER(p, survived) for the committed predicate, every
-// claim in flight and their union, so the optimizer's DIFF residual
-// re-plans exactly the lost tuples (and the next STORE re-commits them
-// through the ordinary path). The shrunken snapshot replaces the
-// durable one. A signature the manager has not seen needs nothing: the
-// store keeps its snapshot marked stale, and first sight shrinks it.
-func (m *Manager) Shrink(sig Signature) {
+// ShrinkView cuts the predicates of the signature the named view backs
+// down to what the view still holds after losing rows — a corrupt record
+// salvaged around, an eviction: p ← INTER(p, survived) for the committed
+// predicate, every claim in flight and their union, so the optimizer's
+// DIFF residual re-plans exactly the lost tuples (and the next STORE
+// re-commits them through the ordinary path). The shrunken snapshot
+// replaces the durable one. A signature the manager has not seen needs
+// nothing: the store keeps its snapshot marked stale, and first sight
+// shrinks it. One being loaded is shrunk when its load lands, for the
+// load may have read the snapshot before the loss.
+func (m *Manager) ShrinkView(view string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if e, ok := m.entries[sig.Key()]; ok {
-		m.shrinkLocked(e)
+	// lint:unordered one entry at most backs a view
+	for _, e := range m.entries {
+		if strings.EqualFold(e.view, view) {
+			m.shrinkLocked(e)
+			return
+		}
+	}
+	// lint:unordered one load at most is of a view
+	for _, l := range m.loads {
+		if strings.EqualFold(l.sig.ViewName(), view) {
+			l.shrink = true
+			return
+		}
 	}
 }
 
@@ -295,9 +421,11 @@ func (m *Manager) EntryByView(view string) (Entry, bool) {
 }
 
 // Reset forgets all entries (the views were dropped, or a fresh
-// workload run): each is looked up in the store again on next sight.
+// workload run): each is looked up in the store again on next sight,
+// and a load in flight installs nothing.
 func (m *Manager) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.entries = map[string]*entry{}
+	m.gen++
 }

@@ -208,7 +208,7 @@ func TestShrinkCutsClaimsInFlight(t *testing.T) {
 	c := m.Begin()
 	c.Add(sig, rangeDNF(t, 100, 200))
 	store.survived[sig.ViewName()] = symbolic.False() // the view was evicted
-	m.Shrink(sig)
+	m.ShrinkView(sig.ViewName())
 	if !m.AggOf(sig).IsFalse() {
 		t.Fatalf("after the shrink planning sees %s", m.AggOf(sig))
 	}
@@ -218,7 +218,7 @@ func TestShrinkCutsClaimsInFlight(t *testing.T) {
 	if got := m.AggOf(sig); !got.IsFalse() {
 		t.Errorf("the claim committed %s over an evicted view", got)
 	}
-	m.Shrink(NewSignature("video", "never-seen", nil)) // nothing to do, nothing to load
+	m.ShrinkView(NewSignature("video", "never-seen", nil).ViewName()) // nothing to do, nothing to load
 	if len(m.entries) != 1 {
 		t.Errorf("Shrink created an entry: %d", len(m.entries))
 	}

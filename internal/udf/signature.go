@@ -54,11 +54,24 @@ func NewSignature(table, name string, args []expr.Expr) Signature {
 // materialized view name, qualified by the source table when set.
 // ViewName spells the same format; a change here must be mirrored there.
 func (s Signature) Key() string {
-	base := s.Name + "[" + strings.Join(s.Inputs, ",") + "]"
-	if s.Table == "" {
-		return base
+	var buf [96]byte
+	return string(s.appendKey(buf[:0]))
+}
+
+// appendKey appends Key's bytes to b: a lookup by a key built in a
+// stack buffer allocates nothing.
+func (s Signature) appendKey(b []byte) []byte {
+	if s.Table != "" {
+		b = append(append(b, s.Table...), '.')
 	}
-	return s.Table + "." + base
+	b = append(append(b, s.Name...), '[')
+	for i, in := range s.Inputs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, in...)
+	}
+	return append(b, ']')
 }
 
 // String implements fmt.Stringer.

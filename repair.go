@@ -123,16 +123,12 @@ func (s *System) scrubPassLocked() ScrubReport {
 
 // quarantineDetected tells the UDF manager a view lost rows: its
 // aggregated predicate shrinks to what the salvaged rows still prove
-// (udf.Manager.Shrink) and the region given up comes back through
+// (udf.Manager.ShrinkView) and the region given up comes back through
 // predicateLost to be queued for repair. A signature the manager has
 // not seen since this System opened needs nothing here: storage keeps
 // the view's durable predicate marked stale, and the manager goes
 // through the same shrink when it first loads it.
-func (s *System) quarantineDetected(view string) {
-	if entry, ok := s.mgr().EntryByView(view); ok {
-		s.mgr().Shrink(entry.Sig)
-	}
-}
+func (s *System) quarantineDetected(view string) { s.mgr().ShrinkView(view) }
 
 // predicateLost is the manager's OnLost hook: the signature's view lost
 // rows its aggregated predicate had promised — found by a scrub, or at
