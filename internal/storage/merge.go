@@ -67,12 +67,10 @@ type viewRows struct {
 	runs  [][]viewKey
 	filed int // rows filed: replay decodes rows before it files them
 	zero  zeroKeys
-	// top is the highest id listed among the runs and the zero-row keys:
-	// a batch whose first id is above it holds no processed key, which
-	// lets staging skip the merge (stageLocked). An id-only view lists
-	// each id at most once, which the covered step counts on (covered);
-	// twice is set if an id was ever listed again. noteID keeps both as
-	// keys are filed.
+	// An id-only view lists each id at most once among its runs and its
+	// zero-row keys, which the covered step counts on (covered). noteID
+	// checks it as keys are filed: top is the highest id listed, and
+	// twice is set if an id was ever listed again.
 	top   int64
 	twice bool
 }
@@ -215,19 +213,18 @@ func (s *viewRows) fold() {
 	s.runs = append(s.runs[:1], s.runs[k:]...)
 }
 
-// noteID notes a key of id x about to be listed: it raises top, and for
-// an id-only view it checks that the key is the first of its id —
-// staging drops every processed key, so none should be listed again, and
-// if one is, twice turns the covered step off for good. Keys above every
-// id listed pass at once — appends of ascending frames file only those —
-// and any other is looked up in the runs and the first settled zero-row
-// keys, which are sorted, and against the last zero-row key after them:
-// a batch's keys arrive in id order.
+// noteID checks, for an id-only view, that a key of id x about to be
+// listed is the first of its id: staging drops every processed key, so
+// none should be listed again, and if one is, twice turns the covered
+// step off for good. Keys above every id listed pass at once — appends of
+// ascending frames file only those — and any other is looked up in the
+// runs and the first settled zero-row keys, which are sorted, and against
+// the last zero-row key after them: a batch's keys arrive in id order.
 func (s *viewRows) noteID(x int64, settled int) {
 	switch {
+	case !s.idOnly():
 	case x > s.top:
 		s.top = x
-	case !s.idOnly():
 	case s.listed(x, settled):
 		s.twice = true
 	}
@@ -676,24 +673,25 @@ func above(keys []viewKey, lo int, x int64) int {
 // rows lists the batch's rows to store in the order they are stored, and
 // key i's rows start at rows[starts[i]] — the first key's continue the
 // last stored row's when cont is set; last reports that the batch's last
-// row is among them; pk holds their encodings and hashes. join is
-// replay's: the record just replayed may be continued (replayRecord).
-// The rest is stageLocked's scratch, kept for the next batch.
+// row is among them; pk holds their encodings and hashes. prev is
+// replay's: the payload of the record just replayed, when the next may
+// continue the key it ended with (View.replayRecord). The rest is
+// stageLocked's scratch, kept for the next batch.
 type staging struct {
 	pk       ProbeKeys
 	rows     []int
 	starts   []int
 	cont     bool
 	last     bool
-	join     bool
+	prev     []byte
 	lo, hi   []int
 	key, ord []int
 	hits     []ProbeHit
 	seen     IDKeys
 }
 
-// stageLocked sets st to what src adds to the view: src holds rows or,
-// when bare, bare keys (the key columns' layout, keySchema), with
+// stageLocked sets st to what src adds to the view: src holds rows, or
+// bare keys, keyed by its columns keyIdx in the view's key order, with
 // non-decreasing ids. Keys the view has processed are dropped by the
 // same merge a probe runs (find), and each key left keeps all its rows,
 // in src order, as one range — also when they come apart in src, as two
@@ -701,19 +699,7 @@ type staging struct {
 // key of the last stored row that lead src continue it: replay meets them
 // where a record boundary cut a key's rows. Callers hold mu (or run
 // pre-publish).
-//
-// Two shortcuts are exact. A batch whose first id is above every id the
-// view lists (viewRows.top) holds no processed key and cannot continue
-// the last one, so the merge is skipped. And the rows of an id-only view
-// are neither encoded nor hashed — the view files no hash — nor deduped
-// by IDKeys: their ids never decrease, so each stretch of one id is one
-// key. Bare keys are always encoded: a zero-row key and a key record
-// keep their encoding.
-func (v *View) stageLocked(src *types.Batch, bare, cont bool, st *staging) error {
-	keyIdx := v.keyIdx
-	if bare {
-		keyIdx = v.keyOwn
-	}
+func (v *View) stageLocked(src *types.Batch, keyIdx []int, cont bool, st *staging) error {
 	pk := &st.pk
 	pk.started = false
 	if err := pk.Reset(src, keyIdx); err != nil {
@@ -732,10 +718,7 @@ func (v *View) stageLocked(src *types.Batch, bare, cont bool, st *staging) error
 	st.lo, st.hi = lo, hi
 	// Keys already processed go, but for rows that continue the key filed
 	// last.
-	hits, w := st.hits[:0], 0
-	if len(lo) > 0 && pk.id(0) <= v.rows.top {
-		hits = v.rows.find(pk, lo, hits)
-	}
+	hits, w := v.rows.find(pk, lo, st.hits[:0]), 0
 	st.hits = hits
 	st.cont = cont && len(hits) > 0 && hits[0].Key == 0 && hits[0].Hi > hits[0].Lo && hits[0].Hi == v.rows.filed
 	for i, h := 0, 0; i < len(lo); i++ {
@@ -751,16 +734,6 @@ func (v *View) stageLocked(src *types.Batch, bare, cont bool, st *staging) error
 	}
 	lo, hi = lo[:w], hi[:w]
 	st.last = w > 0 && hi[w-1] == src.Len()
-	st.rows, st.starts = st.rows[:0], st.starts[:0]
-	if !bare && v.rows.idOnly() {
-		for i, r := range lo {
-			st.starts = append(st.starts, len(st.rows))
-			for ; r < hi[i]; r++ {
-				st.rows = append(st.rows, r)
-			}
-		}
-		return nil
-	}
 	pk.Encode(lo)
 	// A key met again under one id joins its first stretch: the stretches
 	// are stored by id, then by their key's first stretch among the id's —
@@ -778,6 +751,7 @@ func (v *View) stageLocked(src *types.Batch, bare, cont bool, st *staging) error
 	if again {
 		slices.SortStableFunc(ord, func(a, b int) int { return cmp.Compare(key[a], key[b]) })
 	}
+	st.rows, st.starts = st.rows[:0], st.starts[:0]
 	for x, i := range ord {
 		if x == 0 || key[i] != key[ord[x-1]] {
 			st.starts = append(st.starts, len(st.rows))

@@ -284,12 +284,16 @@ func (v *View) replayRecord(kind byte, count int, payload []byte) error {
 		// tail chunk, and on into fresh ones when it fills. A chunk
 		// boundary may cut a key's rows, and so may a compacted
 		// generation's record boundary, after every compactChunkRows
-		// rows; nothing else does — an append never adds to a key — so a
+		// rows; nothing else does — an append never adds to a key. So a
 		// record's first rows continue the key filed last only after a
-		// record of that many rows whose last was filed (a copy of an
-		// appended record, which a retried append can leave, is merged
-		// away instead).
-		join := v.stage.join
+		// record of that many rows whose last was filed, and only if the
+		// two differ: a retried append that had landed writes its
+		// record again byte for byte, and that copy is merged away. A
+		// compacted key whose rows repeat byte for byte across such a
+		// cut would read as a copy too; the compaction's shadow replay
+		// then rebuilds fewer rows than the view holds, and the
+		// generation is refused (verifyGenerationLocked).
+		join := v.stage.prev != nil && !bytes.Equal(payload, v.stage.prev)
 		for left := count; left > 0; {
 			tail, room := v.rows.room(v.schema) // lint:nolock replay runs inside openView before the view is published
 			k, at := min(left, room), tail.Len()
@@ -302,7 +306,10 @@ func (v *View) replayRecord(kind byte, count int, payload []byte) error {
 			}
 			off, left = off+n, left-k
 		}
-		v.stage.join = join && count == compactChunkRows
+		v.stage.prev = nil
+		if join && count == compactChunkRows {
+			v.stage.prev = payload
+		}
 	case recKeys:
 		kb := types.NewBatch(v.keySchema)
 		n, err := kb.AppendEncoded(payload, count)
@@ -322,7 +329,7 @@ func (v *View) replayRecord(kind byte, count int, payload []byte) error {
 		return fmt.Errorf("unknown record kind %d", kind)
 	}
 	if kind != recRows {
-		v.stage.join = false
+		v.stage.prev = nil
 	}
 	if off != len(payload) {
 		return fmt.Errorf("record kind %d: %d trailing payload bytes", kind, len(payload)-off)
@@ -432,7 +439,7 @@ func (v *View) fileDecodedLocked(tail *types.Batch, at int, join bool) (bool, er
 		for b < tail.Len() && !(ids[b].Kind() == types.KindInt && ids[b-1].Kind() == types.KindInt && ids[b].Int() < ids[b-1].Int()) {
 			b++
 		}
-		if err := v.stageLocked(tail.Slice(a, b), false, join && a == at, st); err != nil {
+		if err := v.stageLocked(tail.Slice(a, b), v.keyIdx, join && a == at, st); err != nil {
 			return false, err
 		}
 		last = st.last
@@ -485,7 +492,7 @@ func (v *View) storeLocked(src *types.Batch, st *staging) {
 func (v *View) markLocked(kb *types.Batch) error {
 	kb = v.sortKeys(kb)
 	st := &staging{}
-	if err := v.stageLocked(kb, true, false, st); err != nil {
+	if err := v.stageLocked(kb, v.keyOwn, false, st); err != nil {
 		return err
 	}
 	z := &v.rows.zero
@@ -632,9 +639,9 @@ func (v *View) appendLocked(rows *types.Batch, processedKeys [][]types.Datum, in
 	}
 	keys = v.sortKeys(keys)
 	rs, ks := &staging{}, &staging{}
-	err := v.stageLocked(rows, false, false, rs)
+	err := v.stageLocked(rows, v.keyIdx, false, rs)
 	if err == nil {
-		err = v.stageLocked(keys, true, false, ks)
+		err = v.stageLocked(keys, v.keyOwn, false, ks)
 	}
 	if err != nil {
 		return 0, fmt.Errorf("storage: view %s: %w", v.name, err)
