@@ -80,6 +80,6 @@ func (s *System) benefitRank(c storage.EvictCandidate) float64 {
 // optimizer path. Any repair task, pending or just queued by the
 // shrink, is moot.
 func (s *System) viewEvicted(name string) {
-	s.quarantineDetected(name)
+	s.mgr().ShrinkView(name)
 	s.clearRepair(name)
 }

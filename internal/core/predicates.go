@@ -13,13 +13,17 @@ import (
 // viewPredicates is the UDF manager's udf.PredicateStore: a signature's
 // aggregated predicate is durable in the log of the view it describes,
 // so the two cannot drift apart and a restart costs a read, not a
-// recomputation of what the views already hold.
+// recomputation of what the views already hold. Open is the engine's
+// open; every other method works on the view only if it is open
+// already, so none opens a log under the manager's lock.
 type viewPredicates struct{ store *storage.Engine }
 
-// view is the signature's view, open or on disk; nil when it has none.
+// view is the signature's view if it is open; nil otherwise.
 func (p viewPredicates) view(sig udf.Signature) *storage.View {
-	return p.store.Existing(sig.ViewName())
+	return p.store.Opened(sig.ViewName())
 }
+
+func (p viewPredicates) Open(sig udf.Signature) { p.store.Existing(sig.ViewName()) }
 
 func (p viewPredicates) Load(sig udf.Signature) ([]byte, bool) {
 	v := p.view(sig)
@@ -89,7 +93,7 @@ func (e *Engine) settle(claims *udf.Claims, stored map[string]int, clock *simclo
 			if sig, err = claims.Commit(inj); err == nil {
 				return nil
 			}
-			v := e.Store.Existing(sig.ViewName())
+			v := e.Store.Opened(sig.ViewName())
 			if v == nil || !storage.IsDiskFull(err) {
 				return err
 			}

@@ -557,7 +557,7 @@ type applyIter struct {
 // expressions bound to the input schema (a program owns scratch, so
 // workers cannot share one), the caller nested calls go through and
 // the frame decoder, whose memo lets the sibling rows of one frame
-// share a decode. runParallel pins each goroutine to one slot, so no
+// share a decode. udf.RunParallel pins each goroutine to one slot, so no
 // locking is needed and the steady-state eval loop allocates nothing.
 type evalScratch struct {
 	progs  []*expr.Program
@@ -1096,7 +1096,7 @@ func (a *applyIter) evalPhase(b *types.Batch, decisions []rowDecision) {
 	}
 	scratch := a.scratch
 	hs := a.ctx.Domain.HealthSnapshot()
-	runParallel(workers, chunks, func(w, k int) {
+	udf.RunParallel(workers, chunks, func(w, k int) {
 		a.evalChunk(b, decisions, &a.chunks[k], k*n/chunks, (k+1)*n/chunks, hs, &scratch[w])
 	})
 }

@@ -47,7 +47,6 @@ package exec
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"eva/internal/plan"
 	"eva/internal/types"
@@ -249,47 +248,4 @@ func (c *Context) stopStages() {
 			}
 		}
 	}
-}
-
-// runParallel invokes fn(worker, i) for every i in [0, n), spreading
-// calls across at most workers goroutines and blocking until all
-// complete. Callers give each index a disjoint result slot, so fn
-// needs no locking of its own; the worker argument (0-based, stable
-// per goroutine) lets callers hand each goroutine private scratch
-// space, which is how the apply operator's eval loop stays off the
-// heap. The calling goroutine is worker 0 and claims indexes like the
-// helpers it starts, and it waits for the calls made, not for the
-// helpers: a helper the scheduler starts late finds nothing left and
-// costs the caller nothing. (On a 2-vCPU VM, waking a helper took
-// about 30 µs; a sparse video's scalar UDF batches evaluate in 8.) With
-// one worker it degenerates to an inline loop — the serial engine's
-// exact code path, always worker 0.
-func runParallel(workers, n int, fn func(worker, i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var calls sync.WaitGroup
-	calls.Add(n)
-	work := func(w int) {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			fn(w, i)
-			calls.Done()
-		}
-	}
-	for w := 1; w < workers; w++ {
-		go work(w)
-	}
-	work(0)
-	calls.Wait()
 }

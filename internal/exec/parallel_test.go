@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -361,28 +360,4 @@ func TestStageEarlyHalt(t *testing.T) {
 	if st := ctx.Pool.Stats(); st.Hits+st.Misses != st.Puts {
 		t.Errorf("pool after an abandoned stage: %+v (want Hits+Misses == Puts)", st)
 	}
-}
-
-func TestRunParallelPool(t *testing.T) {
-	var sum atomic.Int64
-	runParallel(4, 100, func(w, i int) {
-		if w < 0 || w >= 4 {
-			t.Errorf("worker id %d out of range", w)
-		}
-		sum.Add(int64(i))
-	})
-	if got := sum.Load(); got != 4950 {
-		t.Errorf("parallel sum = %d", got)
-	}
-	sum.Store(0)
-	runParallel(1, 10, func(w, i int) { // serial path, always worker 0
-		if w != 0 {
-			t.Errorf("serial worker id = %d", w)
-		}
-		sum.Add(int64(i))
-	})
-	if got := sum.Load(); got != 45 {
-		t.Errorf("serial sum = %d", got)
-	}
-	runParallel(8, 0, func(int, int) { t.Error("fn called for n=0") })
 }

@@ -150,12 +150,14 @@ func (e *Engine) CreateView(name string, schema types.Schema, keyCols []string) 
 // Existing returns the named view if this engine has it open or its log
 // is on disk, opening the log as its header describes it; nil otherwise
 // (including a log too damaged to open without a creator's schema,
-// which CreateView deals with later as it always has). It is how the UDF
-// manager reaches a signature's persisted aggregated predicate before
-// any operator has asked for the view; the replay it pays is the one
-// that operator's CreateView would have paid. It is not an access for
-// eviction recency, but a view opened here starts as recent as the
-// engine's latest access rather than as its coldest.
+// which CreateView deals with later as it always has). It is the one
+// open the UDF manager makes of a signature's view, outside its lock,
+// before it reads the persisted aggregated predicate (Opened) under it;
+// the replay it pays is the one the first operator's CreateView would
+// have paid, and callers that reach one log at once share it
+// (openShared). It is not an access for eviction recency, but a view
+// opened here starts as recent as the engine's latest access rather than
+// as its coldest.
 func (e *Engine) Existing(name string) *View {
 	v, _ := e.openShared(name, func(path string, inj *faults.Injector, budget *DiskBudget) (*View, error) {
 		if _, err := os.Stat(path); err != nil {
@@ -260,9 +262,12 @@ func (e *Engine) View(name string) *View {
 	return v
 }
 
-// viewNoTouch is View without the recency bump, for the reclaim ladder
-// (the evictor inspecting a victim must not refresh it).
-func (e *Engine) viewNoTouch(name string) *View {
+// Opened is View without the recency bump: the named view if this
+// engine has it open, nil otherwise. It opens no log, so it is safe
+// under locks a replay must not run under, and it is not an access for
+// eviction recency — the reclaim ladder inspecting a victim must not
+// refresh it, nor must the UDF manager reading a view's predicate.
+func (e *Engine) Opened(name string) *View {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.views[strings.ToLower(name)]

@@ -156,7 +156,7 @@ func (e *Engine) Reclaim(need int64, exclude string) int64 {
 		return cands[i].Name < cands[j].Name
 	})
 	for _, c := range cands {
-		v := e.viewNoTouch(c.Name)
+		v := e.Opened(c.Name)
 		if v == nil {
 			continue
 		}

@@ -2,6 +2,7 @@ package udf
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,11 +23,17 @@ type Entry struct {
 }
 
 // PredicateStore is where aggregated predicates are durable: each
-// signature's view log carries the snapshot of its own p_u.
+// signature's view log carries the snapshot of its own p_u. Open is the
+// one call that may open a view log, and the manager makes it without
+// its lock; the others read or write a view that is open already, and
+// are called under the lock.
 type PredicateStore interface {
-	// Load returns the snapshot persisted for the signature's view
-	// (empty: none) and whether it is stale — the view has lost rows
-	// since it was written.
+	// Open opens the signature's view if its log is on disk and it is
+	// not open yet. Concurrent calls for one view share one open.
+	Open(sig Signature)
+	// Load returns the snapshot persisted for the signature's open view
+	// (empty: none, or the view is not open) and whether it is stale —
+	// the view has lost rows since it was written.
 	Load(sig Signature) (pred []byte, stale bool)
 	// Survived returns the predicate bounding what the signature's view
 	// still holds after a loss of rows.
@@ -74,10 +81,12 @@ type flight struct {
 // is loaded from its view's log the first time its signature is seen,
 // and every change to what it promises is written back.
 //
-// A load opens the view when it is not open yet, which replays its log,
-// so it runs outside mu: an entry being loaded has an in-flight handle
-// (loading) that other callers wait on, and is visible in entries only
-// once it has loaded. No replay runs under mu.
+// A first sight is two steps. The view is opened outside mu
+// (PredicateStore.Open: the storage engine's open, which replays the
+// log once for every caller that reaches it at once); then, in one
+// critical section, the open view's snapshot and stale mark are read and
+// the entry is installed — by the first caller to get there. No view
+// log is opened under mu.
 type Manager struct {
 	store PredicateStore // nil: predicates live and die with the process
 	// onLost, when set, is told each time a signature's predicate had to
@@ -86,30 +95,13 @@ type Manager struct {
 	onLost func(sig Signature, lost symbolic.DNF)
 
 	mu      sync.Mutex
-	entries map[string]*entry // guarded by mu; the loaded entries
-	// loads are the entries being loaded, by key. guarded by mu.
-	loads map[string]*loading
-	// gen counts Resets: a load begun before one installs nothing.
-	// guarded by mu.
-	gen uint64
-}
-
-// loading is the in-flight handle of one entry being loaded: done closes
-// once the entry is visible or a Reset dropped it, and shrink records a
-// ShrinkView that came while it loaded — the view may have lost rows
-// after the load read its snapshot — which the load then applies.
-type loading struct {
-	sig    Signature
-	key    string
-	gen    uint64
-	done   chan struct{}
-	shrink bool
+	entries map[string]*entry // guarded by mu
 }
 
 // NewManager returns an empty manager over the store (nil keeps
 // predicates in memory only).
 func NewManager(store PredicateStore) *Manager {
-	return &Manager{store: store, entries: map[string]*entry{}, loads: map[string]*loading{}}
+	return &Manager{store: store, entries: map[string]*entry{}}
 }
 
 // OnLost installs the hook told about regions a predicate gave up
@@ -127,110 +119,124 @@ func Workers(n int) int {
 	return max(n, 1)
 }
 
+// RunParallel invokes fn(worker, i) for every i in [0, n), spreading
+// calls across at most workers goroutines and blocking until all
+// complete. Callers give each index a disjoint result slot, so fn
+// needs no locking of its own; the worker argument (0-based, stable
+// per goroutine) lets callers hand each goroutine private scratch
+// space, which is how the apply operator's eval loop stays off the
+// heap. The calling goroutine is worker 0 and claims indexes like the
+// helpers it starts, and it waits for the calls made, not for the
+// helpers: a helper the scheduler starts late finds nothing left and
+// costs the caller nothing. (On a 2-vCPU VM, waking a helper took
+// about 30 µs; a sparse video's scalar UDF batches evaluate in 8.) With
+// one worker it degenerates to an inline loop, in index order — the
+// serial engine's exact code path, always worker 0.
+func RunParallel(workers, n int, fn func(worker, i int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(0, i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var calls sync.WaitGroup
+	calls.Add(n)
+	work := func(w int) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			fn(w, i)
+			calls.Done()
+		}
+	}
+	for w := 1; w < workers; w++ {
+		go work(w)
+	}
+	work(0)
+	calls.Wait()
+}
+
 // lockEntry locks mu and returns the live entry for a signature, loaded
-// on first sight (load) or waited for while another caller loads it.
-// The caller unlocks mu; the returned pointer must not escape the
-// critical section.
+// on first sight: the view is opened with mu released, and the entry is
+// installed under it unless another caller installed it meanwhile. The
+// caller unlocks mu; the returned pointer must not escape the critical
+// section.
 func (m *Manager) lockEntry(sig Signature) *entry {
 	var buf [96]byte
 	key := sig.appendKey(buf[:0])
 	m.mu.Lock()
-	for {
+	if e, ok := m.entries[string(key)]; ok {
+		return e
+	}
+	if m.store != nil {
+		m.mu.Unlock()
+		m.store.Open(sig)
+		m.mu.Lock()
 		if e, ok := m.entries[string(key)]; ok {
 			return e
 		}
-		l, busy := m.loads[string(key)]
-		if !busy {
-			l = m.beginLocked(sig, string(key))
-		}
-		m.mu.Unlock()
-		if busy {
-			<-l.done
-		} else {
-			m.load(l)
-		}
-		m.mu.Lock()
 	}
+	return m.installLocked(sig, string(key))
 }
 
-// beginLocked registers the in-flight handle of a load of key. Callers
-// hold mu.
-func (m *Manager) beginLocked(sig Signature, key string) *loading {
-	l := &loading{sig: sig, key: key, gen: m.gen, done: make(chan struct{})}
-	m.loads[key] = l
-	return l
-}
-
-// load creates the entry l stands for from the view's persisted
+// installLocked creates the entry of key from its open view's persisted
 // snapshot — FALSE (§4.1) when there is none or it cannot be decoded —
-// outside mu, and makes it visible, cut down to what the view still
-// holds when the store calls it stale or a ShrinkView came meanwhile.
-func (m *Manager) load(l *loading) {
-	sig := l.sig
+// and makes it visible, cut down to what the view still holds when the
+// store calls it stale. Storage marks a view stale before it reports a
+// loss of rows (ShrinkView), so a loss reported before the install,
+// which found no entry to shrink, is applied here. Callers hold mu.
+func (m *Manager) installLocked(sig Signature, key string) *entry {
 	e := &entry{sig: sig, view: sig.ViewName(), committed: symbolic.False(), agg: symbolic.False()}
-	stale := false
-	if m.store != nil {
-		var pred []byte
-		pred, stale = m.store.Load(sig)
-		if len(pred) > 0 {
-			if d, err := symbolic.DecodeDNF(pred); err == nil {
-				e.committed, e.agg = d, d
-			}
+	m.entries[key] = e
+	if m.store == nil {
+		return e
+	}
+	pred, stale := m.store.Load(sig)
+	if len(pred) > 0 {
+		if d, err := symbolic.DecodeDNF(pred); err == nil {
+			e.committed, e.agg = d, d
 		}
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if l.gen == m.gen {
-		m.entries[l.key] = e
-		if stale || l.shrink {
-			m.shrinkLocked(e)
-		}
+	if stale {
+		m.shrinkLocked(e)
 	}
-	delete(m.loads, l.key)
-	close(l.done)
+	return e
 }
 
 // Load makes the entries of sigs visible, as AggOf would one at a time,
 // and returns once they are: the planner hands it every signature a
 // statement will ask about before it asks, so that the views behind the
-// ones not seen yet open side by side. It loads them outside mu, at most
+// ones not seen yet open side by side. It opens them outside mu, at most
 // Workers(workers) at once — the calling goroutine among them — and with
 // one worker one at a time, in the order given. A signature loaded
-// already, or being loaded by another caller (whose load AggOf then
-// waits for), costs one map lookup: a statement whose entries are all
-// loaded starts no goroutine and allocates nothing.
+// already costs one map lookup: a statement whose entries are all
+// loaded starts no goroutine and allocates nothing. One that another
+// caller is loading is opened again, which waits for that caller's
+// open in the store, and is installed by whichever gets there first.
 func (m *Manager) Load(sigs []Signature, workers int) {
-	var todo []*loading
+	var todo []Signature
 	m.mu.Lock()
 	for i := range sigs {
 		var buf [96]byte
-		key := sigs[i].appendKey(buf[:0])
-		_, loaded := m.entries[string(key)]
-		if _, busy := m.loads[string(key)]; !loaded && !busy {
-			todo = append(todo, m.beginLocked(sigs[i], string(key)))
+		_, loaded := m.entries[string(sigs[i].appendKey(buf[:0]))]
+		if !loaded && !slices.ContainsFunc(todo, sigs[i].equal) {
+			todo = append(todo, sigs[i])
 		}
 	}
 	m.mu.Unlock()
 	if len(todo) == 0 {
 		return
 	}
-	workers = min(Workers(workers), len(todo))
-	var next atomic.Int64
-	work := func() {
-		for i := next.Add(1) - 1; i < int64(len(todo)); i = next.Add(1) - 1 {
-			m.load(todo[i])
-		}
-	}
-	var wg sync.WaitGroup
-	for range workers - 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
+	RunParallel(Workers(workers), len(todo), func(_, i int) {
+		m.lockEntry(todo[i])
+		m.mu.Unlock()
+	})
 }
 
 func (e *entry) snapshot() Entry { return Entry{Sig: e.sig, Agg: e.agg, ViewName: e.view} }
@@ -365,10 +371,9 @@ func encodePredicate(p symbolic.DNF) []byte {
 // predicate, every claim in flight and their union, so the optimizer's
 // DIFF residual re-plans exactly the lost tuples (and the next STORE
 // re-commits them through the ordinary path). The shrunken snapshot
-// replaces the durable one. A signature the manager has not seen needs
-// nothing: the store keeps its snapshot marked stale, and first sight
-// shrinks it. One being loaded is shrunk when its load lands, for the
-// load may have read the snapshot before the loss.
+// replaces the durable one. A signature the manager has not installed
+// needs nothing: the store keeps its snapshot marked stale, and the
+// install shrinks it.
 func (m *Manager) ShrinkView(view string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -376,13 +381,6 @@ func (m *Manager) ShrinkView(view string) {
 	for _, e := range m.entries {
 		if strings.EqualFold(e.view, view) {
 			m.shrinkLocked(e)
-			return
-		}
-	}
-	// lint:unordered one load at most is of a view
-	for _, l := range m.loads {
-		if strings.EqualFold(l.sig.ViewName(), view) {
-			l.shrink = true
 			return
 		}
 	}
@@ -421,11 +419,9 @@ func (m *Manager) EntryByView(view string) (Entry, bool) {
 }
 
 // Reset forgets all entries (the views were dropped, or a fresh
-// workload run): each is looked up in the store again on next sight,
-// and a load in flight installs nothing.
+// workload run): each is looked up in the store again on next sight.
 func (m *Manager) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.entries = map[string]*entry{}
-	m.gen++
 }

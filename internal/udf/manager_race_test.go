@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -113,22 +114,28 @@ func BenchmarkManagerAggOf(b *testing.B) {
 	}
 }
 
-// gatedStore is a memStore whose Load waits for its signature's gate to
-// open, counting the loads of each view and the most running at once.
+// gatedStore is a memStore whose Open waits for its signature's gate to
+// open, counting the opens and the snapshot reads of each view and the
+// most opens running at once.
 type gatedStore struct {
 	*memStore
 	gates map[string]chan struct{}
 
 	mu       sync.Mutex
-	loads    map[string]int
+	opens    map[string]int
+	reads    map[string]int
 	order    []string
 	running  int
 	parallel int
 }
 
-func (s *gatedStore) Load(sig Signature) ([]byte, bool) {
+func newGatedStore(mem *memStore) *gatedStore {
+	return &gatedStore{memStore: mem, gates: map[string]chan struct{}{}, opens: map[string]int{}, reads: map[string]int{}}
+}
+
+func (s *gatedStore) Open(sig Signature) {
 	s.mu.Lock()
-	s.loads[sig.ViewName()]++
+	s.opens[sig.ViewName()]++
 	s.order = append(s.order, sig.ViewName())
 	s.running++
 	s.parallel = max(s.parallel, s.running)
@@ -139,15 +146,48 @@ func (s *gatedStore) Load(sig Signature) ([]byte, bool) {
 	s.mu.Lock()
 	s.running--
 	s.mu.Unlock()
+}
+
+func (s *gatedStore) Load(sig Signature) ([]byte, bool) {
+	s.mu.Lock()
+	s.reads[sig.ViewName()]++
+	s.mu.Unlock()
 	return s.memStore.Load(sig)
 }
 
-// TestLoadRunsOutsideTheLock: Load opens the entries it has not seen side
-// by side, at most Workers at once, and without the manager's lock: while
-// they load, a signature loaded before answers, AggOf and Claims.Add of
-// one being loaded wait for its load, a loss of rows reported meanwhile
-// shrinks it as it lands, and each signature is loaded once. With one
-// worker the loads run one at a time, in the order given.
+// waitOpens waits until n opens are held at their gates.
+func (s *gatedStore) waitOpens(t *testing.T, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
+		s.mu.Lock()
+		running := s.running
+		s.mu.Unlock()
+		if running == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d opens running, want %d", running, n)
+		}
+	}
+}
+
+// markLost does what storage does when a view loses rows: it marks the
+// view's snapshot stale, then tells the manager.
+func markLost(m *Manager, mem *memStore, sig Signature) {
+	mem.mu.Lock()
+	mem.stale[sig.ViewName()] = true
+	mem.mu.Unlock()
+	m.ShrinkView(sig.ViewName())
+}
+
+// TestLoadRunsOutsideTheLock: Load opens the views of the entries it has
+// not seen side by side, at most Workers at once, and without the
+// manager's lock: while they open, a signature loaded before answers,
+// AggOf and Claims.Add of one being loaded wait for its view to open
+// (each caller opens it; the store shares one replay among them), a loss
+// of rows the store marked meanwhile shrinks it as it is installed, and
+// each signature's snapshot is read and installed once. With one worker
+// the opens run one at a time, in the order given.
 func TestLoadRunsOutsideTheLock(t *testing.T) {
 	sigs := []Signature{
 		NewSignature("video", "a", []expr.Expr{expr.NewColumn("frame")}),
@@ -160,7 +200,7 @@ func TestLoadRunsOutsideTheLock(t *testing.T) {
 		mem.pred[sig.ViewName()] = encodePredicate(rangeDNF(t, 0, 100))
 		mem.survived[sig.ViewName()] = rangeDNF(t, 0, 50)
 	}
-	s := &gatedStore{memStore: mem, gates: map[string]chan struct{}{}, loads: map[string]int{}}
+	s := newGatedStore(mem)
 	m := NewManager(s)
 	m.AggOf(open)
 	for _, sig := range sigs {
@@ -171,21 +211,17 @@ func TestLoadRunsOutsideTheLock(t *testing.T) {
 		m.Load(append(sigs, sigs[0]), 2)
 		close(loaded)
 	}()
-	for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
-		s.mu.Lock()
-		n := s.running
-		s.mu.Unlock()
-		if n == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d loads running, want 2 at once", n)
-		}
+	s.waitOpens(t, 2)
+	s.mu.Lock()
+	parallel := s.parallel
+	s.mu.Unlock()
+	if parallel != 2 {
+		t.Fatalf("%d opens ran at once, want 2", parallel)
 	}
 	if !holds(m.AggOf(open), 70) {
 		t.Fatal("the signature loaded before lost its predicate")
 	}
-	m.ShrinkView(sigs[0].ViewName())
+	markLost(m, mem, sigs[0])
 	waited, gate := make(chan symbolic.DNF, 2), rangeDNF(t, 200, 300)
 	go func() { waited <- m.AggOf(sigs[0]) }()
 	go func() {
@@ -194,6 +230,7 @@ func TestLoadRunsOutsideTheLock(t *testing.T) {
 		waited <- m.AggOf(sigs[2])
 		c.Abort()
 	}()
+	s.waitOpens(t, 4)
 	for _, sig := range sigs {
 		close(s.gates[sig.ViewName()])
 	}
@@ -201,16 +238,16 @@ func TestLoadRunsOutsideTheLock(t *testing.T) {
 	for range 2 {
 		<-waited
 	}
-	if s.parallel != 2 {
-		t.Fatalf("%d loads ran at once, want 2", s.parallel)
-	}
 	for _, sig := range sigs {
-		if n := s.loads[sig.ViewName()]; n != 1 {
-			t.Fatalf("%s loaded %d times, want once", sig.ViewName(), n)
+		if n := s.reads[sig.ViewName()]; n != 1 {
+			t.Fatalf("%s read and installed %d times, want once", sig.ViewName(), n)
 		}
 	}
+	if a, b, c := s.opens[sigs[0].ViewName()], s.opens[sigs[1].ViewName()], s.opens[sigs[2].ViewName()]; a != 2 || b != 1 || c < 1 || c > 2 {
+		t.Fatalf("opens %d, %d, %d; want one per caller: 2 (Load, AggOf), 1 (Load), 1 or 2 (Claims.Add, and Load unless it came after the install)", a, b, c)
+	}
 	if a := m.AggOf(sigs[0]); holds(a, 70) || !holds(a, 20) {
-		t.Fatalf("a loss of rows reported while %s loaded left %s", sigs[0].ViewName(), a)
+		t.Fatalf("a loss of rows reported while %s opened left %s", sigs[0].ViewName(), a)
 	}
 	if a := m.AggOf(sigs[1]); !holds(a, 70) {
 		t.Fatalf("%s loaded as %s", sigs[1].ViewName(), a)
@@ -220,8 +257,84 @@ func TestLoadRunsOutsideTheLock(t *testing.T) {
 	m.Reset()
 	m.Load(sigs, 1)
 	if want := []string{sigs[0].ViewName(), sigs[1].ViewName(), sigs[2].ViewName()}; !slices.Equal(s.order, want) || s.parallel != 1 {
-		t.Fatalf("one worker loaded %v, %d at once; want %v one at a time", s.order, s.parallel, want)
+		t.Fatalf("one worker opened %v, %d at once; want %v one at a time", s.order, s.parallel, want)
 	}
+}
+
+// TestLossOfRowsMeetsFirstSight: a loss of rows reported while a
+// signature's view opens — before its entry is installed, so the shrink
+// finds no entry, but after storage marked the snapshot stale — cuts p_u
+// to what survived as the entry is installed, and one reported after the
+// install cuts the installed entry; either way the lost region is
+// reported once.
+func TestLossOfRowsMeetsFirstSight(t *testing.T) {
+	for _, before := range []bool{true, false} {
+		name := "after-install"
+		if before {
+			name = "before-install"
+		}
+		t.Run(name, func(t *testing.T) {
+			sig := detSig()
+			view := sig.ViewName()
+			mem := newMemStore()
+			mem.pred[view] = encodePredicate(rangeDNF(t, 0, 100))
+			mem.survived[view] = rangeDNF(t, 0, 40)
+			s := newGatedStore(mem)
+			s.gates[view] = make(chan struct{})
+			m := NewManager(s)
+			var lost []symbolic.DNF
+			m.OnLost(func(_ Signature, d symbolic.DNF) { lost = append(lost, d) })
+			loaded := make(chan struct{})
+			go func() {
+				m.Load([]Signature{sig}, 1)
+				close(loaded)
+			}()
+			s.waitOpens(t, 1)
+			if before {
+				markLost(m, mem, sig)
+			}
+			close(s.gates[view])
+			<-loaded
+			if !before {
+				markLost(m, mem, sig)
+			}
+			if agg := m.AggOf(sig); holds(agg, 60) || !holds(agg, 20) {
+				t.Errorf("p_u = %s, want it cut to [0,40)", agg)
+			}
+			if len(lost) != 1 || holds(lost[0], 20) || !holds(lost[0], 60) {
+				t.Errorf("lost regions %v, want [40,100) once", lost)
+			}
+			if s.reads[view] != 1 || mem.stale[view] {
+				t.Errorf("snapshot read %d times, stale %v; want read once and shrunk", s.reads[view], mem.stale[view])
+			}
+		})
+	}
+}
+
+// TestRunParallelPool: every index runs once, on a worker id below the
+// bound; with one worker always on worker 0; with nothing to do, never.
+func TestRunParallelPool(t *testing.T) {
+	var sum atomic.Int64
+	RunParallel(4, 100, func(w, i int) {
+		if w < 0 || w >= 4 {
+			t.Errorf("worker id %d out of range", w)
+		}
+		sum.Add(int64(i))
+	})
+	if got := sum.Load(); got != 4950 {
+		t.Errorf("parallel sum = %d", got)
+	}
+	sum.Store(0)
+	RunParallel(1, 10, func(w, i int) { // serial path, always worker 0
+		if w != 0 {
+			t.Errorf("serial worker id = %d", w)
+		}
+		sum.Add(int64(i))
+	})
+	if got := sum.Load(); got != 45 {
+		t.Errorf("serial sum = %d", got)
+	}
+	RunParallel(8, 0, func(int, int) { t.Error("fn called for n=0") })
 }
 
 // TestLoadOfLoadedEntriesAllocatesNothing: a statement whose entries are

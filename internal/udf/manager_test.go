@@ -26,6 +26,8 @@ func newMemStore() *memStore {
 	return &memStore{pred: map[string][]byte{}, stale: map[string]bool{}, survived: map[string]symbolic.DNF{}}
 }
 
+func (s *memStore) Open(Signature) {}
+
 func (s *memStore) Load(sig Signature) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

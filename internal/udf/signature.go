@@ -7,6 +7,7 @@
 package udf
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -76,6 +77,11 @@ func (s Signature) appendKey(b []byte) []byte {
 
 // String implements fmt.Stringer.
 func (s Signature) String() string { return s.Key() }
+
+// equal reports whether s and o have one Key.
+func (s Signature) equal(o Signature) bool {
+	return s.Table == o.Table && s.Name == o.Name && slices.Equal(s.Inputs, o.Inputs)
+}
 
 // KeyColumns maps the signature's inputs to the view key columns that
 // identify one invocation: the frame payload column is identified by

@@ -23,7 +23,7 @@ import (
 // Re-exported storage types for inspecting self-healing state.
 type (
 	// Quarantine records what corruption salvage lost and kept for one
-	// view; see System.ViewQuarantine.
+	// view; see ScrubFinding.Quar.
 	Quarantine = storage.Quarantine
 	// ScrubFinding is one view's result from a scrub pass.
 	ScrubFinding = storage.ScrubResult
@@ -115,20 +115,16 @@ func (s *System) scrubPassLocked() ScrubReport {
 			rep.Findings = append(rep.Findings, r)
 		}
 		if r.FoundCorruption {
-			s.quarantineDetected(r.Name)
+			// The predicate shrinks to what the salvaged rows still
+			// prove, and the region given up comes back through
+			// predicateLost. A signature the manager has not installed
+			// is shrunk at its install: storage keeps its view's
+			// snapshot marked stale.
+			s.mgr().ShrinkView(r.Name)
 		}
 	}
 	return rep
 }
-
-// quarantineDetected tells the UDF manager a view lost rows: its
-// aggregated predicate shrinks to what the salvaged rows still prove
-// (udf.Manager.ShrinkView) and the region given up comes back through
-// predicateLost to be queued for repair. A signature the manager has
-// not seen since this System opened needs nothing here: storage keeps
-// the view's durable predicate marked stale, and the manager goes
-// through the same shrink when it first loads it.
-func (s *System) quarantineDetected(view string) { s.mgr().ShrinkView(view) }
 
 // predicateLost is the manager's OnLost hook: the signature's view lost
 // rows its aggregated predicate had promised — found by a scrub, or at
@@ -273,14 +269,4 @@ func (s *System) PendingRepairs() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// ViewQuarantine returns the named view's quarantine record, or nil
-// when the view does not exist or its log is whole.
-func (s *System) ViewQuarantine(view string) *Quarantine {
-	v := s.store.View(view)
-	if v == nil {
-		return nil
-	}
-	return v.Quarantine()
 }
