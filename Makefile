@@ -143,7 +143,10 @@ cover:
 # records cost the snapshot, never the open); and the frame scanner
 # under every durable log (no panic, holes ascending and disjoint inside
 # the valid prefix, every record re-seals to its own bytes, the accepted
-# prefix is a fixed point); and the view probe against a naive oracle, a
+# prefix is a fixed point); and the table record beside a video's
+# segments (no panic; the dataset descriptor and the optimizer
+# statistics it holds are accepted only as their encoders write them);
+# and the view probe against a naive oracle, a
 # map from encoded key to processed flag and row ids (exactly its hits,
 # (chunk, row) pairs and hashes after appends from interleaved writers
 # past the fold bound, zero-row keys of (id) and (bbox, id) views,
@@ -163,6 +166,8 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzMergeWalks -fuzztime=5s -fuzzminimizetime=3s ./internal/symbolic/
 	$(GO) test -run=^$$ -fuzz=FuzzViewReplay -fuzztime=5s -fuzzminimizetime=3s ./internal/storage/
 	$(GO) test -run=^$$ -fuzz=FuzzFrameScan -fuzztime=5s -fuzzminimizetime=3s ./internal/storage/
+	$(GO) test -run=^$$ -fuzz=FuzzTableRecord -fuzztime=5s -fuzzminimizetime=3s ./internal/storage/
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeStats -fuzztime=5s -fuzzminimizetime=3s ./internal/catalog/
 	$(GO) test -run=^$$ -fuzz=FuzzMergeMatchesProbe -fuzztime=5s -fuzzminimizetime=3s ./internal/storage/
 	$(GO) test -run=^$$ -fuzz=FuzzProgramMatchesEval -fuzztime=5s -fuzzminimizetime=3s ./internal/expr/
 	$(GO) test -run=^$$ -fuzz=FuzzSiteMatch -fuzztime=5s -fuzzminimizetime=3s ./internal/faults/
@@ -186,10 +191,12 @@ fuzz-smoke:
 # allocate nothing per batch; and running a VBENCH-HIGH query again on a
 # warm system must stay under its byte bound, its operators' scratch
 # drawn from the statements before it (DESIGN.md "Pooled batch
-# lifecycle"). Runs without -race: the race detector perturbs
+# lifecycle"); and loading a table on a directory that holds it must
+# read its statistics back, not sample the dataset (DESIGN.md §20
+# "Table record"). Runs without -race: the race detector perturbs
 # allocation counts (the tests skip themselves).
 alloc:
-	$(GO) test -run 'TestWarmPathAllocsPerRow|TestEvalPathAllocsPerRow|TestAllocBaselineCommitted|TestPlanningAllocs|TestCoveredProbeAllocs|TestWarmStatementScratch' .
+	$(GO) test -run 'TestWarmPathAllocsPerRow|TestEvalPathAllocsPerRow|TestAllocBaselineCommitted|TestPlanningAllocs|TestCoveredProbeAllocs|TestWarmStatementScratch|TestLoadDatasetReadsStatsBack' .
 	$(GO) test -run TestDatumLayout ./internal/types/
 
 # scrub runs the self-healing view storage matrix under the race

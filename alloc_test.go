@@ -11,8 +11,9 @@ package eva_test
 // baseline to the same threshold, so a regressed baseline cannot be
 // committed either. A third gate bounds what planning a query
 // allocates, a fourth what the covered probe step and its demand
-// record allocate per batch, and a fifth what a warm statement
-// allocates, its operators' scratch drawn from the statements before it.
+// record allocate per batch, a fifth what a warm statement allocates,
+// its operators' scratch drawn from the statements before it, and a sixth
+// what loading a table allocates on a directory that already holds it.
 
 import (
 	"encoding/json"
@@ -307,5 +308,55 @@ func TestAllocBaselineCommitted(t *testing.T) {
 	}
 	if len(want) != 0 {
 		t.Errorf("matrix missing cells: %v", want)
+	}
+}
+
+// loadDatasetAllocBound bounds the allocations of LoadDataset on a
+// populated directory: reading the table record and decoding its
+// statistics. Sampling the statistics instead costs about 9 700 on the
+// dataset below.
+const loadDatasetAllocBound = 150
+
+// TestLoadDatasetReadsStatsBack: on a directory that holds the table,
+// LoadDataset builds no statistics; its allocations stay under a bound
+// one sampling pass exceeds many times over.
+func TestLoadDatasetReadsStatsBack(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed by the race detector")
+	}
+	// The benchmark's dense shape: 4 200 frames at 8.3 objects a frame.
+	ds := eva.Dataset{Name: "bench-dense", Frames: 4200, Width: 960, Height: 540, Density: 8.3, Seed: 0xB0B}
+	const runs = 4
+	dir := t.TempDir()
+	open := func() *eva.System {
+		sys, err := eva.Open(eva.Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sys.Close() })
+		return sys
+	}
+	sys := open()
+	var tables []string
+	for i := 0; i <= runs; i++ { // AllocsPerRun calls once more to warm up
+		tables = append(tables, fmt.Sprintf("t%d", i))
+		if err := sys.LoadDataset(tables[i], ds); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sys = open()
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := sys.LoadDataset(tables[next], ds); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	t.Logf("LoadDataset on a populated directory: %v allocations", allocs)
+	if allocs > loadDatasetAllocBound {
+		t.Errorf("LoadDataset on a populated directory made %v allocations, want at most %d", allocs, loadDatasetAllocBound)
 	}
 }

@@ -218,6 +218,11 @@ var (
 	// ErrDiskBudget is returned (wrapped) when a durable write exceeds
 	// Config.DiskBudgetBytes even after the eviction ladder ran dry.
 	ErrDiskBudget = storage.ErrDiskBudget
+	// ErrDatasetMismatch is returned (wrapped) by LoadDataset, LoadVideo
+	// and OpenStream when the directory's table of that name was built
+	// from another dataset: load it under another name or into another
+	// Dir.
+	ErrDatasetMismatch = storage.ErrDatasetMismatch
 )
 
 // AdmissionStats is a snapshot of admission-control outcomes:
@@ -494,14 +499,13 @@ func (s *System) LoadVideo(table, dataset string) error {
 	return s.LoadDataset(table, ds)
 }
 
-// LoadDataset registers an arbitrary dataset descriptor as a table.
+// LoadDataset registers an arbitrary dataset descriptor as a table. On
+// a directory that already holds the table it reads the table's record
+// back — no frame is sampled for statistics — and refuses, with
+// ErrDatasetMismatch, a dataset other than the one the directory was
+// built from.
 func (s *System) LoadDataset(table string, ds vision.Dataset) error {
-	// The catalog learns the table only once storage holds it, so a
-	// failed load leaves nothing half-registered.
-	if _, err := s.store.CreateVideo(table, ds); err != nil {
-		return err
-	}
-	_, err := s.cat().RegisterVideo(table, ds)
+	_, err := s.eng.OpenVideo(table, ds, false)
 	return err
 }
 

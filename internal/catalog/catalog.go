@@ -213,7 +213,13 @@ func (c *Catalog) UDFsForLogical(logical string, min vision.AccuracyLevel) []*UD
 // by sampling the synthetic world (the moral equivalent of LOAD VIDEO
 // followed by ANALYZE).
 func (c *Catalog) RegisterVideo(name string, ds vision.Dataset) (*Table, error) {
-	stats := BuildStats(ds)
+	return c.RegisterVideoStats(name, ds, BuildStats(ds))
+}
+
+// RegisterVideoStats creates a table over the dataset with statistics
+// the caller already holds: BuildStats' for this dataset, or their
+// decoded copy from the table's record.
+func (c *Catalog) RegisterVideoStats(name string, ds vision.Dataset, stats *Stats) (*Table, error) {
 	t := &Table{Name: name, Schema: VideoSchema.Clone(), Dataset: ds, Stats: stats}
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -1,6 +1,11 @@
 package catalog
 
 import (
+	"encoding/binary"
+	"errors"
+	"maps"
+	"math"
+	"slices"
 	"strings"
 	"sync"
 
@@ -228,4 +233,137 @@ func minf(a, b float64) float64 {
 		return a
 	}
 	return b
+}
+
+// AppendBinary appends the exact encoding of s to dst, the form a video
+// table's record keeps (storage holds it as opaque bytes): the uniform
+// fallback, the total, then the numeric and the categorical terms, each
+// map in ascending key order so equal statistics encode to equal bytes.
+// Every float64 is its IEEE bits, so DecodeStats gives back the same
+// statistics bit for bit, and with them the same plans.
+func (s *Stats) AppendBinary(dst []byte) []byte {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	dst = appendF64(dst, s.fall.Lo)
+	dst = appendF64(dst, s.fall.Hi)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(s.fall.DomainSize))
+	dst = appendF64(dst, s.total)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s.num)))
+	for _, term := range slices.Sorted(maps.Keys(s.num)) {
+		h := s.num[term]
+		dst = appendF64(appendF64(appendStr(dst, term), h.Lo), h.Hi)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(h.Buckets)))
+		for _, b := range h.Buckets {
+			dst = appendF64(dst, b)
+		}
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s.cat)))
+	for _, term := range slices.Sorted(maps.Keys(s.cat)) {
+		freqs := s.cat[term]
+		dst = binary.LittleEndian.AppendUint32(appendStr(dst, term), uint32(len(freqs)))
+		for _, v := range slices.Sorted(maps.Keys(freqs)) {
+			dst = appendF64(appendStr(dst, v), freqs[v])
+		}
+	}
+	return dst
+}
+
+// errStatsCodec reports statistics bytes AppendBinary did not write.
+var errStatsCodec = errors.New("catalog: statistics record does not decode")
+
+// DecodeStats rebuilds the statistics AppendBinary encoded as src. It
+// accepts only what the encoder writes — every length inside src, keys
+// strictly ascending, no byte left over — and sizes nothing from a
+// count the rest of src cannot hold, so arbitrary bytes cost at most an
+// error.
+func DecodeStats(src []byte) (*Stats, error) {
+	d := statsDecoder{src: src}
+	s := NewStats(symbolic.UniformStats{Lo: d.f64(), Hi: d.f64(), DomainSize: int(d.u64())})
+	s.total = d.f64()
+	var term string
+	for i, n := 0, d.count(24); i < n && !d.bad; i++ {
+		d.key(&term, i)
+		h := &Histogram{Lo: d.f64(), Hi: d.f64()}
+		h.Buckets = make([]float64, d.count(8))
+		for j := range h.Buckets {
+			h.Buckets[j] = d.f64()
+		}
+		s.num[term] = h
+	}
+	for i, n := 0, d.count(8); i < n && !d.bad; i++ {
+		d.key(&term, i)
+		freqs, m := map[string]float64{}, d.count(12)
+		for j, v := 0, ""; j < m && !d.bad; j++ {
+			d.key(&v, j)
+			freqs[v] = d.f64()
+		}
+		s.cat[term] = freqs
+	}
+	if d.bad || len(d.src) != 0 {
+		return nil, errStatsCodec
+	}
+	return s, nil
+}
+
+// statsDecoder reads DecodeStats' input front to back. A read past the
+// end or a malformed field sets bad, after which every read yields
+// zeros, so the caller checks once at the end.
+type statsDecoder struct {
+	src []byte
+	bad bool
+}
+
+func (d *statsDecoder) take(n int) []byte {
+	if d.bad || n > len(d.src) {
+		d.bad = true
+		return nil
+	}
+	b := d.src[:n]
+	d.src = d.src[n:]
+	return b
+}
+
+func (d *statsDecoder) u32() int {
+	if b := d.take(4); !d.bad {
+		return int(binary.LittleEndian.Uint32(b))
+	}
+	return 0
+}
+
+func (d *statsDecoder) u64() uint64 {
+	if b := d.take(8); !d.bad {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+func (d *statsDecoder) f64() float64 { return math.Float64frombits(d.u64()) }
+
+// count reads the count of a list whose entries are at least minSize
+// bytes each, refusing one the rest of the input cannot hold.
+func (d *statsDecoder) count(minSize int) int {
+	n := d.u32()
+	if n > len(d.src)/minSize {
+		d.bad = true
+		return 0
+	}
+	return n
+}
+
+// key reads the i-th key of a map into *k, which holds the key before
+// it: keys must ascend strictly.
+func (d *statsDecoder) key(k *string, i int) {
+	next := string(d.take(d.u32()))
+	if i > 0 && next <= *k {
+		d.bad = true
+	}
+	*k = next
+}
+
+func appendF64(dst []byte, f float64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
+}
+
+func appendStr(dst []byte, s string) []byte {
+	return append(binary.LittleEndian.AppendUint32(dst, uint32(len(s))), s...)
 }

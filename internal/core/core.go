@@ -35,6 +35,7 @@ import (
 	"eva/internal/storage"
 	"eva/internal/types"
 	"eva/internal/udf"
+	"eva/internal/vision"
 )
 
 // maxReplans bounds the replan-on-failure loop. Re-running a query
@@ -93,6 +94,37 @@ func New(store *storage.Engine, batchSize int) *Engine {
 func (e *Engine) SetFaults(inj *faults.Injector) {
 	e.Runtime.SetInjector(inj)
 	e.Store.SetInjector(inj)
+}
+
+// OpenVideo opens (or reopens) the storage of a video table — a batch
+// table, or a live one when live is set — and registers it in the
+// catalog. The statistics come from the table's record when it holds
+// them; only a table without them (a fresh directory, one written
+// before the record existed, a record that failed its check) samples
+// the dataset, and it persists what it built so the next open does not.
+// The decoded statistics equal the built ones bit for bit, so where they
+// come from changes no plan. A directory built from another dataset is
+// storage.ErrDatasetMismatch; on any error the catalog is unchanged.
+func (e *Engine) OpenVideo(name string, ds vision.Dataset, live bool) (*storage.Video, error) {
+	open := e.Store.CreateVideo
+	if live {
+		open = e.Store.OpenLiveVideo
+	}
+	video, err := open(name, ds)
+	if err != nil {
+		return nil, err
+	}
+	// No record (nil decodes to an error too) or one that does not decode.
+	stats, err := catalog.DecodeStats(video.Stats())
+	if err != nil {
+		stats = catalog.BuildStats(ds)
+		// lint:noerrcheck the record is derived data: a failed write costs the next open a rebuild
+		_ = video.SaveStats(stats.AppendBinary(nil))
+	}
+	if _, err := e.Catalog.RegisterVideoStats(name, ds, stats); err != nil {
+		return nil, err
+	}
+	return video, nil
 }
 
 // Outcome is the result of running one SELECT through the pipeline.

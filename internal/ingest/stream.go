@@ -155,14 +155,11 @@ func newStream(cfg Config) (*Stream, error) {
 	if cfg.CadenceFrames <= 0 {
 		cfg.CadenceFrames = 8
 	}
-	// Storage refuses a name it holds and an open that fails leaves
-	// nothing behind, so the catalog learns the table only once it has
-	// storage: a failed open can be retried.
-	video, err := cfg.Engine.Store.OpenLiveVideo(cfg.Table, cfg.Dataset)
+	// The table opens as a batch table does (core.Engine.OpenVideo): the
+	// catalog learns it only once storage holds it, with the statistics
+	// its record keeps.
+	video, err := cfg.Engine.OpenVideo(cfg.Table, cfg.Dataset, true)
 	if err != nil {
-		return nil, err
-	}
-	if _, err := cfg.Engine.Catalog.RegisterVideo(cfg.Table, cfg.Dataset); err != nil {
 		return nil, err
 	}
 	s := &Stream{

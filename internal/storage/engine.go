@@ -81,7 +81,10 @@ func (e *Engine) SetInjector(inj *faults.Injector) {
 }
 
 // CreateVideo registers a video table backed by the synthetic dataset.
-// Frames are materialized to disk segments lazily on first scan.
+// Frames are materialized to disk segments lazily on first scan. A
+// directory whose table record names another dataset is refused with
+// ErrDatasetMismatch; one whose record holds statistics hands them out
+// through Stats.
 func (e *Engine) CreateVideo(name string, ds vision.Dataset) (*Video, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -89,7 +92,11 @@ func (e *Engine) CreateVideo(name string, ds vision.Dataset) (*Video, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := &Video{name: name, dir: dir, ds: ds, segFrames: defaultSegmentFrames}
+	stats, err := readTable(dir, name, ds)
+	if err != nil {
+		return nil, err
+	}
+	v := &Video{name: name, dir: dir, ds: ds, segFrames: defaultSegmentFrames, stats: stats}
 	e.videos[key] = v
 	return v, nil
 }

@@ -66,6 +66,7 @@ var (
 	// (internal/ingest).
 	CheckpointLog = Format{magic: 0x45564143, version: 2, kinds: 1 << recState} // "EVAC"
 	segFile       = Format{magic: 0x45564153, version: 2}                       // "EVAS"
+	tableFile     = Format{magic: 0x45564144, version: 1}                       // "EVAD"
 )
 
 // errHeaderCorrupt signals that a log's preamble or header is

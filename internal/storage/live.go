@@ -44,7 +44,10 @@ func wmState(wm int64) []byte { return binary.LittleEndian.AppendUint64(nil, uin
 // frames arrive over time, up to the dataset's capacity. On reopen the
 // durable watermark is recovered from its log, truncating a torn tail
 // left by a crash mid-append. A watermark that regresses or passes the
-// capacity is a writer bug and fails the open.
+// capacity is a writer bug and fails the open. The table record is read
+// as CreateVideo reads it, once the watermark log has opened: a log that
+// outgrew the capacity asked for is reported as that, before the record
+// says the dataset differs.
 func (e *Engine) OpenLiveVideo(name string, ds vision.Dataset) (*Video, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -69,6 +72,10 @@ func (e *Engine) OpenLiveVideo(name string, ds vision.Dataset) (*Video, error) {
 	})
 	if err != nil {
 		return nil, fmt.Errorf("storage: live video %s: %w", name, err)
+	}
+	if v.stats, err = readTable(dir, name, ds); err != nil { // lint:nolock pre-publish (OpenLiveVideo)
+		_ = v.wal.Close() // lint:nolock pre-publish (OpenLiveVideo)
+		return nil, err
 	}
 	v.wal.Attach(e, "", e.chargeRetry, v.foldLocked) // lint:nolock pre-publish (OpenLiveVideo)
 	e.videos[key] = v

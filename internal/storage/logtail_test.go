@@ -126,8 +126,9 @@ func TestOpenTailLogRejectsBogusValidPrefix(t *testing.T) {
 // file and renaming it leaves the scratch behind, uncharged. Every open
 // removes its own — the log's and the compaction scratch beside a view
 // log, the staging files of the side files older versions kept there,
-// the segment and watermark-log scratch in a video directory — and the
-// ledger stays exact.
+// the segment, table-record and watermark-log scratch in a video
+// directory — and the ledger stays exact (the table record, like the
+// segments, is outside it).
 func TestOpenRemovesScratch(t *testing.T) {
 	dir := t.TempDir()
 	e := openLedger(t, dir)
@@ -143,7 +144,11 @@ func TestOpenRemovesScratch(t *testing.T) {
 	if _, err := live.AppendFrames(3, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.CreateVideo("batch", liveDS()); err != nil {
+	batch, err := e.CreateVideo("batch", liveDS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := batch.SaveStats([]byte("stats")); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Close(); err != nil {
@@ -159,6 +164,7 @@ func TestOpenRemovesScratch(t *testing.T) {
 		scratchPath(wmPath(live.dir)),
 		scratchPath(filepath.Join(live.dir, "seg-000000.bin")),
 		scratchPath(filepath.Join(batchDir, "seg-000003.bin")),
+		scratchPath(tablePath(batchDir)),
 	}
 	for _, p := range planted {
 		if err := os.WriteFile(p, []byte("half-written"), 0o644); err != nil {

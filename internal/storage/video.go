@@ -1,8 +1,11 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -40,6 +43,9 @@ type Video struct {
 
 	mu    sync.Mutex
 	cache map[int]*types.Batch // guarded by mu; segment index -> decoded batch
+	// stats is the optimizer statistics the table record holds, opaque
+	// to storage; nil when the directory has no valid record yet.
+	stats []byte // guarded by mu
 	// Streaming state (live tables only; see live.go): the durable
 	// watermark in frames, and the log that keeps it. The pointer is
 	// fixed at open; what it points to is guarded by mu.
@@ -181,4 +187,117 @@ func readSegment(data []byte) (*types.Batch, bool) {
 	batch := types.NewBatchCapacity(videoSchema, min(n, len(rows)/len(videoSchema)))
 	used, err := batch.AppendEncoded(rows, n)
 	return batch, err == nil && used == len(rows)
+}
+
+// The table record (a sealed tableFile beside the segments, DESIGN.md
+// §20) says which dataset a video directory was built from and keeps the
+// table's optimizer statistics, so a reopen neither answers from another
+// dataset's frames nor re-samples the world. Its body is the dataset
+// descriptor — [len:4][name] then frames, width, height, the density's
+// float64 bits and the seed, 8 bytes each — followed by the statistics
+// as the catalog encodes them. Like a segment it is derived data,
+// written outside the disk budget and without fault draws: a record that
+// fails its frame check or does not decode is as good as none, and the
+// next SaveStats replaces it.
+
+// ErrDatasetMismatch reports a video directory whose table record names
+// another dataset than the one being loaded into it: its segments and
+// views were built from other frames.
+var ErrDatasetMismatch = errors.New("storage: video directory holds another dataset")
+
+// descFixedLen is the byte length of a descriptor's fixed part: frames,
+// width, height, density bits and seed.
+const descFixedLen = 5 * 8
+
+// tablePath returns the table-record path inside a video directory.
+func tablePath(dir string) string { return filepath.Join(dir, "table.rec") }
+
+// appendDataset appends the descriptor encoding of ds to buf.
+func appendDataset(buf []byte, ds vision.Dataset) []byte {
+	buf = append(binary.LittleEndian.AppendUint32(buf, uint32(len(ds.Name))), ds.Name...)
+	for _, w := range [...]uint64{uint64(ds.Frames), uint64(ds.Width), uint64(ds.Height), math.Float64bits(ds.Density), ds.Seed} {
+		buf = binary.LittleEndian.AppendUint64(buf, w)
+	}
+	return buf
+}
+
+// readTable reads the table record of dir for a table being opened over
+// ds: see parseTable.
+func readTable(dir, name string, ds vision.Dataset) ([]byte, error) {
+	data, _ := os.ReadFile(tablePath(dir))
+	return parseTable(data, name, ds)
+}
+
+// parseTable returns the statistics the table record data holds for a
+// table being opened over ds: nil when data fails its frame check or
+// does not decode, ErrDatasetMismatch when it verifies but describes
+// another dataset. The descriptor encoding is prefix-free (the name
+// carries its length), so a body that starts with ds's is ds's.
+func parseTable(data []byte, name string, ds vision.Dataset) ([]byte, error) {
+	body, ok := openSealed(data, tableFile)
+	if !ok {
+		return nil, nil
+	}
+	if want := appendDataset(nil, ds); bytes.HasPrefix(body, want) {
+		return body[len(want):], nil
+	}
+	held, ok := decodeDataset(body)
+	if !ok {
+		return nil, nil
+	}
+	return nil, fmt.Errorf("%w: table %s was loaded from %s, not %s", ErrDatasetMismatch, name, describe(held), describe(ds))
+}
+
+// tableImage is the table record of a table over ds whose statistics
+// encode as stats.
+func tableImage(ds vision.Dataset, stats []byte) []byte {
+	buf := appendDataset(beginFile(make([]byte, 0, preambleLen+4+len(ds.Name)+descFixedLen+len(stats)+recSumLen), tableFile), ds)
+	return sealFile(append(buf, stats...))
+}
+
+// decodeDataset reads the descriptor a table record's body starts with.
+func decodeDataset(body []byte) (vision.Dataset, bool) {
+	if len(body) < 4 {
+		return vision.Dataset{}, false
+	}
+	n := int(binary.LittleEndian.Uint32(body))
+	if n > len(body)-4-descFixedLen {
+		return vision.Dataset{}, false
+	}
+	w := body[4+n:]
+	return vision.Dataset{
+		Name:    string(body[4 : 4+n]),
+		Frames:  int(binary.LittleEndian.Uint64(w)),
+		Width:   int(binary.LittleEndian.Uint64(w[8:])),
+		Height:  int(binary.LittleEndian.Uint64(w[16:])),
+		Density: math.Float64frombits(binary.LittleEndian.Uint64(w[24:])),
+		Seed:    binary.LittleEndian.Uint64(w[32:]),
+	}, true
+}
+
+func describe(ds vision.Dataset) string {
+	return fmt.Sprintf("%q (%d frames, %dx%d, density %g, seed %#x)", ds.Name, ds.Frames, ds.Width, ds.Height, ds.Density, ds.Seed)
+}
+
+// Stats returns the optimizer statistics the table record holds, or nil
+// when the directory has none: it had no record, the record failed its
+// check, or it was written before records existed. The bytes are the
+// catalog's; the caller must not modify them.
+func (v *Video) Stats() []byte {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.stats
+}
+
+// SaveStats writes the table record: this table's dataset descriptor and
+// stats, the catalog's encoding of its statistics. Like a segment it is
+// written whole or not at all, outside the disk budget.
+func (v *Video) SaveStats(stats []byte) error {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if err := writeFileAtomic(tablePath(v.dir), tableImage(v.ds, stats)); err != nil {
+		return fmt.Errorf("storage: video %s: write table record: %w", v.name, err)
+	}
+	v.stats = stats
+	return nil
 }

@@ -84,11 +84,12 @@ func (b *Batch) AppendRow(row ...Datum) error {
 // datums in AppendBinary form, row after row — the payload of a stored
 // row record — and returns the bytes consumed. The rows are measured and
 // checked under AppendRow's kind rule first, so on error b is unchanged;
-// then the bytes they span are converted to a string once and every TEXT
-// datum is cut out of it — one allocation per call, not one per string —
-// and src may be reused as soon as the call returns.
+// then the TEXT and BYTES payloads they hold are copied into one buffer
+// of exactly their size, which those datums point into — one allocation
+// per call, none for a call without such payloads — and src may be
+// reused as soon as the call returns.
 func (b *Batch) AppendEncoded(src []byte, count int) (int, error) {
-	end, text := 0, false
+	end, payload := 0, 0
 	for r := 0; r < count; r++ {
 		for c := range b.cols {
 			k, n, err := datumSpan(src[end:])
@@ -98,22 +99,20 @@ func (b *Batch) AppendEncoded(src []byte, count int) (int, error) {
 			if err != nil {
 				return 0, err
 			}
-			text = text || k == KindString
+			if k == KindString || k == KindBytes {
+				payload += n - 5
+			}
 			end += n
 		}
 	}
-	var arena string
-	if text {
-		arena = string(src[:end])
+	var arena []byte
+	if payload > 0 {
+		arena = make([]byte, 0, payload)
 	}
 	for off := 0; off < end; {
 		for c := range b.cols {
 			k, n, _ := datumSpan(src[off:end])
-			text := ""
-			if k == KindString {
-				text = arena[off : off+n]
-			}
-			b.cols[c] = append(b.cols[c], decodeSpan(k, src[off:off+n], text))
+			b.cols[c] = append(b.cols[c], decodeSpan(k, src[off:off+n], &arena))
 			off += n
 		}
 	}

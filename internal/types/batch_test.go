@@ -505,6 +505,58 @@ func TestAppendColumnsMatchesAppendRow(t *testing.T) {
 	}
 }
 
+// TestAppendEncodedCopiesOnlyPayloads: a call copies the TEXT and BYTES
+// payloads of its rows into one buffer — one allocation, none for rows
+// without such payloads — and the datums keep nothing of src: a frame
+// segment or a view record decodes without one copy per frame and
+// without copying the fixed-width datums around them.
+func TestAppendEncodedCopiesOnlyPayloads(t *testing.T) {
+	s := MustSchema(Column{"id", KindInt}, Column{"frame", KindBytes}, Column{"label", KindString})
+	rows := [][]Datum{
+		{NewInt(1), NewBytes([]byte{1, 2, 3}), NewString("car")},
+		{NewInt(2), NewBytes([]byte{}), NewString("")},
+		{NewInt(3), NewBytes([]byte(strings.Repeat("f", 100))), NewString("bus")},
+	}
+	var enc []byte
+	for _, r := range rows {
+		for _, d := range r {
+			enc = d.AppendBinary(enc)
+		}
+	}
+	src := append([]byte(nil), enc...)
+	got := NewBatchCapacity(s, len(rows))
+	if a := testing.AllocsPerRun(10, func() {
+		got.Truncate(0)
+		if _, err := got.AppendEncoded(src, len(rows)); err != nil {
+			t.Fatal(err)
+		}
+	}); a > 1 && !raceEnabled {
+		t.Errorf("AppendEncoded made %v allocations for three frames and three labels, want the one buffer", a)
+	}
+	for i := range src {
+		src[i] = 0xAA
+	}
+	for r, row := range rows {
+		for c, want := range row {
+			if at := got.At(r, c); !Identical(&want, &at) {
+				t.Errorf("row %d col %d = %v, want %v", r, c, got.At(r, c), want)
+			}
+		}
+	}
+
+	ids := MustSchema(Column{"id", KindInt}, Column{"area", KindFloat})
+	enc = NewFloat(0.5).AppendBinary(NewInt(7).AppendBinary(nil))
+	fixed := NewBatchCapacity(ids, 1)
+	if a := testing.AllocsPerRun(10, func() {
+		fixed.Truncate(0)
+		if _, err := fixed.AppendEncoded(enc, 1); err != nil {
+			t.Fatal(err)
+		}
+	}); a > 0 && !raceEnabled {
+		t.Errorf("AppendEncoded made %v allocations for a row without payloads, want none", a)
+	}
+}
+
 // TestAppendEncodedMatchesAppendRow: decoding a stored row record
 // straight into the columns equals decoding each datum and appending the
 // rows one by one, consumes exactly the record, and on any failure — a

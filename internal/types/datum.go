@@ -316,19 +316,18 @@ func datumSpan(src []byte) (Kind, int, error) {
 }
 
 // decodeSpan builds the datum of kind k that datumSpan measured as src.
-// text, when not empty, is src as a string the caller made once for
-// many datums: a TEXT datum is then cut out of it instead of copied.
-func decodeSpan(k Kind, src []byte, text string) Datum {
+// A TEXT or BYTES payload is copied to the end of *arena, which the
+// caller made with room for it, and the datum points into the arena: it
+// never aliases src, and the arena is never regrown under a datum that
+// already points into it.
+func decodeSpan(k Kind, src []byte, arena *[]byte) Datum {
 	switch k {
 	case KindBool, KindInt, KindFloat:
 		return Datum{kind: k, v: binary.LittleEndian.Uint64(src[1:])}
-	case KindString:
-		if text == "" {
-			text = string(src)
-		}
-		return NewString(text[5:])
-	case KindBytes:
-		return NewBytes(bytes.Clone(src[5:]))
+	case KindString, KindBytes:
+		at := len(*arena)
+		*arena = append(*arena, src[5:]...)
+		return Datum{kind: k, p: unsafe.Pointer(unsafe.SliceData((*arena)[at:])), v: uint64(len(src) - 5)}
 	}
 	return Null
 }

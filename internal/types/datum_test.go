@@ -269,5 +269,6 @@ func decodeDatum(src []byte) (Datum, int, error) {
 	if err != nil {
 		return Null, 0, err
 	}
-	return decodeSpan(k, src[:n], ""), n, nil
+	arena := make([]byte, 0, n)
+	return decodeSpan(k, src[:n], &arena), n, nil
 }
