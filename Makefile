@@ -153,7 +153,10 @@ cover:
 # replay, eviction, compaction and salvage, on chunks of a few rows; and
 # dense batches of the (id) view, through the covered step when it holds
 # every id — folded runs and zero-row keys among them — and the merge
-# when one is missing).
+# when one is missing); and the key index a clean close writes beside a
+# view log (arbitrary bodies, sealed, never panic or fail the open, and
+# one that installs leaves the rows, predicate and quarantine of a staged
+# replay, runs and keys that tile the rows, and every row's key found).
 #
 # Every -fuzz line bounds input minimisation with -fuzzminimizetime: by
 # default the engine may spend up to a minute shrinking each new
@@ -169,6 +172,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzTableRecord -fuzztime=5s -fuzzminimizetime=3s ./internal/storage/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeStats -fuzztime=5s -fuzzminimizetime=3s ./internal/catalog/
 	$(GO) test -run=^$$ -fuzz=FuzzMergeMatchesProbe -fuzztime=5s -fuzzminimizetime=3s ./internal/storage/
+	$(GO) test -run=^$$ -fuzz=FuzzKeyIndex -fuzztime=5s -fuzzminimizetime=3s ./internal/storage/
 	$(GO) test -run=^$$ -fuzz=FuzzProgramMatchesEval -fuzztime=5s -fuzzminimizetime=3s ./internal/expr/
 	$(GO) test -run=^$$ -fuzz=FuzzSiteMatch -fuzztime=5s -fuzzminimizetime=3s ./internal/faults/
 	$(GO) test -run=^$$ -fuzz=FuzzBatchPoolLifecycle -fuzztime=5s -fuzzminimizetime=3s ./internal/types/

@@ -85,11 +85,10 @@ func (h *Histogram) Fraction(ivs symbolic.IntervalSet) float64 {
 // or column name ("cartype"), so UDF-output statistics apply to any
 // argument spelling.
 type Stats struct {
-	mu    sync.RWMutex
-	num   map[string]*Histogram         // guarded by mu
-	cat   map[string]map[string]float64 // guarded by mu
-	fall  symbolic.UniformStats
-	total float64
+	mu   sync.RWMutex
+	num  map[string]*Histogram         // guarded by mu
+	cat  map[string]map[string]float64 // guarded by mu
+	fall symbolic.UniformStats
 }
 
 // NewStats returns an empty statistics table with a uniform fallback.
@@ -237,7 +236,7 @@ func minf(a, b float64) float64 {
 
 // AppendBinary appends the exact encoding of s to dst, the form a video
 // table's record keeps (storage holds it as opaque bytes): the uniform
-// fallback, the total, then the numeric and the categorical terms, each
+// fallback, then the numeric and the categorical terms, each
 // map in ascending key order so equal statistics encode to equal bytes.
 // Every float64 is its IEEE bits, so DecodeStats gives back the same
 // statistics bit for bit, and with them the same plans.
@@ -247,7 +246,6 @@ func (s *Stats) AppendBinary(dst []byte) []byte {
 	dst = appendF64(dst, s.fall.Lo)
 	dst = appendF64(dst, s.fall.Hi)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(s.fall.DomainSize))
-	dst = appendF64(dst, s.total)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s.num)))
 	for _, term := range slices.Sorted(maps.Keys(s.num)) {
 		h := s.num[term]
@@ -279,7 +277,6 @@ var errStatsCodec = errors.New("catalog: statistics record does not decode")
 func DecodeStats(src []byte) (*Stats, error) {
 	d := statsDecoder{src: src}
 	s := NewStats(symbolic.UniformStats{Lo: d.f64(), Hi: d.f64(), DomainSize: int(d.u64())})
-	s.total = d.f64()
 	var term string
 	for i, n := 0, d.count(24); i < n && !d.bad; i++ {
 		d.key(&term, i)

@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -23,7 +24,8 @@ func codecDatasets() map[string]vision.Dataset {
 
 // TestStatsCodecRoundTrip: the statistics a table record keeps decode to
 // BuildStats' own, deep-equal and so bit for bit, and re-encode to the
-// same bytes.
+// same bytes; the numeric terms are counted right after the fallback's
+// 24 bytes.
 func TestStatsCodecRoundTrip(t *testing.T) {
 	for name, ds := range codecDatasets() {
 		built := BuildStats(ds)
@@ -34,6 +36,9 @@ func TestStatsCodecRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, built) {
 			t.Errorf("%s: decoded statistics differ from the built ones", name)
+		}
+		if n := binary.LittleEndian.Uint32(enc[24:]); int(n) != len(built.num) {
+			t.Errorf("%s: %d numeric terms counted after the fallback, want %d", name, n, len(built.num))
 		}
 		if again := got.AppendBinary(nil); !bytes.Equal(again, enc) {
 			t.Errorf("%s: re-encoding the decoded statistics changed %d bytes to %d", name, len(enc), len(again))

@@ -39,8 +39,9 @@ type Engine struct {
 	// open replays its log outside mu, and its channel closes once the
 	// view is published or the open failed (openShared). guarded by mu.
 	opening map[string]chan struct{}
-	// opened counts the view logs opened, each open one replay.
-	opened atomic.Int64
+	// opened counts the view logs opened, each open one replay, and
+	// indexed those whose replay went through a key index.
+	opened, indexed atomic.Int64
 	// ranker scores eviction candidates (nil = LRU); onEvict runs after
 	// each whole-view eviction with no storage locks held; retryCharge
 	// charges virtual-clock backoff before a disk-full retry. All three
@@ -217,6 +218,9 @@ func (e *Engine) openShared(name string, open func(path string, inj *faults.Inje
 		return nil, err
 	}
 	e.opened.Add(1)
+	if v.indexed != 0 { // lint:nolock pre-publish
+		e.indexed.Add(1)
+	}
 	// The injector and the budget may have been replaced while the log
 	// replayed; the view takes the engine's current ones, as SetInjector
 	// and SetBudget give every published view.
@@ -252,6 +256,11 @@ func (e *Engine) settleOpensLocked() {
 // created: one replay of each.
 // lint:testonly tests check that concurrent first touches share a replay
 func (e *Engine) ViewOpens() int64 { return e.opened.Load() }
+
+// IndexedOpens returns how many of those opens filed the log's rows
+// through its key index.
+// lint:testonly tests check that a reopen went through the key index
+func (e *Engine) IndexedOpens() int64 { return e.indexed.Load() }
 
 func (e *Engine) viewPath(key string) string {
 	return filepath.Join(e.root, "views", sanitize(key)+".view")
@@ -318,15 +327,16 @@ func (e *Engine) ViewRowCounts() map[string]int {
 }
 
 // Close closes every view's backing file, once the opens in flight have
-// published theirs. Idempotent: closing a closed engine (or re-closing
-// views) is a no-op.
+// published theirs, writing the key index of each log a reopen would
+// use (View.writeIndexLocked). Idempotent: closing a closed engine (or
+// re-closing views) is a no-op.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.settleOpensLocked()
 	var first error
 	for _, v := range e.views {
-		if err := v.close(); err != nil && first == nil {
+		if err := v.closeClean(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -348,7 +358,7 @@ func (e *Engine) DropViews() error {
 		if err := v.close(); err != nil {
 			return err
 		}
-		for _, p := range []string{v.path, compactPath(v.path)} {
+		for _, p := range []string{v.path, compactPath(v.path), indexPath(v.path)} {
 			if err := removeFile(e.budget, p); err != nil {
 				return err
 			}

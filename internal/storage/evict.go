@@ -295,6 +295,7 @@ func (v *View) evict() (int64, error) {
 		return 0, err
 	}
 	v.resetReplayState()
+	v.dropIndexLocked()
 	// Every row is gone: whatever the manager still claims for this
 	// view predates the loss (cleared by its ShrinkPredicate).
 	v.predStale = true

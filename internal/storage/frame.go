@@ -66,7 +66,8 @@ var (
 	// (internal/ingest).
 	CheckpointLog = Format{magic: 0x45564143, version: 2, kinds: 1 << recState} // "EVAC"
 	segFile       = Format{magic: 0x45564153, version: 2}                       // "EVAS"
-	tableFile     = Format{magic: 0x45564144, version: 1}                       // "EVAD"
+	tableFile     = Format{magic: 0x45564144, version: 2}                       // "EVAD"
+	keyIndexFile  = Format{magic: 0x45564149, version: 1}                       // "EVAI"
 )
 
 // errHeaderCorrupt signals that a log's preamble or header is
@@ -86,6 +87,10 @@ func beginFile(buf []byte, f Format) []byte {
 func sealFile(buf []byte) []byte {
 	return binary.LittleEndian.AppendUint64(buf, xxhash.Sum64(buf, 0))
 }
+
+// digest is the checksum a sealed file keeps of another file's bytes: a
+// view's key index, of the log prefix it describes.
+func digest(data []byte) uint64 { return xxhash.Sum64(data, 0) }
 
 // openSealed returns the body of the sealed file data, or false when
 // data is not a file of format f: too short, another magic or version,

@@ -29,6 +29,16 @@ var chunkShift = 10
 
 func chunkMask() int { return 1<<chunkShift - 1 }
 
+// SetChunkShift makes view chunks 1<<shift rows — and a chunk the least a
+// log holds for its key index to be written — until restore runs. No view
+// may be open across either call.
+// lint:testonly root tests put chunk boundaries and key indexes inside a script's few rows
+func SetChunkShift(shift int) (restore func()) {
+	old := chunkShift
+	chunkShift = shift
+	return func() { chunkShift = old }
+}
+
 // foldRuns bounds the runs a view keeps in memory (viewRows.fold): a
 // probe key visits the cursor of every run that does not hold it, and
 // BenchmarkOrderedProbeRuns finds the merge's cost per key flat up to
@@ -186,6 +196,18 @@ func (s *viewRows) file(from, to int, h uint64, cont bool) {
 	s.fold()
 }
 
+// reserve makes room in the open run for n more keys, at least doubling
+// it when it must grow: a replay files a log's keys a record at a time
+// and cannot see how many records follow, and a run grown a quarter at a
+// time, as append grows a long slice, is copied several times over. Up
+// to half the run's capacity may stay unused.
+func (s *viewRows) reserve(n int) {
+	k := len(s.runs) - 1
+	if ru := s.runs[k]; cap(ru)-len(ru) < n {
+		s.runs[k] = slices.Grow(ru, max(n, len(ru)))
+	}
+}
+
 // fold keeps the runs at foldRuns or fewer: once a new run passes the
 // bound, the smaller half of the closed runs — two at least — become one
 // run sorted by id, tiered as a log-structured merge-tree's runs are
@@ -239,6 +261,197 @@ func (s *viewRows) listed(x int64, settled int) bool {
 		return true
 	}
 	return len(z) > settled && z[len(z)-1].id == x
+}
+
+// A key index (a sealed keyIndexFile beside the view log, DESIGN.md §20
+// "Key index") is the filing of the rows of a log prefix as the writer's
+// memory held it, after the prefix's length and digest: the row count,
+// top, twice, each run as its key count and its keys — id, hash, first
+// row and count, 24 bytes — and the zero-row keys as their count and
+// their encodings, end to end.
+
+// appendIndex appends the filing of s, as a key index lays it out, to
+// buf.
+func (s *viewRows) appendIndex(buf []byte) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.len()))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.top))
+	buf = append(buf, 0)
+	if s.twice {
+		buf[len(buf)-1] = 1
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.runs)))
+	for _, ru := range s.runs {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ru)))
+		for _, k := range ru {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(k.id))
+			buf = binary.LittleEndian.AppendUint64(buf, k.hash)
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(k.at))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(k.n))
+		}
+	}
+	z := &s.zero
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(z.keys)))
+	for i := range z.keys {
+		buf = append(buf, z.key(&z.keys[i])...)
+	}
+	return buf
+}
+
+// indexReader reads a key index front to back. A read past the end sets
+// bad, after which every read yields zeros.
+type indexReader struct {
+	b   []byte
+	bad bool
+}
+
+func (r *indexReader) take(n int) []byte {
+	if r.bad || n < 0 || n > len(r.b) {
+		r.bad = true
+		return nil
+	}
+	b := r.b[:n]
+	r.b = r.b[n:]
+	return b
+}
+
+func (r *indexReader) u64() uint64 {
+	if b := r.take(8); !r.bad {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+func (r *indexReader) u32() int {
+	if b := r.take(4); !r.bad {
+		return int(binary.LittleEndian.Uint32(b))
+	}
+	return 0
+}
+
+// indexSize bounds the byte length of appendIndex's output from above.
+func (s *viewRows) indexSize() int {
+	n := 8 + 8 + 1 + 4 + 4 + len(s.zero.arena)
+	for _, ru := range s.runs {
+		n += 4 + 24*len(ru)
+	}
+	return n
+}
+
+// readIndex reads what appendIndex wrote, up to the zero-row keys: the
+// row count (as filed), top, twice and the runs. The zero-row keys'
+// encodings are left in r for the view to decode. Nothing is sized from
+// a count the rest of the index cannot hold.
+func (r *indexReader) readIndex() (ix viewRows, nzero int) {
+	ix.filed, ix.top = int(r.u64()), int64(r.u64())
+	if b := r.take(1); !r.bad {
+		ix.twice, r.bad = b[0] == 1, b[0] > 1
+	}
+	nruns := r.u32()
+	if nruns > foldRuns {
+		r.bad = true
+	}
+	for i := 0; i < nruns && !r.bad; i++ {
+		n := r.u32()
+		keys := r.take(24 * n)
+		if r.bad {
+			break
+		}
+		ru := make([]viewKey, n)
+		for j := range ru {
+			k := keys[24*j:]
+			ru[j] = viewKey{
+				id:   int64(binary.LittleEndian.Uint64(k)),
+				hash: binary.LittleEndian.Uint64(k[8:]),
+				at:   int32(binary.LittleEndian.Uint32(k[16:])),
+				n:    int32(binary.LittleEndian.Uint32(k[20:])),
+			}
+		}
+		ix.runs = append(ix.runs, ru)
+	}
+	return ix, r.u32()
+}
+
+// adopt files the rows s holds, decoded but not filed, as ix — the filing
+// a key index holds (readIndex, with its zero-row keys) — when ix files
+// them as staging would have: the row counts match; every run is
+// non-empty and lists its keys by id; the keys of the runs tile the rows,
+// each key's rows hold its id, and an id-only view files no hash; the
+// zero-row keys are sorted by id; and top and twice are what filing
+// those keys notes (noteID). It reports whether it did.
+func (s *viewRows) adopt(ix *viewRows) bool {
+	n := s.len()
+	if ix.filed != n || !slices.IsSortedFunc(ix.zero.keys, func(a, b viewKey) int { return cmp.Compare(a.id, b.id) }) {
+		return false
+	}
+	// starts marks each key's first row: a start met twice, or inside
+	// another key's rows, is an overlap, and keys that do not overlap
+	// and hold n rows in all tile the n rows.
+	starts, rows := make([]uint64, (n+63)/64), 0
+	for _, ru := range ix.runs {
+		if len(ru) == 0 {
+			return false
+		}
+		for j, k := range ru {
+			at, m := int(k.at), int(k.n)
+			if m < 1 || at < 0 || at > n-m || j > 0 && k.id < ru[j-1].id || s.idOnly() && k.hash != 0 || starts[at>>6]>>(at&63)&1 != 0 {
+				return false
+			}
+			starts[at>>6] |= 1 << (at & 63)
+			rows += m
+		}
+	}
+	if rows != n {
+		return false
+	}
+	for _, ru := range ix.runs {
+		for _, k := range ru {
+			for r := int(k.at); r < int(k.at)+int(k.n); r++ {
+				chunk, row := s.at(r)
+				id := &chunk.Col(s.idCol)[row]
+				if r > int(k.at) && starts[r>>6]>>(r&63)&1 != 0 || id.Kind() != types.KindInt || id.Int() != k.id {
+					return false
+				}
+			}
+		}
+	}
+	top, twice := int64(math.MinInt64), false
+	if s.idOnly() {
+		lists := append(slices.Clip(ix.runs), ix.zero.keys)
+		for _, keys := range lists {
+			if len(keys) > 0 {
+				top = max(top, keys[len(keys)-1].id)
+			}
+		}
+		twice = !distinctIDs(lists)
+	}
+	if ix.top != top || ix.twice != twice {
+		return false
+	}
+	s.runs, s.zero, s.top, s.twice, s.filed = ix.runs, ix.zero, top, twice, n
+	return true
+}
+
+// distinctIDs reports whether no id is listed twice among lists, each
+// sorted by id: a merge of them.
+func distinctIDs(lists [][]viewKey) bool {
+	cur := make([]int, len(lists))
+	for last, first := int64(0), true; ; first = false {
+		i := -1
+		for j, keys := range lists {
+			if cur[j] < len(keys) && (i < 0 || keys[cur[j]].id < lists[i][cur[i]].id) {
+				i = j
+			}
+		}
+		if i < 0 {
+			return true
+		}
+		x := lists[i][cur[i]].id
+		if !first && x == last {
+			return false
+		}
+		last = x
+		cur[i]++
+	}
 }
 
 // zeroKeys is a view's keys processed with no rows — frames without
@@ -673,10 +886,12 @@ func above(keys []viewKey, lo int, x int64) int {
 // rows lists the batch's rows to store in the order they are stored, and
 // key i's rows start at rows[starts[i]] — the first key's continue the
 // last stored row's when cont is set; last reports that the batch's last
-// row is among them; pk holds their encodings and hashes. prev is
-// replay's: the payload of the record just replayed, when the next may
-// continue the key it ended with (View.replayRecord). The rest is
-// stageLocked's scratch, kept for the next batch.
+// row is among them; pk holds their encodings and hashes. prev and
+// unfiled are replay's: the payload of the record just replayed, when
+// the next may continue the key it ended with, and that the records are
+// decoded without being filed, for a key index files them
+// (View.replayRecord). The rest is stageLocked's scratch, kept for the
+// next batch.
 type staging struct {
 	pk       ProbeKeys
 	rows     []int
@@ -684,6 +899,7 @@ type staging struct {
 	cont     bool
 	last     bool
 	prev     []byte
+	unfiled  bool
 	lo, hi   []int
 	key, ord []int
 	hits     []ProbeHit

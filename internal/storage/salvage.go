@@ -210,7 +210,7 @@ func (v *View) Verify() (ScrubResult, error) {
 	if dropped := prevRows - shadow.rows.len(); dropped > 0 {
 		res.RowsDropped = dropped
 	}
-	v.rows = shadow.rows
+	v.rows, v.relaid = shadow.rows, shadow.relaid
 	// The scan may have dropped rows without leaving a hole (a torn
 	// tail), so the snapshot it found is stale whatever adoptHolesLocked
 	// decides below.
@@ -264,6 +264,7 @@ func (v *View) resetCorruptHeaderLocked(oldLen int64, res *ScrubResult) error {
 	res.FoundCorruption = true
 	res.RowsDropped = v.rows.len()
 	v.resetReplayState()
+	v.dropIndexLocked()
 	if err := v.log.rewrite(v.encodeHeader()); err != nil {
 		v.log.dead = true
 		return fmt.Errorf("storage: view %s: scrub reset corrupt header: %w", v.name, err)
@@ -319,6 +320,10 @@ func (v *View) Compact() (CompactResult, error) {
 	}
 	v.quar = nil
 	v.pred = v.carriedPredLocked()
+	// The new generation lists the keys in id order, not in the runs
+	// memory keeps: only its next open's staged replay indexes it again.
+	v.dropIndexLocked()
+	v.relaid = true
 	res.BytesAfter = v.log.footprint
 	return res, nil
 }

@@ -72,7 +72,12 @@ func TestTableRecord(t *testing.T) {
 	}
 	flipped := append([]byte(nil), intact...)
 	flipped[len(flipped)/2] ^= 1
-	for name, data := range map[string][]byte{"truncated": intact[:len(intact)-1], "bit-flipped": flipped} {
+	// A version-1 record, whose statistics encoding had one more field,
+	// sealed as that version wrote it.
+	v1 := append([]byte(nil), intact[:len(intact)-recSumLen]...)
+	v1[4] = 1
+	v1 = sealFile(v1)
+	for name, data := range map[string][]byte{"truncated": intact[:len(intact)-1], "bit-flipped": flipped, "version-1": v1} {
 		if got, err := parseTable(data, "batch", ds); got != nil || err != nil {
 			t.Errorf("%s record: statistics %q, error %v; want neither", name, got, err)
 		}

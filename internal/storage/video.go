@@ -222,10 +222,37 @@ func appendDataset(buf []byte, ds vision.Dataset) []byte {
 }
 
 // readTable reads the table record of dir for a table being opened over
-// ds: see parseTable.
+// ds: see parseTable. A directory with no record that verifies is held to
+// ds by its segments instead (checkSegments), before the caller stamps it
+// with a record of ds.
 func readTable(dir, name string, ds vision.Dataset) ([]byte, error) {
 	data, _ := os.ReadFile(tablePath(dir))
-	return parseTable(data, name, ds)
+	stats, err := parseTable(data, name, ds)
+	if stats == nil && err == nil {
+		err = checkSegments(dir, name, ds)
+	}
+	return stats, err
+}
+
+// checkSegments is ErrDatasetMismatch when the first segment of dir that
+// verifies starts with a frame ds does not render: the directory, and the
+// views beside it, were built from another dataset. A directory without
+// such a segment has nothing to compare.
+func checkSegments(dir, name string, ds vision.Dataset) error {
+	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.bin"))
+	for _, p := range segs {
+		data, _ := os.ReadFile(p)
+		b, ok := readSegment(data)
+		if !ok || b.Len() == 0 {
+			continue
+		}
+		id, frame := b.At(0, 0), b.At(0, 2)
+		if id.Kind() == types.KindInt && frame.Kind() == types.KindBytes && bytes.Equal(frame.Bytes(), ds.EncodeFrame(id.Int())) {
+			return nil
+		}
+		return fmt.Errorf("%w: table %s holds frames %s does not render", ErrDatasetMismatch, name, describe(ds))
+	}
+	return nil
 }
 
 // parseTable returns the statistics the table record data holds for a

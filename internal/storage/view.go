@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -50,6 +51,14 @@ type View struct {
 	// its position in append order, and the processed keys: a key is
 	// processed iff it has rows or is among the zero-row keys.
 	rows viewRows // guarded by mu
+	// relaid is set while rows lists its keys otherwise than a staged
+	// replay of the log would: the replay filed a run through a copy, or
+	// a compaction rewrote the log under the runs. No key index is
+	// written while it is set. guarded by mu.
+	relaid bool
+	// indexed is the log length the key index beside the log describes,
+	// 0 when there is none that this log matches. guarded by mu.
+	indexed int64
 	// stage is replay's staging scratch, dropped when replay ends.
 	stage *staging
 	// log owns the file below the record schema: handle, footprint,
@@ -111,15 +120,18 @@ func openView(path, name string, schema types.Schema, keyCols []string, inj *fau
 	// Files an interrupted process can leave beside the log: compaction's
 	// uncommitted next generation, and the clean sidecar, quarantine
 	// manifest and eviction tombstone older versions kept, each with its
-	// staging file. The log alone describes the view, so they are garbage.
+	// staging file, and the key index's staging file. The log alone holds
+	// the view, so they are garbage.
 	for _, p := range []string{compactPath(path), path + ".clean", path + ".quar", path + ".tomb"} {
 		_ = os.Remove(p)
 		_ = os.Remove(scratchPath(p))
 	}
+	_ = os.Remove(scratchPath(indexPath(path)))
 	var holes []LostRange
 	headerLost := false
+	index, _ := os.ReadFile(indexPath(path))
 	log, err := OpenTailLog(path, "storage: view "+name, faults.SiteViewWrite(name), v.encodeHeader(), budget, func(data []byte) (int, error) {
-		s, rerr := v.replay(data)
+		s, rerr := v.replayWith(data, index)
 		if errors.Is(rerr, errHeaderCorrupt) && !fromHeader {
 			// The header itself is unreadable, so no record can be
 			// attributed to a schema: the whole generation is lost.
@@ -147,10 +159,18 @@ func openView(path, name string, schema types.Schema, keyCols []string, inj *fau
 		// tail.
 		log.recovered = 0
 	}
-	v.log = log               // lint:nolock pre-publish (openView)
-	v.adoptHolesLocked(holes) // lint:nolock pre-publish (openView)
+	v.log = log                         // lint:nolock pre-publish (openView)
+	v.adoptHolesLocked(holes)           // lint:nolock pre-publish (openView)
+	if index != nil && v.indexed == 0 { // lint:nolock pre-publish (openView)
+		// Missing, stale, torn or damaged: the replay staged every record,
+		// and the file is garbage.
+		_ = os.Remove(indexPath(path))
+	}
 	return v, nil
 }
+
+// indexPath names the key index beside the view log at path.
+func indexPath(path string) string { return path + ".idx" }
 
 // setLayout fixes the row layout, which must key the view on the INTEGER
 // column "id" (viewRows). It runs inside openView before the view is
@@ -191,6 +211,14 @@ func (v *View) encodeHeader() []byte {
 func (v *View) resetReplayState() {
 	v.rows = newViewRows(v.schema, v.keyIdx) // lint:nolock pre-publish (openView)
 	v.pred = nil                             // lint:nolock pre-publish (openView)
+	v.relaid = false                         // lint:nolock pre-publish (openView)
+}
+
+// dropIndexLocked deletes the key index: the log it described is gone.
+// Callers hold mu.
+func (v *View) dropIndexLocked() {
+	_ = os.Remove(indexPath(v.path))
+	v.indexed = 0
 }
 
 // replay rebuilds in-memory state from the log, verifying every record,
@@ -200,7 +228,13 @@ func (v *View) resetReplayState() {
 // generation is lost — views are derived data, so the caller salvages by
 // starting over). It runs inside openView before the view is published,
 // so it may touch guarded fields without the lock.
-func (v *View) replay(data []byte) (logScan, error) {
+func (v *View) replay(data []byte) (logScan, error) { return v.replayWith(data, nil) }
+
+// replayWith is replay given index, the key index beside the log when
+// the open read one: when it describes a prefix of data, the records
+// there are decoded without staging them (replayIndexed); otherwise
+// every record is staged.
+func (v *View) replayWith(data, index []byte) (logScan, error) {
 	schema, keyCols, off, err := parseViewHeader(data)
 	if err != nil {
 		return logScan{}, err
@@ -222,9 +256,73 @@ func (v *View) replay(data []byte) (logScan, error) {
 		return logScan{}, fmt.Errorf("key count mismatch: file has %d, want %d", len(keyCols), len(v.keyCols))
 	}
 	v.stage = &staging{}
-	s, err := scanLog(data, off, viewLog, v.replayRecord)
-	v.stage = nil
-	return s, err
+	defer func() { v.stage = nil }()
+	if index != nil {
+		if s, ok, err := v.replayIndexed(data, off, index); ok {
+			return s, err
+		}
+		v.resetReplayState()
+		v.stage = &staging{}
+	}
+	return scanLog(data, off, viewLog, v.replayRecord)
+}
+
+// replayIndexed is replay's way in through a key index (DESIGN.md §20
+// "Key index"). The index applies when it opens as a sealed key index
+// and data's first L bytes, L the prefix length it names, match its
+// digest: the records of that prefix are then decoded — rows into their
+// chunks, the last predicate snapshot kept — but not staged, and the
+// index files the rows instead, once viewRows.adopt has checked it
+// against them. The records after L are replayed as always. It reports
+// false when the index does not apply or the prefix holds a hole, with
+// whatever it decoded to be reset; the error is the replay of the
+// records after L.
+func (v *View) replayIndexed(data []byte, off int, index []byte) (logScan, bool, error) {
+	body, ok := openSealed(index, keyIndexFile)
+	r := indexReader{b: body}
+	at, sum := r.u64(), r.u64()
+	if !ok || r.bad || at < uint64(off) || at > uint64(len(data)) || digest(data[:at]) != sum {
+		return logScan{}, false, nil
+	}
+	v.stage.unfiled = true
+	s, err := scanLog(data[:at], off, viewLog, v.replayRecord)
+	v.stage.unfiled = false
+	if err != nil || s.valid != int(at) || len(s.holes) > 0 || !v.adoptIndexLocked(&r) {
+		return logScan{}, false, nil
+	}
+	v.indexed = int64(at) // lint:nolock replay runs inside openView before the view is published
+	tail, err := scanLog(data, int(at), viewLog, v.replayRecord)
+	tail.records += s.records
+	return tail, true, err
+}
+
+// adoptIndexLocked reads the key index left in r — the filing and the
+// zero-row keys, whose hashes are the hashes of their encodings — and
+// files the decoded rows by it (viewRows.adopt). It reports whether it
+// did. Callers run pre-publish.
+func (v *View) adoptIndexLocked(r *indexReader) bool {
+	ix, nzero := r.readIndex()
+	if r.bad {
+		return false
+	}
+	kb := types.NewBatchCapacity(v.keySchema, min(nzero, len(r.b)))
+	if n, err := kb.AppendEncoded(r.b, nzero); err != nil || n != len(r.b) {
+		return false
+	}
+	ids := kb.Col(v.rows.pos)
+	var ek []byte
+	for i := range nzero {
+		if ids[i].Kind() != types.KindInt {
+			return false
+		}
+		ek = AppendRowKey(ek[:0], kb, i, v.keyOwn)
+		h := uint64(0)
+		if !v.rows.idOnly() {
+			h = hashKey(ek)
+		}
+		ix.zero.add(ids[i].Int(), h, ek)
+	}
+	return v.rows.adopt(&ix)
 }
 
 // parseViewHeader reads the log header: the row schema, the key column
@@ -293,12 +391,14 @@ func (v *View) replayRecord(kind byte, count int, payload []byte) error {
 		// cut would read as a copy too; the compaction's shadow replay
 		// then rebuilds fewer rows than the view holds, and the
 		// generation is refused (verifyGenerationLocked).
-		join := v.stage.prev != nil && !bytes.Equal(payload, v.stage.prev)
+		// Rows a key index files (replayIndexed) are decoded but not
+		// staged, and staging would have filed them all.
+		join := v.stage.unfiled || v.stage.prev != nil && !bytes.Equal(payload, v.stage.prev)
 		for left := count; left > 0; {
 			tail, room := v.rows.room(v.schema) // lint:nolock replay runs inside openView before the view is published
 			k, at := min(left, room), tail.Len()
 			n, err := tail.AppendEncoded(payload[off:], k)
-			if err == nil {
+			if err == nil && !v.stage.unfiled {
 				join, err = v.fileDecodedLocked(tail, at, join)
 			}
 			if err != nil {
@@ -311,6 +411,11 @@ func (v *View) replayRecord(kind byte, count int, payload []byte) error {
 			v.stage.prev = payload
 		}
 	case recKeys:
+		if v.stage.unfiled {
+			// The key index lists the zero-row keys.
+			off = len(payload)
+			break
+		}
 		kb := types.NewBatch(v.keySchema)
 		n, err := kb.AppendEncoded(payload, count)
 		if err == nil {
@@ -446,6 +551,7 @@ func (v *View) fileDecodedLocked(tail *types.Batch, at int, join bool) (bool, er
 		if len(st.rows) != b-a || !slices.IsSorted(st.rows) {
 			// Put the run back in staging's order, then the rows after
 			// it; the schemas are the view's own, so no copy can fail.
+			v.relaid = true
 			rest := types.NewBatch(v.schema)
 			_ = rest.AppendRange(tail, a, tail.Len())
 			tail.Truncate(a)
@@ -468,6 +574,13 @@ func (v *View) fileStagedLocked(from int, st *staging) {
 			end = st.starts[i+1]
 		}
 		v.rows.file(from+at, from+end, st.pk.Hashes[st.rows[at]], i == 0 && st.cont)
+		if i == 0 && v.stage != nil {
+			// A replay files the record's other keys where the first went
+			// — they are in id order — and makes room for them at once
+			// (viewRows.reserve). An append's run grows as append grows
+			// it, with less capacity left unused.
+			v.rows.reserve(len(st.starts) - 1)
+		}
 	}
 }
 
@@ -882,4 +995,38 @@ func (v *View) close() error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return v.log.Close()
+}
+
+// closeClean is close at a clean shutdown: it first writes the key
+// index (writeIndexLocked).
+func (v *View) closeClean() error {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.writeIndexLocked()
+	return v.log.Close()
+}
+
+// writeIndexLocked writes the key index of the log as it stands
+// (DESIGN.md §20 "Key index") when a reopen would use it and the one on
+// disk, if any, is older: the log is open, alive and whole — no
+// quarantine — and has grown since that index; its rows fill a chunk at
+// least; and rows lists its keys as a staged replay would. Like the
+// table record the index is derived data: written outside the disk
+// budget and without fault draws, it moves no log byte, and a failure
+// only costs the next open a staged replay. Callers hold mu.
+func (v *View) writeIndexLocked() {
+	l := v.log
+	if l.file == nil || l.dead || v.quar != nil || v.relaid || l.footprint == v.indexed || v.rows.len() < 1<<chunkShift {
+		return
+	}
+	data, err := os.ReadFile(v.path)
+	if err != nil || int64(len(data)) != l.footprint {
+		return
+	}
+	buf := beginFile(make([]byte, 0, preambleLen+16+v.rows.indexSize()+recSumLen), keyIndexFile)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(data)))
+	buf = binary.LittleEndian.AppendUint64(buf, digest(data))
+	if writeFileAtomic(indexPath(v.path), sealFile(v.rows.appendIndex(buf))) == nil {
+		v.indexed = l.footprint
+	}
 }

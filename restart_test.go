@@ -160,6 +160,13 @@ func TestReopenDifferential(t *testing.T) {
 	if testing.Short() {
 		workerSet = []int{2}
 	}
+	reopenDifferential(t, workerSet)
+}
+
+// reopenDifferential is TestReopenDifferential at the worker counts
+// given. It returns how many of its reopens' view opens went through a
+// key index.
+func reopenDifferential(t *testing.T, workerSet []int) (indexed int64) {
 	for _, sc := range loadScripts(t, queryScripts) {
 		stmts, err := parser.ParseAll(sc.src)
 		if err != nil {
@@ -183,11 +190,13 @@ func TestReopenDifferential(t *testing.T) {
 						}
 					}
 					same(t, fmt.Sprintf("statement %d after a restart", i+1), want, statementDigest(t, sys, stmt))
+					indexed += sys.store.IndexedOpens()
 					closeOK(t, sys)
 				}
 			})
 		}
 	}
+	return indexed
 }
 
 // TestPredicateKillPoints sweeps a simulated crash over every log write

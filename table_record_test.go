@@ -138,3 +138,61 @@ func TestDamagedTableRecordIsRebuilt(t *testing.T) {
 		})
 	}
 }
+
+// TestRecordlessDirectoryKeepsItsDataset: a directory whose table record
+// is gone is held to the dataset being loaded by its segments. Loading
+// another seed is ErrDatasetMismatch and writes no record — for a batch
+// table and for a live one — and the directory's own dataset still loads
+// afterwards and stamps it.
+func TestRecordlessDirectoryKeepsItsDataset(t *testing.T) {
+	other := recordDS
+	other.Seed++
+	for _, live := range []bool{false, true} {
+		t.Run(map[bool]string{false: "batch", true: "live"}[live], func(t *testing.T) {
+			dir := t.TempDir()
+			table := map[bool]string{false: "video", true: "cam"}[live]
+			load := func(sys *System, ds Dataset) error {
+				if !live {
+					return sys.LoadDataset(table, ds)
+				}
+				stream, err := sys.OpenStream(StreamConfig{Table: table, Dataset: ds})
+				if err == nil {
+					err = stream.Ingest(40)
+				}
+				if err == nil {
+					err = stream.Drain()
+				}
+				return err
+			}
+			sys := openAt(t, Config{Dir: dir})
+			if err := load(sys, recordDS); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.Exec("SELECT id FROM " + table + " WHERE id < 30"); err != nil {
+				t.Fatal(err)
+			}
+			closeOK(t, sys)
+			if segs, _ := filepath.Glob(filepath.Join(dir, "videos", table, "seg-*.bin")); len(segs) == 0 {
+				t.Fatal("the first session wrote no segment")
+			}
+			if err := os.Remove(recordPath(dir, table)); err != nil {
+				t.Fatal(err)
+			}
+
+			sys = openAt(t, Config{Dir: dir})
+			if err := load(sys, other); !errors.Is(err, ErrDatasetMismatch) {
+				t.Fatalf("loading another seed over a directory without its record = %v, want ErrDatasetMismatch", err)
+			}
+			if _, err := os.Stat(recordPath(dir, table)); !os.IsNotExist(err) {
+				t.Fatalf("the refused load wrote a table record: %v", err)
+			}
+			if err := load(sys, recordDS); err != nil {
+				t.Fatalf("the directory's own dataset after the refusal: %v", err)
+			}
+			if _, err := os.Stat(recordPath(dir, table)); err != nil {
+				t.Fatalf("the directory's own dataset left no table record: %v", err)
+			}
+			closeOK(t, sys)
+		})
+	}
+}
