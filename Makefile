@@ -156,7 +156,10 @@ cover:
 # when one is missing); and the key index a clean close writes beside a
 # view log (arbitrary bodies, sealed, never panic or fail the open, and
 # one that installs leaves the rows, predicate and quarantine of a staged
-# replay, runs and keys that tile the rows, and every row's key found).
+# replay, runs and keys that tile the rows, and every row's key found);
+# and the one set of frame ids, types.IDSet, against a map oracle over
+# ids 0..63 (its count, its ranges sorted, disjoint and non-adjacent,
+# and Covers on every range).
 #
 # Every -fuzz line bounds input minimisation with -fuzzminimizetime: by
 # default the engine may spend up to a minute shrinking each new
@@ -176,6 +179,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzProgramMatchesEval -fuzztime=5s -fuzzminimizetime=3s ./internal/expr/
 	$(GO) test -run=^$$ -fuzz=FuzzSiteMatch -fuzztime=5s -fuzzminimizetime=3s ./internal/faults/
 	$(GO) test -run=^$$ -fuzz=FuzzBatchPoolLifecycle -fuzztime=5s -fuzzminimizetime=3s ./internal/types/
+	$(GO) test -run=^$$ -fuzz=FuzzIDSet -fuzztime=5s -fuzzminimizetime=3s ./internal/types/
 	$(GO) test -run=^$$ -fuzz=FuzzFormatBBox -fuzztime=5s -fuzzminimizetime=3s ./internal/vision/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeFrame -fuzztime=5s -fuzzminimizetime=3s ./internal/vision/
 

@@ -87,7 +87,7 @@ func TestCoveredProbeAllocs(t *testing.T) {
 	rt := udf.NewRuntime(catalog.New(), &simclock.Clock{})
 	var pk storage.ProbeKeys
 	var out storage.Probed
-	spans, keyIdx := make([]udf.IDSpan, 1), []int{0}
+	spans, keyIdx := make([]types.IDRange, 1), []int{0}
 	next, failed := 0, ""
 	allocs := testing.AllocsPerRun(len(batches)-1, func() {
 		b := batches[next]
@@ -102,7 +102,7 @@ func TestCoveredProbeAllocs(t *testing.T) {
 			return
 		}
 		lo, hi, _ := pk.Dense()
-		spans[0] = udf.IDSpan{Lo: lo, Hi: hi}
+		spans[0] = types.IDRange{Lo: lo, Hi: hi}
 		rt.RecordIDs("fasterrcnnresnet50", spans, width, width)
 	})
 	if failed != "" {

@@ -30,7 +30,6 @@ import (
 	"sync"
 	"time"
 
-	"eva/internal/baselines"
 	"eva/internal/catalog"
 	"eva/internal/core"
 	"eva/internal/costs"
@@ -281,9 +280,10 @@ type System struct {
 	closeErr  error
 
 	recMu sync.Mutex
-	// rec is the HashStash recycler graph, swapped on DropViews.
-	// guarded by recMu.
-	rec *baselines.Recycler
+	// rec is the HashStash recycler graph: the frame ids each
+	// operator-subtree key's materialized output covers, emptied on
+	// DropViews. guarded by recMu.
+	rec map[string]*types.IDSet
 
 	smu sync.Mutex
 	// streams tracks live ingest streams so Close drains them before
@@ -343,7 +343,7 @@ func Open(cfg Config) (*System, error) {
 		cfg: cfg, tempDir: temp,
 		eng:   eng,
 		store: store,
-		rec:   baselines.NewRecycler(),
+		rec:   map[string]*types.IDSet{},
 	}
 	s.root = &Session{sys: s, domain: eng.Runtime.DefaultDomain()}
 	eng.Manager.OnLost(s.predicateLost)
@@ -459,24 +459,36 @@ func recyclerKey(table, udfName string) string {
 	return "apply:" + strings.ToLower(udfName) + "@scan:" + table
 }
 
-// recCovered, recAdd and recReset guard the HashStash recycler, which
-// DropViews swaps out from under concurrent queries.
+// recCovered reports whether the subtree key's materialized outputs
+// cover the half-open frame range [lo, hi) entirely — the condition
+// under which HashStash answers from the recycler graph. recCovered and
+// recAdd are where [lo, hi) becomes the closed lo..hi-1.
 func (s *System) recCovered(key string, lo, hi int64) bool {
 	s.recMu.Lock()
 	defer s.recMu.Unlock()
-	return s.rec.Covered(key, lo, hi)
+	if ids := s.rec[key]; ids != nil {
+		return ids.Covers(lo, hi-1)
+	}
+	return hi <= lo
 }
 
+// recAdd records that the subtree key's output over [lo, hi) has been
+// materialized.
 func (s *System) recAdd(key string, lo, hi int64) {
 	s.recMu.Lock()
 	defer s.recMu.Unlock()
-	s.rec.Add(key, lo, hi)
+	ids := s.rec[key]
+	if ids == nil {
+		ids = new(types.IDSet)
+		s.rec[key] = ids
+	}
+	ids.Add(lo, hi-1)
 }
 
 func (s *System) recReset() {
 	s.recMu.Lock()
 	defer s.recMu.Unlock()
-	s.rec = baselines.NewRecycler()
+	clear(s.rec)
 }
 
 // DropViews discards all materialized UDF results and resets the

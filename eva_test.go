@@ -3,6 +3,7 @@ package eva
 import (
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -352,6 +353,75 @@ func TestRecyclerGraphAllOrNothing(t *testing.T) {
 	}
 	if got := sys.UDFCounters()["fasterrcnnresnet50"].Evaluated; got != evals0+80 {
 		t.Errorf("uncovered query evaluated %d new frames, want 80 (all-or-nothing)", got-evals0)
+	}
+
+	// The half-open scan ranges [0, 50) and [50, 100) are recorded as the
+	// closed 0..49 and 50..99, which touch: together they cover id < 100
+	// and not id < 101, whose frame 100 no query has materialized.
+	sys = openLoaded(t, Config{Mode: ModeHashStash})
+	for _, c := range []struct {
+		where string
+		evals int
+	}{
+		{"id < 50", 50},
+		{"id >= 50 AND id < 100", 50},
+		{"id < 100", 0},
+		{"id < 101", 101},
+	} {
+		before := sys.UDFCounters()["fasterrcnnresnet50"].Evaluated
+		if _, err := sys.Exec("SELECT id FROM video CROSS APPLY FasterRCNNResnet50(frame) WHERE " + c.where); err != nil {
+			t.Fatal(err)
+		}
+		if got := sys.UDFCounters()["fasterrcnnresnet50"].Evaluated - before; got != c.evals {
+			t.Errorf("WHERE %s evaluated %d frames, want %d", c.where, got, c.evals)
+		}
+	}
+}
+
+// TestHashStashSessionsShareCoverage: two sessions record their
+// overlapping ranges in the one recycler graph at the same time (run
+// under -race, this is the check on System.recMu). Once both finish, a
+// query over the union of their ranges is covered and evaluates nothing;
+// after DropViews it evaluates every frame again.
+func TestHashStashSessionsShareCoverage(t *testing.T) {
+	sys := openLoaded(t, Config{Mode: ModeHashStash})
+	queries := [][]string{
+		{"id < 40", "id >= 20 AND id < 60"},
+		{"id >= 50 AND id < 90", "id >= 30 AND id < 70"},
+	}
+	errs := make([]error, len(queries))
+	var wg sync.WaitGroup
+	for i, wheres := range queries {
+		sess := sys.NewSession()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, where := range wheres {
+				if _, err := sess.Exec("SELECT id FROM video CROSS APPLY FasterRCNNResnet50(frame) WHERE " + where); err != nil {
+					errs[i] = err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	union := "SELECT id FROM video CROSS APPLY FasterRCNNResnet50(frame) WHERE id < 90"
+	for _, want := range []int{0, 90} {
+		before := sys.UDFCounters()["fasterrcnnresnet50"].Evaluated
+		if _, err := sys.Exec(union); err != nil {
+			t.Fatal(err)
+		}
+		if got := sys.UDFCounters()["fasterrcnnresnet50"].Evaluated - before; got != want {
+			t.Errorf("union query evaluated %d frames, want %d", got, want)
+		}
+		if err := sys.DropViews(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -45,12 +45,7 @@ func (p viewPredicates) Survived(sig udf.Signature) symbolic.DNF {
 	if v == nil || len(kc) != 1 || kc[0] != "id" {
 		return symbolic.False()
 	}
-	survived := v.SurvivedIDRanges()
-	ranges := make([]symbolic.IDRange, len(survived))
-	for i, r := range survived {
-		ranges[i] = symbolic.IDRange(r)
-	}
-	return symbolic.FromIDRanges(ranges)
+	return symbolic.FromIDRanges(v.SurvivedIDRanges())
 }
 
 func (p viewPredicates) Append(sig udf.Signature, pred []byte, inj *faults.Injector) error {

@@ -524,7 +524,6 @@ type applyIter struct {
 	// The per-batch scratch of the probe and assemble phases, drawn
 	// from the statement's (Context.nextApplyScratch).
 	*applyScratch
-	span      [1]udf.IDSpan  // a dense batch's ids
 	claimSeen storage.IDKeys // dedup set of unservedKeys
 	claimBuf  []string       // backs claimed
 	scratch   []evalScratch  // per-worker eval scratch
@@ -995,23 +994,19 @@ func (a *applyIter) probeViewsSel(decisions []rowDecision) int {
 	return served
 }
 
-// idSpans returns the ids of b, an id-keyed batch, as ascending closed
-// intervals of consecutive ids.
-func (a *applyIter) idSpans(b *types.Batch) []udf.IDSpan {
+// batchIDs returns the ids of b, an id-keyed batch, as the ranges of
+// the scratch set, which it resets first.
+func (a *applyIter) batchIDs(b *types.Batch) []types.IDRange {
+	a.ids.Reset()
 	if lo, hi, ok := a.pk.Dense(); ok {
-		a.span[0] = udf.IDSpan{Lo: lo, Hi: hi}
-		return a.span[:]
+		a.ids.Add(lo, hi)
+		return a.ids.Ranges()
 	}
-	spans := a.spans[:0]
 	for _, d := range b.Col(a.keyIdx[0])[:b.Len()] {
-		if k, x := len(spans), d.Int(); k > 0 && (x == spans[k-1].Hi || x == spans[k-1].Hi+1) {
-			spans[k-1].Hi = x
-		} else {
-			spans = append(spans, udf.IDSpan{Lo: x, Hi: x})
-		}
+		id := d.Int()
+		a.ids.Add(id, id)
 	}
-	a.spans = spans
-	return spans
+	return a.ids.Ranges()
 }
 
 // endSegment closes the segment of a.probed the last pass wrote, unless
@@ -1045,7 +1040,7 @@ func (a *applyIter) account(b *types.Batch, probed, reused int) {
 	case b == nil:
 		a.ctx.Runtime.RecordBatch(a.evalLower, nil, reused)
 	case len(a.keyIdx) == 1:
-		a.ctx.Runtime.RecordIDs(a.evalLower, a.idSpans(b), probed, reused)
+		a.ctx.Runtime.RecordIDs(a.evalLower, a.batchIDs(b), probed, reused)
 	default:
 		a.ctx.Runtime.RecordBatch(a.evalLower, a.pk.Hashes, reused)
 	}

@@ -6,7 +6,6 @@ import (
 	"eva/internal/expr"
 	"eva/internal/storage"
 	"eva/internal/types"
-	"eva/internal/udf"
 )
 
 // scratchPool holds the operator scratch of statements that have ended
@@ -46,8 +45,8 @@ type applyScratch struct {
 	// passes holds the segments' ends.
 	probed storage.Probed
 	passes []int
-	spans  []udf.IDSpan // the batch's ids, when the key is the id alone
-	cur    []int        // the merge's cursor per segment
+	ids    types.IDSet // the batch's ids, when the key is the id alone
+	cur    []int       // the merge's cursor per segment
 
 	// The gather triples: output row k is input row inRows[k] joined with
 	// row srcRows[k] of srcs[k]. The st* triples are the fresh rows among
@@ -125,7 +124,8 @@ func (a *applyScratch) clear() {
 	p.Hits, p.In, p.Srcs, p.Rows, p.Covered = p.Hits[:0], p.In[:0], p.Srcs[:0], p.Rows[:0], false
 	clear(a.srcs[:cap(a.srcs)])
 	clear(a.stSrcs[:cap(a.stSrcs)])
-	a.sel, a.passes, a.spans = a.sel[:0], a.passes[:0], a.spans[:0]
+	a.sel, a.passes = a.sel[:0], a.passes[:0]
+	a.ids.Reset()
 	a.inRows, a.srcs, a.srcRows = a.inRows[:0], a.srcs[:0], a.srcRows[:0]
 	a.stInRows, a.stSrcs, a.stSrcRows = a.stInRows[:0], a.stSrcs[:0], a.stSrcRows[:0]
 }

@@ -31,6 +31,7 @@ import (
 	"sort"
 
 	"eva/internal/faults"
+	"eva/internal/types"
 )
 
 // LostRange is one quarantined byte range [Lo, Hi) of a view log whose
@@ -96,33 +97,19 @@ func (v *View) Quarantine() *Quarantine {
 	return v.quar.clone()
 }
 
-// IDRange is a closed range [Lo, Hi] of integer id-key values.
-type IDRange struct {
-	Lo, Hi int64
-}
-
-// SurvivedIDRanges returns the merged closed ranges of the ids of the
-// processed keys — the survival predicate corruption salvage can still
-// vouch for: the ids of the rows' keys and of the zero-row keys.
-func (v *View) SurvivedIDRanges() []IDRange {
+// SurvivedIDRanges returns the ranges of the ids of the processed keys —
+// the survival predicate corruption salvage can still vouch for: the ids
+// of the rows' keys and of the zero-row keys.
+func (v *View) SurvivedIDRanges() []types.IDRange {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	var ids []int64
+	var ids types.IDSet
 	for _, keys := range append([][]viewKey{v.rows.zero.keys}, v.rows.runs...) {
-		for _, k := range keys {
-			ids = append(ids, k.id)
+		for _, k := range keys { // sorted by id
+			ids.Add(k.id, k.id)
 		}
 	}
-	slices.Sort(ids)
-	var ranges []IDRange
-	for _, id := range ids {
-		if n := len(ranges); n > 0 && id <= ranges[n-1].Hi+1 {
-			ranges[n-1].Hi = max(ranges[n-1].Hi, id)
-			continue
-		}
-		ranges = append(ranges, IDRange{Lo: id, Hi: id})
-	}
-	return ranges
+	return ids.Ranges()
 }
 
 // ScrubResult reports one Verify pass over a view.

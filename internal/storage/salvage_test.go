@@ -169,7 +169,7 @@ func TestSurvivedIDRanges(t *testing.T) {
 		t.Fatal(err)
 	}
 	ranges := v.SurvivedIDRanges()
-	want := []IDRange{{0, 3}, {5, 5}, {7, 8}}
+	want := []types.IDRange{{Lo: 0, Hi: 3}, {Lo: 5, Hi: 5}, {Lo: 7, Hi: 8}}
 	if !slices.Equal(ranges, want) {
 		t.Fatalf("ranges = %+v, want %+v", ranges, want)
 	}

@@ -2,13 +2,9 @@ package symbolic
 
 import (
 	"math"
-	"sort"
-)
 
-// IDRange is a closed range [Lo, Hi] of integer frame ids.
-type IDRange struct {
-	Lo, Hi int64
-}
+	"eva/internal/types"
+)
 
 // noID is a tail no id reaches: every conjunct bounds id above.
 const noID = math.MaxInt64
@@ -16,14 +12,15 @@ const noID = math.MaxInt64
 // IDRanges converts d's constraint on the column id into the integer
 // frame ids it admits, the one place an open, closed or fractional
 // bound is rounded to a frame. Frame ids start at 0, so an interval
-// reaching below 0 starts there. ranges holds the ids of every interval
-// bounded above, as closed ranges, sorted, with overlapping and
-// adjacent ones merged. tail is the least id of what is not bounded
-// above — an interval with no upper end, or a conjunct that leaves id
-// free (no numeric id term) — from which on every id is admitted, and
-// math.MaxInt64 when every conjunct bounds id above. d admits exactly
+// reaching below 0 starts there. ranges are the ranges of the
+// types.IDSet of the ids of every interval bounded above. tail is the
+// least id of what is not bounded above — an interval with no upper
+// end, or a conjunct that leaves id free (no numeric id term) — from
+// which on every id is admitted, and math.MaxInt64 when every conjunct
+// bounds id above. d admits exactly
 // the ids in ranges and those from tail on.
-func (d DNF) IDRanges() (ranges []IDRange, tail int64) {
+func (d DNF) IDRanges() (ranges []types.IDRange, tail int64) {
+	var ids types.IDSet
 	tail = noID
 	for _, c := range d.conjs {
 		con, ok := c.Constraint("id")
@@ -54,21 +51,10 @@ func (d DNF) IDRanges() (ranges []IDRange, tail int64) {
 			if iv.HiOpen && f == iv.Hi {
 				hi-- // id < 160 ends at 159
 			}
-			if hi >= lo {
-				ranges = append(ranges, IDRange{Lo: lo, Hi: hi})
-			}
+			ids.Add(lo, hi)
 		}
 	}
-	sort.Slice(ranges, func(i, j int) bool { return ranges[i].Lo < ranges[j].Lo })
-	merged := ranges[:0]
-	for _, r := range ranges {
-		if n := len(merged); n > 0 && r.Lo <= merged[n-1].Hi+1 {
-			merged[n-1].Hi = max(merged[n-1].Hi, r.Hi)
-		} else {
-			merged = append(merged, r)
-		}
-	}
-	return merged, tail
+	return ids.Ranges(), tail
 }
 
 // IDHull is the hull of the frame ids d admits, cut to a table of
@@ -92,7 +78,7 @@ func (d DNF) IDHull(frames int64) (lo, hi int64) {
 // FromIDRanges is the inverse of IDRanges for a predicate bounded
 // above: the predicate on id that admits exactly the ids of the closed
 // ranges (FALSE for none).
-func FromIDRanges(ranges []IDRange) DNF {
+func FromIDRanges(ranges []types.IDRange) DNF {
 	if len(ranges) == 0 {
 		return False()
 	}

@@ -1,8 +1,6 @@
 package udf
 
 import (
-	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -133,18 +131,18 @@ func (r *Runtime) RecordBatch(lower string, demanded []uint64, reused int) {
 }
 
 // RecordIDs is RecordBatch for a UDF called on a key that is the frame id
-// alone: n demanded invocations whose ids are the intervals ids, and
+// alone: n demanded invocations whose ids are those in ids, and
 // reused of them served from a materialized view. Such a key is counted
 // by its id, never by its hash, so a caller records every batch of an
 // id-keyed call here, served or not: ids and hashes are separate sets,
 // and an id in both would count twice.
 // lint:hotpath demand accounting loop must not allocate per key
-func (r *Runtime) RecordIDs(lower string, ids []IDSpan, n, reused int) {
+func (r *Runtime) RecordIDs(lower string, ids []types.IDRange, n, reused int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c := r.countersLocked(lower)
-	for _, sp := range ids {
-		c.ids.add(sp)
+	for _, rg := range ids {
+		c.ids.Add(rg.Lo, rg.Hi)
 	}
 	c.total += n
 	c.reused += reused
@@ -153,8 +151,8 @@ func (r *Runtime) RecordIDs(lower string, ids []IDSpan, n, reused int) {
 // udfCounters is one UDF's demand and evaluation accounting. A UDF
 // enters the stats once it has been demanded (distinct non-zero).
 type udfCounters struct {
-	demand                 demandSet // distinct invocation-key hashes of composite keys
-	ids                    idSet     // distinct ids of id-keyed invocations
+	demand                 demandSet   // distinct invocation-key hashes of composite keys
+	ids                    types.IDSet // distinct ids of id-keyed invocations
 	total, reused          int
 	evals, failed, retried int
 }
@@ -163,41 +161,7 @@ type udfCounters struct {
 // key is one integer, a composite key more — so their sizes add up, and
 // against the 64-bit hashes only a collision could make the sum differ
 // from a count of distinct keys.
-func (c *udfCounters) distinct() int { return c.demand.len() + c.ids.n }
-
-// IDSpan is the closed interval Lo..Hi of frame ids.
-type IDSpan struct{ Lo, Hi int64 }
-
-// idSet is a set of ids as sorted, disjoint intervals none of which
-// touches the next, and the number of ids they hold. A scan demands its
-// frames in ascending batches, so an add most often extends the last
-// interval or lands inside one.
-type idSet struct {
-	spans []IDSpan
-	n     int
-}
-
-// add adds the ids of sp.
-func (s *idSet) add(sp IDSpan) {
-	k := len(s.spans)
-	if k == 0 || sp.Lo > s.spans[k-1].Hi && sp.Lo-s.spans[k-1].Hi != 1 {
-		s.spans = append(s.spans, sp)
-		s.n += int(sp.Hi-sp.Lo) + 1
-		return
-	}
-	// spans[i:j] are the intervals sp overlaps or touches.
-	i := sort.Search(k, func(i int) bool { return s.spans[i].Hi >= sp.Lo || sp.Lo-s.spans[i].Hi == 1 })
-	j := i + sort.Search(k-i, func(j int) bool { return s.spans[i+j].Lo > sp.Hi && s.spans[i+j].Lo-sp.Hi != 1 })
-	if j == i+1 && s.spans[i].Lo <= sp.Lo && sp.Hi <= s.spans[i].Hi {
-		return
-	}
-	for _, o := range s.spans[i:j] {
-		s.n -= int(o.Hi-o.Lo) + 1
-		sp = IDSpan{min(sp.Lo, o.Lo), max(sp.Hi, o.Hi)}
-	}
-	s.n += int(sp.Hi-sp.Lo) + 1
-	s.spans = slices.Replace(s.spans, i, j, sp)
-}
+func (c *udfCounters) distinct() int { return c.demand.len() + c.ids.Len() }
 
 // demandSet is a set of demand hashes: an open-addressed table of the
 // hashes themselves, probed linearly from their low bits and doubled at

@@ -444,26 +444,22 @@ func TestIDIntervalsMatchHashCount(t *testing.T) {
 					ids[i] = ids[i-1] + int64(rng.Intn(3))
 				}
 			}
-			var spans []IDSpan
+			var batch types.IDSet
 			var hashes []uint64
 			for _, id := range ids {
-				if k := len(spans); k > 0 && id <= spans[k-1].Hi+1 {
-					spans[k-1].Hi = id
-				} else {
-					spans = append(spans, IDSpan{id, id})
-				}
+				batch.Add(id, id)
 				hashes = append(hashes, DemandHash(types.NewInt(id).AppendBinary(nil)))
 			}
 			reused := rng.Intn(n + 1)
-			got.RecordIDs("det", spans, n, reused)
+			got.RecordIDs("det", batch.Ranges(), n, reused)
 			want.RecordBatch("det", hashes, reused)
 			if g, w := got.CounterSnapshot()["det"], want.CounterSnapshot()["det"]; g != w {
 				t.Fatalf("trial %d batch %d (ids %v): stats %+v, by hash %+v", trial, b, ids, g, w)
 			}
-			set := &got.counters["det"].ids
-			for i := 1; i < len(set.spans); i++ {
-				if set.spans[i].Lo <= set.spans[i-1].Hi+1 {
-					t.Fatalf("trial %d: intervals %v touch or overlap", trial, set.spans)
+			rs := got.counters["det"].ids.Ranges()
+			for i := 1; i < len(rs); i++ {
+				if rs[i].Lo <= rs[i-1].Hi+1 {
+					t.Fatalf("trial %d: intervals %v touch or overlap", trial, rs)
 				}
 			}
 		}
