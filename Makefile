@@ -99,11 +99,12 @@ server-stress:
 # standing query's delta is a session statement (Close drains it, it
 # takes an admission token, it is merged into the global clock, its
 # boundary runs the scrub pass its virtual time makes due, it is
-# planned in the System's mode) and the
+# planned in the System's mode), that a watermark append's retry
+# backoff goes to the stream's clock, not the System's, and the
 # ingest unit suite (checkpoint log fuzz, backpressure ordering,
 # goroutine-leak). See DESIGN.md "Streaming ingestion".
 ingest-chaos:
-	$(GO) test -race -run 'TestIngestChaos|TestStreamSession' .
+	$(GO) test -race -run 'TestIngestChaos|TestStreamSession|TestRetryCharges' .
 	$(GO) test -race ./internal/ingest/
 
 # cover enforces a coverage floor on the packages at the heart of the
@@ -230,13 +231,15 @@ scrub:
 # injected ENOSPC schedules × Workers ∈ {1,2,8} must answer
 # baseline-identical rows and leave each view one file; Session-only
 # statements must run the eviction passes their virtual time makes due;
-# plus the storage layer's budget/eviction/log-retention unit suite (an
+# the one retry loop must charge a disk-full backoff to the clock of the
+# write's caller — a client Session statement's, a stream's — and
+# nowhere else; plus the storage layer's budget/eviction/log-retention unit suite (an
 # eviction's two kill-points and failed commit rename, evict-retry,
 # tail-log truncation, the TailLog write-protocol matrix, scratch-file
 # cleanup at open) and the checkpoint retention tests. See DESIGN.md
 # "Disk-pressure survival".
 evict:
-	$(GO) test -race -run 'TestEvictChaosMatrix|TestSessionStatementsDriveEvictor' .
+	$(GO) test -race -run 'TestEvictChaosMatrix|TestSessionStatementsDriveEvictor|TestRetryCharges' .
 	$(GO) test -race -run 'TestEvict|TestDiskBudget|TestDiskFull|TestReclaim|TestBudgetDenial|TestWatermarkLogRetention|TestOpenTailLog|TestTailLog|TestOpenRemovesScratch' ./internal/storage/
 	$(GO) test -race -run TestCheckpoint ./internal/ingest/
 

@@ -32,7 +32,6 @@ import (
 
 	"eva/internal/catalog"
 	"eva/internal/core"
-	"eva/internal/costs"
 	"eva/internal/exec"
 	"eva/internal/faults"
 	"eva/internal/optimizer"
@@ -179,14 +178,16 @@ type Config struct {
 	// System.Scrub always works.
 	ScrubInterval time.Duration
 	// DiskBudgetBytes caps the total on-disk bytes of every durable
-	// artifact — view logs, ingest watermark and checkpoint logs
-	// (DESIGN.md §16). When an append does not fit, the
-	// engine degrades along the reclaim ladder (compact fragmented
-	// logs, then evict whole cold views, lowest benefit first) and
-	// retries; only when nothing evictable remains does the query fail
-	// with ErrDiskBudget. Evicted views re-materialize automatically
-	// through the ordinary optimizer path on the next query that needs
-	// them. 0 means unlimited (usage still tracked; see StorageStats).
+	// artifact — view logs and the key indexes beside them, ingest
+	// watermark and checkpoint logs (DESIGN.md §16). When an append
+	// does not fit, the engine degrades along the reclaim ladder
+	// (compact fragmented logs, then evict whole cold views, lowest
+	// benefit first) and retries, charging the retry backoff to the
+	// clock of the statement or stream that wrote; only when nothing
+	// evictable remains does the query fail with ErrDiskBudget. Evicted
+	// views re-materialize automatically through the ordinary optimizer
+	// path on the next query that needs them. 0 means unlimited (usage
+	// still tracked; see StorageStats).
 	DiskBudgetBytes int64
 	// EvictInterval enables periodic high-water eviction with this
 	// *virtual-time* cadence, due and degraded like ScrubInterval:
@@ -355,9 +356,6 @@ func Open(cfg Config) (*System, error) {
 	// and the upcall must retract the evicted view's predicate either
 	// way.
 	store.SetEvictPolicy(s.benefitRank, s.viewEvicted)
-	store.SetRetryCharge(func(attempt int) {
-		s.clock().Charge(simclock.CatRetry, costs.RetryBackoff(attempt))
-	})
 	if cfg.MaxConcurrent > 0 {
 		s.ctl = server.NewController(server.Config{
 			MaxConcurrent: cfg.MaxConcurrent,

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"eva/internal/costs"
 	"eva/internal/faults"
+	"eva/internal/simclock"
 	"eva/internal/testutil"
 )
 
@@ -133,5 +135,34 @@ func TestSessionStatementsDriveEvictor(t *testing.T) {
 	want := used - roomy.store.View(yolo).Footprint() + sys.store.View(yolo).Footprint()
 	if st.UsedBytes != want || st.UsedBytes > limit/10*7 {
 		t.Errorf("used bytes after the reclaim = %d, want %d (at most 70%% of %d)", st.UsedBytes, want, limit)
+	}
+}
+
+// TestRetryChargesSessionStatement: a client Session's view write that
+// draws two transient disk:fulls on one append is retried by the store's
+// one loop, whose backoff — disk-full retry k charges RetryBackoff(k) —
+// goes to the statement's clock: it is in the statement's breakdown and
+// counted once, through the merge, in the System's time.
+func TestRetryChargesSessionStatement(t *testing.T) {
+	sys := openLoaded(t, Config{})
+	sess := sys.NewSession()
+	inj := faults.New(1)
+	site := faults.SiteDiskFull(faults.SiteViewWrite("udf_video_fasterrcnnresnet50_frame"))
+	inj.Rule(site, faults.Rule{Kind: faults.Transient, At: []int{1, 2}})
+	sess.InjectFaults(inj)
+	before := sys.SimulatedTime()
+	res, err := sess.Exec(`SELECT id, label FROM video CROSS APPLY FasterRCNNResnet50(frame) WHERE id < 120`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev := inj.Events(); len(ev) != 2 {
+		t.Fatalf("disk:full faults %v, want two on one append", ev)
+	}
+	want := costs.RetryBackoff(1) + costs.RetryBackoff(2)
+	if got := res.Breakdown.Get(simclock.CatRetry); got != want {
+		t.Errorf("statement's retry time = %v, want %v", got, want)
+	}
+	if got := sys.SimulatedTime() - before; got != res.SimTime {
+		t.Errorf("System time grew %v over a statement of %v", got, res.SimTime)
 	}
 }

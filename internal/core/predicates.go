@@ -70,7 +70,8 @@ func (p viewPredicates) Shrink(sig udf.Signature, pred []byte) {
 // whose apply completed becomes part of its signature's committed
 // predicate, durably: a snapshot that does not fit on disk runs the
 // reclaim ladder and a transient write fault is retried with backoff,
-// exactly as the STOREs that preceded it were. Every other claim — and,
+// exactly as the STOREs that preceded it were: under the store's one
+// retry loop, charged to the statement's clock. Every other claim — and,
 // when a snapshot cannot be written at all, whatever is left — is
 // withdrawn: the rows stay in the views, merely unpromised.
 func (e *Engine) settle(claims *udf.Claims, stored map[string]int, clock *simclock.Clock, inj *faults.Injector) error {
@@ -78,24 +79,12 @@ func (e *Engine) settle(claims *udf.Claims, stored map[string]int, clock *simclo
 		stored[sig.ViewName()]--
 		return stored[sig.ViewName()] < 0
 	})
-	// One attempt commits as far as disk space lets it, making room as
-	// often as the reclaim ladder can; a transient write fault is what is
-	// left for the retry loop.
+	// Each attempt commits as far as disk space lets it; the next one
+	// goes on from the snapshot that did not fit.
 	var sig udf.Signature
-	full := 1
-	err := faults.Retry(clock, func() (err error) {
-		for ; ; full++ {
-			if sig, err = claims.Commit(inj); err == nil {
-				return nil
-			}
-			v := e.Store.Opened(sig.ViewName())
-			if v == nil || !storage.IsDiskFull(err) {
-				return err
-			}
-			if err = v.MakeRoom(err, full); err != nil {
-				return err
-			}
-		}
+	err := e.Store.Retry(clock, func() (err error) {
+		sig, err = claims.Commit(inj)
+		return err
 	})
 	if err != nil {
 		claims.Abort()

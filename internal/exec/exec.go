@@ -1363,11 +1363,11 @@ func (a *applyIter) flush() error {
 	if rows == nil && len(keys) == 0 {
 		return nil
 	}
-	// A transient write fault leaves the view rolled back to its
-	// pre-append state (storage.View.Append is atomic), so retrying the
-	// whole batch is safe; backoff is charged like UDF retries.
+	// A failed attempt leaves the view as it was (storage.View.AppendWith
+	// is atomic), so the store's one retry loop may repeat the whole
+	// batch, charging its backoff to the statement's clock.
 	var n int
-	err := faults.Retry(a.ctx.Clock, func() (err error) {
+	err := a.ctx.Store.Retry(a.ctx.Clock, func() (err error) {
 		n, err = a.store.AppendWith(rows, keys, a.ctx.Faults)
 		return err // lint:noerrcheck the last attempt's error is wrapped below
 	})

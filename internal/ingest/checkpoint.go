@@ -120,16 +120,10 @@ type checkpointLog struct {
 // openCheckpoint opens (or creates) a standing query's checkpoint log,
 // recovering the last durable state and truncating a torn tail; a
 // checksum-valid state that does not decode or regresses the LSN is a
-// hard error (bitrot or a writer bug, not a crash signature). store
-// supplies the disk budget and the reclaim ladder (nil in unit tests:
-// no budget, no eviction) and charge the retry backoff run before each
-// disk-full retry (nil charges nothing).
-func openCheckpoint(path, site string, store *storage.Engine, charge func(attempt int)) (*checkpointLog, error) {
+// hard error (bitrot or a writer bug, not a crash signature). budget
+// is charged the log (nil: unbudgeted).
+func openCheckpoint(path, site string, budget *storage.DiskBudget) (*checkpointLog, error) {
 	c := &checkpointLog{st: ckptState{windows: map[int64]int64{}}}
-	var budget *storage.DiskBudget
-	if store != nil {
-		budget = store.Budget()
-	}
 	log, err := storage.OpenStateLog(path, "ingest: checkpoint "+path, site, storage.CheckpointLog, budget, func(state []byte) error {
 		st, err := decodeCkptPayload(state)
 		if err != nil {
@@ -145,32 +139,30 @@ func openCheckpoint(path, site string, store *storage.Engine, charge func(attemp
 	if err != nil {
 		return nil, fmt.Errorf("ingest: checkpoint %s: %w", path, err)
 	}
-	log.Attach(store, "", charge, c.fold)
+	log.Attach(c.fold)
 	c.log = log
 	return c, nil
 }
 
-// write durably records st, consulting the injector at the query's
-// checkpoint site keyed by the state's LSN. Transient and permanent
-// faults roll the log back (nothing durable changed, safe to retry);
-// a simulated crash leaves the torn tail for the next open and kills
-// the handle; disk pressure runs the reclaim ladder between attempts
-// (the pump owns this log and holds no storage locks, so the ladder is
-// safe). The in-memory state advances only on success.
+// write is one attempt at durably recording st, consulting the
+// injector at the query's checkpoint site keyed by the state's LSN.
+// Transient, permanent and disk-full faults roll the log back (nothing
+// durable changed, safe to retry under Engine.Retry, whose reclaim
+// ladder is safe here: the pump owns this log and holds no storage
+// locks); a simulated crash leaves the torn tail for the next open and
+// kills the handle. The in-memory state advances only on success.
 func (c *checkpointLog) write(st ckptState, inj *faults.Injector) error {
-	return c.log.Retry(func() error {
-		// Retention tier: fold a long log down before appending more.
-		// Best-effort — a failed fold leaves the old log intact.
-		if c.recs >= ckptCompactRecords {
-			_ = c.fold() // lint:noerrcheck best-effort fold; append still valid on old log
-		}
-		if err := c.log.AppendState(st.encode(), uint64(st.lsn), inj); err != nil {
-			return err
-		}
-		c.st = st.clone()
-		c.recs++
-		return nil
-	})
+	// Retention tier: fold a long log down before appending more.
+	// Best-effort — a failed fold leaves the old log intact.
+	if c.recs >= ckptCompactRecords {
+		_ = c.fold() // lint:noerrcheck best-effort fold; append still valid on old log
+	}
+	if err := c.log.AppendState(st.encode(), uint64(st.lsn), inj); err != nil {
+		return err
+	}
+	c.st = st.clone()
+	c.recs++
+	return nil
 }
 
 // fold folds the checkpoint log to its minimal form: header plus (once

@@ -21,7 +21,7 @@ func TestCheckpointRetentionBoundsLog(t *testing.T) {
 	}
 	store.SetBudget(storage.NewDiskBudget(0))
 	path := filepath.Join(dir, "q.ckpt")
-	c, err := openCheckpoint(path, ckptSite(), store, nil)
+	c, err := openCheckpoint(path, ckptSite(), store.Budget())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestCheckpointRetentionBoundsLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2, err := openCheckpoint(path, ckptSite(), nil, nil)
+	c2, err := openCheckpoint(path, ckptSite(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestCheckpointBudgetFoldFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "q.ckpt")
-	c, err := openCheckpoint(path, ckptSite(), nil, nil)
+	c, err := openCheckpoint(path, ckptSite(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestCheckpointBudgetFoldFallback(t *testing.T) {
 	if err := c.close(); err != nil {
 		t.Fatal(err)
 	}
-	if c, err = openCheckpoint(path, ckptSite(), store, nil); err != nil {
+	if c, err = openCheckpoint(path, ckptSite(), store.Budget()); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.write(mkState(48, 0, 6), nil); err != nil {
@@ -105,7 +105,7 @@ func TestCheckpointBudgetFoldFallback(t *testing.T) {
 	if err := c.close(); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := openCheckpoint(path, ckptSite(), nil, nil)
+	c2, err := openCheckpoint(path, ckptSite(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestCheckpointOpenRemovesScratch(t *testing.T) {
 	}
 	store.SetBudget(storage.NewDiskBudget(0))
 	path := filepath.Join(dir, "q.ckpt")
-	c, err := openCheckpoint(path, ckptSite(), store, nil)
+	c, err := openCheckpoint(path, ckptSite(), store.Budget())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestCheckpointOpenRemovesScratch(t *testing.T) {
 	if err := os.WriteFile(path+".tmp", []byte("half-written"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := openCheckpoint(path, ckptSite(), store, nil)
+	c2, err := openCheckpoint(path, ckptSite(), store.Budget())
 	if err != nil {
 		t.Fatal(err)
 	}

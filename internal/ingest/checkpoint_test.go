@@ -33,7 +33,7 @@ func bigState(lsn int64, n int) ckptState {
 func stateRecord(t testing.TB, st ckptState) (rec, header []byte) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "rec.ckpt")
-	c, err := openCheckpoint(path, ckptSite(), nil, nil)
+	c, err := openCheckpoint(path, ckptSite(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		{"big", []ckptState{mkState(8, 0, 3), bigState(32, 70000)}},
 	} {
 		path := filepath.Join(t.TempDir(), "q.ckpt")
-		c, err := openCheckpoint(path, ckptSite(), nil, nil)
+		c, err := openCheckpoint(path, ckptSite(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		c2, err := openCheckpoint(path, ckptSite(), nil, nil)
+		c2, err := openCheckpoint(path, ckptSite(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestCheckpointCrashTornTail(t *testing.T) {
 	for short := 0; short <= full; short += 3 {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "q.ckpt")
-		c, err := openCheckpoint(path, ckptSite(), nil, nil)
+		c, err := openCheckpoint(path, ckptSite(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestCheckpointCrashTornTail(t *testing.T) {
 		}
 		_ = c.close()
 
-		c2, err := openCheckpoint(path, ckptSite(), nil, nil)
+		c2, err := openCheckpoint(path, ckptSite(), nil)
 		if err != nil {
 			t.Fatalf("short=%d: reopen: %v", short, err)
 		}
@@ -170,7 +170,7 @@ func TestCheckpointCrashTornTail(t *testing.T) {
 func TestCheckpointRollback(t *testing.T) {
 	for _, kind := range []faults.Kind{faults.Transient, faults.Permanent} {
 		path := filepath.Join(t.TempDir(), "q.ckpt")
-		c, err := openCheckpoint(path, ckptSite(), nil, nil)
+		c, err := openCheckpoint(path, ckptSite(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +203,7 @@ func TestCheckpointRollback(t *testing.T) {
 // acknowledged state, not the one before the rot.
 func TestCheckpointBadLog(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "q.ckpt")
-	c, err := openCheckpoint(path, ckptSite(), nil, nil)
+	c, err := openCheckpoint(path, ckptSite(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestCheckpointBadLog(t *testing.T) {
 		if err := os.WriteFile(path, log, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return openCheckpoint(path, ckptSite(), nil, nil)
+		return openCheckpoint(path, ckptSite(), nil)
 	}
 
 	bad := append([]byte(nil), data...)
@@ -275,13 +275,13 @@ func FuzzCheckpointReplay(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		c, err := openCheckpoint(path, ckptSite(), nil, nil)
+		c, err := openCheckpoint(path, ckptSite(), nil)
 		if err != nil {
 			return
 		}
 		st, recs := c.st, c.recs
 		_ = c.close()
-		c2, err := openCheckpoint(path, ckptSite(), nil, nil)
+		c2, err := openCheckpoint(path, ckptSite(), nil)
 		if err != nil {
 			t.Fatalf("opened log rejected on reopen: %v", err)
 		}

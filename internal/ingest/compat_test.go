@@ -79,7 +79,7 @@ func compatOpen(t *testing.T, root string) (*storage.Engine, *storage.View, *sto
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt, err := openCheckpoint(path, ckptSite(), store, nil)
+	ckpt, err := openCheckpoint(path, ckptSite(), store.Budget())
 	if err != nil {
 		t.Fatal(err)
 	}

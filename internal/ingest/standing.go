@@ -85,9 +85,7 @@ func (s *Stream) Register(name, sql string, windowFrames, threshold int64, onAle
 	if err != nil {
 		return nil, err
 	}
-	ckpt, err := openCheckpoint(path, faults.SiteIngestCheckpoint(name), s.eng.Store, func(attempt int) {
-		s.clock.Charge(simclock.CatRetry, costs.RetryBackoff(attempt))
-	})
+	ckpt, err := openCheckpoint(path, faults.SiteIngestCheckpoint(name), s.eng.Store.Budget())
 	if err != nil {
 		return nil, err
 	}
@@ -242,7 +240,7 @@ func (q *StandingQuery) increment(lo, hi int64) error {
 	}
 
 	inj := s.injector()
-	if err := faults.Retry(s.clock, func() error { return q.ckpt.write(st, inj) }); err != nil {
+	if err := s.eng.Store.Retry(s.clock, func() error { return q.ckpt.write(st, inj) }); err != nil {
 		return err
 	}
 	s.clock.Charge(simclock.CatMaterialize, costs.CheckpointWriteCost)
@@ -323,7 +321,7 @@ func (q *StandingQuery) deltaStmt(lo, hi int64) *parser.SelectStmt {
 // itself is already durable state.
 func (q *StandingQuery) notify(a Alert, inj *faults.Injector) error {
 	s := q.stream
-	err := faults.Retry(s.clock, func() error { return inj.Check(q.notifySite) })
+	err := s.eng.Store.Retry(s.clock, func() error { return inj.Check(q.notifySite) })
 	if faults.IsCrash(err) {
 		return fmt.Errorf("ingest: standing query %q notify: %w", q.name, err)
 	}

@@ -389,13 +389,12 @@ func (s *Stream) cycle(m msg) error {
 	return nil
 }
 
-// appendFrames durably advances the watermark, retrying transient
-// faults with the capped exponential backoff charged to the retry
-// category. The ingest cost is charged per frame — not per batch — so
-// an interrupted-and-resumed ingestion charges exactly what an
-// uninterrupted one does.
+// appendFrames durably advances the watermark under the store's one
+// retry loop, whose backoff goes to the stream's clock. The ingest cost
+// is charged per frame — not per batch — so an interrupted-and-resumed
+// ingestion charges exactly what an uninterrupted one does.
 func (s *Stream) appendFrames(n int) error {
-	err := faults.Retry(s.clock, func() error {
+	err := s.eng.Store.Retry(s.clock, func() error {
 		_, err := s.video.AppendFrames(n, s.injector())
 		return err
 	})

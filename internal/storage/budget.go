@@ -27,8 +27,8 @@ var ErrDiskBudget = errors.New("storage: disk budget exhausted")
 
 // DiskFullError is the retriable out-of-space signal produced by a
 // budget denial or an injected disk:full fault at a durable write
-// site. The append path catches it, runs the reclaim ladder, and
-// retries; it escapes to callers only wrapped under ErrDiskBudget.
+// site. Engine.Retry catches it, runs the reclaim ladder, and retries;
+// it escapes to callers only wrapped under ErrDiskBudget.
 type DiskFullError struct {
 	// Site is the durable write site that could not complete.
 	Site string
@@ -37,6 +37,11 @@ type DiskFullError struct {
 	// Injected is the fault that simulated the shortage, nil when the
 	// shortage came from the configured budget.
 	Injected error
+
+	// log is the log that could not grow: the ladder leaves it alone
+	// (evicting it frees nothing durable for the retry), and its label
+	// prefixes the terminal error.
+	log *TailLog
 }
 
 // Error implements error.
@@ -49,12 +54,6 @@ func (e *DiskFullError) Error() string {
 
 // Unwrap exposes the injected cause.
 func (e *DiskFullError) Unwrap() error { return e.Injected }
-
-// IsDiskFull reports whether err carries a retriable disk-full signal.
-func IsDiskFull(err error) bool {
-	var dfe *DiskFullError
-	return errors.As(err, &dfe)
-}
 
 // DiskStats snapshots a budget's accounting and the eviction ladder's
 // lifetime activity.

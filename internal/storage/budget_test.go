@@ -74,12 +74,19 @@ func TestDiskBudgetNilAndUnlimited(t *testing.T) {
 	}
 }
 
+// isDiskFull reports whether err carries a retriable disk-full signal,
+// as Engine.Retry tells it.
+func isDiskFull(err error) bool {
+	var dfe *DiskFullError
+	return errors.As(err, &dfe)
+}
+
 func TestDiskFullErrorTyping(t *testing.T) {
 	cause := errors.New("boom")
 	dfe := &DiskFullError{Site: "disk:full:view:write:det", Need: 64, Injected: cause}
 	wrapped := fmt.Errorf("storage: view det: %w", dfe)
-	if !IsDiskFull(wrapped) {
-		t.Fatal("IsDiskFull missed a wrapped DiskFullError")
+	if !isDiskFull(wrapped) {
+		t.Fatal("isDiskFull missed a wrapped DiskFullError")
 	}
 	if !errors.Is(wrapped, cause) {
 		t.Fatal("DiskFullError does not unwrap its injected cause")
@@ -88,7 +95,7 @@ func TestDiskFullErrorTyping(t *testing.T) {
 	if !errors.Is(terminal, ErrDiskBudget) {
 		t.Fatal("terminal error does not match ErrDiskBudget")
 	}
-	if IsDiskFull(errors.New("other")) {
-		t.Fatal("IsDiskFull false positive")
+	if isDiskFull(errors.New("other")) {
+		t.Fatal("isDiskFull false positive")
 	}
 }

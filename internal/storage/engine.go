@@ -43,12 +43,10 @@ type Engine struct {
 	// indexed those whose replay went through a key index.
 	opened, indexed atomic.Int64
 	// ranker scores eviction candidates (nil = LRU); onEvict runs after
-	// each whole-view eviction with no storage locks held; retryCharge
-	// charges virtual-clock backoff before a disk-full retry. All three
-	// are installed by the eva layer. guarded by mu.
-	ranker      EvictRanker
-	onEvict     func(view string)
-	retryCharge func(attempt int)
+	// each whole-view eviction with no storage locks held. Both are
+	// installed by the eva layer. guarded by mu.
+	ranker  EvictRanker
+	onEvict func(view string)
 
 	// evictMu serializes reclaim ladders so concurrent disk-full
 	// appends do not race to evict the same views. It is taken first,
@@ -228,9 +226,9 @@ func (e *Engine) openShared(name string, open func(path string, inj *faults.Inje
 		v.inj = e.inj // lint:nolock pre-publish
 	}
 	if e.budget != budget {
-		v.log.setBudget(e.budget) // lint:nolock pre-publish
+		v.setBudget(e.budget)
 	}
-	v.log.Attach(e, name, e.chargeRetry, nil) // lint:nolock pre-publish
+	v.eng = e
 	e.views[key] = v
 	return v, nil
 }

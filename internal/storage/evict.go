@@ -13,16 +13,20 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"sort"
-	"strings"
+	"time"
 
+	"eva/internal/costs"
 	"eva/internal/faults"
+	"eva/internal/simclock"
 )
 
-// evictRetryMax bounds a single append's evict-retry loop — a backstop
-// against unbounded injector schedules, far above what a real budget
-// shortfall needs (each retry either freed bytes or drained a rule).
+// evictRetryMax bounds a write's disk-full attempts (Engine.Retry) — a
+// backstop against unbounded injector schedules, far above what a real
+// budget shortfall needs (each retry either freed bytes or drained a
+// rule).
 const evictRetryMax = 64
 
 // EvictCandidate is one view's eviction-ranking snapshot.
@@ -77,25 +81,6 @@ func (e *Engine) SetEvictPolicy(rank EvictRanker, onEvict func(view string)) {
 	e.ranker, e.onEvict = rank, onEvict
 }
 
-// SetRetryCharge installs the virtual-clock hook charged before each
-// evict-retry of a disk-full append (the eva layer points it at the
-// global clock's retry category).
-func (e *Engine) SetRetryCharge(f func(attempt int)) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.retryCharge = f
-}
-
-// chargeRetry runs the installed retry-backoff hook, if any.
-func (e *Engine) chargeRetry(attempt int) {
-	e.mu.Lock()
-	f := e.retryCharge
-	e.mu.Unlock()
-	if f != nil {
-		f(attempt)
-	}
-}
-
 // touchView stamps a view with the next access ordinal. Called on
 // every engine-level view lookup, so ranking recency is per query,
 // not per row.
@@ -103,15 +88,59 @@ func (e *Engine) touchView(v *View) {
 	v.touch.Store(e.touchSeq.Add(1))
 }
 
+// Retry is the one retry loop of every durable write (DESIGN.md §9,
+// §20): it runs try — one attempt that leaves nothing behind when it
+// fails, taking and releasing the owner's lock itself — until it
+// succeeds or fails for good. A disk-full failure runs the reclaim
+// ladder for the log its *DiskFullError names and is retried while the
+// ladder frees something or the shortage was an injected transient (a
+// retry redraws it, so a bounded rule drains), evictRetryMax attempts
+// at most, counted across the whole write; a ladder run dry ends in
+// the typed ErrDiskBudget. A transient fault is retried until
+// costs.RetryMaxAttempts attempts of the write have failed
+// transiently. Anything else — a crash among it — is final. Each retry
+// charges its backoff to the caller's clock: disk-full retry k
+// RetryBackoff(k), transient retry k RetryBackoff(k+1). A nil clock is
+// a caller that keeps no virtual time (View.Append): its disk-full
+// retries charge nothing and its transient faults come back to it at
+// once. A nil engine reclaims nothing, so its first shortage is final.
+// The caller must hold no view lock: the ladder takes other views'.
+func (e *Engine) Retry(clock *simclock.Clock, try func() error) error {
+	var full, transient int // the retries of each kind, this one included
+	for {
+		err := try()
+		var dfe *DiskFullError
+		var backoff time.Duration
+		switch {
+		case err == nil || faults.IsCrash(err):
+			return err
+		case errors.As(err, &dfe):
+			full++
+			if e == nil || full >= evictRetryMax || e.Reclaim(dfe.Need, dfe.log) == 0 && !faults.IsTransient(err) {
+				return fmt.Errorf("%s: %w: %v", dfe.log.label, ErrDiskBudget, dfe)
+			}
+			backoff = costs.RetryBackoff(full)
+		case clock != nil && faults.IsTransient(err) && transient+1 < costs.RetryMaxAttempts:
+			transient++
+			backoff = costs.RetryBackoff(transient + 1)
+		default:
+			return err
+		}
+		if clock != nil {
+			clock.Charge(simclock.CatRetry, backoff)
+		}
+	}
+}
+
 // Reclaim frees disk space until the budget has need bytes of
 // headroom (or, when the shortage was injected rather than budgeted,
 // until anything at all was freed), returning the bytes freed. The
 // ladder: compact every fragmented view log, then evict whole views
-// in ascending benefit order. exclude names the view whose append
-// triggered the reclaim — evicting the log being appended would free
-// nothing durable for the retry. Reclaim passes are serialized; the
-// caller must hold no view locks.
-func (e *Engine) Reclaim(need int64, exclude string) int64 {
+// in ascending benefit order. exclude is the log whose append
+// triggered the reclaim (nil: none) — evicting the log being appended
+// would free nothing durable for the retry. Reclaim passes are
+// serialized; the caller must hold no view locks.
+func (e *Engine) Reclaim(need int64, exclude *TailLog) int64 {
 	e.evictMu.Lock()
 	defer e.evictMu.Unlock()
 	b := e.Budget()
@@ -190,21 +219,19 @@ func (e *Engine) ReclaimOverHighWater() int64 {
 		return 0
 	}
 	low := st.LimitBytes / 10 * 7
-	return e.Reclaim(st.LimitBytes-low, "")
+	return e.Reclaim(st.LimitBytes-low, nil)
 }
 
-// evictSnapshot returns the open views except exclude, sorted by name
-// for a deterministic ladder order.
-func (e *Engine) evictSnapshot(exclude string) []*View {
-	ex := strings.ToLower(exclude)
+// evictSnapshot returns the open views but the one whose log is
+// exclude, sorted by name for a deterministic ladder order.
+func (e *Engine) evictSnapshot(exclude *TailLog) []*View {
 	e.mu.Lock()
 	views := make([]*View, 0, len(e.views))
 	// lint:unordered snapshot; sorted below
-	for key, v := range e.views {
-		if key == ex {
-			continue
+	for _, v := range e.views {
+		if v.log != exclude { // lint:nolock the pointer is fixed at open
+			views = append(views, v)
 		}
-		views = append(views, v)
 	}
 	e.mu.Unlock()
 	sort.Slice(views, func(i, j int) bool { return views[i].name < views[j].name })
@@ -213,7 +240,7 @@ func (e *Engine) evictSnapshot(exclude string) []*View {
 
 // evictCandidates snapshots the rankable views: open, alive, and
 // holding something worth freeing.
-func (e *Engine) evictCandidates(exclude string) []EvictCandidate {
+func (e *Engine) evictCandidates(exclude *TailLog) []EvictCandidate {
 	now := e.touchSeq.Load()
 	var out []EvictCandidate
 	for _, v := range e.evictSnapshot(exclude) {

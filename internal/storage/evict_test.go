@@ -110,7 +110,7 @@ func TestReclaimCompactsQuarantinedBeforeEvicting(t *testing.T) {
 	}
 	e2.SetBudget(NewDiskBudget(1 << 30))
 	rowsBefore := v2.Rows()
-	freed := e2.Reclaim(1, "")
+	freed := e2.Reclaim(1, nil)
 	if freed <= 0 {
 		t.Fatalf("Reclaim freed %d, want > 0 from compaction", freed)
 	}
@@ -167,7 +167,7 @@ func TestEvictKillPoints(t *testing.T) {
 			if c.renameFails {
 				renameFile = func(string, string) error { return errors.New("rename refused") }
 			}
-			freed := e.Reclaim(1<<30, "")
+			freed := e.Reclaim(1<<30, nil)
 			renameFile = os.Rename
 			if freed != 0 {
 				t.Fatalf("interrupted evict reported %d bytes freed", freed)
@@ -256,7 +256,7 @@ func TestDiskBudgetTerminalWhenNothingEvictable(t *testing.T) {
 	}
 	// The terminal wrap flattens the DiskFullError to text so nothing
 	// upstream re-enters an evict-retry loop on it.
-	if IsDiskFull(err) {
+	if isDiskFull(err) {
 		t.Fatalf("terminal error still matches DiskFullError: %v", err)
 	}
 	if v.Rows() != 3 {

@@ -77,7 +77,7 @@ func (e *Engine) OpenLiveVideo(name string, ds vision.Dataset) (*Video, error) {
 		_ = v.wal.Close() // lint:nolock pre-publish (OpenLiveVideo)
 		return nil, err
 	}
-	v.wal.Attach(e, "", e.chargeRetry, v.foldLocked) // lint:nolock pre-publish (OpenLiveVideo)
+	v.wal.Attach(v.foldLocked) // lint:nolock pre-publish (OpenLiveVideo)
 	e.videos[key] = v
 	return v, nil
 }
@@ -87,21 +87,18 @@ func (e *Engine) OpenLiveVideo(name string, ds vision.Dataset) (*Video, error) {
 // ingest-append site, keyed by the pre-append watermark (the LSN of
 // the first new frame): transient and permanent faults roll the log
 // back (nothing applied, safe to retry); a simulated crash leaves the
-// torn tail on disk and kills the handle, like a view write. Disk
-// pressure runs the reclaim ladder between attempts, with v.mu released
-// (TailLog.Retry). It returns the durable watermark.
-func (v *Video) AppendFrames(n int, inj *faults.Injector) (wm int64, err error) {
+// torn tail on disk and kills the handle, like a view write. It is one
+// attempt: the caller runs it under Engine.Retry, whose reclaim ladder
+// makes room between attempts with v.mu released. It returns the
+// durable watermark.
+func (v *Video) AppendFrames(n int, inj *faults.Injector) (int64, error) {
 	if !v.live {
 		return 0, fmt.Errorf("storage: video %s: not a live table", v.name)
 	}
-	err = v.wal.Retry(func() (err error) { // lint:nolock the pointer is fixed at open
-		v.mu.Lock()
-		defer v.mu.Unlock()
-		err = v.advanceLocked(n, inj)
-		wm = v.wm
-		return err
-	})
-	return wm, err
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	err := v.advanceLocked(n, inj)
+	return v.wm, err
 }
 
 // advanceLocked is one attempt at moving the watermark n frames on.

@@ -14,24 +14,22 @@ import (
 // flag and the log's charge in the disk budget, and with them the one
 // implementation of the write protocol every such log follows
 // (DESIGN.md "Tail log"): open with torn-tail recovery, append with
-// fault draws, budget admission and rollback, reclaim-and-retry under
-// disk pressure, and the scratch→rename generation swap behind every
-// rewrite — a fold, an upgrade, a compaction, an eviction. What stays
-// with the owner is what only it knows: the record bytes, the replay
-// closure, an optional fold, and the lock. A TailLog has none of its own — every method but MakeRoom
-// and Retry runs under the owner's lock, and those two must run
-// without it (the reclaim ladder takes other logs' locks).
+// fault draws, budget admission and rollback, and the scratch→rename
+// generation swap behind every rewrite — a fold, an upgrade, a
+// compaction, an eviction. What stays with the owner is what only it
+// knows: the record bytes, the replay closure, an optional fold, and
+// the lock. A TailLog has none of its own: every method runs under the
+// owner's lock. Between two attempts at a write, Engine.Retry reclaims
+// and charges the backoff; a disk-full failure names the log to it.
 type TailLog struct {
 	path   string
 	label  string // error prefix naming the owner, e.g. "storage: view v"
 	site   string // write fault site
 	dfSite string // its disk:full shadow site, drawn first
 
-	// Reclaim wiring (see Attach); immutable once the owner is published.
-	eng     *Engine
-	exclude string
-	charge  func(attempt int)
-	fold    func() error
+	// fold is the owner's last-record-wins fold (see Attach); immutable
+	// once the owner is published.
+	fold func() error
 
 	// header is written into an empty log; a state log's folded image
 	// starts with it.
@@ -79,17 +77,17 @@ func removeFile(b *DiskBudget, path string) error {
 	return nil
 }
 
-// drawWrite consults the injector for one n-byte durable write keyed by
-// lsn. The disk:full shadow site draws first — a full disk fails the
-// write before the bytes could matter — then the write site. It
-// returns how many bytes may reach the file and the injected fault, if
-// any. The LSN keys the probabilistic draw, so a record's fate does not
-// depend on how many writes other logs (or retries of other records)
-// made first; a retry of the same record redraws (the injector bumps a
-// per-(site, LSN) occurrence counter).
-func drawWrite(inj *faults.Injector, dfSite, site string, lsn uint64, n int) (allow int, injected error) {
+// drawWrite consults the injector for one n-byte durable write to l
+// keyed by lsn. The disk:full shadow site draws first — a full disk
+// fails the write before the bytes could matter — then the write site.
+// It returns how many bytes may reach the file and the injected fault,
+// if any. The LSN keys the probabilistic draw, so a record's fate does
+// not depend on how many writes other logs (or retries of other
+// records) made first; a retry of the same record redraws (the
+// injector bumps a per-(site, LSN) occurrence counter).
+func drawWrite(l *TailLog, inj *faults.Injector, dfSite, site string, lsn uint64, n int) (allow int, injected error) {
 	if short, err := inj.CheckWrite(dfSite, lsn, n); err != nil {
-		return short, &DiskFullError{Site: dfSite, Need: int64(n), Injected: err}
+		return short, &DiskFullError{Site: dfSite, Need: int64(n), Injected: err, log: l}
 	}
 	if short, err := inj.CheckWrite(site, lsn, n); err != nil {
 		return short, err
@@ -153,18 +151,10 @@ func OpenTailLog(path, label, site string, header []byte, budget *DiskBudget, re
 	return l, nil
 }
 
-// Attach wires the log to the engine whose reclaim ladder makes room
-// for it. exclude names the view the ladder must leave alone (the view
-// log's own: evicting the log being appended frees nothing durable for
-// the retry; "" otherwise), charge is the backoff charged before each
-// retry (nil: none), and fold is the owner's
-// last-record-wins fold, tried once when the budget denies an append
-// before anyone else is asked to give up space (nil: the log does not
-// fold itself). A nil engine means no reclaim: the first shortage is
-// final.
-func (l *TailLog) Attach(eng *Engine, exclude string, charge func(attempt int), fold func() error) {
-	l.eng, l.exclude, l.charge, l.fold = eng, exclude, charge, fold
-}
+// Attach installs the owner's last-record-wins fold, tried once when
+// the budget denies an append before anyone else is asked to give up
+// space (nil: the log does not fold itself).
+func (l *TailLog) Attach(fold func() error) { l.fold = fold }
 
 // setFootprint makes n the durable footprint and the log's charge.
 // With removeFile, Append's admit/refund and the compaction scratch's
@@ -207,19 +197,19 @@ func (l *TailLog) check() error {
 // truncates the file back, so disk never runs ahead of what the owner
 // applies to memory after a nil return. A disk-full condition — the
 // budget's denial, or a fault at the shadow site — comes back as a
-// retriable *DiskFullError for MakeRoom.
+// retriable *DiskFullError naming the log, for Engine.Retry.
 func (l *TailLog) Append(rec []byte, lsn uint64, inj *faults.Injector) error {
 	if err := l.check(); err != nil {
 		return err
 	}
 	need := int64(len(rec))
-	allow, injected := drawWrite(inj, l.dfSite, l.site, lsn, len(rec))
+	allow, injected := drawWrite(l, inj, l.dfSite, l.site, lsn, len(rec))
 	if injected == nil && !l.budget.Admit(l.path, need) {
 		// Denied before any byte reaches the file: nothing to roll back,
 		// and the retry redraws nothing. Folding the log's own history
 		// may free enough without evicting anyone.
 		if l.fold == nil || l.fold() != nil || !l.budget.Admit(l.path, need) {
-			return fmt.Errorf("%s: %w", l.label, &DiskFullError{Site: l.dfSite, Need: need})
+			return fmt.Errorf("%s: %w", l.label, &DiskFullError{Site: l.dfSite, Need: need, log: l})
 		}
 	}
 	var wrote int
@@ -258,50 +248,6 @@ func (l *TailLog) truncate(n int64) error {
 	}
 	l.setFootprint(n)
 	return nil
-}
-
-// MakeRoom is the step between two attempts at a write: given the
-// error of attempt number `attempt`, it returns nil when the write
-// failed for want of disk space and is worth repeating — the engine's
-// reclaim ladder freed something, or the shortage was an injected
-// transient — after charging the retry backoff. Any other error comes
-// back as it is, and a ladder run dry (or evictRetryMax attempts, the
-// backstop against unbounded injector schedules) as the typed
-// ErrDiskBudget. The caller must hold no log's lock: the ladder takes
-// other views' locks, and Engine.Close takes the engine's before a
-// log's.
-func (l *TailLog) MakeRoom(err error, attempt int) error {
-	if !IsDiskFull(err) || faults.IsCrash(err) {
-		return err
-	}
-	var dfe *DiskFullError
-	errors.As(err, &dfe)
-	if l.eng != nil && attempt < evictRetryMax &&
-		(l.eng.Reclaim(dfe.Need, l.exclude) > 0 || faults.IsTransient(err)) {
-		if l.charge != nil {
-			l.charge(attempt)
-		}
-		return nil
-	}
-	return fmt.Errorf("%s: %w: %v", l.label, ErrDiskBudget, dfe)
-}
-
-// Retry runs try — one attempt at a write, taking and releasing the
-// owner's lock itself — until it succeeds, fails for something other
-// than disk space, or MakeRoom gives up. A retry redraws injected
-// faults at the same LSN, so transient disk:full schedules drain like
-// transient write faults; the loop ends because every retry either
-// freed bytes (finite) or drained a bounded injector rule.
-func (l *TailLog) Retry(try func() error) error {
-	for attempt := 1; ; attempt++ {
-		err := try()
-		if err == nil {
-			return nil
-		}
-		if err = l.MakeRoom(err, attempt); err != nil {
-			return err
-		}
-	}
 }
 
 // Fold replaces the log with image — the minimal form of a

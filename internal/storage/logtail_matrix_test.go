@@ -7,16 +7,22 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
+	"eva/internal/costs"
 	"eva/internal/faults"
+	"eva/internal/simclock"
 )
 
 // toyLog is the smallest owner a TailLog can have: the two-byte schema
 // of tailReplay ([val, ^val] after "HD"), last record wins, so its fold
-// is header + last record.
+// is header + last record. Its appends run under eng's retry loop and
+// charge clock.
 type toyLog struct {
-	log  *TailLog
-	last byte
+	log   *TailLog
+	last  byte
+	eng   *Engine
+	clock *simclock.Clock
 }
 
 func toyRecs(vals ...byte) []byte {
@@ -32,7 +38,7 @@ func (o *toyLog) fold() error { return o.log.Fold(append([]byte("HD"), toyRecs(o
 // append writes vals as one record through the retry loop; the LSN is
 // the footprint, as in the view log.
 func (o *toyLog) append(inj *faults.Injector, vals ...byte) error {
-	return o.log.Retry(func() error {
+	return o.eng.Retry(o.clock, func() error {
 		if err := o.log.Append(toyRecs(vals...), uint64(o.log.footprint), inj); err != nil {
 			return err
 		}
@@ -43,9 +49,14 @@ func (o *toyLog) append(inj *faults.Injector, vals ...byte) error {
 
 const toySite = "view:write:toy"
 
-func openToy(t *testing.T, e *Engine, path string, charge func(int)) *toyLog {
+// retried is the backoff the toy's appends have charged.
+func (o *toyLog) retried() time.Duration {
+	return o.clock.Since(simclock.Snapshot{}).Get(simclock.CatRetry)
+}
+
+func openToy(t *testing.T, e *Engine, path string) *toyLog {
 	t.Helper()
-	o := &toyLog{}
+	o := &toyLog{eng: e, clock: &simclock.Clock{}}
 	log, err := OpenTailLog(path, "toy log", toySite, []byte("HD"), e.Budget(), func(data []byte) (int, error) {
 		valid, err := tailReplay(data)
 		if valid > 2 {
@@ -56,7 +67,7 @@ func openToy(t *testing.T, e *Engine, path string, charge func(int)) *toyLog {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log.Attach(e, "", charge, o.fold)
+	log.Attach(o.fold)
 	o.log = log
 	return o
 }
@@ -67,9 +78,10 @@ func openToy(t *testing.T, e *Engine, path string, charge func(int)) *toyLog {
 // verdict (admits; denies until the fold has freed enough; denies even
 // then) and fold commit (rename works or fails), on a log that already
 // holds five records. Each cell checks the bytes on disk, the
-// footprint, the dead flag, the ledger, and how the retry loop ended:
-// nil, the fault itself, or the typed ErrDiskBudget — the last only
-// when the reclaim ladder (empty here: nothing to evict) ran dry.
+// footprint, the dead flag, the ledger, the backoff the retry loop
+// charged to its clock, and how it ended: nil, the fault itself, or the
+// typed ErrDiskBudget — the last only when the reclaim ladder (empty
+// here: nothing to evict) ran dry.
 func TestTailLogMatrix(t *testing.T) {
 	history := append([]byte("HD"), toyRecs(1, 2, 3, 4, 5)...)
 	folded := append([]byte("HD"), toyRecs(5)...)
@@ -103,8 +115,7 @@ func TestTailLogMatrix(t *testing.T) {
 							if err := os.WriteFile(path, history, 0o644); err != nil {
 								t.Fatal(err)
 							}
-							charges := 0
-							o := openToy(t, e, path, func(int) { charges++ })
+							o := openToy(t, e, path)
 							inj := faults.New(1)
 							site := toySite
 							if shadow {
@@ -121,22 +132,24 @@ func TestTailLogMatrix(t *testing.T) {
 							err = o.append(inj, 6, 7, 8)
 
 							// The model: what the protocol promises for this cell.
-							wantFile, wantDead, wantCharges := history, false, 0
+							wantFile, wantDead := history, false
 							var wantErr func(error) bool
+							var wantBackoff time.Duration
 							retried := false
 							switch {
 							case kind == faults.Crash:
 								wantFile, wantDead, wantErr = append(append([]byte(nil), history...), batch[:short]...), true, faults.IsCrash
-							case kind != none && !shadow:
-								// A write fault is the caller's to retry, not the
-								// loop's: rolled back, surfaced as it is.
-								wantErr = func(err error) bool {
-									return !errors.Is(err, ErrDiskBudget) && faults.IsTransient(err) == (kind == faults.Transient)
-								}
+							case kind == faults.Permanent && !shadow:
+								// Rolled back, surfaced as it is.
+								wantErr = func(err error) bool { return !errors.Is(err, ErrDiskBudget) && !faults.IsTransient(err) }
 							case kind == faults.Permanent:
 								wantErr = func(err error) bool { return errors.Is(err, ErrDiskBudget) }
+							case kind == faults.Transient && !shadow:
+								// Transient retry 1 charges RetryBackoff(2).
+								retried, wantBackoff = true, costs.RetryBackoff(2)
 							case kind == faults.Transient:
-								retried, wantCharges = true, 1
+								// Disk-full retry 1 charges RetryBackoff(1).
+								retried, wantBackoff = true, costs.RetryBackoff(1)
 							}
 							if kind == none || retried {
 								// This attempt meets only the budget.
@@ -176,8 +189,8 @@ func TestTailLogMatrix(t *testing.T) {
 							if used := e.Budget().Stats().UsedBytes; used != wantFoot {
 								t.Errorf("ledger charges %d bytes, want %d", used, wantFoot)
 							}
-							if charges != wantCharges {
-								t.Errorf("retry backoff charged %d times, want %d", charges, wantCharges)
+							if got := o.retried(); got != wantBackoff {
+								t.Errorf("retry backoff charged %v, want %v", got, wantBackoff)
 							}
 							if _, err := os.Stat(scratchPath(path)); !os.IsNotExist(err) {
 								t.Error("scratch file left behind")
@@ -188,7 +201,7 @@ func TestTailLogMatrix(t *testing.T) {
 								}
 								// The next open keeps the whole records of the
 								// torn tail and drops the rest.
-								o2 := openToy(t, e, path, nil)
+								o2 := openToy(t, e, path)
 								if want := int64(len(history) + short/2*2); o2.log.footprint != want || o2.log.recovered != int64(short%2) {
 									t.Errorf("reopen: footprint=%d recovered=%d, want %d/%d", o2.log.footprint, o2.log.recovered, want, short%2)
 								}
@@ -205,29 +218,32 @@ func TestTailLogMatrix(t *testing.T) {
 
 // TestTailLogRetryBound: a disk-full schedule that never drains ends at
 // the retry bound with the typed error, having charged every retry but
-// the last.
+// the last: disk-full retry k charges RetryBackoff(k).
 func TestTailLogRetryBound(t *testing.T) {
 	dir := t.TempDir()
 	e, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	charges := 0
-	o := openToy(t, e, filepath.Join(dir, "toy.log"), func(int) { charges++ })
+	o := openToy(t, e, filepath.Join(dir, "toy.log"))
 	inj := faults.New(1)
 	inj.Rule(faults.SiteDiskFull(toySite), faults.Rule{Kind: faults.Transient, Prob: 1})
 	if err := o.append(inj, 1); !errors.Is(err, ErrDiskBudget) {
 		t.Fatalf("append ended with %v, want ErrDiskBudget", err)
 	}
-	if charges != evictRetryMax-1 || o.log.footprint != 2 || o.log.dead {
-		t.Fatalf("charges=%d footprint=%d dead=%v, want %d/2/false", charges, o.log.footprint, o.log.dead, evictRetryMax-1)
+	var want time.Duration
+	for k := 1; k < evictRetryMax; k++ {
+		want += costs.RetryBackoff(k)
+	}
+	if got := o.retried(); got != want || o.log.footprint != 2 || o.log.dead {
+		t.Fatalf("backoff=%v footprint=%d dead=%v, want %v/2/false", got, o.log.footprint, o.log.dead, want)
 	}
 	// Without an engine there is no ladder: the first shortage is final.
-	o.log.Attach(nil, "", nil, nil)
+	o.eng = nil
 	if err := o.append(inj, 1); !errors.Is(err, ErrDiskBudget) {
 		t.Fatalf("detached append ended with %v, want ErrDiskBudget", err)
 	}
-	if charges != evictRetryMax-1 {
+	if o.retried() != want {
 		t.Fatalf("detached log charged a retry")
 	}
 }
@@ -238,7 +254,7 @@ func TestTailLogSwapReopenFails(t *testing.T) {
 	dir := t.TempDir()
 	e, _ := Open(dir)
 	path := filepath.Join(dir, "toy.log")
-	o := openToy(t, e, path, nil)
+	o := openToy(t, e, path)
 	if err := o.append(nil, 1, 2, 3); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"eva/internal/faults"
+	"eva/internal/simclock"
 	"eva/internal/types"
 )
 
@@ -274,8 +275,8 @@ func TestPredicateWriteFaults(t *testing.T) {
 }
 
 // TestBudgetDenialOfPredicateIsDiskFull: a snapshot the budget cannot
-// admit fails the way a row record does, so the caller's MakeRoom can
-// run the reclaim ladder for it.
+// admit fails the way a row record does, so the engine's retry loop
+// runs the reclaim ladder for it and the retry fits.
 func TestBudgetDenialOfPredicateIsDiskFull(t *testing.T) {
 	e, v := openDet(t, t.TempDir())
 	cold, err := e.CreateView("cold", viewSchema(), []string{"id"})
@@ -287,18 +288,20 @@ func TestBudgetDenialOfPredicateIsDiskFull(t *testing.T) {
 	// 66 bytes of headroom: too few for the 64-byte snapshot's record.
 	e.SetBudget(NewDiskBudget(v.Footprint() + cold.Footprint() + 66))
 	pred := bytes.Repeat([]byte("p"), 64)
-	err = v.AppendPredicate(pred, nil)
-	if !IsDiskFull(err) {
-		t.Fatalf("budget denial: %v", err)
-	}
-	if err := v.MakeRoom(err, 1); err != nil {
+	var attempts []error
+	err = e.Retry(&simclock.Clock{}, func() error {
+		err := v.AppendPredicate(pred, nil)
+		attempts = append(attempts, err)
+		return err
+	})
+	if err != nil {
 		t.Fatalf("reclaim for the snapshot: %v", err)
+	}
+	if len(attempts) != 2 || !isDiskFull(attempts[0]) {
+		t.Fatalf("attempts %v, want a budget denial and a retry that fits", attempts)
 	}
 	if cold.Rows() != 0 {
 		t.Error("the ladder did not evict the cold view")
-	}
-	if err := v.AppendPredicate(pred, nil); err != nil {
-		t.Fatalf("retry after reclaim: %v", err)
 	}
 	wantPredicate(t, v, string(pred), false)
 }

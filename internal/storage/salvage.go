@@ -330,7 +330,7 @@ func (v *View) writeGenerationLocked(buf []byte) error {
 	// its transient overshoot would wedge the reclaim ladder's cheapest
 	// tier.
 	site := faults.SiteViewCompact(v.name)
-	allow, injected := drawWrite(v.inj, faults.SiteDiskFull(site), site, uint64(v.log.footprint), len(buf))
+	allow, injected := drawWrite(v.log, v.inj, faults.SiteDiskFull(site), site, uint64(v.log.footprint), len(buf))
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err

@@ -84,6 +84,9 @@ type View struct {
 	// evaluating it (per-(view, key) singleflight across sessions);
 	// the channel closes when the claim is released. guarded by mu.
 	claims map[string]chan struct{}
+	// eng is the engine whose reclaim ladder makes room for Append,
+	// set once as the view is published (nil: none).
+	eng *Engine
 	// touch is the engine's access ordinal at this view's last lookup,
 	// read by the eviction ranker (atomic — ordinals come from the
 	// engine's touchSeq, bumped per engine-level lookup, not per row).
@@ -159,12 +162,17 @@ func openView(path, name string, schema types.Schema, keyCols []string, inj *fau
 		// tail.
 		log.recovered = 0
 	}
-	v.log = log                         // lint:nolock pre-publish (openView)
-	v.adoptHolesLocked(holes)           // lint:nolock pre-publish (openView)
-	if index != nil && v.indexed == 0 { // lint:nolock pre-publish (openView)
+	v.log = log               // lint:nolock pre-publish (openView)
+	v.adoptHolesLocked(holes) // lint:nolock pre-publish (openView)
+	switch {
+	case index == nil:
+	case v.indexed == 0: // lint:nolock pre-publish (openView)
 		// Missing, stale, torn or damaged: the replay staged every record,
 		// and the file is garbage.
 		_ = os.Remove(indexPath(path))
+	default:
+		// Kept beside the open log, it is charged like the log.
+		budget.Set(indexPath(path), int64(len(index)))
 	}
 	return v, nil
 }
@@ -214,10 +222,10 @@ func (v *View) resetReplayState() {
 	v.relaid = false                         // lint:nolock pre-publish (openView)
 }
 
-// dropIndexLocked deletes the key index: the log it described is gone.
-// Callers hold mu.
+// dropIndexLocked deletes the key index and refunds its charge: the log
+// it described is gone. Callers hold mu.
 func (v *View) dropIndexLocked() {
-	_ = os.Remove(indexPath(v.path))
+	_ = removeFile(v.log.budget, indexPath(v.path))
 	v.indexed = 0
 }
 
@@ -454,6 +462,9 @@ func (v *View) setBudget(b *DiskBudget) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.log.setBudget(b)
+	if fi, err := os.Stat(indexPath(v.path)); err == nil {
+		b.Set(indexPath(v.path), fi.Size())
+	}
 }
 
 // Name returns the view name.
@@ -637,44 +648,33 @@ func (v *View) markLocked(kb *types.Batch) error {
 // next open.
 //
 // Disk pressure never fails an append while something evictable
-// remains: a budget denial or injected disk:full fault releases the
-// lock, runs the engine's reclaim ladder (compact fragmented logs,
-// then evict cold views), charges virtual-clock backoff, and retries;
-// only a dry ladder surfaces the typed ErrDiskBudget.
-func (v *View) Append(rows *types.Batch, processedKeys [][]types.Datum) (int, error) {
+// remains: Append runs AppendWith under the engine's one retry loop
+// (Engine.Retry) with no clock, so a budget denial or injected
+// disk:full fault runs the reclaim ladder (compact fragmented logs,
+// then evict cold views) and retries; only a dry ladder surfaces the
+// typed ErrDiskBudget. Other faults come back at once.
+func (v *View) Append(rows *types.Batch, processedKeys [][]types.Datum) (n int, err error) {
 	v.mu.RLock()
 	inj := v.inj
 	v.mu.RUnlock()
-	return v.AppendWith(rows, processedKeys, inj)
-}
-
-// AppendWith is Append drawing write faults from the caller's injector
-// instead of the view's installed one: every statement appends through
-// it with its session's injector, so a session's write faults follow
-// that session's deterministic schedule (nil injects nothing, even
-// when the system has an injector installed).
-//
-// Locked append attempts hold no view lock between them (TailLog.Retry):
-// a retriable disk-full failure frees space through the engine's
-// reclaim ladder, which must take other views' locks, and retries the
-// same record.
-func (v *View) AppendWith(rows *types.Batch, processedKeys [][]types.Datum, inj *faults.Injector) (n int, err error) {
-	err = v.log.Retry(func() (err error) { // lint:nolock the pointer is fixed at open
-		v.mu.Lock()
-		defer v.mu.Unlock()
-		n, err = v.appendLocked(rows, processedKeys, inj)
+	err = v.eng.Retry(nil, func() (err error) {
+		n, err = v.AppendWith(rows, processedKeys, inj)
 		return err
 	})
 	return n, err
 }
 
-// MakeRoom is TailLog.MakeRoom on the view's log, for a caller that
-// drives its own attempts (the aggregated-predicate commit). The ladder
-// excludes this view: a budget too small for even one view ends with a
-// dry ladder and the typed error, never an evict-ourselves loop. The
-// caller must hold no view lock.
-func (v *View) MakeRoom(err error, attempt int) error {
-	return v.log.MakeRoom(err, attempt) // lint:nolock the pointer is fixed at open
+// AppendWith is one attempt at Append, drawing write faults from the
+// caller's injector instead of the view's installed one: every
+// statement appends through it, under Engine.Retry with its own clock,
+// with its session's injector, so a session's write faults follow that
+// session's deterministic schedule (nil injects nothing, even when the
+// system has an injector installed). It takes and releases the view
+// lock, so the reclaim ladder between two attempts holds none.
+func (v *View) AppendWith(rows *types.Batch, processedKeys [][]types.Datum, inj *faults.Injector) (int, error) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.appendLocked(rows, processedKeys, inj)
 }
 
 // Predicate returns the last aggregated-predicate snapshot the log
@@ -1011,9 +1011,11 @@ func (v *View) closeClean() error {
 // disk, if any, is older: the log is open, alive and whole — no
 // quarantine — and has grown since that index; its rows fill a chunk at
 // least; and rows lists its keys as a staged replay would. Like the
-// table record the index is derived data: written outside the disk
-// budget and without fault draws, it moves no log byte, and a failure
-// only costs the next open a staged replay. Callers hold mu.
+// table record the index is derived data: written without fault draws
+// and without asking the disk budget, it moves no log byte, and a
+// failure only costs the next open a staged replay. While it sits
+// beside the log it is charged to the budget like the log. Callers
+// hold mu.
 func (v *View) writeIndexLocked() {
 	l := v.log
 	if l.file == nil || l.dead || v.quar != nil || v.relaid || l.footprint == v.indexed || v.rows.len() < 1<<chunkShift {
@@ -1026,7 +1028,8 @@ func (v *View) writeIndexLocked() {
 	buf := beginFile(make([]byte, 0, preambleLen+16+v.rows.indexSize()+recSumLen), keyIndexFile)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(data)))
 	buf = binary.LittleEndian.AppendUint64(buf, digest(data))
-	if writeFileAtomic(indexPath(v.path), sealFile(v.rows.appendIndex(buf))) == nil {
+	if file := sealFile(v.rows.appendIndex(buf)); writeFileAtomic(indexPath(v.path), file) == nil {
 		v.indexed = l.footprint
+		l.budget.Set(indexPath(v.path), int64(len(file)))
 	}
 }

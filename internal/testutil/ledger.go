@@ -10,16 +10,15 @@ import (
 
 // CheckLedger fails the test unless used — a storage engine's
 // Budget().Stats().UsedBytes — equals the summed size of every file
-// under the engine's root. Video segments, table records and view key
-// indexes are left out: they are regenerable data the budget never
-// charges.
+// under the engine's root. Video segments and table records are left
+// out: they are regenerable data the budget never charges.
 // lint:testonly a helper the tests of several packages share
 func CheckLedger(t *testing.T, root string, used int64) {
 	t.Helper()
 	var sum int64
 	var files []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || strings.HasPrefix(d.Name(), "seg-") || d.Name() == "table.rec" || strings.HasSuffix(d.Name(), ".view.idx") {
+		if err != nil || d.IsDir() || strings.HasPrefix(d.Name(), "seg-") || d.Name() == "table.rec" {
 			return err
 		}
 		fi, err := d.Info()

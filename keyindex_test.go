@@ -61,6 +61,41 @@ func TestKeyIndexMatchesStagedReplay(t *testing.T) {
 	}
 }
 
+// TestKeyIndexIsCharged: a key index kept beside an open view log is
+// charged to the disk budget like the log, so the ledger of a reopened,
+// cleanly closed directory is the bytes of its view logs and indexes.
+func TestKeyIndexIsCharged(t *testing.T) {
+	defer storage.SetChunkShift(2)()
+	const q = `SELECT id, label FROM video CROSS APPLY FasterRCNNResnet50(frame) WHERE id < 260 AND label = 'car' AND ColorDet(frame, bbox) = 'Gray'`
+	dir := t.TempDir()
+	sys := openLoaded(t, Config{Dir: dir})
+	if _, err := sys.Exec(q); err != nil {
+		t.Fatal(err)
+	}
+	closeOK(t, sys)
+	sys = openLoaded(t, Config{Dir: dir, DiskBudgetBytes: 1 << 40})
+	if _, err := sys.Exec(q); err != nil {
+		t.Fatal(err)
+	}
+	if sys.store.IndexedOpens() == 0 {
+		t.Fatal("no view reopened through a key index")
+	}
+	var onDisk int64
+	for _, pattern := range []string{"*.view", "*.view.idx"} {
+		files, _ := filepath.Glob(filepath.Join(dir, "views", pattern))
+		for _, f := range files {
+			fi, err := os.Stat(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			onDisk += fi.Size()
+		}
+	}
+	if used := sys.StorageStats().Disk.UsedBytes; used != onDisk {
+		t.Errorf("budget charges %d bytes, the view logs and key indexes hold %d", used, onDisk)
+	}
+}
+
 // keyHashDigest is the key hash every open view files for each row.
 func keyHashDigest(sys *System) string {
 	names := sys.store.Views()

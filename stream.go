@@ -127,8 +127,9 @@ func (st *Stream) Stats() StreamStats { return st.st.Stats() }
 func (st *Stream) StandingQueries() []*StandingQuery { return st.st.Queries() }
 
 // SimulatedTime returns the ingest-side virtual time breakdown
-// (appends, checkpoints, notifications, retries). Standing-query
-// deltas are statements: their time is in System.SimulatedTime.
+// (appends, checkpoints, notifications, and the retry backoff of the
+// watermark appends, checkpoint writes and notifications). Standing-
+// query deltas are statements: their time is in System.SimulatedTime.
 func (st *Stream) SimulatedTime() simclock.Breakdown { return st.st.SimulatedTime() }
 
 // closeStreams drains and closes every stream opened on this System;

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"eva/internal/costs"
+	"eva/internal/faults"
 	"eva/internal/simclock"
 )
 
@@ -243,5 +245,33 @@ func TestFailedOpenStreamCanBeRetried(t *testing.T) {
 	}
 	if got := res.Rows.At(0, 0).Int(); got != 80 {
 		t.Errorf("the reopened table scans %d frames, want 80", got)
+	}
+}
+
+// TestRetryChargesStream: a watermark append that draws two transient
+// disk:fulls is retried by the store's one loop, whose backoff goes to
+// the stream's clock, beside the checkpoints' — not to the System's,
+// which holds the statements' time only. No standing query runs.
+func TestRetryChargesStream(t *testing.T) {
+	sys := openAt(t, Config{})
+	stream, err := sys.OpenStream(StreamConfig{Table: "traffic", Dataset: sessionStreamDS, CadenceFrames: sessionStreamCadence})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := faults.New(1)
+	inj.Rule(faults.SiteDiskFull(faults.SiteIngestAppend("traffic")), faults.Rule{Kind: faults.Transient, At: []int{1, 2}})
+	stream.injectFaults(inj)
+	if err := ingestSessionStream(stream); err != nil {
+		t.Fatal(err)
+	}
+	if ev := inj.Events(); len(ev) != 2 {
+		t.Fatalf("disk:full faults %v, want two on one append", ev)
+	}
+	want := costs.RetryBackoff(1) + costs.RetryBackoff(2)
+	if got := stream.SimulatedTime().Get(simclock.CatRetry); got != want {
+		t.Errorf("stream's retry time = %v, want %v", got, want)
+	}
+	if got := sys.SimulatedBreakdown().Get(simclock.CatRetry); got != 0 {
+		t.Errorf("System's retry time = %v, want 0", got)
 	}
 }
